@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same targets so local runs and the
 # pipeline cannot drift.
 
-.PHONY: build test vet race fmt-check bench bench-sqlexec bench-server bench-storage bench-loadgen
+.PHONY: build test vet race fmt-check bench bench-sqlexec bench-server bench-storage bench-loadgen bench-enumerate
 
 # DATA_DIR is the segment store the load-harness invocations share: the
 # first run persists each generated database under its spec content
@@ -33,7 +33,7 @@ fmt-check:
 # BENCH_*.json so the perf trajectory is tracked in-repo and the benchmarks
 # cannot bit-rot. All targets pass -benchmem so allocation wins are
 # recorded alongside ns/op (benchjson promotes B/op and allocs/op).
-bench: bench-sqlexec bench-storage bench-server bench-loadgen
+bench: bench-sqlexec bench-storage bench-server bench-loadgen bench-enumerate
 
 bench-sqlexec:
 	@go test ./internal/sqlexec -run '^$$' -bench 'BenchmarkExists' -benchtime 5x -benchmem > bench.out; \
@@ -92,4 +92,15 @@ bench-server:
 	status=$$?; \
 	if [ $$status -ne 0 ]; then cat bench.out; rm -f bench.out; exit $$status; fi; \
 	go run ./cmd/benchjson -out BENCH_server.json < bench.out; \
+	status=$$?; rm -f bench.out; exit $$status
+
+# bench-enumerate records what one explored GPQE state costs on the
+# repository benchmark's own Spider inputs (197 tasks, with and without the
+# TSQ, warm shared caches, default pool size): ns/op is one pass over the
+# tasks, and the custom metrics give ns, bytes and allocations per state.
+bench-enumerate:
+	@go test ./internal/enumerate -run '^$$' -bench 'BenchmarkEnumerateSpider' -benchtime 5x -benchmem > bench.out; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then cat bench.out; rm -f bench.out; exit $$status; fi; \
+	go run ./cmd/benchjson -out BENCH_enumerate.json < bench.out; \
 	status=$$?; rm -f bench.out; exit $$status

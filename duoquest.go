@@ -290,11 +290,12 @@ func WithMaxCandidates(n int) Option { return func(c *Config) { c.MaxCandidates 
 // Deprecated: set Config.MaxStates.
 func WithMaxStates(n int) Option { return func(c *Config) { c.MaxStates = n } }
 
-// WithWorkers bounds the verification worker pool: dequeued search states
-// fan out to n workers for TSQ verification while enumeration order stays
-// single-threaded and deterministic, so results are identical to the
-// sequential engine's. 0 (the default) uses runtime.GOMAXPROCS(0); 1
-// verifies inline on the search goroutine.
+// WithWorkers bounds the verification worker pool: the database work of
+// TSQ verification fans out to n workers while enumeration order — and
+// every check that needs no database work — stays on the search goroutine,
+// so results are identical at every setting. 0 (the default) uses
+// runtime.GOMAXPROCS(0); 1 does the database work on the search goroutine
+// too.
 //
 // Deprecated: set Config.Workers.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }

@@ -66,12 +66,16 @@ type Options struct {
 	// definition §3.3.3 discusses (it removes the preference for shorter
 	// queries at the cost of Property 1). Off by default, as in the paper.
 	GeoMeanPriority bool
-	// Workers bounds the verification worker pool. Each dequeued state's
-	// children fan out to the pool for ascending-cost cascading
-	// verification (§3.4, the enumeration hot path) while the priority
-	// queue and guidance scoring stay single-threaded, so the emitted
-	// candidate set and order are identical to the sequential engine's.
-	// 0 defaults to runtime.GOMAXPROCS(0); 1 verifies inline.
+	// Workers bounds the verification worker pool. The search goroutine
+	// runs every child's cascade (§3.4) itself as far as that takes no
+	// database work — clause, semantic and type checks, and column- and
+	// row-wise questions the shared memos already answer; only children
+	// that reach a memo miss or the by-order execution are handed to the
+	// pool, two or more at a time. The priority queue and guidance scoring
+	// stay single-threaded and outcomes are consumed in child order, so the
+	// emitted candidates are identical at every setting.
+	// 0 defaults to runtime.GOMAXPROCS(0); 1 does the database work on the
+	// search goroutine too.
 	Workers int
 }
 
@@ -105,13 +109,21 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// state is one search node: a partial query plus its confidence.
+// state is one search node: a partial query plus its confidence. The query
+// is immutable (sqlir/derive.go): children share its structure, and emitted
+// candidates and verification workers keep pointers to it.
 type state struct {
-	q       *sqlir.Query
-	logConf float64
-	joinLen int // §3.3.4 tiebreaker: shorter join paths first
-	depth   int // decision depth, the NoGuide BFS key
-	seq     int // FIFO tiebreaker for determinism
+	q *sqlir.Query
+	// dec is the decision that derived q from its parent when that parent
+	// passed verification — q's own check then inherits the parent's proofs
+	// (verify.Begin) — and the zero Decision otherwise.
+	dec      sqlir.Decision
+	complete bool // q.Complete()
+	verified bool // q passed the cascade
+	logConf  float64
+	joinLen  int // §3.3.4 tiebreaker: shorter join paths first
+	depth    int // decision depth, the NoGuide BFS key
+	seq      int // FIFO tiebreaker for determinism
 }
 
 // stateQueue is the priority collection P of Algorithm 1.
@@ -213,7 +225,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 	// needVerify reports whether a child state runs the verification
 	// cascade: always under GPQE/NoGuide; only complete queries under NoPQ.
 	needVerify := func(c *state) bool {
-		return e.opts.Mode != ModeNoPQ || c.q.Complete()
+		return e.opts.Mode != ModeNoPQ || c.complete
 	}
 	var pool *verifyPool
 	if e.opts.Workers > 1 {
@@ -249,10 +261,11 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		if err != nil {
 			return res, err
 		}
-		// With a pool, the whole expansion fans out at once and the
-		// reordering buffer restores child order; otherwise each child is
-		// verified inline exactly as the sequential engine does. Either
-		// way, results are consumed in child order below, so emitted
+		// With a pool, the whole expansion is checked at once — inline as
+		// far as no database work is needed, the rest fanned out — and the
+		// batch restores child order; otherwise each child is verified
+		// when its turn comes, exactly as the sequential engine does.
+		// Either way, results are consumed in child order below, so emitted
 		// candidates and queue contents are identical in both modes.
 		var batch []verifyResult
 		if pool != nil && len(children) > 1 {
@@ -260,29 +273,26 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		}
 		for i, c := range children {
 			if needVerify(c) {
-				var out verify.Outcome
+				var r verifyResult
 				if batch != nil {
-					r := batch[i]
-					if r.cancelled {
-						return truncate()
-					}
-					out, err = r.out, r.err
+					r = batch[i]
 				} else {
-					out, err = e.verifier.VerifyCtx(ctx, c.q)
+					r = verifyChild(ctx, e.verifier, c)
 				}
-				if transientErr(err) {
+				if r.cancelled {
 					// The request died (or drew an injected fault) mid-
 					// verification: degrade to the candidates already emitted.
 					return truncate()
 				}
-				if err != nil {
-					return res, err
+				if r.err != nil {
+					return res, r.err
 				}
-				if !out.OK {
+				if !r.out.OK {
 					continue
 				}
+				c.verified = true
 			}
-			if c.q.Complete() {
+			if c.complete {
 				key := c.q.Canonical()
 				if seen[key] {
 					continue
@@ -315,10 +325,9 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 	return res, nil
 }
 
-// child clones the parent state and applies a decision with probability p.
-func (e *Enumerator) child(parent *state, p float64, mutate func(q *sqlir.Query)) *state {
-	q := parent.q.Clone()
-	mutate(q)
+// child wraps q — the parent's query with decision dec applied, with
+// probability p — as a search state.
+func (e *Enumerator) child(parent *state, p float64, q *sqlir.Query, dec sqlir.Decision) *state {
 	e.seq++
 	lc := parent.logConf
 	if p > 0 {
@@ -326,82 +335,67 @@ func (e *Enumerator) child(parent *state, p float64, mutate func(q *sqlir.Query)
 	} else {
 		lc = math.Inf(-1)
 	}
-	jl := parent.joinLen
-	if q.From != nil {
-		jl = q.From.Len()
+	if !parent.verified {
+		dec = sqlir.Decision{} // nothing proved to inherit
 	}
-	return &state{q: q, logConf: lc, joinLen: jl, depth: parent.depth + 1, seq: e.seq}
+	return &state{q: q, dec: dec, complete: q.Complete(), logConf: lc, joinLen: q.From.Len(), depth: parent.depth + 1, seq: e.seq}
 }
 
 // nextStep is EnumNextStep (Algorithm 1, Line 5): it finds the next pending
 // decision in module execution order (§3.3.1) and produces one child state
 // per output class of the corresponding module.
-func (e *Enumerator) nextStep(mctx *guidance.Context, p *state) ([]*state, error) {
+func (e *Enumerator) nextStep(ctx *guidance.Context, p *state) ([]*state, error) {
 	q := p.q
-	ctx := mctx.WithQuery(q)
+	// The search owns ctx and a model reads it only during a call, so it is
+	// rebound in place instead of copied (Context.WithQuery) per state.
+	ctx.Query = q
 	uniform := e.opts.Mode == ModeNoGuide
 
 	switch {
 	case !q.KWSet:
-		return e.kwChildren(ctx, p, uniform), nil
+		return mapChildren(e, p, uniform, e.model.Keywords(ctx), sqlir.Decision{Kind: sqlir.DecideKeywords},
+			func(ks guidance.KeywordSet) *sqlir.Query { return q.WithKeywords(ks.Where, ks.GroupBy, ks.OrderBy) }), nil
 
 	case !q.SelectCountSet:
-		return mapChildren(e, p, uniform, e.model.SelectCount(ctx), func(q *sqlir.Query, n int) {
-			q.Select = make([]sqlir.SelectItem, n)
-			q.SelectCountSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.SelectCount(ctx), sqlir.Decision{Kind: sqlir.DecideSelectCount},
+			q.WithSelectCount), nil
 
 	case firstUndecidedCol(q) >= 0:
 		idx := firstUndecidedCol(q)
-		return mapChildren(e, p, uniform, e.model.SelectColumn(ctx, idx), func(q *sqlir.Query, c sqlir.ColumnRef) {
-			q.Select[idx].Col = c
-			q.Select[idx].ColSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.SelectColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: idx},
+			func(c sqlir.ColumnRef) *sqlir.Query { return q.WithSelectColumn(idx, c) }), nil
 
 	case firstUndecidedAgg(q) >= 0:
 		idx := firstUndecidedAgg(q)
-		return mapChildren(e, p, uniform, e.model.SelectAgg(ctx, idx, q.Select[idx].Col), func(q *sqlir.Query, a sqlir.AggFunc) {
-			q.Select[idx].Agg = a
-			q.Select[idx].AggSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.SelectAgg(ctx, idx, q.Select[idx].Col), sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: idx},
+			func(a sqlir.AggFunc) *sqlir.Query { return q.WithSelectAgg(idx, a) }), nil
 
 	case q.From == nil:
 		return e.joinPathChildren(p)
 
 	case q.WhereState == sqlir.ClausePending:
-		return mapChildren(e, p, uniform, e.model.WhereCount(ctx), func(q *sqlir.Query, n int) {
-			q.Where.Preds = make([]sqlir.Predicate, n)
-			q.Where.CountSet = true
-			q.WhereState = sqlir.ClausePresent
-		}), nil
+		return mapChildren(e, p, uniform, e.model.WhereCount(ctx), sqlir.Decision{Kind: sqlir.DecideWhereCount},
+			q.WithWhereCount), nil
 
 	case q.WhereState == sqlir.ClausePresent && len(q.Where.Preds) >= 2 && !q.Where.ConjSet:
-		return mapChildren(e, p, uniform, e.model.WhereConj(ctx), func(q *sqlir.Query, c sqlir.LogicalOp) {
-			q.Where.Conj = c
-			q.Where.ConjSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.WhereConj(ctx), sqlir.Decision{Kind: sqlir.DecideWhereConj},
+			q.WithWhereConj), nil
 
 	case firstPredWithout(q, predColUnset) >= 0:
 		idx := firstPredWithout(q, predColUnset)
-		return mapChildren(e, p, uniform, e.model.WhereColumn(ctx, idx), func(q *sqlir.Query, c sqlir.ColumnRef) {
-			q.Where.Preds[idx].Col = c
-			q.Where.Preds[idx].ColSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.WhereColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecidePredColumn, Index: idx},
+			func(c sqlir.ColumnRef) *sqlir.Query { return q.WithPredColumn(idx, c) }), nil
 
 	case firstPredWithout(q, predOpUnset) >= 0:
 		idx := firstPredWithout(q, predOpUnset)
-		return mapChildren(e, p, uniform, e.model.WhereOp(ctx, q.Where.Preds[idx].Col), func(q *sqlir.Query, op sqlir.Op) {
-			q.Where.Preds[idx].Op = op
-			q.Where.Preds[idx].OpSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.WhereOp(ctx, q.Where.Preds[idx].Col), sqlir.Decision{Kind: sqlir.DecidePredOp, Index: idx},
+			func(op sqlir.Op) *sqlir.Query { return q.WithPredOp(idx, op) }), nil
 
 	case firstPredWithout(q, predValUnset) >= 0:
 		idx := firstPredWithout(q, predValUnset)
 		pr := q.Where.Preds[idx]
-		return mapChildren(e, p, uniform, e.model.WhereValue(ctx, pr.Col, pr.Op), func(q *sqlir.Query, v sqlir.Value) {
-			q.Where.Preds[idx].Val = v
-			q.Where.Preds[idx].ValSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.WhereValue(ctx, pr.Col, pr.Op), sqlir.Decision{Kind: sqlir.DecidePredValue, Index: idx},
+			func(v sqlir.Value) *sqlir.Query { return q.WithPredValue(idx, v) }), nil
 
 	case q.GroupByState == sqlir.ClausePending:
 		// GROUP BY is determined by SQL semantics: every unaggregated
@@ -411,94 +405,47 @@ func (e *Enumerator) nextStep(mctx *guidance.Context, p *state) ([]*state, error
 		if len(cols) == 0 {
 			return nil, nil
 		}
-		return []*state{e.child(p, 1, func(q *sqlir.Query) {
-			q.GroupBy = cols
-			q.GroupByState = sqlir.ClausePresent
-			q.HavingState = sqlir.ClausePending
-		})}, nil
+		return []*state{e.child(p, 1, q.WithGroupBy(cols), sqlir.Decision{Kind: sqlir.DecideGroupBy})}, nil
 
 	case q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePending && !q.Having.AggSet:
 		var out []*state
+		dec := sqlir.Decision{Kind: sqlir.DecideHaving}
 		for _, s := range e.model.HavingPresent(ctx) {
 			prob := s.Prob
 			if uniform {
 				prob = 1
 			}
-			if s.Class {
-				for _, ac := range e.model.HavingAggCol(ctx) {
-					pac := ac.Prob
-					if uniform {
-						pac = 1
-					}
-					agg, col := ac.Class.Agg, ac.Class.Col
-					out = append(out, e.child(p, prob*pac, func(q *sqlir.Query) {
-						q.HavingState = sqlir.ClausePresent
-						q.Having.Agg = agg
-						q.Having.AggSet = true
-						q.Having.Col = col
-						q.Having.ColSet = true
-					}))
+			if !s.Class {
+				out = append(out, e.child(p, prob, q.WithoutHaving(), dec))
+				continue
+			}
+			for _, ac := range e.model.HavingAggCol(ctx) {
+				pac := ac.Prob
+				if uniform {
+					pac = 1
 				}
-			} else {
-				out = append(out, e.child(p, prob, func(q *sqlir.Query) {
-					q.HavingState = sqlir.ClauseAbsent
-				}))
+				out = append(out, e.child(p, prob*pac, q.WithHavingAgg(ac.Class.Agg, ac.Class.Col), dec))
 			}
 		}
 		return out, nil
 
 	case q.HavingState == sqlir.ClausePresent && !q.Having.OpSet:
-		return mapChildren(e, p, uniform, e.model.HavingOp(ctx), func(q *sqlir.Query, op sqlir.Op) {
-			q.Having.Op = op
-			q.Having.OpSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.HavingOp(ctx), sqlir.Decision{Kind: sqlir.DecideHavingOp},
+			q.WithHavingOp), nil
 
 	case q.HavingState == sqlir.ClausePresent && !q.Having.ValSet:
-		return mapChildren(e, p, uniform, e.model.HavingValue(ctx), func(q *sqlir.Query, v sqlir.Value) {
-			q.Having.Val = v
-			q.Having.ValSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.HavingValue(ctx), sqlir.Decision{Kind: sqlir.DecideHavingValue},
+			q.WithHavingValue), nil
 
 	case q.OrderByState == sqlir.ClausePending:
-		return mapChildren(e, p, uniform, e.model.OrderKey(ctx), func(q *sqlir.Query, k guidance.AggCol) {
-			q.OrderBy.Key = sqlir.OrderKey{Agg: k.Agg, Col: k.Col}
-			q.OrderBy.KeySet = true
-			q.OrderByState = sqlir.ClausePresent
-		}), nil
+		return mapChildren(e, p, uniform, e.model.OrderKey(ctx), sqlir.Decision{Kind: sqlir.DecideOrderKey},
+			func(k guidance.AggCol) *sqlir.Query { return q.WithOrderKey(sqlir.OrderKey{Agg: k.Agg, Col: k.Col}) }), nil
 
 	case q.OrderByState == sqlir.ClausePresent && !q.OrderBy.DirSet:
-		return mapChildren(e, p, uniform, e.model.OrderDir(ctx), func(q *sqlir.Query, d guidance.DirLimit) {
-			q.OrderBy.Desc = d.Desc
-			q.OrderBy.DirSet = true
-			q.Limit = d.Limit
-			q.LimitSet = true
-		}), nil
+		return mapChildren(e, p, uniform, e.model.OrderDir(ctx), sqlir.Decision{Kind: sqlir.DecideOrderDir},
+			func(d guidance.DirLimit) *sqlir.Query { return q.WithOrderDir(d.Desc, d.Limit) }), nil
 	}
 	return nil, fmt.Errorf("enumerate: no pending decision for %s", q)
-}
-
-// kwChildren expands the KW module: one child per clause combination.
-func (e *Enumerator) kwChildren(ctx *guidance.Context, p *state, uniform bool) []*state {
-	var out []*state
-	for _, s := range e.model.Keywords(ctx) {
-		prob := s.Prob
-		if uniform {
-			prob = 1
-		}
-		ks := s.Class
-		out = append(out, e.child(p, prob, func(q *sqlir.Query) {
-			q.KWSet = true
-			q.WhereState = stateIf(ks.Where)
-			q.GroupByState = stateIf(ks.GroupBy)
-			q.OrderByState = stateIf(ks.OrderBy)
-			if !ks.OrderBy {
-				// LIMIT is decided with ORDER BY direction; without
-				// ORDER BY the query has no LIMIT.
-				q.LimitSet = true
-			}
-		}))
-	}
-	return out
 }
 
 // pathPenalty discounts expansion tables beyond the minimal Steiner tree so
@@ -523,38 +470,26 @@ func (e *Enumerator) joinPathChildren(p *state) ([]*state, error) {
 			minLen = jp.Len()
 		}
 	}
-	var out []*state
+	out := make([]*state, 0, len(paths))
 	for _, jp := range paths {
-		jp := jp
 		prob := math.Pow(pathPenalty, float64(jp.Len()-minLen))
-		out = append(out, e.child(p, prob, func(q *sqlir.Query) {
-			q.From = jp
-		}))
+		out = append(out, e.child(p, prob, p.q.WithFrom(jp), sqlir.Decision{Kind: sqlir.DecideFrom}))
 	}
 	return out, nil
 }
 
-// mapChildren turns a module distribution into child states.
-func mapChildren[T any](e *Enumerator, p *state, uniform bool, scored []guidance.Scored[T], apply func(q *sqlir.Query, class T)) []*state {
-	var out []*state
+// mapChildren turns a module distribution into child states: one per output
+// class, each the parent's query with decision dec filled in by derive.
+func mapChildren[T any](e *Enumerator, p *state, uniform bool, scored []guidance.Scored[T], dec sqlir.Decision, derive func(class T) *sqlir.Query) []*state {
+	out := make([]*state, 0, len(scored))
 	for _, s := range scored {
 		prob := s.Prob
 		if uniform {
 			prob = 1
 		}
-		class := s.Class
-		out = append(out, e.child(p, prob, func(q *sqlir.Query) {
-			apply(q, class)
-		}))
+		out = append(out, e.child(p, prob, derive(s.Class), dec))
 	}
 	return out
-}
-
-func stateIf(present bool) sqlir.ClauseState {
-	if present {
-		return sqlir.ClausePending
-	}
-	return sqlir.ClauseAbsent
 }
 
 func firstUndecidedCol(q *sqlir.Query) int {

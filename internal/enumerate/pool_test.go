@@ -8,15 +8,27 @@ import (
 	"github.com/duoquest/duoquest/internal/guidance"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/sqlparse"
+	"github.com/duoquest/duoquest/internal/tsq"
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// poolStates builds n fresh root states (empty partial queries, which the
-// cascade always passes).
+// poolVerifier checks against a one-tuple TSQ, so every complete query has
+// database work (at least the by-order execution) for the pool to do.
+func poolVerifier() *verify.Verifier {
+	return verify.New(movieDB(), semrules.Default(), &tsq.TSQ{
+		Types:  []sqlir.Type{sqlir.TypeText},
+		Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump"))}},
+	}, nil)
+}
+
+// poolStates builds n states holding a complete query that satisfies
+// poolVerifier's TSQ.
 func poolStates(n int) []*state {
+	q := sqlparse.MustParse(movieDB().Schema, "SELECT title FROM movie")
 	out := make([]*state, n)
 	for i := range out {
-		out[i] = &state{q: sqlir.NewQuery()}
+		out[i] = &state{q: q, complete: true}
 	}
 	return out
 }
@@ -25,8 +37,7 @@ func poolStates(n int) []*state {
 // needVerify said no as zero values and fills every dispatched slot, in
 // index alignment, regardless of worker completion order.
 func TestPoolReorderSkipsUnverified(t *testing.T) {
-	v := verify.New(movieDB(), semrules.Default(), nil, nil)
-	pool := newVerifyPool(context.Background(), v, 4)
+	pool := newVerifyPool(context.Background(), poolVerifier(), 4)
 	defer pool.close()
 
 	states := poolStates(16)
@@ -61,14 +72,13 @@ func indexOf(states []*state, s *state) int {
 }
 
 // TestPoolCancelMidDrain cancels the search context halfway through a
-// batch's dispatch, while workers are already draining earlier jobs. Every
-// dispatched slot must still come back — as a real outcome or as a
-// cancellation — in index alignment, and close() must not deadlock on the
-// partially drained queue.
+// batch's inline prefix, so the whole batch is dispatched to workers that
+// already see the cancellation. Every dispatched slot must still come back
+// — as a real outcome or as a cancellation — in index alignment, and
+// close() must not deadlock on the drained queue.
 func TestPoolCancelMidDrain(t *testing.T) {
-	v := verify.New(movieDB(), semrules.Default(), nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	pool := newVerifyPool(ctx, v, 3)
+	pool := newVerifyPool(ctx, poolVerifier(), 3)
 	defer pool.close()
 
 	states := poolStates(24)

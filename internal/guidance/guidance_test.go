@@ -100,17 +100,17 @@ func TestRelated(t *testing.T) {
 
 func TestContainsPhrase(t *testing.T) {
 	toks := []string{"how", "many", "movies", "are", "there"}
-	if !containsPhrase(toks, "how many") {
+	if !phrases("how many").in(toks) {
 		t.Error("bigram")
 	}
-	if containsPhrase(toks, "many how") {
+	if phrases("many how").in(toks) {
 		t.Error("order matters")
 	}
-	if containsPhrase(toks, "") {
+	if phrases("").in(toks) {
 		t.Error("empty phrase")
 	}
-	if !containsAny(toks, "nope", "movies") {
-		t.Error("containsAny")
+	if !phrases("nope", "movies").in(toks) {
+		t.Error("any of several phrases")
 	}
 }
 

@@ -2,6 +2,7 @@ package guidance
 
 import (
 	"math"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -54,7 +55,7 @@ func temper[T any](m *LexicalModel, in []Scored[T]) []Scored[T] {
 // path's tables once FROM is decided, or the whole schema before that.
 func candidateTables(ctx *Context) []*storage.Table {
 	if ctx.Query != nil && ctx.Query.From != nil {
-		var out []*storage.Table
+		out := make([]*storage.Table, 0, len(ctx.Query.From.Tables))
 		for _, name := range ctx.Query.From.Tables {
 			if t := ctx.Schema.Table(name); t != nil {
 				out = append(out, t)
@@ -77,18 +78,17 @@ func nameColumn(table *storage.Table) string {
 	return ""
 }
 
-// columnScore rates how strongly the NLQ evokes table.column.
-func columnScore(ctx *Context, table *storage.Table, col storage.Column) float64 {
-	colTok := Tokenize(col.Name)
-	tblTok := Tokenize(table.Name)
-	s := tokenSetScore(ctx.Tokens, colTok)
-	tblScore := tokenSetScore(ctx.Tokens, tblTok)
+// columnScore rates how strongly the NLQ evokes table.column. tblScore is
+// the table name's tokenSetScore and display its nameColumn, both the same
+// for every column of the table; count is countCue's value.
+func columnScore(tok []string, count float64, table *storage.Table, col storage.Column, tblScore float64, display string) float64 {
+	s := tokenSetScore(tok, Tokenize(col.Name))
 	s += 0.35 * tblScore
 	// "List the publications …" asks for the entity's display attribute —
 	// unless the question is a count ("how many movies"), where the entity
 	// mention feeds COUNT(*) instead.
-	if tblScore >= 0.75 && col.Name == nameColumn(table) {
-		s += 0.45 * (1 - countCue(ctx.Tokens))
+	if tblScore >= 0.75 && col.Name == display {
+		s += 0.45 * (1 - count)
 	}
 	// Primary/foreign key id columns are rarely what an NLQ asks for.
 	if col.Name == table.PrimaryKey || (len(col.Name) > 2 && col.Name[len(col.Name)-2:] == "id") || col.Name == "id" {
@@ -97,54 +97,79 @@ func columnScore(ctx *Context, table *storage.Table, col storage.Column) float64
 	return s + 0.02 // smoothing: every column stays reachable
 }
 
-// scoredColumns scores every candidate column, excluding any in skip.
-func scoredColumns(ctx *Context, skip map[sqlir.ColumnRef]bool) []Scored[sqlir.ColumnRef] {
-	var out []Scored[sqlir.ColumnRef]
-	for _, t := range candidateTables(ctx) {
-		for _, c := range t.Columns {
-			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
-			if skip[ref] {
-				continue
-			}
-			out = append(out, Scored[sqlir.ColumnRef]{Class: ref, Prob: columnScore(ctx, t, c)})
-		}
-	}
-	return out
-}
-
 // --- cue detectors -------------------------------------------------------
+//
+// Each detector is a function of the NLQ tokens alone; newFeatures runs
+// them once per request. The phrase lists are split into words at package
+// initialisation, so detection is token comparison only.
+
+var (
+	countStrong = phrases("how many", "number of", "count of", "count the", "total number")
+	countWeak   = phrases("count", "number")
+
+	aggWords = map[sqlir.AggFunc]phraseSet{
+		sqlir.AggMax: phrases("maximum", "highest", "largest", "greatest", "most recent", "latest", "biggest", "max"),
+		sqlir.AggMin: phrases("minimum", "lowest", "smallest", "earliest", "least recent", "min", "cheapest"),
+		sqlir.AggAvg: phrases("average", "mean", "avg"),
+		sqlir.AggSum: phrases("total", "sum", "combined", "altogether"),
+	}
+
+	whereWords = phrases("with", "whose", "that", "which", "in", "from", "by", "named", "called",
+		"before", "after", "between", "more than", "less than", "at least", "at most",
+		"over", "under", "above", "below", "starring", "containing")
+
+	groupStrong = phrases("each", "every", "per", "for each", "grouped", "group")
+	groupWeak   = phrases("and the number", "and their number", "with more than", "with at least", "with fewer than")
+
+	orderStrong = phrases("ordered", "order", "sorted", "sort", "ranked", "rank",
+		"from earliest", "from most", "from least", "from oldest", "from newest",
+		"alphabetical", "alphabetically", "descending", "ascending", "top", "first")
+	orderWeak = phrases("most", "least", "earliest", "latest", "highest", "lowest")
+
+	havingWords = phrases("more than", "at least", "fewer than", "less than", "at most", "over", "under", "exceeding")
+
+	opWords = map[sqlir.Op]phraseSet{
+		sqlir.OpNe:   phrases("not", "except", "other than", "excluding"),
+		sqlir.OpLt:   phrases("before", "less than", "fewer than", "under", "below", "earlier than", "smaller than", "cheaper than", "younger than"),
+		sqlir.OpGt:   phrases("after", "more than", "greater than", "over", "above", "later than", "larger than", "exceeding", "older than", "at least one"),
+		sqlir.OpLe:   phrases("at most", "no more than", "up to"),
+		sqlir.OpGe:   phrases("at least", "no less than", "or more", "minimum of"),
+		sqlir.OpLike: phrases("containing", "contains", "include", "includes", "including", "like", "starting with", "ending with", "substring"),
+	}
+
+	descWords = phrases("descending", "most to least", "newest", "latest first", "highest first",
+		"from most", "from newest", "from highest", "most recent first", "largest first", "top")
+	ascWords = phrases("ascending", "least to most", "oldest", "earliest", "alphabetical",
+		"from least", "from oldest", "from lowest", "from earliest", "to most recent")
+
+	// coordinationPhrases each add a projection to SelectCount's estimate.
+	coordinationPhrases = phrases("together with", "as well as", "with corresponding", "along with")
+	orWords             = phrases("or", "either", "and those")
+	limitWords          = phrases("top", "first")
+	superlativeWords    = phrases("top", "first", "most", "least", "highest", "lowest", "best")
+)
 
 func countCue(tok []string) float64 {
 	switch {
-	case containsAny(tok, "how many", "number of", "count of", "count the", "total number"):
+	case countStrong.in(tok):
 		return 0.9
-	case containsAny(tok, "count", "number"):
+	case countWeak.in(tok):
 		return 0.5
 	default:
 		return 0.05
 	}
 }
 
-func aggCue(tok []string, agg sqlir.AggFunc) float64 {
-	switch agg {
-	case sqlir.AggCount:
-		return countCue(tok)
-	case sqlir.AggMax:
-		if containsAny(tok, "maximum", "highest", "largest", "greatest", "most recent", "latest", "biggest", "max") {
-			return 0.7
-		}
-	case sqlir.AggMin:
-		if containsAny(tok, "minimum", "lowest", "smallest", "earliest", "least recent", "min", "cheapest") {
-			return 0.7
-		}
-	case sqlir.AggAvg:
-		if containsAny(tok, "average", "mean", "avg") {
+// aggCue scores an aggregate; count is countCue's value.
+func aggCue(tok []string, count float64, agg sqlir.AggFunc) float64 {
+	if agg == sqlir.AggCount {
+		return count
+	}
+	if aggWords[agg].in(tok) {
+		if agg == sqlir.AggAvg {
 			return 0.85
 		}
-	case sqlir.AggSum:
-		if containsAny(tok, "total", "sum", "combined", "altogether") {
-			return 0.7
-		}
+		return 0.7
 	}
 	return 0.03
 }
@@ -154,9 +179,7 @@ func whereCue(tok []string, lits int) float64 {
 	if lits > 0 {
 		s += 0.55
 	}
-	if containsAny(tok, "with", "whose", "that", "which", "in", "from", "by", "named", "called",
-		"before", "after", "between", "more than", "less than", "at least", "at most",
-		"over", "under", "above", "below", "starring", "containing") {
+	if whereWords.in(tok) {
 		s += 0.25
 	}
 	return math.Min(s, 0.95)
@@ -164,9 +187,9 @@ func whereCue(tok []string, lits int) float64 {
 
 func groupCue(tok []string) float64 {
 	switch {
-	case containsAny(tok, "each", "every", "per", "for each", "grouped", "group"):
+	case groupStrong.in(tok):
 		return 0.85
-	case containsAny(tok, "and the number", "and their number", "with more than", "with at least", "with fewer than"):
+	case groupWeak.in(tok):
 		return 0.75
 	default:
 		return 0.08
@@ -175,11 +198,9 @@ func groupCue(tok []string) float64 {
 
 func orderCue(tok []string) float64 {
 	switch {
-	case containsAny(tok, "ordered", "order", "sorted", "sort", "ranked", "rank",
-		"from earliest", "from most", "from least", "from oldest", "from newest",
-		"alphabetical", "alphabetically", "descending", "ascending", "top", "first"):
+	case orderStrong.in(tok):
 		return 0.85
-	case containsAny(tok, "most", "least", "earliest", "latest", "highest", "lowest"):
+	case orderWeak.in(tok):
 		return 0.4
 	default:
 		return 0.07
@@ -187,58 +208,37 @@ func orderCue(tok []string) float64 {
 }
 
 func havingCue(tok []string, numericLits int) float64 {
-	if containsAny(tok, "more than", "at least", "fewer than", "less than", "at most", "over", "under", "exceeding") &&
-		numericLits > 0 {
+	if havingWords.in(tok) && numericLits > 0 {
 		return 0.8
 	}
 	return 0.1
 }
 
 func opCue(tok []string, op sqlir.Op) float64 {
-	switch op {
-	case sqlir.OpEq:
+	if op == sqlir.OpEq {
 		return 0.5
-	case sqlir.OpNe:
-		if containsAny(tok, "not", "except", "other than", "excluding") {
-			return 0.6
-		}
-		return 0.02
-	case sqlir.OpLt:
-		if containsAny(tok, "before", "less than", "fewer than", "under", "below", "earlier than", "smaller than", "cheaper than", "younger than") {
-			return 0.6
-		}
-		return 0.04
-	case sqlir.OpGt:
-		if containsAny(tok, "after", "more than", "greater than", "over", "above", "later than", "larger than", "exceeding", "older than", "at least one") {
-			return 0.6
-		}
-		return 0.04
-	case sqlir.OpLe:
-		if containsAny(tok, "at most", "no more than", "up to") {
+	}
+	if opWords[op].in(tok) {
+		switch op {
+		case sqlir.OpLe, sqlir.OpGe:
 			return 0.55
-		}
-		return 0.02
-	case sqlir.OpGe:
-		if containsAny(tok, "at least", "no less than", "or more", "minimum of") {
-			return 0.55
-		}
-		return 0.02
-	case sqlir.OpLike:
-		if containsAny(tok, "containing", "contains", "include", "includes", "including", "like", "starting with", "ending with", "substring") {
+		case sqlir.OpLike:
 			return 0.7
+		default:
+			return 0.6
 		}
-		return 0.02
+	}
+	if op == sqlir.OpLt || op == sqlir.OpGt {
+		return 0.04
 	}
 	return 0.02
 }
 
 func descCue(tok []string) float64 {
 	switch {
-	case containsAny(tok, "descending", "most to least", "newest", "latest first", "highest first",
-		"from most", "from newest", "from highest", "most recent first", "largest first", "top"):
+	case descWords.in(tok):
 		return 0.8
-	case containsAny(tok, "ascending", "least to most", "oldest", "earliest", "alphabetical",
-		"from least", "from oldest", "from lowest", "from earliest", "to most recent"):
+	case ascWords.in(tok):
 		return 0.15
 	default:
 		return 0.42
@@ -249,11 +249,11 @@ func descCue(tok []string) float64 {
 
 // Keywords scores the 8 clause combinations as a product of per-clause cues.
 func (m *LexicalModel) Keywords(ctx *Context) []Scored[KeywordSet] {
-	w := whereCue(ctx.Tokens, len(ctx.Literals))
-	g := groupCue(ctx.Tokens)
-	o := orderCue(ctx.Tokens)
-	var out []Scored[KeywordSet]
-	for _, ks := range AllKeywordSets() {
+	f := ctx.feat()
+	w, g, o := f.where, f.group, f.order
+	sets := AllKeywordSets()
+	out := make([]Scored[KeywordSet], 0, len(sets))
+	for _, ks := range sets {
 		p := 1.0
 		if ks.Where {
 			p *= w
@@ -279,30 +279,21 @@ func (m *LexicalModel) Keywords(ctx *Context) []Scored[KeywordSet] {
 // "and their X" / "together with" style conjunction adds a column, and
 // "how many X per Y" grouping implies entity + count.
 func (m *LexicalModel) SelectCount(ctx *Context) []Scored[int] {
+	f := ctx.feat()
 	max := m.MaxSelect
 	if max <= 0 {
 		max = 3
 	}
-	est := 1
-	for _, tok := range ctx.Tokens {
-		if tok == "and" && est < max {
-			est++
-		}
-	}
-	for _, cue := range []string{"together with", "as well as", "with corresponding", "along with"} {
-		if containsPhrase(ctx.Tokens, cue) && est < max {
-			est++
-		}
-	}
+	est := 1 + f.ands + f.coords
 	// Grouped counting ("how many X has each Y", "number of X for each Y")
 	// projects the group key plus the count.
-	if groupCue(ctx.Tokens) > 0.5 && countCue(ctx.Tokens) > 0.4 && est < 2 {
+	if f.group > 0.5 && f.count > 0.4 && est < 2 {
 		est = 2
 	}
 	if est > max {
 		est = max
 	}
-	var out []Scored[int]
+	out := make([]Scored[int], 0, max)
 	for n := 1; n <= max; n++ {
 		d := float64(n - est)
 		out = append(out, Scored[int]{Class: n, Prob: math.Exp(-0.9 * d * d)})
@@ -315,27 +306,33 @@ func (m *LexicalModel) SelectCount(ctx *Context) []Scored[int] {
 // predicate targets, not projections ("publications in conference SIGMOD"
 // filters on conference.name rather than projecting it).
 func (m *LexicalModel) SelectColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	skip := map[sqlir.ColumnRef]bool{}
-	if ctx.Query != nil {
-		for i, s := range ctx.Query.Select {
-			if i < idx && s.ColSet {
-				skip[s.Col] = true
+	f := ctx.feat()
+	projected := func(ref sqlir.ColumnRef) bool {
+		if ctx.Query != nil {
+			for i, s := range ctx.Query.Select {
+				if i < idx && s.ColSet && s.Col == ref {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	out := scoredColumns(ctx, skip)
-	litCols := ctx.LiteralColumns()
-	for i := range out {
-		if out[i].Class.Column != "" && litCols[out[i].Class] > 0 {
-			ty, _ := ctx.Schema.Resolve(out[i].Class)
-			if ty == sqlir.TypeText {
-				out[i].Prob *= 0.25
+	tables := candidateTables(ctx)
+	out := make([]Scored[sqlir.ColumnRef], 0, f.columns(tables)+1)
+	for _, t := range tables {
+		for _, c := range f.tables[t] {
+			if projected(c.ref) {
+				continue
 			}
+			p := c.score
+			if c.lits > 0 && c.typ == sqlir.TypeText {
+				p *= 0.25
+			}
+			out = append(out, Scored[sqlir.ColumnRef]{Class: c.ref, Prob: p})
 		}
 	}
-	star := countCue(ctx.Tokens)
-	if !skip[sqlir.Star] {
-		out = append(out, Scored[sqlir.ColumnRef]{Class: sqlir.Star, Prob: star * 0.8})
+	if !projected(sqlir.Star) {
+		out = append(out, Scored[sqlir.ColumnRef]{Class: sqlir.Star, Prob: f.count * 0.8})
 	}
 	return temper(m, out)
 }
@@ -346,14 +343,15 @@ func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 	if col.IsStar() {
 		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1}}
 	}
+	f := ctx.feat()
 	ty, _ := ctx.Schema.Resolve(col)
-	var out []Scored[sqlir.AggFunc]
+	out := make([]Scored[sqlir.AggFunc], 0, len(sqlir.AllAggs))
 	maxCue := 0.0
 	for _, agg := range []sqlir.AggFunc{sqlir.AggMax, sqlir.AggMin, sqlir.AggCount, sqlir.AggSum, sqlir.AggAvg} {
 		if agg.NumericOnly() && ty == sqlir.TypeText {
 			continue
 		}
-		cue := aggCue(ctx.Tokens, agg)
+		cue := f.agg[agg]
 		if cue > maxCue {
 			maxCue = cue
 		}
@@ -381,7 +379,7 @@ func (m *LexicalModel) WhereCount(ctx *Context) []Scored[int] {
 	if est > max {
 		est = max
 	}
-	var out []Scored[int]
+	out := make([]Scored[int], 0, max)
 	for n := 1; n <= max; n++ {
 		d := float64(n - est)
 		out = append(out, Scored[int]{Class: n, Prob: math.Exp(-1.1 * d * d)})
@@ -393,7 +391,7 @@ func (m *LexicalModel) WhereCount(ctx *Context) []Scored[int] {
 // NLQ is notoriously ambiguous (the §2 example), so OR keeps real mass.
 func (m *LexicalModel) WhereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 	or := 0.25
-	if containsAny(ctx.Tokens, "or", "either", "and those") {
+	if ctx.feat().orConj {
 		or = 0.6
 	}
 	return temper(m, []Scored[sqlir.LogicalOp]{
@@ -405,42 +403,43 @@ func (m *LexicalModel) WhereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 // WhereColumn scores predicate columns: lexical score plus a boost when the
 // column's type matches a still-unused literal.
 func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	used := map[sqlir.ColumnRef]int{}
-	if ctx.Query != nil {
-		for i, p := range ctx.Query.Where.Preds {
-			if i < idx && p.ColSet {
-				used[p.Col]++
+	f := ctx.feat()
+	used := func(ref sqlir.ColumnRef) bool {
+		if ctx.Query != nil {
+			for i, p := range ctx.Query.Where.Preds {
+				if i < idx && p.ColSet && p.Col == ref {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	textLits := len(ctx.TextLiterals())
-	numLits := len(ctx.NumericLiterals())
-	litCols := ctx.LiteralColumns()
-	var out []Scored[sqlir.ColumnRef]
-	for _, t := range candidateTables(ctx) {
-		for _, c := range t.Columns {
-			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
-			s := columnScore(ctx, t, c)
-			if c.Type == sqlir.TypeText && textLits > 0 {
+	numLits := len(f.numLits)
+	tables := candidateTables(ctx)
+	out := make([]Scored[sqlir.ColumnRef], 0, f.columns(tables))
+	for _, t := range tables {
+		for _, c := range f.tables[t] {
+			s := c.score
+			if c.typ == sqlir.TypeText && f.textLits > 0 {
 				s *= 1.6
 			}
-			if c.Type == sqlir.TypeNumber && numLits > 0 {
+			if c.typ == sqlir.TypeNumber && numLits > 0 {
 				s *= 1.3
 			}
 			// Autocomplete grounding (§4): a tagged literal that actually
 			// occurs in this column is strong evidence for the predicate.
-			if n := litCols[ref]; n > 0 {
-				if c.Type == sqlir.TypeText {
-					s *= 3.5 * float64(n)
+			if c.lits > 0 {
+				if c.typ == sqlir.TypeText {
+					s *= 3.5 * float64(c.lits)
 				} else {
 					s *= 1.4
 				}
 			}
 			// Re-using a column is allowed (ranges) but discounted.
-			if used[ref] > 0 {
+			if used(c.ref) {
 				s *= 0.5
 			}
-			out = append(out, Scored[sqlir.ColumnRef]{Class: ref, Prob: s})
+			out = append(out, Scored[sqlir.ColumnRef]{Class: c.ref, Prob: s})
 		}
 	}
 	return temper(m, out)
@@ -448,8 +447,9 @@ func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnR
 
 // WhereOp scores operators with cue words, masking type-invalid choices.
 func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
+	f := ctx.feat()
 	ty, _ := ctx.Schema.Resolve(col)
-	var out []Scored[sqlir.Op]
+	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range sqlir.AllOps {
 		if ty == sqlir.TypeText && op.Ordering() {
 			continue
@@ -457,7 +457,7 @@ func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir
 		if ty == sqlir.TypeNumber && op == sqlir.OpLike {
 			continue
 		}
-		out = append(out, Scored[sqlir.Op]{Class: op, Prob: opCue(ctx.Tokens, op)})
+		out = append(out, Scored[sqlir.Op]{Class: op, Prob: f.op[op]})
 	}
 	return temper(m, out)
 }
@@ -466,11 +466,11 @@ func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir
 // already used in earlier predicates.
 func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
 	ty, _ := ctx.Schema.Resolve(col)
-	used := map[string]int{}
+	var used []string
 	if ctx.Query != nil {
 		for _, p := range ctx.Query.Where.Preds {
 			if p.ValSet {
-				used[p.Val.String()]++
+				used = append(used, p.Val.String())
 			}
 		}
 	}
@@ -488,7 +488,7 @@ func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op
 			v = sqlir.NewText("%" + l.Text + "%")
 		}
 		p := 1.0
-		if used[v.String()] > 0 {
+		if len(used) > 0 && slices.Contains(used, v.String()) {
 			p = 0.3
 		}
 		out = append(out, Scored[sqlir.Value]{Class: v, Prob: p})
@@ -498,7 +498,7 @@ func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op
 
 // HavingPresent uses comparative cues plus unused numeric literals.
 func (m *LexicalModel) HavingPresent(ctx *Context) []Scored[bool] {
-	h := havingCue(ctx.Tokens, len(ctx.NumericLiterals()))
+	h := ctx.feat().having
 	return temper(m, []Scored[bool]{
 		{Class: false, Prob: 1 - h},
 		{Class: true, Prob: h},
@@ -508,18 +508,17 @@ func (m *LexicalModel) HavingPresent(ctx *Context) []Scored[bool] {
 // HavingAggCol favours COUNT(*) (the overwhelmingly common case), with
 // numeric-column aggregates as alternatives.
 func (m *LexicalModel) HavingAggCol(ctx *Context) []Scored[AggCol] {
+	f := ctx.feat()
 	out := []Scored[AggCol]{{Class: AggCol{Agg: sqlir.AggCount, Col: sqlir.Star}, Prob: 0.7}}
 	for _, t := range candidateTables(ctx) {
-		for _, c := range t.Columns {
-			if c.Type != sqlir.TypeNumber {
+		for _, c := range f.tables[t] {
+			if c.typ != sqlir.TypeNumber {
 				continue
 			}
-			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
-			base := columnScore(ctx, t, c)
 			for _, agg := range []sqlir.AggFunc{sqlir.AggSum, sqlir.AggAvg, sqlir.AggMax, sqlir.AggMin} {
 				out = append(out, Scored[AggCol]{
-					Class: AggCol{Agg: agg, Col: ref},
-					Prob:  0.3 * base * aggCue(ctx.Tokens, agg),
+					Class: AggCol{Agg: agg, Col: c.ref},
+					Prob:  0.3 * c.score * f.agg[agg],
 				})
 			}
 		}
@@ -529,9 +528,10 @@ func (m *LexicalModel) HavingAggCol(ctx *Context) []Scored[AggCol] {
 
 // HavingOp reuses the operator cues; equality is rare in HAVING.
 func (m *LexicalModel) HavingOp(ctx *Context) []Scored[sqlir.Op] {
-	var out []Scored[sqlir.Op]
+	f := ctx.feat()
+	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe} {
-		p := opCue(ctx.Tokens, op)
+		p := f.op[op]
 		if op == sqlir.OpEq {
 			p *= 0.3
 		}
@@ -543,7 +543,7 @@ func (m *LexicalModel) HavingOp(ctx *Context) []Scored[sqlir.Op] {
 // HavingValue proposes numeric literals.
 func (m *LexicalModel) HavingValue(ctx *Context) []Scored[sqlir.Value] {
 	var out []Scored[sqlir.Value]
-	for _, l := range ctx.NumericLiterals() {
+	for _, l := range ctx.feat().numLits {
 		out = append(out, Scored[sqlir.Value]{Class: l, Prob: 1})
 	}
 	return temper(m, out)
@@ -552,15 +552,16 @@ func (m *LexicalModel) HavingValue(ctx *Context) []Scored[sqlir.Value] {
 // OrderKey proposes projected columns, COUNT(*) under grouping, aggregated
 // projections, and lexical matches among join-path columns.
 func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
-	var out []Scored[AggCol]
+	f := ctx.feat()
+	tables := candidateTables(ctx)
+	out := make([]Scored[AggCol], 0, f.columns(tables)+len(sqlir.AllAggs))
 	grouped := ctx.Query != nil && ctx.Query.GroupByState != sqlir.ClauseAbsent
-	seen := map[string]bool{}
 	add := func(ac AggCol, p float64) {
-		k := ac.Agg.String() + "|" + ac.Col.String()
-		if seen[k] {
-			return
+		for _, o := range out {
+			if o.Class == ac {
+				return
+			}
 		}
-		seen[k] = true
 		out = append(out, Scored[AggCol]{Class: ac, Prob: p})
 	}
 	if ctx.Query != nil {
@@ -577,13 +578,10 @@ func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
 	}
 	if grouped {
 		add(AggCol{Agg: sqlir.AggCount, Col: sqlir.Star}, 0.45)
-	}
-	for _, t := range candidateTables(ctx) {
-		for _, c := range t.Columns {
-			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
-			p := 0.4 * columnScore(ctx, t, c)
-			if !grouped {
-				add(AggCol{Agg: sqlir.AggNone, Col: ref}, p)
+	} else {
+		for _, t := range tables {
+			for _, c := range f.tables[t] {
+				add(AggCol{Agg: sqlir.AggNone, Col: c.ref}, 0.4*c.score)
 			}
 		}
 	}
@@ -593,26 +591,19 @@ func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
 // OrderDir decides direction and limit together: limit candidates come from
 // small numeric literals plus 1 when a superlative cue appears.
 func (m *LexicalModel) OrderDir(ctx *Context) []Scored[DirLimit] {
-	d := descCue(ctx.Tokens)
+	f := ctx.feat()
+	d := f.desc
 	limits := []int{0}
-	if containsAny(ctx.Tokens, "top", "first", "most", "least", "highest", "lowest", "best") {
+	if f.superlative {
 		limits = append(limits, 1)
 	}
-	for _, l := range ctx.NumericLiterals() {
+	for _, l := range f.numLits {
 		n := int(l.Num)
-		if float64(n) == l.Num && n >= 1 && n <= 100 {
-			dup := false
-			for _, x := range limits {
-				if x == n {
-					dup = true
-				}
-			}
-			if !dup {
-				limits = append(limits, n)
-			}
+		if float64(n) == l.Num && n >= 1 && n <= 100 && !slices.Contains(limits, n) {
+			limits = append(limits, n)
 		}
 	}
-	hasLimitCue := containsAny(ctx.Tokens, "top", "first") && len(limits) > 1
+	hasLimitCue := f.limitWord && len(limits) > 1
 	var out []Scored[DirLimit]
 	for _, lim := range limits {
 		pl := 0.75

@@ -110,75 +110,56 @@ type Context struct {
 	DB       *storage.Database // optional; enables literal-column grounding
 	Query    *sqlir.Query
 
-	litCols map[sqlir.ColumnRef]int // columns containing >=1 literal
+	// features is the request-scoped part of what the lexical model reads;
+	// WithQuery copies share it. Contexts built as struct literals attach
+	// it on first use (feat).
+	features *features
 }
 
 // NewContext tokenises the NLQ and builds a module context.
 func NewContext(nlq string, literals []sqlir.Value, schema *storage.Schema, q *sqlir.Query) *Context {
-	return &Context{
-		NLQ:      nlq,
-		Tokens:   Tokenize(nlq),
-		Literals: literals,
-		Schema:   schema,
-		Query:    q,
-	}
+	return newContext(nlq, literals, schema, nil, q)
 }
 
 // NewContextDB builds a context with literal-column grounding enabled.
 func NewContextDB(nlq string, literals []sqlir.Value, db *storage.Database, q *sqlir.Query) *Context {
-	c := NewContext(nlq, literals, db.Schema, q)
-	c.DB = db
+	return newContext(nlq, literals, db.Schema, db, q)
+}
+
+func newContext(nlq string, literals []sqlir.Value, schema *storage.Schema, db *storage.Database, q *sqlir.Query) *Context {
+	c := &Context{NLQ: nlq, Tokens: Tokenize(nlq), Literals: literals, Schema: schema, DB: db, Query: q}
+	c.feat()
 	return c
 }
 
-// WithQuery returns a shallow copy bound to a different partial query.
+// feat returns the request-scoped features, computing them on first use:
+// NewContext does so up front, a struct-literal context at its first
+// module call.
+func (c *Context) feat() *features {
+	if c.features == nil {
+		c.features = newFeatures(c.Tokens, c.Literals, c.Schema, c.DB)
+	}
+	return c.features
+}
+
+// WithQuery returns a shallow copy bound to a different partial query. The
+// copy shares the receiver's request-scoped features.
 func (c *Context) WithQuery(q *sqlir.Query) *Context {
 	cp := *c
 	cp.Query = q
 	return &cp
 }
 
-// LiteralColumns returns, lazily, how many tagged literals each column
-// contains: text literals by value scan, numeric literals by min/max range.
-// Nil when no Database is attached.
+// LiteralColumns returns how many tagged literals each column contains:
+// text literals by dictionary lookup, numeric literals by min/max range.
+// Nil when no Database is attached or no literal was tagged. The map is
+// shared: callers must not write to it.
 func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
-	if c.DB == nil || len(c.Literals) == 0 {
-		return nil
-	}
-	if c.litCols != nil {
-		return c.litCols
-	}
-	c.litCols = map[sqlir.ColumnRef]int{}
-	for _, t := range c.Schema.Tables {
-		for _, col := range t.Columns {
-			ref := sqlir.ColumnRef{Table: t.Name, Column: col.Name}
-			for _, lit := range c.Literals {
-				if lit.Type() != col.Type {
-					continue
-				}
-				if col.Type == sqlir.TypeText {
-					ci := t.ColumnIndex(col.Name)
-					for _, row := range t.Rows() {
-						if row[ci].Equal(lit) {
-							c.litCols[ref]++
-							break
-						}
-					}
-				} else {
-					st, err := c.DB.Stats(ref)
-					if err == nil && st.NonNull > 0 &&
-						lit.Num >= st.Min.Num && lit.Num <= st.Max.Num {
-						c.litCols[ref]++
-					}
-				}
-			}
-		}
-	}
-	return c.litCols
+	return c.feat().litCols
 }
 
-// Normalize scales probabilities to sum to 1, dropping non-positive entries.
-// Returns nil if nothing remains.
+// Normalize scales probabilities to sum to 1, dropping non-positive entries,
+// in place: the result reuses in's storage. Returns nil if nothing remains.
 func Normalize[T any](in []Scored[T]) []Scored[T] {
 	total := 0.0
 	for _, s := range in {
@@ -189,34 +170,12 @@ func Normalize[T any](in []Scored[T]) []Scored[T] {
 	if total <= 0 {
 		return nil
 	}
-	out := make([]Scored[T], 0, len(in))
+	out := in[:0]
 	for _, s := range in {
 		if s.Prob <= 0 {
 			continue
 		}
 		out = append(out, Scored[T]{Class: s.Class, Prob: s.Prob / total})
-	}
-	return out
-}
-
-// NumericLiterals filters the context's literals to numbers.
-func (c *Context) NumericLiterals() []sqlir.Value {
-	var out []sqlir.Value
-	for _, l := range c.Literals {
-		if l.Kind == sqlir.KindNumber {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// TextLiterals filters the context's literals to text.
-func (c *Context) TextLiterals() []sqlir.Value {
-	var out []sqlir.Value
-	for _, l := range c.Literals {
-		if l.Kind == sqlir.KindText {
-			out = append(out, l)
-		}
 	}
 	return out
 }

@@ -139,10 +139,32 @@ func tokenSetScore(nlq []string, ident []string) float64 {
 	return total / float64(len(ident))
 }
 
-// containsPhrase reports whether the token sequence contains the given
-// space-separated phrase contiguously.
-func containsPhrase(tokens []string, phrase string) bool {
-	words := strings.Fields(phrase)
+// phraseSet is a list of cue phrases, each split into its words once, at
+// package initialisation, so that matching never re-splits a phrase.
+type phraseSet [][]string
+
+// phrases builds a phraseSet from space-separated phrases.
+func phrases(ps ...string) phraseSet {
+	out := make(phraseSet, len(ps))
+	for i, p := range ps {
+		out[i] = strings.Fields(p)
+	}
+	return out
+}
+
+// in reports whether any of the phrases occurs in the token sequence.
+func (ps phraseSet) in(tokens []string) bool {
+	for _, words := range ps {
+		if containsWords(tokens, words) {
+			return true
+		}
+	}
+	return false
+}
+
+// containsWords reports whether the token sequence contains the words
+// contiguously. No words never match.
+func containsWords(tokens, words []string) bool {
 	if len(words) == 0 {
 		return false
 	}
@@ -154,16 +176,6 @@ outer:
 			}
 		}
 		return true
-	}
-	return false
-}
-
-// containsAny reports whether any of the phrases occurs.
-func containsAny(tokens []string, phrases ...string) bool {
-	for _, p := range phrases {
-		if containsPhrase(tokens, p) {
-			return true
-		}
 	}
 	return false
 }

@@ -352,7 +352,8 @@ func checkColumnsInJoinPath(q *sqlir.Query, _ *storage.Schema) *Violation {
 	if q.From == nil {
 		return nil
 	}
-	for _, t := range q.ReferencedTables() {
+	var buf [8]string // keeps the common case off the heap
+	for _, t := range q.AppendReferencedTables(buf[:0]) {
 		if !q.From.Contains(t) {
 			return &Violation{"column outside join path",
 				fmt.Sprintf("table %s is not in the FROM clause", t)}

@@ -92,7 +92,10 @@ type Config struct {
 	// MaxStates caps explored search states per request (0 = none).
 	MaxStates int
 	// Workers bounds each request's verification worker pool
-	// (0 = GOMAXPROCS, 1 = verify inline).
+	// (0 = GOMAXPROCS). A request's search goroutine runs every check
+	// that needs no database work itself; the pool only sees checks that
+	// reach a memo miss or a by-order execution, so 1 (no pool) differs
+	// from the default only where there is database work to overlap.
 	Workers int
 
 	// QueryParallelism bounds intra-query morsel parallelism: the workers

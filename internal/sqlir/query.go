@@ -1,6 +1,9 @@
 package sqlir
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // ColumnRef names a schema column. Column "*" with any table refers to the
 // star used by COUNT(*).
@@ -264,30 +267,31 @@ func (j *JoinPath) String() string {
 // ClauseState; inner slots carry their own decided flags. A Query with every
 // slot decided is a complete SQL query.
 type Query struct {
-	Distinct bool
-
-	Select         []SelectItem
-	SelectCountSet bool
+	Select []SelectItem
 
 	From *JoinPath // nil = join path not yet constructed
 
-	WhereState ClauseState
-	Where      Where
+	Where Where
 
-	GroupByState ClauseState
-	GroupBy      []ColumnRef
+	GroupBy []ColumnRef
 
-	HavingState ClauseState // meaningful only when GroupByState != ClauseAbsent
-	Having      HavingExpr
+	Having HavingExpr
 
-	OrderByState ClauseState
-	OrderBy      OrderBy
+	OrderBy OrderBy
 
 	// Limit is the LIMIT row count; 0 means no LIMIT clause. LimitSet
 	// records whether the decision has been made.
-	Limit    int
-	LimitSet bool
+	Limit int
 
+	// The one-byte fields sit together so the header — copied once per
+	// derived search state — carries no padding between them.
+	Distinct       bool
+	SelectCountSet bool
+	WhereState     ClauseState
+	GroupByState   ClauseState
+	HavingState    ClauseState // meaningful only when GroupByState != ClauseAbsent
+	OrderByState   ClauseState
+	LimitSet       bool
 	// KWSet records whether the KW module has decided which clauses are
 	// present at all.
 	KWSet bool
@@ -377,13 +381,18 @@ func (q *Query) AggregatedProjections() []int {
 // slots outside the FROM clause, in first-reference order (Line 2-3 of
 // Algorithm 2).
 func (q *Query) ReferencedTables() []string {
-	var out []string
-	seen := map[string]bool{}
+	return q.AppendReferencedTables(nil)
+}
+
+// AppendReferencedTables appends ReferencedTables to dst, skipping tables
+// dst already holds; a caller on a hot path passes a stack buffer.
+func (q *Query) AppendReferencedTables(dst []string) []string {
+	out := dst
 	add := func(c ColumnRef) {
-		if c.IsStar() || c.Table == "" || seen[c.Table] {
+		// A query references a handful of tables: a scan beats a set.
+		if c.IsStar() || c.Table == "" || slices.Contains(out, c.Table) {
 			return
 		}
-		seen[c.Table] = true
 		out = append(out, c.Table)
 	}
 	for _, s := range q.Select {
@@ -427,7 +436,9 @@ func (q *Query) Literals() []Value {
 	return out
 }
 
-// Clone returns a deep copy of the query; enumeration branches mutate clones.
+// Clone returns a deep copy of the query, for callers that want a private
+// query to edit in place. Enumeration does not use it: search states derive
+// from each other through the copy-on-write With* methods (derive.go).
 func (q *Query) Clone() *Query {
 	cp := *q
 	if q.Select != nil {

@@ -1,12 +1,12 @@
 // Fixed-size hashed memo keys. The column-wise and row-wise verification
-// memos used to key on strings built per probe (fmt.Sprintf for column
-// checks, a strings.Builder rendering of the whole exists query for row
-// checks) — one or more allocations on every memo lookup, hot enough to
-// show in the verification profile. Keys are now 128-bit FNV-1a digests
-// streamed field-by-field with injective tagging, so a lookup allocates
-// nothing. A debug mode (SetDebugMemoKeys) keeps the old canonical strings
-// alongside the hashes and cross-checks that no two distinct strings ever
-// collide on a key.
+// memos key on 128-bit digests of an injective serialization of the
+// memoized question, mixed a 64-bit word at a time: identifiers and text
+// literals go in eight bytes per step behind a length prefix, everything
+// else as one tagged word. (Looking a precomputed per-identifier digest up
+// in a map would hash the identifier's bytes too, so the bytes are mixed
+// directly.) A lookup allocates nothing. A debug mode (SetDebugMemoKeys)
+// keeps canonical strings alongside the hashes and cross-checks that no two
+// distinct strings ever collide on a key.
 package verify
 
 import (
@@ -20,86 +20,93 @@ import (
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-// memoKey is a fixed-size memo key: the FNV-1a 128 digest of an injective
-// serialization of the memoized question.
-type memoKey [16]byte
+// memoKey is a fixed-size memo key. The 128-bit width makes accidental
+// collisions astronomically unlikely even across the billions of probes of
+// a long-lived service; the debug cross-check below turns "unlikely" into
+// "observed never".
+type memoKey [2]uint64
 
-// fnv128a is an inline FNV-1a 128-bit hasher (the stdlib hash/fnv digest
-// only accepts []byte, which would force a copy per string written). The
-// 128-bit width makes accidental collisions astronomically unlikely even
-// across the billions of probes of a long-lived service; the debug
-// cross-check below turns "unlikely" into "observed never".
-type fnv128a struct {
-	hi, lo uint64
+// hash128 is two independent 64-bit multiplicative lanes fed the same
+// words. Each step is a bijection of a lane's state for a fixed word and of
+// the word for a fixed state, so two serializations that differ in one word
+// always differ in both lanes.
+type hash128 struct {
+	a, b uint64
 }
 
-// FNV-128 offset basis: 0x6c62272e07bb0142 62b821756295c58d.
-func newFnv128a() fnv128a {
-	return fnv128a{hi: 0x6c62272e07bb0142, lo: 0x62b821756295c58d}
+func newHash128() hash128 {
+	return hash128{a: 0x6c62272e07bb0142, b: 0x62b821756295c58d}
 }
 
-// mul multiplies the 128-bit state by the FNV-128 prime 2^88 + 2^8 + 0x3b
-// (modulo 2^128).
-func (h *fnv128a) mul() {
-	rhi, rlo := bits.Mul64(h.lo, 0x13B)
-	rhi += h.lo << 24
-	rhi += h.hi * 0x13B
-	h.hi, h.lo = rhi, rlo
+func (h *hash128) word(w uint64) {
+	h.a = (bits.RotateLeft64(h.a, 5) ^ w) * 0x9e3779b97f4a7c15
+	h.b = (h.b ^ bits.RotateLeft64(w, 32)) * 0xc2b2ae3d27d4eb4f
+	h.b ^= h.b >> 29
 }
 
-func (h *fnv128a) writeByte(b byte) {
-	h.lo ^= uint64(b)
-	h.mul()
-}
-
-func (h *fnv128a) writeString(s string) {
-	for i := 0; i < len(s); i++ {
-		h.writeByte(s[i])
+// str mixes a length-prefixed string, eight bytes per word, the tail
+// zero-padded (the length disambiguates the padding).
+func (h *hash128) str(s string) {
+	h.word(uint64(len(s)))
+	for len(s) >= 8 {
+		h.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+		s = s[8:]
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.word(w)
 	}
 }
 
-func (h *fnv128a) writeUint64(u uint64) {
-	for i := 0; i < 8; i++ {
-		h.writeByte(byte(u >> (8 * i)))
-	}
-}
-
-// writeValue hashes a value with a kind tag; text is length-prefixed so
-// adjacent values cannot collide, numbers hash their bits (-0 normalized,
-// matching Value.Equal).
-func (h *fnv128a) writeValue(v sqlir.Value) {
+// value mixes a value behind a kind tag; numbers mix their bits (-0
+// normalized, matching Value.Equal).
+func (h *hash128) value(v sqlir.Value) {
 	switch v.Kind {
 	case sqlir.KindText:
-		h.writeByte('t')
-		h.writeUint64(uint64(len(v.Text)))
-		h.writeString(v.Text)
+		h.word('t')
+		h.str(v.Text)
 	case sqlir.KindNumber:
 		f := v.Num
 		if f == 0 {
 			f = 0
 		}
-		h.writeByte('n')
-		h.writeUint64(math.Float64bits(f))
+		h.word('n')
+		h.word(math.Float64bits(f))
 	default:
-		h.writeByte('z')
+		h.word('z')
 	}
 }
 
-// writeColumnRef hashes a column reference with length-prefixed parts.
-func (h *fnv128a) writeColumnRef(c sqlir.ColumnRef) {
-	h.writeUint64(uint64(len(c.Table)))
-	h.writeString(c.Table)
-	h.writeUint64(uint64(len(c.Column)))
-	h.writeString(c.Column)
+func (h *hash128) columnRef(c sqlir.ColumnRef) {
+	h.str(c.Table)
+	h.str(c.Column)
 }
 
-func (h *fnv128a) sum() memoKey {
-	var k memoKey
-	for i := 0; i < 8; i++ {
-		k[i] = byte(h.hi >> (56 - 8*i))
-		k[8+i] = byte(h.lo >> (56 - 8*i))
+func (h *hash128) predicates(ps []sqlir.Predicate) {
+	h.word(uint64(len(ps)))
+	for _, p := range ps {
+		h.columnRef(p.Col)
+		h.word(uint64(p.Op))
+		h.value(p.Val)
 	}
-	return k
+}
+
+// fmix64 is the MurmurHash3 finalizer: full avalanche over one lane.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+func (h *hash128) sum() memoKey {
+	return memoKey{fmix64(h.a), fmix64(h.b ^ bits.RotateLeft64(h.a, 32))}
 }
 
 // existsKey hashes an exists query into a memo key, covering exactly the
@@ -107,48 +114,34 @@ func (h *fnv128a) sum() memoKey {
 // group-by columns, and having conditions — every field length-prefixed or
 // tagged so the serialization is injective.
 func existsKey(eq sqlexec.ExistsQuery) memoKey {
-	h := newFnv128a()
+	h := newHash128()
 	if eq.From != nil {
-		h.writeUint64(uint64(len(eq.From.Tables)))
+		h.word(uint64(len(eq.From.Tables)))
 		for _, t := range eq.From.Tables {
-			h.writeUint64(uint64(len(t)))
-			h.writeString(t)
+			h.str(t)
 		}
-		h.writeUint64(uint64(len(eq.From.Edges)))
+		h.word(uint64(len(eq.From.Edges)))
 		for _, e := range eq.From.Edges {
-			h.writeColumnRef(sqlir.ColumnRef{Table: e.FromTable, Column: e.FromColumn})
-			h.writeColumnRef(sqlir.ColumnRef{Table: e.ToTable, Column: e.ToColumn})
+			h.str(e.FromTable)
+			h.str(e.FromColumn)
+			h.str(e.ToTable)
+			h.str(e.ToColumn)
 		}
 	}
-	h.writeByte('|')
-	h.writeByte(byte(eq.Conj))
-	h.writeUint64(uint64(len(eq.Preds)))
-	for _, p := range eq.Preds {
-		h.writeColumnRef(p.Col)
-		h.writeByte(byte(p.Op))
-		h.writeValue(p.Val)
-	}
-	h.writeUint64(uint64(len(eq.AndPreds)))
-	for _, p := range eq.AndPreds {
-		h.writeColumnRef(p.Col)
-		h.writeByte(byte(p.Op))
-		h.writeValue(p.Val)
-	}
-	h.writeUint64(uint64(len(eq.GroupBy)))
+	h.word('|')
+	h.word(uint64(eq.Conj))
+	h.predicates(eq.Preds)
+	h.predicates(eq.AndPreds)
+	h.word(uint64(len(eq.GroupBy)))
 	for _, g := range eq.GroupBy {
-		h.writeColumnRef(g)
+		h.columnRef(g)
 	}
-	h.writeUint64(uint64(len(eq.Havings)))
+	h.word(uint64(len(eq.Havings)))
 	for _, hv := range eq.Havings {
-		h.writeByte(byte(hv.Agg))
-		if hv.Col.IsStar() {
-			h.writeByte('*')
-		} else {
-			h.writeByte('.')
-		}
-		h.writeColumnRef(hv.Col)
-		h.writeByte(byte(hv.Op))
-		h.writeValue(hv.Val)
+		h.word(uint64(hv.Agg))
+		h.columnRef(hv.Col)
+		h.word(uint64(hv.Op))
+		h.value(hv.Val)
 	}
 	return h.sum()
 }
@@ -156,25 +149,25 @@ func existsKey(eq sqlexec.ExistsQuery) memoKey {
 // columnCellKey hashes one column-wise check question: (is this the AVG
 // range check, column, cell).
 func columnCellKey(avg bool, col sqlir.ColumnRef, cell tsq.Cell) memoKey {
-	h := newFnv128a()
+	h := newHash128()
 	if avg {
-		h.writeByte(1)
+		h.word(1)
 	} else {
-		h.writeByte(0)
+		h.word(0)
 	}
-	h.writeColumnRef(col)
-	h.writeByte(byte(cell.Kind))
-	h.writeValue(cell.Val)
-	h.writeValue(cell.Lo)
-	h.writeValue(cell.Hi)
+	h.columnRef(col)
+	h.word(uint64(cell.Kind))
+	h.value(cell.Val)
+	h.value(cell.Lo)
+	h.value(cell.Hi)
 	return h.sum()
 }
 
 // debugMemoKeys enables the collision cross-check: every memo lookup also
-// computes the pre-refactor canonical string and the memo verifies that a
-// given key always maps to the same string. Test builds turn this on; a
-// detected collision panics with both canonical strings. An atomic flag,
-// not a mutex — the check sits on every hot-path memo lookup.
+// computes the canonical string and the memo verifies that a given key
+// always maps to the same string. Test builds turn this on; a detected
+// collision panics with both canonical strings. An atomic flag, not a
+// mutex — the check sits on every hot-path memo lookup.
 var debugMemoKeys atomic.Bool
 
 // SetDebugMemoKeys toggles the memo-key collision cross-check and returns

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -11,22 +10,42 @@ import (
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-// The inline FNV-1a 128 hasher must agree with the stdlib digest — the
-// only reason it exists is to avoid the []byte conversion per write.
-func TestFnv128aMatchesStdlib(t *testing.T) {
-	for _, s := range []string{"", "a", "duoquest", "the quick brown fox", strings.Repeat("x", 300)} {
-		h := newFnv128a()
-		h.writeString(s)
-		got := h.sum()
-
-		std := fnv.New128a()
-		std.Write([]byte(s))
-		want := std.Sum(nil)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("hash(%q): got %x, want %x", s, got[:], want)
-			}
+// The word-at-a-time string mixing must stay injective: strings that share
+// a prefix, differ only in length around the eight-byte word boundary, or
+// differ only in where one string ends and the next begins must all hash
+// apart, in both lanes.
+func TestHash128StringBoundaries(t *testing.T) {
+	seqs := [][]string{
+		{""}, {"", ""}, {"a"}, {"a", ""}, {"", "a"},
+		{"ab", "c"}, {"a", "bc"}, {"abc"},
+		{"1234567"}, {"12345678"}, {"123456789"}, {"12345678", "9"},
+		{"1234567\x00"}, {"12345678\x00"},
+		{strings.Repeat("x", 300)}, {strings.Repeat("x", 301)},
+	}
+	seen := map[memoKey][]string{}
+	lanes := [2]map[uint64]bool{{}, {}}
+	for _, seq := range seqs {
+		h := newHash128()
+		for _, s := range seq {
+			h.str(s)
 		}
+		k := h.sum()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%q and %q collide on %x", prev, seq, k)
+		}
+		seen[k] = seq
+		for i, lane := range k {
+			if lanes[i][lane] {
+				t.Errorf("%q repeats lane %d value %x", seq, i, lane)
+			}
+			lanes[i][lane] = true
+		}
+	}
+	a, b := newHash128(), newHash128()
+	a.str("duoquest")
+	b.str("duoquest")
+	if a.sum() != b.sum() {
+		t.Error("equal inputs must hash equal")
 	}
 }
 
@@ -113,7 +132,7 @@ func TestMemoKeyCollisionDetection(t *testing.T) {
 	defer SetDebugMemoKeys(prev)
 
 	bm := &boolMemo{}
-	key := memoKey{1, 2, 3}
+	key := memoKey{1, 2}
 	if _, _, err := bm.do(key, func() string { return "question A" }, nil, func() (bool, error) { return true, nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/semrules"
@@ -44,6 +45,13 @@ const (
 	StageLiterals    Stage = "literals"
 	StageByOrder     Stage = "by-order"
 )
+
+// stages lists the cascade in ascending cost order; a stage's position
+// indexes the verifier's per-stage rejection counters.
+var stages = [...]Stage{
+	StageClauses, StageSemantics, StageColumnTypes, StageByColumn,
+	StageByRow, StageLiterals, StageByOrder,
+}
 
 // Outcome reports a verification decision.
 type Outcome struct {
@@ -97,8 +105,12 @@ type Verifier struct {
 	// cumulative view lives in the service layer's stats.
 	base sqlexec.PipelineStats
 
-	statsMu sync.Mutex
-	stats   Stats
+	// Per-request counters, bumped from the search goroutine and the pool
+	// workers alike.
+	checked   atomic.Int64
+	colHits   atomic.Int64
+	dbQueries atomic.Int64
+	rejected  [len(stages)]atomic.Int64
 }
 
 // boolMemo memoizes a keyed boolean computation under fixed-size hashed
@@ -116,8 +128,10 @@ type boolMemo struct {
 }
 
 type boolEntry struct {
-	mu   sync.Mutex
-	done bool
+	mu sync.Mutex
+	// done is set, under mu, after val and err are written and never
+	// cleared, so a lock-free reader that observes it may read both.
+	done atomic.Bool
 	val  bool
 	err  error
 	deps []string // tables the answer reads; carries the entry across epochs
@@ -160,7 +174,7 @@ func (bm *boolMemo) do(key memoKey, sig func() string, deps func() (tables []str
 	bm.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.done {
+	if e.done.Load() {
 		return e.val, ok, e.err
 	}
 	val, err = f()
@@ -168,11 +182,28 @@ func (bm *boolMemo) do(key memoKey, sig func() string, deps func() (tables []str
 		// Leave the entry uncomputed for the next request.
 		return false, false, err
 	}
-	e.val, e.err, e.done = val, err, true
+	e.val, e.err = val, err
 	if deps != nil {
 		e.deps, e.mono = deps()
 	}
+	e.done.Store(true)
 	return e.val, false, e.err
+}
+
+// peek returns the memoized value for key if one has been computed, without
+// computing it and without waiting for a computation in flight. An entry
+// that memoized an error reports not found, so the caller's do surfaces it.
+func (bm *boolMemo) peek(key memoKey, sig func() string) (val, found bool) {
+	if memoKeyDebugEnabled() {
+		bm.checkKeyCollision(key, sig())
+	}
+	bm.mu.Lock()
+	e := bm.m[key]
+	bm.mu.Unlock()
+	if e == nil || !e.done.Load() || e.err != nil {
+		return false, false
+	}
+	return e.val, true
 }
 
 // carryMemo builds the next epoch's memo from a previous epoch's, copying
@@ -197,7 +228,7 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 	prev.mu.Unlock()
 	for k, e := range entries {
 		e.mu.Lock()
-		done, val, err, deps, mono := e.done, e.val, e.err, e.deps, e.mono
+		done, val, err, deps, mono := e.done.Load(), e.val, e.err, e.deps, e.mono
 		e.mu.Unlock()
 		if !done || err != nil || len(deps) == 0 {
 			continue
@@ -219,7 +250,9 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 		if next.m == nil {
 			next.m = map[memoKey]*boolEntry{}
 		}
-		next.m[k] = &boolEntry{done: true, val: val, deps: deps, mono: mono}
+		ne := &boolEntry{val: val, deps: deps, mono: mono}
+		ne.done.Store(true)
+		next.m[k] = ne
 	}
 	return next
 }
@@ -317,32 +350,44 @@ func NewWithCache(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ
 		rowCache: row,
 		joins:    cache.joins,
 		base:     cache.joins.Stats(),
-		stats:    Stats{Rejected: map[Stage]int{}},
 	}
 }
 
 // Stats returns a copy of the per-stage counters, folding in the executor
 // pipeline counters from the join cache.
 func (v *Verifier) Stats() Stats {
-	v.statsMu.Lock()
-	defer v.statsMu.Unlock()
-	cp := v.stats
-	cp.Rejected = map[Stage]int{}
-	for k, n := range v.stats.Rejected {
-		cp.Rejected[k] = n
+	st := Stats{
+		Checked:     int(v.checked.Load()),
+		Rejected:    map[Stage]int{},
+		ColumnCache: int(v.colHits.Load()),
+		DBQueries:   int(v.dbQueries.Load()),
+	}
+	for i, stage := range stages {
+		if n := v.rejected[i].Load(); n > 0 {
+			st.Rejected[stage] = int(n)
+		}
 	}
 	ps := v.joins.Stats()
-	cp.StreamedExists = int(ps.StreamedExists - v.base.StreamedExists)
-	cp.IndexHits = int(ps.IndexHits() - v.base.IndexHits())
-	cp.JoinPrefixHits = int(ps.PrefixHits - v.base.PrefixHits)
-	return cp
+	st.StreamedExists = int(ps.StreamedExists - v.base.StreamedExists)
+	st.IndexHits = int(ps.IndexHits() - v.base.IndexHits())
+	st.JoinPrefixHits = int(ps.PrefixHits - v.base.PrefixHits)
+	return st
 }
 
 // countDBQuery bumps the executed-verification-query counter.
-func (v *Verifier) countDBQuery() {
-	v.statsMu.Lock()
-	v.stats.DBQueries++
-	v.statsMu.Unlock()
+func (v *Verifier) countDBQuery() { v.dbQueries.Add(1) }
+
+// settle records a finished check's outcome in the rejection counters.
+func (v *Verifier) settle(out Outcome) {
+	if out.OK {
+		return
+	}
+	for i, stage := range stages {
+		if stage == out.Stage {
+			v.rejected[i].Add(1)
+			return
+		}
+	}
 }
 
 // Verify runs the full cascade of Algorithm 3 on a partial query.
@@ -352,56 +397,158 @@ func (v *Verifier) Verify(q *sqlir.Query) (Outcome, error) {
 
 // VerifyCtx is Verify under a request context: the database-touching stages
 // poll ctx through the executor's cancellation checkpoints and unwind with
-// ctx.Err() when the request is cancelled or past its deadline.
+// ctx.Err() when the request is cancelled or past its deadline. It assumes
+// nothing about q's ancestry and runs every stage, which makes it the
+// oracle the inherited checks (Begin/Finish) are tested against.
 func (v *Verifier) VerifyCtx(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	v.statsMu.Lock()
-	v.stats.Checked++
-	v.statsMu.Unlock()
-	if err := faultinject.From(ctx).VerifyError(); err != nil {
-		return Outcome{}, err
-	}
-	out, err := v.verify(ctx, q)
-	if err != nil {
-		return out, err
-	}
-	if !out.OK {
-		v.statsMu.Lock()
-		v.stats.Rejected[out.Stage]++
-		v.statsMu.Unlock()
-	}
-	return out, nil
+	c, err := v.check(ctx, q, sqlir.Decision{}, false)
+	return c.out, err
 }
 
-func (v *Verifier) verify(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	if out := v.verifyClauses(q); !out.OK {
-		return out, nil
+// Check is one query's verification in progress: what Begin decided on the
+// calling goroutine and, while Pending, what is left for Finish.
+type Check struct {
+	q       *sqlir.Query
+	owes    debt
+	out     Outcome
+	pending bool
+}
+
+// Pending reports that database work remains: Outcome is not final until
+// Finish has run.
+func (c Check) Pending() bool { return c.pending }
+
+// Outcome is the decision of a check that is not Pending.
+func (c Check) Outcome() Outcome { return c.out }
+
+// Begin verifies q as far as that takes no database work, on the calling
+// goroutine. d is the one decision separating q from a parent that passed
+// this verifier's cascade — what q shares with that parent is inherited,
+// not re-proved (see owed) — or the zero Decision when there is no such
+// parent. The returned check is final unless Pending: then a memo miss or
+// the by-order execution remains and Finish, on any goroutine, completes
+// it. Begin and Finish together count as one check in Stats.
+func (v *Verifier) Begin(ctx context.Context, q *sqlir.Query, d sqlir.Decision) (Check, error) {
+	return v.check(ctx, q, d, true)
+}
+
+// Finish completes a check Begin left pending, doing the database work,
+// from the stage that stopped it.
+func (v *Verifier) Finish(ctx context.Context, c Check) (Outcome, error) {
+	out, _, err := v.dbStages(ctx, c.q, &c.owes, false)
+	if err == nil {
+		v.settle(out)
 	}
-	if out := v.verifySemantics(q); !out.OK {
-		return out, nil
+	return out, err
+}
+
+// check is one query's trip through the cascade. With inline set it stops,
+// pending, where the first database access would happen.
+func (v *Verifier) check(ctx context.Context, q *sqlir.Query, d sqlir.Decision, inline bool) (Check, error) {
+	v.checked.Add(1)
+	if err := faultinject.From(ctx).VerifyError(); err != nil {
+		return Check{}, err
 	}
-	if out := v.verifyColumnTypes(q); !out.OK {
-		return out, nil
+	c := Check{q: q, owes: owed(q, d)}
+	c.out = v.verifyClauses(q)
+	if c.out.OK {
+		c.out = v.verifySemantics(q)
 	}
-	out, err := v.verifyByColumn(ctx, q)
-	if err != nil || !out.OK {
-		return out, err
+	if c.out.OK && c.owes.types {
+		c.out = v.verifyColumnTypes(q)
 	}
-	if v.canCheckRows(q) {
-		out, err = v.verifyByRow(ctx, q)
-		if err != nil || !out.OK {
-			return out, err
+	var err error
+	if c.out.OK {
+		c.out, c.pending, err = v.dbStages(ctx, q, &c.owes, inline)
+	}
+	if err == nil && !c.pending {
+		v.settle(c.out)
+	}
+	return c, err
+}
+
+// debt is what a query still owes the cascade beyond the clause and
+// semantic checks, which every query pays in full.
+type debt struct {
+	types bool // the column-types stage
+	col   int  // by-column: a projection index, allProjections or noProjection
+	rows  bool // by-row
+}
+
+const (
+	allProjections = -1
+	noProjection   = -2
+)
+
+// owed is the inheritance rule. A query whose parent passed the cascade
+// re-proves only what the separating decision d could have changed:
+//
+//   - column types and by-column read the projection list alone, so only
+//     projection decisions owe them, and by-column only for the one
+//     projection written;
+//   - by-row reads FROM, the complete projections, the sound subset of
+//     WHERE (complete predicates, connective, clause states), GROUP BY and a
+//     complete HAVING: a predicate or HAVING decision owes it only once the
+//     slot it wrote is complete, and ORDER BY / LIMIT decisions never do —
+//     the child's row questions are then the parent's, which passed;
+//   - the zero Decision inherits nothing, nor does the keyword decision:
+//     it is the root's, and the empty query has proved nothing.
+//
+// Clauses, semantics, literals and by-order are not inherited: the first
+// two are cheap and read everything, the last two run once, on completion.
+func owed(q *sqlir.Query, d sqlir.Decision) debt {
+	switch d.Kind {
+	case sqlir.DecideSelectColumn, sqlir.DecideSelectAgg:
+		return debt{types: true, col: d.Index, rows: true}
+	case sqlir.DecideSelectCount:
+		return debt{types: true, col: noProjection, rows: true}
+	case sqlir.DecideFrom, sqlir.DecideWhereCount, sqlir.DecideWhereConj, sqlir.DecideGroupBy:
+		return debt{col: noProjection, rows: true}
+	case sqlir.DecidePredColumn, sqlir.DecidePredOp, sqlir.DecidePredValue:
+		written := d.Index >= len(q.Where.Preds) || q.Where.Preds[d.Index].Complete()
+		return debt{col: noProjection, rows: written}
+	case sqlir.DecideHaving, sqlir.DecideHavingOp, sqlir.DecideHavingValue:
+		written := q.HavingState != sqlir.ClausePresent || q.Having.Complete()
+		return debt{col: noProjection, rows: written}
+	case sqlir.DecideOrderKey, sqlir.DecideOrderDir:
+		return debt{col: noProjection}
+	default:
+		return debt{types: true, col: allProjections, rows: true}
+	}
+}
+
+// dbStages runs the stages that can touch the database, striking each
+// passed stage off owes. With inline set, memoized answers are used but
+// nothing is computed: the first miss, and the by-order execution, return
+// pending with owes saying where to resume.
+func (v *Verifier) dbStages(ctx context.Context, q *sqlir.Query, owes *debt, inline bool) (out Outcome, pending bool, err error) {
+	if owes.col != noProjection {
+		out, pending, err = v.verifyByColumn(ctx, q, owes.col, inline)
+		if err != nil || pending || !out.OK {
+			return out, pending, err
+		}
+		owes.col = noProjection
+	}
+	if owes.rows && v.canCheckRows(q) {
+		out, pending, err = v.verifyByRow(ctx, q, inline)
+		if err != nil || pending || !out.OK {
+			return out, pending, err
 		}
 	}
+	owes.rows = false
 	if q.Complete() {
 		if out := v.verifyLiterals(q); !out.OK {
-			return out, nil
+			return out, false, nil
 		}
-		out, err = v.verifyByOrder(ctx, q)
-		if err != nil || !out.OK {
-			return out, err
+		if v.sketch != nil {
+			if inline {
+				return Outcome{}, true, nil
+			}
+			out, err = v.verifyByOrder(ctx, q)
+			return out, false, err
 		}
 	}
-	return pass(), nil
+	return pass(), false, nil
 }
 
 // verifyClauses checks the sorting flag and limit against the TSQ (Example
@@ -480,15 +627,22 @@ func (v *Verifier) verifyColumnTypes(q *sqlir.Query) Outcome {
 	return pass()
 }
 
-// verifyByColumn checks each decided projection column-wise against the
-// example tuples (Example 3.5): the cell value (or range) must occur in the
+// verifyByColumn checks decided projections column-wise against the example
+// tuples (Example 3.5): the cell value (or range) must occur in the
 // projected column's own table. COUNT and SUM projections are skipped; AVG
-// is checked against the column's min/max range.
-func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query) (Outcome, error) {
+// is checked against the column's min/max range. only restricts the check
+// to one projection (the others are inherited), or is allProjections.
+func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int, inline bool) (out Outcome, pending bool, err error) {
 	if v.sketch == nil || len(v.sketch.Tuples) == 0 {
-		return pass(), nil
+		return pass(), false, nil
 	}
+	// Memo hits are counted once the stage is through, so a check resumed
+	// after a miss does not count the hits before it twice.
+	hits := 0
 	for i, s := range q.Select {
+		if only != allProjections && i != only {
+			continue
+		}
 		if !s.Complete() || s.Col.IsStar() {
 			continue
 		}
@@ -505,29 +659,39 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query) (Outcome,
 			if cell.Kind == tsq.CellEmpty {
 				continue
 			}
-			ok, err := v.columnCellCheck(ctx, s.Agg, s.Col, cell)
-			if err != nil {
-				return pass(), err
+			ok, hit, found, err := v.columnCellCheck(ctx, s.Agg, s.Col, cell, inline)
+			if err != nil || !found {
+				return pass(), !found, err
+			}
+			if hit {
+				hits++
 			}
 			if !ok {
+				v.colHits.Add(int64(hits))
 				return fail(StageByColumn,
-					"tuple %d cell %d (%s) has no match in %s", ti, i, cell, s.Col), nil
+					"tuple %d cell %d (%s) has no match in %s", ti, i, cell, s.Col), false, nil
 			}
 		}
 	}
-	return pass(), nil
+	v.colHits.Add(int64(hits))
+	return pass(), false, nil
 }
 
 // columnCellCheck answers "does any value of col satisfy cell", memoized
-// under a hashed fixed-size key (the debug closure renders the
-// pre-refactor string key for the collision cross-check).
-func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) (bool, error) {
+// under a hashed fixed-size key (the debug closure renders the canonical
+// string key for the collision cross-check). hit reports a memoized answer;
+// with inline set a miss is not computed and reports !found.
+func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell, inline bool) (ok, hit, found bool, err error) {
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
 	sig := func() string { return fmt.Sprintf("%v|%s|%s", agg == sqlir.AggAvg, col, cell) }
+	if inline {
+		ok, found = v.colCache.peek(key, sig)
+		return ok, found, found, nil
+	}
 	// Both forms are monotone under append-only ingest: a matching value
 	// never disappears, and the AVG range check's [min, max] only widens.
 	deps := func() ([]string, bool) { return []string{col.Table}, true }
-	ok, hit, err := v.colCache.do(key, sig, deps, func() (bool, error) {
+	ok, hit, err = v.colCache.do(key, sig, deps, func() (bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
 			// if the cell cannot intersect that range.
@@ -547,15 +711,7 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 			Preds: preds,
 		})
 	})
-	if err != nil {
-		return false, err
-	}
-	if hit {
-		v.statsMu.Lock()
-		v.stats.ColumnCache++
-		v.statsMu.Unlock()
-	}
-	return ok, nil
+	return ok, hit, true, err
 }
 
 // avgCellPossible checks intersection of the cell with the column's
@@ -648,7 +804,7 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // query's own predicates whenever doing so is sound (AND semantics), and
 // drops them otherwise so the check runs against a superset — a failure
 // then still soundly prunes every completion.
-func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
+func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool) (out Outcome, pending bool, err error) {
 	basePreds, baseConj := soundPredicates(q)
 	var baseHavings []sqlir.HavingExpr
 	if q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePresent &&
@@ -680,7 +836,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 			}
 			if s.Agg == sqlir.AggNone {
 				if !q.From.Contains(s.Col.Table) {
-					return fail(StageByRow, "projection %s outside join path", s.Col), nil
+					return fail(StageByRow, "projection %s outside join path", s.Col), false, nil
 				}
 				eq.AndPreds = append(eq.AndPreds, cellPredicates(s.Col, cell)...)
 				constrained = true
@@ -700,23 +856,34 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 		// Sibling states (e.g. differing only in ORDER BY decisions) issue
 		// identical row checks; memoize by hashed query signature.
 		key := existsKey(eq)
+		sig := func() string { return existsSig(eq) }
+		if inline {
+			ok, found := v.rowCache.peek(key, sig)
+			if !found {
+				return pass(), true, nil
+			}
+			if !ok {
+				return fail(StageByRow, "tuple %d %s has no satisfying row", ti, tp), false, nil
+			}
+			continue
+		}
 		// Plain exists-over-join questions are monotone under append-only
 		// ingest; HAVING conditions are not (a group's aggregate can move
 		// off the checked value), so those entries never outlive their
 		// tables.
 		deps := func() ([]string, bool) { return existsDeps(eq), len(eq.Havings) == 0 }
-		ok, _, err := v.rowCache.do(key, func() string { return existsSig(eq) }, deps, func() (bool, error) {
+		ok, _, err := v.rowCache.do(key, sig, deps, func() (bool, error) {
 			v.countDBQuery()
 			return v.joins.ExistsCtx(ctx, eq)
 		})
 		if err != nil {
-			return pass(), err
+			return pass(), false, err
 		}
 		if !ok {
-			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, tp), nil
+			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, tp), false, nil
 		}
 	}
-	return pass(), nil
+	return pass(), false, nil
 }
 
 // existsDeps names every table an exists query reads — the join path plus
@@ -865,11 +1032,9 @@ func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 // verifyByOrder executes the complete query and checks full TSQ
 // satisfaction — Definition 2.4's distinct matching, ordering (when τ=⊤ and
 // at least two tuples exist), and row limit. This is the final soundness
-// gate: every emitted candidate satisfies the TSQ.
+// gate: every emitted candidate satisfies the TSQ. The caller has checked
+// that there is a TSQ.
 func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	if v.sketch == nil {
-		return pass(), nil
-	}
 	v.countDBQuery()
 	res, err := v.joins.ExecuteCtx(ctx, q)
 	if err != nil {
