@@ -36,7 +36,7 @@ fmt-check:
 bench: bench-sqlexec bench-storage bench-server bench-loadgen bench-enumerate
 
 bench-sqlexec:
-	@go test ./internal/sqlexec -run '^$$' -bench 'BenchmarkExists' -benchtime 5x -benchmem > bench.out; \
+	@go test ./internal/sqlexec -run '^$$' -bench 'BenchmarkExists|BenchmarkExecute' -benchtime 5x -benchmem > bench.out; \
 	status=$$?; \
 	if [ $$status -ne 0 ]; then cat bench.out; rm -f bench.out; exit $$status; fi; \
 	go run ./cmd/benchjson -out BENCH_sqlexec.json < bench.out; \

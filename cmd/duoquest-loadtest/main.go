@@ -37,7 +37,6 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/service"
-	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 	"github.com/duoquest/duoquest/internal/storage/segment"
 )
@@ -355,43 +354,6 @@ func isWrite(i int64, frac float64) bool {
 	return int64(float64(i)*frac) != int64(float64(i-1)*frac)
 }
 
-// ingestBatch builds one Engine.Append payload by cycling rows of a frozen
-// snapshot table, starting at row offset base — deterministic, schema-exact,
-// and dictionary-friendly (existing strings re-intern to existing codes).
-func ingestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
-	rows := tb.NumRows()
-	cols := make([]storage.ColumnData, len(tb.Columns))
-	for ci, c := range tb.Columns {
-		vec := tb.Vector(c.Name)
-		nulls := make([]bool, n)
-		hasNull := false
-		cd := storage.ColumnData{}
-		if c.Type == sqlir.TypeNumber {
-			cd.Nums = make([]float64, n)
-		} else {
-			cd.Texts = make([]string, n)
-		}
-		for j := 0; j < n; j++ {
-			ri := (base + j) % rows
-			if vec.IsNull(ri) {
-				nulls[j] = true
-				hasNull = true
-				continue
-			}
-			if c.Type == sqlir.TypeNumber {
-				cd.Nums[j] = vec.Num(ri)
-			} else {
-				cd.Texts[j] = vec.Dict().String(vec.Code(ri))
-			}
-		}
-		if hasNull {
-			cd.Nulls = nulls
-		}
-		cols[ci] = cd
-	}
-	return cols
-}
-
 // driveMixed runs the mixed read/write phase: the same closed loop as
 // driveSessions, but -write-frac of the request slots become Engine.Append
 // batches publishing new epochs while the remaining syntheses resolve the
@@ -443,7 +405,7 @@ func driveMixed(cfg config, g *loadgen.Generated, eng *service.Engine, readP95 t
 					break
 				}
 				if isWrite(i, cfg.writeFrac) {
-					batch := ingestBatch(seedTable, int(i)*cfg.writeRows, cfg.writeRows)
+					batch := loadgen.IngestBatch(seedTable, int(i)*cfg.writeRows, cfg.writeRows)
 					if _, err := eng.Append(g.DB.Name, seedTable.Name, batch); err != nil {
 						errCount.Add(1)
 						continue

@@ -1,7 +1,7 @@
 // Command duoquest-server exposes the Duoquest micro-services of the
 // paper's Figure 3 over HTTP, backed by one process-wide service Engine:
-// every request borrows the per-database shared caches (join cache,
-// verification memos, autocomplete index) under bounded admission control.
+// every request borrows the per-database shared caches (verification
+// memos, column indexes, autocomplete index) under bounded admission control.
 // The bundled movies and MAS databases are registered at startup.
 //
 //	duoquest-server -addr :8080 -db mas -max-inflight 8 -max-queue 64
@@ -675,14 +675,11 @@ func (s *server) dbs(w http.ResponseWriter, r *http.Request) {
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
 	type cacheJSON struct {
-		JoinPaths      int     `json:"join_paths"`
 		StreamedExists int64   `json:"streamed_exists"`
 		FallbackExists int64   `json:"fallback_exists"`
 		IndexSeeds     int64   `json:"index_seeds"`
 		IndexProbes    int64   `json:"index_probes"`
-		PrefixHits     int64   `json:"prefix_hits"`
-		JoinsBuilt     int64   `json:"joins_built"`
-		PrefixHitRate  float64 `json:"prefix_hit_rate"`
+		JoinsBuilt     int64   `json:"joins_built"` // reference-executor fallbacks
 		StreamedRate   float64 `json:"streamed_rate"`
 		// Morsel-driven scan parallelism (0 everywhere when disabled).
 		MorselRuns       int64   `json:"morsel_runs"`
@@ -717,11 +714,9 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		LoadMS       float64 `json:"load_ms,omitempty"`
 	}
 	type epochJSON struct {
-		Epoch         int64   `json:"epoch"`
-		Requests      int64   `json:"requests"`
-		JoinPaths     int     `json:"join_paths"`
-		PrefixHitRate float64 `json:"prefix_hit_rate"`
-		StreamedRate  float64 `json:"streamed_rate"`
+		Epoch        int64   `json:"epoch"`
+		Requests     int64   `json:"requests"`
+		StreamedRate float64 `json:"streamed_rate"`
 	}
 	type dbJSON struct {
 		Database         string  `json:"database"`
@@ -797,11 +792,9 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		epochs := []epochJSON{}
 		for _, ep := range d.Epochs {
 			epochs = append(epochs, epochJSON{
-				Epoch:         ep.Epoch,
-				Requests:      ep.Requests,
-				JoinPaths:     ep.JoinPaths,
-				PrefixHitRate: ep.PrefixHitRate,
-				StreamedRate:  ep.StreamedRate,
+				Epoch:        ep.Epoch,
+				Requests:     ep.Requests,
+				StreamedRate: ep.StreamedRate,
 			})
 		}
 		out.Databases = append(out.Databases, dbJSON{
@@ -825,14 +818,11 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 			CancelToReturnP50NS: d.CancelP50.Nanoseconds(),
 			CancelToReturnP99NS: d.CancelP99.Nanoseconds(),
 			Cache: cacheJSON{
-				JoinPaths:      d.Cache.JoinPaths,
 				StreamedExists: d.Cache.Pipeline.StreamedExists,
 				FallbackExists: d.Cache.Pipeline.FallbackExists,
 				IndexSeeds:     d.Cache.Pipeline.IndexSeeds,
 				IndexProbes:    d.Cache.Pipeline.IndexProbes,
-				PrefixHits:     d.Cache.Pipeline.PrefixHits,
 				JoinsBuilt:     d.Cache.Pipeline.JoinsBuilt,
-				PrefixHitRate:  d.Cache.PrefixHitRate,
 				StreamedRate:   d.Cache.StreamedRate,
 
 				MorselRuns:       d.Cache.Pipeline.MorselRuns,

@@ -352,10 +352,10 @@ func NewEngine(opts ...Option) *Engine {
 
 // Synthesizer is the Duoquest engine bound to one database. It is safe for
 // concurrent use: all requests run through an internal service Engine and
-// share the per-database caches — the prefix-sharing join cache and the
-// column- and row-wise verification memos, keyed by published epoch so a
-// concurrent Append never evicts an in-flight reader's warm cache — plus
-// the autocomplete index, built once on first use.
+// share the per-database caches — the column- and row-wise verification
+// memos, keyed by published epoch so a concurrent Append never evicts an
+// in-flight reader's warm cache — plus the autocomplete index, built once on
+// first use.
 type Synthesizer struct {
 	db  *Database
 	eng *Engine
@@ -416,9 +416,8 @@ func (s *Synthesizer) Autocomplete(prefix string, max int) []Hit {
 }
 
 // Preview executes a candidate query with a row cap, powering the
-// front-end's "Query Preview" button (§4). The join is served from the
-// shared join cache; truncated results are copies, never aliases of shared
-// state.
+// front-end's "Query Preview" button (§4). Every call builds its own result;
+// a plain projection stops scanning once it has maxRows rows.
 func (s *Synthesizer) Preview(q *Query, maxRows int) (*ResultSet, error) {
 	return s.ses.Preview(q, maxRows)
 }

@@ -591,10 +591,9 @@ type StageReport struct {
 	Rejected  map[verify.Stage]int
 
 	// Streaming-executor counters: how much of the verification-query work
-	// the pushdown pipeline and join-prefix sharing eliminated.
+	// the pushdown pipeline served.
 	StreamedExists int
 	IndexHits      int
-	JoinPrefixHits int
 }
 
 // VerificationStages runs GPQE over a sample and aggregates per-stage
@@ -622,7 +621,6 @@ func VerificationStages(bench *dataset.Benchmark, cfg Config) (*StageReport, err
 		rep.CacheHits += st.ColumnCache
 		rep.StreamedExists += st.StreamedExists
 		rep.IndexHits += st.IndexHits
-		rep.JoinPrefixHits += st.JoinPrefixHits
 		for k, n := range st.Rejected {
 			rep.Rejected[k] += n
 		}
@@ -635,8 +633,8 @@ func RenderStageReport(rep *StageReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Verification over %d tasks: %d checks, %d DB queries, %d column-cache hits\n",
 		rep.Tasks, rep.Checked, rep.DBQueries, rep.CacheHits)
-	fmt.Fprintf(&b, "Streaming executor: %d streamed probes, %d index hits, %d join-prefix reuses\n",
-		rep.StreamedExists, rep.IndexHits, rep.JoinPrefixHits)
+	fmt.Fprintf(&b, "Streaming executor: %d streamed probes, %d index hits\n",
+		rep.StreamedExists, rep.IndexHits)
 	total := 0
 	for _, n := range rep.Rejected {
 		total += n

@@ -467,3 +467,41 @@ func FromPersisted(db *storage.Database, spec Spec, seed int64) (*Generated, err
 	}
 	return &Generated{DB: db, Spec: p.spec, Seed: seed, plan: p}, nil
 }
+
+// IngestBatch builds one Append payload of n rows by cycling the rows of a
+// frozen table from row offset base — deterministic, schema-exact, and
+// dictionary-friendly (existing strings re-intern to existing codes). The
+// load harness and the retention tests feed Engine.Append with it.
+func IngestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
+	rows := tb.NumRows()
+	cols := make([]storage.ColumnData, len(tb.Columns))
+	for ci, c := range tb.Columns {
+		vec := tb.Vector(c.Name)
+		nulls := make([]bool, n)
+		hasNull := false
+		cd := storage.ColumnData{}
+		if c.Type == sqlir.TypeNumber {
+			cd.Nums = make([]float64, n)
+		} else {
+			cd.Texts = make([]string, n)
+		}
+		for j := 0; j < n; j++ {
+			ri := (base + j) % rows
+			if vec.IsNull(ri) {
+				nulls[j] = true
+				hasNull = true
+				continue
+			}
+			if c.Type == sqlir.TypeNumber {
+				cd.Nums[j] = vec.Num(ri)
+			} else {
+				cd.Texts[j] = vec.Dict().String(vec.Code(ri))
+			}
+		}
+		if hasNull {
+			cd.Nulls = nulls
+		}
+		cols[ci] = cd
+	}
+	return cols
+}

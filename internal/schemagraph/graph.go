@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -23,6 +24,17 @@ type Graph struct {
 	index map[string]int // table -> node id
 	edges []edge         // all FK edges (undirected for connectivity)
 	adj   [][]int        // node -> incident edge ids
+
+	// memo holds ConstructJoinPaths' answers by referenced-table list: a
+	// search asks once per state that reaches FROM, and most states
+	// reference the same few lists.
+	mu   sync.Mutex
+	memo map[string]constructed
+}
+
+type constructed struct {
+	paths []*sqlir.JoinPath
+	err   error
 }
 
 // edge is one FK-PK relationship between two nodes.
@@ -269,9 +281,26 @@ func (g *Graph) steinerHeuristic(term []int) (*sqlir.JoinPath, error) {
 
 // ConstructJoinPaths implements Algorithm 2 for a partial query: candidate
 // join paths covering the tables referenced by its decided columns, plus
-// one-level FK-PK expansions (Lines 10–12).
+// one-level FK-PK expansions (Lines 10–12). The answer is a function of the
+// referenced tables alone and is memoized by that list (in reference order,
+// so a hit returns exactly what the miss computed). Callers share the
+// returned paths and must not modify them.
 func (g *Graph) ConstructJoinPaths(q *sqlir.Query) ([]*sqlir.JoinPath, error) {
-	return g.JoinPathsFor(q.ReferencedTables())
+	tables := q.ReferencedTables()
+	key := strings.Join(tables, "\x00")
+	g.mu.Lock()
+	c, ok := g.memo[key]
+	g.mu.Unlock()
+	if !ok {
+		c.paths, c.err = g.JoinPathsFor(tables)
+		g.mu.Lock()
+		if g.memo == nil {
+			g.memo = map[string]constructed{}
+		}
+		g.memo[key] = c
+		g.mu.Unlock()
+	}
+	return c.paths, c.err
 }
 
 // JoinPathsFor returns candidate join paths for an explicit table set. With

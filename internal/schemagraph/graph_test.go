@@ -1,6 +1,7 @@
 package schemagraph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -261,6 +262,24 @@ func TestConstructJoinPathsFromQuery(t *testing.T) {
 	}
 	if len(paths) == 0 || !paths[0].Contains("starring") {
 		t.Errorf("paths = %v", paths)
+	}
+
+	// The answer is memoized per referenced-table list: asking again returns
+	// the very same paths, equal to what an unmemoized graph computes, and a
+	// list in another order is its own entry with its own answer.
+	again, err := g.ConstructJoinPaths(q)
+	if err != nil || len(again) != len(paths) || again[0] != paths[0] {
+		t.Errorf("second ask = %v, %v; want the memoized paths", again, err)
+	}
+	fresh, _ := New(movieSchema()).JoinPathsFor([]string{"actor", "movie"})
+	if !reflect.DeepEqual(paths, fresh) {
+		t.Errorf("memoized paths %v differ from a fresh computation %v", paths, fresh)
+	}
+	q.Select[0], q.Select[1] = q.Select[1], q.Select[0]
+	swapped, _ := g.ConstructJoinPaths(q)
+	fresh, _ = New(movieSchema()).JoinPathsFor([]string{"movie", "actor"})
+	if !reflect.DeepEqual(swapped, fresh) {
+		t.Errorf("paths for the swapped list %v differ from a fresh computation %v", swapped, fresh)
 	}
 }
 

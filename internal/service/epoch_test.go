@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/duoquest/duoquest/internal/dataset"
+	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -247,8 +250,7 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinnedRows := len(prev.Rows)
-	joins := snap.pin.cache.Joins()
-	size, built := joins.Size(), joins.Stats().JoinsBuilt
+	probes := snap.pin.cache.Joins().Stats().StreamedExists
 
 	if _, err := e.Append("movies", "movie", []storage.ColumnData{
 		{Nums: []float64{999}},
@@ -265,11 +267,8 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 	if got, want := describe(warm.Candidates), describe(cold.Candidates); !equalStrings(got, want) {
 		t.Errorf("pinned results changed across append:\n got %v\nwant %v", got, want)
 	}
-	if got := joins.Size(); got != size {
-		t.Errorf("pinned cache size after append = %d, want %d (zero evictions)", got, size)
-	}
-	if got := joins.Stats().JoinsBuilt; got != built {
-		t.Errorf("joins built after append = %d, want %d (warm rerun is pure hits)", got, built)
+	if got := snap.pin.cache.Joins().Stats().StreamedExists; got != probes {
+		t.Errorf("pinned rerun after append ran %d existence probes, want 0 (zero evictions: pure memo hits)", got-probes)
 	}
 	prev, err = snap.Preview(q, 0)
 	if err != nil {
@@ -349,58 +348,157 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 	}
 }
 
-// TestAppendWarmsNextEpoch: the writer rebuilds what it invalidated — after
-// an Append, the next epoch's shard is parked pre-warmed (joins carried or
-// re-materialized) and the first reader adopts it instead of starting cold.
-func TestAppendWarmsNextEpoch(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
-	s, err := e.Session("movies")
+// TestOneShardPerEpochUnderConcurrentAppend: Append publishes and returns,
+// and shardFor — under epochMu — is the only place a shard is made, so an
+// epoch has one shard however readers and the writer race. Forty rounds of
+// an Append racing four unpinned readers, with one pinned Snapshot held
+// throughout: every reader that resolved an epoch got the same shard, a
+// shard nobody read was never made, Stats never lists more than
+// EpochRetention live shards, and the pinned handle answers as it first did.
+func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
+	const retention, rounds, readers = 3, 40, 4
+	e := newTestEngine(t, Options{MaxStates: 400, MaxCandidates: 2, EpochRetention: retention})
+	pin, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Synthesize(context.Background(), moviesInput()); err != nil {
-		t.Fatal(err)
-	}
-	head, err := s.shard(0)
+	pinned, err := pin.Synthesize(context.Background(), moviesInput())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmPaths := head.cache.Joins().Size()
-	if warmPaths == 0 {
-		t.Fatal("synthesis built no join paths; the warm-up premise is broken")
-	}
 
-	if _, err := e.Append("movies", "movie", []storage.ColumnData{
-		{Nums: []float64{999}},
-		{Texts: []string{"The Shawshank Redemption"}},
-		{Nums: []float64{1994}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The warmed shard is parked, not in the retention ring: stats must not
-	// list the new epoch yet.
-	for _, ep := range e.Stats().Databases[0].Epochs {
-		if ep.Epoch == head.epoch+1 {
-			t.Fatalf("epoch %d entered the retention ring before any reader", ep.Epoch)
+	var mu sync.Mutex
+	served := map[int64]*epochShard{}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		wg.Add(1 + readers)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Append("movies", "movie", movieBatch(r*4)); err != nil {
+				t.Error(err)
+			}
+		}()
+		for i := 0; i < readers; i++ {
+			go func() {
+				defer wg.Done()
+				s, err := e.Session("movies")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sh, err := s.shard(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if first, ok := served[sh.epoch]; ok && first != sh {
+					t.Errorf("epoch %d resolved to two shards", sh.epoch)
+				}
+				served[sh.epoch] = sh
+				mu.Unlock()
+				if _, err := s.Synthesize(context.Background(), moviesInput()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		st := e.Stats().Databases[0]
+		if st.EpochsLive > retention || len(st.Epochs) > retention {
+			t.Fatalf("round %d: %d shards live (%d listed), retention %d", r, st.EpochsLive, len(st.Epochs), retention)
 		}
 	}
 
-	next, err := s.shard(0)
+	st := e.Stats().Databases[0]
+	// Shards exist only for epochs a request resolved: those recorded above,
+	// the epochs the readers' own Synthesize calls resolved, and the pin's.
+	if made := st.EpochsLive + int(st.EpochsRetired); made > rounds+1 {
+		t.Errorf("%d shards were made for %d published epochs", made, rounds+1)
+	}
+	again, err := pin.Synthesize(context.Background(), moviesInput())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.epoch != head.epoch+1 {
-		t.Fatalf("next shard epoch = %d, want %d", next.epoch, head.epoch+1)
+	if got, want := describe(again.Candidates), describe(pinned.Candidates); !equalStrings(got, want) {
+		t.Errorf("pinned results changed under ingest:\n got %v\nwant %v", got, want)
 	}
-	// Every join path the old epoch had is already materialized in the new
-	// shard — carried forward when its tables were untouched, rebuilt by
-	// the writer when the append invalidated them — before any request ran.
-	if got := next.cache.Joins().Size(); got < warmPaths {
-		t.Errorf("adopted shard has %d join paths, want >= %d (writer-warmed)", got, warmPaths)
+}
+
+// TestHeapPlateausUnderSustainedAppend: retained memory is bounded by
+// construction — an epoch's shard holds memos and counters, never a
+// relation, and both epoch rings are bounded — so under sustained ingest
+// with unpinned readers and one pinned Snapshot the live heap stops growing
+// once the rings are full: HeapInuse after GC at append 40 is within 10 % of
+// append 20. (The batches are small so that the table's own growth stays
+// well inside the bound.)
+func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the loadgen small preset and runs 40 ingest rounds")
 	}
-	if reqs := next.requests.Load(); reqs != 0 {
-		t.Errorf("adopted shard already served %d requests, want 0", reqs)
+	spec, _ := loadgen.Preset("small")
+	gen, err := loadgen.Generate(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := gen.Tasks(6, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work []Input
+	for i, task := range tasks {
+		sk, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		work = append(work, Input{NLQ: task.NLQ, Literals: task.Literals, Sketch: sk})
+	}
+	e := NewEngine(Config{MaxStates: 1500, MaxCandidates: 3})
+	if err := e.Register(gen.DB); err != nil {
+		t.Fatal(err)
+	}
+	pin, err := e.Snapshot(gen.DB.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Session(gen.DB.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ingest cycles the rows of the table the first task reads, so every
+	// round invalidates memos the readers then rebuild.
+	table := pin.Database().Table(tasks[0].Gold.From.Tables[0])
+
+	heapAt := map[int]uint64{}
+	for i := 1; i <= 40; i++ {
+		if _, err := e.Append(gen.DB.Name, table.Name, loadgen.IngestBatch(table, i*16, 16)); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c, in := range work {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reader := s
+				if c == 0 {
+					reader = pin.Session
+				}
+				if _, err := reader.Synthesize(context.Background(), in); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if i == 20 || i == 40 {
+			runtime.GC()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heapAt[i] = ms.HeapInuse
+		}
+	}
+	if lo, hi := float64(heapAt[20]), float64(heapAt[40]); hi > 1.10*lo {
+		t.Errorf("HeapInuse after GC: %.1f MB at append 20, %.1f MB at append 40 (+%.0f %%, bound 10 %%)",
+			lo/1e6, hi/1e6, 100*(hi/lo-1))
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // An Engine owns a registry of databases and, per database, the shared
 // cross-request state that used to be rebuilt on every call: the
-// prefix-sharing join cache, the column-wise and row-wise verification
-// memos (verify.Cache), the lazily built autocomplete index, and the
-// storage engine's persistent hash indexes warmed underneath them. Requests
+// column-wise and row-wise verification memos (verify.Cache), the lazily
+// built autocomplete index, and the storage engine's persistent column
+// indexes underneath them. Requests
 // run through lightweight per-request Session handles that borrow this
 // shared state, under bounded admission control (a fixed number of
 // in-flight syntheses plus a bounded wait queue), and the Engine aggregates
@@ -200,7 +200,6 @@ type dbState struct {
 	epochMu       sync.Mutex
 	shards        map[int64]*epochShard
 	shardOrder    []int64               // creation order, oldest first
-	warmed        *epochShard           // writer-warmed shard awaiting its first reader
 	retired       sqlexec.PipelineStats // folded counters of retired shards
 	retiredShards int64
 
@@ -241,7 +240,7 @@ type epochShard struct {
 
 // shardAt resolves the serving shard for an epoch (0 = latest, publishing
 // one if build-phase mutations are pending). Requests for the same epoch
-// share one shard — and therefore one join cache and one set of memos.
+// share one shard — and therefore one set of memos.
 func (ds *dbState) shardAt(epoch int64) (*epochShard, error) {
 	if epoch != 0 {
 		// A live shard keeps its epoch servable even after storage's
@@ -277,24 +276,16 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 	if sh, ok := ds.shards[ep]; ok {
 		return sh
 	}
-	var sh *epochShard
-	if w := ds.warmed; w != nil && w.epoch == ep && w.db == snap {
-		// Adopt the shard the writer warmed after publishing this epoch —
-		// it enters the retention ring only now, on first read, so pure
-		// write bursts never churn readers' pinned shards out of it.
-		sh = w
-		ds.warmed = nil
-	} else {
-		// Seed the new shard's caches from the most recently created
-		// shard: joins and memoized answers over tables unchanged between
-		// the two epochs carry forward, so an append costs readers only
-		// the changed table's state, not a fully cold cache.
-		var prevCache *verify.Cache
-		if n := len(ds.shardOrder); n > 0 {
-			prevCache = ds.shards[ds.shardOrder[n-1]].cache
-		}
-		sh = &epochShard{epoch: ep, db: snap, cache: verify.NewCacheFrom(snap, prevCache)}
+	// This is the only place a shard is created, and it runs under epochMu:
+	// an epoch has exactly one shard. Its memos are seeded from the most
+	// recently created shard — answers over tables unchanged between the two
+	// epochs carry forward, so an append costs readers only the changed
+	// table's memos, not a fully cold cache.
+	var prevCache *verify.Cache
+	if n := len(ds.shardOrder); n > 0 {
+		prevCache = ds.shards[ds.shardOrder[n-1]].cache
 	}
+	sh := &epochShard{epoch: ep, db: snap, cache: verify.NewCacheFrom(snap, prevCache)}
 	if ds.shards == nil {
 		ds.shards = map[int64]*epochShard{}
 	}
@@ -571,7 +562,8 @@ func (e *Engine) SnapshotAt(name string, epoch int64) (*Snapshot, error) {
 // publishes it as a new epoch, returning the epoch number. This is the only
 // mutation safe under concurrent requests: in-flight sessions keep their
 // pinned epochs (and warm caches — zero evictions), and the next unpinned
-// request observes the new rows.
+// request observes the new rows. Append publishes and returns: the new
+// epoch's shard is created by the first request that resolves it (shardFor).
 func (e *Engine) Append(name, table string, cols []storage.ColumnData) (int64, error) {
 	e.mu.RLock()
 	ds, ok := e.dbs[name]
@@ -579,19 +571,6 @@ func (e *Engine) Append(name, table string, cols []storage.ColumnData) (int64, e
 	if !ok {
 		return 0, fmt.Errorf("service: unknown database %q", name)
 	}
-	// Remember the warmest shard before publication so the new epoch's
-	// shard can be warmed from it below.
-	ds.epochMu.Lock()
-	var prev *epochShard
-	if n := len(ds.shardOrder); n > 0 {
-		prev = ds.shards[ds.shardOrder[n-1]]
-	}
-	if w := ds.warmed; w != nil && (prev == nil || w.epoch > prev.epoch) {
-		// A prior write's parked shard that no reader adopted yet is the
-		// warmest state there is — chain the new epoch's carry from it.
-		prev = w
-	}
-	ds.epochMu.Unlock()
 	epoch, err := ds.db.Append(table, cols)
 	if err != nil {
 		return 0, err
@@ -599,24 +578,6 @@ func (e *Engine) Append(name, table string, cols []storage.ColumnData) (int64, e
 	ds.m.Lock()
 	ds.appends++
 	ds.m.Unlock()
-	// The write pays to rebuild what it invalidated: build the new epoch's
-	// serving state now — carrying forward every cache entry that provably
-	// still holds and re-materializing the joins that touched the appended
-	// table — and park it for the first reader to adopt (shardFor). The
-	// reader starts warm instead of absorbing the rebuild into its own
-	// latency, and a pure write burst never enters the retention ring.
-	if prev != nil {
-		if snap, serr := ds.db.SnapshotAt(epoch); serr == nil {
-			cache := verify.NewCacheFrom(snap, prev.cache)
-			ds.epochMu.Lock()
-			ds.warmed = &epochShard{epoch: epoch, db: snap, cache: cache}
-			ds.epochMu.Unlock()
-			// Park before warming: a reader that adopts the shard mid-warm
-			// shares each join's single materialization (entry-level locks)
-			// instead of duplicating the whole rebuild under its latency.
-			cache.WarmFrom(context.Background(), prev.cache)
-		}
-	}
 	return epoch, nil
 }
 
@@ -747,10 +708,9 @@ func (s *Session) AutocompleteSize() int {
 }
 
 // Exists answers one raw existence probe — the building block of cascading
-// verification — through the database's shared join cache (or a fresh
-// executor under PerRequestCaches). The load harness's data-scale sweep
-// drives this surface so its measurements exercise exactly the shared-cache
-// path production verification uses.
+// verification — through the epoch's executor handle, exactly as production
+// verification does. The load harness's data-scale sweep drives this
+// surface.
 func (s *Session) Exists(eq sqlexec.ExistsQuery) (bool, error) {
 	return s.ExistsCtx(context.Background(), eq)
 }
@@ -764,38 +724,19 @@ func (s *Session) ExistsCtx(ctx context.Context, eq sqlexec.ExistsQuery) (bool, 
 	if err != nil {
 		return false, err
 	}
-	ctx = s.eng.execCtx(ctx)
-	if s.eng.opts.PerRequestCaches {
-		return sqlexec.ExistsCtx(ctx, sh.db, eq)
-	}
-	return sh.cache.Joins().ExistsCtx(ctx, eq)
+	return sh.cache.Joins().ExistsCtx(s.eng.execCtx(ctx), eq)
 }
 
-// Preview executes a candidate query with a row cap, powering the
-// front-end's "Query Preview" button (§4). The join runs through the shared
-// join cache, and truncation copies the row slice so callers can never
-// mutate cached or shared results.
+// Preview executes a candidate query with a row cap (maxRows <= 0 = none),
+// powering the front-end's "Query Preview" button (§4). The cap reaches the
+// executor: a plain projection stops scanning once it has maxRows rows.
+// Every call builds its own result, so callers may do with it what they like.
 func (s *Session) Preview(q *sqlir.Query, maxRows int) (*sqlexec.Result, error) {
 	sh, err := s.shard(0)
 	if err != nil {
 		return nil, err
 	}
-	var res *sqlexec.Result
-	ctx := s.eng.execCtx(context.Background())
-	if s.eng.opts.PerRequestCaches {
-		res, err = sqlexec.ExecuteCtx(ctx, sh.db, q)
-	} else {
-		res, err = sh.cache.Joins().ExecuteCtx(ctx, q)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if maxRows > 0 && len(res.Rows) > maxRows {
-		rows := make([][]sqlir.Value, maxRows)
-		copy(rows, res.Rows)
-		res.Rows = rows
-	}
-	return res, nil
+	return sh.cache.Joins().PreviewCtx(s.eng.execCtx(context.Background()), q, maxRows)
 }
 
 func (ds *dbState) autocompleteIndex() *autocomplete.Index {

@@ -202,7 +202,7 @@ func TestSharedCacheConcurrentReuse(t *testing.T) {
 		}
 	}
 	st := e.Stats().Databases[0]
-	if st.Cache.Pipeline.PrefixHits+st.Cache.Pipeline.StreamedExists == 0 {
+	if st.Cache.Pipeline.StreamedExists == 0 {
 		t.Error("expected shared-cache activity in stats")
 	}
 }

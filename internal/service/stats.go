@@ -11,13 +11,15 @@ import (
 // CacheStats summarises one database's shared-cache effectiveness, derived
 // from the executor's cumulative PipelineStats.
 type CacheStats struct {
-	// JoinPaths is the number of join paths currently materialized.
+	// JoinPaths is the number of materialized join paths held: always 0,
+	// nothing materializes one. bench/ reads the field (service.join_paths)
+	// and a PR that claims a gain may not edit bench/; it goes when that
+	// metric is retired.
 	JoinPaths int
-	// Pipeline is the cumulative executor counter snapshot.
+	// Pipeline is the cumulative executor counter snapshot. Its JoinsBuilt
+	// counts queries that fell back to the materializing reference executor
+	// because they did not bind — 0 for anything the enumerator generates.
 	Pipeline sqlexec.PipelineStats
-	// PrefixHitRate is PrefixHits / (PrefixHits + JoinsBuilt): the share
-	// of join materializations served by extending a cached prefix.
-	PrefixHitRate float64
 	// StreamedRate is StreamedExists / (StreamedExists + FallbackExists):
 	// the share of existence probes served by the streaming pipeline.
 	StreamedRate float64
@@ -56,13 +58,11 @@ type StorageStats struct {
 }
 
 // EpochCacheStats is one live epoch shard's serving view: which epoch,
-// how many syntheses resolved it, and how its caches are hitting.
+// how many syntheses resolved it, and how its probes are served.
 type EpochCacheStats struct {
-	Epoch         int64
-	Requests      int64
-	JoinPaths     int
-	PrefixHitRate float64
-	StreamedRate  float64
+	Epoch        int64
+	Requests     int64
+	StreamedRate float64
 }
 
 // DBStats is the aggregated serving view of one registered database.
@@ -164,33 +164,25 @@ func (ds *dbState) snapshot() DBStats {
 	out.CancelP99 = percentile(cret, 0.99)
 
 	// Aggregate the per-epoch cache shards: cumulative pipeline counters
-	// fold across retired and live shards, join paths count what is
-	// materialized right now (live shards only).
+	// fold across retired and live shards.
 	out.HeadEpoch = ds.db.Epoch()
 	ds.epochMu.Lock()
 	ps := ds.retired
 	out.EpochsRetired = ds.retiredShards
 	out.EpochsLive = len(ds.shardOrder)
-	joinPaths := 0
 	for _, ep := range ds.shardOrder {
 		sh := ds.shards[ep]
 		sps := sh.cache.Joins().Stats()
-		size := sh.cache.Joins().Size()
-		joinPaths += size
 		addPipeline(&ps, sps)
 		out.Epochs = append(out.Epochs, EpochCacheStats{
-			Epoch:         ep,
-			Requests:      sh.requests.Load(),
-			JoinPaths:     size,
-			PrefixHitRate: ratio(sps.PrefixHits, sps.PrefixHits+sps.JoinsBuilt),
-			StreamedRate:  ratio(sps.StreamedExists, sps.StreamedExists+sps.FallbackExists),
+			Epoch:        ep,
+			Requests:     sh.requests.Load(),
+			StreamedRate: ratio(sps.StreamedExists, sps.StreamedExists+sps.FallbackExists),
 		})
 	}
 	ds.epochMu.Unlock()
 	out.Cache = CacheStats{
-		JoinPaths:        joinPaths,
 		Pipeline:         ps,
-		PrefixHitRate:    ratio(ps.PrefixHits, ps.PrefixHits+ps.JoinsBuilt),
 		StreamedRate:     ratio(ps.StreamedExists, ps.StreamedExists+ps.FallbackExists),
 		AvgMorselWorkers: ps.AvgMorselWorkers(),
 	}
@@ -211,7 +203,6 @@ func addPipeline(a *sqlexec.PipelineStats, b sqlexec.PipelineStats) {
 	a.FallbackExists += b.FallbackExists
 	a.IndexSeeds += b.IndexSeeds
 	a.IndexProbes += b.IndexProbes
-	a.PrefixHits += b.PrefixHits
 	a.JoinsBuilt += b.JoinsBuilt
 	a.MorselRuns += b.MorselRuns
 	a.Morsels += b.Morsels

@@ -8,6 +8,7 @@ import (
 
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
@@ -15,8 +16,9 @@ import (
 // multi-edge join path, answered by the materialize-then-filter reference
 // path and by the streaming/index pipeline. Each streaming benchmark first
 // asserts answer-for-answer equivalence with the reference executor, so the
-// speedup can never come from changed semantics. `make bench` records these
-// into BENCH_sqlexec.json.
+// speedup can never come from changed semantics. BenchmarkExecute{Reference,
+// Compiled} at the end of the file are the same pairing for complete
+// queries. `make bench` records all of them into BENCH_sqlexec.json.
 
 var (
 	benchOnce sync.Once
@@ -225,5 +227,88 @@ func BenchmarkExistsGroupedStreaming(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// benchQueries is the complete-query workload the paired Execute benchmarks
+// share, over the same cust ⋈ ord ⋈ prod path: a flat filtered projection
+// (the by-order shape whose result is join-sized), a grouped aggregate with
+// HAVING, and an ORDER BY ... LIMIT top-k.
+func benchQueries(b *testing.B, shape string) []*sqlir.Query {
+	b.Helper()
+	const from = " FROM cust JOIN ord ON ord.cid = cust.cid JOIN prod ON ord.pid = prod.pid"
+	var sqls []string
+	switch shape {
+	case "flat":
+		for _, price := range []int{100, 250, 400} {
+			sqls = append(sqls, fmt.Sprintf("SELECT cust.name, prod.pname, ord.qty"+from+" WHERE prod.price > %d AND ord.qty > 2", price))
+		}
+	case "grouped":
+		sqls = []string{
+			"SELECT cust.city, COUNT(*), SUM(ord.qty)" + from + " GROUP BY cust.city HAVING COUNT(*) > 300",
+			"SELECT prod.pname, AVG(ord.qty), MAX(prod.price)" + from + " WHERE ord.qty > 1 GROUP BY prod.pname",
+		}
+	case "topk":
+		sqls = []string{
+			"SELECT cust.name, prod.price" + from + " ORDER BY prod.price DESC LIMIT 10",
+			"SELECT cust.name, ord.qty" + from + " WHERE prod.price < 50 ORDER BY ord.qty ASC LIMIT 5",
+		}
+	}
+	db := benchStore()
+	out := make([]*sqlir.Query, len(sqls))
+	for i, sql := range sqls {
+		q, err := sqlparse.Parse(db.Schema, sql)
+		if err != nil {
+			b.Fatalf("parse %q: %v", sql, err)
+		}
+		out[i] = q
+	}
+	return out
+}
+
+var executeShapes = []string{"flat", "grouped", "topk"}
+
+// BenchmarkExecuteReference is the baseline: every query materializes the
+// whole join, then filters, groups and orders it.
+func BenchmarkExecuteReference(b *testing.B) {
+	db := benchStore()
+	for _, shape := range executeShapes {
+		queries := benchQueries(b, shape)
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := sqlexec.ExecuteReference(db, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExecuteCompiled is the paired measurement: the same queries
+// compiled onto the streaming pipeline — after asserting, before any timing,
+// that each gives exactly the reference's result, one piece or fanned out.
+func BenchmarkExecuteCompiled(b *testing.B) {
+	db := benchStore()
+	for _, shape := range executeShapes {
+		queries := benchQueries(b, shape)
+		for _, q := range queries {
+			if d := sqlexec.DiffExecute(db, q); d != "" {
+				b.Fatalf("%s: %s\n%s", shape, d, q)
+			}
+		}
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			jc := sqlexec.NewJoinCache(db)
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := jc.Execute(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,18 +1,13 @@
 // Cooperative cancellation for the execution paths. Synthesis is
 // interactive: an abandoned or deadline-expired request must unwind
 // mid-scan in milliseconds, not at operator boundaries, so every row loop —
-// streaming probes, join materialization, filtering, grouping — ticks a
-// shared checkpoint that polls the request context once per checkpointRows
-// units of work. The poll amortizes to a counter increment and a mask per
-// row; context.Background() requests pay essentially nothing.
+// the streaming scan, and the reference executor's join, filter and group
+// loops — ticks a checkpoint that polls the request context once per
+// checkpointRows units of work. The poll amortizes to a counter increment
+// and a mask per row; context.Background() requests pay essentially nothing.
 package sqlexec
 
-import (
-	"context"
-	"errors"
-
-	"github.com/duoquest/duoquest/internal/faultinject"
-)
+import "context"
 
 // checkpointRows is the cancellation granularity: rows (or index probes)
 // processed between context polls. At ~10ns/row of scan work, 1024 rows
@@ -37,15 +32,4 @@ func (c *canceller) tick() error {
 		return nil
 	}
 	return c.ctx.Err()
-}
-
-// transientErr reports whether err reflects the fate of one request —
-// cancellation, deadline expiry, or an injected fault — rather than a
-// property of the database or query. Transient errors must never be
-// memoized: a shared cache that stored one would replay a dead request's
-// failure to every later, healthy request asking the same question.
-func transientErr(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		faultinject.IsInjected(err)
 }

@@ -37,45 +37,49 @@ func Execute(db *storage.Database, q *sqlir.Query) (*Result, error) {
 	return ExecuteCtx(context.Background(), db, q)
 }
 
-// ExecuteCtx is Execute under a request context: join, filter, and grouping
-// loops poll ctx at checkpoint boundaries and unwind with ctx.Err().
+// ExecuteCtx is Execute under a request context: the scan polls ctx at
+// checkpoint boundaries and unwinds with ctx.Err().
 func ExecuteCtx(ctx context.Context, db *storage.Database, q *sqlir.Query) (*Result, error) {
+	return execute(ctx, db, q, 0, &discardCounters)
+}
+
+// execute compiles a complete query onto the streaming pipeline
+// (compiled.go). A query whose plan fails to bind — a malformed join path, a
+// column outside it — runs on the materializing reference executor below
+// instead, which alone knows which of those defects surface as an error, in
+// which order, and with which message.
+func execute(ctx context.Context, db *storage.Database, q *sqlir.Query, maxRows int, pc *pipelineCounters) (*Result, error) {
 	if q == nil || !q.Complete() {
 		return nil, fmt.Errorf("sqlexec: query is not complete: %v", q)
 	}
-	rel, err := join(ctx, db, q.From, &discardCounters)
+	if res, handled, err := executeCompiled(ctx, db, q, maxRows, pc); handled {
+		return res, err
+	}
+	pc.add(&pc.joinsBuilt, 1)
+	res, err := executeReference(ctx, db, q)
+	if err == nil && maxRows > 0 && len(res.Rows) > maxRows {
+		res.Rows = res.Rows[:maxRows]
+	}
+	return res, err
+}
+
+// executeReference is the materializing executor: join the whole path, then
+// filter, group, order and cut. It is sequential and caches nothing. It is
+// kept as the oracle the differential tests compare the compiled pipeline
+// against, and as the fallback described at execute.
+func executeReference(ctx context.Context, db *storage.Database, q *sqlir.Query) (*Result, error) {
+	rel, err := join(ctx, db, q.From)
 	if err != nil {
 		return nil, err
 	}
-	return executeOn(ctx, db, rel, q, &discardCounters)
-}
-
-// Execute runs a complete query reusing the cache's materialized join.
-func (c *JoinCache) Execute(q *sqlir.Query) (*Result, error) {
-	return c.ExecuteCtx(context.Background(), q)
-}
-
-// ExecuteCtx is the cache-backed Execute under a request context. The
-// materialization itself is shared across requests, so a cancelled
-// materialization is not stored (see materialize).
-func (c *JoinCache) ExecuteCtx(ctx context.Context, q *sqlir.Query) (*Result, error) {
-	if q == nil || !q.Complete() {
-		return nil, fmt.Errorf("sqlexec: query is not complete: %v", q)
-	}
-	rel, err := c.materialize(ctx, q.From)
-	if err != nil {
-		return nil, err
-	}
-	return executeOn(ctx, c.db, rel, q, &c.pc)
+	return executeOn(ctx, db, rel, q)
 }
 
 // executeOn evaluates a complete query over a pre-joined relation. The
-// WHERE filter runs morsel-parallel when the context carries a pool; the
-// group/aggregate/order loop below stays sequential — its interleaved
-// HAVING and select-aggregate evaluation order is part of the reference
-// error semantics, and after filtering it touches only group-sized data.
-func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqlir.Query, pc *pipelineCounters) (*Result, error) {
-	rows, err := filter(ctx, db, rel, q.Where, q.WhereState, pc)
+// interleaved HAVING and select-aggregate evaluation order of the group loop
+// is part of the reference error semantics.
+func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqlir.Query) (*Result, error) {
+	rows, err := filter(ctx, db, rel, q.Where, q.WhereState)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +205,7 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 
 // join materializes the join path into a relation of joined tuples using
 // hash joins on the FK-PK edges.
-func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath, pc *pipelineCounters) (*relation, error) {
+func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relation, error) {
 	if jp == nil || len(jp.Tables) == 0 {
 		return nil, fmt.Errorf("sqlexec: empty join path")
 	}
@@ -218,7 +222,7 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath, pc *pip
 	}
 	for _, e := range jp.Edges {
 		var err error
-		rel, err = extendRelation(ctx, db, rel, e, pc)
+		rel, err = extendRelation(ctx, db, rel, e)
 		if err != nil {
 			return nil, err
 		}
@@ -228,11 +232,8 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath, pc *pip
 
 // extendRelation joins one more FK-PK edge onto a relation, probing the
 // incoming table's persistent hash index. It returns a new relation and
-// leaves the input untouched, so cached join prefixes can be shared. With a
-// pool in the context the probe loop fans out over morsels of the input
-// tuples; per-morsel output slices are concatenated in morsel order, so the
-// materialized tuple order is identical to the sequential probe.
-func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge, pc *pipelineCounters) (*relation, error) {
+// leaves the input untouched.
+func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge) (*relation, error) {
 	var existing, incoming string
 	if _, ok := rel.slots[e.FromTable]; ok {
 		existing, incoming = e.FromTable, e.ToTable
@@ -274,63 +275,28 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 	exSlot := rel.slots[existing]
 	exRows := rel.tables[exSlot]
 
-	// probeRange extends one range of input tuples into a private output
-	// slice. Tick per output tuple too: a fanning-out edge can append many
-	// rows per input tuple, and the checkpoint cadence must follow the work
-	// actually done, not the rows scanned.
-	probeRange := func(ctx context.Context, lo, hi int) ([]tuple, error) {
-		cc := newCanceller(ctx)
-		var out []tuple
-		for _, tp := range rel.tuples[lo:hi] {
+	// Tick per output tuple too: a fanning-out edge can append many rows per
+	// input tuple, and the checkpoint cadence must follow the work actually
+	// done, not the rows scanned.
+	cc := newCanceller(ctx)
+	for _, tp := range rel.tuples {
+		if err := cc.tick(); err != nil {
+			return nil, err
+		}
+		v := exRows.Row(int(tp[exSlot]))[exIdx]
+		if v.IsNull() {
+			continue
+		}
+		for _, m := range index[v] {
 			if err := cc.tick(); err != nil {
 				return nil, err
 			}
-			v := exRows.Row(int(tp[exSlot]))[exIdx]
-			if v.IsNull() {
-				continue
-			}
-			for _, m := range index[v] {
-				if err := cc.tick(); err != nil {
-					return nil, err
-				}
-				ext := make(tuple, len(tp)+1)
-				copy(ext, tp)
-				ext[slot] = m
-				out = append(out, ext)
-			}
-		}
-		return out, nil
-	}
-
-	if pool := PoolFrom(ctx); pool != nil {
-		morsels := storage.Morsels(len(rel.tuples), MorselSizeFrom(ctx))
-		if len(morsels) >= 2 {
-			parts := make([][]tuple, len(morsels))
-			res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-				out, perr := probeRange(mctx, morsels[m].Lo, morsels[m].Hi)
-				parts[m] = out
-				return false, perr
-			})
-			pc.addMorselRun(res)
-			if res.err != nil {
-				return nil, res.err
-			}
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			next.tuples = make([]tuple, 0, total)
-			for _, p := range parts {
-				next.tuples = append(next.tuples, p...)
-			}
-			return next, nil
+			ext := make(tuple, len(tp)+1)
+			copy(ext, tp)
+			ext[slot] = m
+			next.tuples = append(next.tuples, ext)
 		}
 	}
-	out, err := probeRange(ctx, 0, len(rel.tuples))
-	if err != nil {
-		return nil, err
-	}
-	next.tuples = out
 	return next, nil
 }
 
@@ -348,53 +314,26 @@ func colValue(db *storage.Database, rel *relation, tp tuple, c sqlir.ColumnRef) 
 	return tbl.Row(int(tp[slot]))[ci], nil
 }
 
-// filter applies the WHERE clause. With a pool in the context the predicate
-// loop fans out over morsels of the input tuples; per-morsel keep-lists are
-// concatenated in morsel order, so the surviving tuples appear in exactly
-// the sequential scan's order (grouping and ORDER BY downstream see
-// bit-identical input).
-func filter(ctx context.Context, db *storage.Database, rel *relation, w sqlir.Where, state sqlir.ClauseState, pc *pipelineCounters) ([]tuple, error) {
+// filter applies the WHERE clause.
+func filter(ctx context.Context, db *storage.Database, rel *relation, w sqlir.Where, state sqlir.ClauseState) ([]tuple, error) {
 	if state != sqlir.ClausePresent || len(w.Preds) == 0 {
 		return rel.tuples, nil
 	}
-	filterRange := func(ctx context.Context, lo, hi int) ([]tuple, error) {
-		var out []tuple
-		cc := newCanceller(ctx)
-		for _, tp := range rel.tuples[lo:hi] {
-			if err := cc.tick(); err != nil {
-				return nil, err
-			}
-			ok, err := evalWhere(db, rel, tp, w)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, tp)
-			}
+	var out []tuple
+	cc := newCanceller(ctx)
+	for _, tp := range rel.tuples {
+		if err := cc.tick(); err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	if pool := PoolFrom(ctx); pool != nil {
-		morsels := storage.Morsels(len(rel.tuples), MorselSizeFrom(ctx))
-		if len(morsels) >= 2 {
-			parts := make([][]tuple, len(morsels))
-			res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-				out, ferr := filterRange(mctx, morsels[m].Lo, morsels[m].Hi)
-				parts[m] = out
-				return false, ferr
-			})
-			pc.addMorselRun(res)
-			if res.err != nil {
-				return nil, res.err
-			}
-			var out []tuple
-			for _, p := range parts {
-				out = append(out, p...)
-			}
-			return out, nil
+		ok, err := evalWhere(db, rel, tp, w)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, tp)
 		}
 	}
-	return filterRange(ctx, 0, len(rel.tuples))
+	return out, nil
 }
 
 // evalWhere evaluates the flat conjunction/disjunction on one tuple.

@@ -1,6 +1,9 @@
 package sqlexec
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -304,5 +307,124 @@ func TestExecuteOrderStability(t *testing.T) {
 	res := run(t, db, "SELECT title FROM movie WHERE year = 2010 ORDER BY year ASC")
 	if !res.Rows[0][0].Equal(text("Twin A")) || !res.Rows[1][0].Equal(text("Twin B")) {
 		t.Errorf("stability broken: %v", res.Rows)
+	}
+}
+
+// Queries that do not bind run on the reference executor, which alone knows
+// which defects surface, in which order, and when they stay silent (a
+// predicate on a column outside the path is an error only if a tuple gets as
+// far as evaluating it). Each mutation must answer exactly as the reference,
+// and is counted as a materialized join.
+func TestExecuteUnboundQueriesMatchReference(t *testing.T) {
+	db := movieDB()
+	outside := sqlir.ColumnRef{Table: "actor", Column: "name"}
+	mutations := map[string]func(q *sqlir.Query){
+		"projection outside path": func(q *sqlir.Query) { q.Select[0].Col = outside },
+		"predicate outside path, reached": func(q *sqlir.Query) {
+			q.Where.Preds = append(q.Where.Preds, pred("actor", "name", sqlir.OpEq, text("x")))
+		},
+		"predicate outside path, never reached": func(q *sqlir.Query) {
+			q.Where.Preds = []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(3000)), pred("actor", "name", sqlir.OpEq, text("x"))}
+		},
+		"order key outside path": func(q *sqlir.Query) {
+			q.OrderByState = sqlir.ClausePresent
+			q.OrderBy = sqlir.OrderBy{Key: sqlir.OrderKey{Col: outside}, KeySet: true, DirSet: true}
+		},
+		"unknown column": func(q *sqlir.Query) { q.Select[0].Col.Column = "nope" },
+		"unknown root":   func(q *sqlir.Query) { q.From = pathOf("nope") },
+		"SUM over star": func(q *sqlir.Query) {
+			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggSum, AggSet: true, Col: sqlir.Star, ColSet: true}
+		},
+		"disconnected edge": func(q *sqlir.Query) {
+			q.From = &sqlir.JoinPath{Tables: []string{"movie", "actor"}, Edges: []sqlir.JoinEdge{
+				{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"}}}
+		},
+		"edge on unknown column": func(q *sqlir.Query) {
+			q.From = &sqlir.JoinPath{Tables: []string{"movie", "starring"}, Edges: []sqlir.JoinEdge{
+				{FromTable: "starring", FromColumn: "nope", ToTable: "movie", ToColumn: "mid"}}}
+		},
+	}
+	for name, mutate := range mutations {
+		q := sqlparse.MustParse(db.Schema, "SELECT title FROM movie WHERE year > 1990 AND revenue > 1")
+		mutate(q)
+		c := NewJoinCache(db)
+		if d := DiffExecute(db, q); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+		c.Execute(q) //nolint:errcheck // compared above; run again for the counter
+		if st := c.Stats(); st.JoinsBuilt != 1 {
+			t.Errorf("%s: JoinsBuilt = %d, want 1 (the reference fallback)", name, st.JoinsBuilt)
+		}
+	}
+}
+
+// Regression: a fanned-out DISTINCT part strikes its own morsel's duplicates
+// only, so when it also cut to its best LIMIT rows by a key that is not
+// projected, a duplicate of an earlier morsel's row could hold one of those
+// slots and push out a row the merge needed. Group 1 (morsel 0 at morsel
+// size 1) holds X ranked 5; group 2 holds X ranked 1, Z ranked 3 and enough
+// other rows to make the part trim. The first arrivals are X(5) and Z(3): Z.
+func TestExecuteDistinctTopKAcrossMorsels(t *testing.T) {
+	g := storage.NewTable("g", "gid", storage.Column{Name: "gid", Type: sqlir.TypeNumber})
+	e := storage.NewTable("e", "eid",
+		storage.Column{Name: "eid", Type: sqlir.TypeNumber},
+		storage.Column{Name: "gid", Type: sqlir.TypeNumber},
+		storage.Column{Name: "a", Type: sqlir.TypeText},
+		storage.Column{Name: "b", Type: sqlir.TypeNumber},
+	)
+	s := storage.NewSchema(g, e)
+	s.AddForeignKey("e", "gid", "g", "gid")
+	g.MustInsert(num(1))
+	g.MustInsert(num(2))
+	e.MustInsert(num(1), num(1), text("X"), num(5))
+	e.MustInsert(num(2), num(2), text("X"), num(1))
+	e.MustInsert(num(3), num(2), text("Z"), num(3))
+	for i := 0; i < 40; i++ {
+		e.MustInsert(num(float64(4+i)), num(2), text(fmt.Sprintf("Y%02d", i)), num(float64(4+i)))
+	}
+	db := storage.NewDatabase("parts", s)
+
+	for _, sql := range []string{
+		"SELECT DISTINCT e.a FROM g JOIN e ON g.gid = e.gid ORDER BY e.b ASC LIMIT 1",
+		"SELECT DISTINCT e.a FROM g JOIN e ON g.gid = e.gid ORDER BY e.b ASC LIMIT 2",
+		"SELECT DISTINCT e.a, e.b FROM g JOIN e ON g.gid = e.gid ORDER BY e.b ASC LIMIT 1",
+		"SELECT DISTINCT e.a FROM g JOIN e ON g.gid = e.gid ORDER BY e.b DESC LIMIT 3",
+	} {
+		q, err := sqlparse.Parse(db.Schema, sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		if d := DiffExecute(db, q); d != "" {
+			t.Errorf("%s: %s", sql, d)
+		}
+	}
+	res := run(t, db, "SELECT DISTINCT e.a FROM g JOIN e ON g.gid = e.gid ORDER BY e.b ASC LIMIT 1")
+	if len(res.Rows) != 1 || !res.Rows[0][0].Equal(text("Z")) {
+		t.Errorf("reference rows = %v, want Z: the fixture no longer exercises the case", res.Rows)
+	}
+}
+
+// A top-k scan that meets a NaN ORDER BY key is abandoned and redone keeping
+// every row. The handle's counters must show one scan — the one a query
+// without the LIMIT makes — not the abandoned attempt on top of it.
+func TestExecuteNaNRetryCountedOnce(t *testing.T) {
+	db := movieDB()
+	db.Table("movie").MustInsert(num(5), text("Unreleased"), num(2030), num(math.NaN()))
+	db.Table("starring").MustInsert(num(5), num(2), num(5))
+	const sql = "SELECT m.title FROM starring s JOIN movie m ON s.mid = m.mid ORDER BY m.revenue ASC"
+	for name, ctx := range map[string]context.Context{
+		"one piece": context.Background(),
+		"fanned":    WithMorselSize(WithPool(context.Background(), NewWorkerPool(2, 0)), 2),
+	} {
+		full, topK := NewJoinCache(db), NewJoinCache(db)
+		if _, err := full.ExecuteCtx(ctx, sqlparse.MustParse(db.Schema, sql)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := topK.ExecuteCtx(ctx, sqlparse.MustParse(db.Schema, sql+" LIMIT 1")); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := topK.Stats(), full.Stats(); got != want || want.IndexProbes == 0 {
+			t.Errorf("%s: stats with LIMIT %+v, without %+v", name, got, want)
+		}
 	}
 }

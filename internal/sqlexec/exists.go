@@ -36,18 +36,13 @@ func Exists(db *storage.Database, eq ExistsQuery) (bool, error) {
 // ExistsCtx is Exists under a request context: probe and row loops poll ctx
 // at checkpoint boundaries and unwind with ctx.Err() when it is done.
 func ExistsCtx(ctx context.Context, db *storage.Database, eq ExistsQuery) (bool, error) {
-	return existsWith(ctx, db, eq, nil, func(jp *sqlir.JoinPath) (*relation, error) {
-		return join(ctx, db, jp, &discardCounters)
-	})
+	return exists(ctx, db, eq, &discardCounters)
 }
 
-// existsWith runs the shared Exists driver: predicate completeness checks,
-// the streaming fast path, then the materializing fallback provided by the
-// caller (a fresh join, or a JoinCache materialization).
-func existsWith(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipelineCounters, materialize func(*sqlir.JoinPath) (*relation, error)) (bool, error) {
-	if pc == nil {
-		pc = &discardCounters
-	}
+// exists is the shared Exists driver: predicate completeness checks, the
+// streaming pipeline, then — for shapes that do not compile — the reference
+// executor over a freshly materialized join (counted in JoinsBuilt).
+func exists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipelineCounters) (bool, error) {
 	for _, p := range eq.Preds {
 		if !p.Complete() {
 			return false, errIncomplete(p)
@@ -63,7 +58,8 @@ func existsWith(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *p
 		return ok, err
 	}
 	pc.add(&pc.fallback, 1)
-	rel, err := materialize(eq.From)
+	pc.add(&pc.joinsBuilt, 1)
+	rel, err := join(ctx, db, eq.From)
 	if err != nil {
 		return false, err
 	}

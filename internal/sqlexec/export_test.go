@@ -2,6 +2,9 @@ package sqlexec
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"reflect"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -21,11 +24,17 @@ type ReferenceRelation struct {
 // MaterializeReference materializes a join path through the reference
 // executor.
 func MaterializeReference(db *storage.Database, jp *sqlir.JoinPath) (*ReferenceRelation, error) {
-	rel, err := join(context.Background(), db, jp, &discardCounters)
+	rel, err := join(context.Background(), db, jp)
 	if err != nil {
 		return nil, err
 	}
 	return &ReferenceRelation{db: db, rel: rel}, nil
+}
+
+// ExecuteReference runs a complete query on the materializing reference
+// executor — the oracle for the compiled pipeline behind Execute.
+func ExecuteReference(db *storage.Database, q *sqlir.Query) (*Result, error) {
+	return executeReference(context.Background(), db, q)
 }
 
 // ExistsOnReference scans a pre-materialized join for a witness, exactly as
@@ -61,7 +70,7 @@ func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {
 			return false, errIncomplete(p)
 		}
 	}
-	rel, err := join(context.Background(), db, eq.From, &discardCounters)
+	rel, err := join(context.Background(), db, eq.From)
 	if err != nil {
 		return false, err
 	}
@@ -82,4 +91,61 @@ func ExistsMorsel(db *storage.Database, eq ExistsQuery, workers, morselSize int)
 func ExistsMorselCtx(ctx context.Context, db *storage.Database, eq ExistsQuery, workers, morselSize int) (ok, handled bool, err error) {
 	ctx = WithMorselSize(WithPool(ctx, NewWorkerPool(workers, 0)), morselSize)
 	return streamExists(ctx, db, eq, &discardCounters)
+}
+
+// DiffExecute runs q on the materializing reference executor and on the
+// compiled pipeline — in one piece, and fanned over morsels of 1, 7 and 1024
+// rows with pools of 1, 2 and 4 workers, each uncapped and with a preview cap
+// of 2 rows — and describes the first difference in columns, types, rows
+// (cell for cell, floats bit for bit) or error text; "" means they agree
+// everywhere.
+func DiffExecute(db *storage.Database, q *sqlir.Query) string {
+	want, werr := executeReference(context.Background(), db, q)
+	check := func(label string, maxRows int, got *Result, gerr error) string {
+		if werr != nil || gerr != nil {
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+				return fmt.Sprintf("%s: error %v, reference %v", label, gerr, werr)
+			}
+			return ""
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Types, want.Types) {
+			return fmt.Sprintf("%s: header %v %v, reference %v %v", label, got.Columns, got.Types, want.Columns, want.Types)
+		}
+		rows := want.Rows
+		if maxRows > 0 && len(rows) > maxRows {
+			rows = rows[:maxRows]
+		}
+		if len(got.Rows) != len(rows) || got.Rows == nil {
+			return fmt.Sprintf("%s: %d rows (nil: %v), reference %d", label, len(got.Rows), got.Rows == nil, len(rows))
+		}
+		for i, wr := range rows {
+			gr := got.Rows[i]
+			if len(gr) != len(wr) {
+				return fmt.Sprintf("%s: row %d has %d cells, reference %d", label, i, len(gr), len(wr))
+			}
+			for j, w := range wr {
+				g := gr[j]
+				if g.Kind != w.Kind || g.Text != w.Text || math.Float64bits(g.Num) != math.Float64bits(w.Num) {
+					return fmt.Sprintf("%s: row %d cell %d = %v, reference %v", label, i, j, g, w)
+				}
+			}
+		}
+		return ""
+	}
+	for _, maxRows := range []int{0, 2} {
+		got, gerr := NewJoinCache(db).PreviewCtx(context.Background(), q, maxRows)
+		if d := check(fmt.Sprintf("compiled cap=%d", maxRows), maxRows, got, gerr); d != "" {
+			return d
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, size := range []int{1, 7, 1024} {
+				ctx := WithMorselSize(WithPool(context.Background(), NewWorkerPool(workers, 0)), size)
+				got, gerr := NewJoinCache(db).PreviewCtx(ctx, q, maxRows)
+				if d := check(fmt.Sprintf("workers=%d morsel=%d cap=%d", workers, size, maxRows), maxRows, got, gerr); d != "" {
+					return d
+				}
+			}
+		}
+	}
+	return ""
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/loadgen"
@@ -136,17 +137,17 @@ func TestMorselDifferentialNullHeavy(t *testing.T) {
 	}
 }
 
-// TestMorselExecuteEquivalence checks the morsel-parallel Execute path
-// (filter and index-probe fan-out with order-preserving concatenation)
-// against the sequential executor on random complete SPJA queries: same
-// rows, same order, cell for cell.
+// TestMorselExecuteEquivalence checks the fanned-out compiled pipeline
+// against the materializing reference on random complete SPJA queries at
+// every swept morsel size and fan-out width: same rows, same order, cell for
+// cell, and the same error text.
 func TestMorselExecuteEquivalence(t *testing.T) {
 	for name, db := range diffDBs(t) {
 		t.Run(name, func(t *testing.T) {
 			g := newQueryGen(17, db)
 			for i := 0; i < 150; i++ {
 				q, _ := g.completeQuery()
-				want, werr := sqlexec.Execute(db, q)
+				want, werr := sqlexec.ExecuteReference(db, q)
 
 				size := morselSizes[i%len(morselSizes)]
 				workers := morselWorkers[i%len(morselWorkers)]
@@ -154,25 +155,16 @@ func TestMorselExecuteEquivalence(t *testing.T) {
 					sqlexec.WithPool(context.Background(), sqlexec.NewWorkerPool(workers, 0)), size)
 				got, gerr := sqlexec.ExecuteCtx(ctx, db, q)
 				if (werr != nil) != (gerr != nil) {
-					t.Fatalf("query %d: error divergence: seq=%v morsel=%v", i, werr, gerr)
+					t.Fatalf("query %d: error divergence: reference=%v morsel=%v", i, werr, gerr)
 				}
 				if werr != nil {
 					if werr.Error() != gerr.Error() {
-						t.Fatalf("query %d: error text diverges: seq=%v morsel=%v", i, werr, gerr)
+						t.Fatalf("query %d: error text diverges: reference=%v morsel=%v", i, werr, gerr)
 					}
 					continue
 				}
-				if len(want.Rows) != len(got.Rows) {
-					t.Fatalf("query %d (workers=%d, size=%d): %d rows vs %d",
-						i, workers, size, len(want.Rows), len(got.Rows))
-				}
-				for ri := range want.Rows {
-					for ci := range want.Rows[ri] {
-						if !want.Rows[ri][ci].Equal(got.Rows[ri][ci]) {
-							t.Fatalf("query %d: row %d col %d: %v vs %v",
-								i, ri, ci, want.Rows[ri][ci], got.Rows[ri][ci])
-						}
-					}
+				if !reflect.DeepEqual(rowStrings(got), rowStrings(want)) {
+					t.Fatalf("query %d (workers=%d, size=%d): rows diverge from the reference\n%s", i, workers, size, q)
 				}
 			}
 		})

@@ -1,25 +1,32 @@
-// Morsel-parallel grouped existence. The deterministic-merge discipline:
+// Grouped scans: streaming a plan's tuples into per-group aggregate states,
+// for grouped existence probes and grouped complete queries alike. Without a
+// pool the scan folds every tuple into its group's state as it arrives —
+// nothing is buffered. With a pool it follows the deterministic-merge
+// discipline:
 //
 //  1. Partition — each worker streams its morsel's matching tuples into a
-//     fully private morselPart: per-group row counts, and (only when a
-//     HAVING references a concrete column) the matching tuples flattened in
-//     visit order. Nothing is shared between workers, so a deadline-expired
-//     or witness-cancelled worker can abandon its part on the floor without
-//     any possibility of publishing a partial aggregate anywhere shared.
-//  2. Merge — partials are stitched together strictly in morsel order.
-//     Because morsel order is row order, a group's first appearance across
-//     the stitched sequence is its first appearance in the global scan, so
-//     group discovery order matches the sequential pipeline exactly; and a
-//     group's concatenated tuple buffers list its rows in global scan order.
-//  3. Fold — each merged group's tuples are folded through groupAcc
-//     sequentially. One group's accumulator state depends only on that
-//     group's rows in row order, so every float sum is the same additions
-//     in the same order as the single-threaded scan: bit-identical, not
-//     merely approximately equal.
+//     fully private groupPart: per-group row counts, each group's first
+//     tuple, and (only when an aggregate reads a concrete column) a flat log
+//     of the matching tuples in visit order. Nothing is shared between
+//     workers, so a deadline-expired or cancelled worker can abandon its
+//     part on the floor without any possibility of publishing a partial
+//     aggregate anywhere shared.
+//  2. Merge — parts are absorbed strictly in morsel order. Because morsel
+//     order is row order, a group's first appearance across the stitched
+//     sequence is its first appearance in the global scan, so group
+//     discovery order matches the sequential scan exactly.
+//  3. Fold — each part's logged tuples are folded through groupAcc
+//     sequentially, in visit order. One group's accumulator state depends
+//     only on that group's rows in row order, so every float sum is the same
+//     additions in the same order as the single-threaded scan: bit-identical,
+//     not merely approximately equal.
 //
-// The COUNT(*)-only HAVING shape — the verification-probe hot path — never
-// buffers tuples at all: row counts are integers, and integer addition is
-// associative, so the merge is just a sum per group.
+// The COUNT(*)-only shape — the verification-probe hot path — never logs
+// tuples at all: row counts are integers, and integer addition is
+// associative, so the merge is just a sum per group. The log is the one
+// transient allocation that grows with the matching tuples rather than with
+// the groups, and only a fanned-out scan that reads an aggregate column makes
+// it.
 package sqlexec
 
 import (
@@ -31,194 +38,224 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// morselGroup is one group's partial state private to one morsel worker.
-type morselGroup[K comparable] struct {
-	key    K
-	null   bool // the dedicated NULL-key group (single-column keys)
-	rows   int
-	tuples []int32 // matching tuples flattened in visit order; nil when the
-	// HAVINGs only need row counts
+// boundCol is a column reference resolved against a stream plan.
+type boundCol struct {
+	slot int
+	vec  *storage.ColumnVec
 }
 
-// morselPart is one morsel's private grouping state; order preserves
-// first-appearance order within the morsel.
-type morselPart[K comparable] struct {
-	byKey map[K]*morselGroup[K]
-	nullG *morselGroup[K]
-	order []*morselGroup[K]
+func (c boundCol) value(tp []int32) sqlir.Value { return c.vec.Value(int(tp[c.slot])) }
+
+// groupIndex numbers GROUP BY keys densely in first-appearance order,
+// specialized to the key shape. A single-column key — the overwhelmingly
+// common grouping — is looked up directly by float bits or dictionary code
+// through the runtime's fast integer map paths, with NULL (and NaN, which a
+// float-keyed map could never find again) routed to dedicated groups.
+// Multi-column keys use the fixed-width binary encoding of appendVecKey.
+// Each specialization partitions rows exactly as Value.Equal does, so group
+// contents match the reference executor. Not safe for concurrent use: every
+// morsel worker owns its own.
+type groupIndex struct {
+	keys      []boundCol
+	n         int
+	null, nan int // ids of a single-column key's NULL and NaN groups, -1 until seen
+	byBits    map[uint64]int
+	byCode    map[uint32]int
+	byKey     map[string]int
+	buf       []byte
 }
 
-// mergedGroup collects one group's partials across morsels, in morsel order.
-type mergedGroup[K comparable] struct {
-	parts []*morselGroup[K]
+func newGroupIndex(keys []boundCol) groupIndex {
+	g := groupIndex{keys: keys, null: -1, nan: -1}
+	switch {
+	case len(keys) == 0:
+		g.n = 1 // SQL's implicit single group
+	case len(keys) == 1 && keys[0].vec.Type() == sqlir.TypeNumber:
+		g.byBits = map[uint64]int{}
+	case len(keys) == 1 && keys[0].vec.Type() == sqlir.TypeText:
+		g.byCode = map[uint32]int{}
+	default:
+		g.byKey = map[string]int{}
+	}
+	return g
 }
 
-// runGroupedMorsels is the generic three-phase grouped pipeline over a key
-// type K (float bits, dictionary code, or the multi-column binary encoding).
-// newKeyFn builds a per-worker key extractor (workers must not share key
-// scratch buffers); the extractor's second result routes NULL cells to the
-// dedicated NULL group exactly as the sequential specializations do.
-func runGroupedMorsels[K comparable](ctx context.Context, inj *faultinject.Injector,
-	plan *streamPlan, eq ExistsQuery, gb groupedBinding, pc *pipelineCounters,
-	pool *WorkerPool, morsels []storage.Morsel,
-	newKeyFn func() func(tp []int32) (K, bool)) (ok, handled bool, err error) {
+func (g *groupIndex) next() int {
+	g.n++
+	return g.n - 1
+}
 
-	slots := len(plan.tables)
-	needTuples := len(gb.cols) > 0
-	parts := make([]*morselPart[K], len(morsels))
+// id returns the tuple's group number, assigning the next one on first sight.
+func (g *groupIndex) id(tp []int32) int {
+	switch {
+	case len(g.keys) == 0:
+		return 0
+	case g.byKey != nil:
+		g.buf = g.buf[:0]
+		for _, k := range g.keys {
+			g.buf = appendVecKey(g.buf, k.vec, int(tp[k.slot]))
+		}
+		id, ok := g.byKey[string(g.buf)]
+		if !ok {
+			id = g.next()
+			g.byKey[string(g.buf)] = id
+		}
+		return id
+	}
+	k := g.keys[0]
+	ri := int(tp[k.slot])
+	if k.vec.IsNull(ri) {
+		if g.null < 0 {
+			g.null = g.next()
+		}
+		return g.null
+	}
+	if g.byCode != nil {
+		c := k.vec.Code(ri)
+		id, ok := g.byCode[c]
+		if !ok {
+			id = g.next()
+			g.byCode[c] = id
+		}
+		return id
+	}
+	f := k.vec.Num(ri)
+	if f != f {
+		// The reference key renders every NaN as the same string, so all
+		// NaNs share one group.
+		if g.nan < 0 {
+			g.nan = g.next()
+		}
+		return g.nan
+	}
+	if f == 0 {
+		f = 0 // collapse -0.0 onto +0.0, as Value.Equal does
+	}
+	b := math.Float64bits(f)
+	id, ok := g.byBits[b]
+	if !ok {
+		id = g.next()
+		g.byBits[b] = id
+	}
+	return id
+}
 
-	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-		keyFn := newKeyFn()
-		part := &morselPart[K]{byKey: make(map[K]*morselGroup[K])}
-		parts[m] = part
-		_, rerr := plan.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, func(tp []int32) (bool, error) {
-			k, isNull := keyFn(tp)
-			var g *morselGroup[K]
-			if isNull {
-				if part.nullG == nil {
-					part.nullG = &morselGroup[K]{null: true}
-					part.order = append(part.order, part.nullG)
-				}
-				g = part.nullG
-			} else {
-				g = part.byKey[k]
-				if g == nil {
-					g = &morselGroup[K]{key: k}
-					part.byKey[k] = g
-					part.order = append(part.order, g)
-				}
-			}
-			g.rows++
-			if needTuples {
-				g.tuples = append(g.tuples, tp...)
-			}
+// groups is a grouped scan's result: one state per group, in discovery
+// order.
+type groups struct {
+	spec  *groupedBinding
+	idx   groupIndex
+	order []*groupState
+}
+
+func newGroups(spec *groupedBinding) *groups {
+	g := &groups{spec: spec, idx: newGroupIndex(spec.keys)}
+	if len(spec.keys) == 0 {
+		g.state(0) // the implicit single group exists even over zero rows
+	}
+	return g
+}
+
+// state returns group id's state; ids arrive densely, so a new group is
+// always the next one.
+func (g *groups) state(id int) *groupState {
+	if id == len(g.order) {
+		g.order = append(g.order, &groupState{accs: make([]groupAcc, len(g.spec.cols))})
+	}
+	return g.order[id]
+}
+
+func (st *groupState) observe(cols []boundCol, tp []int32) {
+	for i, c := range cols {
+		st.accs[i].observe(c.value(tp))
+	}
+}
+
+// add folds one tuple into its group.
+func (g *groups) add(tp []int32) {
+	st := g.state(g.idx.id(tp))
+	st.rows++
+	st.observe(g.spec.cols, tp)
+}
+
+// groupPart is one morsel's private grouping state.
+type groupPart struct {
+	idx    groupIndex
+	rows   []int   // per group, in the morsel's own discovery order
+	firsts []int32 // each group's first tuple, flattened
+	log    []int32 // (group, tuple) records in visit order
+}
+
+func (p *groupPart) add(tp []int32, logged bool) {
+	id := p.idx.id(tp)
+	if id == len(p.rows) {
+		p.rows = append(p.rows, 0)
+		p.firsts = append(p.firsts, tp...)
+	}
+	p.rows[id]++
+	if logged {
+		p.log = append(append(p.log, int32(id)), tp...)
+	}
+}
+
+// absorb merges the next morsel's part and folds its logged tuples.
+func (g *groups) absorb(p *groupPart, slots int) {
+	to := make([]*groupState, len(p.rows))
+	for id, n := range p.rows {
+		to[id] = g.state(g.idx.id(p.firsts[id*slots : (id+1)*slots]))
+		to[id].rows += n
+	}
+	for i := 0; i < len(p.log); i += slots + 1 {
+		to[p.log[i]].observe(g.spec.cols, p.log[i+1:i+1+slots])
+	}
+}
+
+// fanOut reports the pool and morsels a scan of the plan's root domain
+// should fan over, or no morsels when it should run in one piece: no pool in
+// the context, or a domain of a single morsel.
+func (p *streamPlan) fanOut(ctx context.Context) (*WorkerPool, []storage.Morsel) {
+	pool := PoolFrom(ctx)
+	if pool == nil {
+		return nil, nil
+	}
+	morsels := storage.Morsels(p.domainLen(), MorselSizeFrom(ctx))
+	if len(morsels) < 2 {
+		return nil, nil
+	}
+	return pool, morsels
+}
+
+// scanGroups streams the plan's tuples into per-group states. The plan keeps
+// reference enumeration order, so group discovery order and floating-point
+// accumulation order match the materializing path bit for bit at any worker
+// count.
+func (p *streamPlan) scanGroups(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, spec *groupedBinding) (*groups, error) {
+	g := newGroups(spec)
+	pool, morsels := p.fanOut(ctx)
+	if morsels == nil {
+		err := p.run(ctx, inj, pc, func(tp []int32) (bool, error) {
+			g.add(tp)
 			return false, nil
 		})
-		return false, rerr
+		return g, err
+	}
+	logged := len(spec.cols) > 0
+	parts := make([]*groupPart, len(morsels))
+	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
+		part := &groupPart{idx: newGroupIndex(spec.keys)}
+		parts[m] = part
+		_, err := p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, func(tp []int32) (bool, error) {
+			part.add(tp, logged)
+			return false, nil
+		})
+		return false, err
 	})
 	pc.addMorselRun(res)
 	if res.err != nil {
-		return false, true, res.err
+		return nil, res.err
 	}
-
-	// Merge in morsel order: global first-appearance group order.
-	var order []*mergedGroup[K]
-	byKey := make(map[K]*mergedGroup[K])
-	var nullM *mergedGroup[K]
 	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for _, g := range part.order {
-			var mg *mergedGroup[K]
-			if g.null {
-				if nullM == nil {
-					nullM = &mergedGroup[K]{}
-					order = append(order, nullM)
-				}
-				mg = nullM
-			} else {
-				mg = byKey[g.key]
-				if mg == nil {
-					mg = &mergedGroup[K]{}
-					byKey[g.key] = mg
-					order = append(order, mg)
-				}
-			}
-			mg.parts = append(mg.parts, g)
-		}
+		g.absorb(part, len(p.tables))
 	}
-
-	// Fold each merged group sequentially in global row order.
-	states := make([]*groupState, 0, len(order)+1)
-	if len(eq.GroupBy) == 0 && len(order) == 0 {
-		// SQL's implicit single group exists even over zero rows.
-		states = append(states, &groupState{accs: make([]groupAcc, len(gb.cols))})
-	}
-	for _, mg := range order {
-		st := &groupState{accs: make([]groupAcc, len(gb.cols))}
-		for _, g := range mg.parts {
-			st.rows += g.rows
-			for t := 0; t < len(g.tuples); t += slots {
-				tp := g.tuples[t : t+slots]
-				for i := range gb.cols {
-					st.accs[i].observe(gb.cols[i].vec.Value(int(tp[gb.cols[i].slot])))
-				}
-			}
-		}
-		states = append(states, st)
-	}
-	return checkGroupHavings(states, gb.refs, gb.colAt, eq)
-}
-
-// streamGroupedExistsMorsels dispatches a grouped existence probe to the
-// key-shape specialization, mirroring streamGroupedExists's getState
-// switch: implicit single group, single numeric key by float bits (NaN
-// canonicalized, -0 collapsed onto +0), single text key by dictionary code,
-// and the multi-column fixed-width binary encoding. Sub-morsel domains run
-// the sequential pipeline unchanged.
-func streamGroupedExistsMorsels(ctx context.Context, inj *faultinject.Injector,
-	plan *streamPlan, eq ExistsQuery, pc *pipelineCounters, pool *WorkerPool, msize int) (ok, handled bool, err error) {
-	gb, bok := bindGrouped(plan, eq)
-	if !bok {
-		return false, false, nil
-	}
-	morsels := storage.Morsels(plan.domainLen(), msize)
-	if len(morsels) < 2 {
-		return streamGroupedExists(ctx, inj, plan, eq, pc)
-	}
-	switch {
-	case len(eq.GroupBy) == 0:
-		return runGroupedMorsels(ctx, inj, plan, eq, gb, pc, pool, morsels,
-			func() func(tp []int32) (struct{}, bool) {
-				return func([]int32) (struct{}, bool) { return struct{}{}, false }
-			})
-	case len(gb.keys) == 1 && gb.keys[0].vec.Type() == sqlir.TypeNumber:
-		k := gb.keys[0]
-		nan := math.Float64bits(math.NaN())
-		return runGroupedMorsels(ctx, inj, plan, eq, gb, pc, pool, morsels,
-			func() func(tp []int32) (uint64, bool) {
-				return func(tp []int32) (uint64, bool) {
-					ri := int(tp[k.slot])
-					if k.vec.IsNull(ri) {
-						return 0, true
-					}
-					f := k.vec.Num(ri)
-					if f != f {
-						return nan, false // all NaNs share one group
-					}
-					if f == 0 {
-						f = 0 // collapse -0.0 onto +0.0, as Value.Equal does
-					}
-					return math.Float64bits(f), false
-				}
-			})
-	case len(gb.keys) == 1 && gb.keys[0].vec.Type() == sqlir.TypeText:
-		k := gb.keys[0]
-		return runGroupedMorsels(ctx, inj, plan, eq, gb, pc, pool, morsels,
-			func() func(tp []int32) (uint32, bool) {
-				return func(tp []int32) (uint32, bool) {
-					ri := int(tp[k.slot])
-					if k.vec.IsNull(ri) {
-						return 0, true
-					}
-					return k.vec.Code(ri), false
-				}
-			})
-	default:
-		keys := gb.keys
-		return runGroupedMorsels(ctx, inj, plan, eq, gb, pc, pool, morsels,
-			func() func(tp []int32) (string, bool) {
-				var buf []byte // worker-local: extractors never share scratch
-				return func(tp []int32) (string, bool) {
-					buf = buf[:0]
-					for _, k := range keys {
-						buf = appendVecKey(buf, k.vec, int(tp[k.slot]))
-					}
-					// NULL cells are part of the binary encoding ('z'),
-					// exactly as the sequential multi-column path groups them.
-					return string(buf), false
-				}
-			})
-	}
+	return g, nil
 }

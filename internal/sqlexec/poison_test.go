@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,42 +38,83 @@ func wideDB(t *testing.T) *storage.Database {
 	return storage.NewDatabase("wide", s)
 }
 
-// TestCancelledRequestDoesNotPoisonJoinCache: a request that dies mid-join
-// must report its own cancellation, and the shared JoinCache must not memoize
-// that fate — the next healthy request over the same join path recomputes and
-// gets the full answer.
-func TestCancelledRequestDoesNotPoisonJoinCache(t *testing.T) {
-	db := wideDB(t)
-	q := sqlparse.MustParse(db.Schema,
-		"SELECT parent.name FROM parent JOIN child ON child.pid = parent.pid")
-	want, err := Execute(db, q)
+// pollCtx is a context that reports cancellation from its dieAt-th Err poll
+// on and counts the polls, so a test can tell at which checkpoint an
+// executor noticed and whether it kept working afterwards. (Done never
+// fires, so it only steers the sequential paths; the morsel runner derives
+// per-morsel contexts, which listen to Done.)
+type pollCtx struct {
+	context.Context
+	polls, dieAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.dieAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+const wideJoin = "SELECT parent.name FROM parent JOIN child ON child.pid = parent.pid"
+
+// mustEqualReference runs q through run and requires the reference
+// executor's exact result.
+func mustEqualReference(t *testing.T, db *storage.Database, q *sqlir.Query, label string, run func() (*Result, error)) {
+	t.Helper()
+	want, err := executeReference(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := run()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s returned %d rows, want the reference's %d, equal cell for cell", label, len(got.Rows), len(want.Rows))
+	}
+}
 
+// TestCancelledRequestDoesNotPoisonJoinCache: a cancelled ExecuteCtx returns
+// the context's error within the checkpoint bound — before any work when the
+// context is dead on arrival, at the very checkpoint that sees it die
+// mid-scan — and the next call on the same handle succeeds in full: one
+// request's fate is never another's.
+func TestCancelledRequestDoesNotPoisonJoinCache(t *testing.T) {
+	db := wideDB(t)
+	q := sqlparse.MustParse(db.Schema, wideJoin)
 	c := NewJoinCache(db)
+
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.ExecuteCtx(dead, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteCtx under cancelled ctx: err = %v, want context.Canceled", err)
 	}
+	if st := c.Stats(); st.IndexProbes != 0 {
+		t.Errorf("dead-on-arrival request probed %d posting lists", st.IndexProbes)
+	}
 
-	res, err := c.Execute(q)
-	if err != nil {
-		t.Fatalf("healthy Execute after cancelled one: %v", err)
+	// The scan ticks once per parent and per joined child: 8 + 4*checkpointRows
+	// units, a poll every checkpointRows of them after the one on entry.
+	for dieAt := 2; dieAt <= 4; dieAt++ {
+		dying := &pollCtx{Context: context.Background(), dieAt: dieAt}
+		if _, err := c.ExecuteCtx(dying, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("ExecuteCtx dying at poll %d: err = %v, want context.Canceled", dieAt, err)
+		}
+		if dying.polls != dieAt {
+			t.Errorf("request dying at poll %d was polled %d times: it must return at the checkpoint that sees it die", dieAt, dying.polls)
+		}
 	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Fatalf("healthy Execute returned %d rows, want %d (cache poisoned?)",
-			len(res.Rows), len(want.Rows))
-	}
+
+	mustEqualReference(t, db, q, "healthy Execute after cancelled ones", func() (*Result, error) { return c.Execute(q) })
 }
 
 // TestExpiredDeadlineDoesNotPoisonJoinCache is the deadline-expiry twin: the
-// error surfaces as DeadlineExceeded and is equally never memoized.
+// error surfaces as DeadlineExceeded, for complete queries and probes alike,
+// and the next calls succeed.
 func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 	db := wideDB(t)
-	q := sqlparse.MustParse(db.Schema,
-		"SELECT parent.name FROM parent JOIN child ON child.pid = parent.pid")
+	q := sqlparse.MustParse(db.Schema, wideJoin)
 
 	c := NewJoinCache(db)
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -95,6 +137,7 @@ func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 	if ok {
 		t.Fatal("Exists found a row that is not there")
 	}
+	mustEqualReference(t, db, q, "healthy Execute after expired one", func() (*Result, error) { return c.Execute(q) })
 }
 
 // morselCtx attaches a wide morsel fan-out with deliberately tiny morsels to
@@ -104,70 +147,43 @@ func morselCtx(ctx context.Context) context.Context {
 	return WithMorselSize(WithPool(ctx, NewWorkerPool(8, 0)), 64)
 }
 
-// TestExpiredDeadlineMorselWorkersDoNotPoison extends the poison fixtures to
-// the morsel merge path: a deadline-expired request whose morsel workers are
-// holding private partial aggregate states must surface DeadlineExceeded,
-// and none of those partial states — nor the transient error itself — may
-// leak into the shared JoinCache. The same probes re-asked by healthy
-// requests (sequential and morsel-parallel alike) get full, correct answers.
+// TestExpiredDeadlineMorselWorkersDoNotPoison extends the fixtures to the
+// morsel merge path: a deadline-expired grouped query whose morsel workers
+// would be holding private partial group states (row counts, first tuples,
+// the log of tuples to fold) must surface DeadlineExceeded, and the same
+// query re-asked by healthy requests — sequential and morsel-parallel alike —
+// gets the reference's answer, sums bit for bit.
 func TestExpiredDeadlineMorselWorkersDoNotPoison(t *testing.T) {
 	db := wideDB(t)
 	c := NewJoinCache(db)
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	// Flat witness probe (miss) and a grouped probe whose merge would
-	// accumulate per-morsel partial states across the child table.
-	flat := ExistsQuery{
-		From:  pathOf("child"),
-		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpEq, num(-1))},
+	q := sqlparse.MustParse(db.Schema,
+		"SELECT child.pid, COUNT(*), SUM(child.v) FROM child GROUP BY child.pid HAVING COUNT(*) >= 256")
+	if _, err := c.ExecuteCtx(morselCtx(expired), q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("morsel ExecuteCtx under expired deadline: err = %v, want DeadlineExceeded", err)
 	}
-	grouped := ExistsQuery{
-		From:    pathOf("child"),
-		GroupBy: []sqlir.ColumnRef{{Table: "child", Column: "pid"}},
-		Havings: []sqlir.HavingExpr{{
-			Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
-			Op: sqlir.OpGe, OpSet: true, Val: num(float64(checkpointRows / 4)), ValSet: true,
-		}},
-	}
-	for name, eq := range map[string]ExistsQuery{"flat": flat, "grouped": grouped} {
-		if _, err := c.ExistsCtx(morselCtx(expired), eq); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: ExistsCtx under expired deadline: err = %v, want DeadlineExceeded", name, err)
-		}
-	}
-
-	// Healthy requests over the same cache: sequential and morsel-parallel
-	// must both recompute and agree with the reference.
-	for name, eq := range map[string]ExistsQuery{"flat": flat, "grouped": grouped} {
-		want, err := ExistsReference(db, eq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Exists(eq)
-		if err != nil {
-			t.Fatalf("%s: healthy sequential Exists after expired one: %v", name, err)
-		}
-		if got != want {
-			t.Fatalf("%s: sequential after expiry = %v, want %v (poisoned?)", name, got, want)
-		}
-		mgot, err := c.ExistsCtx(morselCtx(context.Background()), eq)
-		if err != nil {
-			t.Fatalf("%s: healthy morsel Exists after expired one: %v", name, err)
-		}
-		if mgot != want {
-			t.Fatalf("%s: morsel after expiry = %v, want %v (poisoned?)", name, mgot, want)
-		}
+	mustEqualReference(t, db, q, "healthy sequential Execute after expired one", func() (*Result, error) { return c.Execute(q) })
+	mustEqualReference(t, db, q, "healthy morsel Execute after expired one", func() (*Result, error) {
+		return c.ExecuteCtx(morselCtx(context.Background()), q)
+	})
+	if st := c.Stats(); st.MorselRuns == 0 {
+		t.Error("the morsel request did not fan out: the fixture no longer reaches the merge path")
 	}
 }
 
-// TestCancelledMorselExecuteDoesNotPoisonJoinCache is the Execute-path twin:
-// a cancelled morsel-parallel materialization must not memoize a truncated
-// relation, and the next healthy morsel-parallel Execute sees every row.
+// TestCancelledMorselExecuteDoesNotPoisonJoinCache is the cancellation twin on
+// the row path: dead on arrival, and cancelled while morsels are in flight —
+// there the only acceptable outcomes are context.Canceled or the complete
+// result, never a short one — and the next healthy morsel-parallel Execute
+// sees every row.
 func TestCancelledMorselExecuteDoesNotPoisonJoinCache(t *testing.T) {
 	db := wideDB(t)
+	// Rooted at child, so the scan domain is wide enough to fan out.
 	q := sqlparse.MustParse(db.Schema,
-		"SELECT parent.name FROM parent JOIN child ON child.pid = parent.pid")
-	want, err := Execute(db, q)
+		"SELECT parent.name FROM child JOIN parent ON child.pid = parent.pid")
+	want, err := executeReference(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +195,27 @@ func TestCancelledMorselExecuteDoesNotPoisonJoinCache(t *testing.T) {
 		t.Fatalf("morsel ExecuteCtx under cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
-	res, err := c.ExecuteCtx(morselCtx(context.Background()), q)
-	if err != nil {
-		t.Fatalf("healthy morsel Execute after cancelled one: %v", err)
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			cancel() // lands wherever the scan happens to be
+			close(done)
+		}()
+		res, err := c.ExecuteCtx(morselCtx(ctx), q)
+		<-done
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("iter %d: err = %v, want nil or context.Canceled", i, err)
+		}
+		if err == nil && !reflect.DeepEqual(res, want) {
+			t.Fatalf("iter %d: cancelled scan returned %d rows as if complete, want %d", i, len(res.Rows), len(want.Rows))
+		}
 	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Fatalf("healthy morsel Execute returned %d rows, want %d (cache poisoned?)",
-			len(res.Rows), len(want.Rows))
+
+	mustEqualReference(t, db, q, "healthy morsel Execute after cancelled ones", func() (*Result, error) {
+		return c.ExecuteCtx(morselCtx(context.Background()), q)
+	})
+	if st := c.Stats(); st.MorselRuns == 0 {
+		t.Error("no request fanned out: the fixture no longer reaches the morsel path")
 	}
 }

@@ -215,7 +215,9 @@ func TestPropAvgWithinMinMax(t *testing.T) {
 
 // columnarDB builds a seeded three-table database with a text primary key
 // (text-text join steps), a numeric FK chain, ~40% NULLs in two columns,
-// and text drawn from a tiny alphabet so dictionary codes repeat heavily.
+// text drawn from a tiny alphabet so dictionary codes repeat heavily, and a
+// sprinkling of NaN and -0 in item.val (group keys, DISTINCT keys, ORDER BY
+// keys and aggregate inputs that ordinary comparisons mishandle).
 func columnarDB(seed int64, rows int) *storage.Database {
 	r := rand.New(rand.NewSource(seed))
 	cat := storage.NewTable("cat", "name",
@@ -252,6 +254,12 @@ func columnarDB(seed int64, rows int) *storage.Database {
 		}
 		if r.Intn(10) < 6 { // ~40% NULL
 			valV = sqlir.NewInt(r.Intn(5))
+			switch r.Intn(12) {
+			case 0:
+				valV = sqlir.NewNumber(math.NaN())
+			case 1:
+				valV = sqlir.NewNumber(math.Copysign(0, -1))
+			}
 		}
 		if r.Intn(10) < 6 {
 			noteV = sqlir.NewText(notes[r.Intn(len(notes))])
@@ -265,20 +273,7 @@ func columnarDB(seed int64, rows int) *storage.Database {
 // join path: mixed AND/OR predicates across all columns and ops, sometimes
 // grouped with HAVING aggregates.
 func randomColumnarExists(r *rand.Rand) ExistsQuery {
-	cols := []sqlir.ColumnRef{
-		{Table: "item", Column: "val"},
-		{Table: "item", Column: "note"},
-		{Table: "item", Column: "cat"},
-		{Table: "cat", Column: "rank"},
-		{Table: "cat", Column: "name"},
-		{Table: "owner", Column: "region"},
-	}
-	vals := []sqlir.Value{
-		sqlir.NewInt(0), sqlir.NewInt(2), sqlir.NewInt(4), sqlir.NewInt(99),
-		sqlir.NewText("alpha"), sqlir.NewText("dup"), sqlir.NewText("rare"),
-		sqlir.NewText("absent"), sqlir.NewText("%u%"), sqlir.NewText("p"),
-		sqlir.Null(),
-	}
+	cols, vals := columnarCols, columnarVals
 	ops := []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe, sqlir.OpLike}
 	randPred := func() sqlir.Predicate {
 		c := cols[r.Intn(len(cols))]
@@ -373,44 +368,170 @@ func TestPropColumnarRowReferenceAgree(t *testing.T) {
 	}
 }
 
-// Property: full SPJA Execute over the NULL-heavy, duplicate-text database
-// agrees between the fresh reference join and the prefix-sharing cache, for
-// grouped aggregates over dictionary-encoded and NULL-heavy columns.
+// columnarCols are the columns randomColumnarExists and randomColumnarQuery
+// draw from; columnarVals the literals.
+var (
+	columnarCols = []sqlir.ColumnRef{
+		{Table: "item", Column: "val"},
+		{Table: "item", Column: "note"},
+		{Table: "item", Column: "cat"},
+		{Table: "cat", Column: "rank"},
+		{Table: "cat", Column: "name"},
+		{Table: "owner", Column: "region"},
+	}
+	columnarVals = []sqlir.Value{
+		sqlir.NewInt(0), sqlir.NewInt(2), sqlir.NewInt(4), sqlir.NewInt(99),
+		sqlir.NewText("alpha"), sqlir.NewText("dup"), sqlir.NewText("rare"),
+		sqlir.NewText("absent"), sqlir.NewText("%u%"), sqlir.NewText("p"),
+		sqlir.Null(),
+	}
+)
+
+// columnarPaths are join paths over columnarDB in every root and edge order:
+// each lays its tuples out differently, and the compiled pipeline must
+// reproduce each layout, not a canonical one.
+var columnarPaths = func() []*sqlir.JoinPath {
+	ic := sqlir.JoinEdge{FromTable: "item", FromColumn: "cat", ToTable: "cat", ToColumn: "name"}
+	io := sqlir.JoinEdge{FromTable: "item", FromColumn: "oid", ToTable: "owner", ToColumn: "oid"}
+	return []*sqlir.JoinPath{
+		{Tables: []string{"item"}},
+		{Tables: []string{"item", "cat"}, Edges: []sqlir.JoinEdge{ic}},
+		{Tables: []string{"cat", "item"}, Edges: []sqlir.JoinEdge{ic}},
+		{Tables: []string{"item", "cat", "owner"}, Edges: []sqlir.JoinEdge{ic, io}},
+		{Tables: []string{"item", "owner", "cat"}, Edges: []sqlir.JoinEdge{io, ic}},
+		{Tables: []string{"owner", "item", "cat"}, Edges: []sqlir.JoinEdge{io, ic}},
+		{Tables: []string{"cat", "item", "owner"}, Edges: []sqlir.JoinEdge{ic, io}},
+	}
+}()
+
+// randomColumnarQuery draws one complete query over columnarDB. Shapes, by
+// design rather than by luck: DISTINCT; one- and two-column GROUP BY over
+// NULL / NaN / -0 keys; aggregates over the implicit group, also over empty
+// input (a NULL literal matches nothing); HAVING COUNT(*) > 1000 in front of
+// a SUM over text (the SUM must never be evaluated) and HAVINGs that let it
+// through (it must fail, with the reference's message); ORDER BY on a
+// three-valued column (ties everywhere) with and without LIMIT, on a column
+// holding NaN (the top-k retry), on a column that is not projected; LIMIT
+// without ORDER BY; OR selections; LIKE.
+func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
+	jp := columnarPaths[r.Intn(len(columnarPaths))]
+	col := func() sqlir.ColumnRef {
+		for {
+			if c := columnarCols[r.Intn(len(columnarCols))]; jp.Contains(c.Table) {
+				return c
+			}
+		}
+	}
+	item := func(agg sqlir.AggFunc, c sqlir.ColumnRef) sqlir.SelectItem {
+		return sqlir.SelectItem{Agg: agg, AggSet: true, Col: c, ColSet: true}
+	}
+	anyAgg := func() sqlir.SelectItem {
+		if r.Intn(4) == 0 {
+			return item(sqlir.AggCount, sqlir.Star)
+		}
+		return item(sqlir.AggFunc(1+r.Intn(5)), col())
+	}
+	q := &sqlir.Query{KWSet: true, SelectCountSet: true, LimitSet: true, From: jp}
+
+	shape := r.Intn(6) // 0-1 grouped, 2 implicit group, 3-5 flat
+	switch {
+	case shape <= 1:
+		q.GroupByState = sqlir.ClausePresent
+		for n := 1 + r.Intn(2); n > 0; n-- {
+			c := col()
+			q.GroupBy = append(q.GroupBy, c)
+			q.Select = append(q.Select, item(sqlir.AggNone, c))
+		}
+		for n := 1 + r.Intn(2); n > 0; n-- {
+			q.Select = append(q.Select, anyAgg())
+		}
+		if r.Intn(2) == 0 {
+			h := anyAgg()
+			q.HavingState = sqlir.ClausePresent
+			q.Having = sqlir.HavingExpr{
+				Agg: h.Agg, AggSet: true, Col: h.Col, ColSet: true,
+				Op: sqlir.Op(r.Intn(6)), OpSet: true, Val: sqlir.NewInt(r.Intn(4)), ValSet: true,
+			}
+			if r.Intn(3) == 0 { // fails every group before any projection is read
+				q.Having.Agg, q.Having.Col, q.Having.Op, q.Having.Val = sqlir.AggCount, sqlir.Star, sqlir.OpGt, sqlir.NewInt(1000)
+			}
+		}
+		q.Distinct = r.Intn(5) == 0
+	case shape == 2:
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			q.Select = append(q.Select, anyAgg())
+		}
+	default:
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			q.Select = append(q.Select, item(sqlir.AggNone, col()))
+		}
+		q.Distinct = r.Intn(3) == 0
+	}
+
+	if n := r.Intn(4); n > 0 {
+		w := sqlir.Where{ConjSet: true, CountSet: true}
+		if n >= 2 && r.Intn(2) == 0 {
+			w.Conj = sqlir.LogicOr
+		}
+		for ; n > 0; n-- {
+			w.Preds = append(w.Preds, sqlir.Predicate{
+				Col: col(), ColSet: true,
+				Op: sqlir.Op(r.Intn(7)), OpSet: true,
+				Val: columnarVals[r.Intn(len(columnarVals))], ValSet: true,
+			})
+		}
+		q.WhereState, q.Where = sqlir.ClausePresent, w
+	}
+
+	if r.Intn(2) == 0 {
+		s := q.Select[r.Intn(len(q.Select))]
+		key := sqlir.OrderKey{Agg: s.Agg, Col: s.Col}
+		if shape > 2 && r.Intn(3) == 0 {
+			key.Col = col() // need not be projected
+		}
+		q.OrderByState = sqlir.ClausePresent
+		q.OrderBy = sqlir.OrderBy{Key: key, KeySet: true, Desc: r.Intn(2) == 0, DirSet: true}
+	}
+	if r.Intn(2) == 0 { // with and without ORDER BY; 0 is "no LIMIT"
+		q.Limit = []int{0, 1, 2, 5, 50}[r.Intn(5)]
+	}
+	return q
+}
+
+// Property: every complete query over the NULL-heavy, duplicate-text,
+// NaN-sprinkled database gives exactly the reference executor's rows, order,
+// header and error through the compiled pipeline, in one piece and fanned
+// over morsels at 1, 2 and 4 workers.
 func TestPropColumnarExecuteAgree(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	seeds, n := int64(6), 250
+	if testing.Short() {
+		seeds, n = 3, 100
+	}
+	var failed, empty, total int
+	for seed := int64(0); seed < seeds; seed++ {
 		db := columnarDB(seed, 100)
-		jc := NewJoinCache(db)
-		queries := []string{
-			"SELECT item.note, COUNT(*) FROM item GROUP BY item.note",
-			"SELECT item.cat, SUM(item.val) FROM item GROUP BY item.cat HAVING COUNT(*) > 3",
-			"SELECT item.cat, AVG(item.val) FROM item GROUP BY item.cat",
-			"SELECT DISTINCT item.note FROM item",
-			"SELECT MIN(item.val), MAX(item.val) FROM item WHERE item.note = 'dup'",
-		}
-		for _, q := range queries {
-			parsed, err := sqlparse.Parse(db.Schema, q)
-			if err != nil {
-				t.Fatalf("parse %q: %v", q, err)
+		r := rand.New(rand.NewSource(seed + 2000))
+		for i := 0; i < n; i++ {
+			q := randomColumnarQuery(r)
+			if !q.Complete() {
+				t.Fatalf("seed %d query %d: generator produced an incomplete query: %s", seed, i, q)
 			}
-			ref, err := Execute(db, parsed)
-			if err != nil {
-				t.Fatalf("execute %q: %v", q, err)
+			if d := DiffExecute(db, q); d != "" {
+				t.Fatalf("seed %d query %d: %s\n%s", seed, i, d, q)
 			}
-			cached, err := jc.Execute(parsed)
-			if err != nil {
-				t.Fatalf("cached execute %q: %v", q, err)
-			}
-			if len(ref.Rows) != len(cached.Rows) {
-				t.Fatalf("%q: %d rows vs %d cached", q, len(ref.Rows), len(cached.Rows))
-			}
-			for i := range ref.Rows {
-				for j := range ref.Rows[i] {
-					if !ref.Rows[i][j].Equal(cached.Rows[i][j]) {
-						t.Fatalf("%q row %d col %d: %s vs %s", q, i, j, ref.Rows[i][j], cached.Rows[i][j])
-					}
-				}
+			res, err := Execute(db, q)
+			total++
+			switch {
+			case err != nil:
+				failed++
+			case len(res.Rows) == 0:
+				empty++
 			}
 		}
+	}
+	// The generator must keep reaching the lazy-error and empty-input cases.
+	if failed < total/50 || empty < total/50 || failed+empty > total*3/4 {
+		t.Errorf("of %d queries %d fail and %d are empty: the mix has drifted", total, failed, empty)
 	}
 }
 

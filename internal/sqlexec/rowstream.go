@@ -273,7 +273,6 @@ func rowStreamGroupedExists(plan *rowStreamPlan, eq ExistsQuery, pc *pipelineCou
 
 	type aggCol struct{ slot, col int }
 	var cols []aggCol
-	var refs []sqlir.ColumnRef
 	colAt := map[sqlir.ColumnRef]int{}
 	for _, h := range eq.Havings {
 		if h.Col.IsStar() {
@@ -292,7 +291,6 @@ func rowStreamGroupedExists(plan *rowStreamPlan, eq ExistsQuery, pc *pipelineCou
 			}
 			colAt[h.Col] = len(cols)
 			cols = append(cols, aggCol{slot: slot, col: ci})
-			refs = append(refs, h.Col)
 		}
 	}
 
@@ -328,5 +326,5 @@ func rowStreamGroupedExists(plan *rowStreamPlan, eq ExistsQuery, pc *pipelineCou
 	if rerr != nil {
 		return false, true, rerr
 	}
-	return checkGroupHavings(order, refs, colAt, eq)
+	return checkGroupHavings(order, colAt, eq)
 }

@@ -1,18 +1,19 @@
-// Vectorized streaming verification executor: existence probes compile
-// their predicates into typed evaluators over the storage engine's column
-// vectors — float comparisons for numeric columns, dictionary-code
-// comparisons for text equality — seed the pipeline from the most selective
-// equality predicate's posting list in a typed column index, and walk the
-// join tree as a pipelined index-nested-loop join whose probes are keyed by
-// float value or dictionary code instead of boxed sqlir.Value structs.
-// Grouped existence streams per-group aggregate accumulators under
-// fixed-width binary group keys (a tag byte plus the float bits or
-// dictionary code — no string formatting). The pipeline is
-// behavior-preserving: any query shape it cannot compile falls back to the
-// materializing path, and grouped probes keep the reference tuple
-// enumeration order so floating-point aggregates stay bit-identical. The
-// pre-columnar row-based pipeline is preserved in rowstream.go as a second
-// oracle and benchmark baseline.
+// Vectorized streaming executor: existence probes — and, through the sinks
+// of compiled.go, complete queries — compile their predicates into typed
+// evaluators over the storage engine's column vectors (float comparisons
+// for numeric columns, dictionary-code comparisons for text equality), seed
+// the scan from the most selective equality predicate's posting list in a
+// typed column index, and walk the join tree as a pipelined
+// index-nested-loop join whose probes are keyed by float value or
+// dictionary code instead of boxed sqlir.Value structs. Grouped scans stream
+// per-group aggregate accumulators under fixed-width binary group keys (a
+// tag byte plus the float bits or dictionary code — no string formatting).
+// The pipeline is behavior-preserving: any shape it cannot compile falls
+// back to the materializing reference executor, and every scan whose tuple
+// order can show keeps the reference enumeration order, so results and
+// floating-point aggregates stay bit-identical. The pre-columnar row-based
+// pipeline is preserved in rowstream.go as a second oracle and benchmark
+// baseline.
 package sqlexec
 
 import (
@@ -29,18 +30,21 @@ import (
 )
 
 // PipelineStats is a snapshot of the streaming executor's counters: how
-// much verification work the pushdown pipeline served (and avoided) on
-// behalf of one JoinCache.
+// much work the pushdown pipeline served (and avoided) on behalf of one
+// JoinCache handle.
 type PipelineStats struct {
 	StreamedExists int64 // existence probes answered by the streaming pipeline
 	FallbackExists int64 // existence probes that fell back to materialize-then-filter
-	IndexSeeds     int64 // probes seeded from a persistent column-index posting list
+	IndexSeeds     int64 // scans seeded from a persistent column-index posting list
 	IndexProbes    int64 // join-step posting-list lookups
-	PrefixHits     int64 // joins materialized by extending an already-cached prefix
-	JoinsBuilt     int64 // joins materialized from scratch
-	MorselRuns     int64 // scans fanned out through the morsel runner
-	Morsels        int64 // morsels claimed and executed across all runs
-	MorselWorkers  int64 // sum over runs of workers used (caller included)
+	// PrefixHits is always 0: no join is cached, so none is extended. bench/
+	// reads the field (sqlexec.prefix_hit_rate) and a PR that claims a gain
+	// may not edit bench/; it goes when that metric is retired.
+	PrefixHits    int64
+	JoinsBuilt    int64 // joins materialized: probes and queries that fell back to the reference executor
+	MorselRuns    int64 // scans fanned out through the morsel runner
+	Morsels       int64 // morsels claimed and executed across all runs
+	MorselWorkers int64 // sum over runs of workers used (caller included)
 }
 
 // IndexHits is the total posting-list work served by persistent indexes.
@@ -63,7 +67,6 @@ type pipelineCounters struct {
 	fallback      atomic.Int64
 	indexSeeds    atomic.Int64
 	indexProbes   atomic.Int64
-	prefixHits    atomic.Int64
 	joinsBuilt    atomic.Int64
 	morselRuns    atomic.Int64
 	morsels       atomic.Int64
@@ -79,7 +82,6 @@ func (pc *pipelineCounters) snapshot() PipelineStats {
 		FallbackExists: pc.fallback.Load(),
 		IndexSeeds:     pc.indexSeeds.Load(),
 		IndexProbes:    pc.indexProbes.Load(),
-		PrefixHits:     pc.prefixHits.Load(),
 		JoinsBuilt:     pc.joinsBuilt.Load(),
 		MorselRuns:     pc.morselRuns.Load(),
 		Morsels:        pc.morsels.Load(),
@@ -91,6 +93,18 @@ func (pc *pipelineCounters) add(c *atomic.Int64, n int64) {
 	if n != 0 {
 		c.Add(n)
 	}
+}
+
+// merge adds the counts of o, which no one is writing any more.
+func (pc *pipelineCounters) merge(o *pipelineCounters) {
+	pc.add(&pc.streamed, o.streamed.Load())
+	pc.add(&pc.fallback, o.fallback.Load())
+	pc.add(&pc.indexSeeds, o.indexSeeds.Load())
+	pc.add(&pc.indexProbes, o.indexProbes.Load())
+	pc.add(&pc.joinsBuilt, o.joinsBuilt.Load())
+	pc.add(&pc.morselRuns, o.morselRuns.Load())
+	pc.add(&pc.morsels, o.morsels.Load())
+	pc.add(&pc.morselWorkers, o.morselWorkers.Load())
 }
 
 // addMorselRun records one resolved fan-out's stats.
@@ -261,9 +275,9 @@ func (st *streamStep) postings(ri int32) ([]int32, bool) {
 	}
 }
 
-// streamPlan is a compiled existence probe: slot layout, join steps in
-// enumeration order, the pushdown seed, and predicates bound to the
-// earliest slot at which they can be evaluated.
+// streamPlan is a compiled scan — an existence probe's or a complete
+// query's: slot layout, join steps in enumeration order, the pushdown seed,
+// and predicates bound to the earliest slot at which they can be evaluated.
 type streamPlan struct {
 	slots  map[string]int
 	tables []*storage.Table // per slot, in bind order
@@ -289,6 +303,22 @@ func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
 		return 0, 0, errUnknownCol(c)
 	}
 	return slot, ci, nil
+}
+
+// bindVec resolves a column reference to its slot and vector.
+func (p *streamPlan) bindVec(c sqlir.ColumnRef) (boundCol, bool) {
+	slot, ci, err := p.bindCol(c)
+	if err != nil {
+		return boundCol{}, false
+	}
+	return boundCol{slot, p.tables[slot].VectorAt(ci)}, true
+}
+
+// countSeed counts a scan that starts from a posting list.
+func (p *streamPlan) countSeed(pc *pipelineCounters) {
+	if p.seeded {
+		pc.add(&pc.indexSeeds, 1)
+	}
 }
 
 // pathEdge is a join edge oriented by introduction order: table a was bound
@@ -611,18 +641,17 @@ func (p *streamPlan) runRange(ctx context.Context, inj *faultinject.Injector, pc
 	return false, nil
 }
 
-// existsMorsels is the flat witness probe fanned over morsels: each worker
+// exists is the flat witness probe. Fanned over morsels, each worker
 // short-circuits its own morsel on a local witness; the run's watermark
 // cancels morsels above the lowest decisive one; and resolve() returns the
 // outcome of the lowest decided morsel — the exact event (witness or error)
 // the sequential scan would have hit first, so answers and errors are
 // indistinguishable from the single-threaded path.
-func (p *streamPlan) existsMorsels(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, pool *WorkerPool, msize int) (bool, error) {
+func (p *streamPlan) exists(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters) (bool, error) {
 	witness := func([]int32) (bool, error) { return true, nil }
-	n := p.domainLen()
-	morsels := storage.Morsels(n, msize)
-	if len(morsels) < 2 {
-		return p.runRange(ctx, inj, pc, 0, n, witness)
+	pool, morsels := p.fanOut(ctx)
+	if morsels == nil {
+		return p.runRange(ctx, inj, pc, 0, p.domainLen(), witness)
 	}
 	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
 		return p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, witness)
@@ -644,33 +673,23 @@ func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc 
 		return false, false, nil
 	}
 	inj := faultinject.From(ctx)
-	pool := PoolFrom(ctx)
 	if !grouped {
-		if plan.seeded {
-			pc.add(&pc.indexSeeds, 1)
-		}
-		if pool != nil {
-			found, rerr := plan.existsMorsels(ctx, inj, pc, pool, MorselSizeFrom(ctx))
-			return found, true, rerr
-		}
-		found := false
-		rerr := plan.run(ctx, inj, pc, func([]int32) (bool, error) {
-			found = true
-			return true, nil
-		})
+		plan.countSeed(pc)
+		found, rerr := plan.exists(ctx, inj, pc)
 		return found, true, rerr
 	}
-	if pool != nil {
-		ok, handled, err = streamGroupedExistsMorsels(ctx, inj, plan, eq, pc, pool, MorselSizeFrom(ctx))
-	} else {
-		ok, handled, err = streamGroupedExists(ctx, inj, plan, eq, pc)
+	spec, bok := bindGrouped(plan, eq)
+	if !bok {
+		return false, false, nil
 	}
-	if handled && plan.seeded {
-		// Counted only once the probe is actually streamed, so fallbacks
-		// (e.g. unsupported HAVING shapes) don't inflate pushdown coverage.
-		pc.add(&pc.indexSeeds, 1)
+	// Counted only once the probe is actually streamed, so fallbacks (e.g.
+	// unsupported HAVING shapes) don't inflate pushdown coverage.
+	plan.countSeed(pc)
+	g, rerr := plan.scanGroups(ctx, inj, pc, spec)
+	if rerr != nil {
+		return false, true, rerr
 	}
-	return ok, handled, err
+	return checkGroupHavings(g.order, spec.colAt, eq)
 }
 
 // groupAcc accumulates one column's aggregates over a streamed group,
@@ -724,11 +743,16 @@ type groupState struct {
 
 // checkGroupHavings evaluates the HAVING conditions over streamed group
 // states in discovery order, shared by both streaming pipelines.
-func checkGroupHavings(order []*groupState, refs []sqlir.ColumnRef, colAt map[sqlir.ColumnRef]int, eq ExistsQuery) (ok, handled bool, err error) {
+func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq ExistsQuery) (ok, handled bool, err error) {
+	gb := groupedBinding{colAt: colAt}
+	havings := make([]boundAgg, len(eq.Havings))
+	for i, h := range eq.Havings {
+		havings[i] = gb.aggAt(h.Agg, h.Col)
+	}
 	for _, st := range order {
 		pass := true
-		for _, h := range eq.Havings {
-			hv, herr := streamedHavingValue(st, refs, colAt, h)
+		for i, h := range eq.Havings {
+			hv, herr := st.value(havings[i])
 			if herr != nil {
 				return false, true, herr
 			}
@@ -744,194 +768,96 @@ func checkGroupHavings(order []*groupState, refs []sqlir.ColumnRef, colAt map[sq
 	return false, true, nil
 }
 
-// keyCol/aggCol bind one GROUP BY or HAVING column to its slot and vector.
-type keyCol struct {
-	slot int
-	vec  *storage.ColumnVec
-}
-type aggCol struct {
-	slot int
-	vec  *storage.ColumnVec
-}
-
-// groupedBinding is an exists query's grouping shape compiled against a
-// stream plan, shared by the sequential and morsel grouped pipelines so
-// both reject exactly the same shapes (ok=false → materializing fallback).
+// groupedBinding is a query's grouping shape compiled against a stream
+// plan: the GROUP BY keys and the distinct concrete columns whose aggregates
+// the query reads, shared by grouped existence probes and grouped complete
+// queries so both reject exactly the same shapes.
 type groupedBinding struct {
-	keys  []keyCol
-	cols  []aggCol
-	refs  []sqlir.ColumnRef
+	keys  []boundCol
+	cols  []boundCol
 	colAt map[sqlir.ColumnRef]int
 }
 
-// bindGrouped resolves GROUP BY keys and HAVING aggregate columns.
-// ok=false means the shape is unsupported (or a column fails to bind) and
-// the caller must fall back to the materializing path, which reproduces the
-// reference behavior — including its error messages — exactly.
-func bindGrouped(plan *streamPlan, eq ExistsQuery) (gb groupedBinding, ok bool) {
-	gb.keys = make([]keyCol, 0, len(eq.GroupBy))
-	for _, g := range eq.GroupBy {
-		slot, ci, berr := plan.bindCol(g)
-		if berr != nil {
-			return gb, false
-		}
-		gb.keys = append(gb.keys, keyCol{slot, plan.tables[slot].VectorAt(ci)})
-	}
+// bindKeys resolves the GROUP BY columns.
+func (gb *groupedBinding) bindKeys(plan *streamPlan, groupBy []sqlir.ColumnRef) bool {
+	gb.keys = make([]boundCol, 0, len(groupBy))
 	gb.colAt = map[sqlir.ColumnRef]int{}
+	for _, g := range groupBy {
+		c, ok := plan.bindVec(g)
+		if !ok {
+			return false
+		}
+		gb.keys = append(gb.keys, c)
+	}
+	return true
+}
+
+// bindAgg registers one agg(col) the query evaluates per group. false means
+// the shape is unsupported (an aggregate other than COUNT over *, an unknown
+// aggregate) or the column fails to bind.
+func (gb *groupedBinding) bindAgg(plan *streamPlan, agg sqlir.AggFunc, col sqlir.ColumnRef) bool {
+	if agg > sqlir.AggAvg {
+		return false
+	}
+	if col.IsStar() {
+		return agg == sqlir.AggCount // reference path reports the error
+	}
+	if _, seen := gb.colAt[col]; seen {
+		return true
+	}
+	c, ok := plan.bindVec(col)
+	if !ok {
+		return false
+	}
+	gb.colAt[col] = len(gb.cols)
+	gb.cols = append(gb.cols, c)
+	return true
+}
+
+// bindGrouped resolves an exists query's GROUP BY keys and HAVING aggregate
+// columns. ok=false means the caller must fall back to the materializing
+// path, which reproduces the reference behavior — including its error
+// messages — exactly.
+func bindGrouped(plan *streamPlan, eq ExistsQuery) (gb *groupedBinding, ok bool) {
+	gb = &groupedBinding{}
+	if !gb.bindKeys(plan, eq.GroupBy) {
+		return nil, false
+	}
 	for _, h := range eq.Havings {
-		if h.Col.IsStar() {
-			if h.Agg != sqlir.AggCount {
-				return gb, false // reference path reports the error
-			}
-			continue
-		}
-		if h.Agg > sqlir.AggAvg {
-			return gb, false
-		}
-		if _, seen := gb.colAt[h.Col]; !seen {
-			slot, ci, berr := plan.bindCol(h.Col)
-			if berr != nil {
-				return gb, false
-			}
-			gb.colAt[h.Col] = len(gb.cols)
-			gb.cols = append(gb.cols, aggCol{slot: slot, vec: plan.tables[slot].VectorAt(ci)})
-			gb.refs = append(gb.refs, h.Col)
+		if !gb.bindAgg(plan, h.Agg, h.Col) {
+			return nil, false
 		}
 	}
 	return gb, true
 }
 
-// streamGroupedExists streams matching tuples into per-group aggregate
-// states — no tuple buffering — then checks HAVING per group. The plan keeps
-// reference enumeration order, so group discovery order and floating-point
-// accumulation order match the materializing path bit for bit. Group keys
-// are fixed-width binary encodings of the typed cells (dictionary code or
-// float bits), not formatted strings.
-func streamGroupedExists(ctx context.Context, inj *faultinject.Injector, plan *streamPlan, eq ExistsQuery, pc *pipelineCounters) (ok, handled bool, err error) {
-	gb, bok := bindGrouped(plan, eq)
-	if !bok {
-		return false, false, nil
-	}
-	keys, cols, refs, colAt := gb.keys, gb.cols, gb.refs, gb.colAt
-
-	var order []*groupState
-	newState := func() *groupState {
-		st := &groupState{accs: make([]groupAcc, len(cols))}
-		order = append(order, st)
-		return st
-	}
-	if len(eq.GroupBy) == 0 {
-		// SQL's implicit single group exists even over zero rows.
-		newState()
-	}
-
-	// Group-state lookup, specialized to the key shape. A single-column key
-	// — the overwhelmingly common grouping — is looked up directly by float
-	// bits or dictionary code through the runtime's fast integer map paths,
-	// with NULL (and NaN, which a float map could never find again) routed
-	// to dedicated states. Multi-column keys fall back to the fixed-width
-	// binary encoding. Each specialization partitions rows exactly as
-	// Value.Equal does, so group contents match the reference path.
-	var getState func(tp []int32) *groupState
-	switch {
-	case len(eq.GroupBy) == 0:
-		st := order[0]
-		getState = func([]int32) *groupState { return st }
-	case len(keys) == 1 && keys[0].vec.Type() == sqlir.TypeNumber:
-		k := keys[0]
-		var nullState, nanState *groupState
-		fm := map[uint64]*groupState{}
-		getState = func(tp []int32) *groupState {
-			ri := int(tp[k.slot])
-			if k.vec.IsNull(ri) {
-				if nullState == nil {
-					nullState = newState()
-				}
-				return nullState
-			}
-			f := k.vec.Num(ri)
-			if f != f {
-				// NaN: the pre-refactor string key grouped all NaNs
-				// together; a float-keyed map never would.
-				if nanState == nil {
-					nanState = newState()
-				}
-				return nanState
-			}
-			if f == 0 {
-				f = 0 // collapse -0.0 onto +0.0, as Value.Equal does
-			}
-			b := math.Float64bits(f)
-			st, ok := fm[b]
-			if !ok {
-				st = newState()
-				fm[b] = st
-			}
-			return st
-		}
-	case len(keys) == 1 && keys[0].vec.Type() == sqlir.TypeText:
-		k := keys[0]
-		var nullState *groupState
-		cm := map[uint32]*groupState{}
-		getState = func(tp []int32) *groupState {
-			ri := int(tp[k.slot])
-			if k.vec.IsNull(ri) {
-				if nullState == nil {
-					nullState = newState()
-				}
-				return nullState
-			}
-			c := k.vec.Code(ri)
-			st, ok := cm[c]
-			if !ok {
-				st = newState()
-				cm[c] = st
-			}
-			return st
-		}
-	default:
-		states := map[string]*groupState{}
-		var keyBuf []byte
-		getState = func(tp []int32) *groupState {
-			keyBuf = keyBuf[:0]
-			for _, k := range keys {
-				keyBuf = appendVecKey(keyBuf, k.vec, int(tp[k.slot]))
-			}
-			st, ok := states[string(keyBuf)]
-			if !ok {
-				st = &groupState{accs: make([]groupAcc, len(cols))}
-				order = append(order, st)
-				states[string(keyBuf)] = st
-			}
-			return st
-		}
-	}
-
-	rerr := plan.run(ctx, inj, pc, func(tp []int32) (bool, error) {
-		st := getState(tp)
-		st.rows++
-		for i := range cols {
-			st.accs[i].observe(cols[i].vec.Value(int(tp[cols[i].slot])))
-		}
-		return false, nil
-	})
-	if rerr != nil {
-		return false, true, rerr
-	}
-	return checkGroupHavings(order, refs, colAt, eq)
+// boundAgg is one agg(col) resolved against a groupedBinding: which
+// accumulator it reads (col < 0: none — COUNT(*) reads the row count) and
+// the column's name for error messages.
+type boundAgg struct {
+	agg sqlir.AggFunc
+	col int
+	ref sqlir.ColumnRef
 }
 
-// streamedHavingValue reads one HAVING aggregate off a streamed group state,
-// with the same empty-group and non-numeric-rejection semantics as
-// evalAggregate — in particular, SUM/AVG over non-numeric data only errors
-// when that aggregate is actually evaluated for a group.
-func streamedHavingValue(st *groupState, refs []sqlir.ColumnRef, colAt map[sqlir.ColumnRef]int, h sqlir.HavingExpr) (sqlir.Value, error) {
-	if h.Col.IsStar() {
+// aggAt resolves an agg(col) that bindAgg has registered.
+func (gb *groupedBinding) aggAt(agg sqlir.AggFunc, col sqlir.ColumnRef) boundAgg {
+	if col.IsStar() {
+		return boundAgg{agg: agg, col: -1}
+	}
+	return boundAgg{agg: agg, col: gb.colAt[col], ref: col}
+}
+
+// value reads one agg(col) off a streamed group state, with the same
+// empty-group and non-numeric-rejection semantics as evalAggregate — in
+// particular, SUM/AVG over non-numeric data only errors when that aggregate
+// is actually evaluated for a group.
+func (st *groupState) value(b boundAgg) (sqlir.Value, error) {
+	if b.col < 0 {
 		return sqlir.NewInt(st.rows), nil
 	}
-	i := colAt[h.Col]
-	a := st.accs[i]
-	switch h.Agg {
+	a := &st.accs[b.col]
+	switch b.agg {
 	case sqlir.AggNone:
 		if st.rows == 0 {
 			return sqlir.Null(), nil
@@ -945,7 +871,7 @@ func streamedHavingValue(st *groupState, refs []sqlir.ColumnRef, colAt map[sqlir
 		return a.max, nil
 	case sqlir.AggSum:
 		if a.hasBad {
-			return sqlir.Null(), errNonNumericAgg(refs[i], a.bad)
+			return sqlir.Null(), errNonNumericAgg(b.ref, a.bad)
 		}
 		if a.count == 0 {
 			return sqlir.Null(), nil
@@ -953,7 +879,7 @@ func streamedHavingValue(st *groupState, refs []sqlir.ColumnRef, colAt map[sqlir
 		return sqlir.NewNumber(a.sum), nil
 	case sqlir.AggAvg:
 		if a.hasBad {
-			return sqlir.Null(), errNonNumericAgg(refs[i], a.bad)
+			return sqlir.Null(), errNonNumericAgg(b.ref, a.bad)
 		}
 		if a.count == 0 {
 			return sqlir.Null(), nil

@@ -49,7 +49,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 	// COUNT(*) > 100 fails every group first: SUM(name) is never evaluated,
 	// so neither path may error.
 	eq := ExistsQuery{From: path, GroupBy: group, Havings: []sqlir.HavingExpr{countStar(sqlir.OpGt, 100), sumName}}
-	refRel, err := join(context.Background(), db, path, &discardCounters)
+	refRel, err := join(context.Background(), db, path)
 	if err != nil {
 		t.Fatal(err)
 	}

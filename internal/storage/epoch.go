@@ -175,8 +175,13 @@ func (d *Database) publishLocked() *dbView {
 	d.latest.Store(nv)
 	d.retainMu.Lock()
 	d.retained = append(d.retained, nv)
-	if len(d.retained) > epochRetention {
-		d.retained = d.retained[len(d.retained)-epochRetention:]
+	if n := len(d.retained) - epochRetention; n > 0 {
+		// Shift down rather than reslice: a resliced window keeps the views
+		// it dropped reachable through the backing array until the next
+		// reallocation, so up to twice the window stayed live.
+		copy(d.retained, d.retained[n:])
+		clear(d.retained[epochRetention:])
+		d.retained = d.retained[:epochRetention]
 	}
 	d.retainMu.Unlock()
 	return nv

@@ -326,7 +326,8 @@ func (t *Table) CheckRowColumnConsistency() error {
 		for ci := range t.Columns {
 			rv := row[ci]
 			cv := t.vecs[ci].Value(ri)
-			if !rv.Equal(cv) {
+			// A NaN cell agrees with itself here, though not under Equal.
+			if !rv.Equal(cv) && !(rv.Num != rv.Num && cv.Num != cv.Num) {
 				return fmt.Errorf("storage: table %s row %d column %s: row adapter has %s, column vector has %s",
 					t.Name, ri, t.Columns[ci].Name, rv, cv)
 			}

@@ -103,7 +103,7 @@ func TestSharedCacheStatsDelta(t *testing.T) {
 		t.Skip("column check did not stream; delta assertion not applicable")
 	}
 	v2 := NewWithCache(db, nil, sketch, nil, cache)
-	if st := v2.Stats(); st.StreamedExists != 0 || st.IndexHits != 0 || st.JoinPrefixHits != 0 {
+	if st := v2.Stats(); st.StreamedExists != 0 || st.IndexHits != 0 {
 		t.Errorf("fresh verifier on warm cache reports prior work: %+v", st)
 	}
 }

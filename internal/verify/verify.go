@@ -55,20 +55,33 @@ var stages = [...]Stage{
 
 // Outcome reports a verification decision.
 type Outcome struct {
-	OK     bool
-	Stage  Stage  // the stage that rejected (when !OK)
-	Reason string // human-readable rejection reason
+	OK    bool
+	Stage Stage // the stage that rejected (when !OK)
+
+	// Why it was rejected, kept unrendered: a request rejects thousands of
+	// children and nothing on its path reads the reason (see Reason). The
+	// arguments are values the verifier never mutates.
+	format string
+	args   []any
+}
+
+// Reason renders the human-readable rejection reason ("" for a pass).
+func (o Outcome) Reason() string {
+	if o.OK {
+		return ""
+	}
+	return fmt.Sprintf(o.format, o.args...)
 }
 
 func pass() Outcome { return Outcome{OK: true} }
 
 func fail(stage Stage, format string, args ...any) Outcome {
-	return Outcome{OK: false, Stage: stage, Reason: fmt.Sprintf(format, args...)}
+	return Outcome{Stage: stage, format: format, args: args}
 }
 
 // Stats counts per-stage work for the cost-ordering analysis (§3.4). The
 // executor-level counters report how much work the streaming pipeline's
-// predicate pushdown and prefix-sharing JoinCache eliminate.
+// predicate pushdown eliminates.
 type Stats struct {
 	Checked     int           // total Verify calls
 	Rejected    map[Stage]int // rejections per stage
@@ -77,14 +90,13 @@ type Stats struct {
 
 	StreamedExists int // existence probes served by the streaming executor
 	IndexHits      int // posting-list lookups served by persistent column indexes
-	JoinPrefixHits int // joins materialized by extending a cached join-path prefix
 }
 
 // Verifier checks partial queries against a TSQ, the NLQ literals, and the
 // semantic rule set. A Verifier is safe for concurrent use: the enumerator's
 // verification worker pool calls Verify from many goroutines, sharing the
-// column-wise, row-wise, and join memos (concurrent first checks of the same
-// key share one database query). Create one per synthesis task — the rules,
+// column-wise and row-wise memos (concurrent first checks of the same key
+// share one database query). Create one per synthesis task — the rules,
 // sketch, and literals are request state — but the memos themselves depend
 // only on the database contents, so verifiers for the same database may
 // share them through a Cache (NewWithCache): a later request re-asking a
@@ -98,8 +110,8 @@ type Verifier struct {
 	colCache *boolMemo // column-wise verification memo (shared via Cache)
 	rowCache *boolMemo // row-wise verification memo (shared via Cache)
 	joins    *sqlexec.JoinCache
-	// base is the join cache's counter snapshot at verifier creation;
-	// Stats reports the delta so a shared cache's counters from earlier
+	// base is the executor handle's counter snapshot at verifier creation;
+	// Stats reports the delta so a shared handle's counters from earlier
 	// requests are not attributed to this one. Under concurrent requests
 	// the delta also includes their overlapping work — the per-database
 	// cumulative view lives in the service layer's stats.
@@ -257,8 +269,8 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 	return next
 }
 
-// Cache is the per-database-epoch shared verification state: the
-// prefix-sharing join cache plus the column-wise and row-wise verification
+// Cache is the per-database-epoch shared verification state: the executor
+// handle (counters only) plus the column-wise and row-wise verification
 // memos. Every memoized answer is a function of the database contents alone
 // (the sketch and literals only choose which questions get asked), so one
 // Cache is safely shared by all verifiers — and therefore all requests —
@@ -286,35 +298,25 @@ func NewCache(db *storage.Database) *Cache {
 }
 
 // NewCacheFrom builds the shared verification state for a new frozen epoch
-// snapshot, carrying the previous epoch's warm state forward wherever it
-// provably still holds: materialized joins over unchanged tables
-// (sqlexec.NewJoinCacheFrom) and memoized column-/row-wise answers whose
-// dependency tables are unchanged (carryMemo). An append touches one
-// table, so everything not reading that table stays warm across the epoch
-// boundary — a write costs readers only the changed table's state, never a
-// fully cold cache.
+// snapshot, carrying the previous epoch's memoized column-/row-wise answers
+// forward wherever they provably still hold (carryMemo). An append touches
+// one table, so every answer not reading that table stays warm across the
+// epoch boundary — a write costs readers only the changed table's memos,
+// never a fully cold cache. The executor handle carries nothing: it holds no
+// data, only counters.
 func NewCacheFrom(db *storage.Database, prev *Cache) *Cache {
 	if prev == nil {
 		return NewCache(db)
 	}
 	return &Cache{
 		db:    db,
-		joins: sqlexec.NewJoinCacheFrom(db, prev.joins),
+		joins: sqlexec.NewJoinCache(db),
 		col:   carryMemo(db, prev.db, prev.col),
 		row:   carryMemo(db, prev.db, prev.row),
 	}
 }
 
-// WarmFrom rebuilds the joins the previous epoch's cache had but this one
-// could not carry forward (sqlexec.JoinCache.WarmFrom). Writers call it
-// after publishing an epoch so readers never see a cold shard.
-func (c *Cache) WarmFrom(ctx context.Context, prev *Cache) {
-	if prev != nil {
-		c.joins.WarmFrom(ctx, prev.joins)
-	}
-}
-
-// Joins exposes the shared join cache (the service layer routes cached
+// Joins exposes the shared executor handle (the service layer routes
 // previews and its stats snapshots through it).
 func (c *Cache) Joins() *sqlexec.JoinCache { return c.joins }
 
@@ -332,8 +334,8 @@ func New(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ, literal
 }
 
 // NewWithCache builds a verifier borrowing a shared per-database Cache, so
-// column-wise checks, row-wise checks, and join materializations are reused
-// across every verifier created from the same Cache. The cache must have
+// column-wise and row-wise checks are reused across every verifier created
+// from the same Cache. The cache must have
 // been built for db: memo keys do not encode database identity, so a
 // mismatched pair would serve another database's answers.
 func NewWithCache(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ, literals []sqlir.Value, cache *Cache) *Verifier {
@@ -354,7 +356,7 @@ func NewWithCache(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ
 }
 
 // Stats returns a copy of the per-stage counters, folding in the executor
-// pipeline counters from the join cache.
+// pipeline counters from the executor handle.
 func (v *Verifier) Stats() Stats {
 	st := Stats{
 		Checked:     int(v.checked.Load()),
@@ -370,7 +372,6 @@ func (v *Verifier) Stats() Stats {
 	ps := v.joins.Stats()
 	st.StreamedExists = int(ps.StreamedExists - v.base.StreamedExists)
 	st.IndexHits = int(ps.IndexHits() - v.base.IndexHits())
-	st.JoinPrefixHits = int(ps.PrefixHits - v.base.PrefixHits)
 	return st
 }
 
@@ -583,7 +584,7 @@ func (v *Verifier) verifySemantics(q *sqlir.Query) Outcome {
 		return pass()
 	}
 	if viol := v.rules.Check(q, v.db.Schema); viol != nil {
-		return fail(StageSemantics, "%s", viol.Error())
+		return fail(StageSemantics, "%s", viol)
 	}
 	return pass()
 }

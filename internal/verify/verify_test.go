@@ -459,8 +459,11 @@ func TestVerifyStats(t *testing.T) {
 
 func TestOutcomeReasonRendering(t *testing.T) {
 	out := fail(StageByColumn, "tuple %d", 3)
-	if out.OK || out.Stage != StageByColumn || !strings.Contains(out.Reason, "tuple 3") {
-		t.Errorf("outcome = %+v", out)
+	if out.OK || out.Stage != StageByColumn || !strings.Contains(out.Reason(), "tuple 3") {
+		t.Errorf("outcome = %+v, reason %q", out, out.Reason())
+	}
+	if r := pass().Reason(); r != "" {
+		t.Errorf("a pass has reason %q", r)
 	}
 }
 
