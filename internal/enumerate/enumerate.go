@@ -11,11 +11,11 @@
 package enumerate
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/duoquest/duoquest/internal/guidance"
@@ -109,65 +109,38 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// state is one search node: a partial query plus its confidence. The query
-// is immutable (sqlir/derive.go): children share its structure, and emitted
-// candidates and verification workers keep pointers to it.
-type state struct {
-	q *sqlir.Query
-	// dec is the decision that derived q from its parent when that parent
-	// passed verification — q's own check then inherits the parent's proofs
-	// (verify.Begin) — and the zero Decision otherwise.
-	dec      sqlir.Decision
-	complete bool // q.Complete()
-	verified bool // q passed the cascade
+// entry is one queued search state: a decision, not a query. Most queued
+// states are never expanded, so a child that survives verification is kept
+// as its parent's query plus the decision that extends it, by value in the
+// frontier's storage, and becomes a query of its own only if it is popped.
+// Queries are immutable (sqlir/derive.go): entries, emitted candidates and
+// verification workers share them freely.
+type entry struct {
+	// q is the state's own query when dec is the zero Decision; otherwise it
+	// is the parent's, with dec still to apply.
+	q   *sqlir.Query
+	dec sqlir.Decision
+
 	logConf  float64
-	joinLen  int // §3.3.4 tiebreaker: shorter join paths first
-	depth    int // decision depth, the NoGuide BFS key
-	seq      int // FIFO tiebreaker for determinism
+	seq      int   // FIFO tiebreaker for determinism
+	depth    int32 // decision depth, the NoGuide BFS key
+	joinLen  int16 // §3.3.4 tiebreaker: shorter join paths first
+	verified bool  // the state passed the cascade, so its children inherit its proofs
 }
 
-// stateQueue is the priority collection P of Algorithm 1.
-type stateQueue struct {
-	items   []*state
-	noGuide bool
-	geoMean bool
+// query returns the state's query, deriving it if that was put off.
+func (e *entry) query() *sqlir.Query {
+	if e.dec.Kind != 0 {
+		return e.q.Apply(e.dec)
+	}
+	return e.q
 }
 
-func (pq *stateQueue) Len() int { return len(pq.items) }
-
-// priority returns the best-first key for a state.
-func (pq *stateQueue) priority(s *state) float64 {
-	if pq.geoMean && s.depth > 0 {
-		return s.logConf / float64(s.depth)
-	}
-	return s.logConf
-}
-
-func (pq *stateQueue) Less(i, j int) bool {
-	a, b := pq.items[i], pq.items[j]
-	if pq.noGuide {
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return a.seq < b.seq
-	}
-	pa, pb := pq.priority(a), pq.priority(b)
-	if pa != pb {
-		return pa > pb
-	}
-	if a.joinLen != b.joinLen {
-		return a.joinLen < b.joinLen
-	}
-	return a.seq < b.seq
-}
-func (pq *stateQueue) Swap(i, j int) { pq.items[i], pq.items[j] = pq.items[j], pq.items[i] }
-func (pq *stateQueue) Push(x any)    { pq.items = append(pq.items, x.(*state)) }
-func (pq *stateQueue) Pop() any {
-	old := pq.items
-	n := len(old)
-	it := old[n-1]
-	pq.items = old[:n-1]
-	return it
+// option is one output class of an expansion: the decision that makes the
+// child and the probability the module gave it.
+type option struct {
+	dec  sqlir.Decision
+	prob float64
 }
 
 // Enumerator runs GPQE for one synthesis task.
@@ -177,8 +150,6 @@ type Enumerator struct {
 	model    guidance.Model
 	verifier *verify.Verifier
 	opts     Options
-
-	seq int
 }
 
 // New builds an enumerator. The verifier encapsulates the TSQ, literals, and
@@ -200,6 +171,84 @@ func New(db *storage.Database, model guidance.Model, verifier *verify.Verifier, 
 	}
 }
 
+// search is the state of one Enumerate call.
+type search struct {
+	e    *Enumerator
+	ctx  context.Context
+	mctx *guidance.Context
+	pool *verifyPool // nil: every check runs on the search goroutine
+
+	queue frontier
+	// scratch holds the one child being looked at. Nothing that outlives
+	// the look may point into it: a check handed to Finish, a candidate and
+	// a popped state each get a query of their own (Query.Apply).
+	scratch sqlir.Scratch
+	opts    []option // the current expansion, reused
+	seq     int
+
+	// needVerify reports whether a child runs the verification cascade:
+	// always under GPQE/NoGuide; only complete queries under NoPQ.
+	needVerify func(complete bool) bool
+}
+
+// newSearch prepares a search whose frontier holds the empty query. The
+// caller must close it.
+func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir.Value) *search {
+	s := &search{
+		e:     e,
+		ctx:   ctx,
+		mctx:  guidance.NewContextDB(nlq, literals, e.db, nil),
+		queue: frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
+		needVerify: func(complete bool) bool {
+			return e.opts.Mode != ModeNoPQ || complete
+		},
+	}
+	if e.opts.Workers > 1 {
+		s.pool = newVerifyPool(ctx, e.verifier, e.opts.Workers)
+	}
+	s.queue.push(entry{q: sqlir.NewQuery()})
+	return s
+}
+
+func (s *search) close() {
+	if s.pool != nil {
+		s.pool.close()
+	}
+}
+
+// expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
+// query, built now if it was queued as a decision, and one option per
+// output class of the next module. The options are valid until the next
+// call.
+func (s *search) expand(p *entry) (*sqlir.Query, []option, error) {
+	q := p.query()
+	opts, err := s.e.nextStep(s.mctx, q, s.opts[:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	s.opts = opts
+	return q, opts, nil
+}
+
+// child is the state reached from p, whose query is q, by option o, given
+// what verification said about it.
+func (s *search) child(p *entry, q *sqlir.Query, o *option, r *verifyResult) entry {
+	s.seq++
+	lc := math.Inf(-1)
+	if o.prob > 0 {
+		lc = p.logConf + math.Log(o.prob)
+	}
+	c := entry{q: q, dec: o.dec, logConf: lc, seq: s.seq, depth: p.depth + 1,
+		joinLen: int16(q.From.Len()), verified: s.needVerify(r.complete)}
+	if o.dec.Kind == sqlir.DecideFrom {
+		c.joinLen = int16(o.dec.From.Len())
+	}
+	if r.q != nil {
+		c.q, c.dec = r.q, sqlir.Decision{} // already built for its check
+	}
+	return c
+}
+
 // Enumerate runs Algorithm 1, invoking emit for each candidate query in
 // ranked order. emit returning false stops the search early.
 //
@@ -216,22 +265,8 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		ctx, cancel = context.WithDeadline(ctx, start.Add(e.opts.Budget))
 		defer cancel()
 	}
-	mctx := guidance.NewContextDB(nlq, literals, e.db, nil)
-
-	pq := &stateQueue{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority}
-	root := &state{q: sqlir.NewQuery(), logConf: 0}
-	heap.Push(pq, root)
-
-	// needVerify reports whether a child state runs the verification
-	// cascade: always under GPQE/NoGuide; only complete queries under NoPQ.
-	needVerify := func(c *state) bool {
-		return e.opts.Mode != ModeNoPQ || c.complete
-	}
-	var pool *verifyPool
-	if e.opts.Workers > 1 {
-		pool = newVerifyPool(ctx, e.verifier, e.opts.Workers)
-		defer pool.close()
-	}
+	s := e.newSearch(ctx, nlq, literals)
+	defer s.close()
 
 	res := &Result{}
 	seen := map[string]bool{} // canonical dedup of emitted candidates
@@ -244,7 +279,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		return res, nil
 	}
 
-	for pq.Len() > 0 {
+	for s.queue.len() > 0 {
 		if res.States >= e.opts.MaxStates {
 			return res, nil
 		}
@@ -254,10 +289,10 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		default:
 		}
 
-		p := heap.Pop(pq).(*state)
+		p := s.queue.pop()
 		res.States++
 
-		children, err := e.nextStep(mctx, p)
+		q, opts, err := s.expand(&p)
 		if err != nil {
 			return res, err
 		}
@@ -268,84 +303,70 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		// Either way, results are consumed in child order below, so emitted
 		// candidates and queue contents are identical in both modes.
 		var batch []verifyResult
-		if pool != nil && len(children) > 1 {
-			batch = pool.verifyBatch(children, needVerify)
+		if s.pool != nil && len(opts) > 1 {
+			batch = s.verifyBatch(q, p.verified, opts)
 		}
-		for i, c := range children {
-			if needVerify(c) {
-				var r verifyResult
-				if batch != nil {
-					r = batch[i]
-				} else {
-					r = verifyChild(ctx, e.verifier, c)
-				}
-				if r.cancelled {
-					// The request died (or drew an injected fault) mid-
-					// verification: degrade to the candidates already emitted.
-					return truncate()
-				}
-				if r.err != nil {
-					return res, r.err
-				}
-				if !r.out.OK {
-					continue
-				}
-				c.verified = true
-			}
-			if c.complete {
-				key := c.q.Canonical()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				emitted++
-				cand := Candidate{
-					Query:      c.q,
-					Confidence: math.Exp(c.logConf),
-					Rank:       emitted,
-					Elapsed:    time.Since(start),
-					States:     res.States,
-				}
-				res.Candidates = append(res.Candidates, cand)
-				if emit != nil && !emit(cand) {
-					res.Elapsed = time.Since(start)
-					return res, nil
-				}
-				if e.opts.MaxCandidates > 0 && emitted >= e.opts.MaxCandidates {
-					res.Elapsed = time.Since(start)
-					return res, nil
-				}
+		for i := range opts {
+			o := &opts[i]
+			var r verifyResult
+			if batch != nil {
+				r = batch[i]
 			} else {
-				heap.Push(pq, c)
+				r = s.verifyChild(q, p.verified, o.dec)
+			}
+			if r.cancelled {
+				// The request died (or drew an injected fault) mid-
+				// verification: degrade to the candidates already emitted.
+				return truncate()
+			}
+			if r.err != nil {
+				return res, r.err
+			}
+			c := s.child(&p, q, o, &r)
+			if c.verified && !r.out.OK {
+				continue
+			}
+			if !r.complete {
+				s.queue.push(c)
+				continue
+			}
+			cq := c.query()
+			key := cq.Canonical()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			emitted++
+			cand := Candidate{
+				Query:      cq,
+				Confidence: math.Exp(c.logConf),
+				Rank:       emitted,
+				Elapsed:    time.Since(start),
+				States:     res.States,
+			}
+			res.Candidates = append(res.Candidates, cand)
+			if emit != nil && !emit(cand) {
+				res.Elapsed = time.Since(start)
+				return res, nil
+			}
+			if e.opts.MaxCandidates > 0 && emitted >= e.opts.MaxCandidates {
+				res.Elapsed = time.Since(start)
+				return res, nil
 			}
 		}
+		// Only the best MaxStates − States entries can still be popped.
+		s.queue.bound(e.opts.MaxStates - res.States)
 	}
-	res.Exhausted = true
+	res.Exhausted = !s.queue.dropped
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// child wraps q — the parent's query with decision dec applied, with
-// probability p — as a search state.
-func (e *Enumerator) child(parent *state, p float64, q *sqlir.Query, dec sqlir.Decision) *state {
-	e.seq++
-	lc := parent.logConf
-	if p > 0 {
-		lc += math.Log(p)
-	} else {
-		lc = math.Inf(-1)
-	}
-	if !parent.verified {
-		dec = sqlir.Decision{} // nothing proved to inherit
-	}
-	return &state{q: q, dec: dec, complete: q.Complete(), logConf: lc, joinLen: q.From.Len(), depth: parent.depth + 1, seq: e.seq}
-}
-
-// nextStep is EnumNextStep (Algorithm 1, Line 5): it finds the next pending
-// decision in module execution order (§3.3.1) and produces one child state
-// per output class of the corresponding module.
-func (e *Enumerator) nextStep(ctx *guidance.Context, p *state) ([]*state, error) {
-	q := p.q
+// nextStep finds the next pending decision of q in module execution order
+// (§3.3.1) and appends to buf one option per output class of the
+// corresponding module. Column and value classes are referenced where the
+// module returned them, not copied.
+func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []option) ([]option, error) {
 	// The search owns ctx and a model reads it only during a call, so it is
 	// rebound in place instead of copied (Context.WithQuery) per state.
 	ctx.Query = q
@@ -353,99 +374,112 @@ func (e *Enumerator) nextStep(ctx *guidance.Context, p *state) ([]*state, error)
 
 	switch {
 	case !q.KWSet:
-		return mapChildren(e, p, uniform, e.model.Keywords(ctx), sqlir.Decision{Kind: sqlir.DecideKeywords},
-			func(ks guidance.KeywordSet) *sqlir.Query { return q.WithKeywords(ks.Where, ks.GroupBy, ks.OrderBy) }), nil
+		return options(buf, uniform, e.model.Keywords(ctx), sqlir.Decision{Kind: sqlir.DecideKeywords},
+			func(d *sqlir.Decision, ks *guidance.KeywordSet) {
+				d.Where, d.GroupBy, d.OrderBy = ks.Where, ks.GroupBy, ks.OrderBy
+			}), nil
 
 	case !q.SelectCountSet:
-		return mapChildren(e, p, uniform, e.model.SelectCount(ctx), sqlir.Decision{Kind: sqlir.DecideSelectCount},
-			q.WithSelectCount), nil
+		return options(buf, uniform, e.model.SelectCount(ctx), sqlir.Decision{Kind: sqlir.DecideSelectCount}, setCount), nil
 
 	case firstUndecidedCol(q) >= 0:
 		idx := firstUndecidedCol(q)
-		return mapChildren(e, p, uniform, e.model.SelectColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: idx},
-			func(c sqlir.ColumnRef) *sqlir.Query { return q.WithSelectColumn(idx, c) }), nil
+		return options(buf, uniform, e.model.SelectColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: int32(idx)}, setCol), nil
 
 	case firstUndecidedAgg(q) >= 0:
 		idx := firstUndecidedAgg(q)
-		return mapChildren(e, p, uniform, e.model.SelectAgg(ctx, idx, q.Select[idx].Col), sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: idx},
-			func(a sqlir.AggFunc) *sqlir.Query { return q.WithSelectAgg(idx, a) }), nil
+		return options(buf, uniform, e.model.SelectAgg(ctx, idx, q.Select[idx].Col), sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: int32(idx)},
+			func(d *sqlir.Decision, a *sqlir.AggFunc) { d.Agg = *a }), nil
 
 	case q.From == nil:
-		return e.joinPathChildren(p)
+		return e.joinPathOptions(q, buf), nil
 
 	case q.WhereState == sqlir.ClausePending:
-		return mapChildren(e, p, uniform, e.model.WhereCount(ctx), sqlir.Decision{Kind: sqlir.DecideWhereCount},
-			q.WithWhereCount), nil
+		return options(buf, uniform, e.model.WhereCount(ctx), sqlir.Decision{Kind: sqlir.DecideWhereCount}, setCount), nil
 
 	case q.WhereState == sqlir.ClausePresent && len(q.Where.Preds) >= 2 && !q.Where.ConjSet:
-		return mapChildren(e, p, uniform, e.model.WhereConj(ctx), sqlir.Decision{Kind: sqlir.DecideWhereConj},
-			q.WithWhereConj), nil
+		return options(buf, uniform, e.model.WhereConj(ctx), sqlir.Decision{Kind: sqlir.DecideWhereConj},
+			func(d *sqlir.Decision, op *sqlir.LogicalOp) { d.Conj = *op }), nil
 
 	case firstPredWithout(q, predColUnset) >= 0:
 		idx := firstPredWithout(q, predColUnset)
-		return mapChildren(e, p, uniform, e.model.WhereColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecidePredColumn, Index: idx},
-			func(c sqlir.ColumnRef) *sqlir.Query { return q.WithPredColumn(idx, c) }), nil
+		return options(buf, uniform, e.model.WhereColumn(ctx, idx), sqlir.Decision{Kind: sqlir.DecidePredColumn, Index: int32(idx)}, setCol), nil
 
 	case firstPredWithout(q, predOpUnset) >= 0:
 		idx := firstPredWithout(q, predOpUnset)
-		return mapChildren(e, p, uniform, e.model.WhereOp(ctx, q.Where.Preds[idx].Col), sqlir.Decision{Kind: sqlir.DecidePredOp, Index: idx},
-			func(op sqlir.Op) *sqlir.Query { return q.WithPredOp(idx, op) }), nil
+		return options(buf, uniform, e.model.WhereOp(ctx, q.Where.Preds[idx].Col), sqlir.Decision{Kind: sqlir.DecidePredOp, Index: int32(idx)}, setOp), nil
 
 	case firstPredWithout(q, predValUnset) >= 0:
 		idx := firstPredWithout(q, predValUnset)
 		pr := q.Where.Preds[idx]
-		return mapChildren(e, p, uniform, e.model.WhereValue(ctx, pr.Col, pr.Op), sqlir.Decision{Kind: sqlir.DecidePredValue, Index: idx},
-			func(v sqlir.Value) *sqlir.Query { return q.WithPredValue(idx, v) }), nil
+		return options(buf, uniform, e.model.WhereValue(ctx, pr.Col, pr.Op), sqlir.Decision{Kind: sqlir.DecidePredValue, Index: int32(idx)}, setVal), nil
 
 	case q.GroupByState == sqlir.ClausePending:
 		// GROUP BY is determined by SQL semantics: every unaggregated
 		// projection must be grouped. No unaggregated projections means
 		// the branch has no valid grouping within the task scope.
-		cols := unaggregatedCols(q)
-		if len(cols) == 0 {
-			return nil, nil
+		if !slices.ContainsFunc(q.Select, sqlir.SelectItem.Unaggregated) {
+			return buf, nil
 		}
-		return []*state{e.child(p, 1, q.WithGroupBy(cols), sqlir.Decision{Kind: sqlir.DecideGroupBy})}, nil
+		return append(buf, option{sqlir.Decision{Kind: sqlir.DecideGroupBy}, 1}), nil
 
 	case q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePending && !q.Having.AggSet:
-		var out []*state
-		dec := sqlir.Decision{Kind: sqlir.DecideHaving}
 		for _, s := range e.model.HavingPresent(ctx) {
 			prob := s.Prob
 			if uniform {
 				prob = 1
 			}
 			if !s.Class {
-				out = append(out, e.child(p, prob, q.WithoutHaving(), dec))
+				buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideHaving}, prob})
 				continue
 			}
-			for _, ac := range e.model.HavingAggCol(ctx) {
-				pac := ac.Prob
+			acs := e.model.HavingAggCol(ctx)
+			for i := range acs {
+				pac := acs[i].Prob
 				if uniform {
 					pac = 1
 				}
-				out = append(out, e.child(p, prob*pac, q.WithHavingAgg(ac.Class.Agg, ac.Class.Col), dec))
+				buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideHaving, Present: true,
+					Agg: acs[i].Class.Agg, Col: &acs[i].Class.Col}, prob * pac})
 			}
 		}
-		return out, nil
+		return buf, nil
 
 	case q.HavingState == sqlir.ClausePresent && !q.Having.OpSet:
-		return mapChildren(e, p, uniform, e.model.HavingOp(ctx), sqlir.Decision{Kind: sqlir.DecideHavingOp},
-			q.WithHavingOp), nil
+		return options(buf, uniform, e.model.HavingOp(ctx), sqlir.Decision{Kind: sqlir.DecideHavingOp}, setOp), nil
 
 	case q.HavingState == sqlir.ClausePresent && !q.Having.ValSet:
-		return mapChildren(e, p, uniform, e.model.HavingValue(ctx), sqlir.Decision{Kind: sqlir.DecideHavingValue},
-			q.WithHavingValue), nil
+		return options(buf, uniform, e.model.HavingValue(ctx), sqlir.Decision{Kind: sqlir.DecideHavingValue}, setVal), nil
 
 	case q.OrderByState == sqlir.ClausePending:
-		return mapChildren(e, p, uniform, e.model.OrderKey(ctx), sqlir.Decision{Kind: sqlir.DecideOrderKey},
-			func(k guidance.AggCol) *sqlir.Query { return q.WithOrderKey(sqlir.OrderKey{Agg: k.Agg, Col: k.Col}) }), nil
+		return options(buf, uniform, e.model.OrderKey(ctx), sqlir.Decision{Kind: sqlir.DecideOrderKey},
+			func(d *sqlir.Decision, k *guidance.AggCol) { d.Agg, d.Col = k.Agg, &k.Col }), nil
 
 	case q.OrderByState == sqlir.ClausePresent && !q.OrderBy.DirSet:
-		return mapChildren(e, p, uniform, e.model.OrderDir(ctx), sqlir.Decision{Kind: sqlir.DecideOrderDir},
-			func(d guidance.DirLimit) *sqlir.Query { return q.WithOrderDir(d.Desc, d.Limit) }), nil
+		return options(buf, uniform, e.model.OrderDir(ctx), sqlir.Decision{Kind: sqlir.DecideOrderDir},
+			func(d *sqlir.Decision, dl *guidance.DirLimit) { d.Desc, d.Count = dl.Desc, int32(dl.Limit) }), nil
 	}
 	return nil, fmt.Errorf("enumerate: no pending decision for %s", q)
+}
+
+// How a module's class becomes a decision's argument.
+func setCount(d *sqlir.Decision, n *int)           { d.Count = int32(*n) }
+func setCol(d *sqlir.Decision, c *sqlir.ColumnRef) { d.Col = c }
+func setOp(d *sqlir.Decision, op *sqlir.Op)        { d.Op = *op }
+func setVal(d *sqlir.Decision, v *sqlir.Value)     { d.Val = v }
+
+// options turns a module distribution into options: one per output class,
+// each dec with the class filled in by set.
+func options[T any](buf []option, uniform bool, scored []guidance.Scored[T], dec sqlir.Decision, set func(*sqlir.Decision, *T)) []option {
+	for i := range scored {
+		prob := scored[i].Prob
+		if uniform {
+			prob = 1
+		}
+		set(&dec, &scored[i].Class)
+		buf = append(buf, option{dec, prob})
+	}
+	return buf
 }
 
 // pathPenalty discounts expansion tables beyond the minimal Steiner tree so
@@ -454,15 +488,15 @@ func (e *Enumerator) nextStep(ctx *guidance.Context, p *state) ([]*state, error)
 // cannot separate them once deeper decisions differentiate confidence.
 const pathPenalty = 0.45
 
-// joinPathChildren expands progressive join path construction (Algorithm 2):
-// one child per candidate path. The minimal paths keep the parent's
+// joinPathOptions expands progressive join path construction (Algorithm 2):
+// one option per candidate path. The minimal paths keep the parent's
 // confidence (as in the paper); each expansion table multiplies in
 // pathPenalty, and path length remains the secondary tiebreaker.
-func (e *Enumerator) joinPathChildren(p *state) ([]*state, error) {
-	paths, err := e.graph.ConstructJoinPaths(p.q)
+func (e *Enumerator) joinPathOptions(q *sqlir.Query, buf []option) []option {
+	paths, err := e.graph.ConstructJoinPaths(q)
 	if err != nil {
 		// Disconnected column sets have no valid FROM clause: prune.
-		return nil, nil
+		return buf
 	}
 	minLen := 0
 	for i, jp := range paths {
@@ -470,26 +504,11 @@ func (e *Enumerator) joinPathChildren(p *state) ([]*state, error) {
 			minLen = jp.Len()
 		}
 	}
-	out := make([]*state, 0, len(paths))
 	for _, jp := range paths {
 		prob := math.Pow(pathPenalty, float64(jp.Len()-minLen))
-		out = append(out, e.child(p, prob, p.q.WithFrom(jp), sqlir.Decision{Kind: sqlir.DecideFrom}))
+		buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideFrom, From: jp}, prob})
 	}
-	return out, nil
-}
-
-// mapChildren turns a module distribution into child states: one per output
-// class, each the parent's query with decision dec filled in by derive.
-func mapChildren[T any](e *Enumerator, p *state, uniform bool, scored []guidance.Scored[T], dec sqlir.Decision, derive func(class T) *sqlir.Query) []*state {
-	out := make([]*state, 0, len(scored))
-	for _, s := range scored {
-		prob := s.Prob
-		if uniform {
-			prob = 1
-		}
-		out = append(out, e.child(p, prob, derive(s.Class), dec))
-	}
-	return out
+	return buf
 }
 
 func firstUndecidedCol(q *sqlir.Query) int {
@@ -524,18 +543,6 @@ func firstPredWithout(q *sqlir.Query, unset func(sqlir.Predicate) bool) int {
 		}
 	}
 	return -1
-}
-
-// unaggregatedCols lists the unaggregated projected columns (the GROUP BY
-// key mandated by SQL semantics).
-func unaggregatedCols(q *sqlir.Query) []sqlir.ColumnRef {
-	var out []sqlir.ColumnRef
-	for _, s := range q.Select {
-		if s.Complete() && s.Agg == sqlir.AggNone && !s.Col.IsStar() {
-			out = append(out, s.Col)
-		}
-	}
-	return out
 }
 
 // SchemaGraph exposes the enumerator's schema graph (used by the PBE

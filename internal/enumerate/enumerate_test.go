@@ -2,6 +2,8 @@ package enumerate
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -346,6 +348,91 @@ func TestMaxStatesCap(t *testing.T) {
 	}
 	if res.States > 50 {
 		t.Errorf("states = %d exceeds cap", res.States)
+	}
+}
+
+// TestBoundedFrontierIsTheSameSearch: under a MaxStates cap the frontier
+// drops what can no longer be popped. The capped search must expand exactly
+// the states an unbounded frontier would — its candidates are the uncapped
+// run's up to the cap, state counts included — and must not claim to have
+// exhausted a space it threw part of away.
+func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
+	db := movieDB()
+	run := func(maxStates int) *Result {
+		v := verify.New(db, semrules.Default(), nil, nil)
+		e := New(db, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates, Workers: 1})
+		res, err := e.Enumerate(context.Background(), "titles of movies and their years", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const limit = 700
+	capped, free := run(limit), run(50*limit)
+	if capped.States != limit || capped.Exhausted || capped.Truncated {
+		t.Fatalf("capped run: %d states, exhausted %v, truncated %v; want the cap reached, neither flag", capped.States, capped.Exhausted, capped.Truncated)
+	}
+	var want []Candidate
+	for _, c := range free.Candidates {
+		if c.States <= limit {
+			want = append(want, c)
+		}
+	}
+	if len(want) == 0 || len(want) == len(free.Candidates) {
+		t.Fatalf("%d of the uncapped run's %d candidates fall under the cap; the comparison needs some, not all", len(want), len(free.Candidates))
+	}
+	if len(capped.Candidates) != len(want) {
+		t.Fatalf("capped run emitted %d candidates, the uncapped run %d by state %d", len(capped.Candidates), len(want), limit)
+	}
+	for i, c := range capped.Candidates {
+		w := want[i]
+		if c.Query.Canonical() != w.Query.Canonical() || c.Confidence != w.Confidence || c.Rank != w.Rank || c.States != w.States {
+			t.Errorf("candidate %d: capped %s (conf %v, state %d), uncapped %s (conf %v, state %d)",
+				i, c.Query, c.Confidence, c.States, w.Query, w.Confidence, w.States)
+		}
+	}
+}
+
+// TestFrontierBoundKeepsTheBest: after bound(k) the frontier pops exactly
+// the k best entries of what it held, in order, in every ordering mode.
+func TestFrontierBoundKeepsTheBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
+		var all []entry
+		for i := 0; i < 1000; i++ {
+			e := entry{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
+			all = append(all, e)
+			f.push(e)
+		}
+		sort.Slice(all, func(i, j int) bool { return f.less(&all[i], &all[j]) })
+		f.bound(600) // holds fewer than twice that: nothing to drop
+		if f.len() != 1000 || f.dropped {
+			t.Fatalf("bound(600) of 1000 entries left %d, dropped %v", f.len(), f.dropped)
+		}
+		for _, k := range []int{300, 7, 1} {
+			f.bound(k)
+			if f.len() != k || !f.dropped {
+				t.Fatalf("bound(%d) left %d entries, dropped %v", k, f.len(), f.dropped)
+			}
+			got := f.pop()
+			if got.seq != all[0].seq {
+				t.Fatalf("after bound(%d) the best entry is seq %d, want %d", k, got.seq, all[0].seq)
+			}
+			all = all[1:]
+		}
+		if f.len() != 0 {
+			t.Fatalf("%d entries left", f.len())
+		}
+		// Popping in order after a bound: rebuild and drain.
+		for _, e := range all[:200] {
+			f.push(e)
+		}
+		f.bound(50)
+		for i := 0; f.len() > 0; i++ {
+			if got := f.pop(); got.seq != all[i].seq {
+				t.Fatalf("pop %d after bound: seq %d, want %d", i, got.seq, all[i].seq)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlexec"
+	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
@@ -23,50 +24,107 @@ func transientErr(err error) bool {
 		faultinject.IsInjected(err)
 }
 
-// verifyJob is one pending check handed to the pool. idx is the child's
-// position within its expansion batch, so results arriving out of order can
-// be reassembled into the sequential engine's processing order.
-type verifyJob struct {
-	idx   int
-	check verify.Check
-}
-
-// verifyResult is one verification outcome fed back to the search loop.
+// verifyResult is what the search learns about one child of an expansion.
+// idx is the child's position within its expansion, so results arriving
+// out of order can be reassembled into the sequential engine's processing
+// order.
 type verifyResult struct {
-	idx       int
-	out       verify.Outcome
+	idx      int
+	complete bool // the child has no holes left
+	// q is the child as a query of its own, built because its check went on
+	// to Finish and needed one that outlives the scratch; nil otherwise.
+	q         *sqlir.Query
+	out       verify.Outcome // meaningful only when the child needed verifying
 	err       error
 	cancelled bool // the request died, or drew an injected fault, mid-check
 }
 
-// settled turns a finished check into a result: a transient error — the
-// request was cancelled or faulted mid-check, so the partial outcome is
-// meaningless — reports cancellation instead.
-func settled(idx int, out verify.Outcome, err error) verifyResult {
-	if transientErr(err) {
-		return verifyResult{idx: idx, cancelled: true}
-	}
-	return verifyResult{idx: idx, out: out, err: err}
+// verifyJob is one pending check handed to the pool: the child's result so
+// far and what is left of its check.
+type verifyJob struct {
+	r     verifyResult
+	check verify.Check
 }
 
-// verifyChild runs one child's whole cascade on the calling goroutine.
-func verifyChild(ctx context.Context, v *verify.Verifier, c *state) verifyResult {
-	chk, err := v.Begin(ctx, c.q, c.dec)
-	if err != nil || !chk.Pending() {
-		return settled(0, chk.Outcome(), err)
+// settle closes r with a finished check: a transient error — the request
+// was cancelled or faulted mid-check, so the partial outcome is meaningless
+// — reports cancellation instead.
+func (r *verifyResult) settle(out verify.Outcome, err error) {
+	if transientErr(err) {
+		r.cancelled = true
+		return
 	}
-	out, err := v.Finish(ctx, chk)
-	return settled(0, out, err)
+	r.out, r.err = out, err
+}
+
+// begin builds the child of q by decision d in the scratch and runs its
+// check on the search goroutine as far as that takes no database work
+// (verify.Begin), inheriting q's proofs when q passed the cascade. What it
+// learns goes into r. A check left pending comes back with the child
+// derived for real in r.q: the scratch is the next child's a moment later.
+func (s *search) begin(q *sqlir.Query, inherit bool, d sqlir.Decision, r *verifyResult) verify.Check {
+	c := s.scratch.Apply(q, d)
+	r.complete = c.Complete()
+	if !s.needVerify(r.complete) {
+		return verify.Check{}
+	}
+	proved := d
+	if !inherit {
+		proved = sqlir.Decision{} // nothing proved to inherit
+	}
+	chk, err := s.e.verifier.Begin(s.ctx, c, proved)
+	if err != nil || !chk.Pending() {
+		r.settle(chk.Outcome(), err)
+		return verify.Check{}
+	}
+	r.q = q.Apply(d)
+	return chk
+}
+
+// verifyChild runs one child's whole cascade on the search goroutine.
+func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
+	if chk := s.begin(q, inherit, d, &r); chk.Pending() {
+		r.settle(s.e.verifier.Finish(s.ctx, chk, r.q))
+	}
+	return r
+}
+
+// verifyBatch checks one expansion's children and returns the results in a
+// slice aligned with opts — the reordering buffer that keeps emission order
+// identical to the sequential engine. The slice is valid until the next
+// call. Every check's no-database prefix runs here; those left pending go
+// to the pool when there are two or more — one alone is finished where it
+// stands.
+func (s *search) verifyBatch(q *sqlir.Query, inherit bool, opts []option) []verifyResult {
+	p := s.pool
+	p.results = append(p.results[:0], make([]verifyResult, len(opts))...)
+	p.pending = p.pending[:0]
+	for i := range opts {
+		r := &p.results[i]
+		r.idx = i
+		if chk := s.begin(q, inherit, opts[i].dec, r); chk.Pending() {
+			p.pending = append(p.pending, verifyJob{r: *r, check: chk})
+		}
+	}
+	switch len(p.pending) {
+	case 0:
+	case 1:
+		j := &p.pending[0]
+		p.results[j.r.idx].settle(p.v.Finish(p.ctx, j.check, j.r.q))
+	default:
+		p.run()
+	}
+	return p.results
 }
 
 // verifyPool is a bounded pool of workers doing the database work of TSQ
 // verification concurrently. The search goroutine runs every check's
-// no-database prefix itself (verify.Begin); only checks that reach a memo
-// miss or the by-order execution come here, and only when an expansion has
-// two or more of them — one alone is finished where it stands. The priority
-// queue and guidance scoring stay on the enumerator's goroutine to keep the
-// paper's best-first order deterministic. A pool is bound to one Enumerate
-// call and must be closed when the search ends.
+// no-database prefix itself (search.begin); only checks that reach a memo
+// miss or the by-order execution come here, each with a query of its own,
+// and only when an expansion has two or more of them (search.verifyBatch).
+// The frontier and guidance scoring stay on the enumerator's goroutine to
+// keep the paper's best-first order deterministic. A pool is bound to one
+// Enumerate call and must be closed when the search ends.
 //
 // When the context carries the engine's shared sqlexec.WorkerPool, each
 // worker holds one of its tokens for the duration of a job (advisory, via
@@ -112,67 +170,44 @@ func (p *verifyPool) start() {
 			defer p.wg.Done()
 			for j := range p.jobs {
 				if p.ctx.Err() != nil {
-					p.done <- verifyResult{idx: j.idx, cancelled: true}
+					j.r.cancelled = true
+					p.done <- j.r
 					continue
 				}
 				held := shared.TryAcquire()
-				out, err := p.v.Finish(p.ctx, j.check)
+				out, err := p.v.Finish(p.ctx, j.check, j.r.q)
 				if held {
 					shared.Release()
 				}
-				p.done <- settled(j.idx, out, err)
+				j.r.settle(out, err)
+				p.done <- j.r
 			}
 		}()
 	}
 }
 
-// verifyBatch checks one expansion's children and returns the outcomes in a
-// slice aligned with states — the reordering buffer that keeps emission
-// order identical to the sequential engine. The slice is valid until the
-// next call. Children for which needVerify reports false are left as zero
-// values and must not be consulted by the caller.
-func (p *verifyPool) verifyBatch(states []*state, needVerify func(*state) bool) []verifyResult {
-	p.results = append(p.results[:0], make([]verifyResult, len(states))...)
-	p.pending = p.pending[:0]
-	for i, s := range states {
-		if !needVerify(s) {
-			continue
-		}
-		chk, err := p.v.Begin(p.ctx, s.q, s.dec)
-		if err == nil && chk.Pending() {
-			p.pending = append(p.pending, verifyJob{idx: i, check: chk})
-			continue
-		}
-		p.results[i] = settled(i, chk.Outcome(), err)
+// run hands the pending checks to the workers, starting them if this is the
+// first batch to need any, and files each result under its child's index.
+func (p *verifyPool) run() {
+	if p.jobs == nil {
+		p.start()
 	}
-	switch len(p.pending) {
-	case 0:
-	case 1:
-		j := p.pending[0]
-		out, err := p.v.Finish(p.ctx, j.check)
-		p.results[j.idx] = settled(j.idx, out, err)
-	default:
-		if p.jobs == nil {
-			p.start()
+	// Dispatch and collect in one loop: done is unbuffered, so a worker
+	// with a result must be received from before it can take a new job.
+	for sent, got := 0, 0; got < len(p.pending); {
+		var jobs chan<- verifyJob
+		var next verifyJob
+		if sent < len(p.pending) {
+			jobs, next = p.jobs, p.pending[sent]
 		}
-		// Dispatch and collect in one loop: done is unbuffered, so a worker
-		// with a result must be received from before it can take a new job.
-		for sent, got := 0, 0; got < len(p.pending); {
-			var jobs chan<- verifyJob
-			var next verifyJob
-			if sent < len(p.pending) {
-				jobs, next = p.jobs, p.pending[sent]
-			}
-			select {
-			case jobs <- next:
-				sent++
-			case r := <-p.done:
-				p.results[r.idx] = r
-				got++
-			}
+		select {
+		case jobs <- next:
+			sent++
+		case r := <-p.done:
+			p.results[r.idx] = r
+			got++
 		}
 	}
-	return p.results
 }
 
 // close shuts the pool down and waits for all workers to exit.

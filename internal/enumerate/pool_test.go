@@ -2,7 +2,6 @@ package enumerate
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/guidance"
@@ -22,53 +21,56 @@ func poolVerifier() *verify.Verifier {
 	}, nil)
 }
 
-// poolStates builds n states holding a complete query that satisfies
-// poolVerifier's TSQ.
-func poolStates(n int) []*state {
-	q := sqlparse.MustParse(movieDB().Schema, "SELECT title FROM movie")
-	out := make([]*state, n)
-	for i := range out {
-		out[i] = &state{q: q, complete: true}
+// poolSearch is a search over poolVerifier with a pool of n workers.
+func poolSearch(ctx context.Context, n int) *search {
+	e := New(movieDB(), guidance.NewLexicalModel(), poolVerifier(), Options{Workers: n})
+	return e.newSearch(ctx, "", nil)
+}
+
+// poolOptions builds a parent and n options for it, alternating between
+// one that completes it into a query satisfying poolVerifier's TSQ — which
+// therefore has by-order work for the pool — and one that leaves it
+// incomplete.
+func poolOptions(n int) (*sqlir.Query, []option) {
+	full := sqlparse.MustParse(movieDB().Schema, "SELECT title FROM movie")
+	parent := *full
+	parent.From = nil
+	opts := make([]option, n)
+	for i := range opts {
+		opts[i] = option{sqlir.Decision{Kind: sqlir.DecideFrom, From: full.From}, 1}
+		if i%2 == 1 {
+			opts[i] = option{sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone}, 1}
+		}
 	}
-	return out
+	return &parent, opts
 }
 
 // TestPoolReorderSkipsUnverified: the reordering buffer leaves slots whose
-// needVerify said no as zero values and fills every dispatched slot, in
-// index alignment, regardless of worker completion order.
+// needVerify said no unverified and fills every dispatched slot, in index
+// alignment, regardless of worker completion order.
 func TestPoolReorderSkipsUnverified(t *testing.T) {
-	pool := newVerifyPool(context.Background(), poolVerifier(), 4)
-	defer pool.close()
+	s := poolSearch(context.Background(), 4)
+	defer s.close()
+	s.needVerify = func(complete bool) bool { return complete } // ModeNoPQ's rule
 
-	states := poolStates(16)
+	parent, opts := poolOptions(16)
 	for round := 0; round < 8; round++ {
-		results := pool.verifyBatch(states, func(s *state) bool {
-			return indexOf(states, s)%2 == 0
-		})
-		if len(results) != len(states) {
-			t.Fatalf("got %d results for %d states", len(results), len(states))
+		results := s.verifyBatch(parent, false, opts)
+		if len(results) != len(opts) {
+			t.Fatalf("got %d results for %d options", len(results), len(opts))
 		}
 		for i, r := range results {
 			if i%2 == 1 {
-				if r.cancelled || r.err != nil || r.out.OK {
+				if r.complete || r.q != nil || r.cancelled || r.err != nil || r.out.OK {
 					t.Fatalf("slot %d was skipped but holds %+v", i, r)
 				}
 				continue
 			}
-			if r.cancelled || r.err != nil || !r.out.OK {
-				t.Fatalf("slot %d: outcome %+v, want verified OK", i, r)
+			if !r.complete || r.q == nil || r.cancelled || r.err != nil || !r.out.OK {
+				t.Fatalf("slot %d: result %+v, want verified OK on a query of its own", i, r)
 			}
 		}
 	}
-}
-
-func indexOf(states []*state, s *state) int {
-	for i := range states {
-		if states[i] == s {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestPoolCancelMidDrain cancels the search context halfway through a
@@ -78,21 +80,24 @@ func indexOf(states []*state, s *state) int {
 // close() must not deadlock on the drained queue.
 func TestPoolCancelMidDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	pool := newVerifyPool(ctx, poolVerifier(), 3)
-	defer pool.close()
+	s := poolSearch(ctx, 3)
+	defer s.close()
 
-	states := poolStates(24)
-	var dispatched atomic.Int64
-	results := pool.verifyBatch(states, func(*state) bool {
-		if dispatched.Add(1) == int64(len(states)/2) {
+	parent, opts := poolOptions(48)
+	begun := 0
+	s.needVerify = func(complete bool) bool {
+		if begun++; begun == len(opts)/2 {
 			cancel()
 		}
-		return true
-	})
+		return complete
+	}
+	results := s.verifyBatch(parent, false, opts)
 
 	sawCancelled := false
 	for i, r := range results {
 		switch {
+		case i%2 == 1:
+			// incomplete: not verified
 		case r.cancelled:
 			sawCancelled = true
 		case r.err == nil && r.out.OK:
@@ -107,9 +112,9 @@ func TestPoolCancelMidDrain(t *testing.T) {
 
 	// A batch dispatched entirely after cancellation reports cancelled
 	// everywhere: a cancelled search drains without touching the verifier.
-	results = pool.verifyBatch(poolStates(6), func(*state) bool { return true })
-	for i, r := range results {
-		if !r.cancelled {
+	parent, opts = poolOptions(12)
+	for i, r := range s.verifyBatch(parent, false, opts) {
+		if i%2 == 0 && !r.cancelled {
 			t.Fatalf("slot %d after cancel: %+v, want cancelled", i, r)
 		}
 	}

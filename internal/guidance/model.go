@@ -62,7 +62,10 @@ type DirLimit struct {
 // Context carries the NLQ, literals, schema, and the partial query built so
 // far; index arguments identify the slot being decided. Every method must
 // return a distribution whose probabilities sum to 1; an empty slice means
-// the module has no viable output class and the branch dies.
+// the module has no viable output class and the branch dies. The returned
+// slice is the caller's: the search queues its children as pointers to the
+// classes in it, so a model must neither write to it afterwards nor return
+// the same storage twice.
 type Model interface {
 	// Keywords predicts which optional clauses the query contains.
 	Keywords(ctx *Context) []Scored[KeywordSet]

@@ -8,7 +8,7 @@
 package semrules
 
 import (
-	"fmt"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -37,22 +37,37 @@ type RuleSet struct {
 	rules []Rule
 }
 
-// Default returns the paper's Table 4 rules plus the type-consistency
-// additions described in §3.4.
-func Default() *RuleSet {
-	return &RuleSet{rules: []Rule{
-		{"inconsistent predicates", checkInconsistentPredicates},
-		{"duplicate predicate", checkDuplicatePredicates},
-		{"constant output column", checkConstantOutputColumn},
-		{"ungrouped aggregation", checkUngroupedAggregation},
-		{"GROUP BY with singleton groups", checkSingletonGroups},
-		{"unnecessary GROUP BY", checkUnnecessaryGroupBy},
-		{"aggregate type usage", checkAggregateTypeUsage},
-		{"faulty type comparison", checkFaultyTypeComparison},
-		{"predicate value type", checkPredicateValueType},
-		{"column outside join path", checkColumnsInJoinPath},
+// builtin makes a Table 4 rule from its predicate. A request rejects
+// children by the hundred and nothing on its path reads why, so a built-in
+// rule reports one preallocated violation that names the rule and says what
+// it looks for, not which column tripped it.
+func builtin(name, detail string, broken func(q *sqlir.Query, schema *storage.Schema) bool) Rule {
+	v := &Violation{Rule: name, Detail: detail}
+	return Rule{Name: name, Check: func(q *sqlir.Query, schema *storage.Schema) *Violation {
+		if broken(q, schema) {
+			return v
+		}
+		return nil
 	}}
 }
+
+// defaults are the built-in rules: Table 4 plus the type-consistency
+// additions described in §3.4.
+var defaults = []Rule{
+	builtin("inconsistent predicates", "AND-ed predicates on one column cannot all hold", inconsistentPredicates),
+	builtin("duplicate predicate", "the same predicate appears twice", duplicatePredicates),
+	builtin("constant output column", "a projected column is pinned by an equality predicate", constantOutputColumn),
+	builtin("ungrouped aggregation", "aggregated and unaggregated projections without GROUP BY", ungroupedAggregation),
+	builtin("GROUP BY with singleton groups", "a grouping column is a primary key", singletonGroups),
+	builtin("unnecessary GROUP BY", "no aggregates in SELECT, ORDER BY or HAVING", unnecessaryGroupBy),
+	builtin("aggregate type usage", "MIN, MAX, AVG or SUM over a text column", aggregateTypeUsage),
+	builtin("faulty type comparison", "an ordering operator on a text column or LIKE on a numeric one", faultyTypeComparison),
+	builtin("predicate value type", "a literal's type disagrees with what it is compared with", predicateValueType),
+	builtin("column outside join path", "a referenced table is not in the FROM clause", columnsOutsideJoinPath),
+}
+
+// Default returns a rule set holding the built-in rules.
+func Default() *RuleSet { return &RuleSet{rules: slices.Clone(defaults)} }
 
 // Empty returns a rule set with no rules (for ablations).
 func Empty() *RuleSet { return &RuleSet{} }
@@ -73,17 +88,6 @@ func (rs *RuleSet) Check(q *sqlir.Query, schema *storage.Schema) *Violation {
 	return nil
 }
 
-// decidedPreds returns the fully decided predicates.
-func decidedPreds(q *sqlir.Query) []sqlir.Predicate {
-	var out []sqlir.Predicate
-	for _, p := range q.Where.Preds {
-		if p.Complete() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // andSemantics reports whether the WHERE clause is known to be a
 // conjunction: an explicit AND, or a single-predicate clause.
 func andSemantics(q *sqlir.Query) bool {
@@ -93,142 +97,145 @@ func andSemantics(q *sqlir.Query) bool {
 	return q.Where.ConjSet && q.Where.Conj == sqlir.LogicAnd
 }
 
-// checkInconsistentPredicates prunes AND-conjoined predicates on one column
+// inconsistentPredicates prunes AND-conjoined predicates on one column
 // that cannot be simultaneously satisfied (Table 4 row 1).
-func checkInconsistentPredicates(q *sqlir.Query, _ *storage.Schema) *Violation {
+func inconsistentPredicates(q *sqlir.Query, _ *storage.Schema) bool {
 	if !andSemantics(q) {
-		return nil
+		return false
 	}
-	byCol := map[sqlir.ColumnRef][]sqlir.Predicate{}
-	for _, p := range decidedPreds(q) {
-		byCol[p.Col] = append(byCol[p.Col], p)
-	}
-	for col, preds := range byCol {
-		if len(preds) < 2 {
+	preds := q.Where.Preds
+	for i := range preds {
+		if !preds[i].Complete() {
 			continue
 		}
-		if contradictory(preds) {
-			return &Violation{"inconsistent predicates",
-				fmt.Sprintf("predicates on %s contradict", col)}
+		// Each column is examined once, from its first decided predicate.
+		first, others := true, false
+		for j := range preds {
+			if j != i && preds[j].Complete() && preds[j].Col == preds[i].Col {
+				if j < i {
+					first = false
+					break
+				}
+				others = true
+			}
+		}
+		if first && others && contradictory(preds, preds[i].Col) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// contradictory reports whether a set of same-column predicates is
+// contradictory reports whether the decided predicates on col are
 // unsatisfiable under AND.
-func contradictory(preds []sqlir.Predicate) bool {
-	var eqs []sqlir.Value
-	var nes []sqlir.Value
+func contradictory(preds []sqlir.Predicate, col sqlir.ColumnRef) bool {
+	var eq sqlir.Value // the first equality's value
+	hasEq := false
 	// Numeric interval: [lo, hi] with exclusivity flags.
-	var lo, hi *float64
-	loExcl, hiExcl := false, false
+	var lo, hi float64
+	hasLo, hasHi, loExcl, hiExcl := false, false, false, false
 	for _, p := range preds {
+		if !p.Complete() || p.Col != col {
+			continue
+		}
 		switch p.Op {
 		case sqlir.OpEq:
-			eqs = append(eqs, p.Val)
-		case sqlir.OpNe:
-			nes = append(nes, p.Val)
+			if hasEq && !p.Val.Equal(eq) {
+				return true // col = a AND col = b
+			}
+			eq, hasEq = p.Val, true
 		case sqlir.OpGt, sqlir.OpGe:
 			if p.Val.Kind != sqlir.KindNumber {
 				continue
 			}
 			v := p.Val.Num
-			if lo == nil || v > *lo || (v == *lo && p.Op == sqlir.OpGt) {
-				lo = &v
-				loExcl = p.Op == sqlir.OpGt
+			if !hasLo || v > lo || (v == lo && p.Op == sqlir.OpGt) {
+				lo, hasLo, loExcl = v, true, p.Op == sqlir.OpGt
 			}
 		case sqlir.OpLt, sqlir.OpLe:
 			if p.Val.Kind != sqlir.KindNumber {
 				continue
 			}
 			v := p.Val.Num
-			if hi == nil || v < *hi || (v == *hi && p.Op == sqlir.OpLt) {
-				hi = &v
-				hiExcl = p.Op == sqlir.OpLt
+			if !hasHi || v < hi || (v == hi && p.Op == sqlir.OpLt) {
+				hi, hasHi, hiExcl = v, true, p.Op == sqlir.OpLt
 			}
 		}
 	}
-	for i := 1; i < len(eqs); i++ {
-		if !eqs[i].Equal(eqs[0]) {
-			return true // col = a AND col = b
-		}
-	}
-	for _, ne := range nes {
-		for _, eq := range eqs {
-			if ne.Equal(eq) {
+	if hasEq {
+		// Every equality agrees with eq, so one comparison per != suffices.
+		for _, p := range preds {
+			if p.Complete() && p.Col == col && p.Op == sqlir.OpNe && p.Val.Equal(eq) {
 				return true // col = a AND col != a
 			}
 		}
-	}
-	if len(eqs) > 0 && eqs[0].Kind == sqlir.KindNumber {
-		v := eqs[0].Num
-		if lo != nil && (v < *lo || (v == *lo && loExcl)) {
-			return true
+		if eq.Kind == sqlir.KindNumber {
+			v := eq.Num
+			if hasLo && (v < lo || (v == lo && loExcl)) {
+				return true
+			}
+			if hasHi && (v > hi || (v == hi && hiExcl)) {
+				return true
+			}
 		}
-		if hi != nil && (v > *hi || (v == *hi && hiExcl)) {
-			return true
-		}
 	}
-	if lo != nil && hi != nil {
-		if *lo > *hi || (*lo == *hi && (loExcl || hiExcl)) {
+	if hasLo && hasHi {
+		if lo > hi || (lo == hi && (loExcl || hiExcl)) {
 			return true // empty interval
 		}
 	}
 	return false
 }
 
-// checkDuplicatePredicates prunes repeated identical predicates, which are
+// duplicatePredicates prunes repeated identical predicates, which are
 // redundant under both AND and OR.
-func checkDuplicatePredicates(q *sqlir.Query, _ *storage.Schema) *Violation {
-	preds := decidedPreds(q)
-	for i := 0; i < len(preds); i++ {
+func duplicatePredicates(q *sqlir.Query, _ *storage.Schema) bool {
+	preds := q.Where.Preds
+	for i := range preds {
+		if !preds[i].Complete() {
+			continue
+		}
 		for j := i + 1; j < len(preds); j++ {
-			if preds[i].Col == preds[j].Col && preds[i].Op == preds[j].Op &&
+			if preds[j].Complete() && preds[i].Col == preds[j].Col && preds[i].Op == preds[j].Op &&
 				preds[i].Val.Equal(preds[j].Val) {
-				return &Violation{"duplicate predicate", preds[i].String()}
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }
 
-// checkConstantOutputColumn prunes projecting a column that an AND-conjoined
+// constantOutputColumn prunes projecting a column that an AND-conjoined
 // equality predicate pins to a constant (Table 4 row 2). The value need not
 // be decided: any equality makes the projection constant.
-func checkConstantOutputColumn(q *sqlir.Query, _ *storage.Schema) *Violation {
+func constantOutputColumn(q *sqlir.Query, _ *storage.Schema) bool {
 	if !andSemantics(q) {
-		return nil
+		return false
 	}
-	pinned := map[sqlir.ColumnRef]bool{}
 	for _, p := range q.Where.Preds {
-		if p.ColSet && p.OpSet && p.Op == sqlir.OpEq {
-			pinned[p.Col] = true
+		if !p.ColSet || !p.OpSet || p.Op != sqlir.OpEq {
+			continue
+		}
+		for _, s := range q.Select {
+			if s.Complete() && s.Agg == sqlir.AggNone && s.Col == p.Col {
+				return true
+			}
 		}
 	}
-	if len(pinned) == 0 {
-		return nil
-	}
-	for _, s := range q.Select {
-		if s.Complete() && s.Agg == sqlir.AggNone && pinned[s.Col] {
-			return &Violation{"constant output column",
-				fmt.Sprintf("%s is pinned by an equality predicate", s.Col)}
-		}
-	}
-	return nil
+	return false
 }
 
-// checkUngroupedAggregation prunes mixing aggregated and unaggregated
+// ungroupedAggregation prunes mixing aggregated and unaggregated
 // projections without GROUP BY (Table 4 row 3). Fires only once the select
 // list and the KW decision are final.
-func checkUngroupedAggregation(q *sqlir.Query, _ *storage.Schema) *Violation {
+func ungroupedAggregation(q *sqlir.Query, _ *storage.Schema) bool {
 	if !q.KWSet || q.GroupByState != sqlir.ClauseAbsent || !q.SelectCountSet {
-		return nil
+		return false
 	}
 	hasAgg, hasPlain := false, false
 	for _, s := range q.Select {
 		if !s.AggSet {
-			return nil // not final yet
+			return false // not final yet
 		}
 		if s.Agg == sqlir.AggNone {
 			hasPlain = true
@@ -236,65 +243,54 @@ func checkUngroupedAggregation(q *sqlir.Query, _ *storage.Schema) *Violation {
 			hasAgg = true
 		}
 	}
-	if hasAgg && hasPlain {
-		return &Violation{"ungrouped aggregation",
-			"aggregated and unaggregated projections without GROUP BY"}
-	}
-	return nil
+	return hasAgg && hasPlain
 }
 
-// checkSingletonGroups prunes GROUP BY on a primary key: every group is a
+// singletonGroups prunes GROUP BY on a primary key: every group is a
 // single row and aggregation is unnecessary (Table 4 row 4).
-func checkSingletonGroups(q *sqlir.Query, schema *storage.Schema) *Violation {
+func singletonGroups(q *sqlir.Query, schema *storage.Schema) bool {
 	if q.GroupByState != sqlir.ClausePresent {
-		return nil
+		return false
 	}
 	for _, g := range q.GroupBy {
 		t := schema.Table(g.Table)
 		if t != nil && t.PrimaryKey != "" && t.PrimaryKey == g.Column {
-			return &Violation{"GROUP BY with singleton groups",
-				fmt.Sprintf("%s is a primary key", g)}
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// checkUnnecessaryGroupBy prunes GROUP BY when no aggregate can appear in
+// unnecessaryGroupBy prunes GROUP BY when no aggregate can appear in
 // SELECT, ORDER BY, or HAVING (Table 4 row 5). Pending clauses block the
 // rule because a later decision could still introduce an aggregate.
-func checkUnnecessaryGroupBy(q *sqlir.Query, _ *storage.Schema) *Violation {
+func unnecessaryGroupBy(q *sqlir.Query, _ *storage.Schema) bool {
 	if q.GroupByState != sqlir.ClausePresent || !q.SelectCountSet {
-		return nil
+		return false
 	}
 	for _, s := range q.Select {
-		if !s.AggSet {
-			return nil
-		}
-		if s.Agg != sqlir.AggNone {
-			return nil
+		if !s.AggSet || s.Agg != sqlir.AggNone {
+			return false
 		}
 	}
 	switch q.HavingState {
 	case sqlir.ClausePending, sqlir.ClausePresent:
-		return nil // HAVING carries an aggregate by construction
+		return false // HAVING carries an aggregate by construction
 	}
 	switch q.OrderByState {
 	case sqlir.ClausePending:
-		return nil
+		return false
 	case sqlir.ClausePresent:
-		if !q.OrderBy.KeySet {
-			return nil
-		}
-		if q.OrderBy.Key.Agg != sqlir.AggNone {
-			return nil
+		if !q.OrderBy.KeySet || q.OrderBy.Key.Agg != sqlir.AggNone {
+			return false
 		}
 	}
-	return &Violation{"unnecessary GROUP BY", "no aggregates in SELECT, ORDER BY or HAVING"}
+	return true
 }
 
-// checkAggregateTypeUsage prunes MIN/MAX/AVG/SUM applied to text columns
+// aggregateTypeUsage prunes MIN/MAX/AVG/SUM applied to text columns
 // (Table 4 row 6) anywhere an aggregate can occur.
-func checkAggregateTypeUsage(q *sqlir.Query, schema *storage.Schema) *Violation {
+func aggregateTypeUsage(q *sqlir.Query, schema *storage.Schema) bool {
 	bad := func(agg sqlir.AggFunc, col sqlir.ColumnRef) bool {
 		if agg == sqlir.AggNone || agg == sqlir.AggCount || col.IsStar() {
 			return false
@@ -304,26 +300,20 @@ func checkAggregateTypeUsage(q *sqlir.Query, schema *storage.Schema) *Violation 
 	}
 	for _, s := range q.Select {
 		if s.Complete() && bad(s.Agg, s.Col) {
-			return &Violation{"aggregate type usage",
-				fmt.Sprintf("%s(%s) on text column", s.Agg, s.Col)}
+			return true
 		}
 	}
 	if q.HavingState == sqlir.ClausePresent && q.Having.AggSet && q.Having.ColSet &&
 		bad(q.Having.Agg, q.Having.Col) {
-		return &Violation{"aggregate type usage",
-			fmt.Sprintf("HAVING %s(%s) on text column", q.Having.Agg, q.Having.Col)}
+		return true
 	}
-	if q.OrderByState == sqlir.ClausePresent && q.OrderBy.KeySet &&
-		bad(q.OrderBy.Key.Agg, q.OrderBy.Key.Col) {
-		return &Violation{"aggregate type usage",
-			fmt.Sprintf("ORDER BY %s(%s) on text column", q.OrderBy.Key.Agg, q.OrderBy.Key.Col)}
-	}
-	return nil
+	return q.OrderByState == sqlir.ClausePresent && q.OrderBy.KeySet &&
+		bad(q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
 }
 
-// checkFaultyTypeComparison prunes ordering operators on text columns and
-// LIKE on numeric columns (Table 4 row 7).
-func checkFaultyTypeComparison(q *sqlir.Query, schema *storage.Schema) *Violation {
+// faultyTypeComparison prunes ordering operators on text columns and LIKE
+// on numeric columns (Table 4 row 7).
+func faultyTypeComparison(q *sqlir.Query, schema *storage.Schema) bool {
 	for _, p := range q.Where.Preds {
 		if !p.ColSet || !p.OpSet {
 			continue
@@ -333,39 +323,36 @@ func checkFaultyTypeComparison(q *sqlir.Query, schema *storage.Schema) *Violatio
 			continue
 		}
 		if p.Op.Ordering() && ty == sqlir.TypeText {
-			return &Violation{"faulty type comparison",
-				fmt.Sprintf("%s %s on text column", p.Col, p.Op)}
+			return true
 		}
 		if p.Op == sqlir.OpLike && ty == sqlir.TypeNumber {
-			return &Violation{"faulty type comparison",
-				fmt.Sprintf("%s LIKE on numeric column", p.Col)}
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// checkColumnsInJoinPath prunes queries referencing a column whose table is
+// columnsOutsideJoinPath prunes queries referencing a column whose table is
 // not in the decided FROM clause — structurally invalid SQL that guided
 // enumeration can produce when a join path was fixed before a later column
 // decision.
-func checkColumnsInJoinPath(q *sqlir.Query, _ *storage.Schema) *Violation {
+func columnsOutsideJoinPath(q *sqlir.Query, _ *storage.Schema) bool {
 	if q.From == nil {
-		return nil
+		return false
 	}
 	var buf [8]string // keeps the common case off the heap
 	for _, t := range q.AppendReferencedTables(buf[:0]) {
 		if !q.From.Contains(t) {
-			return &Violation{"column outside join path",
-				fmt.Sprintf("table %s is not in the FROM clause", t)}
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// checkPredicateValueType prunes predicates whose literal type disagrees
-// with the column type (an addition beyond Table 4 that removes obviously
-// empty comparisons early).
-func checkPredicateValueType(q *sqlir.Query, schema *storage.Schema) *Violation {
+// predicateValueType prunes predicates whose literal type disagrees with
+// the column type (an addition beyond Table 4 that removes obviously empty
+// comparisons early).
+func predicateValueType(q *sqlir.Query, schema *storage.Schema) bool {
 	for _, p := range q.Where.Preds {
 		if !p.Complete() {
 			continue
@@ -377,29 +364,24 @@ func checkPredicateValueType(q *sqlir.Query, schema *storage.Schema) *Violation 
 		vt := p.Val.Type()
 		if p.Op == sqlir.OpLike {
 			if vt != sqlir.TypeText {
-				return &Violation{"predicate value type",
-					fmt.Sprintf("LIKE pattern for %s must be text", p.Col)}
+				return true // a LIKE pattern must be text
 			}
 			continue
 		}
 		if vt != sqlir.TypeUnknown && vt != ty {
-			return &Violation{"predicate value type",
-				fmt.Sprintf("%s (%s) compared with %s literal", p.Col, ty, vt)}
+			return true
 		}
 	}
 	if q.HavingState == sqlir.ClausePresent && q.Having.Complete() {
 		// Aggregate results compared in HAVING: COUNT/SUM/AVG are numeric;
 		// MIN/MAX take the column type.
-		ty, ok := schema.Resolve(q.Having.Col)
-		if ok {
+		if ty, ok := schema.Resolve(q.Having.Col); ok {
 			rt := q.Having.Agg.ResultType(ty)
 			vt := q.Having.Val.Type()
 			if vt != sqlir.TypeUnknown && vt != rt {
-				return &Violation{"predicate value type",
-					fmt.Sprintf("HAVING %s(%s) (%s) compared with %s literal",
-						q.Having.Agg, q.Having.Col, rt, vt)}
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }

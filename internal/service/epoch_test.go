@@ -7,11 +7,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
+	"github.com/duoquest/duoquest/internal/enumerate"
+	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/loadgen"
+	"github.com/duoquest/duoquest/internal/semrules"
+	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
+	"github.com/duoquest/duoquest/internal/tsq"
+	"github.com/duoquest/duoquest/internal/verify"
 )
 
 // movieBatch is one deterministic ingest payload for the movies database:
@@ -547,5 +554,131 @@ func TestPinSurvivesStorageRetention(t *testing.T) {
 	}
 	if got, want := describe(after.Candidates), describe(before.Candidates); !equalStrings(got, want) {
 		t.Errorf("pinned results drifted across retention:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNewEpochSnapshotNeverWaitsForAProbeInFlight: building a new epoch's
+// shard reads the previous epoch's memo entries, and one of them may be mid-
+// computation for as long as a slow probe takes. The first reader of the new
+// epoch must skip that entry, not wait for it: a request whose probes each
+// carry 400 ms of injected latency is running on epoch e, an append
+// publishes e+1, and a fault-free request on e+1 returns in a small fraction
+// of one probe — with both candidate lists equal to a quiesced engine's.
+func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
+	const latency = 400 * time.Millisecond
+	opts := Options{MaxStates: 800, MaxCandidates: 1, Workers: 1, QueryParallelism: 1}
+	// Three join probes to its first candidate, all inside memoized row checks.
+	slow := Input{
+		NLQ:      "names of actors starring in Forrest Gump",
+		Literals: []sqlir.Value{sqlir.NewText("Forrest Gump")},
+		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+			Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Tom Hanks"))}}},
+	}
+	fast := moviesInput()
+	ctx := context.Background()
+
+	quiesced := newTestEngine(t, opts)
+	qs, err := quiesced.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSlow, err := qs.Synthesize(ctx, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quiesced.Append("movies", "movie", movieBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	wantFast, err := qs.Synthesize(ctx, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live := newTestEngine(t, opts)
+	s, err := live.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(faultinject.Config{ProbeRate: 1, ProbeLatency: latency})
+	type outcome struct {
+		res *enumerate.Result
+		err error
+	}
+	slowDone := make(chan outcome, 1)
+	go func() {
+		res, err := s.Synthesize(faultinject.With(ctx, inj), slow)
+		slowDone <- outcome{res, err}
+	}()
+	waitFor(t, func() bool { // the slow request is inside a delayed probe
+		_, delayed := inj.Counts(faultinject.SiteProbe)
+		return delayed > 0
+	})
+	if _, err := live.Append("movies", "movie", movieBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	gotFast, err := s.Synthesize(ctx, fast)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-slowDone:
+		t.Fatal("the slow request finished first: the test did not overlap the two epochs")
+	default:
+	}
+	if took > latency/4 {
+		t.Errorf("first read of the new epoch took %v: it waited for the previous epoch's %v probe", took, latency)
+	}
+	if got, want := describe(gotFast.Candidates), describe(wantFast.Candidates); !equalStrings(got, want) {
+		t.Errorf("new epoch's candidates:\n got %v\nwant %v", got, want)
+	}
+	o := <-slowDone
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if got, want := describe(o.res.Candidates), describe(wantSlow.Candidates); !equalStrings(got, want) {
+		t.Errorf("slow request's candidates:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPinnedEpochShardSeedsOnlyFromEarlierEpochs: "once true, true in every
+// later epoch" lets a shard inherit from an earlier epoch, never from a
+// later one. The head's shard holds true answers that rest on a row only
+// the head has; the first pin, by number, of the epoch before it — whose
+// shard is therefore created after the head's — must ask again and hear no.
+func TestPinnedEpochShardSeedsOnlyFromEarlierEpochs(t *testing.T) {
+	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3})
+	db, _ := e.Lookup("movies")
+	before := db.Snapshot().Epoch()
+	if _, err := e.Append("movies", "movie", movieBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	in := Input{
+		NLQ: "titles of movies",
+		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+			Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Ingest Movie 0"))}}},
+	}
+	s, err := e.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Synthesize(context.Background(), in)
+	if err != nil || len(res.Candidates) == 0 {
+		t.Fatalf("the head has the appended title, yet: %v, %v", sqlStrings(res), err)
+	}
+
+	old, err := e.SnapshotAt("movies", before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := verify.NewWithCache(old.Database(), semrules.Default(), in.Sketch, nil, old.pin.cache)
+	q := sqlparse.MustParse(old.Database().Schema, "SELECT title FROM movie")
+	out, err := v.Verify(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.OK || out.Stage != verify.StageByColumn {
+		t.Errorf("epoch %d has no such title, so the column check must reject: got %+v (%s)", before, out, out.Reason())
 	}
 }

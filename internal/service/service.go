@@ -277,13 +277,22 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 		return sh
 	}
 	// This is the only place a shard is created, and it runs under epochMu:
-	// an epoch has exactly one shard. Its memos are seeded from the most
-	// recently created shard — answers over tables unchanged between the two
-	// epochs carry forward, so an append costs readers only the changed
-	// table's memos, not a fully cold cache.
+	// an epoch has exactly one shard. Its memos are seeded from the live
+	// shard of the latest earlier epoch — answers over tables unchanged
+	// between the two carry forward, so an append costs readers only the
+	// changed table's memos, not a fully cold cache. Never from a later
+	// epoch (a by-number pin of an epoch not yet sharded arrives after the
+	// head's shard exists): "once true, true in every later epoch" says
+	// nothing about earlier ones.
+	var prev *epochShard
+	for _, sh := range ds.shards {
+		if sh.epoch < ep && (prev == nil || sh.epoch > prev.epoch) {
+			prev = sh
+		}
+	}
 	var prevCache *verify.Cache
-	if n := len(ds.shardOrder); n > 0 {
-		prevCache = ds.shards[ds.shardOrder[n-1]].cache
+	if prev != nil {
+		prevCache = prev.cache
 	}
 	sh := &epochShard{epoch: ep, db: snap, cache: verify.NewCacheFrom(snap, prevCache)}
 	if ds.shards == nil {

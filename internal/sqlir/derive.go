@@ -2,52 +2,113 @@ package sqlir
 
 import "slices"
 
-// Copy-on-write derivations. A partial query is immutable once built: GPQE
-// derives each child from its parent by one of the methods below, which
-// copies the Query header plus at most the one slice the decision writes
-// (Select or Where.Preds) and shares everything else — From, GroupBy and
-// the untouched slice — with the parent. Nothing reachable from a derived
-// query may be written afterwards; emitted candidates, the priority queue
-// and verification workers all hold these pointers concurrently.
+// Copy-on-write derivation. A partial query is immutable once built: GPQE
+// derives each child from its parent by applying one Decision, which copies
+// the Query header plus at most the one slice the decision writes (Select
+// or Where.Preds) and shares everything else — From and the untouched
+// slices — with the parent. Nothing reachable from a derived query may be
+// written afterwards; emitted candidates, the search frontier and
+// verification workers all hold these pointers concurrently.
+//
+// apply is the one place that knows how a decision writes a query. It has
+// two callers: Query.Apply builds an immutable child on the heap, and
+// Scratch.Apply builds the same child in a reusable buffer for a look that
+// ends before the next one begins.
 
-// DecisionKind names the slot a derivation fills: one per guidance module
+// DecisionKind names the slot a decision fills: one per guidance module
 // (Table 3), plus join path construction and the GROUP BY that SQL
 // semantics dictates.
 type DecisionKind uint8
 
 // Decision kinds, in module execution order (§3.3.1).
 const (
-	DecideKeywords     DecisionKind = iota + 1 // WithKeywords
-	DecideSelectCount                          // WithSelectCount
-	DecideSelectColumn                         // WithSelectColumn
-	DecideSelectAgg                            // WithSelectAgg
-	DecideFrom                                 // WithFrom
-	DecideWhereCount                           // WithWhereCount
-	DecideWhereConj                            // WithWhereConj
-	DecidePredColumn                           // WithPredColumn
-	DecidePredOp                               // WithPredOp
-	DecidePredValue                            // WithPredValue
-	DecideGroupBy                              // WithGroupBy
-	DecideHaving                               // WithoutHaving, WithHavingAgg
-	DecideHavingOp                             // WithHavingOp
-	DecideHavingValue                          // WithHavingValue
-	DecideOrderKey                             // WithOrderKey
-	DecideOrderDir                             // WithOrderDir
+	DecideKeywords     DecisionKind = iota + 1 // Where, GroupBy, OrderBy
+	DecideSelectCount                          // Count
+	DecideSelectColumn                         // Index, Col
+	DecideSelectAgg                            // Index, Agg
+	DecideFrom                                 // From
+	DecideWhereCount                           // Count
+	DecideWhereConj                            // Conj
+	DecidePredColumn                           // Index, Col
+	DecidePredOp                               // Index, Op
+	DecidePredValue                            // Index, Val
+	DecideGroupBy                              // no argument: the unaggregated projections
+	DecideHaving                               // Present, and with it Agg, Col
+	DecideHavingOp                             // Op
+	DecideHavingValue                          // Val
+	DecideOrderKey                             // Agg, Col
+	DecideOrderDir                             // Desc, Count (the LIMIT, 0 = none)
 )
 
-// Decision identifies the one step separating a derived query from its
-// parent: the kind, and for projection and predicate decisions the slot
-// index. The zero Decision means "unknown" — nothing may be assumed about
-// what the query shares with any other.
+// Decision is the one step separating a derived query from its parent: the
+// kind and the class chosen for it, in the fields the kind's comment names.
+// Column and value classes are held by pointer — a decision is queued by
+// value for every surviving child of the search, and is small — and what
+// they point at must never be written again. The zero Decision means
+// "unknown": nothing may be assumed about what a query shares with any
+// other, and it cannot be applied.
 type Decision struct {
-	Kind  DecisionKind
-	Index int
+	Kind DecisionKind
+	Agg  AggFunc
+	Op   Op
+	Conj LogicalOp
+	// Keywords: which optional clauses the query has.
+	Where, GroupBy, OrderBy bool
+	Present                 bool // Having: the clause exists
+	Desc                    bool // OrderDir: descending
+
+	Index int32 // the projection or predicate slot written
+	Count int32 // how many projections or predicates; or the LIMIT
+
+	Col  *ColumnRef
+	Val  *Value
+	From *JoinPath // shared, not copied: join paths are never written after construction
 }
 
-// derive copies the header; slices and the join path stay shared.
-func (q *Query) derive() *Query {
+// Apply returns q with d applied, as a new immutable query.
+func (q *Query) Apply(d Decision) *Query {
 	c := *q
+	c.apply(d, &buffers{})
 	return &c
+}
+
+// Scratch is a reusable buffer for looking at a child without keeping it:
+// the header and the slices a decision writes live in the scratch, so
+// building a child there allocates nothing once the buffers have grown.
+type Scratch struct {
+	q   Query
+	buf buffers
+}
+
+// Apply builds q with d applied inside the scratch. The result is valid
+// until the next Apply on s and must not outlive it: anything that keeps a
+// query — a candidate, a queued check, a worker — takes Query.Apply's.
+func (s *Scratch) Apply(q *Query, d Decision) *Query {
+	s.q = *q
+	s.q.apply(d, &s.buf)
+	return &s.q
+}
+
+// buffers are where a derivation puts the one slice it writes, so that the
+// parent's stays untouched: empty ones make the slice fresh, a scratch's
+// are reused from child to child.
+type buffers struct {
+	sel     []SelectItem
+	preds   []Predicate
+	groupBy []ColumnRef
+}
+
+// cloned returns a copy of src held in *buf.
+func cloned[T any](buf *[]T, src []T) []T {
+	*buf = append((*buf)[:0], src...)
+	return *buf
+}
+
+// blank returns n zero elements held in *buf.
+func blank[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
 }
 
 func pendingIf(present bool) ClauseState {
@@ -57,154 +118,75 @@ func pendingIf(present bool) ClauseState {
 	return ClauseAbsent
 }
 
-// WithKeywords decides which optional clauses the query has. LIMIT is
-// decided with the ORDER BY direction, so a query without ORDER BY has its
-// (absent) LIMIT decided here.
-func (q *Query) WithKeywords(where, groupBy, orderBy bool) *Query {
-	c := q.derive()
-	c.KWSet = true
-	c.WhereState = pendingIf(where)
-	c.GroupByState = pendingIf(groupBy)
-	c.OrderByState = pendingIf(orderBy)
-	if !orderBy {
-		c.LimitSet = true
+// apply writes d into c, a header copy of the parent that still shares the
+// parent's slices; a slice it writes is first copied into b.
+func (c *Query) apply(d Decision, b *buffers) {
+	switch d.Kind {
+	case DecideKeywords:
+		// LIMIT is decided with the ORDER BY direction, so a query without
+		// ORDER BY has its (absent) LIMIT decided here.
+		c.KWSet = true
+		c.WhereState = pendingIf(d.Where)
+		c.GroupByState = pendingIf(d.GroupBy)
+		c.OrderByState = pendingIf(d.OrderBy)
+		if !d.OrderBy {
+			c.LimitSet = true
+		}
+	case DecideSelectCount:
+		c.Select = blank(&b.sel, int(d.Count))
+		c.SelectCountSet = true
+	case DecideSelectColumn:
+		c.Select = cloned(&b.sel, c.Select)
+		c.Select[d.Index].Col, c.Select[d.Index].ColSet = *d.Col, true
+	case DecideSelectAgg:
+		c.Select = cloned(&b.sel, c.Select)
+		c.Select[d.Index].Agg, c.Select[d.Index].AggSet = d.Agg, true
+	case DecideFrom:
+		c.From = d.From
+	case DecideWhereCount:
+		c.Where.Preds = blank(&b.preds, int(d.Count))
+		c.Where.CountSet = true
+		c.WhereState = ClausePresent
+	case DecideWhereConj:
+		c.Where.Conj, c.Where.ConjSet = d.Conj, true
+	case DecidePredColumn:
+		c.Where.Preds = cloned(&b.preds, c.Where.Preds)
+		c.Where.Preds[d.Index].Col, c.Where.Preds[d.Index].ColSet = *d.Col, true
+	case DecidePredOp:
+		c.Where.Preds = cloned(&b.preds, c.Where.Preds)
+		c.Where.Preds[d.Index].Op, c.Where.Preds[d.Index].OpSet = d.Op, true
+	case DecidePredValue:
+		c.Where.Preds = cloned(&b.preds, c.Where.Preds)
+		c.Where.Preds[d.Index].Val, c.Where.Preds[d.Index].ValSet = *d.Val, true
+	case DecideGroupBy:
+		// SQL semantics fix the key: every unaggregated projection.
+		c.GroupBy = blank(&b.groupBy, len(c.Select))[:0]
+		for _, it := range c.Select {
+			if it.Unaggregated() {
+				c.GroupBy = append(c.GroupBy, it.Col)
+			}
+		}
+		c.GroupByState = ClausePresent
+		c.HavingState = ClausePending
+	case DecideHaving:
+		if !d.Present {
+			c.HavingState = ClauseAbsent
+			break
+		}
+		c.HavingState = ClausePresent
+		c.Having.Agg, c.Having.AggSet = d.Agg, true
+		c.Having.Col, c.Having.ColSet = *d.Col, true
+	case DecideHavingOp:
+		c.Having.Op, c.Having.OpSet = d.Op, true
+	case DecideHavingValue:
+		c.Having.Val, c.Having.ValSet = *d.Val, true
+	case DecideOrderKey:
+		c.OrderBy.Key, c.OrderBy.KeySet = OrderKey{Agg: d.Agg, Col: *d.Col}, true
+		c.OrderByState = ClausePresent
+	case DecideOrderDir:
+		c.OrderBy.Desc, c.OrderBy.DirSet = d.Desc, true
+		c.Limit, c.LimitSet = int(d.Count), true
+	default:
+		panic("sqlir: applying a decision of unknown kind")
 	}
-	return c
-}
-
-// WithSelectCount decides the number of projections.
-func (q *Query) WithSelectCount(n int) *Query {
-	c := q.derive()
-	c.Select = make([]SelectItem, n)
-	c.SelectCountSet = true
-	return c
-}
-
-// deriveSelect derives a copy whose i-th projection may be written.
-func (q *Query) deriveSelect(i int) (*Query, *SelectItem) {
-	c := q.derive()
-	c.Select = slices.Clone(q.Select)
-	return c, &c.Select[i]
-}
-
-// derivePred derives a copy whose i-th predicate may be written.
-func (q *Query) derivePred(i int) (*Query, *Predicate) {
-	c := q.derive()
-	c.Where.Preds = slices.Clone(q.Where.Preds)
-	return c, &c.Where.Preds[i]
-}
-
-// WithSelectColumn decides the i-th projected column.
-func (q *Query) WithSelectColumn(i int, col ColumnRef) *Query {
-	c, s := q.deriveSelect(i)
-	s.Col, s.ColSet = col, true
-	return c
-}
-
-// WithSelectAgg decides the i-th projection's aggregate.
-func (q *Query) WithSelectAgg(i int, agg AggFunc) *Query {
-	c, s := q.deriveSelect(i)
-	s.Agg, s.AggSet = agg, true
-	return c
-}
-
-// WithFrom decides the join path. The path is shared, not copied: join
-// paths are never written after construction.
-func (q *Query) WithFrom(jp *JoinPath) *Query {
-	c := q.derive()
-	c.From = jp
-	return c
-}
-
-// WithWhereCount decides the number of selection predicates.
-func (q *Query) WithWhereCount(n int) *Query {
-	c := q.derive()
-	c.Where.Preds = make([]Predicate, n)
-	c.Where.CountSet = true
-	c.WhereState = ClausePresent
-	return c
-}
-
-// WithWhereConj decides the connective of a multi-predicate WHERE.
-func (q *Query) WithWhereConj(op LogicalOp) *Query {
-	c := q.derive()
-	c.Where.Conj, c.Where.ConjSet = op, true
-	return c
-}
-
-// WithPredColumn decides the i-th predicate's column.
-func (q *Query) WithPredColumn(i int, col ColumnRef) *Query {
-	c, p := q.derivePred(i)
-	p.Col, p.ColSet = col, true
-	return c
-}
-
-// WithPredOp decides the i-th predicate's operator.
-func (q *Query) WithPredOp(i int, op Op) *Query {
-	c, p := q.derivePred(i)
-	p.Op, p.OpSet = op, true
-	return c
-}
-
-// WithPredValue decides the i-th predicate's literal.
-func (q *Query) WithPredValue(i int, v Value) *Query {
-	c, p := q.derivePred(i)
-	p.Val, p.ValSet = v, true
-	return c
-}
-
-// WithGroupBy fixes the grouping columns and opens the HAVING decision.
-// cols becomes part of the query: the caller must not write it afterwards.
-func (q *Query) WithGroupBy(cols []ColumnRef) *Query {
-	c := q.derive()
-	c.GroupBy = cols
-	c.GroupByState = ClausePresent
-	c.HavingState = ClausePending
-	return c
-}
-
-// WithoutHaving decides against a HAVING clause.
-func (q *Query) WithoutHaving() *Query {
-	c := q.derive()
-	c.HavingState = ClauseAbsent
-	return c
-}
-
-// WithHavingAgg decides for a HAVING clause over agg(col).
-func (q *Query) WithHavingAgg(agg AggFunc, col ColumnRef) *Query {
-	c := q.derive()
-	c.HavingState = ClausePresent
-	c.Having.Agg, c.Having.AggSet = agg, true
-	c.Having.Col, c.Having.ColSet = col, true
-	return c
-}
-
-// WithHavingOp decides the HAVING comparison operator.
-func (q *Query) WithHavingOp(op Op) *Query {
-	c := q.derive()
-	c.Having.Op, c.Having.OpSet = op, true
-	return c
-}
-
-// WithHavingValue decides the HAVING literal.
-func (q *Query) WithHavingValue(v Value) *Query {
-	c := q.derive()
-	c.Having.Val, c.Having.ValSet = v, true
-	return c
-}
-
-// WithOrderKey decides the ORDER BY expression.
-func (q *Query) WithOrderKey(k OrderKey) *Query {
-	c := q.derive()
-	c.OrderBy.Key, c.OrderBy.KeySet = k, true
-	c.OrderByState = ClausePresent
-	return c
-}
-
-// WithOrderDir decides the sort direction and, with it, LIMIT (0 = none).
-func (q *Query) WithOrderDir(desc bool, limit int) *Query {
-	c := q.derive()
-	c.OrderBy.Desc, c.OrderBy.DirSet = desc, true
-	c.Limit, c.LimitSet = limit, true
-	return c
 }

@@ -17,28 +17,29 @@ func derivable() *Query {
 	return q
 }
 
-// derivations applies every With* method once to q.
-func derivations(q *Query) map[string]func() *Query {
+// derivations is one decision of every kind, each with a slot of derivable()
+// to write.
+func derivations() map[string]Decision {
 	col := ColumnRef{Table: "starring", Column: "sid"}
-	from := &JoinPath{Tables: []string{"starring"}}
-	return map[string]func() *Query{
-		"WithKeywords":     func() *Query { return q.WithKeywords(true, false, true) },
-		"WithSelectCount":  func() *Query { return q.WithSelectCount(3) },
-		"WithSelectColumn": func() *Query { return q.WithSelectColumn(1, col) },
-		"WithSelectAgg":    func() *Query { return q.WithSelectAgg(0, AggMin) },
-		"WithFrom":         func() *Query { return q.WithFrom(from) },
-		"WithWhereCount":   func() *Query { return q.WithWhereCount(2) },
-		"WithWhereConj":    func() *Query { return q.WithWhereConj(LogicOr) },
-		"WithPredColumn":   func() *Query { return q.WithPredColumn(0, col) },
-		"WithPredOp":       func() *Query { return q.WithPredOp(0, OpLe) },
-		"WithPredValue":    func() *Query { return q.WithPredValue(0, NewInt(7)) },
-		"WithGroupBy":      func() *Query { return q.WithGroupBy([]ColumnRef{col}) },
-		"WithoutHaving":    func() *Query { return q.WithoutHaving() },
-		"WithHavingAgg":    func() *Query { return q.WithHavingAgg(AggSum, col) },
-		"WithHavingOp":     func() *Query { return q.WithHavingOp(OpNe) },
-		"WithHavingValue":  func() *Query { return q.WithHavingValue(NewInt(9)) },
-		"WithOrderKey":     func() *Query { return q.WithOrderKey(OrderKey{Agg: AggCount, Col: Star}) },
-		"WithOrderDir":     func() *Query { return q.WithOrderDir(true, 5) },
+	seven, nine := NewInt(7), NewInt(9)
+	return map[string]Decision{
+		"Keywords":     {Kind: DecideKeywords, Where: true, OrderBy: true},
+		"SelectCount":  {Kind: DecideSelectCount, Count: 3},
+		"SelectColumn": {Kind: DecideSelectColumn, Index: 1, Col: &col},
+		"SelectAgg":    {Kind: DecideSelectAgg, Index: 0, Agg: AggMin},
+		"From":         {Kind: DecideFrom, From: &JoinPath{Tables: []string{"starring"}}},
+		"WhereCount":   {Kind: DecideWhereCount, Count: 2},
+		"WhereConj":    {Kind: DecideWhereConj, Conj: LogicOr},
+		"PredColumn":   {Kind: DecidePredColumn, Index: 0, Col: &col},
+		"PredOp":       {Kind: DecidePredOp, Index: 0, Op: OpLe},
+		"PredValue":    {Kind: DecidePredValue, Index: 0, Val: &seven},
+		"GroupBy":      {Kind: DecideGroupBy},
+		"NoHaving":     {Kind: DecideHaving},
+		"Having":       {Kind: DecideHaving, Present: true, Agg: AggSum, Col: &col},
+		"HavingOp":     {Kind: DecideHavingOp, Op: OpNe},
+		"HavingValue":  {Kind: DecideHavingValue, Val: &nine},
+		"OrderKey":     {Kind: DecideOrderKey, Agg: AggCount, Col: &Star},
+		"OrderDir":     {Kind: DecideOrderDir, Desc: true, Count: 5},
 	}
 }
 
@@ -46,9 +47,11 @@ func derivations(q *Query) map[string]func() *Query {
 // slices and the join path with it — rendering exactly as before.
 func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	q, same := derivable(), derivable()
+	q.GroupBy = nil // so that deciding it changes something
+	same.GroupBy = nil
 	str, canon := q.String(), q.Canonical()
-	for name, derive := range derivations(q) {
-		c := derive()
+	for name, d := range derivations() {
+		c := q.Apply(d)
 		if reflect.DeepEqual(c, q) {
 			t.Errorf("%s: child equals the parent", name)
 		}
@@ -61,9 +64,29 @@ func TestDerivationsLeaveParentUntouched(t *testing.T) {
 // A derivation costs the query header plus at most the one slice it writes.
 func TestDerivationAllocations(t *testing.T) {
 	q := derivable()
-	for name, derive := range derivations(q) {
-		if n := testing.AllocsPerRun(50, func() { derive() }); n > 2 {
+	for name, d := range derivations() {
+		if n := testing.AllocsPerRun(50, func() { q.Apply(d) }); n > 2 {
 			t.Errorf("%s: %.0f allocations, want at most 2 (header + one slice)", name, n)
+		}
+	}
+}
+
+// The scratch builds the child Query.Apply builds, leaves the parent alone
+// and allocates nothing once its buffers have grown.
+func TestScratchBuildsTheSameChildWithoutAllocating(t *testing.T) {
+	q, same := derivable(), derivable()
+	var s Scratch
+	for name, d := range derivations() {
+		want := q.Apply(d)
+		got := s.Apply(q, d)
+		if got.String() != want.String() || got.Canonical() != want.Canonical() || got.Complete() != want.Complete() {
+			t.Errorf("%s: scratch child %s, derived child %s", name, got, want)
+		}
+		if !reflect.DeepEqual(q, same) {
+			t.Fatalf("%s in the scratch wrote through to the parent", name)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.Apply(q, d) }); n != 0 {
+			t.Errorf("%s: %.0f allocations in a grown scratch, want 0", name, n)
 		}
 	}
 }

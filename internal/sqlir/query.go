@@ -37,16 +37,24 @@ func (c ColumnRef) String() string {
 
 // SelectItem is one projection: an optional aggregate over a column.
 // AggSet/ColSet distinguish decided fields from placeholders in a partial
-// query.
+// query. Here and in the clause types below the one-byte fields sit
+// together, after the wide ones: a search copies these structs once per
+// state it looks at, and padding between fields is bytes copied for nothing.
 type SelectItem struct {
+	Col    ColumnRef
 	Agg    AggFunc
 	AggSet bool
-	Col    ColumnRef
 	ColSet bool
 }
 
 // Complete reports whether both the aggregate and column are decided.
 func (s SelectItem) Complete() bool { return s.AggSet && s.ColSet }
+
+// Unaggregated reports a decided plain-column projection: the ones SQL
+// semantics require a GROUP BY to list.
+func (s SelectItem) Unaggregated() bool {
+	return s.Complete() && s.Agg == AggNone && !s.Col.IsStar()
+}
 
 // String renders the projection, using ? for holes.
 func (s SelectItem) String() string {
@@ -67,10 +75,10 @@ func (s SelectItem) String() string {
 // decided flag so partial queries can hold per-field holes.
 type Predicate struct {
 	Col    ColumnRef
-	ColSet bool
-	Op     Op
-	OpSet  bool
 	Val    Value
+	Op     Op
+	ColSet bool
+	OpSet  bool
 	ValSet bool
 }
 
@@ -103,9 +111,9 @@ func (p Predicate) String() string {
 // Where is a flat conjunction or disjunction of predicates (§2.5 disallows
 // mixed nesting).
 type Where struct {
+	Preds    []Predicate
 	Conj     LogicalOp
 	ConjSet  bool
-	Preds    []Predicate
 	CountSet bool // number of predicates decided
 }
 
@@ -127,13 +135,13 @@ func (w Where) Complete() bool {
 
 // HavingExpr is a single HAVING condition agg(col) op value.
 type HavingExpr struct {
-	Agg    AggFunc
-	AggSet bool
 	Col    ColumnRef // column under the aggregate ("*" for COUNT(*))
-	ColSet bool
-	Op     Op
-	OpSet  bool
 	Val    Value
+	Agg    AggFunc
+	Op     Op
+	AggSet bool
+	ColSet bool
+	OpSet  bool
 	ValSet bool
 }
 
@@ -438,7 +446,7 @@ func (q *Query) Literals() []Value {
 
 // Clone returns a deep copy of the query, for callers that want a private
 // query to edit in place. Enumeration does not use it: search states derive
-// from each other through the copy-on-write With* methods (derive.go).
+// from each other through the copy-on-write Apply (derive.go).
 func (q *Query) Clone() *Query {
 	cp := *q
 	if q.Select != nil {

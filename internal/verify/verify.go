@@ -58,11 +58,14 @@ type Outcome struct {
 	OK    bool
 	Stage Stage // the stage that rejected (when !OK)
 
-	// Why it was rejected, kept unrendered: a request rejects thousands of
-	// children and nothing on its path reads the reason (see Reason). The
-	// arguments are values the verifier never mutates.
+	// Why it was rejected, kept unrendered and by value: a request rejects
+	// hundreds of children and nothing on its path reads the reason (see
+	// Reason), so recording one must not allocate. The arguments are small
+	// integers, one-byte enums and pointers to values the verifier owns and
+	// never mutates — none of which costs anything to box — and never a
+	// part of the query checked, which may be the search's scratch.
 	format string
-	args   []any
+	args   [3]any
 }
 
 // Reason renders the human-readable rejection reason ("" for a pass).
@@ -70,13 +73,19 @@ func (o Outcome) Reason() string {
 	if o.OK {
 		return ""
 	}
-	return fmt.Sprintf(o.format, o.args...)
+	n := len(o.args)
+	for n > 0 && o.args[n-1] == nil {
+		n--
+	}
+	return fmt.Sprintf(o.format, o.args[:n]...)
 }
 
 func pass() Outcome { return Outcome{OK: true} }
 
 func fail(stage Stage, format string, args ...any) Outcome {
-	return Outcome{Stage: stage, format: format, args: args}
+	o := Outcome{Stage: stage, format: format}
+	copy(o.args[:], args)
+	return o
 }
 
 // Stats counts per-stage work for the cost-ordering analysis (§3.4). The
@@ -141,8 +150,8 @@ type boolMemo struct {
 
 type boolEntry struct {
 	mu sync.Mutex
-	// done is set, under mu, after val and err are written and never
-	// cleared, so a lock-free reader that observes it may read both.
+	// done is set, under mu, after the fields below are written and never
+	// cleared, so a lock-free reader that observes it may read them all.
 	done atomic.Bool
 	val  bool
 	err  error
@@ -239,12 +248,13 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 	}
 	prev.mu.Unlock()
 	for k, e := range entries {
-		e.mu.Lock()
-		done, val, err, deps, mono := e.done.Load(), e.val, e.err, e.deps, e.mono
-		e.mu.Unlock()
-		if !done || err != nil || len(deps) == 0 {
+		// Like peek, never wait for a computation in flight: its request is
+		// still on the previous epoch and may hold e.mu for as long as its
+		// probe runs. An entry not yet done simply restarts cold.
+		if !e.done.Load() || e.err != nil || len(e.deps) == 0 {
 			continue
 		}
+		val, deps, mono := e.val, e.deps, e.mono
 		carry := mono && val
 		if !carry {
 			carry = true
@@ -409,7 +419,6 @@ func (v *Verifier) VerifyCtx(ctx context.Context, q *sqlir.Query) (Outcome, erro
 // Check is one query's verification in progress: what Begin decided on the
 // calling goroutine and, while Pending, what is left for Finish.
 type Check struct {
-	q       *sqlir.Query
 	owes    debt
 	out     Outcome
 	pending bool
@@ -428,15 +437,18 @@ func (c Check) Outcome() Outcome { return c.out }
 // not re-proved (see owed) — or the zero Decision when there is no such
 // parent. The returned check is final unless Pending: then a memo miss or
 // the by-order execution remains and Finish, on any goroutine, completes
-// it. Begin and Finish together count as one check in Stats.
+// it. Begin and Finish together count as one check in Stats. Begin keeps
+// nothing of q: the caller may build the next query in the same memory.
 func (v *Verifier) Begin(ctx context.Context, q *sqlir.Query, d sqlir.Decision) (Check, error) {
 	return v.check(ctx, q, d, true)
 }
 
 // Finish completes a check Begin left pending, doing the database work,
-// from the stage that stopped it.
-func (v *Verifier) Finish(ctx context.Context, c Check) (Outcome, error) {
-	out, _, err := v.dbStages(ctx, c.q, &c.owes, false)
+// from the stage that stopped it. q is the query Begin looked at or an
+// equal one that outlives the call — the enumerator begins on a scratch
+// query and finishes, possibly on another goroutine, on an immutable copy.
+func (v *Verifier) Finish(ctx context.Context, c Check, q *sqlir.Query) (Outcome, error) {
+	out, _, err := v.dbStages(ctx, q, &c.owes, false)
 	if err == nil {
 		v.settle(out)
 	}
@@ -450,7 +462,7 @@ func (v *Verifier) check(ctx context.Context, q *sqlir.Query, d sqlir.Decision, 
 	if err := faultinject.From(ctx).VerifyError(); err != nil {
 		return Check{}, err
 	}
-	c := Check{q: q, owes: owed(q, d)}
+	c := Check{owes: owed(q, d)}
 	c.out = v.verifyClauses(q)
 	if c.out.OK {
 		c.out = v.verifySemantics(q)
@@ -500,13 +512,13 @@ const (
 func owed(q *sqlir.Query, d sqlir.Decision) debt {
 	switch d.Kind {
 	case sqlir.DecideSelectColumn, sqlir.DecideSelectAgg:
-		return debt{types: true, col: d.Index, rows: true}
+		return debt{types: true, col: int(d.Index), rows: true}
 	case sqlir.DecideSelectCount:
 		return debt{types: true, col: noProjection, rows: true}
 	case sqlir.DecideFrom, sqlir.DecideWhereCount, sqlir.DecideWhereConj, sqlir.DecideGroupBy:
 		return debt{col: noProjection, rows: true}
 	case sqlir.DecidePredColumn, sqlir.DecidePredOp, sqlir.DecidePredValue:
-		written := d.Index >= len(q.Where.Preds) || q.Where.Preds[d.Index].Complete()
+		written := int(d.Index) >= len(q.Where.Preds) || q.Where.Preds[d.Index].Complete()
 		return debt{col: noProjection, rows: written}
 	case sqlir.DecideHaving, sqlir.DecideHavingOp, sqlir.DecideHavingValue:
 		written := q.HavingState != sqlir.ClausePresent || q.Having.Complete()
@@ -618,7 +630,7 @@ func (v *Verifier) verifyColumnTypes(q *sqlir.Query) Outcome {
 		}
 		colType, ok := v.db.Schema.Resolve(s.Col)
 		if !ok {
-			return fail(StageColumnTypes, "unknown column %s", s.Col)
+			return fail(StageColumnTypes, "projection %d names an unknown column", i)
 		}
 		got := s.Agg.ResultType(colType)
 		if got != want {
@@ -670,7 +682,7 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int,
 			if !ok {
 				v.colHits.Add(int64(hits))
 				return fail(StageByColumn,
-					"tuple %d cell %d (%s) has no match in %s", ti, i, cell, s.Col), false, nil
+					"tuple %d cell %d (%s) has no match in the projected column", ti, i, &tp[i]), false, nil
 			}
 		}
 	}
@@ -837,7 +849,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 			}
 			if s.Agg == sqlir.AggNone {
 				if !q.From.Contains(s.Col.Table) {
-					return fail(StageByRow, "projection %s outside join path", s.Col), false, nil
+					return fail(StageByRow, "projection %d outside join path", i), false, nil
 				}
 				eq.AndPreds = append(eq.AndPreds, cellPredicates(s.Col, cell)...)
 				constrained = true
@@ -864,7 +876,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 				return pass(), true, nil
 			}
 			if !ok {
-				return fail(StageByRow, "tuple %d %s has no satisfying row", ti, tp), false, nil
+				return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
 			}
 			continue
 		}
@@ -881,7 +893,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 			return pass(), false, err
 		}
 		if !ok {
-			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, tp), false, nil
+			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
 		}
 	}
 	return pass(), false, nil
@@ -1015,7 +1027,7 @@ func existsSig(eq sqlexec.ExistsQuery) string {
 // the NLQ.
 func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 	used := q.Literals()
-	for _, lit := range v.literals {
+	for i, lit := range v.literals {
 		found := false
 		for _, u := range used {
 			if u.Equal(lit) {
@@ -1024,7 +1036,7 @@ func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 			}
 		}
 		if !found {
-			return fail(StageLiterals, "literal %s unused", lit)
+			return fail(StageLiterals, "literal %s unused", &v.literals[i])
 		}
 	}
 	return pass()

@@ -491,7 +491,7 @@ func TestBeginFinishIsOneCheck(t *testing.T) {
 	if st := split.Stats(); st.Checked != 1 || st.DBQueries != 0 || st.ColumnCache != 0 {
 		t.Errorf("after Begin: %+v, want one check and no database work", st)
 	}
-	got, err := split.Finish(ctx, chk)
+	got, err := split.Finish(ctx, chk, q)
 	if err != nil {
 		t.Fatal(err)
 	}
