@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same targets so local runs and the
 # pipeline cannot drift.
 
-.PHONY: build test vet race fmt-check bench bench-sqlexec bench-server bench-storage bench-loadgen bench-enumerate
+.PHONY: build test vet race fmt-check loc bench bench-sqlexec bench-server bench-storage bench-loadgen bench-enumerate
 
 # DATA_DIR is the segment store the load-harness invocations share: the
 # first run persists each generated database under its spec content
@@ -28,6 +28,12 @@ fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# loc prints the line ledger ROADMAP.md and CHANGES.md quote: non-test Go
+# lines, then test Go lines (the last line of each wc is the total).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | tail -1
+	@find . -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | tail -1
+
 # bench runs every recorded benchmark once (equivalence self-checks run
 # regardless of -benchtime) and records machine-readable results into
 # BENCH_*.json so the perf trajectory is tracked in-repo and the benchmarks
@@ -42,12 +48,10 @@ bench-sqlexec:
 	go run ./cmd/benchjson -out BENCH_sqlexec.json < bench.out; \
 	status=$$?; rm -f bench.out; exit $$status
 
-# bench-storage measures the columnar storage refactor: the identical probe
-# workloads through the preserved pre-refactor row-based streaming pipeline
-# and the vectorized columnar pipeline (flat, grouped, and the MAS
-# end-to-end verification workload), with in-benchmark three-way
-# equivalence self-checks against the materializing reference. The
-# BenchmarkMorsel* family rides along at a lower -benchtime (the 300k/1M-row
+# bench-storage measures the streaming pipeline on three probe workloads
+# (flat, grouped, and the MAS end-to-end verification workload), each
+# self-checked probe for probe against the materializing reference before it
+# is timed. The BenchmarkMorsel* family rides along at a lower -benchtime (the 300k/1M-row
 # sweep databases make each iteration expensive): the morsel fan-out at
 # explicit worker counts, each configuration equivalence-checked against the
 # single-threaded columnar pipeline before timing. BenchmarkSegment{Write,

@@ -194,10 +194,10 @@ func BenchmarkSynthesizeDualSpec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn := duoquest.New(task.DB,
-		duoquest.WithBudget(2*time.Second),
-		duoquest.WithMaxCandidates(1),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 1
+	syn := duoquest.New(task.DB, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := syn.Synthesize(context.Background(), duoquest.Input{
@@ -257,12 +257,12 @@ func runVerificationWorkload(b *testing.B, workload []struct {
 	b.Helper()
 	var emitted []string
 	for _, w := range workload {
-		syn := duoquest.New(w.task.DB,
-			duoquest.WithBudget(time.Minute), // states cap terminates first
-			duoquest.WithMaxCandidates(10),
-			duoquest.WithMaxStates(10000),
-			duoquest.WithWorkers(workers),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Budget = time.Minute // states cap terminates first
+		cfg.MaxCandidates = 10
+		cfg.MaxStates = 10000
+		cfg.Workers = workers
+		syn := duoquest.New(w.task.DB, cfg)
 		res, err := syn.Synthesize(context.Background(), duoquest.Input{
 			NLQ:      w.task.NLQ,
 			Literals: w.task.Literals,

@@ -83,7 +83,7 @@ func runChaos(cfg config, store *segment.Store, cancelScales []int, stdout, stde
 	fmt.Fprintf(stderr, "chaos: generated %s (%d rows); %d/%d ingest batches stalled\n",
 		g.DB.Name, g.DB.TotalRows(), stalls, batches)
 
-	eng := service.NewEngine(service.Options{
+	eng := service.NewEngine(service.Config{
 		MaxStates:     cfg.maxStates,
 		MaxCandidates: cfg.maxCand,
 		Workers:       1, // sessions are the unit of parallelism here
@@ -358,7 +358,7 @@ func chaosCancelSweep(cfg config, store *segment.Store, scales []int, eng *servi
 		// stats ring (and its caches) untouched, so the measured pass below
 		// records steady-state cancellation of real, checkpointed scan work
 		// rather than cold index construction.
-		warmEng := service.NewEngine(service.Options{
+		warmEng := service.NewEngine(service.Config{
 			MaxStates:     cfg.maxStates,
 			MaxCandidates: cfg.maxCand,
 			Workers:       1,

@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "obtained %s: %d tables, %d rows in %v (fingerprint %016x)\n",
 		g.DB.Name, len(g.DB.Schema.Tables), g.DB.TotalRows(), genElapsed.Round(time.Millisecond), loadgen.Fingerprint(g.DB))
 
-	eng := service.NewEngine(service.Options{
+	eng := service.NewEngine(service.Config{
 		MaxStates:     cfg.maxStates,
 		MaxCandidates: cfg.maxCand,
 		Workers:       1, // sessions are the unit of parallelism here

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,7 +89,7 @@ const benchConcurrency = 8
 
 func benchEngine(b *testing.B, perRequestCaches bool) *server {
 	b.Helper()
-	opts := service.Options{
+	cfg := service.Config{
 		Budget:        30 * time.Second,
 		MaxCandidates: 4,
 		MaxStates:     3000,
@@ -99,7 +99,7 @@ func benchEngine(b *testing.B, perRequestCaches bool) *server {
 		Workers:          1,
 		PerRequestCaches: perRequestCaches,
 	}
-	eng := service.NewEngine(opts)
+	eng := service.NewEngine(cfg)
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS(), benchShopDB()} {
 		if err := eng.Register(db); err != nil {
 			b.Fatal(err)
@@ -114,7 +114,7 @@ func benchEngine(b *testing.B, perRequestCaches bool) *server {
 
 // do issues one synthesize call and returns the ordered candidate SQL.
 func do(ts *httptest.Server, db, body string) ([]string, error) {
-	resp, err := http.Post(ts.URL+"/synthesize?db="+db, "application/json", bytes.NewReader([]byte(body)))
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(withFields(fmt.Sprintf(`"db": %q`, db), body)))
 	if err != nil {
 		return nil, err
 	}

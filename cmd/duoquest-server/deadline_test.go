@@ -14,35 +14,34 @@ import (
 	duoquest "github.com/duoquest/duoquest"
 )
 
-// ?deadline_ms= must be a positive integer; garbage is a client error, not a
-// silently ignored knob.
+// deadline_ms must be a non-negative integer (0 = unset); garbage is a client
+// error, not a silently ignored knob.
 func TestDeadlineParamValidation(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	for _, target := range []string{
-		"/synthesize?deadline_ms=abc",
-		"/synthesize?deadline_ms=-5",
-		"/synthesize?deadline_ms=0",
-		"/synthesize?deadline_ms=1.5",
+	for _, field := range []string{
+		`"deadline_ms": "abc"`,
+		`"deadline_ms": -5`,
+		`"deadline_ms": 1.5`,
 	} {
-		req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(masBody))
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(withFields(field, masBody)))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", target, w.Code)
+			t.Errorf("%s: status = %d, want 400", field, w.Code)
 		}
 	}
 }
 
-// A request whose ?deadline_ms= expires mid-search gets 200 with the anytime
+// A request whose deadline_ms expires mid-search gets 200 with the anytime
 // prefix and truncated set — not an error status.
 func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(10*time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
-	req := httptest.NewRequest(http.MethodPost, "/synthesize?deadline_ms=1", strings.NewReader(body))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 10 * time.Second
+	cfg.MaxCandidates = 100000
+	srv := testServer(t, cfg)
+	body := `{"deadline_ms": 1, "nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -68,18 +67,18 @@ func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
 // A shed request gets a structured 503: machine-readable JSON body plus a
 // Retry-After header for informed backoff.
 func TestOverloadedResponseShape(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(5*time.Second),
-		duoquest.WithMaxCandidates(100000),
-		duoquest.WithMaxInFlight(1),
-		duoquest.WithMaxQueue(1),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 5 * time.Second
+	cfg.MaxCandidates = 100000
+	cfg.MaxInFlight = 1
+	cfg.MaxQueue = 1
+	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	// Occupy the only in-flight slot with a streaming search, synchronized
 	// on its first emitted candidate.
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"stream": true, "nlq": "names of authors", "sketch": {"types": ["text"]}}`
 	holder, cancelHolder := context.WithCancel(context.Background())
 	defer cancelHolder()
 	firstLine := make(chan struct{})
@@ -87,7 +86,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	go func() {
 		defer close(holderDone)
 		req, _ := http.NewRequestWithContext(holder, http.MethodPost,
-			ts.URL+"/synthesize?stream=1", strings.NewReader(body))
+			ts.URL+"/v1/synthesize", strings.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			close(firstLine)
@@ -115,7 +114,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	go func() {
 		defer close(waiterDone)
 		req, _ := http.NewRequestWithContext(waiter, http.MethodPost,
-			ts.URL+"/synthesize", strings.NewReader(masBody))
+			ts.URL+"/v1/synthesize", strings.NewReader(masBody))
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
@@ -129,7 +128,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	}
 
 	// The third request must be shed immediately with the structured 503.
-	resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(masBody))
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(masBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +165,17 @@ func TestOverloadedResponseShape(t *testing.T) {
 // A client that disconnects mid-stream stops the search promptly and is
 // accounted as an interruption, not a success.
 func TestStreamDisconnectRecordsInterruption(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(10*time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 10 * time.Second
+	cfg.MaxCandidates = 100000
+	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"stream": true, "nlq": "names of authors", "sketch": {"types": ["text"]}}`
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/synthesize?stream=1", strings.NewReader(body))
+		ts.URL+"/v1/synthesize", strings.NewReader(body))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		cancel()

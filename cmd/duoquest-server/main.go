@@ -21,12 +21,6 @@
 //	GET  /v1/dbs
 //	GET  /v1/stats
 //
-// The original unversioned endpoints remain as thin adapters over the same
-// cores — query parameters (?db=, ?deadline_ms=, ?epoch=, ?stream=1,
-// ?q=&max=) instead of body fields, byte-identical responses:
-//
-//	POST /synthesize   GET /complete   GET /schema   GET /dbs   GET /stats
-//
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // run to completion within -shutdown-timeout.
 package main
@@ -50,7 +44,7 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 )
 
-// maxCompleteResults bounds the ?max= parameter of /complete.
+// maxCompleteResults bounds the max field of /v1/complete.
 const maxCompleteResults = 100
 
 // previewRows caps rows attached to each candidate's preview.
@@ -61,12 +55,12 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		budget      = flag.Duration("budget", 5*time.Second, "per-request search budget")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline; expiry returns a truncated partial result (0 = none)")
-		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on ?deadline_ms= requests (0 = no clamp)")
+		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on a request's deadline_ms (0 = no clamp)")
 		topk        = flag.Int("k", 10, "max candidates per request")
 		workers     = flag.Int("workers", 0, "verification workers per request (0 = GOMAXPROCS, 1 = sequential)")
 		qworkers    = flag.Int("query-workers", 0, "intra-query morsel workers per scan (0 = follow -workers, 1 = single-threaded scans)")
 		morsel      = flag.Int("morsel-size", 0, "scan rows per morsel (0 = executor default 4096; rounded up to 64)")
-		defaultDB   = flag.String("db", "mas", "default database for requests without ?db=")
+		defaultDB   = flag.String("db", "mas", "default database for requests that name none")
 		dataDir     = flag.String("data-dir", "", "segment store directory; every persisted database in it is loaded and registered at startup")
 		maxInFlight = flag.Int("max-inflight", 8, "max concurrently running syntheses (0 = unbounded)")
 		maxQueue    = flag.Int("max-queue", 64, "max queued syntheses before 503 (0 = unbounded)")
@@ -77,17 +71,17 @@ func main() {
 	if *maxInFlight <= 0 && *maxQueue > 0 {
 		log.Printf("warning: -max-queue has no effect with unbounded -max-inflight")
 	}
-	eng := duoquest.NewEngine(
-		duoquest.WithBudget(*budget),
-		duoquest.WithDefaultDeadline(*deadline),
-		duoquest.WithMaxDeadline(*maxDeadline),
-		duoquest.WithMaxCandidates(*topk),
-		duoquest.WithWorkers(*workers),
-		duoquest.WithQueryParallelism(*qworkers),
-		duoquest.WithMorselSize(*morsel),
-		duoquest.WithMaxInFlight(*maxInFlight),
-		duoquest.WithMaxQueue(*maxQueue),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = *budget
+	cfg.DefaultDeadline = *deadline
+	cfg.MaxDeadline = *maxDeadline
+	cfg.MaxCandidates = *topk
+	cfg.Workers = *workers
+	cfg.QueryParallelism = *qworkers
+	cfg.MorselSize = *morsel
+	cfg.MaxInFlight = *maxInFlight
+	cfg.MaxQueue = *maxQueue
+	eng := duoquest.NewEngine(cfg)
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS()} {
 		if err := eng.Register(db); err != nil {
 			log.Fatalf("register %s: %v", db.Name, err)
@@ -186,34 +180,12 @@ func newServer(eng *duoquest.Engine, defaultDB string) (*server, error) {
 
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	// Versioned API: structured JSON bodies for the POST surfaces.
-	mux.HandleFunc("/v1/synthesize", s.v1Synthesize)
-	mux.HandleFunc("/v1/complete", s.v1Complete)
+	mux.HandleFunc("/v1/synthesize", s.synthesize)
+	mux.HandleFunc("/v1/complete", s.complete)
 	mux.HandleFunc("/v1/schema", s.schema)
 	mux.HandleFunc("/v1/dbs", s.dbs)
 	mux.HandleFunc("/v1/stats", s.stats)
-	// Legacy adapters: query-parameter front doors onto the same cores.
-	mux.HandleFunc("/synthesize", s.legacySynthesize)
-	mux.HandleFunc("/complete", s.legacyComplete)
-	mux.HandleFunc("/schema", s.schema)
-	mux.HandleFunc("/dbs", s.dbs)
-	mux.HandleFunc("/stats", s.stats)
 	return mux
-}
-
-// session resolves ?db= (default -db) to a per-request engine session,
-// answering 404 for unknown databases.
-func (s *server) session(w http.ResponseWriter, r *http.Request) *duoquest.EngineSession {
-	name := r.URL.Query().Get("db")
-	if name == "" {
-		name = s.defaultDB
-	}
-	ses, err := s.eng.Session(name)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("unknown database %q", name), http.StatusNotFound)
-		return nil
-	}
-	return ses
 }
 
 // snapshot pins a read handle for one whole request — synthesis, previews,
@@ -244,9 +216,7 @@ type sketchJSON struct {
 	Limit  int             `json:"limit,omitempty"`
 }
 
-// synthesizeRequest is the structured /v1/synthesize body. The legacy
-// /synthesize adapter fills the non-specification fields (db, deadline_ms,
-// epoch, stream) from query parameters instead.
+// synthesizeRequest is the structured /v1/synthesize body.
 type synthesizeRequest struct {
 	// DB names the target database ("" = the server's -db default).
 	DB       string        `json:"db,omitempty"`
@@ -283,7 +253,7 @@ type synthesizeResponse struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// streamLine is one NDJSON line of a streaming /synthesize response.
+// streamLine is one NDJSON line of a streaming /v1/synthesize response.
 type streamLine struct {
 	Type      string         `json:"type"` // "candidate", "done", or "error"
 	Candidate *candidateJSON `json:"candidate,omitempty"`
@@ -323,79 +293,30 @@ func (s *server) writeOverloaded(w http.ResponseWriter) {
 	})
 }
 
-// wantsStream reports whether the client asked for NDJSON progressive
-// results.
-func wantsStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// decodeSynthesize reads a synthesize body (shared by both API versions).
-func decodeSynthesize(w http.ResponseWriter, r *http.Request) (synthesizeRequest, bool) {
-	var req synthesizeRequest
+// synthesize serves POST /v1/synthesize: it pins an epoch snapshot for the
+// whole request (candidate previews included), runs the search against it,
+// and renders the buffered response — or, when the body's stream flag or an
+// NDJSON Accept header asks for it, the streaming one.
+func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return req, false
+		return
 	}
+	var req synthesizeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return req, false
-	}
-	return req, true
-}
-
-// legacySynthesize adapts the unversioned surface: routing fields come from
-// query parameters (?db=, ?deadline_ms=, ?epoch=, ?stream=1 or the NDJSON
-// Accept header) while the specification stays in the JSON body.
-func (s *server) legacySynthesize(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSynthesize(w, r)
-	if !ok {
 		return
 	}
-	if db := r.URL.Query().Get("db"); db != "" {
-		req.DB = db
-	}
-	if ms := r.URL.Query().Get("deadline_ms"); ms != "" {
-		n, err := strconv.Atoi(ms)
-		if err != nil || n <= 0 {
-			http.Error(w, fmt.Sprintf("deadline_ms must be a positive integer, got %q", ms), http.StatusBadRequest)
-			return
-		}
-		req.DeadlineMS = int64(n)
-	}
-	if ep := r.URL.Query().Get("epoch"); ep != "" {
-		n, err := strconv.ParseInt(ep, 10, 64)
-		if err != nil || n < 0 {
-			http.Error(w, fmt.Sprintf("epoch must be a non-negative integer, got %q", ep), http.StatusBadRequest)
-			return
-		}
-		req.Epoch = n
-	}
-	if wantsStream(r) {
-		req.Stream = true
-	}
-	s.runSynthesize(w, r, req)
-}
-
-// v1Synthesize is the versioned surface: one structured JSON body.
-func (s *server) v1Synthesize(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSynthesize(w, r)
-	if !ok {
+	// Malformed routing fields are rejected before routing: SnapshotAt would
+	// call a negative epoch "not retained" and answer 410 to it.
+	if req.Epoch < 0 {
+		http.Error(w, fmt.Sprintf("epoch must be non-negative, got %d", req.Epoch), http.StatusBadRequest)
 		return
 	}
-	if wantsStream(r) {
-		req.Stream = true
+	if req.DeadlineMS < 0 {
+		http.Error(w, fmt.Sprintf("deadline_ms must be non-negative, got %d", req.DeadlineMS), http.StatusBadRequest)
+		return
 	}
-	s.runSynthesize(w, r, req)
-}
-
-// runSynthesize is the shared synthesis core: it pins an epoch snapshot for
-// the whole request (candidate previews included), runs the search against
-// it, and renders the buffered or streaming response. Legacy and v1
-// responses are identical by construction.
-func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synthesizeRequest) {
 	sn := s.snapshot(w, req.DB, req.Epoch)
 	if sn == nil {
 		return
@@ -421,14 +342,10 @@ func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synth
 		}
 		input.Sketch = sk
 	}
-	if req.DeadlineMS < 0 {
-		http.Error(w, fmt.Sprintf("deadline_ms must be non-negative, got %d", req.DeadlineMS), http.StatusBadRequest)
-		return
-	}
 	// The engine clamps this to its -max-deadline.
 	input.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 
-	if req.Stream {
+	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
 		s.synthesizeStream(w, r, sn, input)
 		return
 	}
@@ -535,26 +452,8 @@ func (s *server) candidateJSON(ses *duoquest.EngineSession, c duoquest.Candidate
 	return cj
 }
 
-// legacyComplete adapts the unversioned GET surface (?q=&max=).
-func (s *server) legacyComplete(w http.ResponseWriter, r *http.Request) {
-	ses := s.session(w, r)
-	if ses == nil {
-		return
-	}
-	max := 10
-	if m := r.URL.Query().Get("max"); m != "" {
-		n, err := strconv.Atoi(m)
-		if err != nil || n <= 0 {
-			http.Error(w, fmt.Sprintf("max must be a positive integer, got %q", m), http.StatusBadRequest)
-			return
-		}
-		max = n
-	}
-	s.runComplete(w, ses, r.URL.Query().Get("q"), max)
-}
-
-// v1Complete takes a structured JSON body: {"db": ..., "prefix": ..., "max": ...}.
-func (s *server) v1Complete(w http.ResponseWriter, r *http.Request) {
+// complete serves POST /v1/complete: {"db": ..., "prefix": ..., "max": ...}.
+func (s *server) complete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -585,11 +484,6 @@ func (s *server) v1Complete(w http.ResponseWriter, r *http.Request) {
 	if max == 0 {
 		max = 10
 	}
-	s.runComplete(w, ses, req.Prefix, max)
-}
-
-// runComplete is the shared autocomplete core.
-func (s *server) runComplete(w http.ResponseWriter, ses *duoquest.EngineSession, prefix string, max int) {
 	if max > maxCompleteResults {
 		max = maxCompleteResults
 	}
@@ -599,7 +493,7 @@ func (s *server) runComplete(w http.ResponseWriter, ses *duoquest.EngineSession,
 		Column string `json:"column"`
 	}
 	hits := []hitJSON{}
-	for _, h := range ses.Autocomplete(prefix, max) {
+	for _, h := range ses.Autocomplete(req.Prefix, max) {
 		hits = append(hits, hitJSON{Value: h.Value, Table: h.Table, Column: h.Column})
 	}
 	writeJSON(w, hits)

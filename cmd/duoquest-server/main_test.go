@@ -15,15 +15,17 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 )
 
-func testServer(t *testing.T, opts ...duoquest.Option) *server {
+// testConfig is DefaultConfig with the search bounds most server tests use.
+func testConfig() duoquest.Config {
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 3
+	return cfg
+}
+
+func testServer(t *testing.T, cfg duoquest.Config) *server {
 	t.Helper()
-	if opts == nil {
-		opts = []duoquest.Option{
-			duoquest.WithBudget(2 * time.Second),
-			duoquest.WithMaxCandidates(3),
-		}
-	}
-	eng := duoquest.NewEngine(opts...)
+	eng := duoquest.NewEngine(cfg)
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS()} {
 		if err := eng.Register(db); err != nil {
 			t.Fatal(err)
@@ -42,9 +44,15 @@ const masBody = `{
 	"sketch": {"types": ["text"], "tuples": [["University of Oxford"]]}
 }`
 
+// withFields prepends routing fields (db, deadline_ms, epoch, stream) to a
+// specification body: withFields(`"db": "movies"`, body).
+func withFields(fields, spec string) string {
+	return "{" + fields + ", " + strings.TrimPrefix(strings.TrimSpace(spec), "{")
+}
+
 func TestSynthesizeEndpoint(t *testing.T) {
-	srv := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody))
+	srv := testServer(t, testConfig())
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -66,7 +74,7 @@ func TestSynthesizeEndpoint(t *testing.T) {
 }
 
 func TestSynthesizeEndpointErrors(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	cases := []struct {
 		method string
@@ -74,15 +82,27 @@ func TestSynthesizeEndpointErrors(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{http.MethodGet, "/synthesize", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/synthesize", "not json", http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "literals": [true]}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"types": ["blob"]}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"tuples": [[["a", "b"]]]}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"limit": -3}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize?db=nope", `{"nlq": "x"}`, http.StatusNotFound},
-		{http.MethodPost, "/synthesize?db=nope&stream=1", `{"nlq": "x"}`, http.StatusNotFound},
+		{http.MethodGet, "/v1/synthesize", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/synthesize", "not json", http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "literals": [true]}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"types": ["blob"]}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"tuples": [[["a", "b"]]]}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"limit": -3}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"db": "nope", "nlq": "x"}`, http.StatusNotFound},
+		{http.MethodPost, "/v1/synthesize", `{"db": "nope", "stream": true, "nlq": "x"}`, http.StatusNotFound},
+		// Malformed routing fields are 400 — a negative epoch is not a
+		// retired one — and a never-published epoch is 410.
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "epoch": -1}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "epoch": 99}`, http.StatusGone},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "deadline_ms": -5}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/complete", `{"prefix": "SIG", "max": -2}`, http.StatusBadRequest},
+		// The unversioned routes are gone.
+		{http.MethodPost, "/synthesize", `{"nlq": "x"}`, http.StatusNotFound},
+		{http.MethodGet, "/complete?q=SIG", "", http.StatusNotFound},
+		{http.MethodGet, "/schema", "", http.StatusNotFound},
+		{http.MethodGet, "/dbs", "", http.StatusNotFound},
+		{http.MethodGet, "/stats", "", http.StatusNotFound},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.body))
@@ -97,11 +117,11 @@ func TestSynthesizeEndpointErrors(t *testing.T) {
 // Streaming mode must emit exactly the non-streaming candidates, in the
 // same order, then one done line carrying the summary.
 func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 
 	plain := httptest.NewRecorder()
-	h.ServeHTTP(plain, httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody)))
+	h.ServeHTTP(plain, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody)))
 	if plain.Code != http.StatusOK {
 		t.Fatalf("plain status = %d: %s", plain.Code, plain.Body.String())
 	}
@@ -111,7 +131,7 @@ func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
 	}
 
 	stream := httptest.NewRecorder()
-	h.ServeHTTP(stream, httptest.NewRequest(http.MethodPost, "/synthesize?stream=1", strings.NewReader(masBody)))
+	h.ServeHTTP(stream, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(withFields(`"stream": true`, masBody))))
 	if stream.Code != http.StatusOK {
 		t.Fatalf("stream status = %d: %s", stream.Code, stream.Body.String())
 	}
@@ -158,8 +178,8 @@ func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
 
 // The Accept header is an alternative opt-in to streaming.
 func TestSynthesizeStreamingViaAccept(t *testing.T) {
-	srv := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody))
+	srv := testServer(t, testConfig())
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody))
 	req.Header.Set("Accept", "application/x-ndjson")
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
@@ -172,12 +192,12 @@ func TestSynthesizeStreamingViaAccept(t *testing.T) {
 }
 
 // Per-database routing: the same NLQ resolves against the database named in
-// ?db=.
+// the body's db field.
 func TestSynthesizeDatabaseRouting(t *testing.T) {
-	srv := testServer(t)
-	body := `{"nlq": "titles of movies before 1995", "literals": [1995],
+	srv := testServer(t, testConfig())
+	body := `{"db": "movies", "nlq": "titles of movies before 1995", "literals": [1995],
 		"sketch": {"types": ["text"], "tuples": [["Forrest Gump"]]}}`
-	req := httptest.NewRequest(http.MethodPost, "/synthesize?db=movies", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -193,9 +213,9 @@ func TestSynthesizeDatabaseRouting(t *testing.T) {
 }
 
 func TestCompleteEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	req := httptest.NewRequest(http.MethodGet, "/complete?q=SIG&max=3", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"prefix": "SIG", "max": 3}`))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -211,7 +231,7 @@ func TestCompleteEndpoint(t *testing.T) {
 
 	// Routing: the movies database has its own index.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=Forrest&db=movies", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"db": "movies", "prefix": "Forrest"}`)))
 	hits = nil
 	if err := json.Unmarshal(w.Body.Bytes(), &hits); err != nil {
 		t.Fatal(err)
@@ -222,23 +242,25 @@ func TestCompleteEndpoint(t *testing.T) {
 }
 
 func TestCompleteEndpointParamValidation(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	for _, target := range []string{
-		"/complete?q=SIG&max=abc",
-		"/complete?q=SIG&max=0",
-		"/complete?q=SIG&max=-2",
-		"/complete?q=SIG&max=3.5",
-	} {
+	post := func(body string) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", target, w.Code)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(body)))
+		return w
+	}
+	// max = 0 is "unset" in a structured body and takes the default of 10.
+	for _, body := range []string{
+		`{"prefix": "SIG", "max": "abc"}`,
+		`{"prefix": "SIG", "max": -2}`,
+		`{"prefix": "SIG", "max": 3.5}`,
+	} {
+		if w := post(body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, w.Code)
 		}
 	}
 	// Oversized max is clamped, not rejected.
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=a&max=100000", nil))
+	w := post(`{"prefix": "a", "max": 100000}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("clamped max: status = %d", w.Code)
 	}
@@ -250,18 +272,16 @@ func TestCompleteEndpointParamValidation(t *testing.T) {
 		t.Errorf("clamp failed: %d hits", len(hits))
 	}
 	// Unknown database.
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=SIG&db=nope", nil))
-	if w.Code != http.StatusNotFound {
+	if w = post(`{"db": "nope", "prefix": "SIG"}`); w.Code != http.StatusNotFound {
 		t.Errorf("unknown db: status = %d", w.Code)
 	}
 }
 
 func TestSchemaEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -278,7 +298,7 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 	// Routed to movies.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema?db=movies", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema?db=movies", nil))
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +307,16 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 	// Unknown database.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema?db=nope", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema?db=nope", nil))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("unknown db: status = %d", w.Code)
 	}
 }
 
 func TestDBsEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	w := httptest.NewRecorder()
-	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/dbs", nil))
+	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/dbs", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -321,17 +341,17 @@ func TestDBsEndpoint(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	// Serve one synthesis so the counters move.
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody)))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody)))
 	if w.Code != http.StatusOK {
 		t.Fatalf("synthesize status = %d", w.Code)
 	}
 
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("stats status = %d", w.Code)
 	}
@@ -401,10 +421,10 @@ func TestStatsEndpoint(t *testing.T) {
 // budget: the test synchronizes on the first streamed candidate before
 // shutting down, guaranteeing the overlap rather than racing a sleep.
 func TestGracefulShutdownMidRequest(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = time.Second
+	cfg.MaxCandidates = 100000
+	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -412,11 +432,11 @@ func TestGracefulShutdownMidRequest(t *testing.T) {
 		body string
 		err  error
 	}
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"stream": true, "nlq": "names of authors", "sketch": {"types": ["text"]}}`
 	firstLine := make(chan struct{})
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/synthesize?stream=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
 		if err != nil {
 			close(firstLine)
 			resc <- result{err: err}

@@ -28,7 +28,7 @@ func TestRegisterPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := duoquest.NewEngine()
+	eng := duoquest.NewEngine(duoquest.DefaultConfig())
 	if err := eng.Register(dataset.MAS()); err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestRegisterPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := httptest.NewRecorder()
-	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if w.Code != http.StatusOK {
-		t.Fatalf("/stats = %d", w.Code)
+		t.Fatalf("/v1/stats = %d", w.Code)
 	}
 	var stats struct {
 		Databases []struct {
@@ -117,7 +117,7 @@ func TestRegisterPersistedSkipsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := duoquest.NewEngine()
+	eng := duoquest.NewEngine(duoquest.DefaultConfig())
 	var logs []string
 	registerPersisted(eng, store, func(format string, args ...any) {
 		logs = append(logs, fmt.Sprintf(format, args...))
@@ -142,8 +142,8 @@ func TestRegisterPersistedSkipsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := httptest.NewRecorder()
-	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=F&max=3", nil))
+	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"prefix": "F", "max": 3}`)))
 	if w.Code != http.StatusOK {
-		t.Fatalf("/complete after corrupt skip = %d: %s", w.Code, w.Body.String())
+		t.Fatalf("/v1/complete after corrupt skip = %d: %s", w.Code, w.Body.String())
 	}
 }

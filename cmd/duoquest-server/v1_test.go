@@ -42,63 +42,63 @@ func doReq(t *testing.T, srv *server, method, target, body string, hdr map[strin
 	return w
 }
 
-// TestV1SynthesizeEquivalence: the legacy query-parameter route and the
-// versioned structured-body route produce byte-identical responses (modulo
-// elapsed_ms) for the same request. MaxStates bounds the search so both
-// runs explore the same deterministic prefix.
+// boundedConfig bounds the search by MaxStates, not wall clock, so two runs
+// of one request explore the same deterministic prefix.
+func boundedConfig() duoquest.Config {
+	cfg := duoquest.DefaultConfig()
+	cfg.MaxStates = 3000
+	cfg.MaxCandidates = 3
+	cfg.Budget = 30 * time.Second
+	return cfg
+}
+
+// TestV1SynthesizeEquivalence: a body that names the default database and
+// one that names none produce byte-identical responses (modulo elapsed_ms),
+// and the response carries the epoch the request observed. (Until the
+// unversioned routes were deleted this compared /v1/synthesize with them.)
 func TestV1SynthesizeEquivalence(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
+	srv := testServer(t, boundedConfig())
 
-	legacy := doReq(t, srv, http.MethodPost, "/synthesize?db=mas", masBody, nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
+	implicit := doReq(t, srv, http.MethodPost, "/v1/synthesize", masBody, nil)
+	if implicit.Code != http.StatusOK {
+		t.Fatalf("default-db status = %d: %s", implicit.Code, implicit.Body.String())
 	}
-	v1Body := `{"db": "mas", ` + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
-	v1 := doReq(t, srv, http.MethodPost, "/v1/synthesize", v1Body, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
+	named := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"db": "mas"`, masBody), nil)
+	if named.Code != http.StatusOK {
+		t.Fatalf("named-db status = %d: %s", named.Code, named.Body.String())
 	}
-	if got, want := normalizeTiming(v1.Body.String()), normalizeTiming(legacy.Body.String()); got != want {
-		t.Errorf("v1 response differs from legacy:\n v1: %s\nlegacy: %s", got, want)
+	if got, want := normalizeTiming(named.Body.String()), normalizeTiming(implicit.Body.String()); got != want {
+		t.Errorf("naming the default database changes the response:\n named: %s\ndefault: %s", got, want)
 	}
 
-	// Both carry the epoch the request observed.
 	var resp synthesizeResponse
-	if err := json.Unmarshal(v1.Body.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(named.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Epoch <= 0 {
-		t.Errorf("v1 epoch = %d, want a published epoch", resp.Epoch)
+		t.Errorf("epoch = %d, want a published epoch", resp.Epoch)
 	}
 }
 
-// TestV1SynthesizeStreamEquivalence: the body's stream flag and the legacy
-// ?stream=1 produce the same NDJSON lines (modulo elapsed_ms).
+// TestV1SynthesizeStreamEquivalence: the body's stream flag and the NDJSON
+// Accept header produce the same lines (modulo elapsed_ms), ending in a done
+// summary that carries the epoch.
 func TestV1SynthesizeStreamEquivalence(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
-	legacy := doReq(t, srv, http.MethodPost, "/synthesize?db=mas&stream=1", masBody, nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
+	srv := testServer(t, boundedConfig())
+	byHeader := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"db": "mas"`, masBody),
+		map[string]string{"Accept": "application/x-ndjson"})
+	if byHeader.Code != http.StatusOK {
+		t.Fatalf("Accept status = %d: %s", byHeader.Code, byHeader.Body.String())
 	}
-	v1Body := `{"db": "mas", "stream": true, ` + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
-	v1 := doReq(t, srv, http.MethodPost, "/v1/synthesize", v1Body, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
+	byFlag := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"db": "mas", "stream": true`, masBody), nil)
+	if byFlag.Code != http.StatusOK {
+		t.Fatalf("stream-flag status = %d: %s", byFlag.Code, byFlag.Body.String())
 	}
-	if got, want := normalizeTiming(v1.Body.String()), normalizeTiming(legacy.Body.String()); got != want {
-		t.Errorf("v1 stream differs from legacy:\n v1: %s\nlegacy: %s", got, want)
+	if got, want := normalizeTiming(byFlag.Body.String()), normalizeTiming(byHeader.Body.String()); got != want {
+		t.Errorf("stream flag and Accept header differ:\n flag: %s\nheader: %s", got, want)
 	}
-	// The final line is a done summary carrying the epoch.
 	var done streamLine
-	sc := bufio.NewScanner(strings.NewReader(v1.Body.String()))
+	sc := bufio.NewScanner(strings.NewReader(byFlag.Body.String()))
 	for sc.Scan() {
 		if err := json.Unmarshal(sc.Bytes(), &done); err != nil {
 			t.Fatal(err)
@@ -109,40 +109,39 @@ func TestV1SynthesizeStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestV1CompleteEquivalence: GET /complete and POST /v1/complete answer
-// identically.
+// TestV1CompleteEquivalence: an omitted max is the default of 10, an omitted
+// db the server's default database, and the route is POST-only.
 func TestV1CompleteEquivalence(t *testing.T) {
-	srv := testServer(t)
-	legacy := doReq(t, srv, http.MethodGet, "/complete?db=mas&q=Uni&max=5", "", nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
+	srv := testServer(t, testConfig())
+	implicit := doReq(t, srv, http.MethodPost, "/v1/complete", `{"prefix": "Uni"}`, nil)
+	if implicit.Code != http.StatusOK {
+		t.Fatalf("defaults status = %d: %s", implicit.Code, implicit.Body.String())
 	}
-	v1 := doReq(t, srv, http.MethodPost, "/v1/complete", `{"db": "mas", "prefix": "Uni", "max": 5}`, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
+	explicit := doReq(t, srv, http.MethodPost, "/v1/complete", `{"db": "mas", "prefix": "Uni", "max": 10}`, nil)
+	if explicit.Code != http.StatusOK {
+		t.Fatalf("explicit status = %d: %s", explicit.Code, explicit.Body.String())
 	}
-	if v1.Body.String() != legacy.Body.String() {
-		t.Errorf("v1 complete differs:\n v1: %s\nlegacy: %s", v1.Body.String(), legacy.Body.String())
+	if explicit.Body.String() != implicit.Body.String() {
+		t.Errorf("spelling out the defaults changes the answer:\n explicit: %s\ndefaults: %s", explicit.Body.String(), implicit.Body.String())
 	}
 	if doReq(t, srv, http.MethodGet, "/v1/complete?q=Uni", "", nil).Code != http.StatusMethodNotAllowed {
 		t.Error("v1 complete should reject GET")
 	}
 }
 
-// TestV1ReadRoutesEquivalence: the GET surfaces are shared cores, so the
-// versioned and legacy paths answer byte-identically.
+// TestV1ReadRoutesEquivalence: the GET surfaces answer 200, and /v1/schema
+// without ?db= is the default database's schema.
 func TestV1ReadRoutesEquivalence(t *testing.T) {
-	srv := testServer(t)
-	for _, route := range []string{"/schema?db=movies", "/dbs", "/stats"} {
-		legacy := doReq(t, srv, http.MethodGet, route, "", nil)
-		v1 := doReq(t, srv, http.MethodGet, "/v1"+route, "", nil)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s status legacy=%d v1=%d", route, legacy.Code, v1.Code)
+	srv := testServer(t, testConfig())
+	for _, route := range []string{"/v1/schema?db=movies", "/v1/dbs", "/v1/stats"} {
+		if w := doReq(t, srv, http.MethodGet, route, "", nil); w.Code != http.StatusOK {
+			t.Errorf("%s status = %d", route, w.Code)
 		}
-		if v1.Body.String() != legacy.Body.String() {
-			t.Errorf("%s differs between v1 and legacy:\n v1: %s\nlegacy: %s",
-				route, v1.Body.String(), legacy.Body.String())
-		}
+	}
+	implicit := doReq(t, srv, http.MethodGet, "/v1/schema", "", nil)
+	named := doReq(t, srv, http.MethodGet, "/v1/schema?db=mas", "", nil)
+	if implicit.Code != http.StatusOK || implicit.Body.String() != named.Body.String() {
+		t.Errorf("/v1/schema without ?db= (status %d) is not the default database's schema", implicit.Code)
 	}
 }
 
@@ -150,13 +149,9 @@ func TestV1ReadRoutesEquivalence(t *testing.T) {
 // a request pinned to a pre-ingest epoch keeps its answers after an append,
 // an unpinned request observes the new head, and a retired epoch is 410.
 func TestSynthesizeEpochPinning(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
+	srv := testServer(t, boundedConfig())
 
-	before := doReq(t, srv, http.MethodPost, "/v1/synthesize", `{"db": "mas", `+strings.TrimPrefix(strings.TrimSpace(masBody), "{"), nil)
+	before := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"db": "mas"`, masBody), nil)
 	if before.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", before.Code, before.Body.String())
 	}
@@ -176,7 +171,7 @@ func TestSynthesizeEpochPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pinnedBody := fmt.Sprintf(`{"db": "mas", "epoch": %d, `, pinned) + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
+	pinnedBody := withFields(fmt.Sprintf(`"db": "mas", "epoch": %d`, pinned), masBody)
 	after := doReq(t, srv, http.MethodPost, "/v1/synthesize", pinnedBody, nil)
 	if after.Code != http.StatusOK {
 		t.Fatalf("pinned status = %d: %s", after.Code, after.Body.String())
@@ -185,7 +180,7 @@ func TestSynthesizeEpochPinning(t *testing.T) {
 		t.Errorf("pinned re-run differs from pre-ingest run:\n got %s\nwant %s", got, want)
 	}
 
-	head := doReq(t, srv, http.MethodPost, "/v1/synthesize", `{"db": "mas", `+strings.TrimPrefix(strings.TrimSpace(masBody), "{"), nil)
+	head := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"db": "mas"`, masBody), nil)
 	if head.Code != http.StatusOK {
 		t.Fatalf("head status = %d: %s", head.Code, head.Body.String())
 	}

@@ -69,13 +69,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "duoquest:", err)
 		return 1
 	}
-	syn := duoquest.New(db,
-		duoquest.WithBudget(*budget),
-		duoquest.WithMaxCandidates(*topk),
-		duoquest.WithWorkers(*workers),
-		duoquest.WithQueryParallelism(*qworkers),
-		duoquest.WithMorselSize(*morsel),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = *budget
+	cfg.MaxCandidates = *topk
+	cfg.Workers = *workers
+	cfg.QueryParallelism = *qworkers
+	cfg.MorselSize = *morsel
+	syn := duoquest.New(db, cfg)
 
 	if *complete != "" {
 		for _, hit := range syn.Autocomplete(*complete, 10) {

@@ -16,10 +16,10 @@ import (
 // former s.idx lazy-build race between Autocomplete and everything else.
 func TestSynthesizerConcurrentUse(t *testing.T) {
 	db := dataset.Movies()
-	syn := duoquest.New(db,
-		duoquest.WithBudget(2*time.Second),
-		duoquest.WithMaxCandidates(3),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 3
+	syn := duoquest.New(db, cfg)
 	in := duoquest.Input{
 		NLQ:      "titles of movies before 1995",
 		Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -79,7 +79,9 @@ func TestSynthesizerConcurrentUse(t *testing.T) {
 // The multi-database Engine is reachable through the public API: a second
 // database registered on a Synthesizer's engine serves its own sessions.
 func TestPublicEngineMultiDB(t *testing.T) {
-	syn := duoquest.New(dataset.Movies(), duoquest.WithBudget(2*time.Second))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	syn := duoquest.New(dataset.Movies(), cfg)
 	if err := syn.Engine().Register(dataset.MAS()); err != nil {
 		t.Fatal(err)
 	}

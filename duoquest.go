@@ -14,7 +14,7 @@
 // Quick start:
 //
 //	db := duoquest.NewDatabase("movies", schema)
-//	syn := duoquest.New(db)
+//	syn := duoquest.New(db, duoquest.DefaultConfig())
 //	res, _ := syn.Synthesize(ctx, duoquest.Input{
 //	    NLQ:      "movies before 1995",
 //	    Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -203,7 +203,7 @@ func DefaultRules() *RuleSet { return semrules.Default() }
 type Input = service.Input
 
 // ErrOverloaded reports that the engine's synthesis wait queue is full (see
-// WithMaxInFlight/WithMaxQueue); callers should shed the request.
+// Config.MaxInFlight/Config.MaxQueue); callers should shed the request.
 var ErrOverloaded = service.ErrOverloaded
 
 // Config is the engine's whole configuration surface — guidance model,
@@ -211,8 +211,7 @@ var ErrOverloaded = service.ErrOverloaded
 // admission control, and epoch-cache retention — documented field by field
 // on service.Config. The zero value is usable; DefaultConfig returns the
 // library defaults (lexical guidance, Table 4 rules, 2s budget, 50
-// candidates). The WithX Option helpers below are thin deprecated wrappers
-// over this struct.
+// candidates), and callers start from it and set fields.
 type Config = service.Config
 
 // DefaultConfig returns the documented library defaults: the lexical
@@ -228,126 +227,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Option configures a Synthesizer or Engine built through the variadic
-// constructors.
-//
-// Deprecated: populate a Config and use NewEngineFromConfig (or NewWithConfig
-// for a single-database Synthesizer) instead.
-type Option func(*Config)
-
-// WithModel replaces the guidance model (default: the lexical model).
-//
-// Deprecated: set Config.Model.
-func WithModel(m GuidanceModel) Option { return func(c *Config) { c.Model = m } }
-
-// WithRules replaces the semantic rule set; nil disables semantic pruning.
-//
-// Deprecated: set Config.Rules (and Config.NoRules to disable pruning).
-func WithRules(r *RuleSet) Option {
-	return func(c *Config) { c.Rules = r; c.NoRules = r == nil }
-}
-
-// WithMode selects the enumeration variant (default ModeGPQE).
-//
-// Deprecated: set Config.Mode.
-func WithMode(m Mode) Option { return func(c *Config) { c.Mode = m } }
-
-// WithBudget bounds the wall-clock search time per request (default 2s) —
-// the front-end's pre-specified timeout (§4).
-//
-// Deprecated: set Config.Budget.
-func WithBudget(d time.Duration) Option { return func(c *Config) { c.Budget = d } }
-
-// WithDefaultDeadline sets the per-request wall-clock deadline applied when
-// a request carries none (0, the default, applies no deadline). Unlike
-// WithBudget — which the enumerator only checks between search states — the
-// deadline rides the request context through the executor's cancellation
-// checkpoints, so expiry unwinds verification mid-scan and the request
-// returns the candidates found so far with Result.Truncated set, not an
-// error.
-//
-// Deprecated: set Config.DefaultDeadline.
-func WithDefaultDeadline(d time.Duration) Option {
-	return func(c *Config) { c.DefaultDeadline = d }
-}
-
-// WithMaxDeadline clamps every request's deadline, including requests that
-// asked for none (0, the default, applies no clamp). The HTTP server's
-// deadline_ms parameter is bounded by this.
-//
-// Deprecated: set Config.MaxDeadline.
-func WithMaxDeadline(d time.Duration) Option {
-	return func(c *Config) { c.MaxDeadline = d }
-}
-
-// WithMaxCandidates stops after emitting n candidates (default 50).
-//
-// Deprecated: set Config.MaxCandidates.
-func WithMaxCandidates(n int) Option { return func(c *Config) { c.MaxCandidates = n } }
-
-// WithMaxStates caps the number of explored search states.
-//
-// Deprecated: set Config.MaxStates.
-func WithMaxStates(n int) Option { return func(c *Config) { c.MaxStates = n } }
-
-// WithWorkers bounds the verification worker pool: the database work of
-// TSQ verification fans out to n workers while enumeration order — and
-// every check that needs no database work — stays on the search goroutine,
-// so results are identical at every setting. 0 (the default) uses
-// runtime.GOMAXPROCS(0); 1 does the database work on the search goroutine
-// too.
-//
-// Deprecated: set Config.Workers.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithQueryParallelism bounds intra-query morsel parallelism: the workers
-// (caller included) a single scan, join probe, or grouped aggregation may
-// recruit from the engine's shared token pool. 0 (the default) follows
-// WithWorkers; 1 disables morsel parallelism and runs every query on the
-// single-threaded columnar path. Morsel fan-out and verification workers
-// share one token budget, so total parallelism stays capped at
-// max(workers, query parallelism); parallel results are bit-identical to
-// the single-threaded path (deterministic morsel-order merges).
-//
-// Deprecated: set Config.QueryParallelism.
-func WithQueryParallelism(n int) Option { return func(c *Config) { c.QueryParallelism = n } }
-
-// WithMorselSize sets the scan rows per morsel for intra-query parallelism
-// (0, the default, uses the executor's 4096). Values are normalized up to
-// the storage engine's 64-row null-bitmap word alignment.
-//
-// Deprecated: set Config.MorselSize.
-func WithMorselSize(n int) Option { return func(c *Config) { c.MorselSize = n } }
-
-// WithMaxInFlight bounds concurrently running syntheses (0, the default,
-// is unbounded). Excess requests wait in an admission queue.
-//
-// Deprecated: set Config.MaxInFlight.
-func WithMaxInFlight(n int) Option { return func(c *Config) { c.MaxInFlight = n } }
-
-// WithMaxQueue bounds the admission queue beyond WithMaxInFlight (0 =
-// unbounded); when full, Synthesize fails fast with ErrOverloaded.
-//
-// Deprecated: set Config.MaxQueue.
-func WithMaxQueue(n int) Option { return func(c *Config) { c.MaxQueue = n } }
-
-// NewEngineFromConfig builds a standalone multi-database Engine from an
-// explicit Config — the primary constructor. Register databases on it and
-// open per-request sessions with Engine.Session (or pinned read handles
-// with Engine.Snapshot); cmd/duoquest-server is built on this entry point.
-func NewEngineFromConfig(cfg Config) *Engine {
+// NewEngine builds a standalone multi-database Engine. Register databases
+// on it and open per-request sessions with Engine.Session (or pinned read
+// handles with Engine.Snapshot); cmd/duoquest-server is built on this entry
+// point.
+func NewEngine(cfg Config) *Engine {
 	return service.NewEngine(cfg)
-}
-
-// NewEngine builds an Engine from DefaultConfig plus options.
-//
-// Deprecated: populate a Config and use NewEngineFromConfig.
-func NewEngine(opts ...Option) *Engine {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return NewEngineFromConfig(cfg)
 }
 
 // Synthesizer is the Duoquest engine bound to one database. It is safe for
@@ -362,9 +247,9 @@ type Synthesizer struct {
 	ses *EngineSession
 }
 
-// NewWithConfig builds a Synthesizer for a database from an explicit Config.
-func NewWithConfig(db *Database, cfg Config) *Synthesizer {
-	eng := NewEngineFromConfig(cfg)
+// New builds a Synthesizer for a database.
+func New(db *Database, cfg Config) *Synthesizer {
+	eng := NewEngine(cfg)
 	if err := eng.Register(db); err != nil {
 		// A single registration on a fresh engine can only fail on a nil
 		// database; surface that as the programming error it is.
@@ -375,16 +260,6 @@ func NewWithConfig(db *Database, cfg Config) *Synthesizer {
 		panic(err)
 	}
 	return &Synthesizer{db: db, eng: eng, ses: ses}
-}
-
-// New builds a Synthesizer for a database with the library defaults plus
-// options. (For new code, populate a Config and use NewWithConfig.)
-func New(db *Database, opts ...Option) *Synthesizer {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return NewWithConfig(db, cfg)
 }
 
 // Engine exposes the Synthesizer's underlying service engine, e.g. to read

@@ -50,7 +50,10 @@ func movieDB(t *testing.T) *duoquest.Database {
 
 func TestSynthesizeDualSpecification(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(3*time.Second), duoquest.WithMaxCandidates(20))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 3 * time.Second
+	cfg.MaxCandidates = 20
+	syn := duoquest.New(db, cfg)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{
 		NLQ:      "titles of movies before 1995",
 		Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -93,7 +96,10 @@ func TestSynthesizeDualSpecification(t *testing.T) {
 
 func TestSynthesizeNLQOnly(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(10))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 10
+	syn := duoquest.New(db, cfg)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: "all movie titles"})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +111,9 @@ func TestSynthesizeNLQOnly(t *testing.T) {
 
 func TestSynthesizeStreamStops(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	syn := duoquest.New(db, cfg)
 	n := 0
 	_, err := syn.SynthesizeStream(context.Background(), duoquest.Input{NLQ: "movie titles"},
 		func(c duoquest.Candidate) bool {
@@ -122,7 +130,7 @@ func TestSynthesizeStreamStops(t *testing.T) {
 
 func TestInvalidSketchRejected(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.New(db, duoquest.DefaultConfig())
 	_, err := syn.Synthesize(context.Background(), duoquest.Input{
 		NLQ:    "movies",
 		Sketch: &duoquest.TSQ{Limit: -1},
@@ -134,7 +142,7 @@ func TestInvalidSketchRejected(t *testing.T) {
 
 func TestAutocomplete(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.New(db, duoquest.DefaultConfig())
 	hits := syn.Autocomplete("gump", 5)
 	if len(hits) != 1 || hits[0].Value != "Forrest Gump" {
 		t.Errorf("hits = %v", hits)
@@ -147,7 +155,7 @@ func TestAutocomplete(t *testing.T) {
 
 func TestPreview(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.New(db, duoquest.DefaultConfig())
 	q, err := duoquest.ParseSQL(db.Schema, "SELECT title FROM movie")
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +172,12 @@ func TestPreview(t *testing.T) {
 func TestModesExposed(t *testing.T) {
 	db := movieDB(t)
 	for _, mode := range []duoquest.Mode{duoquest.ModeGPQE, duoquest.ModeNoPQ, duoquest.ModeNoGuide} {
-		syn := duoquest.New(db,
-			duoquest.WithMode(mode),
-			duoquest.WithBudget(500*time.Millisecond),
-			duoquest.WithMaxCandidates(5),
-			duoquest.WithMaxStates(20000),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Mode = mode
+		cfg.Budget = 500 * time.Millisecond
+		cfg.MaxCandidates = 5
+		cfg.MaxStates = 20000
+		syn := duoquest.New(db, cfg)
 		if _, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: "movie titles"}); err != nil {
 			t.Errorf("mode %v: %v", mode, err)
 		}

@@ -30,11 +30,11 @@ func main() {
 	fmt.Printf("Task %s: %s\nGold: %s\n\n", task.ID, task.NLQ, task.SQL)
 
 	for _, mode := range []duoquest.Mode{duoquest.ModeGPQE, duoquest.ModeNoPQ, duoquest.ModeNoGuide} {
-		syn := duoquest.New(task.DB,
-			duoquest.WithMode(mode),
-			duoquest.WithBudget(2*time.Second),
-			duoquest.WithMaxCandidates(200),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Mode = mode
+		cfg.Budget = 2 * time.Second
+		cfg.MaxCandidates = 200
+		syn := duoquest.New(task.DB, cfg)
 		start := time.Now()
 		rank, states := 0, 0
 		res, err := syn.SynthesizeStream(context.Background(), duoquest.Input{

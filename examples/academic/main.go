@@ -35,10 +35,10 @@ func main() {
 		}
 		fmt.Printf("sketch: %s\n", sketch)
 
-		syn := duoquest.New(task.DB,
-			duoquest.WithBudget(3*time.Second),
-			duoquest.WithMaxCandidates(3),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Budget = 3 * time.Second
+		cfg.MaxCandidates = 3
+		syn := duoquest.New(task.DB, cfg)
 		res, err := syn.Synthesize(context.Background(), duoquest.Input{
 			NLQ:      task.NLQ,
 			Literals: task.Literals,

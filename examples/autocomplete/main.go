@@ -18,7 +18,10 @@ import (
 
 func main() {
 	db := dataset.MAS()
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(3))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 3
+	syn := duoquest.New(db, cfg)
 
 	// The user types: List all publications in conference "SIG...
 	for _, prefix := range []string{"SIG", "sigm", "univ", "alice"} {

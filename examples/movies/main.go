@@ -92,7 +92,10 @@ func main() {
 		Sorted: true,
 	}
 
-	syn := duoquest.New(db, duoquest.WithBudget(5*time.Second), duoquest.WithMaxCandidates(5))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 5 * time.Second
+	cfg.MaxCandidates = 5
+	syn := duoquest.New(db, cfg)
 
 	fmt.Println("=== NLQ only (the NLI experience) ===")
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: nlq, Literals: literals})

@@ -45,7 +45,10 @@ func main() {
 
 	// 3. Ask in natural language, with one example tuple as a sketch: the
 	// user remembers Lakewood should be in the answer.
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(5))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 5
+	syn := duoquest.New(db, cfg)
 	input := duoquest.Input{
 		NLQ:      "names of cities with population over 100000",
 		Literals: []duoquest.Value{duoquest.Number(100000)},

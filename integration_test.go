@@ -34,10 +34,10 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 		t.Fatalf("picked %d difficulties", len(picked))
 	}
 	for diff, task := range picked {
-		syn := duoquest.New(task.DB,
-			duoquest.WithBudget(2*time.Second),
-			duoquest.WithMaxCandidates(10),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Budget = 2 * time.Second
+		cfg.MaxCandidates = 10
+		syn := duoquest.New(task.DB, cfg)
 		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, 99)
 		if err != nil {
 			t.Fatalf("%s: %v", task.ID, err)
@@ -83,10 +83,10 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 // find a value through autocomplete, tag it, and synthesize with it.
 func TestEndToEndAutocompleteToSynthesis(t *testing.T) {
 	db := dataset.MAS()
-	syn := duoquest.New(db,
-		duoquest.WithBudget(2*time.Second),
-		duoquest.WithMaxCandidates(5),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 5
+	syn := duoquest.New(db, cfg)
 	hits := syn.Autocomplete("Datab", 3)
 	if len(hits) == 0 || hits[0].Value != "Databases" {
 		t.Fatalf("autocomplete hits = %v", hits)

@@ -32,8 +32,8 @@ func TestMASDeterministic(t *testing.T) {
 	}
 	ta, tb := a.Table("publication"), b.Table("publication")
 	for i := 0; i < ta.NumRows(); i++ {
-		for j := range ta.Row(i) {
-			if !ta.Row(i)[j].Equal(tb.Row(i)[j]) {
+		for j := range ta.Columns {
+			if !ta.VectorAt(j).Value(i).Equal(tb.VectorAt(j).Value(i)) {
 				t.Fatalf("row %d differs", i)
 			}
 		}
@@ -308,8 +308,8 @@ func TestSpiderDevTestDistinct(t *testing.T) {
 		// Same size is possible; require some row to differ then.
 		same := true
 		for i := 0; i < a.NumRows() && same; i++ {
-			for j := range a.Row(i) {
-				if !a.Row(i)[j].Equal(b.Row(i)[j]) {
+			for j := range a.Columns {
+				if !a.VectorAt(j).Value(i).Equal(b.VectorAt(j).Value(i)) {
 					same = false
 					break
 				}

@@ -90,11 +90,12 @@ type System struct {
 
 // New builds a PBE system for a database.
 func New(db *storage.Database, opts Options) *System {
+	def := DefaultOptions()
 	if opts.MaxMappings <= 0 {
-		opts.MaxMappings = 200
+		opts.MaxMappings = def.MaxMappings
 	}
 	if opts.MaxDomain <= 0 {
-		opts.MaxDomain = 64
+		opts.MaxDomain = def.MaxDomain
 	}
 	return &System{db: db, graph: schemagraph.New(db.Schema), opts: opts}
 }
@@ -181,15 +182,22 @@ func (s *System) Synthesize(examples []tsq.Tuple) (*Output, error) {
 	return &Output{Unsupported: true, Reason: "no join path satisfies all examples"}, nil
 }
 
-// columnCovers reports whether every example's j-th value occurs in col.
+// columnCovers reports whether every example's j-th value occurs in col,
+// ignoring case. The column's dictionary holds exactly the strings some row
+// of this table holds (only referenced, non-NULL strings are interned, and a
+// snapshot's dictionary is clamped at publication), so it is asked instead
+// of the rows.
 func (s *System) columnCovers(col sqlir.ColumnRef, examples []tsq.Tuple, j int) bool {
 	t := s.db.Schema.Table(col.Table)
-	ci := t.ColumnIndex(col.Column)
+	dict := t.VectorAt(t.ColumnIndex(col.Column)).Dict()
+	if dict == nil {
+		return false
+	}
 	for _, ex := range examples {
 		want := ex[j].Val
 		found := false
-		for _, row := range t.Rows() {
-			if row[ci].Kind == sqlir.KindText && equalFold(row[ci].Text, want.Text) {
+		for _, have := range dict.Strings() {
+			if equalFold(have, want.Text) {
 				found = true
 				break
 			}

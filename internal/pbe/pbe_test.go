@@ -266,3 +266,42 @@ func TestFilterString(t *testing.T) {
 		t.Errorf("count string = %q", f.String())
 	}
 }
+
+// A zero Options evaluates the system DefaultOptions describes.
+func TestNewFillsDefaults(t *testing.T) {
+	if got, want := New(academicDB(), Options{}).opts, DefaultOptions(); got != want {
+		t.Errorf("New(db, Options{}) runs with %+v, DefaultOptions is %+v", got, want)
+	}
+	if got := New(academicDB(), Options{MaxDomain: 7}).opts; got.MaxDomain != 7 || got.MaxMappings != DefaultOptions().MaxMappings {
+		t.Errorf("set fields must survive, unset ones default: %+v", got)
+	}
+}
+
+// columnCovers asks the column's dictionary instead of scanning rows: it
+// still matches case-insensitively, and on a snapshot it must not see a
+// string the live database interned afterwards.
+func TestColumnCoversReadsTheSnapshotsDictionary(t *testing.T) {
+	live := academicDB()
+	snap := live.Snapshot()
+	if _, err := live.Append("conference", []storage.ColumnData{
+		{Nums: []float64{3}}, {Texts: []string{"ICDE"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	col := sqlir.ColumnRef{Table: "conference", Column: "name"}
+	covers := func(db *storage.Database, vals ...string) bool {
+		return New(db, DefaultOptions()).columnCovers(col, []tsq.Tuple{ex(vals...)}, 0)
+	}
+	if !covers(snap, "sigmod") || !covers(snap, "VLDB") {
+		t.Error("a stored string must be covered whatever its case")
+	}
+	if covers(snap, "ICDE") {
+		t.Error("the snapshot sees a string appended after it was taken")
+	}
+	if !covers(live.Snapshot(), "icde") {
+		t.Error("the next snapshot must see the appended string")
+	}
+	if covers(snap, "SIG") {
+		t.Error("a prefix is not a stored string")
+	}
+}

@@ -10,7 +10,7 @@ import (
 // request returns promptly with the candidates verified so far, Truncated
 // set, and the cancel-to-return gap lands in the stats.
 func TestRequestDeadlineAnytimeResult(t *testing.T) {
-	e := newTestEngine(t, Options{MaxCandidates: 50})
+	e := newTestEngine(t, Config{MaxCandidates: 50})
 	s, _ := e.Session("movies")
 	in := moviesInput()
 	in.Deadline = time.Nanosecond
@@ -42,7 +42,7 @@ func TestRequestDeadlineAnytimeResult(t *testing.T) {
 
 // DefaultDeadline applies to requests that do not carry their own budget.
 func TestDefaultDeadlineApplied(t *testing.T) {
-	e := newTestEngine(t, Options{DefaultDeadline: time.Nanosecond})
+	e := newTestEngine(t, Config{DefaultDeadline: time.Nanosecond})
 	s, _ := e.Session("movies")
 	res, err := s.Synthesize(context.Background(), moviesInput())
 	if err != nil {
@@ -56,7 +56,7 @@ func TestDefaultDeadlineApplied(t *testing.T) {
 // MaxDeadline clamps both over-asking requests and requests that ask for no
 // deadline at all.
 func TestMaxDeadlineClamp(t *testing.T) {
-	e := newTestEngine(t, Options{MaxDeadline: time.Nanosecond})
+	e := newTestEngine(t, Config{MaxDeadline: time.Nanosecond})
 	s, _ := e.Session("movies")
 
 	in := moviesInput()
@@ -81,7 +81,7 @@ func TestMaxDeadlineClamp(t *testing.T) {
 // A caller-cancelled request counts as an interruption, distinct from
 // deadline truncations.
 func TestClientCancelCountsInterrupted(t *testing.T) {
-	e := newTestEngine(t, Options{})
+	e := newTestEngine(t, Config{})
 	s, _ := e.Session("movies")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -104,7 +104,7 @@ func TestClientCancelCountsInterrupted(t *testing.T) {
 // A request that finishes within its deadline is a plain success: no
 // truncation, no cancel accounting.
 func TestDeadlineNotReachedIsClean(t *testing.T) {
-	e := newTestEngine(t, Options{Budget: 2 * time.Second, MaxCandidates: 5})
+	e := newTestEngine(t, Config{Budget: 2 * time.Second, MaxCandidates: 5})
 	s, _ := e.Session("movies")
 	in := moviesInput()
 	in.Deadline = time.Minute

@@ -57,8 +57,8 @@ func mixedWorkload() []struct {
 	}
 }
 
-func workloadOptions() Options {
-	return Options{Budget: 30 * time.Second, MaxCandidates: 4, MaxStates: 3000}
+func workloadOptions() Config {
+	return Config{Budget: 30 * time.Second, MaxCandidates: 4, MaxStates: 3000}
 }
 
 // TestSharedCacheDifferential is the acceptance-criteria proof: for every

@@ -163,7 +163,7 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 // Input.Epoch resolution, shard sharing between equal epochs, pinned-session
 // conflicts, and the loud failure for retired epochs.
 func TestEpochRoutingAndErrors(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 // session must not evict one memo from that session's shared caches, while
 // the next unpinned request observes the new rows.
 func TestServiceZeroEvictionsOnAppend(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
+	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 // pinned shard falls out of the live map, but the handle keeps serving its
 // epoch — retirement ends discoverability and per-epoch stats, not reads.
 func TestSnapshotSurvivesShardRetirement(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 // EpochRetention live shards, and the pinned handle answers as it first did.
 func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
 	const retention, rounds, readers = 3, 40, 4
-	e := newTestEngine(t, Options{MaxStates: 400, MaxCandidates: 2, EpochRetention: retention})
+	e := newTestEngine(t, Config{MaxStates: 400, MaxCandidates: 2, EpochRetention: retention})
 	pin, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +515,7 @@ func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
 // from the shard map even after sustained ingest has retired the epoch
 // number from storage, and the results stay bit-stable.
 func TestPinSurvivesStorageRetention(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
+	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func TestPinSurvivesStorageRetention(t *testing.T) {
 // of one probe — with both candidate lists equal to a quiesced engine's.
 func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 	const latency = 400 * time.Millisecond
-	opts := Options{MaxStates: 800, MaxCandidates: 1, Workers: 1, QueryParallelism: 1}
+	opts := Config{MaxStates: 800, MaxCandidates: 1, Workers: 1, QueryParallelism: 1}
 	// Three join probes to its first candidate, all inside memoized row checks.
 	slow := Input{
 		NLQ:      "names of actors starring in Forrest Gump",
@@ -648,7 +648,7 @@ func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 // the head has; the first pin, by number, of the epoch before it — whose
 // shard is therefore created after the head's — must ask again and hear no.
 func TestPinnedEpochShardSeedsOnlyFromEarlierEpochs(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	db, _ := e.Lookup("movies")
 	before := db.Snapshot().Epoch()
 	if _, err := e.Append("movies", "movie", movieBatch(0)); err != nil {

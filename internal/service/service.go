@@ -71,8 +71,7 @@ type Input struct {
 // Config configures an Engine. The zero value is usable: lexical guidance,
 // Table 4 semantic pruning, GPQE mode, unlimited candidates, no state/time
 // bound, unbounded admission. This struct is the engine's whole
-// configuration surface; the duoquest facade's WithX options are thin
-// deprecated wrappers over it.
+// configuration surface.
 type Config struct {
 	// Model is the guidance model; nil uses the lexical model. The model
 	// is shared by all concurrent requests and must be stateless.
@@ -119,8 +118,8 @@ type Config struct {
 	// result.
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps every request's deadline, including requests that
-	// ask for none (0 = no clamp). The server's ?deadline_ms= knob is bounded
-	// by this.
+	// ask for none (0 = no clamp). The server's deadline_ms request field is
+	// bounded by this.
 	MaxDeadline time.Duration
 
 	// MaxInFlight bounds concurrently running syntheses across all
@@ -150,11 +149,6 @@ type Config struct {
 	// discoverability and per-epoch stats end.
 	EpochRetention int
 }
-
-// Options is the former name of Config.
-//
-// Deprecated: use Config.
-type Options = Config
 
 // Engine is the process-wide synthesis service. It is safe for concurrent
 // use; create one per process and share it across all requests.

@@ -14,7 +14,7 @@ import (
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-func newTestEngine(t *testing.T, opts Options) *Engine {
+func newTestEngine(t *testing.T, opts Config) *Engine {
 	t.Helper()
 	e := NewEngine(opts)
 	if err := e.Register(dataset.Movies()); err != nil {
@@ -38,7 +38,7 @@ func moviesInput() Input {
 }
 
 func TestRegistry(t *testing.T) {
-	e := newTestEngine(t, Options{})
+	e := newTestEngine(t, Config{})
 	if got := e.Databases(); len(got) != 2 || got[0] != "movies" || got[1] != "mas" {
 		t.Errorf("Databases = %v", got)
 	}
@@ -54,7 +54,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestSessionSynthesize(t *testing.T) {
-	e := newTestEngine(t, Options{Budget: 2 * time.Second, MaxCandidates: 5})
+	e := newTestEngine(t, Config{Budget: 2 * time.Second, MaxCandidates: 5})
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSessionSynthesize(t *testing.T) {
 }
 
 func TestSketchValidation(t *testing.T) {
-	e := newTestEngine(t, Options{})
+	e := newTestEngine(t, Config{})
 	s, _ := e.Session("movies")
 	in := moviesInput()
 	in.Sketch = &tsq.TSQ{Limit: -1}
@@ -97,7 +97,7 @@ func TestSketchValidation(t *testing.T) {
 
 // Admission control, white-box: fill every slot and the queue by hand.
 func TestAdmissionControl(t *testing.T) {
-	e := newTestEngine(t, Options{MaxInFlight: 2, MaxQueue: 2})
+	e := newTestEngine(t, Config{MaxInFlight: 2, MaxQueue: 2})
 
 	r1, err := e.admit(context.Background())
 	if err != nil {
@@ -173,7 +173,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // warm-cache answers stay identical to cold ones, and the cache counters
 // show actual cross-request reuse.
 func TestSharedCacheConcurrentReuse(t *testing.T) {
-	e := newTestEngine(t, Options{Budget: 5 * time.Second, MaxCandidates: 5, MaxStates: 4000})
+	e := newTestEngine(t, Config{Budget: 5 * time.Second, MaxCandidates: 5, MaxStates: 4000})
 	s, _ := e.Session("movies")
 
 	cold, err := s.Synthesize(context.Background(), moviesInput())
@@ -210,7 +210,7 @@ func TestSharedCacheConcurrentReuse(t *testing.T) {
 // Insert invalidation end to end: a result cached by the service layer must
 // not survive a data change.
 func TestServiceInvalidationOnInsert(t *testing.T) {
-	e := newTestEngine(t, Options{})
+	e := newTestEngine(t, Config{})
 	s, _ := e.Session("movies")
 	q, err := sqlparse.Parse(s.Database().Schema, "SELECT title FROM movie WHERE year = 1994")
 	if err != nil {
@@ -235,7 +235,7 @@ func TestServiceInvalidationOnInsert(t *testing.T) {
 // Preview truncation must hand back a private slice: growing it cannot
 // touch rows the cache still owns.
 func TestPreviewCopiesTruncatedRows(t *testing.T) {
-	e := newTestEngine(t, Options{})
+	e := newTestEngine(t, Config{})
 	s, _ := e.Session("movies")
 	q, err := sqlparse.Parse(s.Database().Schema, "SELECT title FROM movie")
 	if err != nil {

@@ -8,33 +8,22 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// BenchmarkColumnar*: paired measurements of the columnar refactor. Each
-// pair runs the identical probe workload through the preserved pre-refactor
-// row-based streaming pipeline (RowPath: value-keyed hash indexes, cell
-// reads through the row adapter, string-built group keys) and through the
-// vectorized columnar pipeline (Columnar: float/dictionary-code keyed
-// indexes, typed predicate evaluators, fixed-width binary group keys).
-// Every Columnar benchmark first asserts probe-for-probe equivalence with
-// the row path and the materializing reference, so the speedup cannot come
-// from changed semantics. `make bench-storage` records the pairs (with
-// -benchmem, so allocs/op lands next to ns/op) into BENCH_storage.json.
+// BenchmarkColumnar*: the streaming pipeline on three probe workloads
+// (flat, grouped, and a verification-shaped mix over MAS). Every benchmark
+// first asserts probe-for-probe equivalence with the materializing
+// reference. `make bench-storage` records them (with -benchmem, so allocs/op
+// lands next to ns/op) into BENCH_storage.json.
 
-// checkThreeWayEquivalence asserts row path == columnar path == reference
-// on every probe, returning the answers.
-func checkThreeWayEquivalence(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuery) []bool {
+// checkEquivalence asserts streaming pipeline == reference on every probe.
+func checkEquivalence(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuery) {
 	b.Helper()
-	out := make([]bool, len(probes))
 	for i, eq := range probes {
 		colOK, colHandled, colErr := sqlexec.ExistsStreaming(db, eq)
-		rowOK, rowHandled, rowErr := sqlexec.ExistsRowStream(db, eq)
-		if colErr != nil || rowErr != nil {
-			b.Fatalf("probe %d: columnar err=%v row err=%v", i, colErr, rowErr)
+		if colErr != nil {
+			b.Fatalf("probe %d: %v", i, colErr)
 		}
-		if !colHandled || !rowHandled {
-			b.Fatalf("probe %d: not streamed (columnar=%v row=%v) — benchmark workload must stay on the pipelines", i, colHandled, rowHandled)
-		}
-		if colOK != rowOK {
-			b.Fatalf("probe %d: columnar=%v row=%v", i, colOK, rowOK)
+		if !colHandled {
+			b.Fatalf("probe %d: not streamed — benchmark workload must stay on the pipeline", i)
 		}
 		refOK, refErr := sqlexec.ExistsReference(db, eq)
 		if refErr != nil {
@@ -42,20 +31,6 @@ func checkThreeWayEquivalence(b *testing.B, db *storage.Database, probes []sqlex
 		}
 		if refOK != colOK {
 			b.Fatalf("probe %d: reference=%v streaming=%v", i, refOK, colOK)
-		}
-		out[i] = colOK
-	}
-	return out
-}
-
-func runRowPath(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuery) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, eq := range probes {
-			if _, _, err := sqlexec.ExistsRowStream(db, eq); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -73,40 +48,25 @@ func runColumnar(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuer
 }
 
 // Flat existence probes (selective equality + range over the two-edge join).
-func BenchmarkColumnarExistsRowPath(b *testing.B) {
-	db := benchStore()
-	probes := benchProbes()
-	checkThreeWayEquivalence(b, db, probes)
-	runRowPath(b, db, probes)
-}
-
 func BenchmarkColumnarExistsColumnar(b *testing.B) {
 	db := benchStore()
 	probes := benchProbes()
-	checkThreeWayEquivalence(b, db, probes)
+	checkEquivalence(b, db, probes)
 	runColumnar(b, db, probes)
 }
 
-// Grouped existence (GROUP BY + HAVING): the headline pair — group keys and
-// per-group accumulators dominate, which is where dictionary codes and
-// fixed-width binary keys replace per-tuple string formatting.
-func BenchmarkColumnarGroupedExistsRowPath(b *testing.B) {
-	db := benchStore()
-	probes := benchGroupedProbes()
-	checkThreeWayEquivalence(b, db, probes)
-	runRowPath(b, db, probes)
-}
-
+// Grouped existence (GROUP BY + HAVING): group keys and per-group
+// accumulators dominate.
 func BenchmarkColumnarGroupedExistsColumnar(b *testing.B) {
 	db := benchStore()
 	probes := benchGroupedProbes()
-	checkThreeWayEquivalence(b, db, probes)
+	checkEquivalence(b, db, probes)
 	runColumnar(b, db, probes)
 }
 
 // End-to-end verification-shaped workload over the MAS database: random
 // by-row/by-column style probes from the differential generator, kept only
-// when both pipelines stream them (no fallback in the timed loop).
+// when the pipeline streams them (no fallback in the timed loop).
 func masVerificationProbes(b *testing.B) (*storage.Database, []sqlexec.ExistsQuery) {
 	b.Helper()
 	db := dataset.MAS()
@@ -114,9 +74,7 @@ func masVerificationProbes(b *testing.B) (*storage.Database, []sqlexec.ExistsQue
 	var probes []sqlexec.ExistsQuery
 	for len(probes) < 250 {
 		eq := g.existsQuery()
-		_, colHandled, colErr := sqlexec.ExistsStreaming(db, eq)
-		_, rowHandled, rowErr := sqlexec.ExistsRowStream(db, eq)
-		if colErr != nil || rowErr != nil || !colHandled || !rowHandled {
+		if _, handled, err := sqlexec.ExistsStreaming(db, eq); err != nil || !handled {
 			continue
 		}
 		probes = append(probes, eq)
@@ -124,14 +82,8 @@ func masVerificationProbes(b *testing.B) (*storage.Database, []sqlexec.ExistsQue
 	return db, probes
 }
 
-func BenchmarkColumnarVerifyMASRowPath(b *testing.B) {
-	db, probes := masVerificationProbes(b)
-	checkThreeWayEquivalence(b, db, probes)
-	runRowPath(b, db, probes)
-}
-
 func BenchmarkColumnarVerifyMASColumnar(b *testing.B) {
 	db, probes := masVerificationProbes(b)
-	checkThreeWayEquivalence(b, db, probes)
+	checkEquivalence(b, db, probes)
 	runColumnar(b, db, probes)
 }

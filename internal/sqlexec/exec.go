@@ -230,9 +230,10 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relat
 	return rel, nil
 }
 
-// extendRelation joins one more FK-PK edge onto a relation, probing the
-// incoming table's persistent hash index. It returns a new relation and
-// leaves the input untouched.
+// extendRelation joins one more FK-PK edge onto a relation, probing a hash
+// map of the incoming column it builds for this one join — the reference
+// shares no index with the pipeline it judges. It returns a new relation
+// and leaves the input untouched.
 func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge) (*relation, error) {
 	var existing, incoming string
 	if _, ok := rel.slots[e.FromTable]; ok {
@@ -259,9 +260,16 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 	if exIdx < 0 || inIdx < 0 {
 		return nil, fmt.Errorf("sqlexec: join edge %s references unknown column", e)
 	}
-	index, err := nt.Index(inCol)
-	if err != nil {
-		return nil, err
+	cc := newCanceller(ctx)
+	inVec := nt.VectorAt(inIdx)
+	index := make(map[sqlir.Value][]int32)
+	for ri := 0; ri < nt.NumRows(); ri++ {
+		if err := cc.tick(); err != nil {
+			return nil, err
+		}
+		if v := inVec.Value(ri); !v.IsNull() {
+			index[v] = append(index[v], int32(ri))
+		}
 	}
 	next := &relation{
 		slots:  make(map[string]int, len(rel.slots)+1),
@@ -273,17 +281,16 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 	slot := len(rel.slots)
 	next.slots[incoming] = slot
 	exSlot := rel.slots[existing]
-	exRows := rel.tables[exSlot]
+	exVec := exTbl.VectorAt(exIdx)
 
 	// Tick per output tuple too: a fanning-out edge can append many rows per
 	// input tuple, and the checkpoint cadence must follow the work actually
 	// done, not the rows scanned.
-	cc := newCanceller(ctx)
 	for _, tp := range rel.tuples {
 		if err := cc.tick(); err != nil {
 			return nil, err
 		}
-		v := exRows.Row(int(tp[exSlot]))[exIdx]
+		v := exVec.Value(int(tp[exSlot]))
 		if v.IsNull() {
 			continue
 		}
@@ -311,7 +318,7 @@ func colValue(db *storage.Database, rel *relation, tp tuple, c sqlir.ColumnRef) 
 	if ci < 0 {
 		return sqlir.Null(), fmt.Errorf("sqlexec: unknown column %s", c)
 	}
-	return tbl.Row(int(tp[slot]))[ci], nil
+	return tbl.VectorAt(ci).Value(int(tp[slot])), nil
 }
 
 // filter applies the WHERE clause.

@@ -51,7 +51,6 @@ func TestExistsNoPreds(t *testing.T) {
 
 func TestExistsEmptyTable(t *testing.T) {
 	db := movieDB()
-	db.Table("actor").Rows() // no-op; use a filter that matches nothing
 	ok, err := Exists(db, ExistsQuery{
 		From:  pathOf("actor"),
 		Preds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Nobody"))},

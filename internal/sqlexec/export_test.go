@@ -50,13 +50,6 @@ func ExistsStreaming(db *storage.Database, eq ExistsQuery) (ok, handled bool, er
 	return streamExists(context.Background(), db, eq, &discardCounters)
 }
 
-// ExistsRowStream answers through the preserved pre-columnar row-based
-// streaming pipeline (rowstream.go) — the baseline the columnar path is
-// benchmarked and differentially tested against.
-func ExistsRowStream(db *storage.Database, eq ExistsQuery) (ok, handled bool, err error) {
-	return rowStreamExists(db, eq, &discardCounters)
-}
-
 // ExistsReference answers an exists query by materializing the join and
 // filtering — the reference oracle for the streaming pipeline.
 func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {

@@ -29,8 +29,7 @@ var morselSizes = []int{1, 7, 1024, 1 << 20}
 var morselWorkers = []int{1, 2, 4, 8}
 
 // TestMorselDifferentialExists checks the morsel-parallel pipeline against
-// the single-threaded columnar pipeline, the row pipeline, and the
-// materializing reference on random existence probes over Movies and MAS.
+// the single-threaded columnar pipeline and the materializing reference on random existence probes over Movies and MAS.
 func TestMorselDifferentialExists(t *testing.T) {
 	for name, db := range diffDBs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -59,10 +58,6 @@ func TestMorselDifferentialExists(t *testing.T) {
 						}
 						if mOK != cOK {
 							t.Fatalf("probe %d (workers=%d): morsel=%v columnar=%v for %+v", i, workers, mOK, cOK, eq)
-						}
-						rowOK, rowHandled, rowErr := sqlexec.ExistsRowStream(db, eq)
-						if rowHandled && rowErr == nil && rowOK != mOK {
-							t.Fatalf("probe %d: morsel=%v rowstream=%v", i, mOK, rowOK)
 						}
 						refOK, refErr := sqlexec.ExistsReference(db, eq)
 						if refErr != nil {

@@ -11,9 +11,9 @@
 // The pipeline is behavior-preserving: any shape it cannot compile falls
 // back to the materializing reference executor, and every scan whose tuple
 // order can show keeps the reference enumeration order, so results and
-// floating-point aggregates stay bit-identical. The pre-columnar row-based
-// pipeline is preserved in rowstream.go as a second oracle and benchmark
-// baseline.
+// floating-point aggregates stay bit-identical. The materializing executor
+// (exec.go) is its one oracle: it reads cells off the same column vectors
+// but shares no plan, index or key encoding with the pipeline.
 package sqlexec
 
 import (
@@ -117,18 +117,6 @@ func (pc *pipelineCounters) addMorselRun(res morselResult) {
 // discardCounters sinks pipeline counters for callers without a JoinCache
 // (the package-level Exists/Execute entry points).
 var discardCounters pipelineCounters
-
-func errColNotInPath(c sqlir.ColumnRef) error {
-	return fmt.Errorf("sqlexec: column %s not in join path", c)
-}
-
-func errUnknownCol(c sqlir.ColumnRef) error {
-	return fmt.Errorf("sqlexec: unknown column %s", c)
-}
-
-func errEdgeUnknownColumn() error {
-	return fmt.Errorf("sqlexec: join edge references unknown column")
-}
 
 // predKind discriminates the compiled form of a bound predicate.
 type predKind uint8
@@ -296,11 +284,11 @@ type streamPlan struct {
 func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
 	slot, ok := p.slots[c.Table]
 	if !ok {
-		return 0, 0, errColNotInPath(c)
+		return 0, 0, fmt.Errorf("sqlexec: column %s not in join path", c)
 	}
 	ci := p.tables[slot].ColumnIndex(c.Column)
 	if ci < 0 {
-		return 0, 0, errUnknownCol(c)
+		return 0, 0, fmt.Errorf("sqlexec: unknown column %s", c)
 	}
 	return slot, ci, nil
 }
@@ -473,7 +461,7 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		probeCol := pt.ColumnIndex(parentCol)
 		ci := ct.ColumnIndex(childCol)
 		if probeCol < 0 || ci < 0 {
-			return errEdgeUnknownColumn()
+			return fmt.Errorf("sqlexec: join edge references unknown column")
 		}
 		ix, ierr := ct.CodeIndex(childCol)
 		if ierr != nil {
@@ -927,12 +915,12 @@ func appendVecKey(buf []byte, vec *storage.ColumnVec, ri int) []byte {
 }
 
 // appendValueKey appends an injective, kind-tagged encoding of v to buf —
-// the shared key builder for the materializing executor's grouping and
-// DISTINCT (and the row-path pipeline's streamed group states). Text is
-// length-prefixed so payloads containing the separator byte cannot collide
-// across adjacent values; numbers rely on FormatFloat 'g/-1' round-tripping
-// exactly. Key equality therefore coincides with Value.Equal on
-// concatenated encodings.
+// the key builder for the materializing executor's grouping and DISTINCT,
+// and for DISTINCT over a grouped result's evaluated rows. Text is
+// length-prefixed so payloads containing the separator byte cannot
+// collide across adjacent values; numbers rely on FormatFloat 'g/-1'
+// round-tripping exactly. Key equality therefore coincides with Value.Equal
+// on concatenated encodings.
 func appendValueKey(buf []byte, v sqlir.Value) []byte {
 	switch v.Kind {
 	case sqlir.KindText:

@@ -1,9 +1,8 @@
 // Bulk ingestion: append many rows as typed column vectors in one call.
-// The per-row Insert path pays, for every row, an arity/type check loop, a
-// row-slice allocation, one mutex round-trip to invalidate the lazy indexes,
-// and one atomic generation bump. At load-generation scales (10k–1M rows,
-// internal/loadgen) that overhead dominates; BulkAppend amortises all of it
-// to one validation pass, one backing-array allocation for the row adapter,
+// The per-row Insert path pays, for every row, an arity/type check loop, one
+// mutex round-trip to invalidate the lazy indexes, and one atomic generation
+// bump. At load-generation scales (10k–1M rows, internal/loadgen) that
+// overhead dominates; BulkAppend amortises all of it to one validation pass,
 // one index invalidation, and one generation bump per batch.
 package storage
 
@@ -81,12 +80,9 @@ func (c ColumnData) rows(typ sqlir.Type) (int, bool) {
 }
 
 // BulkAppend appends one batch of rows given column-wise. All columns must
-// be present, typed correctly, and equally long. Only the typed vectors are
-// written; the row adapter is left behind and re-materialized lazily on
-// first row access (syncRows), so a bulk load that is only ever queried
-// through the vectorized pipeline never builds rows at all. The lazy
-// indexes are invalidated once and the table generation moves once — so
-// downstream caches see one change, not n.
+// be present, typed correctly, and equally long. The lazy indexes are
+// invalidated once and the table generation moves once — so downstream
+// caches see one change, not n.
 //
 // On validation error nothing is appended. Like Insert, BulkAppend must not
 // run concurrently with queries on the same table.
@@ -174,10 +170,8 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 	for ci := range cols {
 		t.vecs[ci].appendBulk(cols[ci], n, trusted)
 	}
-	t.rowsReady.Store(false)
 
 	t.hashMu.Lock()
-	t.hash = nil
 	t.codeIdx = nil
 	t.stats = nil
 	t.hashMu.Unlock()

@@ -439,8 +439,8 @@ func (ix *CodeIndex) buildDense() bool {
 }
 
 // Vector returns the named column's typed vector, or nil if the column does
-// not exist. The vector is live: Insert extends it in place, so like Rows
-// the snapshot is only stable while no concurrent Insert runs.
+// not exist. The vector is live: Insert extends it in place, so it is only
+// stable while no concurrent Insert runs.
 func (t *Table) Vector(col string) *ColumnVec {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {
@@ -453,8 +453,8 @@ func (t *Table) Vector(col string) *ColumnVec {
 func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 
 // CodeIndex returns the typed posting-list index of the named column,
-// lazily built and memoized until the next Insert — the code-keyed
-// counterpart of Index used by the vectorized streaming pipeline.
+// lazily built and memoized until the next Insert — what the streaming
+// pipeline's seeds and join probes read.
 func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {

@@ -6,6 +6,15 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
+// colRows is what colTable holds, row by row.
+var colRows = [][]sqlir.Value{
+	{sqlir.NewNumber(1), sqlir.NewText("red"), sqlir.NewNumber(1.5)},
+	{sqlir.NewNumber(2), sqlir.NewText("blue"), sqlir.Null()},
+	{sqlir.NewNumber(3), sqlir.NewText("red"), sqlir.NewNumber(-2)},
+	{sqlir.NewNumber(4), sqlir.Null(), sqlir.NewNumber(0)},
+	{sqlir.NewNumber(5), sqlir.NewText("green"), sqlir.NewNumber(1.5)},
+}
+
 func colTable(t *testing.T) *Table {
 	t.Helper()
 	tb := NewTable("items", "id",
@@ -13,19 +22,8 @@ func colTable(t *testing.T) *Table {
 		Column{Name: "tag", Type: sqlir.TypeText},
 		Column{Name: "score", Type: sqlir.TypeNumber},
 	)
-	rows := []struct {
-		id    float64
-		tag   sqlir.Value
-		score sqlir.Value
-	}{
-		{1, sqlir.NewText("red"), sqlir.NewNumber(1.5)},
-		{2, sqlir.NewText("blue"), sqlir.Null()},
-		{3, sqlir.NewText("red"), sqlir.NewNumber(-2)},
-		{4, sqlir.Null(), sqlir.NewNumber(0)},
-		{5, sqlir.NewText("green"), sqlir.NewNumber(1.5)},
-	}
-	for _, r := range rows {
-		tb.MustInsert(sqlir.NewNumber(r.id), r.tag, r.score)
+	for _, r := range colRows {
+		tb.MustInsert(r...)
 	}
 	return tb
 }
@@ -60,7 +58,7 @@ func TestDictInterning(t *testing.T) {
 	}
 }
 
-// Null bitmap and typed accessors agree with the row representation.
+// Null bitmap and typed accessors agree with the rows that were inserted.
 func TestVectorNullsAndValues(t *testing.T) {
 	tb := colTable(t)
 	tag, score := tb.Vector("tag"), tb.Vector("score")
@@ -78,18 +76,15 @@ func TestVectorNullsAndValues(t *testing.T) {
 	}
 	for ri := 0; ri < tb.NumRows(); ri++ {
 		for ci := range tb.Columns {
-			if got, want := tb.VectorAt(ci).Value(ri), tb.Row(ri)[ci]; !got.Equal(want) {
-				t.Errorf("vector value (%d,%d) = %s, row has %s", ri, ci, got, want)
+			if got, want := tb.VectorAt(ci).Value(ri), colRows[ri][ci]; !got.Equal(want) {
+				t.Errorf("vector value (%d,%d) = %s, inserted %s", ri, ci, got, want)
 			}
 		}
 	}
-	if err := tb.CheckRowColumnConsistency(); err != nil {
-		t.Error(err)
-	}
 }
 
-// The typed code index serves the same posting lists as the value-keyed
-// index, for both numeric and text columns, and misses cleanly.
+// The typed code index serves posting lists in row order for both numeric
+// and text columns, and misses cleanly.
 func TestCodeIndexPostings(t *testing.T) {
 	tb := colTable(t)
 	ix, err := tb.CodeIndex("tag")
@@ -117,21 +112,16 @@ func TestCodeIndexPostings(t *testing.T) {
 	if got := nix.Num(0); len(got) != 1 || got[0] != 3 {
 		t.Errorf("0 postings = %v, want [3]", got)
 	}
-
-	// The value-keyed index must agree.
-	old, err := tb.Index("tag")
-	if err != nil {
-		t.Fatal(err)
+	// The index is memoized: a second request returns the same one.
+	if again, _ := tb.CodeIndex("score"); again != nix {
+		t.Error("second CodeIndex call rebuilt the index instead of memoizing")
 	}
-	for v, want := range old {
-		got := ix.Postings(v)
-		if len(got) != len(want) {
-			t.Errorf("postings for %s: code index %v, value index %v", v, got, want)
-		}
+	if _, err := tb.CodeIndex("nope"); err == nil {
+		t.Error("unknown column should error")
 	}
 }
 
-// Insert invalidates the code index exactly like the value-keyed one.
+// Insert invalidates the code index.
 func TestCodeIndexInvalidatedByInsert(t *testing.T) {
 	tb := colTable(t)
 	ix, err := tb.CodeIndex("tag")
@@ -194,41 +184,6 @@ func TestFootprint(t *testing.T) {
 	}
 	if tfs[0].VectorBytes == 0 || tfs[0].DictBytes == 0 {
 		t.Errorf("database footprint bytes = %+v", tfs[0])
-	}
-}
-
-// With the debug guard on, mutating a slice returned by Rows or Row cannot
-// corrupt table data — the satellite test for the "callers must not mutate"
-// contract: accidental writes through the shared slice are caught because
-// they no longer reach the table at all.
-func TestRowsMutationGuard(t *testing.T) {
-	prev := SetDebugRowCopies(true)
-	defer SetDebugRowCopies(prev)
-
-	tb := colTable(t)
-	rows := tb.Rows()
-	rows[0][1] = sqlir.NewText("MUTATED")
-	tb.Row(2)[1] = sqlir.NewText("MUTATED")
-
-	if got := tb.Row(0)[1]; !got.Equal(sqlir.NewText("red")) {
-		t.Errorf("row 0 tag = %s after mutation through Rows(), want 'red'", got)
-	}
-	if got := tb.Rows()[2][1]; !got.Equal(sqlir.NewText("red")) {
-		t.Errorf("row 2 tag = %s after mutation through Row(), want 'red'", got)
-	}
-	if err := tb.CheckRowColumnConsistency(); err != nil {
-		t.Errorf("consistency after guarded mutation: %v", err)
-	}
-}
-
-// Without the guard the shared-slice contract is caught by the row/column
-// consistency check — the columnar vectors are authoritative and do not see
-// writes through the adapter.
-func TestConsistencyCatchesSharedSliceMutation(t *testing.T) {
-	tb := colTable(t)
-	tb.Rows()[0][1] = sqlir.NewText("MUTATED")
-	if err := tb.CheckRowColumnConsistency(); err == nil {
-		t.Fatal("mutation through the shared slice went undetected")
 	}
 }
 

@@ -36,16 +36,16 @@ const epochRetention = 16
 // untouched tables) and a capacity-clamped copy of each column vector. The
 // frozen Table is materialized lazily on first snapshot request and
 // memoized, so all readers of an epoch share one table — and therefore one
-// set of lazily built hash/posting-list indexes.
+// set of lazily built posting-list indexes.
 type tableView struct {
 	gen  int64
 	cols []ColumnVec
 
 	// base is the previous epoch's frozen table when it had completed base
-	// adoption by publication time: the new frozen table seeds its row
-	// adapter and extends its warm indexes from it (Table.adoptBase —
-	// append-only rows make prefixes shareable) instead of rebuilding from
-	// scratch. Cleared on freeze.
+	// adoption by publication time: the new frozen table extends its warm
+	// code indexes from it (Table.adoptBase — append-only rows make
+	// prefixes shareable) instead of rebuilding from scratch. Cleared on
+	// freeze.
 	base *Table
 
 	once sync.Once
@@ -162,10 +162,10 @@ func (d *Database) publishLocked() *dbView {
 		ntv := t.captureView()
 		if prev != nil && i < len(prev.tables) {
 			// Hand the new view the previous epoch's frozen table so the new
-			// epoch's first reader extends its warm row adapter and indexes
-			// with just the appended rows (Table.adoptBase). Requiring
-			// adopted here also bounds base chains: an adopted table has
-			// dropped its own base, so links never accumulate transitively.
+			// epoch's first reader extends its warm code indexes with just
+			// the appended rows (Table.adoptBase). Requiring adopted here
+			// also bounds base chains: an adopted table has dropped its own
+			// base, so links never accumulate transitively.
 			if pt := prev.tables[i].tbl.Load(); pt != nil && pt.adopted.Load() {
 				ntv.base = pt
 			}

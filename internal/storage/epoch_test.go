@@ -170,7 +170,7 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 					return
 				}
 				checkRows(t, snap.Table("ev"), n)
-				if _, err := snap.Table("ev").Index("name"); err != nil {
+				if _, err := snap.Table("ev").CodeIndex("name"); err != nil {
 					t.Error(err)
 					return
 				}

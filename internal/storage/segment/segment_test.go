@@ -91,10 +91,10 @@ func TestRoundTripHandBuilt(t *testing.T) {
 	}
 	// NULLs must survive as NULLs, not zero values.
 	mv := loaded.Table("movies")
-	if v := mv.Row(1)[1]; !v.IsNull() {
+	if v := mv.VectorAt(1).Value(1); !v.IsNull() {
 		t.Fatalf("movies row 1 title = %v, want NULL", v)
 	}
-	if v := mv.Row(1)[3]; !v.IsNull() {
+	if v := mv.VectorAt(3).Value(1); !v.IsNull() {
 		t.Fatalf("movies row 1 rating = %v, want NULL", v)
 	}
 }
@@ -190,7 +190,7 @@ func TestAppendSegment(t *testing.T) {
 	if got, want := storage.Fingerprint(loaded), storage.Fingerprint(db); got != want {
 		t.Fatalf("loaded fingerprint %016x, want %016x", got, want)
 	}
-	if v := loaded.Table("movies").Row(3)[3]; !v.IsNull() {
+	if v := loaded.Table("movies").VectorAt(3).Value(3); !v.IsNull() {
 		t.Fatalf("appended NULL came back %v", v)
 	}
 }

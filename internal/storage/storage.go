@@ -1,7 +1,7 @@
 // Package storage implements the in-memory relational storage engine that
-// Duoquest runs on: typed columns, tables of rows, and a catalog of foreign
-// key → primary key relationships (the only join edges in the paper's task
-// scope, §2.5).
+// Duoquest runs on: tables stored as one typed vector per column, and a
+// catalog of foreign key → primary key relationships (the only join edges in
+// the paper's task scope, §2.5).
 package storage
 
 import (
@@ -34,24 +34,13 @@ func (fk ForeignKey) String() string {
 	return fk.Table + "." + fk.Column + " -> " + fk.RefTable + "." + fk.RefColumn
 }
 
-// Table is a named collection of typed rows, stored column-wise: the
-// authoritative representation is one typed vector per column (see
-// column.go), with the historical row slices kept in sync by Insert as an
-// adapter for the materializing reference executor.
+// Table is a named collection of typed rows, stored column-wise: one typed
+// vector per column (see column.go) and nothing else. Row i is cell i of
+// every vector; VectorAt(ci).Value(ri) reads one cell.
 type Table struct {
 	Name       string
 	Columns    []Column
 	PrimaryKey string
-
-	// rows is the historical row adapter, kept for the materializing
-	// reference executor. The typed vectors are authoritative; after a
-	// BulkAppend the adapter lags behind and is re-materialized lazily on
-	// first row access (syncRows), so bulk ingestion never pays for rows it
-	// may never serve. rowsReady is true while the adapter covers every
-	// vector row.
-	rows      [][]sqlir.Value
-	rowsReady atomic.Bool
-	rowsMu    sync.Mutex
 
 	vecs   []ColumnVec
 	colIdx map[string]int
@@ -67,34 +56,21 @@ type Table struct {
 	frozen bool
 
 	// base is the previous epoch's frozen table (set at freeze, epoch.go).
-	// adoptBase seeds the row-adapter prefix and extends the base's ready
-	// indexes with just the appended suffix, then drops the reference, so
-	// an epoch boundary costs O(delta) instead of O(n) on first read.
+	// adoptBase extends the base's ready code indexes with just the
+	// appended suffix, then drops the reference, so an epoch boundary costs
+	// O(delta) instead of O(n) on first read.
 	base      *Table
 	adoptOnce sync.Once
 	adopted   atomic.Bool
 
+	// hashMu guards codeIdx and stats.
 	hashMu  sync.Mutex
-	hash    map[string]*hashIndex
 	codeIdx map[int]*CodeIndex
 	// stats memoizes per-column statistics, cleared together with the lazy
 	// indexes on mutation (direct invalidation — the table knows exactly
 	// when its own data changes). Frozen snapshot tables never clear it, so
 	// an epoch's statistics are computed at most once, ever.
 	stats map[string]ColumnStats
-}
-
-// hashIndex is one lazily built per-column hash index. The sync.Once gates
-// the build so concurrent first probes of the same column share a single
-// scan; everyone else blocks until the posting lists are ready.
-type hashIndex struct {
-	once sync.Once
-	m    map[sqlir.Value][]int32
-
-	// ready flips after the build completes; adoptBase only extends ready
-	// indexes so it never races an in-flight build on the still-serving
-	// base table.
-	ready atomic.Bool
 }
 
 // NewTable creates an empty table.
@@ -130,125 +106,31 @@ func (t *Table) NumRows() int {
 	if len(t.vecs) > 0 {
 		return t.vecs[0].n
 	}
-	return len(t.rows)
-}
-
-// syncRows materializes the row adapter up to the current vector length.
-// The fast path is one atomic load; the slow path (first row access after a
-// BulkAppend) builds the missing suffix from the vectors under a mutex, so
-// concurrent first readers share one materialization. Like all reads, it
-// must not race with Insert/BulkAppend on the same table.
-func (t *Table) syncRows() {
-	if t.rowsReady.Load() {
-		return
-	}
-	t.adoptBase()
-	t.rowsMu.Lock()
-	defer t.rowsMu.Unlock()
-	n := t.NumRows()
-	if len(t.rows) < n {
-		nc := len(t.Columns)
-		// One backing array for the whole suffix, sliced per row with a
-		// full-slice expression so an append through a shared row slice can
-		// never overwrite a neighbouring row.
-		backing := make([]sqlir.Value, (n-len(t.rows))*nc)
-		for ri := len(t.rows); ri < n; ri++ {
-			row := backing[:nc:nc]
-			backing = backing[nc:]
-			for ci := range t.vecs {
-				row[ci] = t.vecs[ci].Value(ri)
-			}
-			t.rows = append(t.rows, row)
-		}
-	}
-	t.rowsReady.Store(true)
+	return 0
 }
 
 // adoptBase performs the one-shot adoption of the previous epoch's frozen
-// table (handed over at freeze, epoch.go): the row-adapter prefix is
-// borrowed outright — rows are append-only and immutable, so only the
-// suffix needs boxing — and every hash/posting-list index the base had
-// already built is extended in place with just the appended rows. Every
-// lazy-structure entry point (syncRows, Index, CodeIndex) calls it first,
-// so adoption always precedes a from-scratch build. The base reference is
-// dropped afterwards and publication (epoch.go) only links adopted tables
-// as bases, so chains never deepen past one hop.
+// table (handed over at freeze, epoch.go): every posting-list index the base
+// had already built is extended with just the appended rows. CodeIndex calls
+// it first, so adoption always precedes a from-scratch build. The base
+// reference is dropped afterwards and publication (epoch.go) only links
+// adopted tables as bases, so chains never deepen past one hop.
 func (t *Table) adoptBase() {
 	t.adoptOnce.Do(func() {
-		b := t.base
-		if b == nil {
-			t.adopted.Store(true)
-			return
+		if b := t.base; b != nil {
+			t.adoptCodeIndexes(b)
+			t.base = nil
 		}
-		n := t.NumRows()
-		baseN := b.NumRows()
-		if b.rowsReady.Load() && baseN <= n {
-			t.rowsMu.Lock()
-			if len(t.rows) == 0 {
-				// The full-slice expression caps capacity at the base's
-				// length, so materializing this epoch's suffix reallocates
-				// instead of writing into the base's backing array.
-				t.rows = b.rows[:baseN:baseN]
-				if baseN == n {
-					t.rowsReady.Store(true)
-				}
-			}
-			t.rowsMu.Unlock()
-		}
-		t.adoptHashes(b, baseN, n)
-		t.adoptCodeIndexes(b, baseN, n)
-		t.base = nil
 		t.adopted.Store(true)
 	})
-}
-
-// adoptHashes extends every ready hash index of the base table: posting
-// lists are shared cap-clamped (appends for delta rows reallocate, never
-// mutate the base's arrays) and only rows [baseN, n) are scanned.
-func (t *Table) adoptHashes(b *Table, baseN, n int) {
-	b.hashMu.Lock()
-	bh := make(map[string]*hashIndex, len(b.hash))
-	for col, h := range b.hash {
-		bh[col] = h
-	}
-	b.hashMu.Unlock()
-	for col, h := range bh {
-		if !h.ready.Load() {
-			continue
-		}
-		ci := t.ColumnIndex(col)
-		if ci < 0 {
-			continue
-		}
-		nm := make(map[sqlir.Value][]int32, len(h.m))
-		for v, list := range h.m {
-			nm[v] = list[:len(list):len(list)]
-		}
-		vec := &t.vecs[ci]
-		for ri := baseN; ri < n; ri++ {
-			v := vec.Value(ri)
-			if v.IsNull() {
-				continue
-			}
-			nm[v] = append(nm[v], int32(ri))
-		}
-		nh := &hashIndex{m: nm}
-		nh.once.Do(func() {}) // mark built so Index never rebuilds it
-		nh.ready.Store(true)
-		t.hashMu.Lock()
-		if t.hash == nil {
-			t.hash = map[string]*hashIndex{}
-		}
-		t.hash[col] = nh
-		t.hashMu.Unlock()
-	}
 }
 
 // adoptCodeIndexes extends every ready typed posting-list index of the base
 // table. An extension that cannot keep the base's dense layout (a delta
 // value outside the dense range) is skipped: the index rebuilds lazily on
 // demand instead.
-func (t *Table) adoptCodeIndexes(b *Table, baseN, n int) {
+func (t *Table) adoptCodeIndexes(b *Table) {
+	baseN := b.NumRows()
 	b.hashMu.Lock()
 	bc := make(map[int]*CodeIndex, len(b.codeIdx))
 	for ci, ix := range b.codeIdx {
@@ -274,68 +156,6 @@ func (t *Table) adoptCodeIndexes(b *Table, baseN, n int) {
 	}
 }
 
-// debugRowCopies makes Row and Rows return defensive copies so test builds
-// can prove no caller mutates table data through the shared slices (the
-// columnar vectors are authoritative; a mutated shared row would silently
-// diverge from them). Enabled by SetDebugRowCopies in tests only — the copy
-// per access is far too slow for production paths.
-var debugRowCopies bool
-
-// SetDebugRowCopies toggles defensive row copying (test builds only) and
-// returns the previous setting. Not safe to flip concurrently with queries.
-func SetDebugRowCopies(on bool) bool {
-	prev := debugRowCopies
-	debugRowCopies = on
-	return prev
-}
-
-// Row returns the i-th row (shared slice; callers must not mutate — enable
-// SetDebugRowCopies in tests to verify none does).
-func (t *Table) Row(i int) []sqlir.Value {
-	t.syncRows()
-	if debugRowCopies {
-		cp := make([]sqlir.Value, len(t.rows[i]))
-		copy(cp, t.rows[i])
-		return cp
-	}
-	return t.rows[i]
-}
-
-// Rows returns all rows (shared; callers must not mutate).
-func (t *Table) Rows() [][]sqlir.Value {
-	t.syncRows()
-	if debugRowCopies {
-		cp := make([][]sqlir.Value, len(t.rows))
-		for i, r := range t.rows {
-			rc := make([]sqlir.Value, len(r))
-			copy(rc, r)
-			cp[i] = rc
-		}
-		return cp
-	}
-	return t.rows
-}
-
-// CheckRowColumnConsistency verifies cell-for-cell agreement between the
-// row adapter and the columnar vectors — the invariant behind the dual
-// representation. Differential tests call it after mutation-heavy
-// workloads; a mismatch means some caller wrote through a shared row slice.
-func (t *Table) CheckRowColumnConsistency() error {
-	t.syncRows()
-	for ri, row := range t.rows {
-		for ci := range t.Columns {
-			rv := row[ci]
-			cv := t.vecs[ci].Value(ri)
-			// A NaN cell agrees with itself here, though not under Equal.
-			if !rv.Equal(cv) && !(rv.Num != rv.Num && cv.Num != cv.Num) {
-				return fmt.Errorf("storage: table %s row %d column %s: row adapter has %s, column vector has %s",
-					t.Name, ri, t.Columns[ci].Name, rv, cv)
-			}
-		}
-	}
-	return nil
-}
-
 // Insert appends a row after checking arity and types. NULLs are accepted in
 // any column.
 func (t *Table) Insert(vals ...sqlir.Value) error {
@@ -354,57 +174,15 @@ func (t *Table) Insert(vals ...sqlir.Value) error {
 				t.Name, t.Columns[i].Name, v, v.Type(), t.Columns[i].Type)
 		}
 	}
-	t.syncRows() // a prior BulkAppend may have left the adapter behind
-	row := make([]sqlir.Value, len(vals))
-	copy(row, vals)
-	t.rows = append(t.rows, row)
 	for i, v := range vals {
 		t.vecs[i].appendValue(v)
 	}
 	t.hashMu.Lock()
-	t.hash = nil    // built indexes no longer cover the new row
-	t.codeIdx = nil // likewise the typed posting-list indexes
-	t.stats = nil   // and the memoized column statistics
+	t.codeIdx = nil // built posting-list indexes no longer cover the new row
+	t.stats = nil   // nor do the memoized column statistics
 	t.hashMu.Unlock()
 	t.gen.Add(1)
 	return nil
-}
-
-// Index returns the persistent hash index of the named column: non-null
-// value → row ids in row order. The index is built lazily on first request
-// and memoized until the next Insert, so join builds and equality probes
-// across many queries share one scan. Callers must treat the returned map
-// and its posting lists as read-only; like Rows, the snapshot is only
-// stable while no concurrent Insert runs.
-func (t *Table) Index(col string) (map[sqlir.Value][]int32, error) {
-	ci := t.ColumnIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: table %s: no column %s", t.Name, col)
-	}
-	t.adoptBase()
-	t.hashMu.Lock()
-	if t.hash == nil {
-		t.hash = map[string]*hashIndex{}
-	}
-	h, ok := t.hash[col]
-	if !ok {
-		h = &hashIndex{}
-		t.hash[col] = h
-	}
-	t.hashMu.Unlock()
-	h.once.Do(func() {
-		vec := &t.vecs[ci]
-		h.m = make(map[sqlir.Value][]int32)
-		for ri := 0; ri < vec.n; ri++ {
-			v := vec.Value(ri)
-			if v.IsNull() {
-				continue
-			}
-			h.m[v] = append(h.m[v], int32(ri))
-		}
-	})
-	h.ready.Store(true)
-	return h.m, nil
 }
 
 // MustInsert inserts and panics on error; intended for dataset construction

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -100,9 +99,8 @@ func TestInsertAndRead(t *testing.T) {
 	if m.NumRows() != 1 {
 		t.Fatalf("rows = %d", m.NumRows())
 	}
-	row := m.Row(0)
-	if !row[1].Equal(text("Forrest Gump")) {
-		t.Errorf("row = %v", row)
+	if got := m.VectorAt(1).Value(0); !got.Equal(text("Forrest Gump")) {
+		t.Errorf("name = %v", got)
 	}
 }
 
@@ -143,7 +141,7 @@ func TestInsertCopiesRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals[1] = text("B")
-	if !m.Row(0)[1].Equal(text("A")) {
+	if !m.VectorAt(1).Value(0).Equal(text("A")) {
 		t.Error("Insert must copy the row")
 	}
 }
@@ -368,61 +366,5 @@ func TestForeignKeyString(t *testing.T) {
 	fk := ForeignKey{"starring", "aid", "actor", "aid"}
 	if fk.String() != "starring.aid -> actor.aid" {
 		t.Errorf("fk string = %q", fk.String())
-	}
-}
-
-func TestIndexPostingLists(t *testing.T) {
-	tbl := NewTable("t", "id",
-		Column{"id", sqlir.TypeNumber},
-		Column{"grp", sqlir.TypeText},
-	)
-	tbl.MustInsert(num(1), text("a"))
-	tbl.MustInsert(num(2), text("b"))
-	tbl.MustInsert(num(3), text("a"))
-	tbl.MustInsert(num(4), sqlir.Null())
-
-	idx, err := tbl.Index("grp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx[text("a")]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("postings for a = %v", got)
-	}
-	if len(idx[text("b")]) != 1 {
-		t.Errorf("postings for b = %v", idx[text("b")])
-	}
-	if _, ok := idx[sqlir.Null()]; ok {
-		t.Error("NULL must not be indexed")
-	}
-	// The index is memoized: a second request returns the same map.
-	again, _ := tbl.Index("grp")
-	if reflect.ValueOf(idx).Pointer() != reflect.ValueOf(again).Pointer() {
-		t.Error("second Index call rebuilt the index instead of memoizing")
-	}
-	if _, err := tbl.Index("nope"); err == nil {
-		t.Error("unknown column should error")
-	}
-}
-
-func TestIndexInvalidatedByInsert(t *testing.T) {
-	tbl := NewTable("t", "id",
-		Column{"id", sqlir.TypeNumber},
-		Column{"grp", sqlir.TypeText},
-	)
-	tbl.MustInsert(num(1), text("a"))
-	idx, err := tbl.Index("grp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx[text("a")]) != 1 {
-		t.Fatalf("postings = %v", idx[text("a")])
-	}
-	tbl.MustInsert(num(2), text("a"))
-	idx, err = tbl.Index("grp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx[text("a")]) != 2 {
-		t.Errorf("postings after insert = %v", idx[text("a")])
 	}
 }

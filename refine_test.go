@@ -13,7 +13,10 @@ import (
 // narrows them; the desired query surfaces.
 func TestSessionIterativeRefinement(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(10))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 10
+	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{
 		NLQ:      "movies before 1995",
 		Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -52,7 +55,10 @@ func TestSessionIterativeRefinement(t *testing.T) {
 
 func TestSessionRejectFiltersCandidate(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(5))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 5
+	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "movie titles"})
 	res, err := sess.Run(context.Background())
 	if err != nil {
@@ -84,7 +90,10 @@ func TestSessionRejectFiltersCandidate(t *testing.T) {
 
 func TestSessionAcceptFromPreview(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(5))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 5
+	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "movie titles"})
 	if _, err := sess.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -107,7 +116,7 @@ func TestSessionAcceptFromPreview(t *testing.T) {
 
 func TestSessionErrors(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.New(db, duoquest.DefaultConfig())
 	sess := syn.NewSession(duoquest.Input{NLQ: "movies"})
 	if err := sess.Reject(1); err == nil {
 		t.Error("reject before Run should error")
@@ -126,7 +135,10 @@ func TestSessionErrors(t *testing.T) {
 
 func TestSessionRephrase(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(1*time.Second), duoquest.WithMaxCandidates(3))
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 1 * time.Second
+	cfg.MaxCandidates = 3
+	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "stuff"})
 	sess.Rephrase("titles of movies", nil)
 	if sess.Input().NLQ != "titles of movies" {
