@@ -161,7 +161,7 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 
 // TestEpochRoutingAndErrors covers the request-level epoch surface:
 // Input.Epoch resolution, shard sharing between equal epochs, pinned-session
-// conflicts, and the loud failure for retired epochs.
+// conflicts, and the loud failure for an epoch nobody retains.
 func TestEpochRoutingAndErrors(t *testing.T) {
 	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
@@ -210,10 +210,9 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 		t.Errorf("conflicting epoch error = %v, want pinned-session conflict", err)
 	}
 
-	// Sustained ingest past the storage retention ring: epochs with a live
-	// service shard stay servable (the shard holds the frozen database), but
-	// an epoch nobody ever read — no shard, and storage has retired the
-	// number — is a loud error, not stale data.
+	// Sustained ingest nobody reads: epochs with a live shard stay servable
+	// (the shard holds the frozen database), but an epoch nobody ever read —
+	// no shard, and no longer the head — is a loud error, not stale data.
 	for i := 1; i < 20; i++ {
 		if _, err := e.Append("movies", "movie", movieBatch(i*4)); err != nil {
 			t.Fatal(err)
@@ -225,7 +224,7 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 	if sh, err := s.shard(e0); err != nil || sh != snap.pin {
 		t.Errorf("shard(%d) = %p, %v; want the live pinned shard %p", e0, sh, err, snap.pin)
 	}
-	unread := e0 + 2 // published by an append, never read, retired by storage
+	unread := e0 + 2 // published by an append, never read, no longer the head
 	if _, err := e.SnapshotAt("movies", unread); err == nil {
 		t.Errorf("SnapshotAt(%d) with no shard after 20 epochs should fail (retention)", unread)
 	}
@@ -299,11 +298,12 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 	}
 }
 
-// TestSnapshotSurvivesShardRetirement: with a tight EpochRetention the
-// pinned shard falls out of the live map, but the handle keeps serving its
-// epoch — retirement ends discoverability and per-epoch stats, not reads.
+// TestSnapshotSurvivesShardRetirement: once epochRetention later epochs
+// have been read the pinned shard falls out of the live map, but the handle
+// keeps serving its epoch — retirement ends discoverability and per-epoch
+// stats, not reads.
 func TestSnapshotSurvivesShardRetirement(t *testing.T) {
-	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -314,13 +314,13 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each append plus a head-resolving request creates a new shard; with
-	// retention 2 the pinned shard retires quickly.
+	// Each append plus a head-resolving request creates a new shard; the
+	// pinned shard, the lowest-numbered, is the first to retire.
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < epochRetention+2; i++ {
 		if _, err := e.Append("movies", "movie", movieBatch(i*4)); err != nil {
 			t.Fatal(err)
 		}
@@ -330,8 +330,8 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 	}
 
 	st := e.Stats().Databases[0]
-	if st.EpochsLive > 2 {
-		t.Errorf("EpochsLive = %d, want <= 2", st.EpochsLive)
+	if st.EpochsLive > epochRetention {
+		t.Errorf("EpochsLive = %d, want <= %d", st.EpochsLive, epochRetention)
 	}
 	if st.EpochsRetired < 1 {
 		t.Errorf("EpochsRetired = %d, want >= 1", st.EpochsRetired)
@@ -361,10 +361,10 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 // an Append racing four unpinned readers, with one pinned Snapshot held
 // throughout: every reader that resolved an epoch got the same shard, a
 // shard nobody read was never made, Stats never lists more than
-// EpochRetention live shards, and the pinned handle answers as it first did.
+// epochRetention live shards, and the pinned handle answers as it first did.
 func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
-	const retention, rounds, readers = 3, 40, 4
-	e := newTestEngine(t, Config{MaxStates: 400, MaxCandidates: 2, EpochRetention: retention})
+	const retention, rounds, readers = epochRetention, 40, 4
+	e := newTestEngine(t, Config{MaxStates: 400, MaxCandidates: 2})
 	pin, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -433,9 +433,10 @@ func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
 
 // TestHeapPlateausUnderSustainedAppend: retained memory is bounded by
 // construction — an epoch's shard holds memos and counters, never a
-// relation, and both epoch rings are bounded — so under sustained ingest
-// with unpinned readers and one pinned Snapshot the live heap stops growing
-// once the rings are full: HeapInuse after GC at append 40 is within 10 % of
+// relation, the shard map is bounded and storage keeps only the head — so
+// under sustained ingest with unpinned readers and one pinned Snapshot the
+// live heap stops growing once the map is full: HeapInuse after GC at append
+// 40 is within 10 % of
 // append 20. (The batches are small so that the table's own growth stays
 // well inside the bound.)
 func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
@@ -509,12 +510,44 @@ func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
 	}
 }
 
-// TestPinSurvivesStorageRetention proves a pinned epoch stays servable past
-// storage's bounded view ring: as long as the service retains the epoch's
-// shard (whose frozen database is valid forever), a by-number pin resolves
-// from the shard map even after sustained ingest has retired the epoch
-// number from storage, and the results stay bit-stable.
-func TestPinSurvivesStorageRetention(t *testing.T) {
+// TestDroppedSnapshotCollectedAfterWriteOnlyBurst: storage publishes and does not retain,
+// so an epoch nobody holds is garbage the moment the next one is published.
+// 64 appends with no reads, two storage-level Snapshot() calls on the way —
+// one early, one eight epochs before the end (inside the window a storage
+// ring of sixteen would still cover) — both dropped at once: after the burst
+// both frozen databases are collected.
+func TestDroppedSnapshotCollectedAfterWriteOnlyBurst(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	db, _ := e.Lookup("movies")
+	const appends = 64
+	collected := make(chan int64, 2)
+	for i := 1; i <= appends; i++ {
+		if _, err := e.Append("movies", "movie", movieBatch(i*4)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 || i == appends-8 {
+			runtime.SetFinalizer(db.Snapshot(), func(d *storage.Database) { collected <- d.Epoch() })
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	for n := 0; n < 2; n++ {
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 dropped snapshots were collected after a write-only burst of %d appends: something besides the head retains a view", n, appends)
+		}
+	}
+	if st := e.Stats().Databases[0]; st.EpochsLive != 0 {
+		t.Errorf("EpochsLive = %d after a burst nobody read, want 0", st.EpochsLive)
+	}
+}
+
+// TestPinnedEpochSurvivesUnreadIngest: a by-number pin resolves from the
+// shard map — the only ring there is — so an epoch that served a request
+// stays servable through any amount of ingest nobody reads, and the results
+// stay bit-stable.
+func TestPinnedEpochSurvivesUnreadIngest(t *testing.T) {
 	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
@@ -526,7 +559,6 @@ func TestPinSurvivesStorageRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Race far past the storage retention window (16 epochs).
 	for i := 0; i < 24; i++ {
 		if _, err := e.Append("movies", "movie", []storage.ColumnData{
 			{Nums: []float64{float64(1000 + i)}},
@@ -537,23 +569,18 @@ func TestPinSurvivesStorageRetention(t *testing.T) {
 		}
 	}
 
-	// The raw storage view is gone...
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Database().SnapshotAt(pin); err == nil {
-		t.Fatalf("storage still retains epoch %d; test needs to race past retention", pin)
-	}
-	// ...but the service still resolves the pin from its shard ring.
 	in := moviesInput()
 	in.Epoch = pin
 	after, err := s.Synthesize(context.Background(), in)
 	if err != nil {
-		t.Fatalf("pinned request after retention: %v", err)
+		t.Fatalf("pinned request after 24 unread appends: %v", err)
 	}
 	if got, want := describe(after.Candidates), describe(before.Candidates); !equalStrings(got, want) {
-		t.Errorf("pinned results drifted across retention:\n got %v\nwant %v", got, want)
+		t.Errorf("pinned results drifted across ingest:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -644,13 +671,18 @@ func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 
 // TestPinnedEpochShardSeedsOnlyFromEarlierEpochs: "once true, true in every
 // later epoch" lets a shard inherit from an earlier epoch, never from a
-// later one. The head's shard holds true answers that rest on a row only
-// the head has; the first pin, by number, of the epoch before it — whose
-// shard is therefore created after the head's — must ask again and hear no.
+// later one. A reader resolves its snapshot at epoch e, an append publishes
+// e+1, and another reader shards e+1 first — filling it with true answers
+// that rest on a row only e+1 has. When the first reader's shardFor then
+// runs, its shard is created after the head's and must still ask again and
+// hear no.
 func TestPinnedEpochShardSeedsOnlyFromEarlierEpochs(t *testing.T) {
 	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
-	db, _ := e.Lookup("movies")
-	before := db.Snapshot().Epoch()
+	s, err := e.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := s.ds.db.Snapshot() // the first reader, descheduled before shardFor
 	if _, err := e.Append("movies", "movie", movieBatch(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -659,26 +691,137 @@ func TestPinnedEpochShardSeedsOnlyFromEarlierEpochs(t *testing.T) {
 		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
 			Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Ingest Movie 0"))}}},
 	}
-	s, err := e.Session("movies")
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := s.Synthesize(context.Background(), in)
 	if err != nil || len(res.Candidates) == 0 {
 		t.Fatalf("the head has the appended title, yet: %v, %v", sqlStrings(res), err)
 	}
 
-	old, err := e.SnapshotAt("movies", before)
-	if err != nil {
-		t.Fatal(err)
+	old := s.ds.shardFor(early)
+	if old.epoch != early.Epoch() || old.db != early {
+		t.Fatalf("shardFor(epoch %d) = shard of epoch %d", early.Epoch(), old.epoch)
 	}
-	v := verify.NewWithCache(old.Database(), semrules.Default(), in.Sketch, nil, old.pin.cache)
-	q := sqlparse.MustParse(old.Database().Schema, "SELECT title FROM movie")
+	v := verify.NewWithCache(old.db, semrules.Default(), in.Sketch, nil, old.cache)
+	q := sqlparse.MustParse(old.db.Schema, "SELECT title FROM movie")
 	out, err := v.Verify(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.OK || out.Stage != verify.StageByColumn {
-		t.Errorf("epoch %d has no such title, so the column check must reject: got %+v (%s)", before, out, out.Reason())
+		t.Errorf("epoch %d has no such title, so the column check must reject: got %+v (%s)", old.epoch, out, out.Reason())
+	}
+}
+
+// TestSnapshotEpochRule is the one retention rule, row by row: an epoch is
+// servable by number while it is the head or one of the last epochRetention
+// epochs that served a request; a Snapshot handle keeps its own epoch
+// forever.
+func TestSnapshotEpochRule(t *testing.T) {
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
+	first, err := e.Snapshot("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := first.Epoch()
+	cold, err := first.Synthesize(context.Background(), moviesInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := map[int64]bool{e1: true} // every epoch a shard was made for
+	appended := 0
+	step := func(appends int, read bool) {
+		t.Helper()
+		for i := 0; i < appends; i++ {
+			if _, err := e.Append("movies", "movie", movieBatch(appended*4)); err != nil {
+				t.Fatal(err)
+			}
+			appended++
+		}
+		if read {
+			sh, err := s.shard(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded[sh.epoch] = true
+		}
+	}
+
+	// The head by 0 and by number is one shard.
+	if byZero, _ := s.shard(0); byZero != first.pin {
+		t.Errorf("shard(0) = %p, want the head's shard %p", byZero, first.pin)
+	}
+	for _, row := range []struct {
+		name    string
+		appends int   // published before the pin...
+		read    bool  // ...and then the head read, or not
+		pin     int64 // the epoch pinned by number, counted from the first
+		wantErr bool
+	}{
+		{"the head by number", 0, false, 0, false},
+		{"one later epoch read", 1, true, 0, false},
+		{"two later epochs read", 1, true, 0, false},
+		{"three later epochs read", 1, true, 0, false},
+		{"four later epochs read: the first is retired", 1, true, 0, true},
+		{"read, and still among the last four", 1, false, 4, false},
+		{"published, never read, no longer the head", 1, false, 5, true},
+		{"the head, though nobody read it yet", 0, false, 6, false},
+		{"never published", 0, false, 7, true},
+	} {
+		step(row.appends, row.read)
+		live := e.Stats().Databases[0].EpochsLive
+		sh, err := s.shard(e1 + row.pin)
+		switch {
+		case row.wantErr && err == nil:
+			t.Errorf("%s: shard(%d) = epoch %d, want an error", row.name, e1+row.pin, sh.epoch)
+		case row.wantErr:
+			if !strings.Contains(err.Error(), "not retained") {
+				t.Errorf("%s: error = %v, want the not-retained error", row.name, err)
+			}
+			if got := e.Stats().Databases[0].EpochsLive; got != live {
+				t.Errorf("%s: a refused pin changed EpochsLive from %d to %d", row.name, live, got)
+			}
+		case err != nil:
+			t.Errorf("%s: shard(%d): %v", row.name, e1+row.pin, err)
+		default:
+			if sh.epoch != e1+row.pin {
+				t.Errorf("%s: shard(%d) = epoch %d", row.name, e1+row.pin, sh.epoch)
+			}
+			sharded[sh.epoch] = true
+		}
+	}
+
+	// 24 more appends, each read: the handle opened on the first epoch —
+	// long retired by number — still answers byte-identically.
+	for i := 0; i < 24; i++ {
+		step(1, true)
+	}
+	warm, err := first.Synthesize(context.Background(), moviesInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := describe(warm.Candidates), describe(cold.Candidates); !equalStrings(got, want) {
+		t.Errorf("first-epoch handle after %d appends:\n got %v\nwant %v", appended, got, want)
+	}
+	if got := first.Database().Table("movie").NumRows(); got != dataset.Movies().Table("movie").NumRows() {
+		t.Errorf("first-epoch handle sees %d movie rows, want the pre-ingest count", got)
+	}
+
+	st := e.Stats().Databases[0]
+	if st.EpochsLive != epochRetention || len(st.Epochs) != epochRetention {
+		t.Errorf("EpochsLive = %d (%d listed), want %d", st.EpochsLive, len(st.Epochs), epochRetention)
+	}
+	for i := 1; i < len(st.Epochs); i++ {
+		if st.Epochs[i-1].Epoch >= st.Epochs[i].Epoch {
+			t.Errorf("Epochs not ascending by number: %+v", st.Epochs)
+		}
+	}
+	if len(st.Epochs) > 0 && st.Epochs[len(st.Epochs)-1].Epoch != st.HeadEpoch {
+		t.Errorf("newest live shard is epoch %d, head is %d", st.Epochs[len(st.Epochs)-1].Epoch, st.HeadEpoch)
+	}
+	if want := int64(len(sharded) - epochRetention); st.EpochsRetired != want {
+		t.Errorf("EpochsRetired = %d, want %d (%d shards made, each eviction counted once)", st.EpochsRetired, want, len(sharded))
 	}
 }

@@ -62,9 +62,11 @@ type Input struct {
 	Deadline time.Duration
 	// Epoch pins the request to a published database epoch (0 = latest).
 	// A request at epoch E observes exactly the rows visible when E was
-	// published, regardless of concurrent ingest; a retired epoch is an
-	// error. Sessions obtained through Engine.Snapshot are already pinned
-	// and reject a conflicting Epoch.
+	// published, regardless of concurrent ingest. An epoch is servable by
+	// number while it is the head or one of the last four epochs that
+	// served a request; any other number is an error. Sessions obtained
+	// through Engine.Snapshot are already pinned and reject a conflicting
+	// Epoch.
 	Epoch int64
 }
 
@@ -76,11 +78,9 @@ type Config struct {
 	// Model is the guidance model; nil uses the lexical model. The model
 	// is shared by all concurrent requests and must be stateless.
 	Model guidance.Model
-	// Rules is the semantic rule set; NoRules disables pruning, nil uses
-	// the Table 4 defaults.
+	// Rules is the semantic rule set; nil uses the Table 4 defaults. To
+	// disable semantic pruning pass semrules.Empty().
 	Rules *semrules.RuleSet
-	// NoRules disables semantic pruning (Rules is then ignored).
-	NoRules bool
 	// Mode selects the enumeration variant (default ModeGPQE).
 	Mode enumerate.Mode
 	// Budget bounds wall-clock search time per request (0 = none).
@@ -136,19 +136,11 @@ type Config struct {
 	// service layer existed. This is the baseline for the throughput
 	// benchmarks and the oracle for the shared-cache differential tests.
 	PerRequestCaches bool
-
-	// LatencyWindow is the per-database ring size for latency quantiles
-	// (<=0 means 1024).
-	LatencyWindow int
-
-	// EpochRetention bounds the live per-epoch cache shards kept per
-	// database (<=0 means 4). When ingest publishes epochs faster than
-	// requests drain, the oldest shard's cache is retired (its cumulative
-	// pipeline counters are folded into the database totals). Pinned
-	// snapshot handles keep working past retirement — only the shard's
-	// discoverability and per-epoch stats end.
-	EpochRetention int
 }
+
+// latencyWindow is the per-database ring size for the latency and
+// cancel-to-return quantiles.
+const latencyWindow = 1024
 
 // Engine is the process-wide synthesis service. It is safe for concurrent
 // use; create one per process and share it across all requests.
@@ -190,10 +182,10 @@ type dbState struct {
 	idx     *autocomplete.Index
 
 	// Epoch shards: one frozen snapshot plus its shared caches per epoch
-	// that served (or is serving) requests, bounded by Config.EpochRetention.
+	// that served (or is serving) requests, bounded by epochRetention. This
+	// map is the only collection of published epochs the process keeps.
 	epochMu       sync.Mutex
 	shards        map[int64]*epochShard
-	shardOrder    []int64               // creation order, oldest first
 	retired       sqlexec.PipelineStats // folded counters of retired shards
 	retiredShards int64
 
@@ -232,15 +224,19 @@ type epochShard struct {
 	requests atomic.Int64
 }
 
+// epochRetention bounds the live shards kept per database. The service's
+// shard map is the only retention ring — storage keeps just the head — so
+// the whole rule is: an epoch is servable by number while it is the head or
+// one of the last epochRetention epochs that served a request; a Snapshot
+// handle or a request in flight holds its shard by pointer and keeps its
+// own epoch forever.
+const epochRetention = 4
+
 // shardAt resolves the serving shard for an epoch (0 = latest, publishing
 // one if build-phase mutations are pending). Requests for the same epoch
 // share one shard — and therefore one set of memos.
 func (ds *dbState) shardAt(epoch int64) (*epochShard, error) {
 	if epoch != 0 {
-		// A live shard keeps its epoch servable even after storage's
-		// bounded view ring has retired the number: the shard holds the
-		// frozen database, which is valid forever. Sustained ingest can
-		// therefore never break a pin the service still retains.
 		ds.epochMu.Lock()
 		sh, ok := ds.shards[epoch]
 		ds.epochMu.Unlock()
@@ -248,21 +244,15 @@ func (ds *dbState) shardAt(epoch int64) (*epochShard, error) {
 			return sh, nil
 		}
 	}
-	var snap *storage.Database
-	if epoch == 0 {
-		snap = ds.db.Snapshot()
-	} else {
-		var err error
-		snap, err = ds.db.SnapshotAt(epoch)
-		if err != nil {
-			return nil, err
-		}
+	snap := ds.db.Snapshot()
+	if epoch != 0 && epoch != snap.Epoch() {
+		return nil, fmt.Errorf("service: database %s: epoch %d is not retained (head %d)", ds.db.Name, epoch, snap.Epoch())
 	}
 	return ds.shardFor(snap), nil
 }
 
 // shardFor returns (creating if needed) the shard for a resolved snapshot,
-// retiring the oldest shard beyond the retention bound.
+// retiring the lowest-numbered shards beyond epochRetention.
 func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 	ep := snap.Epoch()
 	ds.epochMu.Lock()
@@ -275,9 +265,9 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 	// shard of the latest earlier epoch — answers over tables unchanged
 	// between the two carry forward, so an append costs readers only the
 	// changed table's memos, not a fully cold cache. Never from a later
-	// epoch (a by-number pin of an epoch not yet sharded arrives after the
-	// head's shard exists): "once true, true in every later epoch" says
-	// nothing about earlier ones.
+	// epoch (a reader that resolved its snapshot before an append can reach
+	// here after the new head's shard exists): "once true, true in every
+	// later epoch" says nothing about earlier ones.
 	var prev *epochShard
 	for _, sh := range ds.shards {
 		if sh.epoch < ep && (prev == nil || sh.epoch > prev.epoch) {
@@ -289,23 +279,17 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 		prevCache = prev.cache
 	}
 	sh := &epochShard{epoch: ep, db: snap, cache: verify.NewCacheFrom(snap, prevCache)}
-	if ds.shards == nil {
-		ds.shards = map[int64]*epochShard{}
-	}
 	ds.shards[ep] = sh
-	ds.shardOrder = append(ds.shardOrder, ep)
-	max := ds.eng.opts.EpochRetention
-	if max <= 0 {
-		max = 4
-	}
-	for len(ds.shardOrder) > max {
-		old := ds.shardOrder[0]
-		ds.shardOrder = ds.shardOrder[1:]
-		if osh, ok := ds.shards[old]; ok {
-			addPipeline(&ds.retired, osh.cache.Joins().Stats())
-			ds.retiredShards++
-			delete(ds.shards, old)
+	if len(ds.shards) > epochRetention {
+		oldest := sh
+		for _, osh := range ds.shards {
+			if osh.epoch < oldest.epoch {
+				oldest = osh
+			}
 		}
+		addPipeline(&ds.retired, oldest.cache.Joins().Stats())
+		ds.retiredShards++
+		delete(ds.shards, oldest.epoch)
 	}
 	return sh
 }
@@ -327,18 +311,12 @@ func (ds *dbState) noteLag(lag int64) {
 
 // NewEngine builds an engine.
 func NewEngine(opts Config) *Engine {
-	if opts.LatencyWindow <= 0 {
-		opts.LatencyWindow = 1024
-	}
 	e := &Engine{opts: opts, model: opts.Model, rules: opts.Rules, dbs: map[string]*dbState{}}
 	if e.model == nil {
 		e.model = guidance.NewLexicalModel()
 	}
-	if e.rules == nil && !opts.NoRules {
+	if e.rules == nil {
 		e.rules = semrules.Default()
-	}
-	if opts.NoRules {
-		e.rules = nil
 	}
 	if opts.MaxInFlight > 0 {
 		e.sem = make(chan struct{}, opts.MaxInFlight)
@@ -419,11 +397,12 @@ func (e *Engine) RegisterWithProvenance(db *storage.Database, prov Provenance) e
 		return fmt.Errorf("service: database %q already registered", db.Name)
 	}
 	e.dbs[db.Name] = &dbState{
-		eng:  e,
-		db:   db,
-		prov: prov,
-		lat:  make([]time.Duration, e.opts.LatencyWindow),
-		cret: make([]time.Duration, e.opts.LatencyWindow),
+		eng:    e,
+		db:     db,
+		prov:   prov,
+		shards: map[int64]*epochShard{},
+		lat:    make([]time.Duration, latencyWindow),
+		cret:   make([]time.Duration, latencyWindow),
 	}
 	e.order = append(e.order, db.Name)
 	return nil
@@ -497,8 +476,9 @@ func (e *Engine) admit(ctx context.Context) (release func(), err error) {
 // Session is a per-request view of one database: it borrows the Engine's
 // shared per-epoch caches and runs requests under the Engine's admission
 // control. An unpinned session resolves the latest epoch per request (or
-// the request's Input.Epoch); a session inside a Snapshot handle is pinned
-// to one epoch for its whole lifetime.
+// the request's Input.Epoch, while that number is still servable — see
+// epochRetention); a session inside a Snapshot handle is pinned to one
+// epoch for its whole lifetime.
 type Session struct {
 	eng *Engine
 	ds  *dbState
@@ -546,8 +526,10 @@ func (e *Engine) Snapshot(name string) (*Snapshot, error) {
 	return e.SnapshotAt(name, 0)
 }
 
-// SnapshotAt is Snapshot pinned to a specific epoch (0 = latest). A retired
-// or never-published epoch is an error.
+// SnapshotAt is Snapshot pinned to a specific epoch (0 = latest). The epoch
+// must be the head or one of the last four that served a request; any other
+// number is an error. Once open, the handle keeps its epoch however many
+// later epochs are published and read.
 func (e *Engine) SnapshotAt(name string, epoch int64) (*Snapshot, error) {
 	s, err := e.Session(name)
 	if err != nil {
@@ -779,7 +761,7 @@ func (ds *dbState) record(d time.Duration, res *enumerate.Result, err error, can
 	if interrupted {
 		ds.interrupted++
 	}
-	if cancelled && len(ds.cret) > 0 {
+	if cancelled {
 		ds.cret[ds.cretPos] = cancelReturn
 		ds.cretPos = (ds.cretPos + 1) % len(ds.cret)
 		if ds.cretN < len(ds.cret) {
@@ -787,11 +769,9 @@ func (ds *dbState) record(d time.Duration, res *enumerate.Result, err error, can
 		}
 		ds.cretTotal++
 	}
-	if len(ds.lat) > 0 {
-		ds.lat[ds.latPos] = d
-		ds.latPos = (ds.latPos + 1) % len(ds.lat)
-		if ds.latN < len(ds.lat) {
-			ds.latN++
-		}
+	ds.lat[ds.latPos] = d
+	ds.latPos = (ds.latPos + 1) % len(ds.lat)
+	if ds.latN < len(ds.lat) {
+		ds.latN++
 	}
 }

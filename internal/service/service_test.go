@@ -9,9 +9,11 @@ import (
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
+	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/tsq"
+	"github.com/duoquest/duoquest/internal/verify"
 )
 
 func newTestEngine(t *testing.T, opts Config) *Engine {
@@ -204,6 +206,34 @@ func TestSharedCacheConcurrentReuse(t *testing.T) {
 	st := e.Stats().Databases[0]
 	if st.Cache.Pipeline.StreamedExists == 0 {
 		t.Error("expected shared-cache activity in stats")
+	}
+}
+
+// Config.Rules is the whole pruning switch: nil means the Table 4 defaults,
+// and an engine built with semrules.Empty() rejects nothing at the semantics
+// stage — not even a query every default engine stops there.
+func TestEmptyRulesRejectNothingAtSemantics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rules  *semrules.RuleSet
+		reject bool
+	}{
+		{"nil: Table 4 defaults", nil, true},
+		{"semrules.Empty()", semrules.Empty(), false},
+	} {
+		e := newTestEngine(t, Config{Rules: tc.rules})
+		snap, err := e.Snapshot("movies")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := sqlparse.MustParse(snap.Database().Schema, "SELECT MAX(title) FROM movie") // aggregate type usage
+		out, err := verify.NewWithCache(snap.Database(), e.rules, nil, nil, snap.pin.cache).Verify(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := !out.OK && out.Stage == verify.StageSemantics; got != tc.reject {
+			t.Errorf("%s: rejected at semantics = %v, want %v (%+v)", tc.name, got, tc.reject, out)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ type DBStats struct {
 	// Epoch visibility: the head epoch, how many Engine.Append batches the
 	// database has accepted, the live/retired epoch cache shards, the
 	// per-request epoch lag (head minus resolved epoch at resolution time),
-	// and each live shard's cache hit rates.
+	// and each live shard's cache hit rates, ascending by epoch.
 	HeadEpoch     int64
 	Appends       int64
 	EpochsLive    int
@@ -169,18 +169,18 @@ func (ds *dbState) snapshot() DBStats {
 	ds.epochMu.Lock()
 	ps := ds.retired
 	out.EpochsRetired = ds.retiredShards
-	out.EpochsLive = len(ds.shardOrder)
-	for _, ep := range ds.shardOrder {
-		sh := ds.shards[ep]
+	out.EpochsLive = len(ds.shards)
+	for _, sh := range ds.shards {
 		sps := sh.cache.Joins().Stats()
 		addPipeline(&ps, sps)
 		out.Epochs = append(out.Epochs, EpochCacheStats{
-			Epoch:        ep,
+			Epoch:        sh.epoch,
 			Requests:     sh.requests.Load(),
 			StreamedRate: ratio(sps.StreamedExists, sps.StreamedExists+sps.FallbackExists),
 		})
 	}
 	ds.epochMu.Unlock()
+	sort.Slice(out.Epochs, func(i, j int) bool { return out.Epochs[i].Epoch < out.Epochs[j].Epoch })
 	out.Cache = CacheStats{
 		Pipeline:         ps,
 		StreamedRate:     ratio(ps.StreamedExists, ps.StreamedExists+ps.FallbackExists),

@@ -216,7 +216,7 @@ func TestBulkAppendMixedWithInsert(t *testing.T) {
 func TestBulkAppendGeneration(t *testing.T) {
 	tb := bulkTable()
 	db := NewDatabase("bulk", NewSchema(tb))
-	e0 := db.Publish()
+	e0 := db.Snapshot().Epoch()
 	epoch, err := db.Append(tb.Name, []ColumnData{
 		{Nums: []float64{1, 2, 3}},
 		{Texts: []string{"a", "b", "c"}},

@@ -11,10 +11,16 @@
 // Readers obtain a snapshot as a frozen *Database — structurally identical
 // to a live one, so the whole query stack (sqlexec, verify, enumerate,
 // autocomplete) runs on it unchanged — and caches key by the frozen
-// database identity instead of being invalidated on write. Concurrency
-// contract: once concurrent readers exist, all mutation must go through
-// Database.Append (which serializes with publication); the table-level
-// Insert/BulkAppend APIs remain build-phase-only.
+// database identity instead of being invalidated on write.
+//
+// Storage publishes; it does not retain. The live database holds only its
+// newest view, and an older epoch lives exactly as long as someone holds
+// the frozen database they were handed — which epochs stay addressable by
+// number is the service's decision (its shard map), not storage's.
+//
+// Concurrency contract: once concurrent readers exist, all mutation must go
+// through Database.Append (which serializes with publication); the
+// table-level Insert/BulkAppend APIs remain build-phase-only.
 package storage
 
 import (
@@ -23,13 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// epochRetention bounds how many published epochs stay addressable through
-// SnapshotAt. Older epochs are forgotten (their frozen databases remain
-// valid for readers already holding them, they just can no longer be pinned
-// by number). Sixteen epochs comfortably cover every in-flight synthesis
-// session under sustained ingest without retaining unbounded view metadata.
-const epochRetention = 16
 
 // tableView is one table's state at publication: the generation it was
 // captured at (to detect staleness and to share views across epochs for
@@ -173,17 +172,6 @@ func (d *Database) publishLocked() *dbView {
 		nv.tables[i] = ntv
 	}
 	d.latest.Store(nv)
-	d.retainMu.Lock()
-	d.retained = append(d.retained, nv)
-	if n := len(d.retained) - epochRetention; n > 0 {
-		// Shift down rather than reslice: a resliced window keeps the views
-		// it dropped reachable through the backing array until the next
-		// reallocation, so up to twice the window stayed live.
-		copy(d.retained, d.retained[n:])
-		clear(d.retained[epochRetention:])
-		d.retained = d.retained[:epochRetention]
-	}
-	d.retainMu.Unlock()
 	return nv
 }
 
@@ -205,7 +193,7 @@ func (d *Database) Frozen() bool { return d.frozen }
 // Snapshot returns an immutable view of the latest data as a frozen
 // Database. If build-phase mutations happened since the last publication,
 // a fresh epoch is published first, so sequential insert-then-query code
-// observes its own writes without an explicit Publish. The returned
+// observes its own writes without a separate publish step. The returned
 // database is memoized per epoch: two snapshots of the same epoch are the
 // same pointer, which is what lets caches key by database identity.
 func (d *Database) Snapshot() *Database {
@@ -224,55 +212,12 @@ func (d *Database) Snapshot() *Database {
 	return v.freeze(d)
 }
 
-// SnapshotAt returns the frozen database for a specific published epoch.
-// Epoch 0 means "latest" (exactly Snapshot). A retired or never-published
-// epoch is an error — the caller's pin can no longer be honoured.
-func (d *Database) SnapshotAt(epoch int64) (*Database, error) {
-	if epoch == 0 {
-		return d.Snapshot(), nil
-	}
-	if d.frozen {
-		if epoch == d.snapEpoch {
-			return d, nil
-		}
-		return nil, fmt.Errorf("storage: database %s: snapshot is pinned at epoch %d, cannot serve epoch %d", d.Name, d.snapEpoch, epoch)
-	}
-	d.retainMu.Lock()
-	var v *dbView
-	for _, rv := range d.retained {
-		if rv.epoch == epoch {
-			v = rv
-			break
-		}
-	}
-	d.retainMu.Unlock()
-	if v == nil {
-		return nil, fmt.Errorf("storage: database %s: epoch %d is not retained (head %d, retention %d)", d.Name, epoch, d.Epoch(), epochRetention)
-	}
-	return v.freeze(d), nil
-}
-
-// Publish forces publication of the current data as a new epoch if anything
-// changed since the last one, and returns the resulting head epoch number.
-func (d *Database) Publish() int64 {
-	if d.frozen {
-		return d.snapEpoch
-	}
-	d.writeMu.Lock()
-	v := d.latest.Load()
-	if v == nil || d.changedSince(v) {
-		v = d.publishLocked()
-	}
-	d.writeMu.Unlock()
-	return v.epoch
-}
-
 // Append bulk-appends one batch to the named table and publishes the result
 // as a new epoch, returning its number. This is the only mutation that may
 // run concurrently with snapshot readers: the write lock serializes batches
 // and publication, and published epochs are never written again. The
-// returned epoch already includes the batch, so a SnapshotAt on it (or any
-// later Snapshot) observes the new rows while earlier epochs do not.
+// returned epoch already includes the batch, so any later Snapshot observes
+// the new rows while snapshots of earlier epochs do not.
 func (d *Database) Append(table string, cols []ColumnData) (int64, error) {
 	if d.frozen {
 		return 0, fmt.Errorf("storage: database %s: cannot append to a frozen snapshot (epoch %d)", d.Name, d.snapEpoch)

@@ -107,29 +107,6 @@ func TestSnapshotPerRowInsert(t *testing.T) {
 	checkRows(t, db.Snapshot().Table("ev"), 8)
 }
 
-// TestEpochRetention: only the last epochRetention epochs stay addressable
-// by number; older pins fail loudly instead of silently serving new data.
-func TestEpochRetention(t *testing.T) {
-	db, _ := epochDB()
-	first, err := db.Append("ev", epochBatch(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < epochRetention+4; i++ {
-		if _, err := db.Append("ev", epochBatch(i, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.SnapshotAt(first); err == nil {
-		t.Errorf("epoch %d should have been retired (head %d)", first, db.Epoch())
-	}
-	head, err := db.SnapshotAt(db.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRows(t, head.Table("ev"), epochRetention+4)
-}
-
 // TestConcurrentAppendAndSnapshots is the storage-level race test: one
 // writer publishing epochs through Database.Append while readers pin
 // snapshots and scan them. Run with -race this proves the clamped views,

@@ -433,12 +433,10 @@ type Database struct {
 	Schema *Schema
 
 	// Epoch publication state (epoch.go). writeMu serializes Append batches
-	// and epoch publication; latest holds the newest published view;
-	// retained keeps a bounded window of views addressable by SnapshotAt.
+	// and epoch publication; latest holds the newest published view, the
+	// only one the live database keeps.
 	writeMu  sync.Mutex
 	latest   atomic.Pointer[dbView]
-	retainMu sync.Mutex
-	retained []*dbView
 	epochSeq int64 // last assigned epoch number; guarded by writeMu
 
 	// frozen marks an immutable epoch snapshot; snapEpoch is its number.

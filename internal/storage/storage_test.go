@@ -312,8 +312,8 @@ func TestEpochPublication(t *testing.T) {
 	if err := m.Insert(num(3)); err == nil {
 		t.Fatal("bad arity should error")
 	}
-	if db.Publish() != 1 {
-		t.Errorf("epoch after failed insert = %d, want 1", db.Epoch())
+	if got := db.Snapshot().Epoch(); got != 1 {
+		t.Errorf("epoch after failed insert = %d, want 1", got)
 	}
 	// A mutation makes the next snapshot a new epoch; the old one is intact.
 	m.MustInsert(num(3), text("C"), num(1992), num(7))
@@ -338,14 +338,6 @@ func TestEpochPublication(t *testing.T) {
 	}
 	if _, err := snap.Append("movie", nil); err == nil {
 		t.Error("append to frozen database should error")
-	}
-	// SnapshotAt resolves retained epochs and rejects unknown ones.
-	back, err := db.SnapshotAt(1)
-	if err != nil || back != snap {
-		t.Errorf("SnapshotAt(1) = %p (%v), want the memoized epoch-1 snapshot", back, err)
-	}
-	if _, err := db.SnapshotAt(99); err == nil {
-		t.Error("SnapshotAt of unpublished epoch should error")
 	}
 }
 
