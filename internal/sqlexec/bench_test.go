@@ -126,6 +126,34 @@ func benchGroupedProbes() []sqlexec.ExistsQuery {
 	return probes
 }
 
+// benchPinnedProbes is the by-row shape of a grouped query's check (RV2 with
+// the grouping column's example cell as an equality): GROUP BY cust.city
+// pinned to one city, whose ~80 customers fan out to ~400 orders, HAVING
+// COUNT(..) against a small k — mostly =, the shape whose answer is settled
+// by the (k+1)-th tuple. A fifth of the cities are absent.
+func benchPinnedProbes() []sqlexec.ExistsQuery {
+	r := rand.New(rand.NewSource(17))
+	ops := []sqlir.Op{sqlir.OpEq, sqlir.OpEq, sqlir.OpEq, sqlir.OpLe, sqlir.OpGe, sqlir.OpNe}
+	probes := make([]sqlexec.ExistsQuery, 0, 50)
+	for i := 0; i < 50; i++ {
+		col := sqlir.Star
+		if i%2 == 1 {
+			col = sqlir.ColumnRef{Table: "ord", Column: "qty"}
+		}
+		probes = append(probes, sqlexec.ExistsQuery{
+			From:     benchPath(),
+			Conj:     sqlir.LogicAnd,
+			AndPreds: []sqlir.Predicate{benchPred("cust", "city", sqlir.OpEq, sqlir.NewText(fmt.Sprintf("city-%d", r.Intn(60))))},
+			GroupBy:  []sqlir.ColumnRef{{Table: "cust", Column: "city"}},
+			Havings: []sqlir.HavingExpr{{
+				Agg: sqlir.AggCount, AggSet: true, Col: col, ColSet: true,
+				Op: ops[r.Intn(len(ops))], OpSet: true, Val: sqlir.NewInt(r.Intn(10)), ValSet: true,
+			}},
+		})
+	}
+	return probes
+}
+
 // referenceAnswers runs a probe set through the materializing reference
 // executor (join memoized once, scan per probe — the pre-streaming
 // JoinCache behavior).
@@ -217,6 +245,40 @@ func BenchmarkExistsGroupedMaterialized(b *testing.B) {
 func BenchmarkExistsGroupedStreaming(b *testing.B) {
 	db := benchStore()
 	probes := benchGroupedProbes()
+	_, want := referenceAnswers(b, db, probes)
+	jc := sqlexec.NewJoinCache(db)
+	checkStreamingEquivalence(b, jc, probes, want)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, eq := range probes {
+			if _, err := jc.Exists(eq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkExistsGroupedPinnedMaterialized: pinned-group COUNT probes
+// against the materialized join.
+func BenchmarkExistsGroupedPinnedMaterialized(b *testing.B) {
+	db := benchStore()
+	probes := benchPinnedProbes()
+	rel, _ := referenceAnswers(b, db, probes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, eq := range probes {
+			if _, err := rel.ExistsOnReference(eq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkExistsGroupedPinnedStreaming: the same probes streamed, each
+// stopping as soon as its one group's count settles the answer.
+func BenchmarkExistsGroupedPinnedStreaming(b *testing.B) {
+	db := benchStore()
+	probes := benchPinnedProbes()
 	_, want := referenceAnswers(b, db, probes)
 	jc := sqlexec.NewJoinCache(db)
 	checkStreamingEquivalence(b, jc, probes, want)

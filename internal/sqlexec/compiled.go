@@ -81,7 +81,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 			return nil, false, nil
 		}
 		plan.countSeed(pc)
-		g, serr := plan.scanGroups(ctx, inj, pc, spec)
+		g, _, serr := plan.scanGroups(ctx, inj, pc, spec, nil)
 		if serr != nil {
 			return nil, true, serr
 		}

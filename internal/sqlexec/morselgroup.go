@@ -27,11 +27,19 @@
 // transient allocation that grows with the matching tuples rather than with
 // the groups, and only a fanned-out scan that reads an aggregate column makes
 // it.
+//
+// A grouped existence probe that can have only one group, and whose HAVING
+// conditions are all COUNT compared with a number, stops as soon as its
+// answer is decided (groupDecider): in one piece at the settling tuple, fanned
+// out at the first morsel whose own counts settle it, through the same
+// watermark that ends a flat probe at its first witness. Parts are merged
+// only when nothing settled.
 package sqlexec
 
 import (
 	"context"
 	"math"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -225,37 +233,155 @@ func (p *streamPlan) fanOut(ctx context.Context) (*WorkerPool, []storage.Morsel)
 	return pool, morsels
 }
 
+// countBound is one HAVING COUNT(..) op k condition reduced to the count at
+// which it settles: once count > k when strict, else once !(count < k), which
+// like Value.Compare counts a NaN k as reached.
+type countBound struct {
+	col    boundCol // vec nil: COUNT(*), which counts every tuple
+	k      float64
+	strict bool
+}
+
+func (b countBound) settled(n int) bool {
+	if b.strict {
+		return float64(n) > b.k
+	}
+	return !(float64(n) < b.k)
+}
+
+// groupDecider decides a grouped existence probe before its scan ends. It
+// applies when the probe has at most one group — no GROUP BY, or every GROUP
+// BY column pinned by an AND-semantics equality to a non-NULL value, the
+// shape verifyByRow gives a grouped query's by-row check — and every HAVING
+// condition is COUNT(*) or COUNT(col) compared with a number. A count only
+// grows as tuples arrive, so each condition falls in one class:
+//
+//   - upper bounds (=, <, <=) are false forever once the count passes k (for
+//     <, once it reaches k);
+//   - lower bounds (>, >=, !=) are true forever once the count passes k (for
+//     >=, once it reaches k). != is true at counts below k too, but is not
+//     settled there: the count can still land on k.
+//
+// If any condition is an upper bound the probe can only settle false, when
+// one of them is exceeded; otherwise it settles true when every lower bound
+// is met. No probe can do both, so counts that are a lower bound on the
+// group's final counts — a prefix of the scan, or one morsel's share of it —
+// settle the global answer, whichever morsel gets there first.
+type groupDecider struct {
+	bounds []countBound // the upper bounds if there are any, else the lower ones
+	lower  bool         // bounds are lower bounds: settling answers true
+}
+
+// newGroupDecider returns the probe's decider, or nil when its answer needs
+// the whole scan: a GROUP BY column that is not pinned (two groups may
+// exist), or a HAVING condition other than COUNT compared with a number —
+// SUM and AVG are not monotone and must stay error-lazy, MIN/MAX and bare
+// columns are not counts.
+func newGroupDecider(eq ExistsQuery, spec *groupedBinding) *groupDecider {
+	for _, g := range eq.GroupBy {
+		pins := func(p sqlir.Predicate) bool { return p.Col == g && p.Op == sqlir.OpEq && !p.Val.IsNull() }
+		if !slices.ContainsFunc(eq.AndPreds, pins) && !(eq.predsConjoined() && slices.ContainsFunc(eq.Preds, pins)) {
+			return nil
+		}
+	}
+	var upper, lower []countBound
+	for _, h := range eq.Havings {
+		if h.Agg != sqlir.AggCount || h.Val.Kind != sqlir.KindNumber {
+			return nil
+		}
+		b := countBound{k: h.Val.Num}
+		if !h.Col.IsStar() {
+			b.col = spec.cols[spec.colAt[h.Col]]
+		}
+		switch h.Op {
+		case sqlir.OpEq, sqlir.OpLe:
+			b.strict = true
+			upper = append(upper, b)
+		case sqlir.OpLt:
+			upper = append(upper, b)
+		case sqlir.OpGt, sqlir.OpNe:
+			b.strict = true
+			lower = append(lower, b)
+		case sqlir.OpGe:
+			lower = append(lower, b)
+		default:
+			return nil
+		}
+	}
+	if len(upper) > 0 {
+		return &groupDecider{bounds: upper}
+	}
+	return &groupDecider{bounds: lower, lower: true}
+}
+
+// groupSettler is one scan piece's counts under a decider: a scan in one
+// piece has one, a fanned-out scan one per morsel. A nil settler (no decider)
+// never settles.
+type groupSettler struct {
+	d      *groupDecider
+	counts []int
+}
+
+func (d *groupDecider) settler() *groupSettler {
+	if d == nil {
+		return nil
+	}
+	return &groupSettler{d: d, counts: make([]int, len(d.bounds))}
+}
+
+// add counts one tuple of the group and reports whether the answer is
+// settled.
+func (s *groupSettler) add(tp []int32) bool {
+	if s == nil {
+		return false
+	}
+	met := true
+	for i, b := range s.d.bounds {
+		if b.col.vec == nil || !b.col.vec.IsNull(int(tp[b.col.slot])) {
+			s.counts[i]++
+		}
+		settled := b.settled(s.counts[i])
+		if settled && !s.d.lower {
+			return true
+		}
+		met = met && settled
+	}
+	return s.d.lower && met
+}
+
 // scanGroups streams the plan's tuples into per-group states. The plan keeps
 // reference enumeration order, so group discovery order and floating-point
 // accumulation order match the materializing path bit for bit at any worker
-// count.
-func (p *streamPlan) scanGroups(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, spec *groupedBinding) (*groups, error) {
-	g := newGroups(spec)
+// count. With a decider the scan stops once the answer is settled, reported
+// as settled=true; the groups are then partial and not to be read.
+func (p *streamPlan) scanGroups(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, spec *groupedBinding, dec *groupDecider) (g *groups, settled bool, err error) {
+	g = newGroups(spec)
 	pool, morsels := p.fanOut(ctx)
 	if morsels == nil {
-		err := p.run(ctx, inj, pc, func(tp []int32) (bool, error) {
+		s := dec.settler()
+		settled, err = p.runRange(ctx, inj, pc, 0, p.domainLen(), func(tp []int32) (bool, error) {
 			g.add(tp)
-			return false, nil
+			return s.add(tp), nil
 		})
-		return g, err
+		return g, settled, err
 	}
 	logged := len(spec.cols) > 0
 	parts := make([]*groupPart, len(morsels))
 	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
 		part := &groupPart{idx: newGroupIndex(spec.keys)}
 		parts[m] = part
-		_, err := p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, func(tp []int32) (bool, error) {
+		s := dec.settler()
+		return p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, func(tp []int32) (bool, error) {
 			part.add(tp, logged)
-			return false, nil
+			return s.add(tp), nil
 		})
-		return false, err
 	})
 	pc.addMorselRun(res)
-	if res.err != nil {
-		return nil, res.err
+	if res.err != nil || res.found {
+		return nil, res.found, res.err
 	}
 	for _, part := range parts {
 		g.absorb(part, len(p.tables))
 	}
-	return g, nil
+	return g, false, nil
 }

@@ -348,13 +348,18 @@ func orientEdges(db *storage.Database, jp *sqlir.JoinPath) ([]pathEdge, map[stri
 	return pes, inSet, nil
 }
 
+// predsConjoined reports whether an exists query's Preds have AND semantics:
+// conjoined, or too few for the connective to matter.
+func (eq ExistsQuery) predsConjoined() bool {
+	return eq.Conj == sqlir.LogicAnd || len(eq.Preds) <= 1
+}
+
 // splitPreds separates an exists query's predicates into AND-semantics
 // predicates (checkable at the shallowest binding slot) and OR-connected
 // predicates, shared by both streaming planners.
 func splitPreds(eq ExistsQuery) (andPreds, orRaw []sqlir.Predicate) {
-	andSem := eq.Conj == sqlir.LogicAnd || len(eq.Preds) <= 1
 	andPreds = make([]sqlir.Predicate, 0, len(eq.Preds)+len(eq.AndPreds))
-	if andSem {
+	if eq.predsConjoined() {
 		andPreds = append(andPreds, eq.Preds...)
 	} else {
 		orRaw = eq.Preds
@@ -525,12 +530,6 @@ func (p *streamPlan) domainLen() int {
 	return p.tables[0].NumRows()
 }
 
-// run enumerates the full root domain; see runRange.
-func (p *streamPlan) run(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, emit func(tp []int32) (stop bool, err error)) error {
-	_, err := p.runRange(ctx, inj, pc, 0, p.domainLen(), emit)
-	return err
-}
-
 // runRange enumerates joined tuples depth-first over the root-domain slice
 // [lo, hi), evaluating each bound predicate at the shallowest depth where
 // its slot is bound. emit returning stop=true short-circuits the
@@ -673,9 +672,13 @@ func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc 
 	// Counted only once the probe is actually streamed, so fallbacks (e.g.
 	// unsupported HAVING shapes) don't inflate pushdown coverage.
 	plan.countSeed(pc)
-	g, rerr := plan.scanGroups(ctx, inj, pc, spec)
+	dec := newGroupDecider(eq, spec)
+	g, settled, rerr := plan.scanGroups(ctx, inj, pc, spec, dec)
 	if rerr != nil {
 		return false, true, rerr
+	}
+	if settled {
+		return dec.lower, true, nil
 	}
 	return checkGroupHavings(g.order, spec.colAt, eq)
 }

@@ -1,15 +1,16 @@
-// Columnar storage: every table column is additionally held as a typed
-// vector — []float64 for numeric columns, dictionary-encoded []uint32 codes
-// plus an interned string table for text columns, and a null bitmap for
-// both. The vectors are the authoritative representation for the vectorized
-// execution path in sqlexec; the historical row API (Row/Rows) is kept in
-// sync by Insert as a thin adapter so the materializing reference executor
-// is untouched during the migration.
+// Columnar storage: every table column is held as a typed vector —
+// []float64 for numeric columns, dictionary-encoded []uint32 codes plus an
+// interned string table for text columns, and a null bitmap for both — and
+// the vectors are the whole table: sqlexec's streaming pipeline and its
+// materializing reference both read cells off them, the pipeline through
+// the posting-list indexes below.
 package storage
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -230,13 +231,17 @@ func (v *ColumnVec) vectorBytes() int64 {
 	return int64(len(v.nums))*8 + int64(len(v.codes))*4 + int64(len(v.nulls))*8
 }
 
-// CodeIndex is a typed posting-list index over one column, the vectorized
-// analogue of Table.Index: numeric columns key postings by float value,
-// text columns by dictionary code (a dense slice, not a map). Columns whose
+// CodeIndex is a typed posting-list index over one column — the only index
+// the storage engine has: numeric columns key postings by float value, text
+// columns by dictionary code (a dense slice, not a map). Columns whose
 // non-null values are all integers in a compact range — the FK/PK id
 // columns every join probes — get a dense array index instead of a hash
 // map, so a join probe is an array load rather than a float hash. Posting
-// lists preserve row order. Built lazily, memoized until the next Insert.
+// lists preserve row order. Built lazily; a live table drops its indexes on
+// Insert, a frozen epoch table keeps them for its lifetime, and a new
+// epoch's table extends its predecessor's (extendFrom). Every accessor
+// returns a list capped at its length, so no caller can append into
+// capacity a successor epoch's index may be using.
 type CodeIndex struct {
 	once sync.Once
 	vec  *ColumnVec
@@ -254,25 +259,29 @@ type CodeIndex struct {
 	ready atomic.Bool
 }
 
+// capped returns list with no spare capacity: appending to it reallocates.
+func capped(list []int32) []int32 { return list[:len(list):len(list)] }
+
 // Num returns the posting list for a float value (nil when absent).
 func (ix *CodeIndex) Num(f float64) []int32 {
 	if ix.dense != nil {
 		if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+len(ix.dense)) {
 			return nil
 		}
-		return ix.dense[int(f)-ix.off]
+		return capped(ix.dense[int(f)-ix.off])
 	}
-	return ix.num[f]
+	return capped(ix.num[f])
 }
 
 // Text returns the posting list for a dictionary code (nil when out of
-// range — a code interned after the index was built has no postings, but
-// Insert invalidates the index before that can be observed).
+// range: a code interned after the index was built has no rows in the
+// index's table — a live table drops the index on Insert, and a frozen
+// table's dictionary never grows).
 func (ix *CodeIndex) Text(code uint32) []int32 {
 	if int(code) >= len(ix.text) {
 		return nil
 	}
-	return ix.text[code]
+	return capped(ix.text[code])
 }
 
 // TextString returns the posting list for a string value via the dictionary
@@ -333,11 +342,27 @@ func (ix *CodeIndex) build() {
 }
 
 // extendFrom populates the index from the previous epoch's ready index over
-// the same column: posting lists are shared cap-clamped (delta appends
-// reallocate instead of writing into the base's arrays) and only rows
-// [baseN, vec.n) are scanned. Reports false when the delta cannot keep the
-// base's dense layout — a non-integer or out-of-range value would shift
-// every slot — in which case the caller falls back to a full lazy build.
+// the same column: the outer table (dense slots, value map or code slice) is
+// copied, the posting lists are shared, and only rows [baseN, vec.n) are
+// scanned and appended. An epoch boundary therefore costs O(distinct keys +
+// delta) per index, and a posting list is copied only when an append finds
+// it full. Reports false when the delta cannot keep the base's dense layout —
+// a non-integer or out-of-range value would shift every slot — in which case
+// the caller falls back to a full lazy build.
+//
+// Appending into the base's spare capacity is safe because of three
+// invariants:
+//
+//  1. One successor per base. publishLocked links a frozen table as the base
+//     of exactly one successor view (the next publication that captures the
+//     table), and the successor's adoptOnce runs extendFrom once, so no two
+//     indexes ever append into the same spare capacity.
+//  2. Readers stop at their own length. The base index's slice headers are
+//     never rewritten; its readers see rows [0, len) and the successor
+//     writes only past that, into memory no base reader can reach.
+//  3. Nobody else appends. Num, Text, TextString and Postings return lists
+//     capped at their length (capped), so a caller appending to a posting
+//     list reallocates instead of writing into shared capacity.
 func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 	vec := ix.vec
 	switch {
@@ -352,10 +377,7 @@ func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 			}
 		}
 		ix.off = base.off
-		ix.dense = make([][]int32, len(base.dense))
-		for s, list := range base.dense {
-			ix.dense[s] = list[:len(list):len(list)]
-		}
+		ix.dense = slices.Clone(base.dense)
 		for i := baseN; i < vec.n; i++ {
 			if vec.IsNull(i) {
 				continue
@@ -364,10 +386,7 @@ func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 			ix.dense[slot] = append(ix.dense[slot], int32(i))
 		}
 	case base.num != nil:
-		ix.num = make(map[float64][]int32, len(base.num))
-		for f, list := range base.num {
-			ix.num[f] = list[:len(list):len(list)]
-		}
+		ix.num = maps.Clone(base.num)
 		for i := baseN; i < vec.n; i++ {
 			if vec.IsNull(i) {
 				continue
@@ -380,9 +399,7 @@ func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 			size = vec.dict.Size()
 		}
 		ix.text = make([][]int32, size)
-		for c, list := range base.text {
-			ix.text[c] = list[:len(list):len(list)]
-		}
+		copy(ix.text, base.text)
 		for i := baseN; i < vec.n; i++ {
 			if vec.IsNull(i) {
 				continue
@@ -452,9 +469,10 @@ func (t *Table) Vector(col string) *ColumnVec {
 // VectorAt returns the i-th column's typed vector.
 func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 
-// CodeIndex returns the typed posting-list index of the named column,
-// lazily built and memoized until the next Insert — what the streaming
-// pipeline's seeds and join probes read.
+// CodeIndex returns the typed posting-list index of the named column —
+// what the streaming pipeline's seeds and join probes read — extended from
+// the previous epoch's when the table adopted one (adoptBase), else built
+// lazily, and memoized until the next Insert.
 func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {

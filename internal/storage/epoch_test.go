@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,17 +110,39 @@ func TestSnapshotPerRowInsert(t *testing.T) {
 	checkRows(t, db.Snapshot().Table("ev"), 8)
 }
 
+// checkPostings verifies a snapshot's name index against the epochBatch
+// pattern: "s3" is on every row ri < n with ri%7 == 3 that is not NULL.
+func checkPostings(t *testing.T, tb *Table, n int) {
+	t.Helper()
+	ix, err := tb.CodeIndex("name")
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	var want []int32
+	for ri := 3; ri < n; ri += 7 {
+		if ri%3 != 2 {
+			want = append(want, int32(ri))
+		}
+	}
+	if got := ix.TextString("s3"); !slices.Equal(got, want) {
+		t.Errorf("%d-row snapshot: postings of s3 = %v, want %v", n, got, want)
+	}
+}
+
 // TestConcurrentAppendAndSnapshots is the storage-level race test: one
 // writer publishing epochs through Database.Append while readers pin
 // snapshots and scan them. Run with -race this proves the clamped views,
-// the frozen dictionaries, and the null-bitmap COW keep published epochs
-// immutable under live ingest.
+// the frozen dictionaries, the null-bitmap COW and the posting lists a new
+// epoch's index appends into keep published epochs immutable under live
+// ingest.
 func TestConcurrentAppendAndSnapshots(t *testing.T) {
 	db, _ := epochDB()
 	if _, err := db.Append("ev", epochBatch(0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	pinned := db.Snapshot()
+	checkPostings(t, pinned.Table("ev"), 5)
 
 	const batches = 40
 	const rowsPer = 9
@@ -140,6 +165,7 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				checkRows(t, pinned.Table("ev"), 5)
+				checkPostings(t, pinned.Table("ev"), 5)
 				snap := db.Snapshot()
 				n := snap.Table("ev").NumRows()
 				if n < 5 || (n-5)%rowsPer != 0 {
@@ -147,10 +173,7 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 					return
 				}
 				checkRows(t, snap.Table("ev"), n)
-				if _, err := snap.Table("ev").CodeIndex("name"); err != nil {
-					t.Error(err)
-					return
-				}
+				checkPostings(t, snap.Table("ev"), n)
 				if _, err := snap.Stats(sqlir.ColumnRef{Table: "ev", Column: "id"}); err != nil {
 					t.Error(err)
 					return
@@ -160,4 +183,187 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 	}
 	wg.Wait()
 	checkRows(t, db.Snapshot().Table("ev"), 5+batches*rowsPer)
+}
+
+// shareDB builds the table the posting-sharing tests append to: a dense id
+// column (the FK shape that gets the array index), a sparse numeric column
+// (the value-map index) and a text column, all nullable.
+func shareDB() *Database {
+	tb := NewTable("ev", "id",
+		Column{"id", sqlir.TypeNumber},
+		Column{"sparse", sqlir.TypeNumber},
+		Column{"tag", sqlir.TypeText},
+	)
+	return NewDatabase("share", NewSchema(tb))
+}
+
+// shareBatch draws n seeded rows. Ids repeat inside [0, 200) so their lists
+// grow across epochs; breakDense adds one id far outside that range, which
+// the dense layout cannot take. The sparse column holds non-integers, ±0 and
+// NaN; the text column grows its dictionary as epochs go by.
+func shareBatch(r *rand.Rand, epoch, n int, breakDense bool) []ColumnData {
+	ids := ColumnData{Nums: make([]float64, n), Nulls: make([]bool, n)}
+	sparse := ColumnData{Nums: make([]float64, n), Nulls: make([]bool, n)}
+	tags := ColumnData{Texts: make([]string, n), Nulls: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		ids.Nums[i] = float64(r.Intn(200))
+		ids.Nulls[i] = r.Intn(10) == 0
+		switch k := r.Intn(20); {
+		case k == 0:
+			sparse.Nums[i] = math.NaN()
+		case k == 1:
+			sparse.Nums[i] = math.Copysign(0, -1)
+		case k < 6:
+			sparse.Nulls[i] = true
+		default:
+			sparse.Nums[i] = float64(r.Intn(40)) * 12345.25
+		}
+		tags.Texts[i] = fmt.Sprintf("t%d", r.Intn(10+epoch))
+		if tags.Nulls[i] = r.Intn(3) == 0; tags.Nulls[i] {
+			tags.Texts[i] = ""
+		}
+	}
+	if breakDense {
+		ids.Nums[0], ids.Nulls[0] = 1e6, false
+	}
+	return []ColumnData{ids, sparse, tags}
+}
+
+// wantPostings is the from-scratch oracle: each value's rows in the vector,
+// in row order, keyed by Value.String (which spells ±0 alike, as Value.Equal
+// has it; NaN equals nothing, so it has no postings).
+func wantPostings(vec *ColumnVec) map[string][]int32 {
+	out := map[string][]int32{}
+	for i := 0; i < vec.Len(); i++ {
+		v := vec.Value(i)
+		if v.IsNull() || (v.Kind == sqlir.KindNumber && math.IsNaN(v.Num)) {
+			continue
+		}
+		out[v.String()] = append(out[v.String()], int32(i))
+	}
+	return out
+}
+
+// TestSnapshotSharedPostingsMatchRebuild runs 64 epochs of seeded appends,
+// holding every epoch's snapshot and reading its indexes as it goes (except
+// every ninth epoch, which is left unread until the end so its adoption runs
+// last), one delta breaking the id column's dense range. After the last
+// append every held epoch's postings for every value must equal a
+// from-scratch build over that epoch's own vectors — appends into shared
+// posting-list capacity are invisible to every earlier epoch — and some
+// successor lists must really share their base's array.
+func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
+	db := shareDB()
+	cols := []string{"id", "sparse", "tag"}
+	r := rand.New(rand.NewSource(25))
+	var snaps []*Database
+	for e := 0; e < 64; e++ {
+		if _, err := db.Append("ev", shareBatch(r, e, 1+r.Intn(48), e == 40)); err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		snaps = append(snaps, snap)
+		if e%9 == 8 {
+			continue
+		}
+		for _, c := range cols {
+			if _, err := snap.Table("ev").CodeIndex(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Every value any epoch holds, plus NaN, -0 and two absent values.
+	last := snaps[len(snaps)-1].Table("ev")
+	probes := map[string][]sqlir.Value{
+		"tag":    {sqlir.NewText("absent")},
+		"sparse": {sqlir.NewNumber(math.NaN()), sqlir.NewNumber(math.Copysign(0, -1)), sqlir.NewNumber(0.5)},
+		"id":     {sqlir.NewNumber(-1), sqlir.NewNumber(199.5)},
+	}
+	for _, c := range cols {
+		vec := last.Vector(c)
+		seen := map[string]bool{}
+		for i := 0; i < vec.Len(); i++ {
+			if v := vec.Value(i); !v.IsNull() && !seen[v.String()] {
+				seen[v.String()] = true
+				probes[c] = append(probes[c], v)
+			}
+		}
+	}
+
+	sharedGrowth := 0
+	for e, snap := range snaps {
+		tb := snap.Table("ev")
+		for _, c := range cols {
+			ix, err := tb.CodeIndex(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wantPostings(tb.Vector(c))
+			var prev *CodeIndex
+			if e > 0 {
+				prev, _ = snaps[e-1].Table("ev").CodeIndex(c)
+			}
+			for _, v := range probes[c] {
+				got := ix.Postings(v)
+				if !slices.Equal(got, want[v.String()]) {
+					t.Fatalf("epoch %d %s = %s: postings %v, rebuild %v", e+1, c, v, got, want[v.String()])
+				}
+				if prev == nil {
+					continue
+				}
+				if base := prev.Postings(v); len(base) > 0 && len(got) > len(base) && &got[0] == &base[0] {
+					sharedGrowth++
+				}
+			}
+		}
+	}
+	if sharedGrowth == 0 {
+		t.Error("no epoch appended into its predecessor's posting lists: the lists are copied, not shared")
+	}
+}
+
+// TestSnapshotPostingsAppendLeavesNextEpochUnchanged: an epoch extends its
+// predecessor's posting list in place, and a caller then appends to the list
+// the predecessor's Postings returned. The caller's append must reallocate —
+// the returned list is capped at its length — so the successor's postings
+// keep the row it appended.
+func TestSnapshotPostingsAppendLeavesNextEpochUnchanged(t *testing.T) {
+	db, _ := epochDB()
+	name := func(s string, n int) []ColumnData {
+		nums, texts := make([]float64, n), make([]string, n)
+		for i := range texts {
+			nums[i], texts[i] = float64(i), s
+		}
+		return []ColumnData{{Nums: nums}, {Texts: texts}}
+	}
+	if _, err := db.Append("ev", name("red", 3)); err != nil {
+		t.Fatal(err)
+	}
+	base := db.Snapshot()
+	bix, err := base.Table("ev").CodeIndex("name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append("ev", name("red", 1)); err != nil {
+		t.Fatal(err)
+	}
+	next := db.Snapshot()
+	nix, err := next.Table("ev").CodeIndex("name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nix.TextString("red"); !slices.Equal(got, []int32{0, 1, 2, 3}) {
+		t.Fatalf("next epoch postings = %v", got)
+	}
+
+	for _, p := range [][]int32{bix.TextString("red"), bix.Postings(sqlir.NewText("red")), bix.Text(0)} {
+		_ = append(p, 99)
+	}
+	if got := nix.TextString("red"); !slices.Equal(got, []int32{0, 1, 2, 3}) {
+		t.Fatalf("a caller's append to the base's postings reached the next epoch: %v", got)
+	}
+	if got := bix.TextString("red"); !slices.Equal(got, []int32{0, 1, 2}) {
+		t.Fatalf("base postings = %v", got)
+	}
 }

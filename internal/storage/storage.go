@@ -57,8 +57,10 @@ type Table struct {
 
 	// base is the previous epoch's frozen table (set at freeze, epoch.go).
 	// adoptBase extends the base's ready code indexes with just the
-	// appended suffix, then drops the reference, so an epoch boundary costs
-	// O(delta) instead of O(n) on first read.
+	// appended suffix, appending into the base's posting lists
+	// (CodeIndex.extendFrom), then drops the reference, so an epoch boundary
+	// costs O(distinct keys + delta) per index on first read instead of
+	// O(n).
 	base      *Table
 	adoptOnce sync.Once
 	adopted   atomic.Bool
