@@ -146,7 +146,8 @@ func do(ts *httptest.Server, db, body string) ([]string, error) {
 //
 // Every regime's answers are checked byte-identical against the
 // per-request-cache reference before timing, so a speedup can never come
-// from answering differently.
+// from answering differently. Run it with `go test ./cmd/duoquest-server
+// -run '^$' -bench BenchmarkServerThroughput -benchmem`.
 func BenchmarkServerThroughput(b *testing.B) {
 	// Reference answers, computed once with per-request caches.
 	ref := make([][]string, len(benchRequests))

@@ -15,7 +15,8 @@ import (
 // invalidation, one generation bump per table). The fixture first proves
 // the two paths build byte-identical databases that answer identical
 // verification probes, so the speedup cannot come from skipped work.
-// `make bench-loadgen` records the pair into BENCH_loadgen.json.
+// Run the pair with `go test ./internal/loadgen -run '^$' -bench
+// BenchmarkLoadgen -benchmem`.
 
 const ingestRows = 100_000
 
@@ -46,7 +47,7 @@ func ingestFixture(b *testing.B) (*plan, [][]storage.ColumnData) {
 		if err != nil {
 			panic(err)
 		}
-		if fb, fr := Fingerprint(bulk.DB), Fingerprint(byRow.DB); fb != fr {
+		if fb, fr := storage.Fingerprint(bulk.DB), storage.Fingerprint(byRow.DB); fb != fr {
 			panic("ingest benchmark: bulk and row databases differ")
 		}
 		for _, eq := range bulk.Probes(60, 3) {

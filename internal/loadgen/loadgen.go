@@ -16,7 +16,6 @@ package loadgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -418,90 +417,4 @@ func insertRows(t *storage.Table, cols []storage.ColumnData, n int) {
 		}
 		t.MustInsert(vals...)
 	}
-}
-
-// Fingerprint hashes every column vector of the database — values, NULL
-// bits, and dictionary contents in code order — into one FNV-1a sum. Two
-// databases with byte-identical columnar state (same values, same dict
-// code assignment, same null bitmaps) have equal fingerprints; the
-// determinism test requires exactly this across two same-seed runs, the
-// ingestion equivalence test requires it across the bulk and row paths,
-// and the segment store requires it across a persist→load round trip. The
-// implementation lives with the vectors (storage.Fingerprint); this
-// wrapper keeps the historical loadgen call sites working.
-func Fingerprint(db *storage.Database) uint64 {
-	return storage.Fingerprint(db)
-}
-
-// SpecKey returns the content address of the database Generate(spec, seed)
-// produces: the database name plus a short hash over every generation knob,
-// so two specs that would generate different bytes can never share a
-// segment-store cache entry. The load harness persists generated databases
-// under this key and reloads them on later runs instead of regenerating.
-func SpecKey(spec Spec, seed int64) string {
-	spec = spec.withDefaults()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%g|%g|%d|%d", spec.Name, spec.Tables, spec.Rows, spec.ZipfS, spec.NullRate, spec.DictCap, seed)
-	return fmt.Sprintf("%s-%d-s%d-%08x", spec.Name, spec.Rows, seed, uint32(h.Sum64()))
-}
-
-// FromPersisted couples a database loaded from a segment store with the
-// deterministic recipe for (spec, seed), so task and probe synthesis work
-// identically on loaded and freshly generated databases. Only the plan is
-// rebuilt — the expensive payload generation is exactly what the caller
-// avoided by loading. The loaded schema is validated against the plan; a
-// mismatch means the cache entry was persisted under the wrong key.
-func FromPersisted(db *storage.Database, spec Spec, seed int64) (*Generated, error) {
-	p := buildPlan(spec, seed)
-	for _, tp := range p.tables {
-		t := db.Table(tp.name)
-		if t == nil {
-			return nil, fmt.Errorf("loadgen: persisted database %s lacks table %s for spec %+v seed %d", db.Name, tp.name, spec, seed)
-		}
-		if t.NumRows() != tp.rows {
-			return nil, fmt.Errorf("loadgen: persisted table %s.%s has %d rows, spec wants %d", db.Name, tp.name, t.NumRows(), tp.rows)
-		}
-		if len(t.Columns) != len(tp.cols) {
-			return nil, fmt.Errorf("loadgen: persisted table %s.%s has %d columns, spec wants %d", db.Name, tp.name, len(t.Columns), len(tp.cols))
-		}
-	}
-	return &Generated{DB: db, Spec: p.spec, Seed: seed, plan: p}, nil
-}
-
-// IngestBatch builds one Append payload of n rows by cycling the rows of a
-// frozen table from row offset base — deterministic, schema-exact, and
-// dictionary-friendly (existing strings re-intern to existing codes). The
-// load harness and the retention tests feed Engine.Append with it.
-func IngestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
-	rows := tb.NumRows()
-	cols := make([]storage.ColumnData, len(tb.Columns))
-	for ci, c := range tb.Columns {
-		vec := tb.Vector(c.Name)
-		nulls := make([]bool, n)
-		hasNull := false
-		cd := storage.ColumnData{}
-		if c.Type == sqlir.TypeNumber {
-			cd.Nums = make([]float64, n)
-		} else {
-			cd.Texts = make([]string, n)
-		}
-		for j := 0; j < n; j++ {
-			ri := (base + j) % rows
-			if vec.IsNull(ri) {
-				nulls[j] = true
-				hasNull = true
-				continue
-			}
-			if c.Type == sqlir.TypeNumber {
-				cd.Nums[j] = vec.Num(ri)
-			} else {
-				cd.Texts[j] = vec.Dict().String(vec.Code(ri))
-			}
-		}
-		if hasNull {
-			cd.Nulls = nulls
-		}
-		cols[ci] = cd
-	}
-	return cols
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/storage"
 )
 
 func testSpec(rows int) Spec {
@@ -14,7 +15,7 @@ func testSpec(rows int) Spec {
 
 // TestGenerateDeterminism: two runs with the same seed produce
 // byte-identical columns — same values, same dictionary code assignment,
-// same null bitmaps — checked vector by vector and by Fingerprint. A
+// same null bitmaps — checked vector by vector and by storage.Fingerprint. A
 // different seed produces different data.
 func TestGenerateDeterminism(t *testing.T) {
 	a, err := Generate(testSpec(5000), 42)
@@ -70,14 +71,14 @@ func TestGenerateDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if fa, fb := Fingerprint(a.DB), Fingerprint(b.DB); fa != fb {
+	if fa, fb := storage.Fingerprint(a.DB), storage.Fingerprint(b.DB); fa != fb {
 		t.Fatalf("fingerprints differ for identical seeds: %x vs %x", fa, fb)
 	}
 	c, err := Generate(testSpec(5000), 43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(a.DB) == Fingerprint(c.DB) {
+	if storage.Fingerprint(a.DB) == storage.Fingerprint(c.DB) {
 		t.Fatal("different seeds produced identical data")
 	}
 }
@@ -138,7 +139,7 @@ func TestBulkRowEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb, fr := Fingerprint(bulk.DB), Fingerprint(byRow.DB); fb != fr {
+	if fb, fr := storage.Fingerprint(bulk.DB), storage.Fingerprint(byRow.DB); fb != fr {
 		t.Fatalf("bulk fingerprint %x != row fingerprint %x", fb, fr)
 	}
 	probes := bulk.Probes(120, 5)

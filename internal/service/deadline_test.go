@@ -4,33 +4,53 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/duoquest/duoquest/internal/faultinject"
+	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/tsq"
 )
 
 // An expired per-request deadline is an anytime result, not an error: the
 // request returns promptly with the candidates verified so far, Truncated
-// set, and the cancel-to-return gap lands in the stats.
+// set, and the cancel-to-return gap lands in the stats. Every join probe
+// draws injected latency far longer than the deadline, so each request
+// expires inside a probe however fast the machine is, and the injected sleep
+// must unwind with the context for the gap to stay under its bound.
 func TestRequestDeadlineAnytimeResult(t *testing.T) {
+	const n, latency, bound = 10, 500 * time.Millisecond, 50 * time.Millisecond
 	e := newTestEngine(t, Config{MaxCandidates: 50})
 	s, _ := e.Session("movies")
-	in := moviesInput()
-	in.Deadline = time.Nanosecond
-	start := time.Now()
-	res, err := s.Synthesize(context.Background(), in)
-	if err != nil {
-		t.Fatalf("deadline expiry must not be an error: %v", err)
+	// The first candidate needs join probes (see
+	// TestNewEpochSnapshotNeverWaitsForAProbeInFlight).
+	in := Input{
+		NLQ:      "names of actors starring in Forrest Gump",
+		Literals: []sqlir.Value{sqlir.NewText("Forrest Gump")},
+		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+			Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Tom Hanks"))}}},
+		Deadline: 10 * time.Millisecond,
 	}
-	if !res.Truncated {
-		t.Error("expired request not flagged Truncated")
+	slow := faultinject.New(faultinject.Config{ProbeRate: 1, ProbeLatency: latency})
+	ctx := faultinject.With(context.Background(), slow)
+	for i := 0; i < n; i++ {
+		res, err := s.Synthesize(ctx, in)
+		if err != nil {
+			t.Fatalf("request %d: deadline expiry must not be an error: %v", i, err)
+		}
+		if !res.Truncated {
+			t.Errorf("request %d: expired request not flagged Truncated", i)
+		}
 	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("expired request took %v to return", el)
-	}
+	requireFired(t, []*faultinject.Injector{slow}, faultinject.SiteProbe)
 	st := e.Stats().Databases[0]
-	if st.Truncated != 1 {
-		t.Errorf("Truncated counter = %d, want 1", st.Truncated)
+	t.Logf("cancel-to-return p50 %v, p99 %v", st.CancelP50, st.CancelP99)
+	if st.Truncated != n {
+		t.Errorf("Truncated counter = %d, want %d", st.Truncated, n)
 	}
-	if st.CancelReturns != 1 {
-		t.Errorf("CancelReturns = %d, want 1", st.CancelReturns)
+	if st.CancelReturns != n {
+		t.Errorf("CancelReturns = %d, want %d", st.CancelReturns, n)
+	}
+	if st.CancelP99 > bound {
+		t.Errorf("cancel-to-return p99 = %v, want <= %v (p50 %v)", st.CancelP99, bound, st.CancelP50)
 	}
 	if st.Interrupted != 0 {
 		t.Errorf("Interrupted = %d, want 0 (deadline, not disconnect)", st.Interrupted)

@@ -9,24 +9,26 @@ import (
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
+	"github.com/duoquest/duoquest/internal/faultinject"
+	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-// mixedWorkload is a fixed cross-database request mix: every entry names
-// the target database and a dual-specification input. MaxStates (not the
-// time budget) bounds each search so the reference answers are
-// deterministic.
-func mixedWorkload() []struct {
+// request is one entry of a test workload: the target database and a
+// dual-specification input.
+type request struct {
 	db string
 	in Input
-} {
+}
+
+// mixedWorkload is a fixed cross-database request mix. MaxStates (not the
+// time budget) bounds each search so the reference answers are
+// deterministic.
+func mixedWorkload() []request {
 	text := sqlir.NewText
 	num := sqlir.NewNumber
-	return []struct {
-		db string
-		in Input
-	}{
+	return []request{
 		{"movies", Input{
 			NLQ:      "titles of movies before 1995",
 			Literals: []sqlir.Value{num(1995)},
@@ -61,18 +63,96 @@ func workloadOptions() Config {
 	return Config{Budget: 30 * time.Second, MaxCandidates: 4, MaxStates: 3000}
 }
 
-// TestSharedCacheDifferential is the acceptance-criteria proof: for every
-// request in a concurrent mixed-database workload, results served from the
-// warm shared caches are identical — SQL, rank, and confidence — to the
-// results a fresh per-request verifier produces.
-func TestSharedCacheDifferential(t *testing.T) {
-	// Reference: per-request caches (a fresh verifier per call), run
-	// sequentially — the pre-service-layer behavior.
-	refOpts := workloadOptions()
-	refOpts.PerRequestCaches = true
-	ref := newTestEngine(t, refOpts)
+// faultPlan is one faulty request's fault schedule. The rates are
+// aggressive — about a third of faulty requests are force-cancelled and one
+// verification in twenty fails — because the property under test is that
+// none of it is observable from a clean request.
+func faultPlan(seed int64) faultinject.Config {
+	return faultinject.Config{
+		Seed:          seed,
+		ProbeRate:     0.25,
+		ProbeLatency:  200 * time.Microsecond,
+		VerifyErrRate: 0.05,
+		CancelRate:    0.35,
+		CancelAfter:   time.Millisecond,
+	}
+}
 
-	work := mixedWorkload()
+// requireFired fails the test unless every named site fired at least once
+// across the injectors: a fault that never fired proves nothing.
+func requireFired(t *testing.T, injs []*faultinject.Injector, sites ...faultinject.Site) {
+	t.Helper()
+	for _, site := range sites {
+		var calls, faults uint64
+		for _, inj := range injs {
+			c, f := inj.Counts(site)
+			calls, faults = calls+c, faults+f
+		}
+		t.Logf("%s faults: %d of %d calls", site, faults, calls)
+		if faults == 0 {
+			t.Errorf("no %s fault fired in %d calls", site, calls)
+		}
+	}
+}
+
+// TestSharedCacheDifferential is the acceptance-criteria proof: for every
+// request in a concurrent workload, results served from the warm shared
+// caches are identical — SQL, rank, and confidence — to the results a fresh
+// per-request verifier produces.
+//
+// It is also the isolation proof. Fault-carrying requests (slow probes,
+// injected verify errors, forced mid-flight cancellations) run first on the
+// cold caches and then beside every clean round. A fault only degrades its
+// own request to an anytime result; no clean request may see a difference,
+// so a neighbour's failure never poisons a shared cache.
+func TestSharedCacheDifferential(t *testing.T) {
+	t.Run("movies+mas", func(t *testing.T) {
+		differentialUnderFaults(t, func(perRequest bool) *Engine {
+			opts := workloadOptions()
+			opts.PerRequestCaches = perRequest
+			return newTestEngine(t, opts)
+		}, mixedWorkload())
+	})
+	// Movies and MAS tables are smaller than one cancellation checkpoint, so
+	// there a cancellation reaches a shared memo only if it lands between
+	// two probes. On the loadgen tables it lands inside one and surfaces in
+	// the memo's computation as an error, which must not be remembered.
+	t.Run("loadgen-10k", func(t *testing.T) {
+		spec, _ := loadgen.Preset("small")
+		gen, err := loadgen.Generate(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, err := gen.Tasks(16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var work []request
+		for i, task := range tasks {
+			sk, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, 1+int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			work = append(work, request{gen.DB.Name, Input{NLQ: task.NLQ, Literals: task.Literals, Sketch: sk}})
+		}
+		differentialUnderFaults(t, func(perRequest bool) *Engine {
+			e := NewEngine(Config{MaxStates: 3000, MaxCandidates: 3, PerRequestCaches: perRequest})
+			if err := e.Register(gen.DB); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}, work)
+	})
+}
+
+// differentialUnderFaults runs work on an engine that shares nothing between
+// requests, sequentially, for the reference. It then runs work on a shared
+// engine, concurrently and repeated so later rounds hit warm caches. Every
+// shared request has a faulty twin. The twins of round 0 run alone on the
+// cold caches, and each is cancelled 5 ms in, while its slow probes are
+// still filling shared entries.
+func differentialUnderFaults(t *testing.T, engine func(perRequest bool) *Engine, work []request) {
+	ref := engine(true)
 	want := make([][]string, len(work))
 	for i, w := range work {
 		s, err := ref.Session(w.db)
@@ -86,32 +166,55 @@ func TestSharedCacheDifferential(t *testing.T) {
 		want[i] = describe(res.Candidates)
 	}
 
-	// Shared engine: the same workload, issued concurrently and repeated
-	// so later rounds hit warm caches.
-	shared := newTestEngine(t, workloadOptions())
+	shared := engine(false)
 	const rounds = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, rounds*len(work))
-	for r := 0; r < rounds; r++ {
-		for i, w := range work {
-			wg.Add(1)
-			go func(r, i int, db string, in Input) {
-				defer wg.Done()
-				s, err := shared.Session(db)
-				if err != nil {
-					errs <- err
-					return
-				}
-				res, err := s.Synthesize(context.Background(), in)
-				if err != nil {
-					errs <- fmt.Errorf("round %d request %d: %w", r, i, err)
-					return
-				}
-				got := describe(res.Candidates)
-				if !equalStrings(got, want[i]) {
+	var (
+		wg   sync.WaitGroup
+		injs []*faultinject.Injector
+	)
+	errs := make(chan error, 2*(rounds+1)*len(work))
+	send := func(r, i int, inj *faultinject.Injector) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := shared.Session(work[i].db)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ctx := context.Background()
+			if inj != nil {
+				ctx = faultinject.With(ctx, inj)
+			}
+			res, err := s.Synthesize(ctx, work[i].in)
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("round %d request %d (faulty %v): %w", r, i, inj != nil, err)
+			case inj != nil: // any anytime result will do
+			case res.Truncated:
+				errs <- fmt.Errorf("round %d request %d: clean request truncated", r, i)
+			default:
+				if got := describe(res.Candidates); !equalStrings(got, want[i]) {
 					errs <- fmt.Errorf("round %d request %d:\n got %v\nwant %v", r, i, got, want[i])
 				}
-			}(r, i, w.db, w.in)
+			}
+		}()
+	}
+	for r := 0; r <= rounds; r++ {
+		for i := range work {
+			plan := faultPlan(int64(r*len(work) + i))
+			if r == 0 {
+				plan.VerifyErrRate, plan.CancelRate, plan.CancelAfter = 0, 1, 5*time.Millisecond
+			}
+			inj := faultinject.New(plan)
+			injs = append(injs, inj)
+			send(r, i, inj)
+			if r > 0 {
+				send(r, i, nil)
+			}
+		}
+		if r == 0 {
+			wg.Wait()
 		}
 	}
 	wg.Wait()
@@ -119,6 +222,7 @@ func TestSharedCacheDifferential(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	requireFired(t, injs, faultinject.SiteProbe, faultinject.SiteVerify, faultinject.SiteRequest)
 }
 
 // describe renders candidates as comparable strings: rank, SQL, confidence.
@@ -144,10 +248,6 @@ func TestSpiderSharedEngineIsHistoryFree(t *testing.T) {
 		t.Skip("runs the 197-task Spider sample four times")
 	}
 	bench := dataset.SpiderDev()
-	type request struct {
-		db string
-		in Input
-	}
 	var work []request
 	for i := 0; i < len(bench.Tasks); i += 3 {
 		task := bench.Tasks[i]

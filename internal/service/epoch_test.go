@@ -37,11 +37,51 @@ func movieBatch(base int) []storage.ColumnData {
 	return []storage.ColumnData{{Nums: mids}, {Texts: titles}, {Nums: years}}
 }
 
+// ingestBatch builds one Append payload of n rows by cycling the rows of a
+// frozen table from row offset base — deterministic, schema-exact, and
+// dictionary-friendly (existing strings re-intern to existing codes).
+func ingestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
+	rows := tb.NumRows()
+	cols := make([]storage.ColumnData, len(tb.Columns))
+	for ci, c := range tb.Columns {
+		vec := tb.Vector(c.Name)
+		nulls := make([]bool, n)
+		hasNull := false
+		cd := storage.ColumnData{}
+		if c.Type == sqlir.TypeNumber {
+			cd.Nums = make([]float64, n)
+		} else {
+			cd.Texts = make([]string, n)
+		}
+		for j := 0; j < n; j++ {
+			ri := (base + j) % rows
+			if vec.IsNull(ri) {
+				nulls[j] = true
+				hasNull = true
+				continue
+			}
+			if c.Type == sqlir.TypeNumber {
+				cd.Nums[j] = vec.Num(ri)
+			} else {
+				cd.Texts[j] = vec.Dict().String(vec.Code(ri))
+			}
+		}
+		if hasNull {
+			cd.Nulls = nulls
+		}
+		cols[ci] = cd
+	}
+	return cols
+}
+
 // TestPinnedEpochDifferentialUnderIngest is the acceptance-criteria proof
-// for epoch isolation: a session pinned at epoch E, running concurrently
-// with live ingest, returns results byte-identical to the same workload run
+// for epoch isolation: a reader pinned at epoch E, running concurrently with
+// live ingest, returns results byte-identical to the same workload run
 // against a frozen pre-ingest copy of the database. The oracle engine never
-// sees a write; the live engine takes 16 Append batches mid-flight.
+// sees a write; the live engine takes 16 Append batches mid-flight, some of
+// them stalled by injected ingest faults. Even rounds read through the
+// Snapshot handle, odd rounds through a plain session that pins E with
+// Input.Epoch: both routes must reach the same frozen epoch.
 func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	var work []Input
 	for _, w := range mixedWorkload() {
@@ -72,6 +112,15 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	preRows := pin.Database().Table("movie").NumRows()
+	byEpoch, err := live.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Append carries no request context, so stalls come from the
+	// process-global injector.
+	stalls := faultinject.New(faultinject.Config{Seed: 7, IngestRate: 0.25, IngestStall: time.Millisecond})
+	faultinject.SetGlobal(stalls)
+	defer faultinject.SetGlobal(nil)
 
 	const writers, batchesPer = 2, 8
 	const rounds = 3
@@ -94,7 +143,11 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 			wg.Add(1)
 			go func(r, i int, in Input) {
 				defer wg.Done()
-				res, err := pin.Synthesize(context.Background(), in)
+				reader := pin.Session
+				if r%2 == 1 {
+					reader, in.Epoch = byEpoch, pin.Epoch()
+				}
+				res, err := reader.Synthesize(context.Background(), in)
 				if err != nil {
 					errs <- fmt.Errorf("round %d request %d: %w", r, i, err)
 					return
@@ -110,6 +163,7 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	requireFired(t, []*faultinject.Injector{stalls}, faultinject.SiteIngest)
 
 	// One more pinned request after ingest settles, so the lag accounting
 	// below is deterministic.
@@ -478,7 +532,7 @@ func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
 
 	heapAt := map[int]uint64{}
 	for i := 1; i <= 40; i++ {
-		if _, err := e.Append(gen.DB.Name, table.Name, loadgen.IngestBatch(table, i*16, 16)); err != nil {
+		if _, err := e.Append(gen.DB.Name, table.Name, ingestBatch(table, i*16, 16)); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup

@@ -692,26 +692,6 @@ func (s *Session) AutocompleteSize() int {
 	return idx.Size()
 }
 
-// Exists answers one raw existence probe — the building block of cascading
-// verification — through the epoch's executor handle, exactly as production
-// verification does. The load harness's data-scale sweep drives this
-// surface.
-func (s *Session) Exists(eq sqlexec.ExistsQuery) (bool, error) {
-	return s.ExistsCtx(context.Background(), eq)
-}
-
-// ExistsCtx is Exists under a request context: the probe unwinds at the
-// executor's cancellation checkpoints when ctx is cancelled, and a
-// fault-marked context (see internal/faultinject) draws its injected probe
-// latency here.
-func (s *Session) ExistsCtx(ctx context.Context, eq sqlexec.ExistsQuery) (bool, error) {
-	sh, err := s.shard(0)
-	if err != nil {
-		return false, err
-	}
-	return sh.cache.Joins().ExistsCtx(s.eng.execCtx(ctx), eq)
-}
-
 // Preview executes a candidate query with a row cap (maxRows <= 0 = none),
 // powering the front-end's "Query Preview" button (§4). The cap reaches the
 // executor: a plain projection stops scanning once it has maxRows rows.

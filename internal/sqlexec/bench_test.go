@@ -18,7 +18,8 @@ import (
 // asserts answer-for-answer equivalence with the reference executor, so the
 // speedup can never come from changed semantics. BenchmarkExecute{Reference,
 // Compiled} at the end of the file are the same pairing for complete
-// queries. `make bench` records all of them into BENCH_sqlexec.json.
+// queries. Run them with `go test ./internal/sqlexec -run '^$' -bench
+// 'BenchmarkExists|BenchmarkExecute' -benchmem`.
 
 var (
 	benchOnce sync.Once

@@ -11,8 +11,8 @@ import (
 // BenchmarkColumnar*: the streaming pipeline on three probe workloads
 // (flat, grouped, and a verification-shaped mix over MAS). Every benchmark
 // first asserts probe-for-probe equivalence with the materializing
-// reference. `make bench-storage` records them (with -benchmem, so allocs/op
-// lands next to ns/op) into BENCH_storage.json.
+// reference. Run them with `go test ./internal/sqlexec -run '^$' -bench
+// BenchmarkColumnar -benchmem`.
 
 // checkEquivalence asserts streaming pipeline == reference on every probe.
 func checkEquivalence(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuery) {

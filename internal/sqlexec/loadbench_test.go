@@ -13,16 +13,17 @@ import (
 // BenchmarkLoadgenVerifySweep is the data-scale sweep: the same
 // verification-shaped probe workload (loadgen.Probes — selective equality +
 // range over an FK edge, exact-name by-row probes, grouped HAVING) against
-// generated databases of growing row counts, so the recorded artifact
-// (`make bench-loadgen` → BENCH_loadgen.json) tracks how verification cost
-// scales with data size, not just how fast it is on the small demo sets. At
+// generated databases of growing row counts, so it shows how verification
+// cost scales with data size, not just how fast it is on the small demo
+// sets. Run it with `go test ./internal/sqlexec -run '^$' -bench
+// BenchmarkLoadgenVerifySweep -benchmem`. At
 // the smallest scale every probe is first checked against the streaming
 // pipeline (all probes must compile — no silent fallback in the sweep) and
 // the materializing reference.
 
 // sweepRows are the swept scales. The 1M scale is skipped under -short so
-// CI's quick path stays fast; `make bench-loadgen` (no -short) records the
-// full curve including 1M into BENCH_loadgen.json.
+// CI's quick path stays fast; a run without -short measures the full curve
+// including 1M.
 var sweepRows = []int{10_000, 30_000, 100_000, 300_000}
 
 // sweepScales appends the 1M scale outside -short runs.

@@ -9,15 +9,14 @@ import (
 
 // BenchmarkMorsel*: cores-vs-speedup measurements of the morsel-driven scan
 // fan-out over the 300k-row (and, without -short, 1M-row) generated sweep
-// database, at explicit worker counts so the recorded curve does not depend
-// on the recording machine's core count. Every configuration first asserts
-// probe-for-probe equivalence with the single-threaded columnar pipeline —
-// the differential oracle — so parallel speedup can never come from changed
-// semantics. `make bench-storage` records these alongside the columnar
-// pairs into BENCH_storage.json. NOTE: wall-clock speedup only materializes
-// when GOMAXPROCS >= workers; on a single-core recorder the curve is flat
-// and the recorded value documents scheduling overhead, not scaling (see
-// EXPERIMENTS.md).
+// database, at explicit worker counts so the curve does not depend on the
+// machine's core count. Every configuration first asserts probe-for-probe
+// equivalence with the single-threaded columnar pipeline — the differential
+// oracle — so parallel speedup can never come from changed semantics. Run
+// them with `go test ./internal/sqlexec -run '^$' -bench BenchmarkMorsel
+// -benchtime 3x -benchmem`. NOTE: wall-clock speedup only materializes when
+// GOMAXPROCS >= workers; on a single core the curve is flat and documents
+// scheduling overhead, not scaling (see EXPERIMENTS.md).
 
 // morselBenchWorkers is the swept fan-out width (caller included).
 var morselBenchWorkers = []int{1, 2, 4, 8}
