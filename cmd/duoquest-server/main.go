@@ -58,8 +58,6 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on a request's deadline_ms (0 = no clamp)")
 		topk        = flag.Int("k", 10, "max candidates per request")
 		workers     = flag.Int("workers", 0, "verification workers per request (0 = GOMAXPROCS, 1 = sequential)")
-		qworkers    = flag.Int("query-workers", 0, "intra-query morsel workers per scan (0 = follow -workers, 1 = single-threaded scans)")
-		morsel      = flag.Int("morsel-size", 0, "scan rows per morsel (0 = executor default 4096; rounded up to 64)")
 		defaultDB   = flag.String("db", "mas", "default database for requests that name none")
 		dataDir     = flag.String("data-dir", "", "segment store directory; every persisted database in it is loaded and registered at startup")
 		maxInFlight = flag.Int("max-inflight", 8, "max concurrently running syntheses (0 = unbounded)")
@@ -77,8 +75,6 @@ func main() {
 	cfg.MaxDeadline = *maxDeadline
 	cfg.MaxCandidates = *topk
 	cfg.Workers = *workers
-	cfg.QueryParallelism = *qworkers
-	cfg.MorselSize = *morsel
 	cfg.MaxInFlight = *maxInFlight
 	cfg.MaxQueue = *maxQueue
 	eng := duoquest.NewEngine(cfg)
@@ -575,11 +571,6 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		IndexProbes    int64   `json:"index_probes"`
 		JoinsBuilt     int64   `json:"joins_built"` // reference-executor fallbacks
 		StreamedRate   float64 `json:"streamed_rate"`
-		// Morsel-driven scan parallelism (0 everywhere when disabled).
-		MorselRuns       int64   `json:"morsel_runs"`
-		Morsels          int64   `json:"morsels"`
-		AvgMorselWorkers float64 `json:"avg_morsel_workers"`
-		MorselEfficiency float64 `json:"morsel_efficiency"`
 	}
 	type dictJSON struct {
 		Table   string `json:"table"`
@@ -718,11 +709,6 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 				IndexProbes:    d.Cache.Pipeline.IndexProbes,
 				JoinsBuilt:     d.Cache.Pipeline.JoinsBuilt,
 				StreamedRate:   d.Cache.StreamedRate,
-
-				MorselRuns:       d.Cache.Pipeline.MorselRuns,
-				Morsels:          d.Cache.Pipeline.Morsels,
-				AvgMorselWorkers: d.Cache.AvgMorselWorkers,
-				MorselEfficiency: d.Cache.MorselEfficiency,
 			},
 			Storage: sto,
 		})

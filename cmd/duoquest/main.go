@@ -49,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topk     = fs.Int("k", 5, "candidates to display")
 		budget   = fs.Duration("budget", 3*time.Second, "search budget")
 		workers  = fs.Int("workers", 0, "verification workers (0 = GOMAXPROCS, 1 = sequential)")
-		qworkers = fs.Int("query-workers", 0, "intra-query morsel workers per scan (0 = follow -workers, 1 = single-threaded scans)")
-		morsel   = fs.Int("morsel-size", 0, "scan rows per morsel (0 = executor default 4096; rounded up to 64)")
 		complete = fs.String("complete", "", "run autocomplete for a prefix and exit")
 		lits     stringList
 		tuples   stringList
@@ -73,8 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Budget = *budget
 	cfg.MaxCandidates = *topk
 	cfg.Workers = *workers
-	cfg.QueryParallelism = *qworkers
-	cfg.MorselSize = *morsel
 	syn := duoquest.New(db, cfg)
 
 	if *complete != "" {

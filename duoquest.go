@@ -208,7 +208,7 @@ var ErrOverloaded = service.ErrOverloaded
 
 // Config is the engine's whole configuration surface — guidance model,
 // pruning rules, enumeration mode, search bounds, deadlines, parallelism,
-// admission control, and the per-request-cache baseline: fourteen fields,
+// admission control, and the per-request-cache baseline: thirteen fields,
 // documented one by one on service.Config. The zero value is usable;
 // DefaultConfig returns the library defaults (lexical guidance, Table 4
 // rules, 2s budget, 50 candidates), and callers start from it and set
@@ -217,10 +217,10 @@ type Config = service.Config
 
 // DefaultConfig returns the documented library defaults: the lexical
 // guidance model, the Table 4 semantic pruning rules, GPQE mode, a 2-second
-// search budget, and at most 50 candidates per request. The other nine
-// fields — MaxStates, Workers, QueryParallelism, MorselSize,
-// DefaultDeadline, MaxDeadline, MaxInFlight, MaxQueue, PerRequestCaches —
-// stay at their zero values (unbounded, GOMAXPROCS, shared caches).
+// search budget, and at most 50 candidates per request. The other eight
+// fields — MaxStates, Workers, DefaultDeadline, MaxDeadline, MaxInFlight,
+// MaxQueue, PerRequestCaches and the ignored QueryParallelism — stay at their
+// zero values (unbounded, GOMAXPROCS, shared caches).
 func DefaultConfig() Config {
 	return Config{
 		Model:         guidance.NewLexicalModel(),

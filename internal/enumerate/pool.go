@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/duoquest/duoquest/internal/faultinject"
-	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/verify"
 )
@@ -124,17 +123,9 @@ func (s *search) verifyBatch(q *sqlir.Query, inherit bool, opts []option) []veri
 // and only when an expansion has two or more of them (search.verifyBatch).
 // The frontier and guidance scoring stay on the enumerator's goroutine to
 // keep the paper's best-first order deterministic. A pool is bound to one
-// Enumerate call and must be closed when the search ends.
-//
-// When the context carries the engine's shared sqlexec.WorkerPool, each
-// worker holds one of its tokens for the duration of a job (advisory, via
-// TryAcquire — verification itself never blocks on the pool). A held token
-// shrinks what the morsel fan-out inside that very verification can
-// additionally recruit, so inter-state parallelism and intra-query morsel
-// parallelism draw on one budget: with a full batch in flight every token
-// is held here and probes run sequentially; with a single check in flight
-// its probes can fan out across the idle tokens — either way total
-// parallelism stays capped at the engine's Workers setting.
+// Enumerate call and must be closed when the search ends. It is the only
+// parallelism inside a request: every query a worker runs scans on that
+// worker's goroutine.
 type verifyPool struct {
 	ctx context.Context
 	v   *verify.Verifier
@@ -163,7 +154,6 @@ func newVerifyPool(ctx context.Context, v *verify.Verifier, n int) *verifyPool {
 func (p *verifyPool) start() {
 	p.jobs = make(chan verifyJob)
 	p.done = make(chan verifyResult)
-	shared := sqlexec.PoolFrom(p.ctx)
 	p.wg.Add(p.n)
 	for i := 0; i < p.n; i++ {
 		go func() {
@@ -174,12 +164,7 @@ func (p *verifyPool) start() {
 					p.done <- j.r
 					continue
 				}
-				held := shared.TryAcquire()
-				out, err := p.v.Finish(p.ctx, j.check, j.r.q)
-				if held {
-					shared.Release()
-				}
-				j.r.settle(out, err)
+				j.r.settle(p.v.Finish(p.ctx, j.check, j.r.q))
 				p.done <- j.r
 			}
 		}()

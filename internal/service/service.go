@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,18 +96,11 @@ type Config struct {
 	// from the default only where there is database work to overlap.
 	Workers int
 
-	// QueryParallelism bounds intra-query morsel parallelism: the workers
-	// (caller included) one scan, join probe, or grouped aggregation may
-	// use. 0 = the resolved Workers count, 1 = disable morsel parallelism
-	// entirely (single-threaded execution, the pre-morsel engine). The
-	// engine's token pool is shared between verification workers and morsel
-	// fan-out, so total parallelism stays capped at
-	// max(Workers, QueryParallelism) regardless of how requests overlap.
+	// QueryParallelism is ignored: a scan runs on its request's goroutine,
+	// and Workers is the only parallelism inside a request. bench/ sets it
+	// and a PR that claims a gain may not edit bench/; ROADMAP item 2
+	// retires it.
 	QueryParallelism int
-	// MorselSize is the scan rows per morsel (0 = the executor default,
-	// 4096). Values are normalized to the null-bitmap word alignment via
-	// storage.AlignMorselSize.
-	MorselSize int
 
 	// DefaultDeadline is the per-request wall-clock budget applied when a
 	// request does not carry its own (0 = none). Unlike Budget — which the
@@ -149,14 +141,6 @@ type Engine struct {
 	model guidance.Model
 	rules *semrules.RuleSet
 
-	// pool is the shared execution-token pool behind morsel-driven
-	// intra-query parallelism (nil when QueryParallelism is 1 or the engine
-	// is effectively single-threaded — execution then takes the sequential
-	// code paths untouched). Enumeration verify workers hold its tokens
-	// per job, so verification fan-out and morsel fan-out share one budget.
-	pool       *sqlexec.WorkerPool
-	morselSize int
-
 	// sem holds one token per running synthesis when MaxInFlight > 0.
 	sem      chan struct{}
 	inFlight atomic.Int64
@@ -174,7 +158,6 @@ type Engine struct {
 // Engine.Append mutates); all query work runs on frozen epoch snapshots
 // tracked as epochShards.
 type dbState struct {
-	eng  *Engine
 	db   *storage.Database
 	prov Provenance
 
@@ -321,38 +304,7 @@ func NewEngine(opts Config) *Engine {
 	if opts.MaxInFlight > 0 {
 		e.sem = make(chan struct{}, opts.MaxInFlight)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	qp := opts.QueryParallelism
-	if qp <= 0 {
-		qp = workers
-	}
-	total := workers
-	if qp > total {
-		total = qp
-	}
-	if qp > 1 && total > 1 {
-		e.pool = sqlexec.NewWorkerPool(total, qp)
-	}
-	if opts.MorselSize > 0 {
-		e.morselSize = storage.AlignMorselSize(opts.MorselSize)
-	}
 	return e
-}
-
-// execCtx arms a request context for query execution: the shared worker
-// pool (when morsel parallelism is enabled) and the engine's morsel size.
-func (e *Engine) execCtx(ctx context.Context) context.Context {
-	if e.pool == nil {
-		return ctx
-	}
-	ctx = sqlexec.WithPool(ctx, e.pool)
-	if e.morselSize > 0 {
-		ctx = sqlexec.WithMorselSize(ctx, e.morselSize)
-	}
-	return ctx
 }
 
 // Provenance records where a registered database's bytes came from — built
@@ -397,7 +349,6 @@ func (e *Engine) RegisterWithProvenance(db *storage.Database, prov Provenance) e
 		return fmt.Errorf("service: database %q already registered", db.Name)
 	}
 	e.dbs[db.Name] = &dbState{
-		eng:    e,
 		db:     db,
 		prov:   prov,
 		shards: map[int64]*epochShard{},
@@ -605,10 +556,6 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	// Arm morsel-driven execution after the deadline is attached, so morsel
-	// workers inherit the expiring context through their per-morsel derived
-	// contexts and unwind at the executor's cancellation checkpoints.
-	ctx = s.eng.execCtx(ctx)
 	// Fault seam: a request marked faulty may draw a forced cancellation —
 	// the chaos harness's client-disconnect simulation.
 	if delay, forced := faultinject.From(ctx).RequestCancel(); forced {
@@ -701,7 +648,7 @@ func (s *Session) Preview(q *sqlir.Query, maxRows int) (*sqlexec.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return sh.cache.Joins().PreviewCtx(s.eng.execCtx(context.Background()), q, maxRows)
+	return sh.cache.Joins().PreviewCtx(context.Background(), q, maxRows)
 }
 
 func (ds *dbState) autocompleteIndex() *autocomplete.Index {

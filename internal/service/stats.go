@@ -23,15 +23,6 @@ type CacheStats struct {
 	// StreamedRate is StreamedExists / (StreamedExists + FallbackExists):
 	// the share of existence probes served by the streaming pipeline.
 	StreamedRate float64
-	// AvgMorselWorkers is the mean workers per morsel-parallel scan (caller
-	// included) — 0 when morsel parallelism is disabled or no scan fanned
-	// out yet.
-	AvgMorselWorkers float64
-	// MorselEfficiency is AvgMorselWorkers over the engine's per-query
-	// parallelism cap: 1.0 means every fanned-out scan got its full worker
-	// complement, lower values mean the shared pool was contended (tokens
-	// held by enumeration verify workers).
-	MorselEfficiency float64
 }
 
 // DictStats describes one text column's dictionary: how many distinct
@@ -182,12 +173,8 @@ func (ds *dbState) snapshot() DBStats {
 	ds.epochMu.Unlock()
 	sort.Slice(out.Epochs, func(i, j int) bool { return out.Epochs[i].Epoch < out.Epochs[j].Epoch })
 	out.Cache = CacheStats{
-		Pipeline:         ps,
-		StreamedRate:     ratio(ps.StreamedExists, ps.StreamedExists+ps.FallbackExists),
-		AvgMorselWorkers: ps.AvgMorselWorkers(),
-	}
-	if pq := ds.eng.pool.PerQuery(); pq > 0 && out.Cache.AvgMorselWorkers > 0 {
-		out.Cache.MorselEfficiency = out.Cache.AvgMorselWorkers / float64(pq)
+		Pipeline:     ps,
+		StreamedRate: ratio(ps.StreamedExists, ps.StreamedExists+ps.FallbackExists),
 	}
 	// Footprint is measured on a frozen snapshot so the scan cannot race
 	// concurrent ingest (and reflects the published head, matching what
@@ -204,9 +191,6 @@ func addPipeline(a *sqlexec.PipelineStats, b sqlexec.PipelineStats) {
 	a.IndexSeeds += b.IndexSeeds
 	a.IndexProbes += b.IndexProbes
 	a.JoinsBuilt += b.JoinsBuilt
-	a.MorselRuns += b.MorselRuns
-	a.Morsels += b.Morsels
-	a.MorselWorkers += b.MorselWorkers
 }
 
 // storageStats snapshots the database's columnar footprint.

@@ -352,7 +352,7 @@ func BenchmarkExecuteReference(b *testing.B) {
 
 // BenchmarkExecuteCompiled is the paired measurement: the same queries
 // compiled onto the streaming pipeline — after asserting, before any timing,
-// that each gives exactly the reference's result, one piece or fanned out.
+// that each gives exactly the reference's result.
 func BenchmarkExecuteCompiled(b *testing.B) {
 	db := benchStore()
 	for _, shape := range executeShapes {

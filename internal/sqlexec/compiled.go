@@ -3,7 +3,7 @@
 // order, WHERE bound to the shallowest slot — and its tuples feed a sink
 // instead of a witness flag: projection straight off the column vectors,
 // DISTINCT on fixed-width vector keys, grouping through the grouped scan of
-// morselgroup.go, ORDER BY over result-sized data. No join is materialized:
+// group.go, ORDER BY over result-sized data. No join is materialized:
 // per call, memory is the result plus the group states.
 //
 // The sink keeps two rules so that results equal the reference executor's
@@ -12,8 +12,7 @@
 //   - Order. Tuples arrive in exactly the order the materializing join lists
 //     them, and every choice among equals — which duplicate DISTINCT keeps,
 //     which group comes first, which of two equal ORDER BY keys — goes to the
-//     earlier arrival. Fanned over morsels, parts merge in morsel order, which
-//     is arrival order.
+//     earlier arrival.
 //   - Error laziness. Aggregates accumulate for every group, but are
 //     evaluated group by group in discovery order, HAVING first, then the
 //     projections, then the ORDER BY key, stopping at a failing HAVING: a
@@ -85,7 +84,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		if serr != nil {
 			return nil, true, serr
 		}
-		out := sink.fresh(false)
+		out := sink.fresh()
 		if err := out.addGroups(ctx, g, q); err != nil {
 			return nil, true, err
 		}
@@ -137,9 +136,7 @@ var errNaNOrderKey = errors.New("sqlexec: NaN ORDER BY key")
 // DISTINCT keeps first arrivals; without ORDER BY the first limit rows end
 // the scan; with ORDER BY and a limit (topK) only rows that can still make
 // the first limit by (key, arrival) are kept, trimmed whenever twice that
-// many have piled up. The configuration fields are set by executeCompiled;
-// a fanned-out scan gives every morsel a fresh copy and absorbs the copies
-// in morsel order.
+// many have piled up. The configuration fields are set by executeCompiled.
 //
 // Kept rows live in parallel slices, each filled only when something reads
 // it, and the row headers themselves are not built while they can be derived
@@ -156,8 +153,6 @@ type rowSink struct {
 	desc     bool
 	distinct bool
 	topK     bool // ORDER BY with a limit: only the first limit rows by (key, arrival) are wanted
-	trims    bool // topK, and the sink may cut down to them as it goes (see scanRows)
-	fanned   bool // one morsel's part: keep what absorb will need
 	limit    int  // 0 = none
 
 	// implicit: every row so far came through add and none has been moved or
@@ -167,10 +162,9 @@ type rowSink struct {
 	slabs    [][]sqlir.Value
 	kept     int // rows held, built or not
 
-	rows  [][]sqlir.Value
-	keys  []sqlir.Value // ORDER BY keys (ordered)
-	seqs  []int64       // arrival numbers (topK, whose trim reorders rows)
-	dkeys []string      // DISTINCT keys (distinct parts of a fanned-out scan)
+	rows [][]sqlir.Value
+	keys []sqlir.Value // ORDER BY keys (ordered)
+	seqs []int64       // arrival numbers (topK, whose trim reorders rows)
 
 	n    int64 // rows let through DISTINCT so far
 	seen map[string]struct{}
@@ -182,9 +176,7 @@ type rowSink struct {
 }
 
 // fresh returns an empty sink with s's configuration.
-func (s rowSink) fresh(fanned bool) *rowSink {
-	s.fanned = fanned
-	s.trims = s.topK
+func (s rowSink) fresh() *rowSink {
 	s.implicit = s.sel != nil
 	if s.distinct {
 		s.seen = map[string]struct{}{}
@@ -203,16 +195,15 @@ func (s *rowSink) before(a sqlir.Value, sa int64, b sqlir.Value, sb int64) bool 
 }
 
 // admit applies DISTINCT to a row's key bytes (s.buf).
-func (s *rowSink) admit() (dkey string, ok bool) {
+func (s *rowSink) admit() bool {
 	if !s.distinct {
-		return "", true
+		return true
 	}
 	if _, dup := s.seen[string(s.buf)]; dup {
-		return "", false
+		return false
 	}
-	dkey = string(s.buf)
-	s.seen[dkey] = struct{}{}
-	return dkey, true
+	s.seen[string(s.buf)] = struct{}{}
+	return true
 }
 
 // add is the scan's emit: project one joined tuple.
@@ -223,8 +214,7 @@ func (s *rowSink) add(tp []int32) (stop bool, err error) {
 			s.buf = appendVecKey(s.buf, c.vec, int(tp[c.slot]))
 		}
 	}
-	dkey, ok := s.admit()
-	if !ok {
+	if !s.admit() {
 		return false, nil
 	}
 	seq := s.n
@@ -253,7 +243,7 @@ func (s *rowSink) add(tp []int32) (stop bool, err error) {
 	for i, c := range s.sel {
 		vals[i] = c.value(tp)
 	}
-	return s.keep(vals, key, seq, dkey), nil
+	return s.keep(vals, key, seq), nil
 }
 
 // addRow takes one evaluated row (a group's).
@@ -264,8 +254,8 @@ func (s *rowSink) addRow(vals []sqlir.Value, key sqlir.Value) {
 			s.buf = appendValueKey(s.buf, v)
 		}
 	}
-	if dkey, ok := s.admit(); ok {
-		s.keep(vals, key, s.n, dkey)
+	if s.admit() {
+		s.keep(vals, key, s.n)
 		s.n++
 	}
 }
@@ -292,7 +282,7 @@ func (s *rowSink) headers() {
 }
 
 // keep stores a row, reporting whether the scan may stop.
-func (s *rowSink) keep(vals []sqlir.Value, key sqlir.Value, seq int64, dkey string) (stop bool) {
+func (s *rowSink) keep(vals []sqlir.Value, key sqlir.Value, seq int64) (stop bool) {
 	s.kept++
 	if !s.implicit {
 		s.rows = append(s.rows, vals)
@@ -303,10 +293,7 @@ func (s *rowSink) keep(vals []sqlir.Value, key sqlir.Value, seq int64, dkey stri
 	if s.topK {
 		s.seqs = append(s.seqs, seq)
 	}
-	if s.distinct && s.fanned {
-		s.dkeys = append(s.dkeys, dkey)
-	}
-	if s.trims && s.kept >= 2*s.limit+16 {
+	if s.topK && s.kept >= 2*s.limit+16 {
 		s.trim()
 	}
 	return s.full()
@@ -344,47 +331,11 @@ func (s *rowSink) trim() {
 		return s.before(s.keys[p[i]], s.seqs[p[i]], s.keys[p[j]], s.seqs[p[j]])
 	})
 	n := min(len(p), s.limit)
-	s.rows, s.keys, s.seqs, s.dkeys = permute(s.rows, p, n), permute(s.keys, p, n), permute(s.seqs, p, n), permute(s.dkeys, p, n)
+	s.rows, s.keys, s.seqs = permute(s.rows, p, n), permute(s.keys, p, n), permute(s.seqs, p, n)
 	s.kept = n
 	if n == s.limit {
 		s.cut, s.bKey, s.bSeq = true, s.keys[n-1], s.seqs[n-1]
 	}
-}
-
-// absorb merges the sink of the next morsel, whose rows all arrived after
-// every row s has seen.
-func (s *rowSink) absorb(p *rowSink) {
-	s.headers()
-	p.headers()
-	base := s.n
-	for i, vals := range p.rows {
-		var (
-			key  sqlir.Value
-			seq  int64
-			dkey string
-		)
-		if s.distinct {
-			dkey = p.dkeys[i]
-			if _, dup := s.seen[dkey]; dup {
-				continue
-			}
-		}
-		if s.ordered {
-			key = p.keys[i]
-		}
-		if s.topK {
-			if seq = base + p.seqs[i]; s.cut && !s.before(key, seq, s.bKey, s.bSeq) {
-				continue
-			}
-		}
-		if s.keep(vals, key, seq, dkey) {
-			return
-		}
-	}
-	for k := range p.seen {
-		s.seen[k] = struct{}{}
-	}
-	s.n = base + p.n
 }
 
 // finish orders and cuts the kept rows.
@@ -416,46 +367,12 @@ func (s *rowSink) finish() [][]sqlir.Value {
 	return s.rows
 }
 
-// scanRows streams the plan's tuples through cfg (a configured, empty sink)
-// and returns the sink holding the result: cfg's own copy for a scan in one
-// piece, else the first morsel's with the others absorbed in morsel order.
+// scanRows streams the plan's tuples through a fresh copy of cfg (a
+// configured, empty sink) and returns it holding the result.
 func (p *streamPlan) scanRows(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, cfg rowSink) (*rowSink, error) {
-	pool, morsels := p.fanOut(ctx)
-	if morsels == nil {
-		out := cfg.fresh(false)
-		_, err := p.runRange(ctx, inj, pc, 0, p.domainLen(), out.add)
-		return out, err
-	}
-	parts := make([]*rowSink, len(morsels))
-	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-		part := cfg.fresh(true)
-		// DISTINCT in a later morsel's part strikes that morsel's duplicates
-		// only. Were such a part to cut down to its best limit rows, a row the
-		// merge is going to strike as a duplicate of an earlier morsel's could
-		// hold a place among them and push out a row that survives. It keeps
-		// every row it admits; the merged sink, which knows every key, cuts.
-		part.trims = part.topK && (m == 0 || !part.distinct)
-		parts[m] = part
-		stopped, err := p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, part.add)
-		// A morsel that fills the limit on its own makes every later morsel
-		// moot — unless DISTINCT may still strike some of its rows as
-		// duplicates of an earlier morsel's.
-		return stopped && err == nil && !part.distinct, err
-	})
-	pc.addMorselRun(res)
-	if res.err != nil {
-		return nil, res.err
-	}
-	// Parts above a deciding morsel may be missing or cut short; the merged
-	// sink is full no later than at that morsel, so they are never read.
-	out := parts[0]
-	for _, part := range parts[1:] {
-		if out.full() {
-			break
-		}
-		out.absorb(part)
-	}
-	return out, nil
+	out := cfg.fresh()
+	_, err := p.run(ctx, inj, pc, out.add)
+	return out, err
 }
 
 // addGroups evaluates a grouped scan's groups in discovery order, lazily and

@@ -13,9 +13,8 @@ import (
 
 // Tests of the single-group early exit (groupDecider): a grouped probe that
 // can have only one group and asks only COUNT bounds stops once its answer is
-// settled, and answers exactly as the reference does at every morsel size and
-// worker count. Internal, so the generator can also check which probes the
-// decider takes.
+// settled, and answers exactly as the reference does. Internal, so the
+// generator can also check which probes the decider takes.
 
 // decideDB is a star around grp: fact and note both join grp on grp_id, so
 // a three-table path multiplies them per group (the shape of scale_ingest's
@@ -80,8 +79,7 @@ func cmpPred(c sqlir.ColumnRef, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 }
 
 // path is one of the star's paths, rooted at any of its tables: a pin on a
-// non-root table leaves the scan unseeded, so it fans out over the root's
-// rows.
+// non-root table leaves the scan unseeded, so it runs over the root's rows.
 func (g *decideGen) path() *sqlir.JoinPath {
 	fg := sqlir.JoinEdge{FromTable: "fact", FromColumn: "grp_id", ToTable: "grp", ToColumn: "id"}
 	ng := sqlir.JoinEdge{FromTable: "note", FromColumn: "grp_id", ToTable: "grp", ToColumn: "id"}
@@ -200,12 +198,11 @@ func (g *decideGen) probe(shape int) (ExistsQuery, bool) {
 	return eq, decidable
 }
 
-// TestMorselSingleGroupDecisionDifferential: every generated single-group
-// probe answers, and errs, exactly as the materializing reference — in one
-// piece and fanned over morsels of 1, 7 and 1024 rows at 1, 2 and 4 workers —
-// and the decider takes exactly the probes whose shape allows it. Settled
-// scans must occur both ways, or the early exit is not being exercised.
-func TestMorselSingleGroupDecisionDifferential(t *testing.T) {
+// TestSingleGroupDecisionDifferential: every generated single-group probe
+// answers, and errs, exactly as the materializing reference, and the decider
+// takes exactly the probes whose shape allows it. Settled scans must occur
+// both ways, or the early exit is not being exercised.
+func TestSingleGroupDecisionDifferential(t *testing.T) {
 	db := decideDB()
 	g := &decideGen{r: rand.New(rand.NewSource(25)), db: db}
 	n := 1000
@@ -259,25 +256,15 @@ func TestMorselSingleGroupDecisionDifferential(t *testing.T) {
 			}
 		}
 
-		check := func(label string, got, handled bool, gerr error) {
-			t.Helper()
-			if !handled {
-				t.Fatalf("probe %d %s: fell off the streaming pipeline", i, label)
-			}
-			if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-				t.Fatalf("probe %d %s: error %v, reference %v\n%+v", i, label, gerr, werr, eq)
-			}
-			if gerr == nil && got != want {
-				t.Fatalf("probe %d %s: %v, reference %v\n%+v", i, label, got, want, eq)
-			}
-		}
 		got, handled, gerr := ExistsStreaming(db, eq)
-		check("one piece", got, handled, gerr)
-		for _, workers := range []int{1, 2, 4} {
-			for _, size := range []int{1, 7, 1024} {
-				got, handled, gerr := ExistsMorsel(db, eq, workers, size)
-				check(fmt.Sprintf("workers=%d morsel=%d", workers, size), got, handled, gerr)
-			}
+		if !handled {
+			t.Fatalf("probe %d: fell off the streaming pipeline", i)
+		}
+		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("probe %d: error %v, reference %v\n%+v", i, gerr, werr, eq)
+		}
+		if gerr == nil && got != want {
+			t.Fatalf("probe %d: %v, reference %v\n%+v", i, got, want, eq)
 		}
 	}
 	if settledTrue < n/40 || settledFalse < n/40 || errs == 0 {
@@ -289,7 +276,7 @@ func TestMorselSingleGroupDecisionDifferential(t *testing.T) {
 // joined tuples, and every tuple costs one join probe (c is looked up per b
 // row). HAVING COUNT(*) = 3 is false and >= 3 true, and either is known by
 // the fourth tuple: the scan must stop there — a handful of index probes, not
-// ten thousand — in one piece and fanned out.
+// ten thousand — whichever table roots the path.
 func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 	const rows = 10_000
 	a := storage.NewTable("a", "id",
@@ -317,17 +304,20 @@ func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 	ab := sqlir.JoinEdge{FromTable: "b", FromColumn: "a_id", ToTable: "a", ToColumn: "id"}
 	bc := sqlir.JoinEdge{FromTable: "c", FromColumn: "b_id", ToTable: "b", ToColumn: "id"}
 
+	// Rooted at a, the scan is seeded by the pin: one probe finds a's b rows
+	// and each tuple up to the fourth probes c, at most 5 in all. Rooted at
+	// b, the scan walks b's rows unseeded and each tuple up to the fourth
+	// probes a and then c, at most 8 in all.
 	for _, tc := range []struct {
 		op     sqlir.Op
 		want   bool
-		tables []string // root first: a is seeded by the pin, b fans out over its rows
-		fanned bool
+		tables []string // root first
 		bound  int64
 	}{
-		{sqlir.OpEq, false, []string{"a", "b", "c"}, false, 8},
-		{sqlir.OpGe, true, []string{"a", "b", "c"}, false, 8},
-		{sqlir.OpEq, false, []string{"b", "a", "c"}, true, 200},
-		{sqlir.OpGe, true, []string{"b", "a", "c"}, true, 200},
+		{sqlir.OpEq, false, []string{"a", "b", "c"}, 5},
+		{sqlir.OpGe, true, []string{"a", "b", "c"}, 5},
+		{sqlir.OpEq, false, []string{"b", "a", "c"}, 8},
+		{sqlir.OpGe, true, []string{"b", "a", "c"}, 8},
 	} {
 		eq := ExistsQuery{
 			From:     &sqlir.JoinPath{Tables: tc.tables, Edges: []sqlir.JoinEdge{ab, bc}},
@@ -336,12 +326,8 @@ func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: tc.op, OpSet: true, Val: sqlir.NewInt(3), ValSet: true}},
 		}
-		ctx := context.Background()
-		if tc.fanned {
-			ctx = WithMorselSize(WithPool(ctx, NewWorkerPool(4, 0)), 64)
-		}
 		jc := NewJoinCache(db)
-		got, err := jc.ExistsCtx(ctx, eq)
+		got, err := jc.Exists(eq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/dataset"
+	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -318,6 +319,33 @@ func TestDifferentialExists(t *testing.T) {
 	}
 }
 
+// TestDifferentialExistsNullHeavy runs the loadgen probe workload plus
+// random generator probes over a generated database whose nullable columns
+// are ~35% NULL, so the NULL group, NULL-skipping aggregates and
+// NULL-encoding group keys come up far more often than in the demo sets.
+func TestDifferentialExistsNullHeavy(t *testing.T) {
+	gen, err := loadgen.Generate(loadgen.Spec{Name: "nullheavy", Tables: 4, Rows: 8000, NullRate: 0.35}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := gen.DB
+	probes := gen.Probes(60, 3)
+	g := newQueryGen(13, db)
+	for i := 0; i < 60; i++ {
+		probes = append(probes, g.existsQuery())
+	}
+	for i, eq := range probes {
+		want, werr := sqlexec.ExistsReference(db, eq)
+		got, gerr := sqlexec.Exists(db, eq)
+		if (werr != nil) != (gerr != nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("probe %d: error divergence: ref=%v stream=%v", i, werr, gerr)
+		}
+		if werr == nil && got != want {
+			t.Fatalf("probe %d: exists diverges: ref=%v stream=%v eq=%+v", i, want, got, eq)
+		}
+	}
+}
+
 // TestDifferentialExistsAgreesWithExecute checks the §3.4 contract on the
 // no-GROUP-BY shape: Exists(q) == (len(Execute(select-from-where).Rows) > 0).
 func TestDifferentialExistsAgreesWithExecute(t *testing.T) {
@@ -358,10 +386,9 @@ func TestDifferentialExistsAgreesWithExecute(t *testing.T) {
 }
 
 // TestDifferentialExecute is the oracle behind compiled execution: every
-// generated complete query must give, through the compiled pipeline — in one
-// piece and fanned over morsels at 1, 2 and 4 workers — exactly the columns,
-// types, rows (in order, floats bit for bit) and error text of the
-// materializing reference executor.
+// generated complete query must give, through the compiled pipeline, exactly
+// the columns, types, rows (in order, floats bit for bit) and error text of
+// the materializing reference executor.
 func TestDifferentialExecute(t *testing.T) {
 	for name, db := range diffDBs(t) {
 		t.Run(name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -358,13 +357,12 @@ func TestExecuteUnboundQueriesMatchReference(t *testing.T) {
 	}
 }
 
-// Regression: a fanned-out DISTINCT part strikes its own morsel's duplicates
-// only, so when it also cut to its best LIMIT rows by a key that is not
-// projected, a duplicate of an earlier morsel's row could hold one of those
-// slots and push out a row the merge needed. Group 1 (morsel 0 at morsel
-// size 1) holds X ranked 5; group 2 holds X ranked 1, Z ranked 3 and enough
-// other rows to make the part trim. The first arrivals are X(5) and Z(3): Z.
-func TestExecuteDistinctTopKAcrossMorsels(t *testing.T) {
+// DISTINCT under ORDER BY a key that is not projected, with a LIMIT: the
+// top-k sink trims to its best rows as it goes, and DISTINCT must keep each
+// value's first arrival, not its best-ranked one. Group 1 holds X ranked 5;
+// group 2 holds X ranked 1, Z ranked 3 and enough other rows to make the
+// sink trim. The first arrivals are X(5) and Z(3): Z.
+func TestExecuteDistinctTopKTrim(t *testing.T) {
 	g := storage.NewTable("g", "gid", storage.Column{Name: "gid", Type: sqlir.TypeNumber})
 	e := storage.NewTable("e", "eid",
 		storage.Column{Name: "eid", Type: sqlir.TypeNumber},
@@ -412,19 +410,14 @@ func TestExecuteNaNRetryCountedOnce(t *testing.T) {
 	db.Table("movie").MustInsert(num(5), text("Unreleased"), num(2030), num(math.NaN()))
 	db.Table("starring").MustInsert(num(5), num(2), num(5))
 	const sql = "SELECT m.title FROM starring s JOIN movie m ON s.mid = m.mid ORDER BY m.revenue ASC"
-	for name, ctx := range map[string]context.Context{
-		"one piece": context.Background(),
-		"fanned":    WithMorselSize(WithPool(context.Background(), NewWorkerPool(2, 0)), 2),
-	} {
-		full, topK := NewJoinCache(db), NewJoinCache(db)
-		if _, err := full.ExecuteCtx(ctx, sqlparse.MustParse(db.Schema, sql)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := topK.ExecuteCtx(ctx, sqlparse.MustParse(db.Schema, sql+" LIMIT 1")); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := topK.Stats(), full.Stats(); got != want || want.IndexProbes == 0 {
-			t.Errorf("%s: stats with LIMIT %+v, without %+v", name, got, want)
-		}
+	full, topK := NewJoinCache(db), NewJoinCache(db)
+	if _, err := full.Execute(sqlparse.MustParse(db.Schema, sql)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := topK.Execute(sqlparse.MustParse(db.Schema, sql+" LIMIT 1")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := topK.Stats(), full.Stats(); got != want || want.IndexProbes == 0 {
+		t.Errorf("stats with LIMIT %+v, without %+v", got, want)
 	}
 }

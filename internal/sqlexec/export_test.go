@@ -70,28 +70,10 @@ func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {
 	return existsOn(context.Background(), db, rel, eq)
 }
 
-// ExistsMorsel answers through the morsel-parallel columnar pipeline with an
-// explicit worker count and morsel size — the hook the differential and
-// property tests drive at morsel sizes down to a single row. handled=false
-// means the probe did not compile (same shapes as ExistsStreaming).
-func ExistsMorsel(db *storage.Database, eq ExistsQuery, workers, morselSize int) (ok, handled bool, err error) {
-	ctx := WithMorselSize(WithPool(context.Background(), NewWorkerPool(workers, 0)), morselSize)
-	return streamExists(ctx, db, eq, &discardCounters)
-}
-
-// ExistsMorselCtx is ExistsMorsel under a caller context (cancellation and
-// poison tests derive deadlines and carry fault injectors).
-func ExistsMorselCtx(ctx context.Context, db *storage.Database, eq ExistsQuery, workers, morselSize int) (ok, handled bool, err error) {
-	ctx = WithMorselSize(WithPool(ctx, NewWorkerPool(workers, 0)), morselSize)
-	return streamExists(ctx, db, eq, &discardCounters)
-}
-
 // DiffExecute runs q on the materializing reference executor and on the
-// compiled pipeline — in one piece, and fanned over morsels of 1, 7 and 1024
-// rows with pools of 1, 2 and 4 workers, each uncapped and with a preview cap
-// of 2 rows — and describes the first difference in columns, types, rows
-// (cell for cell, floats bit for bit) or error text; "" means they agree
-// everywhere.
+// compiled pipeline — uncapped and with a preview cap of 2 rows — and
+// describes the first difference in columns, types, rows (cell for cell,
+// floats bit for bit) or error text; "" means they agree everywhere.
 func DiffExecute(db *storage.Database, q *sqlir.Query) string {
 	want, werr := executeReference(context.Background(), db, q)
 	check := func(label string, maxRows int, got *Result, gerr error) string {
@@ -129,15 +111,6 @@ func DiffExecute(db *storage.Database, q *sqlir.Query) string {
 		got, gerr := NewJoinCache(db).PreviewCtx(context.Background(), q, maxRows)
 		if d := check(fmt.Sprintf("compiled cap=%d", maxRows), maxRows, got, gerr); d != "" {
 			return d
-		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, size := range []int{1, 7, 1024} {
-				ctx := WithMorselSize(WithPool(context.Background(), NewWorkerPool(workers, 0)), size)
-				got, gerr := NewJoinCache(db).PreviewCtx(ctx, q, maxRows)
-				if d := check(fmt.Sprintf("workers=%d morsel=%d cap=%d", workers, size, maxRows), maxRows, got, gerr); d != "" {
-					return d
-				}
-			}
 		}
 	}
 	return ""

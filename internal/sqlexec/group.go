@@ -1,39 +1,14 @@
 // Grouped scans: streaming a plan's tuples into per-group aggregate states,
-// for grouped existence probes and grouped complete queries alike. Without a
-// pool the scan folds every tuple into its group's state as it arrives —
-// nothing is buffered. With a pool it follows the deterministic-merge
-// discipline:
-//
-//  1. Partition — each worker streams its morsel's matching tuples into a
-//     fully private groupPart: per-group row counts, each group's first
-//     tuple, and (only when an aggregate reads a concrete column) a flat log
-//     of the matching tuples in visit order. Nothing is shared between
-//     workers, so a deadline-expired or cancelled worker can abandon its
-//     part on the floor without any possibility of publishing a partial
-//     aggregate anywhere shared.
-//  2. Merge — parts are absorbed strictly in morsel order. Because morsel
-//     order is row order, a group's first appearance across the stitched
-//     sequence is its first appearance in the global scan, so group
-//     discovery order matches the sequential scan exactly.
-//  3. Fold — each part's logged tuples are folded through groupAcc
-//     sequentially, in visit order. One group's accumulator state depends
-//     only on that group's rows in row order, so every float sum is the same
-//     additions in the same order as the single-threaded scan: bit-identical,
-//     not merely approximately equal.
-//
-// The COUNT(*)-only shape — the verification-probe hot path — never logs
-// tuples at all: row counts are integers, and integer addition is
-// associative, so the merge is just a sum per group. The log is the one
-// transient allocation that grows with the matching tuples rather than with
-// the groups, and only a fanned-out scan that reads an aggregate column makes
-// it.
+// for grouped existence probes and grouped complete queries alike. The scan
+// folds every tuple into its group's state as it arrives — nothing is
+// buffered — and a scan runs in one piece on its caller's goroutine, so group
+// discovery order and every float sum's order of additions are those of the
+// reference executor's row order: bit-identical, not merely approximately
+// equal.
 //
 // A grouped existence probe that can have only one group, and whose HAVING
-// conditions are all COUNT compared with a number, stops as soon as its
-// answer is decided (groupDecider): in one piece at the settling tuple, fanned
-// out at the first morsel whose own counts settle it, through the same
-// watermark that ends a flat probe at its first witness. Parts are merged
-// only when nothing settled.
+// conditions are all COUNT compared with a number, stops at the tuple that
+// decides its answer (groupDecider).
 package sqlexec
 
 import (
@@ -61,8 +36,7 @@ func (c boundCol) value(tp []int32) sqlir.Value { return c.vec.Value(int(tp[c.sl
 // float-keyed map could never find again) routed to dedicated groups.
 // Multi-column keys use the fixed-width binary encoding of appendVecKey.
 // Each specialization partitions rows exactly as Value.Equal does, so group
-// contents match the reference executor. Not safe for concurrent use: every
-// morsel worker owns its own.
+// contents match the reference executor.
 type groupIndex struct {
 	keys      []boundCol
 	n         int
@@ -173,64 +147,13 @@ func (g *groups) state(id int) *groupState {
 	return g.order[id]
 }
 
-func (st *groupState) observe(cols []boundCol, tp []int32) {
-	for i, c := range cols {
-		st.accs[i].observe(c.value(tp))
-	}
-}
-
 // add folds one tuple into its group.
 func (g *groups) add(tp []int32) {
 	st := g.state(g.idx.id(tp))
 	st.rows++
-	st.observe(g.spec.cols, tp)
-}
-
-// groupPart is one morsel's private grouping state.
-type groupPart struct {
-	idx    groupIndex
-	rows   []int   // per group, in the morsel's own discovery order
-	firsts []int32 // each group's first tuple, flattened
-	log    []int32 // (group, tuple) records in visit order
-}
-
-func (p *groupPart) add(tp []int32, logged bool) {
-	id := p.idx.id(tp)
-	if id == len(p.rows) {
-		p.rows = append(p.rows, 0)
-		p.firsts = append(p.firsts, tp...)
+	for i, c := range g.spec.cols {
+		st.accs[i].observe(c.value(tp))
 	}
-	p.rows[id]++
-	if logged {
-		p.log = append(append(p.log, int32(id)), tp...)
-	}
-}
-
-// absorb merges the next morsel's part and folds its logged tuples.
-func (g *groups) absorb(p *groupPart, slots int) {
-	to := make([]*groupState, len(p.rows))
-	for id, n := range p.rows {
-		to[id] = g.state(g.idx.id(p.firsts[id*slots : (id+1)*slots]))
-		to[id].rows += n
-	}
-	for i := 0; i < len(p.log); i += slots + 1 {
-		to[p.log[i]].observe(g.spec.cols, p.log[i+1:i+1+slots])
-	}
-}
-
-// fanOut reports the pool and morsels a scan of the plan's root domain
-// should fan over, or no morsels when it should run in one piece: no pool in
-// the context, or a domain of a single morsel.
-func (p *streamPlan) fanOut(ctx context.Context) (*WorkerPool, []storage.Morsel) {
-	pool := PoolFrom(ctx)
-	if pool == nil {
-		return nil, nil
-	}
-	morsels := storage.Morsels(p.domainLen(), MorselSizeFrom(ctx))
-	if len(morsels) < 2 {
-		return nil, nil
-	}
-	return pool, morsels
 }
 
 // countBound is one HAVING COUNT(..) op k condition reduced to the count at
@@ -264,12 +187,12 @@ func (b countBound) settled(n int) bool {
 //
 // If any condition is an upper bound the probe can only settle false, when
 // one of them is exceeded; otherwise it settles true when every lower bound
-// is met. No probe can do both, so counts that are a lower bound on the
-// group's final counts — a prefix of the scan, or one morsel's share of it —
-// settle the global answer, whichever morsel gets there first.
+// is met. No probe can do both, so the counts of a prefix of the scan settle
+// the answer. A decider counts one scan and is built per probe.
 type groupDecider struct {
 	bounds []countBound // the upper bounds if there are any, else the lower ones
 	lower  bool         // bounds are lower bounds: settling answers true
+	counts []int        // per bound, the tuples counted so far
 }
 
 // newGroupDecider returns the probe's decider, or nil when its answer needs
@@ -309,79 +232,41 @@ func newGroupDecider(eq ExistsQuery, spec *groupedBinding) *groupDecider {
 		}
 	}
 	if len(upper) > 0 {
-		return &groupDecider{bounds: upper}
+		return &groupDecider{bounds: upper, counts: make([]int, len(upper))}
 	}
-	return &groupDecider{bounds: lower, lower: true}
-}
-
-// groupSettler is one scan piece's counts under a decider: a scan in one
-// piece has one, a fanned-out scan one per morsel. A nil settler (no decider)
-// never settles.
-type groupSettler struct {
-	d      *groupDecider
-	counts []int
-}
-
-func (d *groupDecider) settler() *groupSettler {
-	if d == nil {
-		return nil
-	}
-	return &groupSettler{d: d, counts: make([]int, len(d.bounds))}
+	return &groupDecider{bounds: lower, lower: true, counts: make([]int, len(lower))}
 }
 
 // add counts one tuple of the group and reports whether the answer is
-// settled.
-func (s *groupSettler) add(tp []int32) bool {
-	if s == nil {
+// settled. A nil decider never settles.
+func (d *groupDecider) add(tp []int32) bool {
+	if d == nil {
 		return false
 	}
 	met := true
-	for i, b := range s.d.bounds {
+	for i, b := range d.bounds {
 		if b.col.vec == nil || !b.col.vec.IsNull(int(tp[b.col.slot])) {
-			s.counts[i]++
+			d.counts[i]++
 		}
-		settled := b.settled(s.counts[i])
-		if settled && !s.d.lower {
+		settled := b.settled(d.counts[i])
+		if settled && !d.lower {
 			return true
 		}
 		met = met && settled
 	}
-	return s.d.lower && met
+	return d.lower && met
 }
 
 // scanGroups streams the plan's tuples into per-group states. The plan keeps
 // reference enumeration order, so group discovery order and floating-point
-// accumulation order match the materializing path bit for bit at any worker
-// count. With a decider the scan stops once the answer is settled, reported
-// as settled=true; the groups are then partial and not to be read.
+// accumulation order match the materializing path bit for bit. With a
+// decider the scan stops once the answer is settled, reported as
+// settled=true; the groups are then partial and not to be read.
 func (p *streamPlan) scanGroups(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, spec *groupedBinding, dec *groupDecider) (g *groups, settled bool, err error) {
 	g = newGroups(spec)
-	pool, morsels := p.fanOut(ctx)
-	if morsels == nil {
-		s := dec.settler()
-		settled, err = p.runRange(ctx, inj, pc, 0, p.domainLen(), func(tp []int32) (bool, error) {
-			g.add(tp)
-			return s.add(tp), nil
-		})
-		return g, settled, err
-	}
-	logged := len(spec.cols) > 0
-	parts := make([]*groupPart, len(morsels))
-	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-		part := &groupPart{idx: newGroupIndex(spec.keys)}
-		parts[m] = part
-		s := dec.settler()
-		return p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, func(tp []int32) (bool, error) {
-			part.add(tp, logged)
-			return s.add(tp), nil
-		})
+	settled, err = p.run(ctx, inj, pc, func(tp []int32) (bool, error) {
+		g.add(tp)
+		return dec.add(tp), nil
 	})
-	pc.addMorselRun(res)
-	if res.err != nil || res.found {
-		return nil, res.found, res.err
-	}
-	for _, part := range parts {
-		g.absorb(part, len(p.tables))
-	}
-	return g, false, nil
+	return g, settled, err
 }

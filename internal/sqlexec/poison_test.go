@@ -41,8 +41,7 @@ func wideDB(t *testing.T) *storage.Database {
 // pollCtx is a context that reports cancellation from its dieAt-th Err poll
 // on and counts the polls, so a test can tell at which checkpoint an
 // executor noticed and whether it kept working afterwards. (Done never
-// fires, so it only steers the sequential paths; the morsel runner derives
-// per-morsel contexts, which listen to Done.)
+// fires: the executors poll Err.)
 type pollCtx struct {
 	context.Context
 	polls, dieAt int
@@ -106,21 +105,36 @@ func TestCancelledRequestDoesNotPoisonJoinCache(t *testing.T) {
 		}
 	}
 
+	// A probe with no witness and no posting list to seed it scans every row;
+	// dying mid-scan it must report the cancellation, never a definitive false.
+	eq := ExistsQuery{
+		From:  pathOf("child"),
+		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpLt, num(0))},
+	}
+	dying := &pollCtx{Context: context.Background(), dieAt: 2}
+	if _, err := c.ExistsCtx(dying, eq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExistsCtx dying mid-scan: err = %v, want context.Canceled", err)
+	}
+
 	mustEqualReference(t, db, q, "healthy Execute after cancelled ones", func() (*Result, error) { return c.Execute(q) })
 }
 
 // TestExpiredDeadlineDoesNotPoisonJoinCache is the deadline-expiry twin: the
-// error surfaces as DeadlineExceeded, for complete queries and probes alike,
-// and the next calls succeed.
+// error surfaces as DeadlineExceeded, for complete queries — plain and
+// grouped — and probes alike, and the next calls succeed, sums bit for bit.
 func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 	db := wideDB(t)
 	q := sqlparse.MustParse(db.Schema, wideJoin)
+	grouped := sqlparse.MustParse(db.Schema,
+		"SELECT child.pid, COUNT(*), SUM(child.v) FROM child GROUP BY child.pid HAVING COUNT(*) >= 256")
 
 	c := NewJoinCache(db)
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := c.ExecuteCtx(expired, q); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ExecuteCtx under expired deadline: err = %v, want DeadlineExceeded", err)
+	for _, q := range []*sqlir.Query{q, grouped} {
+		if _, err := c.ExecuteCtx(expired, q); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("ExecuteCtx under expired deadline: err = %v, want DeadlineExceeded\n%s", err, q)
+		}
 	}
 
 	eq := ExistsQuery{
@@ -138,84 +152,5 @@ func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 		t.Fatal("Exists found a row that is not there")
 	}
 	mustEqualReference(t, db, q, "healthy Execute after expired one", func() (*Result, error) { return c.Execute(q) })
-}
-
-// morselCtx attaches a wide morsel fan-out with deliberately tiny morsels to
-// a request context, so many workers hold partial states when the request's
-// fate lands.
-func morselCtx(ctx context.Context) context.Context {
-	return WithMorselSize(WithPool(ctx, NewWorkerPool(8, 0)), 64)
-}
-
-// TestExpiredDeadlineMorselWorkersDoNotPoison extends the fixtures to the
-// morsel merge path: a deadline-expired grouped query whose morsel workers
-// would be holding private partial group states (row counts, first tuples,
-// the log of tuples to fold) must surface DeadlineExceeded, and the same
-// query re-asked by healthy requests — sequential and morsel-parallel alike —
-// gets the reference's answer, sums bit for bit.
-func TestExpiredDeadlineMorselWorkersDoNotPoison(t *testing.T) {
-	db := wideDB(t)
-	c := NewJoinCache(db)
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-
-	q := sqlparse.MustParse(db.Schema,
-		"SELECT child.pid, COUNT(*), SUM(child.v) FROM child GROUP BY child.pid HAVING COUNT(*) >= 256")
-	if _, err := c.ExecuteCtx(morselCtx(expired), q); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("morsel ExecuteCtx under expired deadline: err = %v, want DeadlineExceeded", err)
-	}
-	mustEqualReference(t, db, q, "healthy sequential Execute after expired one", func() (*Result, error) { return c.Execute(q) })
-	mustEqualReference(t, db, q, "healthy morsel Execute after expired one", func() (*Result, error) {
-		return c.ExecuteCtx(morselCtx(context.Background()), q)
-	})
-	if st := c.Stats(); st.MorselRuns == 0 {
-		t.Error("the morsel request did not fan out: the fixture no longer reaches the merge path")
-	}
-}
-
-// TestCancelledMorselExecuteDoesNotPoisonJoinCache is the cancellation twin on
-// the row path: dead on arrival, and cancelled while morsels are in flight —
-// there the only acceptable outcomes are context.Canceled or the complete
-// result, never a short one — and the next healthy morsel-parallel Execute
-// sees every row.
-func TestCancelledMorselExecuteDoesNotPoisonJoinCache(t *testing.T) {
-	db := wideDB(t)
-	// Rooted at child, so the scan domain is wide enough to fan out.
-	q := sqlparse.MustParse(db.Schema,
-		"SELECT parent.name FROM child JOIN parent ON child.pid = parent.pid")
-	want, err := executeReference(context.Background(), db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewJoinCache(db)
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.ExecuteCtx(morselCtx(dead), q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("morsel ExecuteCtx under cancelled ctx: err = %v, want context.Canceled", err)
-	}
-
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			cancel() // lands wherever the scan happens to be
-			close(done)
-		}()
-		res, err := c.ExecuteCtx(morselCtx(ctx), q)
-		<-done
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iter %d: err = %v, want nil or context.Canceled", i, err)
-		}
-		if err == nil && !reflect.DeepEqual(res, want) {
-			t.Fatalf("iter %d: cancelled scan returned %d rows as if complete, want %d", i, len(res.Rows), len(want.Rows))
-		}
-	}
-
-	mustEqualReference(t, db, q, "healthy morsel Execute after cancelled ones", func() (*Result, error) {
-		return c.ExecuteCtx(morselCtx(context.Background()), q)
-	})
-	if st := c.Stats(); st.MorselRuns == 0 {
-		t.Error("no request fanned out: the fixture no longer reaches the morsel path")
-	}
+	mustEqualReference(t, db, grouped, "healthy grouped Execute after expired one", func() (*Result, error) { return c.Execute(grouped) })
 }

@@ -476,8 +476,7 @@ func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 
 // Property: every complete query over the NULL-heavy, duplicate-text,
 // NaN-sprinkled database gives exactly the reference executor's rows, order,
-// header and error through the compiled pipeline, in one piece and fanned
-// over morsels at 1, 2 and 4 workers.
+// header and error through the compiled pipeline.
 func TestPropColumnarExecuteAgree(t *testing.T) {
 	seeds, n := int64(6), 250
 	if testing.Short() {

@@ -40,37 +40,30 @@ type PipelineStats struct {
 	// PrefixHits is always 0: no join is cached, so none is extended. bench/
 	// reads the field (sqlexec.prefix_hit_rate) and a PR that claims a gain
 	// may not edit bench/; it goes when that metric is retired.
-	PrefixHits    int64
-	JoinsBuilt    int64 // joins materialized: probes and queries that fell back to the reference executor
-	MorselRuns    int64 // scans fanned out through the morsel runner
-	Morsels       int64 // morsels claimed and executed across all runs
-	MorselWorkers int64 // sum over runs of workers used (caller included)
+	PrefixHits int64
+	JoinsBuilt int64 // joins materialized: probes and queries that fell back to the reference executor
+	// MorselRuns and MorselWorkers are always 0: a scan runs on its caller's
+	// goroutine. bench/ reads them (sqlexec.morsel_runs_per_req,
+	// sqlexec.avg_morsel_workers) and a PR that claims a gain may not edit
+	// bench/; ROADMAP item 2 retires them with those metrics.
+	MorselRuns    int64
+	MorselWorkers int64
 }
 
 // IndexHits is the total posting-list work served by persistent indexes.
 func (s PipelineStats) IndexHits() int64 { return s.IndexSeeds + s.IndexProbes }
 
-// AvgMorselWorkers is the mean degree of parallelism actually achieved per
-// morsel-parallel scan — the per-query parallel efficiency numerator: with
-// an idle pool it approaches the per-query worker cap, and under saturation
-// (all tokens held by enumeration verify workers) it degrades toward 1.
-func (s PipelineStats) AvgMorselWorkers() float64 {
-	if s.MorselRuns == 0 {
-		return 0
-	}
-	return float64(s.MorselWorkers) / float64(s.MorselRuns)
-}
+// AvgMorselWorkers is always 0, for the reason MorselRuns is; ROADMAP item 2
+// retires it with sqlexec.avg_morsel_workers.
+func (s PipelineStats) AvgMorselWorkers() float64 { return 0 }
 
 // pipelineCounters is the mutable, concurrency-safe form of PipelineStats.
 type pipelineCounters struct {
-	streamed      atomic.Int64
-	fallback      atomic.Int64
-	indexSeeds    atomic.Int64
-	indexProbes   atomic.Int64
-	joinsBuilt    atomic.Int64
-	morselRuns    atomic.Int64
-	morsels       atomic.Int64
-	morselWorkers atomic.Int64
+	streamed    atomic.Int64
+	fallback    atomic.Int64
+	indexSeeds  atomic.Int64
+	indexProbes atomic.Int64
+	joinsBuilt  atomic.Int64
 }
 
 func (pc *pipelineCounters) snapshot() PipelineStats {
@@ -83,9 +76,6 @@ func (pc *pipelineCounters) snapshot() PipelineStats {
 		IndexSeeds:     pc.indexSeeds.Load(),
 		IndexProbes:    pc.indexProbes.Load(),
 		JoinsBuilt:     pc.joinsBuilt.Load(),
-		MorselRuns:     pc.morselRuns.Load(),
-		Morsels:        pc.morsels.Load(),
-		MorselWorkers:  pc.morselWorkers.Load(),
 	}
 }
 
@@ -102,16 +92,6 @@ func (pc *pipelineCounters) merge(o *pipelineCounters) {
 	pc.add(&pc.indexSeeds, o.indexSeeds.Load())
 	pc.add(&pc.indexProbes, o.indexProbes.Load())
 	pc.add(&pc.joinsBuilt, o.joinsBuilt.Load())
-	pc.add(&pc.morselRuns, o.morselRuns.Load())
-	pc.add(&pc.morsels, o.morsels.Load())
-	pc.add(&pc.morselWorkers, o.morselWorkers.Load())
-}
-
-// addMorselRun records one resolved fan-out's stats.
-func (pc *pipelineCounters) addMorselRun(res morselResult) {
-	pc.add(&pc.morselRuns, 1)
-	pc.add(&pc.morsels, res.processed)
-	pc.add(&pc.morselWorkers, int64(res.workers))
 }
 
 // discardCounters sinks pipeline counters for callers without a JoinCache
@@ -520,28 +500,16 @@ func (p *streamPlan) bindPred(pr sqlir.Predicate) (boundPred, error) {
 	return compilePred(slot, p.tables[slot].VectorAt(ci), pr.Op, pr.Val), nil
 }
 
-// domainLen is the size of the plan's root scan domain: the pushdown
-// posting list when seeded, else the root table's row count. Morsels
-// partition exactly this domain.
-func (p *streamPlan) domainLen() int {
-	if p.seeded {
-		return len(p.rootRows)
-	}
-	return p.tables[0].NumRows()
-}
-
-// runRange enumerates joined tuples depth-first over the root-domain slice
-// [lo, hi), evaluating each bound predicate at the shallowest depth where
-// its slot is bound. emit returning stop=true short-circuits the
+// run enumerates joined tuples depth-first over the plan's root domain —
+// the pushdown posting list when seeded, else the root table's rows — on the
+// caller's goroutine, evaluating each bound predicate at the shallowest depth
+// where its slot is bound. emit returning stop=true short-circuits the
 // enumeration (the first-witness early exit), reported as stopped=true.
-// All mutable state (the tuple scratch, the canceller, the probe counter)
-// is local to the call, so morsel workers may run disjoint ranges of one
-// plan concurrently. Every visited row and every probed posting ticks a
-// cancellation checkpoint, so a cancelled request — or a morsel whose range
-// was made moot by a witness in an earlier morsel — unwinds mid-scan within
-// checkpointRows units of work; inj (nil for clean requests) injects
-// per-probe latency for the chaos harness.
-func (p *streamPlan) runRange(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, lo, hi int, emit func(tp []int32) (stop bool, err error)) (stopped bool, err error) {
+// Every visited row and every probed posting ticks a cancellation
+// checkpoint, so a cancelled request unwinds mid-scan within checkpointRows
+// units of work; inj (nil for clean requests) injects per-probe latency for
+// the chaos harness.
+func (p *streamPlan) run(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, emit func(tp []int32) (stop bool, err error)) (stopped bool, err error) {
 	tp := make([]int32, len(p.tables))
 	var probes int64
 	cc := newCanceller(ctx)
@@ -613,38 +581,19 @@ func (p *streamPlan) runRange(ctx context.Context, inj *faultinject.Injector, pc
 		return false, err
 	}
 	if p.seeded {
-		for _, ri := range p.rootRows[lo:hi] {
+		for _, ri := range p.rootRows {
 			if stop, err := visit(ri); stop || err != nil {
 				return stop, err
 			}
 		}
 		return false, nil
 	}
-	for i := lo; i < hi; i++ {
+	for i, n := 0, p.tables[0].NumRows(); i < n; i++ {
 		if stop, err := visit(int32(i)); stop || err != nil {
 			return stop, err
 		}
 	}
 	return false, nil
-}
-
-// exists is the flat witness probe. Fanned over morsels, each worker
-// short-circuits its own morsel on a local witness; the run's watermark
-// cancels morsels above the lowest decisive one; and resolve() returns the
-// outcome of the lowest decided morsel — the exact event (witness or error)
-// the sequential scan would have hit first, so answers and errors are
-// indistinguishable from the single-threaded path.
-func (p *streamPlan) exists(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters) (bool, error) {
-	witness := func([]int32) (bool, error) { return true, nil }
-	pool, morsels := p.fanOut(ctx)
-	if morsels == nil {
-		return p.runRange(ctx, inj, pc, 0, p.domainLen(), witness)
-	}
-	res := runMorsels(ctx, pool, morsels, func(mctx context.Context, m int) (bool, error) {
-		return p.runRange(mctx, inj, pc, morsels[m].Lo, morsels[m].Hi, witness)
-	})
-	pc.addMorselRun(res)
-	return res.found, res.err
 }
 
 // streamExists answers an exists query through the vectorized streaming
@@ -662,7 +611,7 @@ func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc 
 	inj := faultinject.From(ctx)
 	if !grouped {
 		plan.countSeed(pc)
-		found, rerr := plan.exists(ctx, inj, pc)
+		found, rerr := plan.run(ctx, inj, pc, func([]int32) (bool, error) { return true, nil })
 		return found, true, rerr
 	}
 	spec, bok := bindGrouped(plan, eq)

@@ -158,7 +158,12 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 		return nil, err
 	}
 	q.From = jp
-	// Resolve the ON conditions now that aliases exist.
+	// Resolve the ON conditions now that aliases exist. Each must join one
+	// FROM table not yet joined to the tables joined before it — the order
+	// sqlir.JoinPath promises and its String relies on — so a self-join
+	// condition, a condition between tables already joined and one naming a
+	// table outside FROM fail here, not when the query runs.
+	joined := map[string]bool{jp.Tables[0]: true}
 	for _, re := range rawEdges {
 		a, err := p.resolveRef(re[0], re[1])
 		if err != nil {
@@ -168,10 +173,24 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.From.Edges = append(q.From.Edges, sqlir.JoinEdge{
+		e := sqlir.JoinEdge{
 			FromTable: a.Table, FromColumn: a.Column,
 			ToTable: b.Table, ToColumn: b.Column,
-		})
+		}
+		next := a.Table
+		if joined[next] {
+			next = b.Table
+		}
+		switch {
+		case joined[next]:
+			return nil, fmt.Errorf("sqlparse: join edge %s joins tables already joined", e)
+		case !joined[a.Table] && !joined[b.Table]:
+			return nil, fmt.Errorf("sqlparse: join edge %s joins no table joined before it", e)
+		case !jp.Contains(next):
+			return nil, fmt.Errorf("sqlparse: join edge %s names table %s, which is not in FROM", e, next)
+		}
+		joined[next] = true
+		q.From.Edges = append(q.From.Edges, e)
 	}
 
 	// Resolve projections.

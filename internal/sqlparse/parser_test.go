@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -225,31 +226,64 @@ func TestParseQuotedIdentifier(t *testing.T) {
 	}
 }
 
+// parseErrorCases are statements Parse must reject, each with a fragment of
+// the error it must give.
+var parseErrorCases = []struct {
+	sql  string
+	want string
+}{
+	{"", `expected "select"`},
+	{"SELECT", "expected column reference"},
+	{"SELECT title", `expected "from"`},
+	{"SELECT title FROM nosuch", "unknown table"},
+	{"SELECT nosuch FROM movie", "not found"},
+	{"SELECT title FROM movie WHERE", "expected column reference"},
+	{"SELECT title FROM movie WHERE year", "expected operator"},
+	{"SELECT title FROM movie WHERE year >", "expected literal"},
+	{"SELECT title FROM movie LIMIT x", "LIMIT requires a number"},
+	{"SELECT title FROM movie LIMIT 0", "bad LIMIT"},
+	{"SELECT title FROM movie LIMIT 3 3", "trailing input"},
+	{"SELECT * FROM movie", "only supported under COUNT"},
+	{"SELECT title FROM movie JOIN movie ON movie.mid = movie.mid", "joined twice"},
+	{"SELECT title FROM movie WHERE title = 'unterminated", "unterminated string"},
+	{"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name HAVING year > 5", "HAVING requires an aggregate"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		sql  string
-		want string
-	}{
-		{"", `expected "select"`},
-		{"SELECT", "expected column reference"},
-		{"SELECT title", `expected "from"`},
-		{"SELECT title FROM nosuch", "unknown table"},
-		{"SELECT nosuch FROM movie", "not found"},
-		{"SELECT title FROM movie WHERE", "expected column reference"},
-		{"SELECT title FROM movie WHERE year", "expected operator"},
-		{"SELECT title FROM movie WHERE year >", "expected literal"},
-		{"SELECT title FROM movie LIMIT x", "LIMIT requires a number"},
-		{"SELECT title FROM movie LIMIT 0", "bad LIMIT"},
-		{"SELECT title FROM movie LIMIT 3 3", "trailing input"},
-		{"SELECT * FROM movie", "only supported under COUNT"},
-		{"SELECT title FROM movie JOIN movie ON movie.mid = movie.mid", "joined twice"},
-		{"SELECT title FROM movie WHERE title = 'unterminated", "unterminated string"},
-		{"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name HAVING year > 5", "HAVING requires an aggregate"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(movieSchema(), c.sql)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: err = %v, want containing %q", c.sql, err, c.want)
+		}
+	}
+}
+
+// badJoinEdges are ON conditions that do not join a new FROM table to the
+// tables before it, each with the error it must give: one naming the edge.
+var badJoinEdges = []struct {
+	sql  string
+	want string
+}{
+	{"SELECT COUNT(*) FROM actor JOIN starring ON actor.aid = actor.aid",
+		"join edge actor.aid = actor.aid joins tables already joined"},
+	{"SELECT COUNT(*) FROM actor JOIN starring ON starring.aid = starring.aid",
+		"join edge starring.aid = starring.aid joins no table joined before it"},
+	{"SELECT COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.aid = a.aid",
+		"join edge starring.aid = actor.aid joins tables already joined"},
+	{"SELECT COUNT(*) FROM actor JOIN starring ON starring.mid = movie.mid JOIN movie ON starring.aid = actor.aid",
+		"join edge starring.mid = movie.mid joins no table joined before it"},
+	{"SELECT COUNT(*) FROM actor JOIN starring ON actor.aid = movie.mid",
+		"join edge actor.aid = movie.mid names table movie, which is not in FROM"},
+}
+
+// TestParseRejectsJoinEdgeOffThePath: a join path whose ON conditions do not
+// grow it one new table at a time used to parse, print as SQL that does not
+// parse again (FROM actor JOIN actor ...) and fail only when executed.
+func TestParseRejectsJoinEdgeOffThePath(t *testing.T) {
+	for _, c := range badJoinEdges {
+		q, err := Parse(movieSchema(), c.sql)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want containing %q (parsed as %v)", c.sql, err, c.want, q)
 		}
 	}
 }
@@ -263,32 +297,44 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse(movieSchema(), "not sql")
 }
 
+// roundTripSQL are statements whose rendering must parse back to the same
+// canonical query.
+var roundTripSQL = []string{
+	"SELECT title FROM movie",
+	"SELECT DISTINCT title, year FROM movie",
+	"SELECT COUNT(*) FROM movie WHERE year > 1995",
+	"SELECT a.name FROM actor a JOIN starring s ON s.aid = a.aid",
+	"SELECT m.title, a.name, m.year FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.mid = m.mid WHERE a.gender = 'male' AND m.year < 1995 ORDER BY m.year ASC",
+	"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name HAVING COUNT(*) > 5 ORDER BY COUNT(*) DESC LIMIT 10",
+	"SELECT title FROM movie WHERE year < 1995 OR year > 2000",
+}
+
 // TestParsePrintRoundTrip parses, prints, re-parses and checks canonical
 // equality — the parser/printer agreement property.
 func TestParsePrintRoundTrip(t *testing.T) {
 	schema := movieSchema()
-	queries := []string{
-		"SELECT title FROM movie",
-		"SELECT DISTINCT title, year FROM movie",
-		"SELECT COUNT(*) FROM movie WHERE year > 1995",
-		"SELECT a.name FROM actor a JOIN starring s ON s.aid = a.aid",
-		"SELECT m.title, a.name, m.year FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.mid = m.mid WHERE a.gender = 'male' AND m.year < 1995 ORDER BY m.year ASC",
-		"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name HAVING COUNT(*) > 5 ORDER BY COUNT(*) DESC LIMIT 10",
-		"SELECT title FROM movie WHERE year < 1995 OR year > 2000",
-	}
-	for _, sql := range queries {
-		q1, err := Parse(schema, sql)
+	for _, sql := range roundTripSQL {
+		q, err := Parse(schema, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		q2, err := Parse(schema, q1.String())
-		if err != nil {
-			t.Fatalf("re-parse %q: %v", q1.String(), err)
-		}
-		if !sqlir.Equivalent(q1, q2) {
-			t.Errorf("round trip mismatch:\n  in:  %s\n  out: %s", q1.Canonical(), q2.Canonical())
+		if err := roundTrip(schema, q); err != nil {
+			t.Error(err)
 		}
 	}
+}
+
+// roundTrip checks that q's rendering parses back to q's canonical form.
+func roundTrip(schema *storage.Schema, q *sqlir.Query) error {
+	out := q.String()
+	q2, err := Parse(schema, out)
+	if err != nil {
+		return fmt.Errorf("re-parse %q: %v", out, err)
+	}
+	if !sqlir.Equivalent(q, q2) {
+		return fmt.Errorf("round trip mismatch:\n  in:  %s\n  out: %s", q.Canonical(), q2.Canonical())
+	}
+	return nil
 }
 
 func TestLexerTokens(t *testing.T) {
