@@ -38,7 +38,8 @@ func mixedWorkload() []request {
 		{"movies", Input{
 			NLQ:      "names of actors starring in movies after 2000",
 			Literals: []sqlir.Value{num(2000)},
-			Sketch:   &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}},
+			Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+				Tuples: []tsq.Tuple{{tsq.Exact(text("Sandra Bullock"))}}},
 		}},
 		{"movies", Input{
 			NLQ: "how many movies are there",
@@ -149,8 +150,11 @@ func TestSharedCacheDifferential(t *testing.T) {
 // requests, sequentially, for the reference. It then runs work on a shared
 // engine, concurrently and repeated so later rounds hit warm caches. Every
 // shared request has a faulty twin. The twins of round 0 run alone on the
-// cold caches, and each is cancelled 5 ms in, while its slow probes are
-// still filling shared entries.
+// cold caches, every join probe slowed, and each is cancelled 5 ms in, while
+// its slow probes are still filling shared entries. (Slowing them all is
+// what makes a probe fault certain to fire: a by-order scan stops once its
+// answer is settled, so the Movies/MAS requests make only a few dozen join
+// probes in all.)
 func differentialUnderFaults(t *testing.T, engine func(perRequest bool) *Engine, work []request) {
 	ref := engine(true)
 	want := make([][]string, len(work))
@@ -204,7 +208,7 @@ func differentialUnderFaults(t *testing.T, engine func(perRequest bool) *Engine,
 		for i := range work {
 			plan := faultPlan(int64(r*len(work) + i))
 			if r == 0 {
-				plan.VerifyErrRate, plan.CancelRate, plan.CancelAfter = 0, 1, 5*time.Millisecond
+				plan.ProbeRate, plan.VerifyErrRate, plan.CancelRate, plan.CancelAfter = 1, 0, 1, 5*time.Millisecond
 			}
 			inj := faultinject.New(plan)
 			injs = append(injs, inj)

@@ -56,6 +56,13 @@ func (c *JoinCache) PreviewCtx(ctx context.Context, q *sqlir.Query, maxRows int)
 	return execute(ctx, c.db, q, maxRows, &c.pc)
 }
 
+// AskCtx answers question about q's result without building the result: the
+// rows stream into the question, and the scan stops once its answer is
+// settled (see Question and ask).
+func (c *JoinCache) AskCtx(ctx context.Context, q *sqlir.Query, question Question) (bool, error) {
+	return ask(ctx, c.db, q, question, &c.pc)
+}
+
 // Exists answers an exists query, counting its work on this handle.
 func (c *JoinCache) Exists(eq ExistsQuery) (bool, error) {
 	return c.ExistsCtx(context.Background(), eq)

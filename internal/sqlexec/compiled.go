@@ -3,8 +3,10 @@
 // order, WHERE bound to the shallowest slot — and its tuples feed a sink
 // instead of a witness flag: projection straight off the column vectors,
 // DISTINCT on fixed-width vector keys, grouping through the grouped scan of
-// group.go, ORDER BY over result-sized data. No join is materialized:
-// per call, memory is the result plus the group states.
+// group.go, ORDER BY over what the sink keeps. No join is materialized: per
+// call, memory is the result plus the group states — and when the sink
+// answers a Question instead of building the result, only what the question
+// needs of it.
 //
 // The sink keeps two rules so that results equal the reference executor's
 // cell for cell, error for error:
@@ -30,35 +32,40 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// executeCompiled runs a complete query through the streaming pipeline,
-// returning at most maxRows rows when maxRows > 0. handled=false means the
-// query did not bind and the caller must run the reference executor.
-func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, maxRows int, pc *pipelineCounters) (res *Result, handled bool, err error) {
+// executeCompiled runs a complete query through the streaming pipeline into
+// a fresh copy of cfg, a sink configured with the caller's row cap (limit)
+// or question (ask), and returns the result's header and the filled sink.
+// handled=false means the query did not bind and the caller must run the
+// reference executor.
+func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, cfg rowSink, pc *pipelineCounters) (res *Result, out *rowSink, handled bool, err error) {
 	eq := ExistsQuery{From: q.From}
 	if q.WhereState == sqlir.ClausePresent {
 		eq.Conj, eq.Preds = q.Where.Conj, q.Where.Preds
 	}
 	plan, perr := buildStreamPlan(db, eq, false)
 	if perr != nil {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	res = &Result{}
 	for _, s := range q.Select {
 		ty, ok := db.Schema.Resolve(s.Col)
 		if !ok {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
 		res.Columns = append(res.Columns, s.String())
 		res.Types = append(res.Types, s.Agg.ResultType(ty))
 	}
 
-	sink := rowSink{distinct: q.Distinct, limit: maxRows}
-	if q.LimitSet && q.Limit > 0 && (maxRows <= 0 || q.Limit < maxRows) {
+	sink := cfg
+	sink.distinct = q.Distinct
+	if q.LimitSet && q.Limit > 0 && (sink.limit <= 0 || q.Limit < sink.limit) {
 		sink.limit = q.Limit
 	}
 	ordered := q.OrderByState == sqlir.ClausePresent
 	if ordered {
 		sink.ordered, sink.desc = true, q.OrderBy.Desc
+		sink.topK = sink.limit > 0
+		sink.sieve = sink.ask != nil && !sink.topK
 	}
 	inj := faultinject.From(ctx)
 	grouped := q.GroupByState == sqlir.ClausePresent || q.HasAggregate() ||
@@ -77,75 +84,81 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 			ok = ok && spec.bindAgg(plan, q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
 		}
 		if !ok {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
+		// Even a settled question has every group evaluated: a SUM/AVG
+		// over text the reference would reach must still fail the query.
+		sink.settled = sink.ask != nil && sink.ask.Columns(res.Types)
 		plan.countSeed(pc)
 		g, _, serr := plan.scanGroups(ctx, inj, pc, spec, nil)
 		if serr != nil {
-			return nil, true, serr
+			return nil, nil, true, serr
 		}
-		out := sink.fresh()
-		if err := out.addGroups(ctx, g, q); err != nil {
-			return nil, true, err
-		}
-		res.Rows = out.finish()
-		return res, true, nil
+		out, err = sink.fill(pc, func(out *rowSink, _ *pipelineCounters) error {
+			return out.addGroups(ctx, g, q)
+		})
+		return res, out, true, err
 	}
 
 	for _, s := range q.Select {
 		c, ok := plan.bindVec(s.Col)
 		if !ok {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
 		sink.sel = append(sink.sel, c)
 	}
 	if ordered {
 		c, ok := plan.bindVec(q.OrderBy.Key.Col)
 		if !ok {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
 		sink.order = c
-		sink.topK = sink.limit > 0
+	}
+	// A flat scan can fail only by cancellation, so a question settled by
+	// the column types needs no scan.
+	if sink.ask != nil && sink.ask.Columns(res.Types) {
+		sink.settled = true
+		return res, sink.fresh(), true, nil
 	}
 	plan.countSeed(pc)
-	// A top-k scan abandoned at a NaN key is redone in full: count the scan
-	// that answers, not both.
-	var attempt pipelineCounters
-	out, serr := plan.scanRows(ctx, inj, &attempt, sink)
-	if errors.Is(serr, errNaNOrderKey) {
-		sink.topK = false
-		out, serr = plan.scanRows(ctx, inj, pc, sink)
-	} else {
-		pc.merge(&attempt)
-	}
-	if serr != nil {
-		return nil, true, serr
-	}
-	res.Rows = out.finish()
-	return res, true, nil
+	out, err = sink.fill(pc, func(out *rowSink, pc *pipelineCounters) error {
+		_, err := plan.run(ctx, inj, pc, out.add)
+		return err
+	})
+	return res, out, true, err
 }
 
-// errNaNOrderKey aborts a top-k scan that meets a NaN ORDER BY key.
-// Value.Compare answers 0 for NaN against anything, so with a NaN among the
-// keys the comparison is no order at all and the reference result is
-// whatever its stable sort makes of the full sequence; the scan is then
-// redone keeping every row, and sorted exactly as the reference sorts.
+// errNaNOrderKey aborts a top-k or sieved fill that meets a NaN ORDER BY
+// key. Value.Compare answers 0 for NaN against anything, so with a NaN among
+// the keys the comparison is no order at all and the reference result is
+// whatever its stable sort makes of the full sequence — neither a top-k
+// prefix nor the sorted relevant rows can be derived from part of it. The
+// fill is then redone keeping every row, and sorted exactly as the
+// reference sorts.
 var errNaNOrderKey = errors.New("sqlexec: NaN ORDER BY key")
 
-// rowSink turns arriving tuples (or evaluated groups) into result rows:
-// DISTINCT keeps first arrivals; without ORDER BY the first limit rows end
-// the scan; with ORDER BY and a limit (topK) only rows that can still make
-// the first limit by (key, arrival) are kept, trimmed whenever twice that
-// many have piled up. The configuration fields are set by executeCompiled.
+// rowSink turns arriving tuples (or evaluated groups) into a result, or into
+// the answer to a question about it. DISTINCT keeps first arrivals; without
+// ORDER BY the first limit rows end the scan; with ORDER BY and a limit
+// (topK) only rows that can still make the first limit by (key, arrival)
+// are kept, trimmed whenever twice that many have piled up. The
+// configuration fields are set by executeCompiled.
 //
-// Kept rows live in parallel slices, each filled only when something reads
-// it, and the row headers themselves are not built while they can be derived
-// (see implicit): a plain projection — the shape whose result is as large as
-// the join — costs its cells as they arrive and one exactly-sized slice of
-// headers at the end, which is returned as the result. Appending a header
-// per row instead regrows that slice over and over and is a fifth more bytes
-// per scale_warm request (EXPERIMENTS.md, "What the row sink's deferred
-// headers buy"); that is all the deferral is for.
+// Asked a question (ask), the sink keeps what the question needs of each
+// query shape, not the result:
+//
+//   - no ORDER BY: nothing. Rows arrive in result order and go straight to
+//     the question, and a flat scan stops once its answer settles;
+//   - ORDER BY with a limit: the top k, offered in order at the end;
+//   - ORDER BY without a limit (sieve): only the rows the question finds
+//     Relevant, with their keys, sorted stably at the end; the others are
+//     counted. Restricted to any subsequence, a stable sort by a total
+//     preorder is the stable sort of that subsequence, so the relevant rows
+//     come out in their result order — unless a key is NaN (errNaNOrderKey).
+//
+// DISTINCT still keeps every distinct row's key bytes. A grouped query's
+// groups are all evaluated whatever the question settled, so its errors
+// stay the reference's.
 type rowSink struct {
 	sel      []boundCol // projection; nil when rows arrive evaluated (addRow)
 	order    boundCol
@@ -154,13 +167,9 @@ type rowSink struct {
 	distinct bool
 	topK     bool // ORDER BY with a limit: only the first limit rows by (key, arrival) are wanted
 	limit    int  // 0 = none
-
-	// implicit: every row so far came through add and none has been moved or
-	// dropped, so the rows are exactly the w-cell windows of slabs, in order,
-	// and rows is not built until headers needs it.
-	implicit bool
-	slabs    [][]sqlir.Value
-	kept     int // rows held, built or not
+	ask      Question
+	sieve    bool // asked, ORDER BY without a limit: keep only relevant rows
+	settled  bool // asked: the question's answer is settled
 
 	rows [][]sqlir.Value
 	keys []sqlir.Value // ORDER BY keys (ordered)
@@ -169,19 +178,35 @@ type rowSink struct {
 	n    int64 // rows let through DISTINCT so far
 	seen map[string]struct{}
 	buf  []byte
+	row  []sqlir.Value // the row being offered, reused
 	cut  bool          // topK: limit rows are known, and (bKey, bSeq) is the worst of them
 	bKey sqlir.Value   // the bound's key
 	bSeq int64         // the bound's arrival number
-	slab []sqlir.Value // backing store the next projections are cut from
+	slab []sqlir.Value // backing store the next kept rows are cut from
 }
 
 // fresh returns an empty sink with s's configuration.
 func (s rowSink) fresh() *rowSink {
-	s.implicit = s.sel != nil
 	if s.distinct {
 		s.seen = map[string]struct{}{}
 	}
 	return &s
+}
+
+// fill runs f into a fresh copy of cfg. A top-k or sieved fill abandoned at
+// a NaN ORDER BY key is redone keeping every row; only the fill that answers
+// is counted.
+func (cfg rowSink) fill(pc *pipelineCounters, f func(out *rowSink, pc *pipelineCounters) error) (*rowSink, error) {
+	var attempt pipelineCounters
+	out := cfg.fresh()
+	err := f(out, &attempt)
+	if errors.Is(err, errNaNOrderKey) {
+		cfg.topK, cfg.sieve = false, false
+		out = cfg.fresh()
+		return out, f(out, pc)
+	}
+	pc.merge(&attempt)
+	return out, err
 }
 
 // before reports whether a row with key a arriving as number sa precedes one
@@ -206,6 +231,17 @@ func (s *rowSink) admit() bool {
 	return true
 }
 
+// number gives an admitted row its arrival number and reports whether it
+// can reach the result: not when a top-k bound already beats it.
+func (s *rowSink) number(key sqlir.Value) (seq int64, want bool, err error) {
+	seq = s.n
+	s.n++
+	if (s.topK || s.sieve) && key.Kind == sqlir.KindNumber && key.Num != key.Num {
+		return seq, false, errNaNOrderKey
+	}
+	return seq, !s.topK || !s.cut || s.before(key, seq, s.bKey, s.bSeq), nil
+}
+
 // add is the scan's emit: project one joined tuple.
 func (s *rowSink) add(tp []int32) (stop bool, err error) {
 	if s.distinct {
@@ -217,86 +253,86 @@ func (s *rowSink) add(tp []int32) (stop bool, err error) {
 	if !s.admit() {
 		return false, nil
 	}
-	seq := s.n
-	s.n++
 	var key sqlir.Value
 	if s.ordered {
 		key = s.order.value(tp)
-		if s.topK {
-			if key.Kind == sqlir.KindNumber && key.Num != key.Num {
-				return true, errNaNOrderKey
-			}
-			if s.cut && !s.before(key, seq, s.bKey, s.bSeq) {
-				return false, nil
-			}
-		}
 	}
-	w := len(s.sel)
-	if len(s.slab) < w {
-		s.slab = make([]sqlir.Value, w*min(max(2*s.kept, 4), 256))
-		if s.implicit {
-			s.slabs = append(s.slabs, s.slab)
-		}
+	seq, want, err := s.number(key)
+	if !want {
+		return err != nil, err
 	}
-	vals := s.slab[:w:w]
-	s.slab = s.slab[w:]
-	for i, c := range s.sel {
-		vals[i] = c.value(tp)
+	s.row = s.row[:0]
+	for _, c := range s.sel {
+		s.row = append(s.row, c.value(tp))
 	}
-	return s.keep(vals, key, seq), nil
+	return s.take(key, seq), nil
 }
 
-// addRow takes one evaluated row (a group's).
-func (s *rowSink) addRow(vals []sqlir.Value, key sqlir.Value) {
+// addRow takes one evaluated row (a group's), in s.row.
+func (s *rowSink) addRow(key sqlir.Value) error {
 	if s.distinct {
 		s.buf = s.buf[:0]
-		for _, v := range vals {
+		for _, v := range s.row {
 			s.buf = appendValueKey(s.buf, v)
 		}
 	}
-	if s.admit() {
-		s.keep(vals, key, s.n)
-		s.n++
+	if !s.admit() {
+		return nil
+	}
+	seq, want, err := s.number(key)
+	if want {
+		s.take(key, seq)
+	}
+	return err
+}
+
+// take hands the row in s.row to the question or keeps it, reporting
+// whether the scan may stop.
+func (s *rowSink) take(key sqlir.Value, seq int64) (stop bool) {
+	switch {
+	case s.settled:
+		return true
+	case s.ask == nil || s.topK || s.ordered && !s.sieve:
+		s.keep(key, seq)
+		return s.full()
+	case s.sieve:
+		if s.ask.Relevant(s.row) {
+			s.keep(key, seq)
+		}
+		return false
+	case s.limit > 0 && seq >= int64(s.limit):
+		return true // a grouped query's groups past the limit are evaluated, not offered
+	default:
+		s.settled = s.ask.Row(s.row)
+		return s.settled || s.limit > 0 && seq+1 >= int64(s.limit)
 	}
 }
 
 // full reports that no later arrival can change the result: without ORDER
 // BY, the first limit rows are the result.
 func (s *rowSink) full() bool {
-	return !s.ordered && s.limit > 0 && s.kept >= s.limit
+	return !s.ordered && s.limit > 0 && len(s.rows) >= s.limit
 }
 
-// headers builds rows, if that has been put off, and ends the putting off.
-func (s *rowSink) headers() {
-	if !s.implicit {
-		return
+// keep stores a copy of s.row.
+func (s *rowSink) keep(key sqlir.Value, seq int64) {
+	w := len(s.row)
+	if len(s.slab) < w {
+		s.slab = make([]sqlir.Value, w*min(max(2*len(s.rows), 4), 256))
 	}
-	w := len(s.sel)
-	s.rows = make([][]sqlir.Value, 0, s.kept)
-	for _, slab := range s.slabs {
-		for ; len(slab) >= w && len(s.rows) < s.kept; slab = slab[w:] {
-			s.rows = append(s.rows, slab[:w:w])
-		}
-	}
-	s.implicit, s.slabs = false, nil
-}
-
-// keep stores a row, reporting whether the scan may stop.
-func (s *rowSink) keep(vals []sqlir.Value, key sqlir.Value, seq int64) (stop bool) {
-	s.kept++
-	if !s.implicit {
-		s.rows = append(s.rows, vals)
-	}
+	vals := s.slab[:w:w]
+	s.slab = s.slab[w:]
+	copy(vals, s.row)
+	s.rows = append(s.rows, vals)
 	if s.ordered {
 		s.keys = append(s.keys, key)
 	}
 	if s.topK {
 		s.seqs = append(s.seqs, seq)
+		if len(s.rows) >= 2*s.limit+16 {
+			s.trim()
+		}
 	}
-	if s.topK && s.kept >= 2*s.limit+16 {
-		s.trim()
-	}
-	return s.full()
 }
 
 // identity is the permutation that moves nothing.
@@ -325,14 +361,12 @@ func permute[T any](s []T, p []int, n int) []T {
 // excluded, so this is the prefix the reference's stable sort of everything
 // would produce.
 func (s *rowSink) trim() {
-	s.headers()
 	p := identity(len(s.rows))
 	sort.Slice(p, func(i, j int) bool {
 		return s.before(s.keys[p[i]], s.seqs[p[i]], s.keys[p[j]], s.seqs[p[j]])
 	})
 	n := min(len(p), s.limit)
 	s.rows, s.keys, s.seqs = permute(s.rows, p, n), permute(s.keys, p, n), permute(s.seqs, p, n)
-	s.kept = n
 	if n == s.limit {
 		s.cut, s.bKey, s.bSeq = true, s.keys[n-1], s.seqs[n-1]
 	}
@@ -340,7 +374,6 @@ func (s *rowSink) trim() {
 
 // finish orders and cuts the kept rows.
 func (s *rowSink) finish() [][]sqlir.Value {
-	s.headers()
 	switch {
 	case s.topK:
 		s.trim()
@@ -367,12 +400,25 @@ func (s *rowSink) finish() [][]sqlir.Value {
 	return s.rows
 }
 
-// scanRows streams the plan's tuples through a fresh copy of cfg (a
-// configured, empty sink) and returns it holding the result.
-func (p *streamPlan) scanRows(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, cfg rowSink) (*rowSink, error) {
-	out := cfg.fresh()
-	_, err := p.run(ctx, inj, pc, out.add)
-	return out, err
+// answer offers the kept rows, in result order, to the question and returns
+// its answer. Streamed and sieved rows were counted as they arrived: the
+// result is every admitted row, up to the limit.
+func (s *rowSink) answer() bool {
+	rows := s.finish()
+	total := len(rows)
+	if !s.ordered || s.sieve {
+		total = int(s.n)
+		if s.limit > 0 {
+			total = min(total, s.limit)
+		}
+	}
+	for _, r := range rows {
+		if s.settled {
+			break
+		}
+		s.settled = s.ask.Row(r)
+	}
+	return s.ask.Answer(total)
 }
 
 // addGroups evaluates a grouped scan's groups in discovery order, lazily and
@@ -402,13 +448,13 @@ func (s *rowSink) addGroups(ctx context.Context, g *groups, q *sqlir.Query) erro
 				continue
 			}
 		}
-		vals := make([]sqlir.Value, len(sel))
-		for i, a := range sel {
+		s.row = s.row[:0]
+		for _, a := range sel {
 			v, err := st.value(a)
 			if err != nil {
 				return err
 			}
-			vals[i] = v
+			s.row = append(s.row, v)
 		}
 		var key sqlir.Value
 		if s.ordered {
@@ -417,7 +463,9 @@ func (s *rowSink) addGroups(ctx context.Context, g *groups, q *sqlir.Query) erro
 				return err
 			}
 		}
-		s.addRow(vals, key)
+		if err := s.addRow(key); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -50,10 +50,14 @@ func ExecuteCtx(ctx context.Context, db *storage.Database, q *sqlir.Query) (*Res
 // which order, and with which message.
 func execute(ctx context.Context, db *storage.Database, q *sqlir.Query, maxRows int, pc *pipelineCounters) (*Result, error) {
 	if q == nil || !q.Complete() {
-		return nil, fmt.Errorf("sqlexec: query is not complete: %v", q)
+		return nil, errNotComplete(q)
 	}
-	if res, handled, err := executeCompiled(ctx, db, q, maxRows, pc); handled {
-		return res, err
+	if res, out, handled, err := executeCompiled(ctx, db, q, rowSink{limit: maxRows}, pc); handled {
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = out.finish()
+		return res, nil
 	}
 	pc.add(&pc.joinsBuilt, 1)
 	res, err := executeReference(ctx, db, q)
@@ -61,6 +65,10 @@ func execute(ctx context.Context, db *storage.Database, q *sqlir.Query, maxRows 
 		res.Rows = res.Rows[:maxRows]
 	}
 	return res, err
+}
+
+func errNotComplete(q *sqlir.Query) error {
+	return fmt.Errorf("sqlexec: query is not complete: %v", q)
 }
 
 // executeReference is the materializing executor: join the whole path, then

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -69,6 +70,12 @@ func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {
 	}
 	return existsOn(context.Background(), db, rel, eq)
 }
+
+// ColumnarDB and RandomColumnarQuery hand the NULL-heavy, NaN-sprinkled
+// property-test database and its query generator to the external package.
+func ColumnarDB(seed int64, rows int) *storage.Database { return columnarDB(seed, rows) }
+
+func RandomColumnarQuery(r *rand.Rand) *sqlir.Query { return randomColumnarQuery(r) }
 
 // DiffExecute runs q on the materializing reference executor and on the
 // compiled pipeline — uncapped and with a preview cap of 2 rows — and

@@ -25,6 +25,12 @@ import (
 type Dict struct {
 	strs  []string
 	codes map[string]uint32
+	// root is set on a frozen dictionary that shares an earlier frozen
+	// dictionary's lookup map: codes then holds only the codes interned
+	// since root, and Lookup probes it before root (see freeze).
+	root *Dict
+	// live is the live dictionary a frozen one was captured from.
+	live *Dict
 	// blob, when non-empty, is the concatenation of strs in code order — the
 	// segment loader slices a bulk-adopted dictionary out of one backing
 	// string and records it here, letting columnFingerprint fold the whole
@@ -77,9 +83,52 @@ func (d *Dict) intern(s string) uint32 {
 // Lookup returns the code for s, reporting whether s is interned. A miss
 // means no row of the column holds s.
 func (d *Dict) Lookup(s string) (uint32, bool) {
+	if d.root != nil {
+		if c, ok := d.codes[s]; ok {
+			return c, true
+		}
+		return d.root.Lookup(s)
+	}
 	d.ensureMap()
 	c, ok := d.codes[s]
 	return c, ok
+}
+
+// freeze returns a frozen copy of the live dictionary d at its current size.
+// The copy shares the interned strings (the blob survives even if a later
+// intern clears the live one: the clamped prefix still matches the adopted
+// concatenation) but not the live lookup map, which keeps growing. prev is
+// the previous epoch's frozen copy of the same column's dictionary, or nil.
+//
+// Cloning the whole map per epoch made the dictionaries a retained epoch's
+// largest cost, so a copy shares a root's map instead: the root is prev's
+// root (prev itself if it has none) and the copy's own map holds only the
+// codes interned since it, so a lookup is at most two probes and chains are
+// one link long. A copy becomes a root of its own — a bucket copy of the
+// live map, or a lazy build when the live map does not exist yet — when
+// there is no such root, when prev was captured from another live
+// dictionary, or when the delta would exceed an eighth of the root.
+func (d *Dict) freeze(prev *Dict) *Dict {
+	size := len(d.strs)
+	fd := &Dict{strs: d.strs[:size:size], blob: d.blob, live: d}
+	root := prev
+	if root != nil && root.root != nil {
+		root = root.root
+	}
+	if root != nil && root.live == d && size-root.Size() <= root.Size()/8 {
+		fd.root = root
+		if n := root.Size(); size > n {
+			fd.codes = make(map[string]uint32, size-n)
+			for c := n; c < size; c++ {
+				fd.codes[d.strs[c]] = uint32(c)
+			}
+		}
+		return fd
+	}
+	if d.codes != nil {
+		fd.codes = maps.Clone(d.codes)
+	}
+	return fd
 }
 
 // String returns the interned string for a code.

@@ -25,7 +25,6 @@ package storage
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -66,7 +65,9 @@ type dbView struct {
 // Each clamp seals the vector: the full-slice expressions pin length and
 // capacity so a reader can never observe a later in-place append, and
 // sealedWords arms the null-bitmap copy-on-write for the boundary word.
-func (t *Table) captureView() *tableView {
+// prev is the table's view in the previous epoch, or nil; its frozen
+// dictionaries are what the new ones share lookup maps with (Dict.freeze).
+func (t *Table) captureView(prev *tableView) *tableView {
 	tv := &tableView{gen: t.gen.Load(), cols: make([]ColumnVec, len(t.vecs))}
 	for i := range t.vecs {
 		v := &t.vecs[i]
@@ -79,20 +80,11 @@ func (t *Table) captureView() *tableView {
 			nullCount: v.nullCount,
 		}
 		if v.dict != nil {
-			// The frozen dictionary shares the interned strings (clamped at
-			// the current size) but owns its lookup map: the live
-			// dictionary's map keeps growing under intern, and the blob
-			// survives here even if a later intern clears the live one (the
-			// clamped prefix still matches the adopted concatenation). When
-			// the live map exists it is cloned outright — under the write
-			// lock it covers exactly the clamped strings, and maps.Clone is
-			// a bucket copy, so an epoch boundary never re-hashes the whole
-			// dictionary (ensureMap skips the build when codes is pre-set).
-			size := len(v.dict.strs)
-			fv.dict = &Dict{strs: v.dict.strs[:size:size], blob: v.dict.blob}
-			if v.dict.codes != nil {
-				fv.dict.codes = maps.Clone(v.dict.codes)
+			var pd *Dict
+			if prev != nil {
+				pd = prev.cols[i].dict
 			}
+			fv.dict = v.dict.freeze(pd)
 		}
 		v.sealedWords = len(v.nulls)
 		tv.cols[i] = fv
@@ -154,18 +146,22 @@ func (d *Database) publishLocked() *dbView {
 	d.epochSeq++
 	nv := &dbView{epoch: d.epochSeq, tables: make([]*tableView, len(d.Schema.Tables))}
 	for i, t := range d.Schema.Tables {
-		if prev != nil && i < len(prev.tables) && prev.tables[i].gen == t.gen.Load() {
-			nv.tables[i] = prev.tables[i]
+		var ptv *tableView
+		if prev != nil && i < len(prev.tables) {
+			ptv = prev.tables[i]
+		}
+		if ptv != nil && ptv.gen == t.gen.Load() {
+			nv.tables[i] = ptv
 			continue
 		}
-		ntv := t.captureView()
-		if prev != nil && i < len(prev.tables) {
+		ntv := t.captureView(ptv)
+		if ptv != nil {
 			// Hand the new view the previous epoch's frozen table so the new
 			// epoch's first reader extends its warm code indexes with just
 			// the appended rows (Table.adoptBase). Requiring adopted here
 			// also bounds base chains: an adopted table has dropped its own
 			// base, so links never accumulate transitively.
-			if pt := prev.tables[i].tbl.Load(); pt != nil && pt.adopted.Load() {
+			if pt := ptv.tbl.Load(); pt != nil && pt.adopted.Load() {
 				ntv.base = pt
 			}
 		}

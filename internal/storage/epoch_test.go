@@ -70,6 +70,65 @@ func checkRows(t *testing.T, tb *Table, n int) {
 	}
 }
 
+// TestSnapshotDictSharesRootMap: on every retained epoch, a text column's
+// frozen dictionary answers Lookup exactly as a map freshly built from its
+// own strings — every string it holds at its code, every string interned
+// after it missing — while sharing an earlier epoch's map (one link deep)
+// instead of cloning the live one each time. The first batch is adopted
+// from a dictionary-encoded payload, so the first root builds its map
+// lazily; later batches intern a few new strings each, so the delta
+// outgrows an eighth of its root several times over.
+func TestSnapshotDictSharesRootMap(t *testing.T) {
+	db, _ := epochDB()
+	seed := make([]string, 64)
+	codes := make([]uint32, len(seed))
+	for i := range seed {
+		seed[i] = fmt.Sprintf("seed%d", i)
+		codes[i] = uint32(i)
+	}
+	if _, err := db.Append("ev", []ColumnData{{Nums: make([]float64, len(seed))}, {Codes: codes, Dict: seed}}); err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*Database{db.Snapshot()}
+	for e := 0; e < 60; e++ {
+		texts := []string{fmt.Sprintf("new%d", e), fmt.Sprintf("new%d", e/2), "seed3"}
+		if _, err := db.Append("ev", []ColumnData{{Nums: make([]float64, len(texts))}, {Texts: texts}}); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, db.Snapshot())
+		if e%7 == 0 {
+			snaps[len(snaps)-1].Table("ev").Vector("name").Dict().Lookup("seed0")
+		}
+	}
+	all := db.Schema.Table("ev").Vector("name").Dict().Strings()
+	shared, roots := 0, 0
+	for ei, snap := range snaps {
+		d := snap.Table("ev").Vector("name").Dict()
+		switch {
+		case d.root == nil:
+			roots++
+		case d.root.root != nil:
+			t.Fatalf("epoch %d: dictionary chain is two links deep", ei)
+		default:
+			shared++
+		}
+		fresh := map[string]uint32{}
+		for c, s := range d.Strings() {
+			fresh[s] = uint32(c)
+		}
+		for _, s := range all {
+			want, wok := fresh[s]
+			if got, ok := d.Lookup(s); ok != wok || got != want {
+				t.Fatalf("epoch %d: Lookup(%q) = %d, %v; its strings say %d, %v", ei, s, got, ok, want, wok)
+			}
+		}
+	}
+	if shared == 0 || roots < 3 {
+		t.Errorf("%d shared and %d root dictionaries over %d epochs: sharing or re-rooting never happened", shared, roots, len(snaps))
+	}
+	t.Logf("%d epochs: %d roots, %d sharing a root's map", len(snaps), roots, shared)
+}
+
 // TestSnapshotNullBoundaryCOW publishes a snapshot mid null-bitmap word and
 // appends NULL-bearing rows into the same word: the snapshot must keep its
 // pre-append bits (copy-on-write), the head must see the new ones.

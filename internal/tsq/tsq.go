@@ -1,7 +1,8 @@
 // Package tsq implements the table sketch query (Definitions 2.3 and 2.4):
 // the PBE-like half of Duoquest's dual specification. A TSQ carries optional
 // column type annotations, optional example tuples whose cells may be exact,
-// empty, or ranges, a sorted flag, and a top-k limit.
+// empty, or ranges, a sorted flag, and a top-k limit. Satisfaction is
+// decided row by row (Matcher), so it can be asked while a result streams.
 package tsq
 
 import (
@@ -191,31 +192,11 @@ func (t *TSQ) String() string {
 //  4. if k > 0, the result has at most k rows.
 //
 // The result's column count must equal the TSQ width when the TSQ
-// constrains columns at all.
+// constrains columns at all. It is the Matcher fed the result's rows in
+// order; sqlexec.JoinCache.AskCtx asks the same Matcher without building
+// the result.
 func (t *TSQ) Satisfies(res *sqlexec.Result) bool {
-	if res == nil {
-		return false
-	}
-	if w := t.Width(); w > 0 && len(res.Types) != w {
-		return false
-	}
-	if len(t.Types) > 0 {
-		for i, ty := range t.Types {
-			if ty != sqlir.TypeUnknown && res.Types[i] != ty {
-				return false
-			}
-		}
-	}
-	if t.Limit > 0 && len(res.Rows) > t.Limit {
-		return false
-	}
-	if len(t.Tuples) == 0 {
-		return true
-	}
-	if t.Sorted {
-		return matchInOrder(t.Tuples, res.Rows)
-	}
-	return matchDistinct(t.Tuples, res.Rows)
+	return res != nil && res.Ask(t.Matcher())
 }
 
 // tupleMatchesRow checks every cell.
@@ -231,63 +212,176 @@ func tupleMatchesRow(tp Tuple, row []sqlir.Value) bool {
 	return true
 }
 
-// matchInOrder greedily assigns each example tuple the earliest matching row
-// after the previous assignment (order-respecting distinct matching; greedy
-// earliest-match is exact for subsequence matching).
-func matchInOrder(tuples []Tuple, rows [][]sqlir.Value) bool {
-	next := 0
-	for _, tp := range tuples {
-		found := -1
-		for i := next; i < len(rows); i++ {
-			if tupleMatchesRow(tp, rows[i]) {
-				found = i
-				break
-			}
+// Matcher decides Definition 2.4 for one result whose rows arrive one at a
+// time, in result order, keeping O(|tuples|²) state however many rows pass
+// — the sqlexec.Question by-order verification asks on the stream. Build
+// one per result with TSQ.Matcher.
+//
+// The result is a bag (a list when sorted): "a distinct result tuple" is a
+// distinct occurrence, so two equal rows can satisfy two equal example
+// tuples. That is why the question is asked of every row occurrence the
+// query yields, and deduplicated only by the query's own DISTINCT — under
+// bag semantics (Zhou et al.) an occurrence count is part of the answer.
+//
+//   - Sorted: a pointer to the first example tuple not yet matched advances
+//     on the first row that matches it. Greedy earliest match is exact for
+//     subsequence matching.
+//   - Unsorted: a maximum matching of example tuples onto the rows seen so
+//     far, grown by one augmenting-path search per row that matches some
+//     tuple. A tuple records at most |tuples| candidate rows: by Hall's
+//     condition a tuple with that many candidates can always be matched
+//     last, whatever the other tuples take, so later candidates cannot
+//     change whether a perfect matching exists.
+//   - Limit: a row past k makes the answer false.
+type Matcher struct {
+	t       *TSQ
+	rows    int  // rows offered
+	settled bool // no later row can change the answer
+	answer  bool // valid once settled
+
+	next int // sorted: example tuples matched in order so far
+
+	// unsorted: the matching over the rows kept as some tuple's candidate
+	matched int
+	cands   []int   // per tuple, candidate rows recorded (at most len(tuples))
+	owner   []int   // per tuple, the kept row it is matched to, or -1
+	adj     [][]int // per kept row, the tuples it is a recorded candidate of
+	visit   []int   // per tuple, the search that last reached it
+	search  int
+}
+
+// Matcher returns a fresh matcher for one result.
+func (t *TSQ) Matcher() *Matcher {
+	m := &Matcher{t: t}
+	if !t.Sorted {
+		n := len(t.Tuples)
+		m.cands, m.owner, m.visit = make([]int, n), make([]int, n), make([]int, n)
+		for i := range m.owner {
+			m.owner[i] = -1
 		}
-		if found < 0 {
-			return false
-		}
-		next = found + 1
 	}
+	return m
+}
+
+func (m *Matcher) settle(answer bool) bool {
+	m.settled, m.answer = true, answer
 	return true
 }
 
-// matchDistinct finds a perfect matching of example tuples onto distinct
-// result rows via augmenting paths (tuple counts are small; rows may be
-// many).
-func matchDistinct(tuples []Tuple, rows [][]sqlir.Value) bool {
-	// candidate rows per tuple
-	cand := make([][]int, len(tuples))
-	for i, tp := range tuples {
-		for j, row := range rows {
-			if tupleMatchesRow(tp, row) {
-				cand[i] = append(cand[i], j)
-			}
-		}
-		if len(cand[i]) == 0 {
-			return false
+// done reports that every example tuple is matched.
+func (m *Matcher) done() bool {
+	if m.t.Sorted {
+		return m.next == len(m.t.Tuples)
+	}
+	return m.matched == len(m.t.Tuples)
+}
+
+// Columns checks the result's width and column types against the sketch. It
+// reports whether the answer is settled before any row: false on a
+// mismatch, true when the sketch has neither tuples nor a limit.
+func (m *Matcher) Columns(types []sqlir.Type) (settled bool) {
+	t := m.t
+	if w := t.Width(); w > 0 && len(types) != w {
+		return m.settle(false)
+	}
+	for i, ty := range t.Types {
+		if ty != sqlir.TypeUnknown && types[i] != ty {
+			return m.settle(false)
 		}
 	}
-	rowOwner := map[int]int{} // row -> tuple
-	var try func(i int, visited map[int]bool) bool
-	try = func(i int, visited map[int]bool) bool {
-		for _, r := range cand[i] {
-			if visited[r] {
-				continue
-			}
-			visited[r] = true
-			owner, taken := rowOwner[r]
-			if !taken || try(owner, visited) {
-				rowOwner[r] = i
-				return true
-			}
+	if t.Limit == 0 && m.done() {
+		return m.settle(true)
+	}
+	return false
+}
+
+// Relevant reports whether some example tuple matches the row: a row for
+// which it is false only counts toward the limit, wherever it comes.
+func (m *Matcher) Relevant(row []sqlir.Value) bool {
+	for _, tp := range m.t.Tuples {
+		if tupleMatchesRow(tp, row) {
+			return true
 		}
+	}
+	return false
+}
+
+// Row takes the result's next row and reports whether the answer is
+// settled. The matcher keeps nothing of row.
+func (m *Matcher) Row(row []sqlir.Value) (settled bool) {
+	if m.settled {
+		return true
+	}
+	t := m.t
+	m.rows++
+	if t.Limit > 0 && m.rows > t.Limit {
+		return m.settle(false)
+	}
+	switch {
+	case m.done():
+	case t.Sorted:
+		if tupleMatchesRow(t.Tuples[m.next], row) {
+			m.next++
+		}
+	default:
+		m.add(row)
+	}
+	if t.Limit == 0 && m.done() {
+		return m.settle(true)
+	}
+	return false
+}
+
+// add records the row as a candidate of every matching tuple that still
+// wants candidates, then searches for an augmenting path from it. The
+// matching was maximum without the row, so any augmenting path now ends at
+// the row, and one search finds it if it exists.
+func (m *Matcher) add(row []sqlir.Value) {
+	n := len(m.t.Tuples)
+	var ts []int
+	for i, tp := range m.t.Tuples {
+		if m.cands[i] < n && tupleMatchesRow(tp, row) {
+			ts = append(ts, i)
+		}
+	}
+	if ts == nil {
+		return
+	}
+	for _, i := range ts {
+		m.cands[i]++
+	}
+	m.adj = append(m.adj, ts)
+	m.search++
+	if m.augment(len(m.adj) - 1) {
+		m.matched++
+	}
+}
+
+// augment looks for an alternating path from kept row r to an unmatched
+// tuple and, finding one, flips it.
+func (m *Matcher) augment(r int) bool {
+	for _, i := range m.adj[r] {
+		if m.visit[i] == m.search {
+			continue
+		}
+		m.visit[i] = m.search
+		if m.owner[i] < 0 || m.augment(m.owner[i]) {
+			m.owner[i] = r
+			return true
+		}
+	}
+	return false
+}
+
+// Answer is the answer for a result of rows rows whose rows have been
+// offered up to the point the answer settled, and whose rows that Relevant
+// accepts have all been offered, in order.
+func (m *Matcher) Answer(rows int) bool {
+	if m.settled {
+		return m.answer
+	}
+	if m.t.Limit > 0 && rows > m.t.Limit {
 		return false
 	}
-	for i := range tuples {
-		if !try(i, map[int]bool{}) {
-			return false
-		}
-	}
-	return true
+	return m.done()
 }

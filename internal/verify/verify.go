@@ -13,7 +13,8 @@
 //	VerifyByRow        — per-tuple existence under the partial query (DB)
 //	VerifyLiterals     — complete queries must use all NLQ literals
 //	VerifyByOrder      — complete queries must satisfy the full TSQ
-//	                     (ordering, distinctness, limit) by execution
+//	                     (ordering, distinctness, limit), asked of the
+//	                     result as it streams, with an early exit
 package verify
 
 import (
@@ -1042,19 +1043,26 @@ func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 	return pass()
 }
 
-// verifyByOrder executes the complete query and checks full TSQ
-// satisfaction — Definition 2.4's distinct matching, ordering (when τ=⊤ and
-// at least two tuples exist), and row limit. This is the final soundness
-// gate: every emitted candidate satisfies the TSQ. The caller has checked
-// that there is a TSQ.
+// verifyByOrder checks full TSQ satisfaction of the complete query's result
+// — Definition 2.4's distinct matching, ordering (when τ=⊤), and row limit —
+// by asking the TSQ's Matcher on the stream (sqlexec.JoinCache.AskCtx): the
+// result is never built, and the scan stops once the answer is settled.
+// This is the final soundness gate: every emitted candidate satisfies the
+// TSQ. The caller has checked that there is a TSQ.
 func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, error) {
 	v.countDBQuery()
-	res, err := v.joins.ExecuteCtx(ctx, q)
+	ok, err := askByOrder(ctx, v.joins, q, v.sketch)
 	if err != nil {
 		return pass(), err
 	}
-	if !v.sketch.Satisfies(res) {
+	if !ok {
 		return fail(StageByOrder, "result does not satisfy the TSQ"), nil
 	}
 	return pass(), nil
+}
+
+// askByOrder is by-order verification's question. It is a variable so that
+// a test can check every answer against Satisfies(ExecuteCtx(q)).
+var askByOrder = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ) (bool, error) {
+	return jc.AskCtx(ctx, q, sketch.Matcher())
 }
