@@ -565,12 +565,9 @@ func (s *server) dbs(w http.ResponseWriter, r *http.Request) {
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
 	type cacheJSON struct {
-		StreamedExists int64   `json:"streamed_exists"`
-		FallbackExists int64   `json:"fallback_exists"`
-		IndexSeeds     int64   `json:"index_seeds"`
-		IndexProbes    int64   `json:"index_probes"`
-		JoinsBuilt     int64   `json:"joins_built"` // reference-executor fallbacks
-		StreamedRate   float64 `json:"streamed_rate"`
+		StreamedExists int64 `json:"streamed_exists"`
+		IndexSeeds     int64 `json:"index_seeds"`
+		IndexProbes    int64 `json:"index_probes"`
 	}
 	type dictJSON struct {
 		Table   string `json:"table"`
@@ -599,9 +596,8 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		LoadMS       float64 `json:"load_ms,omitempty"`
 	}
 	type epochJSON struct {
-		Epoch        int64   `json:"epoch"`
-		Requests     int64   `json:"requests"`
-		StreamedRate float64 `json:"streamed_rate"`
+		Epoch    int64 `json:"epoch"`
+		Requests int64 `json:"requests"`
 	}
 	type dbJSON struct {
 		Database         string  `json:"database"`
@@ -615,7 +611,7 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		P95MS            float64 `json:"p95_ms"`
 		// Epoch visibility: the published head, Engine.Append batches
 		// accepted, live/retired cache shards, per-request epoch lag, and
-		// each live shard's cache hit rates.
+		// the requests each live shard served.
 		HeadEpoch     int64       `json:"head_epoch"`
 		Appends       int64       `json:"appends"`
 		EpochsLive    int         `json:"epochs_live"`
@@ -676,11 +672,7 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		}
 		epochs := []epochJSON{}
 		for _, ep := range d.Epochs {
-			epochs = append(epochs, epochJSON{
-				Epoch:        ep.Epoch,
-				Requests:     ep.Requests,
-				StreamedRate: ep.StreamedRate,
-			})
+			epochs = append(epochs, epochJSON{Epoch: ep.Epoch, Requests: ep.Requests})
 		}
 		out.Databases = append(out.Databases, dbJSON{
 			Database:            d.Database,
@@ -704,11 +696,8 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 			CancelToReturnP99NS: d.CancelP99.Nanoseconds(),
 			Cache: cacheJSON{
 				StreamedExists: d.Cache.Pipeline.StreamedExists,
-				FallbackExists: d.Cache.Pipeline.FallbackExists,
 				IndexSeeds:     d.Cache.Pipeline.IndexSeeds,
 				IndexProbes:    d.Cache.Pipeline.IndexProbes,
-				JoinsBuilt:     d.Cache.Pipeline.JoinsBuilt,
-				StreamedRate:   d.Cache.StreamedRate,
 			},
 			Storage: sto,
 		})

@@ -359,14 +359,11 @@ func TestStatsEndpoint(t *testing.T) {
 		InFlight  int64 `json:"in_flight"`
 		Admitted  int64 `json:"admitted"`
 		Databases []struct {
-			Database string  `json:"database"`
-			Requests int64   `json:"requests"`
-			P50MS    float64 `json:"p50_ms"`
-			Cache    struct {
-				StreamedExists int64   `json:"streamed_exists"`
-				StreamedRate   float64 `json:"streamed_rate"`
-			} `json:"cache"`
-			Storage struct {
+			Database string             `json:"database"`
+			Requests int64              `json:"requests"`
+			P50MS    float64            `json:"p50_ms"`
+			Cache    map[string]float64 `json:"cache"`
+			Storage  struct {
 				Rows        int   `json:"rows"`
 				VectorBytes int64 `json:"vector_bytes"`
 				DictBytes   int64 `json:"dict_bytes"`
@@ -393,8 +390,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if mas.Database != "mas" || mas.Requests != 1 || mas.P50MS <= 0 {
 		t.Errorf("mas stats = %+v", mas)
 	}
-	if mas.Cache.StreamedExists == 0 || mas.Cache.StreamedRate == 0 {
+	if mas.Cache["streamed_exists"] == 0 {
 		t.Errorf("mas cache stats = %+v", mas.Cache)
+	}
+	// Counters that are constant now that nothing falls back are not served.
+	for _, gone := range []string{"fallback_exists", "joins_built", "streamed_rate"} {
+		if _, ok := mas.Cache[gone]; ok {
+			t.Errorf("mas cache stats still report %s: %+v", gone, mas.Cache)
+		}
 	}
 	// Storage footprint: per-table column memory and dictionary sizes.
 	sto := mas.Storage

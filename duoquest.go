@@ -189,7 +189,10 @@ func ParseSQL(schema *Schema, sql string) (*Query, error) {
 	return sqlparse.Parse(schema, sql)
 }
 
-// Execute runs a complete query.
+// Execute runs a complete query. A query that does not bind against the
+// database — a malformed join path, a column that is unknown or outside the
+// path, an aggregate the engine lacks — fails before any row is read,
+// whatever the data: over an empty table as over a full one.
 func Execute(db *Database, q *Query) (*ResultSet, error) {
 	return sqlexec.Execute(db, q)
 }

@@ -16,13 +16,8 @@ type CacheStats struct {
 	// and a PR that claims a gain may not edit bench/; it goes when that
 	// metric is retired.
 	JoinPaths int
-	// Pipeline is the cumulative executor counter snapshot. Its JoinsBuilt
-	// counts queries that fell back to the materializing reference executor
-	// because they did not bind — 0 for anything the enumerator generates.
+	// Pipeline is the cumulative executor counter snapshot.
 	Pipeline sqlexec.PipelineStats
-	// StreamedRate is StreamedExists / (StreamedExists + FallbackExists):
-	// the share of existence probes served by the streaming pipeline.
-	StreamedRate float64
 }
 
 // DictStats describes one text column's dictionary: how many distinct
@@ -48,12 +43,11 @@ type StorageStats struct {
 	Provenance Provenance
 }
 
-// EpochCacheStats is one live epoch shard's serving view: which epoch,
-// how many syntheses resolved it, and how its probes are served.
+// EpochCacheStats is one live epoch shard's serving view: which epoch and
+// how many syntheses resolved it.
 type EpochCacheStats struct {
-	Epoch        int64
-	Requests     int64
-	StreamedRate float64
+	Epoch    int64
+	Requests int64
 }
 
 // DBStats is the aggregated serving view of one registered database.
@@ -162,20 +156,12 @@ func (ds *dbState) snapshot() DBStats {
 	out.EpochsRetired = ds.retiredShards
 	out.EpochsLive = len(ds.shards)
 	for _, sh := range ds.shards {
-		sps := sh.cache.Joins().Stats()
-		addPipeline(&ps, sps)
-		out.Epochs = append(out.Epochs, EpochCacheStats{
-			Epoch:        sh.epoch,
-			Requests:     sh.requests.Load(),
-			StreamedRate: ratio(sps.StreamedExists, sps.StreamedExists+sps.FallbackExists),
-		})
+		addPipeline(&ps, sh.cache.Joins().Stats())
+		out.Epochs = append(out.Epochs, EpochCacheStats{Epoch: sh.epoch, Requests: sh.requests.Load()})
 	}
 	ds.epochMu.Unlock()
 	sort.Slice(out.Epochs, func(i, j int) bool { return out.Epochs[i].Epoch < out.Epochs[j].Epoch })
-	out.Cache = CacheStats{
-		Pipeline:     ps,
-		StreamedRate: ratio(ps.StreamedExists, ps.StreamedExists+ps.FallbackExists),
-	}
+	out.Cache = CacheStats{Pipeline: ps}
 	// Footprint is measured on a frozen snapshot so the scan cannot race
 	// concurrent ingest (and reflects the published head, matching what
 	// requests actually observe).
@@ -187,10 +173,8 @@ func (ds *dbState) snapshot() DBStats {
 // addPipeline folds one shard's cumulative pipeline counters into a total.
 func addPipeline(a *sqlexec.PipelineStats, b sqlexec.PipelineStats) {
 	a.StreamedExists += b.StreamedExists
-	a.FallbackExists += b.FallbackExists
 	a.IndexSeeds += b.IndexSeeds
 	a.IndexProbes += b.IndexProbes
-	a.JoinsBuilt += b.JoinsBuilt
 }
 
 // storageStats snapshots the database's columnar footprint.
@@ -228,11 +212,4 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-func ratio(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

@@ -43,25 +43,16 @@ func (r *Result) Ask(q Question) bool {
 }
 
 // ask implements AskCtx: the streaming pipeline's sink asks the question
-// (compiled.go); a query that does not bind is executed by the reference
-// executor and its result asked. Answer and error are Result.Ask's over
-// execute's, except that a context error arriving after the answer settled
-// is not seen: the scan has stopped by then.
+// (compiled.go). Answer and error are Result.Ask's over execute's, except
+// that a context error arriving after the answer settled is not seen: the
+// scan has stopped by then.
 func ask(ctx context.Context, db *storage.Database, q *sqlir.Query, question Question, pc *pipelineCounters) (bool, error) {
 	if q == nil || !q.Complete() {
 		return false, errNotComplete(q)
 	}
-	_, out, handled, err := executeCompiled(ctx, db, q, rowSink{ask: question}, pc)
-	if handled {
-		if err != nil {
-			return false, err
-		}
-		return out.answer(), nil
-	}
-	pc.add(&pc.joinsBuilt, 1)
-	res, err := executeReference(ctx, db, q)
+	_, out, err := executeCompiled(ctx, db, q, rowSink{ask: question}, pc)
 	if err != nil {
 		return false, err
 	}
-	return res.Ask(question), nil
+	return out.answer(), nil
 }

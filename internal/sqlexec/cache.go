@@ -10,13 +10,14 @@ import (
 // JoinCache is the executor handle for one database snapshot: the database
 // plus the pipeline counters of everything executed through it. Despite the
 // name it caches nothing — every probe and every complete query compiles to
-// a streaming plan over the column vectors and their persistent indexes, so
-// no join is ever materialized for a later call to find — and two calls
-// never influence each other's results. (The name survives because bench/
-// compiles against it.) The service layer shares one per database epoch
-// across all requests; it is safe for concurrent use. Handing it a live,
-// still-mutating database is not supported: the service layer hands it a
-// frozen epoch snapshot (storage.Database.Snapshot).
+// a streaming plan over the column vectors and their persistent indexes, or
+// fails to bind and returns that error, so no join is ever materialized for
+// a later call to find — and two calls never influence each other's
+// results. (The name survives because bench/ compiles against it.) The
+// service layer shares one per database epoch across all requests; it is
+// safe for concurrent use. Handing it a live, still-mutating database is not
+// supported: the service layer hands it a frozen epoch snapshot
+// (storage.Database.Snapshot).
 type JoinCache struct {
 	db *storage.Database
 	pc pipelineCounters

@@ -1,10 +1,10 @@
-// Cooperative cancellation for the execution paths. Synthesis is
-// interactive: an abandoned or deadline-expired request must unwind
-// mid-scan in milliseconds, not at operator boundaries, so every row loop —
-// the streaming scan, and the reference executor's join, filter and group
-// loops — ticks a checkpoint that polls the request context once per
-// checkpointRows units of work. The poll amortizes to a counter increment
-// and a mask per row; context.Background() requests pay essentially nothing.
+// Cooperative cancellation for the executor. Synthesis is interactive: an
+// abandoned or deadline-expired request must unwind mid-scan in
+// milliseconds, not at operator boundaries, so every row loop — the
+// streaming scan and the evaluation of a grouped result's groups — ticks a
+// checkpoint that polls the request context once per checkpointRows units
+// of work. The poll amortizes to a counter increment and a mask per row;
+// context.Background() requests pay essentially nothing.
 package sqlexec
 
 import "context"

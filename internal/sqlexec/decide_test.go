@@ -216,9 +216,9 @@ func TestSingleGroupDecisionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe %d: plan: %v\n%+v", i, err, eq)
 		}
-		spec, ok := bindGrouped(plan, eq)
-		if !ok {
-			t.Fatalf("probe %d: grouping did not bind\n%+v", i, eq)
+		spec, err := bindGrouped(plan, eq)
+		if err != nil {
+			t.Fatalf("probe %d: grouping did not bind: %v\n%+v", i, err, eq)
 		}
 		// Half the probes move their counts' k onto, or next to, the first
 		// group's final count: that is where = is true, != is false, and an
@@ -256,10 +256,7 @@ func TestSingleGroupDecisionDifferential(t *testing.T) {
 			}
 		}
 
-		got, handled, gerr := ExistsStreaming(db, eq)
-		if !handled {
-			t.Fatalf("probe %d: fell off the streaming pipeline", i)
-		}
+		got, gerr := Exists(db, eq)
 		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 			t.Fatalf("probe %d: error %v, reference %v\n%+v", i, gerr, werr, eq)
 		}

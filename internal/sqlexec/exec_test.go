@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -14,8 +15,8 @@ import (
 func text(s string) sqlir.Value { return sqlir.NewText(s) }
 func num(f float64) sqlir.Value { return sqlir.NewNumber(f) }
 
-// movieDB builds the §2 movie database with the motivating example's data.
-func movieDB() *storage.Database {
+// emptyMovieDB builds the §2 movie database's schema with no rows.
+func emptyMovieDB() *storage.Database {
 	actor := storage.NewTable("actor", "aid",
 		storage.Column{Name: "aid", Type: sqlir.TypeNumber},
 		storage.Column{Name: "name", Type: sqlir.TypeText},
@@ -36,6 +37,13 @@ func movieDB() *storage.Database {
 	s := storage.NewSchema(actor, movie, starring)
 	s.AddForeignKey("starring", "aid", "actor", "aid")
 	s.AddForeignKey("starring", "mid", "movie", "mid")
+	return storage.NewDatabase("movies", s)
+}
+
+// movieDB builds the §2 movie database with the motivating example's data.
+func movieDB() *storage.Database {
+	db := emptyMovieDB()
+	actor, movie, starring := db.Table("actor"), db.Table("movie"), db.Table("starring")
 
 	actor.MustInsert(num(1), text("Tom Hanks"), text("male"), num(1956))
 	actor.MustInsert(num(2), text("Sandra Bullock"), text("female"), num(1964))
@@ -51,7 +59,7 @@ func movieDB() *storage.Database {
 	starring.MustInsert(num(3), num(3), num(3)) // Pitt in Fight Club
 	starring.MustInsert(num(4), num(1), num(4)) // Hanks in Cast Away
 
-	return storage.NewDatabase("movies", s)
+	return db
 }
 
 func run(t *testing.T, db *storage.Database, sql string) *Result {
@@ -309,13 +317,14 @@ func TestExecuteOrderStability(t *testing.T) {
 	}
 }
 
-// Queries that do not bind run on the reference executor, which alone knows
-// which defects surface, in which order, and when they stay silent (a
-// predicate on a column outside the path is an error only if a tuple gets as
-// far as evaluating it). Each mutation must answer exactly as the reference,
-// and is counted as a materialized join.
-func TestExecuteUnboundQueriesMatchReference(t *testing.T) {
-	db := movieDB()
+// Queries that do not bind fail when their plan is built: whatever the data
+// — over the movie database and over an empty copy of it — with one error,
+// and before any row is read. The reference executor raises its errors
+// lazily, so a predicate outside the path behind an always-false conjunct,
+// or any defect over an empty table, used to go unnoticed there; wherever
+// the reference does fail, the text is its text.
+func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
+	full, empty := movieDB(), emptyMovieDB()
 	outside := sqlir.ColumnRef{Table: "actor", Column: "name"}
 	mutations := map[string]func(q *sqlir.Query){
 		"projection outside path": func(q *sqlir.Query) { q.Select[0].Col = outside },
@@ -328,6 +337,12 @@ func TestExecuteUnboundQueriesMatchReference(t *testing.T) {
 		"order key outside path": func(q *sqlir.Query) {
 			q.OrderByState = sqlir.ClausePresent
 			q.OrderBy = sqlir.OrderBy{Key: sqlir.OrderKey{Col: outside}, KeySet: true, DirSet: true}
+		},
+		"HAVING and projection outside path": func(q *sqlir.Query) {
+			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggMax, AggSet: true, Col: outside, ColSet: true}
+			q.HavingState = sqlir.ClausePresent
+			q.Having = sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.ColumnRef{Table: "actor", Column: "aid"}, ColSet: true,
+				Op: sqlir.OpGe, OpSet: true, Val: num(0), ValSet: true}
 		},
 		"unknown column": func(q *sqlir.Query) { q.Select[0].Col.Column = "nope" },
 		"unknown root":   func(q *sqlir.Query) { q.From = pathOf("nope") },
@@ -344,18 +359,80 @@ func TestExecuteUnboundQueriesMatchReference(t *testing.T) {
 		},
 	}
 	for name, mutate := range mutations {
-		q := sqlparse.MustParse(db.Schema, "SELECT title FROM movie WHERE year > 1990 AND revenue > 1")
+		q := sqlparse.MustParse(full.Schema, "SELECT title FROM movie WHERE year > 1990 AND revenue > 1")
 		mutate(q)
-		c := NewJoinCache(db)
-		if d := DiffExecute(db, q); d != "" {
-			t.Errorf("%s: %s", name, d)
-		}
-		c.Execute(q) //nolint:errcheck // compared above; run again for the counter
-		if st := c.Stats(); st.JoinsBuilt != 1 {
-			t.Errorf("%s: JoinsBuilt = %d, want 1 (the reference fallback)", name, st.JoinsBuilt)
+		var want string
+		for _, db := range []*storage.Database{full, empty} {
+			c := NewJoinCache(db)
+			_, err := c.Execute(q)
+			if err == nil {
+				t.Errorf("%s over %d movies: no error", name, db.Table("movie").NumRows())
+				continue
+			}
+			if want == "" {
+				want = err.Error()
+			}
+			if err.Error() != want {
+				t.Errorf("%s: error %q over the empty copy, %q over the movies", name, err, want)
+			}
+			if _, aerr := c.AskCtx(context.Background(), q, anyRow{}); aerr == nil || aerr.Error() != err.Error() {
+				t.Errorf("%s: AskCtx error %v, ExecuteCtx %v", name, aerr, err)
+			}
+			if st := c.Stats(); st != (PipelineStats{}) {
+				t.Errorf("%s: a query that does not bind read rows: %+v", name, st)
+			}
+			if _, rerr := executeReference(context.Background(), db, q); rerr != nil && rerr.Error() != err.Error() {
+				t.Errorf("%s: error %q, reference %q", name, err, rerr)
+			}
 		}
 	}
 }
+
+// Probes that do not bind fail at plan time too: a flat and a grouped probe
+// reading a column outside their path fail over an empty table, where the
+// reference finds no tuple to fail on, as they do over the movies. A
+// disjunction with a second defect in its AndPreds reports the one the
+// reference meets first: the disjunction's, as no movie is from after 3000.
+func TestUnboundProbesFailAtPlanTime(t *testing.T) {
+	outside := sqlir.ColumnRef{Table: "actor", Column: "gender"}
+	probes := map[string]ExistsQuery{
+		"flat": {From: pathOf("movie"), Conj: sqlir.LogicAnd,
+			Preds: []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(1990)), pred("actor", "gender", sqlir.OpEq, text("male"))}},
+		"grouped": {From: pathOf("movie"), Conj: sqlir.LogicAnd,
+			GroupBy: []sqlir.ColumnRef{outside},
+			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
+				Op: sqlir.OpGe, OpSet: true, Val: num(1), ValSet: true}}},
+		"disjunction": {From: pathOf("movie"), Conj: sqlir.LogicOr,
+			Preds:    []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(3000)), pred("actor", "gender", sqlir.OpEq, text("male"))},
+			AndPreds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))}},
+	}
+	const want = "sqlexec: column actor.gender not in join path"
+	for name, eq := range probes {
+		for _, db := range []*storage.Database{movieDB(), emptyMovieDB()} {
+			c := NewJoinCache(db)
+			if _, err := c.Exists(eq); err == nil || err.Error() != want {
+				t.Errorf("%s over %d movies: error %v, want %q", name, db.Table("movie").NumRows(), err, want)
+			}
+			if st := c.Stats(); st != (PipelineStats{}) {
+				t.Errorf("%s: a probe that does not bind was streamed: %+v", name, st)
+			}
+		}
+		if _, err := ExistsReference(movieDB(), eq); err == nil || err.Error() != want {
+			t.Errorf("%s: reference error %v, want %q", name, err, want)
+		}
+		if _, err := ExistsReference(emptyMovieDB(), eq); err != nil {
+			t.Errorf("%s: the reference now fails over an empty table (%v): the case is no longer shown", name, err)
+		}
+	}
+}
+
+// anyRow asks whether a result has a row.
+type anyRow struct{}
+
+func (anyRow) Columns([]sqlir.Type) bool   { return false }
+func (anyRow) Relevant([]sqlir.Value) bool { return true }
+func (anyRow) Row([]sqlir.Value) bool      { return true }
+func (anyRow) Answer(rows int) bool        { return rows > 0 }
 
 // DISTINCT under ORDER BY a key that is not projected, with a LIMIT: the
 // top-k sink trims to its best rows as it goes, and DISTINCT must keep each

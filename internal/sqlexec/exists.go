@@ -26,9 +26,8 @@ type ExistsQuery struct {
 
 // Exists reports whether the query produces at least one row (the LIMIT 1
 // early-exit the paper uses to keep verification cheap, §3.4). Probes run
-// through the streaming index-nested-loop pipeline; query shapes the
-// pipeline cannot compile fall back to materialize-then-filter, which is
-// also kept as the reference oracle for differential tests.
+// through the streaming index-nested-loop pipeline; a probe that does not
+// bind fails with its bind error, as Execute's queries do.
 func Exists(db *storage.Database, eq ExistsQuery) (bool, error) {
 	return ExistsCtx(context.Background(), db, eq)
 }
@@ -39,9 +38,8 @@ func ExistsCtx(ctx context.Context, db *storage.Database, eq ExistsQuery) (bool,
 	return exists(ctx, db, eq, &discardCounters)
 }
 
-// exists is the shared Exists driver: predicate completeness checks, the
-// streaming pipeline, then — for shapes that do not compile — the reference
-// executor over a freshly materialized join (counted in JoinsBuilt).
+// exists is the body of Exists and JoinCache.ExistsCtx: predicate
+// completeness checks, then the streaming pipeline.
 func exists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipelineCounters) (bool, error) {
 	for _, p := range eq.Preds {
 		if !p.Complete() {
@@ -53,95 +51,9 @@ func exists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipel
 			return false, errIncomplete(p)
 		}
 	}
-	if ok, handled, err := streamExists(ctx, db, eq, pc); handled {
-		pc.add(&pc.streamed, 1)
-		return ok, err
-	}
-	pc.add(&pc.fallback, 1)
-	pc.add(&pc.joinsBuilt, 1)
-	rel, err := join(ctx, db, eq.From)
-	if err != nil {
-		return false, err
-	}
-	return existsOn(ctx, db, rel, eq)
+	return streamExists(ctx, db, eq, pc)
 }
 
 func errIncomplete(p sqlir.Predicate) error {
 	return fmt.Errorf("sqlexec: exists query has incomplete predicate %s", p)
-}
-
-// existsOn evaluates an exists query against a pre-materialized relation.
-func existsOn(ctx context.Context, db *storage.Database, rel *relation, eq ExistsQuery) (bool, error) {
-	w := sqlir.Where{Conj: eq.Conj, ConjSet: true, Preds: eq.Preds, CountSet: true}
-	wAnd := sqlir.Where{Conj: sqlir.LogicAnd, ConjSet: true, Preds: eq.AndPreds, CountSet: true}
-	cc := newCanceller(ctx)
-
-	// match evaluates WHERE (Preds by Conj) AND (AndPreds conjoined).
-	match := func(tp tuple) (bool, error) {
-		if err := cc.tick(); err != nil {
-			return false, err
-		}
-		if len(eq.Preds) > 0 {
-			ok, err := evalWhere(db, rel, tp, w)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		if len(eq.AndPreds) > 0 {
-			ok, err := evalWhere(db, rel, tp, wAnd)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-
-	if len(eq.GroupBy) == 0 && len(eq.Havings) == 0 {
-		// Short-circuit on the first matching joined row.
-		for _, tp := range rel.tuples {
-			ok, err := match(tp)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-
-	var rows []tuple
-	for _, tp := range rel.tuples {
-		ok, err := match(tp)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			rows = append(rows, tp)
-		}
-	}
-	groups, err := groupRows(db, rel, rows, eq.GroupBy)
-	if err != nil {
-		return false, err
-	}
-	for _, g := range groups {
-		if len(g) == 0 && len(eq.GroupBy) > 0 {
-			continue
-		}
-		pass := true
-		for _, h := range eq.Havings {
-			hv, err := evalAggregate(db, rel, g, h.Agg, h.Col)
-			if err != nil {
-				return false, err
-			}
-			if !h.Op.Eval(hv, h.Val) {
-				pass = false
-				break
-			}
-		}
-		if pass && (len(g) > 0 || len(eq.GroupBy) == 0) {
-			return true, nil
-		}
-	}
-	return false, nil
 }

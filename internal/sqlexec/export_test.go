@@ -44,13 +44,6 @@ func (r *ReferenceRelation) ExistsOnReference(eq ExistsQuery) (bool, error) {
 	return existsOn(context.Background(), r.db, r.rel, eq)
 }
 
-// ExistsStreaming answers through the vectorized columnar streaming
-// pipeline only. handled=false means the probe did not compile and would
-// fall back to the materializing path.
-func ExistsStreaming(db *storage.Database, eq ExistsQuery) (ok, handled bool, err error) {
-	return streamExists(context.Background(), db, eq, &discardCounters)
-}
-
 // ExistsReference answers an exists query by materializing the join and
 // filtering — the reference oracle for the streaming pipeline.
 func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {

@@ -1,8 +1,6 @@
 package sqlexec
 
 import (
-	"context"
-
 	"fmt"
 	"math"
 	"math/rand"
@@ -329,10 +327,7 @@ func TestPropColumnarRowReferenceAgree(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			eq := randomColumnarExists(r)
 
-			colOK, colHandled, colErr := streamExists(context.Background(), db, eq, &discardCounters)
-			if !colHandled {
-				continue // falls back to the materializing path
-			}
+			colOK, colErr := Exists(db, eq)
 			refOK, refErr := ExistsReference(db, eq)
 			if (refErr == nil) != (colErr == nil) {
 				t.Fatalf("seed %d probe %d: reference err=%v, streaming err=%v", seed, i, refErr, colErr)
@@ -532,12 +527,9 @@ func TestPropNaNComparisonSemantics(t *testing.T) {
 				}},
 			}
 			refOK, refErr := ExistsReference(db, eq)
-			colOK, colHandled, colErr := streamExists(context.Background(), db, eq, &discardCounters)
+			colOK, colErr := Exists(db, eq)
 			if refErr != nil || colErr != nil {
 				t.Fatalf("op %s val %s: errors ref=%v col=%v", op, val, refErr, colErr)
-			}
-			if !colHandled {
-				t.Fatalf("op %s val %s: not streamed", op, val)
 			}
 			if colOK != refOK {
 				t.Errorf("op %s val %s: ref=%v columnar=%v", op, val, refOK, colOK)

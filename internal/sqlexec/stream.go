@@ -8,12 +8,13 @@
 // dictionary code instead of boxed sqlir.Value structs. Grouped scans stream
 // per-group aggregate accumulators under fixed-width binary group keys (a
 // tag byte plus the float bits or dictionary code — no string formatting).
-// The pipeline is behavior-preserving: any shape it cannot compile falls
-// back to the materializing reference executor, and every scan whose tuple
-// order can show keeps the reference enumeration order, so results and
-// floating-point aggregates stay bit-identical. The materializing executor
-// (exec.go) is its one oracle: it reads cells off the same column vectors
-// but shares no plan, index or key encoding with the pipeline.
+// It is the only executor. A query that does not bind fails as its plan is
+// built (orientEdges, bindCol, bindAgg), whatever the data, with the text the
+// materializing reference executor gives for the same defect; every scan
+// whose tuple order can show keeps the reference enumeration order, so
+// results and floating-point aggregates stay bit-identical. That reference
+// (reference_test.go) is the pipeline's test oracle: it reads cells off the
+// same column vectors but shares no plan, index or key encoding with it.
 package sqlexec
 
 import (
@@ -34,14 +35,19 @@ import (
 // JoinCache handle.
 type PipelineStats struct {
 	StreamedExists int64 // existence probes answered by the streaming pipeline
-	FallbackExists int64 // existence probes that fell back to materialize-then-filter
 	IndexSeeds     int64 // scans seeded from a persistent column-index posting list
 	IndexProbes    int64 // join-step posting-list lookups
 	// PrefixHits is always 0: no join is cached, so none is extended. bench/
 	// reads the field (sqlexec.prefix_hit_rate) and a PR that claims a gain
 	// may not edit bench/; it goes when that metric is retired.
 	PrefixHits int64
-	JoinsBuilt int64 // joins materialized: probes and queries that fell back to the reference executor
+	// FallbackExists and JoinsBuilt are always 0: a probe or query that does
+	// not bind fails, nothing falls back and no join is materialized. bench/
+	// reads them (sqlexec.fallback_exists_per_req, sqlexec.joins_built) and a
+	// PR that claims a gain may not edit bench/; they go when those metrics
+	// are retired.
+	FallbackExists int64
+	JoinsBuilt     int64
 	// MorselRuns and MorselWorkers are always 0: a scan runs on its caller's
 	// goroutine. bench/ reads them (sqlexec.morsel_runs_per_req,
 	// sqlexec.avg_morsel_workers) and a PR that claims a gain may not edit
@@ -60,10 +66,8 @@ func (s PipelineStats) AvgMorselWorkers() float64 { return 0 }
 // pipelineCounters is the mutable, concurrency-safe form of PipelineStats.
 type pipelineCounters struct {
 	streamed    atomic.Int64
-	fallback    atomic.Int64
 	indexSeeds  atomic.Int64
 	indexProbes atomic.Int64
-	joinsBuilt  atomic.Int64
 }
 
 func (pc *pipelineCounters) snapshot() PipelineStats {
@@ -72,10 +76,8 @@ func (pc *pipelineCounters) snapshot() PipelineStats {
 	}
 	return PipelineStats{
 		StreamedExists: pc.streamed.Load(),
-		FallbackExists: pc.fallback.Load(),
 		IndexSeeds:     pc.indexSeeds.Load(),
 		IndexProbes:    pc.indexProbes.Load(),
-		JoinsBuilt:     pc.joinsBuilt.Load(),
 	}
 }
 
@@ -88,10 +90,8 @@ func (pc *pipelineCounters) add(c *atomic.Int64, n int64) {
 // merge adds the counts of o, which no one is writing any more.
 func (pc *pipelineCounters) merge(o *pipelineCounters) {
 	pc.add(&pc.streamed, o.streamed.Load())
-	pc.add(&pc.fallback, o.fallback.Load())
 	pc.add(&pc.indexSeeds, o.indexSeeds.Load())
 	pc.add(&pc.indexProbes, o.indexProbes.Load())
-	pc.add(&pc.joinsBuilt, o.joinsBuilt.Load())
 }
 
 // discardCounters sinks pipeline counters for callers without a JoinCache
@@ -268,18 +268,22 @@ func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
 	}
 	ci := p.tables[slot].ColumnIndex(c.Column)
 	if ci < 0 {
-		return 0, 0, fmt.Errorf("sqlexec: unknown column %s", c)
+		return 0, 0, errUnknownColumn(c)
 	}
 	return slot, ci, nil
 }
 
+func errUnknownColumn(c sqlir.ColumnRef) error {
+	return fmt.Errorf("sqlexec: unknown column %s", c)
+}
+
 // bindVec resolves a column reference to its slot and vector.
-func (p *streamPlan) bindVec(c sqlir.ColumnRef) (boundCol, bool) {
+func (p *streamPlan) bindVec(c sqlir.ColumnRef) (boundCol, error) {
 	slot, ci, err := p.bindCol(c)
 	if err != nil {
-		return boundCol{}, false
+		return boundCol{}, err
 	}
-	return boundCol{slot, p.tables[slot].VectorAt(ci)}, true
+	return boundCol{slot, p.tables[slot].VectorAt(ci)}, nil
 }
 
 // countSeed counts a scan that starts from a posting list.
@@ -296,8 +300,10 @@ type pathEdge struct {
 	aCol, bCol string
 }
 
-// orientEdges validates a join path exactly like the materializing join and
-// returns its edges oriented from already-bound to newly-introduced table.
+// orientEdges validates a join path exactly like the materializing join —
+// edge by edge, each edge's tables before its columns, with the same texts —
+// and returns its edges oriented from already-bound to newly-introduced
+// table.
 func orientEdges(db *storage.Database, jp *sqlir.JoinPath) ([]pathEdge, map[string]bool, error) {
 	if jp == nil || len(jp.Tables) == 0 {
 		return nil, nil, fmt.Errorf("sqlexec: empty join path")
@@ -321,6 +327,9 @@ func orientEdges(db *storage.Database, jp *sqlir.JoinPath) ([]pathEdge, map[stri
 		}
 		if db.Table(pe.b) == nil {
 			return nil, nil, fmt.Errorf("sqlexec: unknown table %s", pe.b)
+		}
+		if db.Table(pe.a).ColumnIndex(pe.aCol) < 0 || db.Table(pe.b).ColumnIndex(pe.bCol) < 0 {
+			return nil, nil, fmt.Errorf("sqlexec: join edge %s references unknown column", e)
 		}
 		inSet[pe.b] = true
 		pes = append(pes, pe)
@@ -443,11 +452,7 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 	}
 	addStep := func(parent string, parentCol string, child string, childCol string) error {
 		pt, ct := db.Table(parent), db.Table(child)
-		probeCol := pt.ColumnIndex(parentCol)
-		ci := ct.ColumnIndex(childCol)
-		if probeCol < 0 || ci < 0 {
-			return fmt.Errorf("sqlexec: join edge references unknown column")
-		}
+		probeCol, ci := pt.ColumnIndex(parentCol), ct.ColumnIndex(childCol) // orientEdges checked both
 		ix, ierr := ct.CodeIndex(childCol)
 		if ierr != nil {
 			return ierr
@@ -471,14 +476,8 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		return nil, err
 	}
 
-	plan.predsAt = make([][]boundPred, len(plan.tables))
-	for _, p := range andPreds {
-		bp, berr := plan.bindPred(p)
-		if berr != nil {
-			return nil, berr
-		}
-		plan.predsAt[bp.slot] = append(plan.predsAt[bp.slot], bp)
-	}
+	// Bound in the reference's evaluation order — Preds, then AndPreds — so
+	// a probe with several defects reports the one the reference meets first.
 	for _, p := range orRaw {
 		bp, berr := plan.bindPred(p)
 		if berr != nil {
@@ -488,6 +487,14 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		if bp.slot > plan.orDepth {
 			plan.orDepth = bp.slot
 		}
+	}
+	plan.predsAt = make([][]boundPred, len(plan.tables))
+	for _, p := range andPreds {
+		bp, berr := plan.bindPred(p)
+		if berr != nil {
+			return nil, berr
+		}
+		plan.predsAt[bp.slot] = append(plan.predsAt[bp.slot], bp)
 	}
 	return plan, nil
 }
@@ -597,37 +604,34 @@ func (p *streamPlan) run(ctx context.Context, inj *faultinject.Injector, pc *pip
 }
 
 // streamExists answers an exists query through the vectorized streaming
-// pipeline. handled=false means the query could not be compiled
-// (structurally broken path, predicate outside it, or an unsupported HAVING
-// shape); the caller must fall back to the materializing path, which
-// reproduces the reference behavior — including its error messages —
-// exactly.
-func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipelineCounters) (ok, handled bool, err error) {
+// pipeline. A probe that does not bind — a broken path, a predicate, GROUP
+// BY key or HAVING aggregate outside it — fails with the bind error before
+// any row is read, and is not counted as streamed.
+func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *pipelineCounters) (bool, error) {
 	grouped := len(eq.GroupBy) > 0 || len(eq.Havings) > 0
-	plan, perr := buildStreamPlan(db, eq, !grouped)
-	if perr != nil {
-		return false, false, nil
+	plan, err := buildStreamPlan(db, eq, !grouped)
+	if err != nil {
+		return false, err
 	}
+	var spec *groupedBinding
+	if grouped {
+		if spec, err = bindGrouped(plan, eq); err != nil {
+			return false, err
+		}
+	}
+	pc.add(&pc.streamed, 1)
+	plan.countSeed(pc)
 	inj := faultinject.From(ctx)
 	if !grouped {
-		plan.countSeed(pc)
-		found, rerr := plan.run(ctx, inj, pc, func([]int32) (bool, error) { return true, nil })
-		return found, true, rerr
+		return plan.run(ctx, inj, pc, func([]int32) (bool, error) { return true, nil })
 	}
-	spec, bok := bindGrouped(plan, eq)
-	if !bok {
-		return false, false, nil
-	}
-	// Counted only once the probe is actually streamed, so fallbacks (e.g.
-	// unsupported HAVING shapes) don't inflate pushdown coverage.
-	plan.countSeed(pc)
 	dec := newGroupDecider(eq, spec)
-	g, settled, rerr := plan.scanGroups(ctx, inj, pc, spec, dec)
-	if rerr != nil {
-		return false, true, rerr
+	g, settled, err := plan.scanGroups(ctx, inj, pc, spec, dec)
+	if err != nil {
+		return false, err
 	}
 	if settled {
-		return dec.lower, true, nil
+		return dec.lower, nil
 	}
 	return checkGroupHavings(g.order, spec.colAt, eq)
 }
@@ -683,7 +687,7 @@ type groupState struct {
 
 // checkGroupHavings evaluates the HAVING conditions over streamed group
 // states in discovery order, shared by both streaming pipelines.
-func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq ExistsQuery) (ok, handled bool, err error) {
+func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq ExistsQuery) (bool, error) {
 	gb := groupedBinding{colAt: colAt}
 	havings := make([]boundAgg, len(eq.Havings))
 	for i, h := range eq.Havings {
@@ -692,9 +696,9 @@ func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq Ex
 	for _, st := range order {
 		pass := true
 		for i, h := range eq.Havings {
-			hv, herr := st.value(havings[i])
-			if herr != nil {
-				return false, true, herr
+			hv, err := st.value(havings[i])
+			if err != nil {
+				return false, err
 			}
 			if !h.Op.Eval(hv, h.Val) {
 				pass = false
@@ -702,10 +706,10 @@ func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq Ex
 			}
 		}
 		if pass && (st.rows > 0 || len(eq.GroupBy) == 0) {
-			return true, true, nil
+			return true, nil
 		}
 	}
-	return false, true, nil
+	return false, nil
 }
 
 // groupedBinding is a query's grouping shape compiled against a stream
@@ -719,56 +723,53 @@ type groupedBinding struct {
 }
 
 // bindKeys resolves the GROUP BY columns.
-func (gb *groupedBinding) bindKeys(plan *streamPlan, groupBy []sqlir.ColumnRef) bool {
+func (gb *groupedBinding) bindKeys(plan *streamPlan, groupBy []sqlir.ColumnRef) error {
 	gb.keys = make([]boundCol, 0, len(groupBy))
 	gb.colAt = map[sqlir.ColumnRef]int{}
 	for _, g := range groupBy {
-		c, ok := plan.bindVec(g)
-		if !ok {
-			return false
+		c, err := plan.bindVec(g)
+		if err != nil {
+			return err
 		}
 		gb.keys = append(gb.keys, c)
 	}
-	return true
+	return nil
 }
 
-// bindAgg registers one agg(col) the query evaluates per group. false means
-// the shape is unsupported (an aggregate other than COUNT over *, an unknown
-// aggregate) or the column fails to bind.
-func (gb *groupedBinding) bindAgg(plan *streamPlan, agg sqlir.AggFunc, col sqlir.ColumnRef) bool {
+// bindAgg registers one agg(col) the query evaluates per group. It fails on
+// a column that does not bind — * included, which only COUNT reads — and
+// then on an unknown aggregate, the order in which the reference meets them.
+func (gb *groupedBinding) bindAgg(plan *streamPlan, agg sqlir.AggFunc, col sqlir.ColumnRef) error {
+	if agg == sqlir.AggCount && col.IsStar() {
+		return nil // reads the group's row count
+	}
+	if _, seen := gb.colAt[col]; !seen {
+		c, err := plan.bindVec(col)
+		if err != nil {
+			return err
+		}
+		gb.colAt[col] = len(gb.cols)
+		gb.cols = append(gb.cols, c)
+	}
 	if agg > sqlir.AggAvg {
-		return false
+		return fmt.Errorf("sqlexec: unknown aggregate %v", agg)
 	}
-	if col.IsStar() {
-		return agg == sqlir.AggCount // reference path reports the error
-	}
-	if _, seen := gb.colAt[col]; seen {
-		return true
-	}
-	c, ok := plan.bindVec(col)
-	if !ok {
-		return false
-	}
-	gb.colAt[col] = len(gb.cols)
-	gb.cols = append(gb.cols, c)
-	return true
+	return nil
 }
 
 // bindGrouped resolves an exists query's GROUP BY keys and HAVING aggregate
-// columns. ok=false means the caller must fall back to the materializing
-// path, which reproduces the reference behavior — including its error
-// messages — exactly.
-func bindGrouped(plan *streamPlan, eq ExistsQuery) (gb *groupedBinding, ok bool) {
-	gb = &groupedBinding{}
-	if !gb.bindKeys(plan, eq.GroupBy) {
-		return nil, false
+// columns.
+func bindGrouped(plan *streamPlan, eq ExistsQuery) (*groupedBinding, error) {
+	gb := &groupedBinding{}
+	if err := gb.bindKeys(plan, eq.GroupBy); err != nil {
+		return nil, err
 	}
 	for _, h := range eq.Havings {
-		if !gb.bindAgg(plan, h.Agg, h.Col) {
-			return nil, false
+		if err := gb.bindAgg(plan, h.Agg, h.Col); err != nil {
+			return nil, err
 		}
 	}
-	return gb, true
+	return gb, nil
 }
 
 // boundAgg is one agg(col) resolved against a groupedBinding: which

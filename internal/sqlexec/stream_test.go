@@ -10,9 +10,9 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
-// TestExistsMalformedPathNoPanic pins the fallback behavior for a join path
-// with edges but no tables: both entry points must report the reference
-// error, not panic in the prefix splitter.
+// TestExistsMalformedPathNoPanic pins the bind error for a join path with
+// edges but no tables: both entry points must report the reference's error,
+// not panic.
 func TestExistsMalformedPathNoPanic(t *testing.T) {
 	db := movieDB()
 	eq := ExistsQuery{From: &sqlir.JoinPath{

@@ -1,9 +1,9 @@
 // Columnar storage: every table column is held as a typed vector —
 // []float64 for numeric columns, dictionary-encoded []uint32 codes plus an
 // interned string table for text columns, and a null bitmap for both — and
-// the vectors are the whole table: sqlexec's streaming pipeline and its
-// materializing reference both read cells off them, the pipeline through
-// the posting-list indexes below.
+// the vectors are the whole table: sqlexec's streaming pipeline reads cells
+// off them through the posting-list indexes below, and its test oracle, a
+// materializing reference, reads them directly.
 package storage
 
 import (

@@ -4,16 +4,13 @@
 // literals go in eight bytes per step behind a length prefix, everything
 // else as one tagged word. (Looking a precomputed per-identifier digest up
 // in a map would hash the identifier's bytes too, so the bytes are mixed
-// directly.) A lookup allocates nothing. A debug mode (SetDebugMemoKeys)
-// keeps canonical strings alongside the hashes and cross-checks that no two
-// distinct strings ever collide on a key.
+// directly.) A lookup allocates nothing. keys_test.go checks that the keys
+// partition questions exactly as their canonical strings do.
 package verify
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -22,8 +19,7 @@ import (
 
 // memoKey is a fixed-size memo key. The 128-bit width makes accidental
 // collisions astronomically unlikely even across the billions of probes of
-// a long-lived service; the debug cross-check below turns "unlikely" into
-// "observed never".
+// a long-lived service.
 type memoKey [2]uint64
 
 // hash128 is two independent 64-bit multiplicative lanes fed the same
@@ -109,10 +105,10 @@ func (h *hash128) sum() memoKey {
 	return memoKey{fmix64(h.a), fmix64(h.b ^ bits.RotateLeft64(h.a, 32))}
 }
 
-// existsKey hashes an exists query into a memo key, covering exactly the
-// fields existsSig renders: join path, connective, predicates, and-preds,
-// group-by columns, and having conditions — every field length-prefixed or
-// tagged so the serialization is injective.
+// existsKey hashes an exists query into a memo key, covering every field:
+// join path, connective, predicates, and-preds, group-by columns, and having
+// conditions — every field length-prefixed or tagged so the serialization is
+// injective.
 func existsKey(eq sqlexec.ExistsQuery) memoKey {
 	h := newHash128()
 	if eq.From != nil {
@@ -161,39 +157,4 @@ func columnCellKey(avg bool, col sqlir.ColumnRef, cell tsq.Cell) memoKey {
 	h.value(cell.Lo)
 	h.value(cell.Hi)
 	return h.sum()
-}
-
-// debugMemoKeys enables the collision cross-check: every memo lookup also
-// computes the canonical string and the memo verifies that a given key
-// always maps to the same string. Test builds turn this on; a detected
-// collision panics with both canonical strings. An atomic flag, not a
-// mutex — the check sits on every hot-path memo lookup.
-var debugMemoKeys atomic.Bool
-
-// SetDebugMemoKeys toggles the memo-key collision cross-check and returns
-// the previous setting.
-func SetDebugMemoKeys(on bool) bool {
-	return debugMemoKeys.Swap(on)
-}
-
-func memoKeyDebugEnabled() bool {
-	return debugMemoKeys.Load()
-}
-
-// checkKeyCollision records key→canonical-string and panics if the same
-// key ever arrives with a different canonical string (a hash collision
-// that would silently serve one question the other's answer).
-func (bm *boolMemo) checkKeyCollision(key memoKey, sig string) {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	if bm.sigs == nil {
-		bm.sigs = map[memoKey]string{}
-	}
-	if prev, ok := bm.sigs[key]; ok {
-		if prev != sig {
-			panic(fmt.Sprintf("verify: memo key collision: %q and %q hash to %x", prev, sig, key))
-		}
-		return
-	}
-	bm.sigs[key] = sig
 }

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -56,10 +58,129 @@ func keysPred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	}
 }
 
-// Hashed keys must partition queries exactly as the canonical string keys
-// do: same string ⟺ same hash, across a family of near-miss variants
-// (moved literal, swapped predicate split, reordered group-by, text vs
-// number literal).
+// existsSig renders an exists query as its canonical string: every field,
+// separated, in the order existsKey mixes them. It is the string key the row
+// memo used before the hashed keys, kept here as their specification.
+func existsSig(eq sqlexec.ExistsQuery) string {
+	var b strings.Builder
+	if eq.From != nil {
+		for _, t := range eq.From.Tables {
+			b.WriteString(t)
+			b.WriteByte(',')
+		}
+		for _, e := range eq.From.Edges {
+			b.WriteString(e.String())
+			b.WriteByte(',')
+		}
+	}
+	b.WriteByte('|')
+	b.WriteString(eq.Conj.String())
+	for _, p := range eq.Preds {
+		b.WriteString(p.String())
+		b.WriteByte(';')
+	}
+	b.WriteByte('|')
+	for _, p := range eq.AndPreds {
+		b.WriteString(p.String())
+		b.WriteByte(';')
+	}
+	b.WriteByte('|')
+	for _, g := range eq.GroupBy {
+		b.WriteString(g.String())
+		b.WriteByte(';')
+	}
+	b.WriteByte('|')
+	for _, h := range eq.Havings {
+		b.WriteString(h.String())
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// cellSig renders a column-check question as its canonical string, values
+// quoted by kind (tsq.Cell.String does not tell 1994 from '1994').
+func cellSig(avg bool, col sqlir.ColumnRef, cell tsq.Cell) string {
+	return fmt.Sprintf("%v|%s|%d|%s|%s|%s", avg, col, cell.Kind, cell.Val, cell.Lo, cell.Hi)
+}
+
+// checkPartition asserts that key partitions a family of questions exactly
+// as sig does — two questions share a key if and only if they share a
+// canonical string — and that the family is large and has repeats, so both
+// directions are exercised.
+func checkPartition(t *testing.T, n int, sig func(i int) string, key func(i int) memoKey) {
+	t.Helper()
+	bySig := map[string]memoKey{}
+	byKey := map[memoKey]string{}
+	for i := 0; i < n; i++ {
+		s, k := sig(i), key(i)
+		if prev, ok := bySig[s]; ok && prev != k {
+			t.Errorf("%q hashes to %x and %x", s, prev, k)
+		}
+		if prev, ok := byKey[k]; ok && prev != s {
+			t.Errorf("%q and %q share key %x", prev, s, k)
+		}
+		bySig[s], byKey[k] = k, s
+	}
+	if n < 1000 || len(bySig) == n {
+		t.Errorf("%d questions, %d distinct: the family must hold at least 1000 and repeat some", n, len(bySig))
+	}
+}
+
+// literals are the literal kinds the generated families draw from: text
+// that reads as a number, its number, a fraction, 0 and -0 (equal under
+// Value.Equal, so one question), and NULL.
+var literals = []sqlir.Value{
+	sqlir.NewText("1994"), sqlir.NewInt(1994), sqlir.NewNumber(1994.5),
+	sqlir.NewInt(0), sqlir.NewNumber(math.Copysign(0, -1)), sqlir.Null(),
+}
+
+// existsFamily is a cartesian product of exists questions over join paths,
+// connectives, Preds/AndPreds splits of a predicate list, group-bys,
+// havings and literal kinds.
+func existsFamily() []sqlexec.ExistsQuery {
+	ms := sqlir.JoinEdge{FromTable: "starring", FromColumn: "mid", ToTable: "movie", ToColumn: "mid"}
+	paths := []*sqlir.JoinPath{
+		{Tables: []string{"movie"}},
+		{Tables: []string{"movie", "starring"}, Edges: []sqlir.JoinEdge{ms}},
+		{Tables: []string{"starring", "movie"}, Edges: []sqlir.JoinEdge{ms}},
+	}
+	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	title := sqlir.ColumnRef{Table: "movie", Column: "title"}
+	var out []sqlexec.ExistsQuery
+	for _, path := range paths {
+		for _, conj := range []sqlir.LogicalOp{sqlir.LogicAnd, sqlir.LogicOr} {
+			for _, lit := range literals {
+				p1 := keysPred("movie", "year", sqlir.OpEq, lit)
+				p2 := keysPred("movie", "title", sqlir.OpNe, sqlir.NewText("Heat"))
+				for _, preds := range [][]sqlir.Predicate{nil, {p1}, {p1, p2}, {p2, p1}} {
+					for split := 0; split <= len(preds); split++ {
+						for _, groupBy := range [][]sqlir.ColumnRef{nil, {year}, {year, title}} {
+							havings := [][]sqlir.HavingExpr{nil,
+								{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
+									Op: sqlir.OpGe, OpSet: true, Val: lit, ValSet: true}},
+								{{Agg: sqlir.AggSum, AggSet: true, Col: year, ColSet: true,
+									Op: sqlir.OpEq, OpSet: true, Val: lit, ValSet: true}},
+							}
+							for _, having := range havings {
+								out = append(out, sqlexec.ExistsQuery{
+									From: path, Conj: conj,
+									Preds: preds[:split], AndPreds: preds[split:],
+									GroupBy: groupBy, Havings: having,
+								})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Hashed keys must partition exists questions exactly as their canonical
+// strings do: same string ⟺ same key, across hand-picked near-miss variants
+// (moved literal, swapped predicate split, text vs number literal) and a
+// generated family of a few thousand questions.
 func TestExistsKeyAgreesWithExistsSig(t *testing.T) {
 	path := &sqlir.JoinPath{Tables: []string{"movie"}}
 	variants := []sqlexec.ExistsQuery{
@@ -91,6 +212,75 @@ func TestExistsKeyAgreesWithExistsSig(t *testing.T) {
 			if sigEq != keyEq {
 				t.Errorf("variants %d vs %d: sig equal=%v but key equal=%v", i, j, sigEq, keyEq)
 			}
+		}
+	}
+	family := existsFamily()
+	checkPartition(t, len(family),
+		func(i int) string { return existsSig(family[i]) },
+		func(i int) memoKey { return existsKey(family[i]) })
+}
+
+// memoKeys lists the keys a memo holds.
+func memoKeys(bm *boolMemo) map[memoKey]bool {
+	bm.mu.Lock()
+	defer bm.mu.Unlock()
+	keys := make(map[memoKey]bool, len(bm.m))
+	for k := range bm.m {
+		keys[k] = true
+	}
+	return keys
+}
+
+// A verifier workload of three requests over one shared cache asks the same
+// questions three times: every request reaches the same outcome, the later
+// two answer the column-wise questions from the memos, and they add no key to
+// either memo — a question hashes to the same key every time it is asked.
+func TestVerifierWorkloadUnderDebugKeys(t *testing.T) {
+	db := movieDB()
+	sketch := &tsq.TSQ{
+		Types:  []sqlir.Type{sqlir.TypeText},
+		Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump"))}},
+	}
+	q, err := sqlparse.Parse(db.Schema, "SELECT title FROM movie WHERE year > 1990")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(db)
+	var first Outcome
+	var colKeys, rowKeys map[memoKey]bool
+	for i := 0; i < 3; i++ {
+		v := NewWithCache(db, nil, sketch, nil, cache)
+		out, err := v.Verify(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out
+			colKeys, rowKeys = memoKeys(cache.col), memoKeys(cache.row)
+			if !out.OK {
+				t.Fatalf("first outcome = %+v, want pass", out)
+			}
+			if len(colKeys) == 0 {
+				t.Fatal("the first request memoized no column question")
+			}
+			if st := v.Stats(); st.DBQueries <= 1 {
+				t.Fatalf("first request DBQueries = %d, want the memoized questions plus the by-order gate", st.DBQueries)
+			}
+			continue
+		}
+		if out.OK != first.OK || out.Stage != first.Stage {
+			t.Errorf("request %d outcome = %+v, want %+v", i, out, first)
+		}
+		// Only the final by-order gate, which is not memoized, reaches the
+		// database again.
+		if st := v.Stats(); st.DBQueries != 1 {
+			t.Errorf("request %d DBQueries = %d, want 1 (the by-order gate)", i, st.DBQueries)
+		}
+		if got := memoKeys(cache.col); len(got) != len(colKeys) {
+			t.Errorf("request %d: column memo holds %d keys, want %d", i, len(got), len(colKeys))
+		}
+		if got := memoKeys(cache.row); len(got) != len(rowKeys) {
+			t.Errorf("request %d: row memo holds %d keys, want %d", i, len(got), len(rowKeys))
 		}
 	}
 }
@@ -125,50 +315,38 @@ func TestColumnCellKeyDistinguishesQuestions(t *testing.T) {
 	}
 }
 
-// The debug cross-check must catch a key that arrives with two different
-// canonical strings (a simulated hash collision).
-func TestMemoKeyCollisionDetection(t *testing.T) {
-	prev := SetDebugMemoKeys(true)
-	defer SetDebugMemoKeys(prev)
-
-	bm := &boolMemo{}
-	key := memoKey{1, 2}
-	if _, _, err := bm.do(key, func() string { return "question A" }, nil, func() (bool, error) { return true, nil }); err != nil {
-		t.Fatal(err)
+// The column-check keys partition a generated family of questions — AVG or
+// not, near-miss column names, exact cells of every literal kind, ranges
+// over every pair of numeric endpoints, the empty cell — exactly as their
+// canonical strings do.
+func TestColumnCellKeyAgreesWithCellSig(t *testing.T) {
+	type question struct {
+		avg  bool
+		col  sqlir.ColumnRef
+		cell tsq.Cell
 	}
-	// Same key, same canonical string: fine.
-	if _, _, err := bm.do(key, func() string { return "question A" }, nil, func() (bool, error) { return true, nil }); err != nil {
-		t.Fatal(err)
+	var cells []tsq.Cell
+	for _, v := range append(literals, sqlir.NewText(""), sqlir.NewText("NULL")) {
+		cells = append(cells, tsq.Exact(v))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on key collision with a different canonical string")
-		}
-	}()
-	bm.do(key, func() string { return "question B" }, nil, func() (bool, error) { return true, nil })
-}
-
-// End-to-end: a verifier workload with the collision cross-check enabled —
-// every memoized probe recomputes its pre-refactor string key and asserts
-// the hashed keys partition identically.
-func TestVerifierWorkloadUnderDebugKeys(t *testing.T) {
-	prev := SetDebugMemoKeys(true)
-	defer SetDebugMemoKeys(prev)
-
-	db := movieDB()
-	sketch := &tsq.TSQ{
-		Types:  []sqlir.Type{sqlir.TypeText},
-		Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump"))}},
-	}
-	q, err := sqlparse.Parse(db.Schema, "SELECT title FROM movie WHERE year > 1990")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(db)
-	for i := 0; i < 3; i++ {
-		v := NewWithCache(db, nil, sketch, nil, cache)
-		if _, err := v.Verify(q); err != nil {
-			t.Fatal(err)
+	ends := []float64{-1, 0, math.Copysign(0, -1), 1994, 1994.5, 2000}
+	for _, lo := range ends {
+		for _, hi := range ends {
+			cells = append(cells, tsq.Range(lo, hi))
 		}
 	}
+	cells = append(cells, tsq.Empty())
+	var family []question
+	for _, avg := range []bool{false, true} {
+		for _, table := range []string{"movie", "movi", "m"} {
+			for _, column := range []string{"year", "eyear", "title", "ovieyear"} {
+				for _, cell := range cells {
+					family = append(family, question{avg, sqlir.ColumnRef{Table: table, Column: column}, cell})
+				}
+			}
+		}
+	}
+	checkPartition(t, len(family),
+		func(i int) string { q := family[i]; return cellSig(q.avg, q.col, q.cell) },
+		func(i int) memoKey { q := family[i]; return columnCellKey(q.avg, q.col, q.cell) })
 }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -144,9 +143,8 @@ type Verifier struct {
 // but never memoized, so a shared memo cannot replay one request's fate to
 // later, healthy requests.
 type boolMemo struct {
-	mu   sync.Mutex
-	m    map[memoKey]*boolEntry
-	sigs map[memoKey]string // debug mode: canonical string per key
+	mu sync.Mutex
+	m  map[memoKey]*boolEntry
 }
 
 type boolEntry struct {
@@ -174,16 +172,11 @@ func transient(err error) bool {
 
 // do returns the memoized value for key, computing it at most once across
 // all callers. hit reports whether a previously computed entry answered the
-// call. sig renders the pre-hash canonical string; it is only invoked when
-// the debug collision cross-check is on. deps names the tables the answer
-// reads; it is only invoked when a freshly computed entry is stored, and
-// lets carryMemo move the entry across an epoch boundary when none of its
-// tables changed — or, for monotone questions that answered true, even when
-// they did.
-func (bm *boolMemo) do(key memoKey, sig func() string, deps func() (tables []string, monotone bool), f func() (bool, error)) (val, hit bool, err error) {
-	if memoKeyDebugEnabled() {
-		bm.checkKeyCollision(key, sig())
-	}
+// call. deps names the tables the answer reads; it is only invoked when a
+// freshly computed entry is stored, and lets carryMemo move the entry across
+// an epoch boundary when none of its tables changed — or, for monotone
+// questions that answered true, even when they did.
+func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool), f func() (bool, error)) (val, hit bool, err error) {
 	bm.mu.Lock()
 	if bm.m == nil {
 		bm.m = map[memoKey]*boolEntry{}
@@ -215,10 +208,7 @@ func (bm *boolMemo) do(key memoKey, sig func() string, deps func() (tables []str
 // peek returns the memoized value for key if one has been computed, without
 // computing it and without waiting for a computation in flight. An entry
 // that memoized an error reports not found, so the caller's do surfaces it.
-func (bm *boolMemo) peek(key memoKey, sig func() string) (val, found bool) {
-	if memoKeyDebugEnabled() {
-		bm.checkKeyCollision(key, sig())
-	}
+func (bm *boolMemo) peek(key memoKey) (val, found bool) {
 	bm.mu.Lock()
 	e := bm.m[key]
 	bm.mu.Unlock()
@@ -692,20 +682,18 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int,
 }
 
 // columnCellCheck answers "does any value of col satisfy cell", memoized
-// under a hashed fixed-size key (the debug closure renders the canonical
-// string key for the collision cross-check). hit reports a memoized answer;
-// with inline set a miss is not computed and reports !found.
+// under a hashed fixed-size key. hit reports a memoized answer; with inline
+// set a miss is not computed and reports !found.
 func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell, inline bool) (ok, hit, found bool, err error) {
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
-	sig := func() string { return fmt.Sprintf("%v|%s|%s", agg == sqlir.AggAvg, col, cell) }
 	if inline {
-		ok, found = v.colCache.peek(key, sig)
+		ok, found = v.colCache.peek(key)
 		return ok, found, found, nil
 	}
 	// Both forms are monotone under append-only ingest: a matching value
 	// never disappears, and the AVG range check's [min, max] only widens.
 	deps := func() ([]string, bool) { return []string{col.Table}, true }
-	ok, hit, err = v.colCache.do(key, sig, deps, func() (bool, error) {
+	ok, hit, err = v.colCache.do(key, deps, func() (bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
 			// if the cell cannot intersect that range.
@@ -870,9 +858,8 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 		// Sibling states (e.g. differing only in ORDER BY decisions) issue
 		// identical row checks; memoize by hashed query signature.
 		key := existsKey(eq)
-		sig := func() string { return existsSig(eq) }
 		if inline {
-			ok, found := v.rowCache.peek(key, sig)
+			ok, found := v.rowCache.peek(key)
 			if !found {
 				return pass(), true, nil
 			}
@@ -886,7 +873,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 		// off the checked value), so those entries never outlive their
 		// tables.
 		deps := func() ([]string, bool) { return existsDeps(eq), len(eq.Havings) == 0 }
-		ok, _, err := v.rowCache.do(key, sig, deps, func() (bool, error) {
+		ok, _, err := v.rowCache.do(key, deps, func() (bool, error) {
 			v.countDBQuery()
 			return v.joins.ExistsCtx(ctx, eq)
 		})
@@ -982,46 +969,6 @@ func cellHavings(agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) []sqlir.
 	default:
 		return nil
 	}
-}
-
-// existsSig renders an exists query as the pre-refactor canonical string
-// key. The live memo keys are the fixed-size hashes of keys.go; this
-// rendering is kept for the debug collision cross-check (SetDebugMemoKeys),
-// which verifies old and new keys agree on equality.
-func existsSig(eq sqlexec.ExistsQuery) string {
-	var b strings.Builder
-	if eq.From != nil {
-		for _, t := range eq.From.Tables {
-			b.WriteString(t)
-			b.WriteByte(',')
-		}
-		for _, e := range eq.From.Edges {
-			b.WriteString(e.String())
-			b.WriteByte(',')
-		}
-	}
-	b.WriteByte('|')
-	b.WriteString(eq.Conj.String())
-	for _, p := range eq.Preds {
-		b.WriteString(p.String())
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	for _, p := range eq.AndPreds {
-		b.WriteString(p.String())
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	for _, g := range eq.GroupBy {
-		b.WriteString(g.String())
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	for _, h := range eq.Havings {
-		b.WriteString(h.String())
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // verifyLiterals requires a complete query to use every literal tagged in
