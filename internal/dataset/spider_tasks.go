@@ -235,7 +235,7 @@ func addGroupBy(q *sqlir.Query, cols ...sqlir.ColumnRef) {
 
 func addHaving(q *sqlir.Query, agg sqlir.AggFunc, col sqlir.ColumnRef, op sqlir.Op, v sqlir.Value) {
 	q.HavingState = sqlir.ClausePresent
-	q.Having = sqlir.HavingExpr{
+	q.Having = &sqlir.HavingExpr{
 		Agg: agg, AggSet: true, Col: col, ColSet: true,
 		Op: op, OpSet: true, Val: v, ValSet: true,
 	}
@@ -243,7 +243,7 @@ func addHaving(q *sqlir.Query, agg sqlir.AggFunc, col sqlir.ColumnRef, op sqlir.
 
 func addOrder(q *sqlir.Query, agg sqlir.AggFunc, col sqlir.ColumnRef, desc bool, limit int) {
 	q.OrderByState = sqlir.ClausePresent
-	q.OrderBy = sqlir.OrderBy{
+	q.OrderBy = &sqlir.OrderBy{
 		Key:    sqlir.OrderKey{Agg: agg, Col: col},
 		KeySet: true, Desc: desc, DirSet: true,
 	}

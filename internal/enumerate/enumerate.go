@@ -210,10 +210,13 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 	return s
 }
 
+// close stops the search's verification workers and hands its frontier's
+// storage on to the next search.
 func (s *search) close() {
 	if s.pool != nil {
 		s.pool.close()
 	}
+	s.queue.release()
 }
 
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
@@ -423,7 +426,7 @@ func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []optio
 		}
 		return append(buf, option{sqlir.Decision{Kind: sqlir.DecideGroupBy}, 1}), nil
 
-	case q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePending && !q.Having.AggSet:
+	case q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePending && q.Having == nil:
 		for _, s := range e.model.HavingPresent(ctx) {
 			prob := s.Prob
 			if uniform {

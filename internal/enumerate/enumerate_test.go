@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/duoquest/duoquest/internal/guidance"
 	"github.com/duoquest/duoquest/internal/semrules"
@@ -433,6 +434,70 @@ func TestFrontierBoundKeepsTheBest(t *testing.T) {
 				t.Fatalf("pop %d after bound: seq %d, want %d", i, got.seq, all[i].seq)
 			}
 		}
+	}
+}
+
+// TestFrontierRecyclesChunks: closing a search zeroes every slot of its
+// frontier's chunks, so no query outlives its request in the pool, and the
+// next frontier of the same peak takes its chunks from the pool: what it
+// still allocates is its list of chunk pointers, not one chunk.
+func TestFrontierRecyclesChunks(t *testing.T) {
+	db := movieDB()
+	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{Workers: 1})
+	q := sqlir.NewQuery().Apply(sqlir.Decision{Kind: sqlir.DecideKeywords})
+	const peak = 3*chunkLen + 5
+	fill := func(f *frontier) {
+		for i := range peak {
+			f.push(entry{q: q, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7), seq: i})
+		}
+		for range peak / 2 {
+			f.pop()
+		}
+	}
+
+	s := e.newSearch(context.Background(), "titles", nil)
+	fill(&s.queue)
+	chunks := s.queue.chunks
+	s.close()
+	for ci, c := range chunks {
+		for i := range c {
+			if c[i] != (entry{}) {
+				t.Fatalf("chunk %d slot %d still holds %+v after close", ci, i, c[i])
+			}
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random share of what it is given")
+	}
+	var list []*[chunkLen]entry
+	growths := 0
+	for range chunks {
+		if len(list) == cap(list) {
+			growths++
+		}
+		list = append(list, nil)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		var f frontier
+		fill(&f)
+		f.release()
+	})
+	if n > float64(growths) {
+		t.Errorf("a frontier of %d chunks cost %.0f allocations, want at most the %d of its chunk list", len(chunks), n, growths)
+	}
+}
+
+// TestSearchStateSizes pins the two structs a search moves per state: the
+// query header every popped state copies and the entry the frontier holds
+// by value. DESIGN.md §14 ("A decision is data", "What a queue entry holds")
+// accounts for every field; a field added here belongs in that account.
+func TestSearchStateSizes(t *testing.T) {
+	if n := unsafe.Sizeof(sqlir.Query{}); n > 128 {
+		t.Errorf("sqlir.Query is %d bytes, over 128: see DESIGN.md §14 on what the search-state header holds", n)
+	}
+	if n := unsafe.Sizeof(entry{}); n > 80 {
+		t.Errorf("enumerate.entry is %d bytes, over 80: see DESIGN.md §14 on what a queue entry holds", n)
 	}
 }
 

@@ -1,12 +1,15 @@
 package enumerate
 
+import "sync"
+
 // frontier is the priority collection P of Algorithm 1: a binary heap of
 // entries held by value. Its storage is a list of fixed-size chunks rather
-// than one slice, so growing it never copies what is already queued — a
-// search allocates its peak frontier once, not the two to three times over
-// that doubling a slice costs.
+// than one slice, so growing it never copies what is already queued — and
+// the chunks come from chunkPool and go back to it when the search is done
+// (release), so a search reuses the storage of searches before it instead of
+// allocating its peak frontier afresh.
 type frontier struct {
-	chunks  [][]entry
+	chunks  []*[chunkLen]entry
 	n       int
 	noGuide bool // breadth-first: depth, then arrival
 	geoMean bool // order by the geometric mean of the module scores
@@ -17,6 +20,11 @@ type frontier struct {
 
 // chunkLen entries make one chunk (about 10 KB).
 const chunkLen = 128
+
+// chunkPool holds the chunks of finished searches, every slot zero. What it
+// retains is bounded by the peak of the frontiers live at once, and is freed
+// by the second garbage collection that finds it unused.
+var chunkPool = sync.Pool{New: func() any { return new([chunkLen]entry) }}
 
 func (f *frontier) len() int { return f.n }
 
@@ -50,10 +58,24 @@ func (f *frontier) less(a, b *entry) bool {
 
 func (f *frontier) push(e entry) {
 	if f.n == len(f.chunks)*chunkLen {
-		f.chunks = append(f.chunks, make([]entry, chunkLen))
+		f.chunks = append(f.chunks, chunkPool.Get().(*[chunkLen]entry))
 	}
 	f.n++
 	f.up(f.n-1, e)
+}
+
+// release empties the frontier and returns its chunks to chunkPool. The
+// queued entries are zeroed first, so no query outlives its search in the
+// pool; every other slot is zero already (pop and bound clear what they
+// vacate).
+func (f *frontier) release() {
+	for i := range f.n {
+		*f.at(i) = entry{}
+	}
+	for _, c := range f.chunks {
+		chunkPool.Put(c)
+	}
+	f.chunks, f.n = nil, 0
 }
 
 // pop removes and returns the best entry.

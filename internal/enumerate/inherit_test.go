@@ -153,7 +153,8 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 // TestChildrenNeverWriteThroughToParents: building (in the scratch and for
 // real), verifying (on four pool workers, so the race detector sees every
 // access) and queueing a state's children leaves the parent's query
-// rendering exactly as before, for every kind of decision.
+// rendering exactly as before, for every kind of decision. Every parent
+// holds a HAVING or ORDER BY clause exactly when that clause is present.
 func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	kinds := map[sqlir.DecisionKind]bool{}
 	for _, in := range walkInputs(t) {
@@ -162,7 +163,12 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 			type rendering struct{ str, canon string }
 			before := map[*sqlir.Query]rendering{}
 			walk(t, in, sketch, 4, 250, func(x expansion) {
-				before[x.parent] = rendering{x.parent.String(), x.parent.Canonical()}
+				q := x.parent
+				if (q.Having != nil) != (q.HavingState == sqlir.ClausePresent) || (q.OrderBy != nil) != (q.OrderByState == sqlir.ClausePresent) {
+					t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
+						in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
+				}
+				before[q] = rendering{q.String(), q.Canonical()}
 				for _, o := range x.opts {
 					if x.verified {
 						kinds[o.dec.Kind] = true
@@ -236,9 +242,9 @@ func TestScratchNeverEscapes(t *testing.T) {
 }
 
 // TestChildAllocations bounds what a child costs: nothing when the cascade
-// rejects it without database work, and for one that is queued only its
-// share of the frontier's next chunk — the query is not built until it is
-// popped.
+// rejects it without database work, and for one that is queued at most its
+// share of a frontier chunk, when the chunk pool has none to give — the
+// query is not built until it is popped.
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	sketch := &tsq.TSQ{

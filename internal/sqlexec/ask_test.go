@@ -232,7 +232,7 @@ func TestAskShapes(t *testing.T) {
 	}
 	orderBy := func(q *sqlir.Query, key sqlir.OrderKey, limit int) *sqlir.Query {
 		q.OrderByState = sqlir.ClausePresent
-		q.OrderBy = sqlir.OrderBy{Key: key, KeySet: true, DirSet: true}
+		q.OrderBy = &sqlir.OrderBy{Key: key, KeySet: true, DirSet: true}
 		q.Limit = limit
 		return q
 	}
@@ -242,7 +242,7 @@ func TestAskShapes(t *testing.T) {
 	}
 	having := func(q *sqlir.Query, op sqlir.Op, k int) *sqlir.Query {
 		q.HavingState = sqlir.ClausePresent
-		q.Having = sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
+		q.Having = &sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 			Op: op, OpSet: true, Val: sqlir.NewInt(k), ValSet: true}
 		return q
 	}

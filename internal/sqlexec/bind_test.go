@@ -172,7 +172,7 @@ func bindProbe(q *sqlir.Query) ExistsQuery {
 		eq.Conj, eq.Preds = q.Where.Conj, q.Where.Preds
 	}
 	if q.HavingState == sqlir.ClausePresent {
-		eq.Havings = append(eq.Havings, q.Having)
+		eq.Havings = append(eq.Havings, *q.Having)
 	}
 	grouped := q.GroupByState == sqlir.ClausePresent || q.HasAggregate() ||
 		(q.OrderByState == sqlir.ClausePresent && q.OrderBy.Key.Agg != sqlir.AggNone)

@@ -442,12 +442,17 @@ func (s *rowSink) answer() bool {
 func (s *rowSink) addGroups(ctx context.Context, g *groups, q *sqlir.Query) error {
 	// Resolve every agg(col) to its accumulator once, not once per group.
 	spec := g.spec
-	having := spec.aggAt(q.Having.Agg, q.Having.Col)
+	var having, order boundAgg
+	if q.HavingState == sqlir.ClausePresent {
+		having = spec.aggAt(q.Having.Agg, q.Having.Col)
+	}
 	sel := make([]boundAgg, len(q.Select))
 	for i, it := range q.Select {
 		sel[i] = spec.aggAt(it.Agg, it.Col)
 	}
-	order := spec.aggAt(q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
+	if s.ordered {
+		order = spec.aggAt(q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
+	}
 
 	cc := newCanceller(ctx)
 	for _, st := range g.order {

@@ -225,7 +225,7 @@ func (g *queryGen) completeQuery() (*sqlir.Query, int) {
 		}
 		if h, ok := g.having(jp); ok && g.r.Intn(2) == 0 {
 			q.HavingState = sqlir.ClausePresent
-			q.Having = h
+			q.Having = &h
 		}
 		q.Distinct = g.r.Intn(6) == 0
 	case shape == 2:
@@ -260,7 +260,7 @@ func (g *queryGen) completeQuery() (*sqlir.Query, int) {
 			orderIdx, key.Col = -1, g.column(jp)
 		}
 		q.OrderByState = sqlir.ClausePresent
-		q.OrderBy = sqlir.OrderBy{Key: key, KeySet: true, Desc: g.r.Intn(2) == 0, DirSet: true}
+		q.OrderBy = &sqlir.OrderBy{Key: key, KeySet: true, Desc: g.r.Intn(2) == 0, DirSet: true}
 		if g.r.Intn(2) == 0 {
 			q.Limit = 1 + g.r.Intn(10)
 		}

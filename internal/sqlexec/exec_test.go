@@ -336,12 +336,12 @@ func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 		},
 		"order key outside path": func(q *sqlir.Query) {
 			q.OrderByState = sqlir.ClausePresent
-			q.OrderBy = sqlir.OrderBy{Key: sqlir.OrderKey{Col: outside}, KeySet: true, DirSet: true}
+			q.OrderBy = &sqlir.OrderBy{Key: sqlir.OrderKey{Col: outside}, KeySet: true, DirSet: true}
 		},
 		"HAVING and projection outside path": func(q *sqlir.Query) {
 			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggMax, AggSet: true, Col: outside, ColSet: true}
 			q.HavingState = sqlir.ClausePresent
-			q.Having = sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.ColumnRef{Table: "actor", Column: "aid"}, ColSet: true,
+			q.Having = &sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.ColumnRef{Table: "actor", Column: "aid"}, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: num(0), ValSet: true}
 		},
 		"unknown column": func(q *sqlir.Query) { q.Select[0].Col.Column = "nope" },

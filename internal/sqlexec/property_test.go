@@ -419,7 +419,7 @@ func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 		if r.Intn(2) == 0 {
 			h := anyAgg()
 			q.HavingState = sqlir.ClausePresent
-			q.Having = sqlir.HavingExpr{
+			q.Having = &sqlir.HavingExpr{
 				Agg: h.Agg, AggSet: true, Col: h.Col, ColSet: true,
 				Op: sqlir.Op(r.Intn(6)), OpSet: true, Val: sqlir.NewInt(r.Intn(4)), ValSet: true,
 			}
@@ -461,7 +461,7 @@ func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 			key.Col = col() // need not be projected
 		}
 		q.OrderByState = sqlir.ClausePresent
-		q.OrderBy = sqlir.OrderBy{Key: key, KeySet: true, Desc: r.Intn(2) == 0, DirSet: true}
+		q.OrderBy = &sqlir.OrderBy{Key: key, KeySet: true, Desc: r.Intn(2) == 0, DirSet: true}
 	}
 	if r.Intn(2) == 0 { // with and without ORDER BY; 0 is "no LIMIT"
 		q.Limit = []int{0, 1, 2, 5, 50}[r.Intn(5)]

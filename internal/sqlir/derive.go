@@ -4,11 +4,12 @@ import "slices"
 
 // Copy-on-write derivation. A partial query is immutable once built: GPQE
 // derives each child from its parent by applying one Decision, which copies
-// the Query header plus at most the one slice the decision writes (Select
-// or Where.Preds) and shares everything else — From and the untouched
-// slices — with the parent. Nothing reachable from a derived query may be
-// written afterwards; emitted candidates, the search frontier and
-// verification workers all hold these pointers concurrently.
+// the Query header plus at most the one slice the decision writes (Select,
+// Where.Preds or GroupBy) or the one clause (Having or OrderBy), and shares
+// everything else — From and the untouched slices and clauses — with the
+// parent. Nothing reachable from a derived query may be written afterwards;
+// emitted candidates, the search frontier and verification workers all hold
+// these pointers concurrently.
 //
 // apply is the one place that knows how a decision writes a query. It has
 // two callers: Query.Apply builds an immutable child on the heap, and
@@ -73,8 +74,8 @@ func (q *Query) Apply(d Decision) *Query {
 }
 
 // Scratch is a reusable buffer for looking at a child without keeping it:
-// the header and the slices a decision writes live in the scratch, so
-// building a child there allocates nothing once the buffers have grown.
+// the header and the slice or clause a decision writes live in the scratch,
+// so building a child there allocates nothing once the buffers have grown.
 type Scratch struct {
 	q   Query
 	buf buffers
@@ -89,18 +90,29 @@ func (s *Scratch) Apply(q *Query, d Decision) *Query {
 	return &s.q
 }
 
-// buffers are where a derivation puts the one slice it writes, so that the
-// parent's stays untouched: empty ones make the slice fresh, a scratch's
+// buffers are where a derivation puts the one slice or clause it writes, so
+// that the parent's stays untouched: empty ones make it fresh, a scratch's
 // are reused from child to child.
 type buffers struct {
 	sel     []SelectItem
 	preds   []Predicate
 	groupBy []ColumnRef
+	having  *HavingExpr
+	orderBy *OrderBy
 }
 
 // cloned returns a copy of src held in *buf.
 func cloned[T any](buf *[]T, src []T) []T {
 	*buf = append((*buf)[:0], src...)
+	return *buf
+}
+
+// clause returns a copy of v held in *buf.
+func clause[T any](buf **T, v T) *T {
+	if *buf == nil {
+		*buf = new(T)
+	}
+	**buf = v
 	return *buf
 }
 
@@ -119,7 +131,8 @@ func pendingIf(present bool) ClauseState {
 }
 
 // apply writes d into c, a header copy of the parent that still shares the
-// parent's slices; a slice it writes is first copied into b.
+// parent's slices and clauses; a slice or clause it writes is first copied
+// into b.
 func (c *Query) apply(d Decision, b *buffers) {
 	switch d.Kind {
 	case DecideKeywords:
@@ -128,7 +141,7 @@ func (c *Query) apply(d Decision, b *buffers) {
 		c.KWSet = true
 		c.WhereState = pendingIf(d.Where)
 		c.GroupByState = pendingIf(d.GroupBy)
-		c.OrderByState = pendingIf(d.OrderBy)
+		c.OrderByState, c.OrderBy = pendingIf(d.OrderBy), nil
 		if !d.OrderBy {
 			c.LimitSet = true
 		}
@@ -167,23 +180,25 @@ func (c *Query) apply(d Decision, b *buffers) {
 			}
 		}
 		c.GroupByState = ClausePresent
-		c.HavingState = ClausePending
+		c.HavingState, c.Having = ClausePending, nil
 	case DecideHaving:
 		if !d.Present {
-			c.HavingState = ClauseAbsent
+			c.HavingState, c.Having = ClauseAbsent, nil
 			break
 		}
 		c.HavingState = ClausePresent
-		c.Having.Agg, c.Having.AggSet = d.Agg, true
-		c.Having.Col, c.Having.ColSet = *d.Col, true
+		c.Having = clause(&b.having, HavingExpr{Agg: d.Agg, AggSet: true, Col: *d.Col, ColSet: true})
 	case DecideHavingOp:
+		c.Having = clause(&b.having, *c.Having)
 		c.Having.Op, c.Having.OpSet = d.Op, true
 	case DecideHavingValue:
+		c.Having = clause(&b.having, *c.Having)
 		c.Having.Val, c.Having.ValSet = *d.Val, true
 	case DecideOrderKey:
-		c.OrderBy.Key, c.OrderBy.KeySet = OrderKey{Agg: d.Agg, Col: *d.Col}, true
+		c.OrderBy = clause(&b.orderBy, OrderBy{Key: OrderKey{Agg: d.Agg, Col: *d.Col}, KeySet: true})
 		c.OrderByState = ClausePresent
 	case DecideOrderDir:
+		c.OrderBy = clause(&b.orderBy, *c.OrderBy)
 		c.OrderBy.Desc, c.OrderBy.DirSet = d.Desc, true
 		c.Limit, c.LimitSet = int(d.Count), true
 	default:

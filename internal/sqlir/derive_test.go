@@ -11,9 +11,9 @@ func derivable() *Query {
 	q := buildComplete()
 	q.Where.Preds = append(q.Where.Preds, q.Where.Preds[0])
 	q.HavingState = ClausePresent
-	q.Having = HavingExpr{Agg: AggCount, AggSet: true, Col: Star, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(1), ValSet: true}
+	q.Having = &HavingExpr{Agg: AggCount, AggSet: true, Col: Star, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(1), ValSet: true}
 	q.OrderByState = ClausePresent
-	q.OrderBy = OrderBy{Key: OrderKey{Col: ColumnRef{"movie", "year"}}, KeySet: true, DirSet: true}
+	q.OrderBy = &OrderBy{Key: OrderKey{Col: ColumnRef{"movie", "year"}}, KeySet: true, DirSet: true}
 	return q
 }
 
@@ -44,7 +44,8 @@ func derivations() map[string]Decision {
 }
 
 // Every derivation changes the child and leaves the parent — which shares
-// slices and the join path with it — rendering exactly as before.
+// slices, clauses and the join path with it — rendering exactly as before. A
+// child whose decision fills HAVING or ORDER BY holds a clause of its own.
 func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	q, same := derivable(), derivable()
 	q.GroupBy = nil // so that deciding it changes something
@@ -58,15 +59,24 @@ func TestDerivationsLeaveParentUntouched(t *testing.T) {
 		if !reflect.DeepEqual(q, same) || q.String() != str || q.Canonical() != canon {
 			t.Fatalf("%s wrote through to the parent:\n was %s\n now %s", name, str, q.String())
 		}
+		fillsHaving := d.Kind == DecideHavingOp || d.Kind == DecideHavingValue || d.Kind == DecideHaving && d.Present
+		if fillsHaving && (c.Having == nil || c.Having == q.Having) {
+			t.Errorf("%s: child HAVING %p, parent's %p; want a clause of its own", name, c.Having, q.Having)
+		}
+		fillsOrder := d.Kind == DecideOrderKey || d.Kind == DecideOrderDir
+		if fillsOrder && (c.OrderBy == nil || c.OrderBy == q.OrderBy) {
+			t.Errorf("%s: child ORDER BY %p, parent's %p; want a clause of its own", name, c.OrderBy, q.OrderBy)
+		}
 	}
 }
 
-// A derivation costs the query header plus at most the one slice it writes.
+// A derivation costs the query header plus at most the one slice or clause
+// it writes.
 func TestDerivationAllocations(t *testing.T) {
 	q := derivable()
 	for name, d := range derivations() {
 		if n := testing.AllocsPerRun(50, func() { q.Apply(d) }); n > 2 {
-			t.Errorf("%s: %.0f allocations, want at most 2 (header + one slice)", name, n)
+			t.Errorf("%s: %.0f allocations, want at most 2 (header + the one slice or clause it writes)", name, n)
 		}
 	}
 }

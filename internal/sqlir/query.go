@@ -283,16 +283,19 @@ type Query struct {
 
 	GroupBy []ColumnRef
 
-	Having HavingExpr
-
-	OrderBy OrderBy
+	// Having and OrderBy are non-nil exactly when HavingState and
+	// OrderByState are ClausePresent. Most search states never reach
+	// either clause, so the header holds them by pointer rather than
+	// carrying 120 bytes of absent clauses through every derivation.
+	Having  *HavingExpr
+	OrderBy *OrderBy
 
 	// Limit is the LIMIT row count; 0 means no LIMIT clause. LimitSet
 	// records whether the decision has been made.
 	Limit int
 
-	// The one-byte fields sit together so the header — copied once per
-	// derived search state — carries no padding between them.
+	// The one-byte fields sit together so the header — 120 bytes, copied
+	// once per derived search state — carries no padding between them.
 	Distinct       bool
 	SelectCountSet bool
 	WhereState     ClauseState
@@ -460,6 +463,14 @@ func (q *Query) Clone() *Query {
 	if q.GroupBy != nil {
 		cp.GroupBy = make([]ColumnRef, len(q.GroupBy))
 		copy(cp.GroupBy, q.GroupBy)
+	}
+	if q.Having != nil {
+		h := *q.Having
+		cp.Having = &h
+	}
+	if q.OrderBy != nil {
+		o := *q.OrderBy
+		cp.OrderBy = &o
 	}
 	if q.From != nil {
 		jp := &JoinPath{

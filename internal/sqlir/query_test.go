@@ -128,7 +128,7 @@ func TestLiterals(t *testing.T) {
 		t.Errorf("Literals = %v", lits)
 	}
 	q.HavingState = ClausePresent
-	q.Having = HavingExpr{
+	q.Having = &HavingExpr{
 		Agg: AggCount, AggSet: true, Col: Star, ColSet: true,
 		Op: OpGt, OpSet: true, Val: NewInt(5), ValSet: true,
 	}
@@ -140,11 +140,23 @@ func TestLiterals(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	q := buildComplete()
+	q.HavingState = ClausePresent
+	q.Having = &HavingExpr{Agg: AggCount, AggSet: true, Col: Star, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(1), ValSet: true}
+	q.OrderByState = ClausePresent
+	q.OrderBy = &OrderBy{Key: OrderKey{Col: ColumnRef{"movie", "year"}}, KeySet: true, DirSet: true}
 	c := q.Clone()
 	c.Select[0].Col.Column = "changed"
 	c.Where.Preds[0].Val = NewInt(9999)
 	c.GroupBy[0].Column = "changed"
 	c.From.Tables[0] = "changed"
+	c.Having.Val = NewInt(9999)
+	c.OrderBy.Desc = true
+	if !q.Having.Val.Equal(NewInt(1)) {
+		t.Error("clone mutated original having")
+	}
+	if q.OrderBy.Desc {
+		t.Error("clone mutated original order by")
+	}
 	if q.Select[0].Col.Column != "name" {
 		t.Error("clone mutated original select")
 	}
@@ -196,7 +208,7 @@ func TestQueryStringPlaceholders(t *testing.T) {
 func TestOrderByLimitRendering(t *testing.T) {
 	q := buildComplete()
 	q.OrderByState = ClausePresent
-	q.OrderBy = OrderBy{
+	q.OrderBy = &OrderBy{
 		Key:    OrderKey{Agg: AggCount, Col: Star},
 		KeySet: true,
 		Desc:   true,

@@ -304,7 +304,7 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 				return nil, err
 			}
 			h.Val = val
-			q.Having = h
+			q.Having = &h
 		}
 	}
 
@@ -344,9 +344,7 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 			}
 			key.Col = ref
 		}
-		q.OrderBy.Key = key
-		q.OrderBy.KeySet = true
-		q.OrderBy.DirSet = true
+		q.OrderBy = &sqlir.OrderBy{Key: key, KeySet: true, DirSet: true}
 		if p.acceptKw("desc") {
 			q.OrderBy.Desc = true
 		} else {

@@ -811,7 +811,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 	var baseHavings []sqlir.HavingExpr
 	if q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePresent &&
 		q.Having.Complete() {
-		baseHavings = append(baseHavings, q.Having)
+		baseHavings = append(baseHavings, *q.Having)
 	}
 	var groupBy []sqlir.ColumnRef
 	if q.GroupByState == sqlir.ClausePresent {
