@@ -6,7 +6,6 @@ package duoquest_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -217,7 +216,7 @@ func BenchmarkSynthesizeDualSpec(b *testing.B) {
 // verificationWorkload selects MAS dual-specification tasks whose cost is
 // dominated by ascending-cost cascading verification (Full sketches force
 // the column-wise, row-wise, and by-order database checks on every explored
-// state). Shared by the sequential/parallel benchmark pair below.
+// state).
 func verificationWorkload(b *testing.B) []struct {
 	task   *dataset.Task
 	sketch *duoquest.TSQ
@@ -247,23 +246,19 @@ func verificationWorkload(b *testing.B) []struct {
 	return out
 }
 
-// runVerificationWorkload synthesizes every workload task once with the
-// given worker count and returns the concatenated candidate list (canonical
-// SQL in emission order) for the equivalence check.
+// runVerificationWorkload synthesizes every workload task once.
 func runVerificationWorkload(b *testing.B, workload []struct {
 	task   *dataset.Task
 	sketch *duoquest.TSQ
-}, workers int) []string {
+}) {
 	b.Helper()
-	var emitted []string
 	for _, w := range workload {
 		cfg := duoquest.DefaultConfig()
 		cfg.Budget = time.Minute // states cap terminates first
 		cfg.MaxCandidates = 10
 		cfg.MaxStates = 10000
-		cfg.Workers = workers
 		syn := duoquest.New(w.task.DB, cfg)
-		res, err := syn.Synthesize(context.Background(), duoquest.Input{
+		_, err := syn.Synthesize(context.Background(), duoquest.Input{
 			NLQ:      w.task.NLQ,
 			Literals: w.task.Literals,
 			Sketch:   w.sketch,
@@ -271,50 +266,19 @@ func runVerificationWorkload(b *testing.B, workload []struct {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range res.Candidates {
-			emitted = append(emitted, c.Query.Canonical())
-		}
 	}
-	return emitted
 }
 
-// BenchmarkVerificationSequential is the baseline of the paired engine
-// benchmark: GPQE with Workers=1, all verification inline on the search
-// goroutine. Verification queries themselves run through the streaming
-// executor (DESIGN.md §6); the paired executor-level benchmarks live in
+// BenchmarkVerification times the engine end to end on TSQ-heavy Spider
+// tasks: search, guidance and the whole verification cascade on one
+// goroutine per request. Verification queries themselves run through the
+// streaming executor (DESIGN.md §6); the executor-level benchmarks live in
 // internal/sqlexec/bench_test.go.
-func BenchmarkVerificationSequential(b *testing.B) {
+func BenchmarkVerification(b *testing.B) {
 	workload := verificationWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runVerificationWorkload(b, workload, 1)
-	}
-}
-
-// BenchmarkVerificationParallel is the paired measurement: the same
-// workload with Workers=GOMAXPROCS fanning TSQ verification out to the
-// worker pool. On a multi-core runner this sustains a >=1.5x speedup over
-// BenchmarkVerificationSequential; the first iteration asserts that both
-// modes emit identical candidate lists (soundness and ranking preserved),
-// so the speedup never comes at the cost of the paper's guarantees.
-func BenchmarkVerificationParallel(b *testing.B) {
-	workload := verificationWorkload(b)
-	if runtime.GOMAXPROCS(0) == 1 {
-		b.Log("GOMAXPROCS=1: pool disabled, expect parity with sequential")
-	}
-	seq := runVerificationWorkload(b, workload, 1)
-	par := runVerificationWorkload(b, workload, 0)
-	if len(seq) != len(par) {
-		b.Fatalf("parallel emitted %d candidates, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			b.Fatalf("candidate %d differs: %s vs %s", i, seq[i], par[i])
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runVerificationWorkload(b, workload, 0)
+		runVerificationWorkload(b, workload)
 	}
 }
 

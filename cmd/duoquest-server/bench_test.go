@@ -90,13 +90,9 @@ const benchConcurrency = 8
 func benchEngine(b *testing.B, perRequestCaches bool) *server {
 	b.Helper()
 	cfg := service.Config{
-		Budget:        30 * time.Second,
-		MaxCandidates: 4,
-		MaxStates:     3000,
-		// Parallelism comes from concurrent requests, not intra-request
-		// verification fan-out: one worker per request avoids
-		// oversubscribing the scheduler under 48 concurrent syntheses.
-		Workers:          1,
+		Budget:           30 * time.Second,
+		MaxCandidates:    4,
+		MaxStates:        3000,
 		PerRequestCaches: perRequestCaches,
 	}
 	eng := service.NewEngine(cfg)

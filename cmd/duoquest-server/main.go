@@ -57,7 +57,6 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline; expiry returns a truncated partial result (0 = none)")
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on a request's deadline_ms (0 = no clamp)")
 		topk        = flag.Int("k", 10, "max candidates per request")
-		workers     = flag.Int("workers", 0, "verification workers per request (0 = GOMAXPROCS, 1 = sequential)")
 		defaultDB   = flag.String("db", "mas", "default database for requests that name none")
 		dataDir     = flag.String("data-dir", "", "segment store directory; every persisted database in it is loaded and registered at startup")
 		maxInFlight = flag.Int("max-inflight", 8, "max concurrently running syntheses (0 = unbounded)")
@@ -74,7 +73,6 @@ func main() {
 	cfg.DefaultDeadline = *deadline
 	cfg.MaxDeadline = *maxDeadline
 	cfg.MaxCandidates = *topk
-	cfg.Workers = *workers
 	cfg.MaxInFlight = *maxInFlight
 	cfg.MaxQueue = *maxQueue
 	eng := duoquest.NewEngine(cfg)

@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		limit    = fs.Int("limit", 0, "TSQ top-k limit (0 = none)")
 		topk     = fs.Int("k", 5, "candidates to display")
 		budget   = fs.Duration("budget", 3*time.Second, "search budget")
-		workers  = fs.Int("workers", 0, "verification workers (0 = GOMAXPROCS, 1 = sequential)")
 		complete = fs.String("complete", "", "run autocomplete for a prefix and exit")
 		lits     stringList
 		tuples   stringList
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := duoquest.DefaultConfig()
 	cfg.Budget = *budget
 	cfg.MaxCandidates = *topk
-	cfg.Workers = *workers
 	syn := duoquest.New(db, cfg)
 
 	if *complete != "" {

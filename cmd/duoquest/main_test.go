@@ -49,8 +49,7 @@ func TestRunAutocomplete(t *testing.T) {
 }
 
 // TestRunEndToEndMovies drives a full dual-specification synthesis against
-// the built-in movies schema: NLQ + literal + a one-cell sketch, with the
-// worker pool enabled.
+// the built-in movies schema: NLQ + literal + a one-cell sketch.
 func TestRunEndToEndMovies(t *testing.T) {
 	code, stdout, stderr := runCLI(
 		"-db", "movies",
@@ -60,7 +59,6 @@ func TestRunEndToEndMovies(t *testing.T) {
 		"-tuple", "Forrest Gump",
 		"-k", "3",
 		"-budget", "10s",
-		"-workers", "0",
 	)
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr %q", code, stderr)
@@ -76,8 +74,7 @@ func TestRunEndToEndMovies(t *testing.T) {
 	}
 }
 
-// TestRunEndToEndRangeCell exercises the [lo;hi] range-cell syntax and the
-// sequential (-workers 1) path.
+// TestRunEndToEndRangeCell exercises the [lo;hi] range-cell syntax.
 func TestRunEndToEndRangeCell(t *testing.T) {
 	code, stdout, stderr := runCLI(
 		"-db", "movies",
@@ -87,7 +84,6 @@ func TestRunEndToEndRangeCell(t *testing.T) {
 		"-tuple", "[2010;2017]",
 		"-k", "2",
 		"-budget", "10s",
-		"-workers", "1",
 	)
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr %q", code, stderr)

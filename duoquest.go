@@ -210,9 +210,9 @@ type Input = service.Input
 var ErrOverloaded = service.ErrOverloaded
 
 // Config is the engine's whole configuration surface — guidance model,
-// pruning rules, enumeration mode, search bounds, deadlines, parallelism,
-// admission control, and the per-request-cache baseline: thirteen fields,
-// documented one by one on service.Config. The zero value is usable;
+// pruning rules, enumeration mode, search bounds, deadlines, admission
+// control, and the per-request-cache baseline: thirteen fields, two of them
+// ignored, documented one by one on service.Config. The zero value is usable;
 // DefaultConfig returns the library defaults (lexical guidance, Table 4
 // rules, 2s budget, 50 candidates), and callers start from it and set
 // fields.
@@ -221,9 +221,9 @@ type Config = service.Config
 // DefaultConfig returns the documented library defaults: the lexical
 // guidance model, the Table 4 semantic pruning rules, GPQE mode, a 2-second
 // search budget, and at most 50 candidates per request. The other eight
-// fields — MaxStates, Workers, DefaultDeadline, MaxDeadline, MaxInFlight,
-// MaxQueue, PerRequestCaches and the ignored QueryParallelism — stay at their
-// zero values (unbounded, GOMAXPROCS, shared caches).
+// fields — MaxStates, DefaultDeadline, MaxDeadline, MaxInFlight, MaxQueue,
+// PerRequestCaches and the ignored Workers and QueryParallelism — stay at
+// their zero values (unbounded, shared caches).
 func DefaultConfig() Config {
 	return Config{
 		Model:         guidance.NewLexicalModel(),

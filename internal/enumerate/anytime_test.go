@@ -20,15 +20,15 @@ import (
 
 // anytimeTask is the shared fixture: a literal-bearing search whose
 // untruncated run produces a healthy stream of ranked candidates.
-func anytimeTask(t *testing.T) (run func(ctx context.Context, workers int, emit func(Candidate) bool) *Result) {
+func anytimeTask(t *testing.T) (run func(ctx context.Context, emit func(Candidate) bool) *Result) {
 	t.Helper()
 	db := movieDB()
 	gold := sqlparse.MustParse(db.Schema, "SELECT title FROM movie WHERE year < 1995")
 	sketch := synthTSQ(t, db, gold)
 	lits := []sqlir.Value{num(1995)}
-	return func(ctx context.Context, workers int, emit func(Candidate) bool) *Result {
+	return func(ctx context.Context, emit func(Candidate) bool) *Result {
 		v := verify.New(db, semrules.Default(), sketch, lits)
-		e := New(db, guidance.NewLexicalModel(), v, Options{MaxCandidates: 20, Workers: workers})
+		e := New(db, guidance.NewLexicalModel(), v, Options{MaxCandidates: 20})
 		res, err := e.Enumerate(ctx, "movies before 1995", lits, emit)
 		if err != nil {
 			t.Fatalf("enumerate: %v", err)
@@ -65,7 +65,7 @@ func requirePrefix(t *testing.T, ref, got []string, label string) {
 // candidates emitted before the cancel.
 func TestCancelMidSearchTruncatedPrefix(t *testing.T) {
 	run := anytimeTask(t)
-	ref := run(context.Background(), 1, nil)
+	ref := run(context.Background(), nil)
 	if len(ref.Candidates) < 3 {
 		t.Fatalf("reference run found only %d candidates", len(ref.Candidates))
 	}
@@ -74,7 +74,7 @@ func TestCancelMidSearchTruncatedPrefix(t *testing.T) {
 	for k := 1; k < len(refC); k++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		res := run(ctx, 1, func(Candidate) bool {
+		res := run(ctx, func(Candidate) bool {
 			n++
 			if n == k {
 				cancel()
@@ -111,10 +111,10 @@ func TestCancelMidSearchTruncatedPrefix(t *testing.T) {
 // untruncated run.
 func TestDeadlineExpiryAnytimePrefix(t *testing.T) {
 	run := anytimeTask(t)
-	refC := canonicals(run(context.Background(), 1, nil))
+	refC := canonicals(run(context.Background(), nil))
 	for _, budget := range []time.Duration{100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		res := run(ctx, 1, nil)
+		res := run(ctx, nil)
 		cancel()
 		requirePrefix(t, refC, canonicals(res), budget.String())
 		if !res.Truncated && len(res.Candidates) != len(refC) {
@@ -124,18 +124,18 @@ func TestDeadlineExpiryAnytimePrefix(t *testing.T) {
 	}
 }
 
-// TestCancelRacesPoolDrain races client cancellation against the parallel
-// verification pool's drain from every angle the scheduler will give us; run
-// under -race this is the data-race gate for the cancellation paths. The
+// TestCancelRacesScan cancels from a timer goroutine at a spread of delays,
+// so the cancellation lands mid-scan, mid-verification and between states;
+// run under -race this is the data-race gate for the cancellation paths. The
 // anytime prefix property must hold at every cancellation point.
-func TestCancelRacesPoolDrain(t *testing.T) {
+func TestCancelRacesScan(t *testing.T) {
 	run := anytimeTask(t)
-	refC := canonicals(run(context.Background(), 4, nil))
+	refC := canonicals(run(context.Background(), nil))
 	for i := 0; i < 24; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		delay := time.Duration(i) * 37 * time.Microsecond
 		timer := time.AfterFunc(delay, cancel)
-		res := run(ctx, 4, nil)
+		res := run(ctx, nil)
 		timer.Stop()
 		cancel()
 		requirePrefix(t, refC, canonicals(res), "race")

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -66,16 +65,10 @@ type Options struct {
 	// definition §3.3.3 discusses (it removes the preference for shorter
 	// queries at the cost of Property 1). Off by default, as in the paper.
 	GeoMeanPriority bool
-	// Workers bounds the verification worker pool. The search goroutine
-	// runs every child's cascade (§3.4) itself as far as that takes no
-	// database work — clause, semantic and type checks, and column- and
-	// row-wise questions the shared memos already answer; only children
-	// that reach a memo miss or the by-order execution are handed to the
-	// pool, two or more at a time. The priority queue and guidance scoring
-	// stay single-threaded and outcomes are consumed in child order, so the
-	// emitted candidates are identical at every setting.
-	// 0 defaults to runtime.GOMAXPROCS(0); 1 does the database work on the
-	// search goroutine too.
+
+	// Workers is ignored: a search, its guidance and every child's cascade
+	// (§3.4), database stages included, run on the Enumerate caller's
+	// goroutine. bench/ sets it, so it stays until bench/ stops.
 	Workers int
 }
 
@@ -100,11 +93,10 @@ type Result struct {
 	Exhausted  bool // the whole space was enumerated
 	// Truncated marks an anytime partial result: the search was cut short by
 	// cancellation, deadline expiry, or an injected fault, and Candidates
-	// holds what was verified up to that point. Because candidates are
-	// consumed in the reordering buffer's sequential order, a truncated
-	// candidate list is always a prefix of the untruncated run's. MaxStates,
-	// MaxCandidates, and emit-stopped searches are complete answers under
-	// their configured bounds, not truncations.
+	// holds what was verified up to that point. The search is sequential, so
+	// a truncated candidate list is always a prefix of the untruncated run's.
+	// MaxStates, MaxCandidates, and emit-stopped searches are complete
+	// answers under their configured bounds, not truncations.
 	Truncated bool
 	Elapsed   time.Duration
 }
@@ -113,8 +105,8 @@ type Result struct {
 // states are never expanded, so a child that survives verification is kept
 // as its parent's query plus the decision that extends it, by value in the
 // frontier's storage, and becomes a query of its own only if it is popped.
-// Queries are immutable (sqlir/derive.go): entries, emitted candidates and
-// verification workers share them freely.
+// Queries are immutable (sqlir/derive.go): entries and emitted candidates
+// share them freely.
 type entry struct {
 	// q is the state's own query when dec is the zero Decision; otherwise it
 	// is the parent's, with dec still to apply.
@@ -159,9 +151,6 @@ func New(db *storage.Database, model guidance.Model, verifier *verify.Verifier, 
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 500000
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Enumerator{
 		db:       db,
 		graph:    schemagraph.New(db.Schema),
@@ -176,12 +165,12 @@ type search struct {
 	e    *Enumerator
 	ctx  context.Context
 	mctx *guidance.Context
-	pool *verifyPool // nil: every check runs on the search goroutine
 
 	queue frontier
-	// scratch holds the one child being looked at. Nothing that outlives
-	// the look may point into it: a check handed to Finish, a candidate and
-	// a popped state each get a query of their own (Query.Apply).
+	// scratch holds the one child being looked at, its whole cascade
+	// included. Nothing that outlives the look may point into it: a
+	// candidate and a popped state each get a query of their own
+	// (Query.Apply).
 	scratch sqlir.Scratch
 	opts    []option // the current expansion, reused
 	seq     int
@@ -203,21 +192,12 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 			return e.opts.Mode != ModeNoPQ || complete
 		},
 	}
-	if e.opts.Workers > 1 {
-		s.pool = newVerifyPool(ctx, e.verifier, e.opts.Workers)
-	}
 	s.queue.push(entry{q: sqlir.NewQuery()})
 	return s
 }
 
-// close stops the search's verification workers and hands its frontier's
-// storage on to the next search.
-func (s *search) close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
-	s.queue.release()
-}
+// close hands the search's frontier storage on to the next search.
+func (s *search) close() { s.queue.release() }
 
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
 // query, built now if it was queued as a decision, and one option per
@@ -233,8 +213,39 @@ func (s *search) expand(p *entry) (*sqlir.Query, []option, error) {
 	return q, opts, nil
 }
 
+// verifyResult is what the search learns about one child of an expansion.
+type verifyResult struct {
+	complete  bool           // the child has no holes left
+	out       verify.Outcome // meaningful only when the child needed verifying
+	err       error
+	cancelled bool // the request died, or drew an injected fault, mid-check
+}
+
+// verifyChild builds the child of q by decision d in the scratch and runs
+// its whole cascade there, inheriting q's proofs when q passed the cascade.
+// A transient error — the request was cancelled or faulted mid-check, so the
+// partial outcome is meaningless — reports cancellation instead.
+func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
+	c := s.scratch.Apply(q, d)
+	r.complete = c.Complete()
+	if !s.needVerify(r.complete) {
+		return r
+	}
+	if !inherit {
+		d = sqlir.Decision{} // nothing proved to inherit
+	}
+	out, err := s.e.verifier.VerifyChild(s.ctx, c, d)
+	if verify.Transient(err) {
+		r.cancelled = true
+	} else {
+		r.out, r.err = out, err
+	}
+	return r
+}
+
 // child is the state reached from p, whose query is q, by option o, given
-// what verification said about it.
+// what verification said about it. It is queued as (parent, decision) and
+// built only if it is popped or emitted.
 func (s *search) child(p *entry, q *sqlir.Query, o *option, r *verifyResult) entry {
 	s.seq++
 	lc := math.Inf(-1)
@@ -245,9 +256,6 @@ func (s *search) child(p *entry, q *sqlir.Query, o *option, r *verifyResult) ent
 		joinLen: int16(q.From.Len()), verified: s.needVerify(r.complete)}
 	if o.dec.Kind == sqlir.DecideFrom {
 		c.joinLen = int16(o.dec.From.Len())
-	}
-	if r.q != nil {
-		c.q, c.dec = r.q, sqlir.Decision{} // already built for its check
 	}
 	return c
 }
@@ -261,9 +269,9 @@ func (s *search) child(p *entry, q *sqlir.Query, o *option, r *verifyResult) ent
 func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (*Result, error) {
 	start := time.Now()
 	if e.opts.Budget > 0 {
-		// The budget rides the context so verification workers mid-scan see
-		// the expiry at the executor's cancellation checkpoints instead of
-		// running their state to completion.
+		// The budget rides the context so a verification query mid-scan
+		// sees the expiry at the executor's cancellation checkpoints
+		// instead of running to completion.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, start.Add(e.opts.Budget))
 		defer cancel()
@@ -299,24 +307,9 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		if err != nil {
 			return res, err
 		}
-		// With a pool, the whole expansion is checked at once — inline as
-		// far as no database work is needed, the rest fanned out — and the
-		// batch restores child order; otherwise each child is verified
-		// when its turn comes, exactly as the sequential engine does.
-		// Either way, results are consumed in child order below, so emitted
-		// candidates and queue contents are identical in both modes.
-		var batch []verifyResult
-		if s.pool != nil && len(opts) > 1 {
-			batch = s.verifyBatch(q, p.verified, opts)
-		}
 		for i := range opts {
 			o := &opts[i]
-			var r verifyResult
-			if batch != nil {
-				r = batch[i]
-			} else {
-				r = s.verifyChild(q, p.verified, o.dec)
-			}
+			r := s.verifyChild(q, p.verified, o.dec)
 			if r.cancelled {
 				// The request died (or drew an injected fault) mid-
 				// verification: degrade to the candidates already emitted.

@@ -3,7 +3,9 @@ package enumerate
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -338,6 +340,60 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestSearchRunsOnCallersGoroutine: a search starts no goroutine, whatever
+// Workers says. A TSQ search that does database work sees, at every
+// emission, no more goroutines than there were before Enumerate began.
+func TestSearchRunsOnCallersGoroutine(t *testing.T) {
+	db := movieDB()
+	gold := sqlparse.MustParse(db.Schema, "SELECT title FROM movie WHERE year < 1995")
+	sketch := synthTSQ(t, db, gold)
+	lits := []sqlir.Value{num(1995)}
+	v := verify.New(db, semrules.Default(), sketch, lits)
+	e := New(db, guidance.NewLexicalModel(), v, Options{MaxCandidates: 5, Workers: 8})
+	before := runtime.NumGoroutine()
+	emitted := 0
+	_, err := e.Enumerate(context.Background(), "movies before 1995", lits, func(Candidate) bool {
+		emitted++
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("candidate %d: %d goroutines inside emit, %d before Enumerate", emitted, n, before)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); emitted == 0 || st.DBQueries == 0 {
+		t.Fatalf("%d candidates after %d database queries: the search must do both", emitted, st.DBQueries)
+	}
+}
+
+// TestSharedVerifierConcurrentEnumerations: distinct enumerators sharing one
+// verifier (and thus one memo cache) may run concurrently, as requests that
+// share a verify.Cache do, so hammer its memos and counters from several full
+// searches at once. Run with -race to make this a data-race test.
+func TestSharedVerifierConcurrentEnumerations(t *testing.T) {
+	db := movieDB()
+	gold := sqlparse.MustParse(db.Schema, "SELECT title FROM movie WHERE year < 1995")
+	sketch := synthTSQ(t, db, gold)
+	lits := []sqlir.Value{num(1995)}
+	v := verify.New(db, semrules.Default(), sketch, lits)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := New(db, guidance.NewLexicalModel(), v, Options{MaxCandidates: 20, Budget: 10 * time.Second})
+			if _, err := e.Enumerate(context.Background(), "movies before 1995", lits, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := v.Stats(); st.Checked == 0 {
+		t.Error("verifier saw no checks")
+	}
+}
+
 // TestMaxStatesCap bounds exploration.
 func TestMaxStatesCap(t *testing.T) {
 	db := movieDB()
@@ -361,7 +417,7 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	db := movieDB()
 	run := func(maxStates int) *Result {
 		v := verify.New(db, semrules.Default(), nil, nil)
-		e := New(db, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates, Workers: 1})
+		e := New(db, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates})
 		res, err := e.Enumerate(context.Background(), "titles of movies and their years", nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -443,7 +499,7 @@ func TestFrontierBoundKeepsTheBest(t *testing.T) {
 // still allocates is its list of chunk pointers, not one chunk.
 func TestFrontierRecyclesChunks(t *testing.T) {
 	db := movieDB()
-	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{Workers: 1})
+	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
 	q := sqlir.NewQuery().Apply(sqlir.Decision{Kind: sqlir.DecideKeywords})
 	const peak = 3*chunkLen + 5
 	fill := func(f *frontier) {

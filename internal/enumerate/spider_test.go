@@ -79,7 +79,7 @@ func (sc spiderCaches) of(db *storage.Database) *verify.Cache {
 
 // spiderRun is one benchmark request: dual sends the TSQ, otherwise the
 // request is NLQ + literals only.
-func spiderRun(tb testing.TB, st spiderTask, dual bool, workers int, caches spiderCaches) *Result {
+func spiderRun(tb testing.TB, st spiderTask, dual bool, caches spiderCaches) *Result {
 	tb.Helper()
 	var sketch *tsq.TSQ
 	if dual {
@@ -89,7 +89,6 @@ func spiderRun(tb testing.TB, st spiderTask, dual bool, workers int, caches spid
 	en := New(st.DB, guidance.NewLexicalModel(), v, Options{
 		MaxCandidates: spiderCandidates,
 		MaxStates:     spiderMaxStates,
-		Workers:       workers,
 	})
 	res, err := en.Enumerate(context.Background(), st.NLQ, st.Literals, nil)
 	if err != nil {
@@ -136,8 +135,8 @@ func modeName(dual bool) string {
 // TestSpiderCandidatesGolden pins the candidate lists of the 197 benchmark
 // tasks, with and without the TSQ, to the digests recorded at the commit
 // before partial queries became shared-structure and verification became
-// inherited (PR 12): the refactor must be the same search, candidate for
-// candidate and bit for bit, at every pool size.
+// inherited: the refactor must be the same search, candidate for candidate
+// and bit for bit.
 func TestSpiderCandidatesGolden(t *testing.T) {
 	tasks := spiderTasks(t)
 	if *updateGolden {
@@ -145,7 +144,7 @@ func TestSpiderCandidatesGolden(t *testing.T) {
 		caches := spiderCaches{}
 		for _, dual := range []bool{true, false} {
 			for _, st := range tasks {
-				fmt.Fprintf(&b, "%s %s %s\n", modeName(dual), st.ID, candidateDigest(st.ID, spiderRun(t, st, dual, 1, caches)))
+				fmt.Fprintf(&b, "%s %s %s\n", modeName(dual), st.ID, candidateDigest(st.ID, spiderRun(t, st, dual, caches)))
 			}
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -174,34 +173,32 @@ func TestSpiderCandidatesGolden(t *testing.T) {
 		t.Fatalf("golden file has %d entries, want %d", len(want), 2*len(tasks))
 	}
 
-	stride, workerCounts := 1, []int{1, 2, 4}
+	stride := 1
 	if testing.Short() {
-		stride, workerCounts = 8, []int{1, 4}
+		stride = 8
 	}
-	for _, workers := range workerCounts {
-		caches := spiderCaches{}
-		for _, dual := range []bool{true, false} {
-			for i := 0; i < len(tasks); i += stride {
-				st := tasks[i]
-				got := candidateDigest(st.ID, spiderRun(t, st, dual, workers, caches))
-				if got != want[modeName(dual)+" "+st.ID] {
-					t.Errorf("workers=%d %s %s: candidate list digest %s, recorded %s",
-						workers, modeName(dual), st.ID, got[:12], want[modeName(dual)+" "+st.ID][:12])
-				}
+	caches := spiderCaches{}
+	for _, dual := range []bool{true, false} {
+		for i := 0; i < len(tasks); i += stride {
+			st := tasks[i]
+			got := candidateDigest(st.ID, spiderRun(t, st, dual, caches))
+			if got != want[modeName(dual)+" "+st.ID] {
+				t.Errorf("%s %s: candidate list digest %s, recorded %s",
+					modeName(dual), st.ID, got[:12], want[modeName(dual)+" "+st.ID][:12])
 			}
 		}
 	}
 }
 
 // benchmarkSpider times one pass over the benchmark's tasks per iteration
-// against warm shared caches at the server's default pool size, and reports
+// against warm shared caches, and reports
 // the cost of one explored state — the unit GPQE's tractability argument is
 // made in.
 func benchmarkSpider(b *testing.B, dual bool) {
 	tasks := spiderTasks(b)
 	caches := spiderCaches{}
 	for _, st := range tasks { // warm the memos and join caches
-		spiderRun(b, st, dual, 0, caches)
+		spiderRun(b, st, dual, caches)
 	}
 	states := 0
 	var before, after runtime.MemStats
@@ -209,7 +206,7 @@ func benchmarkSpider(b *testing.B, dual bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range tasks {
-			states += spiderRun(b, st, dual, 0, caches).States
+			states += spiderRun(b, st, dual, caches).States
 		}
 	}
 	b.StopTimer()

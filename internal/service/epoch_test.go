@@ -647,7 +647,7 @@ func TestPinnedEpochSurvivesUnreadIngest(t *testing.T) {
 // of one probe — with both candidate lists equal to a quiesced engine's.
 func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 	const latency = 400 * time.Millisecond
-	opts := Config{MaxStates: 800, MaxCandidates: 1, Workers: 1}
+	opts := Config{MaxStates: 800, MaxCandidates: 1}
 	// Three join probes to its first candidate, all inside memoized row checks.
 	slow := Input{
 		NLQ:      "names of actors starring in Forrest Gump",

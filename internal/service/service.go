@@ -89,17 +89,11 @@ type Config struct {
 	MaxCandidates int
 	// MaxStates caps explored search states per request (0 = none).
 	MaxStates int
-	// Workers bounds each request's verification worker pool
-	// (0 = GOMAXPROCS). A request's search goroutine runs every check
-	// that needs no database work itself; the pool only sees checks that
-	// reach a memo miss or a by-order execution, so 1 (no pool) differs
-	// from the default only where there is database work to overlap.
-	Workers int
-
-	// QueryParallelism is ignored: a scan runs on its request's goroutine,
-	// and Workers is the only parallelism inside a request. bench/ sets it
-	// and a PR that claims a gain may not edit bench/; ROADMAP item 2
-	// retires it.
+	// Workers and QueryParallelism are ignored: a request's search, its
+	// verification cascade and every scan run on the request's goroutine,
+	// and parallelism exists only across requests (MaxInFlight). bench/
+	// sets both, so they stay until bench/ stops.
+	Workers          int
 	QueryParallelism int
 
 	// DefaultDeadline is the per-request wall-clock budget applied when a
@@ -596,7 +590,6 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 		MaxCandidates: s.eng.opts.MaxCandidates,
 		MaxStates:     s.eng.opts.MaxStates,
 		Budget:        s.eng.opts.Budget,
-		Workers:       s.eng.opts.Workers,
 	})
 	res, err := en.Enumerate(ctx, in.NLQ, in.Literals, emit)
 	stopWatch()

@@ -7,9 +7,9 @@ import "slices"
 // the Query header plus at most the one slice the decision writes (Select,
 // Where.Preds or GroupBy) or the one clause (Having or OrderBy), and shares
 // everything else — From and the untouched slices and clauses — with the
-// parent. Nothing reachable from a derived query may be written afterwards;
-// emitted candidates, the search frontier and verification workers all hold
-// these pointers concurrently.
+// parent. Nothing reachable from a derived query may be written afterwards:
+// emitted candidates and the search frontier hold these pointers for as long
+// as they like.
 //
 // apply is the one place that knows how a decision writes a query. It has
 // two callers: Query.Apply builds an immutable child on the heap, and
@@ -83,7 +83,7 @@ type Scratch struct {
 
 // Apply builds q with d applied inside the scratch. The result is valid
 // until the next Apply on s and must not outlive it: anything that keeps a
-// query — a candidate, a queued check, a worker — takes Query.Apply's.
+// query — a candidate, a popped state — takes Query.Apply's.
 func (s *Scratch) Apply(q *Query, d Decision) *Query {
 	s.q = *q
 	s.q.apply(d, &s.buf)

@@ -58,7 +58,7 @@ func TestByOrderAskAgreesOnSpiderTasks(t *testing.T) {
 		}
 		v := verify.NewWithCache(task.DB, semrules.Default(), sk, task.Literals, caches[task.DB])
 		en := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
-			MaxCandidates: 10, MaxStates: 3000, Workers: 2,
+			MaxCandidates: 10, MaxStates: 3000,
 		})
 		if _, err := en.Enumerate(context.Background(), task.NLQ, task.Literals, nil); err != nil {
 			t.Fatalf("%s: %v", task.ID, err)

@@ -15,6 +15,14 @@
 //	VerifyByOrder      — complete queries must satisfy the full TSQ
 //	                     (ordering, distinctness, limit), asked of the
 //	                     result as it streams, with an early exit
+//
+// A check runs on its caller's goroutine from the first stage to the last,
+// database stages included, and keeps nothing of the query it was given: the
+// caller may build the next query in the same memory as soon as the call
+// returns (the enumerator checks every child in one scratch buffer). That
+// holds because memo keys are 128-bit hashes of the question (keys.go), an
+// entry's dependency list is built by boolMemo.do's deps callback while the
+// query is still the caller's, and an Outcome's reason never points into it.
 package verify
 
 import (
@@ -102,11 +110,10 @@ type Stats struct {
 }
 
 // Verifier checks partial queries against a TSQ, the NLQ literals, and the
-// semantic rule set. A Verifier is safe for concurrent use: the enumerator's
-// verification worker pool calls Verify from many goroutines, sharing the
-// column-wise and row-wise memos (concurrent first checks of the same key
-// share one database query). Create one per synthesis task — the rules,
-// sketch, and literals are request state — but the memos themselves depend
+// semantic rule set. A Verifier is safe for concurrent use, and so are the
+// column-wise and row-wise memos it reads: concurrent first checks of the
+// same key share one database query. Create one per synthesis task — the
+// rules, sketch, and literals are request state — but the memos themselves depend
 // only on the database contents, so verifiers for the same database may
 // share them through a Cache (NewWithCache): a later request re-asking a
 // question an earlier request already answered pays no database work.
@@ -126,8 +133,8 @@ type Verifier struct {
 	// cumulative view lives in the service layer's stats.
 	base sqlexec.PipelineStats
 
-	// Per-request counters, bumped from the search goroutine and the pool
-	// workers alike.
+	// Per-request counters. They are atomic because a verifier may serve
+	// several searches at once.
 	checked   atomic.Int64
 	colHits   atomic.Int64
 	dbQueries atomic.Int64
@@ -162,9 +169,11 @@ type boolEntry struct {
 	mono bool
 }
 
-// transient reports whether err reflects one request's fate (cancellation,
-// deadline expiry, injected fault) rather than a property of the database.
-func transient(err error) bool {
+// Transient reports whether err reflects one request's fate (cancellation,
+// deadline expiry, injected fault) rather than a property of the database. A
+// memo never stores such an error, and the enumerator turns one into an
+// anytime partial result instead of failing the request.
+func Transient(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		faultinject.IsInjected(err)
@@ -193,7 +202,7 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool)
 		return e.val, ok, e.err
 	}
 	val, err = f()
-	if err != nil && transient(err) {
+	if err != nil && Transient(err) {
 		// Leave the entry uncomputed for the next request.
 		return false, false, err
 	}
@@ -203,19 +212,6 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool)
 	}
 	e.done.Store(true)
 	return e.val, false, e.err
-}
-
-// peek returns the memoized value for key if one has been computed, without
-// computing it and without waiting for a computation in flight. An entry
-// that memoized an error reports not found, so the caller's do surfaces it.
-func (bm *boolMemo) peek(key memoKey) (val, found bool) {
-	bm.mu.Lock()
-	e := bm.m[key]
-	bm.mu.Unlock()
-	if e == nil || !e.done.Load() || e.err != nil {
-		return false, false
-	}
-	return e.val, true
 }
 
 // carryMemo builds the next epoch's memo from a previous epoch's, copying
@@ -239,9 +235,9 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 	}
 	prev.mu.Unlock()
 	for k, e := range entries {
-		// Like peek, never wait for a computation in flight: its request is
-		// still on the previous epoch and may hold e.mu for as long as its
-		// probe runs. An entry not yet done simply restarts cold.
+		// Never wait for a computation in flight: its request is still on
+		// the previous epoch and may hold e.mu for as long as its probe
+		// runs. An entry not yet done simply restarts cold.
 		if !e.done.Load() || e.err != nil || len(e.deps) == 0 {
 			continue
 		}
@@ -399,76 +395,40 @@ func (v *Verifier) Verify(q *sqlir.Query) (Outcome, error) {
 
 // VerifyCtx is Verify under a request context: the database-touching stages
 // poll ctx through the executor's cancellation checkpoints and unwind with
-// ctx.Err() when the request is cancelled or past its deadline. It assumes
-// nothing about q's ancestry and runs every stage, which makes it the
-// oracle the inherited checks (Begin/Finish) are tested against.
+// ctx.Err() when the request is cancelled or past its deadline. It is
+// VerifyChild with the zero Decision: it assumes nothing about q's ancestry
+// and runs every stage, which makes it the oracle inherited checks are
+// tested against.
 func (v *Verifier) VerifyCtx(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	c, err := v.check(ctx, q, sqlir.Decision{}, false)
-	return c.out, err
+	return v.VerifyChild(ctx, q, sqlir.Decision{})
 }
 
-// Check is one query's verification in progress: what Begin decided on the
-// calling goroutine and, while Pending, what is left for Finish.
-type Check struct {
-	owes    debt
-	out     Outcome
-	pending bool
-}
-
-// Pending reports that database work remains: Outcome is not final until
-// Finish has run.
-func (c Check) Pending() bool { return c.pending }
-
-// Outcome is the decision of a check that is not Pending.
-func (c Check) Outcome() Outcome { return c.out }
-
-// Begin verifies q as far as that takes no database work, on the calling
-// goroutine. d is the one decision separating q from a parent that passed
-// this verifier's cascade — what q shares with that parent is inherited,
-// not re-proved (see owed) — or the zero Decision when there is no such
-// parent. The returned check is final unless Pending: then a memo miss or
-// the by-order execution remains and Finish, on any goroutine, completes
-// it. Begin and Finish together count as one check in Stats. Begin keeps
-// nothing of q: the caller may build the next query in the same memory.
-func (v *Verifier) Begin(ctx context.Context, q *sqlir.Query, d sqlir.Decision) (Check, error) {
-	return v.check(ctx, q, d, true)
-}
-
-// Finish completes a check Begin left pending, doing the database work,
-// from the stage that stopped it. q is the query Begin looked at or an
-// equal one that outlives the call — the enumerator begins on a scratch
-// query and finishes, possibly on another goroutine, on an immutable copy.
-func (v *Verifier) Finish(ctx context.Context, c Check, q *sqlir.Query) (Outcome, error) {
-	out, _, err := v.dbStages(ctx, q, &c.owes, false)
+// VerifyChild runs the whole cascade on q, on the calling goroutine. d is the
+// one decision separating q from a parent that passed this verifier's
+// cascade — what q shares with that parent is inherited, not re-proved (see
+// owed) — or the zero Decision when there is no such parent. It keeps
+// nothing of q (see the package comment).
+func (v *Verifier) VerifyChild(ctx context.Context, q *sqlir.Query, d sqlir.Decision) (Outcome, error) {
+	v.checked.Add(1)
+	if err := faultinject.From(ctx).VerifyError(); err != nil {
+		return Outcome{}, err
+	}
+	owes := owed(q, d)
+	out := v.verifyClauses(q)
+	if out.OK {
+		out = v.verifySemantics(q)
+	}
+	if out.OK && owes.types {
+		out = v.verifyColumnTypes(q)
+	}
+	var err error
+	if out.OK {
+		out, err = v.dbStages(ctx, q, owes)
+	}
 	if err == nil {
 		v.settle(out)
 	}
 	return out, err
-}
-
-// check is one query's trip through the cascade. With inline set it stops,
-// pending, where the first database access would happen.
-func (v *Verifier) check(ctx context.Context, q *sqlir.Query, d sqlir.Decision, inline bool) (Check, error) {
-	v.checked.Add(1)
-	if err := faultinject.From(ctx).VerifyError(); err != nil {
-		return Check{}, err
-	}
-	c := Check{owes: owed(q, d)}
-	c.out = v.verifyClauses(q)
-	if c.out.OK {
-		c.out = v.verifySemantics(q)
-	}
-	if c.out.OK && c.owes.types {
-		c.out = v.verifyColumnTypes(q)
-	}
-	var err error
-	if c.out.OK {
-		c.out, c.pending, err = v.dbStages(ctx, q, &c.owes, inline)
-	}
-	if err == nil && !c.pending {
-		v.settle(c.out)
-	}
-	return c, err
 }
 
 // debt is what a query still owes the cascade beyond the clause and
@@ -521,38 +481,28 @@ func owed(q *sqlir.Query, d sqlir.Decision) debt {
 	}
 }
 
-// dbStages runs the stages that can touch the database, striking each
-// passed stage off owes. With inline set, memoized answers are used but
-// nothing is computed: the first miss, and the by-order execution, return
-// pending with owes saying where to resume.
-func (v *Verifier) dbStages(ctx context.Context, q *sqlir.Query, owes *debt, inline bool) (out Outcome, pending bool, err error) {
+// dbStages runs the stages that can touch the database, as far as owes says
+// q still has to.
+func (v *Verifier) dbStages(ctx context.Context, q *sqlir.Query, owes debt) (Outcome, error) {
 	if owes.col != noProjection {
-		out, pending, err = v.verifyByColumn(ctx, q, owes.col, inline)
-		if err != nil || pending || !out.OK {
-			return out, pending, err
+		if out, err := v.verifyByColumn(ctx, q, owes.col); err != nil || !out.OK {
+			return out, err
 		}
-		owes.col = noProjection
 	}
 	if owes.rows && v.canCheckRows(q) {
-		out, pending, err = v.verifyByRow(ctx, q, inline)
-		if err != nil || pending || !out.OK {
-			return out, pending, err
+		if out, err := v.verifyByRow(ctx, q); err != nil || !out.OK {
+			return out, err
 		}
 	}
-	owes.rows = false
 	if q.Complete() {
 		if out := v.verifyLiterals(q); !out.OK {
-			return out, false, nil
+			return out, nil
 		}
 		if v.sketch != nil {
-			if inline {
-				return Outcome{}, true, nil
-			}
-			out, err = v.verifyByOrder(ctx, q)
-			return out, false, err
+			return v.verifyByOrder(ctx, q)
 		}
 	}
-	return pass(), false, nil
+	return pass(), nil
 }
 
 // verifyClauses checks the sorting flag and limit against the TSQ (Example
@@ -636,12 +586,12 @@ func (v *Verifier) verifyColumnTypes(q *sqlir.Query) Outcome {
 // projected column's own table. COUNT and SUM projections are skipped; AVG
 // is checked against the column's min/max range. only restricts the check
 // to one projection (the others are inherited), or is allProjections.
-func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int, inline bool) (out Outcome, pending bool, err error) {
+func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int) (Outcome, error) {
 	if v.sketch == nil || len(v.sketch.Tuples) == 0 {
-		return pass(), false, nil
+		return pass(), nil
 	}
-	// Memo hits are counted once the stage is through, so a check resumed
-	// after a miss does not count the hits before it twice.
+	// Memo hits are counted once the stage reaches a decision: a check cut
+	// short by an error counts none.
 	hits := 0
 	for i, s := range q.Select {
 		if only != allProjections && i != only {
@@ -663,9 +613,9 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int,
 			if cell.Kind == tsq.CellEmpty {
 				continue
 			}
-			ok, hit, found, err := v.columnCellCheck(ctx, s.Agg, s.Col, cell, inline)
-			if err != nil || !found {
-				return pass(), !found, err
+			ok, hit, err := v.columnCellCheck(ctx, s.Agg, s.Col, cell)
+			if err != nil {
+				return pass(), err
 			}
 			if hit {
 				hits++
@@ -673,27 +623,22 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int,
 			if !ok {
 				v.colHits.Add(int64(hits))
 				return fail(StageByColumn,
-					"tuple %d cell %d (%s) has no match in the projected column", ti, i, &tp[i]), false, nil
+					"tuple %d cell %d (%s) has no match in the projected column", ti, i, &tp[i]), nil
 			}
 		}
 	}
 	v.colHits.Add(int64(hits))
-	return pass(), false, nil
+	return pass(), nil
 }
 
 // columnCellCheck answers "does any value of col satisfy cell", memoized
-// under a hashed fixed-size key. hit reports a memoized answer; with inline
-// set a miss is not computed and reports !found.
-func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell, inline bool) (ok, hit, found bool, err error) {
+// under a hashed fixed-size key. hit reports a memoized answer.
+func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) (ok, hit bool, err error) {
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
-	if inline {
-		ok, found = v.colCache.peek(key)
-		return ok, found, found, nil
-	}
 	// Both forms are monotone under append-only ingest: a matching value
 	// never disappears, and the AVG range check's [min, max] only widens.
 	deps := func() ([]string, bool) { return []string{col.Table}, true }
-	ok, hit, err = v.colCache.do(key, deps, func() (bool, error) {
+	return v.colCache.do(key, deps, func() (bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
 			// if the cell cannot intersect that range.
@@ -713,7 +658,6 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 			Preds: preds,
 		})
 	})
-	return ok, hit, true, err
 }
 
 // avgCellPossible checks intersection of the cell with the column's
@@ -806,7 +750,7 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // query's own predicates whenever doing so is sound (AND semantics), and
 // drops them otherwise so the check runs against a superset — a failure
 // then still soundly prunes every completion.
-func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool) (out Outcome, pending bool, err error) {
+func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
 	basePreds, baseConj := soundPredicates(q)
 	var baseHavings []sqlir.HavingExpr
 	if q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePresent &&
@@ -838,7 +782,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 			}
 			if s.Agg == sqlir.AggNone {
 				if !q.From.Contains(s.Col.Table) {
-					return fail(StageByRow, "projection %d outside join path", i), false, nil
+					return fail(StageByRow, "projection %d outside join path", i), nil
 				}
 				eq.AndPreds = append(eq.AndPreds, cellPredicates(s.Col, cell)...)
 				constrained = true
@@ -857,34 +801,23 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query, inline bool)
 		}
 		// Sibling states (e.g. differing only in ORDER BY decisions) issue
 		// identical row checks; memoize by hashed query signature.
-		key := existsKey(eq)
-		if inline {
-			ok, found := v.rowCache.peek(key)
-			if !found {
-				return pass(), true, nil
-			}
-			if !ok {
-				return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
-			}
-			continue
-		}
 		// Plain exists-over-join questions are monotone under append-only
 		// ingest; HAVING conditions are not (a group's aggregate can move
 		// off the checked value), so those entries never outlive their
 		// tables.
 		deps := func() ([]string, bool) { return existsDeps(eq), len(eq.Havings) == 0 }
-		ok, _, err := v.rowCache.do(key, deps, func() (bool, error) {
+		ok, _, err := v.rowCache.do(existsKey(eq), deps, func() (bool, error) {
 			v.countDBQuery()
 			return v.joins.ExistsCtx(ctx, eq)
 		})
 		if err != nil {
-			return pass(), false, err
+			return pass(), err
 		}
 		if !ok {
-			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
+			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), nil
 		}
 	}
-	return pass(), false, nil
+	return pass(), nil
 }
 
 // existsDeps names every table an exists query reads — the join path plus

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -464,56 +463,5 @@ func TestOutcomeReasonRendering(t *testing.T) {
 	}
 	if r := pass().Reason(); r != "" {
 		t.Errorf("a pass has reason %q", r)
-	}
-}
-
-// TestBeginFinishIsOneCheck: Begin stops at the first question the memos
-// cannot answer, Finish resumes there, and the pair counts once in every
-// counter — the same totals VerifyCtx alone produces.
-func TestBeginFinishIsOneCheck(t *testing.T) {
-	db := movieDB()
-	q := sqlparse.MustParse(db.Schema,
-		"SELECT m.title, a.name, m.year FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.mid = m.mid "+
-			"WHERE m.year < 1995 OR m.year > 2000")
-	ctx := context.Background()
-
-	whole := newVerifier(db, kevinTSQ(), num(1995), num(2000))
-	want := mustVerify(t, whole, q)
-
-	split := newVerifier(db, kevinTSQ(), num(1995), num(2000))
-	chk, err := split.Begin(ctx, q, sqlir.Decision{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !chk.Pending() {
-		t.Fatal("cold memos: Begin must leave the column checks to Finish")
-	}
-	if st := split.Stats(); st.Checked != 1 || st.DBQueries != 0 || st.ColumnCache != 0 {
-		t.Errorf("after Begin: %+v, want one check and no database work", st)
-	}
-	got, err := split.Finish(ctx, chk, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.OK != want.OK || got.Stage != want.Stage {
-		t.Errorf("Begin+Finish = %+v, VerifyCtx = %+v", got, want)
-	}
-	if a, b := split.Stats(), whole.Stats(); a.Checked != b.Checked || a.DBQueries != b.DBQueries || a.ColumnCache != b.ColumnCache {
-		t.Errorf("Begin+Finish counted %+v, VerifyCtx counted %+v", a, b)
-	}
-
-	// Warm memos: everything but the by-order execution is decided inline,
-	// and a rejection is final without Finish.
-	chk, err = split.Begin(ctx, q, sqlir.Decision{})
-	if err != nil || !chk.Pending() {
-		t.Fatalf("complete query with a TSQ must wait for by-order: %+v, %v", chk, err)
-	}
-	bad := sqlparse.MustParse(db.Schema, "SELECT name FROM actor ORDER BY birth_yr ASC")
-	chk, err = split.Begin(ctx, bad, sqlir.Decision{})
-	if err != nil || chk.Pending() || chk.Outcome().OK || chk.Outcome().Stage != StageClauses {
-		t.Errorf("clause rejection must be final inline: %+v, %v", chk, err)
-	}
-	if st := split.Stats(); st.Checked != 3 || st.Rejected[StageClauses] != 1 {
-		t.Errorf("stats = %+v, want 3 checks and one clause rejection", st)
 	}
 }
