@@ -103,15 +103,12 @@ type Result struct {
 
 // entry is one queued search state: a decision, not a query. Most queued
 // states are never expanded, so a child that survives verification is kept
-// as its parent's query plus the decision that extends it, by value in the
-// frontier's storage, and becomes a query of its own only if it is popped.
-// Queries are immutable (sqlir/derive.go): entries and emitted candidates
-// share them freely.
+// as the node of the popped state it extends plus the decision that extends
+// it, by value in the frontier's storage; if it is popped, it becomes a node
+// of its own.
 type entry struct {
-	// q is the state's own query when dec is the zero Decision; otherwise it
-	// is the parent's, with dec still to apply.
-	q   *sqlir.Query
-	dec sqlir.Decision
+	parent *node          // nil for the root
+	dec    sqlir.Decision // the zero Decision for the root
 
 	logConf  float64
 	seq      int   // FIFO tiebreaker for determinism
@@ -120,13 +117,20 @@ type entry struct {
 	verified bool  // the state passed the cascade, so its children inherit its proofs
 }
 
-// query returns the state's query, deriving it if that was put off.
-func (e *entry) query() *sqlir.Query {
-	if e.dec.Kind != 0 {
-		return e.q.Apply(e.dec)
-	}
-	return e.q
+// node is a popped state: the decision that made it from its parent, the
+// path GPQE's partial query is (§3.3). Its query is never kept; expand
+// replays the path from the root whenever the state is expanded. Nodes come
+// from the search's slab and never move, so a queued child may point at its
+// parent's.
+type node struct {
+	parent *node // nil for the root
+	dec    sqlir.Decision
 }
+
+// nodeChunk nodes make a full slab chunk (about 14 KB). A search's first
+// chunks double from 16 nodes, so that a short search does not pay for a
+// full one.
+const nodeChunk = 256
 
 // option is one output class of an expansion: the decision that makes the
 // child and the probability the module gave it.
@@ -167,13 +171,19 @@ type search struct {
 	mctx *guidance.Context
 
 	queue frontier
-	// scratch holds the one child being looked at, its whole cascade
-	// included. Nothing that outlives the look may point into it: a
-	// candidate and a popped state each get a query of their own
-	// (Query.Apply).
-	scratch sqlir.Scratch
-	opts    []option // the current expansion, reused
-	seq     int
+	// nodes is the slab's current chunk. A full chunk is left to the nodes
+	// in it, which queued entries and descendant nodes point at, and goes
+	// with the search: unlike the frontier's chunks it is not pooled, as
+	// what a pool keeps between requests is live heap.
+	nodes []node
+	// cur holds the popped state being expanded, replayed from path, and
+	// scratch the one child of it being looked at, its whole cascade
+	// included. Nothing that outlives the look may point into either: an
+	// emitted candidate is a copy of its own (Query.Keep).
+	cur, scratch sqlir.Scratch
+	path         []sqlir.Decision // the decisions cur replays, reused
+	opts         []option         // the current expansion, reused
+	seq          int
 
 	// needVerify reports whether a child runs the verification cascade:
 	// always under GPQE/NoGuide; only complete queries under NoPQ.
@@ -192,25 +202,44 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 			return e.opts.Mode != ModeNoPQ || complete
 		},
 	}
-	s.queue.push(entry{q: sqlir.NewQuery()})
+	s.queue.push(entry{}) // the empty query
 	return s
 }
 
 // close hands the search's frontier storage on to the next search.
 func (s *search) close() { s.queue.release() }
 
+// newNode records a popped state in the slab.
+func (s *search) newNode(parent *node, d sqlir.Decision) *node {
+	if len(s.nodes) == cap(s.nodes) {
+		s.nodes = make([]node, 0, min(max(2*cap(s.nodes), 16), nodeChunk))
+	}
+	s.nodes = append(s.nodes, node{parent, d})
+	return &s.nodes[len(s.nodes)-1]
+}
+
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
-// query, built now if it was queued as a decision, and one option per
-// output class of the next module. The options are valid until the next
-// call.
-func (s *search) expand(p *entry) (*sqlir.Query, []option, error) {
-	q := p.query()
+// query, replayed into cur, and one option per output class of the next
+// module. Both are valid until the next call.
+func (s *search) expand(n *node) (*sqlir.Query, []option, error) {
+	q := s.replay(n)
 	opts, err := s.e.nextStep(s.mctx, q, s.opts[:0])
 	if err != nil {
 		return nil, nil, err
 	}
 	s.opts = opts
 	return q, opts, nil
+}
+
+// replay builds n's query in cur from the decisions on its path from the
+// root; the root's own is the zero Decision and is not applied.
+func (s *search) replay(n *node) *sqlir.Query {
+	s.path = s.path[:0]
+	for ; n.parent != nil; n = n.parent {
+		s.path = append(s.path, n.dec)
+	}
+	slices.Reverse(s.path)
+	return s.cur.Replay(s.path)
 }
 
 // verifyResult is what the search learns about one child of an expansion.
@@ -243,16 +272,15 @@ func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r 
 	return r
 }
 
-// child is the state reached from p, whose query is q, by option o, given
-// what verification said about it. It is queued as (parent, decision) and
-// built only if it is popped or emitted.
-func (s *search) child(p *entry, q *sqlir.Query, o *option, r *verifyResult) entry {
+// child is the state reached by option o from p, popped as n with query q,
+// given what verification said about it. It is queued as (n, decision).
+func (s *search) child(p *entry, n *node, q *sqlir.Query, o *option, r *verifyResult) entry {
 	s.seq++
 	lc := math.Inf(-1)
 	if o.prob > 0 {
 		lc = p.logConf + math.Log(o.prob)
 	}
-	c := entry{q: q, dec: o.dec, logConf: lc, seq: s.seq, depth: p.depth + 1,
+	c := entry{parent: n, dec: o.dec, logConf: lc, seq: s.seq, depth: p.depth + 1,
 		joinLen: int16(q.From.Len()), verified: s.needVerify(r.complete)}
 	if o.dec.Kind == sqlir.DecideFrom {
 		c.joinLen = int16(o.dec.From.Len())
@@ -303,7 +331,8 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		p := s.queue.pop()
 		res.States++
 
-		q, opts, err := s.expand(&p)
+		n := s.newNode(p.parent, p.dec)
+		q, opts, err := s.expand(n)
 		if err != nil {
 			return res, err
 		}
@@ -318,7 +347,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			if r.err != nil {
 				return res, r.err
 			}
-			c := s.child(&p, q, o, &r)
+			c := s.child(&p, n, q, o, &r)
 			if c.verified && !r.out.OK {
 				continue
 			}
@@ -326,7 +355,9 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 				s.queue.push(c)
 				continue
 			}
-			cq := c.query()
+			// The child verifyChild checked, built again in the scratch; a
+			// candidate that is kept gets a copy of its own.
+			cq := s.scratch.Apply(q, o.dec)
 			key := cq.Canonical()
 			if seen[key] {
 				continue
@@ -334,7 +365,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			seen[key] = true
 			emitted++
 			cand := Candidate{
-				Query:      cq,
+				Query:      cq.Keep(),
 				Confidence: math.Exp(c.logConf),
 				Rank:       emitted,
 				Elapsed:    time.Since(start),
@@ -364,7 +395,8 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 // module returned them, not copied.
 func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []option) ([]option, error) {
 	// The search owns ctx and a model reads it only during a call, so it is
-	// rebound in place instead of copied (Context.WithQuery) per state.
+	// rebound in place instead of copied (Context.WithQuery) per state, to a
+	// query that lives in the search's scratch.
 	ctx.Query = q
 	uniform := e.opts.Mode == ModeNoGuide
 

@@ -494,17 +494,19 @@ func TestFrontierBoundKeepsTheBest(t *testing.T) {
 }
 
 // TestFrontierRecyclesChunks: closing a search zeroes every slot of its
-// frontier's chunks, so no query outlives its request in the pool, and the
-// next frontier of the same peak takes its chunks from the pool: what it
-// still allocates is its list of chunk pointers, not one chunk.
+// frontier's chunks, so no node of a search — nor the slab chunk holding it,
+// nor the guidance output its decisions point into — outlives its request
+// in the pool, and the next frontier of the same peak takes its chunks from
+// the pool: what it still allocates is its list of chunk pointers, not one
+// chunk.
 func TestFrontierRecyclesChunks(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
-	q := sqlir.NewQuery().Apply(sqlir.Decision{Kind: sqlir.DecideKeywords})
+	parent := &node{dec: sqlir.Decision{Kind: sqlir.DecideKeywords}}
 	const peak = 3*chunkLen + 5
 	fill := func(f *frontier) {
 		for i := range peak {
-			f.push(entry{q: q, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7), seq: i})
+			f.push(entry{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7), seq: i})
 		}
 		for range peak / 2 {
 			f.pop()
@@ -544,16 +546,20 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestSearchStateSizes pins the two structs a search moves per state: the
-// query header every popped state copies and the entry the frontier holds
-// by value. DESIGN.md §14 ("A decision is data", "What a queue entry holds")
-// accounts for every field; a field added here belongs in that account.
+// TestSearchStateSizes pins the structs a search moves per state: the query
+// header every replay and every child in the scratch copies, the entry the
+// frontier holds by value and the node a popped state becomes. DESIGN.md §14
+// ("A decision is data", "What a queue entry holds") accounts for every
+// field; a field added here belongs in that account.
 func TestSearchStateSizes(t *testing.T) {
 	if n := unsafe.Sizeof(sqlir.Query{}); n > 128 {
 		t.Errorf("sqlir.Query is %d bytes, over 128: see DESIGN.md §14 on what the search-state header holds", n)
 	}
 	if n := unsafe.Sizeof(entry{}); n > 80 {
 		t.Errorf("enumerate.entry is %d bytes, over 80: see DESIGN.md §14 on what a queue entry holds", n)
+	}
+	if n := unsafe.Sizeof(node{}); n > 64 {
+		t.Errorf("enumerate.node is %d bytes, over 64: see DESIGN.md §14 on what a queue entry holds", n)
 	}
 }
 

@@ -65,8 +65,8 @@ func (f *frontier) push(e entry) {
 }
 
 // release empties the frontier and returns its chunks to chunkPool. The
-// queued entries are zeroed first, so no query outlives its search in the
-// pool; every other slot is zero already (pop and bound clear what they
+// queued entries are zeroed first, so no node of the search outlives it in
+// the pool; every other slot is zero already (pop and bound clear what they
 // vacate).
 func (f *frontier) release() {
 	for i := range f.n {
@@ -84,7 +84,7 @@ func (f *frontier) pop() entry {
 	f.n--
 	last := f.at(f.n)
 	e := *last
-	*last = entry{} // the vacated slot must not keep a query alive
+	*last = entry{} // the vacated slot must not keep a node alive
 	if f.n > 0 {
 		f.down(0, e)
 	}

@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -14,11 +15,14 @@ import (
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// expansion is what walk shows its observer: a popped state's query, whether
-// it passed the cascade (its children then inherit), and its options with
-// what the engine's own path — the child built in the scratch and checked
-// there by VerifyChild — said about each.
+// expansion is what walk shows its observer: a popped state's node and its
+// query — replayed into the search's scratch, so valid only during the call,
+// and read after its children were built and checked — whether it passed
+// the cascade (its children then inherit), and its options with what the
+// engine's own path — the child built in the scratch and checked there by
+// VerifyChild — said about each.
 type expansion struct {
+	node     *node
 	parent   *sqlir.Query
 	verified bool
 	opts     []option
@@ -35,9 +39,10 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 	e := New(in.db, in.model, v, Options{})
 	s := e.newSearch(context.Background(), in.nlq, in.lits)
 	defer s.close()
-	for n := 0; s.queue.len() > 0 && n < maxStates; n++ {
+	for i := 0; s.queue.len() > 0 && i < maxStates; i++ {
 		p := s.queue.pop()
-		q, opts, err := s.expand(&p)
+		n := s.newNode(p.parent, p.dec)
+		q, opts, err := s.expand(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,17 +50,33 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 		for _, o := range opts {
 			results = append(results, s.verifyChild(q, p.verified, o.dec))
 		}
-		observe(expansion{q, p.verified, opts, results})
+		observe(expansion{n, q, p.verified, opts, results})
 		for i := range opts {
 			r := &results[i]
 			if r.err != nil || r.cancelled {
 				t.Fatalf("%s + %+v: %+v", q, opts[i].dec, r)
 			}
-			if c := s.child(&p, q, &opts[i], r); r.out.OK && !r.complete {
+			if c := s.child(&p, n, q, &opts[i], r); r.out.OK && !r.complete {
 				s.queue.push(c)
 			}
 		}
 	}
+}
+
+// derive is the child of q by d as a query of its own: built in a fresh
+// scratch and kept.
+func derive(q *sqlir.Query, d sqlir.Decision) *sqlir.Query {
+	var s sqlir.Scratch
+	return s.Apply(q, d).Keep()
+}
+
+// derivation is n's query built the long way: one kept derivation per
+// decision on its path from the root.
+func derivation(n *node) *sqlir.Query {
+	if n.parent == nil {
+		return sqlir.NewQuery()
+	}
+	return derive(derivation(n.parent), n.dec)
 }
 
 // walkInputs are the searches the inheritance tests walk: a sample of the
@@ -123,7 +144,7 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 			oracle := verify.New(in.db, semrules.Default(), sketch, in.lits)
 			walk(t, in, sketch, 400, func(x expansion) {
 				for i, o := range x.opts {
-					child := x.parent.Apply(o.dec)
+					child := derive(x.parent, o.dec)
 					want, err := oracle.Verify(child)
 					if err != nil {
 						t.Fatal(err)
@@ -146,34 +167,65 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 	}
 }
 
-// TestChildrenNeverWriteThroughToParents: building (in the scratch and for
-// real), verifying and queueing a state's children leaves the parent's query
-// rendering exactly as before, for every kind of decision. Every parent
-// holds a HAVING or ORDER BY clause exactly when that clause is present.
+// TestReplayIsTheDerivation: the query a popped state is expanded from —
+// its path of decisions replayed in place into the search's scratch — is,
+// field for field and in its rendering, the query one kept derivation per
+// decision builds from the root, for every state of the Spider walk.
+func TestReplayIsTheDerivation(t *testing.T) {
+	states := 0
+	for _, in := range walkInputs(t) {
+		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
+			walk(t, in, sketch, 250, func(x expansion) {
+				want := derivation(x.node)
+				if !reflect.DeepEqual(x.parent, want) || x.parent.String() != want.String() {
+					t.Fatalf("%s: replayed %s\n derived %s", in.id, x.parent, want)
+				}
+				states++
+			})
+		}
+	}
+	if states == 0 {
+		t.Fatal("the walk popped no state")
+	}
+}
+
+// TestChildrenNeverWriteThroughToParents: a popped state's query is rebuilt
+// from its path whenever it is expanded, so its children could change it
+// only by writing into the search's copy of it while they are built and
+// checked, or by writing a decision or node on its path once it is queued.
+// Neither happens, for any kind of decision: the query an expansion reads
+// after its children were looked at renders as a fresh replay of its path,
+// and every path replays to the same rendering once the whole walk is over.
+// Every parent holds a HAVING or ORDER BY clause exactly when that clause is
+// present.
 func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	kinds := map[sqlir.DecisionKind]bool{}
+	type rendering struct{ str, canon string }
+	render := func(q *sqlir.Query) rendering { return rendering{q.String(), q.Canonical()} }
 	for _, in := range walkInputs(t) {
 		// Without the TSQ little is pruned, so every clause gets expanded.
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			type rendering struct{ str, canon string }
-			before := map[*sqlir.Query]rendering{}
+			before := map[*node]rendering{}
 			walk(t, in, sketch, 250, func(x expansion) {
 				q := x.parent
 				if (q.Having != nil) != (q.HavingState == sqlir.ClausePresent) || (q.OrderBy != nil) != (q.OrderByState == sqlir.ClausePresent) {
 					t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
 						in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
 				}
-				before[q] = rendering{q.String(), q.Canonical()}
+				if got, fresh := render(q), render(new(search).replay(x.node)); got != fresh {
+					t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, fresh.str, got.str)
+				}
+				before[x.node] = render(q)
 				for _, o := range x.opts {
 					if x.verified {
 						kinds[o.dec.Kind] = true
 					}
 				}
 			})
-			// Checked after the whole walk: a parent must survive not just
-			// its children but its grandchildren's derivations too.
-			for p, was := range before {
-				if got := (rendering{p.String(), p.Canonical()}); got != was {
+			// Checked after the whole walk: a path must survive not just its
+			// state's children but its descendants' too.
+			for n, was := range before {
+				if got := render(new(search).replay(n)); got != was {
 					t.Fatalf("%s: parent changed under its descendants:\n was %s\n now %s", in.id, was.str, got.str)
 				}
 			}
@@ -187,10 +239,11 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	}
 }
 
-// TestScratchNeverEscapes: the scratch child is recycled for the next
-// sibling, its whole cascade included, so whatever outlives the look at it —
-// a popped state and an emitted candidate — must be a derivation of its own.
-// Each is read when it is handed out and again once the search is over.
+// TestScratchNeverEscapes: the popped state's query and the child being
+// looked at live in the search's scratch and are rebuilt for the next state
+// and the next sibling, so the one query that escapes a search — an emitted
+// candidate — must be a copy of its own. Each candidate is read when it is
+// handed out and again once the search is over, and still verifies.
 func TestScratchNeverEscapes(t *testing.T) {
 	type kept struct {
 		q   *sqlir.Query
@@ -198,10 +251,6 @@ func TestScratchNeverEscapes(t *testing.T) {
 	}
 	for _, in := range walkInputs(t) {
 		var handed []kept
-		walk(t, in, in.sketch, 250, func(x expansion) {
-			handed = append(handed, kept{x.parent, x.parent.String()})
-		})
-
 		v := verify.New(in.db, semrules.Default(), in.sketch, in.lits)
 		e := New(in.db, in.model, v, Options{MaxStates: 1000, MaxCandidates: 10})
 		res, err := e.Enumerate(context.Background(), in.nlq, in.lits, func(c Candidate) bool {
@@ -218,7 +267,7 @@ func TestScratchNeverEscapes(t *testing.T) {
 		}
 		for _, k := range handed {
 			if now := k.q.String(); now != k.was {
-				t.Fatalf("%s: a query changed after it was handed out:\n was %s\n now %s", in.id, k.was, now)
+				t.Fatalf("%s: a candidate changed after it was handed out:\n was %s\n now %s", in.id, k.was, now)
 			}
 		}
 	}
@@ -226,8 +275,9 @@ func TestScratchNeverEscapes(t *testing.T) {
 
 // TestChildAllocations bounds what a child costs: nothing when the cascade
 // rejects it without database work, and for one that is queued at most its
-// share of a frontier chunk, when the chunk pool has none to give — the
-// query is not built until it is popped.
+// share of a frontier chunk, when the chunk pool has none to give. A queued
+// child is an entry pointing at its parent's node; its own query is built
+// only in the scratch, when it is popped (TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	sketch := &tsq.TSQ{
@@ -239,16 +289,21 @@ func TestChildAllocations(t *testing.T) {
 	defer s.close()
 
 	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
-	root := sqlir.NewQuery()
-	q := root.Apply(sqlir.Decision{Kind: sqlir.DecideKeywords, Where: true}).
-		Apply(sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 2}).
-		Apply(sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title})
-	parent := entry{q: q, verified: true}
+	root := s.newNode(nil, sqlir.Decision{})
+	parent := root
+	for _, d := range []sqlir.Decision{
+		{Kind: sqlir.DecideKeywords, Where: true},
+		{Kind: sqlir.DecideSelectCount, Count: 2},
+		{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
+	} {
+		parent = s.newNode(parent, d)
+	}
 
-	// consider is what Enumerate does with one option of an expansion.
-	consider := func(p *entry, o option) (stage verify.Stage, queued bool) {
-		r := s.verifyChild(p.q, p.verified, o.dec)
-		c := s.child(p, p.q, &o, &r)
+	// consider is what Enumerate does with one option of the expansion of
+	// p, popped as n with query q.
+	consider := func(p *entry, n *node, q *sqlir.Query, o option) (stage verify.Stage, queued bool) {
+		r := s.verifyChild(q, p.verified, o.dec)
+		c := s.child(p, n, q, &o, &r)
 		if !r.out.OK {
 			return r.out.Stage, false
 		}
@@ -257,27 +312,76 @@ func TestChildAllocations(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		parent *entry
+		parent *node
 		dec    sqlir.Decision
 		stage  verify.Stage // where it is rejected; "" when it is queued
 	}{
-		{"clauses", &entry{q: root}, sqlir.Decision{Kind: sqlir.DecideKeywords, OrderBy: true}, verify.StageClauses},
-		{"semantics", &parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggAvg}, verify.StageSemantics},
-		{"column types", &parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggCount}, verify.StageColumnTypes},
-		{"by column, memoized", &parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone}, verify.StageByColumn},
-		{"queued: header only", &parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone}, ""},
-		{"queued: projection", &parent, sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year}, ""},
+		{"clauses", root, sqlir.Decision{Kind: sqlir.DecideKeywords, OrderBy: true}, verify.StageClauses},
+		{"semantics", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggAvg}, verify.StageSemantics},
+		{"column types", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggCount}, verify.StageColumnTypes},
+		{"by column, memoized", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone}, verify.StageByColumn},
+		{"queued: aggregate", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone}, ""},
+		{"queued: projection", parent, sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year}, ""},
 	} {
+		p := entry{verified: tc.parent != root} // the root has no proof to pass on
+		q := s.replay(tc.parent)
 		o := option{tc.dec, 0.5}
-		if stage, _ := consider(tc.parent, o); stage != tc.stage {
+		if stage, _ := consider(&p, tc.parent, q, o); stage != tc.stage {
 			t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
 		}
-		n := testing.AllocsPerRun(1000, func() { consider(tc.parent, o) })
+		n := testing.AllocsPerRun(1000, func() { consider(&p, tc.parent, q, o) })
 		if tc.stage != "" && n != 0 {
 			t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
 		}
 		if tc.stage == "" && n > 1 {
 			t.Errorf("%s: a queued child cost %.0f allocations, want at most 1 amortised", tc.name, n)
 		}
+	}
+}
+
+// TestPopAllocations: a popped state costs a node in the search's slab, and
+// its query is replayed into the search's scratch, so popping and
+// materialising a state costs at most its share of a slab chunk — 1/128 of
+// an allocation, amortised — whatever the depth of its path.
+func TestPopAllocations(t *testing.T) {
+	db := movieDB()
+	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
+	s := e.newSearch(context.Background(), "titles", nil)
+	defer s.close()
+	s.queue.pop() // the root
+
+	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
+	parent := s.newNode(nil, sqlir.Decision{})
+	for _, d := range []sqlir.Decision{
+		{Kind: sqlir.DecideKeywords, Where: true, OrderBy: true},
+		{Kind: sqlir.DecideSelectCount, Count: 2},
+		{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
+		{Kind: sqlir.DecideSelectAgg, Index: 0},
+		{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year},
+		{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggMax},
+		{Kind: sqlir.DecideFrom, From: &sqlir.JoinPath{Tables: []string{"movie"}}},
+		{Kind: sqlir.DecideWhereCount, Count: 1},
+		{Kind: sqlir.DecidePredColumn, Index: 0, Col: &year},
+		{Kind: sqlir.DecidePredOp, Index: 0, Op: sqlir.OpLt},
+	} {
+		parent = s.newNode(parent, d)
+	}
+	v := num(1995)
+	const pops = 4 * nodeChunk
+	var popped *node // kept, as the parent its children would point at
+	popAll := func() {
+		for i := range pops {
+			s.queue.push(entry{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecidePredValue, Val: &v}, seq: i})
+		}
+		for s.queue.len() > 0 {
+			p := s.queue.pop()
+			popped = s.newNode(p.parent, p.dec)
+			if q := s.replay(popped); !q.Where.Preds[0].ValSet {
+				t.Fatalf("popped %s, want its predicate value decided", q)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, popAll) / pops; n > 1.0/128 {
+		t.Errorf("a pop cost %.4f allocations amortised, want at most 1/128", n)
 	}
 }

@@ -60,12 +60,14 @@ type DirLimit struct {
 
 // Model is the guidance interface: one method per inference module. The
 // Context carries the NLQ, literals, schema, and the partial query built so
-// far; index arguments identify the slot being decided. Every method must
-// return a distribution whose probabilities sum to 1; an empty slice means
-// the module has no viable output class and the branch dies. The returned
-// slice is the caller's: the search queues its children as pointers to the
-// classes in it, so a model must neither write to it afterwards nor return
-// the same storage twice.
+// far; index arguments identify the slot being decided. The partial query
+// is valid only during the call: the search rebuilds the next state's in
+// the same storage, so a model that keeps it past its return keeps a copy
+// (Query.Clone). Every method must return a distribution whose
+// probabilities sum to 1; an empty slice means the module has no viable
+// output class and the branch dies. The returned slice is the caller's: the
+// search queues its children as pointers to the classes in it, so a model
+// must neither write to it afterwards nor return the same storage twice.
 type Model interface {
 	// Keywords predicts which optional clauses the query contains.
 	Keywords(ctx *Context) []Scored[KeywordSet]
@@ -111,7 +113,7 @@ type Context struct {
 	Literals []sqlir.Value
 	Schema   *storage.Schema
 	DB       *storage.Database // optional; enables literal-column grounding
-	Query    *sqlir.Query
+	Query    *sqlir.Query      // valid only during a module call (see Model)
 
 	// features is the request-scoped part of what the lexical model reads;
 	// WithQuery copies share it. Contexts built as struct literals attach

@@ -2,19 +2,22 @@ package sqlir
 
 import "slices"
 
-// Copy-on-write derivation. A partial query is immutable once built: GPQE
-// derives each child from its parent by applying one Decision, which copies
-// the Query header plus at most the one slice the decision writes (Select,
-// Where.Preds or GroupBy) or the one clause (Having or OrderBy), and shares
+// Derivation. GPQE's partial query is the path of decisions that built it
+// (§3.3): each child differs from its parent by one Decision. apply is the
+// one place that knows how a decision writes a query; it copies the one
+// slice the decision writes (Select, Where.Preds or GroupBy) or the one
+// clause (Having or OrderBy) into buffers it is handed, and shares
 // everything else — From and the untouched slices and clauses — with the
-// parent. Nothing reachable from a derived query may be written afterwards:
-// emitted candidates and the search frontier hold these pointers for as long
-// as they like.
+// parent.
 //
-// apply is the one place that knows how a decision writes a query. It has
-// two callers: Query.Apply builds an immutable child on the heap, and
-// Scratch.Apply builds the same child in a reusable buffer for a look that
-// ends before the next one begins.
+// Its callers build queries in a Scratch, whose buffers are reused from one
+// query to the next: Scratch.Apply looks at one child of a query, and
+// Scratch.Replay rebuilds a query from its whole path of decisions. A
+// scratch query is valid only until its scratch builds the next one. A
+// query that must outlive that — an emitted candidate — is copied out with
+// Query.Keep. Nothing reachable from a kept query is written afterwards, and
+// a join path is never written after construction, so kept queries share
+// From freely.
 
 // DecisionKind names the slot a decision fills: one per guidance module
 // (Table 3), plus join path construction and the GROUP BY that SQL
@@ -66,33 +69,58 @@ type Decision struct {
 	From *JoinPath // shared, not copied: join paths are never written after construction
 }
 
-// Apply returns q with d applied, as a new immutable query.
-func (q *Query) Apply(d Decision) *Query {
-	c := *q
-	c.apply(d, &buffers{})
-	return &c
-}
-
-// Scratch is a reusable buffer for looking at a child without keeping it:
-// the header and the slice or clause a decision writes live in the scratch,
-// so building a child there allocates nothing once the buffers have grown.
+// Scratch is a reusable buffer for a query that is looked at and not kept:
+// the header and the slices and clauses a decision writes live in the
+// scratch, so building a query there allocates nothing once the buffers have
+// grown.
 type Scratch struct {
 	q   Query
 	buf buffers
 }
 
-// Apply builds q with d applied inside the scratch. The result is valid
-// until the next Apply on s and must not outlive it: anything that keeps a
-// query — a candidate, a popped state — takes Query.Apply's.
+// Apply builds q with d applied inside the scratch, leaving q as it was
+// unless q is s's own query. The result is valid until the next Apply or
+// Replay on s.
 func (s *Scratch) Apply(q *Query, d Decision) *Query {
 	s.q = *q
 	s.q.apply(d, &s.buf)
 	return &s.q
 }
 
+// Replay builds inside the scratch the query that ds, applied in order,
+// make from the empty query. Each decision is applied in place: a slice or
+// clause it rewrites is already the scratch's own, so cloned and clause copy
+// it onto itself, which leaves it as it was. The result is valid until the
+// next Apply or Replay on s.
+func (s *Scratch) Replay(ds []Decision) *Query {
+	s.q = Query{}
+	for i := range ds {
+		s.q.apply(ds[i], &s.buf)
+	}
+	return &s.q
+}
+
+// Keep returns a copy of q that owns its slices and clauses, so that it
+// outlives the scratch q was built in. The join path is shared.
+func (q *Query) Keep() *Query {
+	c := *q
+	c.Select = slices.Clone(q.Select)
+	c.Where.Preds = slices.Clone(q.Where.Preds)
+	c.GroupBy = slices.Clone(q.GroupBy)
+	if q.Having != nil {
+		h := *q.Having
+		c.Having = &h
+	}
+	if q.OrderBy != nil {
+		o := *q.OrderBy
+		c.OrderBy = &o
+	}
+	return &c
+}
+
 // buffers are where a derivation puts the one slice or clause it writes, so
-// that the parent's stays untouched: empty ones make it fresh, a scratch's
-// are reused from child to child.
+// that the parent's stays untouched; a scratch's are reused from query to
+// query.
 type buffers struct {
 	sel     []SelectItem
 	preds   []Predicate

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// derive is the child of q by d as a query of its own: built in a fresh
+// scratch and kept.
+func derive(q *Query, d Decision) *Query {
+	var s Scratch
+	return s.Apply(q, d).Keep()
+}
+
 // derivable is a query with every clause present, so each derivation has a
 // slot to write.
 func derivable() *Query {
@@ -44,15 +51,16 @@ func derivations() map[string]Decision {
 }
 
 // Every derivation changes the child and leaves the parent — which shares
-// slices, clauses and the join path with it — rendering exactly as before. A
-// child whose decision fills HAVING or ORDER BY holds a clause of its own.
+// slices, clauses and the join path with the scratch child — rendering
+// exactly as before. A child whose decision fills HAVING or ORDER BY holds a
+// clause of its own.
 func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	q, same := derivable(), derivable()
 	q.GroupBy = nil // so that deciding it changes something
 	same.GroupBy = nil
 	str, canon := q.String(), q.Canonical()
 	for name, d := range derivations() {
-		c := q.Apply(d)
+		c := derive(q, d)
 		if reflect.DeepEqual(c, q) {
 			t.Errorf("%s: child equals the parent", name)
 		}
@@ -70,24 +78,40 @@ func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	}
 }
 
-// A derivation costs the query header plus at most the one slice or clause
-// it writes.
+// Keeping a scratch child costs its header plus one allocation per slice or
+// clause it holds, and the kept copy shares nothing the scratch writes: it
+// renders the same after the scratch has built every other child.
 func TestDerivationAllocations(t *testing.T) {
 	q := derivable()
+	var s Scratch
 	for name, d := range derivations() {
-		if n := testing.AllocsPerRun(50, func() { q.Apply(d) }); n > 2 {
-			t.Errorf("%s: %.0f allocations, want at most 2 (header + the one slice or clause it writes)", name, n)
+		c := s.Apply(q, d)
+		held := 1
+		for _, has := range []bool{c.Select != nil, c.Where.Preds != nil, c.GroupBy != nil, c.Having != nil, c.OrderBy != nil} {
+			if has {
+				held++
+			}
+		}
+		if n := testing.AllocsPerRun(50, func() { c.Keep() }); n > float64(held) {
+			t.Errorf("%s: keeping it cost %.0f allocations, want at most %d (header + what it holds)", name, n, held)
+		}
+		kept, was := c.Keep(), c.String()
+		for _, other := range derivations() {
+			s.Apply(q, other)
+		}
+		if now := kept.String(); now != was {
+			t.Errorf("%s: the kept child changed with the scratch:\n was %s\n now %s", name, was, now)
 		}
 	}
 }
 
-// The scratch builds the child Query.Apply builds, leaves the parent alone
-// and allocates nothing once its buffers have grown.
+// A grown scratch builds the child a fresh one builds, leaves the parent
+// alone and allocates nothing.
 func TestScratchBuildsTheSameChildWithoutAllocating(t *testing.T) {
 	q, same := derivable(), derivable()
 	var s Scratch
 	for name, d := range derivations() {
-		want := q.Apply(d)
+		want := derive(q, d)
 		got := s.Apply(q, d)
 		if got.String() != want.String() || got.Canonical() != want.Canonical() || got.Complete() != want.Complete() {
 			t.Errorf("%s: scratch child %s, derived child %s", name, got, want)
@@ -98,5 +122,56 @@ func TestScratchBuildsTheSameChildWithoutAllocating(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { s.Apply(q, d) }); n != 0 {
 			t.Errorf("%s: %.0f allocations in a grown scratch, want 0", name, n)
 		}
+	}
+}
+
+// A path of decisions of every kind from the empty query to a complete one.
+func decisionPath() []Decision {
+	title, year := ColumnRef{"movie", "title"}, ColumnRef{"movie", "year"}
+	lo, hi, two := NewInt(1990), NewInt(2000), NewInt(2)
+	return []Decision{
+		{Kind: DecideKeywords, Where: true, GroupBy: true, OrderBy: true},
+		{Kind: DecideSelectCount, Count: 2},
+		{Kind: DecideSelectColumn, Index: 0, Col: &title},
+		{Kind: DecideSelectAgg, Index: 0, Agg: AggNone},
+		{Kind: DecideSelectColumn, Index: 1, Col: &year},
+		{Kind: DecideSelectAgg, Index: 1, Agg: AggMax},
+		{Kind: DecideFrom, From: &JoinPath{Tables: []string{"movie"}}},
+		{Kind: DecideWhereCount, Count: 2},
+		{Kind: DecideWhereConj, Conj: LogicOr},
+		{Kind: DecidePredColumn, Index: 0, Col: &year},
+		{Kind: DecidePredOp, Index: 0, Op: OpLt},
+		{Kind: DecidePredValue, Index: 0, Val: &lo},
+		{Kind: DecidePredColumn, Index: 1, Col: &year},
+		{Kind: DecidePredOp, Index: 1, Op: OpGt},
+		{Kind: DecidePredValue, Index: 1, Val: &hi},
+		{Kind: DecideGroupBy},
+		{Kind: DecideHaving, Present: true, Agg: AggCount, Col: &Star},
+		{Kind: DecideHavingOp, Op: OpGe},
+		{Kind: DecideHavingValue, Val: &two},
+		{Kind: DecideOrderKey, Agg: AggMax, Col: &year},
+		{Kind: DecideOrderDir, Desc: true, Count: 3},
+	}
+}
+
+// Replaying a path in place builds, for every prefix, the query the chain of
+// derivations builds, field for field, and a grown scratch replays without
+// allocating.
+func TestReplayIsTheChainOfDerivations(t *testing.T) {
+	path := decisionPath()
+	var s Scratch
+	want := NewQuery()
+	for i := range path {
+		want = derive(want, path[i])
+		got := s.Replay(path[:i+1])
+		if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+			t.Fatalf("after %d decisions: replayed %s, derived %s", i+1, got, want)
+		}
+	}
+	if !want.Complete() {
+		t.Fatalf("the path ends in an incomplete query %s", want)
+	}
+	if n := testing.AllocsPerRun(50, func() { s.Replay(path) }); n != 0 {
+		t.Errorf("replaying %d decisions in a grown scratch cost %.0f allocations, want 0", len(path), n)
 	}
 }

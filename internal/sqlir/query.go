@@ -447,31 +447,11 @@ func (q *Query) Literals() []Value {
 	return out
 }
 
-// Clone returns a deep copy of the query, for callers that want a private
-// query to edit in place. Enumeration does not use it: search states derive
-// from each other through the copy-on-write Apply (derive.go).
+// Clone returns a deep copy of the query, join path included, for callers
+// that want a private query to edit in place. Enumeration does not use it:
+// what it keeps of a scratch query is Keep's copy (derive.go).
 func (q *Query) Clone() *Query {
-	cp := *q
-	if q.Select != nil {
-		cp.Select = make([]SelectItem, len(q.Select))
-		copy(cp.Select, q.Select)
-	}
-	if q.Where.Preds != nil {
-		cp.Where.Preds = make([]Predicate, len(q.Where.Preds))
-		copy(cp.Where.Preds, q.Where.Preds)
-	}
-	if q.GroupBy != nil {
-		cp.GroupBy = make([]ColumnRef, len(q.GroupBy))
-		copy(cp.GroupBy, q.GroupBy)
-	}
-	if q.Having != nil {
-		h := *q.Having
-		cp.Having = &h
-	}
-	if q.OrderBy != nil {
-		o := *q.OrderBy
-		cp.OrderBy = &o
-	}
+	cp := q.Keep()
 	if q.From != nil {
 		jp := &JoinPath{
 			Tables: make([]string, len(q.From.Tables)),
@@ -481,5 +461,5 @@ func (q *Query) Clone() *Query {
 		copy(jp.Edges, q.From.Edges)
 		cp.From = jp
 	}
-	return &cp
+	return cp
 }
