@@ -127,9 +127,7 @@ type node struct {
 	dec    sqlir.Decision
 }
 
-// nodeChunk nodes make a full slab chunk (about 14 KB). A search's first
-// chunks double from 16 nodes, so that a short search does not pay for a
-// full one.
+// nodeChunk nodes make a slab chunk (about 14 KB).
 const nodeChunk = 256
 
 // option is one output class of an expansion: the decision that makes the
@@ -179,8 +177,10 @@ type search struct {
 	// cur holds the popped state being expanded, replayed from path, and
 	// scratch the one child of it being looked at, its whole cascade
 	// included. Nothing that outlives the look may point into either: an
-	// emitted candidate is a copy of its own (Query.Keep).
+	// emitted candidate is a copy of its own (Query.Clone), and so is the
+	// query a model that is not a guidance.Borrower is handed.
 	cur, scratch sqlir.Scratch
+	borrow       bool             // the model may be handed cur itself
 	path         []sqlir.Decision // the decisions cur replays, reused
 	opts         []option         // the current expansion, reused
 	seq          int
@@ -194,10 +194,11 @@ type search struct {
 // caller must close it.
 func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir.Value) *search {
 	s := &search{
-		e:     e,
-		ctx:   ctx,
-		mctx:  guidance.NewContextDB(nlq, literals, e.db, nil),
-		queue: frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
+		e:      e,
+		ctx:    ctx,
+		mctx:   guidance.NewContextDB(nlq, literals, e.db, nil),
+		queue:  frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
+		borrow: guidance.Borrows(e.model),
 		needVerify: func(complete bool) bool {
 			return e.opts.Mode != ModeNoPQ || complete
 		},
@@ -212,17 +213,21 @@ func (s *search) close() { s.queue.release() }
 // newNode records a popped state in the slab.
 func (s *search) newNode(parent *node, d sqlir.Decision) *node {
 	if len(s.nodes) == cap(s.nodes) {
-		s.nodes = make([]node, 0, min(max(2*cap(s.nodes), 16), nodeChunk))
+		s.nodes = make([]node, 0, nodeChunk)
 	}
 	s.nodes = append(s.nodes, node{parent, d})
 	return &s.nodes[len(s.nodes)-1]
 }
 
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
-// query, replayed into cur, and one option per output class of the next
-// module. Both are valid until the next call.
+// query, replayed into cur (and cloned out of it for a model that does not
+// borrow), and one option per output class of the next module. Both are
+// valid until the next call.
 func (s *search) expand(n *node) (*sqlir.Query, []option, error) {
 	q := s.replay(n)
+	if !s.borrow {
+		q = q.Clone() // the model may keep the query it is handed
+	}
 	opts, err := s.e.nextStep(s.mctx, q, s.opts[:0])
 	if err != nil {
 		return nil, nil, err
@@ -244,6 +249,7 @@ func (s *search) replay(n *node) *sqlir.Query {
 
 // verifyResult is what the search learns about one child of an expansion.
 type verifyResult struct {
+	q         *sqlir.Query   // the child, in the scratch: valid until the next verifyChild
 	complete  bool           // the child has no holes left
 	out       verify.Outcome // meaningful only when the child needed verifying
 	err       error
@@ -255,15 +261,15 @@ type verifyResult struct {
 // A transient error — the request was cancelled or faulted mid-check, so the
 // partial outcome is meaningless — reports cancellation instead.
 func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
-	c := s.scratch.Apply(q, d)
-	r.complete = c.Complete()
+	r.q = s.scratch.Apply(q, d)
+	r.complete = r.q.Complete()
 	if !s.needVerify(r.complete) {
 		return r
 	}
 	if !inherit {
 		d = sqlir.Decision{} // nothing proved to inherit
 	}
-	out, err := s.e.verifier.VerifyChild(s.ctx, c, d)
+	out, err := s.e.verifier.VerifyChild(s.ctx, r.q, d)
 	if verify.Transient(err) {
 		r.cancelled = true
 	} else {
@@ -355,17 +361,14 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 				s.queue.push(c)
 				continue
 			}
-			// The child verifyChild checked, built again in the scratch; a
-			// candidate that is kept gets a copy of its own.
-			cq := s.scratch.Apply(q, o.dec)
-			key := cq.Canonical()
+			key := r.q.Canonical()
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			emitted++
 			cand := Candidate{
-				Query:      cq.Keep(),
+				Query:      r.q.Clone(),
 				Confidence: math.Exp(c.logConf),
 				Rank:       emitted,
 				Elapsed:    time.Since(start),
@@ -395,8 +398,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 // module returned them, not copied.
 func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []option) ([]option, error) {
 	// The search owns ctx and a model reads it only during a call, so it is
-	// rebound in place instead of copied (Context.WithQuery) per state, to a
-	// query that lives in the search's scratch.
+	// rebound in place instead of copied (Context.WithQuery) per state.
 	ctx.Query = q
 	uniform := e.opts.Mode == ModeNoGuide
 

@@ -64,13 +64,13 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 }
 
 // derive is the child of q by d as a query of its own: built in a fresh
-// scratch and kept.
+// scratch and cloned out of it.
 func derive(q *sqlir.Query, d sqlir.Decision) *sqlir.Query {
 	var s sqlir.Scratch
-	return s.Apply(q, d).Keep()
+	return s.Apply(q, d).Clone()
 }
 
-// derivation is n's query built the long way: one kept derivation per
+// derivation is n's query built the long way: one derivation of its own per
 // decision on its path from the root.
 func derivation(n *node) *sqlir.Query {
 	if n.parent == nil {
@@ -169,8 +169,8 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 
 // TestReplayIsTheDerivation: the query a popped state is expanded from —
 // its path of decisions replayed in place into the search's scratch — is,
-// field for field and in its rendering, the query one kept derivation per
-// decision builds from the root, for every state of the Spider walk.
+// field for field and in its rendering, the query one derivation of its own
+// per decision builds from the root, for every state of the Spider walk.
 func TestReplayIsTheDerivation(t *testing.T) {
 	states := 0
 	for _, in := range walkInputs(t) {
@@ -241,9 +241,10 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 
 // TestScratchNeverEscapes: the popped state's query and the child being
 // looked at live in the search's scratch and are rebuilt for the next state
-// and the next sibling, so the one query that escapes a search — an emitted
-// candidate — must be a copy of its own. Each candidate is read when it is
-// handed out and again once the search is over, and still verifies.
+// and the next sibling, so the one query that escapes a search under a
+// guidance.Borrower — an emitted candidate — must be a copy of its own.
+// Each candidate is read when it is handed out and again once the search is
+// over, and still verifies.
 func TestScratchNeverEscapes(t *testing.T) {
 	type kept struct {
 		q   *sqlir.Query
@@ -268,6 +269,93 @@ func TestScratchNeverEscapes(t *testing.T) {
 		for _, k := range handed {
 			if now := k.q.String(); now != k.was {
 				t.Fatalf("%s: a candidate changed after it was handed out:\n was %s\n now %s", in.id, k.was, now)
+			}
+		}
+	}
+}
+
+// keepingModel is a model that is not a guidance.Borrower: like a tracing
+// wrapper, it keeps every partial query its column, operator and value
+// modules are handed, with its rendering at the time.
+type keepingModel struct {
+	guidance.Model
+	kept []keptQuery
+}
+
+type keptQuery struct {
+	q   *sqlir.Query
+	was string
+}
+
+func (m *keepingModel) keep(ctx *guidance.Context) {
+	m.kept = append(m.kept, keptQuery{ctx.Query, ctx.Query.String()})
+}
+
+func (m *keepingModel) SelectColumn(ctx *guidance.Context, idx int) []guidance.Scored[sqlir.ColumnRef] {
+	m.keep(ctx)
+	return m.Model.SelectColumn(ctx, idx)
+}
+
+func (m *keepingModel) SelectAgg(ctx *guidance.Context, idx int, col sqlir.ColumnRef) []guidance.Scored[sqlir.AggFunc] {
+	m.keep(ctx)
+	return m.Model.SelectAgg(ctx, idx, col)
+}
+
+func (m *keepingModel) WhereColumn(ctx *guidance.Context, idx int) []guidance.Scored[sqlir.ColumnRef] {
+	m.keep(ctx)
+	return m.Model.WhereColumn(ctx, idx)
+}
+
+func (m *keepingModel) WhereOp(ctx *guidance.Context, col sqlir.ColumnRef) []guidance.Scored[sqlir.Op] {
+	m.keep(ctx)
+	return m.Model.WhereOp(ctx, col)
+}
+
+func (m *keepingModel) WhereValue(ctx *guidance.Context, col sqlir.ColumnRef, op sqlir.Op) []guidance.Scored[sqlir.Value] {
+	m.keep(ctx)
+	return m.Model.WhereValue(ctx, col, op)
+}
+
+// TestModelThatKeepsQueriesGetsItsOwn: a model that does not promise to
+// borrow Context.Query is handed a copy of its own at each expansion, so
+// every query it keeps is distinct and still renders as it did when it was
+// handed over once the search is over — and the search is the one a
+// borrowing model runs: the same states and the same candidates.
+func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
+	for _, in := range walkInputs(t) {
+		if !guidance.Borrows(in.model) {
+			t.Fatalf("%s: %T does not borrow Context.Query", in.id, in.model)
+		}
+		run := func(m guidance.Model) *Result {
+			v := verify.New(in.db, semrules.Default(), in.sketch, in.lits)
+			res, err := New(in.db, m, v, Options{MaxStates: 1000, MaxCandidates: 10}).Enumerate(context.Background(), in.nlq, in.lits, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		keeping := &keepingModel{Model: in.model}
+		want, got := run(in.model), run(keeping)
+		if guidance.Borrows(keeping) || len(keeping.kept) == 0 {
+			t.Fatalf("%s: the keeping model borrows (%v) or was never called (%d calls)", in.id, guidance.Borrows(keeping), len(keeping.kept))
+		}
+		distinct := map[*sqlir.Query]bool{}
+		for _, k := range keeping.kept {
+			distinct[k.q] = true
+			if now := k.q.String(); now != k.was {
+				t.Fatalf("%s: a kept query changed after its call:\n was %s\n now %s", in.id, k.was, now)
+			}
+		}
+		if len(distinct) != len(keeping.kept) {
+			t.Errorf("%s: %d queries kept from %d expansions; want one of its own each", in.id, len(distinct), len(keeping.kept))
+		}
+		if got.States != want.States || len(got.Candidates) != len(want.Candidates) {
+			t.Fatalf("%s: keeping model searched %d states for %d candidates, borrowing one %d for %d",
+				in.id, got.States, len(got.Candidates), want.States, len(want.Candidates))
+		}
+		for i, c := range got.Candidates {
+			if w := want.Candidates[i]; c.Query.String() != w.Query.String() || c.Confidence != w.Confidence {
+				t.Errorf("%s: candidate %d is %s (%g), want %s (%g)", in.id, i+1, c.Query, c.Confidence, w.Query, w.Confidence)
 			}
 		}
 	}

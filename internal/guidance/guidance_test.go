@@ -380,6 +380,26 @@ func TestOracleAddsMissingGoldClass(t *testing.T) {
 	}
 }
 
+// The built-in models borrow Context.Query; a wrapper borrows only if it
+// says so, and the oracle borrows exactly when its fallback does.
+func TestBorrows(t *testing.T) {
+	wrapped := struct{ Model }{NewLexicalModel()}
+	for _, tc := range []struct {
+		name string
+		m    Model
+		want bool
+	}{
+		{"lexical", NewLexicalModel(), true},
+		{"oracle", NewOracleModel(sqlir.NewQuery(), 0.1), true},
+		{"wrapper", wrapped, false},
+		{"oracle over a wrapper", &OracleModel{Gold: sqlir.NewQuery(), Fallback: wrapped}, false},
+	} {
+		if got := Borrows(tc.m); got != tc.want {
+			t.Errorf("Borrows(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestTemperatureFlattens(t *testing.T) {
 	sharp := NewLexicalModel()
 	flat := NewLexicalModel()

@@ -33,7 +33,10 @@ func NewLexicalModel() *LexicalModel {
 	return &LexicalModel{MaxSelect: 3, MaxWhere: 3, Temperature: 1.35}
 }
 
-var _ Model = (*LexicalModel)(nil)
+var _ Borrower = (*LexicalModel)(nil)
+
+// BorrowsQuery is true: the model keeps nothing of Context.Query.
+func (m *LexicalModel) BorrowsQuery() bool { return true }
 
 // temper applies temperature scaling then normalises.
 func temper[T any](m *LexicalModel, in []Scored[T]) []Scored[T] {

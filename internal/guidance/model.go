@@ -61,13 +61,12 @@ type DirLimit struct {
 // Model is the guidance interface: one method per inference module. The
 // Context carries the NLQ, literals, schema, and the partial query built so
 // far; index arguments identify the slot being decided. The partial query
-// is valid only during the call: the search rebuilds the next state's in
-// the same storage, so a model that keeps it past its return keeps a copy
-// (Query.Clone). Every method must return a distribution whose
-// probabilities sum to 1; an empty slice means the module has no viable
-// output class and the branch dies. The returned slice is the caller's: the
-// search queues its children as pointers to the classes in it, so a model
-// must neither write to it afterwards nor return the same storage twice.
+// is the model's to keep unless the model is a Borrower. Every method must
+// return a distribution whose probabilities sum to 1; an empty slice means
+// the module has no viable output class and the branch dies. The returned
+// slice is the caller's: the search queues its children as pointers to the
+// classes in it, so a model must neither write to it afterwards nor return
+// the same storage twice.
 type Model interface {
 	// Keywords predicts which optional clauses the query contains.
 	Keywords(ctx *Context) []Scored[KeywordSet]
@@ -102,6 +101,23 @@ type Model interface {
 	OrderDir(ctx *Context) []Scored[DirLimit]
 }
 
+// Borrower is a Model that reads Context.Query only during a call and keeps
+// nothing reachable from it. The search hands a Borrower the partial query
+// it rebuilds in place from one state to the next; any other Model gets a
+// copy of its own at each expansion (Query.Clone), which it may keep.
+type Borrower interface {
+	Model
+	// BorrowsQuery reports whether the model reads Context.Query only
+	// during a call.
+	BorrowsQuery() bool
+}
+
+// Borrows reports whether m is a Borrower that borrows.
+func Borrows(m Model) bool {
+	b, ok := m.(Borrower)
+	return ok && b.BorrowsQuery()
+}
+
 // Context is the input every module receives: the NLQ (tokenised), the
 // tagged literal values, the database schema, and the partial query
 // synthesised so far (§3.3.1). When a Database is attached, the context also
@@ -113,7 +129,7 @@ type Context struct {
 	Literals []sqlir.Value
 	Schema   *storage.Schema
 	DB       *storage.Database // optional; enables literal-column grounding
-	Query    *sqlir.Query      // valid only during a module call (see Model)
+	Query    *sqlir.Query      // valid only during a module call if the model is a Borrower
 
 	// features is the request-scoped part of what the lexical model reads;
 	// WithQuery copies share it. Contexts built as struct literals attach

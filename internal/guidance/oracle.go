@@ -20,7 +20,11 @@ func NewOracleModel(gold *sqlir.Query, noise float64) *OracleModel {
 	return &OracleModel{Gold: gold, Noise: noise, Fallback: NewLexicalModel()}
 }
 
-var _ Model = (*OracleModel)(nil)
+var _ Borrower = (*OracleModel)(nil)
+
+// BorrowsQuery is the fallback's answer: the oracle itself keeps nothing of
+// Context.Query.
+func (m *OracleModel) BorrowsQuery() bool { return Borrows(m.Fallback) }
 
 // reweight gives the gold class 1-noise and scales the rest into noise. If
 // the gold class is absent from the candidate set it is added.

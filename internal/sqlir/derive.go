@@ -15,9 +15,7 @@ import "slices"
 // Scratch.Replay rebuilds a query from its whole path of decisions. A
 // scratch query is valid only until its scratch builds the next one. A
 // query that must outlive that — an emitted candidate — is copied out with
-// Query.Keep. Nothing reachable from a kept query is written afterwards, and
-// a join path is never written after construction, so kept queries share
-// From freely.
+// Query.Clone.
 
 // DecisionKind names the slot a decision fills: one per guidance module
 // (Table 3), plus join path construction and the GROUP BY that SQL
@@ -98,24 +96,6 @@ func (s *Scratch) Replay(ds []Decision) *Query {
 		s.q.apply(ds[i], &s.buf)
 	}
 	return &s.q
-}
-
-// Keep returns a copy of q that owns its slices and clauses, so that it
-// outlives the scratch q was built in. The join path is shared.
-func (q *Query) Keep() *Query {
-	c := *q
-	c.Select = slices.Clone(q.Select)
-	c.Where.Preds = slices.Clone(q.Where.Preds)
-	c.GroupBy = slices.Clone(q.GroupBy)
-	if q.Having != nil {
-		h := *q.Having
-		c.Having = &h
-	}
-	if q.OrderBy != nil {
-		o := *q.OrderBy
-		c.OrderBy = &o
-	}
-	return &c
 }
 
 // buffers are where a derivation puts the one slice or clause it writes, so

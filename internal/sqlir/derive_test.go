@@ -6,10 +6,10 @@ import (
 )
 
 // derive is the child of q by d as a query of its own: built in a fresh
-// scratch and kept.
+// scratch and cloned out of it.
 func derive(q *Query, d Decision) *Query {
 	var s Scratch
-	return s.Apply(q, d).Keep()
+	return s.Apply(q, d).Clone()
 }
 
 // derivable is a query with every clause present, so each derivation has a
@@ -78,24 +78,26 @@ func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	}
 }
 
-// Keeping a scratch child costs its header plus one allocation per slice or
-// clause it holds, and the kept copy shares nothing the scratch writes: it
-// renders the same after the scratch has built every other child.
+// Cloning a scratch child costs its header plus one allocation per slice or
+// clause it holds, its join path's included, and the clone shares nothing
+// the scratch writes: it renders the same after the scratch has built every
+// other child.
 func TestDerivationAllocations(t *testing.T) {
 	q := derivable()
 	var s Scratch
 	for name, d := range derivations() {
 		c := s.Apply(q, d)
 		held := 1
-		for _, has := range []bool{c.Select != nil, c.Where.Preds != nil, c.GroupBy != nil, c.Having != nil, c.OrderBy != nil} {
+		for _, has := range []bool{c.Select != nil, c.Where.Preds != nil, c.GroupBy != nil, c.Having != nil, c.OrderBy != nil,
+			c.From != nil, c.From != nil && len(c.From.Tables) > 0, c.From != nil && len(c.From.Edges) > 0} {
 			if has {
 				held++
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() { c.Keep() }); n > float64(held) {
-			t.Errorf("%s: keeping it cost %.0f allocations, want at most %d (header + what it holds)", name, n, held)
+		if n := testing.AllocsPerRun(50, func() { c.Clone() }); n > float64(held) {
+			t.Errorf("%s: cloning it cost %.0f allocations, want at most %d (header + what it holds)", name, n, held)
 		}
-		kept, was := c.Keep(), c.String()
+		kept, was := c.Clone(), c.String()
 		for _, other := range derivations() {
 			s.Apply(q, other)
 		}

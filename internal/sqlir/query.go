@@ -447,19 +447,24 @@ func (q *Query) Literals() []Value {
 	return out
 }
 
-// Clone returns a deep copy of the query, join path included, for callers
-// that want a private query to edit in place. Enumeration does not use it:
-// what it keeps of a scratch query is Keep's copy (derive.go).
+// Clone returns a deep copy of the query, join path included: a private
+// query to edit in place, or one that outlives the scratch it was built in
+// (derive.go).
 func (q *Query) Clone() *Query {
-	cp := q.Keep()
-	if q.From != nil {
-		jp := &JoinPath{
-			Tables: make([]string, len(q.From.Tables)),
-			Edges:  make([]JoinEdge, len(q.From.Edges)),
-		}
-		copy(jp.Tables, q.From.Tables)
-		copy(jp.Edges, q.From.Edges)
-		cp.From = jp
+	c := *q
+	c.Select = slices.Clone(q.Select)
+	c.Where.Preds = slices.Clone(q.Where.Preds)
+	c.GroupBy = slices.Clone(q.GroupBy)
+	if q.Having != nil {
+		h := *q.Having
+		c.Having = &h
 	}
-	return cp
+	if q.OrderBy != nil {
+		o := *q.OrderBy
+		c.OrderBy = &o
+	}
+	if q.From != nil {
+		c.From = &JoinPath{Tables: slices.Clone(q.From.Tables), Edges: slices.Clone(q.From.Edges)}
+	}
+	return &c
 }
