@@ -127,8 +127,10 @@ type node struct {
 	dec    sqlir.Decision
 }
 
-// nodeChunk nodes make a slab chunk (about 14 KB).
-const nodeChunk = 256
+// A search's first slab chunk holds firstNodeChunk nodes and each next one
+// twice as many, up to nodeChunk nodes (about 14 KB): a search that pops a
+// few states does not pay for a full chunk.
+const firstNodeChunk, nodeChunk = 16, 256
 
 // option is one output class of an expansion: the decision that makes the
 // child and the probability the module gave it.
@@ -164,8 +166,10 @@ func New(db *storage.Database, model guidance.Model, verifier *verify.Verifier, 
 
 // search is the state of one Enumerate call.
 type search struct {
-	e    *Enumerator
-	ctx  context.Context
+	e   *Enumerator
+	ctx context.Context
+	// mctx is the request's guidance context. It holds the lexical model's
+	// memoised answers, into which queued decisions point.
 	mctx *guidance.Context
 
 	queue frontier
@@ -213,7 +217,7 @@ func (s *search) close() { s.queue.release() }
 // newNode records a popped state in the slab.
 func (s *search) newNode(parent *node, d sqlir.Decision) *node {
 	if len(s.nodes) == cap(s.nodes) {
-		s.nodes = make([]node, 0, nodeChunk)
+		s.nodes = make([]node, 0, min(max(2*cap(s.nodes), firstNodeChunk), nodeChunk))
 	}
 	s.nodes = append(s.nodes, node{parent, d})
 	return &s.nodes[len(s.nodes)-1]

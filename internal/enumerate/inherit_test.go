@@ -20,13 +20,15 @@ import (
 // and read after its children were built and checked — whether it passed
 // the cascade (its children then inherit), and its options with what the
 // engine's own path — the child built in the scratch and checked there by
-// VerifyChild — said about each.
+// VerifyChild — said about each; and the search's guidance context, bound
+// to parent.
 type expansion struct {
 	node     *node
 	parent   *sqlir.Query
 	verified bool
 	opts     []option
 	results  []verifyResult
+	ctx      *guidance.Context
 }
 
 // walk is Enumerate's loop with the emission taken out and an observer put
@@ -50,7 +52,7 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 		for _, o := range opts {
 			results = append(results, s.verifyChild(q, p.verified, o.dec))
 		}
-		observe(expansion{n, q, p.verified, opts, results})
+		observe(expansion{n, q, p.verified, opts, results, s.mctx})
 		for i := range opts {
 			r := &results[i]
 			if r.err != nil || r.cancelled {
@@ -430,7 +432,9 @@ func TestChildAllocations(t *testing.T) {
 // TestPopAllocations: a popped state costs a node in the search's slab, and
 // its query is replayed into the search's scratch, so popping and
 // materialising a state costs at most its share of a slab chunk — 1/128 of
-// an allocation, amortised — whatever the depth of its path.
+// an allocation, amortised — whatever the depth of its path. The first
+// chunks are smaller (16 nodes, doubling); AllocsPerRun's warm-up run pops
+// past them, so the bound is that of full chunks.
 func TestPopAllocations(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})

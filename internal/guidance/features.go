@@ -1,6 +1,9 @@
 package guidance
 
 import (
+	"encoding/binary"
+	"math"
+
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -10,7 +13,9 @@ import (
 // of the partial query: every cue detector's value, every column's lexical
 // score and literal grounding, the literal counts. It is computed once,
 // attached to the Context by pointer and shared by every WithQuery copy, so
-// a module call is arithmetic over this table; nothing here is written
+// a module call is arithmetic over this table. Besides, it holds the
+// answers the request's modules have given (lexMemo), so that a question
+// asked again is answered without arithmetic; nothing else here is written
 // after newFeatures returns.
 type features struct {
 	// Cue detector values (lexical.go) over the NLQ tokens.
@@ -32,6 +37,19 @@ type features struct {
 	// litCols is the literal→column grounding as LiteralColumns reports it:
 	// nil without a database or without literals.
 	litCols map[sqlir.ColumnRef]int
+
+	// ords numbers the schema for memo keys: by table name, the table's
+	// ordinal and the ordinal of its first column among all the schema's.
+	ords map[string]tableOrd
+	// memos holds each lexical model's answers in this request: the one
+	// part of features written after newFeatures returns.
+	memos []*lexMemo
+}
+
+// tableOrd is a table with its ordinal and its first column's.
+type tableOrd struct {
+	t          *storage.Table
+	ord, first int
 }
 
 // columnFeature is one schema column as the request sees it.
@@ -84,7 +102,11 @@ func newFeatures(tok []string, literals []sqlir.Value, schema *storage.Schema, d
 		f.litCols = map[sqlir.ColumnRef]int{}
 	}
 	f.tables = make(map[*storage.Table][]columnFeature, len(schema.Tables))
-	for _, t := range schema.Tables {
+	f.ords = make(map[string]tableOrd, len(schema.Tables))
+	first := 0
+	for ti, t := range schema.Tables {
+		f.ords[t.Name] = tableOrd{t, ti, first}
+		first += len(t.Columns)
 		tblScore := tokenSetScore(tok, Tokenize(t.Name))
 		display := nameColumn(t)
 		cols := make([]columnFeature, len(t.Columns))
@@ -138,4 +160,129 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 		}
 	}
 	return n
+}
+
+// lexMemo is one lexical model's answers in one request. A module's answer
+// is a function of the request and of what the module reads of
+// Context.Query, so it is filed under exactly that, as a value — never a
+// pointer into the query, of which a model that is not a Borrower is handed
+// a copy at every expansion:
+//   - nothing, for Keywords, SelectCount, WhereCount, WhereConj,
+//     HavingPresent, HavingOp, HavingValue and OrderDir;
+//   - the column's type, for WhereOp, and for SelectAgg, which answers *
+//     apart;
+//   - the candidate tables plus the earlier slots' columns, for
+//     SelectColumn, WhereColumn and HavingAggCol (which has no earlier
+//     slot), and for OrderKey the complete projections and whether the
+//     query is grouped;
+//   - the column's type, LIKE or not and the values already used, for
+//     WhereValue.
+//
+// Tables and columns are keyed by their ordinals (features.ords). The
+// entries are bounded by the distinct questions the request asks.
+type lexMemo struct {
+	ords map[string]tableOrd // the request's features.ords
+	// The model's parameters: a model with other ones answers otherwise.
+	maxSelect, maxWhere int
+	temperature         uint64 // its bits, so that NaN finds its memo too
+
+	// answers holds each answer, a []Scored of its module's class type,
+	// under its key: the module, then what the module read.
+	answers map[string]any
+	key     []byte // the key being built, reused
+}
+
+// The modules, as the first byte of a key.
+const (
+	keyKeywords byte = iota
+	keySelectCount
+	keySelectColumn
+	keySelectAgg
+	keyWhereCount
+	keyWhereConj
+	keyWhereColumn
+	keyWhereOp
+	keyWhereValue
+	keyHavingPresent
+	keyHavingAggCol
+	keyHavingOp
+	keyHavingValue
+	keyOrderKey
+	keyOrderDir
+)
+
+// memo returns m's memo in ctx's request, starting it on first use, with
+// a key begun for module.
+func (m *LexicalModel) memo(ctx *Context, module byte) *lexMemo {
+	f := ctx.feat()
+	t := math.Float64bits(m.Temperature)
+	var mm *lexMemo
+	for _, c := range f.memos {
+		if c.maxSelect == m.MaxSelect && c.maxWhere == m.MaxWhere && c.temperature == t {
+			mm = c
+			break
+		}
+	}
+	if mm == nil {
+		mm = &lexMemo{ords: f.ords, maxSelect: m.MaxSelect, maxWhere: m.MaxWhere, temperature: t, answers: map[string]any{}}
+		f.memos = append(f.memos, mm)
+	}
+	mm.key = append(mm.key[:0], module)
+	return mm
+}
+
+// memoised returns the answer filed under mm's key, computing and filing
+// it on a miss.
+func memoised[T any](mm *lexMemo, compute func() []Scored[T]) []Scored[T] {
+	if v, ok := mm.answers[string(mm.key)]; ok {
+		return v.([]Scored[T])
+	}
+	v := compute()
+	mm.answers[string(mm.key)] = v
+	return v
+}
+
+// keyTables appends the tables candidateTables returns: a marker for the
+// whole schema before FROM is decided, else the join path's tables in
+// order, 0 for a name the schema lacks (which candidateTables skips).
+func (mm *lexMemo) keyTables(q *sqlir.Query) {
+	if q == nil || q.From == nil {
+		mm.key = append(mm.key, 0)
+		return
+	}
+	k := binary.AppendUvarint(append(mm.key, 1), uint64(len(q.From.Tables)))
+	for _, name := range q.From.Tables {
+		ord := uint64(0)
+		if o, ok := mm.ords[name]; ok {
+			ord = uint64(o.ord) + 1
+		}
+		k = binary.AppendUvarint(k, ord)
+	}
+	mm.key = k
+}
+
+// keyColumn appends c: 0 for *, 2 + its ordinal for a schema column, and
+// otherwise 1 followed by its names.
+func (mm *lexMemo) keyColumn(c sqlir.ColumnRef) {
+	if c == sqlir.Star {
+		mm.key = append(mm.key, 0)
+		return
+	}
+	if o, ok := mm.ords[c.Table]; ok {
+		if i := o.t.ColumnIndex(c.Column); i >= 0 {
+			mm.key = binary.AppendUvarint(mm.key, uint64(o.first+i)+2)
+			return
+		}
+	}
+	mm.key = appendText(appendText(append(mm.key, 1), c.Table), c.Column)
+}
+
+// keyValue appends v: its kind, text and number bits.
+func (mm *lexMemo) keyValue(v sqlir.Value) {
+	k := appendText(append(mm.key, byte(v.Kind)), v.Text)
+	mm.key = binary.LittleEndian.AppendUint64(k, math.Float64bits(v.Num))
+}
+
+func appendText(k []byte, s string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(s))), s...)
 }

@@ -2,6 +2,7 @@ package guidance
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -377,6 +378,39 @@ func TestOracleAddsMissingGoldClass(t *testing.T) {
 	vals := m.WhereValue(ctx, sqlir.ColumnRef{Table: "movie", Column: "year"}, sqlir.OpEq)
 	if len(vals) != 1 || !vals[0].Class.Equal(sqlir.NewInt(1937)) {
 		t.Errorf("oracle values = %v", vals)
+	}
+}
+
+// An oracle whose gold class is missing adds it to a copy of the
+// fallback's answer: the fallback memoises that answer and hands the same
+// slice out again, so neither its classes nor its spare capacity change, and
+// the oracle answers the second call as the first.
+func TestOracleLeavesFallbackAnswerUntouched(t *testing.T) {
+	schema := moviesSchema()
+	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	gold := sqlparse.MustParse(schema, "SELECT title FROM movie WHERE year = 1937")
+	m := NewOracleModel(gold, 0.1)
+	q := sqlir.NewQuery()
+	q.WhereState = sqlir.ClausePresent
+	q.Where.CountSet = true
+	q.Where.Preds = []sqlir.Predicate{{Col: year, ColSet: true, Op: sqlir.OpEq, OpSet: true}}
+	// Three literals grow the fallback's answer to a capacity of four.
+	ctx := NewContext("movies", []sqlir.Value{sqlir.NewInt(1990), sqlir.NewInt(2000), sqlir.NewInt(2010)}, schema, q)
+	cands := m.Fallback.WhereValue(ctx, year, sqlir.OpEq)
+	if len(cands) == cap(cands) {
+		t.Fatalf("the fallback's answer has no spare capacity (len %d): the test proves nothing", len(cands))
+	}
+	was := slices.Clone(cands[:cap(cands)])
+	first := m.WhereValue(ctx, year, sqlir.OpEq)
+	second := m.WhereValue(ctx, year, sqlir.OpEq)
+	if got := m.Fallback.WhereValue(ctx, year, sqlir.OpEq); &got[0] != &cands[0] {
+		t.Fatal("the fallback does not hand out its memoised answer again")
+	}
+	if !slices.Equal(cands[:cap(cands)], was) {
+		t.Errorf("the oracle wrote into the fallback's answer:\n was %v\n now %v", was, cands[:cap(cands)])
+	}
+	if !slices.Equal(first, second) || !first[len(first)-1].Class.Equal(sqlir.NewInt(1937)) {
+		t.Errorf("oracle answered %v, then %v; want the gold value 1937 added to both", first, second)
 	}
 }
 

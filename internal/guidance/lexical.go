@@ -35,7 +35,8 @@ func NewLexicalModel() *LexicalModel {
 
 var _ Borrower = (*LexicalModel)(nil)
 
-// BorrowsQuery is true: the model keeps nothing of Context.Query.
+// BorrowsQuery is true: the model keeps nothing of Context.Query. What it
+// keeps of a request — its answers, in the Context — it keys by value.
 func (m *LexicalModel) BorrowsQuery() bool { return true }
 
 // temper applies temperature scaling then normalises.
@@ -249,9 +250,17 @@ func descCue(tok []string) float64 {
 }
 
 // --- Model implementation ------------------------------------------------
+//
+// Each module answers from the request's memo (lexMemo), keyed by what it
+// reads of Context.Query; on a miss its lower-case namesake computes the
+// answer, which the memo keeps for the rest of the request.
 
 // Keywords scores the 8 clause combinations as a product of per-clause cues.
 func (m *LexicalModel) Keywords(ctx *Context) []Scored[KeywordSet] {
+	return memoised(m.memo(ctx, keyKeywords), func() []Scored[KeywordSet] { return m.keywords(ctx) })
+}
+
+func (m *LexicalModel) keywords(ctx *Context) []Scored[KeywordSet] {
 	f := ctx.feat()
 	w, g, o := f.where, f.group, f.order
 	sets := AllKeywordSets()
@@ -282,6 +291,10 @@ func (m *LexicalModel) Keywords(ctx *Context) []Scored[KeywordSet] {
 // "and their X" / "together with" style conjunction adds a column, and
 // "how many X per Y" grouping implies entity + count.
 func (m *LexicalModel) SelectCount(ctx *Context) []Scored[int] {
+	return memoised(m.memo(ctx, keySelectCount), func() []Scored[int] { return m.selectCount(ctx) })
+}
+
+func (m *LexicalModel) selectCount(ctx *Context) []Scored[int] {
 	f := ctx.feat()
 	max := m.MaxSelect
 	if max <= 0 {
@@ -309,6 +322,19 @@ func (m *LexicalModel) SelectCount(ctx *Context) []Scored[int] {
 // predicate targets, not projections ("publications in conference SIGMOD"
 // filters on conference.name rather than projecting it).
 func (m *LexicalModel) SelectColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
+	mm := m.memo(ctx, keySelectColumn)
+	mm.keyTables(ctx.Query)
+	if ctx.Query != nil {
+		for i, s := range ctx.Query.Select {
+			if i < idx && s.ColSet {
+				mm.keyColumn(s.Col)
+			}
+		}
+	}
+	return memoised(mm, func() []Scored[sqlir.ColumnRef] { return m.selectColumn(ctx, idx) })
+}
+
+func (m *LexicalModel) selectColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
 	f := ctx.feat()
 	projected := func(ref sqlir.ColumnRef) bool {
 		if ctx.Query != nil {
@@ -343,6 +369,17 @@ func (m *LexicalModel) SelectColumn(ctx *Context, idx int) []Scored[sqlir.Column
 // SelectAgg scores the aggregate for a projection: * forces COUNT; numeric
 // aggregates are suppressed on text columns (they would be pruned anyway).
 func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []Scored[sqlir.AggFunc] {
+	mm := m.memo(ctx, keySelectAgg)
+	if col.IsStar() {
+		mm.key = append(mm.key, '*')
+	} else {
+		ty, _ := ctx.Schema.Resolve(col)
+		mm.key = append(mm.key, byte(ty))
+	}
+	return memoised(mm, func() []Scored[sqlir.AggFunc] { return m.selectAgg(ctx, idx, col) })
+}
+
+func (m *LexicalModel) selectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []Scored[sqlir.AggFunc] {
 	if col.IsStar() {
 		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1}}
 	}
@@ -371,6 +408,10 @@ func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 
 // WhereCount peaks at the number of tagged literals.
 func (m *LexicalModel) WhereCount(ctx *Context) []Scored[int] {
+	return memoised(m.memo(ctx, keyWhereCount), func() []Scored[int] { return m.whereCount(ctx) })
+}
+
+func (m *LexicalModel) whereCount(ctx *Context) []Scored[int] {
 	max := m.MaxWhere
 	if max <= 0 {
 		max = 3
@@ -393,6 +434,10 @@ func (m *LexicalModel) WhereCount(ctx *Context) []Scored[int] {
 // WhereConj prefers AND unless an "or"/"either" cue appears. "and" in an
 // NLQ is notoriously ambiguous (the §2 example), so OR keeps real mass.
 func (m *LexicalModel) WhereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
+	return memoised(m.memo(ctx, keyWhereConj), func() []Scored[sqlir.LogicalOp] { return m.whereConj(ctx) })
+}
+
+func (m *LexicalModel) whereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 	or := 0.25
 	if ctx.feat().orConj {
 		or = 0.6
@@ -406,6 +451,19 @@ func (m *LexicalModel) WhereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 // WhereColumn scores predicate columns: lexical score plus a boost when the
 // column's type matches a still-unused literal.
 func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
+	mm := m.memo(ctx, keyWhereColumn)
+	mm.keyTables(ctx.Query)
+	if ctx.Query != nil {
+		for i, p := range ctx.Query.Where.Preds {
+			if i < idx && p.ColSet {
+				mm.keyColumn(p.Col)
+			}
+		}
+	}
+	return memoised(mm, func() []Scored[sqlir.ColumnRef] { return m.whereColumn(ctx, idx) })
+}
+
+func (m *LexicalModel) whereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
 	f := ctx.feat()
 	used := func(ref sqlir.ColumnRef) bool {
 		if ctx.Query != nil {
@@ -450,6 +508,13 @@ func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnR
 
 // WhereOp scores operators with cue words, masking type-invalid choices.
 func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
+	mm := m.memo(ctx, keyWhereOp)
+	ty, _ := ctx.Schema.Resolve(col)
+	mm.key = append(mm.key, byte(ty))
+	return memoised(mm, func() []Scored[sqlir.Op] { return m.whereOp(ctx, col) })
+}
+
+func (m *LexicalModel) whereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
 	f := ctx.feat()
 	ty, _ := ctx.Schema.Resolve(col)
 	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
@@ -468,6 +533,24 @@ func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir
 // WhereValue proposes type-compatible tagged literals, discounting ones
 // already used in earlier predicates.
 func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
+	mm := m.memo(ctx, keyWhereValue)
+	ty, _ := ctx.Schema.Resolve(col)
+	like := byte(0)
+	if op == sqlir.OpLike {
+		like = 1
+	}
+	mm.key = append(mm.key, byte(ty), like)
+	if ctx.Query != nil {
+		for _, p := range ctx.Query.Where.Preds {
+			if p.ValSet {
+				mm.keyValue(p.Val)
+			}
+		}
+	}
+	return memoised(mm, func() []Scored[sqlir.Value] { return m.whereValue(ctx, col, op) })
+}
+
+func (m *LexicalModel) whereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
 	ty, _ := ctx.Schema.Resolve(col)
 	var used []string
 	if ctx.Query != nil {
@@ -501,6 +584,10 @@ func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op
 
 // HavingPresent uses comparative cues plus unused numeric literals.
 func (m *LexicalModel) HavingPresent(ctx *Context) []Scored[bool] {
+	return memoised(m.memo(ctx, keyHavingPresent), func() []Scored[bool] { return m.havingPresent(ctx) })
+}
+
+func (m *LexicalModel) havingPresent(ctx *Context) []Scored[bool] {
 	h := ctx.feat().having
 	return temper(m, []Scored[bool]{
 		{Class: false, Prob: 1 - h},
@@ -511,6 +598,12 @@ func (m *LexicalModel) HavingPresent(ctx *Context) []Scored[bool] {
 // HavingAggCol favours COUNT(*) (the overwhelmingly common case), with
 // numeric-column aggregates as alternatives.
 func (m *LexicalModel) HavingAggCol(ctx *Context) []Scored[AggCol] {
+	mm := m.memo(ctx, keyHavingAggCol)
+	mm.keyTables(ctx.Query)
+	return memoised(mm, func() []Scored[AggCol] { return m.havingAggCol(ctx) })
+}
+
+func (m *LexicalModel) havingAggCol(ctx *Context) []Scored[AggCol] {
 	f := ctx.feat()
 	out := []Scored[AggCol]{{Class: AggCol{Agg: sqlir.AggCount, Col: sqlir.Star}, Prob: 0.7}}
 	for _, t := range candidateTables(ctx) {
@@ -531,6 +624,10 @@ func (m *LexicalModel) HavingAggCol(ctx *Context) []Scored[AggCol] {
 
 // HavingOp reuses the operator cues; equality is rare in HAVING.
 func (m *LexicalModel) HavingOp(ctx *Context) []Scored[sqlir.Op] {
+	return memoised(m.memo(ctx, keyHavingOp), func() []Scored[sqlir.Op] { return m.havingOp(ctx) })
+}
+
+func (m *LexicalModel) havingOp(ctx *Context) []Scored[sqlir.Op] {
 	f := ctx.feat()
 	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe} {
@@ -545,6 +642,10 @@ func (m *LexicalModel) HavingOp(ctx *Context) []Scored[sqlir.Op] {
 
 // HavingValue proposes numeric literals.
 func (m *LexicalModel) HavingValue(ctx *Context) []Scored[sqlir.Value] {
+	return memoised(m.memo(ctx, keyHavingValue), func() []Scored[sqlir.Value] { return m.havingValue(ctx) })
+}
+
+func (m *LexicalModel) havingValue(ctx *Context) []Scored[sqlir.Value] {
 	var out []Scored[sqlir.Value]
 	for _, l := range ctx.feat().numLits {
 		out = append(out, Scored[sqlir.Value]{Class: l, Prob: 1})
@@ -555,6 +656,25 @@ func (m *LexicalModel) HavingValue(ctx *Context) []Scored[sqlir.Value] {
 // OrderKey proposes projected columns, COUNT(*) under grouping, aggregated
 // projections, and lexical matches among join-path columns.
 func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
+	mm := m.memo(ctx, keyOrderKey)
+	mm.keyTables(ctx.Query)
+	if q := ctx.Query; q != nil {
+		grouped := byte(0)
+		if q.GroupByState != sqlir.ClauseAbsent {
+			grouped = 1
+		}
+		mm.key = append(mm.key, grouped)
+		for _, s := range q.Select {
+			if s.Complete() {
+				mm.key = append(mm.key, byte(s.Agg))
+				mm.keyColumn(s.Col)
+			}
+		}
+	}
+	return memoised(mm, func() []Scored[AggCol] { return m.orderKey(ctx) })
+}
+
+func (m *LexicalModel) orderKey(ctx *Context) []Scored[AggCol] {
 	f := ctx.feat()
 	tables := candidateTables(ctx)
 	out := make([]Scored[AggCol], 0, f.columns(tables)+len(sqlir.AllAggs))
@@ -594,6 +714,10 @@ func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
 // OrderDir decides direction and limit together: limit candidates come from
 // small numeric literals plus 1 when a superlative cue appears.
 func (m *LexicalModel) OrderDir(ctx *Context) []Scored[DirLimit] {
+	return memoised(m.memo(ctx, keyOrderDir), func() []Scored[DirLimit] { return m.orderDir(ctx) })
+}
+
+func (m *LexicalModel) orderDir(ctx *Context) []Scored[DirLimit] {
 	f := ctx.feat()
 	d := f.desc
 	limits := []int{0}

@@ -63,10 +63,10 @@ type DirLimit struct {
 // far; index arguments identify the slot being decided. The partial query
 // is the model's to keep unless the model is a Borrower. Every method must
 // return a distribution whose probabilities sum to 1; an empty slice means
-// the module has no viable output class and the branch dies. The returned
-// slice is the caller's: the search queues its children as pointers to the
-// classes in it, so a model must neither write to it afterwards nor return
-// the same storage twice.
+// the module has no viable output class and the branch dies. A returned
+// slice is never written, by the model or its caller: the search queues its
+// children as pointers to the classes in it, for the rest of the request. A
+// model may return the same slice whenever it is asked the same question.
 type Model interface {
 	// Keywords predicts which optional clauses the query contains.
 	Keywords(ctx *Context) []Scored[KeywordSet]
@@ -131,9 +131,10 @@ type Context struct {
 	DB       *storage.Database // optional; enables literal-column grounding
 	Query    *sqlir.Query      // valid only during a module call if the model is a Borrower
 
-	// features is the request-scoped part of what the lexical model reads;
-	// WithQuery copies share it. Contexts built as struct literals attach
-	// it on first use (feat).
+	// features is the request-scoped part of what the lexical model reads,
+	// and its answers so far; WithQuery copies share it, so a Context and
+	// its copies are used by one goroutine at a time. Contexts built as
+	// struct literals attach it on first use (feat).
 	features *features
 }
 
@@ -177,6 +178,16 @@ func (c *Context) WithQuery(q *sqlir.Query) *Context {
 // shared: callers must not write to it.
 func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
 	return c.feat().litCols
+}
+
+// Memoised returns how many module answers the request has memoised, over
+// every lexical model that scored it.
+func (c *Context) Memoised() int {
+	n := 0
+	for _, mm := range c.feat().memos {
+		n += len(mm.answers)
+	}
+	return n
 }
 
 // Normalize scales probabilities to sum to 1, dropping non-positive entries,

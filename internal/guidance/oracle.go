@@ -27,7 +27,8 @@ var _ Borrower = (*OracleModel)(nil)
 func (m *OracleModel) BorrowsQuery() bool { return Borrows(m.Fallback) }
 
 // reweight gives the gold class 1-noise and scales the rest into noise. If
-// the gold class is absent from the candidate set it is added.
+// the gold class is absent from the candidate set it is added — to a copy:
+// cands is the fallback's, which may hand out the same storage again.
 func reweight[T any](cands []Scored[T], gold T, eq func(a, b T) bool, noise float64) []Scored[T] {
 	found := false
 	rest := 0.0
@@ -39,7 +40,7 @@ func reweight[T any](cands []Scored[T], gold T, eq func(a, b T) bool, noise floa
 		}
 	}
 	if !found {
-		cands = append(cands, Scored[T]{Class: gold})
+		cands = append(cands[:len(cands):len(cands)], Scored[T]{Class: gold})
 	}
 	out := make([]Scored[T], 0, len(cands))
 	for _, c := range cands {
