@@ -101,36 +101,19 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// entry is one queued search state: a decision, not a query. Most queued
-// states are never expanded, so a child that survives verification is kept
-// as the node of the popped state it extends plus the decision that extends
-// it, by value in the frontier's storage; if it is popped, it becomes a node
-// of its own.
-type entry struct {
-	parent *node          // nil for the root
-	dec    sqlir.Decision // the zero Decision for the root
-
+// state is one search state: a decision, not a query. A state that survives
+// verification is the popped state it extends plus the decision that
+// extends it, the path GPQE's partial query is (§3.3). Its query is never
+// kept; expand replays the path from the root whenever the state is
+// expanded. States live in the frontier's slots and never move, so a child
+// may point at its parent.
+type state struct {
+	parent   *state         // nil for the root; in a free slot, the next free slot
+	dec      sqlir.Decision // the zero Decision for the root
 	logConf  float64
-	seq      int   // FIFO tiebreaker for determinism
 	depth    int32 // decision depth, the NoGuide BFS key
-	joinLen  int16 // §3.3.4 tiebreaker: shorter join paths first
 	verified bool  // the state passed the cascade, so its children inherit its proofs
 }
-
-// node is a popped state: the decision that made it from its parent, the
-// path GPQE's partial query is (§3.3). Its query is never kept; expand
-// replays the path from the root whenever the state is expanded. Nodes come
-// from the search's slab and never move, so a queued child may point at its
-// parent's.
-type node struct {
-	parent *node // nil for the root
-	dec    sqlir.Decision
-}
-
-// A search's first slab chunk holds firstNodeChunk nodes and each next one
-// twice as many, up to nodeChunk nodes (about 14 KB): a search that pops a
-// few states does not pay for a full chunk.
-const firstNodeChunk, nodeChunk = 16, 256
 
 // option is one output class of an expansion: the decision that makes the
 // child and the probability the module gave it.
@@ -173,11 +156,6 @@ type search struct {
 	mctx *guidance.Context
 
 	queue frontier
-	// nodes is the slab's current chunk. A full chunk is left to the nodes
-	// in it, which queued entries and descendant nodes point at, and goes
-	// with the search: unlike the frontier's chunks it is not pooled, as
-	// what a pool keeps between requests is live heap.
-	nodes []node
 	// cur holds the popped state being expanded, replayed from path, and
 	// scratch the one child of it being looked at, its whole cascade
 	// included. Nothing that outlives the look may point into either: an
@@ -207,27 +185,18 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 			return e.opts.Mode != ModeNoPQ || complete
 		},
 	}
-	s.queue.push(entry{}) // the empty query
+	s.queue.push(state{}, 0, 0) // the empty query
 	return s
 }
 
 // close hands the search's frontier storage on to the next search.
 func (s *search) close() { s.queue.release() }
 
-// newNode records a popped state in the slab.
-func (s *search) newNode(parent *node, d sqlir.Decision) *node {
-	if len(s.nodes) == cap(s.nodes) {
-		s.nodes = make([]node, 0, min(max(2*cap(s.nodes), firstNodeChunk), nodeChunk))
-	}
-	s.nodes = append(s.nodes, node{parent, d})
-	return &s.nodes[len(s.nodes)-1]
-}
-
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
 // query, replayed into cur (and cloned out of it for a model that does not
 // borrow), and one option per output class of the next module. Both are
 // valid until the next call.
-func (s *search) expand(n *node) (*sqlir.Query, []option, error) {
+func (s *search) expand(n *state) (*sqlir.Query, []option, error) {
 	q := s.replay(n)
 	if !s.borrow {
 		q = q.Clone() // the model may keep the query it is handed
@@ -242,7 +211,7 @@ func (s *search) expand(n *node) (*sqlir.Query, []option, error) {
 
 // replay builds n's query in cur from the decisions on its path from the
 // root; the root's own is the zero Decision and is not applied.
-func (s *search) replay(n *node) *sqlir.Query {
+func (s *search) replay(n *state) *sqlir.Query {
 	s.path = s.path[:0]
 	for ; n.parent != nil; n = n.parent {
 		s.path = append(s.path, n.dec)
@@ -255,7 +224,8 @@ func (s *search) replay(n *node) *sqlir.Query {
 type verifyResult struct {
 	q         *sqlir.Query   // the child, in the scratch: valid until the next verifyChild
 	complete  bool           // the child has no holes left
-	out       verify.Outcome // meaningful only when the child needed verifying
+	verified  bool           // the child needed verifying: out is its outcome
+	out       verify.Outcome // meaningful only when verified
 	err       error
 	cancelled bool // the request died, or drew an injected fault, mid-check
 }
@@ -267,7 +237,7 @@ type verifyResult struct {
 func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
 	r.q = s.scratch.Apply(q, d)
 	r.complete = r.q.Complete()
-	if !s.needVerify(r.complete) {
+	if r.verified = s.needVerify(r.complete); !r.verified {
 		return r
 	}
 	if !inherit {
@@ -282,20 +252,29 @@ func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r 
 	return r
 }
 
-// child is the state reached by option o from p, popped as n with query q,
-// given what verification said about it. It is queued as (n, decision).
-func (s *search) child(p *entry, n *node, q *sqlir.Query, o *option, r *verifyResult) entry {
-	s.seq++
-	lc := math.Inf(-1)
+// child numbers the child of the popped state p by option o, given what
+// verification said about it (r), and queues it as (p, decision) when it
+// passed with holes left. It reports whether the child is a candidate: a
+// complete query that passed.
+func (s *search) child(p *state, o *option, r *verifyResult) bool {
+	s.seq++ // every child, kept or not: arrival breaks ties
+	if r.verified && !r.out.OK {
+		return false
+	}
+	if r.complete {
+		return true
+	}
+	s.queue.push(state{parent: p, dec: o.dec, logConf: logConf(p, o), depth: p.depth + 1, verified: r.verified},
+		r.q.From.Len(), s.seq)
+	return false
+}
+
+// logConf is the log confidence of p's child by option o.
+func logConf(p *state, o *option) float64 {
 	if o.prob > 0 {
-		lc = p.logConf + math.Log(o.prob)
+		return p.logConf + math.Log(o.prob)
 	}
-	c := entry{parent: n, dec: o.dec, logConf: lc, seq: s.seq, depth: p.depth + 1,
-		joinLen: int16(q.From.Len()), verified: s.needVerify(r.complete)}
-	if o.dec.Kind == sqlir.DecideFrom {
-		c.joinLen = int16(o.dec.From.Len())
-	}
-	return c
+	return math.Inf(-1)
 }
 
 // Enumerate runs Algorithm 1, invoking emit for each candidate query in
@@ -304,8 +283,10 @@ func (s *search) child(p *entry, n *node, q *sqlir.Query, o *option, r *verifyRe
 // Cancellation and the Budget deadline produce an anytime result, not an
 // error: the returned Result carries the candidates verified so far (a
 // deterministic prefix of the untruncated run) with Truncated set.
-func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (*Result, error) {
+func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (res *Result, err error) {
 	start := time.Now()
+	res = &Result{}
+	defer func() { res.Elapsed = time.Since(start) }()
 	if e.opts.Budget > 0 {
 		// The budget rides the context so a verification query mid-scan
 		// sees the expiry at the executor's cancellation checkpoints
@@ -317,16 +298,8 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 	s := e.newSearch(ctx, nlq, literals)
 	defer s.close()
 
-	res := &Result{}
 	seen := map[string]bool{} // canonical dedup of emitted candidates
 	emitted := 0
-
-	// truncate finalizes the anytime partial result for a search cut short.
-	truncate := func() (*Result, error) {
-		res.Truncated = true
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
 
 	for s.queue.len() > 0 {
 		if res.States >= e.opts.MaxStates {
@@ -334,15 +307,15 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 		}
 		select {
 		case <-ctx.Done():
-			return truncate()
+			res.Truncated = true
+			return res, nil
 		default:
 		}
 
 		p := s.queue.pop()
 		res.States++
 
-		n := s.newNode(p.parent, p.dec)
-		q, opts, err := s.expand(n)
+		q, opts, err := s.expand(p)
 		if err != nil {
 			return res, err
 		}
@@ -352,17 +325,13 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			if r.cancelled {
 				// The request died (or drew an injected fault) mid-
 				// verification: degrade to the candidates already emitted.
-				return truncate()
+				res.Truncated = true
+				return res, nil
 			}
 			if r.err != nil {
 				return res, r.err
 			}
-			c := s.child(&p, n, q, o, &r)
-			if c.verified && !r.out.OK {
-				continue
-			}
-			if !r.complete {
-				s.queue.push(c)
+			if !s.child(p, o, &r) {
 				continue
 			}
 			key := r.q.Canonical()
@@ -373,26 +342,23 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			emitted++
 			cand := Candidate{
 				Query:      r.q.Clone(),
-				Confidence: math.Exp(c.logConf),
+				Confidence: math.Exp(logConf(p, o)),
 				Rank:       emitted,
 				Elapsed:    time.Since(start),
 				States:     res.States,
 			}
 			res.Candidates = append(res.Candidates, cand)
 			if emit != nil && !emit(cand) {
-				res.Elapsed = time.Since(start)
 				return res, nil
 			}
 			if e.opts.MaxCandidates > 0 && emitted >= e.opts.MaxCandidates {
-				res.Elapsed = time.Since(start)
 				return res, nil
 			}
 		}
-		// Only the best MaxStates − States entries can still be popped.
+		// Only the best MaxStates − States states can still be popped.
 		s.queue.bound(e.opts.MaxStates - res.States)
 	}
 	res.Exhausted = !s.queue.dropped
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -2,8 +2,10 @@ package enumerate
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -412,7 +414,8 @@ func TestMaxStatesCap(t *testing.T) {
 // drops what can no longer be popped. The capped search must expand exactly
 // the states an unbounded frontier would — its candidates are the uncapped
 // run's up to the cap, state counts included — and must not claim to have
-// exhausted a space it threw part of away.
+// exhausted a space it threw part of away. Stopping at the cap is a return
+// like any other: the result says how long the search took.
 func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	db := movieDB()
 	run := func(maxStates int) *Result {
@@ -428,6 +431,9 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	capped, free := run(limit), run(50*limit)
 	if capped.States != limit || capped.Exhausted || capped.Truncated {
 		t.Fatalf("capped run: %d states, exhausted %v, truncated %v; want the cap reached, neither flag", capped.States, capped.Exhausted, capped.Truncated)
+	}
+	if capped.Elapsed <= 0 {
+		t.Errorf("capped run of %d states took %v", capped.States, capped.Elapsed)
 	}
 	var want []Candidate
 	for _, c := range free.Candidates {
@@ -450,85 +456,210 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	}
 }
 
+// arrival is what a test pushes: a state and the rest of its key.
+type arrival struct {
+	logConf float64
+	depth   int32
+	joinLen int16
+	seq     int
+}
+
+// push queues a as a state whose decision carries a's seq, so a popped
+// state says which arrival it is.
+func (a *arrival) push(f *frontier) {
+	f.push(state{dec: sqlir.Decision{Index: int32(a.seq)}, logConf: a.logConf, depth: a.depth}, int(a.joinLen), a.seq)
+}
+
+func (a *arrival) key(f *frontier) key {
+	st := state{logConf: a.logConf, depth: a.depth}
+	return f.key(&st, int(a.joinLen), a.seq)
+}
+
+// is reports whether the popped st is a, field for field.
+func (a *arrival) is(st *state) bool {
+	return st.dec.Index == int32(a.seq) && st.depth == a.depth &&
+		(st.logConf == a.logConf || math.IsInf(st.logConf, -1) && math.IsInf(a.logConf, -1))
+}
+
 // TestFrontierBoundKeepsTheBest: after bound(k) the frontier pops exactly
-// the k best entries of what it held, in order, in every ordering mode.
+// the k best states of what it held, in the order of their keys, in every
+// ordering mode.
 func TestFrontierBoundKeepsTheBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
-		var all []entry
+		var all []arrival
 		for i := 0; i < 1000; i++ {
-			e := entry{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
-			all = append(all, e)
-			f.push(e)
+			a := arrival{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
+			all = append(all, a)
+			a.push(f)
 		}
-		sort.Slice(all, func(i, j int) bool { return f.less(&all[i], &all[j]) })
+		sort.Slice(all, func(i, j int) bool { return all[i].key(f).before(all[j].key(f)) })
 		f.bound(600) // holds fewer than twice that: nothing to drop
 		if f.len() != 1000 || f.dropped {
-			t.Fatalf("bound(600) of 1000 entries left %d, dropped %v", f.len(), f.dropped)
+			t.Fatalf("bound(600) of 1000 states left %d, dropped %v", f.len(), f.dropped)
 		}
 		for _, k := range []int{300, 7, 1} {
 			f.bound(k)
 			if f.len() != k || !f.dropped {
-				t.Fatalf("bound(%d) left %d entries, dropped %v", k, f.len(), f.dropped)
+				t.Fatalf("bound(%d) left %d states, dropped %v", k, f.len(), f.dropped)
 			}
-			got := f.pop()
-			if got.seq != all[0].seq {
-				t.Fatalf("after bound(%d) the best entry is seq %d, want %d", k, got.seq, all[0].seq)
+			if got := f.pop(); !all[0].is(got) {
+				t.Fatalf("after bound(%d) the best state is %+v, want %+v", k, *got, all[0])
 			}
 			all = all[1:]
 		}
 		if f.len() != 0 {
-			t.Fatalf("%d entries left", f.len())
+			t.Fatalf("%d states left", f.len())
 		}
-		// Popping in order after a bound: rebuild and drain.
-		for _, e := range all[:200] {
-			f.push(e)
+		// Popping in order after a bound: rebuild, into the slots the
+		// bounds freed, and drain.
+		for i := range all[:200] {
+			all[i].push(f)
 		}
 		f.bound(50)
 		for i := 0; f.len() > 0; i++ {
-			if got := f.pop(); got.seq != all[i].seq {
-				t.Fatalf("pop %d after bound: seq %d, want %d", i, got.seq, all[i].seq)
+			if got := f.pop(); !all[i].is(got) {
+				t.Fatalf("pop %d after bound: %+v, want %+v", i, *got, all[i])
 			}
 		}
+		f.release()
 	}
 }
 
-// TestFrontierRecyclesChunks: closing a search zeroes every slot of its
-// frontier's chunks, so no node of a search — nor the slab chunk holding it,
-// nor the guidance output its decisions point into — outlives its request
-// in the pool, and the next frontier of the same peak takes its chunks from
-// the pool: what it still allocates is its list of chunk pointers, not one
-// chunk.
+// entryLess is the order the frontier kept before it moved keys, when it
+// compared whole queued entries field by field.
+func entryLess(f *frontier, a, b *arrival) bool {
+	if f.noGuide {
+		if a.depth != b.depth {
+			return a.depth < b.depth
+		}
+		return a.seq < b.seq
+	}
+	priority := func(e *arrival) float64 {
+		if f.geoMean && e.depth > 0 {
+			return e.logConf / float64(e.depth)
+		}
+		return e.logConf
+	}
+	pa, pb := priority(a), priority(b)
+	if pa != pb {
+		return pa > pb
+	}
+	if a.joinLen != b.joinLen {
+		return a.joinLen < b.joinLen
+	}
+	return a.seq < b.seq
+}
+
+// TestFrontierOrderIsTheEntryOrder: with pushes, pops and bounds
+// interleaved at random, in every ordering mode, the frontier pops the
+// states a sort by the entry comparator says it should, each as it was
+// pushed — whether its slot was fresh or one a bound freed — and drops what
+// that sort puts beyond a bound. Confidences tie often and include −Inf.
+func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
+	ops := 200000
+	if testing.Short() {
+		ops = 20000
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
+		var held []arrival // what the frontier holds, sorted by entryLess
+		seq, pops, drops := 0, 0, 0
+		pop := func() {
+			if got := f.pop(); !held[0].is(got) {
+				t.Fatalf("pop %d: %+v, want %+v", pops, *got, held[0])
+			}
+			held = held[1:]
+			pops++
+		}
+		for range ops {
+			switch r := rng.Intn(400); {
+			case r < 232:
+				seq++
+				a := arrival{logConf: -float64(rng.Intn(12)) / 4, depth: int32(rng.Intn(8)), joinLen: int16(rng.Intn(4)), seq: seq}
+				if rng.Intn(10) == 0 {
+					a.logConf = math.Inf(-1)
+				}
+				i := sort.Search(len(held), func(i int) bool { return entryLess(f, &a, &held[i]) })
+				held = slices.Insert(held, i, a)
+				a.push(f)
+			case r < 399:
+				if len(held) > 0 {
+					pop()
+				}
+			default:
+				k := rng.Intn(len(held) + 1)
+				f.bound(k)
+				if len(held) > 2*k {
+					drops += len(held) - k
+					held = held[:k]
+				}
+			}
+			if f.len() != len(held) {
+				t.Fatalf("the frontier holds %d states, the entry order %d", f.len(), len(held))
+			}
+		}
+		for len(held) > 0 {
+			pop()
+		}
+		if pops == 0 || drops == 0 || f.dropped != (drops > 0) {
+			t.Fatalf("%d pops, %d drops, dropped %v: the test is not exercising the frontier", pops, drops, f.dropped)
+		}
+		f.release()
+	}
+}
+
+// TestFrontierRecyclesChunks: closing a search zeroes every slot its
+// frontier used — queued, popped and dropped — and its key slice, so no
+// state of a search, nor the guidance output its decisions point into,
+// outlives its request in the pools; and the next frontier of the same peak
+// takes its chunks and its key slice from the pools: what it still
+// allocates is its list of chunk pointers, not one chunk.
 func TestFrontierRecyclesChunks(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
-	parent := &node{dec: sqlir.Decision{Kind: sqlir.DecideKeywords}}
+	parent := &state{dec: sqlir.Decision{Kind: sqlir.DecideKeywords}}
 	const peak = 3*chunkLen + 5
 	fill := func(f *frontier) {
+		push := func(i int) {
+			f.push(state{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7)}, 1, i)
+		}
 		for i := range peak {
-			f.push(entry{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7), seq: i})
+			push(i)
 		}
 		for range peak / 2 {
 			f.pop()
+		}
+		f.bound(peak / 8)
+		for i := range peak / 8 {
+			push(peak + i) // into slots the bound freed
 		}
 	}
 
 	s := e.newSearch(context.Background(), "titles", nil)
 	fill(&s.queue)
-	chunks := s.queue.chunks
+	if !s.queue.dropped || s.queue.free == nil {
+		t.Fatal("the bound dropped nothing, or its pushes used every slot it freed")
+	}
+	chunks, keys := s.queue.chunks, s.queue.keys[:cap(s.queue.keys)]
 	s.close()
 	for ci, c := range chunks {
 		for i := range c {
-			if c[i] != (entry{}) {
+			if c[i] != (state{}) {
 				t.Fatalf("chunk %d slot %d still holds %+v after close", ci, i, c[i])
 			}
+		}
+	}
+	for i, k := range keys {
+		if k != (key{}) {
+			t.Fatalf("key %d still holds %+v after close", i, k)
 		}
 	}
 
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a random share of what it is given")
 	}
-	var list []*[chunkLen]entry
+	var list []*[chunkLen]state
 	growths := 0
 	for range chunks {
 		if len(list) == cap(list) {
@@ -546,20 +677,20 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestSearchStateSizes pins the structs a search moves per state: the query
-// header every replay and every child in the scratch copies, the entry the
-// frontier holds by value and the node a popped state becomes. DESIGN.md §14
-// ("A decision is data", "What a queue entry holds") accounts for every
-// field; a field added here belongs in that account.
+// TestSearchStateSizes pins the structs a search writes or moves per state:
+// the query header every replay and every child in the scratch copies, the
+// state written once into a frontier slot and the key the heap moves.
+// DESIGN.md §14 ("A decision is data", "What a search state is") accounts
+// for every field; a field added here belongs in that account.
 func TestSearchStateSizes(t *testing.T) {
 	if n := unsafe.Sizeof(sqlir.Query{}); n > 128 {
 		t.Errorf("sqlir.Query is %d bytes, over 128: see DESIGN.md §14 on what the search-state header holds", n)
 	}
-	if n := unsafe.Sizeof(entry{}); n > 80 {
-		t.Errorf("enumerate.entry is %d bytes, over 80: see DESIGN.md §14 on what a queue entry holds", n)
+	if n := unsafe.Sizeof(state{}); n > 72 {
+		t.Errorf("enumerate.state is %d bytes, over 72: see DESIGN.md §14 on what a search state is", n)
 	}
-	if n := unsafe.Sizeof(node{}); n > 64 {
-		t.Errorf("enumerate.node is %d bytes, over 64: see DESIGN.md §14 on what a queue entry holds", n)
+	if n := unsafe.Sizeof(key{}); n > 24 {
+		t.Errorf("enumerate.key is %d bytes, over 24: see DESIGN.md §14 on what a search state is", n)
 	}
 }
 

@@ -2,181 +2,204 @@ package enumerate
 
 import "sync"
 
-// frontier is the priority collection P of Algorithm 1: a binary heap of
-// entries held by value. Its storage is a list of fixed-size chunks rather
-// than one slice, so growing it never copies what is already queued — and
-// the chunks come from chunkPool and go back to it when the search is done
-// (release), so a search reuses the storage of searches before it instead of
-// allocating its peak frontier afresh.
+// frontier is the priority collection P of Algorithm 1, and the store of
+// every state the search has seen. A queued state is written once, into a
+// slot of fixed-size chunks, and never moves: popped, it stays in its slot
+// as the node its children point at. The heap orders and moves only keys.
+// The chunks come from chunkPool and the key slice from keyPool, and both go
+// back when the search is done (release), so a search reuses the storage of
+// searches before it instead of allocating its peak afresh.
 type frontier struct {
-	chunks  []*[chunkLen]entry
-	n       int
-	noGuide bool // breadth-first: depth, then arrival
-	geoMean bool // order by the geometric mean of the module scores
-	// dropped records that bound discarded entries: the search can then no
+	chunks []*[chunkLen]state
+	used   int    // slots handed out, popped and dropped ones included
+	free   *state // slots bound dropped, threaded through parent
+	keys   []key  // the heap
+	box    *[]key // keys' holder in keyPool
+	// dropped records that bound discarded states: the search can then no
 	// longer claim to have exhausted the space.
 	dropped bool
+
+	noGuide bool // breadth-first: depth, then arrival
+	geoMean bool // order by the geometric mean of the module scores
 }
 
-// chunkLen entries make one chunk (about 10 KB).
+// key is what the heap moves for a queued state: the state is popped before
+// every state whose prio is lower, or equal with a larger tie.
+type key struct {
+	prio float64
+	tie  uint64
+	st   *state
+}
+
+func (a key) before(b key) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.tie < b.tie
+}
+
+// chunkLen states make one chunk (about 9 KB).
 const chunkLen = 128
 
-// chunkPool holds the chunks of finished searches, every slot zero. What it
-// retains is bounded by the peak of the frontiers live at once, and is freed
-// by the second garbage collection that finds it unused.
-var chunkPool = sync.Pool{New: func() any { return new([chunkLen]entry) }}
+// chunkPool holds the chunks of finished searches, and keyPool their key
+// slices, every slot zero. What they retain is bounded by the peak of the
+// frontiers live at once, and is freed by the second garbage collection that
+// finds it unused.
+var (
+	chunkPool = sync.Pool{New: func() any { return new([chunkLen]state) }}
+	keyPool   = sync.Pool{New: func() any { return new([]key) }}
+)
 
-func (f *frontier) len() int { return f.n }
+func (f *frontier) len() int { return len(f.keys) }
 
-func (f *frontier) at(i int) *entry { return &f.chunks[i/chunkLen][i%chunkLen] }
-
-// priority returns the best-first key for an entry.
-func (f *frontier) priority(e *entry) float64 {
-	if f.geoMean && e.depth > 0 {
-		return e.logConf / float64(e.depth)
+// key orders st, the seq-th state to arrive, whose query joins joinLen
+// tables: by confidence (its geometric mean under geoMean), then shorter
+// join paths (§3.3.4), then arrival; under noGuide by depth, then arrival.
+// seq is unique, so no two keys tie.
+func (f *frontier) key(st *state, joinLen, seq int) key {
+	k := key{st.logConf, uint64(joinLen)<<48 | uint64(seq), st}
+	switch {
+	case f.noGuide:
+		k.prio, k.tie = -float64(st.depth), uint64(seq)
+	case f.geoMean && st.depth > 0:
+		k.prio /= float64(st.depth)
 	}
-	return e.logConf
+	return k
 }
 
-// less is the search's total order: seq is unique, so no two entries tie.
-func (f *frontier) less(a, b *entry) bool {
-	if f.noGuide {
-		if a.depth != b.depth {
-			return a.depth < b.depth
+// push queues st into a free slot; see key for joinLen and seq.
+func (f *frontier) push(st state, joinLen, seq int) {
+	slot := f.free
+	if slot != nil {
+		f.free = slot.parent
+	} else {
+		if f.used == len(f.chunks)*chunkLen {
+			f.chunks = append(f.chunks, chunkPool.Get().(*[chunkLen]state))
 		}
-		return a.seq < b.seq
+		slot = &f.chunks[f.used/chunkLen][f.used%chunkLen]
+		f.used++
 	}
-	pa, pb := f.priority(a), f.priority(b)
-	if pa != pb {
-		return pa > pb
+	*slot = st
+	if f.box == nil {
+		f.box = keyPool.Get().(*[]key)
+		f.keys = *f.box
 	}
-	if a.joinLen != b.joinLen {
-		return a.joinLen < b.joinLen
-	}
-	return a.seq < b.seq
+	f.keys = append(f.keys, key{})
+	f.up(len(f.keys)-1, f.key(slot, joinLen, seq))
 }
 
-func (f *frontier) push(e entry) {
-	if f.n == len(f.chunks)*chunkLen {
-		f.chunks = append(f.chunks, chunkPool.Get().(*[chunkLen]entry))
-	}
-	f.n++
-	f.up(f.n-1, e)
-}
-
-// release empties the frontier and returns its chunks to chunkPool. The
-// queued entries are zeroed first, so no node of the search outlives it in
-// the pool; every other slot is zero already (pop and bound clear what they
-// vacate).
+// release empties the frontier and returns its chunks and its key slice to
+// their pools, every used slot and key zeroed first: no state of the search
+// outlives it in the pool.
 func (f *frontier) release() {
-	for i := range f.n {
-		*f.at(i) = entry{}
-	}
-	for _, c := range f.chunks {
+	for i, c := range f.chunks {
+		clear(c[:min(chunkLen, f.used-i*chunkLen)])
 		chunkPool.Put(c)
 	}
-	f.chunks, f.n = nil, 0
+	if f.box != nil {
+		clear(f.keys[:cap(f.keys)])
+		*f.box = f.keys[:0]
+		keyPool.Put(f.box)
+	}
+	f.chunks, f.used, f.free, f.keys, f.box = nil, 0, nil, nil, nil
 }
 
-// pop removes and returns the best entry.
-func (f *frontier) pop() entry {
-	top := *f.at(0)
-	f.n--
-	last := f.at(f.n)
-	e := *last
-	*last = entry{} // the vacated slot must not keep a node alive
-	if f.n > 0 {
-		f.down(0, e)
+// pop removes the best state from the queue. Its slot stays its own.
+func (f *frontier) pop() *state {
+	top := f.keys[0].st
+	n := len(f.keys) - 1
+	last := f.keys[n]
+	f.keys = f.keys[:n]
+	if n > 0 {
+		f.down(0, last)
 	}
 	return top
 }
 
-// up places e at i or above, moving worse ancestors down into the hole.
-func (f *frontier) up(i int, e entry) {
+// up places k at i or above, moving worse ancestors down into the hole.
+func (f *frontier) up(i int, k key) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !f.less(&e, f.at(parent)) {
+		if !k.before(f.keys[parent]) {
 			break
 		}
-		*f.at(i) = *f.at(parent)
+		f.keys[i] = f.keys[parent]
 		i = parent
 	}
-	*f.at(i) = e
+	f.keys[i] = k
 }
 
-// down places e at i or below, moving better descendants up into the hole.
-func (f *frontier) down(i int, e entry) {
+// down places k at i or below, moving better descendants up into the hole.
+func (f *frontier) down(i int, k key) {
+	keys := f.keys
 	for {
 		kid := 2*i + 1
-		if kid >= f.n {
+		if kid >= len(keys) {
 			break
 		}
-		if kid+1 < f.n && f.less(f.at(kid+1), f.at(kid)) {
+		if kid+1 < len(keys) && keys[kid+1].before(keys[kid]) {
 			kid++
 		}
-		if !f.less(f.at(kid), &e) {
+		if !keys[kid].before(k) {
 			break
 		}
-		*f.at(i) = *f.at(kid)
+		keys[i] = keys[kid]
 		i = kid
 	}
-	*f.at(i) = e
+	keys[i] = k
 }
 
-// bound tells the frontier that at most k more entries will ever be popped.
+// bound tells the frontier that at most k more states will ever be popped.
 // Only the k best queued now can be among them — whatever is pushed later
 // pushes the rest further back — so once the frontier holds more than twice
-// that, the rest is dropped: what a capped search retains is bounded by its
-// cap, not by its branching factor, and the pops are exactly those of an
-// unbounded frontier.
+// that, the rest is dropped and their slots freed for the states pushed
+// next: what a capped search retains is bounded by its cap, not by its
+// branching factor, and the pops are exactly those of an unbounded frontier.
 func (f *frontier) bound(k int) {
-	if f.n <= 2*k {
+	if len(f.keys) <= 2*k {
 		return
 	}
 	if k > 0 {
 		f.selectBest(k)
 	}
-	for i := k; i < f.n; i++ {
-		*f.at(i) = entry{}
+	for _, d := range f.keys[k:] {
+		d.st.parent, f.free = f.free, d.st
 	}
-	f.n = k
+	f.keys = f.keys[:k]
 	f.dropped = true
 	for i := k/2 - 1; i >= 0; i-- {
-		f.down(i, *f.at(i))
+		f.down(i, f.keys[i])
 	}
 }
 
-// selectBest reorders the entries so that the k best, 0 < k < n, come
+// selectBest reorders the keys so that the k best, 0 < k < len, come
 // first: a quickselect, linear in the frontier on average.
 func (f *frontier) selectBest(k int) {
-	swap := func(i, j int) {
-		a, b := f.at(i), f.at(j)
-		*a, *b = *b, *a
-	}
-	lo, hi := 0, f.n-1
+	keys := f.keys
+	lo, hi := 0, len(keys)-1
 	for lo < hi {
 		// Median of three as the pivot, parked at hi: a heap's array is
 		// close to sorted, the worst case for a fixed choice.
 		mid := lo + (hi-lo)/2
-		if f.less(f.at(mid), f.at(lo)) {
-			swap(mid, lo)
+		if keys[mid].before(keys[lo]) {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
 		}
-		if f.less(f.at(hi), f.at(lo)) {
-			swap(hi, lo)
+		if keys[hi].before(keys[lo]) {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
 		}
-		if f.less(f.at(mid), f.at(hi)) {
-			swap(mid, hi)
+		if keys[mid].before(keys[hi]) {
+			keys[mid], keys[hi] = keys[hi], keys[mid]
 		}
-		pivot := f.at(hi)
+		pivot := keys[hi]
 		p := lo
 		for i := lo; i < hi; i++ {
-			if f.less(f.at(i), pivot) {
-				swap(i, p)
+			if keys[i].before(pivot) {
+				keys[i], keys[p] = keys[p], keys[i]
 				p++
 			}
 		}
-		swap(p, hi)
-		// Entries before p are better than the one at p, those after worse.
+		keys[p], keys[hi] = keys[hi], keys[p]
+		// Keys before p are better than the one at p, those after worse.
 		switch {
 		case p == k || p == k-1:
 			return

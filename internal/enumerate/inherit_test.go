@@ -3,6 +3,7 @@ package enumerate
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -15,15 +16,14 @@ import (
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// expansion is what walk shows its observer: a popped state's node and its
-// query — replayed into the search's scratch, so valid only during the call,
+// expansion is what walk shows its observer: a popped state and its query — replayed into the search's scratch, so valid only during the call,
 // and read after its children were built and checked — whether it passed
 // the cascade (its children then inherit), and its options with what the
 // engine's own path — the child built in the scratch and checked there by
 // VerifyChild — said about each; and the search's guidance context, bound
 // to parent.
 type expansion struct {
-	node     *node
+	state    *state
 	parent   *sqlir.Query
 	verified bool
 	opts     []option
@@ -40,11 +40,10 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 	v := verify.New(in.db, semrules.Default(), sketch, in.lits)
 	e := New(in.db, in.model, v, Options{})
 	s := e.newSearch(context.Background(), in.nlq, in.lits)
-	defer s.close()
+	t.Cleanup(s.close) // the popped states outlive the walk: a test may replay them after it
 	for i := 0; s.queue.len() > 0 && i < maxStates; i++ {
 		p := s.queue.pop()
-		n := s.newNode(p.parent, p.dec)
-		q, opts, err := s.expand(n)
+		q, opts, err := s.expand(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,15 +51,13 @@ func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 		for _, o := range opts {
 			results = append(results, s.verifyChild(q, p.verified, o.dec))
 		}
-		observe(expansion{n, q, p.verified, opts, results, s.mctx})
+		observe(expansion{p, q, p.verified, opts, results, s.mctx})
 		for i := range opts {
 			r := &results[i]
 			if r.err != nil || r.cancelled {
 				t.Fatalf("%s + %+v: %+v", q, opts[i].dec, r)
 			}
-			if c := s.child(&p, n, q, &opts[i], r); r.out.OK && !r.complete {
-				s.queue.push(c)
-			}
+			s.child(p, &opts[i], r)
 		}
 	}
 }
@@ -74,7 +71,7 @@ func derive(q *sqlir.Query, d sqlir.Decision) *sqlir.Query {
 
 // derivation is n's query built the long way: one derivation of its own per
 // decision on its path from the root.
-func derivation(n *node) *sqlir.Query {
+func derivation(n *state) *sqlir.Query {
 	if n.parent == nil {
 		return sqlir.NewQuery()
 	}
@@ -178,7 +175,7 @@ func TestReplayIsTheDerivation(t *testing.T) {
 	for _, in := range walkInputs(t) {
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
 			walk(t, in, sketch, 250, func(x expansion) {
-				want := derivation(x.node)
+				want := derivation(x.state)
 				if !reflect.DeepEqual(x.parent, want) || x.parent.String() != want.String() {
 					t.Fatalf("%s: replayed %s\n derived %s", in.id, x.parent, want)
 				}
@@ -194,7 +191,7 @@ func TestReplayIsTheDerivation(t *testing.T) {
 // TestChildrenNeverWriteThroughToParents: a popped state's query is rebuilt
 // from its path whenever it is expanded, so its children could change it
 // only by writing into the search's copy of it while they are built and
-// checked, or by writing a decision or node on its path once it is queued.
+// checked, or by writing a state on its path once it is queued.
 // Neither happens, for any kind of decision: the query an expansion reads
 // after its children were looked at renders as a fresh replay of its path,
 // and every path replays to the same rendering once the whole walk is over.
@@ -207,17 +204,17 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	for _, in := range walkInputs(t) {
 		// Without the TSQ little is pruned, so every clause gets expanded.
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			before := map[*node]rendering{}
+			before := map[*state]rendering{}
 			walk(t, in, sketch, 250, func(x expansion) {
 				q := x.parent
 				if (q.Having != nil) != (q.HavingState == sqlir.ClausePresent) || (q.OrderBy != nil) != (q.OrderByState == sqlir.ClausePresent) {
 					t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
 						in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
 				}
-				if got, fresh := render(q), render(new(search).replay(x.node)); got != fresh {
+				if got, fresh := render(q), render(new(search).replay(x.state)); got != fresh {
 					t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, fresh.str, got.str)
 				}
-				before[x.node] = render(q)
+				before[x.state] = render(q)
 				for _, o := range x.opts {
 					if x.verified {
 						kinds[o.dec.Kind] = true
@@ -366,8 +363,8 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 // TestChildAllocations bounds what a child costs: nothing when the cascade
 // rejects it without database work, and for one that is queued at most its
 // share of a frontier chunk, when the chunk pool has none to give. A queued
-// child is an entry pointing at its parent's node; its own query is built
-// only in the scratch, when it is popped (TestPopAllocations).
+// child is a state pointing at its parent; its own query is built only in
+// the scratch, when it is popped (TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	sketch := &tsq.TSQ{
@@ -379,30 +376,29 @@ func TestChildAllocations(t *testing.T) {
 	defer s.close()
 
 	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
-	root := s.newNode(nil, sqlir.Decision{})
+	root := &state{} // the root has no proof to pass on
 	parent := root
 	for _, d := range []sqlir.Decision{
 		{Kind: sqlir.DecideKeywords, Where: true},
 		{Kind: sqlir.DecideSelectCount, Count: 2},
 		{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
 	} {
-		parent = s.newNode(parent, d)
+		parent = &state{parent: parent, dec: d, depth: parent.depth + 1, verified: true}
 	}
 
 	// consider is what Enumerate does with one option of the expansion of
-	// p, popped as n with query q.
-	consider := func(p *entry, n *node, q *sqlir.Query, o option) (stage verify.Stage, queued bool) {
+	// p, popped with query q.
+	consider := func(p *state, q *sqlir.Query, o option) verify.Stage {
 		r := s.verifyChild(q, p.verified, o.dec)
-		c := s.child(p, n, q, &o, &r)
-		if !r.out.OK {
-			return r.out.Stage, false
+		s.child(p, &o, &r)
+		if r.out.OK {
+			return "" // queued
 		}
-		s.queue.push(c)
-		return "", true
+		return r.out.Stage
 	}
 	for _, tc := range []struct {
 		name   string
-		parent *node
+		parent *state
 		dec    sqlir.Decision
 		stage  verify.Stage // where it is rejected; "" when it is queued
 	}{
@@ -413,13 +409,12 @@ func TestChildAllocations(t *testing.T) {
 		{"queued: aggregate", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone}, ""},
 		{"queued: projection", parent, sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year}, ""},
 	} {
-		p := entry{verified: tc.parent != root} // the root has no proof to pass on
 		q := s.replay(tc.parent)
 		o := option{tc.dec, 0.5}
-		if stage, _ := consider(&p, tc.parent, q, o); stage != tc.stage {
+		if stage := consider(tc.parent, q, o); stage != tc.stage {
 			t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
 		}
-		n := testing.AllocsPerRun(1000, func() { consider(&p, tc.parent, q, o) })
+		n := testing.AllocsPerRun(1000, func() { consider(tc.parent, q, o) })
 		if tc.stage != "" && n != 0 {
 			t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
 		}
@@ -429,21 +424,21 @@ func TestChildAllocations(t *testing.T) {
 	}
 }
 
-// TestPopAllocations: a popped state costs a node in the search's slab, and
-// its query is replayed into the search's scratch, so popping and
-// materialising a state costs at most its share of a slab chunk — 1/128 of
-// an allocation, amortised — whatever the depth of its path. The first
-// chunks are smaller (16 nodes, doubling); AllocsPerRun's warm-up run pops
-// past them, so the bound is that of full chunks.
+// TestPopAllocations: a queued state is written once into a slot of the
+// frontier's chunks and stays there when it is popped, and its query is
+// replayed into the search's scratch. So pushing a state costs at most its
+// share of a chunk — 1/128 of an allocation, amortised, when the chunk pool
+// has none to give — and popping and materialising it costs nothing,
+// whatever the depth of its path.
 func TestPopAllocations(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
 	s := e.newSearch(context.Background(), "titles", nil)
 	defer s.close()
-	s.queue.pop() // the root
+	root := s.queue.pop()
 
 	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
-	parent := s.newNode(nil, sqlir.Decision{})
+	parent := root
 	for _, d := range []sqlir.Decision{
 		{Kind: sqlir.DecideKeywords, Where: true, OrderBy: true},
 		{Kind: sqlir.DecideSelectCount, Count: 2},
@@ -456,24 +451,32 @@ func TestPopAllocations(t *testing.T) {
 		{Kind: sqlir.DecidePredColumn, Index: 0, Col: &year},
 		{Kind: sqlir.DecidePredOp, Index: 0, Op: sqlir.OpLt},
 	} {
-		parent = s.newNode(parent, d)
+		parent = &state{parent: parent, dec: d, depth: parent.depth + 1}
 	}
 	v := num(1995)
-	const pops = 4 * nodeChunk
-	var popped *node // kept, as the parent its children would point at
-	popAll := func() {
-		for i := range pops {
-			s.queue.push(entry{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecidePredValue, Val: &v}, seq: i})
+	const states, runs = 4 * chunkLen, 10
+	// The key slice and the chunk list grow by doubling; room is made for
+	// both up front, so what is counted is the slots.
+	s.queue.keys = slices.Grow(s.queue.keys, (runs+1)*states)
+	s.queue.chunks = slices.Grow(s.queue.chunks, (runs+1)*states/chunkLen+1)
+	seq := 0
+	pushAll := func() {
+		for range states {
+			seq++
+			s.queue.push(state{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecidePredValue, Val: &v}, depth: parent.depth + 1}, 1, seq)
 		}
-		for s.queue.len() > 0 {
-			p := s.queue.pop()
-			popped = s.newNode(p.parent, p.dec)
-			if q := s.replay(popped); !q.Where.Preds[0].ValSet {
+	}
+	popAll := func() {
+		for range states {
+			if q := s.replay(s.queue.pop()); !q.Where.Preds[0].ValSet {
 				t.Fatalf("popped %s, want its predicate value decided", q)
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(10, popAll) / pops; n > 1.0/128 {
-		t.Errorf("a pop cost %.4f allocations amortised, want at most 1/128", n)
+	if n := testing.AllocsPerRun(runs, pushAll) / states; n > 1.0/chunkLen {
+		t.Errorf("a push cost %.4f allocations amortised, want at most 1/%d", n, chunkLen)
+	}
+	if n := testing.AllocsPerRun(runs, popAll); n != 0 {
+		t.Errorf("%d pops cost %.0f allocations, want none", states, n)
 	}
 }
