@@ -494,16 +494,11 @@ const pathPenalty = 0.45
 // pathPenalty, and path length remains the secondary tiebreaker.
 func (e *Enumerator) joinPathOptions(q *sqlir.Query, buf []option) []option {
 	paths, err := e.graph.ConstructJoinPaths(q)
-	if err != nil {
+	if err != nil || len(paths) == 0 {
 		// Disconnected column sets have no valid FROM clause: prune.
 		return buf
 	}
-	minLen := 0
-	for i, jp := range paths {
-		if i == 0 || jp.Len() < minLen {
-			minLen = jp.Len()
-		}
-	}
+	minLen := paths[0].Len() // the paths come shortest first
 	for _, jp := range paths {
 		prob := math.Pow(pathPenalty, float64(jp.Len()-minLen))
 		buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideFrom, From: jp}, prob})
@@ -544,10 +539,6 @@ func firstPredWithout(q *sqlir.Query, unset func(sqlir.Predicate) bool) int {
 	}
 	return -1
 }
-
-// SchemaGraph exposes the enumerator's schema graph (used by the PBE
-// baseline and tooling to share join path construction).
-func (e *Enumerator) SchemaGraph() *schemagraph.Graph { return e.graph }
 
 // VerifierStats exposes the verifier's per-stage counters.
 func (e *Enumerator) VerifierStats() verify.Stats { return e.verifier.Stats() }

@@ -7,8 +7,11 @@
 package schemagraph
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,19 +20,42 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
+// The bounds on what the process keeps of join path construction:
+// constants, not options. A full table is cleared before its next insert.
+// DESIGN.md §7 states the worst-case bytes.
+const (
+	maxCatalogs = 64 // graphs interned at once
+	// memoBudget caps one graph's memo in path tables: one per entry plus
+	// the summed length of its paths. An answer larger than the whole
+	// budget is not kept.
+	memoBudget = 4096
+)
+
+// catalogs interns one Graph per catalog (catalogKey).
+var catalogs struct {
+	sync.Mutex
+	graphs map[string]*Graph
+}
+
 // Graph is the schema join graph. All edge weights are 1, as in the paper
-// (weights could also be derived from a query log [2]).
+// (weights could also be derived from a query log [2]). It holds table names
+// and ForeignKey values only, never a Table or the Schema, so an interned
+// graph pins no epoch.
 type Graph struct {
 	nodes []string       // sorted table names
 	index map[string]int // table -> node id
 	edges []edge         // all FK edges (undirected for connectivity)
 	adj   [][]int        // node -> incident edge ids
 
-	// memo holds ConstructJoinPaths' answers by referenced-table list: a
-	// search asks once per state that reaches FROM, and most states
-	// reference the same few lists.
-	mu   sync.Mutex
+	// memo holds ConstructJoinPaths' answers by referenced-table set (its
+	// node ids in ascending order): every request over the catalog shares
+	// the graph, a search asks once per state that reaches FROM, and most
+	// states reference the same few sets. A hit takes the read lock and
+	// allocates nothing. cost is the memo's size in path tables, at most
+	// memoBudget.
+	mu   sync.RWMutex
 	memo map[string]constructed
+	cost int
 }
 
 type constructed struct {
@@ -43,8 +69,49 @@ type edge struct {
 	fk   storage.ForeignKey
 }
 
-// New builds the join graph for a schema.
+// New returns the join graph of the schema's catalog: its table names in
+// schema order and its foreign keys. Every schema with one catalog (a
+// database, each of its frozen epochs, every request over either) gets the
+// same *Graph.
 func New(schema *storage.Schema) *Graph {
+	var buf [1024]byte
+	key := catalogKey(buf[:0], schema)
+	catalogs.Lock()
+	defer catalogs.Unlock()
+	if g := catalogs.graphs[string(key)]; g != nil {
+		return g
+	}
+	if catalogs.graphs == nil || len(catalogs.graphs) >= maxCatalogs {
+		catalogs.graphs = map[string]*Graph{}
+	}
+	g := build(schema)
+	catalogs.graphs[string(key)] = g
+	return g
+}
+
+// catalogKey appends the schema's catalog to dst: the table count, the
+// table names, then each foreign key's four names, every name
+// length-prefixed.
+func catalogKey(dst []byte, schema *storage.Schema) []byte {
+	str := func(s string) {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(schema.Tables)))
+	for _, t := range schema.Tables {
+		str(t.Name)
+	}
+	for _, fk := range schema.ForeignKeys {
+		str(fk.Table)
+		str(fk.Column)
+		str(fk.RefTable)
+		str(fk.RefColumn)
+	}
+	return dst
+}
+
+// build constructs the join graph for a schema.
+func build(schema *storage.Schema) *Graph {
 	g := &Graph{index: map[string]int{}}
 	for _, t := range schema.Tables {
 		g.nodes = append(g.nodes, t.Name)
@@ -145,7 +212,7 @@ func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
 		}
 	}
 	// Enumerate optional-node subsets grouped by size.
-	var found []*sqlir.JoinPath
+	var found []signedPath
 	for extra := 0; extra <= len(optional); extra++ {
 		masks := combinations(len(optional), extra)
 		for _, m := range masks {
@@ -156,7 +223,7 @@ func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
 				}
 			}
 			if tree, ok := g.spanningTree(mask); ok {
-				found = append(found, tree)
+				found = append(found, signedPath{tree, pathSignature(tree)})
 			}
 		}
 		if len(found) > 0 {
@@ -166,8 +233,7 @@ func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
 	if len(found) == 0 {
 		return nil, fmt.Errorf("schemagraph: terminals not connected: %v", names(g, term))
 	}
-	sortPaths(found)
-	return found, nil
+	return sortPaths(found), nil
 }
 
 // combinations returns all bitmasks over n items with k bits set, in
@@ -282,25 +348,71 @@ func (g *Graph) steinerHeuristic(term []int) (*sqlir.JoinPath, error) {
 // ConstructJoinPaths implements Algorithm 2 for a partial query: candidate
 // join paths covering the tables referenced by its decided columns, plus
 // one-level FK-PK expansions (Lines 10–12). The answer is a function of the
-// referenced tables alone and is memoized by that list (in reference order,
-// so a hit returns exactly what the miss computed). Callers share the
-// returned paths and must not modify them.
+// referenced table set alone (Steiner sorts its terminals, and the paths
+// come in one total order), so it is memoized by that set, and every
+// request over the catalog shares it. Callers must not modify the returned
+// paths.
 func (g *Graph) ConstructJoinPaths(q *sqlir.Query) ([]*sqlir.JoinPath, error) {
-	tables := q.ReferencedTables()
-	key := strings.Join(tables, "\x00")
-	g.mu.Lock()
-	c, ok := g.memo[key]
-	g.mu.Unlock()
+	var tb [8]string
+	tables := q.AppendReferencedTables(tb[:0])
+	var kb [16]byte
+	key, ok := g.setKey(kb[:0], tables)
 	if !ok {
+		return g.JoinPathsFor(tables) // an unknown table: an error, not kept
+	}
+	g.mu.RLock()
+	c, hit := g.memo[string(key)]
+	g.mu.RUnlock()
+	if !hit {
 		c.paths, c.err = g.JoinPathsFor(tables)
-		g.mu.Lock()
-		if g.memo == nil {
-			g.memo = map[string]constructed{}
-		}
-		g.memo[key] = c
-		g.mu.Unlock()
+		c = g.keep(key, c)
 	}
 	return c.paths, c.err
+}
+
+// setKey appends the memo key of a list of distinct tables to dst: their
+// node ids in ascending order. It reports false when a table is not in the
+// graph.
+func (g *Graph) setKey(dst []byte, tables []string) ([]byte, bool) {
+	var ib [8]int
+	ids := ib[:0]
+	for _, t := range tables {
+		id, ok := g.index[t]
+		if !ok {
+			return dst, false
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, uint64(id))
+	}
+	return dst, true
+}
+
+// keep memoizes an answer and returns the one the memo holds for its key: a
+// caller that raced another to the same miss gets the first answer, so
+// every caller shares one set of paths. A memo that c would push past
+// memoBudget is cleared first.
+func (g *Graph) keep(key []byte, c constructed) constructed {
+	cost := 1
+	for _, jp := range c.paths {
+		cost += jp.Len()
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if prev, ok := g.memo[string(key)]; ok {
+		return prev
+	}
+	if cost > memoBudget {
+		return c
+	}
+	if g.memo == nil || g.cost+cost > memoBudget {
+		g.memo, g.cost = map[string]constructed{}, 0
+	}
+	g.memo[string(key)] = c
+	g.cost += cost
+	return c
 }
 
 // JoinPathsFor returns candidate join paths for an explicit table set. With
@@ -328,22 +440,27 @@ func (g *Graph) JoinPathsForDepth(tables []string, depth, maxPaths int) ([]*sqli
 		return nil, err
 	}
 	seen := map[string]bool{}
-	var out []*sqlir.JoinPath
+	var out []signedPath
 	add := func(jp *sqlir.JoinPath) bool {
 		sig := pathSignature(jp)
 		if seen[sig] {
 			return false
 		}
 		seen[sig] = true
-		out = append(out, jp)
+		out = append(out, signedPath{jp, sig})
 		return true
 	}
+	// Every loop stops at the cap: no answer holds more than maxPaths paths.
 	for _, jp := range base {
+		if len(out) >= maxPaths {
+			break
+		}
 		add(jp)
 	}
 	// Levels of expansion: add any FK edge from a path table to a table
 	// outside the path (AddJoin in Algorithm 2, applied recursively).
 	frontier := base
+expand:
 	for level := 0; level < depth && len(out) < maxPaths; level++ {
 		var next []*sqlir.JoinPath
 		for _, jp := range frontier {
@@ -368,16 +485,15 @@ func (g *Graph) JoinPathsForDepth(tables []string, depth, maxPaths int) ([]*sqli
 				}
 				if add(ext) {
 					next = append(next, ext)
-				}
-				if len(out) >= maxPaths {
-					break
+					if len(out) >= maxPaths {
+						break expand
+					}
 				}
 			}
 		}
 		frontier = next
 	}
-	sortPaths(out)
-	return out, nil
+	return sortPaths(out), nil
 }
 
 // normalizePath re-orders a path's edges so each edge attaches a new table
@@ -438,15 +554,27 @@ func pathSignature(jp *sqlir.JoinPath) string {
 	return strings.Join(tables, ",") + "|" + strings.Join(edges, "&")
 }
 
+// signedPath is a path with its signature, built once.
+type signedPath struct {
+	jp  *sqlir.JoinPath
+	sig string
+}
+
 // sortPaths orders paths by length then signature — the §3.3.4 tiebreaker
-// (shorter join paths first) with a deterministic total order.
-func sortPaths(paths []*sqlir.JoinPath) {
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].Len() != paths[j].Len() {
-			return paths[i].Len() < paths[j].Len()
+// (shorter join paths first) with a deterministic total order — and returns
+// the paths.
+func sortPaths(ps []signedPath) []*sqlir.JoinPath {
+	slices.SortFunc(ps, func(a, b signedPath) int {
+		if c := cmp.Compare(a.jp.Len(), b.jp.Len()); c != 0 {
+			return c
 		}
-		return pathSignature(paths[i]) < pathSignature(paths[j])
+		return strings.Compare(a.sig, b.sig)
 	})
+	out := make([]*sqlir.JoinPath, len(ps))
+	for i, p := range ps {
+		out[i] = p.jp
+	}
+	return out
 }
 
 func names(g *Graph, ids []int) []string {

@@ -1,6 +1,7 @@
 package schemagraph
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -264,22 +265,142 @@ func TestConstructJoinPathsFromQuery(t *testing.T) {
 		t.Errorf("paths = %v", paths)
 	}
 
-	// The answer is memoized per referenced-table list: asking again returns
-	// the very same paths, equal to what an unmemoized graph computes, and a
-	// list in another order is its own entry with its own answer.
+	// The answer is memoized per referenced-table set: asking again returns
+	// the very same paths, equal to what an unmemoized graph computes, and
+	// asking again allocates nothing. A permuted list is the same set, so
+	// it hits the same entry, and that entry is what a fresh computation
+	// gives for the permuted order.
 	again, err := g.ConstructJoinPaths(q)
 	if err != nil || len(again) != len(paths) || again[0] != paths[0] {
 		t.Errorf("second ask = %v, %v; want the memoized paths", again, err)
 	}
-	fresh, _ := New(movieSchema()).JoinPathsFor([]string{"actor", "movie"})
+	fresh, _ := build(movieSchema()).JoinPathsFor([]string{"actor", "movie"})
 	if !reflect.DeepEqual(paths, fresh) {
 		t.Errorf("memoized paths %v differ from a fresh computation %v", paths, fresh)
 	}
+	if n := testing.AllocsPerRun(100, func() { g.ConstructJoinPaths(q) }); n != 0 {
+		t.Errorf("a memo hit allocates %.1f times, want 0", n)
+	}
 	q.Select[0], q.Select[1] = q.Select[1], q.Select[0]
 	swapped, _ := g.ConstructJoinPaths(q)
-	fresh, _ = New(movieSchema()).JoinPathsFor([]string{"movie", "actor"})
+	if len(swapped) != len(paths) || &swapped[0] != &paths[0] {
+		t.Errorf("the permuted list got paths %v, not the memo entry %v", swapped, paths)
+	}
+	fresh, _ = build(movieSchema()).JoinPathsFor([]string{"movie", "actor"})
 	if !reflect.DeepEqual(swapped, fresh) {
-		t.Errorf("paths for the swapped list %v differ from a fresh computation %v", swapped, fresh)
+		t.Errorf("paths for the permuted list %v differ from a fresh computation %v", swapped, fresh)
+	}
+}
+
+// hubChainSchema has twelve tables: t01..t11 each reference the hub t00
+// and the table before them, so t00 reaches 459 join paths within three
+// expansions.
+func hubChainSchema() *storage.Schema {
+	var tables []*storage.Table
+	for i := 0; i < 12; i++ {
+		tables = append(tables, storage.NewTable(fmt.Sprintf("t%02d", i), "id",
+			storage.Column{Name: "id", Type: sqlir.TypeNumber},
+			storage.Column{Name: "hub", Type: sqlir.TypeNumber},
+			storage.Column{Name: "prev", Type: sqlir.TypeNumber},
+		))
+	}
+	s := storage.NewSchema(tables...)
+	for i := 1; i < 12; i++ {
+		s.AddForeignKey(fmt.Sprintf("t%02d", i), "hub", "t00", "id")
+		if i > 1 {
+			s.AddForeignKey(fmt.Sprintf("t%02d", i), "prev", fmt.Sprintf("t%02d", i-1), "id")
+		}
+	}
+	return s
+}
+
+// JoinPathsForDepth returns at most maxPaths paths: the shared memo's byte
+// bound rests on it.
+func TestJoinPathsForDepthHoldsTheCap(t *testing.T) {
+	g := build(hubChainSchema())
+	all, err := g.JoinPathsForDepth([]string{"t00"}, 3, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 459 {
+		t.Fatalf("uncapped: %d paths, want 459", len(all))
+	}
+	for _, maxPaths := range []int{1, 8, 16, 96, 459, 500} {
+		paths, err := g.JoinPathsForDepth([]string{"t00"}, 3, maxPaths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(maxPaths, len(all)); len(paths) != want {
+			t.Errorf("maxPaths %d: %d paths, want %d", maxPaths, len(paths), want)
+		}
+		for i := 1; i < len(paths); i++ {
+			if paths[i-1].Len() > paths[i].Len() {
+				t.Fatalf("maxPaths %d: paths not sorted by length: %v", maxPaths, paths)
+			}
+		}
+	}
+}
+
+// refQuery is a partial query whose SELECT references the tables in order.
+func refQuery(tables ...string) *sqlir.Query {
+	q := sqlir.NewQuery()
+	for _, tb := range tables {
+		q.Select = append(q.Select, sqlir.SelectItem{Col: sqlir.ColumnRef{Table: tb, Column: "id"}, ColSet: true})
+	}
+	return q
+}
+
+// The intern and the memo stay within their constants however many
+// catalogs and table sets stream through them.
+func TestJoinPathBounds(t *testing.T) {
+	catalog := func(i int) *storage.Schema {
+		return storage.NewSchema(storage.NewTable(fmt.Sprintf("bound%d", i), "id",
+			storage.Column{Name: "id", Type: sqlir.TypeNumber}))
+	}
+	first := New(catalog(0))
+	for i := 1; i < maxCatalogs+10; i++ {
+		New(catalog(i))
+		catalogs.Lock()
+		n := len(catalogs.graphs)
+		catalogs.Unlock()
+		if n > maxCatalogs {
+			t.Fatalf("after %d catalogs the intern holds %d, cap %d", i+1, n, maxCatalogs)
+		}
+	}
+	if New(catalog(0)) == first {
+		t.Error("the first catalog is still interned after the intern filled")
+	}
+
+	g := build(hubChainSchema())
+	asked, clears := 0, 0
+	for i := 0; i < 12; i++ {
+		for j := i; j < 12; j++ {
+			for k := j; k < 12; k++ {
+				set := []string{fmt.Sprintf("t%02d", i), fmt.Sprintf("t%02d", j), fmt.Sprintf("t%02d", k)}
+				before := g.cost
+				paths, err := g.ConstructJoinPaths(refQuery(set...))
+				if err != nil || len(paths) == 0 {
+					t.Fatalf("%v: %v, %v", set, paths, err)
+				}
+				asked++
+				if g.cost < before {
+					clears++
+				}
+				sum := 0
+				for _, c := range g.memo {
+					sum++
+					for _, jp := range c.paths {
+						sum += jp.Len()
+					}
+				}
+				if g.cost != sum || g.cost > memoBudget {
+					t.Fatalf("memo cost %d (entries sum to %d), budget %d", g.cost, sum, memoBudget)
+				}
+			}
+		}
+	}
+	if clears == 0 {
+		t.Errorf("%d table sets never filled the memo (cost %d, budget %d)", asked, g.cost, memoBudget)
 	}
 }
 

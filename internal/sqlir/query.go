@@ -388,15 +388,10 @@ func (q *Query) AggregatedProjections() []int {
 	return idx
 }
 
-// ReferencedTables returns the distinct tables referenced by decided column
-// slots outside the FROM clause, in first-reference order (Line 2-3 of
-// Algorithm 2).
-func (q *Query) ReferencedTables() []string {
-	return q.AppendReferencedTables(nil)
-}
-
-// AppendReferencedTables appends ReferencedTables to dst, skipping tables
-// dst already holds; a caller on a hot path passes a stack buffer.
+// AppendReferencedTables appends to dst the distinct tables referenced by
+// decided column slots outside the FROM clause, in first-reference order
+// (Line 2-3 of Algorithm 2), skipping tables dst already holds; a caller on
+// a hot path passes a stack buffer.
 func (q *Query) AppendReferencedTables(dst []string) []string {
 	out := dst
 	add := func(c ColumnRef) {

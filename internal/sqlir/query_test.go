@@ -101,22 +101,22 @@ func TestHasAggregate(t *testing.T) {
 
 func TestReferencedTables(t *testing.T) {
 	q := buildComplete()
-	got := q.ReferencedTables()
+	got := q.AppendReferencedTables(nil)
 	if len(got) != 1 || got[0] != "movie" {
-		t.Errorf("ReferencedTables = %v, want [movie]", got)
+		t.Errorf("AppendReferencedTables = %v, want [movie]", got)
 	}
 	// Add a where column on a second table.
 	q.Where.Preds = append(q.Where.Preds, Predicate{
 		Col: ColumnRef{"actor", "name"}, ColSet: true, Op: OpEq, OpSet: true, Val: NewText("X"), ValSet: true,
 	})
-	got = q.ReferencedTables()
+	got = q.AppendReferencedTables(nil)
 	if len(got) != 2 || got[1] != "actor" {
-		t.Errorf("ReferencedTables = %v, want [movie actor]", got)
+		t.Errorf("AppendReferencedTables = %v, want [movie actor]", got)
 	}
 	// Star and undecided columns do not contribute.
 	q2 := NewQuery()
 	q2.Select = []SelectItem{{Agg: AggCount, AggSet: true, Col: Star, ColSet: true}}
-	if got := q2.ReferencedTables(); len(got) != 0 {
+	if got := q2.AppendReferencedTables(nil); len(got) != 0 {
 		t.Errorf("star should not contribute tables: %v", got)
 	}
 }

@@ -133,13 +133,13 @@ func TestQuickEqOpAgreesWithEqual(t *testing.T) {
 	}
 }
 
-// Property: ReferencedTables never contains duplicates.
+// Property: AppendReferencedTables never returns duplicates.
 func TestQuickReferencedTablesDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 300; i++ {
 		q := genQuery(r)
 		seen := map[string]bool{}
-		for _, tb := range q.ReferencedTables() {
+		for _, tb := range q.AppendReferencedTables(nil) {
 			if seen[tb] {
 				t.Fatalf("duplicate table %s", tb)
 			}
