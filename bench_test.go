@@ -170,20 +170,6 @@ func BenchmarkTable6SpecificationDetail(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVerificationStages measures the §3.4 stage-cost claim:
-// the distribution of rejections across verification stages.
-func BenchmarkAblationVerificationStages(b *testing.B) {
-	cfg := benchConfig()
-	cfg.SampleEvery = 100
-	bench := dataset.SpiderDev()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.VerificationStages(bench, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSynthesizeDualSpec measures one end-to-end dual-specification
 // synthesis on the MAS database (engine micro-benchmark).
 func BenchmarkSynthesizeDualSpec(b *testing.B) {

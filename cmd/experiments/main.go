@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments -exp all
-//	experiments -exp fig10 -dataset dev -budget 400ms
+//	experiments -exp fig10 -dataset dev
 //	experiments -exp table6 -sample 3
 package main
 
@@ -21,16 +21,14 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table5|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table6|stages|noise|design|tasks|all")
+		exp     = flag.String("exp", "all", "experiment: table5|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table6|noise|design|tasks|all")
 		ds      = flag.String("dataset", "both", "benchmark for simulation experiments: dev|test|both")
-		budget  = flag.Duration("budget", 400*time.Millisecond, "per-task synthesis budget")
 		sampleN = flag.Int("sample", 1, "run every k-th task")
 		users   = flag.Int("users", 16, "simulated user count")
 	)
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
-	cfg.Budget = *budget
 	cfg.SampleEvery = *sampleN
 	cfg.Users = *users
 
@@ -123,8 +121,17 @@ func run(exp, ds string, cfg experiments.Config) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(experiments.RenderFigure12(curves, cfg.Budget))
-			fmt.Printf("(%v)\n", time.Since(start).Round(time.Second))
+			fmt.Print(experiments.RenderFigure12(curves))
+			// Time per state is the section's one machine-dependent
+			// figure besides its timer: printed beside the curves, never
+			// part of them.
+			elapsed, explored := time.Since(start), 0
+			for _, c := range curves {
+				explored += c.Explored
+			}
+			fmt.Printf("wall time per explored state: %.1f µs (%d states)\n",
+				float64(elapsed.Microseconds())/float64(explored), explored)
+			fmt.Printf("(%v)\n", elapsed.Round(time.Second))
 		}
 	}
 	if want("table6") {
@@ -160,16 +167,6 @@ func run(exp, ds string, cfg experiments.Config) error {
 				rep.Tasks,
 				rep.CleanTop10, 100*float64(rep.CleanTop10)/float64(rep.Tasks),
 				rep.NoisyTop10, 100*float64(rep.NoisyTop10)/float64(rep.Tasks))
-		}
-	}
-	if want("stages") {
-		for _, bench := range benches(ds) {
-			section(fmt.Sprintf("Verification-stage ablation on %s", bench.Name))
-			rep, err := experiments.VerificationStages(bench, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderStageReport(rep))
 		}
 	}
 	return nil

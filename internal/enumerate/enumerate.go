@@ -80,8 +80,6 @@ type Candidate struct {
 	// Rank is the 1-based emission order (highest confidence first under
 	// GPQE's best-first policy).
 	Rank int
-	// Elapsed is the time from search start to emission.
-	Elapsed time.Duration
 	// States is the number of states explored before emission.
 	States int
 }
@@ -344,7 +342,6 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 				Query:      r.q.Clone(),
 				Confidence: math.Exp(logConf(p, o)),
 				Rank:       emitted,
-				Elapsed:    time.Since(start),
 				States:     res.States,
 			}
 			res.Candidates = append(res.Candidates, cand)

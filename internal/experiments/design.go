@@ -1,27 +1,23 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
-	"github.com/duoquest/duoquest/internal/guidance"
 	"github.com/duoquest/duoquest/internal/semrules"
-	"github.com/duoquest/duoquest/internal/sqlir"
-	"github.com/duoquest/duoquest/internal/tsq"
-	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// DesignRow is one design-choice variant's accuracy over a benchmark sample.
+// DesignRow is one design-choice variant's accuracy over a benchmark sample:
+// how many of Tasks put gold at rank 1 and within the top 10, and the states
+// explored over all of them — the search-effort cost of the variant.
 type DesignRow struct {
 	Variant string
-	Top1    float64
-	Top10   float64
-	// MeanStates is the average number of explored states per task — the
-	// search-effort cost of the variant.
-	MeanStates float64
+	Tasks   int
+	Top1    int
+	Top10   int
+	States  int
 }
 
 // DesignAblations validates two design choices the paper discusses:
@@ -31,70 +27,39 @@ type DesignRow struct {
 //     harm from its short-query preference);
 //   - §3.4 / Table 4: semantic pruning rules on vs off.
 func DesignAblations(bench *dataset.Benchmark, cfg Config) ([]DesignRow, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
+	tasks := cfg.sample(bench)
 	variants := []struct {
-		name  string
-		geo   bool
-		rules *semrules.RuleSet
+		name   string
+		search enumerate.Options
+		rules  *semrules.RuleSet
 	}{
-		{"product+rules (paper)", false, semrules.Default()},
-		{"geometric mean", true, semrules.Default()},
-		{"no semantic rules", false, semrules.Empty()},
+		{"product+rules (paper)", paper, semrules.Default()},
+		{"geometric mean", enumerate.Options{Mode: enumerate.ModeGPQE, GeoMeanPriority: true}, semrules.Default()},
+		{"no semantic rules", paper, semrules.Empty()},
 	}
 	var rows []DesignRow
 	for _, v := range variants {
-		t1, t10, states := 0, 0, 0
-		for i, task := range tasks {
-			sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, cfg.TSQSeed+int64(i))
+		row := DesignRow{Variant: v.name, Tasks: len(tasks)}
+		for _, st := range tasks {
+			sketch, err := dataset.SynthesizeTSQ(st.Task, dataset.DetailFull, st.seed)
 			if err != nil {
 				return nil, err
 			}
-			out, err := runDesign(task, sketch, v.geo, v.rules, cfg)
+			out, err := runRanked(st.Task, sketch, v.rules, v.search, cfg)
 			if err != nil {
 				return nil, err
 			}
 			if out.rank == 1 {
-				t1++
+				row.Top1++
 			}
 			if out.rank >= 1 && out.rank <= 10 {
-				t10++
+				row.Top10++
 			}
-			states += out.states
+			row.States += out.states
 		}
-		n := float64(len(tasks))
-		rows = append(rows, DesignRow{
-			Variant:    v.name,
-			Top1:       100 * float64(t1) / n,
-			Top10:      100 * float64(t10) / n,
-			MeanStates: float64(states) / n,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// runDesign is runRanked with explicit design knobs.
-func runDesign(task *dataset.Task, sketch *tsq.TSQ, geo bool, rules *semrules.RuleSet, cfg Config) (rankOutcome, error) {
-	v := verify.New(task.DB, rules, sketch, task.Literals)
-	e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
-		Mode:            enumerate.ModeGPQE,
-		MaxCandidates:   cfg.MaxCandidates,
-		Budget:          cfg.Budget,
-		GeoMeanPriority: geo,
-	})
-	out := rankOutcome{}
-	res, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, func(c enumerate.Candidate) bool {
-		if sqlir.Equivalent(c.Query, task.Gold) {
-			out.rank = c.Rank
-			out.elapsed = c.Elapsed
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return out, fmt.Errorf("task %s: %w", task.ID, err)
-	}
-	out.states = res.States
-	return out, nil
 }
 
 // RenderDesignAblations prints the variant comparison.
@@ -103,7 +68,9 @@ func RenderDesignAblations(name string, rows []DesignRow) string {
 	fmt.Fprintf(&b, "%s — design-choice ablations (top-k %%, mean states/task)\n", name)
 	fmt.Fprintf(&b, "%-24s %8s %8s %12s\n", "Variant", "T1", "T10", "states")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %8.1f %8.1f %12.0f\n", r.Variant, r.Top1, r.Top10, r.MeanStates)
+		n := float64(r.Tasks)
+		fmt.Fprintf(&b, "%-24s %8.1f %8.1f %12.0f\n", r.Variant,
+			100*float64(r.Top1)/n, 100*float64(r.Top10)/n, float64(r.States)/n)
 	}
 	return b.String()
 }

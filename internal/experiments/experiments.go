@@ -9,9 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
@@ -24,12 +22,14 @@ import (
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// Config bounds experiment cost. The paper ran 60-second GPU timeouts; this
-// CPU implementation is orders of magnitude faster per state, so budgets are
-// sub-second (DESIGN.md §3, substitution 4).
+// StateBudget caps the states every synthesis of the evaluation explores.
+// It stands in for the paper's 60-second GPU timeouts (DESIGN.md §3,
+// substitution 4): a bound in states, not in time, makes every result a
+// function of the code alone, the same on any machine.
+const StateBudget = 30_000
+
+// Config selects how much of the evaluation runs.
 type Config struct {
-	// Budget is the per-task synthesis wall-clock budget.
-	Budget time.Duration
 	// MaxCandidates caps ranked lists (100 covers Table 6's Top-100).
 	MaxCandidates int
 	// SampleEvery runs every k-th task (1 = all tasks).
@@ -43,7 +43,6 @@ type Config struct {
 // DefaultConfig is the configuration used for EXPERIMENTS.md.
 func DefaultConfig() Config {
 	return Config{
-		Budget:        400 * time.Millisecond,
 		MaxCandidates: 100,
 		SampleEvery:   1,
 		Users:         16,
@@ -54,46 +53,51 @@ func DefaultConfig() Config {
 // QuickConfig is a scaled-down configuration for tests and benchmarks.
 func QuickConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Budget = 200 * time.Millisecond
 	cfg.SampleEvery = 25
 	cfg.Users = 4
 	return cfg
 }
 
-// sample returns every k-th task.
-func sample(tasks []*dataset.Task, every int) []*dataset.Task {
-	if every <= 1 {
-		return tasks
-	}
-	var out []*dataset.Task
-	for i := 0; i < len(tasks); i += every {
-		out = append(out, tasks[i])
+// sampledTask is a task of a strided run and the seed of its TSQs.
+type sampledTask struct {
+	*dataset.Task
+	seed int64
+}
+
+// sample returns every k-th task of a benchmark. A task's TSQ seed follows
+// its position in the benchmark, not in the sample, so a task gets the same
+// TSQs at every stride and a strided run is a subset of the full run.
+func (cfg Config) sample(bench *dataset.Benchmark) []sampledTask {
+	every := max(cfg.SampleEvery, 1)
+	var out []sampledTask
+	for i := 0; i < len(bench.Tasks); i += every {
+		out = append(out, sampledTask{bench.Tasks[i], cfg.TSQSeed + int64(i)})
 	}
 	return out
 }
 
+// paper is the search the paper evaluates: GPQE with product confidence.
+var paper = enumerate.Options{Mode: enumerate.ModeGPQE}
+
 // rankOutcome is one task's ranked-list result.
 type rankOutcome struct {
-	rank    int           // gold rank (0 = not found)
-	elapsed time.Duration // time to gold (0 if not found)
-	states  int
+	rank   int // gold rank (0 = not found)
+	states int // states explored: until gold when it was found
 }
 
-// runRanked synthesizes one task and reports the gold query's rank. sketch
-// may be nil (NLI). Stops as soon as the gold query is emitted or the
-// candidate cap is reached.
-func runRanked(task *dataset.Task, sketch *tsq.TSQ, mode enumerate.Mode, cfg Config) (rankOutcome, error) {
-	v := verify.New(task.DB, semrules.Default(), sketch, task.Literals)
-	e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
-		Mode:          mode,
-		MaxCandidates: cfg.MaxCandidates,
-		Budget:        cfg.Budget,
-	})
+// runRanked synthesizes one task under a search variant (its Mode and
+// GeoMeanPriority) and semantic rules, and reports the gold query's rank.
+// sketch may be nil (NLI). The search stops at the gold query, at
+// cfg.MaxCandidates candidates or at StateBudget states.
+func runRanked(task *dataset.Task, sketch *tsq.TSQ, rules *semrules.RuleSet, variant enumerate.Options, cfg Config) (rankOutcome, error) {
+	variant.MaxCandidates = cfg.MaxCandidates
+	variant.MaxStates = StateBudget
+	v := verify.New(task.DB, rules, sketch, task.Literals)
+	e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, variant)
 	out := rankOutcome{}
 	res, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, func(c enumerate.Candidate) bool {
 		if sqlir.Equivalent(c.Query, task.Gold) {
 			out.rank = c.Rank
-			out.elapsed = c.Elapsed
 			return false
 		}
 		return true
@@ -314,7 +318,7 @@ type SimAccuracy struct {
 // Duoquest receives NLQ + literals + Full TSQ; NLI receives NLQ + literals;
 // PBE receives the TSQ's example tuples.
 func Simulation(bench *dataset.Benchmark, cfg Config) (*SimAccuracy, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
+	tasks := cfg.sample(bench)
 	acc := &SimAccuracy{
 		Dataset: bench.Name,
 		Tasks:   len(tasks),
@@ -324,25 +328,26 @@ func Simulation(bench *dataset.Benchmark, cfg Config) (*SimAccuracy, error) {
 		acc.ByDiff[d] = &DiffCell{}
 	}
 	pbeSystems := map[string]*pbe.System{}
-	for i, task := range tasks {
+	for _, st := range tasks {
+		task := st.Task
 		cell := acc.ByDiff[task.Difficulty]
 		cell.Total++
-		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, cfg.TSQSeed+int64(i))
+		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, st.seed)
 		if err != nil {
 			return nil, err
 		}
-		dq, err := runRanked(task, sketch, enumerate.ModeGPQE, cfg)
+		dq, err := runRanked(task, sketch, semrules.Default(), paper, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if dq.rank >= 1 && dq.rank <= 1 {
+		if dq.rank == 1 {
 			acc.DqTop1++
 		}
 		if dq.rank >= 1 && dq.rank <= 10 {
 			acc.DqTop10++
 			cell.DqTop10++
 		}
-		nl, err := runRanked(task, nil, enumerate.ModeGPQE, cfg)
+		nl, err := runRanked(task, nil, semrules.Default(), paper, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -424,67 +429,74 @@ func RenderFigure11(acc *SimAccuracy) string {
 
 // --- Figure 12: GPQE ablation -----------------------------------------------
 
-// AblationCurve is one algorithm's time-to-correct-query distribution.
+// AblationCurve is one algorithm's distribution of states explored until
+// the correct query.
 type AblationCurve struct {
-	Mode  enumerate.Mode
-	Times []time.Duration // per found task; unfound tasks are absent
-	Total int
+	Mode enumerate.Mode
+	// States holds, per solved task, the states explored until gold;
+	// unsolved tasks are absent.
+	States []int
+	Total  int
+	// Explored counts every state the curve's searches explored, solved
+	// or not.
+	Explored int
 }
 
-// Ablation compares GPQE with NoPQ and NoGuide (Figure 12): the time each
-// algorithm needs to synthesize the correct query, as a distribution over
-// tasks.
+// Ablation compares GPQE with NoPQ and NoGuide (Figure 12): the states each
+// algorithm explores until it synthesizes the correct query, as a
+// distribution over tasks.
 func Ablation(bench *dataset.Benchmark, cfg Config) ([]AblationCurve, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
+	tasks := cfg.sample(bench)
 	modes := []enumerate.Mode{enumerate.ModeGPQE, enumerate.ModeNoPQ, enumerate.ModeNoGuide}
 	curves := make([]AblationCurve, len(modes))
 	for mi, mode := range modes {
 		curves[mi] = AblationCurve{Mode: mode, Total: len(tasks)}
-		for i, task := range tasks {
-			sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, cfg.TSQSeed+int64(i))
+		for _, st := range tasks {
+			sketch, err := dataset.SynthesizeTSQ(st.Task, dataset.DetailFull, st.seed)
 			if err != nil {
 				return nil, err
 			}
-			out, err := runRanked(task, sketch, mode, cfg)
+			out, err := runRanked(st.Task, sketch, semrules.Default(), enumerate.Options{Mode: mode}, cfg)
 			if err != nil {
 				return nil, err
 			}
+			curves[mi].Explored += out.states
 			if out.rank > 0 {
-				curves[mi].Times = append(curves[mi].Times, out.elapsed)
+				curves[mi].States = append(curves[mi].States, out.states)
 			}
 		}
 	}
 	return curves, nil
 }
 
-// CompletedWithin returns the percentage of tasks solved within d.
-func (c *AblationCurve) CompletedWithin(d time.Duration) float64 {
-	n := 0
-	for _, t := range c.Times {
-		if t <= d {
-			n++
+// SolvedWithin returns the number of tasks solved within n explored states.
+func (c *AblationCurve) SolvedWithin(n int) int {
+	solved := 0
+	for _, s := range c.States {
+		if s <= n {
+			solved++
 		}
 	}
-	return 100 * float64(n) / float64(c.Total)
+	return solved
 }
 
-// RenderFigure12 prints the CDF at log-spaced time buckets.
-func RenderFigure12(curves []AblationCurve, budget time.Duration) string {
-	buckets := []time.Duration{
-		budget / 100, budget / 50, budget / 20, budget / 10,
-		budget / 5, budget / 2, budget,
-	}
+// figure12Buckets are Figure 12's x-axis: states explored until gold, on a
+// 1-3-10 scale up to StateBudget.
+var figure12Buckets = []int{10, 30, 100, 300, 1_000, 3_000, 10_000, StateBudget}
+
+// RenderFigure12 prints the CDF at figure12Buckets.
+func RenderFigure12(curves []AblationCurve) string {
 	var b strings.Builder
-	b.WriteString("% tasks completed within time budget (CDF)\n")
-	fmt.Fprintf(&b, "%-10s", "Time")
+	b.WriteString("% tasks solved within n explored states (CDF)\n")
+	fmt.Fprintf(&b, "%-10s", "States")
 	for _, c := range curves {
 		fmt.Fprintf(&b, " %10s", c.Mode)
 	}
 	b.WriteString("\n")
-	for _, d := range buckets {
-		fmt.Fprintf(&b, "%-10s", d.Round(time.Millisecond))
+	for _, n := range figure12Buckets {
+		fmt.Fprintf(&b, "%-10d", n)
 		for _, c := range curves {
-			fmt.Fprintf(&b, " %9.1f%%", c.CompletedWithin(d))
+			fmt.Fprintf(&b, " %9.1f%%", 100*float64(c.SolvedWithin(n))/float64(c.Total))
 		}
 		b.WriteString("\n")
 	}
@@ -493,63 +505,55 @@ func RenderFigure12(curves []AblationCurve, budget time.Duration) string {
 
 // --- Table 6: specification detail -------------------------------------------
 
-// DetailRow is one row of Table 6.
+// DetailRow is one row of Table 6: how many of Tasks put gold at rank 1,
+// within the top 10 and within the top 100.
 type DetailRow struct {
 	Level  string
-	Top1   float64
-	Top10  float64
-	Top100 float64
+	Tasks  int
+	Top1   int
+	Top10  int
+	Top100 int
 }
 
 // SpecificationDetail sweeps TSQ detail levels (Table 6): Full, Partial,
 // Minimal, plus the NLI baseline with no TSQ at all.
 func SpecificationDetail(bench *dataset.Benchmark, cfg Config) ([]DetailRow, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
-	type counts struct{ t1, t10, t100 int }
+	tasks := cfg.sample(bench)
 	levels := []struct {
 		name   string
-		sketch func(task *dataset.Task, seed int64) (*tsq.TSQ, error)
+		detail dataset.DetailLevel
 	}{
-		{"Full", func(t *dataset.Task, s int64) (*tsq.TSQ, error) {
-			return dataset.SynthesizeTSQ(t, dataset.DetailFull, s)
-		}},
-		{"Partial", func(t *dataset.Task, s int64) (*tsq.TSQ, error) {
-			return dataset.SynthesizeTSQ(t, dataset.DetailPartial, s)
-		}},
-		{"Minimal", func(t *dataset.Task, s int64) (*tsq.TSQ, error) {
-			return dataset.SynthesizeTSQ(t, dataset.DetailMinimal, s)
-		}},
-		{"NLI", func(t *dataset.Task, s int64) (*tsq.TSQ, error) { return nil, nil }},
+		{"Full", dataset.DetailFull},
+		{"Partial", dataset.DetailPartial},
+		{"Minimal", dataset.DetailMinimal},
+		{"NLI", 0},
 	}
 	var rows []DetailRow
 	for _, lv := range levels {
-		c := counts{}
-		for i, task := range tasks {
-			sketch, err := lv.sketch(task, cfg.TSQSeed+int64(i))
-			if err != nil {
-				return nil, err
+		row := DetailRow{Level: lv.name, Tasks: len(tasks)}
+		for _, st := range tasks {
+			var sketch *tsq.TSQ // the NLI baseline has none
+			if lv.name != "NLI" {
+				var err error
+				if sketch, err = dataset.SynthesizeTSQ(st.Task, lv.detail, st.seed); err != nil {
+					return nil, err
+				}
 			}
-			out, err := runRanked(task, sketch, enumerate.ModeGPQE, cfg)
+			out, err := runRanked(st.Task, sketch, semrules.Default(), paper, cfg)
 			if err != nil {
 				return nil, err
 			}
 			if out.rank == 1 {
-				c.t1++
+				row.Top1++
 			}
 			if out.rank >= 1 && out.rank <= 10 {
-				c.t10++
+				row.Top10++
 			}
 			if out.rank >= 1 && out.rank <= 100 {
-				c.t100++
+				row.Top100++
 			}
 		}
-		n := float64(len(tasks))
-		rows = append(rows, DetailRow{
-			Level:  lv.name,
-			Top1:   100 * float64(c.t1) / n,
-			Top10:  100 * float64(c.t10) / n,
-			Top100: 100 * float64(c.t100) / n,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -560,7 +564,8 @@ func RenderTable6(name string, rows []DetailRow) string {
 	fmt.Fprintf(&b, "%s — exact matching accuracy (%%) by TSQ detail\n", name)
 	fmt.Fprintf(&b, "%-8s %8s %8s %8s\n", "Detail", "T1", "T10", "T100")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %8.1f %8.1f %8.1f\n", r.Level, r.Top1, r.Top10, r.Top100)
+		pct := func(n int) float64 { return 100 * float64(n) / float64(r.Tasks) }
+		fmt.Fprintf(&b, "%-8s %8.1f %8.1f %8.1f\n", r.Level, pct(r.Top1), pct(r.Top10), pct(r.Top100))
 	}
 	return b.String()
 }
@@ -576,86 +581,4 @@ func RenderTaskList() string {
 		fmt.Fprintf(&b, "%-3s [%-6s] %s\n    %s\n", t.ID, t.Difficulty, t.NLQ, t.SQL)
 	}
 	return b.String()
-}
-
-// --- Verification-stage ablation (design-choice validation, DESIGN.md §4) ---
-
-// StageReport aggregates verifier work over a task sample, validating the
-// ascending-cost ordering claim of §3.4: most rejections happen in the
-// cheap, database-free stages.
-type StageReport struct {
-	Tasks     int
-	Checked   int
-	DBQueries int
-	CacheHits int
-	Rejected  map[verify.Stage]int
-
-	// Streaming-executor counters: how much of the verification-query work
-	// the pushdown pipeline served.
-	StreamedExists int
-	IndexHits      int
-}
-
-// VerificationStages runs GPQE over a sample and aggregates per-stage
-// verifier statistics.
-func VerificationStages(bench *dataset.Benchmark, cfg Config) (*StageReport, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
-	rep := &StageReport{Tasks: len(tasks), Rejected: map[verify.Stage]int{}}
-	for i, task := range tasks {
-		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, cfg.TSQSeed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		v := verify.New(task.DB, semrules.Default(), sketch, task.Literals)
-		e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
-			Mode:          enumerate.ModeGPQE,
-			MaxCandidates: 10,
-			Budget:        cfg.Budget,
-		})
-		if _, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, nil); err != nil {
-			return nil, err
-		}
-		st := v.Stats()
-		rep.Checked += st.Checked
-		rep.DBQueries += st.DBQueries
-		rep.CacheHits += st.ColumnCache
-		rep.StreamedExists += st.StreamedExists
-		rep.IndexHits += st.IndexHits
-		for k, n := range st.Rejected {
-			rep.Rejected[k] += n
-		}
-	}
-	return rep, nil
-}
-
-// RenderStageReport prints the stage distribution.
-func RenderStageReport(rep *StageReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Verification over %d tasks: %d checks, %d DB queries, %d column-cache hits\n",
-		rep.Tasks, rep.Checked, rep.DBQueries, rep.CacheHits)
-	fmt.Fprintf(&b, "Streaming executor: %d streamed probes, %d index hits\n",
-		rep.StreamedExists, rep.IndexHits)
-	total := 0
-	for _, n := range rep.Rejected {
-		total += n
-	}
-	fmt.Fprintf(&b, "Rejections by stage (of %d):\n", total)
-	for _, kv := range sortedStages(rep.Rejected) {
-		fmt.Fprintf(&b, "  %s\n", kv)
-	}
-	return b.String()
-}
-
-// sortedStages is a helper for rendering verifier stats deterministically.
-func sortedStages(m map[verify.Stage]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fmt.Sprintf("%s=%d", k, m[verify.Stage(k)]))
-	}
-	return out
 }

@@ -76,7 +76,7 @@ func TestSimulationSample(t *testing.T) {
 }
 
 // TestAblationSample checks Figure 12's relationship on a thin sample: GPQE
-// solves at least as many tasks within budget as either ablation.
+// solves at least as many tasks within the state budget as either ablation.
 func TestAblationSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
@@ -101,14 +101,13 @@ func TestAblationSample(t *testing.T) {
 			noguide = &curves[i]
 		}
 	}
-	at := cfg.Budget
-	if gpqe.CompletedWithin(at) < nopq.CompletedWithin(at) {
-		t.Errorf("GPQE (%f%%) below NoPQ (%f%%)", gpqe.CompletedWithin(at), nopq.CompletedWithin(at))
+	if gpqe.SolvedWithin(StateBudget) < nopq.SolvedWithin(StateBudget) {
+		t.Errorf("GPQE (%d) below NoPQ (%d)", gpqe.SolvedWithin(StateBudget), nopq.SolvedWithin(StateBudget))
 	}
-	if gpqe.CompletedWithin(at) < noguide.CompletedWithin(at) {
-		t.Errorf("GPQE (%f%%) below NoGuide (%f%%)", gpqe.CompletedWithin(at), noguide.CompletedWithin(at))
+	if gpqe.SolvedWithin(StateBudget) < noguide.SolvedWithin(StateBudget) {
+		t.Errorf("GPQE (%d) below NoGuide (%d)", gpqe.SolvedWithin(StateBudget), noguide.SolvedWithin(StateBudget))
 	}
-	out := RenderFigure12(curves, cfg.Budget)
+	out := RenderFigure12(curves)
 	if !strings.Contains(out, "GPQE") || !strings.Contains(out, "NoPQ") || !strings.Contains(out, "NoGuide") {
 		t.Errorf("render missing modes:\n%s", out)
 	}
@@ -143,25 +142,6 @@ func TestSpecificationDetailSample(t *testing.T) {
 	out := RenderTable6("dev", rows)
 	if !strings.Contains(out, "Full") || !strings.Contains(out, "Minimal") {
 		t.Errorf("render missing levels:\n%s", out)
-	}
-}
-
-func TestVerificationStagesSample(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stage report is slow")
-	}
-	cfg := QuickConfig()
-	cfg.SampleEvery = 60
-	rep, err := VerificationStages(dataset.SpiderDev(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Checked == 0 {
-		t.Error("no verifications recorded")
-	}
-	out := RenderStageReport(rep)
-	if !strings.Contains(out, "Rejections by stage") {
-		t.Errorf("render: %s", out)
 	}
 }
 

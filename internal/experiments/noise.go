@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/duoquest/duoquest/internal/dataset"
-	"github.com/duoquest/duoquest/internal/enumerate"
+	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
@@ -19,23 +19,19 @@ type NoiseReport struct {
 	Tasks      int
 	CleanTop10 int
 	NoisyTop10 int
-	// Recovered counts noisy tasks where the gold query still appeared
-	// (the corrupted cell happened to be consistent with it).
-	Recovered int
 }
 
 // NoisyExamples runs the clean-vs-corrupted comparison over a benchmark
 // sample.
 func NoisyExamples(bench *dataset.Benchmark, cfg Config) (*NoiseReport, error) {
-	tasks := sample(bench.Tasks, cfg.SampleEvery)
+	tasks := cfg.sample(bench)
 	rep := &NoiseReport{Tasks: len(tasks)}
-	for i, task := range tasks {
-		seed := cfg.TSQSeed + int64(i)
-		clean, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, seed)
+	for _, st := range tasks {
+		clean, err := dataset.SynthesizeTSQ(st.Task, dataset.DetailFull, st.seed)
 		if err != nil {
 			return nil, err
 		}
-		out, err := runRanked(task, clean, enumerate.ModeGPQE, cfg)
+		out, err := runRanked(st.Task, clean, semrules.Default(), paper, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -43,14 +39,13 @@ func NoisyExamples(bench *dataset.Benchmark, cfg Config) (*NoiseReport, error) {
 			rep.CleanTop10++
 		}
 
-		noisy := corruptSketch(clean, seed)
-		out, err = runRanked(task, noisy, enumerate.ModeGPQE, cfg)
+		noisy := corruptSketch(clean, st.seed)
+		out, err = runRanked(st.Task, noisy, semrules.Default(), paper, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if out.rank >= 1 && out.rank <= 10 {
 			rep.NoisyTop10++
-			rep.Recovered++
 		}
 	}
 	return rep, nil

@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
@@ -33,7 +32,7 @@ func TestTable1DuoquestSoundness(t *testing.T) {
 	}
 	v := verify.New(db, semrules.Default(), sketch, task.Literals)
 	e := enumerate.New(db, guidance.NewLexicalModel(), v, enumerate.Options{
-		MaxCandidates: 15, Budget: 2 * time.Second,
+		MaxCandidates: 15, MaxStates: StateBudget,
 	})
 	res, err := e.Enumerate(context.Background(), "show stuff", task.Literals, nil)
 	if err != nil {
@@ -83,7 +82,7 @@ func TestTable1PartialTuplesAndOpenWorld(t *testing.T) {
 	}
 	v := verify.New(db, semrules.Default(), sketch, a1.Literals)
 	e := enumerate.New(db, guidance.NewLexicalModel(), v, enumerate.Options{
-		MaxCandidates: 10, Budget: 3 * time.Second,
+		MaxCandidates: 10, MaxStates: StateBudget,
 	})
 	foundGold := false
 	_, err = e.Enumerate(context.Background(), a1.NLQ, a1.Literals, func(c enumerate.Candidate) bool {
@@ -130,10 +129,10 @@ func TestTable1GroupingExpressiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := verify.New(db, semrules.Default(), sketch, a4.Literals)
-	// The budget is a ceiling, not the expected runtime: the search stops at
-	// the gold query (sub-second normally, a few seconds under -race).
+	// The state cap is a ceiling, not the expected search: it stops at the
+	// gold query.
 	e := enumerate.New(db, guidance.NewLexicalModel(), v, enumerate.Options{
-		MaxCandidates: 10, Budget: 30 * time.Second,
+		MaxCandidates: 10, MaxStates: StateBudget,
 	})
 	found := false
 	_, err = e.Enumerate(context.Background(), a4.NLQ, a4.Literals, func(c enumerate.Candidate) bool {

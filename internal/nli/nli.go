@@ -8,7 +8,6 @@ package nli
 
 import (
 	"context"
-	"time"
 
 	"github.com/duoquest/duoquest/internal/enumerate"
 	"github.com/duoquest/duoquest/internal/guidance"
@@ -35,10 +34,11 @@ func NewWithModel(db *storage.Database, m guidance.Model) *System {
 	return &System{db: db, model: m, rules: semrules.Default()}
 }
 
-// Options bounds one run.
+// Options bounds one run: by candidates emitted and by states explored
+// (0 = the enumerator's defaults).
 type Options struct {
 	MaxCandidates int
-	Budget        time.Duration
+	MaxStates     int
 }
 
 // Synthesize returns the ranked candidate list for an NLQ.
@@ -47,7 +47,7 @@ func (s *System) Synthesize(ctx context.Context, nlq string, literals []sqlir.Va
 	e := enumerate.New(s.db, s.model, v, enumerate.Options{
 		Mode:          enumerate.ModeGPQE,
 		MaxCandidates: opts.MaxCandidates,
-		Budget:        opts.Budget,
+		MaxStates:     opts.MaxStates,
 	})
 	return e.Enumerate(ctx, nlq, literals, emit)
 }

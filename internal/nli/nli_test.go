@@ -3,7 +3,6 @@ package nli
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/duoquest/duoquest/internal/enumerate"
 	"github.com/duoquest/duoquest/internal/guidance"
@@ -29,7 +28,7 @@ func TestNLISynthesizeRankedList(t *testing.T) {
 	db := testDB()
 	sys := New(db)
 	res, err := sys.Synthesize(context.Background(), "movie titles", nil,
-		Options{MaxCandidates: 10, Budget: 2 * time.Second}, nil)
+		Options{MaxCandidates: 10, MaxStates: 20000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestNLIIsUnsound(t *testing.T) {
 	sketch := &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Forrest Gump"))}}}
 	res, err := sys.Synthesize(context.Background(), "movies before 1995",
 		[]sqlir.Value{sqlir.NewInt(1995)},
-		Options{MaxCandidates: 30, Budget: 2 * time.Second}, nil)
+		Options{MaxCandidates: 30, MaxStates: 20000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestNLIEmitStops(t *testing.T) {
 	sys := NewWithModel(db, guidance.NewLexicalModel())
 	n := 0
 	_, err := sys.Synthesize(context.Background(), "titles", nil,
-		Options{Budget: 2 * time.Second}, func(c enumerate.Candidate) bool {
+		Options{MaxStates: 20000}, func(c enumerate.Candidate) bool {
 			n++
 			return false
 		})
@@ -92,7 +91,7 @@ func TestNLIHonorsLiterals(t *testing.T) {
 	sys := New(db)
 	res, err := sys.Synthesize(context.Background(), "movies before 1995",
 		[]sqlir.Value{sqlir.NewInt(1995)},
-		Options{MaxCandidates: 20, Budget: 2 * time.Second}, nil)
+		Options{MaxCandidates: 20, MaxStates: 20000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,12 @@ type UserParams struct {
 	// RecognizeProb is the chance of recognising the desired query when it
 	// is inspected.
 	RecognizeProb float64
-	// LatencyScale converts the engine's wall-clock candidate arrival
-	// times into simulated-study time, standing in for the paper's GPU
-	// inference latency.
-	LatencyScale float64
-	// SynthBudget bounds the engine's real search time per trial.
-	SynthBudget time.Duration
+	// LatencyScale is the simulated time the engine takes per explored
+	// state, standing in for the paper's GPU inference latency: a
+	// candidate arrives LatencyScale × Candidate.States into the search.
+	// A candidate arriving after Budget is never read, so a trial's search
+	// stops at Budget / LatencyScale states.
+	LatencyScale time.Duration
 	// MaxCandidates bounds the ranked list length per trial.
 	MaxCandidates int
 }
@@ -92,8 +92,7 @@ func DefaultUserParams() UserParams {
 		PreviewCheck:  6 * time.Second,
 		ReviewFilters: 25 * time.Second,
 		RecognizeProb: 0.95,
-		LatencyScale:  40,
-		SynthBudget:   2 * time.Second,
+		LatencyScale:  200 * time.Microsecond,
 		MaxCandidates: 120,
 	}
 }
@@ -218,15 +217,11 @@ func (r *Runner) runRankedListTrial(task *dataset.Task, sys System, user int, rn
 		}
 	}
 
-	// Run the engine.
-	candidates, err := r.synthesize(task, sketch, sys)
-	if err != nil {
-		return nil, err
-	}
-
-	// Scan the ranked list.
-	for _, c := range candidates {
-		arrival := time.Duration(float64(c.Elapsed) * p.LatencyScale)
+	// Scan the ranked list as the engine emits it: the search stops once
+	// the trial is decided.
+	trial.Duration = p.Budget
+	scan := func(c enumerate.Candidate) bool {
+		arrival := time.Duration(c.States) * p.LatencyScale
 		if arrival > elapsed {
 			elapsed = arrival
 		}
@@ -235,20 +230,15 @@ func (r *Runner) runRankedListTrial(task *dataset.Task, sys System, user int, rn
 		// predicates").
 		if len(c.Query.Select) != len(gold.Types) {
 			elapsed += p.SkimCandidate
-			if elapsed > p.Budget {
-				trial.Duration = p.Budget
-				return trial, nil
-			}
-			continue
+			return elapsed <= p.Budget
 		}
 		elapsed += p.ReadCandidate
 		if elapsed > p.Budget {
-			trial.Duration = p.Budget
-			return trial, nil
+			return false
 		}
 		res, err := sqlexec.Execute(task.DB, c.Query)
 		if err != nil {
-			continue
+			return true
 		}
 		correct := sqlir.Equivalent(c.Query, task.Gold) ||
 			resultsMatch(gold, res, task.Gold.OrderByState == sqlir.ClausePresent)
@@ -258,21 +248,21 @@ func (r *Runner) runRankedListTrial(task *dataset.Task, sys System, user int, rn
 			if dataset.VerifyAgainstFacts(res, facts) == len(facts) && sameWidth(res, gold) {
 				elapsed += p.PreviewCheck
 			}
-			continue
+			return true
 		}
 		// The desired query: the user recognises it with high probability
 		// after a preview.
 		elapsed += p.PreviewCheck
 		if rng.Float64() < p.RecognizeProb {
 			trial.Success = elapsed <= p.Budget
-			if elapsed > p.Budget {
-				elapsed = p.Budget
-			}
-			trial.Duration = elapsed
-			return trial, nil
+			trial.Duration = min(elapsed, p.Budget)
+			return false
 		}
+		return true
 	}
-	trial.Duration = p.Budget
+	if err := r.synthesize(task, sketch, sys, scan); err != nil {
+		return nil, err
+	}
 	return trial, nil
 }
 
@@ -298,29 +288,24 @@ func sortTuplesByGold(sk *tsq.TSQ, gold *sqlexec.Result) {
 	}
 }
 
-// synthesize runs the underlying engine for a ranked-list system.
-func (r *Runner) synthesize(task *dataset.Task, sketch *tsq.TSQ, sys System) ([]enumerate.Candidate, error) {
+// synthesize runs the underlying engine for a ranked-list system, handing
+// each candidate to emit as it is found.
+func (r *Runner) synthesize(task *dataset.Task, sketch *tsq.TSQ, sys System, emit func(enumerate.Candidate) bool) error {
 	p := r.Params
+	maxStates := int(p.Budget / p.LatencyScale)
 	if sys == SystemNLI {
-		base := nli.New(task.DB)
-		res, err := base.Synthesize(context.Background(), task.NLQ, task.Literals,
-			nli.Options{MaxCandidates: p.MaxCandidates, Budget: p.SynthBudget}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Candidates, nil
+		_, err := nli.New(task.DB).Synthesize(context.Background(), task.NLQ, task.Literals,
+			nli.Options{MaxCandidates: p.MaxCandidates, MaxStates: maxStates}, emit)
+		return err
 	}
 	v := verify.New(task.DB, semrules.Default(), sketch, task.Literals)
 	e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
 		Mode:          enumerate.ModeGPQE,
 		MaxCandidates: p.MaxCandidates,
-		Budget:        p.SynthBudget,
+		MaxStates:     maxStates,
 	})
-	res, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Candidates, nil
+	_, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, emit)
+	return err
 }
 
 // runPBETrial simulates the SQuID flow: enter 2–4 full example tuples, get

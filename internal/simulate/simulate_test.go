@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"testing"
-	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/sqlexec"
@@ -122,7 +121,6 @@ func TestStudyShape(t *testing.T) {
 	}
 	tasks, _ := dataset.NLIStudyTasks()
 	r := NewRunner()
-	r.Params.SynthBudget = 1500 * time.Millisecond
 	sr, err := r.RunStudy(tasks, [2]System{SystemDuoquest, SystemNLI}, 4)
 	if err != nil {
 		t.Fatal(err)

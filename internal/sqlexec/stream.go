@@ -51,7 +51,7 @@ type PipelineStats struct {
 	// MorselRuns and MorselWorkers are always 0: a scan runs on its caller's
 	// goroutine. bench/ reads them (sqlexec.morsel_runs_per_req,
 	// sqlexec.avg_morsel_workers) and a PR that claims a gain may not edit
-	// bench/; ROADMAP item 2 retires them with those metrics.
+	// bench/; they go when the benchmark retires those metrics.
 	MorselRuns    int64
 	MorselWorkers int64
 }
@@ -59,8 +59,8 @@ type PipelineStats struct {
 // IndexHits is the total posting-list work served by persistent indexes.
 func (s PipelineStats) IndexHits() int64 { return s.IndexSeeds + s.IndexProbes }
 
-// AvgMorselWorkers is always 0, for the reason MorselRuns is; ROADMAP item 2
-// retires it with sqlexec.avg_morsel_workers.
+// AvgMorselWorkers is always 0, for the reason MorselRuns is; it goes when
+// the benchmark retires sqlexec.avg_morsel_workers.
 func (s PipelineStats) AvgMorselWorkers() float64 { return 0 }
 
 // pipelineCounters is the mutable, concurrency-safe form of PipelineStats.
