@@ -35,7 +35,7 @@ type expansion struct {
 // in: it expands up to maxStates states best-first, verifies each expansion
 // exactly as Enumerate does, and shows the observer every expansion before
 // its children are queued.
-func walk(t *testing.T, in walkInput, sketch *tsq.TSQ, maxStates int, observe func(expansion)) {
+func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, maxStates int, observe func(expansion)) {
 	t.Helper()
 	v := verify.New(in.db, semrules.Default(), sketch, in.lits)
 	e := New(in.db, in.model, v, Options{})
@@ -92,7 +92,7 @@ type walkInput struct {
 	lits   []sqlir.Value
 }
 
-func walkInputs(t *testing.T) []walkInput {
+func walkInputs(t testing.TB) []walkInput {
 	t.Helper()
 	stride, genTasks := 12, 6
 	if testing.Short() {

@@ -67,6 +67,29 @@ type Decision struct {
 	From *JoinPath // shared, not copied: join paths are never written after construction
 }
 
+// SlotKind names the one slot a decision writes, when it writes just one.
+type SlotKind uint8
+
+const (
+	NoSlot         SlotKind = iota // the decision writes a count, a clause or several slots
+	ProjectionSlot                 // Select[i]
+	PredicateSlot                  // Where.Preds[i]
+)
+
+// Slot reports the slot d writes and its index i: for a projection or
+// predicate decision, apply writes Select[i] or Where.Preds[i] and leaves
+// every other field of the child the parent's. Any other kind, and the zero
+// Decision, reports NoSlot.
+func (d Decision) Slot() (SlotKind, int) {
+	switch d.Kind {
+	case DecideSelectColumn, DecideSelectAgg:
+		return ProjectionSlot, int(d.Index)
+	case DecidePredColumn, DecidePredOp, DecidePredValue:
+		return PredicateSlot, int(d.Index)
+	}
+	return NoSlot, 0
+}
+
 // Scratch is a reusable buffer for a query that is looked at and not kept:
 // the header and the slices and clauses a decision writes live in the
 // scratch, so building a query there allocates nothing once the buffers have

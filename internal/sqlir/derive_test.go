@@ -78,6 +78,53 @@ func TestDerivationsLeaveParentUntouched(t *testing.T) {
 	}
 }
 
+// TestSlotDecisionsWriteOnlyTheirSlot: a decision Slot names as writing a
+// projection or predicate, applied at any index of a decided parent or of
+// one that is all holes, leaves everything of the child outside that one
+// slot deep-equal to the parent: reopening the slot gives the parent back.
+// semrules.RuleSet.CheckChild relies on it to check such a child at that
+// slot alone. Every other kind reports NoSlot.
+func TestSlotDecisionsWriteOnlyTheirSlot(t *testing.T) {
+	holes := &Query{Select: make([]SelectItem, 2), Where: Where{Preds: make([]Predicate, 2)}}
+	for name, d := range derivations() {
+		kind, _ := d.Slot()
+		if kind == NoSlot {
+			continue
+		}
+		for _, q := range []*Query{derivable(), holes} {
+			n := len(q.Select)
+			if kind == PredicateSlot {
+				n = len(q.Where.Preds)
+			}
+			for i := range n {
+				d.Index = int32(i)
+				if k, at := d.Slot(); k != kind || at != i {
+					t.Fatalf("%s at %d: Slot() = %d, %d", name, i, k, at)
+				}
+				c := derive(q, d)
+				reopened := c.Clone()
+				if kind == ProjectionSlot {
+					reopened.Select[i] = q.Select[i]
+				} else {
+					reopened.Where.Preds[i] = q.Where.Preds[i]
+				}
+				if !reflect.DeepEqual(reopened, q) {
+					t.Errorf("%s at %d wrote outside its slot:\n parent %#v\n child  %#v", name, i, q, c)
+				}
+			}
+		}
+	}
+	slots := map[DecisionKind]SlotKind{
+		DecideSelectColumn: ProjectionSlot, DecideSelectAgg: ProjectionSlot,
+		DecidePredColumn: PredicateSlot, DecidePredOp: PredicateSlot, DecidePredValue: PredicateSlot,
+	}
+	for k := DecisionKind(0); k <= DecideOrderDir; k++ {
+		if got, _ := (Decision{Kind: k}).Slot(); got != slots[k] {
+			t.Errorf("decision kind %d: Slot() = %d, want %d", k, got, slots[k])
+		}
+	}
+}
+
 // Cloning a scratch child costs its header plus one allocation per slice or
 // clause it holds, its join path's included, and the clone shares nothing
 // the scratch writes: it renders the same after the scratch has built every

@@ -416,7 +416,7 @@ func (v *Verifier) VerifyChild(ctx context.Context, q *sqlir.Query, d sqlir.Deci
 	owes := owed(q, d)
 	out := v.verifyClauses(q)
 	if out.OK {
-		out = v.verifySemantics(q)
+		out = v.verifySemantics(q, d)
 	}
 	if out.OK && owes.types {
 		out = v.verifyColumnTypes(q)
@@ -432,7 +432,8 @@ func (v *Verifier) VerifyChild(ctx context.Context, q *sqlir.Query, d sqlir.Deci
 }
 
 // debt is what a query still owes the cascade beyond the clause and
-// semantic checks, which every query pays in full.
+// semantic checks, which every query pays: the first in full, the second
+// at the slot d wrote (see verifySemantics).
 type debt struct {
 	types bool // the column-types stage
 	col   int  // by-column: a projection index, allProjections or noProjection
@@ -458,19 +459,24 @@ const (
 //   - the zero Decision inherits nothing, nor does the keyword decision:
 //     it is the root's, and the empty query has proved nothing.
 //
-// Clauses, semantics, literals and by-order are not inherited: the first
-// two are cheap and read everything, the last two run once, on completion.
+// Clauses, literals and by-order are not inherited: the first is cheap and
+// reads everything, the last two run once, on completion. Semantics are
+// re-proved by the rule set itself: after a projection or predicate decision
+// the built-in rules run only at the slot written, since a rule the parent
+// passed and the child breaks can break nowhere else (semrules.CheckChild).
 func owed(q *sqlir.Query, d sqlir.Decision) debt {
+	switch slot, i := d.Slot(); slot {
+	case sqlir.ProjectionSlot:
+		return debt{types: true, col: i, rows: true}
+	case sqlir.PredicateSlot:
+		written := i >= len(q.Where.Preds) || q.Where.Preds[i].Complete()
+		return debt{col: noProjection, rows: written}
+	}
 	switch d.Kind {
-	case sqlir.DecideSelectColumn, sqlir.DecideSelectAgg:
-		return debt{types: true, col: int(d.Index), rows: true}
 	case sqlir.DecideSelectCount:
 		return debt{types: true, col: noProjection, rows: true}
 	case sqlir.DecideFrom, sqlir.DecideWhereCount, sqlir.DecideWhereConj, sqlir.DecideGroupBy:
 		return debt{col: noProjection, rows: true}
-	case sqlir.DecidePredColumn, sqlir.DecidePredOp, sqlir.DecidePredValue:
-		written := int(d.Index) >= len(q.Where.Preds) || q.Where.Preds[d.Index].Complete()
-		return debt{col: noProjection, rows: written}
 	case sqlir.DecideHaving, sqlir.DecideHavingOp, sqlir.DecideHavingValue:
 		written := q.HavingState != sqlir.ClausePresent || q.Having.Complete()
 		return debt{col: noProjection, rows: written}
@@ -531,12 +537,14 @@ func (v *Verifier) verifyClauses(q *sqlir.Query) Outcome {
 	return pass()
 }
 
-// verifySemantics applies the Table 4 rules.
-func (v *Verifier) verifySemantics(q *sqlir.Query) Outcome {
+// verifySemantics applies the Table 4 rules to q, one decision d from a
+// parent that passed them: after a slot decision, the built-in rules run
+// only at the slot d wrote (semrules.RuleSet.CheckChild).
+func (v *Verifier) verifySemantics(q *sqlir.Query, d sqlir.Decision) Outcome {
 	if v.rules == nil {
 		return pass()
 	}
-	if viol := v.rules.Check(q, v.db.Schema); viol != nil {
+	if viol := v.rules.CheckChild(q, v.db.Schema, d); viol != nil {
 		return fail(StageSemantics, "%s", viol)
 	}
 	return pass()

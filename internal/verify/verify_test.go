@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -169,6 +170,62 @@ func TestVerifySemanticsStage(t *testing.T) {
 	v2 := New(db, nil, nil, nil)
 	if out := mustVerify(t, v2, q); !out.OK {
 		t.Errorf("nil rules should pass: %+v", out)
+	}
+}
+
+// TestAppendedRulesSeeEveryChild: after a slot decision the built-in rules
+// look at the written slot alone, but a rule added with Append runs whole on
+// every child VerifyChild checks, whatever the decision: a domain rule that
+// reads ORDER BY and LIMIT rejects the child of an ORDER BY direction
+// decision, and runs on a predicate decision's child too. An Empty rule set
+// rejects nothing.
+func TestAppendedRulesSeeEveryChild(t *testing.T) {
+	db := movieDB()
+	rules := semrules.Default()
+	calls := 0
+	rules.Append(semrules.Rule{Name: "top three at most", Check: func(q *sqlir.Query, _ *storage.Schema) *semrules.Violation {
+		calls++
+		if q.OrderByState == sqlir.ClausePresent && q.OrderBy.DirSet && q.Limit > 3 {
+			return &semrules.Violation{Rule: "top three at most", Detail: "a domain rule"}
+		}
+		return nil
+	}})
+	child := func(v *Verifier, parent string, reopen func(q *sqlir.Query), d sqlir.Decision) Outcome {
+		t.Helper()
+		p := sqlparse.MustParse(db.Schema, parent)
+		reopen(p)
+		if out := mustVerify(t, v, p); !out.OK {
+			t.Fatalf("parent %s: %+v", p, out)
+		}
+		var s sqlir.Scratch
+		out, err := v.VerifyChild(context.Background(), s.Apply(p, d), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	v := New(db, rules, nil, nil)
+	out := child(v, "SELECT title FROM movie ORDER BY year DESC LIMIT 5", func(q *sqlir.Query) {
+		q.OrderBy.Desc, q.OrderBy.DirSet, q.Limit, q.LimitSet = false, false, 0, false
+	}, sqlir.Decision{Kind: sqlir.DecideOrderDir, Desc: true, Count: 5})
+	if out.OK || out.Stage != StageSemantics || !strings.Contains(out.Reason(), "top three at most") {
+		t.Errorf("ORDER BY direction child: %+v (%s), want the appended rule's rejection", out, out.Reason())
+	}
+	calls = 0
+	out = child(v, "SELECT title FROM movie WHERE year > 2000", func(q *sqlir.Query) {
+		q.Where.Preds[0].Op, q.Where.Preds[0].OpSet = 0, false
+	}, sqlir.Decision{Kind: sqlir.DecidePredOp, Op: sqlir.OpGt})
+	if !out.OK || calls != 2 {
+		t.Errorf("predicate child: %+v; the appended rule ran %d times, want once on the parent and once on the child", out, calls)
+	}
+	// The child Default rejects at the written slot passes an Empty set.
+	avgName := func(q *sqlir.Query) { q.Select[0].Agg, q.Select[0].AggSet = 0, false }
+	d := sqlir.Decision{Kind: sqlir.DecideSelectAgg, Agg: sqlir.AggAvg}
+	if out := child(New(db, semrules.Default(), nil, nil), "SELECT AVG(name) FROM actor", avgName, d); out.OK || out.Stage != StageSemantics {
+		t.Errorf("AVG(name) under the default rules: %+v", out)
+	}
+	if out := child(New(db, semrules.Empty(), nil, nil), "SELECT AVG(name) FROM actor", avgName, d); !out.OK {
+		t.Errorf("AVG(name) under no rules: %+v", out)
 	}
 }
 
