@@ -180,7 +180,6 @@ func BenchmarkSynthesizeDualSpec(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 1
 	syn := duoquest.New(task.DB, cfg)
 	b.ResetTimer()
@@ -240,7 +239,7 @@ func runVerificationWorkload(b *testing.B, workload []struct {
 	b.Helper()
 	for _, w := range workload {
 		cfg := duoquest.DefaultConfig()
-		cfg.Budget = time.Minute // states cap terminates first
+		cfg.DefaultDeadline = time.Minute // states cap terminates first
 		cfg.MaxCandidates = 10
 		cfg.MaxStates = 10000
 		syn := duoquest.New(w.task.DB, cfg)

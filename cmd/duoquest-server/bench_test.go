@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	duoquest "github.com/duoquest/duoquest"
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -87,15 +86,9 @@ var benchRequests = []struct {
 // benchConcurrency is how many clients hammer the server per request kind.
 const benchConcurrency = 8
 
-func benchEngine(b *testing.B, perRequestCaches bool) *server {
+func benchEngine(b *testing.B) *server {
 	b.Helper()
-	cfg := service.Config{
-		Budget:           30 * time.Second,
-		MaxCandidates:    4,
-		MaxStates:        3000,
-		PerRequestCaches: perRequestCaches,
-	}
-	eng := service.NewEngine(cfg)
+	eng := service.NewEngine(service.Config{MaxCandidates: 4, MaxStates: 3000})
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS(), benchShopDB()} {
 		if err := eng.Register(db); err != nil {
 			b.Fatal(err)
@@ -130,37 +123,31 @@ func do(ts *httptest.Server, db, body string) ([]string, error) {
 }
 
 // BenchmarkServerThroughput serves the concurrent mixed-database workload
-// through the full HTTP layer under three cache regimes:
+// through the full HTTP layer under two cache regimes:
 //
-//   - PerRequestCache: every request builds private caches — the engine's
-//     pre-service-layer behavior and the baseline the shared design must
-//     beat;
 //   - SharedCold: one process-wide engine per run, caches empty at start
 //     (first requests pay the build, concurrent duplicates share it);
 //   - SharedWarm: the steady serving state — caches pre-warmed by one pass
 //     of the workload.
 //
-// Every regime's answers are checked byte-identical against the
-// per-request-cache reference before timing, so a speedup can never come
-// from answering differently. Run it with `go test ./cmd/duoquest-server
+// Every regime's answers are checked byte-identical against a reference
+// that serves each request on a new engine, which shares nothing, so a
+// speedup can never come from answering differently. Run it with `go test ./cmd/duoquest-server
 // -run '^$' -bench BenchmarkServerThroughput -benchmem`.
 func BenchmarkServerThroughput(b *testing.B) {
-	// Reference answers, computed once with per-request caches.
+	// Reference answers, computed once, each on a new engine.
 	ref := make([][]string, len(benchRequests))
-	{
-		srv := benchEngine(b, true)
-		ts := httptest.NewServer(srv.handler())
-		for i, r := range benchRequests {
-			sqls, err := do(ts, r.db, r.body)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(sqls) == 0 {
-				b.Fatalf("reference request %d returned no candidates", i)
-			}
-			ref[i] = sqls
-		}
+	for i, r := range benchRequests {
+		ts := httptest.NewServer(benchEngine(b).handler())
+		sqls, err := do(ts, r.db, r.body)
 		ts.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sqls) == 0 {
+			b.Fatalf("reference request %d returned no candidates", i)
+		}
+		ref[i] = sqls
 	}
 
 	check := func(b *testing.B, ts *httptest.Server) {
@@ -199,24 +186,12 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 	perOp := float64(benchConcurrency * len(benchRequests))
 
-	b.Run("PerRequestCache", func(b *testing.B) {
-		srv := benchEngine(b, true)
-		ts := httptest.NewServer(srv.handler())
-		defer ts.Close()
-		check(b, ts)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			load(b, ts)
-		}
-		b.ReportMetric(perOp*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-
 	b.Run("SharedCold", func(b *testing.B) {
 		// Cold: a fresh engine per iteration; the measured load itself
 		// builds the shared caches.
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			srv := benchEngine(b, false)
+			srv := benchEngine(b)
 			ts := httptest.NewServer(srv.handler())
 			b.StartTimer()
 			load(b, ts)
@@ -229,7 +204,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 
 	b.Run("SharedWarm", func(b *testing.B) {
-		srv := benchEngine(b, false)
+		srv := benchEngine(b)
 		ts := httptest.NewServer(srv.handler())
 		defer ts.Close()
 		check(b, ts) // also warms every cache

@@ -37,7 +37,6 @@ func TestDeadlineParamValidation(t *testing.T) {
 // prefix and truncated set — not an error status.
 func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 10 * time.Second
 	cfg.MaxCandidates = 100000
 	srv := testServer(t, cfg)
 	body := `{"deadline_ms": 1, "nlq": "names of authors", "sketch": {"types": ["text"]}}`
@@ -64,11 +63,38 @@ func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
 	}
 }
 
+// A request's deadline_ms replaces the engine's default deadline, however
+// short that default: the request context is the search's only clock. Under
+// a 1 ns default, a request asking for 60 s that the state cap ends first
+// returns whole, and nothing is counted as a cancelled return.
+func TestRequestDeadlineOverridesEngineDefault(t *testing.T) {
+	cfg := duoquest.DefaultConfig()
+	cfg.DefaultDeadline = time.Nanosecond
+	cfg.MaxStates = 200
+	srv := testServer(t, cfg)
+	w := doReq(t, srv, http.MethodPost, "/v1/synthesize", withFields(`"deadline_ms": 60000`, masBody), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+	}
+	var resp synthesizeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Truncated || resp.States == 0 {
+		t.Errorf("deadline_ms 60000 under a 1ns default: truncated=%v after %d states, want a whole search", resp.Truncated, resp.States)
+	}
+	for _, db := range srv.eng.Stats().Databases {
+		if db.Truncated != 0 || db.CancelReturns != 0 {
+			t.Errorf("%s: Truncated = %d, CancelReturns = %d, want 0 and 0", db.Database, db.Truncated, db.CancelReturns)
+		}
+	}
+}
+
 // A shed request gets a structured 503: machine-readable JSON body plus a
 // Retry-After header for informed backoff.
 func TestOverloadedResponseShape(t *testing.T) {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 5 * time.Second
+	cfg.DefaultDeadline = 5 * time.Second
 	cfg.MaxCandidates = 100000
 	cfg.MaxInFlight = 1
 	cfg.MaxQueue = 1
@@ -166,7 +192,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 // accounted as an interruption, not a success.
 func TestStreamDisconnectRecordsInterruption(t *testing.T) {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 10 * time.Second
+	cfg.DefaultDeadline = 10 * time.Second
 	cfg.MaxCandidates = 100000
 	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())

@@ -53,8 +53,7 @@ const previewRows = 20
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		budget      = flag.Duration("budget", 5*time.Second, "per-request search budget")
-		deadline    = flag.Duration("deadline", 0, "default per-request deadline; expiry returns a truncated partial result (0 = none)")
+		deadline    = flag.Duration("deadline", 5*time.Second, "deadline of a request that sets no deadline_ms; expiry returns a truncated partial result (0 = none)")
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on a request's deadline_ms (0 = no clamp)")
 		topk        = flag.Int("k", 10, "max candidates per request")
 		defaultDB   = flag.String("db", "mas", "default database for requests that name none")
@@ -69,7 +68,6 @@ func main() {
 		log.Printf("warning: -max-queue has no effect with unbounded -max-inflight")
 	}
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = *budget
 	cfg.DefaultDeadline = *deadline
 	cfg.MaxDeadline = *maxDeadline
 	cfg.MaxCandidates = *topk
@@ -93,14 +91,19 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Streaming responses run for up to the clamped request deadline plus
+	// the preview work, so the write timeout leaves generous headroom; with
+	// no clamp a request has no upper bound and neither does its write.
+	var writeTimeout time.Duration
+	if *maxDeadline > 0 {
+		writeTimeout = *maxDeadline + 30*time.Second
+	}
 	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: srv.handler(),
-		// Streaming responses run for up to the search budget plus the
-		// preview work, so the write timeout leaves generous headroom.
+		Addr:              *addr,
+		Handler:           srv.handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *budget + 30*time.Second,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 

@@ -18,7 +18,6 @@ import (
 // testConfig is DefaultConfig with the search bounds most server tests use.
 func testConfig() duoquest.Config {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 3
 	return cfg
 }
@@ -425,7 +424,7 @@ func TestStatsEndpoint(t *testing.T) {
 // shutting down, guaranteeing the overlap rather than racing a sleep.
 func TestGracefulShutdownMidRequest(t *testing.T) {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = time.Second
+	cfg.DefaultDeadline = time.Second
 	cfg.MaxCandidates = 100000
 	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())

@@ -43,12 +43,13 @@ func doReq(t *testing.T, srv *server, method, target, body string, hdr map[strin
 }
 
 // boundedConfig bounds the search by MaxStates, not wall clock, so two runs
-// of one request explore the same deterministic prefix.
+// of one request explore the same deterministic prefix; its deadline is a
+// safety net far beyond the state cap.
 func boundedConfig() duoquest.Config {
 	cfg := duoquest.DefaultConfig()
 	cfg.MaxStates = 3000
 	cfg.MaxCandidates = 3
-	cfg.Budget = 30 * time.Second
+	cfg.DefaultDeadline = 30 * time.Second
 	return cfg
 }
 

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sorted   = fs.Bool("sorted", false, "TSQ sorted flag (results must be ordered)")
 		limit    = fs.Int("limit", 0, "TSQ top-k limit (0 = none)")
 		topk     = fs.Int("k", 5, "candidates to display")
-		budget   = fs.Duration("budget", 3*time.Second, "search budget")
+		budget   = fs.Duration("budget", 3*time.Second, "search deadline")
 		complete = fs.String("complete", "", "run autocomplete for a prefix and exit")
 		lits     stringList
 		tuples   stringList
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = *budget
+	cfg.DefaultDeadline = *budget
 	cfg.MaxCandidates = *topk
 	syn := duoquest.New(db, cfg)
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	duoquest "github.com/duoquest/duoquest"
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -17,7 +16,6 @@ import (
 func TestSynthesizerConcurrentUse(t *testing.T) {
 	db := dataset.Movies()
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 3
 	syn := duoquest.New(db, cfg)
 	in := duoquest.Input{
@@ -80,7 +78,6 @@ func TestSynthesizerConcurrentUse(t *testing.T) {
 // database registered on a Synthesizer's engine serves its own sessions.
 func TestPublicEngineMultiDB(t *testing.T) {
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	syn := duoquest.New(dataset.Movies(), cfg)
 	if err := syn.Engine().Register(dataset.MAS()); err != nil {
 		t.Fatal(err)

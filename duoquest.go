@@ -210,27 +210,27 @@ type Input = service.Input
 var ErrOverloaded = service.ErrOverloaded
 
 // Config is the engine's whole configuration surface — guidance model,
-// pruning rules, enumeration mode, search bounds, deadlines, admission
-// control, and the per-request-cache baseline: thirteen fields, two of them
-// ignored, documented one by one on service.Config. The zero value is usable;
-// DefaultConfig returns the library defaults (lexical guidance, Table 4
-// rules, 2s budget, 50 candidates), and callers start from it and set
-// fields.
+// pruning rules, enumeration mode, search bounds, deadlines and admission
+// control: eleven fields, two of them ignored, documented one by one on
+// service.Config. The zero value is usable; DefaultConfig returns the
+// library defaults (lexical guidance, Table 4 rules, a 2s default deadline,
+// 50 candidates), and callers start from it and set fields.
 type Config = service.Config
 
 // DefaultConfig returns the documented library defaults: the lexical
 // guidance model, the Table 4 semantic pruning rules, GPQE mode, a 2-second
-// search budget, and at most 50 candidates per request. The other eight
-// fields — MaxStates, DefaultDeadline, MaxDeadline, MaxInFlight, MaxQueue,
-// PerRequestCaches and the ignored Workers and QueryParallelism — stay at
-// their zero values (unbounded, shared caches).
+// deadline for a request that carries none, and at most 50 candidates per
+// request. The other six fields — MaxStates, MaxDeadline, MaxInFlight,
+// MaxQueue and the ignored Workers and QueryParallelism — stay at their
+// zero values (the enumerator's 500 000-state cap, no clamp, unbounded
+// admission).
 func DefaultConfig() Config {
 	return Config{
-		Model:         guidance.NewLexicalModel(),
-		Rules:         semrules.Default(),
-		Mode:          enumerate.ModeGPQE,
-		Budget:        2 * time.Second,
-		MaxCandidates: 50,
+		Model:           guidance.NewLexicalModel(),
+		Rules:           semrules.Default(),
+		Mode:            enumerate.ModeGPQE,
+		DefaultDeadline: 2 * time.Second,
+		MaxCandidates:   50,
 	}
 }
 

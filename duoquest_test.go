@@ -51,7 +51,7 @@ func movieDB(t *testing.T) *duoquest.Database {
 func TestSynthesizeDualSpecification(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 3 * time.Second
+	cfg.DefaultDeadline = 3 * time.Second
 	cfg.MaxCandidates = 20
 	syn := duoquest.New(db, cfg)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{
@@ -97,7 +97,6 @@ func TestSynthesizeDualSpecification(t *testing.T) {
 func TestSynthesizeNLQOnly(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 10
 	syn := duoquest.New(db, cfg)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: "all movie titles"})
@@ -112,7 +111,6 @@ func TestSynthesizeNLQOnly(t *testing.T) {
 func TestSynthesizeStreamStops(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	syn := duoquest.New(db, cfg)
 	n := 0
 	_, err := syn.SynthesizeStream(context.Background(), duoquest.Input{NLQ: "movie titles"},
@@ -174,7 +172,7 @@ func TestModesExposed(t *testing.T) {
 	for _, mode := range []duoquest.Mode{duoquest.ModeGPQE, duoquest.ModeNoPQ, duoquest.ModeNoGuide} {
 		cfg := duoquest.DefaultConfig()
 		cfg.Mode = mode
-		cfg.Budget = 500 * time.Millisecond
+		cfg.DefaultDeadline = 500 * time.Millisecond
 		cfg.MaxCandidates = 5
 		cfg.MaxStates = 20000
 		syn := duoquest.New(db, cfg)

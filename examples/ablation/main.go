@@ -32,7 +32,7 @@ func main() {
 	for _, mode := range []duoquest.Mode{duoquest.ModeGPQE, duoquest.ModeNoPQ, duoquest.ModeNoGuide} {
 		cfg := duoquest.DefaultConfig()
 		cfg.Mode = mode
-		cfg.Budget = 2 * time.Second
+		cfg.DefaultDeadline = 2 * time.Second
 		cfg.MaxCandidates = 200
 		syn := duoquest.New(task.DB, cfg)
 		start := time.Now()

@@ -36,7 +36,7 @@ func main() {
 		fmt.Printf("sketch: %s\n", sketch)
 
 		cfg := duoquest.DefaultConfig()
-		cfg.Budget = 3 * time.Second
+		cfg.DefaultDeadline = 3 * time.Second
 		cfg.MaxCandidates = 3
 		syn := duoquest.New(task.DB, cfg)
 		res, err := syn.Synthesize(context.Background(), duoquest.Input{

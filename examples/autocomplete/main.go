@@ -19,7 +19,7 @@ import (
 func main() {
 	db := dataset.MAS()
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
+	cfg.DefaultDeadline = 2 * time.Second
 	cfg.MaxCandidates = 3
 	syn := duoquest.New(db, cfg)
 

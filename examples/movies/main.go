@@ -93,7 +93,7 @@ func main() {
 	}
 
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 5 * time.Second
+	cfg.DefaultDeadline = 5 * time.Second
 	cfg.MaxCandidates = 5
 	syn := duoquest.New(db, cfg)
 

@@ -46,7 +46,7 @@ func main() {
 	// 3. Ask in natural language, with one example tuple as a sketch: the
 	// user remembers Lakewood should be in the answer.
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
+	cfg.DefaultDeadline = 2 * time.Second
 	cfg.MaxCandidates = 5
 	syn := duoquest.New(db, cfg)
 	input := duoquest.Input{

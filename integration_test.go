@@ -8,7 +8,6 @@ package duoquest_test
 import (
 	"context"
 	"testing"
-	"time"
 
 	duoquest "github.com/duoquest/duoquest"
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -35,7 +34,6 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 	}
 	for diff, task := range picked {
 		cfg := duoquest.DefaultConfig()
-		cfg.Budget = 2 * time.Second
 		cfg.MaxCandidates = 10
 		syn := duoquest.New(task.DB, cfg)
 		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, 99)
@@ -84,7 +82,6 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 func TestEndToEndAutocompleteToSynthesis(t *testing.T) {
 	db := dataset.MAS()
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 5
 	syn := duoquest.New(db, cfg)
 	hits := syn.Autocomplete("Datab", 3)

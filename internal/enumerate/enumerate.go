@@ -56,10 +56,9 @@ type Options struct {
 	// (0 = unlimited).
 	MaxCandidates int
 	// MaxStates caps explored states as a safety net (default 500000).
+	// The search has no clock of its own: the front-end's pre-specified
+	// timeout (§4) is the deadline of the context Enumerate is given.
 	MaxStates int
-	// Budget is the wall-clock budget (0 = none); the front-end's
-	// pre-specified timeout (§4).
-	Budget time.Duration
 	// GeoMeanPriority orders states by the geometric mean of their module
 	// softmax values instead of the product — the alternative confidence
 	// definition §3.3.3 discusses (it removes the preference for shorter
@@ -278,21 +277,13 @@ func logConf(p *state, o *option) float64 {
 // Enumerate runs Algorithm 1, invoking emit for each candidate query in
 // ranked order. emit returning false stops the search early.
 //
-// Cancellation and the Budget deadline produce an anytime result, not an
-// error: the returned Result carries the candidates verified so far (a
+// Cancellation and the context's deadline produce an anytime result, not
+// an error: the returned Result carries the candidates verified so far (a
 // deterministic prefix of the untruncated run) with Truncated set.
 func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	defer func() { res.Elapsed = time.Since(start) }()
-	if e.opts.Budget > 0 {
-		// The budget rides the context so a verification query mid-scan
-		// sees the expiry at the executor's cancellation checkpoints
-		// instead of running to completion.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, start.Add(e.opts.Budget))
-		defer cancel()
-	}
 	s := e.newSearch(ctx, nlq, literals)
 	defer s.close()
 

@@ -60,7 +60,8 @@ func TestRequestDeadlineAnytimeResult(t *testing.T) {
 	}
 }
 
-// DefaultDeadline applies to requests that do not carry their own budget.
+// DefaultDeadline applies to requests that do not carry their own budget,
+// and its expiry is accounted like any other deadline's.
 func TestDefaultDeadlineApplied(t *testing.T) {
 	e := newTestEngine(t, Config{DefaultDeadline: time.Nanosecond})
 	s, _ := e.Session("movies")
@@ -70,6 +71,9 @@ func TestDefaultDeadlineApplied(t *testing.T) {
 	}
 	if !res.Truncated {
 		t.Error("request under DefaultDeadline not truncated")
+	}
+	if st := e.Stats().Databases[0]; st.CancelReturns != 1 {
+		t.Errorf("CancelReturns = %d, want 1", st.CancelReturns)
 	}
 }
 
@@ -124,7 +128,7 @@ func TestClientCancelCountsInterrupted(t *testing.T) {
 // A request that finishes within its deadline is a plain success: no
 // truncation, no cancel accounting.
 func TestDeadlineNotReachedIsClean(t *testing.T) {
-	e := newTestEngine(t, Config{Budget: 2 * time.Second, MaxCandidates: 5})
+	e := newTestEngine(t, Config{MaxCandidates: 5})
 	s, _ := e.Session("movies")
 	in := moviesInput()
 	in.Deadline = time.Minute

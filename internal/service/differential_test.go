@@ -61,7 +61,7 @@ func mixedWorkload() []request {
 }
 
 func workloadOptions() Config {
-	return Config{Budget: 30 * time.Second, MaxCandidates: 4, MaxStates: 3000}
+	return Config{MaxCandidates: 4, MaxStates: 3000}
 }
 
 // faultPlan is one faulty request's fault schedule. The rates are
@@ -99,7 +99,7 @@ func requireFired(t *testing.T, injs []*faultinject.Injector, sites ...faultinje
 // TestSharedCacheDifferential is the acceptance-criteria proof: for every
 // request in a concurrent workload, results served from the warm shared
 // caches are identical — SQL, rank, and confidence — to the results a fresh
-// per-request verifier produces.
+// engine produces.
 //
 // It is also the isolation proof. Fault-carrying requests (slow probes,
 // injected verify errors, forced mid-flight cancellations) run first on the
@@ -108,10 +108,8 @@ func requireFired(t *testing.T, injs []*faultinject.Injector, sites ...faultinje
 // so a neighbour's failure never poisons a shared cache.
 func TestSharedCacheDifferential(t *testing.T) {
 	t.Run("movies+mas", func(t *testing.T) {
-		differentialUnderFaults(t, func(perRequest bool) *Engine {
-			opts := workloadOptions()
-			opts.PerRequestCaches = perRequest
-			return newTestEngine(t, opts)
+		differentialUnderFaults(t, func() *Engine {
+			return newTestEngine(t, workloadOptions())
 		}, mixedWorkload())
 	})
 	// Movies and MAS tables are smaller than one cancellation checkpoint, so
@@ -136,8 +134,8 @@ func TestSharedCacheDifferential(t *testing.T) {
 			}
 			work = append(work, request{gen.DB.Name, Input{NLQ: task.NLQ, Literals: task.Literals, Sketch: sk}})
 		}
-		differentialUnderFaults(t, func(perRequest bool) *Engine {
-			e := NewEngine(Config{MaxStates: 3000, MaxCandidates: 3, PerRequestCaches: perRequest})
+		differentialUnderFaults(t, func() *Engine {
+			e := NewEngine(Config{MaxStates: 3000, MaxCandidates: 3})
 			if err := e.Register(gen.DB); err != nil {
 				t.Fatal(err)
 			}
@@ -146,20 +144,18 @@ func TestSharedCacheDifferential(t *testing.T) {
 	})
 }
 
-// differentialUnderFaults runs work on an engine that shares nothing between
-// requests, sequentially, for the reference. It then runs work on a shared
-// engine, concurrently and repeated so later rounds hit warm caches. Every
+// differentialUnderFaults runs each request of work on a new engine, which
+// shares nothing, for the reference. It then runs work on one shared engine, concurrently and repeated so later rounds hit warm caches. Every
 // shared request has a faulty twin. The twins of round 0 run alone on the
 // cold caches, every join probe slowed, and each is cancelled 5 ms in, while
 // its slow probes are still filling shared entries. (Slowing them all is
 // what makes a probe fault certain to fire: a by-order scan stops once its
 // answer is settled, so the Movies/MAS requests make only a few dozen join
 // probes in all.)
-func differentialUnderFaults(t *testing.T, engine func(perRequest bool) *Engine, work []request) {
-	ref := engine(true)
+func differentialUnderFaults(t *testing.T, engine func() *Engine, work []request) {
 	want := make([][]string, len(work))
 	for i, w := range work {
-		s, err := ref.Session(w.db)
+		s, err := engine().Session(w.db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +166,7 @@ func differentialUnderFaults(t *testing.T, engine func(perRequest bool) *Engine,
 		want[i] = describe(res.Candidates)
 	}
 
-	shared := engine(false)
+	shared := engine()
 	const rounds = 3
 	var (
 		wg   sync.WaitGroup
@@ -243,8 +239,8 @@ func describe(cs []enumerate.Candidate) []string {
 // repository benchmark (every third dev task, full TSQ, ten candidates under
 // a 3000-state cap) is run on shared engines in list order, in reverse
 // order, and split between two concurrent clients; every task must get, each
-// time, exactly the candidate list a single client gets from an engine that
-// shares nothing between requests. (It did not while by-order verification
+// time, exactly the candidate list a single client gets from a new engine,
+// which shares nothing. (It did not while by-order verification
 // ran on cached relations laid out by whichever equal-signature join path
 // came first: ties under ORDER BY ... LIMIT then went to a different row.)
 func TestSpiderSharedEngineIsHistoryFree(t *testing.T) {
@@ -261,8 +257,8 @@ func TestSpiderSharedEngineIsHistoryFree(t *testing.T) {
 		}
 		work = append(work, request{task.DB.Name, Input{NLQ: task.NLQ, Literals: task.Literals, Sketch: sk}})
 	}
-	engine := func(perRequest bool) *Engine {
-		e := NewEngine(Config{MaxStates: 3000, MaxCandidates: 10, PerRequestCaches: perRequest})
+	engine := func() *Engine {
+		e := NewEngine(Config{MaxStates: 3000, MaxCandidates: 10})
 		for _, db := range bench.Databases {
 			if err := e.Register(db); err != nil {
 				t.Fatal(err)
@@ -284,10 +280,9 @@ func TestSpiderSharedEngineIsHistoryFree(t *testing.T) {
 		return describe(res.Candidates)
 	}
 
-	ref := engine(true)
 	want := make([][]string, len(work))
 	for i := range work {
-		want[i] = run(ref, i)
+		want[i] = run(engine(), i)
 	}
 	check := func(label string, e *Engine, i int) {
 		if got := run(e, i); !equalStrings(got, want[i]) {
@@ -296,7 +291,7 @@ func TestSpiderSharedEngineIsHistoryFree(t *testing.T) {
 		}
 	}
 
-	forward, reverse, racing := engine(false), engine(false), engine(false)
+	forward, reverse, racing := engine(), engine(), engine()
 	for i := range work {
 		check("list order", forward, i)
 		check("reverse order", reverse, len(work)-1-i)

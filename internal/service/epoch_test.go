@@ -80,8 +80,8 @@ func ingestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
 // against a frozen pre-ingest copy of the database. The oracle engine never
 // sees a write; the live engine takes 16 Append batches mid-flight, some of
 // them stalled by injected ingest faults. Even rounds read through the
-// Snapshot handle, odd rounds through a plain session that pins E with
-// Input.Epoch: both routes must reach the same frozen epoch.
+// Snapshot handle, odd rounds through a handle each opens by number with
+// SnapshotAt(E): both routes must reach the same frozen epoch.
 func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	var work []Input
 	for _, w := range mixedWorkload() {
@@ -112,10 +112,6 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	preRows := pin.Database().Table("movie").NumRows()
-	byEpoch, err := live.Session("movies")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Append carries no request context, so stalls come from the
 	// process-global injector.
 	stalls := faultinject.New(faultinject.Config{Seed: 7, IngestRate: 0.25, IngestStall: time.Millisecond})
@@ -143,9 +139,13 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 			wg.Add(1)
 			go func(r, i int, in Input) {
 				defer wg.Done()
-				reader := pin.Session
+				reader := pin
 				if r%2 == 1 {
-					reader, in.Epoch = byEpoch, pin.Epoch()
+					var err error
+					if reader, err = live.SnapshotAt("movies", pin.Epoch()); err != nil {
+						errs <- fmt.Errorf("round %d request %d: %w", r, i, err)
+						return
+					}
 				}
 				res, err := reader.Synthesize(context.Background(), in)
 				if err != nil {
@@ -213,9 +213,9 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	}
 }
 
-// TestEpochRoutingAndErrors covers the request-level epoch surface:
-// Input.Epoch resolution, shard sharing between equal epochs, pinned-session
-// conflicts, and the loud failure for an epoch nobody retains.
+// TestEpochRoutingAndErrors covers the epoch surface: SnapshotAt
+// resolution, shard sharing between equal epochs, an unpinned session at the
+// head, and the loud failure for an epoch nobody retains.
 func TestEpochRoutingAndErrors(t *testing.T) {
 	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
@@ -237,31 +237,20 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 		t.Errorf("SnapshotAt(%d) pin = %+v, want the shard %p shared with the first handle", e0, old.pin, snap.pin)
 	}
 
-	// An unpinned session routes Input.Epoch to the same shards.
+	// An unpinned session resolves the head; a pinned handle keeps its epoch.
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh, err := s.shard(e0); err != nil || sh != snap.pin {
-		t.Errorf("shard(%d) = %p, %v; want %p", e0, sh, err, snap.pin)
-	}
-	head, err := s.shard(0)
+	head, err := s.shard()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if head.epoch != e0+1 {
 		t.Errorf("head shard epoch = %d, want %d", head.epoch, e0+1)
 	}
-
-	// A pinned handle accepts its own epoch and rejects any other.
-	in := moviesInput()
-	in.Epoch = e0
-	if _, err := snap.Synthesize(context.Background(), in); err != nil {
-		t.Errorf("pinned synthesize at own epoch: %v", err)
-	}
-	in.Epoch = e0 + 1
-	if _, err := snap.Synthesize(context.Background(), in); err == nil || !strings.Contains(err.Error(), "pinned") {
-		t.Errorf("conflicting epoch error = %v, want pinned-session conflict", err)
+	if sh, err := snap.shard(); err != nil || sh != snap.pin {
+		t.Errorf("pinned shard() = %p, %v; want %p", sh, err, snap.pin)
 	}
 
 	// Sustained ingest nobody reads: epochs with a live shard stay servable
@@ -272,18 +261,12 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.SnapshotAt("movies", e0); err != nil {
-		t.Errorf("SnapshotAt(%d) with a live shard after 20 epochs: %v, want success", e0, err)
-	}
-	if sh, err := s.shard(e0); err != nil || sh != snap.pin {
-		t.Errorf("shard(%d) = %p, %v; want the live pinned shard %p", e0, sh, err, snap.pin)
+	if again, err := e.SnapshotAt("movies", e0); err != nil || again.pin != snap.pin {
+		t.Errorf("SnapshotAt(%d) with a live shard after 20 epochs = %v, %v; want the pinned shard %p", e0, again, err, snap.pin)
 	}
 	unread := e0 + 2 // published by an append, never read, no longer the head
 	if _, err := e.SnapshotAt("movies", unread); err == nil {
 		t.Errorf("SnapshotAt(%d) with no shard after 20 epochs should fail (retention)", unread)
-	}
-	if _, err := s.shard(unread); err == nil {
-		t.Errorf("shard(%d) with no shard after 20 epochs should fail (retention)", unread)
 	}
 }
 
@@ -378,7 +361,7 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 		if _, err := e.Append("movies", "movie", movieBatch(i*4)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.shard(0); err != nil {
+		if _, err := s.shard(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +430,7 @@ func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sh, err := s.shard(0)
+				sh, err := s.shard()
 				if err != nil {
 					t.Error(err)
 					return
@@ -623,13 +606,11 @@ func TestPinnedEpochSurvivesUnreadIngest(t *testing.T) {
 		}
 	}
 
-	s, err := e.Session("movies")
+	byNumber, err := e.SnapshotAt("movies", pin)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("SnapshotAt(%d) after 24 unread appends: %v", pin, err)
 	}
-	in := moviesInput()
-	in.Epoch = pin
-	after, err := s.Synthesize(context.Background(), in)
+	after, err := byNumber.Synthesize(context.Background(), moviesInput())
 	if err != nil {
 		t.Fatalf("pinned request after 24 unread appends: %v", err)
 	}
@@ -795,7 +776,7 @@ func TestSnapshotEpochRule(t *testing.T) {
 			appended++
 		}
 		if read {
-			sh, err := s.shard(0)
+			sh, err := s.shard()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -804,8 +785,8 @@ func TestSnapshotEpochRule(t *testing.T) {
 	}
 
 	// The head by 0 and by number is one shard.
-	if byZero, _ := s.shard(0); byZero != first.pin {
-		t.Errorf("shard(0) = %p, want the head's shard %p", byZero, first.pin)
+	if byZero, _ := s.shard(); byZero != first.pin {
+		t.Errorf("shard() = %p, want the head's shard %p", byZero, first.pin)
 	}
 	for _, row := range []struct {
 		name    string
@@ -826,10 +807,10 @@ func TestSnapshotEpochRule(t *testing.T) {
 	} {
 		step(row.appends, row.read)
 		live := e.Stats().Databases[0].EpochsLive
-		sh, err := s.shard(e1 + row.pin)
+		sh, err := s.ds.shardAt(e1 + row.pin)
 		switch {
 		case row.wantErr && err == nil:
-			t.Errorf("%s: shard(%d) = epoch %d, want an error", row.name, e1+row.pin, sh.epoch)
+			t.Errorf("%s: shardAt(%d) = epoch %d, want an error", row.name, e1+row.pin, sh.epoch)
 		case row.wantErr:
 			if !strings.Contains(err.Error(), "not retained") {
 				t.Errorf("%s: error = %v, want the not-retained error", row.name, err)
@@ -838,10 +819,10 @@ func TestSnapshotEpochRule(t *testing.T) {
 				t.Errorf("%s: a refused pin changed EpochsLive from %d to %d", row.name, live, got)
 			}
 		case err != nil:
-			t.Errorf("%s: shard(%d): %v", row.name, e1+row.pin, err)
+			t.Errorf("%s: shardAt(%d): %v", row.name, e1+row.pin, err)
 		default:
 			if sh.epoch != e1+row.pin {
-				t.Errorf("%s: shard(%d) = epoch %d", row.name, e1+row.pin, sh.epoch)
+				t.Errorf("%s: shardAt(%d) = epoch %d", row.name, e1+row.pin, sh.epoch)
 			}
 			sharded[sh.epoch] = true
 		}

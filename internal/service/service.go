@@ -15,8 +15,8 @@
 //
 // Consistency under live ingest is epoch-based (storage epoch snapshots):
 // every request resolves a frozen snapshot of its database — the latest
-// epoch, an explicit Input.Epoch, or the epoch pinned by an
-// Engine.Snapshot handle — and runs the entire synthesis against it, so a
+// epoch, or the epoch pinned by an Engine.Snapshot or Engine.SnapshotAt
+// handle — and runs the entire synthesis against it, so a
 // concurrent Engine.Append can never tear a request's view. Shared caches
 // are keyed by epoch (one verify.Cache per snapshot) instead of being
 // invalidated: a write never evicts another reader's warm cache, and the
@@ -59,20 +59,12 @@ type Input struct {
 	// the request returns an anytime partial result — the candidates
 	// verified so far, flagged Truncated — not an error.
 	Deadline time.Duration
-	// Epoch pins the request to a published database epoch (0 = latest).
-	// A request at epoch E observes exactly the rows visible when E was
-	// published, regardless of concurrent ingest. An epoch is servable by
-	// number while it is the head or one of the last four epochs that
-	// served a request; any other number is an error. Sessions obtained
-	// through Engine.Snapshot are already pinned and reject a conflicting
-	// Epoch.
-	Epoch int64
 }
 
 // Config configures an Engine. The zero value is usable: lexical guidance,
-// Table 4 semantic pruning, GPQE mode, unlimited candidates, no state/time
-// bound, unbounded admission. This struct is the engine's whole
-// configuration surface.
+// Table 4 semantic pruning, GPQE mode, unlimited candidates, the
+// enumerator's 500 000-state cap, no deadline, unbounded admission. This
+// struct is the engine's whole configuration surface.
 type Config struct {
 	// Model is the guidance model; nil uses the lexical model. The model
 	// is shared by all concurrent requests and must be stateless.
@@ -82,12 +74,11 @@ type Config struct {
 	Rules *semrules.RuleSet
 	// Mode selects the enumeration variant (default ModeGPQE).
 	Mode enumerate.Mode
-	// Budget bounds wall-clock search time per request (0 = none).
-	Budget time.Duration
 	// MaxCandidates stops a request after n candidates (<=0 = unlimited,
 	// as in the enumerator).
 	MaxCandidates int
-	// MaxStates caps explored search states per request (0 = none).
+	// MaxStates caps explored search states per request (<=0 = the
+	// enumerator's default of 500 000).
 	MaxStates int
 	// Workers and QueryParallelism are ignored: a request's search, its
 	// verification cascade and every scan run on the request's goroutine,
@@ -97,11 +88,10 @@ type Config struct {
 	QueryParallelism int
 
 	// DefaultDeadline is the per-request wall-clock budget applied when a
-	// request does not carry its own (0 = none). Unlike Budget — which the
-	// enumerator checks between states — the deadline rides the request
-	// context, so expiry unwinds verification mid-scan through the
-	// executor's cancellation checkpoints and yields a Truncated anytime
-	// result.
+	// request does not carry its own (0 = none). It is the only clock on a
+	// search: the deadline rides the request context, so expiry unwinds
+	// verification mid-scan through the executor's cancellation checkpoints
+	// and yields a Truncated anytime result.
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps every request's deadline, including requests that
 	// ask for none (0 = no clamp). The server's deadline_ms request field is
@@ -116,12 +106,6 @@ type Config struct {
 	// ErrOverloaded immediately. With MaxInFlight unbounded no queue ever
 	// forms, so MaxQueue has no effect.
 	MaxQueue int
-
-	// PerRequestCaches disables cross-request cache sharing: every request
-	// builds a private verifier cache, as the engine did before the
-	// service layer existed. This is the baseline for the throughput
-	// benchmarks and the oracle for the shared-cache differential tests.
-	PerRequestCaches bool
 }
 
 // latencyWindow is the per-database ring size for the latency and
@@ -420,10 +404,9 @@ func (e *Engine) admit(ctx context.Context) (release func(), err error) {
 
 // Session is a per-request view of one database: it borrows the Engine's
 // shared per-epoch caches and runs requests under the Engine's admission
-// control. An unpinned session resolves the latest epoch per request (or
-// the request's Input.Epoch, while that number is still servable — see
-// epochRetention); a session inside a Snapshot handle is pinned to one
-// epoch for its whole lifetime.
+// control. An unpinned session resolves the latest epoch per request; a
+// session inside a Snapshot handle is pinned to one epoch for its whole
+// lifetime.
 type Session struct {
 	eng *Engine
 	ds  *dbState
@@ -437,19 +420,16 @@ type Session struct {
 func (s *Session) Database() *storage.Database { return s.ds.db }
 
 // shard resolves the serving shard for one request: the pinned epoch if the
-// session is a Snapshot handle, else the requested epoch (0 = latest).
-func (s *Session) shard(epoch int64) (*epochShard, error) {
+// session is a Snapshot handle, else the latest.
+func (s *Session) shard() (*epochShard, error) {
 	if s.pin != nil {
-		if epoch != 0 && epoch != s.pin.epoch {
-			return nil, fmt.Errorf("service: session is pinned at epoch %d, cannot serve epoch %d", s.pin.epoch, epoch)
-		}
 		return s.pin, nil
 	}
-	return s.ds.shardAt(epoch)
+	return s.ds.shardAt(0)
 }
 
 // Snapshot is a Session pinned to one published epoch: every call on it —
-// Synthesize, Exists, Preview — observes exactly that epoch's rows and
+// Synthesize, Preview — observes exactly that epoch's rows and
 // shares that epoch's caches, no matter how much ingest happens meanwhile.
 // The handle is reusable and safe for concurrent use.
 type Snapshot struct {
@@ -519,9 +499,8 @@ func (s *Session) Synthesize(ctx context.Context, in Input) (*enumerate.Result, 
 
 // SynthesizeStream runs synthesis, invoking emit for every candidate as it
 // is found (the front-end's progressive display, §4). emit returning false
-// stops the search. The verifier borrows the database's shared caches — the
-// cross-request analogue of the paper's within-search prefix sharing —
-// unless the engine was built with PerRequestCaches.
+// stops the search. The verifier borrows the epoch's shared caches — the
+// cross-request analogue of the paper's within-search prefix sharing.
 func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enumerate.Candidate) bool) (*enumerate.Result, error) {
 	if in.Sketch != nil {
 		if err := in.Sketch.Validate(); err != nil {
@@ -572,24 +551,18 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 
 	// Resolve the epoch snapshot the whole request will observe. The head
 	// epoch is read at the same moment for the lag accounting.
-	sh, err := s.shard(in.Epoch)
+	sh, err := s.shard()
 	if err != nil {
 		return nil, err
 	}
 	s.ds.noteLag(s.ds.db.Epoch() - sh.epoch)
 	sh.requests.Add(1)
 
-	var v *verify.Verifier
-	if s.eng.opts.PerRequestCaches {
-		v = verify.New(sh.db, s.eng.rules, in.Sketch, in.Literals)
-	} else {
-		v = verify.NewWithCache(sh.db, s.eng.rules, in.Sketch, in.Literals, sh.cache)
-	}
+	v := verify.NewWithCache(sh.db, s.eng.rules, in.Sketch, in.Literals, sh.cache)
 	en := enumerate.New(sh.db, s.eng.model, v, enumerate.Options{
 		Mode:          s.eng.opts.Mode,
 		MaxCandidates: s.eng.opts.MaxCandidates,
 		MaxStates:     s.eng.opts.MaxStates,
-		Budget:        s.eng.opts.Budget,
 	})
 	res, err := en.Enumerate(ctx, in.NLQ, in.Literals, emit)
 	stopWatch()
@@ -637,7 +610,7 @@ func (s *Session) AutocompleteSize() int {
 // executor: a plain projection stops scanning once it has maxRows rows.
 // Every call builds its own result, so callers may do with it what they like.
 func (s *Session) Preview(q *sqlir.Query, maxRows int) (*sqlexec.Result, error) {
-	sh, err := s.shard(0)
+	sh, err := s.shard()
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestSessionSynthesize(t *testing.T) {
-	e := newTestEngine(t, Config{Budget: 2 * time.Second, MaxCandidates: 5})
+	e := newTestEngine(t, Config{MaxCandidates: 5})
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // warm-cache answers stay identical to cold ones, and the cache counters
 // show actual cross-request reuse.
 func TestSharedCacheConcurrentReuse(t *testing.T) {
-	e := newTestEngine(t, Config{Budget: 5 * time.Second, MaxCandidates: 5, MaxStates: 4000})
+	e := newTestEngine(t, Config{MaxCandidates: 5, MaxStates: 4000})
 	s, _ := e.Session("movies")
 
 	cold, err := s.Synthesize(context.Background(), moviesInput())

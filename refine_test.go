@@ -14,7 +14,6 @@ import (
 func TestSessionIterativeRefinement(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 10
 	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{
@@ -56,7 +55,6 @@ func TestSessionIterativeRefinement(t *testing.T) {
 func TestSessionRejectFiltersCandidate(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 5
 	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "movie titles"})
@@ -91,7 +89,6 @@ func TestSessionRejectFiltersCandidate(t *testing.T) {
 func TestSessionAcceptFromPreview(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 2 * time.Second
 	cfg.MaxCandidates = 5
 	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "movie titles"})
@@ -136,7 +133,7 @@ func TestSessionErrors(t *testing.T) {
 func TestSessionRephrase(t *testing.T) {
 	db := movieDB(t)
 	cfg := duoquest.DefaultConfig()
-	cfg.Budget = 1 * time.Second
+	cfg.DefaultDeadline = 1 * time.Second
 	cfg.MaxCandidates = 3
 	syn := duoquest.New(db, cfg)
 	sess := syn.NewSession(duoquest.Input{NLQ: "stuff"})
