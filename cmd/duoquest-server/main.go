@@ -362,17 +362,18 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		Truncated: res.Truncated,
 	}
 	for _, c := range res.Candidates {
-		resp.Candidates = append(resp.Candidates, s.candidateJSON(sn.Session, c))
+		resp.Candidates = append(resp.Candidates, s.candidateJSON(r.Context(), sn.Session, c))
 	}
 	writeJSON(w, resp)
 }
 
 // synthesizeStream writes one NDJSON line per candidate, flushed as found
 // (the paper's progressive display), then a final summary line. Previews
-// are computed inline so every streamed line is immediately renderable;
-// that work runs on the search goroutine and counts against the request's
-// wall-clock budget, so under very tight budgets a streaming request can
-// emit fewer candidates than a buffered one before time runs out.
+// are computed inline so every streamed line is immediately renderable.
+// That work runs on the search goroutine under the request's context: a
+// client that goes away stops it, but the search's deadline keeps running
+// meanwhile, so under very tight deadlines a streaming request can emit
+// fewer candidates than a buffered one before time runs out.
 func (s *server) synthesizeStream(w http.ResponseWriter, r *http.Request, sn *duoquest.EngineSnapshot, input duoquest.Input) {
 	ses := sn.Session
 	// Headers only hit the wire at the first write; http.Error on a
@@ -389,7 +390,7 @@ func (s *server) synthesizeStream(w http.ResponseWriter, r *http.Request, sn *du
 			// service layer records the interruption, not a success.
 			return false
 		}
-		cj := s.candidateJSON(ses, c)
+		cj := s.candidateJSON(r.Context(), ses, c)
 		if err := enc.Encode(streamLine{Type: "candidate", Candidate: &cj}); err != nil {
 			return false // client went away; stop the search
 		}
@@ -435,9 +436,9 @@ func synthesizeErrStatus(err error) int {
 }
 
 // candidateJSON renders one candidate with its capped preview.
-func (s *server) candidateJSON(ses *duoquest.EngineSession, c duoquest.Candidate) candidateJSON {
+func (s *server) candidateJSON(ctx context.Context, ses *duoquest.EngineSession, c duoquest.Candidate) candidateJSON {
 	cj := candidateJSON{Rank: c.Rank, Confidence: c.Confidence, SQL: c.Query.String()}
-	if preview, err := ses.Preview(c.Query, previewRows); err == nil {
+	if preview, err := ses.PreviewCtx(ctx, c.Query, previewRows); err == nil {
 		for _, row := range preview.Rows {
 			cells := make([]string, len(row))
 			for i, v := range row {

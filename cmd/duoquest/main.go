@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, c := range res.Candidates {
 		fmt.Fprintf(stdout, "#%d (%.4f) %s\n", c.Rank, c.Confidence, c.Query)
-		preview, err := syn.Preview(c.Query, 5)
+		preview, err := syn.Preview(context.Background(), c.Query, 5)
 		if err != nil {
 			continue
 		}

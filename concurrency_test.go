@@ -58,7 +58,7 @@ func TestSynthesizerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := syn.Preview(q, 2); err != nil {
+			if _, err := syn.Preview(context.Background(), q, 2); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -297,11 +297,12 @@ func (s *Synthesizer) Autocomplete(prefix string, max int) []Hit {
 	return s.ses.Autocomplete(prefix, max)
 }
 
-// Preview executes a candidate query with a row cap, powering the
-// front-end's "Query Preview" button (§4). Every call builds its own result;
-// a plain projection stops scanning once it has maxRows rows.
-func (s *Synthesizer) Preview(q *Query, maxRows int) (*ResultSet, error) {
-	return s.ses.Preview(q, maxRows)
+// Preview executes a candidate query with a row cap under ctx, powering the
+// front-end's "Query Preview" button (§4): a cancelled ctx stops the scan.
+// Every call builds its own result; a plain projection stops scanning once
+// it has maxRows rows.
+func (s *Synthesizer) Preview(ctx context.Context, q *Query, maxRows int) (*ResultSet, error) {
+	return s.ses.PreviewCtx(ctx, q, maxRows)
 }
 
 // Snapshot opens a read handle pinned to the database's latest published

@@ -158,7 +158,7 @@ func TestPreview(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := syn.Preview(q, 2)
+	res, err := syn.Preview(context.Background(), q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func main() {
 	}
 	for _, c := range res.Candidates {
 		fmt.Printf("  #%d %s\n", c.Rank, c.Query)
-		preview, err := syn.Preview(c.Query, 5)
+		preview, err := syn.Preview(context.Background(), c.Query, 5)
 		if err != nil {
 			log.Fatal(err)
 		}

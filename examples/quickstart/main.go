@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("NLQ: %s\n\n", input.NLQ)
 	for _, c := range res.Candidates {
 		fmt.Printf("#%d (confidence %.3f): %s\n", c.Rank, c.Confidence, c.Query)
-		preview, err := syn.Preview(c.Query, 3)
+		preview, err := syn.Preview(context.Background(), c.Query, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

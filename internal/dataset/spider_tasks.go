@@ -193,19 +193,19 @@ func selectItem(c sqlir.ColumnRef, agg sqlir.AggFunc) sqlir.SelectItem {
 	return sqlir.SelectItem{Agg: agg, AggSet: true, Col: c, ColSet: true}
 }
 
-func singleTable(table string) *sqlir.JoinPath {
-	return &sqlir.JoinPath{Tables: []string{table}}
+// path builds a join path over the domain's catalog; the templates only
+// name tables and foreign keys the domain declares.
+func (g *taskGen) path(root string, on ...sqlir.JoinOn) *sqlir.JoinPath {
+	jp, err := g.b.db.Schema.Catalog().Path(root, on...)
+	if err != nil {
+		panic(err)
+	}
+	return jp
 }
 
 // joinVia builds the two-table join path along an FK.
 func (g *taskGen) joinVia(fk fkSpec) *sqlir.JoinPath {
-	return &sqlir.JoinPath{
-		Tables: []string{fk.table, fk.refTable},
-		Edges: []sqlir.JoinEdge{{
-			FromTable: fk.table, FromColumn: fk.col,
-			ToTable: fk.refTable, ToColumn: fk.refCol,
-		}},
-	}
+	return g.path(fk.table, sqlir.JoinOn{Left: sqlir.ColumnRef{Table: fk.table, Column: fk.col}, Right: sqlir.ColumnRef{Table: fk.refTable, Column: fk.refCol}})
 }
 
 func baseQuery(from *sqlir.JoinPath, items ...sqlir.SelectItem) *sqlir.Query {
@@ -265,7 +265,7 @@ func (g *taskGen) easyTasks() {
 				fmt.Sprintf("Show every %s's %s.", g.entity(table), g.phrase(c)),
 				fmt.Sprintf("What are the %ss of the %s?", g.phrase(c), g.plural(table)),
 			)
-			g.keep(baseQuery(singleTable(table), selectItem(c, sqlir.AggNone)), nlq, nil)
+			g.keep(baseQuery(g.path(table), selectItem(c, sqlir.AggNone)), nlq, nil)
 		}
 
 		// E2: two projections.
@@ -275,7 +275,7 @@ func (g *taskGen) easyTasks() {
 				fmt.Sprintf("List the %s and %s of each %s.", g.phrase(c1), g.phrase(c2), g.entity(table)),
 				fmt.Sprintf("Show %s together with their %s.", g.plural(table), g.phrase(c2)),
 			)
-			g.keep(baseQuery(singleTable(table),
+			g.keep(baseQuery(g.path(table),
 				selectItem(c1, sqlir.AggNone), selectItem(c2, sqlir.AggNone)), nlq, nil)
 		}
 
@@ -285,7 +285,7 @@ func (g *taskGen) easyTasks() {
 			fmt.Sprintf("Count the number of %s.", g.plural(table)),
 			fmt.Sprintf("What is the total number of %s?", g.plural(table)),
 		)
-		g.keep(baseQuery(singleTable(table),
+		g.keep(baseQuery(g.path(table),
 			selectItem(sqlir.Star, sqlir.AggCount)), nlq, nil)
 
 		// E5: aggregate over a numeric column.
@@ -301,7 +301,7 @@ func (g *taskGen) easyTasks() {
 					word = g.pick("average", "mean")
 				}
 				nlq := fmt.Sprintf("What is the %s %s of the %s?", word, g.phrase(c), g.plural(table))
-				g.keep(baseQuery(singleTable(table), selectItem(c, agg)), nlq, nil)
+				g.keep(baseQuery(g.path(table), selectItem(c, agg)), nlq, nil)
 			}
 		}
 
@@ -327,7 +327,7 @@ func (g *taskGen) easyTasks() {
 				nlq = fmt.Sprintf("List the %s of %s ordered by %s %s.",
 					g.phrase(c1), g.plural(table), g.phrase(c2), dirWords)
 			}
-			q := baseQuery(singleTable(table), selectItem(c1, sqlir.AggNone))
+			q := baseQuery(g.path(table), selectItem(c1, sqlir.AggNone))
 			addOrder(q, sqlir.AggNone, c2, desc, 0)
 			g.keep(q, nlq, nil)
 		}
@@ -341,7 +341,7 @@ func (g *taskGen) easyTasks() {
 				fmt.Sprintf("Show the top %d %s by %s.", k, g.plural(table), g.phrase(c2)),
 				fmt.Sprintf("List the %d %s with the highest %s.", k, g.plural(table), g.phrase(c2)),
 			)
-			q := baseQuery(singleTable(table), selectItem(c1, sqlir.AggNone))
+			q := baseQuery(g.path(table), selectItem(c1, sqlir.AggNone))
 			addOrder(q, sqlir.AggNone, c2, true, k)
 			g.keep(q, nlq, []sqlir.Value{num(float64(k))})
 		}
@@ -393,7 +393,7 @@ func (g *taskGen) mediumTasks() {
 					fmt.Sprintf("Show the %s %s.", v.Display(), g.plural(table)),
 					fmt.Sprintf("List %s from %s.", g.plural(table), v.Display()),
 				)
-				q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+				q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 				addWhere(q, sqlir.LogicAnd, pred(filt, sqlir.OpEq, v))
 				g.keep(q, nlq, []sqlir.Value{v})
 			}
@@ -429,7 +429,7 @@ func (g *taskGen) mediumTasks() {
 						nlq = fmt.Sprintf("List the %s of %s with %s %s %s.",
 							g.phrase(proj), g.plural(table), g.phrase(filt), opWord, v.Display())
 					}
-					q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+					q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 					addWhere(q, sqlir.LogicAnd, pred(filt, op, v))
 					g.keep(q, nlq, []sqlir.Value{v})
 				}
@@ -450,7 +450,7 @@ func (g *taskGen) mediumTasks() {
 					fmt.Sprintf("Show the %s of %s whose %s is %s.",
 						g.phrase(proj), g.plural(table), g.phrase(filt), v.Display()),
 				)
-				q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+				q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 				addWhere(q, sqlir.LogicAnd, pred(filt, sqlir.OpEq, v))
 				g.keep(q, nlq, []sqlir.Value{v})
 			}
@@ -468,14 +468,14 @@ func (g *taskGen) mediumTasks() {
 				if g.r.Intn(2) == 0 {
 					nlq := fmt.Sprintf("List the %s of %s with %s between %s and %s.",
 						g.phrase(proj), g.plural(table), g.phrase(filt), lo.Display(), hi.Display())
-					q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+					q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 					addWhere(q, sqlir.LogicAnd,
 						pred(filt, sqlir.OpGe, lo), pred(filt, sqlir.OpLe, hi))
 					g.keep(q, nlq, []sqlir.Value{lo, hi})
 				} else {
 					nlq := fmt.Sprintf("Show the %s of %s with %s below %s, and those above %s.",
 						g.phrase(proj), g.plural(table), g.phrase(filt), lo.Display(), hi.Display())
-					q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+					q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 					addWhere(q, sqlir.LogicOr,
 						pred(filt, sqlir.OpLt, lo), pred(filt, sqlir.OpGt, hi))
 					g.keep(q, nlq, []sqlir.Value{lo, hi})
@@ -493,7 +493,7 @@ func (g *taskGen) mediumTasks() {
 					fmt.Sprintf("How many %s have %s greater than %s?", g.plural(table), g.phrase(filt), v.Display()),
 					fmt.Sprintf("Count the %s whose %s is more than %s.", g.plural(table), g.phrase(filt), v.Display()),
 				)
-				q := baseQuery(singleTable(table), selectItem(sqlir.Star, sqlir.AggCount))
+				q := baseQuery(g.path(table), selectItem(sqlir.Star, sqlir.AggCount))
 				addWhere(q, sqlir.LogicAnd, pred(filt, sqlir.OpGt, v))
 				g.keep(q, nlq, []sqlir.Value{v})
 			}
@@ -508,7 +508,7 @@ func (g *taskGen) mediumTasks() {
 				nlq := fmt.Sprintf("List the %s of %s with %s %s, ordered by %s %s.",
 					g.phrase(proj), g.plural(table), g.phrase(filt), v.Display(),
 					g.phrase(key), g.pick("from highest to lowest", "descending"))
-				q := baseQuery(singleTable(table), selectItem(proj, sqlir.AggNone))
+				q := baseQuery(g.path(table), selectItem(proj, sqlir.AggNone))
 				addWhere(q, sqlir.LogicAnd, pred(filt, sqlir.OpEq, v))
 				addOrder(q, sqlir.AggNone, key, true, 0)
 				g.keep(q, nlq, []sqlir.Value{v})
@@ -661,7 +661,7 @@ func (g *taskGen) singleTableHardTasks() {
 			if err != nil || st.Distinct < 2 {
 				continue
 			}
-			jp := singleTable(table)
+			jp := g.path(table)
 			nlq := g.pick(
 				fmt.Sprintf("For each %s, count the %s.", g.phrase(groupCol), g.plural(table)),
 				fmt.Sprintf("How many %s are there for each %s?", g.plural(table), g.phrase(groupCol)),

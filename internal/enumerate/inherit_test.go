@@ -438,6 +438,10 @@ func TestPopAllocations(t *testing.T) {
 	root := s.queue.pop()
 
 	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
+	movie, err := db.Schema.Catalog().Path("movie")
+	if err != nil {
+		t.Fatal(err)
+	}
 	parent := root
 	for _, d := range []sqlir.Decision{
 		{Kind: sqlir.DecideKeywords, Where: true, OrderBy: true},
@@ -446,7 +450,7 @@ func TestPopAllocations(t *testing.T) {
 		{Kind: sqlir.DecideSelectAgg, Index: 0},
 		{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year},
 		{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggMax},
-		{Kind: sqlir.DecideFrom, From: &sqlir.JoinPath{Tables: []string{"movie"}}},
+		{Kind: sqlir.DecideFrom, From: movie},
 		{Kind: sqlir.DecideWhereCount, Count: 1},
 		{Kind: sqlir.DecidePredColumn, Index: 0, Col: &year},
 		{Kind: sqlir.DecidePredOp, Index: 0, Op: sqlir.OpLt},

@@ -3,6 +3,7 @@ package guidance
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -37,19 +38,9 @@ type features struct {
 	// litCols is the literal→column grounding as LiteralColumns reports it:
 	// nil without a database or without literals.
 	litCols map[sqlir.ColumnRef]int
-
-	// ords numbers the schema for memo keys: by table name, the table's
-	// ordinal and the ordinal of its first column among all the schema's.
-	ords map[string]tableOrd
 	// memos holds each lexical model's answers in this request: the one
 	// part of features written after newFeatures returns.
 	memos []*lexMemo
-}
-
-// tableOrd is a table with its ordinal and its first column's.
-type tableOrd struct {
-	t          *storage.Table
-	ord, first int
 }
 
 // columnFeature is one schema column as the request sees it.
@@ -102,11 +93,7 @@ func newFeatures(tok []string, literals []sqlir.Value, schema *storage.Schema, d
 		f.litCols = map[sqlir.ColumnRef]int{}
 	}
 	f.tables = make(map[*storage.Table][]columnFeature, len(schema.Tables))
-	f.ords = make(map[string]tableOrd, len(schema.Tables))
-	first := 0
-	for ti, t := range schema.Tables {
-		f.ords[t.Name] = tableOrd{t, ti, first}
-		first += len(t.Columns)
+	for _, t := range schema.Tables {
 		tblScore := tokenSetScore(tok, Tokenize(t.Name))
 		display := nameColumn(t)
 		cols := make([]columnFeature, len(t.Columns))
@@ -178,10 +165,10 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 //   - the column's type, LIKE or not and the values already used, for
 //     WhereValue.
 //
-// Tables and columns are keyed by their ordinals (features.ords). The
-// entries are bounded by the distinct questions the request asks.
+// Tables and columns are keyed by their catalog ordinals. The entries are
+// bounded by the distinct questions the request asks.
 type lexMemo struct {
-	ords map[string]tableOrd // the request's features.ords
+	cat *sqlir.Catalog // the request's schema's, nil without one
 	// The model's parameters: a model with other ones answers otherwise.
 	maxSelect, maxWhere int
 	temperature         uint64 // its bits, so that NaN finds its memo too
@@ -224,7 +211,10 @@ func (m *LexicalModel) memo(ctx *Context, module byte) *lexMemo {
 		}
 	}
 	if mm == nil {
-		mm = &lexMemo{ords: f.ords, maxSelect: m.MaxSelect, maxWhere: m.MaxWhere, temperature: t, answers: map[string]any{}}
+		mm = &lexMemo{maxSelect: m.MaxSelect, maxWhere: m.MaxWhere, temperature: t, answers: map[string]any{}}
+		if ctx.Schema != nil {
+			mm.cat = ctx.Schema.Catalog()
+		}
 		f.memos = append(f.memos, mm)
 	}
 	mm.key = append(mm.key[:0], module)
@@ -244,34 +234,32 @@ func memoised[T any](mm *lexMemo, compute func() []Scored[T]) []Scored[T] {
 
 // keyTables appends the tables candidateTables returns: a marker for the
 // whole schema before FROM is decided, else the join path's tables in
-// order, 0 for a name the schema lacks (which candidateTables skips).
+// order.
 func (mm *lexMemo) keyTables(q *sqlir.Query) {
 	if q == nil || q.From == nil {
 		mm.key = append(mm.key, 0)
 		return
 	}
-	k := binary.AppendUvarint(append(mm.key, 1), uint64(len(q.From.Tables)))
-	for _, name := range q.From.Tables {
-		ord := uint64(0)
-		if o, ok := mm.ords[name]; ok {
-			ord = uint64(o.ord) + 1
-		}
-		k = binary.AppendUvarint(k, ord)
+	k := binary.AppendUvarint(append(mm.key, 1), uint64(q.From.Len()))
+	for _, t := range q.From.Tables() {
+		k = binary.AppendUvarint(k, uint64(t))
 	}
 	mm.key = k
 }
 
-// keyColumn appends c: 0 for *, 2 + its ordinal for a schema column, and
-// otherwise 1 followed by its names.
+// keyColumn appends c: 0 for *, 2 + its table's ordinal and then its own
+// for a schema column, and otherwise 1 followed by its names.
 func (mm *lexMemo) keyColumn(c sqlir.ColumnRef) {
 	if c == sqlir.Star {
 		mm.key = append(mm.key, 0)
 		return
 	}
-	if o, ok := mm.ords[c.Table]; ok {
-		if i := o.t.ColumnIndex(c.Column); i >= 0 {
-			mm.key = binary.AppendUvarint(mm.key, uint64(o.first+i)+2)
-			return
+	if mm.cat != nil {
+		if t, ok := mm.cat.Ordinal(c.Table); ok {
+			if i := slices.Index(mm.cat.Columns(t), c.Column); i >= 0 {
+				mm.key = binary.AppendUvarint(binary.AppendUvarint(mm.key, uint64(t)+2), uint64(i))
+				return
+			}
 		}
 	}
 	mm.key = appendText(appendText(append(mm.key, 1), c.Table), c.Column)

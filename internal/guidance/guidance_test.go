@@ -292,7 +292,10 @@ func TestWhereCountTracksLiterals(t *testing.T) {
 func TestCandidateTablesRestrictedByFrom(t *testing.T) {
 	schema := moviesSchema()
 	q := sqlir.NewQuery()
-	q.From = &sqlir.JoinPath{Tables: []string{"movie"}}
+	var err error
+	if q.From, err = schema.Catalog().Path("movie"); err != nil {
+		t.Fatal(err)
+	}
 	ctx := NewContext("title year", nil, schema, q)
 	for _, s := range NewLexicalModel().SelectColumn(ctx, 0) {
 		if !s.Class.IsStar() && s.Class.Table != "movie" {

@@ -59,11 +59,9 @@ func temper[T any](m *LexicalModel, in []Scored[T]) []Scored[T] {
 // path's tables once FROM is decided, or the whole schema before that.
 func candidateTables(ctx *Context) []*storage.Table {
 	if ctx.Query != nil && ctx.Query.From != nil {
-		out := make([]*storage.Table, 0, len(ctx.Query.From.Tables))
-		for _, name := range ctx.Query.From.Tables {
-			if t := ctx.Schema.Table(name); t != nil {
-				out = append(out, t)
-			}
+		out := make([]*storage.Table, ctx.Query.From.Len())
+		for i, t := range ctx.Query.From.Tables() {
+			out[i] = ctx.Schema.TableAt(t)
 		}
 		return out
 	}

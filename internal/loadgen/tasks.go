@@ -150,12 +150,9 @@ func (g *Generated) Probes(n int, seed int64) []sqlexec.ExistsQuery {
 	for i := 0; i < n; i++ {
 		tp := &p.tables[children[r.Intn(len(children))]]
 		parent := &p.tables[tp.parents[r.Intn(len(tp.parents))]]
-		path := &sqlir.JoinPath{
-			Tables: []string{tp.name, parent.name},
-			Edges: []sqlir.JoinEdge{{
-				FromTable: tp.name, FromColumn: parent.name + "_id",
-				ToTable: parent.name, ToColumn: "id",
-			}},
+		path, err := g.DB.Schema.Catalog().Path(tp.name, sqlir.JoinOn{Left: sqlir.ColumnRef{Table: tp.name, Column: parent.name + "_id"}, Right: sqlir.ColumnRef{Table: parent.name, Column: "id"}})
+		if err != nil {
+			panic(err) // the plan declares every foreign key it joins
 		}
 		cat := parent.catColumn()
 		lit := cat.dict[r.Intn(len(cat.dict))]

@@ -257,51 +257,39 @@ func (s *System) verifyMapping(mapping []sqlir.ColumnRef, path *sqlir.JoinPath, 
 	return true, nil
 }
 
-// branchPaths returns, for each table reachable within depth FK hops of the
-// base path, a minimal join path reaching it: the base plus the connecting
-// edge chain. The base itself is included under the empty-string key. Each
-// branch is joined independently so unrelated 1:N branches never multiply,
-// and entities missing one relation are only dropped from that branch.
-func (s *System) branchPaths(base *sqlir.JoinPath, depth int) map[string]*sqlir.JoinPath {
-	out := map[string]*sqlir.JoinPath{"": base}
-	inBase := map[string]bool{}
-	for _, t := range base.Tables {
-		inBase[t] = true
-	}
+// branchPaths returns, by catalog ordinal, for each table outside the base
+// path reachable within depth FK hops of it, a minimal join path reaching
+// it: the base plus the connecting edge chain (nil for every other table).
+// Each branch is joined independently so unrelated 1:N branches never
+// multiply, and entities missing one relation are only dropped from that
+// branch.
+func (s *System) branchPaths(base *sqlir.JoinPath, depth int) []*sqlir.JoinPath {
+	cat := base.Catalog()
+	out := make([]*sqlir.JoinPath, cat.NumTables())
 	type node struct {
-		table string
+		table int
 		path  *sqlir.JoinPath
 	}
-	frontier := []node{}
-	for _, t := range base.Tables {
+	var frontier []node
+	for _, t := range base.Tables() {
 		frontier = append(frontier, node{table: t, path: base})
 	}
-	visited := map[string]bool{}
-	for _, t := range base.Tables {
-		visited[t] = true
-	}
+	visited := base.Set()
 	for level := 0; level < depth; level++ {
 		var next []node
 		for _, n := range frontier {
-			for _, fk := range s.db.Schema.ForeignKeys {
-				var newTable string
-				if fk.Table == n.table && !visited[fk.RefTable] {
-					newTable = fk.RefTable
-				} else if fk.RefTable == n.table && !visited[fk.Table] {
-					newTable = fk.Table
+			for id, fk := range cat.ForeignKeys() {
+				var newTable int
+				if fk.From.Table == n.table && !visited.Has(fk.To.Table) {
+					newTable = fk.To.Table
+				} else if fk.To.Table == n.table && !visited.Has(fk.From.Table) {
+					newTable = fk.From.Table
 				} else {
 					continue
 				}
-				visited[newTable] = true
-				ext := &sqlir.JoinPath{
-					Tables: append(append([]string{}, n.path.Tables...), newTable),
-					Edges: append(append([]sqlir.JoinEdge{}, n.path.Edges...), sqlir.JoinEdge{
-						FromTable: fk.Table, FromColumn: fk.Column,
-						ToTable: fk.RefTable, ToColumn: fk.RefColumn,
-					}),
-				}
-				out[newTable] = ext
-				next = append(next, node{table: newTable, path: ext})
+				visited = visited.With(newTable)
+				out[newTable] = n.path.JoinFK(id)
+				next = append(next, node{table: newTable, path: out[newTable]})
 			}
 		}
 		frontier = next
@@ -320,19 +308,10 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 	var filters []Filter
 	branches := s.branchPaths(base, 3)
 
-	// Deterministic branch order: base first, then by table name.
-	var branchTables []string
-	for t := range branches {
-		if t != "" {
-			branchTables = append(branchTables, t)
-		}
-	}
-	sort.Strings(branchTables)
-
-	abduceTable := func(tbl string, path *sqlir.JoinPath) error {
-		t := s.db.Schema.Table(tbl)
+	abduceTable := func(ord int, path *sqlir.JoinPath) error {
+		t := s.db.Schema.TableAt(ord)
 		for _, c := range t.Columns {
-			ref := sqlir.ColumnRef{Table: tbl, Column: c.Name}
+			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
 			if mapped[ref] || c.Name == t.PrimaryKey {
 				continue
 			}
@@ -364,21 +343,28 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 		return nil
 	}
 
-	for _, tbl := range base.Tables {
-		if err := abduceTable(tbl, base); err != nil {
+	// Deterministic order: the base's tables, then each branch by table
+	// ordinal, which is the order of table names.
+	for _, t := range base.Tables() {
+		if err := abduceTable(t, base); err != nil {
 			return nil, err
 		}
 	}
-	for _, tbl := range branchTables {
-		if err := abduceTable(tbl, branches[tbl]); err != nil {
+	for t, path := range branches {
+		if path == nil {
+			continue
+		}
+		if err := abduceTable(t, path); err != nil {
 			return nil, err
 		}
 	}
 
 	// Derived count filters: per branch, the number of joined rows matching
 	// each example ("authors with at least N papers").
-	for _, tbl := range branchTables {
-		path := branches[tbl]
+	for t, path := range branches {
+		if path == nil {
+			continue
+		}
 		minCount := -1
 		for _, ex := range examples {
 			n, err := s.matchCount(mapping, path, ex)
@@ -392,7 +378,7 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 		if minCount >= 1 {
 			filters = append(filters, Filter{
 				Kind: FilterCount,
-				Col:  sqlir.ColumnRef{Table: tbl, Column: "*"},
+				Col:  sqlir.ColumnRef{Table: s.db.Schema.TableAt(t).Name, Column: "*"},
 				Lo:   sqlir.NewInt(minCount),
 				Hi:   sqlir.NewInt(minCount),
 			})

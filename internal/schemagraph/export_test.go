@@ -1,8 +1,6 @@
 package schemagraph
 
 import (
-	"encoding/binary"
-
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -10,28 +8,28 @@ import (
 // RefQuery is a partial query whose SELECT references the tables in order.
 var RefQuery = refQuery
 
-// Private builds a graph outside the intern, with a memo of its own.
-func Private(schema *storage.Schema) *Graph { return build(schema) }
+// Private builds a graph of the schema's catalog outside the intern, with a
+// memo of its own.
+func Private(schema *storage.Schema) *Graph { return build(schema.Catalog()) }
 
-// ForgetCatalogs empties the intern, so the next New of every catalog
-// starts a graph with a cold memo.
-func ForgetCatalogs() {
-	catalogs.Lock()
-	catalogs.graphs = nil
-	catalogs.Unlock()
+// ForgetJoinPaths empties the memo of the schema's graph, so the next
+// question over its catalog starts cold.
+func ForgetJoinPaths(schema *storage.Schema) {
+	g := New(schema)
+	g.mu.Lock()
+	g.memo, g.cost = nil, 0
+	g.mu.Unlock()
 }
 
 // EachMemoized calls f with every memoized answer and its table set, in
-// node order.
+// ordinal order.
 func (g *Graph) EachMemoized(f func(tables []string, paths []*sqlir.JoinPath, err error)) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for key, c := range g.memo {
+	for set, c := range g.memo {
 		var tables []string
-		for k := []byte(key); len(k) > 0; {
-			id, n := binary.Uvarint(k)
-			tables = append(tables, g.nodes[id])
-			k = k[n:]
+		for _, t := range set.Ordinals() {
+			tables = append(tables, g.cat.Name(t))
 		}
 		f(tables, c.paths, c.err)
 	}

@@ -8,11 +8,9 @@ package schemagraph
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,41 +18,27 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// The bounds on what the process keeps of join path construction:
-// constants, not options. A full table is cleared before its next insert.
-// DESIGN.md §7 states the worst-case bytes.
-const (
-	maxCatalogs = 64 // graphs interned at once
-	// memoBudget caps one graph's memo in path tables: one per entry plus
-	// the summed length of its paths. An answer larger than the whole
-	// budget is not kept.
-	memoBudget = 4096
-)
+// memoBudget caps one graph's memo in path tables: one per entry plus the
+// summed length of its paths. An answer larger than the whole budget is not
+// kept, and a full memo is cleared before its next insert: a constant, not
+// an option. DESIGN.md §7 states the worst-case bytes.
+const memoBudget = 4096
 
-// catalogs interns one Graph per catalog (catalogKey).
-var catalogs struct {
-	sync.Mutex
-	graphs map[string]*Graph
-}
-
-// Graph is the schema join graph. All edge weights are 1, as in the paper
-// (weights could also be derived from a query log [2]). It holds table names
-// and ForeignKey values only, never a Table or the Schema, so an interned
-// graph pins no epoch.
+// Graph is the schema join graph over one catalog's table ordinals. All
+// edge weights are 1, as in the paper (weights could also be derived from a
+// query log [2]). Its edges are the catalog's foreign keys. It holds the
+// catalog only, never a Table or the Schema, so it pins no epoch.
 type Graph struct {
-	nodes []string       // sorted table names
-	index map[string]int // table -> node id
-	edges []edge         // all FK edges (undirected for connectivity)
-	adj   [][]int        // node -> incident edge ids
+	cat *sqlir.Catalog
+	adj [][]int // node -> incident foreign keys (the catalog's indexes)
 
-	// memo holds ConstructJoinPaths' answers by referenced-table set (its
-	// node ids in ascending order): every request over the catalog shares
-	// the graph, a search asks once per state that reaches FROM, and most
-	// states reference the same few sets. A hit takes the read lock and
-	// allocates nothing. cost is the memo's size in path tables, at most
-	// memoBudget.
+	// memo holds ConstructJoinPaths' answers by referenced-table set: every
+	// request over the catalog shares the graph, a search asks once per
+	// state that reaches FROM, and most states reference the same few sets.
+	// A hit takes the read lock and allocates nothing. cost is the memo's
+	// size in path tables, at most memoBudget.
 	mu   sync.RWMutex
-	memo map[string]constructed
+	memo map[sqlir.TableSet]constructed
 	cost int
 }
 
@@ -63,72 +47,19 @@ type constructed struct {
 	err   error
 }
 
-// edge is one FK-PK relationship between two nodes.
-type edge struct {
-	a, b int // node ids: a = FK side, b = PK side
-	fk   storage.ForeignKey
-}
-
-// New returns the join graph of the schema's catalog: its table names in
-// schema order and its foreign keys. Every schema with one catalog (a
-// database, each of its frozen epochs, every request over either) gets the
-// same *Graph.
+// New returns the join graph of the schema's catalog. The graph is derived
+// once per interned catalog, so every schema with one catalog (a database,
+// each of its frozen epochs, every request over either) gets the same
+// *Graph.
 func New(schema *storage.Schema) *Graph {
-	var buf [1024]byte
-	key := catalogKey(buf[:0], schema)
-	catalogs.Lock()
-	defer catalogs.Unlock()
-	if g := catalogs.graphs[string(key)]; g != nil {
-		return g
-	}
-	if catalogs.graphs == nil || len(catalogs.graphs) >= maxCatalogs {
-		catalogs.graphs = map[string]*Graph{}
-	}
-	g := build(schema)
-	catalogs.graphs[string(key)] = g
-	return g
+	return schema.Catalog().Derived(func(c *sqlir.Catalog) any { return build(c) }).(*Graph)
 }
 
-// catalogKey appends the schema's catalog to dst: the table count, the
-// table names, then each foreign key's four names, every name
-// length-prefixed.
-func catalogKey(dst []byte, schema *storage.Schema) []byte {
-	str := func(s string) {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(schema.Tables)))
-	for _, t := range schema.Tables {
-		str(t.Name)
-	}
-	for _, fk := range schema.ForeignKeys {
-		str(fk.Table)
-		str(fk.Column)
-		str(fk.RefTable)
-		str(fk.RefColumn)
-	}
-	return dst
-}
-
-// build constructs the join graph for a schema.
-func build(schema *storage.Schema) *Graph {
-	g := &Graph{index: map[string]int{}}
-	for _, t := range schema.Tables {
-		g.nodes = append(g.nodes, t.Name)
-	}
-	sort.Strings(g.nodes)
-	for i, n := range g.nodes {
-		g.index[n] = i
-	}
-	g.adj = make([][]int, len(g.nodes))
-	for _, fk := range schema.ForeignKeys {
-		a, okA := g.index[fk.Table]
-		b, okB := g.index[fk.RefTable]
-		if !okA || !okB {
-			continue
-		}
-		id := len(g.edges)
-		g.edges = append(g.edges, edge{a: a, b: b, fk: fk})
+// build constructs the join graph of a catalog.
+func build(cat *sqlir.Catalog) *Graph {
+	g := &Graph{cat: cat, adj: make([][]int, cat.NumTables())}
+	for id, fk := range cat.ForeignKeys() {
+		a, b := fk.From.Table, fk.To.Table
 		g.adj[a] = append(g.adj[a], id)
 		if b != a {
 			g.adj[b] = append(g.adj[b], id)
@@ -137,77 +68,50 @@ func build(schema *storage.Schema) *Graph {
 	return g
 }
 
-// NumTables returns the node count.
-func (g *Graph) NumTables() int { return len(g.nodes) }
-
-// NumEdges returns the FK edge count.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// joinEdge converts an FK edge to the IR representation.
-func (e edge) joinEdge() sqlir.JoinEdge {
-	return sqlir.JoinEdge{
-		FromTable:  e.fk.Table,
-		FromColumn: e.fk.Column,
-		ToTable:    e.fk.RefTable,
-		ToColumn:   e.fk.RefColumn,
+// other returns the node foreign key fk joins to v.
+func (g *Graph) other(fk, v int) int {
+	k := g.cat.ForeignKeys()[fk]
+	if k.From.Table == v {
+		return k.To.Table
 	}
+	return k.From.Table
 }
 
-// Steiner returns minimum-node connected subtrees spanning the terminal
+// steiner returns minimum-node connected subtrees spanning the terminal
 // tables (unit edge weights make tree cost = node count - 1). All minimal
 // node sets are returned, each as one spanning tree. The search is exact
 // for schemas up to exactLimit tables and falls back to a shortest-path
 // merge heuristic beyond that.
-func (g *Graph) Steiner(terminals []string) ([]*sqlir.JoinPath, error) {
+func (g *Graph) steiner(term sqlir.TableSet) ([]*sqlir.JoinPath, error) {
 	const exactLimit = 18
-	term, err := g.terminalIDs(terminals)
-	if err != nil {
-		return nil, err
-	}
-	if len(term) == 0 {
+	switch {
+	case term == 0:
 		return nil, fmt.Errorf("schemagraph: no terminals")
-	}
-	if len(term) == 1 {
-		return []*sqlir.JoinPath{{Tables: []string{g.nodes[term[0]]}}}, nil
-	}
-	if len(g.nodes) <= exactLimit {
+	case g.cat.NumTables() <= exactLimit:
 		return g.steinerExact(term)
 	}
-	jp, err := g.steinerHeuristic(term)
-	if err != nil {
-		return nil, err
-	}
-	return []*sqlir.JoinPath{jp}, nil
+	return g.steinerHeuristic(term)
 }
 
-func (g *Graph) terminalIDs(terminals []string) ([]int, error) {
-	seen := map[int]bool{}
-	var ids []int
-	for _, t := range terminals {
-		id, ok := g.index[t]
+// set returns the named tables as a set.
+func (g *Graph) set(tables []string) (sqlir.TableSet, error) {
+	var s sqlir.TableSet
+	for _, t := range tables {
+		o, ok := g.cat.Ordinal(t)
 		if !ok {
-			return nil, fmt.Errorf("schemagraph: unknown table %q", t)
+			return 0, fmt.Errorf("schemagraph: unknown table %q", t)
 		}
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
+		s = s.With(o)
 	}
-	sort.Ints(ids)
-	return ids, nil
+	return s, nil
 }
 
 // steinerExact enumerates node supersets of the terminals in increasing
 // size and returns a spanning tree for every minimal connected superset.
-func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
-	n := len(g.nodes)
-	termMask := 0
-	for _, t := range term {
-		termMask |= 1 << t
-	}
+func (g *Graph) steinerExact(term sqlir.TableSet) ([]*sqlir.JoinPath, error) {
 	var optional []int
-	for i := 0; i < n; i++ {
-		if termMask&(1<<i) == 0 {
+	for i := range g.cat.NumTables() {
+		if !term.Has(i) {
 			optional = append(optional, i)
 		}
 	}
@@ -216,10 +120,10 @@ func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
 	for extra := 0; extra <= len(optional); extra++ {
 		masks := combinations(len(optional), extra)
 		for _, m := range masks {
-			mask := termMask
+			mask := term
 			for i, opt := range optional {
 				if m&(1<<i) != 0 {
-					mask |= 1 << opt
+					mask = mask.With(opt)
 				}
 			}
 			if tree, ok := g.spanningTree(mask); ok {
@@ -231,7 +135,11 @@ func (g *Graph) steinerExact(term []int) ([]*sqlir.JoinPath, error) {
 		}
 	}
 	if len(found) == 0 {
-		return nil, fmt.Errorf("schemagraph: terminals not connected: %v", names(g, term))
+		names := make([]string, 0, term.Len())
+		for _, t := range term.Ordinals() {
+			names = append(names, g.cat.Name(t))
+		}
+		return nil, fmt.Errorf("schemagraph: terminals not connected: %v", names)
 	}
 	return sortPaths(found), nil
 }
@@ -254,53 +162,41 @@ func combinations(n, k int) []int {
 	return out
 }
 
-// spanningTree builds a deterministic spanning tree over the node set mask,
-// returning false if the induced subgraph is disconnected.
-func (g *Graph) spanningTree(mask int) (*sqlir.JoinPath, bool) {
-	var nodesIn []int
-	for i := 0; i < len(g.nodes); i++ {
-		if mask&(1<<i) != 0 {
-			nodesIn = append(nodesIn, i)
-		}
-	}
-	if len(nodesIn) == 0 {
-		return nil, false
-	}
-	start := nodesIn[0]
-	visited := map[int]bool{start: true}
-	jp := &sqlir.JoinPath{Tables: []string{g.nodes[start]}}
+// spanningTree builds a deterministic spanning tree over the node set mask
+// — breadth first from its lowest node, each node's foreign keys in
+// catalog order — returning false if the induced subgraph is disconnected.
+func (g *Graph) spanningTree(mask sqlir.TableSet) (*sqlir.JoinPath, bool) {
+	start := bits.TrailingZeros64(uint64(mask))
+	visited := sqlir.TableSet(0).With(start)
+	var fks []int
 	frontier := []int{start}
 	for len(frontier) > 0 {
 		v := frontier[0]
 		frontier = frontier[1:]
-		for _, eid := range g.adj[v] {
-			e := g.edges[eid]
-			w := e.a
-			if w == v {
-				w = e.b
-			}
-			if mask&(1<<w) == 0 || visited[w] {
+		for _, fk := range g.adj[v] {
+			w := g.other(fk, v)
+			if !mask.Has(w) || visited.Has(w) {
 				continue
 			}
-			visited[w] = true
-			jp.Tables = append(jp.Tables, g.nodes[w])
-			jp.Edges = append(jp.Edges, e.joinEdge())
+			visited = visited.With(w)
+			fks = append(fks, fk)
 			frontier = append(frontier, w)
 		}
 	}
-	if len(jp.Tables) != len(nodesIn) {
+	if visited != mask {
 		return nil, false
 	}
-	return jp, true
+	return g.cat.Root(start).JoinFK(fks...), true
 }
 
 // steinerHeuristic merges shortest paths from each terminal into a growing
 // component (the classical 2-approximation), used for very large schemas.
-func (g *Graph) steinerHeuristic(term []int) (*sqlir.JoinPath, error) {
-	inTree := map[int]bool{term[0]: true}
-	jp := &sqlir.JoinPath{Tables: []string{g.nodes[term[0]]}}
-	for _, t := range term[1:] {
-		if inTree[t] {
+func (g *Graph) steinerHeuristic(term sqlir.TableSet) ([]*sqlir.JoinPath, error) {
+	ts := term.Ordinals()
+	inTree := sqlir.TableSet(0).With(ts[0])
+	var fks []int
+	for _, t := range ts[1:] {
+		if inTree.Has(t) {
 			continue
 		}
 		// BFS from t to the current tree.
@@ -311,18 +207,14 @@ func (g *Graph) steinerHeuristic(term []int) (*sqlir.JoinPath, error) {
 		for len(queue) > 0 && reached < 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, eid := range g.adj[v] {
-				e := g.edges[eid]
-				w := e.a
-				if w == v {
-					w = e.b
-				}
+			for _, fk := range g.adj[v] {
+				w := g.other(fk, v)
 				if _, seen := prev[w]; seen {
 					continue
 				}
 				prev[w] = v
-				prevEdge[w] = eid
-				if inTree[w] {
+				prevEdge[w] = fk
+				if inTree.Has(w) {
 					reached = w
 					break
 				}
@@ -330,112 +222,100 @@ func (g *Graph) steinerHeuristic(term []int) (*sqlir.JoinPath, error) {
 			}
 		}
 		if reached < 0 {
-			return nil, fmt.Errorf("schemagraph: terminal %s not connected", g.nodes[t])
+			return nil, fmt.Errorf("schemagraph: terminal %s not connected", g.cat.Name(t))
 		}
-		// Walk back from the tree to t, adding nodes and edges.
+		// Walk back from the tree to t: each edge joins the tree to the
+		// next node towards t, which no tree node precedes.
 		for v := reached; prev[v] != -1; v = prev[v] {
-			u := prev[v] // u is one step closer to t
-			if !inTree[u] {
-				inTree[u] = true
-				jp.Tables = append(jp.Tables, g.nodes[u])
-			}
-			jp.Edges = append(jp.Edges, g.edges[prevEdge[v]].joinEdge())
+			inTree = inTree.With(prev[v])
+			fks = append(fks, prevEdge[v])
 		}
 	}
-	return normalizePath(g, jp)
+	return []*sqlir.JoinPath{g.cat.Root(ts[0]).JoinFK(fks...)}, nil
 }
 
 // ConstructJoinPaths implements Algorithm 2 for a partial query: candidate
 // join paths covering the tables referenced by its decided columns, plus
 // one-level FK-PK expansions (Lines 10–12). The answer is a function of the
-// referenced table set alone (Steiner sorts its terminals, and the paths
-// come in one total order), so it is memoized by that set, and every
-// request over the catalog shares it. Callers must not modify the returned
-// paths.
+// referenced table set alone (Steiner works on the set, and the paths come
+// in one total order), so it is memoized by that set, and every request
+// over the catalog shares it. Callers must not modify the returned paths.
 func (g *Graph) ConstructJoinPaths(q *sqlir.Query) ([]*sqlir.JoinPath, error) {
 	var tb [8]string
-	tables := q.AppendReferencedTables(tb[:0])
-	var kb [16]byte
-	key, ok := g.setKey(kb[:0], tables)
-	if !ok {
-		return g.JoinPathsFor(tables) // an unknown table: an error, not kept
+	set, err := g.set(q.AppendReferencedTables(tb[:0]))
+	if err != nil {
+		return nil, err // an unknown table: an error, not kept
 	}
 	g.mu.RLock()
-	c, hit := g.memo[string(key)]
+	c, hit := g.memo[set]
 	g.mu.RUnlock()
 	if !hit {
-		c.paths, c.err = g.JoinPathsFor(tables)
-		c = g.keep(key, c)
+		c.paths, c.err = g.pathsFor(set, defaultDepth, defaultMaxPaths)
+		c = g.keep(set, c)
 	}
 	return c.paths, c.err
 }
 
-// setKey appends the memo key of a list of distinct tables to dst: their
-// node ids in ascending order. It reports false when a table is not in the
-// graph.
-func (g *Graph) setKey(dst []byte, tables []string) ([]byte, bool) {
-	var ib [8]int
-	ids := ib[:0]
-	for _, t := range tables {
-		id, ok := g.index[t]
-		if !ok {
-			return dst, false
-		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(id))
-	}
-	return dst, true
-}
-
-// keep memoizes an answer and returns the one the memo holds for its key: a
+// keep memoizes an answer and returns the one the memo holds for its set: a
 // caller that raced another to the same miss gets the first answer, so
 // every caller shares one set of paths. A memo that c would push past
 // memoBudget is cleared first.
-func (g *Graph) keep(key []byte, c constructed) constructed {
+func (g *Graph) keep(set sqlir.TableSet, c constructed) constructed {
 	cost := 1
 	for _, jp := range c.paths {
 		cost += jp.Len()
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if prev, ok := g.memo[string(key)]; ok {
+	if prev, ok := g.memo[set]; ok {
 		return prev
 	}
 	if cost > memoBudget {
 		return c
 	}
 	if g.memo == nil || g.cost+cost > memoBudget {
-		g.memo, g.cost = map[string]constructed{}, 0
+		g.memo, g.cost = map[sqlir.TableSet]constructed{}, 0
 	}
-	g.memo[string(key)] = c
+	g.memo[set] = c
 	g.cost += cost
 	return c
 }
 
+// Algorithm 2's recursive AddJoin runs to defaultDepth, which covers FROM
+// clauses reaching an entity three FK hops beyond the projected tables
+// (e.g. author→writes→publication→conference), and an answer holds at most
+// defaultMaxPaths paths.
+const (
+	defaultDepth    = 3
+	defaultMaxPaths = 96
+)
+
 // JoinPathsFor returns candidate join paths for an explicit table set. With
 // no tables, every table in the database is a candidate single-table path
-// (Line 6: e.g. SELECT COUNT(*)). Expansion depth follows Algorithm 2's
-// recursive AddJoin with a default depth of 3, which covers FROM clauses
-// reaching an entity three FK hops beyond the projected tables (e.g.
-// author→writes→publication→conference).
+// (Line 6: e.g. SELECT COUNT(*)).
 func (g *Graph) JoinPathsFor(tables []string) ([]*sqlir.JoinPath, error) {
-	return g.JoinPathsForDepth(tables, 3, 96)
+	return g.JoinPathsForDepth(tables, defaultDepth, defaultMaxPaths)
 }
 
 // JoinPathsForDepth is JoinPathsFor with explicit expansion depth and a cap
 // on the number of returned paths.
 func (g *Graph) JoinPathsForDepth(tables []string, depth, maxPaths int) ([]*sqlir.JoinPath, error) {
-	if len(tables) == 0 {
-		out := make([]*sqlir.JoinPath, len(g.nodes))
-		for i, n := range g.nodes {
-			out[i] = &sqlir.JoinPath{Tables: []string{n}}
+	set, err := g.set(tables)
+	if err != nil {
+		return nil, err
+	}
+	return g.pathsFor(set, depth, maxPaths)
+}
+
+func (g *Graph) pathsFor(set sqlir.TableSet, depth, maxPaths int) ([]*sqlir.JoinPath, error) {
+	if set == 0 {
+		out := make([]*sqlir.JoinPath, g.cat.NumTables())
+		for i := range out {
+			out[i] = g.cat.Root(i)
 		}
 		return out, nil
 	}
-	base, err := g.Steiner(tables)
+	base, err := g.steiner(set)
 	if err != nil {
 		return nil, err
 	}
@@ -464,26 +344,12 @@ expand:
 	for level := 0; level < depth && len(out) < maxPaths; level++ {
 		var next []*sqlir.JoinPath
 		for _, jp := range frontier {
-			inPath := map[string]bool{}
-			for _, t := range jp.Tables {
-				inPath[t] = true
-			}
-			for _, e := range g.edges {
-				ta, tb := g.nodes[e.a], g.nodes[e.b]
-				var newTable string
-				switch {
-				case inPath[ta] && !inPath[tb]:
-					newTable = tb
-				case inPath[tb] && !inPath[ta]:
-					newTable = ta
-				default:
+			in := jp.Set()
+			for id, fk := range g.cat.ForeignKeys() {
+				if in.Has(fk.From.Table) == in.Has(fk.To.Table) {
 					continue
 				}
-				ext := &sqlir.JoinPath{
-					Tables: append(append([]string{}, jp.Tables...), newTable),
-					Edges:  append(append([]sqlir.JoinEdge{}, jp.Edges...), e.joinEdge()),
-				}
-				if add(ext) {
+				if ext := jp.JoinFK(id); add(ext) {
 					next = append(next, ext)
 					if len(out) >= maxPaths {
 						break expand
@@ -496,61 +362,9 @@ expand:
 	return sortPaths(out), nil
 }
 
-// normalizePath re-orders a path's edges so each edge attaches a new table
-// (the executor's requirement), verifying connectivity.
-func normalizePath(g *Graph, jp *sqlir.JoinPath) (*sqlir.JoinPath, error) {
-	if len(jp.Tables) == 0 {
-		return nil, fmt.Errorf("schemagraph: empty path")
-	}
-	out := &sqlir.JoinPath{Tables: []string{jp.Tables[0]}}
-	inPath := map[string]bool{jp.Tables[0]: true}
-	remaining := append([]sqlir.JoinEdge{}, jp.Edges...)
-	for len(remaining) > 0 {
-		progressed := false
-		for i, e := range remaining {
-			var nt string
-			switch {
-			case inPath[e.FromTable] && !inPath[e.ToTable]:
-				nt = e.ToTable
-			case inPath[e.ToTable] && !inPath[e.FromTable]:
-				nt = e.FromTable
-			case inPath[e.FromTable] && inPath[e.ToTable]:
-				// Redundant edge (cycle); drop it.
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				progressed = true
-			default:
-				continue
-			}
-			if nt != "" {
-				inPath[nt] = true
-				out.Tables = append(out.Tables, nt)
-				out.Edges = append(out.Edges, e)
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				progressed = true
-			}
-			break
-		}
-		if !progressed {
-			return nil, fmt.Errorf("schemagraph: disconnected path")
-		}
-	}
-	return out, nil
-}
-
 // pathSignature canonically identifies a path by its table and edge sets.
 func pathSignature(jp *sqlir.JoinPath) string {
-	tables := append([]string{}, jp.Tables...)
-	sort.Strings(tables)
-	edges := make([]string, len(jp.Edges))
-	for i, e := range jp.Edges {
-		a := e.FromTable + "." + e.FromColumn
-		b := e.ToTable + "." + e.ToColumn
-		if a > b {
-			a, b = b, a
-		}
-		edges[i] = a + "=" + b
-	}
-	sort.Strings(edges)
+	tables, edges := jp.Sets()
 	return strings.Join(tables, ",") + "|" + strings.Join(edges, "&")
 }
 
@@ -573,14 +387,6 @@ func sortPaths(ps []signedPath) []*sqlir.JoinPath {
 	out := make([]*sqlir.JoinPath, len(ps))
 	for i, p := range ps {
 		out[i] = p.jp
-	}
-	return out
-}
-
-func names(g *Graph, ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = g.nodes[id]
 	}
 	return out
 }

@@ -51,29 +51,29 @@ func movieSchema() *storage.Schema {
 
 func TestGraphCounts(t *testing.T) {
 	g := New(chainSchema())
-	if g.NumTables() != 5 || g.NumEdges() != 4 {
-		t.Errorf("tables=%d edges=%d", g.NumTables(), g.NumEdges())
+	if g.cat.NumTables() != 5 || len(g.cat.ForeignKeys()) != 4 {
+		t.Errorf("tables=%d edges=%d", g.cat.NumTables(), len(g.cat.ForeignKeys()))
 	}
 }
 
 func TestSteinerSingleTerminal(t *testing.T) {
 	g := New(chainSchema())
-	paths, err := g.Steiner([]string{"b"})
+	paths, err := g.steiner(mustSet(g, []string{"b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 1 || paths[0].Len() != 1 || paths[0].Tables[0] != "b" {
+	if len(paths) != 1 || paths[0].Len() != 1 || paths[0].String() != "b" {
 		t.Errorf("paths = %v", paths)
 	}
 }
 
 func TestSteinerAdjacent(t *testing.T) {
 	g := New(chainSchema())
-	paths, err := g.Steiner([]string{"a", "b"})
+	paths, err := g.steiner(mustSet(g, []string{"a", "b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 1 || paths[0].Len() != 2 || len(paths[0].Edges) != 1 {
+	if len(paths) != 1 || paths[0].Len() != 2 || len(paths[0].Edges()) != 1 {
 		t.Fatalf("paths = %v", paths)
 	}
 }
@@ -82,7 +82,7 @@ func TestSteinerAdjacent(t *testing.T) {
 // which must be added as a Steiner node.
 func TestSteinerIntermediateNode(t *testing.T) {
 	g := New(movieSchema())
-	paths, err := g.Steiner([]string{"actor", "movie"})
+	paths, err := g.steiner(mustSet(g, []string{"actor", "movie"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestSteinerIntermediateNode(t *testing.T) {
 	if jp.Len() != 3 || !jp.Contains("starring") {
 		t.Errorf("path = %v", jp)
 	}
-	if len(jp.Edges) != 2 {
-		t.Errorf("edges = %v", jp.Edges)
+	if len(jp.Edges()) != 2 {
+		t.Errorf("edges = %v", jp.Edges())
 	}
 }
 
 func TestSteinerLongChain(t *testing.T) {
 	g := New(chainSchema())
-	paths, err := g.Steiner([]string{"a", "d"})
+	paths, err := g.steiner(mustSet(g, []string{"a", "d"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +118,17 @@ func TestSteinerDisconnected(t *testing.T) {
 	s2 := storage.NewSchema(append(s.Tables, iso)...)
 	s2.ForeignKeys = s.ForeignKeys
 	g := New(s2)
-	if _, err := g.Steiner([]string{"a", "island"}); err == nil {
+	if _, err := g.steiner(mustSet(g, []string{"a", "island"})); err == nil {
 		t.Error("disconnected terminals should error")
 	}
 }
 
 func TestSteinerUnknownTable(t *testing.T) {
 	g := New(chainSchema())
-	if _, err := g.Steiner([]string{"nope"}); err == nil {
+	if _, err := g.JoinPathsFor([]string{"nope"}); err == nil {
 		t.Error("unknown terminal should error")
 	}
-	if _, err := g.Steiner(nil); err == nil {
+	if _, err := g.steiner(0); err == nil {
 		t.Error("no terminals should error")
 	}
 }
@@ -154,7 +154,7 @@ func diamondSchema() *storage.Schema {
 
 func TestSteinerAllMinimalTrees(t *testing.T) {
 	g := New(diamondSchema())
-	paths, err := g.Steiner([]string{"a", "d"})
+	paths, err := g.steiner(mustSet(g, []string{"a", "d"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestJoinPathsExpansion(t *testing.T) {
 	if len(paths) != 3 {
 		t.Fatalf("paths = %v", paths)
 	}
-	if paths[0].Len() != 1 || paths[0].Tables[0] != "actor" {
+	if paths[0].Len() != 1 || paths[0].String() != "actor" {
 		t.Errorf("first path should be bare actor: %v", paths[0])
 	}
 	if paths[1].Len() != 2 || !paths[1].Contains("starring") {
@@ -274,7 +274,7 @@ func TestConstructJoinPathsFromQuery(t *testing.T) {
 	if err != nil || len(again) != len(paths) || again[0] != paths[0] {
 		t.Errorf("second ask = %v, %v; want the memoized paths", again, err)
 	}
-	fresh, _ := build(movieSchema()).JoinPathsFor([]string{"actor", "movie"})
+	fresh, _ := build(movieSchema().Catalog()).JoinPathsFor([]string{"actor", "movie"})
 	if !reflect.DeepEqual(paths, fresh) {
 		t.Errorf("memoized paths %v differ from a fresh computation %v", paths, fresh)
 	}
@@ -286,7 +286,7 @@ func TestConstructJoinPathsFromQuery(t *testing.T) {
 	if len(swapped) != len(paths) || &swapped[0] != &paths[0] {
 		t.Errorf("the permuted list got paths %v, not the memo entry %v", swapped, paths)
 	}
-	fresh, _ = build(movieSchema()).JoinPathsFor([]string{"movie", "actor"})
+	fresh, _ = build(movieSchema().Catalog()).JoinPathsFor([]string{"movie", "actor"})
 	if !reflect.DeepEqual(swapped, fresh) {
 		t.Errorf("paths for the permuted list %v differ from a fresh computation %v", swapped, fresh)
 	}
@@ -317,7 +317,7 @@ func hubChainSchema() *storage.Schema {
 // JoinPathsForDepth returns at most maxPaths paths: the shared memo's byte
 // bound rests on it.
 func TestJoinPathsForDepthHoldsTheCap(t *testing.T) {
-	g := build(hubChainSchema())
+	g := build(hubChainSchema().Catalog())
 	all, err := g.JoinPathsForDepth([]string{"t00"}, 3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -350,28 +350,26 @@ func refQuery(tables ...string) *sqlir.Query {
 	return q
 }
 
-// The intern and the memo stay within their constants however many
-// catalogs and table sets stream through them.
+// A graph lives as long as its catalog's place in the intern (sqlir's
+// bound on it is tested there), and the memo stays within its constant
+// however many table sets stream through it.
 func TestJoinPathBounds(t *testing.T) {
 	catalog := func(i int) *storage.Schema {
 		return storage.NewSchema(storage.NewTable(fmt.Sprintf("bound%d", i), "id",
 			storage.Column{Name: "id", Type: sqlir.TypeNumber}))
 	}
+	if New(catalog(0)) != New(catalog(0)) {
+		t.Error("one catalog got two graphs")
+	}
 	first := New(catalog(0))
-	for i := 1; i < maxCatalogs+10; i++ {
+	for i := 1; i < 128; i++ { // twice what the intern holds
 		New(catalog(i))
-		catalogs.Lock()
-		n := len(catalogs.graphs)
-		catalogs.Unlock()
-		if n > maxCatalogs {
-			t.Fatalf("after %d catalogs the intern holds %d, cap %d", i+1, n, maxCatalogs)
-		}
 	}
 	if New(catalog(0)) == first {
-		t.Error("the first catalog is still interned after the intern filled")
+		t.Error("the first catalog's graph outlived the catalog intern")
 	}
 
-	g := build(hubChainSchema())
+	g := build(hubChainSchema().Catalog())
 	asked, clears := 0, 0
 	for i := 0; i < 12; i++ {
 		for j := i; j < 12; j++ {
@@ -418,19 +416,13 @@ func TestPropPathsWellOrdered(t *testing.T) {
 				continue // disconnected combos are fine to skip
 			}
 			for _, jp := range paths {
-				inPath := map[string]bool{jp.Tables[0]: true}
+				in := sqlir.TableSet(0).With(jp.Tables()[0])
 				count := 1
-				for _, e := range jp.Edges {
-					var nt string
-					switch {
-					case inPath[e.FromTable] && !inPath[e.ToTable]:
-						nt = e.ToTable
-					case inPath[e.ToTable] && !inPath[e.FromTable]:
-						nt = e.FromTable
-					default:
+				for i, e := range jp.Edges() {
+					if !in.Has(e.Joined.Table) || in.Has(e.New.Table) || jp.Tables()[i+1] != e.New.Table {
 						t.Fatalf("edge %v not incremental in %v", e, jp)
 					}
-					inPath[nt] = true
+					in = in.With(e.New.Table)
 					count++
 				}
 				if count != jp.Len() {
@@ -438,7 +430,7 @@ func TestPropPathsWellOrdered(t *testing.T) {
 				}
 				// Every terminal is spanned.
 				for _, term := range terms {
-					if !inPath[term] {
+					if !jp.Contains(term) {
 						t.Fatalf("path %v missing terminal %s", jp, term)
 					}
 				}
@@ -451,7 +443,7 @@ func TestPropPathsWellOrdered(t *testing.T) {
 // smallest.
 func TestPropSteinerMinimal(t *testing.T) {
 	g := New(chainSchema())
-	paths, err := g.Steiner([]string{"a", "c", "e"})
+	paths, err := g.steiner(mustSet(g, []string{"a", "c", "e"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,14 +461,15 @@ func TestPropSteinerMinimal(t *testing.T) {
 func TestHeuristicPath(t *testing.T) {
 	// Force the heuristic by calling it directly on the chain.
 	g := New(chainSchema())
-	term, err := g.terminalIDs([]string{"a", "d"})
+	term, err := g.set([]string{"a", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp, err := g.steinerHeuristic(term)
-	if err != nil {
-		t.Fatal(err)
+	paths, err := g.steinerHeuristic(term)
+	if err != nil || len(paths) != 1 {
+		t.Fatal(paths, err)
 	}
+	jp := paths[0]
 	if jp.Len() != 4 {
 		t.Errorf("heuristic path = %v", jp)
 	}
@@ -491,8 +484,17 @@ func TestHeuristicDisconnected(t *testing.T) {
 	s2 := storage.NewSchema(append(s.Tables, iso)...)
 	s2.ForeignKeys = s.ForeignKeys
 	g := New(s2)
-	term, _ := g.terminalIDs([]string{"a", "island"})
+	term, _ := g.set([]string{"a", "island"})
 	if _, err := g.steinerHeuristic(term); err == nil {
 		t.Error("heuristic should report disconnection")
 	}
+}
+
+// mustSet is the set of the named tables.
+func mustSet(g *Graph, tables []string) sqlir.TableSet {
+	set, err := g.set(tables)
+	if err != nil {
+		panic(err)
+	}
+	return set
 }

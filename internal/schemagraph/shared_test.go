@@ -108,7 +108,9 @@ func TestSharedJoinPathsAreTheComputation(t *testing.T) {
 	if testing.Short() {
 		stride = 24
 	}
-	schemagraph.ForgetCatalogs()
+	for _, db := range dev.Databases {
+		schemagraph.ForgetJoinPaths(db.Schema)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -180,9 +182,9 @@ func TestCatalogSharesOneGraph(t *testing.T) {
 		}
 		return out
 	}
-	schemagraph.ForgetCatalogs()
+	schemagraph.ForgetJoinPaths(db.Schema)
 	want := runAll()
-	schemagraph.ForgetCatalogs()
+	schemagraph.ForgetJoinPaths(db.Schema)
 	got := make([][]string, 2)
 	var wg sync.WaitGroup
 	for w := range got {

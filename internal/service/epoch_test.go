@@ -511,7 +511,7 @@ func TestHeapPlateausUnderSustainedAppend(t *testing.T) {
 	}
 	// Ingest cycles the rows of the table the first task reads, so every
 	// round invalidates memos the readers then rebuild.
-	table := pin.Database().Table(tasks[0].Gold.From.Tables[0])
+	table := pin.Database().Schema.TableAt(tasks[0].Gold.From.Tables()[0])
 
 	heapAt := map[int]uint64{}
 	for i := 1; i <= 40; i++ {

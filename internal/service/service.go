@@ -305,7 +305,8 @@ type Provenance struct {
 }
 
 // Register adds a database to the engine's registry and builds its shared
-// caches. It fails on a duplicate name; databases cannot be unregistered.
+// caches. It fails on a duplicate name and on a schema Validate rejects;
+// databases cannot be unregistered.
 // The database is recorded as built in memory; use RegisterWithProvenance
 // for databases loaded from a segment store.
 func (e *Engine) Register(db *storage.Database) error {
@@ -317,6 +318,9 @@ func (e *Engine) Register(db *storage.Database) error {
 func (e *Engine) RegisterWithProvenance(db *storage.Database, prov Provenance) error {
 	if db == nil {
 		return errors.New("service: nil database")
+	}
+	if err := db.Schema.Validate(); err != nil {
+		return fmt.Errorf("service: database %q: %w", db.Name, err)
 	}
 	if prov.Source == "" {
 		prov.Source = "memory"
@@ -605,16 +609,22 @@ func (s *Session) AutocompleteSize() int {
 	return idx.Size()
 }
 
-// Preview executes a candidate query with a row cap (maxRows <= 0 = none),
-// powering the front-end's "Query Preview" button (§4). The cap reaches the
-// executor: a plain projection stops scanning once it has maxRows rows.
+// PreviewCtx executes a candidate query with a row cap (maxRows <= 0 =
+// none) under the caller's context, powering the front-end's "Query
+// Preview" button (§4): a cancelled request stops its scan. The cap reaches
+// the executor: a plain projection stops scanning once it has maxRows rows.
 // Every call builds its own result, so callers may do with it what they like.
-func (s *Session) Preview(q *sqlir.Query, maxRows int) (*sqlexec.Result, error) {
+func (s *Session) PreviewCtx(ctx context.Context, q *sqlir.Query, maxRows int) (*sqlexec.Result, error) {
 	sh, err := s.shard()
 	if err != nil {
 		return nil, err
 	}
-	return sh.cache.Joins().PreviewCtx(context.Background(), q, maxRows)
+	return sh.cache.Joins().PreviewCtx(ctx, q, maxRows)
+}
+
+// Preview is PreviewCtx under a context nothing cancels.
+func (s *Session) Preview(q *sqlir.Query, maxRows int) (*sqlexec.Result, error) {
+	return s.PreviewCtx(context.Background(), q, maxRows)
 }
 
 func (ds *dbState) autocompleteIndex() *autocomplete.Index {

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
+	"github.com/duoquest/duoquest/internal/storage"
 	"github.com/duoquest/duoquest/internal/tsq"
 	"github.com/duoquest/duoquest/internal/verify"
 )
@@ -315,4 +318,67 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// wideDB is a database of n one-column tables, each but the first holding
+// a foreign key to the one before it.
+func wideDB(n int) *storage.Database {
+	var tables []*storage.Table
+	for i := range n {
+		tables = append(tables, storage.NewTable(fmt.Sprintf("t%02d", i), "id",
+			storage.Column{Name: "id", Type: sqlir.TypeNumber}, storage.Column{Name: "prev", Type: sqlir.TypeNumber}))
+	}
+	s := storage.NewSchema(tables...)
+	for i := 1; i < n; i++ {
+		s.AddForeignKey(fmt.Sprintf("t%02d", i), "prev", fmt.Sprintf("t%02d", i-1), "id")
+	}
+	return storage.NewDatabase(fmt.Sprintf("wide%d", n), s)
+}
+
+// A registered schema is validated: a catalog holds at most 64 tables, and
+// a foreign key must reference a table's key.
+func TestRegisterValidatesTheSchema(t *testing.T) {
+	e := NewEngine(Config{})
+	if err := e.Register(wideDB(sqlir.MaxTables)); err != nil {
+		t.Errorf("a %d-table schema: %v", sqlir.MaxTables, err)
+	}
+	if err := e.Register(wideDB(sqlir.MaxTables + 1)); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("a %d-table schema: %v, want an error naming the limit", sqlir.MaxTables+1, err)
+	}
+	dangling := wideDB(2)
+	dangling.Name = "dangling"
+	dangling.Schema.AddForeignKey("t01", "prev", "t09", "id")
+	if err := e.Register(dangling); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Errorf("a dangling foreign key: %v", err)
+	}
+	if got := e.Databases(); len(got) != 1 {
+		t.Errorf("registered %v, want only the 64-table database", got)
+	}
+}
+
+// A preview runs under its caller's context: asked with a cancelled one
+// over a table larger than the executor's cancellation checkpoint, it
+// returns context.Canceled instead of scanning.
+func TestPreviewHonoursItsContext(t *testing.T) {
+	tb := storage.NewTable("big", "id", storage.Column{Name: "id", Type: sqlir.TypeNumber})
+	for i := range 4096 {
+		tb.MustInsert(sqlir.NewInt(i))
+	}
+	e := NewEngine(Config{})
+	if err := e.Register(storage.NewDatabase("big", storage.NewSchema(tb))); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Session("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := sqlparse.MustParse(s.Database().Schema, "SELECT id FROM big WHERE id > 5000")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.PreviewCtx(ctx, q, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("PreviewCtx under a cancelled context: %v, want context.Canceled", err)
+	}
+	if res, err := s.PreviewCtx(context.Background(), q, 0); err != nil || len(res.Rows) != 0 {
+		t.Errorf("PreviewCtx: %v rows, %v", res, err)
+	}
 }

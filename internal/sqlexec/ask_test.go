@@ -228,7 +228,7 @@ func TestAskShapes(t *testing.T) {
 	val, note, cat := col("item", "val"), col("item", "note"), col("item", "cat")
 	base := func(sel ...sqlir.SelectItem) *sqlir.Query {
 		return &sqlir.Query{KWSet: true, SelectCountSet: true, LimitSet: true,
-			From: &sqlir.JoinPath{Tables: []string{"item"}}, Select: sel}
+			From: sqlexec.MustPath(db, "item"), Select: sel}
 	}
 	orderBy := func(q *sqlir.Query, key sqlir.OrderKey, limit int) *sqlir.Query {
 		q.OrderByState = sqlir.ClausePresent

@@ -69,13 +69,7 @@ func benchStore() *storage.Database {
 }
 
 func benchPath() *sqlir.JoinPath {
-	return &sqlir.JoinPath{
-		Tables: []string{"cust", "ord", "prod"},
-		Edges: []sqlir.JoinEdge{
-			{FromTable: "ord", FromColumn: "cid", ToTable: "cust", ToColumn: "cid"},
-			{FromTable: "ord", FromColumn: "pid", ToTable: "prod", ToColumn: "pid"},
-		},
-	}
+	return sqlexec.MustPath(benchStore(), "cust", "ord.cid = cust.cid", "ord.pid = prod.pid")
 }
 
 func benchPred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {

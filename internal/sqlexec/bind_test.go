@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,14 +21,17 @@ import (
 //	3 an edge column renamed,
 //	4 an edge replaced by one disconnected from the tables bound before it.
 //
-// Without a defect (or when the query has no place to put it) the pipeline
-// answers as the reference: DiffExecute is "". With one, ExecuteCtx, AskCtx
-// and ExistsCtx of the query's probe (bindProbe) fail with one text over
-// columnarDB(seed, 100) and over columnarDB(seed, 0), before any row is
-// read; wherever the reference fails, the text is the reference's. The
-// reference evaluates lazily, so an error the unmutated query already raises
-// there (a SUM over text) may come before the defect in its order: the
-// comparison is made where the unmutated query runs clean on the reference.
+// The last two are join path defects, which the catalog rejects as the path
+// is built: rebuilding the query's path with one fails with the defect's
+// one text, so no executor ever meets it. Without a defect (or when the
+// query has no place to put it) the pipeline answers as the reference:
+// DiffExecute is "". With a column defect, ExecuteCtx, AskCtx and ExistsCtx
+// of the query's probe (bindProbe) fail with one text over columnarDB(seed,
+// 100) and over columnarDB(seed, 0), before any row is read; wherever the
+// reference fails, the text is the reference's. The reference evaluates
+// lazily, so an error the unmutated query already raises there (a SUM over
+// text) may come before the defect in its order: the comparison is made
+// where the unmutated query runs clean on the reference.
 //
 // Run it with `go test -run '^$' -fuzz '^FuzzExecuteBind$' -fuzztime 20s
 // ./internal/sqlexec/`; the seed corpus runs with the package's tests.
@@ -38,6 +42,12 @@ func FuzzExecuteBind(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, defect, at uint8) {
 		q := randomColumnarQuery(rand.New(rand.NewSource(seed)))
 		full, empty := columnarDB(seed, 100), columnarDB(seed, 0)
+		if root, ons, want, ok := breakPath(q.From, defect%5, int(at)); ok {
+			if jp, err := full.Schema.Catalog().Path(root, ons...); err == nil || err.Error() != want {
+				t.Fatalf("defect %d: path %v, error %v, want %q\n%s", defect%5, jp, err, want, q)
+			}
+			return
+		}
 		bad := q.Clone()
 		if !breakQuery(bad, defect%5, int(at)) {
 			for _, db := range []*storage.Database{full, empty} {
@@ -82,56 +92,62 @@ func FuzzExecuteBind(f *testing.F) {
 	})
 }
 
-// breakQuery applies defect (0 = none) to q at the at-th candidate place and
-// reports whether it did.
+// breakQuery applies column defect 1 or 2 to q at the at-th candidate place
+// and reports whether it did.
 func breakQuery(q *sqlir.Query, defect uint8, at int) bool {
-	switch defect {
-	case 1, 2:
-		refs := columnRefs(q)
-		if len(refs) == 0 {
-			return false // COUNT(*) alone
-		}
-		ref := refs[at%len(refs)]
-		var off []sqlir.ColumnRef
-		for _, c := range columnarCols {
-			if !q.From.Contains(c.Table) {
-				off = append(off, c)
-			}
-		}
-		if defect == 1 && len(off) > 0 {
-			*ref = off[at%len(off)]
-		} else {
-			ref.Column = "nope"
-		}
-		return true
-	case 3, 4:
-		edges := q.From.Edges
-		if len(edges) == 0 {
-			return false
-		}
-		i := at % len(edges)
-		if defect == 3 {
-			if at&1 == 0 {
-				edges[i].FromColumn = "nope"
-			} else {
-				edges[i].ToColumn = "nope"
-			}
-			return true
-		}
-		bound := []string{q.From.Tables[0]}
-		for _, e := range edges[:i] {
-			bound = append(bound, e.FromTable, e.ToTable)
-		}
-		var unbound []string
-		for _, t := range []string{"item", "cat", "owner", "ghost"} {
-			if !slices.Contains(bound, t) {
-				unbound = append(unbound, t)
-			}
-		}
-		edges[i] = sqlir.JoinEdge{FromTable: unbound[0], FromColumn: "id", ToTable: unbound[1], ToColumn: "id"}
-		return true
+	if defect != 1 && defect != 2 {
+		return false
 	}
-	return false
+	refs := columnRefs(q)
+	if len(refs) == 0 {
+		return false // COUNT(*) alone
+	}
+	ref := refs[at%len(refs)]
+	var off []sqlir.ColumnRef
+	for _, c := range columnarCols {
+		if !q.From.Contains(c.Table) {
+			off = append(off, c)
+		}
+	}
+	if defect == 1 && len(off) > 0 {
+		*ref = off[at%len(off)]
+	} else {
+		ref.Column = "nope"
+	}
+	return true
+}
+
+// breakPath writes jp's root and conditions with path defect 3 or 4 at the
+// at-th edge, and the one text the catalog rejects it with. It reports false
+// for another defect or a path without edges.
+func breakPath(jp *sqlir.JoinPath, defect uint8, at int) (root string, ons []sqlir.JoinOn, want string, ok bool) {
+	edges := jp.Edges()
+	if (defect != 3 && defect != 4) || len(edges) == 0 {
+		return "", nil, "", false
+	}
+	for _, e := range edges {
+		ons = append(ons, jp.Written(e))
+	}
+	i := at % len(edges)
+	if defect == 3 {
+		if at&1 == 0 {
+			ons[i].Left.Column = "nope"
+		} else {
+			ons[i].Right.Column = "nope"
+		}
+		return jp.Catalog().Name(jp.Tables()[0]), ons, fmt.Sprintf("sqlir: join condition %s names an unknown column", ons[i]), true
+	}
+	// A condition on a table not bound before edge i: its first column
+	// equal to itself.
+	bound := jp.Tables()[:i+1]
+	for t := range jp.Catalog().NumTables() {
+		if !slices.Contains(bound, t) {
+			c := sqlir.ColumnRef{Table: jp.Catalog().Name(t), Column: jp.Catalog().Columns(t)[0]}
+			ons[i] = sqlir.JoinOn{Left: c, Right: c}
+			break
+		}
+	}
+	return jp.Catalog().Name(jp.Tables()[0]), ons, fmt.Sprintf("sqlir: join condition %s joins no table joined before it", ons[i]), true
 }
 
 // columnRefs lists every concrete column reference a query reads.

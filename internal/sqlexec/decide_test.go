@@ -81,20 +81,19 @@ func cmpPred(c sqlir.ColumnRef, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 // path is one of the star's paths, rooted at any of its tables: a pin on a
 // non-root table leaves the scan unseeded, so it runs over the root's rows.
 func (g *decideGen) path() *sqlir.JoinPath {
-	fg := sqlir.JoinEdge{FromTable: "fact", FromColumn: "grp_id", ToTable: "grp", ToColumn: "id"}
-	ng := sqlir.JoinEdge{FromTable: "note", FromColumn: "grp_id", ToTable: "grp", ToColumn: "id"}
+	const fg, ng = "fact.grp_id = grp.id", "note.grp_id = grp.id"
 	paths := []*sqlir.JoinPath{
-		{Tables: []string{"grp", "fact"}, Edges: []sqlir.JoinEdge{fg}},
-		{Tables: []string{"grp", "fact", "note"}, Edges: []sqlir.JoinEdge{fg, ng}},
-		{Tables: []string{"fact", "grp", "note"}, Edges: []sqlir.JoinEdge{fg, ng}},
-		{Tables: []string{"note", "grp", "fact"}, Edges: []sqlir.JoinEdge{ng, fg}},
+		MustPath(g.db, "grp", fg),
+		MustPath(g.db, "grp", fg, ng),
+		MustPath(g.db, "fact", fg, ng),
+		MustPath(g.db, "note", ng, fg),
 	}
 	return paths[g.r.Intn(len(paths))]
 }
 
 // column picks a column of a table on the path.
 func (g *decideGen) column(jp *sqlir.JoinPath) sqlir.ColumnRef {
-	t := g.db.Table(jp.Tables[g.r.Intn(len(jp.Tables))])
+	t := g.db.Schema.TableAt(jp.Tables()[g.r.Intn(jp.Len())])
 	return ref(t.Name, t.Columns[g.r.Intn(len(t.Columns))].Name)
 }
 
@@ -298,8 +297,6 @@ func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 	s.AddForeignKey("b", "a_id", "a", "id")
 	s.AddForeignKey("c", "b_id", "b", "id")
 	db := storage.NewDatabase("stop", s)
-	ab := sqlir.JoinEdge{FromTable: "b", FromColumn: "a_id", ToTable: "a", ToColumn: "id"}
-	bc := sqlir.JoinEdge{FromTable: "c", FromColumn: "b_id", ToTable: "b", ToColumn: "id"}
 
 	// Rooted at a, the scan is seeded by the pin: one probe finds a's b rows
 	// and each tuple up to the fourth probes c, at most 5 in all. Rooted at
@@ -317,7 +314,7 @@ func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 		{sqlir.OpGe, true, []string{"b", "a", "c"}, 8},
 	} {
 		eq := ExistsQuery{
-			From:     &sqlir.JoinPath{Tables: tc.tables, Edges: []sqlir.JoinEdge{ab, bc}},
+			From:     MustPath(db, tc.tables[0], "b.a_id = a.id", "c.b_id = b.id"),
 			AndPreds: []sqlir.Predicate{cmpPred(ref("a", "name"), sqlir.OpEq, sqlir.NewText("x"))},
 			GroupBy:  []sqlir.ColumnRef{ref("a", "name")},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,

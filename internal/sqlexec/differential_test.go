@@ -54,35 +54,29 @@ func (g *queryGen) values(c sqlir.ColumnRef) []sqlir.Value {
 func (g *queryGen) path(maxTables int) *sqlir.JoinPath {
 	s := g.db.Schema
 	start := s.Tables[g.r.Intn(len(s.Tables))].Name
-	jp := &sqlir.JoinPath{Tables: []string{start}}
-	in := map[string]bool{start: true}
+	jp, err := s.Catalog().Path(start)
+	if err != nil {
+		panic(err)
+	}
 	want := 1 + g.r.Intn(maxTables)
-	for len(jp.Tables) < want {
-		var cands []sqlir.JoinEdge
-		for _, fk := range s.ForeignKeys {
-			e := sqlir.JoinEdge{FromTable: fk.Table, FromColumn: fk.Column, ToTable: fk.RefTable, ToColumn: fk.RefColumn}
-			if in[e.FromTable] != in[e.ToTable] { // exactly one endpoint bound
-				cands = append(cands, e)
+	for jp.Len() < want {
+		var cands []int
+		for id, fk := range s.Catalog().ForeignKeys() {
+			if jp.Set().Has(fk.From.Table) != jp.Set().Has(fk.To.Table) { // exactly one endpoint bound
+				cands = append(cands, id)
 			}
 		}
 		if len(cands) == 0 {
 			break
 		}
-		e := cands[g.r.Intn(len(cands))]
-		nt := e.ToTable
-		if in[nt] {
-			nt = e.FromTable
-		}
-		in[nt] = true
-		jp.Tables = append(jp.Tables, nt)
-		jp.Edges = append(jp.Edges, e)
+		jp = jp.JoinFK(cands[g.r.Intn(len(cands))])
 	}
 	return jp
 }
 
 // column picks a random column of a random table in the path.
 func (g *queryGen) column(jp *sqlir.JoinPath) sqlir.ColumnRef {
-	t := g.db.Table(jp.Tables[g.r.Intn(len(jp.Tables))])
+	t := g.db.Schema.TableAt(jp.Tables()[g.r.Intn(jp.Len())])
 	c := t.Columns[g.r.Intn(len(t.Columns))]
 	return sqlir.ColumnRef{Table: t.Name, Column: c.Name}
 }
@@ -450,7 +444,7 @@ func TestSumOverTextRejected(t *testing.T) {
 	db := dataset.Movies()
 	q := &sqlir.Query{
 		KWSet: true, SelectCountSet: true, LimitSet: true,
-		From: &sqlir.JoinPath{Tables: []string{"actor"}},
+		From: sqlexec.MustPath(db, "actor"),
 		Select: []sqlir.SelectItem{{
 			Agg: sqlir.AggSum, AggSet: true,
 			Col: sqlir.ColumnRef{Table: "actor", Column: "name"}, ColSet: true,
@@ -464,7 +458,7 @@ func TestSumOverTextRejected(t *testing.T) {
 		Col: sqlir.ColumnRef{Table: "actor", Column: "name"}, ColSet: true,
 		Op: sqlir.OpGt, OpSet: true, Val: sqlir.NewNumber(0), ValSet: true,
 	}
-	eq := sqlexec.ExistsQuery{From: &sqlir.JoinPath{Tables: []string{"actor"}}, Havings: []sqlir.HavingExpr{h}}
+	eq := sqlexec.ExistsQuery{From: sqlexec.MustPath(db, "actor"), Havings: []sqlir.HavingExpr{h}}
 	if _, err := sqlexec.Exists(db, eq); err == nil {
 		t.Error("AVG over text column should error on the streaming path")
 	}

@@ -276,24 +276,33 @@ func TestExecuteIncompleteQueryRejected(t *testing.T) {
 	}
 }
 
+// A table outside the catalog is rejected as the path is built, and a path
+// over another catalog, whose ordinals name other tables, when it is run.
 func TestExecuteUnknownTableInPath(t *testing.T) {
 	db := movieDB()
+	if jp, err := db.Schema.Catalog().Path("nope"); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Errorf("path %v, err = %v", jp, err)
+	}
 	q := sqlparse.MustParse(db.Schema, "SELECT title FROM movie")
-	q.From.Tables[0] = "nope"
-	if _, err := Execute(db, q); err == nil || !strings.Contains(err.Error(), "unknown table") {
+	q.From = MustPath(otherCatalogDB(), "nope")
+	if _, err := Execute(db, q); err == nil || !strings.Contains(err.Error(), "catalog") {
 		t.Errorf("err = %v", err)
 	}
 }
 
+// otherCatalogDB is a one-table database whose catalog is not the movies'.
+func otherCatalogDB() *storage.Database {
+	return storage.NewDatabase("other", storage.NewSchema(
+		storage.NewTable("nope", "id", storage.Column{Name: "id", Type: sqlir.TypeNumber})))
+}
+
+// An edge disconnected from the tables joined before it is rejected as the
+// path is built.
 func TestExecuteDisconnectedEdge(t *testing.T) {
 	db := movieDB()
-	q := sqlparse.MustParse(db.Schema, "SELECT title FROM movie")
-	q.From.Tables = append(q.From.Tables, "actor")
-	q.From.Edges = append(q.From.Edges, sqlir.JoinEdge{
-		FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid",
-	})
-	if _, err := Execute(db, q); err == nil || !strings.Contains(err.Error(), "disconnected") {
-		t.Errorf("err = %v", err)
+	on := sqlir.JoinOn{Left: sqlir.ColumnRef{Table: "starring", Column: "aid"}, Right: sqlir.ColumnRef{Table: "actor", Column: "aid"}}
+	if jp, err := db.Schema.Catalog().Path("movie", on); err == nil || !strings.Contains(err.Error(), "joins no table joined before it") {
+		t.Errorf("path %v, err = %v", jp, err)
 	}
 }
 
@@ -345,17 +354,9 @@ func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 				Op: sqlir.OpGe, OpSet: true, Val: num(0), ValSet: true}
 		},
 		"unknown column": func(q *sqlir.Query) { q.Select[0].Col.Column = "nope" },
-		"unknown root":   func(q *sqlir.Query) { q.From = pathOf("nope") },
+		"other catalog":  func(q *sqlir.Query) { q.From = MustPath(otherCatalogDB(), "nope") },
 		"SUM over star": func(q *sqlir.Query) {
 			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggSum, AggSet: true, Col: sqlir.Star, ColSet: true}
-		},
-		"disconnected edge": func(q *sqlir.Query) {
-			q.From = &sqlir.JoinPath{Tables: []string{"movie", "actor"}, Edges: []sqlir.JoinEdge{
-				{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"}}}
-		},
-		"edge on unknown column": func(q *sqlir.Query) {
-			q.From = &sqlir.JoinPath{Tables: []string{"movie", "starring"}, Edges: []sqlir.JoinEdge{
-				{FromTable: "starring", FromColumn: "nope", ToTable: "movie", ToColumn: "mid"}}}
 		},
 	}
 	for name, mutate := range mutations {
@@ -394,15 +395,16 @@ func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 // disjunction with a second defect in its AndPreds reports the one the
 // reference meets first: the disjunction's, as no movie is from after 3000.
 func TestUnboundProbesFailAtPlanTime(t *testing.T) {
+	db := movieDB()
 	outside := sqlir.ColumnRef{Table: "actor", Column: "gender"}
 	probes := map[string]ExistsQuery{
-		"flat": {From: pathOf("movie"), Conj: sqlir.LogicAnd,
+		"flat": {From: MustPath(db, "movie"), Conj: sqlir.LogicAnd,
 			Preds: []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(1990)), pred("actor", "gender", sqlir.OpEq, text("male"))}},
-		"grouped": {From: pathOf("movie"), Conj: sqlir.LogicAnd,
+		"grouped": {From: MustPath(db, "movie"), Conj: sqlir.LogicAnd,
 			GroupBy: []sqlir.ColumnRef{outside},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: num(1), ValSet: true}}},
-		"disjunction": {From: pathOf("movie"), Conj: sqlir.LogicOr,
+		"disjunction": {From: MustPath(db, "movie"), Conj: sqlir.LogicOr,
 			Preds:    []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(3000)), pred("actor", "gender", sqlir.OpEq, text("male"))},
 			AndPreds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))}},
 	}

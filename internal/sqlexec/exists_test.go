@@ -6,10 +6,6 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
-func pathOf(tables ...string) *sqlir.JoinPath {
-	return &sqlir.JoinPath{Tables: tables}
-}
-
 func pred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{
 		Col: sqlir.ColumnRef{Table: table, Column: col}, ColSet: true,
@@ -21,7 +17,7 @@ func TestExistsSimple(t *testing.T) {
 	db := movieDB()
 	// CV1 from Example 3.5: SELECT 1 FROM actor WHERE name='Tom Hanks' LIMIT 1
 	ok, err := Exists(db, ExistsQuery{
-		From:  pathOf("actor"),
+		From:  MustPath(db, "actor"),
 		Preds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))},
 	})
 	if err != nil || !ok {
@@ -29,7 +25,7 @@ func TestExistsSimple(t *testing.T) {
 	}
 	// CV3-style failure: revenue between 1950 and 1960 never holds.
 	ok, err = Exists(db, ExistsQuery{
-		From: pathOf("movie"),
+		From: MustPath(db, "movie"),
 		Conj: sqlir.LogicAnd,
 		Preds: []sqlir.Predicate{
 			pred("movie", "revenue", sqlir.OpGe, num(1950)),
@@ -43,7 +39,7 @@ func TestExistsSimple(t *testing.T) {
 
 func TestExistsNoPreds(t *testing.T) {
 	db := movieDB()
-	ok, err := Exists(db, ExistsQuery{From: pathOf("actor")})
+	ok, err := Exists(db, ExistsQuery{From: MustPath(db, "actor")})
 	if err != nil || !ok {
 		t.Errorf("exists = %v, %v", ok, err)
 	}
@@ -52,7 +48,7 @@ func TestExistsNoPreds(t *testing.T) {
 func TestExistsEmptyTable(t *testing.T) {
 	db := movieDB()
 	ok, err := Exists(db, ExistsQuery{
-		From:  pathOf("actor"),
+		From:  MustPath(db, "actor"),
 		Preds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Nobody"))},
 	})
 	if err != nil || ok {
@@ -62,13 +58,7 @@ func TestExistsEmptyTable(t *testing.T) {
 
 func TestExistsWithJoin(t *testing.T) {
 	db := movieDB()
-	jp := &sqlir.JoinPath{
-		Tables: []string{"actor", "starring", "movie"},
-		Edges: []sqlir.JoinEdge{
-			{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"},
-			{FromTable: "starring", FromColumn: "mid", ToTable: "movie", ToColumn: "mid"},
-		},
-	}
+	jp := MustPath(db, "actor", "starring.aid = actor.aid", "starring.mid = movie.mid")
 	ok, err := Exists(db, ExistsQuery{
 		From: jp,
 		Conj: sqlir.LogicAnd,
@@ -97,10 +87,7 @@ func TestExistsWithJoin(t *testing.T) {
 // verification query with GROUP BY and HAVING range constraints.
 func TestExistsGroupedHaving(t *testing.T) {
 	db := movieDB()
-	jp := &sqlir.JoinPath{
-		Tables: []string{"actor", "starring"},
-		Edges:  []sqlir.JoinEdge{{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"}},
-	}
+	jp := MustPath(db, "actor", "starring.aid = actor.aid")
 	having := func(op sqlir.Op, v float64) sqlir.HavingExpr {
 		return sqlir.HavingExpr{
 			Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
@@ -133,15 +120,15 @@ func TestExistsIncompletePredicateRejected(t *testing.T) {
 	db := movieDB()
 	p := pred("actor", "name", sqlir.OpEq, text("X"))
 	p.ValSet = false
-	if _, err := Exists(db, ExistsQuery{From: pathOf("actor"), Preds: []sqlir.Predicate{p}}); err == nil {
+	if _, err := Exists(db, ExistsQuery{From: MustPath(db, "actor"), Preds: []sqlir.Predicate{p}}); err == nil {
 		t.Error("incomplete predicate should error")
 	}
 }
 
 func TestExistsBadPath(t *testing.T) {
 	db := movieDB()
-	if _, err := Exists(db, ExistsQuery{From: pathOf("nope")}); err == nil {
-		t.Error("unknown table should error")
+	if _, err := Exists(db, ExistsQuery{From: MustPath(otherCatalogDB(), "nope")}); err == nil {
+		t.Error("a path over another catalog should error")
 	}
 	if _, err := Exists(db, ExistsQuery{From: nil}); err == nil {
 		t.Error("nil path should error")
@@ -155,12 +142,12 @@ func TestExistsHavingOnlyNoGroupBy(t *testing.T) {
 		Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 		Op: sqlir.OpEq, OpSet: true, Val: num(4), ValSet: true,
 	}
-	ok, err := Exists(db, ExistsQuery{From: pathOf("movie"), Havings: []sqlir.HavingExpr{h}})
+	ok, err := Exists(db, ExistsQuery{From: MustPath(db, "movie"), Havings: []sqlir.HavingExpr{h}})
 	if err != nil || !ok {
 		t.Errorf("implicit group exists = %v, %v", ok, err)
 	}
 	h.Val = num(5)
-	ok, _ = Exists(db, ExistsQuery{From: pathOf("movie"), Havings: []sqlir.HavingExpr{h}})
+	ok, _ = Exists(db, ExistsQuery{From: MustPath(db, "movie"), Havings: []sqlir.HavingExpr{h}})
 	if ok {
 		t.Error("COUNT(*)=5 should fail")
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -14,6 +15,25 @@ import (
 // Hooks for the external test package (differential tests and paired
 // benchmarks): direct access to the materialize-then-filter reference path,
 // bypassing the streaming pipeline.
+
+// MustPath builds db's join path rooted at root over conditions written
+// "table.column = table.column", panicking on a malformed one.
+func MustPath(db *storage.Database, root string, conds ...string) *sqlir.JoinPath {
+	ref := func(s string) sqlir.ColumnRef {
+		t, c, _ := strings.Cut(s, ".")
+		return sqlir.ColumnRef{Table: t, Column: c}
+	}
+	ons := make([]sqlir.JoinOn, len(conds))
+	for i, c := range conds {
+		l, r, _ := strings.Cut(c, " = ")
+		ons[i] = sqlir.JoinOn{Left: ref(l), Right: ref(r)}
+	}
+	jp, err := db.Schema.Catalog().Path(root, ons...)
+	if err != nil {
+		panic(err)
+	}
+	return jp
+}
 
 // ReferenceRelation wraps a materialized join for repeated probing — the
 // pre-streaming JoinCache behavior.

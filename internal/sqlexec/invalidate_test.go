@@ -19,7 +19,7 @@ func TestJoinCachePinnedEpochSurvivesInsert(t *testing.T) {
 	c := NewJoinCache(snap)
 
 	eq := ExistsQuery{
-		From:  pathOf("movie"),
+		From:  MustPath(db, "movie"),
 		Preds: []sqlir.Predicate{pred("movie", "title", sqlir.OpEq, text("Interstellar"))},
 	}
 	if ok, err := c.Exists(eq); err != nil || ok {

@@ -108,7 +108,7 @@ func TestCancelledRequestDoesNotPoisonJoinCache(t *testing.T) {
 	// A probe with no witness and no posting list to seed it scans every row;
 	// dying mid-scan it must report the cancellation, never a definitive false.
 	eq := ExistsQuery{
-		From:  pathOf("child"),
+		From:  MustPath(db, "child"),
 		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpLt, num(0))},
 	}
 	dying := &pollCtx{Context: context.Background(), dieAt: 2}
@@ -138,7 +138,7 @@ func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 	}
 
 	eq := ExistsQuery{
-		From:  pathOf("child"),
+		From:  MustPath(db, "child"),
 		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpEq, num(-1))},
 	}
 	if _, err := c.ExistsCtx(expired, eq); !errors.Is(err, context.DeadlineExceeded) {

@@ -175,7 +175,7 @@ func TestPropExistsAgreesWithExecute(t *testing.T) {
 		for _, cut := range []float64{-1, 25, 50, 75, 101} {
 			res := exec(t, db, fmt.Sprintf("SELECT id FROM items WHERE val > %g", cut))
 			ok, err := Exists(db, ExistsQuery{
-				From: pathOf("items"),
+				From: MustPath(db, "items"),
 				Preds: []sqlir.Predicate{
 					pred("items", "val", sqlir.OpGt, sqlir.NewNumber(cut)),
 				},
@@ -281,13 +281,7 @@ func randomColumnarExists(r *rand.Rand) ExistsQuery {
 		}
 	}
 	eq := ExistsQuery{
-		From: &sqlir.JoinPath{
-			Tables: []string{"item", "cat", "owner"},
-			Edges: []sqlir.JoinEdge{
-				{FromTable: "item", FromColumn: "cat", ToTable: "cat", ToColumn: "name"},
-				{FromTable: "item", FromColumn: "oid", ToTable: "owner", ToColumn: "oid"},
-			},
-		},
+		From: columnarPaths[3], // item, cat, owner
 		Conj: sqlir.LogicAnd,
 	}
 	if r.Intn(2) == 0 {
@@ -362,16 +356,16 @@ var (
 // each lays its tuples out differently, and the compiled pipeline must
 // reproduce each layout, not a canonical one.
 var columnarPaths = func() []*sqlir.JoinPath {
-	ic := sqlir.JoinEdge{FromTable: "item", FromColumn: "cat", ToTable: "cat", ToColumn: "name"}
-	io := sqlir.JoinEdge{FromTable: "item", FromColumn: "oid", ToTable: "owner", ToColumn: "oid"}
+	db := columnarDB(0, 0)
+	const ic, io = "item.cat = cat.name", "item.oid = owner.oid"
 	return []*sqlir.JoinPath{
-		{Tables: []string{"item"}},
-		{Tables: []string{"item", "cat"}, Edges: []sqlir.JoinEdge{ic}},
-		{Tables: []string{"cat", "item"}, Edges: []sqlir.JoinEdge{ic}},
-		{Tables: []string{"item", "cat", "owner"}, Edges: []sqlir.JoinEdge{ic, io}},
-		{Tables: []string{"item", "owner", "cat"}, Edges: []sqlir.JoinEdge{io, ic}},
-		{Tables: []string{"owner", "item", "cat"}, Edges: []sqlir.JoinEdge{io, ic}},
-		{Tables: []string{"cat", "item", "owner"}, Edges: []sqlir.JoinEdge{ic, io}},
+		MustPath(db, "item"),
+		MustPath(db, "item", ic),
+		MustPath(db, "cat", ic),
+		MustPath(db, "item", ic, io),
+		MustPath(db, "item", io, ic),
+		MustPath(db, "owner", io, ic),
+		MustPath(db, "cat", ic, io),
 	}
 }()
 
@@ -520,7 +514,7 @@ func TestPropNaNComparisonSemantics(t *testing.T) {
 	for _, op := range []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe} {
 		for _, val := range []sqlir.Value{sqlir.NewNumber(5), sqlir.NewNumber(math.NaN())} {
 			eq := ExistsQuery{
-				From: pathOf("n"),
+				From: MustPath(db, "n"),
 				Preds: []sqlir.Predicate{{
 					Col: sqlir.ColumnRef{Table: "n", Column: "v"}, ColSet: true,
 					Op: op, OpSet: true, Val: val, ValSet: true,

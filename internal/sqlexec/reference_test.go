@@ -167,23 +167,24 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 }
 
 // join materializes the join path into a relation of joined tuples using
-// hash joins on the FK-PK edges.
+// hash joins on its edges. The path arrives oriented and valid: it only
+// has to number db's catalog.
 func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relation, error) {
-	if jp == nil || len(jp.Tables) == 0 {
+	if jp.Len() == 0 {
 		return nil, fmt.Errorf("sqlexec: empty join path")
 	}
-	rel := &relation{slots: map[string]int{}}
-	t0 := db.Table(jp.Tables[0])
-	if t0 == nil {
-		return nil, fmt.Errorf("sqlexec: unknown table %s", jp.Tables[0])
+	if !jp.Catalog().Same(db.Schema.Catalog()) {
+		return nil, fmt.Errorf("sqlexec: join path %s is not over database %s's catalog", jp, db.Name)
 	}
+	rel := &relation{slots: map[string]int{}}
+	t0 := db.Schema.TableAt(jp.Tables()[0])
 	rel.slots[t0.Name] = 0
 	rel.tables = append(rel.tables, t0)
 	rel.tuples = make([]tuple, t0.NumRows())
 	for i := range rel.tuples {
 		rel.tuples[i] = tuple{int32(i)}
 	}
-	for _, e := range jp.Edges {
+	for _, e := range jp.Edges() {
 		var err error
 		rel, err = extendRelation(ctx, db, rel, e)
 		if err != nil {
@@ -193,36 +194,13 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relat
 	return rel, nil
 }
 
-// extendRelation joins one more FK-PK edge onto a relation, probing a hash
-// map of the incoming column it builds for this one join — the reference
-// shares no index with the pipeline it judges. It returns a new relation
-// and leaves the input untouched.
+// extendRelation joins one more edge onto a relation, probing a hash map of
+// the incoming column it builds for this one join — the reference shares no
+// index with the pipeline it judges. It returns a new relation and leaves
+// the input untouched.
 func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge) (*relation, error) {
-	var existing, incoming string
-	if _, ok := rel.slots[e.FromTable]; ok {
-		existing, incoming = e.FromTable, e.ToTable
-	} else if _, ok := rel.slots[e.ToTable]; ok {
-		existing, incoming = e.ToTable, e.FromTable
-	} else {
-		return nil, fmt.Errorf("sqlexec: join edge %s disconnected from path", e)
-	}
-	if _, dup := rel.slots[incoming]; dup {
-		return nil, fmt.Errorf("sqlexec: table %s joined twice", incoming)
-	}
-	nt := db.Table(incoming)
-	if nt == nil {
-		return nil, fmt.Errorf("sqlexec: unknown table %s", incoming)
-	}
-	exCol, inCol := e.FromColumn, e.ToColumn
-	if existing == e.ToTable {
-		exCol, inCol = e.ToColumn, e.FromColumn
-	}
-	exTbl := db.Table(existing)
-	exIdx := exTbl.ColumnIndex(exCol)
-	inIdx := nt.ColumnIndex(inCol)
-	if exIdx < 0 || inIdx < 0 {
-		return nil, fmt.Errorf("sqlexec: join edge %s references unknown column", e)
-	}
+	exTbl, nt := db.Schema.TableAt(e.Joined.Table), db.Schema.TableAt(e.New.Table)
+	exIdx, inIdx := e.Joined.Column, e.New.Column
 	cc := newCanceller(ctx)
 	inVec := nt.VectorAt(inIdx)
 	index := make(map[sqlir.Value][]int32)
@@ -242,8 +220,8 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 		next.slots[t] = s
 	}
 	slot := len(rel.slots)
-	next.slots[incoming] = slot
-	exSlot := rel.slots[existing]
+	next.slots[nt.Name] = slot
+	exSlot := rel.slots[exTbl.Name]
 	exVec := exTbl.VectorAt(exIdx)
 
 	// Tick per output tuple too: a fanning-out edge can append many rows per

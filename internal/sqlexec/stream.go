@@ -8,8 +8,10 @@
 // dictionary code instead of boxed sqlir.Value structs. Grouped scans stream
 // per-group aggregate accumulators under fixed-width binary group keys (a
 // tag byte plus the float bits or dictionary code — no string formatting).
-// It is the only executor. A query that does not bind fails as its plan is
-// built (orientEdges, bindCol, bindAgg), whatever the data, with the text the
+// It is the only executor. A join path arrives oriented and valid — its
+// catalog built it (sqlir.Catalog) — so a plan reads its tables and edge
+// columns by catalog ordinal. A query that does not bind fails as its plan is
+// built (bindCol, bindAgg), whatever the data, with the text the
 // materializing reference executor gives for the same defect; every scan
 // whose tuple order can show keeps the reference enumeration order, so
 // results and floating-point aggregates stay bit-identical. That reference
@@ -22,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -244,10 +247,10 @@ func (st *streamStep) postings(ri int32) ([]int32, bool) {
 }
 
 // streamPlan is a compiled scan — an existence probe's or a complete
-// query's: slot layout, join steps in enumeration order, the pushdown seed,
-// and predicates bound to the earliest slot at which they can be evaluated.
+// query's: tables in bind order, join steps in enumeration order, the
+// pushdown seed, and predicates bound to the earliest slot at which they can
+// be evaluated.
 type streamPlan struct {
-	slots  map[string]int
 	tables []*storage.Table // per slot, in bind order
 
 	steps []streamStep // steps[i] binds slot i+1
@@ -260,10 +263,11 @@ type streamPlan struct {
 	orDepth int
 }
 
-// bindCol resolves a column reference to (slot, column ordinal).
+// bindCol resolves a column reference to (slot, column ordinal). A plan
+// binds a handful of tables, so a scan finds the slot.
 func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
-	slot, ok := p.slots[c.Table]
-	if !ok {
+	slot := slices.IndexFunc(p.tables, func(t *storage.Table) bool { return t.Name == c.Table })
+	if slot < 0 {
 		return 0, 0, fmt.Errorf("sqlexec: column %s not in join path", c)
 	}
 	ci := p.tables[slot].ColumnIndex(c.Column)
@@ -293,50 +297,6 @@ func (p *streamPlan) countSeed(pc *pipelineCounters) {
 	}
 }
 
-// pathEdge is a join edge oriented by introduction order: table a was bound
-// before table b in the reference executor's edge walk.
-type pathEdge struct {
-	a, b       string
-	aCol, bCol string
-}
-
-// orientEdges validates a join path exactly like the materializing join —
-// edge by edge, each edge's tables before its columns, with the same texts —
-// and returns its edges oriented from already-bound to newly-introduced
-// table.
-func orientEdges(db *storage.Database, jp *sqlir.JoinPath) ([]pathEdge, map[string]bool, error) {
-	if jp == nil || len(jp.Tables) == 0 {
-		return nil, nil, fmt.Errorf("sqlexec: empty join path")
-	}
-	if db.Table(jp.Tables[0]) == nil {
-		return nil, nil, fmt.Errorf("sqlexec: unknown table %s", jp.Tables[0])
-	}
-	inSet := map[string]bool{jp.Tables[0]: true}
-	pes := make([]pathEdge, 0, len(jp.Edges))
-	for _, e := range jp.Edges {
-		var pe pathEdge
-		switch {
-		case inSet[e.FromTable] && inSet[e.ToTable]:
-			return nil, nil, fmt.Errorf("sqlexec: table %s joined twice", e.ToTable)
-		case inSet[e.FromTable]:
-			pe = pathEdge{a: e.FromTable, b: e.ToTable, aCol: e.FromColumn, bCol: e.ToColumn}
-		case inSet[e.ToTable]:
-			pe = pathEdge{a: e.ToTable, b: e.FromTable, aCol: e.ToColumn, bCol: e.FromColumn}
-		default:
-			return nil, nil, fmt.Errorf("sqlexec: join edge %s disconnected from path", e)
-		}
-		if db.Table(pe.b) == nil {
-			return nil, nil, fmt.Errorf("sqlexec: unknown table %s", pe.b)
-		}
-		if db.Table(pe.a).ColumnIndex(pe.aCol) < 0 || db.Table(pe.b).ColumnIndex(pe.bCol) < 0 {
-			return nil, nil, fmt.Errorf("sqlexec: join edge %s references unknown column", e)
-		}
-		inSet[pe.b] = true
-		pes = append(pes, pe)
-	}
-	return pes, inSet, nil
-}
-
 // predsConjoined reports whether an exists query's Preds have AND semantics:
 // conjoined, or too few for the connective to matter.
 func (eq ExistsQuery) predsConjoined() bool {
@@ -359,43 +319,35 @@ func splitPreds(eq ExistsQuery) (andPreds, orRaw []sqlir.Predicate) {
 
 // walkJoinTree adds every join edge in plan order: reference edge order
 // when the root is the reference root, otherwise a BFS re-rooting at the
-// seed table. Shared by both streaming planners so their enumeration
-// orders stay identical.
-func walkJoinTree(jp *sqlir.JoinPath, pes []pathEdge, root string,
-	addStep func(parent, parentCol, child, childCol string) error) error {
-	if root == jp.Tables[0] {
+// seed table.
+func walkJoinTree(jp *sqlir.JoinPath, root int, addStep func(parent, child sqlir.ColumnOrd)) {
+	if root == jp.Tables()[0] {
 		// Reference enumeration order: edges exactly as introduced.
-		for _, pe := range pes {
-			if err := addStep(pe.a, pe.aCol, pe.b, pe.bCol); err != nil {
-				return err
-			}
+		for _, e := range jp.Edges() {
+			addStep(e.Joined, e.New)
 		}
-		return nil
+		return
 	}
-	// Re-root the join tree at the seed table (BFS over the edge set).
-	type half struct{ fromCol, to, toCol string }
-	adj := map[string][]half{}
-	bound := map[string]bool{root: true}
-	for _, pe := range pes {
-		adj[pe.a] = append(adj[pe.a], half{pe.aCol, pe.b, pe.bCol})
-		adj[pe.b] = append(adj[pe.b], half{pe.bCol, pe.a, pe.aCol})
-	}
-	queue := []string{root}
+	// Re-root the join tree at the seed table: a BFS over the edges, each
+	// table's in edge order.
+	bound := sqlir.TableSet(0).With(root)
+	queue := []int{root}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, h := range adj[cur] {
-			if bound[h.to] {
+		for _, e := range jp.Edges() {
+			from, to := e.Joined, e.New
+			if to.Table == cur {
+				from, to = to, from
+			}
+			if from.Table != cur || bound.Has(to.Table) {
 				continue
 			}
-			if err := addStep(cur, h.fromCol, h.to, h.toCol); err != nil {
-				return err
-			}
-			bound[h.to] = true
-			queue = append(queue, h.to)
+			addStep(from, to)
+			bound = bound.With(to.Table)
+			queue = append(queue, to.Table)
 		}
 	}
-	return nil
 }
 
 // buildStreamPlan compiles an exists query into a vectorized streaming
@@ -407,9 +359,11 @@ func walkJoinTree(jp *sqlir.JoinPath, pes []pathEdge, root string,
 // them.
 func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*streamPlan, error) {
 	jp := eq.From
-	pes, inSet, err := orientEdges(db, jp)
-	if err != nil {
-		return nil, err
+	if jp.Len() == 0 {
+		return nil, fmt.Errorf("sqlexec: empty join path")
+	}
+	if !jp.Catalog().Same(db.Schema.Catalog()) {
+		return nil, fmt.Errorf("sqlexec: join path %s is not over database %s's catalog", jp, db.Name)
 	}
 
 	andPreds, orRaw := splitPreds(eq)
@@ -418,63 +372,48 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 	// among the AND-semantics equality predicates. Posting lists preserve
 	// row order, so seeding on the reference root table is always sound;
 	// moving the root elsewhere additionally requires canReorder.
-	root := jp.Tables[0]
+	root := jp.Tables()[0]
 	var rootRows []int32
 	seeded, best := false, -1
 	for _, p := range andPreds {
-		if p.Op != sqlir.OpEq || p.Val.IsNull() || !inSet[p.Col.Table] {
+		if p.Op != sqlir.OpEq || p.Val.IsNull() {
 			continue
 		}
-		if !canReorder && p.Col.Table != jp.Tables[0] {
+		ord, on := jp.Find(p.Col.Table)
+		if !on || (!canReorder && ord != jp.Tables()[0]) {
 			continue
 		}
-		t := db.Table(p.Col.Table)
-		if t == nil || t.ColumnIndex(p.Col.Column) < 0 {
+		t := db.Schema.TableAt(ord)
+		ci := t.ColumnIndex(p.Col.Column)
+		if ci < 0 {
 			continue // surfaces as a bind error below
 		}
-		ix, ierr := t.CodeIndex(p.Col.Column)
-		if ierr != nil {
-			continue
-		}
-		postings := ix.Postings(p.Val)
+		postings := t.CodeIndex(ci).Postings(p.Val)
 		if best < 0 || len(postings) < best {
 			best = len(postings)
-			root = p.Col.Table
+			root = ord
 			rootRows = postings
 			seeded = true
 		}
 	}
 
-	plan := &streamPlan{slots: make(map[string]int, len(jp.Tables)), seeded: seeded, rootRows: rootRows}
-	addTable := func(name string) {
-		plan.slots[name] = len(plan.tables)
-		plan.tables = append(plan.tables, db.Table(name))
-	}
-	addStep := func(parent string, parentCol string, child string, childCol string) error {
-		pt, ct := db.Table(parent), db.Table(child)
-		probeCol, ci := pt.ColumnIndex(parentCol), ct.ColumnIndex(childCol) // orientEdges checked both
-		ix, ierr := ct.CodeIndex(childCol)
-		if ierr != nil {
-			return ierr
-		}
-		probeVec := pt.VectorAt(probeCol)
+	plan := &streamPlan{tables: make([]*storage.Table, 1, jp.Len()), seeded: seeded, rootRows: rootRows}
+	plan.tables[0] = db.Schema.TableAt(root)
+	walkJoinTree(jp, root, func(parent, child sqlir.ColumnOrd) {
+		pt, ct := db.Schema.TableAt(parent.Table), db.Schema.TableAt(child.Table)
+		ix := ct.CodeIndex(child.Column)
+		probeVec := pt.VectorAt(parent.Column)
 		kind := stepNone
 		switch {
-		case probeVec.Type() == sqlir.TypeNumber && ct.VectorAt(ci).Type() == sqlir.TypeNumber:
+		case probeVec.Type() == sqlir.TypeNumber && ct.VectorAt(child.Column).Type() == sqlir.TypeNumber:
 			kind = stepNum
-		case probeVec.Type() == sqlir.TypeText && ct.VectorAt(ci).Type() == sqlir.TypeText:
+		case probeVec.Type() == sqlir.TypeText && ct.VectorAt(child.Column).Type() == sqlir.TypeText:
 			kind = stepText
 		}
-		probeSlot := plan.slots[parent]
-		addTable(child)
+		probeSlot := slices.Index(plan.tables, pt)
+		plan.tables = append(plan.tables, ct)
 		plan.steps = append(plan.steps, streamStep{probeSlot: probeSlot, kind: kind, probeVec: probeVec, idx: ix})
-		return nil
-	}
-
-	addTable(root)
-	if err := walkJoinTree(jp, pes, root, addStep); err != nil {
-		return nil, err
-	}
+	})
 
 	// Bound in the reference's evaluation order — Preds, then AndPreds — so
 	// a probe with several defects reports the one the reference meets first.

@@ -10,14 +10,12 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
-// TestExistsMalformedPathNoPanic pins the bind error for a join path with
-// edges but no tables: both entry points must report the reference's error,
-// not panic.
+// TestExistsMalformedPathNoPanic pins the bind error for the one join path
+// no catalog builds, the zero path: both entry points must report the
+// reference's error, not panic.
 func TestExistsMalformedPathNoPanic(t *testing.T) {
 	db := movieDB()
-	eq := ExistsQuery{From: &sqlir.JoinPath{
-		Edges: []sqlir.JoinEdge{{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"}},
-	}}
+	eq := ExistsQuery{From: &sqlir.JoinPath{}}
 	if _, err := Exists(db, eq); err == nil || !strings.Contains(err.Error(), "empty join path") {
 		t.Errorf("Exists error = %v", err)
 	}
@@ -43,7 +41,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 			Op: op, OpSet: true, Val: num(v), ValSet: true,
 		}
 	}
-	path := &sqlir.JoinPath{Tables: []string{"actor"}}
+	path := MustPath(db, "actor")
 	group := []sqlir.ColumnRef{{Table: "actor", Column: "gender"}}
 
 	// COUNT(*) > 100 fails every group first: SUM(name) is never evaluated,

@@ -70,27 +70,31 @@ func (q *Query) Canonical() string {
 // canonicalJoin renders a join path as the sorted table set plus the sorted,
 // direction-normalized edge set.
 func canonicalJoin(j *JoinPath) string {
-	if j == nil || len(j.Tables) == 0 {
+	if j.Len() == 0 {
 		return "?"
 	}
-	tables := make([]string, len(j.Tables))
-	copy(tables, j.Tables)
-	sort.Strings(tables)
-	edges := make([]string, len(j.Edges))
-	for i, e := range j.Edges {
-		a := e.FromTable + "." + e.FromColumn
-		z := e.ToTable + "." + e.ToColumn
-		if a > z {
-			a, z = z, a
-		}
-		edges[i] = a + "=" + z
-	}
-	sort.Strings(edges)
+	tables, edges := j.Sets()
 	s := strings.Join(tables, ",")
 	if len(edges) > 0 {
 		s += " ON " + strings.Join(edges, "&")
 	}
 	return s
+}
+
+// Sets returns the path as a set of tables and a set of edges: its table
+// names in sorted order (ordinal order, as ordinals rank names) and its
+// conditions, each written lesser column first, sorted.
+func (j *JoinPath) Sets() (tables, edges []string) {
+	for _, t := range j.set.Ordinals() {
+		tables = append(tables, j.cat.names[t])
+	}
+	edges = make([]string, len(j.edges))
+	for i, e := range j.edges {
+		a, z := j.cat.columnRef(e.Joined).String(), j.cat.columnRef(e.New).String()
+		edges[i] = min(a, z) + "=" + max(a, z)
+	}
+	sort.Strings(edges)
+	return tables, edges
 }
 
 // Equivalent reports whether two complete queries are exact matches under

@@ -36,10 +36,7 @@ func TestCanonicalConjunctionMatters(t *testing.T) {
 func TestCanonicalJoinOrderInsensitive(t *testing.T) {
 	a := buildComplete()
 	b := buildComplete()
-	b.From = &JoinPath{
-		Tables: []string{"starring", "movie"},
-		Edges:  []JoinEdge{{"starring", "mid", "movie", "mid"}},
-	}
+	b.From = mustPath("starring", on("starring.mid", "movie.mid"))
 	if !Equivalent(a, b) {
 		t.Errorf("join order should not matter:\n%s\n%s", a.Canonical(), b.Canonical())
 	}
@@ -48,7 +45,7 @@ func TestCanonicalJoinOrderInsensitive(t *testing.T) {
 func TestCanonicalEdgeDirectionInsensitive(t *testing.T) {
 	a := buildComplete()
 	b := buildComplete()
-	b.From.Edges = []JoinEdge{{"movie", "mid", "starring", "mid"}}
+	b.From = mustPath("movie", on("movie.mid", "starring.mid"))
 	if !Equivalent(a, b) {
 		t.Errorf("edge direction should not matter:\n%s\n%s", a.Canonical(), b.Canonical())
 	}

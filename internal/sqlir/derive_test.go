@@ -34,7 +34,7 @@ func derivations() map[string]Decision {
 		"SelectCount":  {Kind: DecideSelectCount, Count: 3},
 		"SelectColumn": {Kind: DecideSelectColumn, Index: 1, Col: &col},
 		"SelectAgg":    {Kind: DecideSelectAgg, Index: 0, Agg: AggMin},
-		"From":         {Kind: DecideFrom, From: &JoinPath{Tables: []string{"starring"}}},
+		"From":         {Kind: DecideFrom, From: mustPath("starring")},
 		"WhereCount":   {Kind: DecideWhereCount, Count: 2},
 		"WhereConj":    {Kind: DecideWhereConj, Conj: LogicOr},
 		"PredColumn":   {Kind: DecidePredColumn, Index: 0, Col: &col},
@@ -135,8 +135,7 @@ func TestDerivationAllocations(t *testing.T) {
 	for name, d := range derivations() {
 		c := s.Apply(q, d)
 		held := 1
-		for _, has := range []bool{c.Select != nil, c.Where.Preds != nil, c.GroupBy != nil, c.Having != nil, c.OrderBy != nil,
-			c.From != nil, c.From != nil && len(c.From.Tables) > 0, c.From != nil && len(c.From.Edges) > 0} {
+		for _, has := range []bool{c.Select != nil, c.Where.Preds != nil, c.GroupBy != nil, c.Having != nil, c.OrderBy != nil} {
 			if has {
 				held++
 			}
@@ -185,7 +184,7 @@ func decisionPath() []Decision {
 		{Kind: DecideSelectAgg, Index: 0, Agg: AggNone},
 		{Kind: DecideSelectColumn, Index: 1, Col: &year},
 		{Kind: DecideSelectAgg, Index: 1, Agg: AggMax},
-		{Kind: DecideFrom, From: &JoinPath{Tables: []string{"movie"}}},
+		{Kind: DecideFrom, From: mustPath("movie")},
 		{Kind: DecideWhereCount, Count: 2},
 		{Kind: DecideWhereConj, Conj: LogicOr},
 		{Kind: DecidePredColumn, Index: 0, Col: &year},

@@ -1,6 +1,7 @@
 package sqlir
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 )
@@ -209,35 +210,134 @@ func (o OrderBy) String() string {
 	return key + " " + dir
 }
 
-// JoinEdge is one FK→PK join condition between two tables.
+// JoinOn is a join condition by names, as written: Left = Right.
+type JoinOn struct {
+	Left, Right ColumnRef
+}
+
+// String renders the condition.
+func (o JoinOn) String() string { return o.Left.String() + " = " + o.Right.String() }
+
+// JoinEdge is one join condition of a path by ordinals, oriented by
+// introduction: Joined is a column of a table already on the path and New
+// a column of the table the edge introduces. NewFirst records that the
+// condition was written New = Joined.
 type JoinEdge struct {
-	FromTable  string // table containing the foreign key
-	FromColumn string
-	ToTable    string // table containing the referenced primary key
-	ToColumn   string
+	Joined, New ColumnOrd
+	NewFirst    bool
 }
 
-// String renders the ON condition.
-func (e JoinEdge) String() string {
-	return e.FromTable + "." + e.FromColumn + " = " + e.ToTable + "." + e.ToColumn
-}
-
-// JoinPath is the FROM clause: a connected set of tables joined along FK-PK
-// edges. Edges are ordered so that each edge connects one new table to the
-// set of tables already introduced (Tables[0] plus earlier edges).
+// JoinPath is the FROM clause: a connected set of one catalog's tables
+// joined by equality conditions (FK-PK edges, for every path the search
+// builds). Tables lists the tables in introduction order and Edges[i]
+// introduces Tables[i+1]. A path is built only through its catalog
+// (Catalog.Path, Catalog.Root, JoinFK), which rejects a malformed one, and
+// is never written afterwards, so queries share it.
 type JoinPath struct {
-	Tables []string
-	Edges  []JoinEdge
+	cat    *Catalog
+	tables []int
+	edges  []JoinEdge
+	set    TableSet
+}
+
+// Path returns the path rooted at the named table that joins each
+// condition's new table in turn. Each condition must name two columns of
+// the catalog and join one table not on the path yet to one that is.
+func (c *Catalog) Path(root string, on ...JoinOn) (*JoinPath, error) {
+	t, ok := c.index[root]
+	if !ok {
+		return nil, fmt.Errorf("sqlir: unknown table %s", root)
+	}
+	p := c.Root(t)
+	for _, o := range on {
+		a, ok1 := c.column(o.Left)
+		b, ok2 := c.column(o.Right)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("sqlir: join condition %s names an unknown column", o)
+		}
+		if err := p.join(a, b); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Root returns the one-table path of table t.
+func (c *Catalog) Root(t int) *JoinPath {
+	return &JoinPath{cat: c, tables: []int{t}, set: TableSet(0).With(t)}
+}
+
+// JoinFK returns the path extended by each of the catalog's foreign keys
+// fks in turn (indexes into ForeignKeys), each written key = referenced
+// column; the receiver is left as it was. Its callers number tables
+// themselves, so a key that does not join a new table to the path is a
+// bug, and it panics.
+func (j *JoinPath) JoinFK(fks ...int) *JoinPath {
+	ext := &JoinPath{cat: j.cat, tables: slices.Clone(j.tables), edges: slices.Clone(j.edges), set: j.set}
+	for _, fk := range fks {
+		k := j.cat.fks[fk]
+		if err := ext.join(k.From, k.To); err != nil {
+			panic(err)
+		}
+	}
+	return ext
+}
+
+// join appends the condition a = b, which must join one table not on the
+// path yet to one that is.
+func (j *JoinPath) join(a, b ColumnOrd) error {
+	e := JoinEdge{Joined: a, New: b}
+	switch {
+	case j.set.Has(a.Table) && j.set.Has(b.Table):
+		return fmt.Errorf("sqlir: join condition %s joins tables already joined", j.Written(e))
+	case j.set.Has(b.Table):
+		e = JoinEdge{Joined: b, New: a, NewFirst: true}
+	case !j.set.Has(a.Table):
+		return fmt.Errorf("sqlir: join condition %s joins no table joined before it", j.Written(e))
+	}
+	j.tables = append(j.tables, e.New.Table)
+	j.edges = append(j.edges, e)
+	j.set = j.set.With(e.New.Table)
+	return nil
+}
+
+// Catalog returns the catalog the path's ordinals number.
+func (j *JoinPath) Catalog() *Catalog { return j.cat }
+
+// Tables returns the tables' ordinals in introduction order. Callers must
+// not modify them.
+func (j *JoinPath) Tables() []int { return j.tables }
+
+// Edges returns the join conditions in introduction order. Callers must not
+// modify them.
+func (j *JoinPath) Edges() []JoinEdge { return j.edges }
+
+// Set returns the path's tables as a set.
+func (j *JoinPath) Set() TableSet { return j.set }
+
+// Written returns e as it was written.
+func (j *JoinPath) Written(e JoinEdge) JoinOn {
+	a, b := j.cat.columnRef(e.Joined), j.cat.columnRef(e.New)
+	if e.NewFirst {
+		a, b = b, a
+	}
+	return JoinOn{a, b}
+}
+
+// Find returns the ordinal of the named table when it is on the path.
+func (j *JoinPath) Find(table string) (int, bool) {
+	for _, t := range j.tables {
+		if j.cat.names[t] == table {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // Contains reports whether the path includes the named table.
 func (j *JoinPath) Contains(table string) bool {
-	for _, t := range j.Tables {
-		if t == table {
-			return true
-		}
-	}
-	return false
+	_, ok := j.Find(table)
+	return ok
 }
 
 // Len returns the number of tables (the tiebreaker in §3.3.4: shorter join
@@ -246,27 +346,21 @@ func (j *JoinPath) Len() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.Tables)
+	return len(j.tables)
 }
 
 // String renders the FROM clause body.
 func (j *JoinPath) String() string {
-	if j == nil || len(j.Tables) == 0 {
+	if j == nil || len(j.tables) == 0 {
 		return "?"
 	}
 	var b strings.Builder
-	b.WriteString(j.Tables[0])
-	seen := map[string]bool{j.Tables[0]: true}
-	for _, e := range j.Edges {
-		nt := e.FromTable
-		if seen[nt] {
-			nt = e.ToTable
-		}
-		seen[nt] = true
+	b.WriteString(j.cat.names[j.tables[0]])
+	for _, e := range j.edges {
 		b.WriteString(" JOIN ")
-		b.WriteString(nt)
+		b.WriteString(j.cat.names[e.New.Table])
 		b.WriteString(" ON ")
-		b.WriteString(e.String())
+		b.WriteString(j.Written(e).String())
 	}
 	return b.String()
 }
@@ -442,9 +536,9 @@ func (q *Query) Literals() []Value {
 	return out
 }
 
-// Clone returns a deep copy of the query, join path included: a private
-// query to edit in place, or one that outlives the scratch it was built in
-// (derive.go).
+// Clone returns a deep copy of the query, sharing only its join path, which
+// is never written: a private query to edit in place, or one that outlives
+// the scratch it was built in (derive.go).
 func (q *Query) Clone() *Query {
 	c := *q
 	c.Select = slices.Clone(q.Select)
@@ -457,9 +551,6 @@ func (q *Query) Clone() *Query {
 	if q.OrderBy != nil {
 		o := *q.OrderBy
 		c.OrderBy = &o
-	}
-	if q.From != nil {
-		c.From = &JoinPath{Tables: slices.Clone(q.From.Tables), Edges: slices.Clone(q.From.Edges)}
 	}
 	return &c
 }

@@ -15,10 +15,7 @@ func buildComplete() *Query {
 		{Agg: AggNone, AggSet: true, Col: ColumnRef{"movie", "name"}, ColSet: true},
 		{Agg: AggMax, AggSet: true, Col: ColumnRef{"movie", "year"}, ColSet: true},
 	}
-	q.From = &JoinPath{
-		Tables: []string{"movie", "starring"},
-		Edges:  []JoinEdge{{"starring", "mid", "movie", "mid"}},
-	}
+	q.From = mustPath("movie", on("starring.mid", "movie.mid"))
 	q.WhereState = ClausePresent
 	q.Where = Where{
 		CountSet: true,
@@ -148,7 +145,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Select[0].Col.Column = "changed"
 	c.Where.Preds[0].Val = NewInt(9999)
 	c.GroupBy[0].Column = "changed"
-	c.From.Tables[0] = "changed"
 	c.Having.Val = NewInt(9999)
 	c.OrderBy.Desc = true
 	if !q.Having.Val.Equal(NewInt(1)) {
@@ -166,8 +162,8 @@ func TestCloneIndependence(t *testing.T) {
 	if q.GroupBy[0].Column != "name" {
 		t.Error("clone mutated original group by")
 	}
-	if q.From.Tables[0] != "movie" {
-		t.Error("clone mutated original join path")
+	if c.From != q.From {
+		t.Error("clone copied the join path, which is never written")
 	}
 }
 
@@ -222,13 +218,7 @@ func TestOrderByLimitRendering(t *testing.T) {
 }
 
 func TestJoinPathString(t *testing.T) {
-	jp := &JoinPath{
-		Tables: []string{"actor", "starring", "movie"},
-		Edges: []JoinEdge{
-			{"starring", "aid", "actor", "aid"},
-			{"starring", "mid", "movie", "mid"},
-		},
-	}
+	jp := mustPath("actor", on("starring.aid", "actor.aid"), on("starring.mid", "movie.mid"))
 	s := jp.String()
 	want := "actor JOIN starring ON starring.aid = actor.aid JOIN movie ON starring.mid = movie.mid"
 	if s != want {

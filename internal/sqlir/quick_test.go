@@ -23,7 +23,7 @@ func genQuery(r *rand.Rand) *Query {
 			Agg: AggNone, AggSet: true, Col: cols[r.Intn(len(cols))], ColSet: true,
 		})
 	}
-	q.From = &JoinPath{Tables: []string{"t"}}
+	q.From = mustPath("t")
 	if r.Intn(2) == 0 {
 		q.WhereState = ClausePresent
 		q.Where.CountSet = true

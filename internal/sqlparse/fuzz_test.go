@@ -35,23 +35,20 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// grows reports whether every edge of jp joins one of its tables not joined
-// before to the tables that are, and every table is joined: the shape
+// grows reports whether every edge of jp joins the table it introduces, not
+// joined before, to one that is, and every table is joined: the shape
 // sqlir.JoinPath promises.
 func grows(jp *sqlir.JoinPath) bool {
-	joined := map[string]bool{jp.Tables[0]: true}
-	for _, e := range jp.Edges {
-		if joined[e.FromTable] == joined[e.ToTable] {
-			return false
-		}
-		next := e.FromTable
-		if joined[next] {
-			next = e.ToTable
-		}
-		if !jp.Contains(next) {
-			return false
-		}
-		joined[next] = true
+	tables, edges := jp.Tables(), jp.Edges()
+	if len(tables) != len(edges)+1 {
+		return false
 	}
-	return len(joined) == len(jp.Tables)
+	joined := sqlir.TableSet(0).With(tables[0])
+	for i, e := range edges {
+		if !joined.Has(e.Joined.Table) || joined.Has(e.New.Table) || tables[i+1] != e.New.Table {
+			return false
+		}
+		joined = joined.With(e.New.Table)
+	}
+	return joined == jp.Set()
 }

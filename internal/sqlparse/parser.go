@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -153,17 +154,17 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 	if err := p.expectKw("from"); err != nil {
 		return nil, err
 	}
-	jp, rawEdges, err := p.parseFrom()
+	rawEdges, err := p.parseFrom()
 	if err != nil {
 		return nil, err
 	}
-	q.From = jp
 	// Resolve the ON conditions now that aliases exist. Each must join one
 	// FROM table not yet joined to the tables joined before it — the order
 	// sqlir.JoinPath promises and its String relies on — so a self-join
 	// condition, a condition between tables already joined and one naming a
 	// table outside FROM fail here, not when the query runs.
-	joined := map[string]bool{jp.Tables[0]: true}
+	joined := map[string]bool{p.fromTables[0]: true}
+	ons := make([]sqlir.JoinOn, 0, len(rawEdges))
 	for _, re := range rawEdges {
 		a, err := p.resolveRef(re[0], re[1])
 		if err != nil {
@@ -173,24 +174,24 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := sqlir.JoinEdge{
-			FromTable: a.Table, FromColumn: a.Column,
-			ToTable: b.Table, ToColumn: b.Column,
-		}
+		on := sqlir.JoinOn{Left: a, Right: b}
 		next := a.Table
 		if joined[next] {
 			next = b.Table
 		}
 		switch {
 		case joined[next]:
-			return nil, fmt.Errorf("sqlparse: join edge %s joins tables already joined", e)
+			return nil, fmt.Errorf("sqlparse: join edge %s joins tables already joined", on)
 		case !joined[a.Table] && !joined[b.Table]:
-			return nil, fmt.Errorf("sqlparse: join edge %s joins no table joined before it", e)
-		case !jp.Contains(next):
-			return nil, fmt.Errorf("sqlparse: join edge %s names table %s, which is not in FROM", e, next)
+			return nil, fmt.Errorf("sqlparse: join edge %s joins no table joined before it", on)
+		case !slices.Contains(p.fromTables, next):
+			return nil, fmt.Errorf("sqlparse: join edge %s names table %s, which is not in FROM", on, next)
 		}
 		joined[next] = true
-		q.From.Edges = append(q.From.Edges, e)
+		ons = append(ons, on)
+	}
+	if q.From, err = p.schema.Catalog().Path(p.fromTables[0], ons...); err != nil {
+		return nil, err
 	}
 
 	// Resolve projections.
@@ -430,10 +431,10 @@ func (p *parser) resolveRef(qual, col string) (sqlir.ColumnRef, error) {
 	}
 }
 
-// parseFrom reads the FROM clause, registering aliases. Join ON conditions
-// are returned raw because later aliases may be referenced.
-func (p *parser) parseFrom() (*sqlir.JoinPath, [][4]string, error) {
-	jp := &sqlir.JoinPath{}
+// parseFrom reads the FROM clause into p.fromTables, registering aliases.
+// Join ON conditions are returned raw because later aliases may be
+// referenced.
+func (p *parser) parseFrom() ([][4]string, error) {
 	var rawEdges [][4]string
 	readTable := func() error {
 		if p.cur().kind != tokIdent {
@@ -443,12 +444,10 @@ func (p *parser) parseFrom() (*sqlir.JoinPath, [][4]string, error) {
 		if p.schema.Table(name) == nil {
 			return fmt.Errorf("sqlparse: unknown table %q", name)
 		}
-		for _, t := range jp.Tables {
-			if t == name {
-				return fmt.Errorf("sqlparse: table %q joined twice (self-joins out of scope)", name)
-			}
+		if slices.Contains(p.fromTables, name) {
+			return fmt.Errorf("sqlparse: table %q joined twice (self-joins out of scope)", name)
 		}
-		jp.Tables = append(jp.Tables, name)
+		p.fromTables = append(p.fromTables, name)
 		if p.acceptKw("as") {
 			if p.cur().kind != tokIdent {
 				return fmt.Errorf("sqlparse: expected alias at %d", p.cur().pos)
@@ -460,30 +459,29 @@ func (p *parser) parseFrom() (*sqlir.JoinPath, [][4]string, error) {
 		return nil
 	}
 	if err := readTable(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for p.acceptKw("join") {
 		if err := readTable(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := p.expectKw("on"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		q1, c1, err := p.parseRawRef()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := p.expectSym("="); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		q2, c2, err := p.parseRawRef()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rawEdges = append(rawEdges, [4]string{q1, c1, q2, c2})
 	}
-	p.fromTables = jp.Tables
-	return jp, rawEdges, nil
+	return rawEdges, nil
 }
 
 var reserved = map[string]bool{

@@ -44,7 +44,7 @@ func TestParseSimpleSelect(t *testing.T) {
 	if len(q.Select) != 1 || q.Select[0].Col != (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
 		t.Errorf("select = %v", q.Select)
 	}
-	if q.From.Len() != 1 || q.From.Tables[0] != "movie" {
+	if q.From.Len() != 1 || q.From.String() != "movie" {
 		t.Errorf("from = %v", q.From)
 	}
 }
@@ -58,11 +58,11 @@ func TestParseAliasResolution(t *testing.T) {
 	if q.Select[0].Col.Table != "movie" || q.Select[1].Col.Table != "actor" {
 		t.Errorf("aliases not resolved: %v", q.Select)
 	}
-	if len(q.From.Edges) != 2 {
-		t.Fatalf("edges = %v", q.From.Edges)
+	if len(q.From.Edges()) != 2 {
+		t.Fatalf("edges = %v", q.From.Edges())
 	}
-	if q.From.Edges[0].FromTable != "actor" || q.From.Edges[0].ToTable != "starring" {
-		t.Errorf("edge0 = %v", q.From.Edges[0])
+	if on := q.From.Written(q.From.Edges()[0]); on.Left.Table != "actor" || on.Right.Table != "starring" {
+		t.Errorf("edge0 = %v", on)
 	}
 }
 

@@ -11,12 +11,11 @@ import (
 // text column.
 func textPostings(t *testing.T, tb *Table, col, s string) []int32 {
 	t.Helper()
-	ix, err := tb.CodeIndex(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix.TextString(s)
+	return codeIndex(tb, col).TextString(s)
 }
+
+// codeIndex is the code index of the named column.
+func codeIndex(tb *Table, col string) *CodeIndex { return tb.CodeIndex(tb.ColumnIndex(col)) }
 
 func bulkTable() *Table {
 	return NewTable("t", "id",
@@ -229,9 +228,7 @@ func TestBulkAppendGeneration(t *testing.T) {
 		t.Fatalf("epoch moved by %d for one batch, want 1", got)
 	}
 	// A built index is invalidated by the next batch.
-	if _, err := tb.CodeIndex("name"); err != nil {
-		t.Fatal(err)
-	}
+	tb.CodeIndex(tb.ColumnIndex("name"))
 	if err := tb.BulkAppend([]ColumnData{
 		{Nums: []float64{7}},
 		{Texts: []string{"a"}},

@@ -518,15 +518,11 @@ func (t *Table) Vector(col string) *ColumnVec {
 // VectorAt returns the i-th column's typed vector.
 func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 
-// CodeIndex returns the typed posting-list index of the named column —
+// CodeIndex returns the typed posting-list index of the column at ordinal ci —
 // what the streaming pipeline's seeds and join probes read — extended from
 // the previous epoch's when the table adopted one (adoptBase), else built
 // lazily, and memoized until the next Insert.
-func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
-	ci := t.ColumnIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: table %s: no column %s", t.Name, col)
-	}
+func (t *Table) CodeIndex(ci int) *CodeIndex {
 	t.adoptBase()
 	t.hashMu.Lock()
 	if t.codeIdx == nil {
@@ -540,7 +536,7 @@ func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
 	t.hashMu.Unlock()
 	ix.once.Do(ix.build)
 	ix.ready.Store(true)
-	return ix, nil
+	return ix
 }
 
 // ColumnFootprint reports one column's storage cost for the operator stats:

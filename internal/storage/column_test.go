@@ -87,10 +87,7 @@ func TestVectorNullsAndValues(t *testing.T) {
 // and text columns, and misses cleanly.
 func TestCodeIndexPostings(t *testing.T) {
 	tb := colTable(t)
-	ix, err := tb.CodeIndex("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := tb.CodeIndex(tb.ColumnIndex("tag"))
 	if got := ix.TextString("red"); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("red postings = %v, want [0 2]", got)
 	}
@@ -101,10 +98,7 @@ func TestCodeIndexPostings(t *testing.T) {
 		t.Errorf("kind-mismatched probe returned %v", got)
 	}
 
-	nix, err := tb.CodeIndex("score")
-	if err != nil {
-		t.Fatal(err)
-	}
+	nix := tb.CodeIndex(tb.ColumnIndex("score"))
 	if got := nix.Num(1.5); len(got) != 2 || got[0] != 0 || got[1] != 4 {
 		t.Errorf("1.5 postings = %v, want [0 4]", got)
 	}
@@ -113,29 +107,20 @@ func TestCodeIndexPostings(t *testing.T) {
 		t.Errorf("0 postings = %v, want [3]", got)
 	}
 	// The index is memoized: a second request returns the same one.
-	if again, _ := tb.CodeIndex("score"); again != nix {
+	if again := tb.CodeIndex(tb.ColumnIndex("score")); again != nix {
 		t.Error("second CodeIndex call rebuilt the index instead of memoizing")
-	}
-	if _, err := tb.CodeIndex("nope"); err == nil {
-		t.Error("unknown column should error")
 	}
 }
 
 // Insert invalidates the code index.
 func TestCodeIndexInvalidatedByInsert(t *testing.T) {
 	tb := colTable(t)
-	ix, err := tb.CodeIndex("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := tb.CodeIndex(tb.ColumnIndex("tag"))
 	if got := ix.TextString("blue"); len(got) != 1 {
 		t.Fatalf("blue postings = %v", got)
 	}
 	tb.MustInsert(sqlir.NewNumber(6), sqlir.NewText("blue"), sqlir.NewNumber(9))
-	ix2, err := tb.CodeIndex("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix2 := tb.CodeIndex(tb.ColumnIndex("tag"))
 	if got := ix2.TextString("blue"); len(got) != 2 {
 		t.Errorf("post-insert blue postings = %v, want 2 rows", got)
 	}
@@ -145,14 +130,9 @@ func TestCodeIndexInvalidatedByInsert(t *testing.T) {
 // the rebuild (codes assigned past the old dictionary snapshot).
 func TestCodeIndexNewCodeAfterInsert(t *testing.T) {
 	tb := colTable(t)
-	if _, err := tb.CodeIndex("tag"); err != nil {
-		t.Fatal(err)
-	}
+	tb.CodeIndex(tb.ColumnIndex("tag"))
 	tb.MustInsert(sqlir.NewNumber(7), sqlir.NewText("violet"), sqlir.NewNumber(1))
-	ix, err := tb.CodeIndex("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := tb.CodeIndex(tb.ColumnIndex("tag"))
 	if got := ix.TextString("violet"); len(got) != 1 || got[0] != 5 {
 		t.Errorf("violet postings = %v, want [5]", got)
 	}

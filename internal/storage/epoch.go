@@ -116,6 +116,7 @@ func (v *dbView) freeze(src *Database) *Database {
 		}
 		sch := NewSchema(tables...)
 		sch.ForeignKeys = append([]ForeignKey(nil), src.Schema.ForeignKeys...)
+		sch.cat.Store(src.Schema.Catalog())
 		fdb := NewDatabase(src.Name, sch)
 		fdb.frozen = true
 		fdb.snapEpoch = v.epoch

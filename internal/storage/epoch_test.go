@@ -173,11 +173,7 @@ func TestSnapshotPerRowInsert(t *testing.T) {
 // pattern: "s3" is on every row ri < n with ri%7 == 3 that is not NULL.
 func checkPostings(t *testing.T, tb *Table, n int) {
 	t.Helper()
-	ix, err := tb.CodeIndex("name")
-	if err != nil {
-		t.Error(err)
-		return
-	}
+	ix := tb.CodeIndex(tb.ColumnIndex("name"))
 	var want []int32
 	for ri := 3; ri < n; ri += 7 {
 		if ri%3 != 2 {
@@ -326,9 +322,7 @@ func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
 			continue
 		}
 		for _, c := range cols {
-			if _, err := snap.Table("ev").CodeIndex(c); err != nil {
-				t.Fatal(err)
-			}
+			codeIndex(snap.Table("ev"), c)
 		}
 	}
 
@@ -354,14 +348,11 @@ func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
 	for e, snap := range snaps {
 		tb := snap.Table("ev")
 		for _, c := range cols {
-			ix, err := tb.CodeIndex(c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := codeIndex(tb, c)
 			want := wantPostings(tb.Vector(c))
 			var prev *CodeIndex
 			if e > 0 {
-				prev, _ = snaps[e-1].Table("ev").CodeIndex(c)
+				prev = codeIndex(snaps[e-1].Table("ev"), c)
 			}
 			for _, v := range probes[c] {
 				got := ix.Postings(v)
@@ -400,18 +391,12 @@ func TestSnapshotPostingsAppendLeavesNextEpochUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := db.Snapshot()
-	bix, err := base.Table("ev").CodeIndex("name")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bix := codeIndex(base.Table("ev"), "name")
 	if _, err := db.Append("ev", name("red", 1)); err != nil {
 		t.Fatal(err)
 	}
 	next := db.Snapshot()
-	nix, err := next.Table("ev").CodeIndex("name")
-	if err != nil {
-		t.Fatal(err)
-	}
+	nix := codeIndex(next.Table("ev"), "name")
 	if got := nix.TextString("red"); !slices.Equal(got, []int32{0, 1, 2, 3}) {
 		t.Fatalf("next epoch postings = %v", got)
 	}

@@ -404,3 +404,33 @@ func TestLoadIsolation(t *testing.T) {
 		t.Fatalf("sibling fingerprint %016x, want %016x", got, want)
 	}
 }
+
+// A persisted schema wider than a catalog holds is refused at load, with
+// the limit named; 64 tables load.
+func TestLoadRejectsTooWideSchema(t *testing.T) {
+	wide := func(n int) *storage.Database {
+		var tables []*storage.Table
+		for i := range n {
+			tables = append(tables, storage.NewTable(fmt.Sprintf("t%02d", i), "id",
+				storage.Column{Name: "id", Type: sqlir.TypeNumber}))
+		}
+		return storage.NewDatabase(fmt.Sprintf("wide%d", n), storage.NewSchema(tables...))
+	}
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{sqlir.MaxTables, sqlir.MaxTables + 1} {
+		db := wide(n)
+		if _, err := store.Persist(db); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := store.Load(db.Name)
+		switch {
+		case n <= sqlir.MaxTables && (err != nil || len(got.Schema.Tables) != n):
+			t.Errorf("%d tables: %v", n, err)
+		case n > sqlir.MaxTables && (err == nil || !strings.Contains(err.Error(), "at most 64")):
+			t.Errorf("%d tables: %v, want an error naming the limit", n, err)
+		}
+	}
+}

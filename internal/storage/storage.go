@@ -317,31 +317,64 @@ func (t *Table) DistinctValues(col string, max int) ([]sqlir.Value, error) {
 	return out, nil
 }
 
-// Schema is the catalog: tables plus FK-PK constraints.
+// Schema is the catalog: tables plus FK-PK constraints. Its catalog is
+// taken at the first Catalog or Table call, so declare it first: only
+// AddForeignKey drops a catalog already taken.
 type Schema struct {
 	Tables      []*Table
 	ForeignKeys []ForeignKey
 
-	tblIdx map[string]*Table
+	cat atomic.Pointer[sqlir.Catalog] // its name index is the schema's
 }
 
 // NewSchema builds a schema over the given tables.
 func NewSchema(tables ...*Table) *Schema {
-	s := &Schema{Tables: tables, tblIdx: map[string]*Table{}}
-	for _, t := range tables {
-		s.tblIdx[t.Name] = t
-	}
-	return s
+	return &Schema{Tables: tables}
 }
 
 // AddForeignKey registers an FK-PK constraint.
 func (s *Schema) AddForeignKey(table, column, refTable, refColumn string) {
 	s.ForeignKeys = append(s.ForeignKeys, ForeignKey{table, column, refTable, refColumn})
+	s.cat.Store(nil)
 }
+
+// Catalog returns the schema's interned catalog (sqlir.InternCatalog): its
+// table names, column names and foreign keys as they stand at the first
+// call. A frozen epoch's schema keeps its source's.
+func (s *Schema) Catalog() *sqlir.Catalog {
+	if c := s.cat.Load(); c != nil {
+		return c
+	}
+	return s.intern()
+}
+
+func (s *Schema) intern() *sqlir.Catalog {
+	tables := make([]sqlir.CatalogTable, len(s.Tables))
+	for i, t := range s.Tables {
+		tables[i].Name = t.Name
+		for _, c := range t.Columns {
+			tables[i].Columns = append(tables[i].Columns, c.Name)
+		}
+	}
+	fks := make([]sqlir.JoinOn, len(s.ForeignKeys))
+	for i, fk := range s.ForeignKeys {
+		fks[i] = sqlir.JoinOn{Left: sqlir.ColumnRef{Table: fk.Table, Column: fk.Column}, Right: sqlir.ColumnRef{Table: fk.RefTable, Column: fk.RefColumn}}
+	}
+	c := sqlir.InternCatalog(tables, fks)
+	s.cat.Store(c)
+	return c
+}
+
+// TableAt returns the table whose catalog ordinal is t.
+func (s *Schema) TableAt(t int) *Table { return s.Tables[s.Catalog().Declared(t)] }
 
 // Table returns the named table, or nil.
 func (s *Schema) Table(name string) *Table {
-	return s.tblIdx[name]
+	c := s.Catalog()
+	if t, ok := c.Ordinal(name); ok {
+		return s.Tables[c.Declared(t)]
+	}
+	return nil
 }
 
 // Resolve returns the type of table.column, reporting whether it exists.
@@ -360,10 +393,13 @@ func (s *Schema) Resolve(c sqlir.ColumnRef) (sqlir.Type, bool) {
 	return col.Type, true
 }
 
-// Validate checks structural consistency: unique table/column names, FK
-// endpoints exist, FK references a table's primary key, and FK/PK column
-// types agree.
+// Validate checks structural consistency: at most sqlir.MaxTables tables,
+// unique table/column names, FK endpoints exist, FK references a table's
+// primary key, and FK/PK column types agree.
 func (s *Schema) Validate() error {
+	if len(s.Tables) > sqlir.MaxTables {
+		return fmt.Errorf("storage: schema has %d tables; a catalog holds at most %d", len(s.Tables), sqlir.MaxTables)
+	}
 	names := map[string]bool{}
 	for _, t := range s.Tables {
 		if names[t.Name] {

@@ -106,22 +106,21 @@ func (h *hash128) sum() memoKey {
 }
 
 // existsKey hashes an exists query into a memo key, covering every field:
-// join path, connective, predicates, and-preds, group-by columns, and having
+// join path (its root and its oriented edges by catalog ordinals: a Cache
+// serves one catalog, and the direction an edge was written in does not
+// change the question), connective, predicates, and-preds, group-by columns, and having
 // conditions — every field length-prefixed or tagged so the serialization is
 // injective.
 func existsKey(eq sqlexec.ExistsQuery) memoKey {
 	h := newHash128()
 	if eq.From != nil {
-		h.word(uint64(len(eq.From.Tables)))
-		for _, t := range eq.From.Tables {
-			h.str(t)
-		}
-		h.word(uint64(len(eq.From.Edges)))
-		for _, e := range eq.From.Edges {
-			h.str(e.FromTable)
-			h.str(e.FromColumn)
-			h.str(e.ToTable)
-			h.str(e.ToColumn)
+		h.word(uint64(eq.From.Tables()[0]))
+		h.word(uint64(len(eq.From.Edges())))
+		for _, e := range eq.From.Edges() {
+			h.word(uint64(e.Joined.Table))
+			h.word(uint64(e.Joined.Column))
+			h.word(uint64(e.New.Table))
+			h.word(uint64(e.New.Column))
 		}
 	}
 	h.word('|')

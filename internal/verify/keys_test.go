@@ -64,13 +64,9 @@ func keysPred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 func existsSig(eq sqlexec.ExistsQuery) string {
 	var b strings.Builder
 	if eq.From != nil {
-		for _, t := range eq.From.Tables {
-			b.WriteString(t)
-			b.WriteByte(',')
-		}
-		for _, e := range eq.From.Edges {
-			b.WriteString(e.String())
-			b.WriteByte(',')
+		fmt.Fprint(&b, eq.From.Tables()[0])
+		for _, e := range eq.From.Edges() {
+			fmt.Fprint(&b, ",", e.Joined, e.New)
 		}
 	}
 	b.WriteByte('|')
@@ -138,11 +134,19 @@ var literals = []sqlir.Value{
 // connectives, Preds/AndPreds splits of a predicate list, group-bys,
 // havings and literal kinds.
 func existsFamily() []sqlexec.ExistsQuery {
-	ms := sqlir.JoinEdge{FromTable: "starring", FromColumn: "mid", ToTable: "movie", ToColumn: "mid"}
-	paths := []*sqlir.JoinPath{
-		{Tables: []string{"movie"}},
-		{Tables: []string{"movie", "starring"}, Edges: []sqlir.JoinEdge{ms}},
-		{Tables: []string{"starring", "movie"}, Edges: []sqlir.JoinEdge{ms}},
+	cat := movieDB().Schema.Catalog()
+	ms := sqlir.JoinOn{Left: sqlir.ColumnRef{Table: "starring", Column: "mid"}, Right: sqlir.ColumnRef{Table: "movie", Column: "mid"}}
+	var paths []*sqlir.JoinPath
+	for _, root := range []string{"movie", "movie", "starring"} {
+		on := []sqlir.JoinOn{ms}
+		if len(paths) == 0 {
+			on = nil
+		}
+		jp, err := cat.Path(root, on...)
+		if err != nil {
+			panic(err)
+		}
+		paths = append(paths, jp)
 	}
 	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
 	title := sqlir.ColumnRef{Table: "movie", Column: "title"}
@@ -182,7 +186,7 @@ func existsFamily() []sqlexec.ExistsQuery {
 // (moved literal, swapped predicate split, text vs number literal) and a
 // generated family of a few thousand questions.
 func TestExistsKeyAgreesWithExistsSig(t *testing.T) {
-	path := &sqlir.JoinPath{Tables: []string{"movie"}}
+	path := existsFamily()[0].From // movie
 	variants := []sqlexec.ExistsQuery{
 		{From: path, Conj: sqlir.LogicAnd,
 			Preds: []sqlir.Predicate{keysPred("movie", "title", sqlir.OpEq, sqlir.NewText("Heat"))}},

@@ -161,7 +161,7 @@ type boolEntry struct {
 	done atomic.Bool
 	val  bool
 	err  error
-	deps []string // tables the answer reads; carries the entry across epochs
+	deps sqlir.TableSet // tables the answer reads; carries the entry across epochs
 	// mono marks an answer that is monotone under append-only ingest: the
 	// question is "does any row/value satisfy X" with no HAVING-style
 	// aggregate equality, so once true it stays true in every later epoch —
@@ -181,11 +181,11 @@ func Transient(err error) bool {
 
 // do returns the memoized value for key, computing it at most once across
 // all callers. hit reports whether a previously computed entry answered the
-// call. deps names the tables the answer reads; it is only invoked when a
-// freshly computed entry is stored, and lets carryMemo move the entry across
-// an epoch boundary when none of its tables changed — or, for monotone
-// questions that answered true, even when they did.
-func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool), f func() (bool, error)) (val, hit bool, err error) {
+// call. deps returns the set of tables the answer reads; it is only invoked
+// when a freshly computed entry is stored, and lets carryMemo move the entry
+// across an epoch boundary when none of its tables changed — or, for
+// monotone questions that answered true, even when they did.
+func (bm *boolMemo) do(key memoKey, deps func() (tables sqlir.TableSet, monotone bool), f func() (bool, error)) (val, hit bool, err error) {
 	bm.mu.Lock()
 	if bm.m == nil {
 		bm.m = map[memoKey]*boolEntry{}
@@ -207,9 +207,7 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool)
 		return false, false, err
 	}
 	e.val, e.err = val, err
-	if deps != nil {
-		e.deps, e.mono = deps()
-	}
+	e.deps, e.mono = deps()
 	e.done.Store(true)
 	return e.val, false, e.err
 }
@@ -217,9 +215,9 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool)
 // carryMemo builds the next epoch's memo from a previous epoch's, copying
 // every completed entry that provably still answers the same question:
 //
-//   - entries whose dependency tables resolve to the same frozen *Table in
-//     both snapshots — the answer is a pure function of those tables'
-//     contents, so it cannot differ; and
+//   - entries none of whose dependency tables changed — whose tables are
+//     the same frozen *Table in both snapshots — the answer is a pure
+//     function of those tables' contents, so it cannot differ; and
 //   - monotone entries that answered true — under append-only ingest an
 //     existing satisfying row never disappears, so the answer holds in
 //     every later epoch no matter what was appended.
@@ -228,6 +226,15 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables []string, monotone bool)
 // aggregate checks, entries without recorded dependencies) restarts cold.
 func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 	next := &boolMemo{}
+	changed := ^sqlir.TableSet(0)
+	if cat := db.Schema.Catalog(); cat.Same(prevDB.Schema.Catalog()) {
+		changed = 0
+		for t := range cat.NumTables() {
+			if db.Schema.TableAt(t) != prevDB.Schema.TableAt(t) {
+				changed = changed.With(t)
+			}
+		}
+	}
 	prev.mu.Lock()
 	entries := make(map[memoKey]*boolEntry, len(prev.m))
 	for k, e := range prev.m {
@@ -238,22 +245,11 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 		// Never wait for a computation in flight: its request is still on
 		// the previous epoch and may hold e.mu for as long as its probe
 		// runs. An entry not yet done simply restarts cold.
-		if !e.done.Load() || e.err != nil || len(e.deps) == 0 {
+		if !e.done.Load() || e.err != nil || e.deps == 0 {
 			continue
 		}
 		val, deps, mono := e.val, e.deps, e.mono
-		carry := mono && val
-		if !carry {
-			carry = true
-			for _, name := range deps {
-				t := db.Table(name)
-				if t == nil || t != prevDB.Table(name) {
-					carry = false
-					break
-				}
-			}
-		}
-		if !carry {
+		if !(mono && val) && deps&changed != 0 {
 			continue
 		}
 		if next.m == nil {
@@ -645,7 +641,11 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
 	// Both forms are monotone under append-only ingest: a matching value
 	// never disappears, and the AVG range check's [min, max] only widens.
-	deps := func() ([]string, bool) { return []string{col.Table}, true }
+	cat := v.db.Schema.Catalog()
+	deps := func() (sqlir.TableSet, bool) {
+		t, _ := cat.Ordinal(col.Table) // an unknown table fails, and errors never carry
+		return sqlir.TableSet(0).With(t), true
+	}
 	return v.colCache.do(key, deps, func() (bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
@@ -658,12 +658,15 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 		}
 		// Unaggregated, MIN and MAX projections produce exact column
 		// values: run SELECT 1 FROM t WHERE <cell constraint> LIMIT 1.
-		preds := cellPredicates(col, cell)
+		from, perr := cat.Path(col.Table)
+		if perr != nil {
+			return false, perr
+		}
 		v.countDBQuery()
 		return v.joins.ExistsCtx(ctx, sqlexec.ExistsQuery{
-			From:  &sqlir.JoinPath{Tables: []string{col.Table}},
+			From:  from,
 			Conj:  sqlir.LogicAnd,
-			Preds: preds,
+			Preds: cellPredicates(col, cell),
 		})
 	})
 }
@@ -813,7 +816,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 		// ingest; HAVING conditions are not (a group's aggregate can move
 		// off the checked value), so those entries never outlive their
 		// tables.
-		deps := func() ([]string, bool) { return existsDeps(eq), len(eq.Havings) == 0 }
+		deps := func() (sqlir.TableSet, bool) { return eq.From.Set(), len(eq.Havings) == 0 }
 		ok, _, err := v.rowCache.do(existsKey(eq), deps, func() (bool, error) {
 			v.countDBQuery()
 			return v.joins.ExistsCtx(ctx, eq)
@@ -826,38 +829,6 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 		}
 	}
 	return pass(), nil
-}
-
-// existsDeps names every table an exists query reads — the join path plus
-// any table a predicate, grouping column, or having condition references —
-// deduplicated, for the row memo's epoch carry-forward.
-func existsDeps(eq sqlexec.ExistsQuery) []string {
-	seen := map[string]bool{}
-	var deps []string
-	add := func(t string) {
-		if t != "" && !seen[t] {
-			seen[t] = true
-			deps = append(deps, t)
-		}
-	}
-	if eq.From != nil {
-		for _, t := range eq.From.Tables {
-			add(t)
-		}
-	}
-	for _, p := range eq.Preds {
-		add(p.Col.Table)
-	}
-	for _, p := range eq.AndPreds {
-		add(p.Col.Table)
-	}
-	for _, g := range eq.GroupBy {
-		add(g.Table)
-	}
-	for _, h := range eq.Havings {
-		add(h.Col.Table)
-	}
-	return deps
 }
 
 // soundPredicates returns the subset of the partial query's WHERE clause

@@ -94,7 +94,7 @@ func (s *Session) SetSorted(sorted bool) {
 // AcceptFromPreview adds a row of a candidate's preview as a positive
 // example tuple — the §7 "add examples by clicking directly on a candidate
 // query preview" improvement.
-func (s *Session) AcceptFromPreview(rank int, row int) error {
+func (s *Session) AcceptFromPreview(ctx context.Context, rank int, row int) error {
 	if s.last == nil {
 		return fmt.Errorf("duoquest: no results to accept from; call Run first")
 	}
@@ -102,7 +102,7 @@ func (s *Session) AcceptFromPreview(rank int, row int) error {
 		if c.Rank != rank {
 			continue
 		}
-		preview, err := s.syn.Preview(c.Query, row+1)
+		preview, err := s.syn.Preview(ctx, c.Query, row+1)
 		if err != nil {
 			return err
 		}

@@ -95,7 +95,7 @@ func TestSessionAcceptFromPreview(t *testing.T) {
 	if _, err := sess.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.AcceptFromPreview(1, 0); err != nil {
+	if err := sess.AcceptFromPreview(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sess.Input().Sketch.Tuples); got != 1 {
@@ -118,7 +118,7 @@ func TestSessionErrors(t *testing.T) {
 	if err := sess.Reject(1); err == nil {
 		t.Error("reject before Run should error")
 	}
-	if err := sess.AcceptFromPreview(1, 0); err == nil {
+	if err := sess.AcceptFromPreview(context.Background(), 1, 0); err == nil {
 		t.Error("accept before Run should error")
 	}
 	if err := sess.AddTuple(duoquest.Tuple{duoquest.Exact(duoquest.Text("a")), duoquest.Exact(duoquest.Text("b"))}); err != nil {
