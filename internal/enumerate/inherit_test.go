@@ -361,66 +361,106 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 }
 
 // TestChildAllocations bounds what a child costs: nothing when the cascade
-// rejects it without database work, and for one that is queued at most its
-// share of a frontier chunk, when the chunk pool has none to give. A queued
-// child is a state pointing at its parent; its own query is built only in
-// the scratch, when it is popped (TestPopAllocations).
+// rejects it without database work — by-column and by-row answers the memo
+// has included — and for one that is queued at most its share of a frontier
+// chunk, when the chunk pool has none to give. A queued child is a state
+// pointing at its parent; its own query is built only in the scratch, when
+// it is popped (TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
-	sketch := &tsq.TSQ{
-		Types:  []sqlir.Type{sqlir.TypeText, sqlir.TypeNumber},
-		Tuples: []tsq.Tuple{{tsq.Exact(text("No Such Film")), tsq.Empty()}},
-	}
-	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), sketch, nil), Options{})
-	s := e.newSearch(context.Background(), "titles", nil)
-	defer s.close()
-
 	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
-	root := &state{} // the root has no proof to pass on
-	parent := root
-	for _, d := range []sqlir.Decision{
-		{Kind: sqlir.DecideKeywords, Where: true},
-		{Kind: sqlir.DecideSelectCount, Count: 2},
-		{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
-	} {
-		parent = &state{parent: parent, dec: d, depth: parent.depth + 1, verified: true}
+	movie, err := db.Schema.Catalog().Path("movie")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// consider is what Enumerate does with one option of the expansion of
-	// p, popped with query q.
-	consider := func(p *state, q *sqlir.Query, o option) verify.Stage {
-		r := s.verifyChild(q, p.verified, o.dec)
-		s.child(p, &o, &r)
-		if r.out.OK {
-			return "" // queued
-		}
-		return r.out.Stage
-	}
-	for _, tc := range []struct {
+	type childCase struct {
 		name   string
 		parent *state
 		dec    sqlir.Decision
 		stage  verify.Stage // where it is rejected; "" when it is queued
+	}
+	// chain is a verified state deciding ds after the root, which has no
+	// proof to pass on.
+	root := &state{}
+	chain := func(ds ...sqlir.Decision) *state {
+		p := root
+		for _, d := range ds {
+			p = &state{parent: p, dec: d, depth: p.depth + 1, verified: true}
+		}
+		return p
+	}
+	// run considers each case's child in a search under sketch the way
+	// Enumerate does with one option of the expansion of its parent, and
+	// counts what a repeat costs: the first look has filled the memos.
+	run := func(sketch *tsq.TSQ, cases ...childCase) {
+		e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), sketch, nil), Options{})
+		s := e.newSearch(context.Background(), "titles", nil)
+		defer s.close()
+		consider := func(p *state, q *sqlir.Query, o option) verify.Stage {
+			r := s.verifyChild(q, p.verified, o.dec)
+			s.child(p, &o, &r)
+			if r.out.OK {
+				return "" // queued
+			}
+			return r.out.Stage
+		}
+		for _, tc := range cases {
+			q := s.replay(tc.parent)
+			o := option{tc.dec, 0.5}
+			if stage := consider(tc.parent, q, o); stage != tc.stage {
+				t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
+			}
+			n := testing.AllocsPerRun(1000, func() { consider(tc.parent, q, o) })
+			if tc.stage != "" && n != 0 {
+				t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
+			}
+			if tc.stage == "" && n > 1 {
+				t.Errorf("%s: a queued child cost %.0f allocations, want at most 1 amortised", tc.name, n)
+			}
+		}
+	}
+
+	parent := chain(
+		sqlir.Decision{Kind: sqlir.DecideKeywords, Where: true},
+		sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 2},
+		sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
+	)
+	run(&tsq.TSQ{
+		Types:  []sqlir.Type{sqlir.TypeText, sqlir.TypeNumber},
+		Tuples: []tsq.Tuple{{tsq.Exact(text("No Such Film")), tsq.Empty()}},
+	},
+		childCase{"clauses", root, sqlir.Decision{Kind: sqlir.DecideKeywords, OrderBy: true}, verify.StageClauses},
+		childCase{"semantics", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggAvg}, verify.StageSemantics},
+		childCase{"column types", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggCount}, verify.StageColumnTypes},
+		childCase{"by column, memoized", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone}, verify.StageByColumn},
+		childCase{"queued: aggregate", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone}, ""},
+		childCase{"queued: projection", parent, sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year}, ""},
+	)
+
+	// By row: the title and year of one movie, as a tuple that holds
+	// (Forrest Gump, 1994) and one whose cells each occur but never in one
+	// row (Forrest Gump, 2000). Deciding the WHERE count owes the row check.
+	fromMovie := chain(
+		sqlir.Decision{Kind: sqlir.DecideKeywords, Where: true},
+		sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 2},
+		sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 0, Col: &title},
+		sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone},
+		sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year},
+		sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone},
+		sqlir.Decision{Kind: sqlir.DecideFrom, From: movie},
+	)
+	whereCount := sqlir.Decision{Kind: sqlir.DecideWhereCount, Count: 1}
+	for _, c := range []struct {
+		year  float64
+		child childCase
 	}{
-		{"clauses", root, sqlir.Decision{Kind: sqlir.DecideKeywords, OrderBy: true}, verify.StageClauses},
-		{"semantics", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggAvg}, verify.StageSemantics},
-		{"column types", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggCount}, verify.StageColumnTypes},
-		{"by column, memoized", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 0, Agg: sqlir.AggNone}, verify.StageByColumn},
-		{"queued: aggregate", parent, sqlir.Decision{Kind: sqlir.DecideSelectAgg, Index: 1, Agg: sqlir.AggNone}, ""},
-		{"queued: projection", parent, sqlir.Decision{Kind: sqlir.DecideSelectColumn, Index: 1, Col: &year}, ""},
+		{2000, childCase{"by row, memoized", fromMovie, whereCount, verify.StageByRow}},
+		{1994, childCase{"queued: by row memoized", fromMovie, whereCount, ""}},
 	} {
-		q := s.replay(tc.parent)
-		o := option{tc.dec, 0.5}
-		if stage := consider(tc.parent, q, o); stage != tc.stage {
-			t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
-		}
-		n := testing.AllocsPerRun(1000, func() { consider(tc.parent, q, o) })
-		if tc.stage != "" && n != 0 {
-			t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
-		}
-		if tc.stage == "" && n > 1 {
-			t.Errorf("%s: a queued child cost %.0f allocations, want at most 1 amortised", tc.name, n)
-		}
+		run(&tsq.TSQ{
+			Types:  []sqlir.Type{sqlir.TypeText, sqlir.TypeNumber},
+			Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump")), tsq.Exact(num(c.year))}},
+		}, c.child)
 	}
 }
 

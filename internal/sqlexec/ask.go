@@ -14,7 +14,8 @@ import (
 // give the same answer.
 type Question interface {
 	// Columns is called once, before any row, with the result's column
-	// types. It reports whether the answer is already settled.
+	// types. It reports whether the answer is already settled. types is
+	// only valid during the call.
 	Columns(types []sqlir.Type) (settled bool)
 	// Relevant reports whether a row can affect the answer other than by
 	// being counted. It must depend on the row alone: AskCtx sorts only the
@@ -50,9 +51,11 @@ func ask(ctx context.Context, db *storage.Database, q *sqlir.Query, question Que
 	if q == nil || !q.Complete() {
 		return false, errNotComplete(q)
 	}
-	_, out, err := executeCompiled(ctx, db, q, rowSink{ask: question}, pc)
-	if err != nil {
+	sink := askSinks.Get().(*rowSink)
+	sink.ask = question
+	defer sink.release()
+	if err := executeCompiled(ctx, db, q, sink, pc); err != nil {
 		return false, err
 	}
-	return out.answer(), nil
+	return sink.answer(), nil
 }

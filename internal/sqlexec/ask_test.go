@@ -214,6 +214,49 @@ func TestAskAgreesOnSpiderTasks(t *testing.T) {
 	}
 }
 
+// TestAskLeavesResultsAlone: an asked sink's memory is reused from one
+// question to the next, and no result Execute or Preview returned shares
+// it. Every Spider task's gold result, and a preview of it, must read the
+// same after every other gold query was asked about.
+func TestAskLeavesResultsAlone(t *testing.T) {
+	ctx := context.Background()
+	tasks := dataset.SpiderDev().Tasks
+	if testing.Short() {
+		tasks = tasks[:60]
+	}
+	type kept struct {
+		res  *sqlexec.Result
+		want string
+	}
+	var results []kept
+	for _, task := range tasks {
+		jc := sqlexec.NewJoinCache(task.DB)
+		res, err := jc.ExecuteCtx(ctx, task.Gold)
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		pre, err := jc.PreviewCtx(ctx, task.Gold, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		results = append(results, kept{res, fmt.Sprint(res)}, kept{pre, fmt.Sprint(pre)})
+	}
+	for i, task := range tasks {
+		sk, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, int64(i))
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		if _, err := sqlexec.NewJoinCache(task.DB).AskCtx(ctx, task.Gold, sk.Matcher()); err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+	}
+	for i, k := range results {
+		if got := fmt.Sprint(k.res); got != k.want {
+			t.Errorf("%s: result %d changed after the questions:\n%s\nwas\n%s", tasks[i/2].ID, i%2, got, k.want)
+		}
+	}
+}
+
 // TestAskShapes pins one query per sink shape over the columnar database,
 // including the two the generators reach only by chance: an ORDER BY key
 // that is NaN (the sieve and the top-k are refilled keeping every row) and

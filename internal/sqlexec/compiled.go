@@ -23,9 +23,11 @@
 package sqlexec
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -33,31 +35,29 @@ import (
 )
 
 // executeCompiled runs a complete query through the streaming pipeline
-// into a fresh copy of cfg, a sink configured with the caller's row cap
-// (limit) or question (ask), and returns the result's header and the filled
-// sink. A query that does not bind fails here, before any row is read, in
-// the reference's order: join path, WHERE, projections' types, then GROUP BY
-// keys, HAVING, projections and ORDER BY key as the query reads them.
-func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, cfg rowSink, pc *pipelineCounters) (*Result, *rowSink, error) {
+// into sink, an empty sink (a new one, or one taken from askSinks)
+// configured with the caller's row cap (limit) or question (ask). On
+// success the sink holds the result's column types and what it kept of the
+// rows. A query that does not bind fails here, before any row is read, in
+// the reference's order: join path, WHERE, projections' types, then GROUP
+// BY keys, HAVING, projections and ORDER BY key as the query reads them.
+func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, sink *rowSink, pc *pipelineCounters) error {
 	eq := ExistsQuery{From: q.From}
 	if q.WhereState == sqlir.ClausePresent {
 		eq.Conj, eq.Preds = q.Where.Conj, q.Where.Preds
 	}
 	plan, err := buildStreamPlan(db, eq, false)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	res := &Result{}
 	for _, s := range q.Select {
 		ty, ok := db.Schema.Resolve(s.Col)
 		if !ok {
-			return nil, nil, errUnknownColumn(s.Col)
+			return errUnknownColumn(s.Col)
 		}
-		res.Columns = append(res.Columns, s.String())
-		res.Types = append(res.Types, s.Agg.ResultType(ty))
+		sink.types = append(sink.types, s.Agg.ResultType(ty))
 	}
 
-	sink := cfg
 	sink.distinct = q.Distinct
 	if q.LimitSet && q.Limit > 0 && (sink.limit <= 0 || q.Limit < sink.limit) {
 		sink.limit = q.Limit
@@ -75,46 +75,44 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 	if grouped {
 		spec, err := bindGroupedQuery(plan, q)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		// Even a settled question has every group evaluated: a SUM/AVG
 		// over text the reference would reach must still fail the query.
-		sink.settled = sink.ask != nil && sink.ask.Columns(res.Types)
+		sink.settled = sink.ask != nil && sink.ask.Columns(sink.types)
 		plan.countSeed(pc)
 		g, _, err := plan.scanGroups(ctx, inj, pc, spec, nil)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		out, err := sink.fill(pc, func(out *rowSink, _ *pipelineCounters) error {
-			return out.addGroups(ctx, g, q)
+		return sink.fill(pc, func(*pipelineCounters) error {
+			return sink.addGroups(ctx, g, q)
 		})
-		return res, out, err
 	}
 
 	for _, s := range q.Select {
 		c, err := plan.bindVec(s.Col)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		sink.sel = append(sink.sel, c)
 	}
 	if ordered {
 		if sink.order, err = plan.bindVec(q.OrderBy.Key.Col); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	// A flat scan can fail only by cancellation, so a question settled by
 	// the column types needs no scan.
-	if sink.ask != nil && sink.ask.Columns(res.Types) {
+	if sink.ask != nil && sink.ask.Columns(sink.types) {
 		sink.settled = true
-		return res, sink.fresh(), nil
+		return nil
 	}
 	plan.countSeed(pc)
-	out, err := sink.fill(pc, func(out *rowSink, pc *pipelineCounters) error {
-		_, err := plan.run(ctx, inj, pc, out.add)
+	return sink.fill(pc, func(pc *pipelineCounters) error {
+		_, err := plan.run(ctx, inj, pc, sink.add)
 		return err
 	})
-	return res, out, err
 }
 
 // bindGroupedQuery resolves a grouped query's GROUP BY keys and the
@@ -174,8 +172,13 @@ var errNaNOrderKey = errors.New("sqlexec: NaN ORDER BY key")
 // DISTINCT still keeps every distinct row's key bytes. A grouped query's
 // groups are all evaluated whatever the question settled, so its errors
 // stay the reference's.
+//
+// An asked sink lives in askSinks between questions and keeps its buffers:
+// a question is answered before ask returns, so nothing outlives it. A sink
+// that builds a result is never reused, since the result's rows are its
+// own.
 type rowSink struct {
-	sel      []boundCol // projection; nil when rows arrive evaluated (addRow)
+	sel      []boundCol // projection; empty when rows arrive evaluated (addRow)
 	order    boundCol
 	ordered  bool
 	desc     bool
@@ -186,52 +189,101 @@ type rowSink struct {
 	sieve    bool // asked, ORDER BY without a limit: keep only relevant rows
 	settled  bool // asked: the question's answer is settled
 
+	types []sqlir.Type // the result's column types
+	// The rows kept: an ordered sink's with their keys and arrival
+	// numbers, sorted in place; an unordered one's as the result's rows.
+	// (An asked sink keeps no unordered row: they stream to the question.)
+	kept []keptRow
 	rows [][]sqlir.Value
-	keys []sqlir.Value // ORDER BY keys (ordered)
-	seqs []int64       // arrival numbers (topK, whose trim reorders rows)
 
-	n    int64 // rows let through DISTINCT so far
-	seen map[string]struct{}
-	buf  []byte
-	row  []sqlir.Value // the row being offered, reused
-	cut  bool          // topK: limit rows are known, and (bKey, bSeq) is the worst of them
-	bKey sqlir.Value   // the bound's key
-	bSeq int64         // the bound's arrival number
-	slab []sqlir.Value // backing store the next kept rows are cut from
+	n     int64 // rows let through DISTINCT so far
+	seen  map[string]struct{}
+	buf   []byte
+	row   []sqlir.Value // the row being offered, reused
+	cut   bool          // topK: limit rows are known, and bound is the worst of them
+	bound keptRow
+	slab  []sqlir.Value // what is left of store for the next kept rows
+	store []sqlir.Value // the latest array kept rows' cells are cut from; a fill starts at its front
 }
 
-// fresh returns an empty sink with s's configuration.
-func (s rowSink) fresh() *rowSink {
-	if s.distinct {
-		s.seen = map[string]struct{}{}
+// keptRow is a row an ordered sink keeps: its cells, its ORDER BY key and
+// its arrival number.
+type keptRow struct {
+	cells []sqlir.Value
+	key   sqlir.Value
+	seq   int64
+}
+
+// askSinks holds the asked sinks between questions (see rowSink).
+var askSinks = sync.Pool{New: func() any { return new(rowSink) }}
+
+// maxPooledRows bounds what an asked sink keeps for the next question: a
+// buffer grown past it (a sieve over a large result, a DISTINCT over many
+// rows) is dropped, so the pool holds what small results need and no more.
+const maxPooledRows = 256
+
+// release empties an asked sink and returns it to askSinks with its
+// configuration zeroed. It keeps the sink's buffers up to maxPooledRows,
+// and nothing that points into a database or at the question.
+func (s *rowSink) release() {
+	s.empty()
+	clear(s.sel)
+	if len(s.seen) > maxPooledRows {
+		s.seen = nil
 	}
-	return &s
+	if cap(s.kept) > maxPooledRows {
+		s.kept = nil
+	}
+	*s = rowSink{
+		sel: s.sel[:0], types: s.types[:0], kept: s.kept,
+		seen: s.seen, buf: s.buf, row: s.row, slab: s.slab, store: s.store,
+	}
+	askSinks.Put(s)
 }
 
-// fill runs f into a fresh copy of cfg. A top-k or sieved fill abandoned at
-// a NaN ORDER BY key is redone keeping every row; only the fill that answers
-// is counted.
-func (cfg rowSink) fill(pc *pipelineCounters, f func(out *rowSink, pc *pipelineCounters) error) (*rowSink, error) {
+// empty drops everything s has kept, keeping its configuration and its
+// buffers. What the last fill wrote is cleared, so that no value of one
+// fill stays reachable from the next.
+func (s *rowSink) empty() {
+	clear(s.store[:len(s.store)-len(s.slab)]) // the slab is what is left of the store
+	clear(s.kept[:cap(s.kept)])
+	clear(s.row)
+	s.slab, s.kept, s.row = s.store, s.kept[:0], s.row[:0]
+	s.n, s.cut, s.bound = 0, false, keptRow{}
+	if s.distinct {
+		if s.seen == nil {
+			s.seen = map[string]struct{}{}
+		}
+		clear(s.seen)
+	}
+}
+
+// fill runs f into s, emptied. A top-k or sieved fill abandoned at a NaN
+// ORDER BY key is redone keeping every row; only the fill that answers is
+// counted.
+func (s *rowSink) fill(pc *pipelineCounters, f func(pc *pipelineCounters) error) error {
 	var attempt pipelineCounters
-	out := cfg.fresh()
-	err := f(out, &attempt)
+	s.empty()
+	err := f(&attempt)
 	if errors.Is(err, errNaNOrderKey) {
-		cfg.topK, cfg.sieve = false, false
-		out = cfg.fresh()
-		return out, f(out, pc)
+		s.topK, s.sieve = false, false
+		s.empty()
+		return f(pc)
 	}
 	pc.merge(&attempt)
-	return out, err
+	return err
 }
 
-// before reports whether a row with key a arriving as number sa precedes one
-// with key b arriving as number sb in the final order.
-func (s *rowSink) before(a sqlir.Value, sa int64, b sqlir.Value, sb int64) bool {
-	c := a.Compare(b)
+// compare orders two rows by (key, arrival) as the final order lists them.
+func (s *rowSink) compare(a, b keptRow) int {
+	c := a.key.Compare(b.key)
 	if s.desc {
 		c = -c
 	}
-	return c < 0 || (c == 0 && sa < sb)
+	if c == 0 {
+		return cmp.Compare(a.seq, b.seq)
+	}
+	return c
 }
 
 // admit applies DISTINCT to a row's key bytes (s.buf).
@@ -254,7 +306,7 @@ func (s *rowSink) number(key sqlir.Value) (seq int64, want bool, err error) {
 	if (s.topK || s.sieve) && key.Kind == sqlir.KindNumber && key.Num != key.Num {
 		return seq, false, errNaNOrderKey
 	}
-	return seq, !s.topK || !s.cut || s.before(key, seq, s.bKey, s.bSeq), nil
+	return seq, !s.topK || !s.cut || s.compare(keptRow{key: key, seq: seq}, s.bound) < 0, nil
 }
 
 // add is the scan's emit: project one joined tuple.
@@ -333,42 +385,20 @@ func (s *rowSink) full() bool {
 func (s *rowSink) keep(key sqlir.Value, seq int64) {
 	w := len(s.row)
 	if len(s.slab) < w {
-		s.slab = make([]sqlir.Value, w*min(max(2*len(s.rows), 4), 256))
+		s.store = make([]sqlir.Value, w*min(max(2*(len(s.kept)+len(s.rows)), 4), 256))
+		s.slab = s.store
 	}
-	vals := s.slab[:w:w]
+	cells := s.slab[:w:w]
 	s.slab = s.slab[w:]
-	copy(vals, s.row)
-	s.rows = append(s.rows, vals)
-	if s.ordered {
-		s.keys = append(s.keys, key)
+	copy(cells, s.row)
+	if !s.ordered {
+		s.rows = append(s.rows, cells)
+		return
 	}
-	if s.topK {
-		s.seqs = append(s.seqs, seq)
-		if len(s.rows) >= 2*s.limit+16 {
-			s.trim()
-		}
+	s.kept = append(s.kept, keptRow{cells, key, seq})
+	if s.topK && len(s.kept) >= 2*s.limit+16 {
+		s.trim()
 	}
-}
-
-// identity is the permutation that moves nothing.
-func identity(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
-// permute reorders a parallel slice to p's first n positions.
-func permute[T any](s []T, p []int, n int) []T {
-	if s == nil {
-		return nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = s[p[i]]
-	}
-	return out
 }
 
 // trim sorts the kept rows of a top-k scan into final order and drops all
@@ -376,38 +406,46 @@ func permute[T any](s []T, p []int, n int) []T {
 // excluded, so this is the prefix the reference's stable sort of everything
 // would produce.
 func (s *rowSink) trim() {
-	p := identity(len(s.rows))
-	sort.Slice(p, func(i, j int) bool {
-		return s.before(s.keys[p[i]], s.seqs[p[i]], s.keys[p[j]], s.seqs[p[j]])
-	})
-	n := min(len(p), s.limit)
-	s.rows, s.keys, s.seqs = permute(s.rows, p, n), permute(s.keys, p, n), permute(s.seqs, p, n)
+	slices.SortFunc(s.kept, s.compare)
+	n := min(len(s.kept), s.limit)
+	clear(s.kept[n:])
+	s.kept = s.kept[:n]
 	if n == s.limit {
-		s.cut, s.bKey, s.bSeq = true, s.keys[n-1], s.seqs[n-1]
+		s.cut, s.bound = true, s.kept[n-1]
 	}
 }
 
 // finish orders and cuts the kept rows.
-func (s *rowSink) finish() [][]sqlir.Value {
+func (s *rowSink) finish() {
 	switch {
 	case s.topK:
 		s.trim()
 	case s.ordered:
 		// The reference's own sort over the reference's own sequence — with
-		// a NaN among the keys no other procedure is guaranteed to agree —
-		// applied to a permutation rather than to the rows.
-		p := identity(len(s.rows))
-		sort.SliceStable(p, func(i, j int) bool {
-			c := s.keys[p[i]].Compare(s.keys[p[j]])
+		// a NaN among the keys no other procedure is guaranteed to agree.
+		// slices.SortStableFunc is the algorithm of the reference's
+		// sort.SliceStable, and compares where it does.
+		slices.SortStableFunc(s.kept, func(a, b keptRow) int {
 			if s.desc {
-				return c > 0
+				return -a.key.Compare(b.key)
 			}
-			return c < 0
+			return a.key.Compare(b.key)
 		})
-		s.rows = permute(s.rows, p, len(p))
 	}
-	if s.limit > 0 && len(s.rows) > s.limit {
-		s.rows = s.rows[:s.limit]
+	if s.limit > 0 {
+		s.kept = s.kept[:min(len(s.kept), s.limit)]
+		s.rows = s.rows[:min(len(s.rows), s.limit)] // a grouped scan evaluates every group
+	}
+}
+
+// result returns the result's rows: the kept rows, ordered and cut.
+func (s *rowSink) result() [][]sqlir.Value {
+	s.finish()
+	if s.ordered {
+		s.rows = make([][]sqlir.Value, len(s.kept))
+		for i, k := range s.kept {
+			s.rows[i] = k.cells
+		}
 	}
 	if s.rows == nil {
 		return [][]sqlir.Value{} // as the reference: empty, not nil
@@ -419,19 +457,19 @@ func (s *rowSink) finish() [][]sqlir.Value {
 // its answer. Streamed and sieved rows were counted as they arrived: the
 // result is every admitted row, up to the limit.
 func (s *rowSink) answer() bool {
-	rows := s.finish()
-	total := len(rows)
+	s.finish()
+	total := len(s.kept)
 	if !s.ordered || s.sieve {
 		total = int(s.n)
 		if s.limit > 0 {
 			total = min(total, s.limit)
 		}
 	}
-	for _, r := range rows {
+	for _, k := range s.kept {
 		if s.settled {
 			break
 		}
-		s.settled = s.ask.Row(r)
+		s.settled = s.ask.Row(k.cells)
 	}
 	return s.ask.Answer(total)
 }

@@ -45,11 +45,14 @@ func execute(ctx context.Context, db *storage.Database, q *sqlir.Query, maxRows 
 	if q == nil || !q.Complete() {
 		return nil, errNotComplete(q)
 	}
-	res, out, err := executeCompiled(ctx, db, q, rowSink{limit: maxRows}, pc)
-	if err != nil {
+	sink := &rowSink{limit: maxRows}
+	if err := executeCompiled(ctx, db, q, sink, pc); err != nil {
 		return nil, err
 	}
-	res.Rows = out.finish()
+	res := &Result{Types: sink.types, Rows: sink.result()}
+	for _, s := range q.Select {
+		res.Columns = append(res.Columns, s.String())
+	}
 	return res, nil
 }
 

@@ -471,17 +471,6 @@ func (q *Query) HasAggregate() bool {
 	return false
 }
 
-// AggregatedProjections returns the indexes of decided aggregate projections.
-func (q *Query) AggregatedProjections() []int {
-	var idx []int
-	for i, s := range q.Select {
-		if s.AggSet && s.Agg != AggNone {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // AppendReferencedTables appends to dst the distinct tables referenced by
 // decided column slots outside the FROM clause, in first-reference order
 // (Line 2-3 of Algorithm 2), skipping tables dst already holds; a caller on

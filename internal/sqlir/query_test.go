@@ -91,8 +91,10 @@ func TestHasAggregate(t *testing.T) {
 	if q.HasAggregate() {
 		t.Error("no aggregates left")
 	}
-	if got := buildComplete().AggregatedProjections(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("AggregatedProjections = %v, want [1]", got)
+	q = buildComplete()
+	q.Select[1].AggSet = false // an aggregate not yet decided
+	if q.HasAggregate() {
+		t.Error("an undecided aggregate is no aggregate")
 	}
 }
 

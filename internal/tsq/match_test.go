@@ -90,11 +90,10 @@ func matchDistinct(tuples []Tuple, rows [][]sqlir.Value) bool {
 	return true
 }
 
-// streamed asks a fresh Matcher the way the question sink does: columns,
-// then rows until the answer settles (only the Relevant ones when sieved),
-// then the answer for the whole row count.
-func streamed(t *TSQ, res *sqlexec.Result, sieved bool) bool {
-	m := t.Matcher()
+// streamed asks m, fresh or just reset, the way the question sink does:
+// columns, then rows until the answer settles (only the Relevant ones when
+// sieved), then the answer for the whole row count.
+func streamed(m *Matcher, res *sqlexec.Result, sieved bool) bool {
 	if !m.Columns(res.Types) {
 		for _, row := range res.Rows {
 			if sieved && !m.Relevant(row) {
@@ -172,8 +171,8 @@ func decodeMatch(data []byte) (*TSQ, *sqlexec.Result) {
 }
 
 // FuzzTSQMatch: the streamed answer — stopped wherever it settles, with or
-// without the rows Relevant rejects — equals Definition 2.4 decided over
-// the whole result.
+// without the rows Relevant rejects, from a fresh matcher or one reset
+// after use — equals Definition 2.4 decided over the whole result.
 func FuzzTSQMatch(f *testing.F) {
 	for _, seed := range [][]byte{
 		nil,
@@ -187,11 +186,12 @@ func FuzzTSQMatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk, res := decodeMatch(data)
 		want := satisfiesWhole(sk, res)
-		if got := streamed(sk, res, false); got != want {
+		m := sk.Matcher()
+		if got := streamed(m, res, false); got != want {
 			t.Fatalf("streamed %v, whole result %v: %s over %v %v", got, want, sk, res.Types, res.Rows)
 		}
-		if got := streamed(sk, res, true); got != want {
-			t.Fatalf("sieved %v, whole result %v: %s over %v %v", got, want, sk, res.Types, res.Rows)
+		if m.Reset(sk); streamed(m, res, true) != want {
+			t.Fatalf("sieved from a reset matcher %v, whole result %v: %s over %v %v", !want, want, sk, res.Types, res.Rows)
 		}
 		if got := sk.Satisfies(res); got != want {
 			t.Fatalf("Satisfies %v, whole result %v: %s over %v %v", got, want, sk, res.Types, res.Rows)
@@ -259,5 +259,34 @@ func TestMatcherBoundedState(t *testing.T) {
 	}
 	if m.Row([]sqlir.Value{text("z")}); !m.Answer(10001) {
 		t.Error("a late match for the last tuple must complete the matching")
+	}
+}
+
+// TestMatcherReset: a matcher reset for another sketch answers as a fresh
+// one, whatever the first sketch left behind — more tuples, a matching
+// routed through augmenting paths, a settled answer.
+func TestMatcherReset(t *testing.T) {
+	a, b, c := Exact(text("a")), Exact(text("b")), Exact(text("c"))
+	rows := &sqlexec.Result{Types: []sqlir.Type{sqlir.TypeText}}
+	for _, v := range []string{"b", "a", "c", "a", "b"} {
+		rows.Rows = append(rows.Rows, []sqlir.Value{text(v)})
+	}
+	sketches := []*TSQ{
+		{Tuples: []Tuple{{Empty()}, {a}, {a}, {c}}},
+		{Tuples: []Tuple{{b}, {b}}},
+		{Sorted: true, Tuples: []Tuple{{a}, {b}}},
+		{Tuples: []Tuple{{c}, {Empty()}, {b}}},
+		{Limit: 4, Tuples: []Tuple{{a}}},
+		{Tuples: []Tuple{{b}, {b}, {b}}},
+	}
+	m := sketches[0].Matcher()
+	for round := range 2 {
+		for i, sk := range sketches {
+			want := satisfiesWhole(sk, rows)
+			m.Reset(sk)
+			if got := streamed(m, rows, round == 1); got != want {
+				t.Errorf("round %d, sketch %d %s: reset matcher %v, whole result %v", round, i, sk, got, want)
+			}
+		}
 	}
 }

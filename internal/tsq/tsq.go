@@ -245,22 +245,32 @@ type Matcher struct {
 	matched int
 	cands   []int   // per tuple, candidate rows recorded (at most len(tuples))
 	owner   []int   // per tuple, the kept row it is matched to, or -1
-	adj     [][]int // per kept row, the tuples it is a recorded candidate of
+	adj     [][]int // per kept row, the tuples it is a recorded candidate of, cut from lists
+	lists   []int   // the store adj's lists are cut from
 	visit   []int   // per tuple, the search that last reached it
 	search  int
 }
 
 // Matcher returns a fresh matcher for one result.
 func (t *TSQ) Matcher() *Matcher {
-	m := &Matcher{t: t}
+	m := &Matcher{}
+	m.Reset(t)
+	return m
+}
+
+// Reset makes m a fresh matcher of t's for one result in the memory m
+// already has, so a caller asking many questions need not build a matcher
+// for each. At most |tuples|² candidates are ever recorded, so what m
+// keeps is bounded by the sketches it has matched.
+func (m *Matcher) Reset(t *TSQ) {
+	clear(m.adj) // the lists point into earlier stores
+	*m = Matcher{t: t, cands: m.cands[:0], owner: m.owner[:0], adj: m.adj[:0], lists: m.lists[:0], visit: m.visit[:0]}
 	if !t.Sorted {
 		n := len(t.Tuples)
-		m.cands, m.owner, m.visit = make([]int, n), make([]int, n), make([]int, n)
-		for i := range m.owner {
-			m.owner[i] = -1
+		for range n {
+			m.cands, m.owner, m.visit = append(m.cands, 0), append(m.owner, -1), append(m.visit, 0)
 		}
 	}
-	return m
 }
 
 func (m *Matcher) settle(answer bool) bool {
@@ -338,15 +348,18 @@ func (m *Matcher) Row(row []sqlir.Value) (settled bool) {
 // the row, and one search finds it if it exists.
 func (m *Matcher) add(row []sqlir.Value) {
 	n := len(m.t.Tuples)
-	var ts []int
+	from := len(m.lists)
 	for i, tp := range m.t.Tuples {
 		if m.cands[i] < n && tupleMatchesRow(tp, row) {
-			ts = append(ts, i)
+			m.lists = append(m.lists, i)
 		}
 	}
-	if ts == nil {
+	if len(m.lists) == from {
 		return
 	}
+	// A list never changes once cut, so one cut from a store that later
+	// grows into a new array stays valid.
+	ts := m.lists[from:len(m.lists):len(m.lists)]
 	for _, i := range ts {
 		m.cands[i]++
 	}

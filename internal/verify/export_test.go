@@ -23,3 +23,17 @@ func CrossCheckByOrder(report func(q *sqlir.Query, sketch *tsq.TSQ, got, want bo
 	}
 	return func() { askByOrder = prev }
 }
+
+// CrossCheckByRow hands report every by-row answer given from now on,
+// memoized or not, with its question built in full: whether the memo key
+// hashed in place equals existsKey of that question, and the answer and
+// error of a fresh ExistsCtx of it. report may be called from several
+// goroutines at once. restore undoes the hook.
+func CrossCheckByRow(report func(eq sqlexec.ExistsQuery, keyed, answer, fresh bool, freshErr error)) (restore func()) {
+	prev := byRowChecked
+	byRowChecked = func(ctx context.Context, jc *sqlexec.JoinCache, key memoKey, eq sqlexec.ExistsQuery, answer bool) {
+		fresh, err := jc.ExistsCtx(ctx, eq)
+		report(eq, key == existsKey(eq), answer, fresh, err)
+	}
+	return func() { byRowChecked = prev }
+}

@@ -141,6 +141,82 @@ func existsKey(eq sqlexec.ExistsQuery) memoKey {
 	return h.sum()
 }
 
+// key is existsKey(rq.build(tp)), hashed from q and tp in place: the same
+// words in the same order, without building the question. rq holds tp's
+// shape, and q has a join path (canCheckRows).
+func (rq *rowQuestion) key(tp tsq.Tuple) memoKey {
+	q := rq.q
+	h := newHash128()
+	h.word(uint64(q.From.Tables()[0]))
+	h.word(uint64(len(q.From.Edges())))
+	for _, e := range q.From.Edges() {
+		h.word(uint64(e.Joined.Table))
+		h.word(uint64(e.Joined.Column))
+		h.word(uint64(e.New.Table))
+		h.word(uint64(e.New.Column))
+	}
+	h.word('|')
+	h.word(uint64(rq.conj))
+	// Preds: the decided WHERE predicates, when sound.
+	decided := 0
+	if rq.sound {
+		for _, p := range q.Where.Preds {
+			if p.Complete() {
+				decided++
+			}
+		}
+	}
+	h.word(uint64(decided))
+	for _, p := range q.Where.Preds {
+		if decided > 0 && p.Complete() {
+			h.columnRef(p.Col)
+			h.word(uint64(p.Op))
+			h.value(p.Val)
+		}
+	}
+	// AndPreds: the plain projections' cell bounds.
+	h.word(uint64(rq.and))
+	for i := range q.Select {
+		if s, cell, ok := rq.constraint(i, tp); ok && s.Agg == sqlir.AggNone {
+			ops, vals, n := cellBounds(cell)
+			for j := range n {
+				h.columnRef(s.Col)
+				h.word(uint64(ops[j]))
+				h.value(vals[j])
+			}
+		}
+	}
+	if q.GroupByState == sqlir.ClausePresent {
+		h.word(uint64(len(q.GroupBy)))
+		for _, g := range q.GroupBy {
+			h.columnRef(g)
+		}
+	} else {
+		h.word(0)
+	}
+	// Havings: q's own, then the aggregates' cell bounds.
+	h.word(uint64(rq.havings))
+	if rq.having {
+		hv := q.Having
+		h.word(uint64(hv.Agg))
+		h.columnRef(hv.Col)
+		h.word(uint64(hv.Op))
+		h.value(hv.Val)
+	}
+	for i := range q.Select {
+		if s, cell, ok := rq.constraint(i, tp); ok && s.Agg != sqlir.AggNone {
+			ops, vals, n := cellBounds(cell)
+			for j := range n {
+				h.word(uint64(s.Agg))
+				h.columnRef(s.Col)
+				h.word(uint64(ops[j]))
+				h.value(vals[j])
+			}
+		}
+	}
+	return h.sum()
+}
+
 // columnCellKey hashes one column-wise check question: (is this the AVG
 // range check, column, cell).
 func columnCellKey(avg bool, col sqlir.ColumnRef, cell tsq.Cell) memoKey {

@@ -174,6 +174,12 @@ type boolEntry struct {
 // memo never stores such an error, and the enumerator turns one into an
 // anytime partial result instead of failing the request.
 func Transient(err error) bool {
+	// Small enough to inline: every verified child asks, and most have no
+	// error.
+	return err != nil && transient(err)
+}
+
+func transient(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		faultinject.IsInjected(err)
@@ -696,20 +702,15 @@ func avgCellPossible(st storage.ColumnStats, cell tsq.Cell) bool {
 
 // cellPredicates renders a cell as WHERE predicates on col.
 func cellPredicates(col sqlir.ColumnRef, cell tsq.Cell) []sqlir.Predicate {
-	switch cell.Kind {
-	case tsq.CellExact:
-		return []sqlir.Predicate{{
-			Col: col, ColSet: true, Op: sqlir.OpEq, OpSet: true,
-			Val: cell.Val, ValSet: true,
-		}}
-	case tsq.CellRange:
-		return []sqlir.Predicate{
-			{Col: col, ColSet: true, Op: sqlir.OpGe, OpSet: true, Val: cell.Lo, ValSet: true},
-			{Col: col, ColSet: true, Op: sqlir.OpLe, OpSet: true, Val: cell.Hi, ValSet: true},
-		}
-	default:
+	ops, vals, n := cellBounds(cell)
+	if n == 0 {
 		return nil
 	}
+	ps := make([]sqlir.Predicate, n)
+	for i := range ps {
+		ps[i] = sqlir.Predicate{Col: col, ColSet: true, Op: ops[i], OpSet: true, Val: vals[i], ValSet: true}
+	}
+	return ps
 }
 
 // canCheckRows enforces the precondition for row-wise verification: a join
@@ -738,7 +739,7 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 	if !checkable {
 		return false
 	}
-	if len(q.AggregatedProjections()) > 0 {
+	if q.HasAggregate() {
 		if q.WhereState == sqlir.ClausePending {
 			return false
 		}
@@ -761,68 +762,36 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // query's own predicates whenever doing so is sound (AND semantics), and
 // drops them otherwise so the check runs against a superset — a failure
 // then still soundly prunes every completion.
+//
+// Sibling states (e.g. differing only in ORDER BY decisions) ask identical
+// row questions, so the answers are memoized under existsKey of the
+// question. The key is hashed from q and the tuple in place (rowQuestion):
+// the question itself is built only when the memo has no answer.
 func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	basePreds, baseConj := soundPredicates(q)
-	var baseHavings []sqlir.HavingExpr
-	if q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePresent &&
-		q.Having.Complete() {
-		baseHavings = append(baseHavings, *q.Having)
-	}
-	var groupBy []sqlir.ColumnRef
-	if q.GroupByState == sqlir.ClausePresent {
-		groupBy = q.GroupBy
-	}
-	hasAgg := len(q.AggregatedProjections()) > 0
-
+	rq := newRowQuestion(q)
 	for ti, tp := range v.sketch.Tuples {
-		eq := sqlexec.ExistsQuery{
-			From:    q.From,
-			Conj:    baseConj,
-			Preds:   basePreds,
-			GroupBy: groupBy,
-		}
-		eq.Havings = append(eq.Havings, baseHavings...)
-		constrained := false
-		for i, s := range q.Select {
-			if !s.Complete() || i >= len(tp) {
-				continue
-			}
-			cell := tp[i]
-			if cell.Kind == tsq.CellEmpty {
-				continue
-			}
-			if s.Agg == sqlir.AggNone {
-				if !q.From.Contains(s.Col.Table) {
-					return fail(StageByRow, "projection %d outside join path", i), nil
-				}
-				eq.AndPreds = append(eq.AndPreds, cellPredicates(s.Col, cell)...)
-				constrained = true
-			} else {
-				// Aggregated projections move to HAVING (RV2). Only
-				// sound when grouping semantics are fixed.
-				if !hasAgg {
-					continue
-				}
-				eq.Havings = append(eq.Havings, cellHavings(s.Agg, s.Col, cell)...)
-				constrained = true
-			}
+		constrained, outside := rq.shape(tp)
+		if outside >= 0 {
+			return fail(StageByRow, "projection %d outside join path", outside), nil
 		}
 		if !constrained {
 			continue
 		}
-		// Sibling states (e.g. differing only in ORDER BY decisions) issue
-		// identical row checks; memoize by hashed query signature.
+		key := rq.key(tp)
 		// Plain exists-over-join questions are monotone under append-only
 		// ingest; HAVING conditions are not (a group's aggregate can move
 		// off the checked value), so those entries never outlive their
 		// tables.
-		deps := func() (sqlir.TableSet, bool) { return eq.From.Set(), len(eq.Havings) == 0 }
-		ok, _, err := v.rowCache.do(existsKey(eq), deps, func() (bool, error) {
+		deps := func() (sqlir.TableSet, bool) { return q.From.Set(), rq.havings == 0 }
+		ok, _, err := v.rowCache.do(key, deps, func() (bool, error) {
 			v.countDBQuery()
-			return v.joins.ExistsCtx(ctx, eq)
+			return v.joins.ExistsCtx(ctx, rq.build(tp))
 		})
 		if err != nil {
 			return pass(), err
+		}
+		if byRowChecked != nil {
+			byRowChecked(ctx, v.joins, key, rq.build(tp), ok)
 		}
 		if !ok {
 			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), nil
@@ -831,56 +800,157 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 	return pass(), nil
 }
 
-// soundPredicates returns the subset of the partial query's WHERE clause
-// that can be conjoined with cell constraints without excluding any
-// completion's results:
+// byRowChecked, when set, is handed every by-row answer with its key and its
+// question, built after the fact. It is a variable so that a test can check
+// every key against existsKey and every answer against a fresh probe.
+var byRowChecked func(ctx context.Context, jc *sqlexec.JoinCache, key memoKey, eq sqlexec.ExistsQuery, answer bool)
+
+// rowQuestion is what every tuple's row question shares: the partial
+// query's FROM, the sound part of its WHERE (soundWhere), its GROUP BY and
+// its complete HAVING. Per tuple, shape reads which projections the tuple
+// constrains, and key and build give the question's memo key and the
+// question; neither keeps anything of q.
+type rowQuestion struct {
+	q       *sqlir.Query
+	sound   bool // the decided WHERE predicates are conjoined
+	conj    sqlir.LogicalOp
+	having  bool // q's complete HAVING is conjoined
+	and     int  // cell predicates of the current tuple (shape)
+	havings int  // HAVING conditions of the current tuple, q's included (shape)
+}
+
+func newRowQuestion(q *sqlir.Query) rowQuestion {
+	rq := rowQuestion{q: q}
+	rq.sound, rq.conj = soundWhere(q)
+	rq.having = q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePresent &&
+		q.Having.Complete()
+	return rq
+}
+
+// constraint reports whether tuple tp constrains projection s = q.Select[i],
+// and with which cell: a plain projection's bounds become WHERE predicates,
+// an aggregate's HAVING conditions (RV2; sound because canCheckRows wants
+// the grouping decided).
+func (rq *rowQuestion) constraint(i int, tp tsq.Tuple) (s sqlir.SelectItem, cell tsq.Cell, ok bool) {
+	s = rq.q.Select[i]
+	if !s.Complete() || i >= len(tp) || tp[i].Kind == tsq.CellEmpty {
+		return s, cell, false
+	}
+	return s, tp[i], true
+}
+
+// shape counts tp's cell predicates and HAVING conditions into rq. It
+// reports whether tp constrains any projection, and the first projection
+// it constrains that lies outside q's join path (or -1).
+func (rq *rowQuestion) shape(tp tsq.Tuple) (constrained bool, outside int) {
+	rq.and, rq.havings = 0, 0
+	if rq.having {
+		rq.havings = 1
+	}
+	for i := range rq.q.Select {
+		s, cell, ok := rq.constraint(i, tp)
+		if !ok {
+			continue
+		}
+		_, _, n := cellBounds(cell)
+		if s.Agg == sqlir.AggNone {
+			if !rq.q.From.Contains(s.Col.Table) {
+				return false, i
+			}
+			rq.and += n
+		} else {
+			rq.havings += n
+		}
+		constrained = true
+	}
+	return constrained, -1
+}
+
+// build returns tuple tp's row question, whose shape rq holds.
+func (rq *rowQuestion) build(tp tsq.Tuple) sqlexec.ExistsQuery {
+	q := rq.q
+	eq := sqlexec.ExistsQuery{From: q.From, Conj: rq.conj}
+	if rq.sound {
+		for _, p := range q.Where.Preds {
+			if p.Complete() {
+				eq.Preds = append(eq.Preds, p)
+			}
+		}
+	}
+	if q.GroupByState == sqlir.ClausePresent {
+		eq.GroupBy = q.GroupBy
+	}
+	if rq.having {
+		eq.Havings = append(eq.Havings, *q.Having)
+	}
+	for i := range q.Select {
+		s, cell, ok := rq.constraint(i, tp)
+		if !ok {
+			continue
+		}
+		if s.Agg == sqlir.AggNone {
+			eq.AndPreds = append(eq.AndPreds, cellPredicates(s.Col, cell)...)
+		} else {
+			eq.Havings = append(eq.Havings, cellHavings(s.Agg, s.Col, cell)...)
+		}
+	}
+	return eq
+}
+
+// soundWhere reports whether the partial query's decided WHERE predicates
+// can be conjoined with cell constraints without excluding any completion's
+// results, and under which connective:
 //
 //   - complete WHERE: use it verbatim;
 //   - incomplete with AND semantics: the decided predicates (adding the
 //     remaining ones later can only shrink the result);
 //   - incomplete with OR or undecided connective: nothing (a later OR arm
 //     can only grow the result, so the sound superset drops the clause).
-func soundPredicates(q *sqlir.Query) ([]sqlir.Predicate, sqlir.LogicalOp) {
+func soundWhere(q *sqlir.Query) (sound bool, conj sqlir.LogicalOp) {
 	if q.WhereState != sqlir.ClausePresent {
-		return nil, sqlir.LogicAnd
-	}
-	var decided []sqlir.Predicate
-	for _, p := range q.Where.Preds {
-		if p.Complete() {
-			decided = append(decided, p)
-		}
+		return false, sqlir.LogicAnd
 	}
 	if q.Where.Complete() {
 		conj := q.Where.Conj
 		if len(q.Where.Preds) == 1 {
 			conj = sqlir.LogicAnd
 		}
-		return decided, conj
+		return true, conj
 	}
 	andLike := (q.Where.ConjSet && q.Where.Conj == sqlir.LogicAnd) ||
 		(q.Where.CountSet && len(q.Where.Preds) == 1)
-	if andLike {
-		return decided, sqlir.LogicAnd
+	return andLike, sqlir.LogicAnd
+}
+
+// cellBounds returns the bounds a cell puts on a value, as n (operator,
+// value) pairs: one equality for an exact cell, two for a range, none for
+// an empty cell. Cell predicates, cell HAVING conditions and their memo
+// keys are all written from it.
+func cellBounds(cell tsq.Cell) (ops [2]sqlir.Op, vals [2]sqlir.Value, n int) {
+	switch cell.Kind {
+	case tsq.CellExact:
+		return [2]sqlir.Op{sqlir.OpEq}, [2]sqlir.Value{cell.Val}, 1
+	case tsq.CellRange:
+		return [2]sqlir.Op{sqlir.OpGe, sqlir.OpLe}, [2]sqlir.Value{cell.Lo, cell.Hi}, 2
+	default:
+		return ops, vals, 0
 	}
-	return nil, sqlir.LogicAnd
 }
 
 // cellHavings renders a cell as HAVING constraints on agg(col).
 func cellHavings(agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) []sqlir.HavingExpr {
-	mk := func(op sqlir.Op, val sqlir.Value) sqlir.HavingExpr {
-		return sqlir.HavingExpr{
-			Agg: agg, AggSet: true, Col: col, ColSet: true,
-			Op: op, OpSet: true, Val: val, ValSet: true,
-		}
-	}
-	switch cell.Kind {
-	case tsq.CellExact:
-		return []sqlir.HavingExpr{mk(sqlir.OpEq, cell.Val)}
-	case tsq.CellRange:
-		return []sqlir.HavingExpr{mk(sqlir.OpGe, cell.Lo), mk(sqlir.OpLe, cell.Hi)}
-	default:
+	ops, vals, n := cellBounds(cell)
+	if n == 0 {
 		return nil
 	}
+	hs := make([]sqlir.HavingExpr, n)
+	for i := range hs {
+		hs[i] = sqlir.HavingExpr{
+			Agg: agg, AggSet: true, Col: col, ColSet: true,
+			Op: ops[i], OpSet: true, Val: vals[i], ValSet: true,
+		}
+	}
+	return hs
 }
 
 // verifyLiterals requires a complete query to use every literal tagged in
@@ -921,7 +991,15 @@ func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, 
 }
 
 // askByOrder is by-order verification's question. It is a variable so that
-// a test can check every answer against Satisfies(ExecuteCtx(q)).
+// a test can check every answer against Satisfies(ExecuteCtx(q)). The
+// matcher is reset from matchers and goes back once the answer is in: the
+// sink that asked it has let go of it by then.
 var askByOrder = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ) (bool, error) {
-	return jc.AskCtx(ctx, q, sketch.Matcher())
+	m := matchers.Get().(*tsq.Matcher)
+	defer matchers.Put(m)
+	m.Reset(sketch)
+	return jc.AskCtx(ctx, q, m)
 }
+
+// matchers holds by-order verification's matchers between questions.
+var matchers = sync.Pool{New: func() any { return new(tsq.Matcher) }}
