@@ -43,9 +43,9 @@ type Index struct {
 func Build(db *storage.Database) *Index {
 	idx := &Index{byToken: map[string][]int{}}
 	for _, col := range db.Schema.TextColumns() {
-		t := db.Schema.Table(col.Table)
-		vec := t.Vector(col.Column)
-		if vec == nil || vec.Dict() == nil {
+		t := db.Schema.TableAt(col.Table())
+		vec := t.VectorAt(col.Column())
+		if vec.Dict() == nil {
 			continue
 		}
 		for _, s := range vec.Dict().Strings() {
@@ -54,7 +54,7 @@ func Build(db *storage.Database) *Index {
 			}
 			idx.byPrefix = append(idx.byPrefix, entry{
 				folded: strings.ToLower(s),
-				hit:    Hit{Value: s, Table: col.Table, Column: col.Column},
+				hit:    Hit{Value: s, Table: t.Name, Column: t.Columns[col.Column()].Name},
 			})
 		}
 	}

@@ -1,11 +1,13 @@
 package dataset
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
@@ -282,7 +284,40 @@ func TestSpiderTasksWellFormed(t *testing.T) {
 		if task.NLQ == "" {
 			t.Errorf("%s: empty NLQ", task.ID)
 		}
+		// Names round-trip through the boundary: the gold's text parses to
+		// the very same columns.
+		sql := task.Gold.String()
+		back, err := sqlparse.Parse(task.DB.Schema, sql)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", task.ID, sql, err)
+		}
+		if back.String() != sql || !slices.Equal(columnRefs(back), columnRefs(task.Gold)) {
+			t.Errorf("%s: %s parsed back to %s, columns %v, want %v", task.ID, sql, back, columnRefs(back), columnRefs(task.Gold))
+		}
 	}
+}
+
+// columnRefs lists every column q reads, its join path's included, in
+// clause order.
+func columnRefs(q *sqlir.Query) []sqlir.ColumnRef {
+	var out []sqlir.ColumnRef
+	for _, e := range q.From.Edges() {
+		out = append(out, e.Joined, e.New)
+	}
+	for _, s := range q.Select {
+		out = append(out, s.Col)
+	}
+	for _, p := range q.Where.Preds {
+		out = append(out, p.Col)
+	}
+	out = append(out, q.GroupBy...)
+	if q.HavingState == sqlir.ClausePresent {
+		out = append(out, q.Having.Col)
+	}
+	if q.OrderByState == sqlir.ClausePresent {
+		out = append(out, q.OrderBy.Key.Col)
+	}
+	return out
 }
 
 func TestSpiderDeterministic(t *testing.T) {

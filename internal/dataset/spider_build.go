@@ -36,7 +36,6 @@ func buildDomain(spec domainSpec, variant int, seed int64) *builtDB {
 		cols := make([]storage.Column, len(ts.cols))
 		for i, c := range ts.cols {
 			cols[i] = storage.Column{Name: c.name, Type: c.typ}
-			b.phrase[sqlir.ColumnRef{Table: ts.name, Column: c.name}] = c.phrase
 		}
 		tables = append(tables, storage.NewTable(ts.name, ts.pk, cols...))
 		rows[ts.name] = ts.minRows + r.Intn(ts.maxRows-ts.minRows+1)
@@ -49,6 +48,12 @@ func buildDomain(spec domainSpec, variant int, seed int64) *builtDB {
 	}
 	if err := schema.Validate(); err != nil {
 		panic(fmt.Sprintf("dataset: domain %s: %v", spec.name, err))
+	}
+	cat := schema.Catalog()
+	for _, ts := range spec.tables {
+		for _, c := range ts.cols {
+			b.phrase[cat.MustCol(ts.name, c.name)] = c.phrase
+		}
 	}
 
 	// fkFor finds the FK target for a column, if any.

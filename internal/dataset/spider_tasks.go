@@ -155,7 +155,7 @@ func (g *taskGen) textCols(table string) []sqlir.ColumnRef {
 	var out []sqlir.ColumnRef
 	for _, c := range t.Columns {
 		if c.Type == sqlir.TypeText && c.Name != t.PrimaryKey && !g.isFK(table, c.Name) {
-			out = append(out, sqlir.ColumnRef{Table: table, Column: c.Name})
+			out = append(out, g.col(table, c.Name))
 		}
 	}
 	return out
@@ -167,10 +167,15 @@ func (g *taskGen) numCols(table string) []sqlir.ColumnRef {
 	var out []sqlir.ColumnRef
 	for _, c := range t.Columns {
 		if c.Type == sqlir.TypeNumber && c.Name != t.PrimaryKey && !g.isFK(table, c.Name) {
-			out = append(out, sqlir.ColumnRef{Table: table, Column: c.Name})
+			out = append(out, g.col(table, c.Name))
 		}
 	}
 	return out
+}
+
+// col is the domain's column table.column.
+func (g *taskGen) col(table, column string) sqlir.ColumnRef {
+	return g.b.db.Schema.Catalog().MustCol(table, column)
 }
 
 func (g *taskGen) phrase(c sqlir.ColumnRef) string { return g.b.phrase[c] }
@@ -179,8 +184,8 @@ func (g *taskGen) entity(table string) string      { return g.b.entity[table] }
 
 // sampleValue draws a value of the column from the data.
 func (g *taskGen) sampleValue(c sqlir.ColumnRef) (sqlir.Value, bool) {
-	t := g.b.db.Schema.Table(c.Table)
-	vals, err := t.DistinctValues(c.Column, 0)
+	t := g.b.db.Schema.TableAt(c.Table())
+	vals, err := t.DistinctValues(t.Columns[c.Column()].Name, 0)
 	if err != nil || len(vals) == 0 {
 		return sqlir.Null(), false
 	}
@@ -205,7 +210,7 @@ func (g *taskGen) path(root string, on ...sqlir.JoinOn) *sqlir.JoinPath {
 
 // joinVia builds the two-table join path along an FK.
 func (g *taskGen) joinVia(fk fkSpec) *sqlir.JoinPath {
-	return g.path(fk.table, sqlir.JoinOn{Left: sqlir.ColumnRef{Table: fk.table, Column: fk.col}, Right: sqlir.ColumnRef{Table: fk.refTable, Column: fk.refCol}})
+	return g.path(fk.table, sqlir.JoinOn{Left: g.col(fk.table, fk.col), Right: g.col(fk.refTable, fk.refCol)})
 }
 
 func baseQuery(from *sqlir.JoinPath, items ...sqlir.SelectItem) *sqlir.Query {
@@ -403,8 +408,8 @@ func (g *taskGen) mediumTasks() {
 		if len(tcols) >= 1 && len(ncols) >= 1 {
 			proj := tcols[0]
 			for _, filt := range ncols {
-				st, err := g.b.db.Stats(filt)
-				if err != nil || st.NonNull == 0 || st.Min.Num == st.Max.Num {
+				st := g.b.db.Stats(filt)
+				if st.NonNull == 0 || st.Min.Num == st.Max.Num {
 					continue
 				}
 				mid := (st.Min.Num + st.Max.Num) / 2
@@ -460,8 +465,8 @@ func (g *taskGen) mediumTasks() {
 		if len(tcols) >= 1 && len(ncols) >= 1 {
 			proj := tcols[0]
 			filt := ncols[0]
-			st, err := g.b.db.Stats(filt)
-			if err == nil && st.NonNull > 0 && st.Max.Num-st.Min.Num >= 4 {
+			st := g.b.db.Stats(filt)
+			if st.NonNull > 0 && st.Max.Num-st.Min.Num >= 4 {
 				span := st.Max.Num - st.Min.Num
 				lo := num(float64(int(st.Min.Num + span/4)))
 				hi := num(float64(int(st.Max.Num - span/4)))
@@ -486,8 +491,8 @@ func (g *taskGen) mediumTasks() {
 		// M5: count with filter.
 		if len(ncols) >= 1 {
 			filt := ncols[0]
-			st, err := g.b.db.Stats(filt)
-			if err == nil && st.NonNull > 0 && st.Min.Num != st.Max.Num {
+			st := g.b.db.Stats(filt)
+			if st.NonNull > 0 && st.Min.Num != st.Max.Num {
 				v := num(float64(int((st.Min.Num + st.Max.Num) / 2)))
 				nlq := g.pick(
 					fmt.Sprintf("How many %s have %s greater than %s?", g.plural(table), g.phrase(filt), v.Display()),
@@ -566,8 +571,8 @@ func (g *taskGen) mediumTasks() {
 		}
 		if len(aNums) > 0 {
 			filt2 := aNums[0]
-			st, err := g.b.db.Stats(filt2)
-			if err == nil && st.NonNull > 0 && st.Min.Num != st.Max.Num {
+			st := g.b.db.Stats(filt2)
+			if st.NonNull > 0 && st.Min.Num != st.Max.Num {
 				v2 := num(float64(int((st.Min.Num + st.Max.Num) / 2)))
 				nlq := fmt.Sprintf("Show the %s of %s that have a %s with %s above %s.",
 					g.phrase(proj2), g.plural(fk.refTable), g.entity(fk.table), g.phrase(filt2), v2.Display())
@@ -657,8 +662,8 @@ func (g *taskGen) singleTableHardTasks() {
 	for _, ts := range g.b.spec.tables {
 		table := ts.name
 		for _, groupCol := range g.textCols(table) {
-			st, err := g.b.db.Stats(groupCol)
-			if err != nil || st.Distinct < 2 {
+			st := g.b.db.Stats(groupCol)
+			if st.Distinct < 2 {
 				continue
 			}
 			jp := g.path(table)

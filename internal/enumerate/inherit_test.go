@@ -368,7 +368,7 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 // it is popped (TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
-	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
+	title, year := db.Schema.Catalog().MustCol("movie", "title"), db.Schema.Catalog().MustCol("movie", "year")
 	movie, err := db.Schema.Catalog().Path("movie")
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestPopAllocations(t *testing.T) {
 	defer s.close()
 	root := s.queue.pop()
 
-	title, year := sqlir.ColumnRef{Table: "movie", Column: "title"}, sqlir.ColumnRef{Table: "movie", Column: "year"}
+	title, year := db.Schema.Catalog().MustCol("movie", "title"), db.Schema.Catalog().MustCol("movie", "year")
 	movie, err := db.Schema.Catalog().Path("movie")
 	if err != nil {
 		t.Fatal(err)

@@ -128,10 +128,10 @@ func table4Children(t *testing.T, schema *storage.Schema) []*sqlir.Query {
 		out = append(out, q)
 	}
 	outside := out[len(out)-1].Clone()
-	outside.Select[0].Col = sqlir.ColumnRef{Table: "movie", Column: "title"}
-	out[len(out)-1].Where.Preds[0].Col = sqlir.ColumnRef{Table: "movie", Column: "year"}
+	outside.Select[0].Col = schema.Catalog().MustCol("movie", "title")
+	out[len(out)-1].Where.Preds[0].Col = schema.Catalog().MustCol("movie", "year")
 	textAvgOutside := sqlparse.MustParse(schema, "SELECT AVG(title) FROM movie")
-	textAvgOutside.Select[0].Col = sqlir.ColumnRef{Table: "actor", Column: "name"}
+	textAvgOutside.Select[0].Col = schema.Catalog().MustCol("actor", "name")
 	return append(out, outside, textAvgOutside)
 }
 

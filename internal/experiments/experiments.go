@@ -359,7 +359,7 @@ func Simulation(bench *dataset.Benchmark, cfg Config) (*SimAccuracy, error) {
 			cell.NLITop10++
 		}
 		// PBE: supported tasks get the example tuples.
-		if ok, _ := pbe.Supports(task.Gold, task.DB.Schema); !ok {
+		if ok, _ := pbe.Supports(task.Gold); !ok {
 			acc.PBEUnsup++
 			cell.PBEUnsupp++
 		} else {

@@ -3,7 +3,6 @@ package guidance
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -92,14 +91,16 @@ func newFeatures(tok []string, literals []sqlir.Value, schema *storage.Schema, d
 	if db != nil && len(literals) > 0 {
 		f.litCols = map[sqlir.ColumnRef]int{}
 	}
+	cat := schema.Catalog()
 	f.tables = make(map[*storage.Table][]columnFeature, len(schema.Tables))
-	for _, t := range schema.Tables {
+	for o := range cat.NumTables() {
+		t := schema.TableAt(o)
 		tblScore := tokenSetScore(tok, Tokenize(t.Name))
 		display := nameColumn(t)
 		cols := make([]columnFeature, len(t.Columns))
 		for i, c := range t.Columns {
 			cf := columnFeature{
-				ref:   sqlir.ColumnRef{Table: t.Name, Column: c.Name},
+				ref:   cat.Column(o, i),
 				typ:   c.Type,
 				score: columnScore(tok, f.count, t, c, tblScore, display),
 			}
@@ -141,7 +142,7 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 					n++
 				}
 			}
-		} else if st, err := db.Stats(ref); err == nil && st.NonNull > 0 &&
+		} else if st := db.Stats(ref); st.NonNull > 0 &&
 			lit.Num >= st.Min.Num && lit.Num <= st.Max.Num {
 			n++
 		}
@@ -168,7 +169,6 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 // Tables and columns are keyed by their catalog ordinals. The entries are
 // bounded by the distinct questions the request asks.
 type lexMemo struct {
-	cat *sqlir.Catalog // the request's schema's, nil without one
 	// The model's parameters: a model with other ones answers otherwise.
 	maxSelect, maxWhere int
 	temperature         uint64 // its bits, so that NaN finds its memo too
@@ -212,9 +212,6 @@ func (m *LexicalModel) memo(ctx *Context, module byte) *lexMemo {
 	}
 	if mm == nil {
 		mm = &lexMemo{maxSelect: m.MaxSelect, maxWhere: m.MaxWhere, temperature: t, answers: map[string]any{}}
-		if ctx.Schema != nil {
-			mm.cat = ctx.Schema.Catalog()
-		}
 		f.memos = append(f.memos, mm)
 	}
 	mm.key = append(mm.key[:0], module)
@@ -247,22 +244,14 @@ func (mm *lexMemo) keyTables(q *sqlir.Query) {
 	mm.key = k
 }
 
-// keyColumn appends c: 0 for *, 2 + its table's ordinal and then its own
-// for a schema column, and otherwise 1 followed by its names.
+// keyColumn appends a decided column c: 0 for *, else 1 + its table's
+// ordinal and then its own.
 func (mm *lexMemo) keyColumn(c sqlir.ColumnRef) {
-	if c == sqlir.Star {
+	if c.IsStar() {
 		mm.key = append(mm.key, 0)
 		return
 	}
-	if mm.cat != nil {
-		if t, ok := mm.cat.Ordinal(c.Table); ok {
-			if i := slices.Index(mm.cat.Columns(t), c.Column); i >= 0 {
-				mm.key = binary.AppendUvarint(binary.AppendUvarint(mm.key, uint64(t)+2), uint64(i))
-				return
-			}
-		}
-	}
-	mm.key = appendText(appendText(append(mm.key, 1), c.Table), c.Column)
+	mm.key = binary.AppendUvarint(binary.AppendUvarint(mm.key, uint64(c.Table())+1), uint64(c.Column()))
 }
 
 // keyValue appends v: its kind, text and number bits.

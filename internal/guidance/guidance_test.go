@@ -34,6 +34,11 @@ func moviesSchema() *storage.Schema {
 	return s
 }
 
+// movieCol is moviesSchema's column table.column.
+func movieCol(table, column string) sqlir.ColumnRef {
+	return moviesSchema().Catalog().MustCol(table, column)
+}
+
 func ctxFor(nlq string, lits ...sqlir.Value) *Context {
 	return NewContext(nlq, lits, moviesSchema(), sqlir.NewQuery())
 }
@@ -123,12 +128,12 @@ func TestAllModulesNormalized(t *testing.T) {
 	assertNormalized(t, "Keywords", m.Keywords(ctx))
 	assertNormalized(t, "SelectCount", m.SelectCount(ctx))
 	assertNormalized(t, "SelectColumn", m.SelectColumn(ctx, 0))
-	assertNormalized(t, "SelectAgg", m.SelectAgg(ctx, 0, sqlir.ColumnRef{Table: "movie", Column: "year"}))
+	assertNormalized(t, "SelectAgg", m.SelectAgg(ctx, 0, movieCol("movie", "year")))
 	assertNormalized(t, "WhereCount", m.WhereCount(ctx))
 	assertNormalized(t, "WhereConj", m.WhereConj(ctx))
 	assertNormalized(t, "WhereColumn", m.WhereColumn(ctx, 0))
-	assertNormalized(t, "WhereOp", m.WhereOp(ctx, sqlir.ColumnRef{Table: "movie", Column: "year"}))
-	assertNormalized(t, "WhereValue", m.WhereValue(ctx, sqlir.ColumnRef{Table: "movie", Column: "year"}, sqlir.OpLt))
+	assertNormalized(t, "WhereOp", m.WhereOp(ctx, movieCol("movie", "year")))
+	assertNormalized(t, "WhereValue", m.WhereValue(ctx, movieCol("movie", "year"), sqlir.OpLt))
 	assertNormalized(t, "HavingPresent", m.HavingPresent(ctx))
 	assertNormalized(t, "HavingAggCol", m.HavingAggCol(ctx))
 	assertNormalized(t, "HavingOp", m.HavingOp(ctx))
@@ -174,11 +179,11 @@ func TestKeywordCues(t *testing.T) {
 func TestSelectColumnLexicalMatch(t *testing.T) {
 	m := NewLexicalModel()
 	best := top(m.SelectColumn(ctxFor("list the titles of all movies"), 0))
-	if best != (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
+	if best != movieCol("movie", "title") {
 		t.Errorf("best column = %v", best)
 	}
 	best = top(m.SelectColumn(ctxFor("names of actors"), 0))
-	if best != (sqlir.ColumnRef{Table: "actor", Column: "name"}) {
+	if best != movieCol("actor", "name") {
 		t.Errorf("best column = %v", best)
 	}
 }
@@ -193,7 +198,7 @@ func TestSelectColumnStarForCount(t *testing.T) {
 
 func TestSelectAggCues(t *testing.T) {
 	m := NewLexicalModel()
-	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	year := movieCol("movie", "year")
 	if got := top(m.SelectAgg(ctxFor("the average year of movies"), 0, year)); got != sqlir.AggAvg {
 		t.Errorf("avg cue: %v", got)
 	}
@@ -204,7 +209,7 @@ func TestSelectAggCues(t *testing.T) {
 		t.Errorf("star forces count: %v", got)
 	}
 	// Text column excludes numeric aggregates entirely.
-	name := sqlir.ColumnRef{Table: "actor", Column: "name"}
+	name := movieCol("actor", "name")
 	for _, s := range m.SelectAgg(ctxFor("average name"), 0, name) {
 		if s.Class.NumericOnly() {
 			t.Errorf("numeric-only agg %v offered on text column", s.Class)
@@ -214,7 +219,7 @@ func TestSelectAggCues(t *testing.T) {
 
 func TestWhereOpCues(t *testing.T) {
 	m := NewLexicalModel()
-	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	year := movieCol("movie", "year")
 	if got := top(m.WhereOp(ctxFor("movies before 1995"), year)); got != sqlir.OpLt {
 		t.Errorf("before → <, got %v", got)
 	}
@@ -225,7 +230,7 @@ func TestWhereOpCues(t *testing.T) {
 		t.Errorf("default → =, got %v", got)
 	}
 	// Text columns never get ordering ops.
-	name := sqlir.ColumnRef{Table: "actor", Column: "name"}
+	name := movieCol("actor", "name")
 	for _, s := range m.WhereOp(ctxFor("actors before 1995"), name) {
 		if s.Class.Ordering() {
 			t.Errorf("ordering op %v offered on text column", s.Class)
@@ -236,12 +241,12 @@ func TestWhereOpCues(t *testing.T) {
 func TestWhereValueTypeFiltered(t *testing.T) {
 	m := NewLexicalModel()
 	ctx := ctxFor("movies named Gravity from 2013", sqlir.NewText("Gravity"), sqlir.NewInt(2013))
-	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	year := movieCol("movie", "year")
 	vals := m.WhereValue(ctx, year, sqlir.OpEq)
 	if len(vals) != 1 || !vals[0].Class.Equal(sqlir.NewInt(2013)) {
 		t.Errorf("year values = %v", vals)
 	}
-	title := sqlir.ColumnRef{Table: "movie", Column: "title"}
+	title := movieCol("movie", "title")
 	vals = m.WhereValue(ctx, title, sqlir.OpEq)
 	if len(vals) != 1 || !vals[0].Class.Equal(sqlir.NewText("Gravity")) {
 		t.Errorf("title values = %v", vals)
@@ -298,7 +303,7 @@ func TestCandidateTablesRestrictedByFrom(t *testing.T) {
 	}
 	ctx := NewContext("title year", nil, schema, q)
 	for _, s := range NewLexicalModel().SelectColumn(ctx, 0) {
-		if !s.Class.IsStar() && s.Class.Table != "movie" {
+		if !s.Class.IsStar() && schema.Catalog().Name(s.Class.Table()) != "movie" {
 			t.Errorf("column %v outside join path offered", s.Class)
 		}
 	}
@@ -334,10 +339,10 @@ func TestOracleModelConcentratesOnGold(t *testing.T) {
 	if got := top(m.SelectCount(ctx)); got != 1 {
 		t.Errorf("oracle select count = %d", got)
 	}
-	if got := top(m.SelectColumn(ctx, 0)); got != (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
+	if got := top(m.SelectColumn(ctx, 0)); got != movieCol("movie", "title") {
 		t.Errorf("oracle select col = %v", got)
 	}
-	if got := top(m.WhereOp(ctx, sqlir.ColumnRef{Table: "movie", Column: "year"})); got != sqlir.OpLt {
+	if got := top(m.WhereOp(ctx, movieCol("movie", "year"))); got != sqlir.OpLt {
 		t.Errorf("oracle op = %v", got)
 	}
 	if got := top(m.OrderDir(ctx)); got.Desc || got.Limit != 0 {
@@ -354,7 +359,7 @@ func TestOracleNoiseSpreadsMass(t *testing.T) {
 	assertNormalized(t, "noisy oracle", s)
 	var goldP float64
 	for _, x := range s {
-		if x.Class == (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
+		if x.Class == movieCol("movie", "title") {
 			goldP = x.Prob
 		}
 	}
@@ -374,11 +379,11 @@ func TestOracleAddsMissingGoldClass(t *testing.T) {
 	q.WhereState = sqlir.ClausePresent
 	q.Where.CountSet = true
 	q.Where.Preds = []sqlir.Predicate{{
-		Col: sqlir.ColumnRef{Table: "movie", Column: "year"}, ColSet: true,
+		Col: movieCol("movie", "year"), ColSet: true,
 		Op: sqlir.OpEq, OpSet: true,
 	}}
 	ctx := NewContext("movies", nil, schema, q)
-	vals := m.WhereValue(ctx, sqlir.ColumnRef{Table: "movie", Column: "year"}, sqlir.OpEq)
+	vals := m.WhereValue(ctx, movieCol("movie", "year"), sqlir.OpEq)
 	if len(vals) != 1 || !vals[0].Class.Equal(sqlir.NewInt(1937)) {
 		t.Errorf("oracle values = %v", vals)
 	}
@@ -390,7 +395,7 @@ func TestOracleAddsMissingGoldClass(t *testing.T) {
 // the oracle answers the second call as the first.
 func TestOracleLeavesFallbackAnswerUntouched(t *testing.T) {
 	schema := moviesSchema()
-	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
+	year := movieCol("movie", "year")
 	gold := sqlparse.MustParse(schema, "SELECT title FROM movie WHERE year = 1937")
 	m := NewOracleModel(gold, 0.1)
 	q := sqlir.NewQuery()
@@ -469,14 +474,14 @@ func TestLiteralColumnsGrounding(t *testing.T) {
 	ctx := NewContextDB("movies named Gravity from 2013",
 		[]sqlir.Value{sqlir.NewText("Gravity"), sqlir.NewInt(2013)}, db, sqlir.NewQuery())
 	lc := ctx.LiteralColumns()
-	if lc[sqlir.ColumnRef{Table: "movie", Column: "title"}] == 0 {
+	if lc[movieCol("movie", "title")] == 0 {
 		t.Error("movie.title contains 'Gravity'")
 	}
-	if lc[sqlir.ColumnRef{Table: "actor", Column: "name"}] != 0 {
+	if lc[movieCol("actor", "name")] != 0 {
 		t.Error("actor.name does not contain 'Gravity'")
 	}
 	// Numeric grounding: year range covers 2013.
-	if lc[sqlir.ColumnRef{Table: "movie", Column: "year"}] == 0 {
+	if lc[movieCol("movie", "year")] == 0 {
 		t.Error("movie.year covers 2013")
 	}
 	// Memoized: second call returns the same map.
@@ -496,7 +501,7 @@ func TestWhereColumnPrefersGroundedLiteral(t *testing.T) {
 	db := storage.NewDatabase("g", schema)
 	ctx := NewContextDB("show things about Gravity", []sqlir.Value{sqlir.NewText("Gravity")}, db, sqlir.NewQuery())
 	best := top(NewLexicalModel().WhereColumn(ctx, 0))
-	if best != (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
+	if best != movieCol("movie", "title") {
 		t.Errorf("grounded literal should pick movie.title, got %v", best)
 	}
 }

@@ -371,8 +371,7 @@ func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 	if col.IsStar() {
 		mm.key = append(mm.key, '*')
 	} else {
-		ty, _ := ctx.Schema.Resolve(col)
-		mm.key = append(mm.key, byte(ty))
+		mm.key = append(mm.key, byte(col.Type()))
 	}
 	return memoised(mm, func() []Scored[sqlir.AggFunc] { return m.selectAgg(ctx, idx, col) })
 }
@@ -382,7 +381,7 @@ func (m *LexicalModel) selectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1}}
 	}
 	f := ctx.feat()
-	ty, _ := ctx.Schema.Resolve(col)
+	ty := col.Type()
 	out := make([]Scored[sqlir.AggFunc], 0, len(sqlir.AllAggs))
 	maxCue := 0.0
 	for _, agg := range []sqlir.AggFunc{sqlir.AggMax, sqlir.AggMin, sqlir.AggCount, sqlir.AggSum, sqlir.AggAvg} {
@@ -507,14 +506,13 @@ func (m *LexicalModel) whereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnR
 // WhereOp scores operators with cue words, masking type-invalid choices.
 func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
 	mm := m.memo(ctx, keyWhereOp)
-	ty, _ := ctx.Schema.Resolve(col)
-	mm.key = append(mm.key, byte(ty))
+	mm.key = append(mm.key, byte(col.Type()))
 	return memoised(mm, func() []Scored[sqlir.Op] { return m.whereOp(ctx, col) })
 }
 
 func (m *LexicalModel) whereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
 	f := ctx.feat()
-	ty, _ := ctx.Schema.Resolve(col)
+	ty := col.Type()
 	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range sqlir.AllOps {
 		if ty == sqlir.TypeText && op.Ordering() {
@@ -532,7 +530,7 @@ func (m *LexicalModel) whereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir
 // already used in earlier predicates.
 func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
 	mm := m.memo(ctx, keyWhereValue)
-	ty, _ := ctx.Schema.Resolve(col)
+	ty := col.Type()
 	like := byte(0)
 	if op == sqlir.OpLike {
 		like = 1
@@ -549,7 +547,7 @@ func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op
 }
 
 func (m *LexicalModel) whereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
-	ty, _ := ctx.Schema.Resolve(col)
+	ty := col.Type()
 	var used []string
 	if ctx.Query != nil {
 		for _, p := range ctx.Query.Where.Preds {

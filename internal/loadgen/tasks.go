@@ -122,10 +122,11 @@ func (g *Generated) taskTemplate(r *rand.Rand, shape int) (nlq, sql string, lits
 	}
 }
 
-// pred builds a complete predicate (the ExistsQuery building block).
-func pred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
+// pred builds a complete predicate on the catalog's column table.col (the
+// ExistsQuery building block).
+func pred(c *sqlir.Catalog, table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{
-		Col: sqlir.ColumnRef{Table: table, Column: col}, ColSet: true,
+		Col: c.MustCol(table, col), ColSet: true,
 		Op: op, OpSet: true, Val: v, ValSet: true,
 	}
 }
@@ -147,10 +148,11 @@ func (g *Generated) Probes(n int, seed int64) []sqlexec.ExistsQuery {
 		}
 	}
 	probes := make([]sqlexec.ExistsQuery, 0, n)
+	catalog := g.DB.Schema.Catalog()
 	for i := 0; i < n; i++ {
 		tp := &p.tables[children[r.Intn(len(children))]]
 		parent := &p.tables[tp.parents[r.Intn(len(tp.parents))]]
-		path, err := g.DB.Schema.Catalog().Path(tp.name, sqlir.JoinOn{Left: sqlir.ColumnRef{Table: tp.name, Column: parent.name + "_id"}, Right: sqlir.ColumnRef{Table: parent.name, Column: "id"}})
+		path, err := catalog.Path(tp.name, sqlir.JoinOn{Left: catalog.MustCol(tp.name, parent.name+"_id"), Right: catalog.MustCol(parent.name, "id")})
 		if err != nil {
 			panic(err) // the plan declares every foreign key it joins
 		}
@@ -166,8 +168,8 @@ func (g *Generated) Probes(n int, seed int64) []sqlexec.ExistsQuery {
 				From: path,
 				Conj: sqlir.LogicAnd,
 				Preds: []sqlir.Predicate{
-					pred(parent.name, cat.name, sqlir.OpEq, sqlir.NewText(lit)),
-					pred(tp.name, nm.name, sqlir.OpGt, sqlir.NewInt(nm.lo+r.Intn(nm.span+1))),
+					pred(catalog, parent.name, cat.name, sqlir.OpEq, sqlir.NewText(lit)),
+					pred(catalog, tp.name, nm.name, sqlir.OpGt, sqlir.NewInt(nm.lo+r.Intn(nm.span+1))),
 				},
 			})
 		case 1: // by-row style: exact name through the join
@@ -176,15 +178,15 @@ func (g *Generated) Probes(n int, seed int64) []sqlexec.ExistsQuery {
 				From: path,
 				Conj: sqlir.LogicAnd,
 				Preds: []sqlir.Predicate{
-					pred(tp.name, "name", sqlir.OpEq, sqlir.NewText(name)),
+					pred(catalog, tp.name, "name", sqlir.OpEq, sqlir.NewText(name)),
 				},
 			})
 		default: // grouped existence: GROUP BY parent id, HAVING COUNT
 			probes = append(probes, sqlexec.ExistsQuery{
 				From:    path,
 				Conj:    sqlir.LogicAnd,
-				Preds:   []sqlir.Predicate{pred(parent.name, cat.name, sqlir.OpEq, sqlir.NewText(lit))},
-				GroupBy: []sqlir.ColumnRef{{Table: parent.name, Column: "id"}},
+				Preds:   []sqlir.Predicate{pred(catalog, parent.name, cat.name, sqlir.OpEq, sqlir.NewText(lit))},
+				GroupBy: []sqlir.ColumnRef{catalog.MustCol(parent.name, "id")},
 				Havings: []sqlir.HavingExpr{{
 					Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 					Op: sqlir.OpGe, OpSet: true, Val: sqlir.NewInt(2 + r.Intn(6)), ValSet: true,

@@ -37,7 +37,7 @@ const (
 // Filter is one abduced candidate selection predicate.
 type Filter struct {
 	Kind   FilterKind
-	Col    sqlir.ColumnRef // counted relation's star for FilterCount
+	Col    sqlir.ColumnRef // * for FilterCount
 	Val    sqlir.Value     // FilterValue
 	Lo, Hi sqlir.Value     // FilterRange / FilterCount bounds
 }
@@ -151,8 +151,7 @@ func (s *System) Synthesize(examples []tsq.Tuple) (*Output, error) {
 	}
 	var viable []scored
 	for _, mapping := range mappings {
-		tables := distinctTables(mapping)
-		paths, err := s.graph.JoinPathsForDepth(tables, 0, 8)
+		paths, err := s.graph.JoinPathsForDepth(tableSet(mapping), 0, 8)
 		if err != nil {
 			continue
 		}
@@ -188,8 +187,7 @@ func (s *System) Synthesize(examples []tsq.Tuple) (*Output, error) {
 // snapshot's dictionary is clamped at publication), so it is asked instead
 // of the rows.
 func (s *System) columnCovers(col sqlir.ColumnRef, examples []tsq.Tuple, j int) bool {
-	t := s.db.Schema.Table(col.Table)
-	dict := t.VectorAt(t.ColumnIndex(col.Column)).Dict()
+	dict := s.db.Schema.TableAt(col.Table()).VectorAt(col.Column()).Dict()
 	if dict == nil {
 		return false
 	}
@@ -280,10 +278,10 @@ func (s *System) branchPaths(base *sqlir.JoinPath, depth int) []*sqlir.JoinPath 
 		for _, n := range frontier {
 			for id, fk := range cat.ForeignKeys() {
 				var newTable int
-				if fk.From.Table == n.table && !visited.Has(fk.To.Table) {
-					newTable = fk.To.Table
-				} else if fk.To.Table == n.table && !visited.Has(fk.From.Table) {
-					newTable = fk.From.Table
+				if fk.From.Table() == n.table && !visited.Has(fk.To.Table()) {
+					newTable = fk.To.Table()
+				} else if fk.To.Table() == n.table && !visited.Has(fk.From.Table()) {
+					newTable = fk.From.Table()
 				} else {
 					continue
 				}
@@ -310,17 +308,13 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 
 	abduceTable := func(ord int, path *sqlir.JoinPath) error {
 		t := s.db.Schema.TableAt(ord)
-		for _, c := range t.Columns {
-			ref := sqlir.ColumnRef{Table: t.Name, Column: c.Name}
+		for ci, c := range t.Columns {
+			ref := s.db.Schema.Catalog().Column(ord, ci)
 			if mapped[ref] || c.Name == t.PrimaryKey {
 				continue
 			}
 			if c.Type == sqlir.TypeText {
-				st, err := s.db.Stats(ref)
-				if err != nil {
-					return err
-				}
-				if st.Distinct > s.opts.MaxDomain {
+				if s.db.Stats(ref).Distinct > s.opts.MaxDomain {
 					continue
 				}
 				common, err := s.commonValues(ref, mapping, path, examples)
@@ -361,7 +355,7 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 
 	// Derived count filters: per branch, the number of joined rows matching
 	// each example ("authors with at least N papers").
-	for t, path := range branches {
+	for _, path := range branches {
 		if path == nil {
 			continue
 		}
@@ -378,7 +372,7 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 		if minCount >= 1 {
 			filters = append(filters, Filter{
 				Kind: FilterCount,
-				Col:  sqlir.ColumnRef{Table: s.db.Schema.TableAt(t).Name, Column: "*"},
+				Col:  sqlir.Star,
 				Lo:   sqlir.NewInt(minCount),
 				Hi:   sqlir.NewInt(minCount),
 			})
@@ -536,28 +530,24 @@ func cartesian(cands [][]sqlir.ColumnRef, cap int) [][]sqlir.ColumnRef {
 	return out
 }
 
-func distinctTables(cols []sqlir.ColumnRef) []string {
-	var out []string
-	seen := map[string]bool{}
+// tableSet returns the tables of cols.
+func tableSet(cols []sqlir.ColumnRef) sqlir.TableSet {
+	var set sqlir.TableSet
 	for _, c := range cols {
-		if !seen[c.Table] {
-			seen[c.Table] = true
-			out = append(out, c.Table)
-		}
+		set = set.With(c.Table())
 	}
-	return out
+	return set
 }
 
 // Supports reports whether a gold query is expressible by this PBE system
 // at all (§5.4.2): no projected aggregates or numeric columns, no negation
 // or LIKE, no ordering, no row limit.
-func Supports(gold *sqlir.Query, schema *storage.Schema) (bool, string) {
+func Supports(gold *sqlir.Query) (bool, string) {
 	for _, s := range gold.Select {
 		if s.Agg != sqlir.AggNone {
 			return false, "projected aggregate"
 		}
-		ty, _ := schema.Resolve(s.Col)
-		if ty != sqlir.TypeText {
+		if s.Col.Type() != sqlir.TypeText {
 			return false, "projected numeric column"
 		}
 	}

@@ -85,13 +85,13 @@ func TestSynthesizeSimpleProjection(t *testing.T) {
 	if out.Unsupported {
 		t.Fatalf("unsupported: %s", out.Reason)
 	}
-	if len(out.Projections) != 1 || out.Projections[0] != (sqlir.ColumnRef{Table: "author", Column: "name"}) {
+	if len(out.Projections) != 1 || out.Projections[0] != db.Schema.Catalog().MustCol("author", "name") {
 		t.Errorf("projections = %v", out.Projections)
 	}
 	// Alice and Bob share organization Michigan: expect that filter.
 	found := false
 	for _, f := range out.Filters {
-		if f.Kind == FilterValue && f.Col.Table == "organization" && f.Val.Equal(text("Michigan")) {
+		if f.Kind == FilterValue && f.Col.String() == "organization.name" && f.Val.Equal(text("Michigan")) {
 			found = true
 		}
 	}
@@ -112,7 +112,9 @@ func TestSynthesizeJoinDiscovery(t *testing.T) {
 	if out.Unsupported {
 		t.Fatalf("unsupported: %s", out.Reason)
 	}
-	if !out.JoinPath.Contains("publication") || !out.JoinPath.Contains("conference") {
+	pub, _ := db.Schema.Catalog().Ordinal("publication")
+	conf, _ := db.Schema.Catalog().Ordinal("conference")
+	if !out.JoinPath.Set().Has(pub) || !out.JoinPath.Set().Has(conf) {
 		t.Errorf("join path = %v", out.JoinPath)
 	}
 }
@@ -191,7 +193,7 @@ func TestSupports(t *testing.T) {
 	}
 	for _, c := range cases {
 		gold := sqlparse.MustParse(db.Schema, c.sql)
-		ok, reason := Supports(gold, db.Schema)
+		ok, reason := Supports(gold)
 		if ok != c.ok || (!ok && !strings.Contains(reason, c.reason)) {
 			t.Errorf("%q: ok=%v reason=%q", c.sql, ok, reason)
 		}
@@ -253,11 +255,12 @@ func TestUnsupportedOutputNeverCorrect(t *testing.T) {
 }
 
 func TestFilterString(t *testing.T) {
-	f := Filter{Kind: FilterValue, Col: sqlir.ColumnRef{Table: "t", Column: "c"}, Val: text("x")}
+	cat := sqlir.InternCatalog([]sqlir.CatalogTable{{Name: "t", Columns: []string{"c", "n"}}}, nil)
+	f := Filter{Kind: FilterValue, Col: cat.MustCol("t", "c"), Val: text("x")}
 	if f.String() != "t.c = 'x'" {
 		t.Errorf("filter string = %q", f.String())
 	}
-	f = Filter{Kind: FilterRange, Col: sqlir.ColumnRef{Table: "t", Column: "n"}, Lo: num(1), Hi: num(2)}
+	f = Filter{Kind: FilterRange, Col: cat.MustCol("t", "n"), Lo: num(1), Hi: num(2)}
 	if f.String() != "t.n in [1,2]" {
 		t.Errorf("range string = %q", f.String())
 	}
@@ -288,7 +291,7 @@ func TestColumnCoversReadsTheSnapshotsDictionary(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	col := sqlir.ColumnRef{Table: "conference", Column: "name"}
+	col := live.Schema.Catalog().MustCol("conference", "name")
 	covers := func(db *storage.Database, vals ...string) bool {
 		return New(db, DefaultOptions()).columnCovers(col, []tsq.Tuple{ex(vals...)}, 0)
 	}

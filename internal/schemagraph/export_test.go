@@ -5,8 +5,12 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// RefQuery is a partial query whose SELECT references the tables in order.
+// RefQuery is a partial query whose SELECT references the catalog's named
+// tables in order.
 var RefQuery = refQuery
+
+// SetOf is the set of the catalog's named tables.
+var SetOf = setOf
 
 // Private builds a graph of the schema's catalog outside the intern, with a
 // memo of its own.

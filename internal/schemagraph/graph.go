@@ -59,7 +59,7 @@ func New(schema *storage.Schema) *Graph {
 func build(cat *sqlir.Catalog) *Graph {
 	g := &Graph{cat: cat, adj: make([][]int, cat.NumTables())}
 	for id, fk := range cat.ForeignKeys() {
-		a, b := fk.From.Table, fk.To.Table
+		a, b := fk.From.Table(), fk.To.Table()
 		g.adj[a] = append(g.adj[a], id)
 		if b != a {
 			g.adj[b] = append(g.adj[b], id)
@@ -71,10 +71,10 @@ func build(cat *sqlir.Catalog) *Graph {
 // other returns the node foreign key fk joins to v.
 func (g *Graph) other(fk, v int) int {
 	k := g.cat.ForeignKeys()[fk]
-	if k.From.Table == v {
-		return k.To.Table
+	if k.From.Table() == v {
+		return k.To.Table()
 	}
-	return k.From.Table
+	return k.From.Table()
 }
 
 // steiner returns minimum-node connected subtrees spanning the terminal
@@ -91,19 +91,6 @@ func (g *Graph) steiner(term sqlir.TableSet) ([]*sqlir.JoinPath, error) {
 		return g.steinerExact(term)
 	}
 	return g.steinerHeuristic(term)
-}
-
-// set returns the named tables as a set.
-func (g *Graph) set(tables []string) (sqlir.TableSet, error) {
-	var s sqlir.TableSet
-	for _, t := range tables {
-		o, ok := g.cat.Ordinal(t)
-		if !ok {
-			return 0, fmt.Errorf("schemagraph: unknown table %q", t)
-		}
-		s = s.With(o)
-	}
-	return s, nil
 }
 
 // steinerExact enumerates node supersets of the terminals in increasing
@@ -241,16 +228,12 @@ func (g *Graph) steinerHeuristic(term sqlir.TableSet) ([]*sqlir.JoinPath, error)
 // in one total order), so it is memoized by that set, and every request
 // over the catalog shares it. Callers must not modify the returned paths.
 func (g *Graph) ConstructJoinPaths(q *sqlir.Query) ([]*sqlir.JoinPath, error) {
-	var tb [8]string
-	set, err := g.set(q.AppendReferencedTables(tb[:0]))
-	if err != nil {
-		return nil, err // an unknown table: an error, not kept
-	}
+	set := q.ReferencedTables()
 	g.mu.RLock()
 	c, hit := g.memo[set]
 	g.mu.RUnlock()
 	if !hit {
-		c.paths, c.err = g.pathsFor(set, defaultDepth, defaultMaxPaths)
+		c.paths, c.err = g.JoinPathsFor(set)
 		c = g.keep(set, c)
 	}
 	return c.paths, c.err
@@ -293,21 +276,13 @@ const (
 // JoinPathsFor returns candidate join paths for an explicit table set. With
 // no tables, every table in the database is a candidate single-table path
 // (Line 6: e.g. SELECT COUNT(*)).
-func (g *Graph) JoinPathsFor(tables []string) ([]*sqlir.JoinPath, error) {
+func (g *Graph) JoinPathsFor(tables sqlir.TableSet) ([]*sqlir.JoinPath, error) {
 	return g.JoinPathsForDepth(tables, defaultDepth, defaultMaxPaths)
 }
 
 // JoinPathsForDepth is JoinPathsFor with explicit expansion depth and a cap
 // on the number of returned paths.
-func (g *Graph) JoinPathsForDepth(tables []string, depth, maxPaths int) ([]*sqlir.JoinPath, error) {
-	set, err := g.set(tables)
-	if err != nil {
-		return nil, err
-	}
-	return g.pathsFor(set, depth, maxPaths)
-}
-
-func (g *Graph) pathsFor(set sqlir.TableSet, depth, maxPaths int) ([]*sqlir.JoinPath, error) {
+func (g *Graph) JoinPathsForDepth(set sqlir.TableSet, depth, maxPaths int) ([]*sqlir.JoinPath, error) {
 	if set == 0 {
 		out := make([]*sqlir.JoinPath, g.cat.NumTables())
 		for i := range out {
@@ -346,7 +321,7 @@ expand:
 		for _, jp := range frontier {
 			in := jp.Set()
 			for id, fk := range g.cat.ForeignKeys() {
-				if in.Has(fk.From.Table) == in.Has(fk.To.Table) {
+				if in.Has(fk.From.Table()) == in.Has(fk.To.Table()) {
 					continue
 				}
 				if ext := jp.JoinFK(id); add(ext) {

@@ -94,8 +94,8 @@ func TestSharedJoinPathsAreTheComputation(t *testing.T) {
 			names = append(names, tb.Name)
 		}
 		for _, list := range orderedLists(names) {
-			got, gotErr := g.ConstructJoinPaths(schemagraph.RefQuery(list...))
-			want, wantErr := private.JoinPathsFor(list)
+			got, gotErr := g.ConstructJoinPaths(schemagraph.RefQuery(db.Schema.Catalog(), list...))
+			want, wantErr := private.JoinPathsFor(schemagraph.SetOf(db.Schema.Catalog(), list...))
 			if !sameAnswer(got, want, gotErr, wantErr) {
 				t.Fatalf("%s %v: memo %v (%v), computed %v (%v)", db.Name, list, got, gotErr, want, wantErr)
 			}
@@ -127,7 +127,7 @@ func TestSharedJoinPathsAreTheComputation(t *testing.T) {
 		private := schemagraph.Private(db.Schema)
 		schemagraph.New(db.Schema).EachMemoized(func(tables []string, paths []*sqlir.JoinPath, err error) {
 			entries++
-			want, wantErr := private.JoinPathsFor(tables)
+			want, wantErr := private.JoinPathsFor(schemagraph.SetOf(db.Schema.Catalog(), tables...))
 			if !sameAnswer(paths, want, err, wantErr) {
 				t.Errorf("%s %v: after the search the memo holds %v (%v), computed %v (%v)", db.Name, tables, paths, err, want, wantErr)
 			}

@@ -88,11 +88,11 @@ func anywhere(q *sqlir.Query, schema *storage.Schema) *Violation {
 		return singletonGroups
 	case unnecessaryGroupBy(q):
 		return unnecessaryGroup
-	case atAnyProjection(q, schema, textAggregateProjection) || textAggregateClause(q, schema):
+	case atAnyProjection(q, schema, textAggregateProjection) || textAggregateClause(q):
 		return aggregateType
 	case atAnyPredicate(q, schema, faultyTypeComparison):
 		return faultyComparison
-	case atAnyPredicate(q, schema, predicateValueType) || havingValueType(q, schema):
+	case atAnyPredicate(q, schema, predicateValueType) || havingValueType(q):
 		return valueType
 	case atAnyPredicate(q, schema, predicateOutsideJoinPath) || atAnyProjection(q, schema, projectionOutsideJoinPath) ||
 		clauseOutsideJoinPath(q):
@@ -365,8 +365,8 @@ func groupedByKey(q *sqlir.Query, schema *storage.Schema) bool {
 		return false
 	}
 	for _, g := range q.GroupBy {
-		t := schema.Table(g.Table)
-		if t != nil && t.PrimaryKey != "" && t.PrimaryKey == g.Column {
+		t := schema.TableAt(g.Table())
+		if t.PrimaryKey != "" && t.PrimaryKey == t.Columns[g.Column()].Name {
 			return true
 		}
 	}
@@ -402,41 +402,34 @@ func unnecessaryGroupBy(q *sqlir.Query) bool {
 
 // textAggregate prunes MIN/MAX/AVG/SUM applied to a text column (Table 4
 // row 6), wherever an aggregate can occur.
-func textAggregate(schema *storage.Schema, agg sqlir.AggFunc, col sqlir.ColumnRef) bool {
-	if !agg.NumericOnly() || col.IsStar() {
-		return false
-	}
-	ty, ok := schema.Resolve(col)
-	return ok && ty == sqlir.TypeText
+func textAggregate(agg sqlir.AggFunc, col sqlir.ColumnRef) bool {
+	return agg.NumericOnly() && col.Type() == sqlir.TypeText
 }
 
 // textAggregateProjection: projection i aggregates a text column.
-func textAggregateProjection(q *sqlir.Query, schema *storage.Schema, i int) bool {
+func textAggregateProjection(q *sqlir.Query, _ *storage.Schema, i int) bool {
 	s := &q.Select[i]
-	return s.Complete() && textAggregate(schema, s.Agg, s.Col)
+	return s.Complete() && textAggregate(s.Agg, s.Col)
 }
 
 // textAggregateClause: HAVING or ORDER BY aggregates a text column.
-func textAggregateClause(q *sqlir.Query, schema *storage.Schema) bool {
+func textAggregateClause(q *sqlir.Query) bool {
 	if q.HavingState == sqlir.ClausePresent && q.Having.AggSet && q.Having.ColSet &&
-		textAggregate(schema, q.Having.Agg, q.Having.Col) {
+		textAggregate(q.Having.Agg, q.Having.Col) {
 		return true
 	}
 	return q.OrderByState == sqlir.ClausePresent && q.OrderBy.KeySet &&
-		textAggregate(schema, q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
+		textAggregate(q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
 }
 
 // faultyTypeComparison prunes an ordering operator on a text column or LIKE
 // on a numeric one at predicate i (Table 4 row 7).
-func faultyTypeComparison(q *sqlir.Query, schema *storage.Schema, i int) bool {
+func faultyTypeComparison(q *sqlir.Query, _ *storage.Schema, i int) bool {
 	p := &q.Where.Preds[i]
 	if !p.ColSet || !p.OpSet || !p.Op.Ordering() && p.Op != sqlir.OpLike {
 		return false
 	}
-	ty, ok := schema.Resolve(p.Col)
-	if !ok {
-		return false
-	}
+	ty := p.Col.Type()
 	return p.Op.Ordering() && ty == sqlir.TypeText || p.Op == sqlir.OpLike && ty == sqlir.TypeNumber
 }
 
@@ -444,7 +437,7 @@ func faultyTypeComparison(q *sqlir.Query, schema *storage.Schema, i int) bool {
 // structurally invalid SQL that guided enumeration can produce when a join
 // path was fixed before a later column decision.
 func outside(q *sqlir.Query, col sqlir.ColumnRef) bool {
-	return q.From != nil && !col.IsStar() && col.Table != "" && !q.From.Contains(col.Table)
+	return q.From != nil && !col.IsStar() && !q.From.Set().Has(col.Table())
 }
 
 // predicateOutsideJoinPath: predicate i's column is outside the join path.
@@ -474,15 +467,12 @@ func clauseOutsideJoinPath(q *sqlir.Query) bool {
 // predicateValueType prunes a predicate whose literal type disagrees with
 // its column's type (an addition beyond Table 4 that removes obviously empty
 // comparisons early): predicate i is decided and mistyped.
-func predicateValueType(q *sqlir.Query, schema *storage.Schema, i int) bool {
+func predicateValueType(q *sqlir.Query, _ *storage.Schema, i int) bool {
 	p := &q.Where.Preds[i]
 	if !p.Complete() {
 		return false
 	}
-	ty, ok := schema.Resolve(p.Col)
-	if !ok {
-		return false
-	}
+	ty := p.Col.Type()
 	vt := p.Val.Type()
 	if p.Op == sqlir.OpLike {
 		return vt != sqlir.TypeText // a LIKE pattern must be text
@@ -492,15 +482,11 @@ func predicateValueType(q *sqlir.Query, schema *storage.Schema, i int) bool {
 
 // havingValueType: the HAVING literal disagrees with the aggregate it is
 // compared with. COUNT/SUM/AVG are numeric; MIN/MAX take the column type.
-func havingValueType(q *sqlir.Query, schema *storage.Schema) bool {
+func havingValueType(q *sqlir.Query) bool {
 	if q.HavingState != sqlir.ClausePresent || !q.Having.Complete() {
 		return false
 	}
-	ty, ok := schema.Resolve(q.Having.Col)
-	if !ok {
-		return false
-	}
-	rt := q.Having.Agg.ResultType(ty)
+	rt := q.Having.Agg.ResultType(q.Having.Col.Type())
 	vt := q.Having.Val.Type()
 	return vt != sqlir.TypeUnknown && vt != rt
 }

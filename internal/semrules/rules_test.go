@@ -157,13 +157,13 @@ func TestAggregateTypeUsageInHavingAndOrder(t *testing.T) {
 	schema := actorSchema()
 	q := sqlparse.MustParse(schema, "SELECT name FROM actor GROUP BY name HAVING COUNT(*) > 1")
 	q.Having.Agg = sqlir.AggAvg
-	q.Having.Col = sqlir.ColumnRef{Table: "actor", Column: "name"}
+	q.Having.Col = schema.Catalog().MustCol("actor", "name")
 	v := Default().Check(q, schema)
 	if v == nil || v.Rule != "aggregate type usage" {
 		t.Errorf("HAVING AVG(text) should violate: %v", v)
 	}
 	q2 := sqlparse.MustParse(schema, "SELECT name FROM actor GROUP BY name ORDER BY COUNT(*) DESC")
-	q2.OrderBy.Key = sqlir.OrderKey{Agg: sqlir.AggSum, Col: sqlir.ColumnRef{Table: "actor", Column: "name"}}
+	q2.OrderBy.Key = sqlir.OrderKey{Agg: sqlir.AggSum, Col: schema.Catalog().MustCol("actor", "name")}
 	v = Default().Check(q2, schema)
 	if v == nil || v.Rule != "aggregate type usage" {
 		t.Errorf("ORDER BY SUM(text) should violate: %v", v)
@@ -198,7 +198,7 @@ func TestEmptyRuleSetAndAppend(t *testing.T) {
 	rs.Append(Rule{
 		Name: "no actor table",
 		Check: func(q *sqlir.Query, _ *storage.Schema) *Violation {
-			if q.From != nil && q.From.Contains("actor") {
+			if actor, _ := schema.Catalog().Ordinal("actor"); q.From != nil && q.From.Set().Has(actor) {
 				return &Violation{"no actor table", "domain rule"}
 			}
 			return nil
@@ -239,7 +239,7 @@ func TestColumnOutsideJoinPath(t *testing.T) {
 	schema := actorSchema()
 	q := sqlparse.MustParse(schema, "SELECT name FROM actor WHERE birth_yr = 1950")
 	// Rewrite the predicate to reference a table missing from FROM.
-	q.Where.Preds[0].Col = sqlir.ColumnRef{Table: "starring", Column: "sid"}
+	q.Where.Preds[0].Col = schema.Catalog().MustCol("starring", "sid")
 	v := Default().Check(q, schema)
 	if v == nil || v.Rule != "column outside join path" {
 		t.Errorf("violation = %v", v)

@@ -360,7 +360,7 @@ func (r *Runner) runPBETrial(task *dataset.Task, user int, rng *rand.Rand) (*Tri
 		trial.Duration = p.Budget
 		return trial, nil
 	}
-	if supported, _ := pbe.Supports(task.Gold, task.DB.Schema); supported && out.Correct(task.Gold) {
+	if supported, _ := pbe.Supports(task.Gold); supported && out.Correct(task.Gold) {
 		// The user must check exactly the right filters in the suggested
 		// list; longer lists invite mistakes.
 		selectOK := 1 - 0.004*float64(len(out.Filters))

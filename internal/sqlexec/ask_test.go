@@ -264,7 +264,7 @@ func TestAskLeavesResultsAlone(t *testing.T) {
 // has settled).
 func TestAskShapes(t *testing.T) {
 	db := sqlexec.ColumnarDB(1, 200)
-	col := func(table, column string) sqlir.ColumnRef { return sqlir.ColumnRef{Table: table, Column: column} }
+	col := func(table, column string) sqlir.ColumnRef { return sqlexec.Col(db, table, column) }
 	item := func(agg sqlir.AggFunc, c sqlir.ColumnRef) sqlir.SelectItem {
 		return sqlir.SelectItem{Agg: agg, AggSet: true, Col: c, ColSet: true}
 	}

@@ -74,7 +74,7 @@ func benchPath() *sqlir.JoinPath {
 
 func benchPred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{
-		Col: sqlir.ColumnRef{Table: table, Column: col}, ColSet: true,
+		Col: sqlexec.Col(benchStore(), table, col), ColSet: true,
 		Op: op, OpSet: true, Val: v, ValSet: true,
 	}
 }
@@ -106,12 +106,10 @@ func benchGroupedProbes() []sqlexec.ExistsQuery {
 	for i := 0; i < 50; i++ {
 		city := fmt.Sprintf("city-%d", r.Intn(60))
 		probes = append(probes, sqlexec.ExistsQuery{
-			From:  benchPath(),
-			Conj:  sqlir.LogicAnd,
-			Preds: []sqlir.Predicate{benchPred("cust", "city", sqlir.OpEq, sqlir.NewText(city))},
-			GroupBy: []sqlir.ColumnRef{
-				{Table: "cust", Column: "cid"},
-			},
+			From:    benchPath(),
+			Conj:    sqlir.LogicAnd,
+			Preds:   []sqlir.Predicate{benchPred("cust", "city", sqlir.OpEq, sqlir.NewText(city))},
+			GroupBy: []sqlir.ColumnRef{sqlexec.Col(benchStore(), "cust", "cid")},
 			Havings: []sqlir.HavingExpr{{
 				Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: sqlir.NewInt(8 + r.Intn(4)), ValSet: true,
@@ -133,13 +131,13 @@ func benchPinnedProbes() []sqlexec.ExistsQuery {
 	for i := 0; i < 50; i++ {
 		col := sqlir.Star
 		if i%2 == 1 {
-			col = sqlir.ColumnRef{Table: "ord", Column: "qty"}
+			col = sqlexec.Col(benchStore(), "ord", "qty")
 		}
 		probes = append(probes, sqlexec.ExistsQuery{
 			From:     benchPath(),
 			Conj:     sqlir.LogicAnd,
 			AndPreds: []sqlir.Predicate{benchPred("cust", "city", sqlir.OpEq, sqlir.NewText(fmt.Sprintf("city-%d", r.Intn(60))))},
-			GroupBy:  []sqlir.ColumnRef{{Table: "cust", Column: "city"}},
+			GroupBy:  []sqlir.ColumnRef{sqlexec.Col(benchStore(), "cust", "city")},
 			Havings: []sqlir.HavingExpr{{
 				Agg: sqlir.AggCount, AggSet: true, Col: col, ColSet: true,
 				Op: ops[r.Intn(len(ops))], OpSet: true, Val: sqlir.NewInt(r.Intn(10)), ValSet: true,

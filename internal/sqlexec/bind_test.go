@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"slices"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
@@ -15,23 +17,26 @@ import (
 // randomColumnarQuery drawn from the fuzzed seed gets at most one
 // fuzz-chosen defect:
 //
-//	1 a column reference moved to a table off the path (renamed when the
-//	  path holds every table),
-//	2 a column reference renamed,
-//	3 an edge column renamed,
+//	1 a column reference moved to a table off the path (to a column of
+//	  another catalog when the path holds every table),
+//	2 a column name misspelled in the query's text,
+//	3 an edge column name misspelled in the query's text,
 //	4 an edge replaced by one disconnected from the tables bound before it.
 //
-// The last two are join path defects, which the catalog rejects as the path
-// is built: rebuilding the query's path with one fails with the defect's
-// one text, so no executor ever meets it. Without a defect (or when the
-// query has no place to put it) the pipeline answers as the reference:
-// DiffExecute is "". With a column defect, ExecuteCtx, AskCtx and ExistsCtx
-// of the query's probe (bindProbe) fail with one text over columnarDB(seed,
-// 100) and over columnarDB(seed, 0), before any row is read; wherever the
-// reference fails, the text is the reference's. The reference evaluates
-// lazily, so an error the unmutated query already raises there (a SUM over
-// text) may come before the defect in its order: the comparison is made
-// where the unmutated query runs clean on the reference.
+// The last three never reach an executor. A column is its catalog's
+// ordinals, so a name is resolved only at the boundary: the catalog
+// (Catalog.Col) and the parser reject an unknown name with the catalog's
+// one text. The catalog rejects a disconnected edge as the path is built:
+// rebuilding the query's path with one fails with its one text. Without a
+// defect (or when the query has no place to put it) the pipeline answers
+// as the reference: DiffExecute is "". With defect 1, ExecuteCtx, AskCtx
+// and ExistsCtx of the query's probe (bindProbe) fail with one text over
+// columnarDB(seed, 100) and over columnarDB(seed, 0), before any row is
+// read; wherever the reference fails, the text is the reference's. The
+// reference evaluates lazily, so an error the unmutated query already
+// raises there (a SUM over text) may come before the defect in its order:
+// the comparison is made where the unmutated query runs clean on the
+// reference.
 //
 // Run it with `go test -run '^$' -fuzz '^FuzzExecuteBind$' -fuzztime 20s
 // ./internal/sqlexec/`; the seed corpus runs with the package's tests.
@@ -42,6 +47,12 @@ func FuzzExecuteBind(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, defect, at uint8) {
 		q := randomColumnarQuery(rand.New(rand.NewSource(seed)))
 		full, empty := columnarDB(seed, 100), columnarDB(seed, 0)
+		if sql, want, ok := misspell(full.Schema, q, defect%5, int(at)); ok {
+			if got, err := sqlparse.Parse(full.Schema, sql); err == nil || err.Error() != want {
+				t.Fatalf("defect %d: %s parsed to %v, error %v, want %q", defect%5, sql, got, err, want)
+			}
+			return
+		}
 		if root, ons, want, ok := breakPath(q.From, defect%5, int(at)); ok {
 			if jp, err := full.Schema.Catalog().Path(root, ons...); err == nil || err.Error() != want {
 				t.Fatalf("defect %d: path %v, error %v, want %q\n%s", defect%5, jp, err, want, q)
@@ -92,10 +103,10 @@ func FuzzExecuteBind(f *testing.F) {
 	})
 }
 
-// breakQuery applies column defect 1 or 2 to q at the at-th candidate place
-// and reports whether it did.
+// breakQuery applies column defect 1 to q at the at-th candidate place and
+// reports whether it did.
 func breakQuery(q *sqlir.Query, defect uint8, at int) bool {
-	if defect != 1 && defect != 2 {
+	if defect != 1 {
 		return false
 	}
 	refs := columnRefs(q)
@@ -105,44 +116,66 @@ func breakQuery(q *sqlir.Query, defect uint8, at int) bool {
 	ref := refs[at%len(refs)]
 	var off []sqlir.ColumnRef
 	for _, c := range columnarCols {
-		if !q.From.Contains(c.Table) {
+		if !q.From.Set().Has(c.Table()) {
 			off = append(off, c)
 		}
 	}
-	if defect == 1 && len(off) > 0 {
+	if len(off) > 0 {
 		*ref = off[at%len(off)]
 	} else {
-		ref.Column = "nope"
+		*ref = otherCatalogDB().Schema.Catalog().MustCol("nope", "id")
 	}
 	return true
 }
 
-// breakPath writes jp's root and conditions with path defect 3 or 4 at the
-// at-th edge, and the one text the catalog rejects it with. It reports false
-// for another defect or a path without edges.
+// misspell writes q as SQL with the name of the at-th column it reads
+// (defect 2) or of the at-th column its edges join (defect 3) misspelled
+// wherever it occurs, and gives the one text the catalog rejects the name
+// with. It reports false for another defect, for a query without such a
+// column, and for a query whose own text does not parse.
+func misspell(schema *storage.Schema, q *sqlir.Query, defect uint8, at int) (sql, want string, ok bool) {
+	var cols []sqlir.ColumnRef
+	switch defect {
+	case 2:
+		for _, c := range columnRefs(q) {
+			cols = append(cols, *c)
+		}
+	case 3:
+		for _, e := range q.From.Edges() {
+			cols = append(cols, e.Joined, e.New)
+		}
+	}
+	if len(cols) == 0 {
+		return "", "", false
+	}
+	if _, err := sqlparse.Parse(schema, q.String()); err != nil {
+		return "", "", false
+	}
+	c := cols[at%len(cols)]
+	table := schema.Catalog().Name(c.Table())
+	_, err := schema.Catalog().Col(table, "nope")
+	name := regexp.MustCompile(`\b` + regexp.QuoteMeta(c.String()) + `\b`)
+	return name.ReplaceAllString(q.String(), table+".nope"), err.Error(), true
+}
+
+// breakPath writes jp's root and conditions with path defect 4 at the at-th
+// edge, and the one text the catalog rejects it with. It reports false for
+// another defect or a path without edges.
 func breakPath(jp *sqlir.JoinPath, defect uint8, at int) (root string, ons []sqlir.JoinOn, want string, ok bool) {
 	edges := jp.Edges()
-	if (defect != 3 && defect != 4) || len(edges) == 0 {
+	if defect != 4 || len(edges) == 0 {
 		return "", nil, "", false
 	}
 	for _, e := range edges {
 		ons = append(ons, jp.Written(e))
 	}
 	i := at % len(edges)
-	if defect == 3 {
-		if at&1 == 0 {
-			ons[i].Left.Column = "nope"
-		} else {
-			ons[i].Right.Column = "nope"
-		}
-		return jp.Catalog().Name(jp.Tables()[0]), ons, fmt.Sprintf("sqlir: join condition %s names an unknown column", ons[i]), true
-	}
 	// A condition on a table not bound before edge i: its first column
 	// equal to itself.
 	bound := jp.Tables()[:i+1]
 	for t := range jp.Catalog().NumTables() {
 		if !slices.Contains(bound, t) {
-			c := sqlir.ColumnRef{Table: jp.Catalog().Name(t), Column: jp.Catalog().Columns(t)[0]}
+			c := jp.Catalog().Column(t, 0)
 			ons[i] = sqlir.JoinOn{Left: c, Right: c}
 			break
 		}

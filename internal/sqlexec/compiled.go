@@ -39,8 +39,8 @@ import (
 // configured with the caller's row cap (limit) or question (ask). On
 // success the sink holds the result's column types and what it kept of the
 // rows. A query that does not bind fails here, before any row is read, in
-// the reference's order: join path, WHERE, projections' types, then GROUP
-// BY keys, HAVING, projections and ORDER BY key as the query reads them.
+// the reference's order: join path, WHERE, then GROUP BY keys, HAVING,
+// projections and ORDER BY key as the query reads them.
 func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, sink *rowSink, pc *pipelineCounters) error {
 	eq := ExistsQuery{From: q.From}
 	if q.WhereState == sqlir.ClausePresent {
@@ -51,11 +51,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		return err
 	}
 	for _, s := range q.Select {
-		ty, ok := db.Schema.Resolve(s.Col)
-		if !ok {
-			return errUnknownColumn(s.Col)
-		}
-		sink.types = append(sink.types, s.Agg.ResultType(ty))
+		sink.types = append(sink.types, s.Agg.ResultType(s.Col.Type()))
 	}
 
 	sink.distinct = q.Distinct

@@ -72,8 +72,6 @@ type decideGen struct {
 	db *storage.Database
 }
 
-func ref(table, col string) sqlir.ColumnRef { return sqlir.ColumnRef{Table: table, Column: col} }
-
 func cmpPred(c sqlir.ColumnRef, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{Col: c, ColSet: true, Op: op, OpSet: true, Val: v, ValSet: true}
 }
@@ -93,19 +91,19 @@ func (g *decideGen) path() *sqlir.JoinPath {
 
 // column picks a column of a table on the path.
 func (g *decideGen) column(jp *sqlir.JoinPath) sqlir.ColumnRef {
-	t := g.db.Schema.TableAt(jp.Tables()[g.r.Intn(jp.Len())])
-	return ref(t.Name, t.Columns[g.r.Intn(len(t.Columns))].Name)
+	tb := jp.Tables()[g.r.Intn(jp.Len())]
+	return jp.Catalog().Column(tb, g.r.Intn(len(g.db.Schema.TableAt(tb).Columns)))
 }
 
 // pin is an equality on c with a value c holds, or NaN / -0 on a numeric
 // column.
 func (g *decideGen) pin(c sqlir.ColumnRef) sqlir.Predicate {
-	vs, _ := g.db.Table(c.Table).DistinctValues(c.Column, 40)
+	vs, _ := DistinctValues(g.db, c, 40)
 	v := sqlir.NewText("absent")
 	if len(vs) > 0 {
 		v = vs[g.r.Intn(len(vs))]
 	}
-	if ty, _ := g.db.Schema.Resolve(c); ty == sqlir.TypeNumber {
+	if c.Type() == sqlir.TypeNumber {
 		switch g.r.Intn(5) {
 		case 0:
 			v = sqlir.NewNumber(math.NaN())
@@ -181,9 +179,9 @@ func (g *decideGen) probe(shape int) (ExistsQuery, bool) {
 		eq.Havings = append(eq.Havings, g.count(jp))
 	}
 	if g.r.Intn(5) == 0 {
-		text := ref("grp", "name")
-		if jp.Contains("fact") {
-			text = ref("fact", "tag")
+		text := Col(g.db, "grp", "name")
+		if fact, _ := jp.Catalog().Ordinal("fact"); jp.Set().Has(fact) {
+			text = Col(g.db, "fact", "tag")
 		}
 		sum := sqlir.HavingExpr{Agg: sqlir.AggSum, AggSet: true, Col: text, ColSet: true,
 			Op: sqlir.OpGe, OpSet: true, Val: sqlir.NewInt(0), ValSet: true}
@@ -315,8 +313,8 @@ func TestGroupedProbeStopsAtKPlusOne(t *testing.T) {
 	} {
 		eq := ExistsQuery{
 			From:     MustPath(db, tc.tables[0], "b.a_id = a.id", "c.b_id = b.id"),
-			AndPreds: []sqlir.Predicate{cmpPred(ref("a", "name"), sqlir.OpEq, sqlir.NewText("x"))},
-			GroupBy:  []sqlir.ColumnRef{ref("a", "name")},
+			AndPreds: []sqlir.Predicate{cmpPred(Col(db, "a", "name"), sqlir.OpEq, sqlir.NewText("x"))},
+			GroupBy:  []sqlir.ColumnRef{Col(db, "a", "name")},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: tc.op, OpSet: true, Val: sqlir.NewInt(3), ValSet: true}},
 		}

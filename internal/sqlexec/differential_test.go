@@ -41,7 +41,7 @@ func (g *queryGen) values(c sqlir.ColumnRef) []sqlir.Value {
 	if vs, ok := g.pool[c]; ok {
 		return vs
 	}
-	vs, err := g.db.Table(c.Table).DistinctValues(c.Column, 40)
+	vs, err := sqlexec.DistinctValues(g.db, c, 40)
 	if err != nil {
 		vs = nil
 	}
@@ -62,7 +62,7 @@ func (g *queryGen) path(maxTables int) *sqlir.JoinPath {
 	for jp.Len() < want {
 		var cands []int
 		for id, fk := range s.Catalog().ForeignKeys() {
-			if jp.Set().Has(fk.From.Table) != jp.Set().Has(fk.To.Table) { // exactly one endpoint bound
+			if jp.Set().Has(fk.From.Table()) != jp.Set().Has(fk.To.Table()) { // exactly one endpoint bound
 				cands = append(cands, id)
 			}
 		}
@@ -76,16 +76,15 @@ func (g *queryGen) path(maxTables int) *sqlir.JoinPath {
 
 // column picks a random column of a random table in the path.
 func (g *queryGen) column(jp *sqlir.JoinPath) sqlir.ColumnRef {
-	t := g.db.Schema.TableAt(jp.Tables()[g.r.Intn(jp.Len())])
-	c := t.Columns[g.r.Intn(len(t.Columns))]
-	return sqlir.ColumnRef{Table: t.Name, Column: c.Name}
+	tb := jp.Tables()[g.r.Intn(jp.Len())]
+	return jp.Catalog().Column(tb, g.r.Intn(len(g.db.Schema.TableAt(tb).Columns)))
 }
 
 // numericColumn picks a random numeric column in the path, or ok=false.
 func (g *queryGen) numericColumn(jp *sqlir.JoinPath) (sqlir.ColumnRef, bool) {
 	for try := 0; try < 12; try++ {
 		c := g.column(jp)
-		if ty, ok := g.db.Schema.Resolve(c); ok && ty == sqlir.TypeNumber {
+		if c.Type() == sqlir.TypeNumber {
 			return c, true
 		}
 	}
@@ -447,7 +446,7 @@ func TestSumOverTextRejected(t *testing.T) {
 		From: sqlexec.MustPath(db, "actor"),
 		Select: []sqlir.SelectItem{{
 			Agg: sqlir.AggSum, AggSet: true,
-			Col: sqlir.ColumnRef{Table: "actor", Column: "name"}, ColSet: true,
+			Col: sqlexec.Col(db, "actor", "name"), ColSet: true,
 		}},
 	}
 	if _, err := sqlexec.Execute(db, q); err == nil {
@@ -455,7 +454,7 @@ func TestSumOverTextRejected(t *testing.T) {
 	}
 	h := sqlir.HavingExpr{
 		Agg: sqlir.AggAvg, AggSet: true,
-		Col: sqlir.ColumnRef{Table: "actor", Column: "name"}, ColSet: true,
+		Col: sqlexec.Col(db, "actor", "name"), ColSet: true,
 		Op: sqlir.OpGt, OpSet: true, Val: sqlir.NewNumber(0), ValSet: true,
 	}
 	eq := sqlexec.ExistsQuery{From: sqlexec.MustPath(db, "actor"), Havings: []sqlir.HavingExpr{h}}

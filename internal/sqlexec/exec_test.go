@@ -300,7 +300,7 @@ func otherCatalogDB() *storage.Database {
 // path is built.
 func TestExecuteDisconnectedEdge(t *testing.T) {
 	db := movieDB()
-	on := sqlir.JoinOn{Left: sqlir.ColumnRef{Table: "starring", Column: "aid"}, Right: sqlir.ColumnRef{Table: "actor", Column: "aid"}}
+	on := sqlir.JoinOn{Left: Col(db, "starring", "aid"), Right: Col(db, "actor", "aid")}
 	if jp, err := db.Schema.Catalog().Path("movie", on); err == nil || !strings.Contains(err.Error(), "joins no table joined before it") {
 		t.Errorf("path %v, err = %v", jp, err)
 	}
@@ -309,7 +309,7 @@ func TestExecuteDisconnectedEdge(t *testing.T) {
 func TestExecuteColumnOutsidePath(t *testing.T) {
 	db := movieDB()
 	q := sqlparse.MustParse(db.Schema, "SELECT title FROM movie")
-	q.Select[0].Col = sqlir.ColumnRef{Table: "actor", Column: "name"}
+	q.Select[0].Col = Col(db, "actor", "name")
 	if _, err := Execute(db, q); err == nil || !strings.Contains(err.Error(), "not in join path") {
 		t.Errorf("err = %v", err)
 	}
@@ -334,14 +334,14 @@ func TestExecuteOrderStability(t *testing.T) {
 // the reference does fail, the text is its text.
 func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 	full, empty := movieDB(), emptyMovieDB()
-	outside := sqlir.ColumnRef{Table: "actor", Column: "name"}
+	outside := Col(full, "actor", "name")
 	mutations := map[string]func(q *sqlir.Query){
 		"projection outside path": func(q *sqlir.Query) { q.Select[0].Col = outside },
 		"predicate outside path, reached": func(q *sqlir.Query) {
-			q.Where.Preds = append(q.Where.Preds, pred("actor", "name", sqlir.OpEq, text("x")))
+			q.Where.Preds = append(q.Where.Preds, pred(full, "actor", "name", sqlir.OpEq, text("x")))
 		},
 		"predicate outside path, never reached": func(q *sqlir.Query) {
-			q.Where.Preds = []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(3000)), pred("actor", "name", sqlir.OpEq, text("x"))}
+			q.Where.Preds = []sqlir.Predicate{pred(full, "movie", "year", sqlir.OpGt, num(3000)), pred(full, "actor", "name", sqlir.OpEq, text("x"))}
 		},
 		"order key outside path": func(q *sqlir.Query) {
 			q.OrderByState = sqlir.ClausePresent
@@ -350,11 +350,11 @@ func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 		"HAVING and projection outside path": func(q *sqlir.Query) {
 			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggMax, AggSet: true, Col: outside, ColSet: true}
 			q.HavingState = sqlir.ClausePresent
-			q.Having = &sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.ColumnRef{Table: "actor", Column: "aid"}, ColSet: true,
+			q.Having = &sqlir.HavingExpr{Agg: sqlir.AggCount, AggSet: true, Col: Col(full, "actor", "aid"), ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: num(0), ValSet: true}
 		},
-		"unknown column": func(q *sqlir.Query) { q.Select[0].Col.Column = "nope" },
-		"other catalog":  func(q *sqlir.Query) { q.From = MustPath(otherCatalogDB(), "nope") },
+		"column of another catalog": func(q *sqlir.Query) { q.Select[0].Col = Col(otherCatalogDB(), "nope", "id") },
+		"other catalog":             func(q *sqlir.Query) { q.From = MustPath(otherCatalogDB(), "nope") },
 		"SUM over star": func(q *sqlir.Query) {
 			q.Select[0] = sqlir.SelectItem{Agg: sqlir.AggSum, AggSet: true, Col: sqlir.Star, ColSet: true}
 		},
@@ -396,17 +396,17 @@ func TestUnboundQueriesFailAtPlanTime(t *testing.T) {
 // reference meets first: the disjunction's, as no movie is from after 3000.
 func TestUnboundProbesFailAtPlanTime(t *testing.T) {
 	db := movieDB()
-	outside := sqlir.ColumnRef{Table: "actor", Column: "gender"}
+	outside := Col(db, "actor", "gender")
 	probes := map[string]ExistsQuery{
 		"flat": {From: MustPath(db, "movie"), Conj: sqlir.LogicAnd,
-			Preds: []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(1990)), pred("actor", "gender", sqlir.OpEq, text("male"))}},
+			Preds: []sqlir.Predicate{pred(db, "movie", "year", sqlir.OpGt, num(1990)), pred(db, "actor", "gender", sqlir.OpEq, text("male"))}},
 		"grouped": {From: MustPath(db, "movie"), Conj: sqlir.LogicAnd,
 			GroupBy: []sqlir.ColumnRef{outside},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: num(1), ValSet: true}}},
 		"disjunction": {From: MustPath(db, "movie"), Conj: sqlir.LogicOr,
-			Preds:    []sqlir.Predicate{pred("movie", "year", sqlir.OpGt, num(3000)), pred("actor", "gender", sqlir.OpEq, text("male"))},
-			AndPreds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))}},
+			Preds:    []sqlir.Predicate{pred(db, "movie", "year", sqlir.OpGt, num(3000)), pred(db, "actor", "gender", sqlir.OpEq, text("male"))},
+			AndPreds: []sqlir.Predicate{pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks"))}},
 	}
 	const want = "sqlexec: column actor.gender not in join path"
 	for name, eq := range probes {

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/storage"
 )
 
-func pred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
+func pred(db *storage.Database, table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{
-		Col: sqlir.ColumnRef{Table: table, Column: col}, ColSet: true,
+		Col: Col(db, table, col), ColSet: true,
 		Op: op, OpSet: true, Val: v, ValSet: true,
 	}
 }
@@ -18,7 +19,7 @@ func TestExistsSimple(t *testing.T) {
 	// CV1 from Example 3.5: SELECT 1 FROM actor WHERE name='Tom Hanks' LIMIT 1
 	ok, err := Exists(db, ExistsQuery{
 		From:  MustPath(db, "actor"),
-		Preds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))},
+		Preds: []sqlir.Predicate{pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks"))},
 	})
 	if err != nil || !ok {
 		t.Errorf("exists = %v, %v", ok, err)
@@ -28,8 +29,8 @@ func TestExistsSimple(t *testing.T) {
 		From: MustPath(db, "movie"),
 		Conj: sqlir.LogicAnd,
 		Preds: []sqlir.Predicate{
-			pred("movie", "revenue", sqlir.OpGe, num(1950)),
-			pred("movie", "revenue", sqlir.OpLe, num(1960)),
+			pred(db, "movie", "revenue", sqlir.OpGe, num(1950)),
+			pred(db, "movie", "revenue", sqlir.OpLe, num(1960)),
 		},
 	})
 	if err != nil || ok {
@@ -49,7 +50,7 @@ func TestExistsEmptyTable(t *testing.T) {
 	db := movieDB()
 	ok, err := Exists(db, ExistsQuery{
 		From:  MustPath(db, "actor"),
-		Preds: []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Nobody"))},
+		Preds: []sqlir.Predicate{pred(db, "actor", "name", sqlir.OpEq, text("Nobody"))},
 	})
 	if err != nil || ok {
 		t.Errorf("exists = %v, %v; want false", ok, err)
@@ -63,8 +64,8 @@ func TestExistsWithJoin(t *testing.T) {
 		From: jp,
 		Conj: sqlir.LogicAnd,
 		Preds: []sqlir.Predicate{
-			pred("actor", "name", sqlir.OpEq, text("Tom Hanks")),
-			pred("movie", "title", sqlir.OpEq, text("Forrest Gump")),
+			pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks")),
+			pred(db, "movie", "title", sqlir.OpEq, text("Forrest Gump")),
 		},
 	})
 	if err != nil || !ok {
@@ -74,8 +75,8 @@ func TestExistsWithJoin(t *testing.T) {
 		From: jp,
 		Conj: sqlir.LogicAnd,
 		Preds: []sqlir.Predicate{
-			pred("actor", "name", sqlir.OpEq, text("Tom Hanks")),
-			pred("movie", "title", sqlir.OpEq, text("Gravity")),
+			pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks")),
+			pred(db, "movie", "title", sqlir.OpEq, text("Gravity")),
 		},
 	})
 	if ok {
@@ -97,8 +98,8 @@ func TestExistsGroupedHaving(t *testing.T) {
 	// Tom Hanks has 2 starring rows: COUNT between 1950 and 1960 fails...
 	ok, err := Exists(db, ExistsQuery{
 		From:    jp,
-		Preds:   []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))},
-		GroupBy: []sqlir.ColumnRef{{Table: "actor", Column: "name"}},
+		Preds:   []sqlir.Predicate{pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks"))},
+		GroupBy: []sqlir.ColumnRef{Col(db, "actor", "name")},
 		Havings: []sqlir.HavingExpr{having(sqlir.OpGe, 1950), having(sqlir.OpLe, 1960)},
 	})
 	if err != nil || ok {
@@ -107,8 +108,8 @@ func TestExistsGroupedHaving(t *testing.T) {
 	// ...but COUNT between 1 and 5 succeeds.
 	ok, err = Exists(db, ExistsQuery{
 		From:    jp,
-		Preds:   []sqlir.Predicate{pred("actor", "name", sqlir.OpEq, text("Tom Hanks"))},
-		GroupBy: []sqlir.ColumnRef{{Table: "actor", Column: "name"}},
+		Preds:   []sqlir.Predicate{pred(db, "actor", "name", sqlir.OpEq, text("Tom Hanks"))},
+		GroupBy: []sqlir.ColumnRef{Col(db, "actor", "name")},
 		Havings: []sqlir.HavingExpr{having(sqlir.OpGe, 1), having(sqlir.OpLe, 5)},
 	})
 	if err != nil || !ok {
@@ -118,7 +119,7 @@ func TestExistsGroupedHaving(t *testing.T) {
 
 func TestExistsIncompletePredicateRejected(t *testing.T) {
 	db := movieDB()
-	p := pred("actor", "name", sqlir.OpEq, text("X"))
+	p := pred(db, "actor", "name", sqlir.OpEq, text("X"))
 	p.ValSet = false
 	if _, err := Exists(db, ExistsQuery{From: MustPath(db, "actor"), Preds: []sqlir.Predicate{p}}); err == nil {
 		t.Error("incomplete predicate should error")

@@ -16,12 +16,23 @@ import (
 // benchmarks): direct access to the materialize-then-filter reference path,
 // bypassing the streaming pipeline.
 
+// Col is db's column table.column.
+func Col(db *storage.Database, table, column string) sqlir.ColumnRef {
+	return db.Schema.Catalog().MustCol(table, column)
+}
+
+// DistinctValues returns up to max distinct values of db's column c.
+func DistinctValues(db *storage.Database, c sqlir.ColumnRef, max int) ([]sqlir.Value, error) {
+	t := db.Schema.TableAt(c.Table())
+	return t.DistinctValues(t.Columns[c.Column()].Name, max)
+}
+
 // MustPath builds db's join path rooted at root over conditions written
 // "table.column = table.column", panicking on a malformed one.
 func MustPath(db *storage.Database, root string, conds ...string) *sqlir.JoinPath {
 	ref := func(s string) sqlir.ColumnRef {
 		t, c, _ := strings.Cut(s, ".")
-		return sqlir.ColumnRef{Table: t, Column: c}
+		return Col(db, t, c)
 	}
 	ons := make([]sqlir.JoinOn, len(conds))
 	for i, c := range conds {

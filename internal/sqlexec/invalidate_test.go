@@ -20,7 +20,7 @@ func TestJoinCachePinnedEpochSurvivesInsert(t *testing.T) {
 
 	eq := ExistsQuery{
 		From:  MustPath(db, "movie"),
-		Preds: []sqlir.Predicate{pred("movie", "title", sqlir.OpEq, text("Interstellar"))},
+		Preds: []sqlir.Predicate{pred(db, "movie", "title", sqlir.OpEq, text("Interstellar"))},
 	}
 	if ok, err := c.Exists(eq); err != nil || ok {
 		t.Fatalf("Exists before insert = %v, %v; want false", ok, err)

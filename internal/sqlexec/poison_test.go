@@ -109,7 +109,7 @@ func TestCancelledRequestDoesNotPoisonJoinCache(t *testing.T) {
 	// dying mid-scan it must report the cancellation, never a definitive false.
 	eq := ExistsQuery{
 		From:  MustPath(db, "child"),
-		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpLt, num(0))},
+		Preds: []sqlir.Predicate{pred(db, "child", "v", sqlir.OpLt, num(0))},
 	}
 	dying := &pollCtx{Context: context.Background(), dieAt: 2}
 	if _, err := c.ExistsCtx(dying, eq); !errors.Is(err, context.Canceled) {
@@ -139,7 +139,7 @@ func TestExpiredDeadlineDoesNotPoisonJoinCache(t *testing.T) {
 
 	eq := ExistsQuery{
 		From:  MustPath(db, "child"),
-		Preds: []sqlir.Predicate{pred("child", "v", sqlir.OpEq, num(-1))},
+		Preds: []sqlir.Predicate{pred(db, "child", "v", sqlir.OpEq, num(-1))},
 	}
 	if _, err := c.ExistsCtx(expired, eq); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("ExistsCtx under expired deadline: err = %v, want DeadlineExceeded", err)

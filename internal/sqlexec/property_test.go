@@ -177,7 +177,7 @@ func TestPropExistsAgreesWithExecute(t *testing.T) {
 			ok, err := Exists(db, ExistsQuery{
 				From: MustPath(db, "items"),
 				Preds: []sqlir.Predicate{
-					pred("items", "val", sqlir.OpGt, sqlir.NewNumber(cut)),
+					pred(db, "items", "val", sqlir.OpGt, sqlir.NewNumber(cut)),
 				},
 			})
 			if err != nil {
@@ -336,14 +336,17 @@ func TestPropColumnarRowReferenceAgree(t *testing.T) {
 // columnarCols are the columns randomColumnarExists and randomColumnarQuery
 // draw from; columnarVals the literals.
 var (
-	columnarCols = []sqlir.ColumnRef{
-		{Table: "item", Column: "val"},
-		{Table: "item", Column: "note"},
-		{Table: "item", Column: "cat"},
-		{Table: "cat", Column: "rank"},
-		{Table: "cat", Column: "name"},
-		{Table: "owner", Column: "region"},
-	}
+	columnarCols = func() []sqlir.ColumnRef {
+		db := columnarDB(0, 0)
+		return []sqlir.ColumnRef{
+			Col(db, "item", "val"),
+			Col(db, "item", "note"),
+			Col(db, "item", "cat"),
+			Col(db, "cat", "rank"),
+			Col(db, "cat", "name"),
+			Col(db, "owner", "region"),
+		}
+	}()
 	columnarVals = []sqlir.Value{
 		sqlir.NewInt(0), sqlir.NewInt(2), sqlir.NewInt(4), sqlir.NewInt(99),
 		sqlir.NewText("alpha"), sqlir.NewText("dup"), sqlir.NewText("rare"),
@@ -382,7 +385,7 @@ func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 	jp := columnarPaths[r.Intn(len(columnarPaths))]
 	col := func() sqlir.ColumnRef {
 		for {
-			if c := columnarCols[r.Intn(len(columnarCols))]; jp.Contains(c.Table) {
+			if c := columnarCols[r.Intn(len(columnarCols))]; jp.Set().Has(c.Table()) {
 				return c
 			}
 		}
@@ -516,7 +519,7 @@ func TestPropNaNComparisonSemantics(t *testing.T) {
 			eq := ExistsQuery{
 				From: MustPath(db, "n"),
 				Preds: []sqlir.Predicate{{
-					Col: sqlir.ColumnRef{Table: "n", Column: "v"}, ColSet: true,
+					Col: Col(db, "n", "v"), ColSet: true,
 					Op: op, OpSet: true, Val: val, ValSet: true,
 				}},
 			}

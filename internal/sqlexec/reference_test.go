@@ -21,9 +21,11 @@ import (
 // Index-based tuples keep join materialization allocation-light.
 type tuple []int32
 
-// relation is a working set of joined rows plus the table→slot map.
+// relation is a working set of joined rows plus the table→slot map, by
+// the catalog's table ordinals.
 type relation struct {
-	slots  map[string]int
+	cat    *sqlir.Catalog
+	slots  map[int]int
 	tables []*storage.Table // per slot
 	tuples []tuple
 }
@@ -54,11 +56,7 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 	res := &Result{}
 	for _, s := range q.Select {
 		res.Columns = append(res.Columns, s.String())
-		ty, ok := db.Schema.Resolve(s.Col)
-		if !ok {
-			return nil, fmt.Errorf("sqlexec: unknown column %s", s.Col)
-		}
-		res.Types = append(res.Types, s.Agg.ResultType(ty))
+		res.Types = append(res.Types, s.Agg.ResultType(s.Col.Type()))
 	}
 
 	type outRow struct {
@@ -176,9 +174,9 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relat
 	if !jp.Catalog().Same(db.Schema.Catalog()) {
 		return nil, fmt.Errorf("sqlexec: join path %s is not over database %s's catalog", jp, db.Name)
 	}
-	rel := &relation{slots: map[string]int{}}
+	rel := &relation{cat: jp.Catalog(), slots: map[int]int{}}
 	t0 := db.Schema.TableAt(jp.Tables()[0])
-	rel.slots[t0.Name] = 0
+	rel.slots[jp.Tables()[0]] = 0
 	rel.tables = append(rel.tables, t0)
 	rel.tuples = make([]tuple, t0.NumRows())
 	for i := range rel.tuples {
@@ -199,8 +197,8 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath) (*relat
 // index with the pipeline it judges. It returns a new relation and leaves
 // the input untouched.
 func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge) (*relation, error) {
-	exTbl, nt := db.Schema.TableAt(e.Joined.Table), db.Schema.TableAt(e.New.Table)
-	exIdx, inIdx := e.Joined.Column, e.New.Column
+	exTbl, nt := db.Schema.TableAt(e.Joined.Table()), db.Schema.TableAt(e.New.Table())
+	exIdx, inIdx := e.Joined.Column(), e.New.Column()
 	cc := newCanceller(ctx)
 	inVec := nt.VectorAt(inIdx)
 	index := make(map[sqlir.Value][]int32)
@@ -213,15 +211,16 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 		}
 	}
 	next := &relation{
-		slots:  make(map[string]int, len(rel.slots)+1),
+		cat:    rel.cat,
+		slots:  make(map[int]int, len(rel.slots)+1),
 		tables: append(append([]*storage.Table{}, rel.tables...), nt),
 	}
 	for t, s := range rel.slots {
 		next.slots[t] = s
 	}
 	slot := len(rel.slots)
-	next.slots[nt.Name] = slot
-	exSlot := rel.slots[exTbl.Name]
+	next.slots[e.New.Table()] = slot
+	exSlot := rel.slots[e.Joined.Table()]
 	exVec := exTbl.VectorAt(exIdx)
 
 	// Tick per output tuple too: a fanning-out edge can append many rows per
@@ -250,16 +249,18 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 
 // colValue resolves a column reference against a joined tuple.
 func colValue(db *storage.Database, rel *relation, tp tuple, c sqlir.ColumnRef) (sqlir.Value, error) {
-	slot, ok := rel.slots[c.Table]
+	slot, ok := 0, false
+	switch {
+	case c.Catalog() == nil: // * and an unset column name no table
+	case !rel.cat.Same(c.Catalog()):
+		return sqlir.Null(), fmt.Errorf("sqlexec: column %s is not over the join path's catalog", c)
+	default:
+		slot, ok = rel.slots[c.Table()]
+	}
 	if !ok {
 		return sqlir.Null(), fmt.Errorf("sqlexec: column %s not in join path", c)
 	}
-	tbl := rel.tables[slot]
-	ci := tbl.ColumnIndex(c.Column)
-	if ci < 0 {
-		return sqlir.Null(), fmt.Errorf("sqlexec: unknown column %s", c)
-	}
-	return tbl.VectorAt(ci).Value(int(tp[slot])), nil
+	return rel.tables[slot].VectorAt(c.Column()).Value(int(tp[slot])), nil
 }
 
 // filter applies the WHERE clause.

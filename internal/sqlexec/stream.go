@@ -9,8 +9,9 @@
 // per-group aggregate accumulators under fixed-width binary group keys (a
 // tag byte plus the float bits or dictionary code — no string formatting).
 // It is the only executor. A join path arrives oriented and valid — its
-// catalog built it (sqlir.Catalog) — so a plan reads its tables and edge
-// columns by catalog ordinal. A query that does not bind fails as its plan is
+// catalog built it (sqlir.Catalog) — and a column is its catalog's
+// ordinals, so a plan reads tables and columns by ordinal and never by
+// name. A query that does not bind fails as its plan is
 // built (bindCol, bindAgg), whatever the data, with the text the
 // materializing reference executor gives for the same defect; every scan
 // whose tuple order can show keeps the reference enumeration order, so
@@ -251,6 +252,7 @@ func (st *streamStep) postings(ri int32) ([]int32, bool) {
 // pushdown seed, and predicates bound to the earliest slot at which they can
 // be evaluated.
 type streamPlan struct {
+	schema *storage.Schema
 	tables []*storage.Table // per slot, in bind order
 
 	steps []streamStep // steps[i] binds slot i+1
@@ -263,22 +265,22 @@ type streamPlan struct {
 	orDepth int
 }
 
-// bindCol resolves a column reference to (slot, column ordinal). A plan
-// binds a handful of tables, so a scan finds the slot.
+// bindCol resolves a column reference to (slot, column ordinal). The
+// column must be of the path's catalog's shape, and its table on the path.
+// A plan binds a handful of tables, so a scan finds the slot.
 func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
-	slot := slices.IndexFunc(p.tables, func(t *storage.Table) bool { return t.Name == c.Table })
+	slot := -1
+	switch {
+	case c.Catalog() == nil: // * and an unset column name no table
+	case !p.schema.Catalog().Same(c.Catalog()):
+		return 0, 0, fmt.Errorf("sqlexec: column %s is not over the join path's catalog", c)
+	default:
+		slot = slices.Index(p.tables, p.schema.TableAt(c.Table()))
+	}
 	if slot < 0 {
 		return 0, 0, fmt.Errorf("sqlexec: column %s not in join path", c)
 	}
-	ci := p.tables[slot].ColumnIndex(c.Column)
-	if ci < 0 {
-		return 0, 0, errUnknownColumn(c)
-	}
-	return slot, ci, nil
-}
-
-func errUnknownColumn(c sqlir.ColumnRef) error {
-	return fmt.Errorf("sqlexec: unknown column %s", c)
+	return slot, c.Column(), nil
 }
 
 // bindVec resolves a column reference to its slot and vector.
@@ -320,7 +322,7 @@ func splitPreds(eq ExistsQuery) (andPreds, orRaw []sqlir.Predicate) {
 // walkJoinTree adds every join edge in plan order: reference edge order
 // when the root is the reference root, otherwise a BFS re-rooting at the
 // seed table.
-func walkJoinTree(jp *sqlir.JoinPath, root int, addStep func(parent, child sqlir.ColumnOrd)) {
+func walkJoinTree(jp *sqlir.JoinPath, root int, addStep func(parent, child sqlir.ColumnRef)) {
 	if root == jp.Tables()[0] {
 		// Reference enumeration order: edges exactly as introduced.
 		for _, e := range jp.Edges() {
@@ -337,15 +339,15 @@ func walkJoinTree(jp *sqlir.JoinPath, root int, addStep func(parent, child sqlir
 		queue = queue[1:]
 		for _, e := range jp.Edges() {
 			from, to := e.Joined, e.New
-			if to.Table == cur {
+			if to.Table() == cur {
 				from, to = to, from
 			}
-			if from.Table != cur || bound.Has(to.Table) {
+			if from.Table() != cur || bound.Has(to.Table()) {
 				continue
 			}
 			addStep(from, to)
-			bound = bound.With(to.Table)
-			queue = append(queue, to.Table)
+			bound = bound.With(to.Table())
+			queue = append(queue, to.Table())
 		}
 	}
 }
@@ -372,23 +374,19 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 	// among the AND-semantics equality predicates. Posting lists preserve
 	// row order, so seeding on the reference root table is always sound;
 	// moving the root elsewhere additionally requires canReorder.
+	cat := jp.Catalog()
 	root := jp.Tables()[0]
 	var rootRows []int32
 	seeded, best := false, -1
 	for _, p := range andPreds {
-		if p.Op != sqlir.OpEq || p.Val.IsNull() {
+		if p.Op != sqlir.OpEq || p.Val.IsNull() || !cat.Same(p.Col.Catalog()) {
+			continue // a column that does not bind surfaces as a bind error below
+		}
+		ord := p.Col.Table()
+		if !jp.Set().Has(ord) || (!canReorder && ord != jp.Tables()[0]) {
 			continue
 		}
-		ord, on := jp.Find(p.Col.Table)
-		if !on || (!canReorder && ord != jp.Tables()[0]) {
-			continue
-		}
-		t := db.Schema.TableAt(ord)
-		ci := t.ColumnIndex(p.Col.Column)
-		if ci < 0 {
-			continue // surfaces as a bind error below
-		}
-		postings := t.CodeIndex(ci).Postings(p.Val)
+		postings := db.Schema.TableAt(ord).CodeIndex(p.Col.Column()).Postings(p.Val)
 		if best < 0 || len(postings) < best {
 			best = len(postings)
 			root = ord
@@ -397,17 +395,17 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		}
 	}
 
-	plan := &streamPlan{tables: make([]*storage.Table, 1, jp.Len()), seeded: seeded, rootRows: rootRows}
+	plan := &streamPlan{schema: db.Schema, tables: make([]*storage.Table, 1, jp.Len()), seeded: seeded, rootRows: rootRows}
 	plan.tables[0] = db.Schema.TableAt(root)
-	walkJoinTree(jp, root, func(parent, child sqlir.ColumnOrd) {
-		pt, ct := db.Schema.TableAt(parent.Table), db.Schema.TableAt(child.Table)
-		ix := ct.CodeIndex(child.Column)
-		probeVec := pt.VectorAt(parent.Column)
+	walkJoinTree(jp, root, func(parent, child sqlir.ColumnRef) {
+		pt, ct := db.Schema.TableAt(parent.Table()), db.Schema.TableAt(child.Table())
+		ix := ct.CodeIndex(child.Column())
+		probeVec := pt.VectorAt(parent.Column())
 		kind := stepNone
 		switch {
-		case probeVec.Type() == sqlir.TypeNumber && ct.VectorAt(child.Column).Type() == sqlir.TypeNumber:
+		case probeVec.Type() == sqlir.TypeNumber && ct.VectorAt(child.Column()).Type() == sqlir.TypeNumber:
 			kind = stepNum
-		case probeVec.Type() == sqlir.TypeText && ct.VectorAt(child.Column).Type() == sqlir.TypeText:
+		case probeVec.Type() == sqlir.TypeText && ct.VectorAt(child.Column()).Type() == sqlir.TypeText:
 			kind = stepText
 		}
 		probeSlot := slices.Index(plan.tables, pt)

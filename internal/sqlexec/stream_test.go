@@ -32,7 +32,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 	db := movieDB()
 	sumName := sqlir.HavingExpr{
 		Agg: sqlir.AggSum, AggSet: true,
-		Col: sqlir.ColumnRef{Table: "actor", Column: "name"}, ColSet: true,
+		Col: Col(db, "actor", "name"), ColSet: true,
 		Op: sqlir.OpGt, OpSet: true, Val: num(0), ValSet: true,
 	}
 	countStar := func(op sqlir.Op, v float64) sqlir.HavingExpr {
@@ -42,7 +42,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 		}
 	}
 	path := MustPath(db, "actor")
-	group := []sqlir.ColumnRef{{Table: "actor", Column: "gender"}}
+	group := []sqlir.ColumnRef{Col(db, "actor", "gender")}
 
 	// COUNT(*) > 100 fails every group first: SUM(name) is never evaluated,
 	// so neither path may error.

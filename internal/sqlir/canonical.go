@@ -90,7 +90,7 @@ func (j *JoinPath) Sets() (tables, edges []string) {
 	}
 	edges = make([]string, len(j.edges))
 	for i, e := range j.edges {
-		a, z := j.cat.columnRef(e.Joined).String(), j.cat.columnRef(e.New).String()
+		a, z := e.Joined.String(), e.New.String()
 		edges[i] = min(a, z) + "=" + max(a, z)
 	}
 	sort.Strings(edges)

@@ -6,8 +6,8 @@ func TestCanonicalPredicateOrderInsensitive(t *testing.T) {
 	mk := func(swap bool) *Query {
 		q := buildComplete()
 		q.Where.Preds = []Predicate{
-			{Col: ColumnRef{"movie", "year"}, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(2000), ValSet: true},
-			{Col: ColumnRef{"movie", "year"}, ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(2020), ValSet: true},
+			{Col: col("movie.year"), ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(2000), ValSet: true},
+			{Col: col("movie.year"), ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(2020), ValSet: true},
 		}
 		if swap {
 			q.Where.Preds[0], q.Where.Preds[1] = q.Where.Preds[1], q.Where.Preds[0]
@@ -24,7 +24,7 @@ func TestCanonicalConjunctionMatters(t *testing.T) {
 		q := buildComplete()
 		q.Where.Conj = c
 		q.Where.Preds = append(q.Where.Preds, Predicate{
-			Col: ColumnRef{"movie", "year"}, ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(1995), ValSet: true,
+			Col: col("movie.year"), ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(1995), ValSet: true,
 		})
 		return q
 	}
@@ -62,9 +62,9 @@ func TestCanonicalSelectOrderSignificant(t *testing.T) {
 
 func TestCanonicalGroupByOrderInsensitive(t *testing.T) {
 	a := buildComplete()
-	a.GroupBy = []ColumnRef{{"movie", "name"}, {"movie", "year"}}
+	a.GroupBy = []ColumnRef{col("movie.name"), col("movie.year")}
 	b := buildComplete()
-	b.GroupBy = []ColumnRef{{"movie", "year"}, {"movie", "name"}}
+	b.GroupBy = []ColumnRef{col("movie.year"), col("movie.name")}
 	if !Equivalent(a, b) {
 		t.Error("group by order should not matter")
 	}

@@ -38,35 +38,44 @@ func (s TableSet) Ordinals() []int {
 	return out
 }
 
-// CatalogTable is one table of a catalog as it is declared: its name and
-// its columns' names in declaration order.
+// CatalogTable is one table of a catalog as it is declared: its name, its
+// columns' names in declaration order and their types (TypeUnknown where
+// Types is short).
 type CatalogTable struct {
 	Name    string
 	Columns []string
+	Types   []Type
 }
 
-// ColumnOrd is a column by ordinals: its table's ordinal in the catalog and
-// its index among the table's columns.
-type ColumnOrd struct {
-	Table, Column int
+// CatalogFK is a foreign key as it is declared: Table.Column references
+// RefTable.RefColumn.
+type CatalogFK struct {
+	Table, Column, RefTable, RefColumn string
 }
 
-// ForeignKey is a foreign key by ordinals: From holds the key, To is the
+// String renders the constraint.
+func (fk CatalogFK) String() string {
+	return fk.Table + "." + fk.Column + " -> " + fk.RefTable + "." + fk.RefColumn
+}
+
+// ForeignKey is a foreign key of a catalog: From holds the key, To is the
 // column it references.
 type ForeignKey struct {
-	From, To ColumnOrd
+	From, To ColumnRef
 }
 
-// Catalog is the immutable shape of a schema that join paths are built
-// over: its table names, each table's column names and its foreign keys. A
-// table's ordinal is its rank by name and a column's its index among its
-// table's columns. Catalogs are interned (InternCatalog), so every schema
-// with one shape — a database, each of its frozen epochs, every request
-// over either — shares one *Catalog and whatever is derived from it.
+// Catalog is the immutable shape of a schema: its table names, each
+// table's column names and types, and its foreign keys. A table's ordinal
+// is its rank by name and a column's its index among its table's columns;
+// a ColumnRef is the pair, minted only here. Catalogs are interned
+// (InternCatalog), so every schema with one shape — a database, each of its
+// frozen epochs, every request over either — shares one *Catalog and
+// whatever is derived from it.
 type Catalog struct {
 	key      string
 	names    []string       // by ordinal, ascending
 	columns  [][]string     // by ordinal
+	types    [][]Type       // by ordinal, aligned with columns
 	declared []int          // by ordinal: the table's place in the declaration
 	index    map[string]int // name -> ordinal
 	fks      []ForeignKey
@@ -81,12 +90,12 @@ var catalogs struct {
 	m map[string]*Catalog
 }
 
-// InternCatalog returns the catalog of the declared tables and foreign keys
-// (each written foreign key = referenced column): the same *Catalog for
-// every call with the same declarations. A foreign key naming a table or
-// column the tables lack joins nothing and is left out. It panics on more
-// than MaxTables tables, which no TableSet can hold.
-func InternCatalog(tables []CatalogTable, fks []JoinOn) *Catalog {
+// InternCatalog returns the catalog of the declared tables and foreign
+// keys: the same *Catalog for every call with the same declarations. A
+// foreign key naming a table or column the tables lack joins nothing and is
+// left out. It panics on more than MaxTables tables, which no TableSet can
+// hold.
+func InternCatalog(tables []CatalogTable, fks []CatalogFK) *Catalog {
 	if len(tables) > MaxTables {
 		panic(fmt.Sprintf("sqlir: a catalog of %d tables exceeds the limit of %d", len(tables), MaxTables))
 	}
@@ -104,7 +113,7 @@ func InternCatalog(tables []CatalogTable, fks []JoinOn) *Catalog {
 	return c
 }
 
-func newCatalog(key string, tables []CatalogTable, fks []JoinOn) *Catalog {
+func newCatalog(key string, tables []CatalogTable, fks []CatalogFK) *Catalog {
 	c := &Catalog{key: key, declared: make([]int, len(tables)), index: make(map[string]int, len(tables))}
 	for i := range c.declared {
 		c.declared[i] = i
@@ -113,12 +122,15 @@ func newCatalog(key string, tables []CatalogTable, fks []JoinOn) *Catalog {
 	for t, d := range c.declared {
 		c.names = append(c.names, tables[d].Name)
 		c.columns = append(c.columns, tables[d].Columns)
+		types := make([]Type, len(tables[d].Columns))
+		copy(types, tables[d].Types)
+		c.types = append(c.types, types)
 		c.index[tables[d].Name] = t
 	}
 	for _, fk := range fks {
-		from, ok1 := c.column(fk.Left)
-		to, ok2 := c.column(fk.Right)
-		if ok1 && ok2 {
+		from, err1 := c.Col(fk.Table, fk.Column)
+		to, err2 := c.Col(fk.RefTable, fk.RefColumn)
+		if err1 == nil && err2 == nil {
 			c.fks = append(c.fks, ForeignKey{From: from, To: to})
 		}
 	}
@@ -159,17 +171,37 @@ func (c *Catalog) Derived(build func(*Catalog) any) any {
 	return c.derived
 }
 
-// column resolves a column by names.
-func (c *Catalog) column(ref ColumnRef) (ColumnOrd, bool) {
-	t, ok := c.index[ref.Table]
-	if !ok {
-		return ColumnOrd{}, false
+// Col returns the named column: the boundary where a name becomes a
+// ColumnRef. An unknown table or column fails with one text.
+func (c *Catalog) Col(table, column string) (ColumnRef, error) {
+	if t, ok := c.index[table]; ok {
+		if ci := slices.Index(c.columns[t], column); ci >= 0 {
+			return c.Column(t, ci), nil
+		}
 	}
-	ci := slices.Index(c.columns[t], ref.Column)
-	return ColumnOrd{t, ci}, ci >= 0
+	return ColumnRef{}, fmt.Errorf("sqlir: unknown column %s.%s", table, column)
 }
 
-// columnRef names a column.
-func (c *Catalog) columnRef(o ColumnOrd) ColumnRef {
-	return ColumnRef{Table: c.names[o.Table], Column: c.columns[o.Table][o.Column]}
+// MustCol is Col for a name that is a constant of the program (a dataset's
+// gold query); it panics on an unknown one.
+func (c *Catalog) MustCol(table, column string) ColumnRef {
+	ref, err := c.Col(table, column)
+	if err != nil {
+		panic(err)
+	}
+	return ref
+}
+
+// Column returns column ci of table t.
+func (c *Catalog) Column(t, ci int) ColumnRef {
+	return ColumnRef{cat: c, table: int32(t), column: int32(ci)}
+}
+
+// own returns ref as a column of c when ref's catalog has c's shape.
+func (c *Catalog) own(ref ColumnRef) (ColumnRef, bool) {
+	if !c.Same(ref.cat) {
+		return ColumnRef{}, false
+	}
+	ref.cat = c
+	return ref, true
 }

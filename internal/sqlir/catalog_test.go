@@ -2,33 +2,35 @@ package sqlir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // movieCatalog is movie, actor and starring, whose two foreign keys
-// reference the other two.
+// reference the other two, and a table t.
 func movieCatalog() *Catalog {
+	num, text := TypeNumber, TypeText
 	return InternCatalog([]CatalogTable{
-		{"movie", []string{"mid", "name", "year"}},
-		{"starring", []string{"mid", "aid"}},
-		{"actor", []string{"aid", "name"}},
-		{"t", []string{"a", "b", "c"}},
-	}, []JoinOn{
-		{ColumnRef{"starring", "mid"}, ColumnRef{"movie", "mid"}},
-		{ColumnRef{"starring", "aid"}, ColumnRef{"actor", "aid"}},
+		{"movie", []string{"mid", "name", "year", "title"}, []Type{num, text, num, text}},
+		{"starring", []string{"mid", "aid", "sid"}, []Type{num, num, num}},
+		{"actor", []string{"aid", "name"}, []Type{num, text}},
+		{"t", []string{"a", "b", "c", "d"}, []Type{num, num, num, num}},
+	}, []CatalogFK{
+		{"starring", "mid", "movie", "mid"},
+		{"starring", "aid", "actor", "aid"},
 	})
 }
 
-// on is the condition l = r, each written table.column.
-func on(l, r string) JoinOn {
-	ref := func(s string) ColumnRef {
-		t, c, _ := strings.Cut(s, ".")
-		return ColumnRef{t, c}
-	}
-	return JoinOn{ref(l), ref(r)}
+// col is movieCatalog's column written table.column.
+func col(s string) ColumnRef {
+	t, c, _ := strings.Cut(s, ".")
+	return movieCatalog().MustCol(t, c)
 }
+
+// on is the condition l = r, each written table.column.
+func on(l, r string) JoinOn { return JoinOn{col(l), col(r)} }
 
 // mustPath is movieCatalog's path from root over the conditions.
 func mustPath(root string, conds ...JoinOn) *JoinPath {
@@ -56,11 +58,19 @@ func TestCatalogNumbering(t *testing.T) {
 	if o, ok := c.Ordinal("starring"); !ok || o != 2 || c.Columns(o)[1] != "aid" {
 		t.Errorf("starring is ordinal %d (%v), columns %v", o, ok, c.Columns(o))
 	}
-	want := []ForeignKey{{ColumnOrd{2, 0}, ColumnOrd{1, 0}}, {ColumnOrd{2, 1}, ColumnOrd{0, 0}}}
-	if fmt.Sprint(c.ForeignKeys()) != fmt.Sprint(want) {
+	want := []ForeignKey{{c.Column(2, 0), c.Column(1, 0)}, {c.Column(2, 1), c.Column(0, 0)}}
+	if !slices.Equal(c.ForeignKeys(), want) || fmt.Sprint(want) != "[{starring.mid movie.mid} {starring.aid actor.aid}]" {
 		t.Errorf("foreign keys %v, want %v", c.ForeignKeys(), want)
 	}
-	dangling := InternCatalog([]CatalogTable{{"a", []string{"x"}}}, []JoinOn{on("a.x", "b.y"), on("a.z", "a.x")})
+	if r := col("movie.year"); r.Table() != 1 || r.Column() != 2 || r.Type() != TypeNumber || r.String() != "movie.year" {
+		t.Errorf("movie.year is %d.%d of type %s, printed %s", r.Table(), r.Column(), r.Type(), r)
+	}
+	for _, name := range [][2]string{{"movie", "nope"}, {"ghost", "id"}} {
+		if _, err := c.Col(name[0], name[1]); err == nil || err.Error() != "sqlir: unknown column "+name[0]+"."+name[1] {
+			t.Errorf("%v: %v", name, err)
+		}
+	}
+	dangling := InternCatalog([]CatalogTable{{Name: "a", Columns: []string{"x"}}}, []CatalogFK{{"a", "x", "b", "y"}, {"a", "z", "a", "x"}})
 	if len(dangling.ForeignKeys()) != 0 {
 		t.Errorf("dangling foreign keys kept: %v", dangling.ForeignKeys())
 	}
@@ -73,8 +83,9 @@ func TestCatalogPath(t *testing.T) {
 	if got := fmt.Sprint(jp.Tables()); got != "[0 2 1]" {
 		t.Errorf("tables %s", got)
 	}
-	want := []JoinEdge{{ColumnOrd{0, 0}, ColumnOrd{2, 1}, true}, {ColumnOrd{2, 0}, ColumnOrd{1, 0}, true}}
-	if fmt.Sprint(jp.Edges()) != fmt.Sprint(want) {
+	c := movieCatalog()
+	want := []JoinEdge{{c.Column(0, 0), c.Column(2, 1), true}, {c.Column(2, 0), c.Column(1, 0), true}}
+	if !slices.Equal(jp.Edges(), want) {
 		t.Errorf("edges %v, want %v", jp.Edges(), want)
 	}
 	if jp.Set() != TableSet(0).With(0).With(1).With(2) {
@@ -90,8 +101,8 @@ func TestCatalogPath(t *testing.T) {
 		want  string
 	}{
 		{"director", nil, "sqlir: unknown table director"},
-		{"movie", []JoinOn{on("starring.nope", "movie.mid")}, "sqlir: join condition starring.nope = movie.mid names an unknown column"},
-		{"movie", []JoinOn{on("ghost.id", "movie.mid")}, "sqlir: join condition ghost.id = movie.mid names an unknown column"},
+		{"movie", []JoinOn{{Star, col("movie.mid")}}, "sqlir: join condition * = movie.mid names an unknown column"},
+		{"movie", []JoinOn{{col("starring.mid"), otherShape().MustCol("movie", "mid")}}, "sqlir: join condition starring.mid = movie.mid names an unknown column"},
 		{"movie", []JoinOn{on("starring.aid", "actor.aid")}, "sqlir: join condition starring.aid = actor.aid joins no table joined before it"},
 		{"movie", []JoinOn{on("starring.mid", "movie.mid"), on("movie.mid", "starring.mid")}, "sqlir: join condition movie.mid = starring.mid joins tables already joined"},
 		{"movie", []JoinOn{on("movie.mid", "movie.year")}, "sqlir: join condition movie.mid = movie.year joins tables already joined"},
@@ -113,7 +124,7 @@ func TestCatalogPath(t *testing.T) {
 // through it, and a catalog is at most MaxTables wide.
 func TestCatalogBounds(t *testing.T) {
 	catalog := func(i int) *Catalog {
-		return InternCatalog([]CatalogTable{{fmt.Sprintf("bound%d", i), []string{"id"}}}, nil)
+		return InternCatalog([]CatalogTable{{Name: fmt.Sprintf("bound%d", i), Columns: []string{"id"}}}, nil)
 	}
 	first := catalog(0)
 	for i := 1; i < maxCatalogs+10; i++ {
@@ -132,7 +143,7 @@ func TestCatalogBounds(t *testing.T) {
 	wide := func(n int) []CatalogTable {
 		out := make([]CatalogTable, n)
 		for i := range out {
-			out[i] = CatalogTable{fmt.Sprintf("t%02d", i), []string{"id"}}
+			out[i] = CatalogTable{Name: fmt.Sprintf("t%02d", i), Columns: []string{"id"}}
 		}
 		return out
 	}
@@ -160,7 +171,7 @@ func TestCatalogInternIsShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 40 {
-				InternCatalog([]CatalogTable{{fmt.Sprintf("shared%d_%d", w, i), []string{"id"}}}, nil)
+				InternCatalog([]CatalogTable{{Name: fmt.Sprintf("shared%d_%d", w, i), Columns: []string{"id"}}}, nil)
 				c := movieCatalog()
 				d := c.Derived(func(*Catalog) any { return new(int) })
 				mu.Lock()
@@ -176,4 +187,28 @@ func TestCatalogInternIsShared(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	// A path and a column taken before the intern clears are accepted by
+	// the catalog of their shape interned after it, and number alike.
+	before, ref := mustPath("actor", on("starring.aid", "actor.aid")), col("actor.name")
+	for i := range maxCatalogs {
+		InternCatalog([]CatalogTable{{Name: fmt.Sprintf("clear%d", i), Columns: []string{"id"}}}, nil)
+	}
+	after := movieCatalog()
+	if after == before.Catalog() || !after.Same(before.Catalog()) {
+		t.Fatal("the intern did not clear, or the shape changed")
+	}
+	jp, err := after.Path("actor", before.Written(before.Edges()[0]))
+	if err != nil || jp.Catalog() != after || !slices.Equal(jp.Tables(), before.Tables()) || jp.String() != before.String() {
+		t.Errorf("a path over the earlier catalog: %v, %v", jp, err)
+	}
+	if again := after.MustCol("actor", "name"); again == ref || again.Table() != ref.Table() || again.Column() != ref.Column() {
+		t.Errorf("actor.name is %d.%d after the clear, %d.%d before", again.Table(), again.Column(), ref.Table(), ref.Column())
+	}
+}
+
+// otherShape is a catalog with a movie table that movieCatalog's paths
+// cannot take a column from.
+func otherShape() *Catalog {
+	return InternCatalog([]CatalogTable{{Name: "movie", Columns: []string{"mid"}}}, nil)
 }

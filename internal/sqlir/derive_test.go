@@ -20,14 +20,14 @@ func derivable() *Query {
 	q.HavingState = ClausePresent
 	q.Having = &HavingExpr{Agg: AggCount, AggSet: true, Col: Star, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(1), ValSet: true}
 	q.OrderByState = ClausePresent
-	q.OrderBy = &OrderBy{Key: OrderKey{Col: ColumnRef{"movie", "year"}}, KeySet: true, DirSet: true}
+	q.OrderBy = &OrderBy{Key: OrderKey{Col: col("movie.year")}, KeySet: true, DirSet: true}
 	return q
 }
 
 // derivations is one decision of every kind, each with a slot of derivable()
 // to write.
 func derivations() map[string]Decision {
-	col := ColumnRef{Table: "starring", Column: "sid"}
+	col := col("starring.sid")
 	seven, nine := NewInt(7), NewInt(9)
 	return map[string]Decision{
 		"Keywords":     {Kind: DecideKeywords, Where: true, OrderBy: true},
@@ -175,7 +175,7 @@ func TestScratchBuildsTheSameChildWithoutAllocating(t *testing.T) {
 
 // A path of decisions of every kind from the empty query to a complete one.
 func decisionPath() []Decision {
-	title, year := ColumnRef{"movie", "title"}, ColumnRef{"movie", "year"}
+	title, year := col("movie.title"), col("movie.year")
 	lo, hi, two := NewInt(1990), NewInt(2000), NewInt(2)
 	return []Decision{
 		{Kind: DecideKeywords, Where: true, GroupBy: true, OrderBy: true},

@@ -6,34 +6,56 @@ import (
 	"strings"
 )
 
-// ColumnRef names a schema column. Column "*" with any table refers to the
-// star used by COUNT(*).
+// ColumnRef is a column of a catalog: its table's ordinal and its index
+// among the table's columns. Only the catalog mints one — Catalog.Col from
+// names at the boundary, Catalog.Column from ordinals — and it prints
+// itself through its catalog. The zero value is an unset column and Star
+// the * of COUNT(*): the two refs without a catalog.
 type ColumnRef struct {
-	Table  string
-	Column string
+	cat           *Catalog
+	table, column int32
 }
 
 // Star is the COUNT(*) column reference.
-var Star = ColumnRef{Column: "*"}
+var Star = ColumnRef{column: -1}
 
 // IsStar reports whether the reference is the * pseudo-column.
-func (c ColumnRef) IsStar() bool { return c.Column == "*" }
+func (c ColumnRef) IsStar() bool { return c.column < 0 }
 
 // IsZero reports whether the reference is unset.
-func (c ColumnRef) IsZero() bool { return c.Table == "" && c.Column == "" }
+func (c ColumnRef) IsZero() bool { return c == ColumnRef{} }
+
+// Catalog returns the catalog that minted the reference (nil for an unset
+// one and for *).
+func (c ColumnRef) Catalog() *Catalog { return c.cat }
+
+// Table returns the ordinal of the column's table.
+func (c ColumnRef) Table() int { return int(c.table) }
+
+// Column returns the column's index among its table's columns.
+func (c ColumnRef) Column() int { return int(c.column) }
+
+// Type returns the column's type: a number for * (only used under
+// COUNT(*)), unknown when unset.
+func (c ColumnRef) Type() Type {
+	switch {
+	case c.IsStar():
+		return TypeNumber
+	case c.cat == nil:
+		return TypeUnknown
+	}
+	return c.cat.types[c.table][c.column]
+}
 
 // String renders table.column (or * / ? placeholders).
 func (c ColumnRef) String() string {
-	if c.IsZero() {
+	switch {
+	case c.IsStar():
+		return "*"
+	case c.cat == nil:
 		return "?"
 	}
-	if c.IsStar() {
-		return "*"
-	}
-	if c.Table == "" {
-		return c.Column
-	}
-	return c.Table + "." + c.Column
+	return c.cat.names[c.table] + "." + c.cat.columns[c.table][c.column]
 }
 
 // SelectItem is one projection: an optional aggregate over a column.
@@ -210,7 +232,7 @@ func (o OrderBy) String() string {
 	return key + " " + dir
 }
 
-// JoinOn is a join condition by names, as written: Left = Right.
+// JoinOn is a join condition as written: Left = Right.
 type JoinOn struct {
 	Left, Right ColumnRef
 }
@@ -218,12 +240,12 @@ type JoinOn struct {
 // String renders the condition.
 func (o JoinOn) String() string { return o.Left.String() + " = " + o.Right.String() }
 
-// JoinEdge is one join condition of a path by ordinals, oriented by
-// introduction: Joined is a column of a table already on the path and New
-// a column of the table the edge introduces. NewFirst records that the
-// condition was written New = Joined.
+// JoinEdge is one join condition of a path, oriented by introduction:
+// Joined is a column of a table already on the path and New a column of
+// the table the edge introduces. NewFirst records that the condition was
+// written New = Joined.
 type JoinEdge struct {
-	Joined, New ColumnOrd
+	Joined, New ColumnRef
 	NewFirst    bool
 }
 
@@ -241,8 +263,9 @@ type JoinPath struct {
 }
 
 // Path returns the path rooted at the named table that joins each
-// condition's new table in turn. Each condition must name two columns of
-// the catalog and join one table not on the path yet to one that is.
+// condition's new table in turn. Each condition must join two columns of a
+// catalog of c's shape, one of a table not on the path yet to one of a
+// table that is.
 func (c *Catalog) Path(root string, on ...JoinOn) (*JoinPath, error) {
 	t, ok := c.index[root]
 	if !ok {
@@ -250,8 +273,8 @@ func (c *Catalog) Path(root string, on ...JoinOn) (*JoinPath, error) {
 	}
 	p := c.Root(t)
 	for _, o := range on {
-		a, ok1 := c.column(o.Left)
-		b, ok2 := c.column(o.Right)
+		a, ok1 := c.own(o.Left)
+		b, ok2 := c.own(o.Right)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("sqlir: join condition %s names an unknown column", o)
 		}
@@ -285,19 +308,19 @@ func (j *JoinPath) JoinFK(fks ...int) *JoinPath {
 
 // join appends the condition a = b, which must join one table not on the
 // path yet to one that is.
-func (j *JoinPath) join(a, b ColumnOrd) error {
+func (j *JoinPath) join(a, b ColumnRef) error {
 	e := JoinEdge{Joined: a, New: b}
 	switch {
-	case j.set.Has(a.Table) && j.set.Has(b.Table):
+	case j.set.Has(a.Table()) && j.set.Has(b.Table()):
 		return fmt.Errorf("sqlir: join condition %s joins tables already joined", j.Written(e))
-	case j.set.Has(b.Table):
+	case j.set.Has(b.Table()):
 		e = JoinEdge{Joined: b, New: a, NewFirst: true}
-	case !j.set.Has(a.Table):
+	case !j.set.Has(a.Table()):
 		return fmt.Errorf("sqlir: join condition %s joins no table joined before it", j.Written(e))
 	}
-	j.tables = append(j.tables, e.New.Table)
+	j.tables = append(j.tables, e.New.Table())
 	j.edges = append(j.edges, e)
-	j.set = j.set.With(e.New.Table)
+	j.set = j.set.With(e.New.Table())
 	return nil
 }
 
@@ -317,27 +340,10 @@ func (j *JoinPath) Set() TableSet { return j.set }
 
 // Written returns e as it was written.
 func (j *JoinPath) Written(e JoinEdge) JoinOn {
-	a, b := j.cat.columnRef(e.Joined), j.cat.columnRef(e.New)
 	if e.NewFirst {
-		a, b = b, a
+		return JoinOn{e.New, e.Joined}
 	}
-	return JoinOn{a, b}
-}
-
-// Find returns the ordinal of the named table when it is on the path.
-func (j *JoinPath) Find(table string) (int, bool) {
-	for _, t := range j.tables {
-		if j.cat.names[t] == table {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-// Contains reports whether the path includes the named table.
-func (j *JoinPath) Contains(table string) bool {
-	_, ok := j.Find(table)
-	return ok
+	return JoinOn{e.Joined, e.New}
 }
 
 // Len returns the number of tables (the tiebreaker in §3.3.4: shorter join
@@ -358,7 +364,7 @@ func (j *JoinPath) String() string {
 	b.WriteString(j.cat.names[j.tables[0]])
 	for _, e := range j.edges {
 		b.WriteString(" JOIN ")
-		b.WriteString(j.cat.names[e.New.Table])
+		b.WriteString(j.cat.names[e.New.Table()])
 		b.WriteString(" ON ")
 		b.WriteString(j.Written(e).String())
 	}
@@ -471,18 +477,14 @@ func (q *Query) HasAggregate() bool {
 	return false
 }
 
-// AppendReferencedTables appends to dst the distinct tables referenced by
-// decided column slots outside the FROM clause, in first-reference order
-// (Line 2-3 of Algorithm 2), skipping tables dst already holds; a caller on
-// a hot path passes a stack buffer.
-func (q *Query) AppendReferencedTables(dst []string) []string {
-	out := dst
+// ReferencedTables returns the tables referenced by decided column slots
+// outside the FROM clause (Line 2-3 of Algorithm 2).
+func (q *Query) ReferencedTables() TableSet {
+	var set TableSet
 	add := func(c ColumnRef) {
-		// A query references a handful of tables: a scan beats a set.
-		if c.IsStar() || c.Table == "" || slices.Contains(out, c.Table) {
-			return
+		if c.cat != nil { // * and an unset column name no table
+			set = set.With(c.Table())
 		}
-		out = append(out, c.Table)
 	}
 	for _, s := range q.Select {
 		if s.ColSet {
@@ -503,7 +505,7 @@ func (q *Query) AppendReferencedTables(dst []string) []string {
 	if q.OrderByState == ClausePresent && q.OrderBy.KeySet {
 		add(q.OrderBy.Key.Col)
 	}
-	return out
+	return set
 }
 
 // Literals returns every decided literal value in WHERE, HAVING, and LIMIT

@@ -3,6 +3,7 @@ package sqlir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // buildComplete returns a fully decided query:
@@ -12,8 +13,8 @@ func buildComplete() *Query {
 	q.KWSet = true
 	q.SelectCountSet = true
 	q.Select = []SelectItem{
-		{Agg: AggNone, AggSet: true, Col: ColumnRef{"movie", "name"}, ColSet: true},
-		{Agg: AggMax, AggSet: true, Col: ColumnRef{"movie", "year"}, ColSet: true},
+		{Agg: AggNone, AggSet: true, Col: col("movie.name"), ColSet: true},
+		{Agg: AggMax, AggSet: true, Col: col("movie.year"), ColSet: true},
 	}
 	q.From = mustPath("movie", on("starring.mid", "movie.mid"))
 	q.WhereState = ClausePresent
@@ -22,11 +23,11 @@ func buildComplete() *Query {
 		ConjSet:  true,
 		Conj:     LogicAnd,
 		Preds: []Predicate{
-			{Col: ColumnRef{"movie", "year"}, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(2000), ValSet: true},
+			{Col: col("movie.year"), ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(2000), ValSet: true},
 		},
 	}
 	q.GroupByState = ClausePresent
-	q.GroupBy = []ColumnRef{{"movie", "name"}}
+	q.GroupBy = []ColumnRef{col("movie.name")}
 	q.HavingState = ClauseAbsent
 	q.OrderByState = ClauseAbsent
 	q.LimitSet = true
@@ -71,7 +72,7 @@ func TestWhereConjRequiredOnlyForMultiplePreds(t *testing.T) {
 		t.Error("single-predicate WHERE should not need ConjSet")
 	}
 	q.Where.Preds = append(q.Where.Preds, Predicate{
-		Col: ColumnRef{"movie", "year"}, ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(2020), ValSet: true,
+		Col: col("movie.year"), ColSet: true, Op: OpLt, OpSet: true, Val: NewInt(2020), ValSet: true,
 	})
 	if q.Complete() {
 		t.Error("two-predicate WHERE needs ConjSet")
@@ -100,23 +101,22 @@ func TestHasAggregate(t *testing.T) {
 
 func TestReferencedTables(t *testing.T) {
 	q := buildComplete()
-	got := q.AppendReferencedTables(nil)
-	if len(got) != 1 || got[0] != "movie" {
-		t.Errorf("AppendReferencedTables = %v, want [movie]", got)
+	movie, actor := col("movie.mid").Table(), col("actor.aid").Table()
+	if got := q.ReferencedTables(); got != TableSet(0).With(movie) {
+		t.Errorf("ReferencedTables = %v, want {movie}", got.Ordinals())
 	}
 	// Add a where column on a second table.
 	q.Where.Preds = append(q.Where.Preds, Predicate{
-		Col: ColumnRef{"actor", "name"}, ColSet: true, Op: OpEq, OpSet: true, Val: NewText("X"), ValSet: true,
+		Col: col("actor.name"), ColSet: true, Op: OpEq, OpSet: true, Val: NewText("X"), ValSet: true,
 	})
-	got = q.AppendReferencedTables(nil)
-	if len(got) != 2 || got[1] != "actor" {
-		t.Errorf("AppendReferencedTables = %v, want [movie actor]", got)
+	if got := q.ReferencedTables(); got != TableSet(0).With(movie).With(actor) {
+		t.Errorf("ReferencedTables = %v, want {movie actor}", got.Ordinals())
 	}
 	// Star and undecided columns do not contribute.
 	q2 := NewQuery()
 	q2.Select = []SelectItem{{Agg: AggCount, AggSet: true, Col: Star, ColSet: true}}
-	if got := q2.AppendReferencedTables(nil); len(got) != 0 {
-		t.Errorf("star should not contribute tables: %v", got)
+	if got := q2.ReferencedTables(); got != 0 {
+		t.Errorf("star should not contribute tables: %v", got.Ordinals())
 	}
 }
 
@@ -142,11 +142,11 @@ func TestCloneIndependence(t *testing.T) {
 	q.HavingState = ClausePresent
 	q.Having = &HavingExpr{Agg: AggCount, AggSet: true, Col: Star, ColSet: true, Op: OpGt, OpSet: true, Val: NewInt(1), ValSet: true}
 	q.OrderByState = ClausePresent
-	q.OrderBy = &OrderBy{Key: OrderKey{Col: ColumnRef{"movie", "year"}}, KeySet: true, DirSet: true}
+	q.OrderBy = &OrderBy{Key: OrderKey{Col: col("movie.year")}, KeySet: true, DirSet: true}
 	c := q.Clone()
-	c.Select[0].Col.Column = "changed"
+	c.Select[0].Col = Star
 	c.Where.Preds[0].Val = NewInt(9999)
-	c.GroupBy[0].Column = "changed"
+	c.GroupBy[0] = Star
 	c.Having.Val = NewInt(9999)
 	c.OrderBy.Desc = true
 	if !q.Having.Val.Equal(NewInt(1)) {
@@ -155,13 +155,13 @@ func TestCloneIndependence(t *testing.T) {
 	if q.OrderBy.Desc {
 		t.Error("clone mutated original order by")
 	}
-	if q.Select[0].Col.Column != "name" {
+	if q.Select[0].Col != col("movie.name") {
 		t.Error("clone mutated original select")
 	}
 	if !q.Where.Preds[0].Val.Equal(NewInt(2000)) {
 		t.Error("clone mutated original where")
 	}
-	if q.GroupBy[0].Column != "name" {
+	if q.GroupBy[0] != col("movie.name") {
 		t.Error("clone mutated original group by")
 	}
 	if c.From != q.From {
@@ -229,8 +229,8 @@ func TestJoinPathString(t *testing.T) {
 	if jp.Len() != 3 {
 		t.Errorf("Len = %d", jp.Len())
 	}
-	if !jp.Contains("movie") || jp.Contains("director") {
-		t.Error("Contains wrong")
+	if jp.Set() != TableSet(0).With(0).With(1).With(2) {
+		t.Errorf("Set = %v", jp.Set().Ordinals())
 	}
 	var nilPath *JoinPath
 	if nilPath.Len() != 0 || nilPath.String() != "?" {
@@ -239,7 +239,7 @@ func TestJoinPathString(t *testing.T) {
 }
 
 func TestSelectItemString(t *testing.T) {
-	si := SelectItem{Agg: AggNone, AggSet: true, Col: ColumnRef{"t", "c"}, ColSet: true}
+	si := SelectItem{Agg: AggNone, AggSet: true, Col: col("t.c"), ColSet: true}
 	if si.String() != "t.c" {
 		t.Errorf("got %q", si.String())
 	}
@@ -260,10 +260,29 @@ func TestColumnRefString(t *testing.T) {
 	if (ColumnRef{}).String() != "?" {
 		t.Error("zero ref")
 	}
-	if (ColumnRef{"t", "c"}).String() != "t.c" {
+	if (col("t.c")).String() != "t.c" {
 		t.Error("qualified ref")
 	}
-	if (ColumnRef{Column: "c"}).String() != "c" {
-		t.Error("bare ref")
+	if (ColumnRef{}).Catalog() != nil || Star.Catalog() != nil || !(ColumnRef{}).IsZero() || !Star.IsStar() {
+		t.Error("the zero ref and * have no catalog")
+	}
+}
+
+// The IR's sizes: a search copies these once per state it looks at.
+func TestIRSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"ColumnRef", unsafe.Sizeof(ColumnRef{}), 16},
+		{"SelectItem", unsafe.Sizeof(SelectItem{}), 24},
+		{"Predicate", unsafe.Sizeof(Predicate{}), 56},
+		{"HavingExpr", unsafe.Sizeof(HavingExpr{}), 56},
+		{"OrderBy", unsafe.Sizeof(OrderBy{}), 32},
+		{"Query", unsafe.Sizeof(Query{}), 120},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }

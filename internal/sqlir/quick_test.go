@@ -10,9 +10,7 @@ import (
 // genQuery builds a random complete single-table query over a toy schema
 // for property tests.
 func genQuery(r *rand.Rand) *Query {
-	cols := []ColumnRef{
-		{"t", "a"}, {"t", "b"}, {"t", "c"}, {"t", "d"},
-	}
+	cols := []ColumnRef{col("t.a"), col("t.b"), col("t.c"), col("t.d")}
 	q := NewQuery()
 	q.KWSet = true
 	q.LimitSet = true
@@ -73,8 +71,8 @@ func TestQuickCloneFaithful(t *testing.T) {
 			t.Fatal("clone renders differently")
 		}
 		// Mutating the clone must not affect the original.
-		c.Select[0].Col = ColumnRef{"t", "zzz"}
-		if q.Select[0].Col.Column == "zzz" {
+		c.Select[0].Col = Star
+		if q.Select[0].Col.IsStar() {
 			t.Fatal("clone shares select storage")
 		}
 	}
@@ -133,17 +131,13 @@ func TestQuickEqOpAgreesWithEqual(t *testing.T) {
 	}
 }
 
-// Property: AppendReferencedTables never returns duplicates.
+// Property: ReferencedTables is the set of the decided columns' tables: t
+// alone for a generated query.
 func TestQuickReferencedTablesDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 300; i++ {
-		q := genQuery(r)
-		seen := map[string]bool{}
-		for _, tb := range q.AppendReferencedTables(nil) {
-			if seen[tb] {
-				t.Fatalf("duplicate table %s", tb)
-			}
-			seen[tb] = true
+		if got := genQuery(r).ReferencedTables(); got != TableSet(0).With(col("t.a").Table()) {
+			t.Fatalf("referenced tables %v", got.Ordinals())
 		}
 	}
 }

@@ -45,10 +45,10 @@ func grows(jp *sqlir.JoinPath) bool {
 	}
 	joined := sqlir.TableSet(0).With(tables[0])
 	for i, e := range edges {
-		if !joined.Has(e.Joined.Table) || joined.Has(e.New.Table) || tables[i+1] != e.New.Table {
+		if !joined.Has(e.Joined.Table()) || joined.Has(e.New.Table()) || tables[i+1] != e.New.Table() {
 			return false
 		}
-		joined = joined.With(e.New.Table)
+		joined = joined.With(e.New.Table())
 	}
 	return joined == jp.Set()
 }

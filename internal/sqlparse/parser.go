@@ -175,14 +175,16 @@ func (p *parser) parseQuery() (*sqlir.Query, error) {
 			return nil, err
 		}
 		on := sqlir.JoinOn{Left: a, Right: b}
-		next := a.Table
+		cat := p.schema.Catalog()
+		ta, tb := cat.Name(a.Table()), cat.Name(b.Table())
+		next := ta
 		if joined[next] {
-			next = b.Table
+			next = tb
 		}
 		switch {
 		case joined[next]:
 			return nil, fmt.Errorf("sqlparse: join edge %s joins tables already joined", on)
-		case !joined[a.Table] && !joined[b.Table]:
+		case !joined[ta] && !joined[tb]:
 			return nil, fmt.Errorf("sqlparse: join edge %s joins no table joined before it", on)
 		case !slices.Contains(p.fromTables, next):
 			return nil, fmt.Errorf("sqlparse: join edge %s names table %s, which is not in FROM", on, next)
@@ -396,22 +398,19 @@ func (p *parser) parseRawRef() (qual, col string, err error) {
 }
 
 // resolveRef maps an alias-or-table qualifier and column name to a concrete
-// schema column. Unqualified names are resolved if unambiguous across the
-// tables in the FROM clause.
+// schema column through the schema's catalog, which rejects an unknown
+// column with its one text. Unqualified names are resolved if unambiguous
+// across the tables in the FROM clause.
 func (p *parser) resolveRef(qual, col string) (sqlir.ColumnRef, error) {
 	if qual != "" {
 		tbl := qual
 		if real, ok := p.aliases[qual]; ok {
 			tbl = real
 		}
-		t := p.schema.Table(tbl)
-		if t == nil {
+		if p.schema.Table(tbl) == nil {
 			return sqlir.ColumnRef{}, fmt.Errorf("sqlparse: unknown table %q", qual)
 		}
-		if t.ColumnIndex(col) < 0 {
-			return sqlir.ColumnRef{}, fmt.Errorf("sqlparse: table %s has no column %q", tbl, col)
-		}
-		return sqlir.ColumnRef{Table: tbl, Column: col}, nil
+		return p.schema.Catalog().Col(tbl, col)
 	}
 	// Unqualified: search FROM tables.
 	var found []string
@@ -423,7 +422,7 @@ func (p *parser) resolveRef(qual, col string) (sqlir.ColumnRef, error) {
 	}
 	switch len(found) {
 	case 1:
-		return sqlir.ColumnRef{Table: found[0], Column: col}, nil
+		return p.schema.Catalog().Col(found[0], col)
 	case 0:
 		return sqlir.ColumnRef{}, fmt.Errorf("sqlparse: column %q not found in FROM tables", col)
 	default:

@@ -41,7 +41,7 @@ func TestParseSimpleSelect(t *testing.T) {
 	if !q.Complete() {
 		t.Fatalf("parsed query should be complete: %s", q)
 	}
-	if len(q.Select) != 1 || q.Select[0].Col != (sqlir.ColumnRef{Table: "movie", Column: "title"}) {
+	if len(q.Select) != 1 || q.Select[0].Col != movieSchema().Catalog().MustCol("movie", "title") {
 		t.Errorf("select = %v", q.Select)
 	}
 	if q.From.Len() != 1 || q.From.String() != "movie" {
@@ -55,13 +55,13 @@ func TestParseAliasResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Select[0].Col.Table != "movie" || q.Select[1].Col.Table != "actor" {
+	if q.Select[0].Col.String() != "movie.title" || q.Select[1].Col.String() != "actor.name" {
 		t.Errorf("aliases not resolved: %v", q.Select)
 	}
 	if len(q.From.Edges()) != 2 {
 		t.Fatalf("edges = %v", q.From.Edges())
 	}
-	if on := q.From.Written(q.From.Edges()[0]); on.Left.Table != "actor" || on.Right.Table != "starring" {
+	if on := q.From.Written(q.From.Edges()[0]); on.Left.String() != "actor.aid" || on.Right.String() != "starring.aid" {
 		t.Errorf("edge0 = %v", on)
 	}
 }
@@ -71,7 +71,7 @@ func TestParseUnqualifiedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Where.Preds[0].Col.Table != "movie" {
+	if q.Where.Preds[0].Col.String() != "movie.year" {
 		t.Errorf("unqualified resolution failed: %v", q.Where.Preds)
 	}
 }
@@ -221,7 +221,7 @@ func TestParseQuotedIdentifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Select[0].Col.Column != "title" {
+	if q.Select[0].Col.String() != "movie.title" {
 		t.Errorf("quoted ident: %v", q.Select[0])
 	}
 }
@@ -244,6 +244,8 @@ var parseErrorCases = []struct {
 	{"SELECT title FROM movie LIMIT 0", "bad LIMIT"},
 	{"SELECT title FROM movie LIMIT 3 3", "trailing input"},
 	{"SELECT * FROM movie", "only supported under COUNT"},
+	{"SELECT movie.nope FROM movie", "sqlir: unknown column movie.nope"},
+	{"SELECT title FROM movie WHERE m.nope > 1", `sqlparse: unknown table "m"`},
 	{"SELECT title FROM movie JOIN movie ON movie.mid = movie.mid", "joined twice"},
 	{"SELECT title FROM movie WHERE title = 'unterminated", "unterminated string"},
 	{"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name HAVING year > 5", "HAVING requires an aggregate"},

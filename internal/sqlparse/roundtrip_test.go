@@ -7,6 +7,7 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/schemagraph"
+	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -31,11 +32,12 @@ func TestJoinPathsRoundTripThroughTheParser(t *testing.T) {
 	}
 	for _, db := range dbs {
 		g := schemagraph.New(db.Schema)
-		sets := [][]string{nil}
-		for i, a := range db.Schema.Tables {
-			sets = append(sets, []string{a.Name})
-			for _, b := range db.Schema.Tables[i+1:] {
-				sets = append(sets, []string{a.Name, b.Name})
+		sets := []sqlir.TableSet{0}
+		for a := range db.Schema.Catalog().NumTables() {
+			one := sqlir.TableSet(0).With(a)
+			sets = append(sets, one)
+			for b := a + 1; b < db.Schema.Catalog().NumTables(); b++ {
+				sets = append(sets, one.With(b))
 			}
 		}
 		paths := 0

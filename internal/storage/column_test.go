@@ -171,10 +171,7 @@ func TestFootprint(t *testing.T) {
 // contracts on mixed null/duplicate data.
 func TestColumnarStatsAndDistinct(t *testing.T) {
 	tb := colTable(t)
-	st, err := tb.Stats("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tb.Stats(tb.ColumnIndex("tag"))
 	if st.NonNull != 4 || st.Distinct != 3 {
 		t.Errorf("tag stats = %+v", st)
 	}
@@ -182,10 +179,7 @@ func TestColumnarStatsAndDistinct(t *testing.T) {
 		t.Errorf("tag min/max = %s/%s", st.Min, st.Max)
 	}
 
-	st, err = tb.Stats("score")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st = tb.Stats(tb.ColumnIndex("score"))
 	if st.NonNull != 4 || st.Distinct != 3 {
 		t.Errorf("score stats = %+v", st)
 	}

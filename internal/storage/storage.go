@@ -22,17 +22,7 @@ type Column struct {
 // ForeignKey declares Table.Column references RefTable.RefColumn (a primary
 // key). Duoquest requires FK-PK constraints to be explicit on the schema
 // (§4.1).
-type ForeignKey struct {
-	Table     string
-	Column    string
-	RefTable  string
-	RefColumn string
-}
-
-// String renders the constraint.
-func (fk ForeignKey) String() string {
-	return fk.Table + "." + fk.Column + " -> " + fk.RefTable + "." + fk.RefColumn
-}
+type ForeignKey = sqlir.CatalogFK
 
 // Table is a named collection of typed rows, stored column-wise: one typed
 // vector per column (see column.go) and nothing else. Row i is cell i of
@@ -68,11 +58,12 @@ type Table struct {
 	// hashMu guards codeIdx and stats.
 	hashMu  sync.Mutex
 	codeIdx map[int]*CodeIndex
-	// stats memoizes per-column statistics, cleared together with the lazy
-	// indexes on mutation (direct invalidation — the table knows exactly
-	// when its own data changes). Frozen snapshot tables never clear it, so
-	// an epoch's statistics are computed at most once, ever.
-	stats map[string]ColumnStats
+	// stats memoizes per-column statistics by column index, cleared
+	// together with the lazy indexes on mutation (direct invalidation — the
+	// table knows exactly when its own data changes). Frozen snapshot
+	// tables never clear it, so an epoch's statistics are computed at most
+	// once, ever.
+	stats map[int]ColumnStats
 }
 
 // NewTable creates an empty table.
@@ -202,43 +193,37 @@ type ColumnStats struct {
 	NonNull  int
 }
 
-// Stats returns memoized column statistics. The memo lives on the table and
-// is cleared together with the lazy indexes whenever the table mutates; on
-// frozen snapshot tables it is therefore computed at most once per epoch.
-func (t *Table) Stats(col string) (ColumnStats, error) {
+// Stats returns memoized statistics of column ci. The memo lives on the
+// table and is cleared together with the lazy indexes whenever the table
+// mutates; on frozen snapshot tables it is therefore computed at most once
+// per epoch.
+func (t *Table) Stats(ci int) ColumnStats {
 	t.hashMu.Lock()
-	if st, ok := t.stats[col]; ok {
+	if st, ok := t.stats[ci]; ok {
 		t.hashMu.Unlock()
-		return st, nil
+		return st
 	}
 	t.hashMu.Unlock()
-	st, err := t.computeStats(col)
-	if err != nil {
-		return ColumnStats{}, err
-	}
+	st := t.computeStats(ci)
 	t.hashMu.Lock()
 	if t.stats == nil {
-		t.stats = map[string]ColumnStats{}
+		t.stats = map[int]ColumnStats{}
 	}
-	t.stats[col] = st
+	t.stats[ci] = st
 	t.hashMu.Unlock()
-	return st, nil
+	return st
 }
 
 // computeStats scans the typed vectors: a float scan for numeric columns,
 // and for text columns the distinct count is simply the dictionary size —
 // every interned string was inserted at least once and rows are never
 // deleted.
-func (t *Table) computeStats(col string) (ColumnStats, error) {
-	ci := t.ColumnIndex(col)
-	if ci < 0 {
-		return ColumnStats{}, fmt.Errorf("storage: table %s: no column %s", t.Name, col)
-	}
+func (t *Table) computeStats(ci int) ColumnStats {
 	vec := &t.vecs[ci]
 	var st ColumnStats
 	st.NonNull = vec.n - vec.nullCount
 	if st.NonNull == 0 {
-		return st, nil
+		return st
 	}
 	switch vec.typ {
 	case sqlir.TypeNumber:
@@ -278,7 +263,7 @@ func (t *Table) computeStats(col string) (ColumnStats, error) {
 		st.Min, st.Max = sqlir.NewText(lo), sqlir.NewText(hi)
 		st.Distinct = vec.dict.Size()
 	}
-	return st, nil
+	return st
 }
 
 // DistinctValues returns up to max distinct non-null values of the column in
@@ -324,7 +309,7 @@ type Schema struct {
 	Tables      []*Table
 	ForeignKeys []ForeignKey
 
-	cat atomic.Pointer[sqlir.Catalog] // its name index is the schema's
+	cat atomic.Pointer[sqlir.Catalog] // its name index and column types are the schema's
 }
 
 // NewSchema builds a schema over the given tables.
@@ -334,13 +319,14 @@ func NewSchema(tables ...*Table) *Schema {
 
 // AddForeignKey registers an FK-PK constraint.
 func (s *Schema) AddForeignKey(table, column, refTable, refColumn string) {
-	s.ForeignKeys = append(s.ForeignKeys, ForeignKey{table, column, refTable, refColumn})
+	s.ForeignKeys = append(s.ForeignKeys, ForeignKey{Table: table, Column: column, RefTable: refTable, RefColumn: refColumn})
 	s.cat.Store(nil)
 }
 
 // Catalog returns the schema's interned catalog (sqlir.InternCatalog): its
-// table names, column names and foreign keys as they stand at the first
-// call. A frozen epoch's schema keeps its source's.
+// table names, column names and types and foreign keys as they stand at
+// the first call. Every call returns one pointer, so the schema's column
+// refs compare with ==. A frozen epoch's schema keeps its source's.
 func (s *Schema) Catalog() *sqlir.Catalog {
 	if c := s.cat.Load(); c != nil {
 		return c
@@ -348,21 +334,24 @@ func (s *Schema) Catalog() *sqlir.Catalog {
 	return s.intern()
 }
 
+// intern interns the schema's declaration and returns the catalog the
+// schema holds: the first one stored, when a concurrent first call stored
+// one before (the intern may have cleared in between, making it another
+// pointer).
 func (s *Schema) intern() *sqlir.Catalog {
 	tables := make([]sqlir.CatalogTable, len(s.Tables))
 	for i, t := range s.Tables {
 		tables[i].Name = t.Name
 		for _, c := range t.Columns {
 			tables[i].Columns = append(tables[i].Columns, c.Name)
+			tables[i].Types = append(tables[i].Types, c.Type)
 		}
 	}
-	fks := make([]sqlir.JoinOn, len(s.ForeignKeys))
-	for i, fk := range s.ForeignKeys {
-		fks[i] = sqlir.JoinOn{Left: sqlir.ColumnRef{Table: fk.Table, Column: fk.Column}, Right: sqlir.ColumnRef{Table: fk.RefTable, Column: fk.RefColumn}}
+	c := sqlir.InternCatalog(tables, s.ForeignKeys)
+	if s.cat.CompareAndSwap(nil, c) {
+		return c
 	}
-	c := sqlir.InternCatalog(tables, fks)
-	s.cat.Store(c)
-	return c
+	return s.cat.Load()
 }
 
 // TableAt returns the table whose catalog ordinal is t.
@@ -375,22 +364,6 @@ func (s *Schema) Table(name string) *Table {
 		return s.Tables[c.Declared(t)]
 	}
 	return nil
-}
-
-// Resolve returns the type of table.column, reporting whether it exists.
-func (s *Schema) Resolve(c sqlir.ColumnRef) (sqlir.Type, bool) {
-	if c.IsStar() {
-		return sqlir.TypeNumber, true // only used under COUNT(*)
-	}
-	t := s.Table(c.Table)
-	if t == nil {
-		return sqlir.TypeUnknown, false
-	}
-	col, ok := t.Column(c.Column)
-	if !ok {
-		return sqlir.TypeUnknown, false
-	}
-	return col.Type, true
 }
 
 // Validate checks structural consistency: at most sqlir.MaxTables tables,
@@ -453,11 +426,13 @@ func (s *Schema) NumColumns() int {
 // TextColumns lists every (table, column) pair of text type — the master
 // inverted column index in the paper's autocomplete server spans these.
 func (s *Schema) TextColumns() []sqlir.ColumnRef {
+	cat := s.Catalog()
 	var out []sqlir.ColumnRef
 	for _, t := range s.Tables {
-		for _, c := range t.Columns {
+		o, _ := cat.Ordinal(t.Name)
+		for ci, c := range t.Columns {
 			if c.Type == sqlir.TypeText {
-				out = append(out, sqlir.ColumnRef{Table: t.Name, Column: c.Name})
+				out = append(out, cat.Column(o, ci))
 			}
 		}
 	}
@@ -490,16 +465,12 @@ func NewDatabase(name string, schema *Schema) *Database {
 // Table returns the named table, or nil.
 func (d *Database) Table(name string) *Table { return d.Schema.Table(name) }
 
-// Stats returns memoized column statistics, delegating to the table's own
-// memo. The memo is cleared by the table when its data changes, so
-// statistics never describe pre-mutation data; on a frozen snapshot they
-// are simply permanent.
-func (d *Database) Stats(c sqlir.ColumnRef) (ColumnStats, error) {
-	t := d.Schema.Table(c.Table)
-	if t == nil {
-		return ColumnStats{}, fmt.Errorf("storage: no table %s", c.Table)
-	}
-	return t.Stats(c.Column)
+// Stats returns memoized statistics of a column of the database's catalog,
+// delegating to the table's own memo. The memo is cleared by the table when
+// its data changes, so statistics never describe pre-mutation data; on a
+// frozen snapshot they are simply permanent.
+func (d *Database) Stats(c sqlir.ColumnRef) ColumnStats {
+	return d.Schema.TableAt(c.Table()).Stats(c.Column())
 }
 
 // TotalRows returns the sum of all table row counts.

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -168,31 +170,22 @@ func TestStats(t *testing.T) {
 	m.MustInsert(num(1), text("A"), num(1990), num(5))
 	m.MustInsert(num(2), text("B"), num(2000), num(7))
 	m.MustInsert(num(3), text("B"), sqlir.Null(), num(7))
-	st, err := m.Stats("year")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := m.Stats(m.ColumnIndex("year"))
 	if !st.Min.Equal(num(1990)) || !st.Max.Equal(num(2000)) {
 		t.Errorf("min/max = %v/%v", st.Min, st.Max)
 	}
 	if st.NonNull != 2 || st.Distinct != 2 {
 		t.Errorf("nonnull=%d distinct=%d", st.NonNull, st.Distinct)
 	}
-	st, _ = m.Stats("name")
+	st = m.Stats(m.ColumnIndex("name"))
 	if st.Distinct != 2 || st.NonNull != 3 {
 		t.Errorf("name stats: %+v", st)
-	}
-	if _, err := m.Stats("nope"); err == nil {
-		t.Error("missing column should error")
 	}
 }
 
 func TestStatsEmptyTable(t *testing.T) {
 	m := movieSchema().Table("movie")
-	st, err := m.Stats("year")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := m.Stats(m.ColumnIndex("year"))
 	if !st.Min.IsNull() || !st.Max.IsNull() || st.NonNull != 0 {
 		t.Errorf("empty stats: %+v", st)
 	}
@@ -219,20 +212,57 @@ func TestDistinctValues(t *testing.T) {
 	}
 }
 
+// The schema's catalog resolves names to columns, which carry their types.
 func TestSchemaResolve(t *testing.T) {
 	s := movieSchema()
-	ty, ok := s.Resolve(sqlir.ColumnRef{Table: "movie", Column: "year"})
-	if !ok || ty != sqlir.TypeNumber {
-		t.Errorf("resolve = %v %v", ty, ok)
+	ref, err := s.Catalog().Col("movie", "year")
+	if err != nil || ref.Type() != sqlir.TypeNumber || ref.String() != "movie.year" {
+		t.Errorf("resolve = %v %v %v", ref, ref.Type(), err)
 	}
-	if _, ok := s.Resolve(sqlir.ColumnRef{Table: "movie", Column: "nope"}); ok {
-		t.Error("missing column resolved")
+	if ref, err := s.Catalog().Col("movie", "nope"); err == nil {
+		t.Errorf("missing column resolved: %v", ref)
 	}
-	if _, ok := s.Resolve(sqlir.ColumnRef{Table: "nope", Column: "x"}); ok {
-		t.Error("missing table resolved")
+	if ref, err := s.Catalog().Col("nope", "x"); err == nil {
+		t.Errorf("missing table resolved: %v", ref)
 	}
-	if ty, ok := s.Resolve(sqlir.Star); !ok || ty != sqlir.TypeNumber {
+	if sqlir.Star.Type() != sqlir.TypeNumber {
 		t.Error("star should resolve as number")
+	}
+}
+
+// A schema hands out one catalog even when its first interning races a
+// clear of the intern: the second intern call gets a catalog of the same
+// shape under another pointer, and returns the one the schema holds.
+func TestSchemaCatalogIsOnePointer(t *testing.T) {
+	s := movieSchema()
+	first := s.intern()
+	for i := range 70 {
+		sqlir.InternCatalog([]sqlir.CatalogTable{{Name: fmt.Sprintf("clear%d", i), Columns: []string{"id"}}}, nil)
+	}
+	if second := s.intern(); second != first || s.Catalog() != first {
+		t.Errorf("intern returned %p then %p; the schema holds %p", first, second, s.Catalog())
+	}
+
+	// Concurrent first calls, while distinct catalogs stream through the
+	// intern, all get the pointer the schema keeps.
+	for round := range 20 {
+		s := movieSchema()
+		got := make([]*sqlir.Catalog, 4)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sqlir.InternCatalog([]sqlir.CatalogTable{{Name: fmt.Sprintf("race%d_%d", round, w), Columns: []string{"id"}}}, nil)
+				got[w] = s.Catalog()
+			}()
+		}
+		wg.Wait()
+		for w, c := range got {
+			if c != s.Catalog() {
+				t.Fatalf("round %d: caller %d got %p, the schema holds %p", round, w, c, s.Catalog())
+			}
+		}
 	}
 }
 
@@ -252,36 +282,27 @@ func TestDatabaseStatsMemoized(t *testing.T) {
 	db := NewDatabase("movies", s)
 	m := s.Table("movie")
 	m.MustInsert(num(1), text("A"), num(1990), num(5))
-	ref := sqlir.ColumnRef{Table: "movie", Column: "year"}
-	st, err := db.Stats(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := s.Catalog().MustCol("movie", "year")
+	st := db.Stats(ref)
 	if !st.Min.Equal(num(1990)) {
 		t.Errorf("stats min = %v", st.Min)
 	}
 	// Insert clears the table's stats memo directly, so the next Stats call
 	// recomputes from current rows.
 	m.MustInsert(num(2), text("B"), num(1800), num(5))
-	st, _ = db.Stats(ref)
+	st = db.Stats(ref)
 	if !st.Min.Equal(num(1800)) {
 		t.Error("expected refreshed stats after insert")
 	}
-	if _, err := db.Stats(sqlir.ColumnRef{Table: "nope", Column: "x"}); err == nil {
-		t.Error("missing table should error")
-	}
 	// A frozen snapshot keeps its own permanent memo at the pinned state.
 	snap := db.Snapshot()
-	sst, err := snap.Stats(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sst := snap.Stats(ref)
 	m.MustInsert(num(3), text("C"), num(1700), num(5))
-	sst2, _ := snap.Stats(ref)
+	sst2 := snap.Stats(ref)
 	if !sst2.Min.Equal(sst.Min) || !sst2.Min.Equal(num(1800)) {
 		t.Errorf("snapshot stats moved after insert: %v -> %v", sst.Min, sst2.Min)
 	}
-	st, _ = db.Stats(ref)
+	st = db.Stats(ref)
 	if !st.Min.Equal(num(1700)) {
 		t.Error("live stats should see the third insert")
 	}
@@ -355,7 +376,7 @@ func TestTotalRows(t *testing.T) {
 }
 
 func TestForeignKeyString(t *testing.T) {
-	fk := ForeignKey{"starring", "aid", "actor", "aid"}
+	fk := ForeignKey{Table: "starring", Column: "aid", RefTable: "actor", RefColumn: "aid"}
 	if fk.String() != "starring.aid -> actor.aid" {
 		t.Errorf("fk string = %q", fk.String())
 	}

@@ -1,10 +1,9 @@
 // Fixed-size hashed memo keys. The column-wise and row-wise verification
 // memos key on 128-bit digests of an injective serialization of the
-// memoized question, mixed a 64-bit word at a time: identifiers and text
-// literals go in eight bytes per step behind a length prefix, everything
-// else as one tagged word. (Looking a precomputed per-identifier digest up
-// in a map would hash the identifier's bytes too, so the bytes are mixed
-// directly.) A lookup allocates nothing. keys_test.go checks that the keys
+// memoized question, mixed a 64-bit word at a time: tables and columns as
+// their catalog ordinals (a Cache serves one catalog), text literals eight
+// bytes per step behind a length prefix, everything else as one tagged
+// word. A lookup allocates nothing. keys_test.go checks that the keys
 // partition questions exactly as their canonical strings do.
 package verify
 
@@ -12,7 +11,6 @@ import (
 	"math"
 	"math/bits"
 
-	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
@@ -77,18 +75,10 @@ func (h *hash128) value(v sqlir.Value) {
 	}
 }
 
+// columnRef mixes a column's ordinals (* is column -1).
 func (h *hash128) columnRef(c sqlir.ColumnRef) {
-	h.str(c.Table)
-	h.str(c.Column)
-}
-
-func (h *hash128) predicates(ps []sqlir.Predicate) {
-	h.word(uint64(len(ps)))
-	for _, p := range ps {
-		h.columnRef(p.Col)
-		h.word(uint64(p.Op))
-		h.value(p.Val)
-	}
+	h.word(uint64(c.Table()))
+	h.word(uint64(c.Column()))
 }
 
 // fmix64 is the MurmurHash3 finalizer: full avalanche over one lane.
@@ -105,55 +95,24 @@ func (h *hash128) sum() memoKey {
 	return memoKey{fmix64(h.a), fmix64(h.b ^ bits.RotateLeft64(h.a, 32))}
 }
 
-// existsKey hashes an exists query into a memo key, covering every field:
-// join path (its root and its oriented edges by catalog ordinals: a Cache
-// serves one catalog, and the direction an edge was written in does not
-// change the question), connective, predicates, and-preds, group-by columns, and having
-// conditions — every field length-prefixed or tagged so the serialization is
-// injective.
-func existsKey(eq sqlexec.ExistsQuery) memoKey {
-	h := newHash128()
-	if eq.From != nil {
-		h.word(uint64(eq.From.Tables()[0]))
-		h.word(uint64(len(eq.From.Edges())))
-		for _, e := range eq.From.Edges() {
-			h.word(uint64(e.Joined.Table))
-			h.word(uint64(e.Joined.Column))
-			h.word(uint64(e.New.Table))
-			h.word(uint64(e.New.Column))
-		}
-	}
-	h.word('|')
-	h.word(uint64(eq.Conj))
-	h.predicates(eq.Preds)
-	h.predicates(eq.AndPreds)
-	h.word(uint64(len(eq.GroupBy)))
-	for _, g := range eq.GroupBy {
-		h.columnRef(g)
-	}
-	h.word(uint64(len(eq.Havings)))
-	for _, hv := range eq.Havings {
-		h.word(uint64(hv.Agg))
-		h.columnRef(hv.Col)
-		h.word(uint64(hv.Op))
-		h.value(hv.Val)
-	}
-	return h.sum()
-}
-
-// key is existsKey(rq.build(tp)), hashed from q and tp in place: the same
-// words in the same order, without building the question. rq holds tp's
-// shape, and q has a join path (canCheckRows).
+// key is the memo key of the question rq.build(tp), hashed from q and tp in
+// place without building the question. It covers every field of the
+// question, each length-prefixed or tagged so the serialization is
+// injective: the join path (its root and its oriented edges by catalog
+// ordinals; the direction an edge was written in does not change the
+// question), connective, predicates, and-preds, group-by columns and
+// having conditions. rq holds tp's shape, and q has a join path
+// (canCheckRows).
 func (rq *rowQuestion) key(tp tsq.Tuple) memoKey {
 	q := rq.q
 	h := newHash128()
 	h.word(uint64(q.From.Tables()[0]))
 	h.word(uint64(len(q.From.Edges())))
 	for _, e := range q.From.Edges() {
-		h.word(uint64(e.Joined.Table))
-		h.word(uint64(e.Joined.Column))
-		h.word(uint64(e.New.Table))
-		h.word(uint64(e.New.Column))
+		h.word(uint64(e.Joined.Table()))
+		h.word(uint64(e.Joined.Column()))
+		h.word(uint64(e.New.Table()))
+		h.word(uint64(e.New.Column()))
 	}
 	h.word('|')
 	h.word(uint64(rq.conj))

@@ -9,6 +9,7 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
+	"github.com/duoquest/duoquest/internal/storage"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
@@ -51,9 +52,57 @@ func TestHash128StringBoundaries(t *testing.T) {
 	}
 }
 
+// existsKey hashes a built exists query into the memo key rowQuestion.key
+// hashes in place: the same words in the same order. It is the key's
+// specification, which TestByRowKeysAreTheQuestions holds the served key
+// to over the Spider walk.
+func existsKey(eq sqlexec.ExistsQuery) memoKey {
+	h := newHash128()
+	if eq.From != nil {
+		h.word(uint64(eq.From.Tables()[0]))
+		h.word(uint64(len(eq.From.Edges())))
+		for _, e := range eq.From.Edges() {
+			h.word(uint64(e.Joined.Table()))
+			h.word(uint64(e.Joined.Column()))
+			h.word(uint64(e.New.Table()))
+			h.word(uint64(e.New.Column()))
+		}
+	}
+	h.word('|')
+	h.word(uint64(eq.Conj))
+	h.predicates(eq.Preds)
+	h.predicates(eq.AndPreds)
+	h.word(uint64(len(eq.GroupBy)))
+	for _, g := range eq.GroupBy {
+		h.columnRef(g)
+	}
+	h.word(uint64(len(eq.Havings)))
+	for _, hv := range eq.Havings {
+		h.word(uint64(hv.Agg))
+		h.columnRef(hv.Col)
+		h.word(uint64(hv.Op))
+		h.value(hv.Val)
+	}
+	return h.sum()
+}
+
+func (h *hash128) predicates(ps []sqlir.Predicate) {
+	h.word(uint64(len(ps)))
+	for _, p := range ps {
+		h.columnRef(p.Col)
+		h.word(uint64(p.Op))
+		h.value(p.Val)
+	}
+}
+
+// movieCol is movieDB's column table.column.
+func movieCol(table, column string) sqlir.ColumnRef {
+	return movieDB().Schema.Catalog().MustCol(table, column)
+}
+
 func keysPred(table, col string, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{
-		Col: sqlir.ColumnRef{Table: table, Column: col}, ColSet: true,
+		Col: movieCol(table, col), ColSet: true,
 		Op: op, OpSet: true, Val: v, ValSet: true,
 	}
 }
@@ -135,7 +184,7 @@ var literals = []sqlir.Value{
 // havings and literal kinds.
 func existsFamily() []sqlexec.ExistsQuery {
 	cat := movieDB().Schema.Catalog()
-	ms := sqlir.JoinOn{Left: sqlir.ColumnRef{Table: "starring", Column: "mid"}, Right: sqlir.ColumnRef{Table: "movie", Column: "mid"}}
+	ms := sqlir.JoinOn{Left: movieCol("starring", "mid"), Right: movieCol("movie", "mid")}
 	var paths []*sqlir.JoinPath
 	for _, root := range []string{"movie", "movie", "starring"} {
 		on := []sqlir.JoinOn{ms}
@@ -148,8 +197,8 @@ func existsFamily() []sqlexec.ExistsQuery {
 		}
 		paths = append(paths, jp)
 	}
-	year := sqlir.ColumnRef{Table: "movie", Column: "year"}
-	title := sqlir.ColumnRef{Table: "movie", Column: "title"}
+	year := movieCol("movie", "year")
+	title := movieCol("movie", "title")
 	var out []sqlexec.ExistsQuery
 	for _, path := range paths {
 		for _, conj := range []sqlir.LogicalOp{sqlir.LogicAnd, sqlir.LogicOr} {
@@ -201,11 +250,11 @@ func TestExistsKeyAgreesWithExistsSig(t *testing.T) {
 		{From: path, Conj: sqlir.LogicAnd,
 			Preds: []sqlir.Predicate{keysPred("movie", "year", sqlir.OpEq, sqlir.NewInt(1994))}},
 		{From: path, Conj: sqlir.LogicAnd,
-			GroupBy: []sqlir.ColumnRef{{Table: "movie", Column: "year"}},
+			GroupBy: []sqlir.ColumnRef{movieCol("movie", "year")},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: sqlir.NewInt(2), ValSet: true}}},
 		{From: path, Conj: sqlir.LogicAnd,
-			GroupBy: []sqlir.ColumnRef{{Table: "movie", Column: "year"}},
+			GroupBy: []sqlir.ColumnRef{movieCol("movie", "year")},
 			Havings: []sqlir.HavingExpr{{Agg: sqlir.AggCount, AggSet: true, Col: sqlir.Star, ColSet: true,
 				Op: sqlir.OpGe, OpSet: true, Val: sqlir.NewInt(3), ValSet: true}}},
 	}
@@ -292,8 +341,8 @@ func TestVerifierWorkloadUnderDebugKeys(t *testing.T) {
 // Distinct column-check questions must hash to distinct keys, and repeated
 // questions to the same key.
 func TestColumnCellKeyDistinguishesQuestions(t *testing.T) {
-	col := sqlir.ColumnRef{Table: "movie", Column: "year"}
-	other := sqlir.ColumnRef{Table: "movie", Column: "title"}
+	col := movieCol("movie", "year")
+	other := movieCol("movie", "title")
 	cells := []tsq.Cell{
 		tsq.Exact(sqlir.NewInt(1994)),
 		tsq.Exact(sqlir.NewText("1994")),
@@ -320,9 +369,9 @@ func TestColumnCellKeyDistinguishesQuestions(t *testing.T) {
 }
 
 // The column-check keys partition a generated family of questions — AVG or
-// not, near-miss column names, exact cells of every literal kind, ranges
-// over every pair of numeric endpoints, the empty cell — exactly as their
-// canonical strings do.
+// not, every column of the catalog and *, exact cells of every literal
+// kind, ranges over every pair of numeric endpoints, the empty cell —
+// exactly as their canonical strings do.
 func TestColumnCellKeyAgreesWithCellSig(t *testing.T) {
 	type question struct {
 		avg  bool
@@ -340,17 +389,65 @@ func TestColumnCellKeyAgreesWithCellSig(t *testing.T) {
 		}
 	}
 	cells = append(cells, tsq.Empty())
+	cols := []sqlir.ColumnRef{sqlir.Star}
+	cat := movieDB().Schema.Catalog()
+	for t := range cat.NumTables() {
+		for ci := range cat.Columns(t) {
+			cols = append(cols, cat.Column(t, ci))
+		}
+	}
 	var family []question
 	for _, avg := range []bool{false, true} {
-		for _, table := range []string{"movie", "movi", "m"} {
-			for _, column := range []string{"year", "eyear", "title", "ovieyear"} {
-				for _, cell := range cells {
-					family = append(family, question{avg, sqlir.ColumnRef{Table: table, Column: column}, cell})
-				}
+		for _, col := range cols {
+			for _, cell := range cells {
+				family = append(family, question{avg, col, cell})
 			}
 		}
 	}
 	checkPartition(t, len(family),
 		func(i int) string { q := family[i]; return cellSig(q.avg, q.col, q.cell) },
 		func(i int) memoKey { q := family[i]; return columnCellKey(q.avg, q.col, q.cell) })
+}
+
+// A query built before the catalog intern clears runs on a database of its
+// shape interned after it — accepted, with the same answers — and asks it
+// the same memo keys, which read only ordinals. A column of a catalog of
+// another shape fails at plan time with one text.
+func TestCatalogInternIsSharedAcrossAClear(t *testing.T) {
+	before := movieDB()
+	q := sqlparse.MustParse(before.Schema, "SELECT title, year FROM movie JOIN starring ON starring.mid = movie.mid WHERE year > 1990")
+	for i := range 70 {
+		sqlir.InternCatalog([]sqlir.CatalogTable{{Name: fmt.Sprintf("clear%d", i), Columns: []string{"id"}}}, nil)
+	}
+	after := movieDB()
+	if after.Schema.Catalog() == before.Schema.Catalog() || !after.Schema.Catalog().Same(before.Schema.Catalog()) {
+		t.Fatal("the intern did not clear, or the shape changed")
+	}
+	same := sqlparse.MustParse(after.Schema, q.String())
+	got, err := sqlexec.Execute(after, q)
+	want, werr := sqlexec.Execute(after, same)
+	if err != nil || werr != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("the earlier query answers %v (%v), the same query over the later catalog %v (%v)", got, err, want, werr)
+	}
+
+	tp := tsq.Tuple{tsq.Exact(text("Forrest Gump")), tsq.Range(1990, 2000)}
+	a, b := newRowQuestion(q), newRowQuestion(same)
+	a.shape(tp)
+	b.shape(tp)
+	if a.key(tp) != b.key(tp) || existsKey(a.build(tp)) != existsKey(b.build(tp)) {
+		t.Error("one row question keyed apart across the two catalogs")
+	}
+	if columnCellKey(true, q.Select[1].Col, tp[1]) != columnCellKey(true, same.Select[1].Col, tp[1]) {
+		t.Error("one column question keyed apart across the two catalogs")
+	}
+
+	other := storage.NewSchema(storage.NewTable("movie", "mid", storage.Column{Name: "mid", Type: sqlir.TypeNumber}))
+	bad := q.Clone()
+	bad.Select[0].Col = other.Catalog().MustCol("movie", "mid")
+	const wantErr = "sqlexec: column movie.mid is not over the join path's catalog"
+	for _, db := range []*storage.Database{before, after} {
+		if _, err := sqlexec.Execute(db, bad); err == nil || err.Error() != wantErr {
+			t.Errorf("a column of another shape: %v, want %q", err, wantErr)
+		}
+	}
 }

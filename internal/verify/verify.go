@@ -579,11 +579,7 @@ func (v *Verifier) verifyColumnTypes(q *sqlir.Query) Outcome {
 		if want == sqlir.TypeUnknown {
 			continue
 		}
-		colType, ok := v.db.Schema.Resolve(s.Col)
-		if !ok {
-			return fail(StageColumnTypes, "projection %d names an unknown column", i)
-		}
-		got := s.Agg.ResultType(colType)
+		got := s.Agg.ResultType(s.Col.Type())
 		if got != want {
 			return fail(StageColumnTypes, "projection %d is %s, TSQ wants %s", i, got, want)
 		}
@@ -647,30 +643,18 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
 	// Both forms are monotone under append-only ingest: a matching value
 	// never disappears, and the AVG range check's [min, max] only widens.
-	cat := v.db.Schema.Catalog()
-	deps := func() (sqlir.TableSet, bool) {
-		t, _ := cat.Ordinal(col.Table) // an unknown table fails, and errors never carry
-		return sqlir.TableSet(0).With(t), true
-	}
+	deps := func() (sqlir.TableSet, bool) { return sqlir.TableSet(0).With(col.Table()), true }
 	return v.colCache.do(key, deps, func() (bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
 			// if the cell cannot intersect that range.
-			st, serr := v.db.Stats(col)
-			if serr != nil {
-				return false, serr
-			}
-			return avgCellPossible(st, cell), nil
+			return avgCellPossible(v.db.Stats(col), cell), nil
 		}
 		// Unaggregated, MIN and MAX projections produce exact column
 		// values: run SELECT 1 FROM t WHERE <cell constraint> LIMIT 1.
-		from, perr := cat.Path(col.Table)
-		if perr != nil {
-			return false, perr
-		}
 		v.countDBQuery()
 		return v.joins.ExistsCtx(ctx, sqlexec.ExistsQuery{
-			From:  from,
+			From:  v.db.Schema.Catalog().Root(col.Table()),
 			Conj:  sqlir.LogicAnd,
 			Preds: cellPredicates(col, cell),
 		})
@@ -764,9 +748,9 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // then still soundly prunes every completion.
 //
 // Sibling states (e.g. differing only in ORDER BY decisions) ask identical
-// row questions, so the answers are memoized under existsKey of the
-// question. The key is hashed from q and the tuple in place (rowQuestion):
-// the question itself is built only when the memo has no answer.
+// row questions, so the answers are memoized under the question's key,
+// hashed from q and the tuple in place (rowQuestion.key): the question
+// itself is built only when the memo has no answer.
 func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
 	rq := newRowQuestion(q)
 	for ti, tp := range v.sketch.Tuples {
@@ -802,7 +786,8 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 
 // byRowChecked, when set, is handed every by-row answer with its key and its
 // question, built after the fact. It is a variable so that a test can check
-// every key against existsKey and every answer against a fresh probe.
+// every key against the built question's and every answer against a fresh
+// probe.
 var byRowChecked func(ctx context.Context, jc *sqlexec.JoinCache, key memoKey, eq sqlexec.ExistsQuery, answer bool)
 
 // rowQuestion is what every tuple's row question shares: the partial
@@ -854,7 +839,7 @@ func (rq *rowQuestion) shape(tp tsq.Tuple) (constrained bool, outside int) {
 		}
 		_, _, n := cellBounds(cell)
 		if s.Agg == sqlir.AggNone {
-			if !rq.q.From.Contains(s.Col.Table) {
+			if !rq.q.From.Set().Has(s.Col.Table()) {
 				return false, i
 			}
 			rq.and += n
