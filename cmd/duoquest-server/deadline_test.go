@@ -12,6 +12,8 @@ import (
 	"time"
 
 	duoquest "github.com/duoquest/duoquest"
+	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/storage"
 )
 
 // deadline_ms must be a non-negative integer (0 = unset); garbage is a client
@@ -87,6 +89,35 @@ func TestRequestDeadlineOverridesEngineDefault(t *testing.T) {
 		if db.Truncated != 0 || db.CancelReturns != 0 {
 			t.Errorf("%s: Truncated = %d, CancelReturns = %d, want 0 and 0", db.Database, db.Truncated, db.CancelReturns)
 		}
+	}
+}
+
+// A shed request reads the admission gauges alone: registering another,
+// large database adds nothing to what writing the 503 allocates, because an
+// overloaded server sheds many requests.
+func TestOverloadedReadsOnlyTheGauges(t *testing.T) {
+	srv := testServer(t, testConfig())
+	allocs := func() float64 {
+		return testing.AllocsPerRun(20, func() { srv.writeOverloaded(httptest.NewRecorder()) })
+	}
+	before := allocs()
+	cols := []storage.Column{{Name: "id", Type: sqlir.TypeNumber}}
+	for c := range 8 {
+		cols = append(cols, storage.Column{Name: "c" + strconv.Itoa(c), Type: sqlir.TypeText})
+	}
+	big := storage.NewTable("big", "id", cols...)
+	for r := range 5000 {
+		row := []sqlir.Value{sqlir.NewInt(r)}
+		for c := range 8 {
+			row = append(row, sqlir.NewText(strconv.Itoa(r*8+c)))
+		}
+		big.MustInsert(row...)
+	}
+	if err := srv.eng.Register(storage.NewDatabase("big", storage.NewSchema(big))); err != nil {
+		t.Fatal(err)
+	}
+	if after := allocs(); after > before {
+		t.Errorf("a 503 costs %.0f allocations with a large database registered, %.0f without", after, before)
 	}
 }
 

@@ -274,7 +274,7 @@ type overloadedJSON struct {
 // current queue depth, so backed-off clients spread their retries instead of
 // stampeding the moment one slot frees.
 func (s *server) writeOverloaded(w http.ResponseWriter) {
-	st := s.eng.Stats()
+	st := s.eng.Admission()
 	retry := time.Second + time.Duration(st.Queued)*100*time.Millisecond
 	if retry > 30*time.Second {
 		retry = 30 * time.Second

@@ -88,10 +88,8 @@ func questions(q *sqlir.Query) []question {
 // about every state before — is the answer a fresh context computes for the
 // same partial query: class for class, probability bit for bit. A model that
 // is not a guidance.Borrower, handed a copy of the query at every
-// expansion, leaves as many answers memoised as the borrowing model; two
-// lexical models with other parameters scoring one context answer each as
-// they would alone; and a question asked again allocates nothing, for every
-// one of the 15 modules.
+// expansion, leaves as many answers memoised as the borrowing model; and a
+// question asked again allocates nothing, for every one of the 15 modules.
 func TestMemoisedModulesAreTheComputation(t *testing.T) {
 	inputs := walkInputs(t)
 	asked := 0
@@ -150,9 +148,6 @@ func TestMemoisedModulesAreTheComputation(t *testing.T) {
 		t.Fatalf("%s: the questions reach %d modules, want 15", st.ID, len(modules))
 	}
 	base := guidance.NewLexicalModel()
-	hot, narrow := guidance.NewLexicalModel(), guidance.NewLexicalModel()
-	hot.Temperature = 4
-	narrow.MaxSelect, narrow.MaxWhere = 2, 2
 	shared := guidance.NewContextDB(st.NLQ, st.Literals, st.DB, st.Gold)
 	// Gold's values undecided from the last one on: each query uses fewer.
 	for k := len(st.Gold.Where.Preds); k >= 0; k-- {
@@ -165,21 +160,6 @@ func TestMemoisedModulesAreTheComputation(t *testing.T) {
 			if ok, diff := qu.same(base, shared.WithQuery(q), base, fresh); !ok {
 				t.Fatalf("%s: %s of %s: memoised\n  %s (fresh context second)", st.ID, qu.module, q, diff)
 			}
-		}
-	}
-	for _, other := range []*guidance.LexicalModel{hot, narrow} {
-		differs := false
-		for _, qu := range qs {
-			fresh := guidance.NewContextDB(st.NLQ, st.Literals, st.DB, st.Gold)
-			if ok, diff := qu.same(other, shared, other, fresh); !ok {
-				t.Errorf("%s: %+v read another model's answer to %s:\n  %s", st.ID, *other, qu.module, diff)
-			}
-			if ok, _ := qu.same(base, shared, other, shared); !ok {
-				differs = true
-			}
-		}
-		if !differs {
-			t.Errorf("%s: %+v answers every question as %+v", st.ID, *other, *base)
 		}
 	}
 	for _, qu := range qs {

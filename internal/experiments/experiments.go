@@ -365,7 +365,7 @@ func Simulation(bench *dataset.Benchmark, cfg Config) (*SimAccuracy, error) {
 		} else {
 			sys := pbeSystems[task.DB.Name]
 			if sys == nil {
-				sys = pbe.New(task.DB, pbe.DefaultOptions())
+				sys = pbe.New(task.DB)
 				pbeSystems[task.DB.Name] = sys
 			}
 			out, err := sys.Synthesize(sketch.Tuples)

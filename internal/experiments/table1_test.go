@@ -104,7 +104,7 @@ func TestTable1PartialTuplesAndOpenWorld(t *testing.T) {
 // partial tuples (its ✗ cell in Table 1).
 func TestTable1PBERejectsPartialTuples(t *testing.T) {
 	_, db := dataset.MASTasks()
-	sys := pbe.New(db, pbe.DefaultOptions())
+	sys := pbe.New(db)
 	out, err := sys.Synthesize([]tsq.Tuple{{tsq.Exact(sqlir.NewText("SIGMOD")), tsq.Empty()}})
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,9 @@ type features struct {
 	// litCols is the literal→column grounding as LiteralColumns reports it:
 	// nil without a database or without literals.
 	litCols map[sqlir.ColumnRef]int
-	// memos holds each lexical model's answers in this request: the one
-	// part of features written after newFeatures returns.
-	memos []*lexMemo
+	// memo holds the lexical model's answers in this request: the one part
+	// of features written after newFeatures returns.
+	memo lexMemo
 }
 
 // columnFeature is one schema column as the request sees it.
@@ -52,6 +52,7 @@ type columnFeature struct {
 
 func newFeatures(tok []string, literals []sqlir.Value, schema *storage.Schema, db *storage.Database) *features {
 	f := &features{
+		memo:        lexMemo{answers: map[string]any{}},
 		count:       countCue(tok),
 		group:       groupCue(tok),
 		order:       orderCue(tok),
@@ -150,7 +151,7 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 	return n
 }
 
-// lexMemo is one lexical model's answers in one request. A module's answer
+// lexMemo is the lexical model's answers in one request. A module's answer
 // is a function of the request and of what the module reads of
 // Context.Query, so it is filed under exactly that, as a value — never a
 // pointer into the query, of which a model that is not a Borrower is handed
@@ -169,10 +170,6 @@ func groundedLiterals(db *storage.Database, t *storage.Table, ci int, ref sqlir.
 // Tables and columns are keyed by their catalog ordinals. The entries are
 // bounded by the distinct questions the request asks.
 type lexMemo struct {
-	// The model's parameters: a model with other ones answers otherwise.
-	maxSelect, maxWhere int
-	temperature         uint64 // its bits, so that NaN finds its memo too
-
 	// answers holds each answer, a []Scored of its module's class type,
 	// under its key: the module, then what the module read.
 	answers map[string]any
@@ -198,22 +195,9 @@ const (
 	keyOrderDir
 )
 
-// memo returns m's memo in ctx's request, starting it on first use, with
-// a key begun for module.
-func (m *LexicalModel) memo(ctx *Context, module byte) *lexMemo {
-	f := ctx.feat()
-	t := math.Float64bits(m.Temperature)
-	var mm *lexMemo
-	for _, c := range f.memos {
-		if c.maxSelect == m.MaxSelect && c.maxWhere == m.MaxWhere && c.temperature == t {
-			mm = c
-			break
-		}
-	}
-	if mm == nil {
-		mm = &lexMemo{maxSelect: m.MaxSelect, maxWhere: m.MaxWhere, temperature: t, answers: map[string]any{}}
-		f.memos = append(f.memos, mm)
-	}
+// memo returns the request's memo with a key begun for module.
+func (c *Context) memo(module byte) *lexMemo {
+	mm := &c.features.memo
 	mm.key = append(mm.key[:0], module)
 	return mm
 }

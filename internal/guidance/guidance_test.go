@@ -442,29 +442,6 @@ func TestBorrows(t *testing.T) {
 	}
 }
 
-func TestTemperatureFlattens(t *testing.T) {
-	sharp := NewLexicalModel()
-	flat := NewLexicalModel()
-	flat.Temperature = 4
-	ctx := ctxFor("list the titles of all movies")
-	s1 := sharp.SelectColumn(ctx, 0)
-	s2 := flat.SelectColumn(ctx, 0)
-	max1, max2 := 0.0, 0.0
-	for _, x := range s1 {
-		if x.Prob > max1 {
-			max1 = x.Prob
-		}
-	}
-	for _, x := range s2 {
-		if x.Prob > max2 {
-			max2 = x.Prob
-		}
-	}
-	if max2 >= max1 {
-		t.Errorf("temperature should flatten: %v vs %v", max1, max2)
-	}
-}
-
 func TestLiteralColumnsGrounding(t *testing.T) {
 	schema := moviesSchema()
 	// Populate so containment checks have data.

@@ -18,20 +18,19 @@ import (
 // Like the neural model it replaces, it is an imperfect ranker: paraphrased
 // or ambiguous NLQs produce flat or misordered distributions, which is
 // exactly the regime where TSQ-based pruning pays off.
-type LexicalModel struct {
-	// MaxSelect bounds the number of projections considered (default 3).
-	MaxSelect int
-	// MaxWhere bounds the number of selection predicates (default 3).
-	MaxWhere int
-	// Temperature sharpens (<1) or flattens (>1) every distribution;
-	// 1 leaves the lexical scores as-is.
-	Temperature float64
-}
+type LexicalModel struct{}
 
-// NewLexicalModel returns a model with the defaults used in the evaluation.
-func NewLexicalModel() *LexicalModel {
-	return &LexicalModel{MaxSelect: 3, MaxWhere: 3, Temperature: 1.35}
-}
+// The model's bounds and its temperature, as used in the evaluation.
+const (
+	maxSelect = 3 // projections considered
+	maxWhere  = 3 // selection predicates considered
+	// temperature flattens every distribution (>1); 1 would leave the
+	// lexical scores as they are.
+	temperature = 1.35
+)
+
+// NewLexicalModel returns the model.
+func NewLexicalModel() *LexicalModel { return &LexicalModel{} }
 
 var _ Borrower = (*LexicalModel)(nil)
 
@@ -40,16 +39,10 @@ var _ Borrower = (*LexicalModel)(nil)
 func (m *LexicalModel) BorrowsQuery() bool { return true }
 
 // temper applies temperature scaling then normalises.
-func temper[T any](m *LexicalModel, in []Scored[T]) []Scored[T] {
-	t := m.Temperature
-	if t <= 0 {
-		t = 1
-	}
-	if t != 1 {
-		for i := range in {
-			if in[i].Prob > 0 {
-				in[i].Prob = math.Pow(in[i].Prob, 1/t)
-			}
+func temper[T any](in []Scored[T]) []Scored[T] {
+	for i := range in {
+		if in[i].Prob > 0 {
+			in[i].Prob = math.Pow(in[i].Prob, 1/temperature)
 		}
 	}
 	return Normalize(in)
@@ -255,11 +248,11 @@ func descCue(tok []string) float64 {
 
 // Keywords scores the 8 clause combinations as a product of per-clause cues.
 func (m *LexicalModel) Keywords(ctx *Context) []Scored[KeywordSet] {
-	return memoised(m.memo(ctx, keyKeywords), func() []Scored[KeywordSet] { return m.keywords(ctx) })
+	return memoised(ctx.memo(keyKeywords), func() []Scored[KeywordSet] { return m.keywords(ctx) })
 }
 
 func (m *LexicalModel) keywords(ctx *Context) []Scored[KeywordSet] {
-	f := ctx.feat()
+	f := ctx.features
 	w, g, o := f.where, f.group, f.order
 	sets := AllKeywordSets()
 	out := make([]Scored[KeywordSet], 0, len(sets))
@@ -282,37 +275,33 @@ func (m *LexicalModel) keywords(ctx *Context) []Scored[KeywordSet] {
 		}
 		out = append(out, Scored[KeywordSet]{Class: ks, Prob: p})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // SelectCount estimates the projection count from coordination cues: each
 // "and their X" / "together with" style conjunction adds a column, and
 // "how many X per Y" grouping implies entity + count.
 func (m *LexicalModel) SelectCount(ctx *Context) []Scored[int] {
-	return memoised(m.memo(ctx, keySelectCount), func() []Scored[int] { return m.selectCount(ctx) })
+	return memoised(ctx.memo(keySelectCount), func() []Scored[int] { return m.selectCount(ctx) })
 }
 
 func (m *LexicalModel) selectCount(ctx *Context) []Scored[int] {
-	f := ctx.feat()
-	max := m.MaxSelect
-	if max <= 0 {
-		max = 3
-	}
+	f := ctx.features
 	est := 1 + f.ands + f.coords
 	// Grouped counting ("how many X has each Y", "number of X for each Y")
 	// projects the group key plus the count.
 	if f.group > 0.5 && f.count > 0.4 && est < 2 {
 		est = 2
 	}
-	if est > max {
-		est = max
+	if est > maxSelect {
+		est = maxSelect
 	}
-	out := make([]Scored[int], 0, max)
-	for n := 1; n <= max; n++ {
+	out := make([]Scored[int], 0, maxSelect)
+	for n := 1; n <= maxSelect; n++ {
 		d := float64(n - est)
 		out = append(out, Scored[int]{Class: n, Prob: math.Exp(-0.9 * d * d)})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // SelectColumn scores candidate columns (plus * for COUNT(*)), excluding
@@ -320,7 +309,7 @@ func (m *LexicalModel) selectCount(ctx *Context) []Scored[int] {
 // predicate targets, not projections ("publications in conference SIGMOD"
 // filters on conference.name rather than projecting it).
 func (m *LexicalModel) SelectColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	mm := m.memo(ctx, keySelectColumn)
+	mm := ctx.memo(keySelectColumn)
 	mm.keyTables(ctx.Query)
 	if ctx.Query != nil {
 		for i, s := range ctx.Query.Select {
@@ -333,7 +322,7 @@ func (m *LexicalModel) SelectColumn(ctx *Context, idx int) []Scored[sqlir.Column
 }
 
 func (m *LexicalModel) selectColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	f := ctx.feat()
+	f := ctx.features
 	projected := func(ref sqlir.ColumnRef) bool {
 		if ctx.Query != nil {
 			for i, s := range ctx.Query.Select {
@@ -361,13 +350,13 @@ func (m *LexicalModel) selectColumn(ctx *Context, idx int) []Scored[sqlir.Column
 	if !projected(sqlir.Star) {
 		out = append(out, Scored[sqlir.ColumnRef]{Class: sqlir.Star, Prob: f.count * 0.8})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // SelectAgg scores the aggregate for a projection: * forces COUNT; numeric
 // aggregates are suppressed on text columns (they would be pruned anyway).
 func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []Scored[sqlir.AggFunc] {
-	mm := m.memo(ctx, keySelectAgg)
+	mm := ctx.memo(keySelectAgg)
 	if col.IsStar() {
 		mm.key = append(mm.key, '*')
 	} else {
@@ -380,7 +369,7 @@ func (m *LexicalModel) selectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 	if col.IsStar() {
 		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1}}
 	}
-	f := ctx.feat()
+	f := ctx.features
 	ty := col.Type()
 	out := make([]Scored[sqlir.AggFunc], 0, len(sqlir.AllAggs))
 	maxCue := 0.0
@@ -400,46 +389,42 @@ func (m *LexicalModel) selectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 		nonePrior = 0.15
 	}
 	out = append(out, Scored[sqlir.AggFunc]{Class: sqlir.AggNone, Prob: nonePrior})
-	return temper(m, out)
+	return temper(out)
 }
 
 // WhereCount peaks at the number of tagged literals.
 func (m *LexicalModel) WhereCount(ctx *Context) []Scored[int] {
-	return memoised(m.memo(ctx, keyWhereCount), func() []Scored[int] { return m.whereCount(ctx) })
+	return memoised(ctx.memo(keyWhereCount), func() []Scored[int] { return m.whereCount(ctx) })
 }
 
 func (m *LexicalModel) whereCount(ctx *Context) []Scored[int] {
-	max := m.MaxWhere
-	if max <= 0 {
-		max = 3
-	}
 	est := len(ctx.Literals)
 	if est < 1 {
 		est = 1
 	}
-	if est > max {
-		est = max
+	if est > maxWhere {
+		est = maxWhere
 	}
-	out := make([]Scored[int], 0, max)
-	for n := 1; n <= max; n++ {
+	out := make([]Scored[int], 0, maxWhere)
+	for n := 1; n <= maxWhere; n++ {
 		d := float64(n - est)
 		out = append(out, Scored[int]{Class: n, Prob: math.Exp(-1.1 * d * d)})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // WhereConj prefers AND unless an "or"/"either" cue appears. "and" in an
 // NLQ is notoriously ambiguous (the §2 example), so OR keeps real mass.
 func (m *LexicalModel) WhereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
-	return memoised(m.memo(ctx, keyWhereConj), func() []Scored[sqlir.LogicalOp] { return m.whereConj(ctx) })
+	return memoised(ctx.memo(keyWhereConj), func() []Scored[sqlir.LogicalOp] { return m.whereConj(ctx) })
 }
 
 func (m *LexicalModel) whereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 	or := 0.25
-	if ctx.feat().orConj {
+	if ctx.features.orConj {
 		or = 0.6
 	}
-	return temper(m, []Scored[sqlir.LogicalOp]{
+	return temper([]Scored[sqlir.LogicalOp]{
 		{Class: sqlir.LogicAnd, Prob: 1 - or},
 		{Class: sqlir.LogicOr, Prob: or},
 	})
@@ -448,7 +433,7 @@ func (m *LexicalModel) whereConj(ctx *Context) []Scored[sqlir.LogicalOp] {
 // WhereColumn scores predicate columns: lexical score plus a boost when the
 // column's type matches a still-unused literal.
 func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	mm := m.memo(ctx, keyWhereColumn)
+	mm := ctx.memo(keyWhereColumn)
 	mm.keyTables(ctx.Query)
 	if ctx.Query != nil {
 		for i, p := range ctx.Query.Where.Preds {
@@ -461,7 +446,7 @@ func (m *LexicalModel) WhereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnR
 }
 
 func (m *LexicalModel) whereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnRef] {
-	f := ctx.feat()
+	f := ctx.features
 	used := func(ref sqlir.ColumnRef) bool {
 		if ctx.Query != nil {
 			for i, p := range ctx.Query.Where.Preds {
@@ -500,18 +485,18 @@ func (m *LexicalModel) whereColumn(ctx *Context, idx int) []Scored[sqlir.ColumnR
 			out = append(out, Scored[sqlir.ColumnRef]{Class: c.ref, Prob: s})
 		}
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // WhereOp scores operators with cue words, masking type-invalid choices.
 func (m *LexicalModel) WhereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
-	mm := m.memo(ctx, keyWhereOp)
+	mm := ctx.memo(keyWhereOp)
 	mm.key = append(mm.key, byte(col.Type()))
 	return memoised(mm, func() []Scored[sqlir.Op] { return m.whereOp(ctx, col) })
 }
 
 func (m *LexicalModel) whereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir.Op] {
-	f := ctx.feat()
+	f := ctx.features
 	ty := col.Type()
 	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range sqlir.AllOps {
@@ -523,13 +508,13 @@ func (m *LexicalModel) whereOp(ctx *Context, col sqlir.ColumnRef) []Scored[sqlir
 		}
 		out = append(out, Scored[sqlir.Op]{Class: op, Prob: f.op[op]})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // WhereValue proposes type-compatible tagged literals, discounting ones
 // already used in earlier predicates.
 func (m *LexicalModel) WhereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op) []Scored[sqlir.Value] {
-	mm := m.memo(ctx, keyWhereValue)
+	mm := ctx.memo(keyWhereValue)
 	ty := col.Type()
 	like := byte(0)
 	if op == sqlir.OpLike {
@@ -575,17 +560,17 @@ func (m *LexicalModel) whereValue(ctx *Context, col sqlir.ColumnRef, op sqlir.Op
 		}
 		out = append(out, Scored[sqlir.Value]{Class: v, Prob: p})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // HavingPresent uses comparative cues plus unused numeric literals.
 func (m *LexicalModel) HavingPresent(ctx *Context) []Scored[bool] {
-	return memoised(m.memo(ctx, keyHavingPresent), func() []Scored[bool] { return m.havingPresent(ctx) })
+	return memoised(ctx.memo(keyHavingPresent), func() []Scored[bool] { return m.havingPresent(ctx) })
 }
 
 func (m *LexicalModel) havingPresent(ctx *Context) []Scored[bool] {
-	h := ctx.feat().having
-	return temper(m, []Scored[bool]{
+	h := ctx.features.having
+	return temper([]Scored[bool]{
 		{Class: false, Prob: 1 - h},
 		{Class: true, Prob: h},
 	})
@@ -594,13 +579,13 @@ func (m *LexicalModel) havingPresent(ctx *Context) []Scored[bool] {
 // HavingAggCol favours COUNT(*) (the overwhelmingly common case), with
 // numeric-column aggregates as alternatives.
 func (m *LexicalModel) HavingAggCol(ctx *Context) []Scored[AggCol] {
-	mm := m.memo(ctx, keyHavingAggCol)
+	mm := ctx.memo(keyHavingAggCol)
 	mm.keyTables(ctx.Query)
 	return memoised(mm, func() []Scored[AggCol] { return m.havingAggCol(ctx) })
 }
 
 func (m *LexicalModel) havingAggCol(ctx *Context) []Scored[AggCol] {
-	f := ctx.feat()
+	f := ctx.features
 	out := []Scored[AggCol]{{Class: AggCol{Agg: sqlir.AggCount, Col: sqlir.Star}, Prob: 0.7}}
 	for _, t := range candidateTables(ctx) {
 		for _, c := range f.tables[t] {
@@ -615,16 +600,16 @@ func (m *LexicalModel) havingAggCol(ctx *Context) []Scored[AggCol] {
 			}
 		}
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // HavingOp reuses the operator cues; equality is rare in HAVING.
 func (m *LexicalModel) HavingOp(ctx *Context) []Scored[sqlir.Op] {
-	return memoised(m.memo(ctx, keyHavingOp), func() []Scored[sqlir.Op] { return m.havingOp(ctx) })
+	return memoised(ctx.memo(keyHavingOp), func() []Scored[sqlir.Op] { return m.havingOp(ctx) })
 }
 
 func (m *LexicalModel) havingOp(ctx *Context) []Scored[sqlir.Op] {
-	f := ctx.feat()
+	f := ctx.features
 	out := make([]Scored[sqlir.Op], 0, len(sqlir.AllOps))
 	for _, op := range []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe} {
 		p := f.op[op]
@@ -633,26 +618,26 @@ func (m *LexicalModel) havingOp(ctx *Context) []Scored[sqlir.Op] {
 		}
 		out = append(out, Scored[sqlir.Op]{Class: op, Prob: p})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // HavingValue proposes numeric literals.
 func (m *LexicalModel) HavingValue(ctx *Context) []Scored[sqlir.Value] {
-	return memoised(m.memo(ctx, keyHavingValue), func() []Scored[sqlir.Value] { return m.havingValue(ctx) })
+	return memoised(ctx.memo(keyHavingValue), func() []Scored[sqlir.Value] { return m.havingValue(ctx) })
 }
 
 func (m *LexicalModel) havingValue(ctx *Context) []Scored[sqlir.Value] {
 	var out []Scored[sqlir.Value]
-	for _, l := range ctx.feat().numLits {
+	for _, l := range ctx.features.numLits {
 		out = append(out, Scored[sqlir.Value]{Class: l, Prob: 1})
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // OrderKey proposes projected columns, COUNT(*) under grouping, aggregated
 // projections, and lexical matches among join-path columns.
 func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
-	mm := m.memo(ctx, keyOrderKey)
+	mm := ctx.memo(keyOrderKey)
 	mm.keyTables(ctx.Query)
 	if q := ctx.Query; q != nil {
 		grouped := byte(0)
@@ -671,7 +656,7 @@ func (m *LexicalModel) OrderKey(ctx *Context) []Scored[AggCol] {
 }
 
 func (m *LexicalModel) orderKey(ctx *Context) []Scored[AggCol] {
-	f := ctx.feat()
+	f := ctx.features
 	tables := candidateTables(ctx)
 	out := make([]Scored[AggCol], 0, f.columns(tables)+len(sqlir.AllAggs))
 	grouped := ctx.Query != nil && ctx.Query.GroupByState != sqlir.ClauseAbsent
@@ -704,17 +689,17 @@ func (m *LexicalModel) orderKey(ctx *Context) []Scored[AggCol] {
 			}
 		}
 	}
-	return temper(m, out)
+	return temper(out)
 }
 
 // OrderDir decides direction and limit together: limit candidates come from
 // small numeric literals plus 1 when a superlative cue appears.
 func (m *LexicalModel) OrderDir(ctx *Context) []Scored[DirLimit] {
-	return memoised(m.memo(ctx, keyOrderDir), func() []Scored[DirLimit] { return m.orderDir(ctx) })
+	return memoised(ctx.memo(keyOrderDir), func() []Scored[DirLimit] { return m.orderDir(ctx) })
 }
 
 func (m *LexicalModel) orderDir(ctx *Context) []Scored[DirLimit] {
-	f := ctx.feat()
+	f := ctx.features
 	d := f.desc
 	limits := []int{0}
 	if f.superlative {
@@ -743,5 +728,5 @@ func (m *LexicalModel) orderDir(ctx *Context) []Scored[DirLimit] {
 			Scored[DirLimit]{Class: DirLimit{Desc: false, Limit: lim}, Prob: pl * (1 - d)},
 		)
 	}
-	return temper(m, out)
+	return temper(out)
 }

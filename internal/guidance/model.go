@@ -133,8 +133,7 @@ type Context struct {
 
 	// features is the request-scoped part of what the lexical model reads,
 	// and its answers so far; WithQuery copies share it, so a Context and
-	// its copies are used by one goroutine at a time. Contexts built as
-	// struct literals attach it on first use (feat).
+	// its copies are used by one goroutine at a time.
 	features *features
 }
 
@@ -149,19 +148,9 @@ func NewContextDB(nlq string, literals []sqlir.Value, db *storage.Database, q *s
 }
 
 func newContext(nlq string, literals []sqlir.Value, schema *storage.Schema, db *storage.Database, q *sqlir.Query) *Context {
-	c := &Context{NLQ: nlq, Tokens: Tokenize(nlq), Literals: literals, Schema: schema, DB: db, Query: q}
-	c.feat()
-	return c
-}
-
-// feat returns the request-scoped features, computing them on first use:
-// NewContext does so up front, a struct-literal context at its first
-// module call.
-func (c *Context) feat() *features {
-	if c.features == nil {
-		c.features = newFeatures(c.Tokens, c.Literals, c.Schema, c.DB)
-	}
-	return c.features
+	tok := Tokenize(nlq)
+	return &Context{NLQ: nlq, Tokens: tok, Literals: literals, Schema: schema, DB: db, Query: q,
+		features: newFeatures(tok, literals, schema, db)}
 }
 
 // WithQuery returns a shallow copy bound to a different partial query. The
@@ -177,18 +166,11 @@ func (c *Context) WithQuery(q *sqlir.Query) *Context {
 // Nil when no Database is attached or no literal was tagged. The map is
 // shared: callers must not write to it.
 func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
-	return c.feat().litCols
+	return c.features.litCols
 }
 
-// Memoised returns how many module answers the request has memoised, over
-// every lexical model that scored it.
-func (c *Context) Memoised() int {
-	n := 0
-	for _, mm := range c.feat().memos {
-		n += len(mm.answers)
-	}
-	return n
-}
+// Memoised returns how many module answers the request has memoised.
+func (c *Context) Memoised() int { return len(c.features.memo.answers) }
 
 // Normalize scales probabilities to sum to 1, dropping non-positive entries,
 // in place: the result reuses in's storage. Returns nil if nothing remains.

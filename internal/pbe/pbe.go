@@ -12,7 +12,9 @@ package pbe
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/duoquest/duoquest/internal/schemagraph"
 	"github.com/duoquest/duoquest/internal/sqlexec"
@@ -69,35 +71,24 @@ type Output struct {
 	Reason      string
 }
 
-// Options bounds the abduction search.
-type Options struct {
-	// MaxMappings caps the projection-mapping combinations explored.
-	MaxMappings int
-	// MaxDomain is the largest distinct-value count for a text column to
+// The abduction search's bounds, as in the evaluation.
+const (
+	// maxMappings caps the projection-mapping combinations explored.
+	maxMappings = 200
+	// maxDomain is the largest distinct-value count for a text column to
 	// be used as a filter source (SQuID's "concept" columns).
-	MaxDomain int
-}
-
-// DefaultOptions mirrors the evaluation configuration.
-func DefaultOptions() Options { return Options{MaxMappings: 200, MaxDomain: 120} }
+	maxDomain = 120
+)
 
 // System is a PBE baseline bound to one database.
 type System struct {
 	db    *storage.Database
 	graph *schemagraph.Graph
-	opts  Options
 }
 
 // New builds a PBE system for a database.
-func New(db *storage.Database, opts Options) *System {
-	def := DefaultOptions()
-	if opts.MaxMappings <= 0 {
-		opts.MaxMappings = def.MaxMappings
-	}
-	if opts.MaxDomain <= 0 {
-		opts.MaxDomain = def.MaxDomain
-	}
-	return &System{db: db, graph: schemagraph.New(db.Schema), opts: opts}
+func New(db *storage.Database) *System {
+	return &System{db: db, graph: schemagraph.New(db.Schema)}
 }
 
 // Synthesize abduces a project-join query plus filters from example tuples.
@@ -144,7 +135,7 @@ func (s *System) Synthesize(examples []tsq.Tuple) (*Output, error) {
 
 	// Step 2: try mappings in deterministic order, preferring shorter join
 	// paths; first fully verified mapping wins.
-	mappings := cartesian(cands, s.opts.MaxMappings)
+	mappings := cartesian(cands, maxMappings)
 	type scored struct {
 		mapping []sqlir.ColumnRef
 		path    *sqlir.JoinPath
@@ -192,34 +183,8 @@ func (s *System) columnCovers(col sqlir.ColumnRef, examples []tsq.Tuple, j int) 
 		return false
 	}
 	for _, ex := range examples {
-		want := ex[j].Val
-		found := false
-		for _, have := range dict.Strings() {
-			if equalFold(have, want.Text) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
+		want := ex[j].Val.Text
+		if !slices.ContainsFunc(dict.Strings(), func(have string) bool { return strings.EqualFold(have, want) }) {
 			return false
 		}
 	}
@@ -314,7 +279,7 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 				continue
 			}
 			if c.Type == sqlir.TypeText {
-				if s.db.Stats(ref).Distinct > s.opts.MaxDomain {
+				if s.db.Stats(ref).Distinct > maxDomain {
 					continue
 				}
 				common, err := s.commonValues(ref, mapping, path, examples)

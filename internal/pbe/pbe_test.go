@@ -77,7 +77,7 @@ func ex(vals ...string) tsq.Tuple {
 
 func TestSynthesizeSimpleProjection(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	out, err := sys.Synthesize([]tsq.Tuple{ex("Alice"), ex("Bob")})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSynthesizeSimpleProjection(t *testing.T) {
 // force a join path through publication-conference.
 func TestSynthesizeJoinDiscovery(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	out, err := sys.Synthesize([]tsq.Tuple{ex("Paper One", "SIGMOD"), ex("Paper Two", "SIGMOD")})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSynthesizeJoinDiscovery(t *testing.T) {
 // must be proposed (SQuID's semantic property abduction).
 func TestSynthesizeCountFilter(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	out, err := sys.Synthesize([]tsq.Tuple{ex("Alice")})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSynthesizeCountFilter(t *testing.T) {
 
 func TestSynthesizeUnsupportedInputs(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	cases := []struct {
 		name     string
 		examples []tsq.Tuple
@@ -170,7 +170,7 @@ func TestSynthesizeUnsupportedInputs(t *testing.T) {
 }
 
 func TestSynthesizeRaggedExamplesError(t *testing.T) {
-	sys := New(academicDB(), DefaultOptions())
+	sys := New(academicDB())
 	if _, err := sys.Synthesize([]tsq.Tuple{ex("Alice"), ex("Alice", "Bob")}); err == nil {
 		t.Error("ragged examples should error")
 	}
@@ -204,7 +204,7 @@ func TestSupports(t *testing.T) {
 // (ignoring literals) and projections match.
 func TestCorrectLabeling(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	out, err := sys.Synthesize([]tsq.Tuple{ex("Alice"), ex("Bob")})
 	if err != nil || out.Unsupported {
 		t.Fatalf("synth: %v %+v", err, out)
@@ -231,7 +231,7 @@ func TestCorrectLabeling(t *testing.T) {
 // count filter is proposed with matching projections.
 func TestCorrectWithCountFilter(t *testing.T) {
 	db := academicDB()
-	sys := New(db, DefaultOptions())
+	sys := New(db)
 	// Alice (3 papers via writes): mapping through author alone proposes a
 	// count filter from matching rows.
 	out, err := sys.Synthesize([]tsq.Tuple{ex("Alice")})
@@ -270,13 +270,22 @@ func TestFilterString(t *testing.T) {
 	}
 }
 
-// A zero Options evaluates the system DefaultOptions describes.
-func TestNewFillsDefaults(t *testing.T) {
-	if got, want := New(academicDB(), Options{}).opts, DefaultOptions(); got != want {
-		t.Errorf("New(db, Options{}) runs with %+v, DefaultOptions is %+v", got, want)
+// columnCovers folds case as a TSQ cell does, Unicode included: the column
+// of a stored string that an example's cell matches covers the example.
+func TestColumnCoversFoldsUnicode(t *testing.T) {
+	live := academicDB()
+	if _, err := live.Append("organization", []storage.ColumnData{
+		{Nums: []float64{9}}, {Texts: []string{"école normale"}}, {Texts: []string{"Europe"}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := New(academicDB(), Options{MaxDomain: 7}).opts; got.MaxDomain != 7 || got.MaxMappings != DefaultOptions().MaxMappings {
-		t.Errorf("set fields must survive, unset ones default: %+v", got)
+	example := ex("ÉCOLE NORMALE")
+	if !example[0].Matches(text("école normale")) {
+		t.Fatal("the TSQ cell must match the stored string")
+	}
+	col := live.Schema.Catalog().MustCol("organization", "name")
+	if !New(live.Snapshot()).columnCovers(col, []tsq.Tuple{example}, 0) {
+		t.Errorf("%s does not cover %v", col, example)
 	}
 }
 
@@ -293,7 +302,7 @@ func TestColumnCoversReadsTheSnapshotsDictionary(t *testing.T) {
 	}
 	col := live.Schema.Catalog().MustCol("conference", "name")
 	covers := func(db *storage.Database, vals ...string) bool {
-		return New(db, DefaultOptions()).columnCovers(col, []tsq.Tuple{ex(vals...)}, 0)
+		return New(db).columnCovers(col, []tsq.Tuple{ex(vals...)}, 0)
 	}
 	if !covers(snap, "sigmod") || !covers(snap, "VLDB") {
 		t.Error("a stored string must be covered whatever its case")

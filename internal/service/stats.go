@@ -82,8 +82,8 @@ type DBStats struct {
 	CancelP50, CancelP99 time.Duration
 }
 
-// Stats is the engine-wide serving snapshot.
-type Stats struct {
+// Admission is the engine's admission gauges and counters.
+type Admission struct {
 	// InFlight is the number of syntheses currently running.
 	InFlight int64
 	// Queued is the number of requests waiting for an in-flight slot.
@@ -92,18 +92,30 @@ type Stats struct {
 	Admitted int64
 	// Rejected counts requests shed with ErrOverloaded.
 	Rejected int64
+}
+
+// Admission reads the admission gauges alone: four atomic loads, whatever
+// the registered databases, so an overloaded server can afford it per shed
+// request.
+func (e *Engine) Admission() Admission {
+	return Admission{
+		InFlight: e.inFlight.Load(),
+		Queued:   e.queued.Load(),
+		Admitted: e.admitted.Load(),
+		Rejected: e.rejected.Load(),
+	}
+}
+
+// Stats is the engine-wide serving snapshot.
+type Stats struct {
+	Admission
 	// Databases holds per-database aggregates in registration order.
 	Databases []DBStats
 }
 
 // Stats returns an engine-wide snapshot.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		InFlight: e.inFlight.Load(),
-		Queued:   e.queued.Load(),
-		Admitted: e.admitted.Load(),
-		Rejected: e.rejected.Load(),
-	}
+	st := Stats{Admission: e.Admission()}
 	e.mu.RLock()
 	states := make([]*dbState, 0, len(e.order))
 	for _, name := range e.order {

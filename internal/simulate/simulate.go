@@ -350,7 +350,7 @@ func (r *Runner) runPBETrial(task *dataset.Task, user int, rng *rand.Rand) (*Tri
 		return trial, nil
 	}
 
-	sys := pbe.New(task.DB, pbe.DefaultOptions())
+	sys := pbe.New(task.DB)
 	out, err := sys.Synthesize(examples)
 	if err != nil {
 		return nil, err

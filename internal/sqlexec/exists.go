@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -22,6 +23,46 @@ type ExistsQuery struct {
 	AndPreds []sqlir.Predicate
 	GroupBy  []sqlir.ColumnRef
 	Havings  []sqlir.HavingExpr
+}
+
+// countClass is how a HAVING condition comparing COUNT(*) or COUNT(col) with
+// a number moves as its group gains tuples. Under bag semantics a tuple stays
+// in its group as rows arrive (Zhou et al.), so a count only grows and each
+// such condition is settled for good from some count on. This one rule serves
+// the single-group early exit (newGroupDecider) and the verification memo's
+// carry across epochs (TrueSurvivesAppends).
+type countClass uint8
+
+const (
+	unclassified countClass = iota // SUM, AVG, MIN, MAX, a bare column, text: either way
+	staysTrue                      // > and >=: true for good once the count reaches k
+	staysFalse                     // < and <=: false for good once the count reaches k
+	falseAbove                     // =: false for good once the count passes k
+	trueAbove                      // !=: true for good once the count passes k; below, it can land on k
+)
+
+func classifyCount(h sqlir.HavingExpr) countClass {
+	if h.Agg != sqlir.AggCount || h.Val.Kind != sqlir.KindNumber {
+		return unclassified
+	}
+	switch h.Op {
+	case sqlir.OpGt, sqlir.OpGe:
+		return staysTrue
+	case sqlir.OpLt, sqlir.OpLe:
+		return staysFalse
+	case sqlir.OpEq:
+		return falseAbove
+	case sqlir.OpNe:
+		return trueAbove
+	}
+	return unclassified
+}
+
+// TrueSurvivesAppends reports whether a true answer to eq stays true whatever
+// rows are appended: its tuples and groups only grow, so it does when every
+// HAVING condition stays true once reached, and when there is none.
+func (eq ExistsQuery) TrueSurvivesAppends() bool {
+	return !slices.ContainsFunc(eq.Havings, func(h sqlir.HavingExpr) bool { return classifyCount(h) != staysTrue })
 }
 
 // Exists reports whether the query produces at least one row (the LIMIT 1

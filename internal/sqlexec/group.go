@@ -176,14 +176,8 @@ func (b countBound) settled(n int) bool {
 // applies when the probe has at most one group — no GROUP BY, or every GROUP
 // BY column pinned by an AND-semantics equality to a non-NULL value, the
 // shape verifyByRow gives a grouped query's by-row check — and every HAVING
-// condition is COUNT(*) or COUNT(col) compared with a number. A count only
-// grows as tuples arrive, so each condition falls in one class:
-//
-//   - upper bounds (=, <, <=) are false forever once the count passes k (for
-//     <, once it reaches k);
-//   - lower bounds (>, >=, !=) are true forever once the count passes k (for
-//     >=, once it reaches k). != is true at counts below k too, but is not
-//     settled there: the count can still land on k.
+// condition has a countClass. A condition that settles false (=, <, <=) is
+// an upper bound and one that settles true (>, >=, !=) a lower bound.
 //
 // If any condition is an upper bound the probe can only settle false, when
 // one of them is exceeded; otherwise it settles true when every lower bound
@@ -197,9 +191,8 @@ type groupDecider struct {
 
 // newGroupDecider returns the probe's decider, or nil when its answer needs
 // the whole scan: a GROUP BY column that is not pinned (two groups may
-// exist), or a HAVING condition other than COUNT compared with a number —
-// SUM and AVG are not monotone and must stay error-lazy, MIN/MAX and bare
-// columns are not counts.
+// exist), or a HAVING condition without a countClass — SUM and AVG must also
+// stay error-lazy.
 func newGroupDecider(eq ExistsQuery, spec *groupedBinding) *groupDecider {
 	for _, g := range eq.GroupBy {
 		pins := func(p sqlir.Predicate) bool { return p.Col == g && p.Op == sqlir.OpEq && !p.Val.IsNull() }
@@ -209,26 +202,19 @@ func newGroupDecider(eq ExistsQuery, spec *groupedBinding) *groupDecider {
 	}
 	var upper, lower []countBound
 	for _, h := range eq.Havings {
-		if h.Agg != sqlir.AggCount || h.Val.Kind != sqlir.KindNumber {
+		class := classifyCount(h)
+		if class == unclassified {
 			return nil
 		}
-		b := countBound{k: h.Val.Num}
+		// < and >= settle once the count reaches k, the others once it passes k.
+		b := countBound{k: h.Val.Num, strict: h.Op != sqlir.OpLt && h.Op != sqlir.OpGe}
 		if !h.Col.IsStar() {
 			b.col = spec.cols[spec.colAt[h.Col]]
 		}
-		switch h.Op {
-		case sqlir.OpEq, sqlir.OpLe:
-			b.strict = true
-			upper = append(upper, b)
-		case sqlir.OpLt:
-			upper = append(upper, b)
-		case sqlir.OpGt, sqlir.OpNe:
-			b.strict = true
+		if class == staysTrue || class == trueAbove {
 			lower = append(lower, b)
-		case sqlir.OpGe:
-			lower = append(lower, b)
-		default:
-			return nil
+		} else {
+			upper = append(upper, b)
 		}
 	}
 	if len(upper) > 0 {

@@ -307,7 +307,7 @@ func (eq ExistsQuery) predsConjoined() bool {
 
 // splitPreds separates an exists query's predicates into AND-semantics
 // predicates (checkable at the shallowest binding slot) and OR-connected
-// predicates, shared by both streaming planners.
+// predicates.
 func splitPreds(eq ExistsQuery) (andPreds, orRaw []sqlir.Predicate) {
 	andPreds = make([]sqlir.Predicate, 0, len(eq.Preds)+len(eq.AndPreds))
 	if eq.predsConjoined() {
@@ -623,7 +623,7 @@ type groupState struct {
 }
 
 // checkGroupHavings evaluates the HAVING conditions over streamed group
-// states in discovery order, shared by both streaming pipelines.
+// states in discovery order.
 func checkGroupHavings(order []*groupState, colAt map[sqlir.ColumnRef]int, eq ExistsQuery) (bool, error) {
 	gb := groupedBinding{colAt: colAt}
 	havings := make([]boundAgg, len(eq.Havings))

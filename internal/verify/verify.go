@@ -21,7 +21,7 @@
 // caller may build the next query in the same memory as soon as the call
 // returns (the enumerator checks every child in one scratch buffer). That
 // holds because memo keys are 128-bit hashes of the question (keys.go), an
-// entry's dependency list is built by boolMemo.do's deps callback while the
+// entry's dependency list is returned by boolMemo.do's callback while the
 // query is still the caller's, and an Outcome's reason never points into it.
 package verify
 
@@ -162,10 +162,9 @@ type boolEntry struct {
 	val  bool
 	err  error
 	deps sqlir.TableSet // tables the answer reads; carries the entry across epochs
-	// mono marks an answer that is monotone under append-only ingest: the
-	// question is "does any row/value satisfy X" with no HAVING-style
-	// aggregate equality, so once true it stays true in every later epoch —
-	// a true entry carries across epochs even when its tables changed.
+	// mono marks a question whose true answer survives appended rows
+	// (sqlexec.ExistsQuery.TrueSurvivesAppends): a true entry carries across
+	// epochs even when its tables changed.
 	mono bool
 }
 
@@ -185,13 +184,13 @@ func transient(err error) bool {
 		faultinject.IsInjected(err)
 }
 
-// do returns the memoized value for key, computing it at most once across
-// all callers. hit reports whether a previously computed entry answered the
-// call. deps returns the set of tables the answer reads; it is only invoked
-// when a freshly computed entry is stored, and lets carryMemo move the entry
-// across an epoch boundary when none of its tables changed — or, for
-// monotone questions that answered true, even when they did.
-func (bm *boolMemo) do(key memoKey, deps func() (tables sqlir.TableSet, monotone bool), f func() (bool, error)) (val, hit bool, err error) {
+// do returns the memoized value for key, computing it with f at most once
+// across all callers. hit reports whether a previously computed entry
+// answered the call. Besides the answer, f returns the tables it reads and
+// whether a true answer survives appended rows, which let carryMemo move the
+// entry across an epoch boundary when none of its tables changed — or, for a
+// surviving true answer, even when they did.
+func (bm *boolMemo) do(key memoKey, f func() (val bool, deps sqlir.TableSet, mono bool, err error)) (val, hit bool, err error) {
 	bm.mu.Lock()
 	if bm.m == nil {
 		bm.m = map[memoKey]*boolEntry{}
@@ -207,31 +206,29 @@ func (bm *boolMemo) do(key memoKey, deps func() (tables sqlir.TableSet, monotone
 	if e.done.Load() {
 		return e.val, ok, e.err
 	}
-	val, err = f()
+	val, deps, mono, err := f()
 	if err != nil && Transient(err) {
 		// Leave the entry uncomputed for the next request.
 		return false, false, err
 	}
-	e.val, e.err = val, err
-	e.deps, e.mono = deps()
+	e.val, e.err, e.deps, e.mono = val, err, deps, mono
 	e.done.Store(true)
 	return e.val, false, e.err
 }
 
-// carryMemo builds the next epoch's memo from a previous epoch's, copying
+// carryMemo builds the next epoch's memo from a previous epoch's, keeping
 // every completed entry that provably still answers the same question:
 //
 //   - entries none of whose dependency tables changed — whose tables are
 //     the same frozen *Table in both snapshots — the answer is a pure
 //     function of those tables' contents, so it cannot differ; and
-//   - monotone entries that answered true — under append-only ingest an
-//     existing satisfying row never disappears, so the answer holds in
-//     every later epoch no matter what was appended.
+//   - true entries marked mono, whose answer survives appended rows.
 //
-// Everything else (false answers over changed tables, HAVING-style
-// aggregate checks, entries without recorded dependencies) restarts cold.
+// Everything else (other answers over changed tables, entries without
+// recorded dependencies) restarts cold. A kept entry is shared, not copied:
+// a done entry is never written again.
 func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
-	next := &boolMemo{}
+	next := &boolMemo{m: map[memoKey]*boolEntry{}}
 	changed := ^sqlir.TableSet(0)
 	if cat := db.Schema.Catalog(); cat.Same(prevDB.Schema.Catalog()) {
 		changed = 0
@@ -242,28 +239,14 @@ func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
 		}
 	}
 	prev.mu.Lock()
-	entries := make(map[memoKey]*boolEntry, len(prev.m))
+	defer prev.mu.Unlock()
 	for k, e := range prev.m {
-		entries[k] = e
-	}
-	prev.mu.Unlock()
-	for k, e := range entries {
 		// Never wait for a computation in flight: its request is still on
 		// the previous epoch and may hold e.mu for as long as its probe
 		// runs. An entry not yet done simply restarts cold.
-		if !e.done.Load() || e.err != nil || e.deps == 0 {
-			continue
+		if e.done.Load() && e.err == nil && e.deps != 0 && (e.mono && e.val || e.deps&changed == 0) {
+			next.m[k] = e
 		}
-		val, deps, mono := e.val, e.deps, e.mono
-		if !(mono && val) && deps&changed != 0 {
-			continue
-		}
-		if next.m == nil {
-			next.m = map[memoKey]*boolEntry{}
-		}
-		ne := &boolEntry{val: val, deps: deps, mono: mono}
-		ne.done.Store(true)
-		next.m[k] = ne
 	}
 	return next
 }
@@ -319,12 +302,6 @@ func NewCacheFrom(db *storage.Database, prev *Cache) *Cache {
 // previews and its stats snapshots through it).
 func (c *Cache) Joins() *sqlexec.JoinCache { return c.joins }
 
-// handles returns the cache's memos. They live as long as the cache: the
-// database underneath is an immutable snapshot, so they never go stale.
-func (c *Cache) handles() (col, row *boolMemo) {
-	return c.col, c.row
-}
-
 // New builds a verifier with private caches. sketch may be nil (no TSQ
 // given); rules may be nil to disable semantic pruning; literals may be
 // empty.
@@ -341,14 +318,13 @@ func NewWithCache(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ
 	if cache.db != db {
 		panic("verify: cache was built for a different database")
 	}
-	col, row := cache.handles()
 	return &Verifier{
 		db:       db,
 		rules:    rules,
 		sketch:   sketch,
 		literals: literals,
-		colCache: col,
-		rowCache: row,
+		colCache: cache.col,
+		rowCache: cache.row,
 		joins:    cache.joins,
 		base:     cache.joins.Stats(),
 	}
@@ -373,9 +349,6 @@ func (v *Verifier) Stats() Stats {
 	st.IndexHits = int(ps.IndexHits() - v.base.IndexHits())
 	return st
 }
-
-// countDBQuery bumps the executed-verification-query counter.
-func (v *Verifier) countDBQuery() { v.dbQueries.Add(1) }
 
 // settle records a finished check's outcome in the rejection counters.
 func (v *Verifier) settle(out Outcome) {
@@ -641,24 +614,29 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int)
 // under a hashed fixed-size key. hit reports a memoized answer.
 func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) (ok, hit bool, err error) {
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
-	// Both forms are monotone under append-only ingest: a matching value
-	// never disappears, and the AVG range check's [min, max] only widens.
-	deps := func() (sqlir.TableSet, bool) { return sqlir.TableSet(0).With(col.Table()), true }
-	return v.colCache.do(key, deps, func() (bool, error) {
+	return v.colCache.do(key, func() (bool, sqlir.TableSet, bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
-			// if the cell cannot intersect that range.
-			return avgCellPossible(v.db.Stats(col), cell), nil
+			// if the cell cannot intersect that range, which only widens as
+			// rows arrive, so a true answer survives them.
+			return avgCellPossible(v.db.Stats(col), cell), sqlir.TableSet(0).With(col.Table()), true, nil
 		}
 		// Unaggregated, MIN and MAX projections produce exact column
 		// values: run SELECT 1 FROM t WHERE <cell constraint> LIMIT 1.
-		v.countDBQuery()
-		return v.joins.ExistsCtx(ctx, sqlexec.ExistsQuery{
+		return v.probe(ctx, sqlexec.ExistsQuery{
 			From:  v.db.Schema.Catalog().Root(col.Table()),
 			Conj:  sqlir.LogicAnd,
 			Preds: cellPredicates(col, cell),
 		})
 	})
+}
+
+// probe runs a verification query, for a memo: its answer, the tables it
+// reads and whether a true answer survives appended rows.
+func (v *Verifier) probe(ctx context.Context, eq sqlexec.ExistsQuery) (bool, sqlir.TableSet, bool, error) {
+	v.dbQueries.Add(1)
+	ok, err := v.joins.ExistsCtx(ctx, eq)
+	return ok, eq.From.Set(), eq.TrueSurvivesAppends(), err
 }
 
 // avgCellPossible checks intersection of the cell with the column's
@@ -762,14 +740,8 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 			continue
 		}
 		key := rq.key(tp)
-		// Plain exists-over-join questions are monotone under append-only
-		// ingest; HAVING conditions are not (a group's aggregate can move
-		// off the checked value), so those entries never outlive their
-		// tables.
-		deps := func() (sqlir.TableSet, bool) { return q.From.Set(), rq.havings == 0 }
-		ok, _, err := v.rowCache.do(key, deps, func() (bool, error) {
-			v.countDBQuery()
-			return v.joins.ExistsCtx(ctx, rq.build(tp))
+		ok, _, err := v.rowCache.do(key, func() (bool, sqlir.TableSet, bool, error) {
+			return v.probe(ctx, rq.build(tp))
 		})
 		if err != nil {
 			return pass(), err
@@ -964,7 +936,7 @@ func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 // This is the final soundness gate: every emitted candidate satisfies the
 // TSQ. The caller has checked that there is a TSQ.
 func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	v.countDBQuery()
+	v.dbQueries.Add(1)
 	ok, err := askByOrder(ctx, v.joins, q, v.sketch)
 	if err != nil {
 		return pass(), err
