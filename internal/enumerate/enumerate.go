@@ -65,7 +65,7 @@ type Options struct {
 	// queries at the cost of Property 1). Off by default, as in the paper.
 	GeoMeanPriority bool
 
-	// Workers is ignored: a search, its guidance and every child's cascade
+	// Workers is ignored: a search, its guidance and every cascade it runs
 	// (§3.4), database stages included, run on the Enumerate caller's
 	// goroutine. bench/ sets it, so it stays until bench/ stops.
 	Workers int
@@ -98,25 +98,29 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// state is one search state: a decision, not a query. A state that survives
-// verification is the popped state it extends plus the decision that
-// extends it, the path GPQE's partial query is (§3.3). Its query is never
-// kept; expand replays the path from the root whenever the state is
-// expanded. States live in the frontier's slots and never move, so a child
-// may point at its parent.
+// state is one search state: a decision, not a query. A state is the popped
+// state it extends plus the decision that extends it, the path GPQE's
+// partial query is (§3.3). Its query is never kept; the search replays the
+// path from the root whenever the state is looked at. States live in the
+// frontier's slots and never move, so a child may point at its parent.
+//
+// A child with holes left is queued before its cascade runs (§3.4): it owes
+// it, and pays it when it is popped or when a bound must know whether it
+// passes (settle). Only a state that passed is expanded.
 type state struct {
 	parent   *state         // nil for the root; in a free slot, the next free slot
 	dec      sqlir.Decision // the zero Decision for the root
 	logConf  float64
 	depth    int32 // decision depth, the NoGuide BFS key
 	verified bool  // the state passed the cascade, so its children inherit its proofs
+	owes     bool  // the state's cascade has not run yet
 }
 
 // option is one output class of an expansion: the decision that makes the
-// child and the probability the module gave it.
+// child and the log of the probability the module gave it.
 type option struct {
-	dec  sqlir.Decision
-	prob float64
+	dec sqlir.Decision
+	log float64
 }
 
 // Enumerator runs GPQE for one synthesis task.
@@ -153,140 +157,179 @@ type search struct {
 	mctx *guidance.Context
 
 	queue frontier
-	// cur holds the popped state being expanded, replayed from path, and
-	// scratch the one child of it being looked at, its whole cascade
-	// included. Nothing that outlives the look may point into either: an
-	// emitted candidate is a copy of its own (Query.Clone), and so is the
-	// query a model that is not a guidance.Borrower is handed.
+	// cur holds a state's query replayed from its path — the popped state
+	// being checked and expanded, or the parent of a queued state being
+	// settled — and scratch the one child of it being looked at, its whole
+	// cascade included. Nothing that outlives the look may point into
+	// either: an emitted candidate is a copy of its own (Query.Clone), and
+	// so is the query a model that is not a guidance.Borrower is handed.
 	cur, scratch sqlir.Scratch
+	curQ         *sqlir.Query     // cur's query
+	curOf        *state           // the state whose query curQ is, nil for none
 	borrow       bool             // the model may be handed cur itself
 	path         []sqlir.Decision // the decisions cur replays, reused
 	opts         []option         // the current expansion, reused
 	seq          int
 
-	// needVerify reports whether a child runs the verification cascade:
-	// always under GPQE/NoGuide; only complete queries under NoPQ.
-	needVerify func(complete bool) bool
+	// partial reports whether a query with holes left owes the cascade:
+	// under GPQE and NoGuide; NoPQ verifies complete queries only.
+	partial bool
 }
 
 // newSearch prepares a search whose frontier holds the empty query. The
 // caller must close it.
 func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir.Value) *search {
 	s := &search{
-		e:      e,
-		ctx:    ctx,
-		mctx:   guidance.NewContextDB(nlq, literals, e.db, nil),
-		queue:  frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
-		borrow: guidance.Borrows(e.model),
-		needVerify: func(complete bool) bool {
-			return e.opts.Mode != ModeNoPQ || complete
-		},
+		e:       e,
+		ctx:     ctx,
+		mctx:    guidance.NewContextDB(nlq, literals, e.db, nil),
+		queue:   frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
+		borrow:  guidance.Borrows(e.model),
+		partial: e.opts.Mode != ModeNoPQ,
 	}
-	s.queue.push(state{}, 0, 0) // the empty query
+	s.queue.push(state{}, 0, 0) // the empty query, which has nothing to prove
 	return s
 }
 
 // close hands the search's frontier storage on to the next search.
 func (s *search) close() { s.queue.release() }
 
-// expand is EnumNextStep (Algorithm 1, Line 5) for a popped state: its
-// query, replayed into cur (and cloned out of it for a model that does not
-// borrow), and one option per output class of the next module. Both are
-// valid until the next call.
-func (s *search) expand(n *state) (*sqlir.Query, []option, error) {
-	q := s.replay(n)
+// expand is EnumNextStep (Algorithm 1, Line 5) for a popped state whose
+// query q is in cur: one option per output class of the next module, valid
+// until the next call. A model that does not borrow is handed a clone of q.
+func (s *search) expand(q *sqlir.Query) ([]option, error) {
 	if !s.borrow {
 		q = q.Clone() // the model may keep the query it is handed
 	}
 	opts, err := s.e.nextStep(s.mctx, q, s.opts[:0])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.opts = opts
-	return q, opts, nil
+	return opts, nil
 }
 
 // replay builds n's query in cur from the decisions on its path from the
-// root; the root's own is the zero Decision and is not applied.
+// root; the root's own is the zero Decision and is not applied. The query
+// cur already holds is n's when n was the last state replayed.
 func (s *search) replay(n *state) *sqlir.Query {
+	if n == s.curOf {
+		return s.curQ
+	}
 	s.path = s.path[:0]
-	for ; n.parent != nil; n = n.parent {
-		s.path = append(s.path, n.dec)
+	for m := n; m.parent != nil; m = m.parent {
+		s.path = append(s.path, m.dec)
 	}
 	slices.Reverse(s.path)
-	return s.cur.Replay(s.path)
+	s.curQ, s.curOf = s.cur.Replay(s.path), n
+	return s.curQ
+}
+
+// discard frees the slot of the popped state n, which failed its cascade.
+func (s *search) discard(n *state) {
+	if s.curOf == n {
+		s.curOf = nil // the slot is about to hold another state
+	}
+	s.queue.discard(n)
+}
+
+// check runs on q, n's query, the cascade n owes: inheriting the proofs of
+// n's parent when the parent passed its own. It records the outcome in n.
+// A transient error (verify.Transient) means the request was cancelled or
+// faulted mid-check, and the outcome is meaningless.
+func (s *search) check(n *state, q *sqlir.Query) (verify.Outcome, error) {
+	d := n.dec
+	if !n.parent.verified {
+		d = sqlir.Decision{} // nothing proved to inherit
+	}
+	out, err := s.e.verifier.VerifyChild(s.ctx, q, d)
+	if err != nil {
+		return out, err
+	}
+	n.owes, n.verified = false, out.OK
+	return out, nil
+}
+
+// settle runs the cascade the queued state n owes on n's query, built in
+// the scratch as its parent's child, and reports whether n passed. It is
+// how a bound learns which of the states it keeps can be expanded.
+func (s *search) settle(n *state) (bool, error) {
+	out, err := s.check(n, s.scratch.Apply(s.replay(n.parent), n.dec))
+	return out.OK, err
 }
 
 // verifyResult is what the search learns about one child of an expansion.
 type verifyResult struct {
-	q         *sqlir.Query   // the child, in the scratch: valid until the next verifyChild
-	complete  bool           // the child has no holes left
-	verified  bool           // the child needed verifying: out is its outcome
-	out       verify.Outcome // meaningful only when verified
-	err       error
-	cancelled bool // the request died, or drew an injected fault, mid-check
+	q        *sqlir.Query   // the child, in the scratch: valid until the next verifyChild
+	complete bool           // the child has no holes left, and out is its outcome
+	out      verify.Outcome // meaningful only when complete
+	err      error          // a transient one: see check
 }
 
-// verifyChild builds the child of q by decision d in the scratch and runs
-// its whole cascade there, inheriting q's proofs when q passed the cascade.
-// A transient error — the request was cancelled or faulted mid-check, so the
-// partial outcome is meaningless — reports cancellation instead.
+// verifyChild builds the child of q by decision d in the scratch and, when
+// it is complete, runs its whole cascade there, inheriting q's proofs when
+// q passed the cascade. A child with holes left is queued unchecked: it owes
+// the cascade until it is popped or settled.
 func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
 	r.q = s.scratch.Apply(q, d)
-	r.complete = r.q.Complete()
-	if r.verified = s.needVerify(r.complete); !r.verified {
+	if r.complete = r.q.Complete(); !r.complete {
 		return r
 	}
 	if !inherit {
 		d = sqlir.Decision{} // nothing proved to inherit
 	}
-	out, err := s.e.verifier.VerifyChild(s.ctx, r.q, d)
-	if verify.Transient(err) {
-		r.cancelled = true
-	} else {
-		r.out, r.err = out, err
-	}
+	r.out, r.err = s.e.verifier.VerifyChild(s.ctx, r.q, d)
 	return r
 }
 
 // child numbers the child of the popped state p by option o, given what
-// verification said about it (r), and queues it as (p, decision) when it
-// passed with holes left. It reports whether the child is a candidate: a
-// complete query that passed.
+// verifyChild said about it (r), and queues it as (p, decision) when it has
+// holes left. It reports whether the child is a candidate: a complete query
+// that passed.
 func (s *search) child(p *state, o *option, r *verifyResult) bool {
 	s.seq++ // every child, kept or not: arrival breaks ties
-	if r.verified && !r.out.OK {
-		return false
-	}
 	if r.complete {
-		return true
+		return r.out.OK
 	}
-	s.queue.push(state{parent: p, dec: o.dec, logConf: logConf(p, o), depth: p.depth + 1, verified: r.verified},
+	s.queue.push(state{parent: p, dec: o.dec, logConf: p.logConf + o.log, depth: p.depth + 1, owes: s.partial},
 		r.q.From.Len(), s.seq)
 	return false
 }
 
-// logConf is the log confidence of p's child by option o.
-func logConf(p *state, o *option) float64 {
-	if o.prob > 0 {
-		return p.logConf + math.Log(o.prob)
+// stop ends a search on a verification error. A transient one — the request
+// died, or drew an injected fault, mid-check — degrades to the candidates
+// already emitted.
+func stop(res *Result, err error) (*Result, error) {
+	if verify.Transient(err) {
+		res.Truncated = true
+		return res, nil
 	}
-	return math.Inf(-1)
+	return res, err
 }
 
 // Enumerate runs Algorithm 1, invoking emit for each candidate query in
 // ranked order. emit returning false stops the search early.
 //
+// A child with holes left runs the §3.4 cascade when it is popped, not when
+// it is generated: most children that pass are never expanded. A popped
+// state that fails is dropped uncounted, so the states expanded, in their
+// order, are those of verifying every child as it is generated.
+//
 // Cancellation and the context's deadline produce an anytime result, not
 // an error: the returned Result carries the candidates verified so far (a
 // deterministic prefix of the untruncated run) with Truncated set.
-func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (res *Result, err error) {
+func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir.Value, emit func(Candidate) bool) (*Result, error) {
+	s := e.newSearch(ctx, nlq, literals)
+	defer s.close()
+	return s.run(emit)
+}
+
+// run is Enumerate's loop over the search's frontier.
+func (s *search) run(emit func(Candidate) bool) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	defer func() { res.Elapsed = time.Since(start) }()
-	s := e.newSearch(ctx, nlq, literals)
-	defer s.close()
-
+	e := s.e
 	seen := map[string]bool{} // canonical dedup of emitted candidates
 	emitted := 0
 
@@ -295,30 +338,35 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			return res, nil
 		}
 		select {
-		case <-ctx.Done():
+		case <-s.ctx.Done():
 			res.Truncated = true
 			return res, nil
 		default:
 		}
 
 		p := s.queue.pop()
+		q := s.replay(p)
+		if p.owes {
+			out, err := s.check(p, q)
+			if err != nil {
+				return stop(res, err)
+			}
+			if !out.OK {
+				s.discard(p)
+				continue
+			}
+		}
 		res.States++
 
-		q, opts, err := s.expand(p)
+		opts, err := s.expand(q)
 		if err != nil {
 			return res, err
 		}
 		for i := range opts {
 			o := &opts[i]
 			r := s.verifyChild(q, p.verified, o.dec)
-			if r.cancelled {
-				// The request died (or drew an injected fault) mid-
-				// verification: degrade to the candidates already emitted.
-				res.Truncated = true
-				return res, nil
-			}
 			if r.err != nil {
-				return res, r.err
+				return stop(res, r.err)
 			}
 			if !s.child(p, o, &r) {
 				continue
@@ -331,7 +379,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 			emitted++
 			cand := Candidate{
 				Query:      r.q.Clone(),
-				Confidence: math.Exp(logConf(p, o)),
+				Confidence: math.Exp(p.logConf + o.log),
 				Rank:       emitted,
 				States:     res.States,
 			}
@@ -343,8 +391,11 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 				return res, nil
 			}
 		}
-		// Only the best MaxStates − States states can still be popped.
-		s.queue.bound(e.opts.MaxStates - res.States)
+		// Only the best MaxStates − States states that pass can still be
+		// expanded.
+		if err := s.queue.bound(e.opts.MaxStates-res.States, s); err != nil {
+			return stop(res, err)
+		}
 	}
 	res.Exhausted = !s.queue.dropped
 	return res, nil
@@ -409,16 +460,16 @@ func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []optio
 		if !slices.ContainsFunc(q.Select, sqlir.SelectItem.Unaggregated) {
 			return buf, nil
 		}
-		return append(buf, option{sqlir.Decision{Kind: sqlir.DecideGroupBy}, 1}), nil
+		return append(buf, option{sqlir.Decision{Kind: sqlir.DecideGroupBy}, 0}), nil // log 1
 
 	case q.GroupByState == sqlir.ClausePresent && q.HavingState == sqlir.ClausePending && q.Having == nil:
 		for _, s := range e.model.HavingPresent(ctx) {
-			prob := s.Prob
+			prob, log := s.Prob, s.Log
 			if uniform {
-				prob = 1
+				prob, log = 1, 0
 			}
 			if !s.Class {
-				buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideHaving}, prob})
+				buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideHaving}, log})
 				continue
 			}
 			acs := e.model.HavingAggCol(ctx)
@@ -427,8 +478,10 @@ func (e *Enumerator) nextStep(ctx *guidance.Context, q *sqlir.Query, buf []optio
 				if uniform {
 					pac = 1
 				}
+				// The log of the product, which is not bit for bit the
+				// sum of the logs.
 				buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideHaving, Present: true,
-					Agg: acs[i].Class.Agg, Col: &acs[i].Class.Col}, prob * pac})
+					Agg: acs[i].Class.Agg, Col: &acs[i].Class.Col}, math.Log(prob * pac)})
 			}
 		}
 		return buf, nil
@@ -457,15 +510,16 @@ func setOp(d *sqlir.Decision, op *sqlir.Op)        { d.Op = *op }
 func setVal(d *sqlir.Decision, v *sqlir.Value)     { d.Val = v }
 
 // options turns a module distribution into options: one per output class,
-// each dec with the class filled in by set.
+// each dec with the class filled in by set and the log-probability stored
+// beside the class (log 1 = 0 for every class when uniform).
 func options[T any](buf []option, uniform bool, scored []guidance.Scored[T], dec sqlir.Decision, set func(*sqlir.Decision, *T)) []option {
 	for i := range scored {
-		prob := scored[i].Prob
+		log := scored[i].Log
 		if uniform {
-			prob = 1
+			log = 0
 		}
 		set(&dec, &scored[i].Class)
-		buf = append(buf, option{dec, prob})
+		buf = append(buf, option{dec, log})
 	}
 	return buf
 }
@@ -489,7 +543,7 @@ func (e *Enumerator) joinPathOptions(q *sqlir.Query, buf []option) []option {
 	minLen := paths[0].Len() // the paths come shortest first
 	for _, jp := range paths {
 		prob := math.Pow(pathPenalty, float64(jp.Len()-minLen))
-		buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideFrom, From: jp}, prob})
+		buf = append(buf, option{sqlir.Decision{Kind: sqlir.DecideFrom, From: jp}, math.Log(prob)})
 	}
 	return buf
 }

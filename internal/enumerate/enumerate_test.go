@@ -437,6 +437,92 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	}
 }
 
+// TestBoundsKeepTheStatesThatPass: a queued state owes its cascade until it
+// is popped, so a bound that must keep the k best states that pass settles
+// the owing states among the best, removes those that fail, and repeats
+// over the shortfall. On dual inputs whose bounds remove failing states —
+// Spider tasks with their full TSQ, and a table small enough to exhaust —
+// every capped search is the uncapped one up to its cap, Result for Result:
+// the same candidates, confidences, ranks and state counts; the cap
+// reached, neither flag set, when the uncapped search went past it; and
+// the whole uncapped Result, Exhausted included, when the cap is exactly
+// the state count of an uncapped search that exhausted the space.
+func TestBoundsKeepTheStatesThatPass(t *testing.T) {
+	items := storage.NewTable("items", "id",
+		storage.Column{Name: "id", Type: sqlir.TypeNumber},
+		storage.Column{Name: "label", Type: sqlir.TypeText},
+		storage.Column{Name: "price", Type: sqlir.TypeNumber},
+	)
+	items.MustInsert(num(1), text("a"), num(5))
+	items.MustInsert(num(2), text("b"), num(7))
+	items.MustInsert(num(3), text("a"), num(9))
+	tiny := storage.NewDatabase("tiny", storage.NewSchema(items))
+	type input struct {
+		id     string
+		db     *storage.Database
+		sketch *tsq.TSQ
+		nlq    string
+		lits   []sqlir.Value
+		caps   []int // fractions of the uncapped state count, in percent
+	}
+	ins := []input{{"tiny", tiny, &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}}, "labels", nil, []int{100, 99, 30}}}
+	stride := 6
+	if testing.Short() {
+		stride = 24
+	}
+	for i, st := range spiderTasks(t) {
+		if i%stride == 0 {
+			ins = append(ins, input{st.ID, st.DB, st.sketch, st.NLQ, st.Literals, []int{50, 10}})
+		}
+	}
+	removed := 0
+	for _, in := range ins {
+		run := func(maxStates int) *Result {
+			v := verify.New(in.db, semrules.Default(), in.sketch, in.lits)
+			s := New(in.db, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates}).newSearch(context.Background(), in.nlq, in.lits)
+			defer s.close()
+			res, err := s.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			removed += s.queue.failed
+			return res
+		}
+		free := run(20000)
+		for _, pct := range in.caps {
+			limit := max(1, free.States*pct/100)
+			capped := run(limit)
+			want := &Result{States: limit}
+			if limit == free.States {
+				want.Exhausted = free.Exhausted
+			}
+			for _, c := range free.Candidates {
+				if c.States <= limit {
+					want.Candidates = append(want.Candidates, c)
+				}
+			}
+			if capped.States != want.States || capped.Exhausted != want.Exhausted || capped.Truncated || len(capped.Candidates) != len(want.Candidates) {
+				t.Fatalf("%s capped at %d of %d states: %d states, exhausted %v, truncated %v, %d candidates; want %d, %v, false, %d",
+					in.id, limit, free.States, capped.States, capped.Exhausted, capped.Truncated, len(capped.Candidates),
+					want.States, want.Exhausted, len(want.Candidates))
+			}
+			for i, c := range capped.Candidates {
+				w := want.Candidates[i]
+				if c.Query.Canonical() != w.Query.Canonical() || c.Confidence != w.Confidence || c.Rank != w.Rank || c.States != w.States {
+					t.Errorf("%s capped at %d, candidate %d: %s (conf %v, state %d), uncapped %s (conf %v, state %d)",
+						in.id, limit, i, c.Query, c.Confidence, c.States, w.Query, w.Confidence, w.States)
+				}
+			}
+		}
+		if in.db == tiny && (!free.Exhausted || len(free.Candidates) == 0) {
+			t.Fatalf("%s: the uncapped search of %d states exhausted the space %v, with %d candidates; want it exhausted with some", in.id, free.States, free.Exhausted, len(free.Candidates))
+		}
+	}
+	if removed == 0 {
+		t.Fatal("no bound removed a state that fails: the test is not exercising the settling")
+	}
+}
+
 // arrival is what a test pushes: a state and the rest of its key.
 type arrival struct {
 	logConf float64
@@ -475,12 +561,12 @@ func TestFrontierBoundKeepsTheBest(t *testing.T) {
 			a.push(f)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].key(f).before(all[j].key(f)) })
-		f.bound(600) // holds fewer than twice that: nothing to drop
+		f.bound(600, nil) // holds fewer than twice that: nothing to drop
 		if f.len() != 1000 || f.dropped {
 			t.Fatalf("bound(600) of 1000 states left %d, dropped %v", f.len(), f.dropped)
 		}
 		for _, k := range []int{300, 7, 1} {
-			f.bound(k)
+			f.bound(k, nil)
 			if f.len() != k || !f.dropped {
 				t.Fatalf("bound(%d) left %d states, dropped %v", k, f.len(), f.dropped)
 			}
@@ -497,10 +583,81 @@ func TestFrontierBoundKeepsTheBest(t *testing.T) {
 		for i := range all[:200] {
 			all[i].push(f)
 		}
-		f.bound(50)
+		f.bound(50, nil)
 		for i := 0; f.len() > 0; i++ {
 			if got := f.pop(); !all[i].is(got) {
 				t.Fatalf("pop %d after bound: %+v, want %+v", i, *got, all[i])
+			}
+		}
+		f.release()
+	}
+}
+
+// failThirds is a settler under which a state fails its cascade when its
+// arrival's seq is a multiple of 3.
+type failThirds struct{}
+
+func (failThirds) settle(st *state) (bool, error) {
+	ok := st.dec.Index%3 != 0
+	st.owes, st.verified = false, ok
+	return ok, nil
+}
+
+// TestFrontierBoundSettlesTheBest: when the states owe their cascade, a
+// bound(k) keeps exactly the k best of those that pass, in the order of
+// their keys, settling the ones it needs and removing those that fail, in
+// every ordering mode; and it reports dropping a state that passes only
+// when it did, settling the rest until one passes, so that a frontier whose
+// dropped states all fail can still claim to have exhausted the space.
+func TestFrontierBoundSettlesTheBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	owing := func(f *frontier, a arrival) {
+		f.push(state{dec: sqlir.Decision{Index: int32(a.seq)}, logConf: a.logConf, depth: a.depth, owes: true}, int(a.joinLen), a.seq)
+	}
+	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
+		var pass []arrival
+		for i := 1; i <= 1000; i++ {
+			a := arrival{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
+			owing(f, a)
+			if i%3 != 0 {
+				pass = append(pass, a)
+			}
+		}
+		sort.Slice(pass, func(i, j int) bool { return pass[i].key(f).before(pass[j].key(f)) })
+		f.bound(600, failThirds{})
+		if f.len() != 1000 || f.failed != 0 || f.dropped {
+			t.Fatalf("bound(600) of 1000 states left %d, removed %d, dropped %v", f.len(), f.failed, f.dropped)
+		}
+		f.bound(300, failThirds{})
+		if f.len() != 300 || f.failed == 0 || !f.dropped {
+			t.Fatalf("bound(300) left %d states, removed %d, dropped %v", f.len(), f.failed, f.dropped)
+		}
+		for i := 0; f.len() > 0; i++ {
+			if got := f.pop(); !pass[i].is(got) || got.owes || !got.verified {
+				t.Fatalf("pop %d after bound: %+v, want %+v, settled", i, *got, pass[i])
+			}
+		}
+		f.release()
+		f.failed, f.dropped = 0, false
+
+		// Ten states that pass ahead of thirty that fail: the bound keeps
+		// the ten and settles all thirty to learn that none passes.
+		var kept []arrival
+		for i := 1; i <= 40; i++ {
+			a := arrival{logConf: -float64(i), seq: 3 * i, depth: int32(i)}
+			if i <= 10 {
+				a.seq--
+				kept = append(kept, a)
+			}
+			owing(f, a)
+		}
+		f.bound(10, failThirds{})
+		if f.len() != 10 || f.failed != 30 || f.dropped {
+			t.Fatalf("bound(10) ahead of failures left %d states, removed %d, dropped %v; want 10, 30, false", f.len(), f.failed, f.dropped)
+		}
+		for i := 0; f.len() > 0; i++ {
+			if got := f.pop(); !kept[i].is(got) {
+				t.Fatalf("pop %d: %+v, want %+v", i, *got, kept[i])
 			}
 		}
 		f.release()
@@ -570,7 +727,7 @@ func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 				}
 			default:
 				k := rng.Intn(len(held) + 1)
-				f.bound(k)
+				f.bound(k, nil)
 				if len(held) > 2*k {
 					drops += len(held) - k
 					held = held[:k]
@@ -611,7 +768,7 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 		for range peak / 2 {
 			f.pop()
 		}
-		f.bound(peak / 8)
+		f.bound(peak/8, nil)
 		for i := range peak / 8 {
 			push(peak + i) // into slots the bound freed
 		}

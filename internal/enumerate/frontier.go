@@ -1,6 +1,9 @@
 package enumerate
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // frontier is the priority collection P of Algorithm 1, and the store of
 // every state the search has seen. A queued state is written once, into a
@@ -15,9 +18,10 @@ type frontier struct {
 	free   *state // slots bound dropped, threaded through parent
 	keys   []key  // the heap
 	box    *[]key // keys' holder in keyPool
-	// dropped records that bound discarded states: the search can then no
-	// longer claim to have exhausted the space.
+	// dropped records that bound discarded a state that passes: the search
+	// can then no longer claim to have exhausted the space.
 	dropped bool
+	failed  int // owing states bound settled and found to fail
 
 	noGuide bool // breadth-first: depth, then arrival
 	geoMean bool // order by the geometric mean of the module scores
@@ -149,33 +153,107 @@ func (f *frontier) down(i int, k key) {
 	keys[i] = k
 }
 
-// bound tells the frontier that at most k more states will ever be popped.
-// Only the k best queued now can be among them — whatever is pushed later
-// pushes the rest further back — so once the frontier holds more than twice
-// that, the rest is dropped and their slots freed for the states pushed
-// next: what a capped search retains is bounded by its cap, not by its
-// branching factor, and the pops are exactly those of an unbounded frontier.
-func (f *frontier) bound(k int) {
-	if len(f.keys) <= 2*k {
-		return
-	}
-	if k > 0 {
-		f.selectBest(k)
-	}
-	for _, d := range f.keys[k:] {
-		d.st.parent, f.free = f.free, d.st
-	}
-	f.keys = f.keys[:k]
-	f.dropped = true
-	for i := k/2 - 1; i >= 0; i-- {
-		f.down(i, f.keys[i])
-	}
+// discard frees st's slot for the states pushed next.
+func (f *frontier) discard(st *state) { st.parent, f.free = f.free, st }
+
+// A settler runs the cascade a queued state owes (search.settle).
+type settler interface {
+	// settle runs n's cascade and reports whether n passed.
+	settle(n *state) (bool, error)
 }
 
-// selectBest reorders the keys so that the k best, 0 < k < len, come
-// first: a quickselect, linear in the frontier on average.
-func (f *frontier) selectBest(k int) {
+// bound tells the frontier that at most k more states will ever be
+// expanded, and only states that pass the cascade are. Only the k best
+// queued now that pass can be among them — whatever is pushed later pushes
+// the rest further back — so once the frontier holds more than twice k
+// states, the rest is dropped and their slots freed for the states pushed
+// next: what a capped search retains is bounded by its cap, not by its
+// branching factor, and the expansions are exactly those of an unbounded
+// frontier. To find those k, s settles the owing states among the k best,
+// the ones that fail are removed, and the same is done over the shortfall
+// until k pass or nothing is left. An error from s ends the bound with the
+// frontier fit only for release.
+func (f *frontier) bound(k int, s settler) error {
+	if len(f.keys) <= 2*k {
+		return nil
+	}
+	kept := 0 // f.keys[:kept] pass, and no other queued state that passes is better
+	for kept < k && kept < len(f.keys) {
+		n := min(k, len(f.keys))
+		if n < len(f.keys) {
+			selectBest(f.keys[kept:], n-kept)
+		}
+		var err error
+		if kept, err = f.settle(kept, n, s); err != nil {
+			return err
+		}
+	}
+	rest := f.keys[kept:]
+	if !f.dropped {
+		passes, err := f.anyPasses(rest, s)
+		if err != nil {
+			return err
+		}
+		f.dropped = passes
+	}
+	for _, d := range rest {
+		f.discard(d.st)
+	}
+	f.keys = f.keys[:kept]
+	for i := kept/2 - 1; i >= 0; i-- {
+		f.down(i, f.keys[i])
+	}
+	return nil
+}
+
+// settle has s settle the owing states among f.keys[lo:hi] and removes the
+// ones that fail: the keys of the states that pass end at f.keys[lo:w], and
+// keys from the end of the slice fill the hole behind them.
+func (f *frontier) settle(lo, hi int, s settler) (w int, err error) {
 	keys := f.keys
+	w = lo
+	for _, k := range keys[lo:hi] {
+		if k.st.owes {
+			ok, err := s.settle(k.st)
+			if err != nil {
+				return w, err
+			}
+			if !ok {
+				f.discard(k.st)
+				f.failed++
+				continue
+			}
+		}
+		keys[w] = k
+		w++
+	}
+	hole, n := hi-w, len(keys)
+	copy(keys[w:hi], keys[max(hi, n-hole):])
+	f.keys = keys[:n-hole]
+	return w, nil
+}
+
+// anyPasses reports whether any of the states of keys passes: a state that
+// owes nothing did; the owing ones are settled only until one passes. A
+// frontier that drops a state that passes can no longer claim the space was
+// exhausted, and one that drops only failures still can.
+func (f *frontier) anyPasses(keys []key, s settler) (bool, error) {
+	if slices.ContainsFunc(keys, func(k key) bool { return !k.st.owes }) {
+		return true, nil
+	}
+	for _, k := range keys {
+		ok, err := s.settle(k.st)
+		if err != nil || ok {
+			return ok, err
+		}
+		f.failed++
+	}
+	return false, nil
+}
+
+// selectBest reorders keys so that the k best, 0 < k < len(keys), come
+// first: a quickselect, linear in len(keys) on average.
+func selectBest(keys []key, k int) {
 	lo, hi := 0, len(keys)-1
 	for lo < hi {
 		// Median of three as the pivot, parked at hi: a heap's array is

@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,12 +17,24 @@ import (
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
-// expansion is what walk shows its observer: a popped state and its query — replayed into the search's scratch, so valid only during the call,
-// and read after its children were built and checked — whether it passed
-// the cascade (its children then inherit), and its options with what the
-// engine's own path — the child built in the scratch and checked there by
-// VerifyChild — said about each; and the search's guidance context, bound
-// to parent.
+// settlement is what walk shows its observer of one cascade a queued state
+// owed: the state, the query the engine checked — its own replay when it
+// was popped, or its parent's child in the scratch when it was still queued
+// at the end of the walk, as a bound settles it; valid only during the call
+// — and the outcome.
+type settlement struct {
+	state *state
+	q     *sqlir.Query
+	out   verify.Outcome
+}
+
+// expansion is what walk shows its observer of an expanded state: the state
+// and its query — replayed into the search's cur, so valid only during the
+// call, and read after its children were built and the complete ones
+// checked — whether it passed the cascade (its children then inherit), and
+// its options with what the engine's own path — the child built in the
+// scratch and, when complete, checked there by VerifyChild — said about
+// each; and the search's guidance context, bound to parent.
 type expansion struct {
 	state    *state
 	parent   *sqlir.Query
@@ -31,19 +44,46 @@ type expansion struct {
 	ctx      *guidance.Context
 }
 
+// observer is what a test hands walk; either function may be nil.
+type observer struct {
+	settled  func(settlement)
+	expanded func(expansion)
+}
+
 // walk is Enumerate's loop with the emission taken out and an observer put
-// in: it expands up to maxStates states best-first, verifies each expansion
-// exactly as Enumerate does, and shows the observer every expansion before
-// its children are queued.
-func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, maxStates int, observe func(expansion)) {
+// in: it expands up to maxStates states best-first under mode, checks each
+// popped state that owes its cascade and each complete child exactly as
+// Enumerate does, and shows the observer every cascade a popped state owed
+// and every expansion before its children are queued. With an observer of
+// settlements, the states still queued at the end are settled too, each as
+// its parent's child the way a bound settles it: the walk then checks every
+// child of every state it expanded, as the search once did when it checked
+// each child as it was generated.
+func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int, obs observer) {
 	t.Helper()
 	v := verify.New(in.db, semrules.Default(), sketch, in.lits)
-	e := New(in.db, in.model, v, Options{})
+	e := New(in.db, in.model, v, Options{Mode: mode})
 	s := e.newSearch(context.Background(), in.nlq, in.lits)
 	t.Cleanup(s.close) // the popped states outlive the walk: a test may replay them after it
-	for i := 0; s.queue.len() > 0 && i < maxStates; i++ {
+	settled := func(n *state, q *sqlir.Query) bool {
+		out, err := s.check(n, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if obs.settled != nil {
+			obs.settled(settlement{n, q, out})
+		}
+		return out.OK
+	}
+	for expanded := 0; s.queue.len() > 0 && expanded < maxStates; {
 		p := s.queue.pop()
-		q, opts, err := s.expand(p)
+		q := s.replay(p)
+		if p.owes && !settled(p, q) {
+			s.discard(p)
+			continue
+		}
+		expanded++
+		opts, err := s.expand(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +91,23 @@ func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, maxStates int, observe fu
 		for _, o := range opts {
 			results = append(results, s.verifyChild(q, p.verified, o.dec))
 		}
-		observe(expansion{p, q, p.verified, opts, results, s.mctx})
+		if obs.expanded != nil {
+			obs.expanded(expansion{p, q, p.verified, opts, results, s.mctx})
+		}
 		for i := range opts {
 			r := &results[i]
-			if r.err != nil || r.cancelled {
-				t.Fatalf("%s + %+v: %+v", q, opts[i].dec, r)
+			if r.err != nil {
+				t.Fatalf("%s + %+v: %v", q, opts[i].dec, r.err)
 			}
 			s.child(p, &opts[i], r)
+		}
+	}
+	if obs.settled == nil {
+		return
+	}
+	for _, k := range s.queue.keys {
+		if n := k.st; n.owes {
+			settled(n, s.scratch.Apply(s.replay(n.parent), n.dec))
 		}
 	}
 }
@@ -130,39 +180,69 @@ func walkInputs(t testing.TB) []walkInput {
 	return in
 }
 
-// TestInheritedOutcomeMatchesFullCascade: for every child the search
-// expands, the engine's check — begun on the scratch child, re-proving only
-// what the child's one decision could have changed — reaches the outcome of
+// TestInheritedOutcomeMatchesFullCascade: for every cascade the search
+// runs — a popped state's, a queued state's as a bound settles it, a
+// complete child's as it is generated — the engine's check, re-proving only
+// what the state's one decision could have changed, reaches the outcome of
 // the full cascade run from scratch on the derived query by an independent
-// verifier.
+// verifier. Every state the search expands and every candidate it emits
+// passes that verifier too, except the partial states NoPQ never checks.
+// It holds with and without the TSQ, under GPQE, NoPQ and NoGuide.
 func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
-	checked, inherited := 0, 0
+	checked, inherited, rejected := 0, 0, 0
+	same := func(id string, q *sqlir.Query, got, want verify.Outcome) {
+		if got.OK != want.OK || got.Stage != want.Stage {
+			t.Errorf("%s: %s: engine outcome %+v, full cascade %+v", id, q, got, want)
+		}
+		checked++
+		if !got.OK {
+			rejected++
+		}
+	}
 	for _, in := range walkInputs(t) {
 		// Without the TSQ little is pruned, so every clause gets expanded.
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
 			oracle := verify.New(in.db, semrules.Default(), sketch, in.lits)
-			walk(t, in, sketch, 400, func(x expansion) {
-				for i, o := range x.opts {
-					child := derive(x.parent, o.dec)
-					want, err := oracle.Verify(child)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := x.results[i].out
-					if got.OK != want.OK || got.Stage != want.Stage {
-						t.Errorf("%s: %s (decision %+v): engine outcome %+v, full cascade %+v",
-							in.id, child, o.dec, got, want)
-					}
-					checked++
-					if x.verified {
-						inherited++
-					}
+			fresh := func(q *sqlir.Query) verify.Outcome {
+				out, err := oracle.Verify(q)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
+				return out
+			}
+			for _, mode := range []Mode{ModeGPQE, ModeNoPQ, ModeNoGuide} {
+				id := in.id + "/" + mode.String()
+				walk(t, in, sketch, mode, 400, observer{
+					settled: func(x settlement) {
+						same(id, x.q, x.out, fresh(derivation(x.state)))
+						if x.state.parent.verified {
+							inherited++
+						}
+					},
+					expanded: func(x expansion) {
+						if mode != ModeNoPQ && x.state.parent != nil {
+							if out := fresh(derivation(x.state)); !out.OK {
+								t.Errorf("%s: expanded %s, which fails %+v", id, x.parent, out)
+							}
+						}
+						for i, o := range x.opts {
+							r := x.results[i]
+							if !r.complete {
+								continue
+							}
+							child := derive(x.parent, o.dec)
+							same(id, child, r.out, fresh(child))
+							if x.verified {
+								inherited++
+							}
+						}
+					},
+				})
+			}
 		}
 	}
-	if checked == 0 || inherited*2 < checked {
-		t.Errorf("%d of %d children inherited from a verified parent; the test is not exercising inheritance", inherited, checked)
+	if checked == 0 || inherited*2 < checked || rejected == 0 {
+		t.Errorf("%d of %d cascades inherited from a verified parent, %d rejected; the test is not exercising inheritance and rejection", inherited, checked, rejected)
 	}
 }
 
@@ -174,13 +254,13 @@ func TestReplayIsTheDerivation(t *testing.T) {
 	states := 0
 	for _, in := range walkInputs(t) {
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			walk(t, in, sketch, 250, func(x expansion) {
+			walk(t, in, sketch, ModeGPQE, 250, observer{expanded: func(x expansion) {
 				want := derivation(x.state)
 				if !reflect.DeepEqual(x.parent, want) || x.parent.String() != want.String() {
 					t.Fatalf("%s: replayed %s\n derived %s", in.id, x.parent, want)
 				}
 				states++
-			})
+			}})
 		}
 	}
 	if states == 0 {
@@ -191,10 +271,11 @@ func TestReplayIsTheDerivation(t *testing.T) {
 // TestChildrenNeverWriteThroughToParents: a popped state's query is rebuilt
 // from its path whenever it is expanded, so its children could change it
 // only by writing into the search's copy of it while they are built and
-// checked, or by writing a state on its path once it is queued.
+// checked, or by writing a state on its path once it is queued or settled.
 // Neither happens, for any kind of decision: the query an expansion reads
 // after its children were looked at renders as a fresh replay of its path,
-// and every path replays to the same rendering once the whole walk is over.
+// and every path replays to the same rendering once the whole walk — every
+// queued state settled as its parent's child included — is over.
 // Every parent holds a HAVING or ORDER BY clause exactly when that clause is
 // present.
 func TestChildrenNeverWriteThroughToParents(t *testing.T) {
@@ -205,21 +286,24 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 		// Without the TSQ little is pruned, so every clause gets expanded.
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
 			before := map[*state]rendering{}
-			walk(t, in, sketch, 250, func(x expansion) {
-				q := x.parent
-				if (q.Having != nil) != (q.HavingState == sqlir.ClausePresent) || (q.OrderBy != nil) != (q.OrderByState == sqlir.ClausePresent) {
-					t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
-						in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
-				}
-				if got, fresh := render(q), render(new(search).replay(x.state)); got != fresh {
-					t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, fresh.str, got.str)
-				}
-				before[x.state] = render(q)
-				for _, o := range x.opts {
-					if x.verified {
-						kinds[o.dec.Kind] = true
+			walk(t, in, sketch, ModeGPQE, 250, observer{
+				settled: func(settlement) {}, // and settle what is left queued
+				expanded: func(x expansion) {
+					q := x.parent
+					if (q.Having != nil) != (q.HavingState == sqlir.ClausePresent) || (q.OrderBy != nil) != (q.OrderByState == sqlir.ClausePresent) {
+						t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
+							in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
 					}
-				}
+					if got, fresh := render(q), render(new(search).replay(x.state)); got != fresh {
+						t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, fresh.str, got.str)
+					}
+					before[x.state] = render(q)
+					for _, o := range x.opts {
+						if x.verified {
+							kinds[o.dec.Kind] = true
+						}
+					}
+				},
 			})
 			// Checked after the whole walk: a path must survive not just its
 			// state's children but its descendants' too.
@@ -360,12 +444,15 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 	}
 }
 
-// TestChildAllocations bounds what a child costs: nothing when the cascade
-// rejects it without database work — by-column and by-row answers the memo
-// has included — and for one that is queued at most its share of a frontier
-// chunk, when the chunk pool has none to give. A queued child is a state
-// pointing at its parent; its own query is built only in the scratch, when
-// it is popped (TestPopAllocations).
+// TestChildAllocations bounds what a child costs, from its generation to
+// the end of its cascade: nothing when the cascade rejects it without
+// database work — by-column and by-row answers the memo has included — and
+// for one that passes at most its share of a frontier chunk, when the chunk
+// pool has none to give. A child with holes left is queued as a state
+// pointing at its parent and owes its cascade, which runs on its own query
+// when it is popped (replayed into the search's cur: TestPopAllocations) or
+// on its parent's child in the scratch when a bound settles it. Both ways
+// are counted.
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	title, year := db.Schema.Catalog().MustCol("movie", "title"), db.Schema.Catalog().MustCol("movie", "year")
@@ -396,26 +483,60 @@ func TestChildAllocations(t *testing.T) {
 		e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), sketch, nil), Options{})
 		s := e.newSearch(context.Background(), "titles", nil)
 		defer s.close()
-		consider := func(p *state, q *sqlir.Query, o option) verify.Stage {
-			r := s.verifyChild(q, p.verified, o.dec)
-			s.child(p, &o, &r)
-			if r.out.OK {
-				return "" // queued
+		s.queue.pop() // the root: a case's child is then alone in the frontier
+		queue := func(p *state, o option) {
+			r := s.verifyChild(s.replay(p), p.verified, o.dec)
+			if r.complete {
+				t.Fatalf("%s is complete", r.q)
 			}
-			return r.out.Stage
+			s.child(p, &o, &r)
+		}
+		// popped queues the child, pops it and checks it, and reports
+		// where it was rejected: "" when it passed and stays as a node.
+		popped := func(p *state, o option) verify.Stage {
+			queue(p, o)
+			n := s.queue.pop()
+			out, err := s.check(n, s.replay(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.OK {
+				return ""
+			}
+			s.discard(n)
+			return out.Stage
+		}
+		// bounded queues the child and has a bound that keeps nothing
+		// settle it, to learn whether it drops a state that passes.
+		bounded := func(p *state, o option) {
+			queue(p, o)
+			s.queue.dropped = false
+			if err := s.queue.bound(0, s); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, tc := range cases {
-			q := s.replay(tc.parent)
-			o := option{tc.dec, 0.5}
-			if stage := consider(tc.parent, q, o); stage != tc.stage {
+			o := option{tc.dec, math.Log(0.5)}
+			if stage := popped(tc.parent, o); stage != tc.stage {
 				t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
 			}
-			n := testing.AllocsPerRun(1000, func() { consider(tc.parent, q, o) })
-			if tc.stage != "" && n != 0 {
-				t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
+			for _, way := range []struct {
+				name     string
+				consider func()
+			}{
+				{"popped", func() { popped(tc.parent, o) }},
+				{"settled by a bound", func() { bounded(tc.parent, o) }},
+			} {
+				n := testing.AllocsPerRun(1000, way.consider)
+				if tc.stage != "" && n != 0 {
+					t.Errorf("%s, %s: a rejected child cost %.0f allocations, want 0", tc.name, way.name, n)
+				}
+				if tc.stage == "" && n > 1 {
+					t.Errorf("%s, %s: a child that passed cost %.0f allocations, want at most 1 amortised", tc.name, way.name, n)
+				}
 			}
-			if tc.stage == "" && n > 1 {
-				t.Errorf("%s: a queued child cost %.0f allocations, want at most 1 amortised", tc.name, n)
+			if s.queue.dropped != (tc.stage == "") {
+				t.Errorf("%s: a bound dropped it and reports dropping a state that passes: %v", tc.name, s.queue.dropped)
 			}
 		}
 	}

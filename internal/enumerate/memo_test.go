@@ -17,7 +17,9 @@ type question struct {
 	// ask puts the question to m in ctx and drops the answer.
 	ask func(m guidance.Model, ctx *guidance.Context)
 	// same reports whether ma in a and mb in b answer alike, class for
-	// class and probability bit for bit, and shows both answers when not.
+	// class and probability bit for bit, each log-probability being the
+	// logarithm of its probability bit for bit, and shows both answers when
+	// not.
 	same func(ma guidance.Model, a *guidance.Context, mb guidance.Model, b *guidance.Context) (bool, string)
 }
 
@@ -29,7 +31,8 @@ func newQuestion[T comparable](module string, ask func(guidance.Model, *guidance
 			x, y := ask(ma, a), ask(mb, b)
 			alike := len(x) == len(y)
 			for i := 0; alike && i < len(x); i++ {
-				alike = x[i].Class == y[i].Class && math.Float64bits(x[i].Prob) == math.Float64bits(y[i].Prob)
+				alike = x[i].Class == y[i].Class && math.Float64bits(x[i].Prob) == math.Float64bits(y[i].Prob) &&
+					logOf(x[i]) && logOf(y[i])
 			}
 			if alike {
 				return true, ""
@@ -37,6 +40,12 @@ func newQuestion[T comparable](module string, ask func(guidance.Model, *guidance
 			return false, fmt.Sprintf("%v\n  vs %v", x, y)
 		},
 	}
+}
+
+// logOf reports whether s's log-probability is the logarithm of its
+// probability, bit for bit.
+func logOf[T any](s guidance.Scored[T]) bool {
+	return math.Float64bits(s.Log) == math.Float64bits(math.Log(s.Prob))
 }
 
 // questions asks every module about every slot of q it has an argument for:
@@ -86,7 +95,8 @@ func questions(q *sqlir.Query) []question {
 // Over the Spider walk, with and without the TSQ, every module's answer
 // from the search's own context — which has answered the search's questions
 // about every state before — is the answer a fresh context computes for the
-// same partial query: class for class, probability bit for bit. A model that
+// same partial query: class for class, probability bit for bit, and each
+// log-probability the logarithm of its probability bit for bit. A model that
 // is not a guidance.Borrower, handed a copy of the query at every
 // expansion, leaves as many answers memoised as the borrowing model; and a
 // question asked again allocates nothing, for every one of the 15 modules.
@@ -95,7 +105,7 @@ func TestMemoisedModulesAreTheComputation(t *testing.T) {
 	asked := 0
 	for _, in := range inputs {
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			walk(t, in, sketch, 250, func(x expansion) {
+			walk(t, in, sketch, ModeGPQE, 250, observer{expanded: func(x expansion) {
 				for _, qu := range questions(x.parent) {
 					// A context of its own per question: no answer filed
 					// before, under a key another question shares, can
@@ -106,14 +116,14 @@ func TestMemoisedModulesAreTheComputation(t *testing.T) {
 					}
 					asked++
 				}
-			})
+			}})
 		}
 
 		// The same walk under a wrapper that gets a clone per expansion
 		// files its answers under the same keys.
 		memoised := func(m guidance.Model) int {
 			var ctx *guidance.Context
-			walk(t, walkInput{in.id, in.db, m, in.sketch, in.nlq, in.lits}, in.sketch, 250, func(x expansion) { ctx = x.ctx })
+			walk(t, walkInput{in.id, in.db, m, in.sketch, in.nlq, in.lits}, in.sketch, ModeGPQE, 250, observer{expanded: func(x expansion) { ctx = x.ctx }})
 			return ctx.Memoised()
 		}
 		wrapped := struct{ guidance.Model }{in.model}

@@ -26,7 +26,7 @@ func walkRuleChildren(tb testing.TB, maxStates int, visit func(id string, c rule
 	rules := semrules.Default()
 	for _, in := range walkInputs(tb) {
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			walk(tb, in, sketch, maxStates, func(x expansion) {
+			walk(tb, in, sketch, ModeGPQE, maxStates, observer{expanded: func(x expansion) {
 				if rules.Check(x.parent, in.db.Schema) != nil {
 					return
 				}
@@ -34,7 +34,7 @@ func walkRuleChildren(tb testing.TB, maxStates int, visit func(id string, c rule
 				for _, o := range x.opts {
 					visit(in.id, ruleChild{derive(parent, o.dec), parent, o.dec, in.db.Schema})
 				}
-			})
+			}})
 		}
 	}
 }

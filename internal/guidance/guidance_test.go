@@ -310,15 +310,15 @@ func TestCandidateTablesRestrictedByFrom(t *testing.T) {
 }
 
 func TestNormalizeDropsNonPositive(t *testing.T) {
-	in := []Scored[int]{{1, 0.5}, {2, 0}, {3, -1}, {4, 0.5}}
+	in := []Scored[int]{{Class: 1, Prob: 0.5}, {Class: 2}, {Class: 3, Prob: -1}, {Class: 4, Prob: 0.5}}
 	out := Normalize(in)
 	if len(out) != 2 {
 		t.Fatalf("out = %v", out)
 	}
-	if out[0].Prob != 0.5 || out[1].Prob != 0.5 {
+	if out[0].Prob != 0.5 || out[1].Prob != 0.5 || out[0].Log != math.Log(0.5) || out[1].Log != math.Log(0.5) {
 		t.Errorf("out = %v", out)
 	}
-	if Normalize([]Scored[int]{{1, 0}}) != nil {
+	if Normalize([]Scored[int]{{Class: 1}}) != nil {
 		t.Error("all-zero should normalize to nil")
 	}
 }

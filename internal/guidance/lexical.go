@@ -367,7 +367,8 @@ func (m *LexicalModel) SelectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []S
 
 func (m *LexicalModel) selectAgg(ctx *Context, idx int, col sqlir.ColumnRef) []Scored[sqlir.AggFunc] {
 	if col.IsStar() {
-		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1}}
+		// One class, not normalised: its Log is log 1, as Normalize would store.
+		return []Scored[sqlir.AggFunc]{{Class: sqlir.AggCount, Prob: 1, Log: 0}}
 	}
 	f := ctx.features
 	ty := col.Type()

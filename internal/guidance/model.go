@@ -12,6 +12,8 @@
 package guidance
 
 import (
+	"math"
+
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -19,9 +21,12 @@ import (
 // Scored pairs an output class with its probability. Each module returns a
 // slice whose probabilities sum to 1 (enforced by Normalize), which yields
 // Property 1: the children of a state partition the parent's confidence.
+// Log is math.Log(Prob), written beside it by Normalize, so a search adds
+// a child's log-confidence instead of taking a logarithm per child.
 type Scored[T any] struct {
 	Class T
 	Prob  float64
+	Log   float64
 }
 
 // KeywordSet is the KW module's output: which optional clauses appear.
@@ -173,7 +178,8 @@ func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
 func (c *Context) Memoised() int { return len(c.features.memo.answers) }
 
 // Normalize scales probabilities to sum to 1, dropping non-positive entries,
-// in place: the result reuses in's storage. Returns nil if nothing remains.
+// and stores each one's logarithm beside it, in place: the result reuses
+// in's storage. Returns nil if nothing remains.
 func Normalize[T any](in []Scored[T]) []Scored[T] {
 	total := 0.0
 	for _, s := range in {
@@ -189,7 +195,8 @@ func Normalize[T any](in []Scored[T]) []Scored[T] {
 		if s.Prob <= 0 {
 			continue
 		}
-		out = append(out, Scored[T]{Class: s.Class, Prob: s.Prob / total})
+		p := s.Prob / total
+		out = append(out, Scored[T]{Class: s.Class, Prob: p, Log: math.Log(p)})
 	}
 	return out
 }

@@ -19,10 +19,11 @@
 // A check runs on its caller's goroutine from the first stage to the last,
 // database stages included, and keeps nothing of the query it was given: the
 // caller may build the next query in the same memory as soon as the call
-// returns (the enumerator checks every child in one scratch buffer). That
-// holds because memo keys are 128-bit hashes of the question (keys.go), an
-// entry's dependency list is returned by boolMemo.do's callback while the
-// query is still the caller's, and an Outcome's reason never points into it.
+// returns (the enumerator checks every query in one of two scratch
+// buffers). That holds because memo keys are 128-bit hashes of the question
+// (keys.go), an entry's dependency list is returned by boolMemo.do's
+// callback while the query is still the caller's, and an Outcome's reason
+// never points into it.
 package verify
 
 import (
@@ -99,8 +100,13 @@ func fail(stage Stage, format string, args ...any) Outcome {
 // Stats counts per-stage work for the cost-ordering analysis (§3.4). The
 // executor-level counters report how much work the streaming pipeline's
 // predicate pushdown eliminates.
+//
+// Checked counts cascades run, not children generated: a search checks a
+// complete child when it generates it, and a child with holes left only
+// when it pops it or a bound settles it, so the children it queues and
+// never reaches are never checked.
 type Stats struct {
-	Checked     int           // total Verify calls
+	Checked     int           // cascades run (Verify, VerifyCtx, VerifyChild calls)
 	Rejected    map[Stage]int // rejections per stage
 	ColumnCache int           // column-check cache hits
 	DBQueries   int           // verification queries actually executed
