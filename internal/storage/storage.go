@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,7 @@ type ColumnStats struct {
 	Min, Max sqlir.Value // over non-null values; Null if column empty
 	Distinct int
 	NonNull  int
+	NaN      int // NaN values among the non-null ones of a numeric column
 }
 
 // Stats returns memoized statistics of column ci. The memo lives on the
@@ -235,6 +237,9 @@ func (t *Table) computeStats(ci int) ColumnStats {
 				continue
 			}
 			f := vec.nums[i]
+			if math.IsNaN(f) {
+				st.NaN++
+			}
 			if first {
 				lo, hi, first = f, f, false
 			} else {

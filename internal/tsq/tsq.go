@@ -7,6 +7,7 @@ package tsq
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/duoquest/duoquest/internal/sqlexec"
@@ -43,8 +44,10 @@ func Range(lo, hi float64) Cell {
 	return Cell{Kind: CellRange, Lo: sqlir.NewNumber(lo), Hi: sqlir.NewNumber(hi)}
 }
 
-// Matches reports whether a result cell satisfies this example cell.
-func (c Cell) Matches(v sqlir.Value) bool {
+// Matches reports whether a result cell satisfies this example cell. It
+// takes the cell by pointer: a matcher asks it per cell per row, and a Cell
+// is three Values wide.
+func (c *Cell) Matches(v sqlir.Value) bool {
 	switch c.Kind {
 	case CellEmpty:
 		return true
@@ -60,6 +63,31 @@ func (c Cell) Matches(v sqlir.Value) bool {
 			return false
 		}
 		return v.Num >= c.Lo.Num && v.Num <= c.Hi.Num
+	default:
+		return false
+	}
+}
+
+// disjoint reports whether no value matches both c and o (Matches): an
+// empty cell meets everything, EqualFold-equal texts and Equal numbers meet,
+// a number meets a range that holds it, two ranges meet where they overlap,
+// and every other pair of exact cells, or of an exact cell and a range, is
+// apart. A range with a NaN bound matches nothing yet meets another range
+// here: reporting a disjoint pair as meeting only costs RowsDecide a "no".
+func (c *Cell) disjoint(o *Cell) bool {
+	if c.Kind == CellRange && o.Kind == CellExact {
+		c, o = o, c
+	}
+	switch {
+	case c.Kind == CellExact && o.Kind == CellExact:
+		if c.Val.Kind == sqlir.KindText && o.Val.Kind == sqlir.KindText {
+			return !strings.EqualFold(c.Val.Text, o.Val.Text)
+		}
+		return !c.Val.Equal(o.Val)
+	case c.Kind == CellExact && o.Kind == CellRange:
+		return !o.Matches(c.Val)
+	case c.Kind == CellRange && o.Kind == CellRange:
+		return c.Hi.Num < o.Lo.Num || o.Hi.Num < c.Lo.Num
 	default:
 		return false
 	}
@@ -204,8 +232,8 @@ func tupleMatchesRow(tp Tuple, row []sqlir.Value) bool {
 	if len(tp) != len(row) {
 		return false
 	}
-	for i, c := range tp {
-		if !c.Matches(row[i]) {
+	for i := range tp {
+		if !tp[i].Matches(row[i]) {
 			return false
 		}
 	}
@@ -286,18 +314,28 @@ func (m *Matcher) done() bool {
 	return m.matched == len(m.t.Tuples)
 }
 
-// Columns checks the result's width and column types against the sketch. It
-// reports whether the answer is settled before any row: false on a
-// mismatch, true when the sketch has neither tuples nor a limit.
-func (m *Matcher) Columns(types []sqlir.Type) (settled bool) {
-	t := m.t
+// ColumnsMatch reports whether a result with these column types can
+// satisfy the sketch: its width is the sketch's, when the sketch constrains
+// columns, and every annotated column has the annotated type.
+func (t *TSQ) ColumnsMatch(types []sqlir.Type) bool {
 	if w := t.Width(); w > 0 && len(types) != w {
-		return m.settle(false)
+		return false
 	}
 	for i, ty := range t.Types {
 		if ty != sqlir.TypeUnknown && types[i] != ty {
-			return m.settle(false)
+			return false
 		}
+	}
+	return true
+}
+
+// Columns checks the result's width and column types against the sketch
+// (ColumnsMatch). It reports whether the answer is settled before any row:
+// false on a mismatch, true when the sketch has neither tuples nor a limit.
+func (m *Matcher) Columns(types []sqlir.Type) (settled bool) {
+	t := m.t
+	if !t.ColumnsMatch(types) {
+		return m.settle(false)
 	}
 	if t.Limit == 0 && m.done() {
 		return m.settle(true)
@@ -397,4 +435,51 @@ func (m *Matcher) Answer(rows int) bool {
 		return false
 	}
 	return m.done()
+}
+
+// RowsDecide reports whether matching each example tuple on its own decides
+// Definition 2.4 for a result whose columns pass ColumnsMatch: whether such
+// a result satisfies the sketch as soon as every example tuple matches some
+// row of it. That holds when
+//
+//   - the sketch is unsorted, has no limit and has at least one tuple, so
+//     only rule 2, the distinct matching, is left to decide;
+//   - every tuple is Width cells wide (a tuple of another width matches no
+//     row) and has a non-empty cell; and
+//   - every two tuples are separated: in some column both cells are
+//     non-empty and no value matches both (Cell.disjoint).
+//
+// No row can then match two tuples, so the rows that match each tuple are
+// disjoint non-empty sets: any one row per tuple is a distinct matching
+// (Hall's condition holds). Two equal tuples are never separated — under
+// bag semantics each needs its own row occurrence — and are left to a
+// Matcher. The answer depends on the sketch alone; a caller that asks it
+// per result computes it once.
+func (t *TSQ) RowsDecide() bool {
+	if t.Sorted || t.Limit != 0 || len(t.Tuples) == 0 {
+		return false
+	}
+	w := t.Width()
+	for i, tp := range t.Tuples {
+		if len(tp) != w || !slices.ContainsFunc(tp, func(c Cell) bool { return c.Kind != CellEmpty }) {
+			return false
+		}
+		for _, earlier := range t.Tuples[:i] {
+			if !separated(tp, earlier) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// separated reports whether no row can match both tuples: some column's
+// cells are disjoint.
+func separated(a, b Tuple) bool {
+	for i := range min(len(a), len(b)) {
+		if a[i].disjoint(&b[i]) {
+			return true
+		}
+	}
+	return false
 }

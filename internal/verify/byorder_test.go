@@ -9,6 +9,7 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
 	"github.com/duoquest/duoquest/internal/guidance"
+	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -21,36 +22,91 @@ import (
 // of enumerate's TestSpiderCandidatesGolden — every third Spider-dev task,
 // the full TSQ drawn from seed 1+i, ten candidates under a 3000-state cap,
 // default rules and the lexical model, one verification cache per database
-// — and checks that every by-order question the search asks gets the same
-// answer and error on the stream as from the whole result.
+// — and checks that every by-order answer the search gets, asked of the
+// stream or proved by by-row, is the whole result's answer, error included.
 func TestByOrderAskAgreesOnSpiderTasks(t *testing.T) {
 	stride := 3
 	if testing.Short() {
 		stride = 24
 	}
+	if asked, _ := crossCheckByOrder(t, func() { searchSpiderDual(t, stride) }); asked == 0 {
+		t.Error("no by-order question was asked")
+	}
+}
+
+// TestByOrderAgreesOnLoadgenTasks is the same check over the requests the
+// benchmark's scale workloads send: the medium preset's generated database
+// at 20 000 rows and its 33 tasks (both from seed 1), task i with the full
+// TSQ drawn from seed 1+i, three candidates under a 3000-state cap. -short
+// keeps every 4th task.
+func TestByOrderAgreesOnLoadgenTasks(t *testing.T) {
+	spec, _ := loadgen.Preset("medium")
+	spec.Rows = 20_000
+	gen, err := loadgen.Generate(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := gen.Tasks(33, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 4
+	}
+	cache := verify.NewCache(gen.DB)
+	crossCheckByOrder(t, func() {
+		for i := 0; i < len(tasks); i += stride {
+			task := tasks[i]
+			sk, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, 1+int64(i))
+			if err != nil {
+				t.Fatalf("%s: %v", task.ID, err)
+			}
+			v := verify.NewWithCache(gen.DB, semrules.Default(), sk, task.Literals, cache)
+			en := enumerate.New(gen.DB, guidance.NewLexicalModel(), v, enumerate.Options{
+				MaxCandidates: 3, MaxStates: 3000,
+			})
+			if _, err := en.Enumerate(context.Background(), task.NLQ, task.Literals, nil); err != nil {
+				t.Fatalf("%s: %v", task.ID, err)
+			}
+		}
+	})
+}
+
+// crossCheckByOrder runs search with every by-order answer checked against
+// Satisfies(ExecuteCtx(q)), wants some answers proved by by-row, and returns
+// how many were asked and how many proved.
+func crossCheckByOrder(t *testing.T, search func()) (asked, proved int) {
+	t.Helper()
 	var (
 		mu     sync.Mutex
-		asked  int
 		differ []string
 	)
-	restore := verify.CrossCheckByOrder(func(q *sqlir.Query, sk *tsq.TSQ, got, want bool, gerr, werr error) {
+	restore := verify.CrossCheckByOrder(func(q *sqlir.Query, sk *tsq.TSQ, byRows, got, want bool, gerr, werr error) {
 		mu.Lock()
 		defer mu.Unlock()
-		asked++
+		how := "streamed"
+		if byRows {
+			how = "proved by by-row"
+			proved++
+		} else {
+			asked++
+		}
 		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			differ = append(differ, fmt.Sprintf("%s under %s: streamed %v (%v), whole result %v (%v)", q, sk, got, gerr, want, werr))
+			differ = append(differ, fmt.Sprintf("%s under %s: %s %v (%v), whole result %v (%v)", q, sk, how, got, gerr, want, werr))
 		}
 	})
 	defer restore()
 
-	searchSpiderDual(t, stride)
-	if asked == 0 {
-		t.Fatal("no by-order question was asked")
+	search()
+	if proved == 0 {
+		t.Errorf("no by-order answer was proved by by-row (%d asked)", asked)
 	}
 	for _, d := range differ {
 		t.Error(d)
 	}
-	t.Logf("%d by-order questions, %d disagreements", asked, len(differ))
+	t.Logf("%d by-order answers asked, %d proved by by-row, %d disagreements", asked, proved, len(differ))
+	return asked, proved
 }
 
 // searchSpiderDual runs the dual-specification requests of enumerate's

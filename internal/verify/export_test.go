@@ -8,20 +8,19 @@ import (
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-// CrossCheckByOrder makes every by-order question asked from now on also be
-// answered the way it was before the question sink — Satisfies over
-// ExecuteCtx's whole result — and hands both answers to report, which may
-// be called from several goroutines at once. Verification still uses the
-// streamed answer. restore undoes the wrapping.
-func CrossCheckByOrder(report func(q *sqlir.Query, sketch *tsq.TSQ, got, want bool, gotErr, wantErr error)) (restore func()) {
-	prev := askByOrder
-	askByOrder = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ) (bool, error) {
-		got, gerr := prev(ctx, jc, q, sketch)
+// CrossCheckByOrder hands report every by-order answer given from now on —
+// asked of the stream, or proved by by-row (proved) — together with the
+// answer the question had before the question sink: Satisfies over
+// ExecuteCtx's whole result. report may be called from several goroutines
+// at once. Verification still uses the answer given. restore undoes the
+// hook.
+func CrossCheckByOrder(report func(q *sqlir.Query, sketch *tsq.TSQ, proved, got, want bool, gotErr, wantErr error)) (restore func()) {
+	prev := byOrderAnswered
+	byOrderAnswered = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ, proved, got bool, gerr error) {
 		res, werr := jc.ExecuteCtx(ctx, q)
-		report(q, sketch, got, werr == nil && sketch.Satisfies(res), gerr, werr)
-		return got, gerr
+		report(q, sketch, proved, got, werr == nil && sketch.Satisfies(res), gerr, werr)
 	}
-	return func() { askByOrder = prev }
+	return func() { byOrderAnswered = prev }
 }
 
 // CrossCheckByRow hands report every by-row answer given from now on,

@@ -286,54 +286,65 @@ func memoKeys(bm *boolMemo) map[memoKey]bool {
 
 // A verifier workload of three requests over one shared cache asks the same
 // questions three times: every request reaches the same outcome, the later
-// two answer the column-wise questions from the memos, and they add no key to
-// either memo — a question hashes to the same key every time it is asked.
+// two answer the column-wise and row-wise questions from the memos, and they
+// add no key to either memo — a question hashes to the same key every time
+// it is asked. The final by-order gate is not memoized: it is asked again by
+// every request unless by-row's answers prove it. They do for one tuple
+// (tsq.TSQ.RowsDecide); two equal tuples need two rows, so they are asked,
+// and the one Forrest Gump fails them.
 func TestVerifierWorkloadUnderDebugKeys(t *testing.T) {
 	db := movieDB()
-	sketch := &tsq.TSQ{
-		Types:  []sqlir.Type{sqlir.TypeText},
-		Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump"))}},
-	}
+	gump := tsq.Tuple{tsq.Exact(text("Forrest Gump"))}
 	q, err := sqlparse.Parse(db.Schema, "SELECT title FROM movie WHERE year > 1990")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache(db)
-	var first Outcome
-	var colKeys, rowKeys map[memoKey]bool
-	for i := 0; i < 3; i++ {
-		v := NewWithCache(db, nil, sketch, nil, cache)
-		out, err := v.Verify(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = out
-			colKeys, rowKeys = memoKeys(cache.col), memoKeys(cache.row)
-			if !out.OK {
-				t.Fatalf("first outcome = %+v, want pass", out)
+	for _, c := range []struct {
+		name      string
+		tuples    []tsq.Tuple
+		pass      bool
+		byOrderDB int // database queries of a repeat request: the by-order gate's
+	}{
+		{"one tuple", []tsq.Tuple{gump}, true, 0},
+		{"two equal tuples", []tsq.Tuple{gump, gump}, false, 1},
+	} {
+		sketch := &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}, Tuples: c.tuples}
+		cache := NewCache(db)
+		var first Outcome
+		var colKeys, rowKeys map[memoKey]bool
+		for i := 0; i < 3; i++ {
+			v := NewWithCache(db, nil, sketch, nil, cache)
+			out, err := v.Verify(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(colKeys) == 0 {
-				t.Fatal("the first request memoized no column question")
+			if i == 0 {
+				first = out
+				colKeys, rowKeys = memoKeys(cache.col), memoKeys(cache.row)
+				if out.OK != c.pass || !out.OK && out.Stage != StageByOrder {
+					t.Fatalf("%s: first outcome = %+v, want pass %v (else a by-order rejection)", c.name, out, c.pass)
+				}
+				if len(colKeys) == 0 || len(rowKeys) == 0 {
+					t.Fatalf("%s: the first request memoized %d column and %d row questions, want some of each", c.name, len(colKeys), len(rowKeys))
+				}
+				if st := v.Stats(); st.DBQueries != len(colKeys)+len(rowKeys)+c.byOrderDB {
+					t.Fatalf("%s: first request DBQueries = %d, want the %d memoized questions plus %d for the by-order gate",
+						c.name, st.DBQueries, len(colKeys)+len(rowKeys), c.byOrderDB)
+				}
+				continue
 			}
-			if st := v.Stats(); st.DBQueries <= 1 {
-				t.Fatalf("first request DBQueries = %d, want the memoized questions plus the by-order gate", st.DBQueries)
+			if out.OK != first.OK || out.Stage != first.Stage {
+				t.Errorf("%s: request %d outcome = %+v, want %+v", c.name, i, out, first)
 			}
-			continue
-		}
-		if out.OK != first.OK || out.Stage != first.Stage {
-			t.Errorf("request %d outcome = %+v, want %+v", i, out, first)
-		}
-		// Only the final by-order gate, which is not memoized, reaches the
-		// database again.
-		if st := v.Stats(); st.DBQueries != 1 {
-			t.Errorf("request %d DBQueries = %d, want 1 (the by-order gate)", i, st.DBQueries)
-		}
-		if got := memoKeys(cache.col); len(got) != len(colKeys) {
-			t.Errorf("request %d: column memo holds %d keys, want %d", i, len(got), len(colKeys))
-		}
-		if got := memoKeys(cache.row); len(got) != len(rowKeys) {
-			t.Errorf("request %d: row memo holds %d keys, want %d", i, len(got), len(rowKeys))
+			if st := v.Stats(); st.DBQueries != c.byOrderDB {
+				t.Errorf("%s: request %d DBQueries = %d, want %d (the by-order gate)", c.name, i, st.DBQueries, c.byOrderDB)
+			}
+			if got := memoKeys(cache.col); len(got) != len(colKeys) {
+				t.Errorf("%s: request %d: column memo holds %d keys, want %d", c.name, i, len(got), len(colKeys))
+			}
+			if got := memoKeys(cache.row); len(got) != len(rowKeys) {
+				t.Errorf("%s: request %d: row memo holds %d keys, want %d", c.name, i, len(got), len(rowKeys))
+			}
 		}
 	}
 }

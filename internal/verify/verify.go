@@ -14,7 +14,8 @@
 //	VerifyLiterals     — complete queries must use all NLQ literals
 //	VerifyByOrder      — complete queries must satisfy the full TSQ
 //	                     (ordering, distinctness, limit), asked of the
-//	                     result as it streams, with an early exit
+//	                     result as it streams, with an early exit, or
+//	                     proved by by-row's answers where they decide it
 //
 // A check runs on its caller's goroutine from the first stage to the last,
 // database stages included, and keeps nothing of the query it was given: the
@@ -109,7 +110,9 @@ type Stats struct {
 	Checked     int           // cascades run (Verify, VerifyCtx, VerifyChild calls)
 	Rejected    map[Stage]int // rejections per stage
 	ColumnCache int           // column-check cache hits
-	DBQueries   int           // verification queries actually executed
+	// DBQueries counts verification queries actually executed: a memoized
+	// answer is not one, nor is a by-order answer proved by by-row.
+	DBQueries int
 
 	StreamedExists int // existence probes served by the streaming executor
 	IndexHits      int // posting-list lookups served by persistent column indexes
@@ -128,6 +131,9 @@ type Verifier struct {
 	rules    *semrules.RuleSet
 	sketch   *tsq.TSQ // nil disables TSQ checks (NLI mode)
 	literals []sqlir.Value
+	// rowsDecide is sketch.RowsDecide(): by-row's answers can decide
+	// by-order (rowsProve).
+	rowsDecide bool
 
 	colCache *boolMemo // column-wise verification memo (shared via Cache)
 	rowCache *boolMemo // row-wise verification memo (shared via Cache)
@@ -325,14 +331,15 @@ func NewWithCache(db *storage.Database, rules *semrules.RuleSet, sketch *tsq.TSQ
 		panic("verify: cache was built for a different database")
 	}
 	return &Verifier{
-		db:       db,
-		rules:    rules,
-		sketch:   sketch,
-		literals: literals,
-		colCache: cache.col,
-		rowCache: cache.row,
-		joins:    cache.joins,
-		base:     cache.joins.Stats(),
+		db:         db,
+		rules:      rules,
+		sketch:     sketch,
+		literals:   literals,
+		rowsDecide: sketch != nil && sketch.RowsDecide(),
+		colCache:   cache.col,
+		rowCache:   cache.row,
+		joins:      cache.joins,
+		base:       cache.joins.Stats(),
 	}
 }
 
@@ -441,7 +448,9 @@ const (
 //     it is the root's, and the empty query has proved nothing.
 //
 // Clauses, literals and by-order are not inherited: the first is cheap and
-// reads everything, the last two run once, on completion. Semantics are
+// reads everything, the last two run once, on completion. Nor does by-order
+// lean on an inherited by-row proof: it is proved by by-row only when by-row
+// ran in the same cascade (dbStages). Semantics are
 // re-proved by the rule set itself: after a projection or predicate decision
 // the built-in rules run only at the slot written, since a rule the parent
 // passed and the child breaks can break nowhere else (semrules.CheckChild).
@@ -476,17 +485,20 @@ func (v *Verifier) dbStages(ctx context.Context, q *sqlir.Query, owes debt) (Out
 			return out, err
 		}
 	}
+	everyTuple := false // by-row asked, and passed, every tuple's question here
 	if owes.rows && v.canCheckRows(q) {
-		if out, err := v.verifyByRow(ctx, q); err != nil || !out.OK {
+		out, every, err := v.verifyByRow(ctx, q)
+		if err != nil || !out.OK {
 			return out, err
 		}
+		everyTuple = every
 	}
 	if q.Complete() {
 		if out := v.verifyLiterals(q); !out.OK {
 			return out, nil
 		}
 		if v.sketch != nil {
-			return v.verifyByOrder(ctx, q)
+			return v.verifyByOrder(ctx, q, everyTuple && v.rowsProve(q))
 		}
 	}
 	return pass(), nil
@@ -734,13 +746,15 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // Sibling states (e.g. differing only in ORDER BY decisions) ask identical
 // row questions, so the answers are memoized under the question's key,
 // hashed from q and the tuple in place (rowQuestion.key): the question
-// itself is built only when the memo has no answer.
-func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
+// itself is built only when the memo has no answer. The bool reports that
+// a question was asked of every tuple, none being left unconstrained.
+func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, bool, error) {
 	rq := newRowQuestion(q)
+	asked := 0
 	for ti, tp := range v.sketch.Tuples {
 		constrained, outside := rq.shape(tp)
 		if outside >= 0 {
-			return fail(StageByRow, "projection %d outside join path", outside), nil
+			return fail(StageByRow, "projection %d outside join path", outside), false, nil
 		}
 		if !constrained {
 			continue
@@ -750,16 +764,17 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 			return v.probe(ctx, rq.build(tp))
 		})
 		if err != nil {
-			return pass(), err
+			return pass(), false, err
 		}
 		if byRowChecked != nil {
 			byRowChecked(ctx, v.joins, key, rq.build(tp), ok)
 		}
 		if !ok {
-			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), nil
+			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
 		}
+		asked++
 	}
-	return pass(), nil
+	return pass(), asked == len(v.sketch.Tuples), nil
 }
 
 // byRowChecked, when set, is handed every by-row answer with its key and its
@@ -936,14 +951,36 @@ func (v *Verifier) verifyLiterals(q *sqlir.Query) Outcome {
 }
 
 // verifyByOrder checks full TSQ satisfaction of the complete query's result
-// — Definition 2.4's distinct matching, ordering (when τ=⊤), and row limit —
-// by asking the TSQ's Matcher on the stream (sqlexec.JoinCache.AskCtx): the
-// result is never built, and the scan stops once the answer is settled.
+// — Definition 2.4's distinct matching, ordering (when τ=⊤), and row limit.
 // This is the final soundness gate: every emitted candidate satisfies the
-// TSQ. The caller has checked that there is a TSQ.
-func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, error) {
-	v.dbQueries.Add(1)
-	ok, err := askByOrder(ctx, v.joins, q, v.sketch)
+// TSQ, its answer asked, or proved by by-row:
+//
+//   - asked: the TSQ's Matcher is asked on the stream
+//     (sqlexec.JoinCache.AskCtx): the result is never built, and the scan
+//     stops once the answer is settled;
+//   - proved (rowsProve): this cascade's by-row checks showed every tuple a
+//     matching row, which decides the rest (tsq.TSQ.RowsDecide), so only the
+//     result's column types are checked, as the Matcher would, and no
+//     database query is made.
+//
+// The caller has checked that there is a TSQ.
+func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query, proved bool) (Outcome, error) {
+	var ok bool
+	var err error
+	if proved {
+		var buf [8]sqlir.Type
+		types := buf[:0]
+		for _, s := range q.Select {
+			types = append(types, s.Agg.ResultType(s.Col.Type()))
+		}
+		ok = v.sketch.ColumnsMatch(types)
+	} else {
+		v.dbQueries.Add(1)
+		ok, err = askByOrder(ctx, v.joins, q, v.sketch)
+	}
+	if byOrderAnswered != nil {
+		byOrderAnswered(ctx, v.joins, q, v.sketch, proved, ok, err)
+	}
 	if err != nil {
 		return pass(), err
 	}
@@ -953,11 +990,52 @@ func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query) (Outcome, 
 	return pass(), nil
 }
 
-// askByOrder is by-order verification's question. It is a variable so that
-// a test can check every answer against Satisfies(ExecuteCtx(q)). The
+// rowsProve reports whether by-row's questions, asked of every tuple in this
+// cascade and all answered yes, decide by-order for the complete query q
+// under a sketch whose tuples RowsDecide. They do when each question asks
+// "does some row of q's result match this tuple?", which holds when
+//
+//   - q is flat — no aggregate, GROUP BY, ORDER BY or LIMIT — so its result
+//     rows are the rows of its FROM that pass its WHERE, projected (DISTINCT
+//     keeps one of each), and the question reads that FROM and WHERE;
+//   - q has the sketch's width and every projection is a column on q's join
+//     path, so the scan the proof stands in for would bind: by-row bound
+//     only the projections some tuple constrains;
+//   - a question's cell predicates hold only where Cell.Matches does. An
+//     exact cell's equality does (exact text equality implies EqualFold, and
+//     NULL equals nothing); a range's bounds do not on a NaN, which
+//     Value.Compare puts inside every range, so a range cell wants a column
+//     without NaN.
+func (v *Verifier) rowsProve(q *sqlir.Query) bool {
+	if !v.rowsDecide || q.HasAggregate() || q.GroupByState == sqlir.ClausePresent ||
+		q.OrderByState == sqlir.ClausePresent || q.LimitSet && q.Limit > 0 ||
+		len(q.Select) != v.sketch.Width() {
+		return false
+	}
+	cat, on := v.db.Schema.Catalog(), q.From.Set()
+	for _, s := range q.Select {
+		if s.Col.IsStar() || !cat.Same(s.Col.Catalog()) || !on.Has(s.Col.Table()) {
+			return false
+		}
+	}
+	for _, tp := range v.sketch.Tuples {
+		for i := range tp {
+			if tp[i].Kind == tsq.CellRange && v.db.Stats(q.Select[i].Col).NaN > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// byOrderAnswered, when set, is handed every by-order answer, asked or
+// proved, so that a test can check each against Satisfies(ExecuteCtx(q)).
+var byOrderAnswered func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ, proved, answer bool, err error)
+
+// askByOrder asks by-order verification's question of the stream. The
 // matcher is reset from matchers and goes back once the answer is in: the
 // sink that asked it has let go of it by then.
-var askByOrder = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ) (bool, error) {
+func askByOrder(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ) (bool, error) {
 	m := matchers.Get().(*tsq.Matcher)
 	defer matchers.Put(m)
 	m.Reset(sketch)

@@ -2,10 +2,12 @@ package verify
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/semrules"
+	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
@@ -466,6 +468,79 @@ func TestVerifyDistinctTupleGate(t *testing.T) {
 	out := mustVerify(t, v, q)
 	if out.OK || out.Stage != StageByOrder {
 		t.Errorf("distinctness should fail at the final gate: %+v", out)
+	}
+}
+
+// By-order is proved by by-row only where the proof holds: a flat query,
+// every tuple asked by by-row in the same cascade, separated tuples
+// (tsq.TSQ.RowsDecide) and no range cell over a column holding a NaN, which
+// a range question admits and Cell.Matches does not. Every answer is the
+// whole result's.
+func TestByOrderProvedByRows(t *testing.T) {
+	db := movieDB()
+	nan := storage.NewTable("gross", "gid",
+		storage.Column{Name: "gid", Type: sqlir.TypeNumber},
+		storage.Column{Name: "amount", Type: sqlir.TypeNumber},
+	)
+	nan.MustInsert(num(1), num(math.NaN()))
+	nanDB := storage.NewDatabase("nan", storage.NewSchema(nan))
+	flat := "SELECT m.title, a.name, m.year FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.mid = m.mid " +
+		"WHERE m.year < 1995 OR m.year > 2000"
+	cases := []struct {
+		name   string
+		db     *storage.Database
+		sketch *tsq.TSQ
+		sql    string
+		d      sqlir.Decision
+		proved bool
+		pass   bool
+	}{
+		{"separated tuples", db, kevinTSQ(), flat, sqlir.Decision{}, true, true},
+		{"a result of other types", db, &tsq.TSQ{
+			Types:  []sqlir.Type{sqlir.TypeText, sqlir.TypeText, sqlir.TypeText},
+			Tuples: []tsq.Tuple{{tsq.Exact(text("Forrest Gump")), tsq.Empty(), tsq.Empty()}},
+		}, flat, sqlir.Decision{Kind: sqlir.DecideFrom}, true, false}, // owes by-row, not the types
+		{"by-row inherited", db, kevinTSQ(), flat, sqlir.Decision{Kind: sqlir.DecideOrderDir}, false, true},
+		{"sorted", db, &tsq.TSQ{Sorted: true, Tuples: kevinTSQ().Tuples}, flat + " ORDER BY m.year DESC", sqlir.Decision{}, false, false},
+		{"equal tuples", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Exact(text("Tom Hanks"))}, {tsq.Exact(text("Tom Hanks"))}}},
+			"SELECT name FROM actor", sqlir.Decision{}, false, false},
+		{"grouped", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Exact(text("Tom Hanks")), tsq.Exact(num(2))}}},
+			"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name", sqlir.Decision{}, false, true},
+		{"a range over a NaN", nanDB, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, 10)}}},
+			"SELECT amount FROM gross", sqlir.Decision{}, false, false},
+	}
+	var got []bool
+	prev := byOrderAnswered
+	defer func() { byOrderAnswered = prev }()
+	byOrderAnswered = func(ctx context.Context, jc *sqlexec.JoinCache, q *sqlir.Query, sketch *tsq.TSQ, proved, answer bool, err error) {
+		res, werr := jc.ExecuteCtx(ctx, q)
+		if want := werr == nil && sketch.Satisfies(res); answer != want || err != nil || werr != nil {
+			t.Errorf("%s under %s: answered %v (%v), whole result %v (%v)", q, sketch, answer, err, want, werr)
+		}
+		got = append(got, proved)
+	}
+	for _, c := range cases {
+		got = got[:0]
+		q := sqlparse.MustParse(c.db.Schema, c.sql)
+		v := New(c.db, nil, c.sketch, nil)
+		out, err := v.VerifyChild(context.Background(), q, c.d)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != 1 || got[0] != c.proved {
+			t.Errorf("%s: by-order answers proved %v, want one, proved %v", c.name, got, c.proved)
+		}
+		if out.OK != c.pass || !out.OK && out.Stage != StageByOrder {
+			t.Errorf("%s: outcome %+v, want pass %v (else a by-order rejection)", c.name, out, c.pass)
+		}
+		asked := 0
+		if !c.proved {
+			asked = 1
+		}
+		probes := len(memoKeys(v.colCache)) + len(memoKeys(v.rowCache))
+		if byOrder := v.Stats().DBQueries - probes; byOrder != asked {
+			t.Errorf("%s: %d by-order database queries, want %d", c.name, byOrder, asked)
+		}
 	}
 }
 
