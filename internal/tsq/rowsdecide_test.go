@@ -33,6 +33,9 @@ func TestRowsDecide(t *testing.T) {
 		{"number outside range", TSQ{Tuples: []Tuple{{Exact(num(3))}, {Range(0, 2)}}}, true},
 		{"touching ranges", TSQ{Tuples: []Tuple{{Range(0, 2)}, {Range(2, 4)}}}, false},
 		{"disjoint ranges", TSQ{Tuples: []Tuple{{Range(0, 2)}, {Range(3, 4)}}}, true},
+		{"a NaN-bound range", TSQ{Tuples: []Tuple{{Range(math.NaN(), 1)}}}, false},
+		{"a range bound above by NaN", TSQ{Tuples: []Tuple{{Exact(text("Gump")), Range(0, math.NaN())}}}, false},
+		{"infinite bounds", TSQ{Tuples: []Tuple{{Range(math.Inf(-1), 0)}, {Range(1, math.Inf(1))}}}, true},
 		{"empty against exact", TSQ{Tuples: []Tuple{{Empty(), Exact(num(1))}, {Exact(num(2)), Empty()}}}, false},
 		{"an all-empty tuple", TSQ{Tuples: []Tuple{{Empty(), Empty()}}}, false},
 		{"a short tuple", TSQ{Types: []sqlir.Type{sqlir.TypeText, sqlir.TypeNumber}, Tuples: []Tuple{{Exact(text("Gump"))}}}, false},
@@ -53,7 +56,9 @@ var rowsValues = []sqlir.Value{
 	sqlir.NewText("x"),
 }
 
-var rowsBounds = []float64{math.Copysign(0, -1), 0, 1, 2, 3}
+// rowsBounds are the range bounds it draws: both zeros, infinities and NaN
+// among them.
+var rowsBounds = []float64{math.Copysign(0, -1), 0, 1, 2, 3, math.Inf(-1), math.Inf(1), math.NaN()}
 
 func randomCell(r *rand.Rand) Cell {
 	switch r.Intn(4) {
@@ -68,14 +73,23 @@ func randomCell(r *rand.Rand) Cell {
 	}
 }
 
-// matchingValue returns a value that c matches — a case-flipped text, the
-// other zero, a range's bound or midpoint — or false when c matches none.
+// matchingValue returns a value that a passing by-row question admits for
+// c (byRowAdmits) — a case-flipped text, the other zero, a range's bound or
+// midpoint or any number its NaN bound lets through — or false when it
+// admits none.
 func matchingValue(r *rand.Rand, c Cell) (sqlir.Value, bool) {
 	switch c.Kind {
 	case CellEmpty:
 		return rowsValues[r.Intn(len(rowsValues))], true
 	case CellRange:
-		return sqlir.NewNumber([]float64{c.Lo.Num, c.Hi.Num, (c.Lo.Num + c.Hi.Num) / 2}[r.Intn(3)]), true
+		nums := []float64{c.Lo.Num, c.Hi.Num, (c.Lo.Num + c.Hi.Num) / 2, 1, -1}
+		r.Shuffle(len(nums), func(i, j int) { nums[i], nums[j] = nums[j], nums[i] })
+		for _, f := range nums {
+			if v := sqlir.NewNumber(f); byRowAdmits(&c, v) {
+				return v, true
+			}
+		}
+		return sqlir.Value{}, false
 	}
 	v := c.Val
 	switch {
@@ -89,12 +103,27 @@ func matchingValue(r *rand.Rand, c Cell) (sqlir.Value, bool) {
 	return v, c.Matches(v)
 }
 
+// byRowAdmits reports whether a by-row question's predicates on c's column
+// can hold of v, or more. An exact cell's equality holds at most where
+// Matches does (exact text equality implies EqualFold, and NULL equals
+// nothing), so Matches stands in for it. A range's bounds are col >= lo AND
+// col <= hi, which the executor evaluates as !(v < lo) && !(v > hi): that
+// holds of every number when a bound is NaN. A range is asked only over a
+// column without NaN, so a NaN value is not admitted.
+func byRowAdmits(c *Cell, v sqlir.Value) bool {
+	if c.Kind != CellRange {
+		return c.Matches(v)
+	}
+	return v.Kind == sqlir.KindNumber && !math.IsNaN(v.Num) && !(v.Num < c.Lo.Num) && !(v.Num > c.Hi.Num)
+}
+
 // rowsMatch is what a passing by-row question shows of a row: every cell of
-// tp that falls inside the row's width matches — a short tuple's question
-// reads only its cells, a long tuple's only the row's width.
+// tp that falls inside the row's width admits its value (byRowAdmits) — a
+// short tuple's question reads only its cells, a long tuple's only the
+// row's width.
 func rowsMatch(tp Tuple, row []sqlir.Value) bool {
 	for i := range min(len(tp), len(row)) {
-		if !tp[i].Matches(row[i]) {
+		if !byRowAdmits(&tp[i], row[i]) {
 			return false
 		}
 	}
@@ -105,7 +134,7 @@ func rowsMatch(tp Tuple, row []sqlir.Value) bool {
 // every example tuple matches some row (as by-row shows it) satisfies the
 // sketch. The sketches have one to three tuples of one to three cells —
 // sometimes a tuple of another width, sometimes a repeated tuple — over
-// rowsValues; the results hold a row built for each of some of the tuples,
+// rowsValues and rowsBounds; the results hold a row built for each of some of the tuples,
 // then one for each tuple still unmatched, then a few random rows, so one
 // row often serves several tuples.
 func TestRowsDecideImpliesSatisfies(t *testing.T) {
@@ -168,7 +197,7 @@ func TestRowsDecideImpliesSatisfies(t *testing.T) {
 			}
 		}
 		if !possible {
-			continue // some tuple matches no value (an exact NaN)
+			continue // some tuple admits no value (an exact NaN)
 		}
 		for range r.Intn(3) {
 			row := make([]sqlir.Value, w)

@@ -7,6 +7,7 @@ package tsq
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -72,8 +73,7 @@ func (c *Cell) Matches(v sqlir.Value) bool {
 // empty cell meets everything, EqualFold-equal texts and Equal numbers meet,
 // a number meets a range that holds it, two ranges meet where they overlap,
 // and every other pair of exact cells, or of an exact cell and a range, is
-// apart. A range with a NaN bound matches nothing yet meets another range
-// here: reporting a disjoint pair as meeting only costs RowsDecide a "no".
+// apart. RowsDecide asks it of no range with a NaN bound.
 func (c *Cell) disjoint(o *Cell) bool {
 	if c.Kind == CellRange && o.Kind == CellExact {
 		c, o = o, c
@@ -445,7 +445,9 @@ func (m *Matcher) Answer(rows int) bool {
 //   - the sketch is unsorted, has no limit and has at least one tuple, so
 //     only rule 2, the distinct matching, is left to decide;
 //   - every tuple is Width cells wide (a tuple of another width matches no
-//     row) and has a non-empty cell; and
+//     row), has a non-empty cell, and has no range with a NaN bound (such a
+//     range matches nothing, yet a by-row question's bounds, col >= lo AND
+//     col <= hi, hold of every number); and
 //   - every two tuples are separated: in some column both cells are
 //     non-empty and no value matches both (Cell.disjoint).
 //
@@ -461,7 +463,10 @@ func (t *TSQ) RowsDecide() bool {
 	}
 	w := t.Width()
 	for i, tp := range t.Tuples {
-		if len(tp) != w || !slices.ContainsFunc(tp, func(c Cell) bool { return c.Kind != CellEmpty }) {
+		if len(tp) != w || !slices.ContainsFunc(tp, func(c Cell) bool { return c.Kind != CellEmpty }) ||
+			slices.ContainsFunc(tp, func(c Cell) bool {
+				return c.Kind == CellRange && (math.IsNaN(c.Lo.Num) || math.IsNaN(c.Hi.Num))
+			}) {
 			return false
 		}
 		for _, earlier := range t.Tuples[:i] {

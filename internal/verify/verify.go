@@ -485,20 +485,19 @@ func (v *Verifier) dbStages(ctx context.Context, q *sqlir.Query, owes debt) (Out
 			return out, err
 		}
 	}
-	everyTuple := false // by-row asked, and passed, every tuple's question here
+	rowsRan := false // by-row ran, and passed, in this cascade
 	if owes.rows && v.canCheckRows(q) {
-		out, every, err := v.verifyByRow(ctx, q)
-		if err != nil || !out.OK {
+		if out, err := v.verifyByRow(ctx, q); err != nil || !out.OK {
 			return out, err
 		}
-		everyTuple = every
+		rowsRan = true
 	}
 	if q.Complete() {
 		if out := v.verifyLiterals(q); !out.OK {
 			return out, nil
 		}
 		if v.sketch != nil {
-			return v.verifyByOrder(ctx, q, everyTuple && v.rowsProve(q))
+			return v.verifyByOrder(ctx, q, rowsRan && v.rowsProve(q))
 		}
 	}
 	return pass(), nil
@@ -746,15 +745,13 @@ func (v *Verifier) canCheckRows(q *sqlir.Query) bool {
 // Sibling states (e.g. differing only in ORDER BY decisions) ask identical
 // row questions, so the answers are memoized under the question's key,
 // hashed from q and the tuple in place (rowQuestion.key): the question
-// itself is built only when the memo has no answer. The bool reports that
-// a question was asked of every tuple, none being left unconstrained.
-func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, bool, error) {
+// itself is built only when the memo has no answer.
+func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, error) {
 	rq := newRowQuestion(q)
-	asked := 0
 	for ti, tp := range v.sketch.Tuples {
 		constrained, outside := rq.shape(tp)
 		if outside >= 0 {
-			return fail(StageByRow, "projection %d outside join path", outside), false, nil
+			return fail(StageByRow, "projection %d outside join path", outside), nil
 		}
 		if !constrained {
 			continue
@@ -764,17 +761,16 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, bo
 			return v.probe(ctx, rq.build(tp))
 		})
 		if err != nil {
-			return pass(), false, err
+			return pass(), err
 		}
 		if byRowChecked != nil {
 			byRowChecked(ctx, v.joins, key, rq.build(tp), ok)
 		}
 		if !ok {
-			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), false, nil
+			return fail(StageByRow, "tuple %d %s has no satisfying row", ti, &v.sketch.Tuples[ti]), nil
 		}
-		asked++
 	}
-	return pass(), asked == len(v.sketch.Tuples), nil
+	return pass(), nil
 }
 
 // byRowChecked, when set, is handed every by-row answer with its key and its
@@ -990,10 +986,12 @@ func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query, proved boo
 	return pass(), nil
 }
 
-// rowsProve reports whether by-row's questions, asked of every tuple in this
-// cascade and all answered yes, decide by-order for the complete query q
-// under a sketch whose tuples RowsDecide. They do when each question asks
-// "does some row of q's result match this tuple?", which holds when
+// rowsProve reports whether by-row's questions, passed in this cascade,
+// decide by-order for the complete query q under a sketch whose tuples
+// RowsDecide. By-row then asked every tuple: each is the sketch's width with
+// a non-empty cell, and q's projections are all complete. Its answers decide
+// by-order when each question asks "does some row of q's result match this
+// tuple?", which holds when
 //
 //   - q is flat — no aggregate, GROUP BY, ORDER BY or LIMIT — so its result
 //     rows are the rows of its FROM that pass its WHERE, projected (DISTINCT
@@ -1005,7 +1003,8 @@ func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query, proved boo
 //     exact cell's equality does (exact text equality implies EqualFold, and
 //     NULL equals nothing); a range's bounds do not on a NaN, which
 //     Value.Compare puts inside every range, so a range cell wants a column
-//     without NaN.
+//     without NaN (a NaN bound, which puts every number inside, RowsDecide
+//     refuses).
 func (v *Verifier) rowsProve(q *sqlir.Query) bool {
 	if !v.rowsDecide || q.HasAggregate() || q.GroupByState == sqlir.ClausePresent ||
 		q.OrderByState == sqlir.ClausePresent || q.LimitSet && q.Limit > 0 ||

@@ -474,7 +474,8 @@ func TestVerifyDistinctTupleGate(t *testing.T) {
 // By-order is proved by by-row only where the proof holds: a flat query,
 // every tuple asked by by-row in the same cascade, separated tuples
 // (tsq.TSQ.RowsDecide) and no range cell over a column holding a NaN, which
-// a range question admits and Cell.Matches does not. Every answer is the
+// a range question admits and Cell.Matches does not, nor one with a NaN
+// bound, which admits every number and matches none. Every answer is the
 // whole result's.
 func TestByOrderProvedByRows(t *testing.T) {
 	db := movieDB()
@@ -508,6 +509,10 @@ func TestByOrderProvedByRows(t *testing.T) {
 			"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name", sqlir.Decision{}, false, true},
 		{"a range over a NaN", nanDB, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, 10)}}},
 			"SELECT amount FROM gross", sqlir.Decision{}, false, false},
+		{"a NaN-bound range", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(math.NaN(), math.NaN())}}},
+			"SELECT year FROM movie", sqlir.Decision{}, false, false},
+		{"a range bound above by NaN", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, math.NaN())}}},
+			"SELECT year FROM movie", sqlir.Decision{}, false, false},
 	}
 	var got []bool
 	prev := byOrderAnswered
