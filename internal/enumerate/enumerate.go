@@ -57,7 +57,9 @@ type Options struct {
 	MaxCandidates int
 	// MaxStates caps explored states as a safety net (default 500000).
 	// The search has no clock of its own: the front-end's pre-specified
-	// timeout (§4) is the deadline of the context Enumerate is given.
+	// timeout (§4) is the deadline of the context Enumerate is given. A
+	// capped search keeps what it queued, so it retains at most
+	// 1 + MaxStates × the widest expansion queued states, 96 bytes each.
 	MaxStates int
 	// GeoMeanPriority orders states by the geometric mean of their module
 	// softmax values instead of the product — the alternative confidence
@@ -87,7 +89,7 @@ type Candidate struct {
 type Result struct {
 	Candidates []Candidate
 	States     int
-	Exhausted  bool // the whole space was enumerated
+	Exhausted  bool // the queue emptied before MaxStates: the whole space was enumerated
 	// Truncated marks an anytime partial result: the search was cut short by
 	// cancellation, deadline expiry, or an injected fault, and Candidates
 	// holds what was verified up to that point. The search is sequential, so
@@ -105,8 +107,8 @@ type Result struct {
 // frontier's slots and never move, so a child may point at its parent.
 //
 // A child with holes left is queued before its cascade runs (§3.4): it owes
-// it, and pays it when it is popped or when a bound must know whether it
-// passes (settle). Only a state that passed is expanded.
+// it, and pays it when it is popped, if it ever is. Only a state that passed
+// is expanded.
 type state struct {
 	parent   *state         // nil for the root; in a free slot, the next free slot
 	dec      sqlir.Decision // the zero Decision for the root
@@ -157,12 +159,12 @@ type search struct {
 	mctx *guidance.Context
 
 	queue frontier
-	// cur holds a state's query replayed from its path — the popped state
-	// being checked and expanded, or the parent of a queued state being
-	// settled — and scratch the one child of it being looked at, its whole
-	// cascade included. Nothing that outlives the look may point into
-	// either: an emitted candidate is a copy of its own (Query.Clone), and
-	// so is the query a model that is not a guidance.Borrower is handed.
+	// cur holds the popped state's query replayed from its path, being
+	// checked and expanded, and scratch the one child of it being looked
+	// at, its whole cascade included. Nothing that outlives the look may
+	// point into either: an emitted candidate is a copy of its own
+	// (Query.Clone), and so is the query a model that is not a
+	// guidance.Borrower is handed.
 	cur, scratch sqlir.Scratch
 	curQ         *sqlir.Query     // cur's query
 	curOf        *state           // the state whose query curQ is, nil for none
@@ -233,8 +235,9 @@ func (s *search) discard(n *state) {
 	s.queue.discard(n)
 }
 
-// check runs on q, n's query, the cascade n owes: inheriting the proofs of
-// n's parent when the parent passed its own. It records the outcome in n.
+// check runs on q, the query of the popped state n, the cascade n owes:
+// inheriting the proofs of n's parent when the parent passed its own. It
+// records the outcome in n.
 // A transient error (verify.Transient) means the request was cancelled or
 // faulted mid-check, and the outcome is meaningless.
 func (s *search) check(n *state, q *sqlir.Query) (verify.Outcome, error) {
@@ -250,14 +253,6 @@ func (s *search) check(n *state, q *sqlir.Query) (verify.Outcome, error) {
 	return out, nil
 }
 
-// settle runs the cascade the queued state n owes on n's query, built in
-// the scratch as its parent's child, and reports whether n passed. It is
-// how a bound learns which of the states it keeps can be expanded.
-func (s *search) settle(n *state) (bool, error) {
-	out, err := s.check(n, s.scratch.Apply(s.replay(n.parent), n.dec))
-	return out.OK, err
-}
-
 // verifyResult is what the search learns about one child of an expansion.
 type verifyResult struct {
 	q        *sqlir.Query   // the child, in the scratch: valid until the next verifyChild
@@ -269,7 +264,7 @@ type verifyResult struct {
 // verifyChild builds the child of q by decision d in the scratch and, when
 // it is complete, runs its whole cascade there, inheriting q's proofs when
 // q passed the cascade. A child with holes left is queued unchecked: it owes
-// the cascade until it is popped or settled.
+// the cascade until it is popped.
 func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r verifyResult) {
 	r.q = s.scratch.Apply(q, d)
 	if r.complete = r.q.Complete(); !r.complete {
@@ -391,13 +386,8 @@ func (s *search) run(emit func(Candidate) bool) (res *Result, err error) {
 				return res, nil
 			}
 		}
-		// Only the best MaxStates − States states that pass can still be
-		// expanded.
-		if err := s.queue.bound(e.opts.MaxStates-res.States, s); err != nil {
-			return stop(res, err)
-		}
 	}
-	res.Exhausted = !s.queue.dropped
+	res.Exhausted = true
 	return res, nil
 }
 

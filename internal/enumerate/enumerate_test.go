@@ -391,11 +391,10 @@ func TestMaxStatesCap(t *testing.T) {
 	}
 }
 
-// TestBoundedFrontierIsTheSameSearch: under a MaxStates cap the frontier
-// drops what can no longer be popped. The capped search must expand exactly
-// the states an unbounded frontier would — its candidates are the uncapped
-// run's up to the cap, state counts included — and must not claim to have
-// exhausted a space it threw part of away. Stopping at the cap is a return
+// TestBoundedFrontierIsTheSameSearch: a search capped at MaxStates is the
+// uncapped search up to its cap — its candidates are the uncapped run's up
+// to the cap, state counts included — and does not claim to have exhausted
+// a space whose queue it left unemptied. Stopping at the cap is a return
 // like any other: the result says how long the search took.
 func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	db := movieDB()
@@ -437,17 +436,101 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 	}
 }
 
-// TestBoundsKeepTheStatesThatPass: a queued state owes its cascade until it
-// is popped, so a bound that must keep the k best states that pass settles
-// the owing states among the best, removes those that fail, and repeats
-// over the shortfall. On dual inputs whose bounds remove failing states —
-// Spider tasks with their full TSQ, and a table small enough to exhaust —
-// every capped search is the uncapped one up to its cap, Result for Result:
-// the same candidates, confidences, ranks and state counts; the cap
-// reached, neither flag set, when the uncapped search went past it; and
-// the whole uncapped Result, Exhausted included, when the cap is exactly
-// the state count of an uncapped search that exhausted the space.
-func TestBoundsKeepTheStatesThatPass(t *testing.T) {
+// TestCappedSearchRetention: the frontier keeps every child a search
+// queues, so what a capped search retains is bounded by what it expanded.
+// On every benchmark Spider task, with its TSQ and without, at the
+// benchmark's cap, the walk accounts for the frontier after every
+// expansion: it holds the states queued — the root and each child with
+// holes left — less those popped; it has handed out a slot for each state
+// queued less the slots of failed states it took back, which it takes
+// before new ones; so the slots never exceed 1 + the states expanded × the
+// widest expansion so far. The search itself expands as many states and
+// hands out as many slots. Exhausted says whether the queue emptied: always
+// when the search ends under its cap, and never for a search cut at its cap
+// with states still queued — checked on a tiny table too, whose uncapped
+// search drains its queue.
+func TestCappedSearchRetention(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 8
+	}
+	type peak struct {
+		keys, slots int
+		id          string
+	}
+	largest := map[bool]*peak{true: {}, false: {}}
+	for i, st := range spiderTasks(t) {
+		if i%stride != 0 {
+			continue
+		}
+		for _, dual := range []bool{true, false} {
+			var sketch *tsq.TSQ
+			if dual {
+				sketch = st.sketch
+			}
+			id := modeName(dual) + " " + st.ID
+			expanded, widest, used := 0, 0, 0
+			t.Run(id, func(t *testing.T) {
+				in := walkInput{st.ID, st.DB, guidance.NewLexicalModel(), sketch, st.NLQ, st.Literals}
+				queued, failed, failedBefore, free := 1, 0, 0, 0 // the root is queued
+				walk(t, in, sketch, ModeGPQE, spiderMaxStates, observer{
+					settled: func(x settlement) {
+						// Past the cap the walk checks what is still queued
+						// as a step of its own: those states are not popped.
+						if !x.out.OK && expanded < spiderMaxStates {
+							failed++
+						}
+					},
+					expanded: func(x expansion) {
+						expanded, widest, used = expanded+1, max(widest, len(x.opts)), x.queue.used
+						pushed := 0
+						for _, r := range x.results {
+							if !r.complete {
+								pushed++
+							}
+						}
+						queued += pushed
+						// The slots freed since the last expansion are
+						// taken first.
+						wantFree := max(0, free+failed-failedBefore-pushed)
+						free, failedBefore = 0, failed
+						for n := x.queue.free; n != nil; n = n.parent {
+							free++
+						}
+						if x.queue.len() != queued-expanded-failed || used != queued-failed+free || free != wantFree {
+							t.Fatalf("after %d expansions, %d states queued and %d failed: the frontier holds %d in %d slots, %d free (want %d)",
+								expanded, queued, failed, x.queue.len(), used, free, wantFree)
+						}
+						if used > 1+expanded*widest {
+							t.Fatalf("%d slots handed out after %d expansions at most %d wide", used, expanded, widest)
+						}
+						if p := largest[dual]; x.queue.len() > p.keys {
+							p.keys, p.slots, p.id = x.queue.len(), used, st.ID
+						}
+					},
+				})
+			})
+			v := verify.New(st.DB, semrules.Default(), sketch, st.Literals)
+			s := New(st.DB, guidance.NewLexicalModel(), v, Options{MaxStates: spiderMaxStates}).newSearch(context.Background(), st.NLQ, st.Literals)
+			res, err := s.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.States != expanded || s.queue.used != used {
+				t.Errorf("%s: the search expanded %d states into %d slots, the walk %d into %d", id, res.States, s.queue.used, expanded, used)
+			}
+			if emptied := s.queue.len() == 0; res.Exhausted != emptied || !emptied && res.States < spiderMaxStates {
+				t.Errorf("%s: %d states, %d still queued, exhausted %v", id, res.States, s.queue.len(), res.Exhausted)
+			}
+			s.close()
+		}
+	}
+	for _, dual := range []bool{true, false} {
+		p := largest[dual]
+		t.Logf("%s: largest frontier %d queued states (%d slots, %.2f MB at 96 B a slot), %s",
+			modeName(dual), p.keys, p.slots, float64(p.slots*96)/(1<<20), p.id)
+	}
+
 	items := storage.NewTable("items", "id",
 		storage.Column{Name: "id", Type: sqlir.TypeNumber},
 		storage.Column{Name: "label", Type: sqlir.TypeText},
@@ -457,69 +540,20 @@ func TestBoundsKeepTheStatesThatPass(t *testing.T) {
 	items.MustInsert(num(2), text("b"), num(7))
 	items.MustInsert(num(3), text("a"), num(9))
 	tiny := storage.NewDatabase("tiny", storage.NewSchema(items))
-	type input struct {
-		id     string
-		db     *storage.Database
-		sketch *tsq.TSQ
-		nlq    string
-		lits   []sqlir.Value
-		caps   []int // fractions of the uncapped state count, in percent
-	}
-	ins := []input{{"tiny", tiny, &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}}, "labels", nil, []int{100, 99, 30}}}
-	stride := 6
-	if testing.Short() {
-		stride = 24
-	}
-	for i, st := range spiderTasks(t) {
-		if i%stride == 0 {
-			ins = append(ins, input{st.ID, st.DB, st.sketch, st.NLQ, st.Literals, []int{50, 10}})
+	run := func(maxStates int) *Result {
+		v := verify.New(tiny, semrules.Default(), &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}}, nil)
+		res, err := New(tiny, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates}).Enumerate(context.Background(), "labels", nil, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	removed := 0
-	for _, in := range ins {
-		run := func(maxStates int) *Result {
-			v := verify.New(in.db, semrules.Default(), in.sketch, in.lits)
-			s := New(in.db, guidance.NewLexicalModel(), v, Options{MaxStates: maxStates}).newSearch(context.Background(), in.nlq, in.lits)
-			defer s.close()
-			res, err := s.run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			removed += s.queue.failed
-			return res
-		}
-		free := run(20000)
-		for _, pct := range in.caps {
-			limit := max(1, free.States*pct/100)
-			capped := run(limit)
-			want := &Result{States: limit}
-			if limit == free.States {
-				want.Exhausted = free.Exhausted
-			}
-			for _, c := range free.Candidates {
-				if c.States <= limit {
-					want.Candidates = append(want.Candidates, c)
-				}
-			}
-			if capped.States != want.States || capped.Exhausted != want.Exhausted || capped.Truncated || len(capped.Candidates) != len(want.Candidates) {
-				t.Fatalf("%s capped at %d of %d states: %d states, exhausted %v, truncated %v, %d candidates; want %d, %v, false, %d",
-					in.id, limit, free.States, capped.States, capped.Exhausted, capped.Truncated, len(capped.Candidates),
-					want.States, want.Exhausted, len(want.Candidates))
-			}
-			for i, c := range capped.Candidates {
-				w := want.Candidates[i]
-				if c.Query.Canonical() != w.Query.Canonical() || c.Confidence != w.Confidence || c.Rank != w.Rank || c.States != w.States {
-					t.Errorf("%s capped at %d, candidate %d: %s (conf %v, state %d), uncapped %s (conf %v, state %d)",
-						in.id, limit, i, c.Query, c.Confidence, c.States, w.Query, w.Confidence, w.States)
-				}
-			}
-		}
-		if in.db == tiny && (!free.Exhausted || len(free.Candidates) == 0) {
-			t.Fatalf("%s: the uncapped search of %d states exhausted the space %v, with %d candidates; want it exhausted with some", in.id, free.States, free.Exhausted, len(free.Candidates))
-		}
+	free := run(0)
+	if !free.Exhausted || len(free.Candidates) == 0 || free.States < 2 {
+		t.Fatalf("the uncapped search of the tiny table: %d states, exhausted %v, %d candidates; want it exhausted with some", free.States, free.Exhausted, len(free.Candidates))
 	}
-	if removed == 0 {
-		t.Fatal("no bound removed a state that fails: the test is not exercising the settling")
+	if capped := run(free.States / 2); capped.States != free.States/2 || capped.Exhausted || capped.Truncated {
+		t.Errorf("the tiny table's search capped at %d: %d states, exhausted %v, truncated %v; want the cap reached, neither flag", free.States/2, capped.States, capped.Exhausted, capped.Truncated)
 	}
 }
 
@@ -548,122 +582,6 @@ func (a *arrival) is(st *state) bool {
 		(st.logConf == a.logConf || math.IsInf(st.logConf, -1) && math.IsInf(a.logConf, -1))
 }
 
-// TestFrontierBoundKeepsTheBest: after bound(k) the frontier pops exactly
-// the k best states of what it held, in the order of their keys, in every
-// ordering mode.
-func TestFrontierBoundKeepsTheBest(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
-		var all []arrival
-		for i := 0; i < 1000; i++ {
-			a := arrival{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
-			all = append(all, a)
-			a.push(f)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].key(f).before(all[j].key(f)) })
-		f.bound(600, nil) // holds fewer than twice that: nothing to drop
-		if f.len() != 1000 || f.dropped {
-			t.Fatalf("bound(600) of 1000 states left %d, dropped %v", f.len(), f.dropped)
-		}
-		for _, k := range []int{300, 7, 1} {
-			f.bound(k, nil)
-			if f.len() != k || !f.dropped {
-				t.Fatalf("bound(%d) left %d states, dropped %v", k, f.len(), f.dropped)
-			}
-			if got := f.pop(); !all[0].is(got) {
-				t.Fatalf("after bound(%d) the best state is %+v, want %+v", k, *got, all[0])
-			}
-			all = all[1:]
-		}
-		if f.len() != 0 {
-			t.Fatalf("%d states left", f.len())
-		}
-		// Popping in order after a bound: rebuild, into the slots the
-		// bounds freed, and drain.
-		for i := range all[:200] {
-			all[i].push(f)
-		}
-		f.bound(50, nil)
-		for i := 0; f.len() > 0; i++ {
-			if got := f.pop(); !all[i].is(got) {
-				t.Fatalf("pop %d after bound: %+v, want %+v", i, *got, all[i])
-			}
-		}
-		f.release()
-	}
-}
-
-// failThirds is a settler under which a state fails its cascade when its
-// arrival's seq is a multiple of 3.
-type failThirds struct{}
-
-func (failThirds) settle(st *state) (bool, error) {
-	ok := st.dec.Index%3 != 0
-	st.owes, st.verified = false, ok
-	return ok, nil
-}
-
-// TestFrontierBoundSettlesTheBest: when the states owe their cascade, a
-// bound(k) keeps exactly the k best of those that pass, in the order of
-// their keys, settling the ones it needs and removing those that fail, in
-// every ordering mode; and it reports dropping a state that passes only
-// when it did, settling the rest until one passes, so that a frontier whose
-// dropped states all fail can still claim to have exhausted the space.
-func TestFrontierBoundSettlesTheBest(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	owing := func(f *frontier, a arrival) {
-		f.push(state{dec: sqlir.Decision{Index: int32(a.seq)}, logConf: a.logConf, depth: a.depth, owes: true}, int(a.joinLen), a.seq)
-	}
-	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
-		var pass []arrival
-		for i := 1; i <= 1000; i++ {
-			a := arrival{logConf: -float64(rng.Intn(40)), seq: i, depth: int32(1 + rng.Intn(6)), joinLen: int16(rng.Intn(3))}
-			owing(f, a)
-			if i%3 != 0 {
-				pass = append(pass, a)
-			}
-		}
-		sort.Slice(pass, func(i, j int) bool { return pass[i].key(f).before(pass[j].key(f)) })
-		f.bound(600, failThirds{})
-		if f.len() != 1000 || f.failed != 0 || f.dropped {
-			t.Fatalf("bound(600) of 1000 states left %d, removed %d, dropped %v", f.len(), f.failed, f.dropped)
-		}
-		f.bound(300, failThirds{})
-		if f.len() != 300 || f.failed == 0 || !f.dropped {
-			t.Fatalf("bound(300) left %d states, removed %d, dropped %v", f.len(), f.failed, f.dropped)
-		}
-		for i := 0; f.len() > 0; i++ {
-			if got := f.pop(); !pass[i].is(got) || got.owes || !got.verified {
-				t.Fatalf("pop %d after bound: %+v, want %+v, settled", i, *got, pass[i])
-			}
-		}
-		f.release()
-		f.failed, f.dropped = 0, false
-
-		// Ten states that pass ahead of thirty that fail: the bound keeps
-		// the ten and settles all thirty to learn that none passes.
-		var kept []arrival
-		for i := 1; i <= 40; i++ {
-			a := arrival{logConf: -float64(i), seq: 3 * i, depth: int32(i)}
-			if i <= 10 {
-				a.seq--
-				kept = append(kept, a)
-			}
-			owing(f, a)
-		}
-		f.bound(10, failThirds{})
-		if f.len() != 10 || f.failed != 30 || f.dropped {
-			t.Fatalf("bound(10) ahead of failures left %d states, removed %d, dropped %v; want 10, 30, false", f.len(), f.failed, f.dropped)
-		}
-		for i := 0; f.len() > 0; i++ {
-			if got := f.pop(); !kept[i].is(got) {
-				t.Fatalf("pop %d: %+v, want %+v", i, *got, kept[i])
-			}
-		}
-		f.release()
-	}
-}
-
 // entryLess is the order the frontier kept before it moved keys, when it
 // compared whole queued entries field by field.
 func entryLess(f *frontier, a, b *arrival) bool {
@@ -689,11 +607,11 @@ func entryLess(f *frontier, a, b *arrival) bool {
 	return a.seq < b.seq
 }
 
-// TestFrontierOrderIsTheEntryOrder: with pushes, pops and bounds
+// TestFrontierOrderIsTheEntryOrder: with pushes, pops and discards
 // interleaved at random, in every ordering mode, the frontier pops the
 // states a sort by the entry comparator says it should, each as it was
-// pushed — whether its slot was fresh or one a bound freed — and drops what
-// that sort puts beyond a bound. Confidences tie often and include −Inf.
+// pushed — whether its slot was fresh or one a discarded state freed.
+// Confidences tie often and include −Inf.
 func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 	ops := 200000
 	if testing.Short() {
@@ -702,17 +620,20 @@ func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
 		var held []arrival // what the frontier holds, sorted by entryLess
-		seq, pops, drops := 0, 0, 0
+		seq, pops, reused := 0, 0, 0
 		pop := func() {
-			if got := f.pop(); !held[0].is(got) {
+			got := f.pop()
+			if !held[0].is(got) {
 				t.Fatalf("pop %d: %+v, want %+v", pops, *got, held[0])
+			}
+			if rng.Intn(2) == 0 {
+				f.discard(got) // it failed its cascade
 			}
 			held = held[1:]
 			pops++
 		}
 		for range ops {
-			switch r := rng.Intn(400); {
-			case r < 232:
+			if rng.Intn(400) < 201 {
 				seq++
 				a := arrival{logConf: -float64(rng.Intn(12)) / 4, depth: int32(rng.Intn(8)), joinLen: int16(rng.Intn(4)), seq: seq}
 				if rng.Intn(10) == 0 {
@@ -720,18 +641,12 @@ func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 				}
 				i := sort.Search(len(held), func(i int) bool { return entryLess(f, &a, &held[i]) })
 				held = slices.Insert(held, i, a)
+				if f.free != nil {
+					reused++
+				}
 				a.push(f)
-			case r < 399:
-				if len(held) > 0 {
-					pop()
-				}
-			default:
-				k := rng.Intn(len(held) + 1)
-				f.bound(k, nil)
-				if len(held) > 2*k {
-					drops += len(held) - k
-					held = held[:k]
-				}
+			} else if len(held) > 0 {
+				pop()
 			}
 			if f.len() != len(held) {
 				t.Fatalf("the frontier holds %d states, the entry order %d", f.len(), len(held))
@@ -740,15 +655,15 @@ func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 		for len(held) > 0 {
 			pop()
 		}
-		if pops == 0 || drops == 0 || f.dropped != (drops > 0) {
-			t.Fatalf("%d pops, %d drops, dropped %v: the test is not exercising the frontier", pops, drops, f.dropped)
+		if pops == 0 || reused == 0 {
+			t.Fatalf("%d pops, %d pushes into freed slots: the test is not exercising the frontier", pops, reused)
 		}
 		f.release()
 	}
 }
 
 // TestFrontierRecyclesChunks: closing a search zeroes every slot its
-// frontier used — queued, popped and dropped — and its key slice, so no
+// frontier used — queued, popped and discarded — and its key slice, so no
 // state of a search, nor the guidance output its decisions point into,
 // outlives its request in the pools; and the next frontier of the same peak
 // takes its chunks and its key slice from the pools: what it still
@@ -766,18 +681,17 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 			push(i)
 		}
 		for range peak / 2 {
-			f.pop()
+			f.discard(f.pop()) // it failed its cascade
 		}
-		f.bound(peak/8, nil)
 		for i := range peak / 8 {
-			push(peak + i) // into slots the bound freed
+			push(peak + i) // into slots the discards freed
 		}
 	}
 
 	s := e.newSearch(context.Background(), "titles", nil)
 	fill(&s.queue)
-	if !s.queue.dropped || s.queue.free == nil {
-		t.Fatal("the bound dropped nothing, or its pushes used every slot it freed")
+	if s.queue.free == nil {
+		t.Fatal("the pushes used every slot the discards freed")
 	}
 	chunks, keys := s.queue.chunks, s.queue.keys[:cap(s.queue.keys)]
 	s.close()

@@ -1,9 +1,6 @@
 package enumerate
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // frontier is the priority collection P of Algorithm 1, and the store of
 // every state the search has seen. A queued state is written once, into a
@@ -12,16 +9,19 @@ import (
 // The chunks come from chunkPool and the key slice from keyPool, and both go
 // back when the search is done (release), so a search reuses the storage of
 // searches before it instead of allocating its peak afresh.
+//
+// Like Algorithm 1's P it has no bound: a capped search keeps every child it
+// queued. Each expansion queues at most its width of children, so a search
+// of at most MaxStates expansions holds at most 1 + MaxStates × the widest
+// expansion states, 96 bytes each (a 72-byte state and a 24-byte key).
+// Under the default cap that allowance is large, so what bounds a served
+// request's frontier is its deadline.
 type frontier struct {
 	chunks []*[chunkLen]state
-	used   int    // slots handed out, popped and dropped ones included
-	free   *state // slots bound dropped, threaded through parent
+	used   int    // slots handed out, popped ones included
+	free   *state // slots of popped states that failed, threaded through parent
 	keys   []key  // the heap
 	box    *[]key // keys' holder in keyPool
-	// dropped records that bound discarded a state that passes: the search
-	// can then no longer claim to have exhausted the space.
-	dropped bool
-	failed  int // owing states bound settled and found to fail
 
 	noGuide bool // breadth-first: depth, then arrival
 	geoMean bool // order by the geometric mean of the module scores
@@ -153,138 +153,6 @@ func (f *frontier) down(i int, k key) {
 	keys[i] = k
 }
 
-// discard frees st's slot for the states pushed next.
+// discard frees the slot of st, a popped state that failed its cascade, for
+// the states pushed next.
 func (f *frontier) discard(st *state) { st.parent, f.free = f.free, st }
-
-// A settler runs the cascade a queued state owes (search.settle).
-type settler interface {
-	// settle runs n's cascade and reports whether n passed.
-	settle(n *state) (bool, error)
-}
-
-// bound tells the frontier that at most k more states will ever be
-// expanded, and only states that pass the cascade are. Only the k best
-// queued now that pass can be among them — whatever is pushed later pushes
-// the rest further back — so once the frontier holds more than twice k
-// states, the rest is dropped and their slots freed for the states pushed
-// next: what a capped search retains is bounded by its cap, not by its
-// branching factor, and the expansions are exactly those of an unbounded
-// frontier. To find those k, s settles the owing states among the k best,
-// the ones that fail are removed, and the same is done over the shortfall
-// until k pass or nothing is left. An error from s ends the bound with the
-// frontier fit only for release.
-func (f *frontier) bound(k int, s settler) error {
-	if len(f.keys) <= 2*k {
-		return nil
-	}
-	kept := 0 // f.keys[:kept] pass, and no other queued state that passes is better
-	for kept < k && kept < len(f.keys) {
-		n := min(k, len(f.keys))
-		if n < len(f.keys) {
-			selectBest(f.keys[kept:], n-kept)
-		}
-		var err error
-		if kept, err = f.settle(kept, n, s); err != nil {
-			return err
-		}
-	}
-	rest := f.keys[kept:]
-	if !f.dropped {
-		passes, err := f.anyPasses(rest, s)
-		if err != nil {
-			return err
-		}
-		f.dropped = passes
-	}
-	for _, d := range rest {
-		f.discard(d.st)
-	}
-	f.keys = f.keys[:kept]
-	for i := kept/2 - 1; i >= 0; i-- {
-		f.down(i, f.keys[i])
-	}
-	return nil
-}
-
-// settle has s settle the owing states among f.keys[lo:hi] and removes the
-// ones that fail: the keys of the states that pass end at f.keys[lo:w], and
-// keys from the end of the slice fill the hole behind them.
-func (f *frontier) settle(lo, hi int, s settler) (w int, err error) {
-	keys := f.keys
-	w = lo
-	for _, k := range keys[lo:hi] {
-		if k.st.owes {
-			ok, err := s.settle(k.st)
-			if err != nil {
-				return w, err
-			}
-			if !ok {
-				f.discard(k.st)
-				f.failed++
-				continue
-			}
-		}
-		keys[w] = k
-		w++
-	}
-	hole, n := hi-w, len(keys)
-	copy(keys[w:hi], keys[max(hi, n-hole):])
-	f.keys = keys[:n-hole]
-	return w, nil
-}
-
-// anyPasses reports whether any of the states of keys passes: a state that
-// owes nothing did; the owing ones are settled only until one passes. A
-// frontier that drops a state that passes can no longer claim the space was
-// exhausted, and one that drops only failures still can.
-func (f *frontier) anyPasses(keys []key, s settler) (bool, error) {
-	if slices.ContainsFunc(keys, func(k key) bool { return !k.st.owes }) {
-		return true, nil
-	}
-	for _, k := range keys {
-		ok, err := s.settle(k.st)
-		if err != nil || ok {
-			return ok, err
-		}
-		f.failed++
-	}
-	return false, nil
-}
-
-// selectBest reorders keys so that the k best, 0 < k < len(keys), come
-// first: a quickselect, linear in len(keys) on average.
-func selectBest(keys []key, k int) {
-	lo, hi := 0, len(keys)-1
-	for lo < hi {
-		// Median of three as the pivot, parked at hi: a heap's array is
-		// close to sorted, the worst case for a fixed choice.
-		mid := lo + (hi-lo)/2
-		if keys[mid].before(keys[lo]) {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
-		}
-		if keys[hi].before(keys[lo]) {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
-		}
-		if keys[mid].before(keys[hi]) {
-			keys[mid], keys[hi] = keys[hi], keys[mid]
-		}
-		pivot := keys[hi]
-		p := lo
-		for i := lo; i < hi; i++ {
-			if keys[i].before(pivot) {
-				keys[i], keys[p] = keys[p], keys[i]
-				p++
-			}
-		}
-		keys[p], keys[hi] = keys[hi], keys[p]
-		// Keys before p are better than the one at p, those after worse.
-		switch {
-		case p == k || p == k-1:
-			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}

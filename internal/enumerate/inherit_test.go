@@ -20,8 +20,7 @@ import (
 // settlement is what walk shows its observer of one cascade a queued state
 // owed: the state, the query the engine checked — its own replay when it
 // was popped, or its parent's child in the scratch when it was still queued
-// at the end of the walk, as a bound settles it; valid only during the call
-// — and the outcome.
+// at the end of the walk; valid only during the call — and the outcome.
 type settlement struct {
 	state *state
 	q     *sqlir.Query
@@ -30,11 +29,12 @@ type settlement struct {
 
 // expansion is what walk shows its observer of an expanded state: the state
 // and its query — replayed into the search's cur, so valid only during the
-// call, and read after its children were built and the complete ones
-// checked — whether it passed the cascade (its children then inherit), and
-// its options with what the engine's own path — the child built in the
-// scratch and, when complete, checked there by VerifyChild — said about
-// each; and the search's guidance context, bound to parent.
+// call, and read after its children were built, the complete ones checked
+// and the others queued — whether it passed the cascade (its children then
+// inherit), and its options with what the engine's own path — the child
+// built in the scratch and, when complete, checked there by VerifyChild —
+// said about each (each result's q is the scratch, overwritten since); the
+// search's guidance context, bound to parent; and the search's frontier.
 type expansion struct {
 	state    *state
 	parent   *sqlir.Query
@@ -42,6 +42,7 @@ type expansion struct {
 	opts     []option
 	results  []verifyResult
 	ctx      *guidance.Context
+	queue    *frontier
 }
 
 // observer is what a test hands walk; either function may be nil.
@@ -54,11 +55,11 @@ type observer struct {
 // in: it expands up to maxStates states best-first under mode, checks each
 // popped state that owes its cascade and each complete child exactly as
 // Enumerate does, and shows the observer every cascade a popped state owed
-// and every expansion before its children are queued. With an observer of
-// settlements, the states still queued at the end are settled too, each as
-// its parent's child the way a bound settles it: the walk then checks every
-// child of every state it expanded, as the search once did when it checked
-// each child as it was generated.
+// and every expansion once its children are queued. With an observer of
+// settlements, the states still queued at the end are settled too, a step
+// of the test alone, each as its parent's child built in the scratch: the
+// walk then checks every child of every state it expanded, as the search
+// once did when it checked each child as it was generated.
 func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int, obs observer) {
 	t.Helper()
 	v := verify.New(in.db, semrules.Default(), sketch, in.lits)
@@ -88,18 +89,18 @@ func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int,
 			t.Fatal(err)
 		}
 		var results []verifyResult
-		for _, o := range opts {
-			results = append(results, s.verifyChild(q, p.verified, o.dec))
-		}
-		if obs.expanded != nil {
-			obs.expanded(expansion{p, q, p.verified, opts, results, s.mctx})
-		}
 		for i := range opts {
-			r := &results[i]
+			// Queued before the next child is built: the key reads the
+			// child's join path from the scratch.
+			r := s.verifyChild(q, p.verified, opts[i].dec)
 			if r.err != nil {
 				t.Fatalf("%s + %+v: %v", q, opts[i].dec, r.err)
 			}
-			s.child(p, &opts[i], r)
+			s.child(p, &opts[i], &r)
+			results = append(results, r)
+		}
+		if obs.expanded != nil {
+			obs.expanded(expansion{p, q, p.verified, opts, results, s.mctx, &s.queue})
 		}
 	}
 	if obs.settled == nil {
@@ -181,11 +182,11 @@ func walkInputs(t testing.TB) []walkInput {
 }
 
 // TestInheritedOutcomeMatchesFullCascade: for every cascade the search
-// runs — a popped state's, a queued state's as a bound settles it, a
-// complete child's as it is generated — the engine's check, re-proving only
-// what the state's one decision could have changed, reaches the outcome of
-// the full cascade run from scratch on the derived query by an independent
-// verifier. Every state the search expands and every candidate it emits
+// runs — a popped state's, a complete child's as it is generated, and that
+// of each state still queued when the walk ends — the engine's check,
+// re-proving only what the state's one decision could have changed,
+// reaches the outcome of the full cascade run from scratch on the derived
+// query by an independent verifier. Every state the search expands and every candidate it emits
 // passes that verifier too, except the partial states NoPQ never checks.
 // It holds with and without the TSQ, under GPQE, NoPQ and NoGuide.
 func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
@@ -450,9 +451,7 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 // for one that passes at most its share of a frontier chunk, when the chunk
 // pool has none to give. A child with holes left is queued as a state
 // pointing at its parent and owes its cascade, which runs on its own query
-// when it is popped (replayed into the search's cur: TestPopAllocations) or
-// on its parent's child in the scratch when a bound settles it. Both ways
-// are counted.
+// when it is popped (replayed into the search's cur: TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	title, year := db.Schema.Catalog().MustCol("movie", "title"), db.Schema.Catalog().MustCol("movie", "year")
@@ -506,37 +505,17 @@ func TestChildAllocations(t *testing.T) {
 			s.discard(n)
 			return out.Stage
 		}
-		// bounded queues the child and has a bound that keeps nothing
-		// settle it, to learn whether it drops a state that passes.
-		bounded := func(p *state, o option) {
-			queue(p, o)
-			s.queue.dropped = false
-			if err := s.queue.bound(0, s); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, tc := range cases {
 			o := option{tc.dec, math.Log(0.5)}
 			if stage := popped(tc.parent, o); stage != tc.stage {
 				t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
 			}
-			for _, way := range []struct {
-				name     string
-				consider func()
-			}{
-				{"popped", func() { popped(tc.parent, o) }},
-				{"settled by a bound", func() { bounded(tc.parent, o) }},
-			} {
-				n := testing.AllocsPerRun(1000, way.consider)
-				if tc.stage != "" && n != 0 {
-					t.Errorf("%s, %s: a rejected child cost %.0f allocations, want 0", tc.name, way.name, n)
-				}
-				if tc.stage == "" && n > 1 {
-					t.Errorf("%s, %s: a child that passed cost %.0f allocations, want at most 1 amortised", tc.name, way.name, n)
-				}
+			n := testing.AllocsPerRun(1000, func() { popped(tc.parent, o) })
+			if tc.stage != "" && n != 0 {
+				t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
 			}
-			if s.queue.dropped != (tc.stage == "") {
-				t.Errorf("%s: a bound dropped it and reports dropping a state that passes: %v", tc.name, s.queue.dropped)
+			if tc.stage == "" && n > 1 {
+				t.Errorf("%s: a child that passed cost %.0f allocations, want at most 1 amortised", tc.name, n)
 			}
 		}
 	}

@@ -189,7 +189,7 @@ func (t *Table) MustInsert(vals ...sqlir.Value) {
 
 // ColumnStats summarises one column for verification and PBE abduction.
 type ColumnStats struct {
-	Min, Max sqlir.Value // over non-null values; Null if column empty
+	Min, Max sqlir.Value // over non-null values but NaN; Null if there are none
 	Distinct int
 	NonNull  int
 	NaN      int // NaN values among the non-null ones of a numeric column
@@ -229,8 +229,9 @@ func (t *Table) computeStats(ci int) ColumnStats {
 	}
 	switch vec.typ {
 	case sqlir.TypeNumber:
+		// A NaN is neither below nor above anything: Min and Max are taken
+		// over the other numbers, and all NaNs count as one distinct value.
 		seen := make(map[float64]struct{}, st.NonNull)
-		first := true
 		var lo, hi float64
 		for i := 0; i < vec.n; i++ {
 			if vec.IsNull(i) {
@@ -239,21 +240,20 @@ func (t *Table) computeStats(ci int) ColumnStats {
 			f := vec.nums[i]
 			if math.IsNaN(f) {
 				st.NaN++
+				continue
 			}
-			if first {
-				lo, hi, first = f, f, false
-			} else {
-				if f < lo {
-					lo = f
-				}
-				if f > hi {
-					hi = f
-				}
+			if len(seen) == 0 || f < lo {
+				lo = f
+			}
+			if len(seen) == 0 || f > hi {
+				hi = f
 			}
 			seen[f] = struct{}{}
 		}
-		st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
-		st.Distinct = len(seen)
+		if len(seen) > 0 {
+			st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
+		}
+		st.Distinct = len(seen) + min(st.NaN, 1)
 	case sqlir.TypeText:
 		strs := vec.dict.Strings()
 		lo, hi := strs[0], strs[0]

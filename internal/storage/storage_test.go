@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,29 @@ func TestStats(t *testing.T) {
 	st = m.Stats(m.ColumnIndex("name"))
 	if st.Distinct != 2 || st.NonNull != 3 {
 		t.Errorf("name stats: %+v", st)
+	}
+}
+
+// TestStatsOverNaN: a NaN is neither a column's minimum nor its maximum, and
+// all its NaNs count as one distinct value, wherever they stand; a column of
+// NaNs alone has no minimum or maximum.
+func TestStatsOverNaN(t *testing.T) {
+	tb := NewTable("gross", "gid",
+		Column{Name: "gid", Type: sqlir.TypeNumber},
+		Column{Name: "amount", Type: sqlir.TypeNumber},
+		Column{Name: "lost", Type: sqlir.TypeNumber},
+	)
+	nan := num(math.NaN())
+	tb.MustInsert(num(1), nan, nan)
+	tb.MustInsert(num(2), num(5), sqlir.Null())
+	tb.MustInsert(num(3), nan, nan)
+	st := tb.Stats(tb.ColumnIndex("amount"))
+	if !st.Min.Equal(num(5)) || !st.Max.Equal(num(5)) || st.Distinct != 2 || st.NaN != 2 || st.NonNull != 3 {
+		t.Errorf("(NaN, 5, NaN): %+v; want min = max = 5, 2 distinct, 2 NaN, 3 non-null", st)
+	}
+	st = tb.Stats(tb.ColumnIndex("lost"))
+	if !st.Min.IsNull() || !st.Max.IsNull() || st.Distinct != 1 || st.NaN != 2 || st.NonNull != 2 {
+		t.Errorf("(NaN, NULL, NaN): %+v; want no min or max, 1 distinct, 2 NaN, 2 non-null", st)
 	}
 }
 

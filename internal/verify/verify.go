@@ -104,8 +104,8 @@ func fail(stage Stage, format string, args ...any) Outcome {
 //
 // Checked counts cascades run, not children generated: a search checks a
 // complete child when it generates it, and a child with holes left only
-// when it pops it or a bound settles it, so the children it queues and
-// never reaches are never checked.
+// when it pops it, so the children it queues and never reaches are never
+// checked.
 type Stats struct {
 	Checked     int           // cascades run (Verify, VerifyCtx, VerifyChild calls)
 	Rejected    map[Stage]int // rejections per stage

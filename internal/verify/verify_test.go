@@ -471,6 +471,45 @@ func TestVerifyDistinctTupleGate(t *testing.T) {
 	}
 }
 
+// TestAvgCellOverNaNs: the column check bounds an AVG cell by the column's
+// minimum and maximum, which a NaN does not poison. A column (NaN, 5, NaN)
+// can average 5 once a filter leaves its 5 alone, so a cell of 5 passes the
+// column check and the whole cascade; a cell beyond 5 is rejected by it. A
+// column of NaNs alone averages NaN, which matches no exact or range cell.
+func TestAvgCellOverNaNs(t *testing.T) {
+	gross := storage.NewTable("gross", "gid",
+		storage.Column{Name: "gid", Type: sqlir.TypeNumber},
+		storage.Column{Name: "region", Type: sqlir.TypeText},
+		storage.Column{Name: "amount", Type: sqlir.TypeNumber},
+		storage.Column{Name: "lost", Type: sqlir.TypeNumber},
+	)
+	nan := num(math.NaN())
+	gross.MustInsert(num(1), text("a"), nan, nan)
+	gross.MustInsert(num(2), text("b"), num(5), nan)
+	gross.MustInsert(num(3), text("a"), nan, nan)
+	db := storage.NewDatabase("nan", storage.NewSchema(gross))
+	q := sqlparse.MustParse(db.Schema, "SELECT AVG(amount) FROM gross WHERE region = 'b'")
+	for _, c := range []struct {
+		cell  tsq.Cell
+		stage Stage // "" when the whole cascade passes
+	}{
+		{tsq.Exact(num(5)), ""},
+		{tsq.Range(4, 6), ""},
+		{tsq.Exact(num(6)), StageByColumn},
+	} {
+		v := newVerifier(db, &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeNumber}, Tuples: []tsq.Tuple{{c.cell}}})
+		if out := mustVerify(t, v, q); out.OK != (c.stage == "") || out.Stage != c.stage {
+			t.Errorf("%s under %s: %+v (%s), want stage %q", q, &c.cell, out, out.Reason(), c.stage)
+		}
+	}
+	lost := db.Stats(db.Schema.Catalog().MustCol("gross", "lost"))
+	for _, cell := range []tsq.Cell{tsq.Exact(num(5)), tsq.Range(-1e300, 1e300)} {
+		if avgCellPossible(lost, cell) {
+			t.Errorf("an AVG over a column of NaNs alone can match %s", &cell)
+		}
+	}
+}
+
 // By-order is proved by by-row only where the proof holds: a flat query,
 // every tuple asked by by-row in the same cascade, separated tuples
 // (tsq.TSQ.RowsDecide) and no range cell over a column holding a NaN, which
