@@ -58,8 +58,10 @@ type Options struct {
 	// MaxStates caps explored states as a safety net (default 500000).
 	// The search has no clock of its own: the front-end's pre-specified
 	// timeout (§4) is the deadline of the context Enumerate is given. A
-	// capped search keeps what it queued, so it retains at most
-	// 1 + MaxStates × the widest expansion queued states, 96 bytes each.
+	// capped search keeps what it queued: at most 1 + MaxStates × the
+	// widest expansion states, 96 bytes each, and the query of each of the
+	// MaxStates states it expanded, a 120-byte header and the one slice or
+	// clause its decision wrote.
 	MaxStates int
 	// GeoMeanPriority orders states by the geometric mean of their module
 	// softmax values instead of the product — the alternative confidence
@@ -100,22 +102,23 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// state is one search state: a decision, not a query. A state is the popped
-// state it extends plus the decision that extends it, the path GPQE's
-// partial query is (§3.3). Its query is never kept; the search replays the
-// path from the root whenever the state is looked at. States live in the
-// frontier's slots and never move, so a child may point at its parent.
+// state is one search state: a decision, not a query. A state is the query
+// of the expanded state it extends, kept by the search, plus the decision
+// that extends it: GPQE's partial query is its parent plus one decision
+// (§3.3). Its own query is built when it is popped, by one Apply, and kept
+// only if it is expanded.
 //
 // A child with holes left is queued before its cascade runs (§3.4): it owes
 // it, and pays it when it is popped, if it ever is. Only a state that passed
 // is expanded.
 type state struct {
-	parent   *state         // nil for the root; in a free slot, the next free slot
+	base     *sqlir.Query   // the kept query of the state this one extends; nil for the root
 	dec      sqlir.Decision // the zero Decision for the root
 	logConf  float64
 	depth    int32 // decision depth, the NoGuide BFS key
 	verified bool  // the state passed the cascade, so its children inherit its proofs
 	owes     bool  // the state's cascade has not run yet
+	inherit  bool  // the state it extends passed its cascade, so it inherits its proofs
 }
 
 // option is one output class of an expansion: the decision that makes the
@@ -159,18 +162,19 @@ type search struct {
 	mctx *guidance.Context
 
 	queue frontier
-	// cur holds the popped state's query replayed from its path, being
-	// checked and expanded, and scratch the one child of it being looked
-	// at, its whole cascade included. Nothing that outlives the look may
-	// point into either: an emitted candidate is a copy of its own
-	// (Query.Clone), and so is the query a model that is not a
-	// guidance.Borrower is handed.
+	// kept holds the query of every state expanded, the base of the
+	// children queued from it.
+	kept *store
+	// cur holds the popped state's query, its decision applied to its base,
+	// being checked; scratch the one child of an expanded state being
+	// looked at, its whole cascade included. Nothing that outlives the look
+	// may point into either: a state that passes is expanded from its kept
+	// copy, an emitted candidate is a copy of its own (Query.Clone), and so
+	// is the query a model that is not a guidance.Borrower is handed.
 	cur, scratch sqlir.Scratch
-	curQ         *sqlir.Query     // cur's query
-	curOf        *state           // the state whose query curQ is, nil for none
-	borrow       bool             // the model may be handed cur itself
-	path         []sqlir.Decision // the decisions cur replays, reused
-	opts         []option         // the current expansion, reused
+	root         sqlir.Query // the root's query: the zero Query, never written
+	borrow       bool        // the model may be handed a kept query itself
+	opts         []option    // the current expansion, reused
 	seq          int
 
 	// partial reports whether a query with holes left owes the cascade:
@@ -186,6 +190,7 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 		ctx:     ctx,
 		mctx:    guidance.NewContextDB(nlq, literals, e.db, nil),
 		queue:   frontier{noGuide: e.opts.Mode == ModeNoGuide, geoMean: e.opts.GeoMeanPriority},
+		kept:    storePool.Get().(*store),
 		borrow:  guidance.Borrows(e.model),
 		partial: e.opts.Mode != ModeNoPQ,
 	}
@@ -193,11 +198,15 @@ func (e *Enumerator) newSearch(ctx context.Context, nlq string, literals []sqlir
 	return s
 }
 
-// close hands the search's frontier storage on to the next search.
-func (s *search) close() { s.queue.release() }
+// close hands the search's frontier and kept queries on to the next search.
+func (s *search) close() {
+	s.queue.release()
+	s.kept.release()
+	s.kept = nil
+}
 
 // expand is EnumNextStep (Algorithm 1, Line 5) for a popped state whose
-// query q is in cur: one option per output class of the next module, valid
+// kept query is q: one option per output class of the next module, valid
 // until the next call. A model that does not borrow is handed a clone of q.
 func (s *search) expand(q *sqlir.Query) ([]option, error) {
 	if !s.borrow {
@@ -211,28 +220,14 @@ func (s *search) expand(q *sqlir.Query) ([]option, error) {
 	return opts, nil
 }
 
-// replay builds n's query in cur from the decisions on its path from the
-// root; the root's own is the zero Decision and is not applied. The query
-// cur already holds is n's when n was the last state replayed.
+// replay builds n's query in cur: n's decision applied to its base, one
+// decision at any depth. The root extends nothing; its query is the zero
+// Query.
 func (s *search) replay(n *state) *sqlir.Query {
-	if n == s.curOf {
-		return s.curQ
+	if n.base == nil {
+		return &s.root
 	}
-	s.path = s.path[:0]
-	for m := n; m.parent != nil; m = m.parent {
-		s.path = append(s.path, m.dec)
-	}
-	slices.Reverse(s.path)
-	s.curQ, s.curOf = s.cur.Replay(s.path), n
-	return s.curQ
-}
-
-// discard frees the slot of the popped state n, which failed its cascade.
-func (s *search) discard(n *state) {
-	if s.curOf == n {
-		s.curOf = nil // the slot is about to hold another state
-	}
-	s.queue.discard(n)
+	return s.cur.Apply(n.base, n.dec)
 }
 
 // check runs on q, the query of the popped state n, the cascade n owes:
@@ -242,7 +237,7 @@ func (s *search) discard(n *state) {
 // faulted mid-check, and the outcome is meaningless.
 func (s *search) check(n *state, q *sqlir.Query) (verify.Outcome, error) {
 	d := n.dec
-	if !n.parent.verified {
+	if !n.inherit {
 		d = sqlir.Decision{} // nothing proved to inherit
 	}
 	out, err := s.e.verifier.VerifyChild(s.ctx, q, d)
@@ -277,16 +272,16 @@ func (s *search) verifyChild(q *sqlir.Query, inherit bool, d sqlir.Decision) (r 
 	return r
 }
 
-// child numbers the child of the popped state p by option o, given what
-// verifyChild said about it (r), and queues it as (p, decision) when it has
-// holes left. It reports whether the child is a candidate: a complete query
-// that passed.
-func (s *search) child(p *state, o *option, r *verifyResult) bool {
+// child numbers the child of the popped state p, whose kept query is base,
+// by option o, given what verifyChild said about it (r), and queues it as
+// (base, decision) when it has holes left. It reports whether the child is
+// a candidate: a complete query that passed.
+func (s *search) child(p *state, base *sqlir.Query, o *option, r *verifyResult) bool {
 	s.seq++ // every child, kept or not: arrival breaks ties
 	if r.complete {
 		return r.out.OK
 	}
-	s.queue.push(state{parent: p, dec: o.dec, logConf: p.logConf + o.log, depth: p.depth + 1, owes: s.partial},
+	s.queue.push(state{base: base, dec: o.dec, logConf: p.logConf + o.log, depth: p.depth + 1, owes: s.partial, inherit: p.verified},
 		r.q.From.Len(), s.seq)
 	return false
 }
@@ -308,7 +303,8 @@ func stop(res *Result, err error) (*Result, error) {
 // A child with holes left runs the §3.4 cascade when it is popped, not when
 // it is generated: most children that pass are never expanded. A popped
 // state that fails is dropped uncounted, so the states expanded, in their
-// order, are those of verifying every child as it is generated.
+// order, are those of verifying every child as it is generated. One that
+// passes has its query kept, and its children are queued against it.
 //
 // Cancellation and the context's deadline produce an anytime result, not
 // an error: the returned Result carries the candidates verified so far (a
@@ -347,11 +343,12 @@ func (s *search) run(emit func(Candidate) bool) (res *Result, err error) {
 				return stop(res, err)
 			}
 			if !out.OK {
-				s.discard(p)
+				s.queue.discard(p)
 				continue
 			}
 		}
 		res.States++
+		q = s.kept.keep(q, p.base)
 
 		opts, err := s.expand(q)
 		if err != nil {
@@ -363,7 +360,7 @@ func (s *search) run(emit func(Candidate) bool) (res *Result, err error) {
 			if r.err != nil {
 				return stop(res, r.err)
 			}
-			if !s.child(p, o, &r) {
+			if !s.child(p, q, o, &r) {
 				continue
 			}
 			key := r.q.Canonical()
@@ -386,6 +383,7 @@ func (s *search) run(emit func(Candidate) bool) (res *Result, err error) {
 				return res, nil
 			}
 		}
+		s.queue.discard(p)
 	}
 	res.Exhausted = true
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -437,26 +438,29 @@ func TestBoundedFrontierIsTheSameSearch(t *testing.T) {
 }
 
 // TestCappedSearchRetention: the frontier keeps every child a search
-// queues, so what a capped search retains is bounded by what it expanded.
-// On every benchmark Spider task, with its TSQ and without, at the
-// benchmark's cap, the walk accounts for the frontier after every
-// expansion: it holds the states queued — the root and each child with
-// holes left — less those popped; it has handed out a slot for each state
-// queued less the slots of failed states it took back, which it takes
-// before new ones; so the slots never exceed 1 + the states expanded × the
-// widest expansion so far. The search itself expands as many states and
-// hands out as many slots. Exhausted says whether the queue emptied: always
-// when the search ends under its cap, and never for a search cut at its cap
-// with states still queued — checked on a tiny table too, whose uncapped
-// search drains its queue.
+// queues, and the store the query of every state it expands, so what a
+// capped search retains is bounded by what it expanded. On every benchmark
+// Spider task, with its TSQ and without, at the benchmark's cap, the walk
+// accounts for both after every expansion: the frontier holds the states
+// queued — the root and each child with holes left — less those popped; its
+// slots in use are those states and the one being expanded, and every slot
+// it handed out is in use or free; a popped state's slot is handed back
+// when it fails or once its expansion is over, and freed slots are taken
+// before new ones, so the slots never exceed 1 + the most states queued at
+// once. The store holds one query per state expanded. The search itself
+// expands as many states, hands out as many slots and keeps as many
+// queries. Exhausted says whether the queue emptied: always when the search
+// ends under its cap, and never for a search cut at its cap with states
+// still queued — checked on a tiny table too, whose uncapped search drains
+// its queue.
 func TestCappedSearchRetention(t *testing.T) {
 	stride := 1
 	if testing.Short() {
 		stride = 8
 	}
 	type peak struct {
-		keys, slots int
-		id          string
+		keys, slots, keptBytes int
+		id                     string
 	}
 	largest := map[bool]*peak{true: {}, false: {}}
 	for i, st := range spiderTasks(t) {
@@ -469,20 +473,22 @@ func TestCappedSearchRetention(t *testing.T) {
 				sketch = st.sketch
 			}
 			id := modeName(dual) + " " + st.ID
-			expanded, widest, used := 0, 0, 0
+			expanded, used := 0, 0
 			t.Run(id, func(t *testing.T) {
 				in := walkInput{st.ID, st.DB, guidance.NewLexicalModel(), sketch, st.NLQ, st.Literals}
-				queued, failed, failedBefore, free := 1, 0, 0, 0 // the root is queued
+				queued, failed, most := 1, 0, 1 // the root is queued
+				free := 0                       // slots free after the last expansion's pushes
 				walk(t, in, sketch, ModeGPQE, spiderMaxStates, observer{
 					settled: func(x settlement) {
 						// Past the cap the walk checks what is still queued
 						// as a step of its own: those states are not popped.
 						if !x.out.OK && expanded < spiderMaxStates {
 							failed++
+							free++
 						}
 					},
 					expanded: func(x expansion) {
-						expanded, widest, used = expanded+1, max(widest, len(x.opts)), x.queue.used
+						expanded, used = expanded+1, x.queue.used
 						pushed := 0
 						for _, r := range x.results {
 							if !r.complete {
@@ -490,23 +496,29 @@ func TestCappedSearchRetention(t *testing.T) {
 							}
 						}
 						queued += pushed
-						// The slots freed since the last expansion are
-						// taken first.
-						wantFree := max(0, free+failed-failedBefore-pushed)
-						free, failedBefore = 0, failed
-						for n := x.queue.free; n != nil; n = n.parent {
-							free++
-						}
-						if x.queue.len() != queued-expanded-failed || used != queued-failed+free || free != wantFree {
+						most = max(most, x.queue.len())
+						// The slots handed back since the last expansion's
+						// pushes — its own, and those of the states that
+						// failed since — are taken first.
+						wantFree := max(0, free-pushed)
+						free = len(x.queue.free)
+						if x.queue.len() != queued-expanded-failed || used != x.queue.len()+1+free || free != wantFree {
 							t.Fatalf("after %d expansions, %d states queued and %d failed: the frontier holds %d in %d slots, %d free (want %d)",
 								expanded, queued, failed, x.queue.len(), used, free, wantFree)
 						}
-						if used > 1+expanded*widest {
-							t.Fatalf("%d slots handed out after %d expansions at most %d wide", used, expanded, widest)
+						if used > 1+most {
+							t.Fatalf("%d slots handed out after %d expansions, at most %d states queued at once", used, expanded, most)
+						}
+						if n := keptQueries(x.kept); n != expanded {
+							t.Fatalf("%d queries kept after %d expansions", n, expanded)
 						}
 						if p := largest[dual]; x.queue.len() > p.keys {
 							p.keys, p.slots, p.id = x.queue.len(), used, st.ID
 						}
+						if p := largest[dual]; keptBytes(x.kept) > p.keptBytes {
+							p.keptBytes = keptBytes(x.kept)
+						}
+						free++ // the walk hands the expanded state's slot back
 					},
 				})
 			})
@@ -516,8 +528,9 @@ func TestCappedSearchRetention(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.States != expanded || s.queue.used != used {
-				t.Errorf("%s: the search expanded %d states into %d slots, the walk %d into %d", id, res.States, s.queue.used, expanded, used)
+			if res.States != expanded || s.queue.used != used || keptQueries(s.kept) != res.States {
+				t.Errorf("%s: the search expanded %d states into %d slots, keeping %d queries; the walk %d into %d",
+					id, res.States, s.queue.used, keptQueries(s.kept), expanded, used)
 			}
 			if emptied := s.queue.len() == 0; res.Exhausted != emptied || !emptied && res.States < spiderMaxStates {
 				t.Errorf("%s: %d states, %d still queued, exhausted %v", id, res.States, s.queue.len(), res.Exhausted)
@@ -527,8 +540,8 @@ func TestCappedSearchRetention(t *testing.T) {
 	}
 	for _, dual := range []bool{true, false} {
 		p := largest[dual]
-		t.Logf("%s: largest frontier %d queued states (%d slots, %.2f MB at 96 B a slot), %s",
-			modeName(dual), p.keys, p.slots, float64(p.slots*96)/(1<<20), p.id)
+		t.Logf("%s: largest frontier %d queued states (%d slots, %.2f MB at 96 B a slot), %s; largest store of kept queries %.2f MB",
+			modeName(dual), p.keys, p.slots, float64(p.slots*96)/(1<<20), p.id, float64(p.keptBytes)/(1<<20))
 	}
 
 	items := storage.NewTable("items", "id",
@@ -608,9 +621,14 @@ func entryLess(f *frontier, a, b *arrival) bool {
 }
 
 // TestFrontierOrderIsTheEntryOrder: with pushes, pops and discards
-// interleaved at random, in every ordering mode, the frontier pops the
-// states a sort by the entry comparator says it should, each as it was
-// pushed — whether its slot was fresh or one a discarded state freed.
+// interleaved at random the way a search makes them — a pop, then the
+// pushes of its expansion, if any, then its slot handed back; or a pop
+// whose state fails, its slot handed back at once, and the next pop with no
+// push between — in every ordering mode, the frontier pops the states a
+// sort by the entry comparator says it should, each as it was pushed,
+// whether its slot was fresh or handed back and whether its key filled the
+// hole a pop left or was sifted up from the bottom. Now and then the
+// frontier is released with a hole open and used again from empty.
 // Confidences tie often and include −Inf.
 func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 	ops := 200000
@@ -620,62 +638,88 @@ func TestFrontierOrderIsTheEntryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, f := range []*frontier{{}, {geoMean: true}, {noGuide: true}} {
 		var held []arrival // what the frontier holds, sorted by entryLess
-		seq, pops, reused := 0, 0, 0
-		pop := func() {
+		seq, pops, popAfterPop, intoHole, reused, releases := 0, 0, 0, 0, 0, 0
+		push := func() {
+			seq++
+			a := arrival{logConf: -float64(rng.Intn(12)) / 4, depth: int32(rng.Intn(8)), joinLen: int16(rng.Intn(4)), seq: seq}
+			if rng.Intn(10) == 0 {
+				a.logConf = math.Inf(-1)
+			}
+			i := sort.Search(len(held), func(i int) bool { return entryLess(f, &a, &held[i]) })
+			held = slices.Insert(held, i, a)
+			if len(f.free) > 0 {
+				reused++
+			}
+			if f.hole {
+				intoHole++
+			}
+			a.push(f)
+		}
+		for range ops {
+			if len(held) == 0 {
+				push() // a search's root
+				continue
+			}
+			if f.hole {
+				popAfterPop++
+			}
 			got := f.pop()
 			if !held[0].is(got) {
 				t.Fatalf("pop %d: %+v, want %+v", pops, *got, held[0])
 			}
-			if rng.Intn(2) == 0 {
-				f.discard(got) // it failed its cascade
-			}
 			held = held[1:]
 			pops++
-		}
-		for range ops {
-			if rng.Intn(400) < 201 {
-				seq++
-				a := arrival{logConf: -float64(rng.Intn(12)) / 4, depth: int32(rng.Intn(8)), joinLen: int16(rng.Intn(4)), seq: seq}
-				if rng.Intn(10) == 0 {
-					a.logConf = math.Inf(-1)
+			if rng.Intn(3) == 0 {
+				f.discard(got) // it failed its cascade
+			} else {
+				for range rng.Intn(4) { // its expansion's children with holes left
+					push()
 				}
-				i := sort.Search(len(held), func(i int) bool { return entryLess(f, &a, &held[i]) })
-				held = slices.Insert(held, i, a)
-				if f.free != nil {
-					reused++
+				f.discard(got) // its expansion is over
+			}
+			if f.hole && rng.Intn(1000) == 0 {
+				f.release() // a search stopped between a pop and its pushes
+				if f.len() != 0 || f.hole || f.used != 0 {
+					t.Fatalf("released with a hole open, the frontier holds %d states in %d slots, hole %v", f.len(), f.used, f.hole)
 				}
-				a.push(f)
-			} else if len(held) > 0 {
-				pop()
+				held = nil
+				releases++
 			}
 			if f.len() != len(held) {
 				t.Fatalf("the frontier holds %d states, the entry order %d", f.len(), len(held))
 			}
 		}
 		for len(held) > 0 {
-			pop()
+			got := f.pop()
+			if !held[0].is(got) {
+				t.Fatalf("pop %d: %+v, want %+v", pops, *got, held[0])
+			}
+			held = held[1:]
+			f.discard(got)
 		}
-		if pops == 0 || reused == 0 {
-			t.Fatalf("%d pops, %d pushes into freed slots: the test is not exercising the frontier", pops, reused)
+		if pops == 0 || popAfterPop == 0 || intoHole == 0 || reused == 0 || releases == 0 {
+			t.Fatalf("%d pops, %d after a pop, %d pushes into a hole, %d into handed-back slots, %d releases: the test is not exercising the frontier",
+				pops, popAfterPop, intoHole, reused, releases)
 		}
 		f.release()
 	}
 }
 
 // TestFrontierRecyclesChunks: closing a search zeroes every slot its
-// frontier used — queued, popped and discarded — and its key slice, so no
-// state of a search, nor the guidance output its decisions point into,
-// outlives its request in the pools; and the next frontier of the same peak
-// takes its chunks and its key slice from the pools: what it still
-// allocates is its list of chunk pointers, not one chunk.
+// frontier used — queued, popped and discarded — its key slice and its free
+// list, and every query its store kept, so no state or query of a search,
+// nor the guidance output its decisions point into, outlives its request in
+// the pools; and the next frontier of the same peak takes its chunks, its
+// key slice and its free list from the pools: what it still allocates is
+// its list of chunk pointers, not one chunk.
 func TestFrontierRecyclesChunks(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
-	parent := &state{dec: sqlir.Decision{Kind: sqlir.DecideKeywords}}
+	base := &sqlir.Query{KWSet: true}
 	const peak = 3*chunkLen + 5
 	fill := func(f *frontier) {
 		push := func(i int) {
-			f.push(state{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7)}, 1, i)
+			f.push(state{base: base, dec: sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 1}, logConf: -float64(i % 7)}, 1, i)
 		}
 		for i := range peak {
 			push(i)
@@ -690,10 +734,14 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 
 	s := e.newSearch(context.Background(), "titles", nil)
 	fill(&s.queue)
-	if s.queue.free == nil {
+	if len(s.queue.free) == 0 {
 		t.Fatal("the pushes used every slot the discards freed")
 	}
-	chunks, keys := s.queue.chunks, s.queue.keys[:cap(s.queue.keys)]
+	kept := s.kept.keep(s.replay(s.queue.pop()), nil)
+	kept = s.kept.keep(s.cur.Apply(kept, sqlir.Decision{Kind: sqlir.DecideKeywords, Where: true}), kept)
+	kept = s.kept.keep(s.cur.Apply(kept, sqlir.Decision{Kind: sqlir.DecideSelectCount, Count: 2}), kept)
+	chunks, keys, free := s.queue.chunks, s.queue.keys[:cap(s.queue.keys)], s.queue.free[:cap(s.queue.free)]
+	headers, sel := s.kept.headers.chunks[0], s.kept.sel.chunks[0]
 	s.close()
 	for ci, c := range chunks {
 		for i := range c {
@@ -706,6 +754,14 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 		if k != (key{}) {
 			t.Fatalf("key %d still holds %+v after close", i, k)
 		}
+	}
+	for i, n := range free {
+		if n != nil {
+			t.Fatalf("free list entry %d still holds a slot after close", i)
+		}
+	}
+	if !reflect.ValueOf(*headers).IsZero() || *sel != ([slabLen]sqlir.SelectItem{}) {
+		t.Fatalf("the store still holds %s after close", kept)
 	}
 
 	if raceEnabled {
@@ -816,4 +872,19 @@ func TestModeString(t *testing.T) {
 	if ModeGPQE.String() != "GPQE" || ModeNoPQ.String() != "NoPQ" || ModeNoGuide.String() != "NoGuide" {
 		t.Error("mode names")
 	}
+}
+
+// keptQueries is the number of queries k holds.
+func keptQueries(k *store) int { return max(0, k.headers.n-1)*slabLen + k.headers.off }
+
+// keptBytes is what k's pieces in use weigh, the tails of chunks that did
+// not fit a run included.
+func keptBytes(k *store) int {
+	return slabBytes(&k.headers) + slabBytes(&k.sel) + slabBytes(&k.preds) +
+		slabBytes(&k.groupBy) + slabBytes(&k.having) + slabBytes(&k.orderBy)
+}
+
+func slabBytes[T any](s *slab[T]) int {
+	var x T
+	return (max(0, s.n-1)*slabLen + s.off) * int(unsafe.Sizeof(x))
 }

@@ -17,24 +17,63 @@ import (
 	"github.com/duoquest/duoquest/internal/verify"
 )
 
+// lineage is the walk's own record of how each query the search kept was
+// built: from which kept query — nil for the root's — and by which decision.
+// The states hold no such link, and the record never reads a kept query.
+type lineage map[*sqlir.Query]link
+
+type link struct {
+	base *sqlir.Query
+	dec  sqlir.Decision
+}
+
+// of is n's query built the long way: one derivation of its own per
+// decision on its path from the root, the path the lineage records.
+func (l lineage) of(n *state) *sqlir.Query { return l.derivation(n.base, n.dec) }
+
+// derivation is the query decision d makes of the kept query base, derived
+// from the root.
+func (l lineage) derivation(base *sqlir.Query, d sqlir.Decision) *sqlir.Query {
+	if base == nil {
+		return sqlir.NewQuery() // the root's
+	}
+	b, ok := l[base]
+	if !ok {
+		panic("a state's base is not a query the walk kept")
+	}
+	return derive(l.derivation(b.base, b.dec), d)
+}
+
+// popping is what walk shows its observer of a popped state before its
+// cascade: the state and its query, built in the search's cur by one Apply
+// on its base and valid only during the call, and the walk's lineage.
+type popping struct {
+	state *state
+	q     *sqlir.Query
+	lin   lineage
+}
+
 // settlement is what walk shows its observer of one cascade a queued state
-// owed: the state, the query the engine checked — its own replay when it
-// was popped, or its parent's child in the scratch when it was still queued
-// at the end of the walk; valid only during the call — and the outcome.
+// owed: the state, the query the engine checked — its own, in cur, when it
+// was popped, or its base's child in the scratch when it was still queued
+// at the end of the walk; valid only during the call — the outcome and the
+// walk's lineage.
 type settlement struct {
 	state *state
 	q     *sqlir.Query
 	out   verify.Outcome
+	lin   lineage
 }
 
 // expansion is what walk shows its observer of an expanded state: the state
-// and its query — replayed into the search's cur, so valid only during the
-// call, and read after its children were built, the complete ones checked
-// and the others queued — whether it passed the cascade (its children then
-// inherit), and its options with what the engine's own path — the child
-// built in the scratch and, when complete, checked there by VerifyChild —
-// said about each (each result's q is the scratch, overwritten since); the
-// search's guidance context, bound to parent; and the search's frontier.
+// and its query — the search's kept copy, read after its children were
+// built, the complete ones checked and the others queued — whether it
+// passed the cascade (its children then inherit), and its options with
+// what the engine's own path — the child built in the scratch and, when
+// complete, checked there by VerifyChild — said about each (each result's q
+// is the scratch, overwritten since); the search's guidance context, bound
+// to parent; the search's frontier, with the state's slot not yet handed
+// back; and the walk's lineage.
 type expansion struct {
 	state    *state
 	parent   *sqlir.Query
@@ -43,10 +82,13 @@ type expansion struct {
 	results  []verifyResult
 	ctx      *guidance.Context
 	queue    *frontier
+	kept     *store
+	lin      lineage
 }
 
-// observer is what a test hands walk; either function may be nil.
+// observer is what a test hands walk; any function may be nil.
 type observer struct {
+	popped   func(popping)
 	settled  func(settlement)
 	expanded func(expansion)
 }
@@ -54,10 +96,11 @@ type observer struct {
 // walk is Enumerate's loop with the emission taken out and an observer put
 // in: it expands up to maxStates states best-first under mode, checks each
 // popped state that owes its cascade and each complete child exactly as
-// Enumerate does, and shows the observer every cascade a popped state owed
-// and every expansion once its children are queued. With an observer of
+// Enumerate does, and shows the observer every popped state, every cascade
+// a popped state owed and every expansion once its children are queued. It
+// records the lineage of every query the search keeps. With an observer of
 // settlements, the states still queued at the end are settled too, a step
-// of the test alone, each as its parent's child built in the scratch: the
+// of the test alone, each as its base's child built in the scratch: the
 // walk then checks every child of every state it expanded, as the search
 // once did when it checked each child as it was generated.
 func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int, obs observer) {
@@ -65,25 +108,34 @@ func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int,
 	v := verify.New(in.db, semrules.Default(), sketch, in.lits)
 	e := New(in.db, in.model, v, Options{Mode: mode})
 	s := e.newSearch(context.Background(), in.nlq, in.lits)
-	t.Cleanup(s.close) // the popped states outlive the walk: a test may replay them after it
+	t.Cleanup(s.close) // the kept queries outlive the walk: a test may read them after it
+	lin := lineage{}
 	settled := func(n *state, q *sqlir.Query) bool {
 		out, err := s.check(n, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if obs.settled != nil {
-			obs.settled(settlement{n, q, out})
+			obs.settled(settlement{n, q, out, lin})
 		}
 		return out.OK
 	}
 	for expanded := 0; s.queue.len() > 0 && expanded < maxStates; {
 		p := s.queue.pop()
 		q := s.replay(p)
+		if obs.popped != nil {
+			obs.popped(popping{p, q, lin})
+		}
 		if p.owes && !settled(p, q) {
-			s.discard(p)
+			s.queue.discard(p)
 			continue
 		}
 		expanded++
+		q = s.kept.keep(q, p.base)
+		if _, ok := lin[q]; ok {
+			t.Fatalf("%s: the search kept %s where it kept an earlier query", in.id, q)
+		}
+		lin[q] = link{p.base, p.dec}
 		opts, err := s.expand(q)
 		if err != nil {
 			t.Fatal(err)
@@ -96,21 +148,30 @@ func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int,
 			if r.err != nil {
 				t.Fatalf("%s + %+v: %v", q, opts[i].dec, r.err)
 			}
-			s.child(p, &opts[i], &r)
+			s.child(p, q, &opts[i], &r)
 			results = append(results, r)
 		}
 		if obs.expanded != nil {
-			obs.expanded(expansion{p, q, p.verified, opts, results, s.mctx, &s.queue})
+			obs.expanded(expansion{p, q, p.verified, opts, results, s.mctx, &s.queue, s.kept, lin})
 		}
+		s.queue.discard(p)
 	}
 	if obs.settled == nil {
 		return
 	}
-	for _, k := range s.queue.keys {
+	for _, k := range queued(&s.queue) {
 		if n := k.st; n.owes {
-			settled(n, s.scratch.Apply(s.replay(n.parent), n.dec))
+			settled(n, s.scratch.Apply(n.base, n.dec))
 		}
 	}
+}
+
+// queued is the keys of the states f holds, without the hole a pop left.
+func queued(f *frontier) []key {
+	if f.hole {
+		return f.keys[1:]
+	}
+	return f.keys
 }
 
 // derive is the child of q by d as a query of its own: built in a fresh
@@ -118,15 +179,6 @@ func walk(t testing.TB, in walkInput, sketch *tsq.TSQ, mode Mode, maxStates int,
 func derive(q *sqlir.Query, d sqlir.Decision) *sqlir.Query {
 	var s sqlir.Scratch
 	return s.Apply(q, d).Clone()
-}
-
-// derivation is n's query built the long way: one derivation of its own per
-// decision on its path from the root.
-func derivation(n *state) *sqlir.Query {
-	if n.parent == nil {
-		return sqlir.NewQuery()
-	}
-	return derive(derivation(n.parent), n.dec)
 }
 
 // walkInputs are the searches the inheritance tests walk: a sample of the
@@ -215,14 +267,14 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 				id := in.id + "/" + mode.String()
 				walk(t, in, sketch, mode, 400, observer{
 					settled: func(x settlement) {
-						same(id, x.q, x.out, fresh(derivation(x.state)))
-						if x.state.parent.verified {
+						same(id, x.q, x.out, fresh(x.lin.of(x.state)))
+						if x.state.inherit {
 							inherited++
 						}
 					},
 					expanded: func(x expansion) {
-						if mode != ModeNoPQ && x.state.parent != nil {
-							if out := fresh(derivation(x.state)); !out.OK {
+						if mode != ModeNoPQ && x.state.base != nil {
+							if out := fresh(x.lin.of(x.state)); !out.OK {
 								t.Errorf("%s: expanded %s, which fails %+v", id, x.parent, out)
 							}
 						}
@@ -247,38 +299,48 @@ func TestInheritedOutcomeMatchesFullCascade(t *testing.T) {
 	}
 }
 
-// TestReplayIsTheDerivation: the query a popped state is expanded from —
-// its path of decisions replayed in place into the search's scratch — is,
-// field for field and in its rendering, the query one derivation of its own
-// per decision builds from the root, for every state of the Spider walk.
+// TestReplayIsTheDerivation: the query of a popped state — its one decision
+// applied to its base, the kept query of the state it extends, in the
+// search's cur — and the copy of it the search keeps when it is expanded
+// are, field for field and in their rendering, the query one derivation of
+// its own per decision builds from the root along the path the walk
+// recorded, for every popped state of the Spider walk.
 func TestReplayIsTheDerivation(t *testing.T) {
-	states := 0
-	for _, in := range walkInputs(t) {
-		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			walk(t, in, sketch, ModeGPQE, 250, observer{expanded: func(x expansion) {
-				want := derivation(x.state)
-				if !reflect.DeepEqual(x.parent, want) || x.parent.String() != want.String() {
-					t.Fatalf("%s: replayed %s\n derived %s", in.id, x.parent, want)
-				}
-				states++
-			}})
+	popped, expanded := 0, 0
+	same := func(id, what string, got, want *sqlir.Query) {
+		if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+			t.Fatalf("%s: %s %s\n derived %s", id, what, got, want)
 		}
 	}
-	if states == 0 {
-		t.Fatal("the walk popped no state")
+	for _, in := range walkInputs(t) {
+		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
+			walk(t, in, sketch, ModeGPQE, 250, observer{
+				popped: func(x popping) {
+					same(in.id, "popped", x.q, x.lin.of(x.state))
+					popped++
+				},
+				expanded: func(x expansion) {
+					same(in.id, "kept", x.parent, x.lin.of(x.state))
+					expanded++
+				},
+			})
+		}
+	}
+	if expanded == 0 || popped == expanded {
+		t.Fatalf("the walk popped %d states and expanded %d: it must pop some that fail", popped, expanded)
 	}
 }
 
-// TestChildrenNeverWriteThroughToParents: a popped state's query is rebuilt
-// from its path whenever it is expanded, so its children could change it
-// only by writing into the search's copy of it while they are built and
-// checked, or by writing a state on its path once it is queued or settled.
-// Neither happens, for any kind of decision: the query an expansion reads
-// after its children were looked at renders as a fresh replay of its path,
-// and every path replays to the same rendering once the whole walk — every
-// queued state settled as its parent's child included — is over.
-// Every parent holds a HAVING or ORDER BY clause exactly when that clause is
-// present.
+// TestChildrenNeverWriteThroughToParents: the search keeps the query of
+// every state it expands and rebuilds each child of it from that copy, so
+// the copy could change only if a child, built and checked in the scratch,
+// or a later state, built in cur, wrote into it — or if the copy shared a
+// slice, a clause or its header with either scratch. None of that happens,
+// for any kind of decision: the query an expansion reads after its children
+// were looked at renders as its derivation from the root, and so does every
+// kept query once the whole walk — every queued state settled as its base's
+// child included — is over. Every parent holds a HAVING or ORDER BY clause
+// exactly when that clause is present.
 func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	kinds := map[sqlir.DecisionKind]bool{}
 	type rendering struct{ str, canon string }
@@ -286,7 +348,7 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 	for _, in := range walkInputs(t) {
 		// Without the TSQ little is pruned, so every clause gets expanded.
 		for _, sketch := range []*tsq.TSQ{in.sketch, nil} {
-			before := map[*state]rendering{}
+			var lin lineage
 			walk(t, in, sketch, ModeGPQE, 250, observer{
 				settled: func(settlement) {}, // and settle what is left queued
 				expanded: func(x expansion) {
@@ -295,22 +357,22 @@ func TestChildrenNeverWriteThroughToParents(t *testing.T) {
 						t.Fatalf("%s: %s holds HAVING %v (state %v), ORDER BY %v (state %v)",
 							in.id, q, q.Having != nil, q.HavingState, q.OrderBy != nil, q.OrderByState)
 					}
-					if got, fresh := render(q), render(new(search).replay(x.state)); got != fresh {
-						t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, fresh.str, got.str)
+					if got, want := render(q), render(x.lin.of(x.state)); got != want {
+						t.Fatalf("%s: parent changed under its children:\n was %s\n now %s", in.id, want.str, got.str)
 					}
-					before[x.state] = render(q)
 					for _, o := range x.opts {
 						if x.verified {
 							kinds[o.dec.Kind] = true
 						}
 					}
+					lin = x.lin
 				},
 			})
-			// Checked after the whole walk: a path must survive not just its
-			// state's children but its descendants' too.
-			for n, was := range before {
-				if got := render(new(search).replay(n)); got != was {
-					t.Fatalf("%s: parent changed under its descendants:\n was %s\n now %s", in.id, was.str, got.str)
+			// Checked after the whole walk: a kept query must survive not
+			// just its state's children but every state built after it.
+			for q, l := range lin {
+				if got, want := render(q), render(lin.derivation(l.base, l.dec)); got != want {
+					t.Fatalf("%s: a kept query changed under later states:\n was %s\n now %s", in.id, want.str, got.str)
 				}
 			}
 		}
@@ -448,10 +510,11 @@ func TestModelThatKeepsQueriesGetsItsOwn(t *testing.T) {
 // TestChildAllocations bounds what a child costs, from its generation to
 // the end of its cascade: nothing when the cascade rejects it without
 // database work — by-column and by-row answers the memo has included — and
-// for one that passes at most its share of a frontier chunk, when the chunk
-// pool has none to give. A child with holes left is queued as a state
-// pointing at its parent and owes its cascade, which runs on its own query
-// when it is popped (replayed into the search's cur: TestPopAllocations).
+// nothing either for one that passes, once its slot is handed back as the
+// search hands back every popped state's. A child with holes left is queued
+// as its parent's kept query and its decision, and owes its cascade, which
+// runs on its own query when it is popped (one Apply into the search's cur:
+// TestPopAllocations).
 func TestChildAllocations(t *testing.T) {
 	db := movieDB()
 	title, year := db.Schema.Catalog().MustCol("movie", "title"), db.Schema.Catalog().MustCol("movie", "year")
@@ -459,21 +522,26 @@ func TestChildAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// expanded is a popped state being expanded, and its kept query.
+	type expanded struct {
+		st *state
+		q  *sqlir.Query
+	}
 	type childCase struct {
 		name   string
-		parent *state
+		parent expanded
 		dec    sqlir.Decision
 		stage  verify.Stage // where it is rejected; "" when it is queued
 	}
 	// chain is a verified state deciding ds after the root, which has no
 	// proof to pass on.
-	root := &state{}
-	chain := func(ds ...sqlir.Decision) *state {
-		p := root
+	root := expanded{&state{}, sqlir.NewQuery()}
+	chain := func(ds ...sqlir.Decision) expanded {
+		q := root.q
 		for _, d := range ds {
-			p = &state{parent: p, dec: d, depth: p.depth + 1, verified: true}
+			q = derive(q, d)
 		}
-		return p
+		return expanded{&state{depth: int32(len(ds)), verified: true}, q}
 	}
 	// run considers each case's child in a search under sketch the way
 	// Enumerate does with one option of the expansion of its parent, and
@@ -483,26 +551,26 @@ func TestChildAllocations(t *testing.T) {
 		s := e.newSearch(context.Background(), "titles", nil)
 		defer s.close()
 		s.queue.pop() // the root: a case's child is then alone in the frontier
-		queue := func(p *state, o option) {
-			r := s.verifyChild(s.replay(p), p.verified, o.dec)
+		queue := func(p expanded, o option) {
+			r := s.verifyChild(p.q, p.st.verified, o.dec)
 			if r.complete {
 				t.Fatalf("%s is complete", r.q)
 			}
-			s.child(p, &o, &r)
+			s.child(p.st, p.q, &o, &r)
 		}
-		// popped queues the child, pops it and checks it, and reports
-		// where it was rejected: "" when it passed and stays as a node.
-		popped := func(p *state, o option) verify.Stage {
+		// popped queues the child, pops it, checks it and hands its slot
+		// back, and reports where it was rejected: "" when it passed.
+		popped := func(p expanded, o option) verify.Stage {
 			queue(p, o)
 			n := s.queue.pop()
 			out, err := s.check(n, s.replay(n))
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.queue.discard(n)
 			if out.OK {
 				return ""
 			}
-			s.discard(n)
 			return out.Stage
 		}
 		for _, tc := range cases {
@@ -510,12 +578,8 @@ func TestChildAllocations(t *testing.T) {
 			if stage := popped(tc.parent, o); stage != tc.stage {
 				t.Fatalf("%s: rejected at %q, want %q", tc.name, stage, tc.stage)
 			}
-			n := testing.AllocsPerRun(1000, func() { popped(tc.parent, o) })
-			if tc.stage != "" && n != 0 {
-				t.Errorf("%s: a rejected child cost %.0f allocations, want 0", tc.name, n)
-			}
-			if tc.stage == "" && n > 1 {
-				t.Errorf("%s: a child that passed cost %.0f allocations, want at most 1 amortised", tc.name, n)
+			if n := testing.AllocsPerRun(1000, func() { popped(tc.parent, o) }); n != 0 {
+				t.Errorf("%s: a child cost %.0f allocations, want 0", tc.name, n)
 			}
 		}
 	}
@@ -565,11 +629,14 @@ func TestChildAllocations(t *testing.T) {
 }
 
 // TestPopAllocations: a queued state is written once into a slot of the
-// frontier's chunks and stays there when it is popped, and its query is
-// replayed into the search's scratch. So pushing a state costs at most its
-// share of a chunk — 1/128 of an allocation, amortised, when the chunk pool
-// has none to give — and popping and materialising it costs nothing,
-// whatever the depth of its path.
+// frontier's chunks and its query is built, when it is popped, by one Apply
+// of its decision to its base, the kept query of the state it extends. So
+// pushing a state costs at most its share of a chunk — 1/128 of an
+// allocation, amortised, when the chunk pool has none to give — popping and
+// materialising it costs nothing, whatever the depth of its base, and so
+// does handing its slot back. Keeping an expanded state's query costs at most
+// its share of the store's slabs: a header, and a run of the one slice its
+// decision wrote.
 func TestPopAllocations(t *testing.T) {
 	db := movieDB()
 	e := New(db, guidance.NewLexicalModel(), verify.New(db, semrules.Default(), nil, nil), Options{})
@@ -582,7 +649,7 @@ func TestPopAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := root
+	base := s.kept.keep(s.replay(root), nil)
 	for _, d := range []sqlir.Decision{
 		{Kind: sqlir.DecideKeywords, Where: true, OrderBy: true},
 		{Kind: sqlir.DecideSelectCount, Count: 2},
@@ -595,32 +662,61 @@ func TestPopAllocations(t *testing.T) {
 		{Kind: sqlir.DecidePredColumn, Index: 0, Col: &year},
 		{Kind: sqlir.DecidePredOp, Index: 0, Op: sqlir.OpLt},
 	} {
-		parent = &state{parent: parent, dec: d, depth: parent.depth + 1}
+		base = s.kept.keep(s.cur.Apply(base, d), base)
 	}
+	s.queue.discard(root)
 	v := num(1995)
+	value := sqlir.Decision{Kind: sqlir.DecidePredValue, Val: &v}
 	const states, runs = 4 * chunkLen, 10
-	// The key slice and the chunk list grow by doubling; room is made for
-	// both up front, so what is counted is the slots.
+	// The key slice, the free list and the chunk lists grow by doubling;
+	// room is made for them up front, so what is counted is the slots and
+	// the slabs' chunks.
 	s.queue.keys = slices.Grow(s.queue.keys, (runs+1)*states)
+	s.queue.free = slices.Grow(s.queue.free, (runs+1)*states)
 	s.queue.chunks = slices.Grow(s.queue.chunks, (runs+1)*states/chunkLen+1)
 	seq := 0
 	pushAll := func() {
 		for range states {
 			seq++
-			s.queue.push(state{parent: parent, dec: sqlir.Decision{Kind: sqlir.DecidePredValue, Val: &v}, depth: parent.depth + 1}, 1, seq)
+			s.queue.push(state{base: base, dec: value, depth: 11}, 1, seq)
 		}
 	}
-	popAll := func() {
+	popAll := func(discard bool) {
 		for range states {
-			if q := s.replay(s.queue.pop()); !q.Where.Preds[0].ValSet {
+			n := s.queue.pop()
+			if q := s.replay(n); !q.Where.Preds[0].ValSet {
 				t.Fatalf("popped %s, want its predicate value decided", q)
+			}
+			if discard {
+				s.queue.discard(n)
 			}
 		}
 	}
 	if n := testing.AllocsPerRun(runs, pushAll) / states; n > 1.0/chunkLen {
 		t.Errorf("a push cost %.4f allocations amortised, want at most 1/%d", n, chunkLen)
 	}
-	if n := testing.AllocsPerRun(runs, popAll); n != 0 {
+	if n := testing.AllocsPerRun(runs, func() { popAll(false) }); n != 0 {
 		t.Errorf("%d pops cost %.0f allocations, want none", states, n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { pushAll(); popAll(true) }); n != 0 {
+		t.Errorf("%d pushes into handed-back slots and their pops cost %.0f allocations, want none", states, n)
+	}
+
+	var k store // a store the pool never filled: every chunk is new
+	k.headers.chunks = slices.Grow(k.headers.chunks, (runs+1)*states/slabLen+1)
+	k.preds.chunks = slices.Grow(k.preds.chunks, (runs+1)*states/slabLen+1)
+	child := s.cur.Apply(base, value)
+	if n := testing.AllocsPerRun(runs, func() {
+		for range states {
+			k.keep(child, base)
+		}
+	}) / states; n > 2.0/slabLen {
+		t.Errorf("a keep cost %.4f allocations amortised, want at most 2/%d: a header and a predicate slice", n, slabLen)
+	}
+	if kept := k.keep(child, base); kept.String() != child.String() || &kept.Where.Preds[0] == &child.Where.Preds[0] || &kept.Select[0] != &base.Select[0] {
+		t.Errorf("kept %s: it must copy the predicates its decision wrote and share the projections of its base", kept)
+	}
+	if wide := k.sel.take(slabLen + 1); len(wide) != slabLen+1 {
+		t.Errorf("a run of %d projections, wider than a chunk, came back %d long", slabLen+1, len(wide))
 	}
 }

@@ -11,10 +11,9 @@ import "slices"
 // parent.
 //
 // Its callers build queries in a Scratch, whose buffers are reused from one
-// query to the next: Scratch.Apply looks at one child of a query, and
-// Scratch.Replay rebuilds a query from its whole path of decisions. A
-// scratch query is valid only until its scratch builds the next one. A
-// query that must outlive that — an emitted candidate — is copied out with
+// query to the next: Scratch.Apply builds one child of a query. A scratch
+// query is valid only until its scratch builds the next one. A query that
+// must outlive that — an emitted candidate — is copied out with
 // Query.Clone.
 
 // DecisionKind names the slot a decision fills: one per guidance module
@@ -100,24 +99,13 @@ type Scratch struct {
 }
 
 // Apply builds q with d applied inside the scratch, leaving q as it was
-// unless q is s's own query. The result is valid until the next Apply or
-// Replay on s.
+// unless q is s's own query. Applied to its own query, it writes in place:
+// a slice or clause d rewrites is already the scratch's, so cloned and
+// clause copy it onto itself, which leaves it as it was. The result is valid
+// until the next Apply on s.
 func (s *Scratch) Apply(q *Query, d Decision) *Query {
 	s.q = *q
 	s.q.apply(d, &s.buf)
-	return &s.q
-}
-
-// Replay builds inside the scratch the query that ds, applied in order,
-// make from the empty query. Each decision is applied in place: a slice or
-// clause it rewrites is already the scratch's own, so cloned and clause copy
-// it onto itself, which leaves it as it was. The result is valid until the
-// next Apply or Replay on s.
-func (s *Scratch) Replay(ds []Decision) *Query {
-	s.q = Query{}
-	for i := range ds {
-		s.q.apply(ds[i], &s.buf)
-	}
 	return &s.q
 }
 

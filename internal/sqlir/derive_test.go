@@ -202,24 +202,32 @@ func decisionPath() []Decision {
 	}
 }
 
-// Replaying a path in place builds, for every prefix, the query the chain of
-// derivations builds, field for field, and a grown scratch replays without
-// allocating.
+// Applying a path's decisions one after another, each to the scratch's own
+// query, builds for every prefix the query the chain of derivations builds,
+// field for field, and a grown scratch does it without allocating.
 func TestReplayIsTheChainOfDerivations(t *testing.T) {
 	path := decisionPath()
 	var s Scratch
+	var root Query // Apply never writes a query that is not the scratch's
+	chain := func(ds []Decision) *Query {
+		q := &root
+		for _, d := range ds {
+			q = s.Apply(q, d)
+		}
+		return q
+	}
 	want := NewQuery()
 	for i := range path {
 		want = derive(want, path[i])
-		got := s.Replay(path[:i+1])
+		got := chain(path[:i+1])
 		if !reflect.DeepEqual(got, want) || got.String() != want.String() {
-			t.Fatalf("after %d decisions: replayed %s, derived %s", i+1, got, want)
+			t.Fatalf("after %d decisions: applied in place %s, derived %s", i+1, got, want)
 		}
 	}
 	if !want.Complete() {
 		t.Fatalf("the path ends in an incomplete query %s", want)
 	}
-	if n := testing.AllocsPerRun(50, func() { s.Replay(path) }); n != 0 {
-		t.Errorf("replaying %d decisions in a grown scratch cost %.0f allocations, want 0", len(path), n)
+	if n := testing.AllocsPerRun(50, func() { chain(path) }); n != 0 {
+		t.Errorf("applying %d decisions in place in a grown scratch cost %.0f allocations, want 0", len(path), n)
 	}
 }
