@@ -118,3 +118,29 @@ func TestParseSketchCells(t *testing.T) {
 		t.Errorf("sketch shape wrong: %+v", sk)
 	}
 }
+
+// TestRunRefusesNaN: strconv.ParseFloat reads "nan", but no value is NaN,
+// so a NaN literal and a NaN range bound are refused with a non-zero exit
+// and a diagnostic naming the literal or the cell.
+func TestRunRefusesNaN(t *testing.T) {
+	cases := []struct {
+		name  string
+		args  []string
+		names []string
+	}{
+		{"literal", []string{"-db", "movies", "-nlq", "x", "-lit", "1995", "-lit", "nan"}, []string{"literal 1", "NaN"}},
+		{"exact cell", []string{"-db", "movies", "-nlq", "x", "-tuple", "Up,NaN"}, []string{"tuple 0 cell 1", "NaN"}},
+		{"range bound", []string{"-db", "movies", "-nlq", "x", "-tuple", "[nan;1]"}, []string{"tuple 0 cell 0", "NaN"}},
+	}
+	for _, tc := range cases {
+		code, _, stderr := runCLI(tc.args...)
+		if code == 0 {
+			t.Errorf("%s: exit code 0, want non-zero", tc.name)
+		}
+		for _, s := range tc.names {
+			if !strings.Contains(stderr, s) {
+				t.Errorf("%s: stderr %q does not name %q", tc.name, stderr, s)
+			}
+		}
+	}
+}

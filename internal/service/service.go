@@ -504,11 +504,18 @@ func (s *Session) Synthesize(ctx context.Context, in Input) (*enumerate.Result, 
 // SynthesizeStream runs synthesis, invoking emit for every candidate as it
 // is found (the front-end's progressive display, §4). emit returning false
 // stops the search. The verifier borrows the epoch's shared caches — the
-// cross-request analogue of the paper's within-search prefix sharing.
+// cross-request analogue of the paper's within-search prefix sharing. A
+// sketch Validate refuses, or a NaN literal (no value is NaN), is refused
+// before the request is admitted.
 func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enumerate.Candidate) bool) (*enumerate.Result, error) {
 	if in.Sketch != nil {
 		if err := in.Sketch.Validate(); err != nil {
 			return nil, err
+		}
+	}
+	for i, l := range in.Literals {
+		if l.IsNaN() {
+			return nil, fmt.Errorf("service: literal %d (%s): no value is NaN", i, l)
 		}
 	}
 	release, err := s.eng.admit(ctx)

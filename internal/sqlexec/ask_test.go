@@ -18,7 +18,7 @@ import (
 // The question sink's oracle: for every query and sketch, AskCtx must give
 // the answer and the error of Satisfies(ExecuteCtx(q)) — the result built
 // in full and then scanned. Queries come from the generators the executor's
-// own differential tests use, over seeded loadgen databases, the NaN- and
+// own differential tests use, over seeded loadgen databases, the ±Inf- and
 // NULL-heavy columnar database and the Spider tasks; sketches are drawn
 // from each query's reference result so that they match it, nearly match
 // it, or cannot match it.
@@ -259,9 +259,10 @@ func TestAskLeavesResultsAlone(t *testing.T) {
 
 // TestAskShapes pins one query per sink shape over the columnar database,
 // including the two the generators reach only by chance: an ORDER BY key
-// that is NaN (the sieve and the top-k are refilled keeping every row) and
-// a SUM over text (an error the grouped sink must raise after its question
-// has settled).
+// over the column the generator gives NaN, which reads NULL, beside +Inf and
+// -Inf (the extremes of the order), and grouped by cat, an AVG over both
+// infinities, which is NaN and reads NULL; and a SUM over text (an error
+// the grouped sink must raise after its question has settled).
 func TestAskShapes(t *testing.T) {
 	db := sqlexec.ColumnarDB(1, 200)
 	col := func(table, column string) sqlir.ColumnRef { return sqlexec.Col(db, table, column) }
@@ -295,16 +296,28 @@ func TestAskShapes(t *testing.T) {
 	limited.Limit = 3
 	sumText := groupBy(base(item(sqlir.AggNone, cat), item(sqlir.AggSum, note)), cat)
 
-	res, err := sqlexec.ExecuteReference(db, orderBy(base(item(sqlir.AggNone, val)), sqlir.OrderKey{Col: val}, 0))
+	res, err := sqlexec.ExecuteReference(db, base(item(sqlir.AggNone, val)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nan := false
+	var pos, neg bool
 	for _, row := range res.Rows {
-		nan = nan || row[0].Kind == sqlir.KindNumber && math.IsNaN(row[0].Num)
+		if v := row[0]; v.Kind == sqlir.KindNumber {
+			if v.IsNaN() {
+				t.Fatal("item.val reads a NaN: a NaN was not stored as NULL")
+			}
+			pos, neg = pos || math.IsInf(v.Num, 1), neg || math.IsInf(v.Num, -1)
+		}
 	}
-	if !nan {
-		t.Fatal("the columnar database holds no NaN: the NaN cases below test nothing")
+	if res, err = sqlexec.ExecuteReference(db, groupBy(base(item(sqlir.AggNone, cat), item(sqlir.AggAvg, val), item(sqlir.AggCount, val)), cat)); err != nil {
+		t.Fatal(err)
+	}
+	avgNull := false
+	for _, row := range res.Rows {
+		avgNull = avgNull || row[1].IsNull() && row[2].Num > 0
+	}
+	if !pos || !neg || !avgNull {
+		t.Fatalf("item.val holds +Inf %v, -Inf %v, a group averaging both %v: the cases below test less than they say", pos, neg, avgNull)
 	}
 	if _, err := sqlexec.ExecuteReference(db, sumText); err == nil {
 		t.Fatal("SUM over text does not fail: the error case below tests nothing")

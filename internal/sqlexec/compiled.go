@@ -25,7 +25,6 @@ package sqlexec
 import (
 	"cmp"
 	"context"
-	"errors"
 	"slices"
 	"sync"
 
@@ -64,6 +63,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		sink.topK = sink.limit > 0
 		sink.sieve = sink.ask != nil && !sink.topK
 	}
+	sink.empty()
 	inj := faultinject.From(ctx)
 	grouped := q.GroupByState == sqlir.ClausePresent || q.HasAggregate() ||
 		(ordered && q.OrderBy.Key.Agg != sqlir.AggNone)
@@ -81,9 +81,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		if err != nil {
 			return err
 		}
-		return sink.fill(pc, func(*pipelineCounters) error {
-			return sink.addGroups(ctx, g, q)
-		})
+		return sink.addGroups(ctx, g, q)
 	}
 
 	for _, s := range q.Select {
@@ -105,10 +103,8 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		return nil
 	}
 	plan.countSeed(pc)
-	return sink.fill(pc, func(pc *pipelineCounters) error {
-		_, err := plan.run(ctx, inj, pc, sink.add)
-		return err
-	})
+	_, err = plan.run(ctx, inj, pc, sink.add)
+	return err
 }
 
 // bindGroupedQuery resolves a grouped query's GROUP BY keys and the
@@ -137,15 +133,6 @@ func bindGroupedQuery(plan *streamPlan, q *sqlir.Query) (*groupedBinding, error)
 	return gb, nil
 }
 
-// errNaNOrderKey aborts a top-k or sieved fill that meets a NaN ORDER BY
-// key. Value.Compare answers 0 for NaN against anything, so with a NaN among
-// the keys the comparison is no order at all and the reference result is
-// whatever its stable sort makes of the full sequence — neither a top-k
-// prefix nor the sorted relevant rows can be derived from part of it. The
-// fill is then redone keeping every row, and sorted exactly as the
-// reference sorts.
-var errNaNOrderKey = errors.New("sqlexec: NaN ORDER BY key")
-
 // rowSink turns arriving tuples (or evaluated groups) into a result, or into
 // the answer to a question about it. DISTINCT keeps first arrivals; without
 // ORDER BY the first limit rows end the scan; with ORDER BY and a limit
@@ -163,7 +150,7 @@ var errNaNOrderKey = errors.New("sqlexec: NaN ORDER BY key")
 //     Relevant, with their keys, sorted stably at the end; the others are
 //     counted. Restricted to any subsequence, a stable sort by a total
 //     preorder is the stable sort of that subsequence, so the relevant rows
-//     come out in their result order — unless a key is NaN (errNaNOrderKey).
+//     come out in their result order, and Value.Compare is one.
 //
 // DISTINCT still keeps every distinct row's key bytes. A grouped query's
 // groups are all evaluated whatever the question settled, so its errors
@@ -254,22 +241,6 @@ func (s *rowSink) empty() {
 	}
 }
 
-// fill runs f into s, emptied. A top-k or sieved fill abandoned at a NaN
-// ORDER BY key is redone keeping every row; only the fill that answers is
-// counted.
-func (s *rowSink) fill(pc *pipelineCounters, f func(pc *pipelineCounters) error) error {
-	var attempt pipelineCounters
-	s.empty()
-	err := f(&attempt)
-	if errors.Is(err, errNaNOrderKey) {
-		s.topK, s.sieve = false, false
-		s.empty()
-		return f(pc)
-	}
-	pc.merge(&attempt)
-	return err
-}
-
 // compare orders two rows by (key, arrival) as the final order lists them.
 func (s *rowSink) compare(a, b keptRow) int {
 	c := a.key.Compare(b.key)
@@ -296,13 +267,10 @@ func (s *rowSink) admit() bool {
 
 // number gives an admitted row its arrival number and reports whether it
 // can reach the result: not when a top-k bound already beats it.
-func (s *rowSink) number(key sqlir.Value) (seq int64, want bool, err error) {
+func (s *rowSink) number(key sqlir.Value) (seq int64, want bool) {
 	seq = s.n
 	s.n++
-	if (s.topK || s.sieve) && key.Kind == sqlir.KindNumber && key.Num != key.Num {
-		return seq, false, errNaNOrderKey
-	}
-	return seq, !s.topK || !s.cut || s.compare(keptRow{key: key, seq: seq}, s.bound) < 0, nil
+	return seq, !s.topK || !s.cut || s.compare(keptRow{key: key, seq: seq}, s.bound) < 0
 }
 
 // add is the scan's emit: project one joined tuple.
@@ -320,9 +288,9 @@ func (s *rowSink) add(tp []int32) (stop bool, err error) {
 	if s.ordered {
 		key = s.order.value(tp)
 	}
-	seq, want, err := s.number(key)
+	seq, want := s.number(key)
 	if !want {
-		return err != nil, err
+		return false, nil
 	}
 	s.row = s.row[:0]
 	for _, c := range s.sel {
@@ -332,7 +300,7 @@ func (s *rowSink) add(tp []int32) (stop bool, err error) {
 }
 
 // addRow takes one evaluated row (a group's), in s.row.
-func (s *rowSink) addRow(key sqlir.Value) error {
+func (s *rowSink) addRow(key sqlir.Value) {
 	if s.distinct {
 		s.buf = s.buf[:0]
 		for _, v := range s.row {
@@ -340,13 +308,11 @@ func (s *rowSink) addRow(key sqlir.Value) error {
 		}
 	}
 	if !s.admit() {
-		return nil
+		return
 	}
-	seq, want, err := s.number(key)
-	if want {
+	if seq, want := s.number(key); want {
 		s.take(key, seq)
 	}
-	return err
 }
 
 // take hands the row in s.row to the question or keeps it, reporting
@@ -398,9 +364,8 @@ func (s *rowSink) keep(key sqlir.Value, seq int64) {
 }
 
 // trim sorts the kept rows of a top-k scan into final order and drops all
-// but the first limit. (key, arrival) is a total order once NaN keys are
-// excluded, so this is the prefix the reference's stable sort of everything
-// would produce.
+// but the first limit. (key, arrival) is a total order, so this is the
+// prefix the reference's stable sort of everything would produce.
 func (s *rowSink) trim() {
 	slices.SortFunc(s.kept, s.compare)
 	n := min(len(s.kept), s.limit)
@@ -417,10 +382,8 @@ func (s *rowSink) finish() {
 	case s.topK:
 		s.trim()
 	case s.ordered:
-		// The reference's own sort over the reference's own sequence — with
-		// a NaN among the keys no other procedure is guaranteed to agree.
-		// slices.SortStableFunc is the algorithm of the reference's
-		// sort.SliceStable, and compares where it does.
+		// The kept rows are in arrival order, so a stable sort by key
+		// is the order (key, arrival).
 		slices.SortStableFunc(s.kept, func(a, b keptRow) int {
 			if s.desc {
 				return -a.key.Compare(b.key)
@@ -517,9 +480,7 @@ func (s *rowSink) addGroups(ctx context.Context, g *groups, q *sqlir.Query) erro
 				return err
 			}
 		}
-		if err := s.addRow(key); err != nil {
-			return err
-		}
+		s.addRow(key)
 	}
 	return nil
 }

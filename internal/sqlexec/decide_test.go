@@ -19,8 +19,8 @@ import (
 // decideDB is a star around grp: fact and note both join grp on grp_id, so
 // a three-table path multiplies them per group (the shape of scale_ingest's
 // slow probe). grp.name repeats, so pinning it can match two grp rows of one
-// group; grp.score holds NaN, -0 and +0; the fact and note columns are about
-// 40 % NULL.
+// group; grp.score holds -0, +0, ±Inf and NaN (stored as NULL); the fact
+// and note columns are about 40 % NULL.
 func decideDB() *storage.Database {
 	r := rand.New(rand.NewSource(25))
 	grp := storage.NewTable("grp", "id",
@@ -49,7 +49,7 @@ func decideDB() *storage.Database {
 		return v
 	}
 	scores := []sqlir.Value{sqlir.NewNumber(math.NaN()), sqlir.NewNumber(math.Copysign(0, -1)), sqlir.NewNumber(0),
-		sqlir.NewNumber(2.5), sqlir.Null(), sqlir.NewInt(1), sqlir.NewInt(3)}
+		sqlir.NewNumber(2.5), sqlir.Null(), sqlir.NewInt(1), sqlir.NewInt(3), sqlir.NewNumber(math.Inf(1)), sqlir.NewNumber(math.Inf(-1))}
 	for i := 0; i < 40; i++ {
 		grp.MustInsert(sqlir.NewInt(i), sqlir.NewText(fmt.Sprintf("g%d", i%25)), scores[r.Intn(len(scores))])
 	}
@@ -95,7 +95,7 @@ func (g *decideGen) column(jp *sqlir.JoinPath) sqlir.ColumnRef {
 	return jp.Catalog().Column(tb, g.r.Intn(len(g.db.Schema.TableAt(tb).Columns)))
 }
 
-// pin is an equality on c with a value c holds, or NaN / -0 on a numeric
+// pin is an equality on c with a value c holds, or +Inf / -0 on a numeric
 // column.
 func (g *decideGen) pin(c sqlir.ColumnRef) sqlir.Predicate {
 	vs, _ := DistinctValues(g.db, c, 40)
@@ -106,7 +106,7 @@ func (g *decideGen) pin(c sqlir.ColumnRef) sqlir.Predicate {
 	if c.Type() == sqlir.TypeNumber {
 		switch g.r.Intn(5) {
 		case 0:
-			v = sqlir.NewNumber(math.NaN())
+			v = sqlir.NewNumber(math.Inf(1))
 		case 1:
 			v = sqlir.NewNumber(math.Copysign(0, -1))
 		}
@@ -114,7 +114,7 @@ func (g *decideGen) pin(c sqlir.ColumnRef) sqlir.Predicate {
 	return cmpPred(c, sqlir.OpEq, v)
 }
 
-var decideKs = []float64{0, 1, 2, 3, 4, 6, 12, 1e6, 2.5, math.NaN()}
+var decideKs = []float64{0, 1, 2, 3, 4, 6, 12, 1e6, 2.5, math.Inf(1), math.Inf(-1)}
 
 // count is a COUNT(*) or COUNT(col) condition with any comparison and any k.
 func (g *decideGen) count(jp *sqlir.JoinPath) sqlir.HavingExpr {

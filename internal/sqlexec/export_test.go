@@ -95,7 +95,7 @@ func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {
 	return existsOn(context.Background(), db, rel, eq)
 }
 
-// ColumnarDB and RandomColumnarQuery hand the NULL-heavy, NaN-sprinkled
+// ColumnarDB and RandomColumnarQuery hand the NULL-heavy, ±Inf-sprinkled
 // property-test database and its query generator to the external package.
 func ColumnarDB(seed int64, rows int) *storage.Database { return columnarDB(seed, rows) }
 

@@ -32,23 +32,23 @@ func (c boundCol) value(tp []int32) sqlir.Value { return c.vec.Value(int(tp[c.sl
 // groupIndex numbers GROUP BY keys densely in first-appearance order,
 // specialized to the key shape. A single-column key — the overwhelmingly
 // common grouping — is looked up directly by float bits or dictionary code
-// through the runtime's fast integer map paths, with NULL (and NaN, which a
-// float-keyed map could never find again) routed to dedicated groups.
+// through the runtime's fast integer map paths, with NULL routed to a
+// dedicated group.
 // Multi-column keys use the fixed-width binary encoding of appendVecKey.
 // Each specialization partitions rows exactly as Value.Equal does, so group
 // contents match the reference executor.
 type groupIndex struct {
-	keys      []boundCol
-	n         int
-	null, nan int // ids of a single-column key's NULL and NaN groups, -1 until seen
-	byBits    map[uint64]int
-	byCode    map[uint32]int
-	byKey     map[string]int
-	buf       []byte
+	keys   []boundCol
+	n      int
+	null   int // id of a single-column key's NULL group, -1 until seen
+	byBits map[uint64]int
+	byCode map[uint32]int
+	byKey  map[string]int
+	buf    []byte
 }
 
 func newGroupIndex(keys []boundCol) groupIndex {
-	g := groupIndex{keys: keys, null: -1, nan: -1}
+	g := groupIndex{keys: keys, null: -1}
 	switch {
 	case len(keys) == 0:
 		g.n = 1 // SQL's implicit single group
@@ -102,14 +102,6 @@ func (g *groupIndex) id(tp []int32) int {
 		return id
 	}
 	f := k.vec.Num(ri)
-	if f != f {
-		// The reference key renders every NaN as the same string, so all
-		// NaNs share one group.
-		if g.nan < 0 {
-			g.nan = g.next()
-		}
-		return g.nan
-	}
 	if f == 0 {
 		f = 0 // collapse -0.0 onto +0.0, as Value.Equal does
 	}
@@ -157,8 +149,7 @@ func (g *groups) add(tp []int32) {
 }
 
 // countBound is one HAVING COUNT(..) op k condition reduced to the count at
-// which it settles: once count > k when strict, else once !(count < k), which
-// like Value.Compare counts a NaN k as reached.
+// which it settles: once count > k when strict, else once count >= k.
 type countBound struct {
 	col    boundCol // vec nil: COUNT(*), which counts every tuple
 	k      float64
@@ -169,7 +160,7 @@ func (b countBound) settled(n int) bool {
 	if b.strict {
 		return float64(n) > b.k
 	}
-	return !(float64(n) < b.k)
+	return float64(n) >= b.k
 }
 
 // groupDecider decides a grouped existence probe before its scan ends. It

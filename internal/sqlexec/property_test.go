@@ -213,8 +213,9 @@ func TestPropAvgWithinMinMax(t *testing.T) {
 // columnarDB builds a seeded three-table database with a text primary key
 // (text-text join steps), a numeric FK chain, ~40% NULLs in two columns,
 // text drawn from a tiny alphabet so dictionary codes repeat heavily, and a
-// sprinkling of NaN and -0 in item.val (group keys, DISTINCT keys, ORDER BY
-// keys and aggregate inputs that ordinary comparisons mishandle).
+// sprinkling of NaN (stored as NULL), -0, +Inf and -Inf in item.val (group
+// keys, DISTINCT keys, ORDER BY keys, and aggregate inputs whose SUM or AVG
+// over both infinities is NaN, which reads NULL).
 func columnarDB(seed int64, rows int) *storage.Database {
 	r := rand.New(rand.NewSource(seed))
 	cat := storage.NewTable("cat", "name",
@@ -256,6 +257,10 @@ func columnarDB(seed int64, rows int) *storage.Database {
 				valV = sqlir.NewNumber(math.NaN())
 			case 1:
 				valV = sqlir.NewNumber(math.Copysign(0, -1))
+			case 2:
+				valV = sqlir.NewNumber(math.Inf(1))
+			case 3:
+				valV = sqlir.NewNumber(math.Inf(-1))
 			}
 		}
 		if r.Intn(10) < 6 {
@@ -374,12 +379,12 @@ var columnarPaths = func() []*sqlir.JoinPath {
 
 // randomColumnarQuery draws one complete query over columnarDB. Shapes, by
 // design rather than by luck: DISTINCT; one- and two-column GROUP BY over
-// NULL / NaN / -0 keys; aggregates over the implicit group, also over empty
+// NULL / ±Inf / -0 keys; aggregates over the implicit group, also over empty
 // input (a NULL literal matches nothing); HAVING COUNT(*) > 1000 in front of
 // a SUM over text (the SUM must never be evaluated) and HAVINGs that let it
 // through (it must fail, with the reference's message); ORDER BY on a
 // three-valued column (ties everywhere) with and without LIMIT, on a column
-// holding NaN (the top-k retry), on a column that is not projected; LIMIT
+// holding ±Inf, on a column that is not projected; LIMIT
 // without ORDER BY; OR selections; LIKE.
 func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 	jp := columnarPaths[r.Intn(len(columnarPaths))]
@@ -467,7 +472,7 @@ func randomColumnarQuery(r *rand.Rand) *sqlir.Query {
 }
 
 // Property: every complete query over the NULL-heavy, duplicate-text,
-// NaN-sprinkled database gives exactly the reference executor's rows, order,
+// ±Inf-sprinkled database gives exactly the reference executor's rows, order,
 // header and error through the compiled pipeline.
 func TestPropColumnarExecuteAgree(t *testing.T) {
 	seeds, n := int64(6), 250
@@ -502,10 +507,9 @@ func TestPropColumnarExecuteAgree(t *testing.T) {
 	}
 }
 
-// Regression: Value.Compare treats NaN as ordering-equal to everything
-// (both float comparisons false => 0), so the reference executor answers
-// true for `NaN <= x` and `NaN >= x`. The columnar typed evaluator must
-// reproduce that, not raw float comparison semantics.
+// A NaN is stored as NULL, so no comparison holds of the row it was given
+// to: both executors answer false for every operator and literal, ±Inf
+// included (a NaN literal is refused where literals enter).
 func TestPropNaNComparisonSemantics(t *testing.T) {
 	tb := storage.NewTable("n", "id",
 		storage.Column{Name: "id", Type: sqlir.TypeNumber},
@@ -515,7 +519,7 @@ func TestPropNaNComparisonSemantics(t *testing.T) {
 	db := storage.NewDatabase("nan", storage.NewSchema(tb))
 
 	for _, op := range []sqlir.Op{sqlir.OpEq, sqlir.OpNe, sqlir.OpLt, sqlir.OpGt, sqlir.OpLe, sqlir.OpGe} {
-		for _, val := range []sqlir.Value{sqlir.NewNumber(5), sqlir.NewNumber(math.NaN())} {
+		for _, val := range []sqlir.Value{sqlir.NewNumber(5), sqlir.NewNumber(math.Inf(1)), sqlir.NewNumber(math.Inf(-1))} {
 			eq := ExistsQuery{
 				From: MustPath(db, "n"),
 				Preds: []sqlir.Predicate{{
@@ -528,8 +532,8 @@ func TestPropNaNComparisonSemantics(t *testing.T) {
 			if refErr != nil || colErr != nil {
 				t.Fatalf("op %s val %s: errors ref=%v col=%v", op, val, refErr, colErr)
 			}
-			if colOK != refOK {
-				t.Errorf("op %s val %s: ref=%v columnar=%v", op, val, refOK, colOK)
+			if colOK || refOK {
+				t.Errorf("op %s val %s: ref=%v columnar=%v, want false: the NaN was not stored as NULL", op, val, refOK, colOK)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -384,16 +385,14 @@ func evalAggregate(db *storage.Database, rel *relation, group []tuple, agg sqlir
 		return min, nil
 	case sqlir.AggMax:
 		return max, nil
-	case sqlir.AggSum:
-		if count == 0 {
+	case sqlir.AggSum, sqlir.AggAvg:
+		if agg == sqlir.AggAvg {
+			sum /= float64(count)
+		}
+		if count == 0 || math.IsNaN(sum) { // SQLite: a NaN result is NULL
 			return sqlir.Null(), nil
 		}
 		return sqlir.NewNumber(sum), nil
-	case sqlir.AggAvg:
-		if count == 0 {
-			return sqlir.Null(), nil
-		}
-		return sqlir.NewNumber(sum / float64(count)), nil
 	default:
 		return sqlir.Null(), fmt.Errorf("sqlexec: unknown aggregate %v", agg)
 	}

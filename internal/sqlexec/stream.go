@@ -91,13 +91,6 @@ func (pc *pipelineCounters) add(c *atomic.Int64, n int64) {
 	}
 }
 
-// merge adds the counts of o, which no one is writing any more.
-func (pc *pipelineCounters) merge(o *pipelineCounters) {
-	pc.add(&pc.streamed, o.streamed.Load())
-	pc.add(&pc.indexSeeds, o.indexSeeds.Load())
-	pc.add(&pc.indexProbes, o.indexProbes.Load())
-}
-
 // discardCounters sinks pipeline counters for callers without a JoinCache
 // (the package-level Exists/Execute entry points).
 var discardCounters pipelineCounters
@@ -154,13 +147,9 @@ func (bp *boundPred) eval(ri int32) bool {
 		case sqlir.OpGt:
 			return f > bp.fval
 		case sqlir.OpLe:
-			// Not `f <= fval`: Value.Compare returns 0 when either side is
-			// NaN (both float comparisons false), so the reference treats
-			// NaN as satisfying <= and >=. The negated compare reproduces
-			// that exactly; for ordinary floats it is identical.
-			return !(f > bp.fval)
+			return f <= bp.fval
 		case sqlir.OpGe:
-			return !(f < bp.fval)
+			return f >= bp.fval
 		default: // LIKE on a numeric cell never matches
 			return false
 		}
@@ -754,7 +743,7 @@ func (st *groupState) value(b boundAgg) (sqlir.Value, error) {
 		if a.count == 0 {
 			return sqlir.Null(), nil
 		}
-		return sqlir.NewNumber(a.sum), nil
+		return aggNumber(a.sum), nil
 	case sqlir.AggAvg:
 		if a.hasBad {
 			return sqlir.Null(), errNonNumericAgg(b.ref, a.bad)
@@ -762,10 +751,19 @@ func (st *groupState) value(b boundAgg) (sqlir.Value, error) {
 		if a.count == 0 {
 			return sqlir.Null(), nil
 		}
-		return sqlir.NewNumber(a.sum / float64(a.count)), nil
+		return aggNumber(a.sum / float64(a.count)), nil
 	default:
 		return sqlir.Null(), nil
 	}
+}
+
+// aggNumber is a SUM or AVG result: NULL when the float arithmetic yields
+// NaN (+Inf and -Inf in one group), as SQLite answers, else the number.
+func aggNumber(f float64) sqlir.Value {
+	if math.IsNaN(f) {
+		return sqlir.Null()
+	}
+	return sqlir.NewNumber(f)
 }
 
 // errNonNumericAgg is shared by the streaming and materializing aggregate
@@ -790,11 +788,6 @@ func appendVecKey(buf []byte, vec *storage.ColumnVec, ri int) []byte {
 		f := vec.Num(ri)
 		if f == 0 {
 			f = 0 // collapse -0.0 onto +0.0, which Value.Equal treats as equal
-		}
-		if f != f {
-			// Canonicalize NaN payloads: the reference key renders every
-			// NaN as the same string, so all NaNs must share one group.
-			f = math.NaN()
 		}
 		return binary.LittleEndian.AppendUint64(append(buf, 'n'), math.Float64bits(f))
 	case sqlir.TypeText:

@@ -6,6 +6,7 @@ package sqlir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -57,6 +58,11 @@ func NewInt(i int) Value { return Value{Kind: KindNumber, Num: float64(i)} }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
+
+// IsNaN reports whether v is a NaN number. No stored or computed value is
+// one: storage keeps a NaN as NULL, as SQLite does, and the entries that
+// take values from a user refuse it.
+func (v Value) IsNaN() bool { return v.Kind == KindNumber && math.IsNaN(v.Num) }
 
 // Type returns the column Type corresponding to the value's kind.
 // NULL values report TypeUnknown.

@@ -1,6 +1,7 @@
 package sqlir
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,35 @@ func TestCompareAntisymmetric(t *testing.T) {
 		}
 		if (a.Compare(b) == 0) != (b.Compare(a) == 0) {
 			t.Fatalf("Compare zero not symmetric for %v, %v", a, b)
+		}
+	}
+}
+
+// Value.Compare is a total preorder over every value that exists — NULL,
+// both zeros, both infinities, ordinary numbers and texts; no stored or
+// computed value is NaN. Every pair compares antisymmetrically (so it is
+// total: one of a <= b, b <= a holds), every value equals itself, and
+// every triple is transitive, so a run of equal keys is an equivalence
+// class.
+func TestCompareIsATotalPreorder(t *testing.T) {
+	alphabet := []Value{
+		Null(), NewNumber(0), NewNumber(math.Copysign(0, -1)), NewNumber(math.Inf(1)), NewNumber(math.Inf(-1)),
+		NewNumber(-2.5), NewNumber(1), NewNumber(1e300), NewNumber(-1e-300),
+		NewText(""), NewText("a"), NewText("A"), NewText("ab"), NewText("b"),
+	}
+	for _, a := range alphabet {
+		if a.Compare(a) != 0 {
+			t.Errorf("%v.Compare(itself) = %d", a, a.Compare(a))
+		}
+		for _, b := range alphabet {
+			if ab, ba := a.Compare(b), b.Compare(a); ab != -ba || ab < -1 || ab > 1 {
+				t.Errorf("%v.Compare(%v) = %d, reversed %d", a, b, ab, ba)
+			}
+			for _, c := range alphabet {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("%v <= %v <= %v, but %v > %v", a, b, c, a, c)
+				}
+			}
 		}
 	}
 }

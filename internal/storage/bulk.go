@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -33,10 +34,11 @@ import (
 //
 // Nulls (if non-nil) marks NULL rows — the value slot of a NULL row is
 // ignored and stored as the zero placeholder, exactly as Insert stores
-// NULLs. NullWords is the packed alternative (bit i&63 of word i>>6 set =
-// row i NULL, the column vectors' own layout): the segment loader decodes
-// chunk bitmaps straight into it, so a trusted replay ORs whole words into
-// the vector bitmap instead of expanding to a []bool and re-scanning it.
+// NULLs; a NaN in Nums is stored as NULL too. NullWords is the packed
+// alternative (bit i&63 of word i>>6 set = row i NULL, the column vectors'
+// own layout): the segment loader decodes chunk bitmaps straight into it,
+// so a trusted replay ORs whole words into the vector bitmap instead of
+// expanding to a []bool and re-scanning it.
 // Set at most one of the two forms.
 // DictBlob, when non-empty, must be the concatenation of Dict in order —
 // set by loaders whose Dict entries are substrings of one backing string.
@@ -59,9 +61,6 @@ func (c ColumnData) isNull(i int) bool {
 	}
 	return c.NullWords != nil && c.NullWords[i>>6]>>(uint(i)&63)&1 == 1
 }
-
-// hasNulls reports whether the payload carries NULL flags in either form.
-func (c ColumnData) hasNulls() bool { return c.Nulls != nil || c.NullWords != nil }
 
 // rows returns the payload length and whether the payload matches the
 // declared column type.
@@ -230,15 +229,13 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 			return
 		}
 		v.nums = append(v.nums, c.Nums...)
-		if c.hasNulls() {
-			for i := 0; i < n; i++ {
-				if c.isNull(i) {
-					ri := base + i
-					v.cowNulls(ri)
-					v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
-					v.nullCount++
-					v.nums[ri] = 0
-				}
+		// A NaN is stored as NULL, as Insert stores it.
+		for i := 0; i < n; i++ {
+			if ri := base + i; c.isNull(i) || math.IsNaN(v.nums[ri]) {
+				v.cowNulls(ri)
+				v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
+				v.nullCount++
+				v.nums[ri] = 0
 			}
 		}
 	case sqlir.TypeText:

@@ -229,14 +229,15 @@ func (v *ColumnVec) Value(i int) sqlir.Value {
 }
 
 // appendValue extends the vector by one row. val's type has already been
-// checked against the column type by Insert.
+// checked against the column type by Insert. A NaN is stored as NULL, as
+// SQLite stores it, so no column holds a NaN.
 func (v *ColumnVec) appendValue(val sqlir.Value) {
 	i := v.n
 	v.n++
 	if i>>6 >= len(v.nulls) {
 		v.nulls = append(v.nulls, 0)
 	}
-	if val.IsNull() {
+	if val.IsNull() || val.IsNaN() {
 		v.cowNulls(i)
 		v.nulls[i>>6] |= 1 << (uint(i) & 63)
 		v.nullCount++

@@ -254,8 +254,9 @@ func shareDB() *Database {
 
 // shareBatch draws n seeded rows. Ids repeat inside [0, 200) so their lists
 // grow across epochs; breakDense adds one id far outside that range, which
-// the dense layout cannot take. The sparse column holds non-integers, ±0 and
-// NaN; the text column grows its dictionary as epochs go by.
+// the dense layout cannot take. The sparse column holds non-integers, ±0,
+// ±Inf and NaN (stored as NULL); the text column grows its dictionary as
+// epochs go by.
 func shareBatch(r *rand.Rand, epoch, n int, breakDense bool) []ColumnData {
 	ids := ColumnData{Nums: make([]float64, n), Nulls: make([]bool, n)}
 	sparse := ColumnData{Nums: make([]float64, n), Nulls: make([]bool, n)}
@@ -268,6 +269,10 @@ func shareBatch(r *rand.Rand, epoch, n int, breakDense bool) []ColumnData {
 			sparse.Nums[i] = math.NaN()
 		case k == 1:
 			sparse.Nums[i] = math.Copysign(0, -1)
+		case k == 2:
+			sparse.Nums[i] = math.Inf(1)
+		case k == 3:
+			sparse.Nums[i] = math.Inf(-1)
 		case k < 6:
 			sparse.Nulls[i] = true
 		default:
@@ -286,12 +291,12 @@ func shareBatch(r *rand.Rand, epoch, n int, breakDense bool) []ColumnData {
 
 // wantPostings is the from-scratch oracle: each value's rows in the vector,
 // in row order, keyed by Value.String (which spells ±0 alike, as Value.Equal
-// has it; NaN equals nothing, so it has no postings).
+// has it).
 func wantPostings(vec *ColumnVec) map[string][]int32 {
 	out := map[string][]int32{}
 	for i := 0; i < vec.Len(); i++ {
 		v := vec.Value(i)
-		if v.IsNull() || (v.Kind == sqlir.KindNumber && math.IsNaN(v.Num)) {
+		if v.IsNull() {
 			continue
 		}
 		out[v.String()] = append(out[v.String()], int32(i))
@@ -326,7 +331,8 @@ func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
 		}
 	}
 
-	// Every value any epoch holds, plus NaN, -0 and two absent values.
+	// Every value any epoch holds, plus NaN (stored as NULL, so in no list),
+	// -0 and two absent values.
 	last := snaps[len(snaps)-1].Table("ev")
 	probes := map[string][]sqlir.Value{
 		"tag":    {sqlir.NewText("absent")},

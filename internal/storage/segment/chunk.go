@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -171,6 +172,13 @@ func decodeColumn(data []byte, typ sqlir.Type) (storage.ColumnData, int, error) 
 		}
 		c.Nums = asFloat64s(rest[:rows*8], rows)
 		rest = rest[rows*8:]
+		// No column holds a NaN (storage stores one as NULL), and the
+		// trusted replay adopts the payload as it is.
+		for i, f := range c.Nums {
+			if math.IsNaN(f) {
+				return c, 0, fmt.Errorf("row %d holds NaN", i)
+			}
+		}
 	case kindText:
 		if len(rest) < 4 {
 			return c, 0, fmt.Errorf("truncated dictionary length")
@@ -333,22 +341,24 @@ func vectorColumn(vec *storage.ColumnVec) storage.ColumnData {
 // byte for byte. Texts payloads are interned; Codes+Dict payloads are
 // remapped (a caller's dictionary may hold unreferenced or reordered
 // entries that in-memory adoption would have dropped or renumbered); Nums
-// payloads get their NULL slots zeroed (in memory the append stores the
-// zero placeholder regardless of what the caller left in the slot).
+// payloads get their NULL slots zeroed and their NaNs made NULL (in memory
+// the append stores the zero placeholder regardless of what the caller left
+// in the slot, and a NaN as NULL).
 func normalize(c storage.ColumnData) storage.ColumnData {
 	switch {
 	case c.Nums != nil:
-		if c.Nulls == nil {
+		if c.Nulls == nil && !slices.ContainsFunc(c.Nums, math.IsNaN) {
 			return c
 		}
-		nums := make([]float64, len(c.Nums))
-		copy(nums, c.Nums)
-		for i, isNull := range c.Nulls {
-			if isNull {
-				nums[i] = 0
+		nums, nulls := make([]float64, len(c.Nums)), make([]bool, len(c.Nums))
+		for i, f := range c.Nums {
+			if c.Nulls != nil && c.Nulls[i] || math.IsNaN(f) {
+				nulls[i] = true
+			} else {
+				nums[i] = f
 			}
 		}
-		return storage.ColumnData{Nums: nums, Nulls: c.Nulls}
+		return storage.ColumnData{Nums: nums, Nulls: nulls}
 	case c.Texts != nil:
 		codes := make([]uint32, len(c.Texts))
 		byStr := make(map[string]uint32, len(c.Texts))

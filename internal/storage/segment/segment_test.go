@@ -3,6 +3,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,6 +193,35 @@ func TestAppendSegment(t *testing.T) {
 	}
 	if v := loaded.Table("movies").VectorAt(3).Value(3); !v.IsNull() {
 		t.Fatalf("appended NULL came back %v", v)
+	}
+}
+
+// TestAppendSegmentStoresNaNAsNull: a flushed batch's NaN is NULL in
+// memory, as BulkAppend stores it, and so in the chunk the flush writes:
+// the store loads back the same database, NULL where the NaN was given.
+func TestAppendSegmentStoresNaNAsNull(t *testing.T) {
+	db := handBuilt(t)
+	store, _ := mustPersist(t, db)
+	batch := []storage.ColumnData{
+		{Nums: []float64{4, 5}},
+		{Texts: []string{"Beta", "Gamma"}},
+		{Nums: []float64{2, 1}},
+		{Nums: []float64{7.5, math.NaN()}},
+	}
+	if err := store.AppendSegment(db.Name, db, "movies", batch); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := store.Load(db.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storage.Fingerprint(loaded), storage.Fingerprint(db); got != want {
+		t.Fatalf("loaded fingerprint %016x, want %016x", got, want)
+	}
+	for _, d := range []*storage.Database{db, loaded} {
+		if v := d.Table("movies").VectorAt(3).Value(4); !v.IsNull() {
+			t.Fatalf("appended NaN reads %v, want NULL", v)
+		}
 	}
 }
 

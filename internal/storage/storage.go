@@ -6,7 +6,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -151,7 +150,7 @@ func (t *Table) adoptCodeIndexes(b *Table) {
 }
 
 // Insert appends a row after checking arity and types. NULLs are accepted in
-// any column.
+// any column, and a NaN is stored as NULL.
 func (t *Table) Insert(vals ...sqlir.Value) error {
 	if t.frozen {
 		return fmt.Errorf("storage: table %s: cannot insert into a frozen snapshot", t.Name)
@@ -189,10 +188,9 @@ func (t *Table) MustInsert(vals ...sqlir.Value) {
 
 // ColumnStats summarises one column for verification and PBE abduction.
 type ColumnStats struct {
-	Min, Max sqlir.Value // over non-null values but NaN; Null if there are none
+	Min, Max sqlir.Value // over non-null values; Null if there are none
 	Distinct int
 	NonNull  int
-	NaN      int // NaN values among the non-null ones of a numeric column
 }
 
 // Stats returns memoized statistics of column ci. The memo lives on the
@@ -229,8 +227,6 @@ func (t *Table) computeStats(ci int) ColumnStats {
 	}
 	switch vec.typ {
 	case sqlir.TypeNumber:
-		// A NaN is neither below nor above anything: Min and Max are taken
-		// over the other numbers, and all NaNs count as one distinct value.
 		seen := make(map[float64]struct{}, st.NonNull)
 		var lo, hi float64
 		for i := 0; i < vec.n; i++ {
@@ -238,10 +234,6 @@ func (t *Table) computeStats(ci int) ColumnStats {
 				continue
 			}
 			f := vec.nums[i]
-			if math.IsNaN(f) {
-				st.NaN++
-				continue
-			}
 			if len(seen) == 0 || f < lo {
 				lo = f
 			}
@@ -250,10 +242,8 @@ func (t *Table) computeStats(ci int) ColumnStats {
 			}
 			seen[f] = struct{}{}
 		}
-		if len(seen) > 0 {
-			st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
-		}
-		st.Distinct = len(seen) + min(st.NaN, 1)
+		st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
+		st.Distinct = len(seen)
 	case sqlir.TypeText:
 		strs := vec.dict.Strings()
 		lo, hi := strs[0], strs[0]

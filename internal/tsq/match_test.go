@@ -120,6 +120,8 @@ func (in *fuzzInput) next(n int) int {
 }
 
 var (
+	// fuzzValues are the cells' values; rows draw all but the last, NaN,
+	// which no value is.
 	fuzzValues = []sqlir.Value{
 		sqlir.Null(), sqlir.NewText("a"), sqlir.NewText("A"), sqlir.NewText("b"),
 		sqlir.NewNumber(0), sqlir.NewNumber(1), sqlir.NewNumber(2), sqlir.NewNumber(math.NaN()),
@@ -129,8 +131,9 @@ var (
 
 // decodeMatch builds a sketch and a result from fuzz bytes: width 1–3,
 // 0–4 tuples of exact, empty and range cells, 0–15 rows over a small value
-// alphabet (so matches, duplicates and NaN are common), either sort flag, a
-// limit of 0–5, and type annotations that may disagree with the result's.
+// alphabet (so matches and duplicates are common, and NaN cells too), either
+// sort flag, a limit of 0–5, and type annotations that may disagree with
+// the result's.
 func decodeMatch(data []byte) (*TSQ, *sqlexec.Result) {
 	in := fuzzInput(data)
 	width := 1 + in.next(3)
@@ -163,14 +166,15 @@ func decodeMatch(data []byte) (*TSQ, *sqlexec.Result) {
 	for n := in.next(16); n > 0; n-- {
 		row := make([]sqlir.Value, width)
 		for i := range row {
-			row[i] = fuzzValues[in.next(len(fuzzValues))]
+			row[i] = fuzzValues[in.next(len(fuzzValues)-1)]
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return sk, res
 }
 
-// FuzzTSQMatch: the streamed answer — stopped wherever it settles, with or
+// FuzzTSQMatch: Validate refuses every sketch holding a NaN; for a sketch
+// it accepts, the streamed answer — stopped wherever it settles, with or
 // without the rows Relevant rejects, from a fresh matcher or one reset
 // after use — equals Definition 2.4 decided over the whole result.
 func FuzzTSQMatch(f *testing.F) {
@@ -185,6 +189,13 @@ func FuzzTSQMatch(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk, res := decodeMatch(data)
+		err := sk.Validate()
+		if err == nil && holdsNaN(sk) {
+			t.Fatalf("%s holds a NaN and passes Validate", sk)
+		}
+		if err != nil {
+			return // only a sketch Validate accepts reaches a matcher
+		}
 		want := satisfiesWhole(sk, res)
 		m := sk.Matcher()
 		if got := streamed(m, res, false); got != want {

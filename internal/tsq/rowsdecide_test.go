@@ -33,8 +33,6 @@ func TestRowsDecide(t *testing.T) {
 		{"number outside range", TSQ{Tuples: []Tuple{{Exact(num(3))}, {Range(0, 2)}}}, true},
 		{"touching ranges", TSQ{Tuples: []Tuple{{Range(0, 2)}, {Range(2, 4)}}}, false},
 		{"disjoint ranges", TSQ{Tuples: []Tuple{{Range(0, 2)}, {Range(3, 4)}}}, true},
-		{"a NaN-bound range", TSQ{Tuples: []Tuple{{Range(math.NaN(), 1)}}}, false},
-		{"a range bound above by NaN", TSQ{Tuples: []Tuple{{Exact(text("Gump")), Range(0, math.NaN())}}}, false},
 		{"infinite bounds", TSQ{Tuples: []Tuple{{Range(math.Inf(-1), 0)}, {Range(1, math.Inf(1))}}}, true},
 		{"empty against exact", TSQ{Tuples: []Tuple{{Empty(), Exact(num(1))}, {Exact(num(2)), Empty()}}}, false},
 		{"an all-empty tuple", TSQ{Tuples: []Tuple{{Empty(), Empty()}}}, false},
@@ -46,14 +44,26 @@ func TestRowsDecide(t *testing.T) {
 			t.Errorf("%s: RowsDecide() = %v, want %v", c.name, got, c.want)
 		}
 	}
+	// A NaN-bound range asks for nothing that exists: Validate refuses it,
+	// so RowsDecide is never asked of one.
+	for _, sk := range []TSQ{
+		{Tuples: []Tuple{{Range(math.NaN(), 1)}}},
+		{Tuples: []Tuple{{Exact(text("Gump")), Range(0, math.NaN())}}},
+	} {
+		if sk.Validate() == nil {
+			t.Errorf("%s passes Validate", &sk)
+		}
+	}
 }
 
-// rowsValues are the values the RowsDecide property draws cells and rows
-// from: NULL, NaN, both zeros, and texts equal under case folding.
+// rowsValues are the values the RowsDecide property draws rows from: NULL,
+// both zeros, both infinities, and texts equal under case folding. Cells
+// draw from them and from NaN, which no value is: Validate refuses a sketch
+// holding one.
 var rowsValues = []sqlir.Value{
-	sqlir.Null(), sqlir.NewNumber(math.NaN()), sqlir.NewNumber(0), sqlir.NewNumber(math.Copysign(0, -1)),
-	sqlir.NewNumber(1), sqlir.NewNumber(2), sqlir.NewText("ab"), sqlir.NewText("AB"), sqlir.NewText("Ab"),
-	sqlir.NewText("x"),
+	sqlir.Null(), sqlir.NewNumber(0), sqlir.NewNumber(math.Copysign(0, -1)),
+	sqlir.NewNumber(1), sqlir.NewNumber(2), sqlir.NewNumber(math.Inf(-1)), sqlir.NewNumber(math.Inf(1)),
+	sqlir.NewText("ab"), sqlir.NewText("AB"), sqlir.NewText("Ab"), sqlir.NewText("x"),
 }
 
 // rowsBounds are the range bounds it draws: both zeros, infinities and NaN
@@ -69,14 +79,30 @@ func randomCell(r *rand.Rand) Cell {
 		hi := rowsBounds[r.Intn(len(rowsBounds))]
 		return Range(min(lo, hi), max(lo, hi))
 	default:
+		if r.Intn(len(rowsValues)+1) == 0 {
+			return Exact(sqlir.NewNumber(math.NaN()))
+		}
 		return Exact(rowsValues[r.Intn(len(rowsValues))])
 	}
 }
 
+// holdsNaN reports whether a cell of the sketch holds NaN.
+func holdsNaN(sk *TSQ) bool {
+	for _, tp := range sk.Tuples {
+		for _, c := range tp {
+			for _, v := range []sqlir.Value{c.Val, c.Lo, c.Hi} {
+				if v.IsNaN() {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // matchingValue returns a value that a passing by-row question admits for
 // c (byRowAdmits) — a case-flipped text, the other zero, a range's bound or
-// midpoint or any number its NaN bound lets through — or false when it
-// admits none.
+// midpoint — or false when it admits none.
 func matchingValue(r *rand.Rand, c Cell) (sqlir.Value, bool) {
 	switch c.Kind {
 	case CellEmpty:
@@ -107,14 +133,12 @@ func matchingValue(r *rand.Rand, c Cell) (sqlir.Value, bool) {
 // can hold of v, or more. An exact cell's equality holds at most where
 // Matches does (exact text equality implies EqualFold, and NULL equals
 // nothing), so Matches stands in for it. A range's bounds are col >= lo AND
-// col <= hi, which the executor evaluates as !(v < lo) && !(v > hi): that
-// holds of every number when a bound is NaN. A range is asked only over a
-// column without NaN, so a NaN value is not admitted.
+// col <= hi.
 func byRowAdmits(c *Cell, v sqlir.Value) bool {
 	if c.Kind != CellRange {
 		return c.Matches(v)
 	}
-	return v.Kind == sqlir.KindNumber && !math.IsNaN(v.Num) && !(v.Num < c.Lo.Num) && !(v.Num > c.Hi.Num)
+	return v.Kind == sqlir.KindNumber && c.Lo.Num <= v.Num && v.Num <= c.Hi.Num
 }
 
 // rowsMatch is what a passing by-row question shows of a row: every cell of
@@ -130,9 +154,10 @@ func rowsMatch(tp Tuple, row []sqlir.Value) bool {
 	return true
 }
 
-// Property: when RowsDecide holds, any result of the sketch's width in which
-// every example tuple matches some row (as by-row shows it) satisfies the
-// sketch. The sketches have one to three tuples of one to three cells —
+// Property: when a sketch passes Validate (which refuses every sketch
+// holding a NaN) and RowsDecide holds, any result of the sketch's width in
+// which every example tuple matches some row (as by-row shows it) satisfies
+// the sketch. The sketches have one to three tuples of one to three cells —
 // sometimes a tuple of another width, sometimes a repeated tuple — over
 // rowsValues and rowsBounds; the results hold a row built for each of some of the tuples,
 // then one for each tuple still unmatched, then a few random rows, so one
@@ -158,7 +183,10 @@ func TestRowsDecideImpliesSatisfies(t *testing.T) {
 			}
 			sk.Tuples = append(sk.Tuples, tp)
 		}
-		if !sk.RowsDecide() {
+		if err := sk.Validate(); err != nil || !sk.RowsDecide() {
+			if holdsNaN(&sk) && err == nil {
+				t.Fatalf("%s holds a NaN and passes Validate", &sk)
+			}
 			continue
 		}
 		res := &sqlexec.Result{Types: make([]sqlir.Type, w)}
@@ -197,7 +225,7 @@ func TestRowsDecideImpliesSatisfies(t *testing.T) {
 			}
 		}
 		if !possible {
-			continue // some tuple admits no value (an exact NaN)
+			continue // some tuple admits no value (an exact NULL)
 		}
 		for range r.Intn(3) {
 			row := make([]sqlir.Value, w)

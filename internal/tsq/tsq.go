@@ -7,7 +7,6 @@ package tsq
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -73,7 +72,7 @@ func (c *Cell) Matches(v sqlir.Value) bool {
 // empty cell meets everything, EqualFold-equal texts and Equal numbers meet,
 // a number meets a range that holds it, two ranges meet where they overlap,
 // and every other pair of exact cells, or of an exact cell and a range, is
-// apart. RowsDecide asks it of no range with a NaN bound.
+// apart.
 func (c *Cell) disjoint(o *Cell) bool {
 	if c.Kind == CellRange && o.Kind == CellExact {
 		c, o = o, c
@@ -157,8 +156,9 @@ func (t *TSQ) Width() int {
 }
 
 // Validate checks internal consistency: uniform tuple widths, tuple widths
-// agreeing with annotations, well-formed ranges, and cells whose implied
-// type is consistent with the annotation.
+// agreeing with annotations, well-formed ranges, no NaN (no stored value is
+// NaN, so a sketch holding one asks for nothing that exists), and cells
+// whose implied type is consistent with the annotation.
 func (t *TSQ) Validate() error {
 	w := t.Width()
 	for i, tp := range t.Tuples {
@@ -166,6 +166,9 @@ func (t *TSQ) Validate() error {
 			return fmt.Errorf("tsq: tuple %d has %d cells, want %d", i, len(tp), w)
 		}
 		for j, c := range tp {
+			if c.Val.IsNaN() || c.Lo.IsNaN() || c.Hi.IsNaN() {
+				return fmt.Errorf("tsq: tuple %d cell %d (%s): no value is NaN", i, j, c)
+			}
 			if c.Kind == CellRange {
 				if c.Lo.Kind != sqlir.KindNumber || c.Hi.Kind != sqlir.KindNumber {
 					return fmt.Errorf("tsq: tuple %d cell %d: range bounds must be numeric", i, j)
@@ -440,14 +443,12 @@ func (m *Matcher) Answer(rows int) bool {
 // RowsDecide reports whether matching each example tuple on its own decides
 // Definition 2.4 for a result whose columns pass ColumnsMatch: whether such
 // a result satisfies the sketch as soon as every example tuple matches some
-// row of it. That holds when
+// row of it. That holds, for a sketch Validate accepts, when
 //
 //   - the sketch is unsorted, has no limit and has at least one tuple, so
 //     only rule 2, the distinct matching, is left to decide;
 //   - every tuple is Width cells wide (a tuple of another width matches no
-//     row), has a non-empty cell, and has no range with a NaN bound (such a
-//     range matches nothing, yet a by-row question's bounds, col >= lo AND
-//     col <= hi, hold of every number); and
+//     row) and has a non-empty cell; and
 //   - every two tuples are separated: in some column both cells are
 //     non-empty and no value matches both (Cell.disjoint).
 //
@@ -463,10 +464,7 @@ func (t *TSQ) RowsDecide() bool {
 	}
 	w := t.Width()
 	for i, tp := range t.Tuples {
-		if len(tp) != w || !slices.ContainsFunc(tp, func(c Cell) bool { return c.Kind != CellEmpty }) ||
-			slices.ContainsFunc(tp, func(c Cell) bool {
-				return c.Kind == CellRange && (math.IsNaN(c.Lo.Num) || math.IsNaN(c.Hi.Num))
-			}) {
+		if len(tp) != w || !slices.ContainsFunc(tp, func(c Cell) bool { return c.Kind != CellEmpty }) {
 			return false
 		}
 		for _, earlier := range t.Tuples[:i] {

@@ -15,7 +15,8 @@ import (
 
 // carryStar is a star around grp, shaped like the executor's single-group
 // decision tests: fact and note join grp on grp_id, grp.name repeats,
-// grp.score holds NaN, -0 and +0, fact.v runs negative so a SUM can fall,
+// grp.score is given NaN (stored as NULL), ±Inf (a SUM or AVG over both is
+// NaN, which reads NULL), -0 and +0, fact.v runs negative so a SUM can fall,
 // the fact and note columns are about 40 % NULL and a twentieth of their
 // foreign keys are NULL. Foreign keys also point a few ids past grp's last
 // row, so an appended grp row can complete joins that existed only on one
@@ -97,16 +98,16 @@ func (st *carryStar) row(table string, hot bool) []sqlir.Value {
 		}
 		return []sqlir.Value{id, sqlir.NewText(fmt.Sprintf("g%d", n%25)), number(carryNums)}
 	case "fact":
-		return []sqlir.Value{sqlir.NewInt(n), group(), number(carryNums[1:]), nullable(sqlir.NewText(fmt.Sprintf("t%d", r.Intn(6))))}
+		return []sqlir.Value{sqlir.NewInt(n), group(), number(carryNums[3:]), nullable(sqlir.NewText(fmt.Sprintf("t%d", r.Intn(6))))}
 	default:
 		return []sqlir.Value{sqlir.NewInt(n), group(), nullable(sqlir.NewText(fmt.Sprintf("w%d", r.Intn(4))))}
 	}
 }
 
-// carryNums are the stored numbers: grp.score draws NaN too, fact.v not, so
-// that a fact group's SUM is seldom NaN.
-var carryNums = []sqlir.Value{sqlir.NewNumber(math.NaN()), sqlir.NewNumber(math.Copysign(0, -1)), sqlir.NewNumber(0),
-	sqlir.NewNumber(2.5), sqlir.NewInt(-3), sqlir.NewInt(1), sqlir.NewInt(3)}
+// carryNums are the numbers given to storage: grp.score draws NaN and ±Inf
+// too, fact.v neither, so that a fact group's SUM is finite and can fall.
+var carryNums = []sqlir.Value{sqlir.NewNumber(math.NaN()), sqlir.NewNumber(math.Inf(1)), sqlir.NewNumber(math.Inf(-1)),
+	sqlir.NewNumber(math.Copysign(0, -1)), sqlir.NewNumber(0), sqlir.NewNumber(2.5), sqlir.NewInt(-3), sqlir.NewInt(1), sqlir.NewInt(3)}
 
 // appendBatch appends one to three rows to a random table, as one epoch.
 func (st *carryStar) appendBatch(t *testing.T) {
@@ -178,7 +179,7 @@ func (st *carryStar) groupIDs(jp *sqlir.JoinPath) []sqlir.ColumnRef {
 	return ids
 }
 
-// value is a number or text c might hold: NaN, ±0 and small counts
+// value is a number or text c might hold: ±Inf, ±0 and small counts
 // included.
 func (st *carryStar) value(c sqlir.ColumnRef) sqlir.Value {
 	if c.Type() == sqlir.TypeText {
@@ -187,7 +188,7 @@ func (st *carryStar) value(c sqlir.ColumnRef) sqlir.Value {
 	return sqlir.NewNumber(carryKs[st.r.Intn(len(carryKs))])
 }
 
-var carryKs = []float64{0, 1, 2, 3, 4, 6, 12, -3, 2.5, math.NaN(), math.Copysign(0, -1)}
+var carryKs = []float64{0, 1, 2, 3, 4, 6, 12, -3, 2.5, math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 
 func pred(c sqlir.ColumnRef, op sqlir.Op, v sqlir.Value) sqlir.Predicate {
 	return sqlir.Predicate{Col: c, ColSet: true, Op: op, OpSet: true, Val: v, ValSet: true}

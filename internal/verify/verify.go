@@ -1001,10 +1001,8 @@ func (v *Verifier) verifyByOrder(ctx context.Context, q *sqlir.Query, proved boo
 //     only the projections some tuple constrains;
 //   - a question's cell predicates hold only where Cell.Matches does. An
 //     exact cell's equality does (exact text equality implies EqualFold, and
-//     NULL equals nothing); a range's bounds do not on a NaN, which
-//     Value.Compare puts inside every range, so a range cell wants a column
-//     without NaN (a NaN bound, which puts every number inside, RowsDecide
-//     refuses).
+//     NULL equals nothing), and so do a range's bounds, since Value.Compare
+//     orders every stored number and every bound Validate accepts.
 func (v *Verifier) rowsProve(q *sqlir.Query) bool {
 	if !v.rowsDecide || q.HasAggregate() || q.GroupByState == sqlir.ClausePresent ||
 		q.OrderByState == sqlir.ClausePresent || q.LimitSet && q.Limit > 0 ||
@@ -1015,13 +1013,6 @@ func (v *Verifier) rowsProve(q *sqlir.Query) bool {
 	for _, s := range q.Select {
 		if s.Col.IsStar() || !cat.Same(s.Col.Catalog()) || !on.Has(s.Col.Table()) {
 			return false
-		}
-	}
-	for _, tp := range v.sketch.Tuples {
-		for i := range tp {
-			if tp[i].Kind == tsq.CellRange && v.db.Stats(q.Select[i].Col).NaN > 0 {
-				return false
-			}
 		}
 	}
 	return true

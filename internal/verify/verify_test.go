@@ -472,21 +472,24 @@ func TestVerifyDistinctTupleGate(t *testing.T) {
 }
 
 // TestAvgCellOverNaNs: the column check bounds an AVG cell by the column's
-// minimum and maximum, which a NaN does not poison. A column (NaN, 5, NaN)
-// can average 5 once a filter leaves its 5 alone, so a cell of 5 passes the
-// column check and the whole cascade; a cell beyond 5 is rejected by it. A
-// column of NaNs alone averages NaN, which matches no exact or range cell.
+// minimum and maximum. A NaN is stored as NULL, so a column (NaN, 5, NaN)
+// is (NULL, 5, NULL) and averages 5: a cell of 5 passes the column check
+// and the whole cascade; a cell beyond 5 is rejected by it. A column of NaNs
+// alone is all NULL, and no AVG cell over it is possible. An AVG over +Inf
+// and -Inf is NaN, which reads NULL, so the cascade rejects every cell
+// under it, as the whole result does.
 func TestAvgCellOverNaNs(t *testing.T) {
 	gross := storage.NewTable("gross", "gid",
 		storage.Column{Name: "gid", Type: sqlir.TypeNumber},
 		storage.Column{Name: "region", Type: sqlir.TypeText},
 		storage.Column{Name: "amount", Type: sqlir.TypeNumber},
 		storage.Column{Name: "lost", Type: sqlir.TypeNumber},
+		storage.Column{Name: "swing", Type: sqlir.TypeNumber},
 	)
 	nan := num(math.NaN())
-	gross.MustInsert(num(1), text("a"), nan, nan)
-	gross.MustInsert(num(2), text("b"), num(5), nan)
-	gross.MustInsert(num(3), text("a"), nan, nan)
+	gross.MustInsert(num(1), text("a"), nan, nan, num(math.Inf(1)))
+	gross.MustInsert(num(2), text("b"), num(5), nan, num(5))
+	gross.MustInsert(num(3), text("a"), nan, nan, num(math.Inf(-1)))
 	db := storage.NewDatabase("nan", storage.NewSchema(gross))
 	q := sqlparse.MustParse(db.Schema, "SELECT AVG(amount) FROM gross WHERE region = 'b'")
 	for _, c := range []struct {
@@ -503,19 +506,28 @@ func TestAvgCellOverNaNs(t *testing.T) {
 		}
 	}
 	lost := db.Stats(db.Schema.Catalog().MustCol("gross", "lost"))
-	for _, cell := range []tsq.Cell{tsq.Exact(num(5)), tsq.Range(-1e300, 1e300)} {
+	swing := sqlparse.MustParse(db.Schema, "SELECT AVG(swing) FROM gross")
+	for _, cell := range []tsq.Cell{tsq.Exact(num(5)), tsq.Range(-1e300, 1e300), tsq.Range(math.Inf(-1), math.Inf(1))} {
 		if avgCellPossible(lost, cell) {
 			t.Errorf("an AVG over a column of NaNs alone can match %s", &cell)
+		}
+		sk := &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeNumber}, Tuples: []tsq.Tuple{{cell}}}
+		res, err := sqlexec.Execute(db, swing)
+		if err != nil || len(res.Rows) != 1 || !res.Rows[0][0].IsNull() || sk.Satisfies(res) {
+			t.Errorf("%s = %v (%v), want one NULL, which %s does not match", swing, res, err, &cell)
+		}
+		if out := mustVerify(t, newVerifier(db, sk), swing); out.OK {
+			t.Errorf("%s under %s passes", swing, &cell)
 		}
 	}
 }
 
 // By-order is proved by by-row only where the proof holds: a flat query,
-// every tuple asked by by-row in the same cascade, separated tuples
-// (tsq.TSQ.RowsDecide) and no range cell over a column holding a NaN, which
-// a range question admits and Cell.Matches does not, nor one with a NaN
-// bound, which admits every number and matches none. Every answer is the
-// whole result's.
+// every tuple asked by by-row in the same cascade and separated tuples
+// (tsq.TSQ.RowsDecide). A range over a column given a NaN, which holds NULL
+// there, and over ±Inf is proved like any other, and a sketch with a NaN
+// bound never reaches the verifier: Validate refuses it. Every answer is
+// the whole result's.
 func TestByOrderProvedByRows(t *testing.T) {
 	db := movieDB()
 	nan := storage.NewTable("gross", "gid",
@@ -523,6 +535,9 @@ func TestByOrderProvedByRows(t *testing.T) {
 		storage.Column{Name: "amount", Type: sqlir.TypeNumber},
 	)
 	nan.MustInsert(num(1), num(math.NaN()))
+	nan.MustInsert(num(2), num(math.Inf(1)))
+	nan.MustInsert(num(3), num(math.Inf(-1)))
+	nan.MustInsert(num(4), num(5))
 	nanDB := storage.NewDatabase("nan", storage.NewSchema(nan))
 	flat := "SELECT m.title, a.name, m.year FROM actor a JOIN starring s ON a.aid = s.aid JOIN movie m ON s.mid = m.mid " +
 		"WHERE m.year < 1995 OR m.year > 2000"
@@ -547,11 +562,19 @@ func TestByOrderProvedByRows(t *testing.T) {
 		{"grouped", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Exact(text("Tom Hanks")), tsq.Exact(num(2))}}},
 			"SELECT a.name, COUNT(*) FROM actor a JOIN starring s ON a.aid = s.aid GROUP BY a.name", sqlir.Decision{}, false, true},
 		{"a range over a NaN", nanDB, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, 10)}}},
-			"SELECT amount FROM gross", sqlir.Decision{}, false, false},
-		{"a NaN-bound range", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(math.NaN(), math.NaN())}}},
-			"SELECT year FROM movie", sqlir.Decision{}, false, false},
-		{"a range bound above by NaN", db, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, math.NaN())}}},
-			"SELECT year FROM movie", sqlir.Decision{}, false, false},
+			"SELECT amount FROM gross", sqlir.Decision{}, true, true},
+		{"a range over +Inf", nanDB, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(0, math.Inf(1))}}},
+			"SELECT amount FROM gross", sqlir.Decision{}, true, true},
+		{"ranges over both infinities", nanDB, &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Range(math.Inf(-1), -1)}, {tsq.Range(1, math.Inf(1))}}},
+			"SELECT amount FROM gross", sqlir.Decision{}, true, true},
+	}
+	for _, sk := range []*tsq.TSQ{
+		{Tuples: []tsq.Tuple{{tsq.Range(math.NaN(), math.NaN())}}},
+		{Tuples: []tsq.Tuple{{tsq.Range(0, math.NaN())}}},
+	} {
+		if sk.Validate() == nil {
+			t.Errorf("%s passes Validate", sk)
+		}
 	}
 	var got []bool
 	prev := byOrderAnswered
