@@ -93,9 +93,9 @@ type Result struct {
 	States     int
 	Exhausted  bool // the queue emptied before MaxStates: the whole space was enumerated
 	// Truncated marks an anytime partial result: the search was cut short by
-	// cancellation, deadline expiry, or an injected fault, and Candidates
-	// holds what was verified up to that point. The search is sequential, so
-	// a truncated candidate list is always a prefix of the untruncated run's.
+	// cancellation or deadline expiry, and Candidates holds what was
+	// verified up to that point. The search is sequential, so a truncated
+	// candidate list is always a prefix of the untruncated run's.
 	// MaxStates, MaxCandidates, and emit-stopped searches are complete
 	// answers under their configured bounds, not truncations.
 	Truncated bool
@@ -287,8 +287,8 @@ func (s *search) child(p *state, base *sqlir.Query, o *option, r *verifyResult) 
 }
 
 // stop ends a search on a verification error. A transient one — the request
-// died, or drew an injected fault, mid-check — degrades to the candidates
-// already emitted.
+// was cancelled or expired mid-check — degrades to the candidates already
+// emitted.
 func stop(res *Result, err error) (*Result, error) {
 	if verify.Transient(err) {
 		res.Truncated = true

@@ -5,19 +5,20 @@ import (
 	"testing"
 	"time"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
-// An expired per-request deadline is an anytime result, not an error: the
-// request returns promptly with the candidates verified so far, Truncated
-// set, and the cancel-to-return gap lands in the stats. Every join probe
-// draws injected latency far longer than the deadline, so each request
-// expires inside a probe however fast the machine is, and the injected sleep
-// must unwind with the context for the gap to stay under its bound.
+// An expired deadline is an anytime result, not an error: the request
+// returns promptly with the candidates verified so far, Truncated set, and
+// the cancel-to-return gap lands in the stats. Each request's context holds
+// its first executor poll — inside a memo's computation — until its 10 ms
+// deadline passes (see faultCtx), so each request expires inside a probe
+// however fast the machine is, and must unwind from there for the gap to
+// stay under its bound. Only that poll can end a request early, so a
+// truncated request is one whose deadline fired there.
 func TestRequestDeadlineAnytimeResult(t *testing.T) {
-	const n, latency, bound = 10, 500 * time.Millisecond, 50 * time.Millisecond
+	const n, deadline, bound = 10, 10 * time.Millisecond, 50 * time.Millisecond
 	e := newTestEngine(t, Config{MaxCandidates: 50})
 	s, _ := e.Session("movies")
 	// The first candidate needs join probes (see
@@ -27,12 +28,9 @@ func TestRequestDeadlineAnytimeResult(t *testing.T) {
 		Literals: []sqlir.Value{sqlir.NewText("Forrest Gump")},
 		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
 			Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Tom Hanks"))}}},
-		Deadline: 10 * time.Millisecond,
 	}
-	slow := faultinject.New(faultinject.Config{ProbeRate: 1, ProbeLatency: latency})
-	ctx := faultinject.With(context.Background(), slow)
 	for i := 0; i < n; i++ {
-		res, err := s.Synthesize(ctx, in)
+		res, err := s.Synthesize(holdAt(1, deadline), in)
 		if err != nil {
 			t.Fatalf("request %d: deadline expiry must not be an error: %v", i, err)
 		}
@@ -40,7 +38,6 @@ func TestRequestDeadlineAnytimeResult(t *testing.T) {
 			t.Errorf("request %d: expired request not flagged Truncated", i)
 		}
 	}
-	requireFired(t, []*faultinject.Injector{slow}, faultinject.SiteProbe)
 	st := e.Stats().Databases[0]
 	t.Logf("cancel-to-return p50 %v, p99 %v", st.CancelP50, st.CancelP99)
 	if st.Truncated != n {
@@ -57,6 +54,25 @@ func TestRequestDeadlineAnytimeResult(t *testing.T) {
 	}
 	if st.Errors != 0 {
 		t.Errorf("Errors = %d, want 0", st.Errors)
+	}
+}
+
+// A request's own Deadline bounds it, and its expiry is accounted as a
+// deadline, not a disconnect.
+func TestInputDeadlineApplied(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	s, _ := e.Session("movies")
+	in := moviesInput()
+	in.Deadline = time.Nanosecond
+	res, err := s.Synthesize(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated {
+		t.Error("request past its own Deadline not truncated")
+	}
+	if st := e.Stats().Databases[0]; st.CancelReturns != 1 || st.Interrupted != 0 {
+		t.Errorf("CancelReturns = %d, Interrupted = %d, want 1 and 0", st.CancelReturns, st.Interrupted)
 	}
 }
 

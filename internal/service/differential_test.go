@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/tsq"
@@ -64,36 +64,16 @@ func workloadOptions() Config {
 	return Config{MaxCandidates: 4, MaxStates: 3000}
 }
 
-// faultPlan is one faulty request's fault schedule. The rates are
-// aggressive — about a third of faulty requests are force-cancelled and one
-// verification in twenty fails — because the property under test is that
-// none of it is observable from a clean request.
-func faultPlan(seed int64) faultinject.Config {
-	return faultinject.Config{
-		Seed:          seed,
-		ProbeRate:     0.25,
-		ProbeLatency:  200 * time.Microsecond,
-		VerifyErrRate: 0.05,
-		CancelRate:    0.35,
-		CancelAfter:   time.Millisecond,
+// faultFor is faulty twin k's fault: its context acts at one of its first
+// four executor polls, each inside a memo's computation. Even twins hold
+// that poll until their 2 ms deadline — a slow probe, during which a clean
+// neighbour asking the same question waits on the entry the twin is
+// computing — and then expire; odd twins are cancelled at once.
+func faultFor(k int) *faultCtx {
+	if k%2 == 0 {
+		return holdAt(int64(1+k%4), 2*time.Millisecond)
 	}
-}
-
-// requireFired fails the test unless every named site fired at least once
-// across the injectors: a fault that never fired proves nothing.
-func requireFired(t *testing.T, injs []*faultinject.Injector, sites ...faultinject.Site) {
-	t.Helper()
-	for _, site := range sites {
-		var calls, faults uint64
-		for _, inj := range injs {
-			c, f := inj.Counts(site)
-			calls, faults = calls+c, faults+f
-		}
-		t.Logf("%s faults: %d of %d calls", site, faults, calls)
-		if faults == 0 {
-			t.Errorf("no %s fault fired in %d calls", site, calls)
-		}
-	}
+	return cancelAt(int64(1 + k%4))
 }
 
 // TestSharedCacheDifferential is the acceptance-criteria proof: for every
@@ -101,11 +81,11 @@ func requireFired(t *testing.T, injs []*faultinject.Injector, sites ...faultinje
 // caches are identical — SQL, rank, and confidence — to the results a fresh
 // engine produces.
 //
-// It is also the isolation proof. Fault-carrying requests (slow probes,
-// injected verify errors, forced mid-flight cancellations) run first on the
-// cold caches and then beside every clean round. A fault only degrades its
-// own request to an anytime result; no clean request may see a difference,
-// so a neighbour's failure never poisons a shared cache.
+// It is also the isolation proof. Requests whose contexts are cancelled or
+// expire inside a memo's computation, some after holding a probe, run first
+// on the cold caches and then beside every clean round. A fault only
+// degrades its own request to an anytime result; no clean request may see a
+// difference, so a neighbour's failure never poisons a shared cache.
 func TestSharedCacheDifferential(t *testing.T) {
 	t.Run("movies+mas", func(t *testing.T) {
 		differentialUnderFaults(t, func() *Engine {
@@ -113,9 +93,8 @@ func TestSharedCacheDifferential(t *testing.T) {
 		}, mixedWorkload())
 	})
 	// Movies and MAS tables are smaller than one cancellation checkpoint, so
-	// there a cancellation reaches a shared memo only if it lands between
-	// two probes. On the loadgen tables it lands inside one and surfaces in
-	// the memo's computation as an error, which must not be remembered.
+	// there the executor polls only at the entry of each streamed run. On the
+	// loadgen tables it also polls inside a scan, and the fault lands there.
 	t.Run("loadgen-10k", func(t *testing.T) {
 		spec, _ := loadgen.Preset("small")
 		gen, err := loadgen.Generate(spec, 1)
@@ -145,13 +124,16 @@ func TestSharedCacheDifferential(t *testing.T) {
 }
 
 // differentialUnderFaults runs each request of work on a new engine, which
-// shares nothing, for the reference. It then runs work on one shared engine, concurrently and repeated so later rounds hit warm caches. Every
-// shared request has a faulty twin. The twins of round 0 run alone on the
-// cold caches, every join probe slowed, and each is cancelled 5 ms in, while
-// its slow probes are still filling shared entries. (Slowing them all is
-// what makes a probe fault certain to fire: a by-order scan stops once its
-// answer is settled, so the Movies/MAS requests make only a few dozen join
-// probes in all.)
+// shares nothing, for the reference. It then runs work on one shared
+// engine, concurrently and repeated so later rounds hit warm caches. Every
+// shared request has a faulty twin (faultFor). The twins of round 0 run one
+// at a time on the cold caches, so a twin meets its fault inside the
+// computation of a shared entry, the same way on every run. Later twins run
+// beside their clean requests, and some find every answer memoized and
+// finish before their fault. A truncated twin's candidates must be a prefix
+// of the reference's, an untruncated twin's all of them; and each kind of
+// fault must have truncated some twin in round 0, and some fault a twin
+// beside clean traffic.
 func differentialUnderFaults(t *testing.T, engine func() *Engine, work []request) {
 	want := make([][]string, len(work))
 	for i, w := range work {
@@ -169,52 +151,58 @@ func differentialUnderFaults(t *testing.T, engine func() *Engine, work []request
 	shared := engine()
 	const rounds = 3
 	var (
-		wg   sync.WaitGroup
-		injs []*faultinject.Injector
+		wg sync.WaitGroup
+		// truncated[beside][kind] counts twins their fault cut short:
+		// beside 1 once clean traffic runs, kind 1 for a cancel.
+		truncated [2][2]atomic.Int64
 	)
 	errs := make(chan error, 2*(rounds+1)*len(work))
-	send := func(r, i int, inj *faultinject.Injector) {
+	run := func(r, i int, fc *faultCtx) {
+		s, err := shared.Session(work[i].db)
+		if err != nil {
+			errs <- err
+			return
+		}
+		var ctx context.Context = context.Background()
+		if fc != nil {
+			ctx = fc
+		}
+		res, err := s.Synthesize(ctx, work[i].in)
+		if err != nil {
+			errs <- fmt.Errorf("round %d request %d (faulty %v): %w", r, i, fc != nil, err)
+			return
+		}
+		got := describe(res.Candidates)
+		switch {
+		case fc != nil && res.Truncated:
+			kind := 0
+			if fc.err == context.Canceled {
+				kind = 1
+			}
+			truncated[min(r, 1)][kind].Add(1)
+			if len(got) > len(want[i]) || !equalStrings(got, want[i][:len(got)]) {
+				errs <- fmt.Errorf("round %d request %d: truncated twin is no prefix of the reference:\n got %v\nwant %v", r, i, got, want[i])
+			}
+		case res.Truncated:
+			errs <- fmt.Errorf("round %d request %d: clean request truncated", r, i)
+		case !equalStrings(got, want[i]):
+			errs <- fmt.Errorf("round %d request %d (faulty %v):\n got %v\nwant %v", r, i, fc != nil, got, want[i])
+		}
+	}
+	send := func(r, i int, fc *faultCtx) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := shared.Session(work[i].db)
-			if err != nil {
-				errs <- err
-				return
-			}
-			ctx := context.Background()
-			if inj != nil {
-				ctx = faultinject.With(ctx, inj)
-			}
-			res, err := s.Synthesize(ctx, work[i].in)
-			switch {
-			case err != nil:
-				errs <- fmt.Errorf("round %d request %d (faulty %v): %w", r, i, inj != nil, err)
-			case inj != nil: // any anytime result will do
-			case res.Truncated:
-				errs <- fmt.Errorf("round %d request %d: clean request truncated", r, i)
-			default:
-				if got := describe(res.Candidates); !equalStrings(got, want[i]) {
-					errs <- fmt.Errorf("round %d request %d:\n got %v\nwant %v", r, i, got, want[i])
-				}
-			}
+			run(r, i, fc)
 		}()
 	}
-	for r := 0; r <= rounds; r++ {
+	for i := range work {
+		run(0, i, faultFor(i))
+	}
+	for r := 1; r <= rounds; r++ {
 		for i := range work {
-			plan := faultPlan(int64(r*len(work) + i))
-			if r == 0 {
-				plan.ProbeRate, plan.VerifyErrRate, plan.CancelRate, plan.CancelAfter = 1, 0, 1, 5*time.Millisecond
-			}
-			inj := faultinject.New(plan)
-			injs = append(injs, inj)
-			send(r, i, inj)
-			if r > 0 {
-				send(r, i, nil)
-			}
-		}
-		if r == 0 {
-			wg.Wait()
+			send(r, i, faultFor(r*len(work)+i))
+			send(r, i, nil)
 		}
 	}
 	wg.Wait()
@@ -222,7 +210,13 @@ func differentialUnderFaults(t *testing.T, engine func() *Engine, work []request
 	for err := range errs {
 		t.Error(err)
 	}
-	requireFired(t, injs, faultinject.SiteProbe, faultinject.SiteVerify, faultinject.SiteRequest)
+	for beside, label := range []string{"round 0", "beside clean traffic"} {
+		held, cancelled := truncated[beside][0].Load(), truncated[beside][1].Load()
+		t.Logf("%s: %d twins truncated after a held probe, %d by a cancel", label, held, cancelled)
+		if beside == 0 && (held == 0 || cancelled == 0) || held+cancelled == 0 {
+			t.Errorf("%s: a fault never cut a twin short", label)
+		}
+	}
 }
 
 // describe renders candidates as comparable strings: rank, SQL, confidence.

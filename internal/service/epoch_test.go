@@ -3,15 +3,16 @@ package service
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/loadgen"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -78,10 +79,11 @@ func ingestBatch(tb *storage.Table, base, n int) []storage.ColumnData {
 // for epoch isolation: a reader pinned at epoch E, running concurrently with
 // live ingest, returns results byte-identical to the same workload run
 // against a frozen pre-ingest copy of the database. The oracle engine never
-// sees a write; the live engine takes 16 Append batches mid-flight, some of
-// them stalled by injected ingest faults. Even rounds read through the
-// Snapshot handle, odd rounds through a handle each opens by number with
-// SnapshotAt(E): both routes must reach the same frozen epoch.
+// sees a write; the live engine takes 16 Append batches mid-flight from two
+// writers, each of which stalls before a seeded quarter of its batches.
+// Even rounds read through the Snapshot handle, odd rounds through a handle
+// each opens by number with SnapshotAt(E): both routes must reach the same
+// frozen epoch.
 func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	var work []Input
 	for _, w := range mixedWorkload() {
@@ -112,21 +114,21 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	preRows := pin.Database().Table("movie").NumRows()
-	// Append carries no request context, so stalls come from the
-	// process-global injector.
-	stalls := faultinject.New(faultinject.Config{Seed: 7, IngestRate: 0.25, IngestStall: time.Millisecond})
-	faultinject.SetGlobal(stalls)
-	defer faultinject.SetGlobal(nil)
-
 	const writers, batchesPer = 2, 8
 	const rounds = 3
 	var wg sync.WaitGroup
+	var stalls atomic.Int64
 	errs := make(chan error, writers*batchesPer+rounds*len(work))
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(7 + w)))
 			for i := 0; i < batchesPer; i++ {
+				if rng.Intn(4) == 0 { // a stalled writer
+					stalls.Add(1)
+					time.Sleep(time.Millisecond)
+				}
 				if _, err := live.Append("movies", "movie", movieBatch((w*batchesPer+i)*4)); err != nil {
 					errs <- fmt.Errorf("writer %d batch %d: %w", w, i, err)
 					return
@@ -163,7 +165,10 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	requireFired(t, []*faultinject.Injector{stalls}, faultinject.SiteIngest)
+	t.Logf("%d of %d batches stalled", stalls.Load(), writers*batchesPer)
+	if stalls.Load() == 0 {
+		t.Error("no writer stalled")
+	}
 
 	// One more pinned request after ingest settles, so the lag accounting
 	// below is deterministic.
@@ -622,12 +627,12 @@ func TestPinnedEpochSurvivesUnreadIngest(t *testing.T) {
 // TestNewEpochSnapshotNeverWaitsForAProbeInFlight: building a new epoch's
 // shard reads the previous epoch's memo entries, and one of them may be mid-
 // computation for as long as a slow probe takes. The first reader of the new
-// epoch must skip that entry, not wait for it: a request whose probes each
-// carry 400 ms of injected latency is running on epoch e, an append
-// publishes e+1, and a fault-free request on e+1 returns in a small fraction
-// of one probe — with both candidate lists equal to a quiesced engine's.
+// epoch must skip that entry, not wait for it: a request whose context holds
+// its first executor poll — inside a memoized check — is running on epoch e,
+// an append publishes e+1, and a fault-free request on e+1 returns while the
+// hold lasts — with both candidate lists equal to a quiesced engine's.
 func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
-	const latency = 400 * time.Millisecond
+	const guard = 5 * time.Second // a hold the test does not release first fails it
 	opts := Config{MaxStates: 800, MaxCandidates: 1}
 	// Three join probes to its first candidate, all inside memoized row checks.
 	slow := Input{
@@ -661,37 +666,34 @@ func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{ProbeRate: 1, ProbeLatency: latency})
+	held := holdAt(1, guard)
 	type outcome struct {
 		res *enumerate.Result
 		err error
 	}
 	slowDone := make(chan outcome, 1)
 	go func() {
-		res, err := s.Synthesize(faultinject.With(ctx, inj), slow)
+		res, err := s.Synthesize(held, slow)
 		slowDone <- outcome{res, err}
 	}()
-	waitFor(t, func() bool { // the slow request is inside a delayed probe
-		_, delayed := inj.Counts(faultinject.SiteProbe)
-		return delayed > 0
-	})
+	select {
+	case <-held.reached: // the slow request is inside a held probe
+	case o := <-slowDone:
+		t.Fatalf("the slow request returned before its first executor poll: %v", o.err)
+	}
 	if _, err := live.Append("movies", "movie", movieBatch(0)); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	gotFast, err := s.Synthesize(ctx, fast)
-	took := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-slowDone:
-		t.Fatal("the slow request finished first: the test did not overlap the two epochs")
+		t.Fatalf("the slow request finished first: the first read of the new epoch waited %v for the previous epoch's probe", guard)
 	default:
 	}
-	if took > latency/4 {
-		t.Errorf("first read of the new epoch took %v: it waited for the previous epoch's %v probe", took, latency)
-	}
+	held.Release()
 	if got, want := describe(gotFast.Candidates), describe(wantFast.Candidates); !equalStrings(got, want) {
 		t.Errorf("new epoch's candidates:\n got %v\nwant %v", got, want)
 	}

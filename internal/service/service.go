@@ -33,7 +33,6 @@ import (
 
 	"github.com/duoquest/duoquest/internal/autocomplete"
 	"github.com/duoquest/duoquest/internal/enumerate"
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/guidance"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlexec"
@@ -539,19 +538,6 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
-	}
-	// Fault seam: a request marked faulty may draw a forced cancellation —
-	// the chaos harness's client-disconnect simulation.
-	if delay, forced := faultinject.From(ctx).RequestCancel(); forced {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		if delay <= 0 {
-			cancel()
-		} else {
-			t := time.AfterFunc(delay, cancel)
-			defer t.Stop()
-		}
 	}
 	// Cancel-to-return watcher: stamp the instant the context fires so the
 	// gap to Enumerate's return — the latency a disconnecting client

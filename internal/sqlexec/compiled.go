@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -64,7 +63,6 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		sink.sieve = sink.ask != nil && !sink.topK
 	}
 	sink.empty()
-	inj := faultinject.From(ctx)
 	grouped := q.GroupByState == sqlir.ClausePresent || q.HasAggregate() ||
 		(ordered && q.OrderBy.Key.Agg != sqlir.AggNone)
 
@@ -77,7 +75,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		// over text the reference would reach must still fail the query.
 		sink.settled = sink.ask != nil && sink.ask.Columns(sink.types)
 		plan.countSeed(pc)
-		g, _, err := plan.scanGroups(ctx, inj, pc, spec, nil)
+		g, _, err := plan.scanGroups(ctx, pc, spec, nil)
 		if err != nil {
 			return err
 		}
@@ -103,7 +101,7 @@ func executeCompiled(ctx context.Context, db *storage.Database, q *sqlir.Query, 
 		return nil
 	}
 	plan.countSeed(pc)
-	_, err = plan.run(ctx, inj, pc, sink.add)
+	_, err = plan.run(ctx, pc, sink.add)
 	return err
 }
 

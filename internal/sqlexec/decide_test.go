@@ -221,7 +221,7 @@ func TestSingleGroupDecisionDifferential(t *testing.T) {
 		// group's final count: that is where = is true, != is false, and an
 		// exit taken one tuple early gives the wrong answer.
 		if g.r.Intn(2) == 0 {
-			full, _, _ := plan.scanGroups(context.Background(), nil, &discardCounters, spec, nil)
+			full, _, _ := plan.scanGroups(context.Background(), &discardCounters, spec, nil)
 			if len(full.order) > 0 {
 				st := full.order[0]
 				for hi, h := range eq.Havings {
@@ -246,7 +246,7 @@ func TestSingleGroupDecisionDifferential(t *testing.T) {
 			t.Fatalf("probe %d (shape %d): decider %v, want decidable=%v\n%+v", i, i%5, dec != nil, decidable, eq)
 		}
 		if dec != nil {
-			if _, settled, _ := plan.scanGroups(context.Background(), nil, &discardCounters, spec, dec); settled && dec.lower {
+			if _, settled, _ := plan.scanGroups(context.Background(), &discardCounters, spec, dec); settled && dec.lower {
 				settledTrue++
 			} else if settled {
 				settledFalse++

@@ -16,7 +16,6 @@ import (
 	"math"
 	"slices"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -239,9 +238,9 @@ func (d *groupDecider) add(tp []int32) bool {
 // accumulation order match the materializing path bit for bit. With a
 // decider the scan stops once the answer is settled, reported as
 // settled=true; the groups are then partial and not to be read.
-func (p *streamPlan) scanGroups(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, spec *groupedBinding, dec *groupDecider) (g *groups, settled bool, err error) {
+func (p *streamPlan) scanGroups(ctx context.Context, pc *pipelineCounters, spec *groupedBinding, dec *groupDecider) (g *groups, settled bool, err error) {
 	g = newGroups(spec)
-	settled, err = p.run(ctx, inj, pc, func(tp []int32) (bool, error) {
+	settled, err = p.run(ctx, pc, func(tp []int32) (bool, error) {
 		g.add(tp)
 		return dec.add(tp), nil
 	})

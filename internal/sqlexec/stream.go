@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/storage"
 )
@@ -440,9 +439,8 @@ func (p *streamPlan) bindPred(pr sqlir.Predicate) (boundPred, error) {
 // enumeration (the first-witness early exit), reported as stopped=true.
 // Every visited row and every probed posting ticks a cancellation
 // checkpoint, so a cancelled request unwinds mid-scan within checkpointRows
-// units of work; inj (nil for clean requests) injects per-probe latency for
-// the chaos harness.
-func (p *streamPlan) run(ctx context.Context, inj *faultinject.Injector, pc *pipelineCounters, emit func(tp []int32) (stop bool, err error)) (stopped bool, err error) {
+// units of work.
+func (p *streamPlan) run(ctx context.Context, pc *pipelineCounters, emit func(tp []int32) (stop bool, err error)) (stopped bool, err error) {
 	tp := make([]int32, len(p.tables))
 	var probes int64
 	cc := newCanceller(ctx)
@@ -474,9 +472,6 @@ func (p *streamPlan) run(ctx context.Context, inj *faultinject.Injector, pc *pip
 			return emit(tp)
 		}
 		step := &p.steps[depth-1]
-		if inj != nil {
-			faultinject.Sleep(ctx, inj.ProbeDelay())
-		}
 		postings, ok := step.postings(tp[step.probeSlot])
 		if !ok {
 			return false, nil
@@ -547,12 +542,11 @@ func streamExists(ctx context.Context, db *storage.Database, eq ExistsQuery, pc 
 	}
 	pc.add(&pc.streamed, 1)
 	plan.countSeed(pc)
-	inj := faultinject.From(ctx)
 	if !grouped {
-		return plan.run(ctx, inj, pc, func([]int32) (bool, error) { return true, nil })
+		return plan.run(ctx, pc, func([]int32) (bool, error) { return true, nil })
 	}
 	dec := newGroupDecider(eq, spec)
-	g, settled, err := plan.scanGroups(ctx, inj, pc, spec, dec)
+	g, settled, err := plan.scanGroups(ctx, pc, spec, dec)
 	if err != nil {
 		return false, err
 	}

@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
@@ -54,8 +52,9 @@ type ColumnData struct {
 	NullWords []uint64
 }
 
-// isNull reports whether payload row i is NULL.
-func (c ColumnData) isNull(i int) bool {
+// IsNull reports whether payload row i is NULL, in whichever of the two
+// forms the payload gives its NULLs.
+func (c ColumnData) IsNull(i int) bool {
 	if c.Nulls != nil {
 		return c.Nulls[i]
 	}
@@ -109,11 +108,6 @@ func (t *Table) BulkAppendTrusted(cols []ColumnData) error {
 }
 
 func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
-	// Chaos seam: the ingest path has no request context, so stalls come
-	// from the process-global injector (nil in production — one atomic load).
-	if d := faultinject.Global().IngestStall(); d > 0 {
-		time.Sleep(d)
-	}
 	if t.frozen {
 		return fmt.Errorf("storage: table %s: cannot append to a frozen snapshot", t.Name)
 	}
@@ -143,7 +137,7 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 		}
 		if c.Codes != nil && !trusted {
 			for ri, code := range c.Codes {
-				if !c.isNull(ri) && int(code) >= len(c.Dict) {
+				if !c.IsNull(ri) && int(code) >= len(c.Dict) {
 					return fmt.Errorf("storage: table %s column %s: row %d code %d out of dictionary range %d",
 						t.Name, t.Columns[i].Name, ri, code, len(c.Dict))
 				}
@@ -231,7 +225,7 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 		v.nums = append(v.nums, c.Nums...)
 		// A NaN is stored as NULL, as Insert stores it.
 		for i := 0; i < n; i++ {
-			if ri := base + i; c.isNull(i) || math.IsNaN(v.nums[ri]) {
+			if ri := base + i; c.IsNull(i) || math.IsNaN(v.nums[ri]) {
 				v.cowNulls(ri)
 				v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
 				v.nullCount++
@@ -256,7 +250,7 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 			v.dict = &Dict{}
 		}
 		for i, s := range c.Texts {
-			if c.isNull(i) {
+			if c.IsNull(i) {
 				ri := base + i
 				v.cowNulls(ri)
 				v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
@@ -320,7 +314,7 @@ func (v *ColumnVec) appendCodes(c ColumnData, base int) {
 	d := v.dict
 	mapping := make([]uint32, len(c.Dict))
 	for i, code := range c.Codes {
-		if c.isNull(i) {
+		if c.IsNull(i) {
 			ri := base + i
 			v.cowNulls(ri)
 			v.nulls[ri>>6] |= 1 << (uint(ri) & 63)

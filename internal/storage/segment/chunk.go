@@ -90,10 +90,9 @@ func encodedSize(c storage.ColumnData, rows int, hasNulls bool) int {
 // never Texts; see normalize) of the given row count.
 func encodeColumn(c storage.ColumnData, rows int) []byte {
 	hasNulls := false
-	for _, isNull := range c.Nulls {
-		if isNull {
-			hasNulls = true
-			break
+	if c.Nulls != nil || c.NullWords != nil {
+		for i := 0; i < rows && !hasNulls; i++ {
+			hasNulls = c.IsNull(i)
 		}
 	}
 	out := make([]byte, chunkHeader, encodedSize(c, rows, hasNulls))
@@ -134,8 +133,8 @@ func encodeColumn(c storage.ColumnData, rows int) []byte {
 	}
 	if hasNulls {
 		bits := make([]byte, (rows+7)/8)
-		for i, isNull := range c.Nulls {
-			if isNull {
+		for i := range rows {
+			if c.IsNull(i) {
 				bits[i>>3] |= 1 << (uint(i) & 7)
 			}
 		}
@@ -300,8 +299,8 @@ func asUint32s(b []byte, rows int) []uint32 {
 
 // vectorColumn views a live column vector as a bulk payload without copying
 // the value slices: exactly what encodeColumn serializes for a full-table
-// segment. The null bitmap is expanded to the []bool bulk form only when
-// the column actually holds NULLs.
+// segment. A column holding NULLs lends its packed null bitmap as the
+// payload's NullWords.
 func vectorColumn(vec *storage.ColumnVec) storage.ColumnData {
 	var c storage.ColumnData
 	switch vec.Type() {
@@ -316,19 +315,7 @@ func vectorColumn(vec *storage.ColumnVec) storage.ColumnData {
 		}
 	}
 	if vec.NullCount() > 0 {
-		nulls := make([]bool, vec.Len())
-		for wi, w := range vec.RawNullWords() {
-			if w == 0 {
-				continue
-			}
-			base := wi * 64
-			for b := 0; b < 64 && base+b < len(nulls); b++ {
-				if w&(1<<uint(b)) != 0 {
-					nulls[base+b] = true
-				}
-			}
-		}
-		c.Nulls = nulls
+		c.NullWords = vec.RawNullWords()[:(vec.Len()+63)/64]
 	}
 	return c
 }
@@ -347,12 +334,12 @@ func vectorColumn(vec *storage.ColumnVec) storage.ColumnData {
 func normalize(c storage.ColumnData) storage.ColumnData {
 	switch {
 	case c.Nums != nil:
-		if c.Nulls == nil && !slices.ContainsFunc(c.Nums, math.IsNaN) {
+		if c.Nulls == nil && c.NullWords == nil && !slices.ContainsFunc(c.Nums, math.IsNaN) {
 			return c
 		}
 		nums, nulls := make([]float64, len(c.Nums)), make([]bool, len(c.Nums))
 		for i, f := range c.Nums {
-			if c.Nulls != nil && c.Nulls[i] || math.IsNaN(f) {
+			if c.IsNull(i) || math.IsNaN(f) {
 				nulls[i] = true
 			} else {
 				nums[i] = f
@@ -364,7 +351,7 @@ func normalize(c storage.ColumnData) storage.ColumnData {
 		byStr := make(map[string]uint32, len(c.Texts))
 		var dict []string
 		for i, s := range c.Texts {
-			if c.Nulls != nil && c.Nulls[i] {
+			if c.IsNull(i) {
 				continue
 			}
 			code, ok := byStr[s]
@@ -378,13 +365,13 @@ func normalize(c storage.ColumnData) storage.ColumnData {
 		if dict == nil {
 			dict = []string{}
 		}
-		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls}
+		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls, NullWords: c.NullWords}
 	case c.Codes != nil:
 		codes := make([]uint32, len(c.Codes))
 		mapping := make([]uint32, len(c.Dict)) // payload code -> canonical code + 1
 		var dict []string
 		for i, code := range c.Codes {
-			if c.Nulls != nil && c.Nulls[i] {
+			if c.IsNull(i) {
 				continue
 			}
 			m := mapping[code]
@@ -398,7 +385,7 @@ func normalize(c storage.ColumnData) storage.ColumnData {
 		if dict == nil {
 			dict = []string{}
 		}
-		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls}
+		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls, NullWords: c.NullWords}
 	default:
 		return c
 	}

@@ -18,7 +18,7 @@ import (
 // handBuilt returns a small database exercising every storage feature the
 // chunk codec must round-trip: text dictionaries, NULLs in both column
 // types, an FK constraint, and an empty table.
-func handBuilt(t *testing.T) *storage.Database {
+func handBuilt(t testing.TB) *storage.Database {
 	t.Helper()
 	genres := storage.NewTable("genres", "id",
 		storage.Column{Name: "id", Type: sqlir.TypeNumber},
@@ -222,6 +222,68 @@ func TestAppendSegmentStoresNaNAsNull(t *testing.T) {
 		if v := d.Table("movies").VectorAt(3).Value(4); !v.IsNull() {
 			t.Fatalf("appended NaN reads %v, want NULL", v)
 		}
+	}
+}
+
+// nullFormCase is one movies column of a two-row batch whose row 1 is NULL,
+// given as Nulls or as packed NullWords.
+type nullFormCase struct {
+	name string
+	ci   int
+	data storage.ColumnData
+}
+
+// nullFormCases is {Nums, Texts, Codes} × {Nulls, NullWords}. The Codes
+// payloads' NULL row holds a code that indexes nothing.
+func nullFormCases() []nullFormCase {
+	cols := []nullFormCase{
+		{"Nums", 3, storage.ColumnData{Nums: []float64{7.5, 9}}},
+		{"Texts", 1, storage.ColumnData{Texts: []string{"Beta", "Gamma"}}},
+		{"Codes", 1, storage.ColumnData{Codes: []uint32{0, 99}, Dict: []string{"Beta"}}},
+	}
+	var out []nullFormCase
+	for _, c := range cols {
+		nulls, words := c, c
+		nulls.name, nulls.data.Nulls = c.name+"/Nulls", []bool{false, true}
+		words.name, words.data.NullWords = c.name+"/NullWords", []uint64{1 << 1}
+		out = append(out, nulls, words)
+	}
+	return out
+}
+
+// TestAppendSegmentNullForms: a flushed batch gives its NULLs as Nulls or
+// as packed NullWords — BulkAppend takes both — and either way the chunk
+// holds them: the store loads back the same database, NULL where it was
+// given, in every column form. A NULL row's code is ignored even when it
+// indexes nothing, as BulkAppend ignores it.
+func TestAppendSegmentNullForms(t *testing.T) {
+	for _, c := range nullFormCases() {
+		t.Run(c.name, func(t *testing.T) {
+			db := handBuilt(t)
+			store, _ := mustPersist(t, db)
+			batch := []storage.ColumnData{
+				{Nums: []float64{4, 5}},
+				{Texts: []string{"Beta", "Gamma"}},
+				{Nums: []float64{2, 1}},
+				{Nums: []float64{7.5, 8}},
+			}
+			batch[c.ci] = c.data
+			if err := store.AppendSegment(db.Name, db, "movies", batch); err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := store.Load(db.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := storage.Fingerprint(loaded), storage.Fingerprint(db); got != want {
+				t.Fatalf("loaded fingerprint %016x, want %016x", got, want)
+			}
+			for _, d := range []*storage.Database{db, loaded} {
+				if v := d.Table("movies").VectorAt(c.ci).Value(4); !v.IsNull() {
+					t.Fatalf("appended NULL reads %v", v)
+				}
+			}
+		})
 	}
 }
 

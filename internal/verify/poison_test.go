@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/semrules"
@@ -70,5 +71,27 @@ func TestCancelledVerifyDoesNotPoisonMemo(t *testing.T) {
 	}
 	if got.OK != want.OK || got.Stage != want.Stage {
 		t.Fatalf("healthy Verify = %+v, want %+v (memo poisoned?)", got, want)
+	}
+}
+
+// TestTransient: a request's fate is cancellation or deadline expiry, wrapped
+// or not; nothing else is, a nil error and a bind error least of all.
+func TestTransient(t *testing.T) {
+	bind := errors.New("column item.val is not on the join path")
+	for _, c := range []struct {
+		err  error
+		want bool
+	}{
+		{context.Canceled, true},
+		{context.DeadlineExceeded, true},
+		{fmt.Errorf("by-row probe: %w", context.Canceled), true},
+		{fmt.Errorf("by-row probe: %w", context.DeadlineExceeded), true},
+		{nil, false},
+		{bind, false},
+		{fmt.Errorf("by-row probe: %w", bind), false},
+	} {
+		if got := Transient(c.err); got != c.want {
+			t.Errorf("Transient(%v) = %v, want %v", c.err, got, c.want)
+		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/duoquest/duoquest/internal/faultinject"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -158,9 +157,8 @@ type Verifier struct {
 // lookups of a key share one computation: the loser of the map race blocks
 // on the winner's entry lock instead of re-running the (possibly expensive
 // database) check. A transient failure — the computing request was
-// cancelled, expired, or drew an injected fault — is reported to its caller
-// but never memoized, so a shared memo cannot replay one request's fate to
-// later, healthy requests.
+// cancelled or expired — is reported to its caller but never memoized, so a
+// shared memo cannot replay one request's fate to later, healthy requests.
 type boolMemo struct {
 	mu sync.Mutex
 	m  map[memoKey]*boolEntry
@@ -180,8 +178,8 @@ type boolEntry struct {
 	mono bool
 }
 
-// Transient reports whether err reflects one request's fate (cancellation,
-// deadline expiry, injected fault) rather than a property of the database. A
+// Transient reports whether err reflects one request's fate (cancellation or
+// deadline expiry) rather than a property of the database. A
 // memo never stores such an error, and the enumerator turns one into an
 // anytime partial result instead of failing the request.
 func Transient(err error) bool {
@@ -192,8 +190,7 @@ func Transient(err error) bool {
 
 func transient(err error) bool {
 	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		faultinject.IsInjected(err)
+		errors.Is(err, context.DeadlineExceeded)
 }
 
 // do returns the memoized value for key, computing it with f at most once
@@ -398,9 +395,6 @@ func (v *Verifier) VerifyCtx(ctx context.Context, q *sqlir.Query) (Outcome, erro
 // nothing of q (see the package comment).
 func (v *Verifier) VerifyChild(ctx context.Context, q *sqlir.Query, d sqlir.Decision) (Outcome, error) {
 	v.checked.Add(1)
-	if err := faultinject.From(ctx).VerifyError(); err != nil {
-		return Outcome{}, err
-	}
 	owes := owed(q, d)
 	out := v.verifyClauses(q)
 	if out.OK {
