@@ -384,11 +384,11 @@ func (s *server) synthesizeStream(w http.ResponseWriter, r *http.Request, sn *du
 	emitted := 0
 	emit := func(c duoquest.Candidate) bool {
 		if r.Context().Err() != nil {
-			// Client disconnected mid-stream: stop emitting immediately
-			// instead of computing previews for a dead connection. The
-			// cancelled request context makes the search unwind and the
-			// service layer records the interruption, not a success.
-			return false
+			// Client disconnected mid-stream: compute no preview for a
+			// dead connection. The cancelled request context cuts the
+			// search short at its next check, so the service layer
+			// records a truncated, interrupted request, not a success.
+			return true
 		}
 		cj := s.candidateJSON(r.Context(), ses, c)
 		if err := enc.Encode(streamLine{Type: "candidate", Candidate: &cj}); err != nil {

@@ -163,3 +163,34 @@ func TestDeadlineNotReachedIsClean(t *testing.T) {
 		t.Errorf("clean request left cancel accounting: %+v", st)
 	}
 }
+
+// A context that fires after a complete search cut nothing short, so the
+// request is neither truncated nor counted as a cancel-return or an
+// interruption. "names of authors" with a sketch holding no tuple makes no
+// executor poll, so a context due to fire at its first Err poll could fire
+// only if the stats asked it after the search had finished.
+func TestContextFiringAfterSearchIsNotACancel(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	s, _ := e.Session("mas")
+	res, err := s.Synthesize(cancelAt(1), Input{
+		NLQ:    "names of authors",
+		Sketch: &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated {
+		t.Fatal("a search no poll cut short is flagged Truncated")
+	}
+	for _, st := range e.Stats().Databases {
+		if st.Database != "mas" {
+			continue
+		}
+		if st.Truncated != 0 || st.CancelReturns != 0 || st.Interrupted != 0 {
+			t.Errorf("Truncated = %d, CancelReturns = %d, Interrupted = %d, want 0, 0 and 0",
+				st.Truncated, st.CancelReturns, st.Interrupted)
+		}
+		return
+	}
+	t.Fatal("no stats for mas")
+}

@@ -563,8 +563,12 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 	})
 	res, err := en.Enumerate(ctx, in.NLQ, in.Literals, emit)
 	stopWatch()
+	// Classify by the search's own outcome: a context that fires after a
+	// complete search cut nothing short. Only a cut request reads the
+	// context's error, once, to tell a disconnect from an expiry.
 	var cancelReturn time.Duration
-	cancelled := ctx.Err() != nil
+	cancelled := res.Truncated
+	interrupted := cancelled && errors.Is(ctx.Err(), context.Canceled)
 	if cancelled {
 		now := time.Now()
 		if at := firedAt.Load(); at > 0 {
@@ -578,7 +582,6 @@ func (s *Session) SynthesizeStream(ctx context.Context, in Input, emit func(enum
 			cancelReturn = 0
 		}
 	}
-	interrupted := errors.Is(ctx.Err(), context.Canceled)
 	s.ds.record(time.Since(start), res, err, cancelled, cancelReturn, interrupted)
 	return res, err
 }

@@ -57,7 +57,7 @@ type DBStats struct {
 	Errors           int64
 	Candidates       int64
 	Truncated        int64 // requests that returned a Truncated anytime result
-	Interrupted      int64 // requests cancelled by the caller (client disconnect)
+	Interrupted      int64 // truncated requests the caller cancelled (client disconnect)
 	AutocompleteSize int   // 0 until the shared index is first used
 	Cache            CacheStats
 	Storage          StorageStats
@@ -75,9 +75,10 @@ type DBStats struct {
 	EpochLagAvg   float64
 	Epochs        []EpochCacheStats
 
-	// CancelReturns counts cancelled or deadline-expired requests; the
-	// quantiles are their cancel-to-return latency — how long after the
-	// context fired the request actually returned — over the window.
+	// CancelReturns counts requests a cancellation or deadline expiry cut
+	// short (Truncated); the quantiles are their cancel-to-return latency —
+	// how long after the context fired the request actually returned —
+	// over the window.
 	CancelReturns        int64
 	CancelP50, CancelP99 time.Duration
 }

@@ -37,7 +37,7 @@ import (
 // own layout): the segment loader decodes chunk bitmaps straight into it,
 // so a trusted replay ORs whole words into the vector bitmap instead of
 // expanding to a []bool and re-scanning it.
-// Set at most one of the two forms.
+// Set at most one of the two forms: BulkAppend refuses a payload with both.
 // DictBlob, when non-empty, must be the concatenation of Dict in order —
 // set by loaders whose Dict entries are substrings of one backing string.
 // A trusted adoption hands it to the dictionary so fingerprinting can fold
@@ -120,6 +120,10 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 		if !ok {
 			return fmt.Errorf("storage: table %s column %s: bulk payload does not match type %s",
 				t.Name, t.Columns[i].Name, t.Columns[i].Type)
+		}
+		if c.Nulls != nil && c.NullWords != nil {
+			return fmt.Errorf("storage: table %s column %s: bulk payload sets both Nulls and NullWords",
+				t.Name, t.Columns[i].Name)
 		}
 		if c.Nulls != nil && len(c.Nulls) != cn {
 			return fmt.Errorf("storage: table %s column %s: %d null flags for %d values",

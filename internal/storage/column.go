@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -135,8 +134,14 @@ func (d *Dict) freeze(prev *Dict) *Dict {
 func (d *Dict) String(code uint32) string { return d.strs[code] }
 
 // Size returns the number of interned strings — exactly the column's
-// distinct non-null value count, since entries are never removed.
-func (d *Dict) Size() int { return len(d.strs) }
+// distinct non-null value count, since entries are never removed. A nil
+// dictionary (a text column with no non-null row yet) has none.
+func (d *Dict) Size() int {
+	if d == nil {
+		return 0
+	}
+	return len(d.strs)
+}
 
 // Strings returns the interned string table in code order (shared slice;
 // callers must not mutate). Autocomplete builds its inverted index from
@@ -282,29 +287,26 @@ func (v *ColumnVec) vectorBytes() int64 {
 }
 
 // CodeIndex is a typed posting-list index over one column — the only index
-// the storage engine has: numeric columns key postings by float value, text
-// columns by dictionary code (a dense slice, not a map). Columns whose
-// non-null values are all integers in a compact range — the FK/PK id
-// columns every join probes — get a dense array index instead of a hash
-// map, so a join probe is an array load rather than a float hash. Posting
-// lists preserve row order. Built lazily; a live table drops its indexes on
-// Insert, a frozen epoch table keeps them for its lifetime, and a new
-// epoch's table extends its predecessor's (extendFrom). Every accessor
-// returns a list capped at its length, so no caller can append into
-// capacity a successor epoch's index may be using.
+// the storage engine has. Postings live in one slot array: a text column's
+// slot is the dictionary code, and a numeric column whose non-null values
+// are all integers in a compact range — the FK/PK id columns every join
+// probes — has slot value − off, so a join probe is an array load rather
+// than a float hash. Only a numeric column with no such range keys its
+// postings by value, in num. Posting lists preserve row order. Made on
+// first read; a live table drops its indexes on Insert, a frozen epoch
+// table keeps them for its lifetime, and a new epoch's table extends its
+// predecessor's (extendFrom). Every accessor returns a list capped at its
+// length, so no caller can append into capacity a successor epoch's index
+// may be using.
 type CodeIndex struct {
-	once sync.Once
-	vec  *ColumnVec
-	num  map[float64][]int32 // numeric columns; ±0 collapse like Value.Equal
-	text [][]int32           // text columns: postings[code]
-
-	// dense array index for compact integer columns: postings for value v
-	// live at dense[int(v)-off]. nil when the column is not dense.
-	dense [][]int32
+	once  sync.Once
+	vec   *ColumnVec
+	slots [][]int32
 	off   int
+	num   map[uint64][]int32 // numeric columns with no compact range, keyed by numKey
 
-	// ready flips after the build completes; Table.adoptBase only extends
-	// ready indexes so it never races an in-flight build on the
+	// ready flips once the index is made; a successor epoch extends only a
+	// ready index, so it never races an in-flight build on the
 	// still-serving base table.
 	ready atomic.Bool
 }
@@ -312,26 +314,41 @@ type CodeIndex struct {
 // capped returns list with no spare capacity: appending to it reallocates.
 func capped(list []int32) []int32 { return list[:len(list):len(list)] }
 
-// Num returns the posting list for a float value (nil when absent).
-func (ix *CodeIndex) Num(f float64) []int32 {
-	if ix.dense != nil {
-		if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+len(ix.dense)) {
-			return nil
-		}
-		return capped(ix.dense[int(f)-ix.off])
+// numSlot returns the slot of numeric value f, false when f is not an
+// integer inside the slot array's range.
+func (ix *CodeIndex) numSlot(f float64) (int, bool) {
+	if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+len(ix.slots)) {
+		return 0, false
 	}
-	return capped(ix.num[f])
+	return int(f) - ix.off, true
 }
 
-// Text returns the posting list for a dictionary code (nil when out of
-// range: a code interned after the index was built has no rows in the
+// numKey is the value map's key for f: its bits, with −0 folded into +0
+// (f+0) so that ±0 share a list, as Value.Equal has them. An integer key
+// takes the runtime's 64-bit map fast path, which a float key cannot.
+func numKey(f float64) uint64 { return math.Float64bits(f + 0) }
+
+// Num returns a numeric column's posting list for a float value (nil when
+// absent).
+func (ix *CodeIndex) Num(f float64) []int32 {
+	if ix.num != nil {
+		return capped(ix.num[numKey(f)])
+	}
+	if s, ok := ix.numSlot(f); ok {
+		return capped(ix.slots[s])
+	}
+	return nil
+}
+
+// Text returns a text column's posting list for a dictionary code (nil when
+// out of range: a code interned after the index was built has no rows in the
 // index's table — a live table drops the index on Insert, and a frozen
 // table's dictionary never grows).
 func (ix *CodeIndex) Text(code uint32) []int32 {
-	if int(code) >= len(ix.text) {
+	if int(code) >= len(ix.slots) {
 		return nil
 	}
-	return capped(ix.text[code])
+	return capped(ix.slots[code])
 }
 
 // TextString returns the posting list for a string value via the dictionary
@@ -361,117 +378,53 @@ func (ix *CodeIndex) Postings(v sqlir.Value) []int32 {
 	}
 }
 
-func (ix *CodeIndex) build() {
+// fill appends rows [from, n) of the column to the index, in the layout the
+// index holds. It reports false at a numeric value outside the slot array,
+// which only an extension meets.
+func (ix *CodeIndex) fill(from int) bool {
 	vec := ix.vec
-	switch vec.typ {
-	case sqlir.TypeNumber:
-		if ix.buildDense() {
-			return
-		}
-		ix.num = make(map[float64][]int32, vec.n-vec.nullCount)
-		for i := 0; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			ix.num[vec.nums[i]] = append(ix.num[vec.nums[i]], int32(i))
-		}
-	case sqlir.TypeText:
-		size := 0
-		if vec.dict != nil {
-			size = vec.dict.Size()
-		}
-		ix.text = make([][]int32, size)
-		for i := 0; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			c := vec.codes[i]
-			ix.text[c] = append(ix.text[c], int32(i))
-		}
-	}
-}
-
-// extendFrom populates the index from the previous epoch's ready index over
-// the same column: the outer table (dense slots, value map or code slice) is
-// copied, the posting lists are shared, and only rows [baseN, vec.n) are
-// scanned and appended. An epoch boundary therefore costs O(distinct keys +
-// delta) per index, and a posting list is copied only when an append finds
-// it full. Reports false when the delta cannot keep the base's dense layout —
-// a non-integer or out-of-range value would shift every slot — in which case
-// the caller falls back to a full lazy build.
-//
-// Appending into the base's spare capacity is safe because of three
-// invariants:
-//
-//  1. One successor per base. publishLocked links a frozen table as the base
-//     of exactly one successor view (the next publication that captures the
-//     table), and the successor's adoptOnce runs extendFrom once, so no two
-//     indexes ever append into the same spare capacity.
-//  2. Readers stop at their own length. The base index's slice headers are
-//     never rewritten; its readers see rows [0, len) and the successor
-//     writes only past that, into memory no base reader can reach.
-//  3. Nobody else appends. Num, Text, TextString and Postings return lists
-//     capped at their length (capped), so a caller appending to a posting
-//     list reallocates instead of writing into shared capacity.
-func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
-	vec := ix.vec
-	switch {
-	case base.dense != nil:
-		for i := baseN; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			f := vec.nums[i]
-			if f != math.Trunc(f) || f < float64(base.off) || f >= float64(base.off+len(base.dense)) {
+	for i := from; i < vec.n; i++ {
+		switch {
+		case vec.IsNull(i):
+		case ix.num != nil:
+			k := numKey(vec.nums[i])
+			ix.num[k] = append(ix.num[k], int32(i))
+		case vec.typ == sqlir.TypeText:
+			ix.slots[vec.codes[i]] = append(ix.slots[vec.codes[i]], int32(i))
+		default:
+			s, ok := ix.numSlot(vec.nums[i])
+			if !ok {
 				return false
 			}
+			ix.slots[s] = append(ix.slots[s], int32(i))
 		}
-		ix.off = base.off
-		ix.dense = slices.Clone(base.dense)
-		for i := baseN; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			slot := int(vec.nums[i]) - ix.off
-			ix.dense[slot] = append(ix.dense[slot], int32(i))
-		}
-	case base.num != nil:
-		ix.num = maps.Clone(base.num)
-		for i := baseN; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			ix.num[vec.nums[i]] = append(ix.num[vec.nums[i]], int32(i))
-		}
-	case vec.typ == sqlir.TypeText:
-		size := 0
-		if vec.dict != nil {
-			size = vec.dict.Size()
-		}
-		ix.text = make([][]int32, size)
-		copy(ix.text, base.text)
-		for i := baseN; i < vec.n; i++ {
-			if vec.IsNull(i) {
-				continue
-			}
-			c := vec.codes[i]
-			ix.text[c] = append(ix.text[c], int32(i))
-		}
-	default:
-		return false
 	}
 	return true
 }
 
-// buildDense tries the array-backed layout: every non-null value must be an
-// integer and the value range must stay within a small multiple of the row
-// count (so id-like columns qualify and sparse ones fall back to the map).
-// Reports whether the dense index was built.
-func (ix *CodeIndex) buildDense() bool {
+// build makes the index from scratch: a text column gets one slot per
+// dictionary code, a numeric column the slot array when its values have a
+// dense range, else the value map.
+func (ix *CodeIndex) build() {
 	vec := ix.vec
+	if vec.typ == sqlir.TypeText {
+		ix.slots = make([][]int32, vec.dict.Size())
+	} else if off, width, ok := denseRange(vec); ok {
+		ix.off, ix.slots = off, make([][]int32, width)
+	} else {
+		ix.num = make(map[uint64][]int32, vec.n-vec.nullCount)
+	}
+	ix.fill(0)
+}
+
+// denseRange reports the slot array a numeric column fits, in one scan:
+// every non-null value must be an integer and the value range must stay
+// within a small multiple of the row count (so id-like columns qualify and
+// sparse ones keep the value map).
+func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 	nonNull := vec.n - vec.nullCount
 	if nonNull == 0 {
-		return false
+		return 0, 0, false
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < vec.n; i++ {
@@ -480,27 +433,62 @@ func (ix *CodeIndex) buildDense() bool {
 		}
 		f := vec.nums[i]
 		if f != math.Trunc(f) || math.Abs(f) > 1<<31 {
-			return false
+			return 0, 0, false
 		}
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
+		lo, hi = min(lo, f), max(hi, f)
 	}
-	width := hi - lo + 1
-	if width > float64(4*nonNull)+1024 {
-		return false // sparse ids: a dense array would be mostly holes
+	if hi-lo+1 > float64(4*nonNull)+1024 {
+		return 0, 0, false // sparse ids: a dense array would be mostly holes
 	}
-	ix.off = int(lo)
-	ix.dense = make([][]int32, int(width))
-	for i := 0; i < vec.n; i++ {
-		if vec.IsNull(i) {
-			continue
-		}
-		slot := int(vec.nums[i]) - ix.off
-		ix.dense[slot] = append(ix.dense[slot], int32(i))
+	return int(lo), int(hi-lo) + 1, true
+}
+
+// extendFrom makes the index from base table b's index of the same column
+// ci, when b is non-nil and that index is ready: it copies the base's layout
+// — the slot array or the value map, whose posting lists it shares — and
+// fills only the rows appended since b. An epoch boundary therefore costs
+// O(distinct keys + delta) per index, and a posting list is copied only
+// when an append finds it full. It reports false, leaving the index empty,
+// when there is no ready base index or a delta value falls outside the
+// base's slot array; the caller then builds from scratch.
+//
+// Appending into the base's spare capacity is safe because of four
+// invariants:
+//
+//  1. One successor per base. publishLocked links a frozen table as the base
+//     of exactly one successor view (the next publication that captures the
+//     table), and each of the successor's indexes extends the base's once,
+//     inside its own once, so no two indexes ever append into the same
+//     spare capacity.
+//  2. Readers stop at their own length. The base index's slot array and map
+//     are copied, never rewritten; its readers see rows [0, len) and the
+//     successor writes only past that, into memory no base reader can reach.
+//  3. Nobody else appends. Num, Text, TextString and Postings return lists
+//     capped at their length (capped), so a caller appending to a posting
+//     list reallocates instead of writing into shared capacity.
+//  4. A failed extension is invisible. It wrote only into spare capacity
+//     (2), which no one else will write (1), and the index restarts empty
+//     before its build, which allocates lists of its own.
+func (ix *CodeIndex) extendFrom(b *Table, ci int) bool {
+	if b == nil {
+		return false
+	}
+	b.hashMu.Lock()
+	base := b.codeIdx[ci]
+	b.hashMu.Unlock()
+	if base == nil || !base.ready.Load() {
+		return false
+	}
+	if base.num != nil {
+		ix.num = maps.Clone(base.num)
+	} else {
+		ix.off = base.off
+		ix.slots = make([][]int32, max(len(base.slots), ix.vec.dict.Size()))
+		copy(ix.slots, base.slots)
+	}
+	if !ix.fill(b.NumRows()) {
+		ix.slots, ix.off = nil, 0
+		return false
 	}
 	return true
 }
@@ -520,11 +508,12 @@ func (t *Table) Vector(col string) *ColumnVec {
 func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 
 // CodeIndex returns the typed posting-list index of the column at ordinal ci —
-// what the streaming pipeline's seeds and join probes read — extended from
-// the previous epoch's when the table adopted one (adoptBase), else built
-// lazily, and memoized until the next Insert.
+// what the streaming pipeline's seeds and join probes read — made on first
+// read and memoized until the next Insert. A table whose base (epoch.go)
+// has a ready index ci extends it with just the appended rows; otherwise,
+// or when those rows leave the base's slot array, the index is built from
+// scratch.
 func (t *Table) CodeIndex(ci int) *CodeIndex {
-	t.adoptBase()
 	t.hashMu.Lock()
 	if t.codeIdx == nil {
 		t.codeIdx = map[int]*CodeIndex{}
@@ -535,8 +524,12 @@ func (t *Table) CodeIndex(ci int) *CodeIndex {
 		t.codeIdx[ci] = ix
 	}
 	t.hashMu.Unlock()
-	ix.once.Do(ix.build)
-	ix.ready.Store(true)
+	ix.once.Do(func() {
+		if !ix.extendFrom(t.base.Load(), ci) {
+			ix.build()
+		}
+		ix.ready.Store(true)
+	})
 	return ix
 }
 

@@ -39,11 +39,11 @@ type tableView struct {
 	gen  int64
 	cols []ColumnVec
 
-	// base is the previous epoch's frozen table when it had completed base
-	// adoption by publication time: the new frozen table extends its warm
-	// code indexes from it (Table.adoptBase — append-only rows make
-	// prefixes shareable) instead of rebuilding from scratch. Cleared on
-	// freeze.
+	// base is the previous epoch's frozen table, when it had one at
+	// publication: the frozen table this view becomes extends the base's
+	// ready code indexes on their first read (Table.CodeIndex — append-only
+	// rows make prefixes shareable) instead of rebuilding from scratch.
+	// Handed over and cleared on freeze.
 	base *Table
 
 	once sync.Once
@@ -98,7 +98,7 @@ func (tv *tableView) freeze(src *Table) *Table {
 		ft := NewTable(src.Name, src.PrimaryKey, src.Columns...)
 		copy(ft.vecs, tv.cols)
 		ft.frozen = true
-		ft.base = tv.base
+		ft.base.Store(tv.base)
 		tv.base = nil
 		tv.tbl.Store(ft)
 	})
@@ -157,12 +157,12 @@ func (d *Database) publishLocked() *dbView {
 		}
 		ntv := t.captureView(ptv)
 		if ptv != nil {
-			// Hand the new view the previous epoch's frozen table so the new
-			// epoch's first reader extends its warm code indexes with just
-			// the appended rows (Table.adoptBase). Requiring adopted here
-			// also bounds base chains: an adopted table has dropped its own
-			// base, so links never accumulate transitively.
-			if pt := ptv.tbl.Load(); pt != nil && pt.adopted.Load() {
+			// Hand the new view the previous epoch's frozen table, so the
+			// new epoch's first read of an index extends the base's with
+			// just the appended rows (Table.CodeIndex). Clearing the base's
+			// own base here keeps every chain one hop long.
+			if pt := ptv.tbl.Load(); pt != nil {
+				pt.base.Store(nil)
 				ntv.base = pt
 			}
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -415,5 +416,190 @@ func TestSnapshotPostingsAppendLeavesNextEpochUnchanged(t *testing.T) {
 	}
 	if got := bix.TextString("red"); !slices.Equal(got, []int32{0, 1, 2}) {
 		t.Fatalf("base postings = %v", got)
+	}
+}
+
+// heldPostings returns every probe's postings in a table's column index,
+// copied, keyed by Value.String.
+func heldPostings(tb *Table, c string, probes []sqlir.Value) map[string][]int32 {
+	ix := codeIndex(tb, c)
+	out := map[string][]int32{}
+	for _, v := range probes {
+		out[v.String()] = slices.Clone(ix.Postings(v))
+	}
+	return out
+}
+
+// distinctValues lists a column's distinct non-null values in row order.
+func distinctValues(vec *ColumnVec) []sqlir.Value {
+	var out []sqlir.Value
+	seen := map[string]bool{}
+	for i := 0; i < vec.Len(); i++ {
+		if v := vec.Value(i); !v.IsNull() && !seen[v.String()] {
+			seen[v.String()] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkRebuild compares a table's postings for every probe with a
+// from-scratch build over the table's own vectors.
+func checkRebuild(t *testing.T, label string, tb *Table, c string, probes []sqlir.Value) {
+	t.Helper()
+	want := wantPostings(tb.Vector(c))
+	got := heldPostings(tb, c, probes)
+	for _, v := range probes {
+		if !slices.Equal(got[v.String()], want[v.String()]) {
+			t.Fatalf("%s %s = %s: postings %v, rebuild %v", label, c, v, got[v.String()], want[v.String()])
+		}
+	}
+}
+
+// TestBaseChainIsOneHop: with every epoch frozen and read as it is
+// published, each frozen table's base is the previous epoch's table, and
+// after every publication no held table's base has a base of its own.
+func TestBaseChainIsOneHop(t *testing.T) {
+	db := shareDB()
+	r := rand.New(rand.NewSource(51))
+	var tables []*Table
+	for e := 0; e < 24; e++ {
+		if _, err := db.Append("ev", shareBatch(r, e, 1+r.Intn(32), false)); err != nil {
+			t.Fatal(err)
+		}
+		for ei, tb := range tables {
+			if b := tb.base.Load(); b != nil && b.base.Load() != nil {
+				t.Fatalf("after publication %d: epoch %d's base has a base of its own", e+1, ei+1)
+			}
+		}
+		tb := db.Snapshot().Table("ev")
+		if e > 0 && tb.base.Load() != tables[len(tables)-1] {
+			t.Fatalf("epoch %d: base is not the previous epoch's table", e+1)
+		}
+		for _, c := range []string{"id", "sparse", "tag"} {
+			codeIndex(tb, c)
+		}
+		tables = append(tables, tb)
+	}
+}
+
+// TestBaseChainRacingFirstReadsMatchRebuild: first reads of every column at
+// epochs N and N+1 race each other and a publication of N+2 whose epoch is
+// read at once. Whichever way each race goes — N+1 extends N's index or
+// builds its own, N extends N−1's or finds its base cleared — every held
+// epoch's postings equal a from-scratch build.
+func TestBaseChainRacingFirstReadsMatchRebuild(t *testing.T) {
+	db := shareDB()
+	cols := []string{"id", "sparse", "tag"}
+	r := rand.New(rand.NewSource(52))
+	e := 0
+	next := func() []ColumnData {
+		e++
+		return shareBatch(r, e, 1+r.Intn(24), e == 31)
+	}
+	if _, err := db.Append("ev", next()); err != nil {
+		t.Fatal(err)
+	}
+	held := []*Database{db.Snapshot()}
+	for _, c := range cols {
+		codeIndex(held[0].Table("ev"), c)
+	}
+	for round := 0; round < 16; round++ {
+		var pair [2]*Database
+		for i := range pair {
+			if _, err := db.Append("ev", next()); err != nil {
+				t.Fatal(err)
+			}
+			pair[i] = db.Snapshot()
+		}
+		batch := next()
+		var wg sync.WaitGroup
+		for _, snap := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, c := range cols {
+					codeIndex(snap.Table("ev"), c)
+				}
+			}()
+		}
+		var third *Database
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := db.Append("ev", batch); err != nil {
+				t.Error(err)
+				return
+			}
+			third = db.Snapshot()
+			for _, c := range cols {
+				codeIndex(third.Table("ev"), c)
+			}
+		}()
+		wg.Wait()
+		if third == nil {
+			t.FailNow()
+		}
+		held = append(held, pair[0], pair[1], third)
+	}
+	last := held[len(held)-1].Table("ev")
+	for _, c := range cols {
+		probes := distinctValues(last.Vector(c))
+		for _, snap := range held {
+			checkRebuild(t, fmt.Sprintf("epoch %d", snap.Epoch()), snap.Table("ev"), c, probes)
+		}
+	}
+}
+
+// TestBaseChainLateFirstReadMatchesRebuild: an epoch whose columns are first
+// read only after its successor is published has lost its base, so it
+// builds from scratch, equal to a rebuild; its successor then extends it
+// without changing what the late epoch reads, and neither touches what the
+// epoch before them reads.
+func TestBaseChainLateFirstReadMatchesRebuild(t *testing.T) {
+	db := shareDB()
+	cols := []string{"id", "sparse", "tag"}
+	r := rand.New(rand.NewSource(53))
+	if _, err := db.Append("ev", shareBatch(r, 0, 40, false)); err != nil {
+		t.Fatal(err)
+	}
+	prev := db.Snapshot().Table("ev")
+	if _, err := db.Append("ev", shareBatch(r, 1, 40, false)); err != nil {
+		t.Fatal(err)
+	}
+	late := db.Snapshot().Table("ev")
+	if late.base.Load() != prev {
+		t.Fatal("a frozen epoch's base is not the previous epoch's table")
+	}
+	if _, err := db.Append("ev", shareBatch(r, 2, 40, false)); err != nil {
+		t.Fatal(err)
+	}
+	succ := db.Snapshot().Table("ev")
+	if late.base.Load() != nil {
+		t.Fatal("publishing the successor left the epoch's own base set")
+	}
+	probes := map[string][]sqlir.Value{}
+	before := map[string]map[string][]int32{}
+	for _, c := range cols {
+		probes[c] = distinctValues(succ.Vector(c))
+		before[c] = heldPostings(prev, c, probes[c])
+	}
+	shared := 0
+	for _, c := range cols {
+		checkRebuild(t, "late epoch", late, c, probes[c])
+		checkRebuild(t, "successor", succ, c, probes[c])
+		checkRebuild(t, "late epoch after its successor's read", late, c, probes[c])
+		if got := heldPostings(prev, c, probes[c]); !maps.EqualFunc(got, before[c], slices.Equal) {
+			t.Fatalf("%s: the later epochs' first reads changed the earlier epoch's postings", c)
+		}
+		for _, v := range probes[c] {
+			base, got := codeIndex(late, c).Postings(v), codeIndex(succ, c).Postings(v)
+			if len(base) > 0 && len(got) > len(base) && &got[0] == &base[0] {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("the successor did not extend the late epoch's posting lists")
 	}
 }

@@ -45,15 +45,13 @@ type Table struct {
 	// attempts fail instead of corrupting published epochs.
 	frozen bool
 
-	// base is the previous epoch's frozen table (set at freeze, epoch.go).
-	// adoptBase extends the base's ready code indexes with just the
-	// appended suffix, appending into the base's posting lists
-	// (CodeIndex.extendFrom), then drops the reference, so an epoch boundary
-	// costs O(distinct keys + delta) per index on first read instead of
-	// O(n).
-	base      *Table
-	adoptOnce sync.Once
-	adopted   atomic.Bool
+	// base is the previous epoch's frozen table (set at freeze, epoch.go):
+	// this table's first read of a code index extends the base's ready
+	// index with just the appended rows, appending into the base's posting
+	// lists (CodeIndex.extendFrom), so an epoch boundary costs O(distinct
+	// keys + delta) per index instead of O(n). The publication that links
+	// this table as a successor's base clears it, so a chain is one hop.
+	base atomic.Pointer[Table]
 
 	// hashMu guards codeIdx and stats.
 	hashMu  sync.Mutex
@@ -100,53 +98,6 @@ func (t *Table) NumRows() int {
 		return t.vecs[0].n
 	}
 	return 0
-}
-
-// adoptBase performs the one-shot adoption of the previous epoch's frozen
-// table (handed over at freeze, epoch.go): every posting-list index the base
-// had already built is extended with just the appended rows. CodeIndex calls
-// it first, so adoption always precedes a from-scratch build. The base
-// reference is dropped afterwards and publication (epoch.go) only links
-// adopted tables as bases, so chains never deepen past one hop.
-func (t *Table) adoptBase() {
-	t.adoptOnce.Do(func() {
-		if b := t.base; b != nil {
-			t.adoptCodeIndexes(b)
-			t.base = nil
-		}
-		t.adopted.Store(true)
-	})
-}
-
-// adoptCodeIndexes extends every ready typed posting-list index of the base
-// table. An extension that cannot keep the base's dense layout (a delta
-// value outside the dense range) is skipped: the index rebuilds lazily on
-// demand instead.
-func (t *Table) adoptCodeIndexes(b *Table) {
-	baseN := b.NumRows()
-	b.hashMu.Lock()
-	bc := make(map[int]*CodeIndex, len(b.codeIdx))
-	for ci, ix := range b.codeIdx {
-		bc[ci] = ix
-	}
-	b.hashMu.Unlock()
-	for ci, bix := range bc {
-		if !bix.ready.Load() || ci >= len(t.vecs) {
-			continue
-		}
-		nix := &CodeIndex{vec: &t.vecs[ci]}
-		if !nix.extendFrom(bix, baseN) {
-			continue
-		}
-		nix.once.Do(func() {}) // mark built so CodeIndex never rebuilds it
-		nix.ready.Store(true)
-		t.hashMu.Lock()
-		if t.codeIdx == nil {
-			t.codeIdx = map[int]*CodeIndex{}
-		}
-		t.codeIdx[ci] = nix
-		t.hashMu.Unlock()
-	}
 }
 
 // Insert appends a row after checking arity and types. NULLs are accepted in
