@@ -4,7 +4,7 @@ package experiments
 // supports joins, selections and grouping, requires no schema knowledge
 // (TSQs are positional), accepts partial tuples, and assumes an open world.
 // The PBE baseline rejects partial tuples; the NLI baseline offers no
-// soundness guarantee (asserted in internal/nli).
+// soundness guarantee (TestNLIIsUnsound in internal/simulate).
 
 import (
 	"context"

@@ -18,7 +18,6 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 	"github.com/duoquest/duoquest/internal/enumerate"
 	"github.com/duoquest/duoquest/internal/guidance"
-	"github.com/duoquest/duoquest/internal/nli"
 	"github.com/duoquest/duoquest/internal/pbe"
 	"github.com/duoquest/duoquest/internal/semrules"
 	"github.com/duoquest/duoquest/internal/sqlexec"
@@ -260,7 +259,7 @@ func (r *Runner) runRankedListTrial(task *dataset.Task, sys System, user int, rn
 		}
 		return true
 	}
-	if err := r.synthesize(task, sketch, sys, scan); err != nil {
+	if err := r.synthesize(task, sketch, scan); err != nil {
 		return nil, err
 	}
 	return trial, nil
@@ -288,21 +287,18 @@ func sortTuplesByGold(sk *tsq.TSQ, gold *sqlexec.Result) {
 	}
 }
 
-// synthesize runs the underlying engine for a ranked-list system, handing
-// each candidate to emit as it is found.
-func (r *Runner) synthesize(task *dataset.Task, sketch *tsq.TSQ, sys System, emit func(enumerate.Candidate) bool) error {
+// synthesize runs the guided enumerator for a ranked-list system, handing
+// each candidate to emit as it is found. The NLI baseline (§5.1.1) is the
+// same search given no sketch: no TSQ pruning and no soundness guarantee,
+// but the semantic rules and the literal-usage check still hold (the NLI
+// is given the NLQ and its tagged literals, §5.4.1).
+func (r *Runner) synthesize(task *dataset.Task, sketch *tsq.TSQ, emit func(enumerate.Candidate) bool) error {
 	p := r.Params
-	maxStates := int(p.Budget / p.LatencyScale)
-	if sys == SystemNLI {
-		_, err := nli.New(task.DB).Synthesize(context.Background(), task.NLQ, task.Literals,
-			nli.Options{MaxCandidates: p.MaxCandidates, MaxStates: maxStates}, emit)
-		return err
-	}
 	v := verify.New(task.DB, semrules.Default(), sketch, task.Literals)
 	e := enumerate.New(task.DB, guidance.NewLexicalModel(), v, enumerate.Options{
 		Mode:          enumerate.ModeGPQE,
 		MaxCandidates: p.MaxCandidates,
-		MaxStates:     maxStates,
+		MaxStates:     int(p.Budget / p.LatencyScale),
 	})
 	_, err := e.Enumerate(context.Background(), task.NLQ, task.Literals, emit)
 	return err

@@ -2,10 +2,15 @@ package simulate
 
 import (
 	"testing"
+	"time"
 
 	"github.com/duoquest/duoquest/internal/dataset"
+	"github.com/duoquest/duoquest/internal/enumerate"
 	"github.com/duoquest/duoquest/internal/sqlexec"
 	"github.com/duoquest/duoquest/internal/sqlir"
+	"github.com/duoquest/duoquest/internal/sqlparse"
+	"github.com/duoquest/duoquest/internal/storage"
+	"github.com/duoquest/duoquest/internal/tsq"
 )
 
 func TestSystemString(t *testing.T) {
@@ -160,5 +165,86 @@ func TestSortTuplesByGold(t *testing.T) {
 	r := NewRunner()
 	if _, err := r.RunTrial(a2, SystemDuoquest, 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The NLI baseline is synthesize given no sketch. nliRun runs it over
+// nliDB with the enumerator's candidate bound and a 20 000-state budget.
+func nliRun(t *testing.T, nlq string, lits []sqlir.Value, maxCandidates int, emit func(enumerate.Candidate) bool) []enumerate.Candidate {
+	t.Helper()
+	r := &Runner{Params: UserParams{Budget: 20 * time.Millisecond, LatencyScale: time.Microsecond, MaxCandidates: maxCandidates}}
+	task := &dataset.Task{ID: "nli", DB: nliDB(), NLQ: nlq, Literals: lits}
+	var out []enumerate.Candidate
+	err := r.synthesize(task, nil, func(c enumerate.Candidate) bool {
+		out = append(out, c)
+		return emit == nil || emit(c)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func nliDB() *storage.Database {
+	movie := storage.NewTable("movie", "mid",
+		storage.Column{Name: "mid", Type: sqlir.TypeNumber},
+		storage.Column{Name: "title", Type: sqlir.TypeText},
+		storage.Column{Name: "year", Type: sqlir.TypeNumber},
+	)
+	movie.MustInsert(sqlir.NewInt(1), sqlir.NewText("Forrest Gump"), sqlir.NewInt(1994))
+	movie.MustInsert(sqlir.NewInt(2), sqlir.NewText("Gravity"), sqlir.NewInt(2013))
+	return storage.NewDatabase("m", storage.NewSchema(movie))
+}
+
+func TestNLISynthesizeRankedList(t *testing.T) {
+	cands := nliRun(t, "movie titles", nil, 10, nil)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	gold := sqlparse.MustParse(nliDB().Schema, "SELECT title FROM movie")
+	if !sqlir.Equivalent(cands[0].Query, gold) {
+		t.Errorf("top candidate = %s", cands[0].Query)
+	}
+}
+
+// TestNLIIsUnsound: without a TSQ, the NLI can return candidates that would
+// violate a sketch — the soundness gap of Table 1.
+func TestNLIIsUnsound(t *testing.T) {
+	db := nliDB()
+	sketch := &tsq.TSQ{Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Forrest Gump"))}}}
+	violations := 0
+	for _, c := range nliRun(t, "movies before 1995", []sqlir.Value{sqlir.NewInt(1995)}, 30, nil) {
+		r, err := sqlexec.Execute(db, c.Query)
+		if err != nil {
+			continue
+		}
+		if !sketch.Satisfies(r) {
+			violations++
+		}
+	}
+	if violations == 0 {
+		t.Error("expected at least one candidate violating the sketch")
+	}
+}
+
+func TestNLIEmitStops(t *testing.T) {
+	cands := nliRun(t, "titles", nil, 0, func(enumerate.Candidate) bool { return false })
+	if len(cands) != 1 {
+		t.Errorf("emit calls = %d", len(cands))
+	}
+}
+
+// TestNLIHonorsLiterals: candidates must use every tagged literal.
+func TestNLIHonorsLiterals(t *testing.T) {
+	for _, c := range nliRun(t, "movies before 1995", []sqlir.Value{sqlir.NewInt(1995)}, 20, nil) {
+		found := false
+		for _, lit := range c.Query.Literals() {
+			if lit.Equal(sqlir.NewInt(1995)) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("candidate ignores tagged literal: %s", c.Query)
+		}
 	}
 }

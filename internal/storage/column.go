@@ -275,11 +275,6 @@ func (v *ColumnVec) RawNums() []float64 { return v.nums }
 // NULL rows hold a zero placeholder. Read-only, like RawNums.
 func (v *ColumnVec) RawCodes() []uint32 { return v.codes }
 
-// RawNullWords returns the null bitmap as 64-bit words (bit i of word i/64
-// set = row i is NULL; trailing bits of the last word are zero). Read-only,
-// like RawNums.
-func (v *ColumnVec) RawNullWords() []uint64 { return v.nulls }
-
 // vectorBytes estimates the vector's memory footprint excluding the
 // dictionary (reported separately).
 func (v *ColumnVec) vectorBytes() int64 {

@@ -307,8 +307,9 @@ func wantPostings(vec *ColumnVec) map[string][]int32 {
 
 // TestSnapshotSharedPostingsMatchRebuild runs 64 epochs of seeded appends,
 // holding every epoch's snapshot and reading its indexes as it goes (except
-// every ninth epoch, which is left unread until the end so its adoption runs
-// last), one delta breaking the id column's dense range. After the last
+// every ninth epoch, which is left unread until the end: its base is
+// cleared when its successor is published, so its indexes build from
+// scratch there), one delta breaking the id column's dense range. After the last
 // append every held epoch's postings for every value must equal a
 // from-scratch build over that epoch's own vectors — appends into shared
 // posting-list capacity are invisible to every earlier epoch — and some

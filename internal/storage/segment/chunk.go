@@ -1,11 +1,12 @@
 // Chunk codec: one immutable, content-addressed file per column per
-// segment. A chunk serializes exactly the bulk-ingest form of a column
-// (storage.ColumnData): float64 vectors for numeric columns, dictionary
-// codes plus the interned dictionary for text columns, and a packed null
-// bitmap. The chunk's address is the SHA-256 of its encoded bytes, so the
-// filename doubles as the checksum: a loader that rehashes the file and
-// compares against the manifest's expected address detects every flipped
-// bit without a separate checksum field.
+// segment. A chunk serializes one column vector as it lies in memory:
+// float64 values for numeric columns, dictionary codes plus the interned
+// dictionary for text columns, and a packed null bitmap; it decodes into
+// the bulk-ingest form (storage.ColumnData) the loader replays. The
+// chunk's address is the SHA-256 of its encoded bytes, so the filename
+// doubles as the checksum: a loader that rehashes the file and compares
+// against the manifest's expected address detects every flipped bit
+// without a separate checksum field.
 package segment
 
 import (
@@ -14,7 +15,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
@@ -66,79 +66,65 @@ func address(encoded []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// encodedSize returns the exact encoding length, so one allocation holds
-// the whole chunk.
-func encodedSize(c storage.ColumnData, rows int, hasNulls bool) int {
+// encodeVector serializes one column vector as a chunk, sized exactly so
+// one allocation holds it: the vector's values, or its dictionary and
+// codes, as they lie in memory (a NULL row's slot holds the zero
+// placeholder), and a null bitmap when the vector holds NULLs.
+func encodeVector(vec *storage.ColumnVec) []byte {
+	rows := vec.Len()
+	hasNulls := vec.NullCount() > 0
+	var dict []string
 	n := chunkHeader
-	if c.Nums != nil {
+	if vec.Type() == sqlir.TypeNumber {
 		n += rows * 8
 	} else {
-		n += 4 + 4*len(c.Dict)
-		for _, s := range c.Dict {
+		if d := vec.Dict(); d != nil {
+			dict = d.Strings()
+		}
+		n += 4 + 4*len(dict)
+		for _, s := range dict {
 			n += len(s)
 		}
-		n += pad4(n)
-		n += rows * 4
+		n += pad4(n) + rows*4
 	}
 	if hasNulls {
 		n += (rows + 7) / 8
 	}
-	return n
-}
-
-// encodeColumn serializes a normalized column payload (Nums or Codes+Dict —
-// never Texts; see normalize) of the given row count.
-func encodeColumn(c storage.ColumnData, rows int) []byte {
-	hasNulls := false
-	if c.Nulls != nil || c.NullWords != nil {
-		for i := 0; i < rows && !hasNulls; i++ {
-			hasNulls = c.IsNull(i)
-		}
-	}
-	out := make([]byte, chunkHeader, encodedSize(c, rows, hasNulls))
+	out := make([]byte, n)
 	copy(out, chunkMagic)
-	if c.Nums != nil {
+	binary.LittleEndian.PutUint64(out[8:], uint64(rows))
+	off := chunkHeader
+	if vec.Type() == sqlir.TypeNumber {
 		out[4] = kindNum
+		for _, f := range vec.RawNums() {
+			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(f))
+			off += 8
+		}
 	} else {
 		out[4] = kindText
+		binary.LittleEndian.PutUint32(out[off:], uint32(len(dict)))
+		off += 4
+		for _, s := range dict {
+			binary.LittleEndian.PutUint32(out[off:], uint32(len(s)))
+			off += 4
+		}
+		for _, s := range dict {
+			off += copy(out[off:], s)
+		}
+		off += pad4(off)
+		for _, code := range vec.RawCodes() {
+			binary.LittleEndian.PutUint32(out[off:], code)
+			off += 4
+		}
 	}
 	if hasNulls {
 		out[5] = flagNulls
-	}
-	binary.LittleEndian.PutUint64(out[8:], uint64(rows))
-
-	var buf [8]byte
-	if c.Nums != nil {
-		for _, f := range c.Nums {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			out = append(out, buf[:]...)
-		}
-	} else {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(c.Dict)))
-		out = append(out, buf[:4]...)
-		for _, s := range c.Dict {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(len(s)))
-			out = append(out, buf[:4]...)
-		}
-		for _, s := range c.Dict {
-			out = append(out, s...)
-		}
-		for range pad4(len(out)) {
-			out = append(out, 0)
-		}
-		for _, code := range c.Codes {
-			binary.LittleEndian.PutUint32(buf[:4], code)
-			out = append(out, buf[:4]...)
-		}
-	}
-	if hasNulls {
-		bits := make([]byte, (rows+7)/8)
+		bits := out[off:]
 		for i := range rows {
-			if c.IsNull(i) {
+			if vec.IsNull(i) {
 				bits[i>>3] |= 1 << (uint(i) & 7)
 			}
 		}
-		out = append(out, bits...)
 	}
 	return out
 }
@@ -295,98 +281,4 @@ func asUint32s(b []byte, rows int) []uint32 {
 		out[i] = binary.LittleEndian.Uint32(b[i*4:])
 	}
 	return out
-}
-
-// vectorColumn views a live column vector as a bulk payload without copying
-// the value slices: exactly what encodeColumn serializes for a full-table
-// segment. A column holding NULLs lends its packed null bitmap as the
-// payload's NullWords.
-func vectorColumn(vec *storage.ColumnVec) storage.ColumnData {
-	var c storage.ColumnData
-	switch vec.Type() {
-	case sqlir.TypeNumber:
-		c.Nums = vec.RawNums()
-	case sqlir.TypeText:
-		c.Codes = vec.RawCodes()
-		if d := vec.Dict(); d != nil {
-			c.Dict = d.Strings()
-		} else {
-			c.Dict = []string{}
-		}
-	}
-	if vec.NullCount() > 0 {
-		c.NullWords = vec.RawNullWords()[:(vec.Len()+63)/64]
-	}
-	return c
-}
-
-// normalize rewrites a text payload into the canonical dictionary-coded
-// form every chunk stores: dictionary entries in first-appearance row
-// order, only referenced entries kept, NULL slots coded zero — exactly the
-// column state BulkAppend's adoption or per-row interning would build, so
-// replaying the normalized chunk reproduces the in-memory append
-// byte for byte. Texts payloads are interned; Codes+Dict payloads are
-// remapped (a caller's dictionary may hold unreferenced or reordered
-// entries that in-memory adoption would have dropped or renumbered); Nums
-// payloads get their NULL slots zeroed and their NaNs made NULL (in memory
-// the append stores the zero placeholder regardless of what the caller left
-// in the slot, and a NaN as NULL).
-func normalize(c storage.ColumnData) storage.ColumnData {
-	switch {
-	case c.Nums != nil:
-		if c.Nulls == nil && c.NullWords == nil && !slices.ContainsFunc(c.Nums, math.IsNaN) {
-			return c
-		}
-		nums, nulls := make([]float64, len(c.Nums)), make([]bool, len(c.Nums))
-		for i, f := range c.Nums {
-			if c.IsNull(i) || math.IsNaN(f) {
-				nulls[i] = true
-			} else {
-				nums[i] = f
-			}
-		}
-		return storage.ColumnData{Nums: nums, Nulls: nulls}
-	case c.Texts != nil:
-		codes := make([]uint32, len(c.Texts))
-		byStr := make(map[string]uint32, len(c.Texts))
-		var dict []string
-		for i, s := range c.Texts {
-			if c.IsNull(i) {
-				continue
-			}
-			code, ok := byStr[s]
-			if !ok {
-				code = uint32(len(dict))
-				dict = append(dict, s)
-				byStr[s] = code
-			}
-			codes[i] = code
-		}
-		if dict == nil {
-			dict = []string{}
-		}
-		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls, NullWords: c.NullWords}
-	case c.Codes != nil:
-		codes := make([]uint32, len(c.Codes))
-		mapping := make([]uint32, len(c.Dict)) // payload code -> canonical code + 1
-		var dict []string
-		for i, code := range c.Codes {
-			if c.IsNull(i) {
-				continue
-			}
-			m := mapping[code]
-			if m == 0 {
-				dict = append(dict, c.Dict[code])
-				m = uint32(len(dict))
-				mapping[code] = m
-			}
-			codes[i] = m - 1
-		}
-		if dict == nil {
-			dict = []string{}
-		}
-		return storage.ColumnData{Codes: codes, Dict: dict, Nulls: c.Nulls, NullWords: c.NullWords}
-	default:
-		return c
-	}
 }

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -10,16 +11,17 @@ import (
 
 // FuzzDecodeColumn: the chunk decoder never panics; every payload it
 // accepts, the validating BulkAppend accepts too, with the row count the
-// decoder reported; and encoding an accepted payload and decoding it again
-// reads back the same values and NULLs. The seeds are the chunks of
-// handBuilt's columns and of the NULL-form batches, and one whose
-// dictionary repeats an entry.
+// decoder reported; and the vector BulkAppend builds from it encodes to a
+// chunk that decodes to the same values and NULLs. The seeds are the chunks
+// of handBuilt's columns, of the columns the NULL-form batches were
+// appended to, and one whose dictionary repeats an entry.
 //
 // That one BulkAppend refuses and the decoder accepts: the decoder leaves
 // what a trusted replay assumes of a dictionary (no repeated entry, entries
 // in first-appearance order) to the loader's fingerprint comparison, which
 // refuses any dictionary the stored database did not hold, and no column
-// holds a repeated entry. Hashing every entry at decode instead made
+// holds a repeated entry — so no vector encodes to that seed, and it is
+// assembled by hand. Hashing every entry at decode instead made
 // BenchmarkSegmentLoad about seven times slower at 1M rows (2 vCPUs).
 //
 // Run it with `go test -run '^$' -fuzz '^FuzzDecodeColumn$' -fuzztime 60s ./internal/storage/segment/`.
@@ -28,14 +30,14 @@ func FuzzDecodeColumn(f *testing.F) {
 	for _, tab := range db.Schema.Tables {
 		for ci := range tab.Columns {
 			vec := tab.VectorAt(ci)
-			f.Add(encodeColumn(vectorColumn(vec), vec.Len()), vec.Type() == sqlir.TypeText)
+			f.Add(encodeVector(vec), vec.Type() == sqlir.TypeText)
 		}
 	}
 	for _, c := range nullFormCases() {
-		f.Add(encodeColumn(normalize(c.data), 2), c.data.Nums == nil)
+		vec := nullFormDB(f, c).Table("movies").VectorAt(c.ci)
+		f.Add(encodeVector(vec), vec.Type() == sqlir.TypeText)
 	}
-	// A dictionary that repeats an entry, which no column holds.
-	f.Add(encodeColumn(storage.ColumnData{Codes: []uint32{0, 1}, Dict: []string{"a", "a"}}, 2), true)
+	f.Add(repeatedEntryChunk(), true)
 	f.Fuzz(func(t *testing.T, data []byte, text bool) {
 		typ := sqlir.TypeNumber
 		if text {
@@ -50,10 +52,12 @@ func FuzzDecodeColumn(f *testing.F) {
 			if !repeatsEntry(c.Dict) {
 				t.Fatalf("decoded payload of %d rows refused by BulkAppend: %v", rows, err)
 			}
-		} else if got := tab.NumRows(); got != rows {
+			return
+		}
+		if got := tab.NumRows(); got != rows {
 			t.Fatalf("BulkAppend took %d rows, decoder reported %d", got, rows)
 		}
-		again, rows2, err := decodeColumn(encodeColumn(c, rows), typ)
+		again, rows2, err := decodeColumn(encodeVector(tab.VectorAt(0)), typ)
 		if err != nil {
 			t.Fatalf("re-encoded payload refused: %v", err)
 		}
@@ -73,6 +77,24 @@ func FuzzDecodeColumn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// repeatedEntryChunk is a two-row text chunk, codes 0 and 1, whose
+// dictionary holds "a" twice.
+func repeatedEntryChunk() []byte {
+	out := make([]byte, chunkHeader, chunkHeader+4+2*4+2+2+2*4)
+	copy(out, chunkMagic)
+	out[4] = kindText
+	binary.LittleEndian.PutUint64(out[8:], 2)
+	for _, w := range []uint32{2, 1, 1} { // dictionary length, entry lengths
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	out = append(out, "aa"...)
+	out = append(out, 0, 0) // pad the codes to a 4-byte offset
+	for _, code := range []uint32{0, 1} {
+		out = binary.LittleEndian.AppendUint32(out, code)
+	}
+	return out
 }
 
 // repeatsEntry reports whether a dictionary holds some entry twice.

@@ -29,17 +29,12 @@ type ManifestColumn struct {
 }
 
 // ManifestSegment is one immutable batch of rows: exactly one chunk per
-// column, in schema order. A table's vectors are the concatenation of its
-// segments in list order, each replayed through BulkAppend.
+// column, in schema order. Persist writes one segment per non-empty table,
+// holding all its rows; Load replays a table's segments in list order, each
+// through BulkAppend.
 type ManifestSegment struct {
 	Rows   int      `json:"rows"`
 	Chunks []string `json:"chunks"`
-	// Epoch is the storage epoch the flushed batch was published as
-	// (AppendSegment routes the batch through Database.Append). Zero for
-	// segments written by a full Persist, whose batches predate epoch
-	// publication. Informational on load: replay reconstructs the data,
-	// not the historical epoch numbering.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // ManifestTable is one persisted table: schema plus its segment list.
@@ -69,26 +64,6 @@ type Manifest struct {
 	Tables      []ManifestTable `json:"tables"`
 	ForeignKeys []ManifestFK    `json:"foreign_keys,omitempty"`
 	Checksum    string          `json:"checksum"`
-}
-
-// Segments returns the total segment count across tables.
-func (m *Manifest) Segments() int {
-	n := 0
-	for _, t := range m.Tables {
-		n += len(t.Segments)
-	}
-	return n
-}
-
-// Chunks returns the total chunk count across tables.
-func (m *Manifest) Chunks() int {
-	n := 0
-	for _, t := range m.Tables {
-		for _, s := range t.Segments {
-			n += len(s.Chunks)
-		}
-	}
-	return n
 }
 
 // encode marshals the manifest with its checksum filled in, returning the

@@ -1,7 +1,7 @@
 // Package segment is the durable, content-addressed columnar store behind
 // Duoquest's fast cold start. Everything above it rebuilds databases in
-// memory on every boot; this package turns that rebuild into a load: each
-// column of each ingested batch is written once as an immutable,
+// memory on every boot; this package turns that rebuild into a load:
+// Persist writes each column vector of each table once as an immutable,
 // SHA-256-addressed chunk file, a per-database manifest maps table →
 // segments → chunk addresses, and a loader streams the chunks back through
 // Table.BulkAppend's dictionary-adoption path, reconstructing a database
@@ -13,9 +13,8 @@
 //	<dir>/<name>/manifest.json      checksummed bookkeeping (manifest.go)
 //	<dir>/<name>/chunks/<sha256>    immutable column chunks (chunk.go)
 //
-// Chunks never change once written — an incremental flush appends a new
-// segment and rewrites only the manifest — so concurrent readers of old
-// state stay valid, the property the MVCC-epoch roadmap item builds on.
+// Chunks never change once written and a persist replaces only the
+// manifest, so a load that read the old manifest still finds its chunks.
 // Corruption is never silent: a loaded database must reproduce the
 // manifest's recorded whole-database fingerprint before it is handed to
 // the caller, and when that (or a structural decode check) fails, the
@@ -32,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -79,8 +77,7 @@ type LoadInfo struct {
 }
 
 // Store is a directory of persisted databases. The zero value is unusable;
-// build one with NewStore. A Store is safe for concurrent loads; Persist
-// and AppendSegment on the same database must not race with each other.
+// build one with NewStore. A Store is safe for concurrent loads.
 type Store struct {
 	dir string
 }
@@ -189,22 +186,22 @@ func (s *Store) PersistAs(name string, db *storage.Database) (*Manifest, error) 
 	// Chunks are independent of one another, so encode+hash+write them in
 	// parallel and assemble the manifest from the finished addresses.
 	type chunkJob struct {
-		ti, ci, rows int
-		addr         string
-		err          error
+		ti, ci int
+		addr   string
+		err    error
 	}
 	var jobs []*chunkJob
 	for ti, t := range db.Schema.Tables {
-		if rows := t.NumRows(); rows > 0 {
+		if t.NumRows() > 0 {
 			for ci := range t.Columns {
-				jobs = append(jobs, &chunkJob{ti: ti, ci: ci, rows: rows})
+				jobs = append(jobs, &chunkJob{ti: ti, ci: ci})
 			}
 		}
 	}
 	runJobs(len(jobs), func(i int) {
 		j := jobs[i]
 		t := db.Schema.Tables[j.ti]
-		j.addr, j.err = s.writeChunk(name, encodeColumn(vectorColumn(t.VectorAt(j.ci)), j.rows))
+		j.addr, j.err = s.writeChunk(name, encodeVector(t.VectorAt(j.ci)))
 	})
 	addrByCol := map[[2]int]string{}
 	for _, j := range jobs {
@@ -240,64 +237,6 @@ func (s *Store) PersistAs(name string, db *storage.Database) (*Manifest, error) 
 	return m, nil
 }
 
-// AppendSegment flushes one bulk batch through to disk: the batch is
-// applied to the live database via Database.Append — publishing it as a new
-// storage epoch, so concurrent snapshot readers are isolated from the
-// flush — its payload is written as one new segment (one chunk per column),
-// and the manifest is atomically rewritten with the new segment, its epoch,
-// and the table's post-append fingerprint. Old chunks are never touched —
-// the store stays append-only. On error the on-disk state still describes a
-// consistent database (the pre-append snapshot); re-Persist to
-// resynchronize.
-func (s *Store) AppendSegment(name string, db *storage.Database, table string, cols []storage.ColumnData) error {
-	m, err := s.Manifest(name)
-	if err != nil {
-		return err
-	}
-	if m.Database != db.Name {
-		return fmt.Errorf("segment: store entry %s holds database %s, not %s", name, m.Database, db.Name)
-	}
-	t := db.Table(table)
-	if t == nil {
-		return fmt.Errorf("segment: database %s has no table %s", db.Name, table)
-	}
-	var mt *ManifestTable
-	for i := range m.Tables {
-		if m.Tables[i].Name == table {
-			mt = &m.Tables[i]
-			break
-		}
-	}
-	if mt == nil {
-		return fmt.Errorf("segment: manifest for %s has no table %s", name, table)
-	}
-	before := t.NumRows()
-	// Route through Database.Append so every flushed batch is also a
-	// published epoch: readers pinned to earlier epochs keep their view
-	// while the flush becomes visible atomically, and the manifest records
-	// which epoch each durable segment corresponds to.
-	epoch, err := db.Append(table, cols)
-	if err != nil {
-		return err
-	}
-	rows := t.NumRows() - before
-	if rows == 0 {
-		return nil
-	}
-	seg := ManifestSegment{Rows: rows, Epoch: epoch}
-	for ci, c := range cols {
-		addr, err := s.writeChunk(name, encodeColumn(normalize(c), rows))
-		if err != nil {
-			return fmt.Errorf("segment: append %s table %s column %s: %w",
-				name, table, t.Columns[ci].Name, err)
-		}
-		seg.Chunks = append(seg.Chunks, addr)
-	}
-	mt.Segments = append(mt.Segments, seg)
-	m.Fingerprint = fmt.Sprintf("%016x", storage.Fingerprint(db))
-	return s.writeManifest(name, m)
-}
-
 // Load reconstructs a persisted database: manifest checksum first, then
 // every chunk read, decoded, and replayed through the trusted bulk path in
 // segment order, and finally the whole database's fingerprint compared
@@ -307,13 +246,6 @@ func (s *Store) AppendSegment(name string, db *storage.Database, table string, c
 // failure returns a nil database — never a silent partial load.
 func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 	start := time.Now()
-	// The reconstruction allocates the whole database in one burst;
-	// letting the collector trigger mid-burst re-marks the half-built
-	// vectors (and the million-entry dictionaries) for no benefit. Hold it
-	// off for the load and let the next cycle see only the finished heap.
-	gcPrev := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(gcPrev)
-
 	m, err := s.Manifest(name)
 	if err != nil {
 		return nil, nil, err
@@ -393,9 +325,9 @@ func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 // most of the cold-start win. Returns the chunk bytes read.
 func (s *Store) loadTable(name string, mt ManifestTable, t *storage.Table) (int64, error) {
 	type chunkRes struct {
-		col  storage.ColumnData
-		rows int
-		err  error
+		col         storage.ColumnData
+		rows, bytes int
+		err         error
 	}
 	type chunkRef struct{ si, ci int }
 	segCols := make([][]chunkRes, len(mt.Segments))
@@ -409,7 +341,7 @@ func (s *Store) loadTable(name string, mt ManifestTable, t *storage.Table) (int6
 	runJobs(len(refs), func(i int) {
 		ref := refs[i]
 		r := &segCols[ref.si][ref.ci]
-		r.col, r.rows, r.err = s.readChunk(name, mt.Name, mt.Columns[ref.ci], mt.Segments[ref.si].Chunks[ref.ci])
+		r.col, r.rows, r.bytes, r.err = s.readChunk(name, mt.Name, mt.Columns[ref.ci], mt.Segments[ref.si].Chunks[ref.ci])
 	})
 	var bytes int64
 	for si, seg := range mt.Segments {
@@ -424,7 +356,7 @@ func (s *Store) loadTable(name string, mt ManifestTable, t *storage.Table) (int6
 					Err: fmt.Errorf("holds %d rows, manifest says %d", r.rows, seg.Rows)}
 			}
 			cols[ci] = r.col
-			bytes += chunkFileSize(r.col, r.rows)
+			bytes += int64(r.bytes)
 		}
 		if err := t.BulkAppendTrusted(cols); err != nil {
 			return 0, fmt.Errorf("segment: database %s table %s: replay segment: %w", name, mt.Name, err)
@@ -469,29 +401,30 @@ func runJobs(n int, fn func(int)) {
 // SHA-256 pass alone would dominate the cold start) — decode's structural
 // checks plus Load's whole-database fingerprint comparison catch every
 // corruption, and only a failure pays for hashing, to attribute the error
-// to checksum mismatch versus a format bug.
-func (s *Store) readChunk(name, table string, col ManifestColumn, addr string) (storage.ColumnData, int, error) {
+// to checksum mismatch versus a format bug. It returns the decoded
+// payload, its row count and the bytes read.
+func (s *Store) readChunk(name, table string, col ManifestColumn, addr string) (storage.ColumnData, int, int, error) {
 	var zero storage.ColumnData
 	if len(addr) != 2*addressBytes || strings.ContainsAny(addr, "/\\") {
-		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr,
+		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr,
 			Err: errors.New("malformed chunk address")}
 	}
 	data, err := readChunkBytes(filepath.Join(s.chunkDir(name), addr))
 	if err != nil {
-		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
+		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
 	}
 	typ, err := parseType(col.Type)
 	if err != nil {
-		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
+		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
 	}
 	c, rows, err := decodeColumn(data, typ)
 	if err != nil {
 		if got := address(data); got != addr {
 			err = fmt.Errorf("%w: content hashes to %s", ErrChecksumMismatch, got)
 		}
-		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
+		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
 	}
-	return c, rows, nil
+	return c, rows, len(data), nil
 }
 
 // auditChunks re-reads and re-hashes every chunk of a manifest, returning a
@@ -514,12 +447,6 @@ func (s *Store) auditChunks(name string, m *Manifest) error {
 		}
 	}
 	return nil
-}
-
-// chunkFileSize recomputes a decoded chunk's on-disk size for LoadInfo
-// accounting without a second stat call.
-func chunkFileSize(c storage.ColumnData, rows int) int64 {
-	return int64(encodedSize(c, rows, c.Nulls != nil || c.NullWords != nil))
 }
 
 // writeChunk stores encoded bytes under their content address, returning

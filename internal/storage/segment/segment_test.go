@@ -6,7 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/loadgen"
@@ -69,10 +72,6 @@ func TestRoundTripHandBuilt(t *testing.T) {
 	if m.Fingerprint != fmt.Sprintf("%016x", want) {
 		t.Fatalf("manifest fingerprint %s, database %016x", m.Fingerprint, want)
 	}
-	// Three tables, one of them empty: two segments.
-	if got := m.Segments(); got != 2 {
-		t.Fatalf("segments = %d, want 2", got)
-	}
 
 	loaded, info, err := store.Load(db.Name)
 	if err != nil {
@@ -81,6 +80,7 @@ func TestRoundTripHandBuilt(t *testing.T) {
 	if got := storage.Fingerprint(loaded); got != want {
 		t.Fatalf("loaded fingerprint %016x, want %016x", got, want)
 	}
+	// Three tables, one of them empty: two segments.
 	if info.Tables != 3 || info.Segments != 2 || info.Chunks != 6 {
 		t.Fatalf("info = %+v, want 3 tables / 2 segments / 6 chunks", info)
 	}
@@ -144,45 +144,58 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestAppendSegment checks the incremental flush path: bulk batches applied
-// through AppendSegment land as extra segments, and a load replays them to
-// the exact same bytes.
-func TestAppendSegment(t *testing.T) {
+// TestChunkFormatPinned: handBuilt persists to the bytes it always has —
+// the manifest checksum and every chunk address are recorded here — so a
+// store written earlier keeps deduplicating against new persists and
+// segment.bytes_per_row does not move.
+func TestChunkFormatPinned(t *testing.T) {
+	_, m := mustPersist(t, handBuilt(t))
+	if want := "232d72b6cc0fae0da62c8fc7164e87669f95c4b60e4a62c194772400879e84c7"; m.Checksum != want {
+		t.Errorf("manifest checksum %s, want %s", m.Checksum, want)
+	}
+	want := []string{
+		"genres 1ae9dbb49465100688ac6d53c6f09c046dcf5c3ac1dfffa965a749474e60e6ee",
+		"genres 6b437a8c3556051e58bce79be60bd6440fd48b92ed4fb38af4d96ff8f75cf09a",
+		"movies 1a355b71657e8afbc400140229ed13bb61e7ab17f2a03ca272c0895b44c7147a",
+		"movies 02b3086078ee8d867ef0f05cbb23369124e387951a01b30605f0cefd828a3a81",
+		"movies e46a311c09f8e3b7dc6e897a6f47c0f336379520d928dbbc07b1f34ea6f0b710",
+		"movies 81d6b480b1dd88ac9941ec26e2128bb157b85948305f7a5ce02f025a520272f8",
+	}
+	var got []string
+	for _, mt := range m.Tables {
+		for _, seg := range mt.Segments {
+			for _, addr := range seg.Chunks {
+				got = append(got, mt.Name+" "+addr)
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("chunks\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestPersistAfterAppend: a database grown in memory by Database.Append
+// and persisted again loads back to the same bytes, NULL where a NULL was
+// appended; the unchanged table's chunks are shared, so only the grown
+// table's columns add chunk files.
+func TestPersistAfterAppend(t *testing.T) {
 	db := handBuilt(t)
 	store, _ := mustPersist(t, db)
-
+	before := chunkFiles(t, store, db.Name)
 	batch := []storage.ColumnData{
 		{Nums: []float64{4, 5}},
 		{Texts: []string{"Beta", "Alpha"}, Nulls: []bool{false, false}},
 		{Nums: []float64{2, 1}},
 		{Nums: []float64{0, 7.5}, Nulls: []bool{true, false}},
 	}
-	if err := store.AppendSegment(db.Name, db, "movies", batch); err != nil {
+	if _, err := db.Append("movies", batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Table("movies").NumRows(); got != 5 {
-		t.Fatalf("movies rows = %d, want 5", got)
-	}
-	m, err := store.Manifest(db.Name)
-	if err != nil {
+	if _, err := store.Persist(db); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Segments(); got != 3 {
-		t.Fatalf("segments = %d, want 3", got)
-	}
-	// The flush went through Database.Append, so the manifest records the
-	// storage epoch the batch was published as (Persist-era segments stay 0).
-	if got, want := db.Epoch(), int64(1); got < want {
-		t.Fatalf("database epoch after flush = %d, want >= %d", got, want)
-	}
-	for _, mt := range m.Tables {
-		if mt.Name != "movies" {
-			continue
-		}
-		last := mt.Segments[len(mt.Segments)-1]
-		if last.Epoch != db.Epoch() {
-			t.Fatalf("flushed segment epoch = %d, want %d", last.Epoch, db.Epoch())
-		}
+	if got, want := chunkFiles(t, store, db.Name), before+len(batch); got != want {
+		t.Fatalf("chunk files = %d after the second persist, want %d", got, want)
 	}
 	loaded, _, err := store.Load(db.Name)
 	if err != nil {
@@ -196,21 +209,21 @@ func TestAppendSegment(t *testing.T) {
 	}
 }
 
-// TestAppendSegmentStoresNaNAsNull: a flushed batch's NaN is NULL in
-// memory, as BulkAppend stores it, and so in the chunk the flush writes:
-// the store loads back the same database, NULL where the NaN was given.
-func TestAppendSegmentStoresNaNAsNull(t *testing.T) {
+// TestPersistStoresNaNAsNull: an appended NaN is NULL in memory, as
+// BulkAppend stores it, and so in the chunk Persist writes: the store loads
+// back the same database, NULL where the NaN was given.
+func TestPersistStoresNaNAsNull(t *testing.T) {
 	db := handBuilt(t)
-	store, _ := mustPersist(t, db)
 	batch := []storage.ColumnData{
 		{Nums: []float64{4, 5}},
 		{Texts: []string{"Beta", "Gamma"}},
 		{Nums: []float64{2, 1}},
 		{Nums: []float64{7.5, math.NaN()}},
 	}
-	if err := store.AppendSegment(db.Name, db, "movies", batch); err != nil {
+	if _, err := db.Append("movies", batch); err != nil {
 		t.Fatal(err)
 	}
+	store, _ := mustPersist(t, db)
 	loaded, _, err := store.Load(db.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -251,26 +264,35 @@ func nullFormCases() []nullFormCase {
 	return out
 }
 
-// TestAppendSegmentNullForms: a flushed batch gives its NULLs as Nulls or
-// as packed NullWords — BulkAppend takes both — and either way the chunk
-// holds them: the store loads back the same database, NULL where it was
-// given, in every column form. A NULL row's code is ignored even when it
-// indexes nothing, as BulkAppend ignores it.
-func TestAppendSegmentNullForms(t *testing.T) {
+// nullFormDB is handBuilt with the case's batch appended to movies: rows 3
+// and 4, row 4 NULL in the case's column.
+func nullFormDB(t testing.TB, c nullFormCase) *storage.Database {
+	t.Helper()
+	db := handBuilt(t)
+	batch := []storage.ColumnData{
+		{Nums: []float64{4, 5}},
+		{Texts: []string{"Beta", "Gamma"}},
+		{Nums: []float64{2, 1}},
+		{Nums: []float64{7.5, 8}},
+	}
+	batch[c.ci] = c.data
+	if _, err := db.Append("movies", batch); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestPersistNullForms: an appended batch gives its NULLs as Nulls or as
+// packed NullWords — BulkAppend takes both — and either way the vector,
+// and so the chunk Persist writes from it, holds them: the store loads
+// back the same database, NULL where it was given, in every column form. A
+// NULL row's code is ignored even when it indexes nothing, as BulkAppend
+// ignores it.
+func TestPersistNullForms(t *testing.T) {
 	for _, c := range nullFormCases() {
 		t.Run(c.name, func(t *testing.T) {
-			db := handBuilt(t)
+			db := nullFormDB(t, c)
 			store, _ := mustPersist(t, db)
-			batch := []storage.ColumnData{
-				{Nums: []float64{4, 5}},
-				{Texts: []string{"Beta", "Gamma"}},
-				{Nums: []float64{2, 1}},
-				{Nums: []float64{7.5, 8}},
-			}
-			batch[c.ci] = c.data
-			if err := store.AppendSegment(db.Name, db, "movies", batch); err != nil {
-				t.Fatal(err)
-			}
 			loaded, _, err := store.Load(db.Name)
 			if err != nil {
 				t.Fatal(err)
@@ -285,6 +307,45 @@ func TestAppendSegmentNullForms(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentLoadsKeepGC: overlapping loads leave the collector's
+// setting as they found it. Load once switched the collector off for its
+// duration and restored the value it had saved, so a load that saved
+// another load's "off" and returned last left it off for good.
+func TestConcurrentLoadsKeepGC(t *testing.T) {
+	spec, _ := loadgen.Preset("medium")
+	spec.Rows = 100_000
+	g, err := loadgen.Generate(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _ := mustPersist(t, g.DB)
+	before := gogcPercent()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				if _, _, err := store.Load(g.DB.Name); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := gogcPercent(); got != before {
+		t.Fatalf("GOGC reads %d after overlapping loads, %d before", got, before)
+	}
+}
+
+// gogcPercent reads the collector's GOGC percentage (-1 when it is off).
+func gogcPercent() int64 {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // firstChunkPath returns the path and address of one chunk of the persisted
@@ -401,24 +462,27 @@ func TestEditedManifestDetected(t *testing.T) {
 func TestChunkDedupe(t *testing.T) {
 	db := handBuilt(t)
 	store, m1 := mustPersist(t, db)
-	countChunks := func() int {
-		entries, err := os.ReadDir(filepath.Join(store.Dir(), db.Name, "chunks"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(entries)
-	}
-	before := countChunks()
+	before := chunkFiles(t, store, db.Name)
 	m2, err := store.Persist(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := countChunks(); after != before {
+	if after := chunkFiles(t, store, db.Name); after != before {
 		t.Fatalf("re-persist grew chunk dir %d -> %d", before, after)
 	}
 	if m1.Fingerprint != m2.Fingerprint {
 		t.Fatalf("fingerprint drifted across persists: %s vs %s", m1.Fingerprint, m2.Fingerprint)
 	}
+}
+
+// chunkFiles counts the chunk files stored for a database.
+func chunkFiles(t *testing.T, store *Store, name string) int {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(store.Dir(), name, "chunks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
 }
 
 func TestStoreNameValidation(t *testing.T) {
