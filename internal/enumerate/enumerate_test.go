@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"github.com/duoquest/duoquest/internal/guidance"
 	"github.com/duoquest/duoquest/internal/semrules"
@@ -791,13 +790,13 @@ func TestFrontierRecyclesChunks(t *testing.T) {
 // DESIGN.md §14 ("A decision is data", "What a search state is") accounts
 // for every field; a field added here belongs in that account.
 func TestSearchStateSizes(t *testing.T) {
-	if n := unsafe.Sizeof(sqlir.Query{}); n > 128 {
+	if n := reflect.TypeFor[sqlir.Query]().Size(); n > 128 {
 		t.Errorf("sqlir.Query is %d bytes, over 128: see DESIGN.md §14 on what the search-state header holds", n)
 	}
-	if n := unsafe.Sizeof(state{}); n > 72 {
+	if n := reflect.TypeFor[state]().Size(); n > 72 {
 		t.Errorf("enumerate.state is %d bytes, over 72: see DESIGN.md §14 on what a search state is", n)
 	}
-	if n := unsafe.Sizeof(key{}); n > 24 {
+	if n := reflect.TypeFor[key]().Size(); n > 24 {
 		t.Errorf("enumerate.key is %d bytes, over 24: see DESIGN.md §14 on what a search state is", n)
 	}
 }
@@ -885,6 +884,5 @@ func keptBytes(k *store) int {
 }
 
 func slabBytes[T any](s *slab[T]) int {
-	var x T
-	return (max(0, s.n-1)*slabLen + s.off) * int(unsafe.Sizeof(x))
+	return (max(0, s.n-1)*slabLen + s.off) * int(reflect.TypeFor[T]().Size())
 }

@@ -594,17 +594,6 @@ func (s *Session) Autocomplete(prefix string, max int) []autocomplete.Hit {
 	return s.ds.autocompleteIndex().Complete(prefix, max)
 }
 
-// AutocompleteSize returns the size of the shared index, 0 if not yet built.
-func (s *Session) AutocompleteSize() int {
-	s.ds.m.Lock()
-	idx := s.ds.idx
-	s.ds.m.Unlock()
-	if idx == nil {
-		return 0
-	}
-	return idx.Size()
-}
-
 // PreviewCtx executes a candidate query with a row cap (maxRows <= 0 =
 // none) under the caller's context, powering the front-end's "Query
 // Preview" button (§4): a cancelled request stops its scan. The cap reaches

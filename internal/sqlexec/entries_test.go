@@ -2,6 +2,7 @@ package sqlexec_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"github.com/duoquest/duoquest/internal/sqlir"
 	"github.com/duoquest/duoquest/internal/sqlparse"
 	"github.com/duoquest/duoquest/internal/storage"
-	"github.com/duoquest/duoquest/internal/storage/segment"
 	"github.com/duoquest/duoquest/internal/tsq"
 )
 
@@ -77,9 +77,6 @@ func TestNoNaNEntersThroughAnyEntry(t *testing.T) {
 		{"BulkAppend with Nulls", func(*testing.T) error {
 			return bulk(storage.ColumnData{Nums: []float64{nan, 3}, Nulls: []bool{false, true}})
 		}},
-		{"BulkAppend with NullWords", func(*testing.T) error {
-			return bulk(storage.ColumnData{Nums: []float64{nan, 3}, NullWords: []uint64{2}})
-		}},
 		{"BulkAppend without NULL flags", func(*testing.T) error {
 			return bulk(storage.ColumnData{Nums: []float64{3, nan}})
 		}},
@@ -87,22 +84,15 @@ func TestNoNaNEntersThroughAnyEntry(t *testing.T) {
 		{"AVG over ±Inf, columnar", func(*testing.T) error { return aggregate("AVG", sqlexec.Execute) }},
 		{"SUM over ±Inf, reference", func(*testing.T) error { return aggregate("SUM", sqlexec.ExecuteReference) }},
 		{"AVG over ±Inf, reference", func(*testing.T) error { return aggregate("AVG", sqlexec.ExecuteReference) }},
-		{"a segment chunk holding NaN", func(t *testing.T) error {
-			// BulkAppendTrusted adopts a payload as it is, so only it can
-			// still put a NaN into a vector, and Persist write it out.
+		{"DecodeVector of a chunk holding NaN", func(*testing.T) error {
+			// No vector holds a NaN to encode, so the chunk's value is
+			// patched in after its 16-byte header.
 			tb := newTable()
-			if err := tb.BulkAppendTrusted([]storage.ColumnData{{Nums: []float64{1}}, {Texts: []string{"a"}}, {Nums: []float64{nan}}}); err != nil {
-				return err
-			}
-			store, err := segment.NewStore(t.TempDir())
-			if err != nil {
-				return err
-			}
-			if _, err := store.Persist(storage.NewDatabase("chunk", storage.NewSchema(tb))); err != nil {
-				return err
-			}
-			if _, _, err := store.Load("chunk"); err == nil {
-				return fmt.Errorf("Load accepted a chunk holding NaN")
+			tb.MustInsert(sqlir.NewInt(1), sqlir.NewText("a"), sqlir.NewInt(1))
+			chunk := storage.EncodeVector(tb.VectorAt(2))
+			binary.LittleEndian.PutUint64(chunk[16:], math.Float64bits(nan))
+			if _, err := storage.DecodeVector(chunk, sqlir.TypeNumber); err == nil || err.Error() != "row 0 holds NaN" {
+				return fmt.Errorf("DecodeVector of a NaN chunk: %v, want row 0 named", err)
 			}
 			return nil
 		}},

@@ -1,9 +1,9 @@
 package sqlir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // buildComplete returns a fully decided query:
@@ -274,12 +274,12 @@ func TestIRSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"ColumnRef", unsafe.Sizeof(ColumnRef{}), 16},
-		{"SelectItem", unsafe.Sizeof(SelectItem{}), 24},
-		{"Predicate", unsafe.Sizeof(Predicate{}), 56},
-		{"HavingExpr", unsafe.Sizeof(HavingExpr{}), 56},
-		{"OrderBy", unsafe.Sizeof(OrderBy{}), 32},
-		{"Query", unsafe.Sizeof(Query{}), 120},
+		{"ColumnRef", reflect.TypeFor[ColumnRef]().Size(), 16},
+		{"SelectItem", reflect.TypeFor[SelectItem]().Size(), 24},
+		{"Predicate", reflect.TypeFor[Predicate]().Size(), 56},
+		{"HavingExpr", reflect.TypeFor[HavingExpr]().Size(), 56},
+		{"OrderBy", reflect.TypeFor[OrderBy]().Size(), 32},
+		{"Query", reflect.TypeFor[Query]().Size(), 120},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)

@@ -9,7 +9,6 @@ package storage
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
@@ -32,34 +31,17 @@ import (
 //
 // Nulls (if non-nil) marks NULL rows — the value slot of a NULL row is
 // ignored and stored as the zero placeholder, exactly as Insert stores
-// NULLs; a NaN in Nums is stored as NULL too. NullWords is the packed
-// alternative (bit i&63 of word i>>6 set = row i NULL, the column vectors'
-// own layout): the segment loader decodes chunk bitmaps straight into it,
-// so a trusted replay ORs whole words into the vector bitmap instead of
-// expanding to a []bool and re-scanning it.
-// Set at most one of the two forms: BulkAppend refuses a payload with both.
-// DictBlob, when non-empty, must be the concatenation of Dict in order —
-// set by loaders whose Dict entries are substrings of one backing string.
-// A trusted adoption hands it to the dictionary so fingerprinting can fold
-// the whole string table as a single word stream.
+// NULLs; a NaN in Nums is stored as NULL too.
 type ColumnData struct {
-	Nums      []float64
-	Texts     []string
-	Codes     []uint32
-	Dict      []string
-	DictBlob  string
-	Nulls     []bool
-	NullWords []uint64
+	Nums  []float64
+	Texts []string
+	Codes []uint32
+	Dict  []string
+	Nulls []bool
 }
 
-// IsNull reports whether payload row i is NULL, in whichever of the two
-// forms the payload gives its NULLs.
-func (c ColumnData) IsNull(i int) bool {
-	if c.Nulls != nil {
-		return c.Nulls[i]
-	}
-	return c.NullWords != nil && c.NullWords[i>>6]>>(uint(i)&63)&1 == 1
-}
+// IsNull reports whether payload row i is NULL.
+func (c ColumnData) IsNull(i int) bool { return c.Nulls != nil && c.Nulls[i] }
 
 // rows returns the payload length and whether the payload matches the
 // declared column type.
@@ -85,29 +67,6 @@ func (c ColumnData) rows(typ sqlir.Type) (int, bool) {
 // On validation error nothing is appended. Like Insert, BulkAppend must not
 // run concurrently with queries on the same table.
 func (t *Table) BulkAppend(cols []ColumnData) error {
-	return t.bulkAppend(cols, false)
-}
-
-// BulkAppendTrusted is BulkAppend minus the O(rows) payload validation:
-// codes are not range-checked against the dictionary, the dictionary is not
-// scanned for duplicates, and on a fresh column the payload's value slices
-// and dictionary are adopted wholesale — no copy, no re-interning — so the
-// payload slices must not be modified by the caller afterwards.
-//
-// The caller vouches that the payload upholds what validation would have
-// checked AND what wholesale adoption assumes: every non-NULL code indexes
-// Dict, Dict is duplicate-free, entries appear in first-appearance code
-// order with every entry referenced, and NULL value slots already hold the
-// zero placeholder (they are not re-zeroed). The segment store's load path
-// qualifies — its chunks were serialized from vectors already holding these
-// invariants, decode re-checks the code ranges, and the whole-database
-// fingerprint is compared after the replay, so any divergence still fails
-// the load. Everyone else must use BulkAppend.
-func (t *Table) BulkAppendTrusted(cols []ColumnData) error {
-	return t.bulkAppend(cols, true)
-}
-
-func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 	if t.frozen {
 		return fmt.Errorf("storage: table %s: cannot append to a frozen snapshot", t.Name)
 	}
@@ -121,17 +80,9 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 			return fmt.Errorf("storage: table %s column %s: bulk payload does not match type %s",
 				t.Name, t.Columns[i].Name, t.Columns[i].Type)
 		}
-		if c.Nulls != nil && c.NullWords != nil {
-			return fmt.Errorf("storage: table %s column %s: bulk payload sets both Nulls and NullWords",
-				t.Name, t.Columns[i].Name)
-		}
 		if c.Nulls != nil && len(c.Nulls) != cn {
 			return fmt.Errorf("storage: table %s column %s: %d null flags for %d values",
 				t.Name, t.Columns[i].Name, len(c.Nulls), cn)
-		}
-		if c.NullWords != nil && len(c.NullWords) != (cn+63)/64 {
-			return fmt.Errorf("storage: table %s column %s: %d null words for %d values",
-				t.Name, t.Columns[i].Name, len(c.NullWords), cn)
 		}
 		if n < 0 {
 			n = cn
@@ -139,7 +90,7 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 			return fmt.Errorf("storage: table %s column %s: %d values, other columns have %d",
 				t.Name, t.Columns[i].Name, cn, n)
 		}
-		if c.Codes != nil && !trusted {
+		if c.Codes != nil {
 			for ri, code := range c.Codes {
 				if !c.IsNull(ri) && int(code) >= len(c.Dict) {
 					return fmt.Errorf("storage: table %s column %s: row %d code %d out of dictionary range %d",
@@ -165,14 +116,9 @@ func (t *Table) bulkAppend(cols []ColumnData, trusted bool) error {
 	}
 
 	for ci := range cols {
-		t.vecs[ci].appendBulk(cols[ci], n, trusted)
+		t.vecs[ci].appendBulk(cols[ci], n)
 	}
-
-	t.hashMu.Lock()
-	t.codeIdx = nil
-	t.stats = nil
-	t.hashMu.Unlock()
-	t.gen.Add(1)
+	t.rowsChanged()
 	return nil
 }
 
@@ -211,7 +157,7 @@ func duplicateDictEntry(dict []string) (string, bool) {
 
 // appendBulk extends the vector by n rows from one bulk payload. The
 // payload has already been validated against the column type.
-func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
+func (v *ColumnVec) appendBulk(c ColumnData, n int) {
 	base := v.n
 	v.n += n
 	for (v.n+63)>>6 > len(v.nulls) {
@@ -219,13 +165,6 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 	}
 	switch v.typ {
 	case sqlir.TypeNumber:
-		if trusted && base == 0 {
-			// Trusted payloads hold zero placeholders in NULL slots, so the
-			// slice can become the column storage as-is.
-			v.nums = c.Nums
-			v.setNullBits(c)
-			return
-		}
 		v.nums = append(v.nums, c.Nums...)
 		// A NaN is stored as NULL, as Insert stores it.
 		for i := 0; i < n; i++ {
@@ -237,10 +176,6 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 			}
 		}
 	case sqlir.TypeText:
-		if trusted && c.Codes != nil && v.dict == nil && base == 0 {
-			v.adoptCodes(c)
-			return
-		}
 		if cap(v.codes)-len(v.codes) < n {
 			grown := make([]uint32, len(v.codes), len(v.codes)+n)
 			copy(grown, v.codes)
@@ -275,41 +210,6 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int, trusted bool) {
 // what makes dictionary-encoded bulk ingest so much cheaper than per-row
 // interning. On a column that already holds a dictionary, each distinct
 // payload entry is interned once.
-// adoptCodes is the trusted fast path onto a fresh, empty column: the
-// payload's dictionary and codes already are the column representation
-// (entries in first-appearance code order, all referenced, zero
-// placeholders on NULL slots — the BulkAppendTrusted contract), so both
-// slices are taken wholesale, without even a copy. The lookup map stays
-// lazy, exactly as after an untrusted adoption, and a later intern that
-// outgrows the adopted dictionary reallocates rather than scribbling on
-// the payload's backing array.
-func (v *ColumnVec) adoptCodes(c ColumnData) {
-	v.dict = &Dict{strs: c.Dict, blob: c.DictBlob}
-	v.codes = c.Codes
-	v.setNullBits(c)
-}
-
-// setNullBits records payload NULL flags in the vector bitmap without
-// touching the value slots (trusted payloads already hold the zero
-// placeholders there). Only called from the trusted adopt paths, where the
-// batch starts at row 0, so a packed payload ORs straight into the vector
-// words.
-func (v *ColumnVec) setNullBits(c ColumnData) {
-	if c.NullWords != nil {
-		for wi, w := range c.NullWords {
-			v.nulls[wi] |= w
-			v.nullCount += bits.OnesCount64(w)
-		}
-		return
-	}
-	for i, isNull := range c.Nulls {
-		if isNull {
-			v.nulls[i>>6] |= 1 << (uint(i) & 63)
-			v.nullCount++
-		}
-	}
-}
-
 func (v *ColumnVec) appendCodes(c ColumnData, base int) {
 	adopt := v.dict == nil
 	if adopt {

@@ -279,33 +279,3 @@ func TestBulkAppendValidation(t *testing.T) {
 		t.Fatalf("empty batch appended %d rows", tb.NumRows())
 	}
 }
-
-// TestBulkAppendRefusesBothNullForms: a payload giving its NULLs both as
-// Nulls and as NullWords is refused, naming the table and the column, and
-// nothing is appended — the two forms could disagree, and the trusted and
-// untrusted paths would each believe a different one.
-func TestBulkAppendRefusesBothNullForms(t *testing.T) {
-	payload := []ColumnData{
-		{Nums: []float64{1, 2}},
-		{Texts: []string{"a", "b"}},
-		{Nums: []float64{1, 2}, Nulls: []bool{false, false}, NullWords: []uint64{1}},
-	}
-	for _, path := range []string{"BulkAppend", "BulkAppendTrusted", "Database.Append"} {
-		tb := bulkTable()
-		var err error
-		switch path {
-		case "BulkAppend":
-			err = tb.BulkAppend(payload)
-		case "BulkAppendTrusted":
-			err = tb.BulkAppendTrusted(payload)
-		default:
-			_, err = NewDatabase("d", NewSchema(tb)).Append("t", payload)
-		}
-		if err == nil || !strings.Contains(err.Error(), "table t column score") {
-			t.Errorf("%s: error = %v, want one naming table t column score", path, err)
-		}
-		if tb.NumRows() != 0 {
-			t.Errorf("%s: a refused payload appended %d rows", path, tb.NumRows())
-		}
-	}
-}

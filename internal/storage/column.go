@@ -30,15 +30,16 @@ type Dict struct {
 	root *Dict
 	// live is the live dictionary a frozen one was captured from.
 	live *Dict
-	// blob, when non-empty, is the concatenation of strs in code order — the
-	// segment loader slices a bulk-adopted dictionary out of one backing
-	// string and records it here, letting columnFingerprint fold the whole
+	// blob, when non-empty, is the concatenation of strs in code order —
+	// DecodeVector slices a decoded dictionary out of one backing string
+	// and records it here, letting columnFingerprint fold the whole
 	// dictionary as a word stream instead of string by string. Cleared the
 	// moment strs diverges from it (intern appending a new entry).
 	blob string
 	// mapOnce gates the lazy build of codes: a bulk dictionary adoption
-	// (appendBulk) leaves the map nil so loading never pays for hashing,
-	// and the first intern or Lookup builds it from strs exactly once.
+	// (appendBulk) and a decoded dictionary (DecodeVector) leave the map nil
+	// so loading never pays for hashing, and the first intern or Lookup
+	// builds it from strs exactly once.
 	// Concurrent Lookups are safe — Once serializes the build; intern runs
 	// only in exclusive (mutation) contexts and keeps the map current
 	// afterwards.
@@ -235,12 +236,17 @@ func (v *ColumnVec) Value(i int) sqlir.Value {
 
 // appendValue extends the vector by one row. val's type has already been
 // checked against the column type by Insert. A NaN is stored as NULL, as
-// SQLite stores it, so no column holds a NaN.
+// SQLite stores it, so no column holds a NaN. A text vector gets its
+// dictionary with its first row, NULL or not, as BulkAppend and
+// DecodeVector give it one.
 func (v *ColumnVec) appendValue(val sqlir.Value) {
 	i := v.n
 	v.n++
 	if i>>6 >= len(v.nulls) {
 		v.nulls = append(v.nulls, 0)
+	}
+	if v.typ == sqlir.TypeText && v.dict == nil {
+		v.dict = &Dict{}
 	}
 	if val.IsNull() || val.IsNaN() {
 		v.cowNulls(i)
@@ -258,22 +264,9 @@ func (v *ColumnVec) appendValue(val sqlir.Value) {
 	case sqlir.TypeNumber:
 		v.nums = append(v.nums, val.Num)
 	case sqlir.TypeText:
-		if v.dict == nil {
-			v.dict = &Dict{}
-		}
 		v.codes = append(v.codes, v.dict.intern(val.Text))
 	}
 }
-
-// RawNums returns the numeric value slice (nil for text columns). NULL rows
-// hold a zero placeholder; consult the null bitmap. The slice is the
-// vector's live backing storage — callers must treat it as read-only. The
-// segment store serializes columns from this without per-row calls.
-func (v *ColumnVec) RawNums() []float64 { return v.nums }
-
-// RawCodes returns the dictionary-code slice (nil for numeric columns).
-// NULL rows hold a zero placeholder. Read-only, like RawNums.
-func (v *ColumnVec) RawCodes() []uint32 { return v.codes }
 
 // vectorBytes estimates the vector's memory footprint excluding the
 // dictionary (reported separately).

@@ -9,20 +9,21 @@ import (
 	"github.com/duoquest/duoquest/internal/storage"
 )
 
-// FuzzDecodeColumn: the chunk decoder never panics; every payload it
-// accepts, the validating BulkAppend accepts too, with the row count the
-// decoder reported; and the vector BulkAppend builds from it encodes to a
-// chunk that decodes to the same values and NULLs. The seeds are the chunks
-// of handBuilt's columns, of the columns the NULL-form batches were
-// appended to, and one whose dictionary repeats an entry.
+// FuzzDecodeColumn: the chunk decoder never panics; every vector it
+// accepts, SetVectors takes onto a fresh table; and that table's vector
+// encodes to a chunk that decodes to the same length, NULLs, numbers and
+// texts. The seeds are the chunks of handBuilt's columns, of the columns
+// the NULL-form batches were appended to, of an all-NULL text column built
+// by Insert, one whose dictionary repeats an entry, one holding NaN and one
+// whose null bitmap marks a row past the last.
 //
-// That one BulkAppend refuses and the decoder accepts: the decoder leaves
-// what a trusted replay assumes of a dictionary (no repeated entry, entries
-// in first-appearance order) to the loader's fingerprint comparison, which
-// refuses any dictionary the stored database did not hold, and no column
-// holds a repeated entry — so no vector encodes to that seed, and it is
-// assembled by hand. Hashing every entry at decode instead made
-// BenchmarkSegmentLoad about seven times slower at 1M rows (2 vCPUs).
+// The decoder leaves what the loader's fingerprint comparison checks (no
+// repeated dictionary entry, entries in first-appearance order, zero
+// placeholders in NULL slots) to that comparison, which refuses any vector
+// the stored database did not hold. No vector repeats an entry, so that
+// seed is assembled by hand, and it round-trips like any other. Hashing
+// every entry at decode instead made BenchmarkSegmentLoad about seven times
+// slower at 1M rows (2 vCPUs).
 //
 // Run it with `go test -run '^$' -fuzz '^FuzzDecodeColumn$' -fuzztime 60s ./internal/storage/segment/`.
 func FuzzDecodeColumn(f *testing.F) {
@@ -30,50 +31,48 @@ func FuzzDecodeColumn(f *testing.F) {
 	for _, tab := range db.Schema.Tables {
 		for ci := range tab.Columns {
 			vec := tab.VectorAt(ci)
-			f.Add(encodeVector(vec), vec.Type() == sqlir.TypeText)
+			f.Add(storage.EncodeVector(vec), vec.Type() == sqlir.TypeText)
 		}
 	}
 	for _, c := range nullFormCases() {
 		vec := nullFormDB(f, c).Table("movies").VectorAt(c.ci)
-		f.Add(encodeVector(vec), vec.Type() == sqlir.TypeText)
+		f.Add(storage.EncodeVector(vec), vec.Type() == sqlir.TypeText)
 	}
+	f.Add(storage.EncodeVector(allNullText(f).VectorAt(1)), true)
 	f.Add(repeatedEntryChunk(), true)
+	f.Add(nanChunk(), false)
+	f.Add(strayNullChunk(), false)
 	f.Fuzz(func(t *testing.T, data []byte, text bool) {
 		typ := sqlir.TypeNumber
 		if text {
 			typ = sqlir.TypeText
 		}
-		c, rows, err := decodeColumn(data, typ)
+		vec, err := storage.DecodeVector(data, typ)
 		if err != nil {
 			return
 		}
 		tab := storage.NewTable("t", "", storage.Column{Name: "c", Type: typ})
-		if err := tab.BulkAppend([]storage.ColumnData{c}); err != nil {
-			if !repeatsEntry(c.Dict) {
-				t.Fatalf("decoded payload of %d rows refused by BulkAppend: %v", rows, err)
-			}
-			return
+		if err := tab.SetVectors([]storage.ColumnVec{vec}); err != nil {
+			t.Fatalf("decoded vector of %d rows refused by SetVectors: %v", vec.Len(), err)
 		}
-		if got := tab.NumRows(); got != rows {
-			t.Fatalf("BulkAppend took %d rows, decoder reported %d", got, rows)
-		}
-		again, rows2, err := decodeColumn(encodeVector(tab.VectorAt(0)), typ)
+		again, err := storage.DecodeVector(storage.EncodeVector(tab.VectorAt(0)), typ)
 		if err != nil {
-			t.Fatalf("re-encoded payload refused: %v", err)
+			t.Fatalf("re-encoded vector refused: %v", err)
 		}
-		if rows2 != rows {
-			t.Fatalf("re-encoded payload has %d rows, want %d", rows2, rows)
+		if again.Len() != vec.Len() || again.NullCount() != vec.NullCount() {
+			t.Fatalf("re-encoded vector has %d rows, %d NULL; want %d, %d",
+				again.Len(), again.NullCount(), vec.Len(), vec.NullCount())
 		}
-		for i := range rows {
-			null := c.IsNull(i)
+		for i := range vec.Len() {
+			null := vec.IsNull(i)
 			switch {
 			case again.IsNull(i) != null:
 				t.Fatalf("row %d: NULL %v read back as %v", i, null, !null)
 			case null:
-			case text && c.Dict[c.Codes[i]] != again.Dict[again.Codes[i]]:
-				t.Fatalf("row %d: %q read back as %q", i, c.Dict[c.Codes[i]], again.Dict[again.Codes[i]])
-			case !text && math.Float64bits(c.Nums[i]) != math.Float64bits(again.Nums[i]):
-				t.Fatalf("row %d: %v read back as %v", i, c.Nums[i], again.Nums[i])
+			case text && vec.Dict().String(vec.Code(i)) != again.Dict().String(again.Code(i)):
+				t.Fatalf("row %d: %q read back as %q", i, vec.Dict().String(vec.Code(i)), again.Dict().String(again.Code(i)))
+			case !text && math.Float64bits(vec.Num(i)) != math.Float64bits(again.Num(i)):
+				t.Fatalf("row %d: %v read back as %v", i, vec.Num(i), again.Num(i))
 			}
 		}
 	})
@@ -82,10 +81,7 @@ func FuzzDecodeColumn(f *testing.F) {
 // repeatedEntryChunk is a two-row text chunk, codes 0 and 1, whose
 // dictionary holds "a" twice.
 func repeatedEntryChunk() []byte {
-	out := make([]byte, chunkHeader, chunkHeader+4+2*4+2+2+2*4)
-	copy(out, chunkMagic)
-	out[4] = kindText
-	binary.LittleEndian.PutUint64(out[8:], 2)
+	out := chunkHeader(1, 2)
 	for _, w := range []uint32{2, 1, 1} { // dictionary length, entry lengths
 		out = binary.LittleEndian.AppendUint32(out, w)
 	}
@@ -97,14 +93,22 @@ func repeatedEntryChunk() []byte {
 	return out
 }
 
-// repeatsEntry reports whether a dictionary holds some entry twice.
-func repeatsEntry(dict []string) bool {
-	seen := make(map[string]bool, len(dict))
-	for _, s := range dict {
-		if seen[s] {
-			return true
-		}
-		seen[s] = true
-	}
-	return false
+// nanChunk is a one-row numeric chunk holding NaN.
+func nanChunk() []byte {
+	return binary.LittleEndian.AppendUint64(chunkHeader(0, 1), math.Float64bits(math.NaN()))
+}
+
+// strayNullChunk is a one-row numeric chunk whose null bitmap also marks
+// row 1, which it does not have.
+func strayNullChunk() []byte {
+	out := binary.LittleEndian.AppendUint64(chunkHeader(0, 1), 0)
+	out[5] = 1 // null bitmap present
+	return append(out, 0b11)
+}
+
+// chunkHeader is the 16-byte header of a chunk of the given kind (0
+// numeric, 1 text) and row count.
+func chunkHeader(kind byte, rows uint64) []byte {
+	out := append([]byte("DQS1"), kind, 0, 0, 0)
+	return binary.LittleEndian.AppendUint64(out, rows)
 }

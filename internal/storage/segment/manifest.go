@@ -30,8 +30,7 @@ type ManifestColumn struct {
 
 // ManifestSegment is one immutable batch of rows: exactly one chunk per
 // column, in schema order. Persist writes one segment per non-empty table,
-// holding all its rows; Load replays a table's segments in list order, each
-// through BulkAppend.
+// holding all its rows, and Load refuses a table listing more than one.
 type ManifestSegment struct {
 	Rows   int      `json:"rows"`
 	Chunks []string `json:"chunks"`

@@ -1,17 +1,22 @@
 // Package segment is the durable, content-addressed columnar store behind
 // Duoquest's fast cold start. Everything above it rebuilds databases in
 // memory on every boot; this package turns that rebuild into a load:
-// Persist writes each column vector of each table once as an immutable,
-// SHA-256-addressed chunk file, a per-database manifest maps table →
-// segments → chunk addresses, and a loader streams the chunks back through
-// Table.BulkAppend's dictionary-adoption path, reconstructing a database
-// that is byte-identical (storage.Fingerprint-verified) to the in-memory
-// build — in tens of milliseconds where regeneration takes seconds.
+// Persist writes each column vector of each table once as an immutable
+// chunk file (storage.EncodeVector), a per-database manifest maps table →
+// segment → chunk addresses, and a loader maps the chunks back, decodes
+// each into its column vector (storage.DecodeVector) and sets each table's
+// vectors at once (Table.SetVectors), reconstructing a database that is
+// byte-identical (storage.Fingerprint-verified) to the in-memory build —
+// in tens of milliseconds where regeneration takes seconds.
 //
 // Layout under a store directory:
 //
 //	<dir>/<name>/manifest.json      checksummed bookkeeping (manifest.go)
-//	<dir>/<name>/chunks/<sha256>    immutable column chunks (chunk.go)
+//	<dir>/<name>/chunks/<sha256>    immutable column chunks
+//
+// A chunk's address is the SHA-256 of its bytes, so the filename doubles
+// as the checksum: rehashing the file and comparing against the address
+// the manifest names detects every flipped bit without a separate field.
 //
 // Chunks never change once written and a persist replaces only the
 // manifest, so a load that read the old manifest still finds its chunks.
@@ -26,6 +31,8 @@
 package segment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -105,7 +112,6 @@ func checkName(name string) error {
 	return nil
 }
 
-func (s *Store) dbDir(name string) string    { return filepath.Join(s.dir, name) }
 func (s *Store) chunkDir(name string) string { return filepath.Join(s.dir, name, "chunks") }
 func (s *Store) manifestAt(name string) string {
 	return filepath.Join(s.dir, name, manifestName)
@@ -201,7 +207,7 @@ func (s *Store) PersistAs(name string, db *storage.Database) (*Manifest, error) 
 	runJobs(len(jobs), func(i int) {
 		j := jobs[i]
 		t := db.Schema.Tables[j.ti]
-		j.addr, j.err = s.writeChunk(name, encodeVector(t.VectorAt(j.ci)))
+		j.addr, j.err = s.writeChunk(name, storage.EncodeVector(t.VectorAt(j.ci)))
 	})
 	addrByCol := map[[2]int]string{}
 	for _, j := range jobs {
@@ -238,8 +244,8 @@ func (s *Store) PersistAs(name string, db *storage.Database) (*Manifest, error) 
 }
 
 // Load reconstructs a persisted database: manifest checksum first, then
-// every chunk read, decoded, and replayed through the trusted bulk path in
-// segment order, and finally the whole database's fingerprint compared
+// every chunk read and decoded into its column vector, each table given
+// its vectors, and finally the whole database's fingerprint compared
 // against the manifest's record. Integrity is optimistic: the fingerprint
 // comparison (plus decode's structural checks) is the fast-path gate, and
 // only when it fails are the chunks re-hashed to name the corrupt one. Any
@@ -273,6 +279,10 @@ func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 
 	info := &LoadInfo{Database: m.Database, Tables: len(m.Tables), ManifestHash: m.Checksum}
 	for _, mt := range m.Tables {
+		if len(mt.Segments) > 1 {
+			return nil, nil, fmt.Errorf("segment: database %s table %s: manifest lists %d segments, a table has at most one",
+				name, mt.Name, len(mt.Segments))
+		}
 		for _, seg := range mt.Segments {
 			if len(seg.Chunks) != len(mt.Columns) {
 				return nil, nil, fmt.Errorf("segment: database %s table %s: segment has %d chunks for %d columns",
@@ -283,11 +293,10 @@ func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 		}
 	}
 
-	// Tables replay independently, and within a table every chunk reads,
-	// hash-verifies, and decodes independently — only the segment-order
-	// BulkAppend replay is sequential per table. Parallelizing across
-	// tables AND chunks is what gets a many-megabyte database into memory
-	// in tens of milliseconds instead of hundreds.
+	// Tables load independently, and within a table every chunk reads and
+	// decodes independently. Parallelizing across tables AND chunks is what
+	// gets a many-megabyte database into memory in tens of milliseconds
+	// instead of hundreds.
 	tableErrs := make([]error, len(m.Tables))
 	tableBytes := make([]int64, len(m.Tables))
 	runJobs(len(m.Tables), func(ti int) {
@@ -305,7 +314,7 @@ func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 	db := storage.NewDatabase(m.Database, schema)
 	info.Fingerprint = storage.Fingerprint(db)
 	if got := fmt.Sprintf("%016x", info.Fingerprint); got != m.Fingerprint {
-		// Corruption, or a replay bug. Pay for the per-chunk hashes now to
+		// Corruption, or a codec bug. Pay for the per-chunk hashes now to
 		// name the corrupt chunk if there is one.
 		if err := s.auditChunks(name, m); err != nil {
 			return nil, nil, err
@@ -317,50 +326,35 @@ func (s *Store) Load(name string) (*storage.Database, *LoadInfo, error) {
 	return db, info, nil
 }
 
-// loadTable reads, hash-verifies, and decodes every chunk of one table in
-// parallel, then replays its segments in order through the trusted bulk
-// path: decodeColumn already range-checked the codes, chunk addresses
-// verified the content, and Load compares the whole-database fingerprint
-// afterwards, so skipping BulkAppend's O(rows) re-validation is safe and is
-// most of the cold-start win. Returns the chunk bytes read.
+// loadTable reads and decodes every chunk of a table's segment in
+// parallel and sets the table's vectors from them. DecodeVector checks
+// each chunk's structure and Load compares the whole-database fingerprint
+// afterwards, so a chunk that decodes but differs from what was persisted
+// still fails the load. Returns the chunk bytes read.
 func (s *Store) loadTable(name string, mt ManifestTable, t *storage.Table) (int64, error) {
-	type chunkRes struct {
-		col         storage.ColumnData
-		rows, bytes int
-		err         error
+	if len(mt.Segments) == 0 {
+		return 0, nil
 	}
-	type chunkRef struct{ si, ci int }
-	segCols := make([][]chunkRes, len(mt.Segments))
-	var refs []chunkRef
-	for si, seg := range mt.Segments {
-		segCols[si] = make([]chunkRes, len(seg.Chunks))
-		for ci := range seg.Chunks {
-			refs = append(refs, chunkRef{si, ci})
-		}
-	}
-	runJobs(len(refs), func(i int) {
-		ref := refs[i]
-		r := &segCols[ref.si][ref.ci]
-		r.col, r.rows, r.bytes, r.err = s.readChunk(name, mt.Name, mt.Columns[ref.ci], mt.Segments[ref.si].Chunks[ref.ci])
+	seg := mt.Segments[0]
+	vecs := make([]storage.ColumnVec, len(seg.Chunks))
+	sizes := make([]int, len(seg.Chunks))
+	errs := make([]error, len(seg.Chunks))
+	runJobs(len(seg.Chunks), func(ci int) {
+		vecs[ci], sizes[ci], errs[ci] = s.readChunk(name, mt.Name, t.Columns[ci], seg.Chunks[ci])
 	})
 	var bytes int64
-	for si, seg := range mt.Segments {
-		cols := make([]storage.ColumnData, len(seg.Chunks))
-		for ci := range segCols[si] {
-			r := &segCols[si][ci]
-			if r.err != nil {
-				return 0, r.err
-			}
-			if r.rows != seg.Rows {
-				return 0, &ChunkError{DB: name, Table: mt.Name, Column: mt.Columns[ci].Name, Chunk: seg.Chunks[ci],
-					Err: fmt.Errorf("holds %d rows, manifest says %d", r.rows, seg.Rows)}
-			}
-			cols[ci] = r.col
-			bytes += int64(r.bytes)
+	for ci, err := range errs {
+		if err != nil {
+			return 0, err
 		}
-		if err := t.BulkAppendTrusted(cols); err != nil {
-			return 0, fmt.Errorf("segment: database %s table %s: replay segment: %w", name, mt.Name, err)
+		if rows := vecs[ci].Len(); rows != seg.Rows {
+			return 0, &ChunkError{DB: name, Table: mt.Name, Column: mt.Columns[ci].Name, Chunk: seg.Chunks[ci],
+				Err: fmt.Errorf("holds %d rows, manifest says %d", rows, seg.Rows)}
 		}
+		bytes += int64(sizes[ci])
+	}
+	if err := t.SetVectors(vecs); err != nil {
+		return 0, fmt.Errorf("segment: database %s table %s: %w", name, mt.Name, err)
 	}
 	return bytes, nil
 }
@@ -401,30 +395,26 @@ func runJobs(n int, fn func(int)) {
 // SHA-256 pass alone would dominate the cold start) — decode's structural
 // checks plus Load's whole-database fingerprint comparison catch every
 // corruption, and only a failure pays for hashing, to attribute the error
-// to checksum mismatch versus a format bug. It returns the decoded
-// payload, its row count and the bytes read.
-func (s *Store) readChunk(name, table string, col ManifestColumn, addr string) (storage.ColumnData, int, int, error) {
-	var zero storage.ColumnData
-	if len(addr) != 2*addressBytes || strings.ContainsAny(addr, "/\\") {
-		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr,
+// to checksum mismatch versus a format bug. It returns the decoded vector
+// and the bytes read.
+func (s *Store) readChunk(name, table string, col storage.Column, addr string) (storage.ColumnVec, int, error) {
+	var zero storage.ColumnVec
+	if len(addr) != 2*sha256.Size || strings.ContainsAny(addr, "/\\") {
+		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr,
 			Err: errors.New("malformed chunk address")}
 	}
 	data, err := readChunkBytes(filepath.Join(s.chunkDir(name), addr))
 	if err != nil {
-		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
+		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
 	}
-	typ, err := parseType(col.Type)
-	if err != nil {
-		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
-	}
-	c, rows, err := decodeColumn(data, typ)
+	vec, err := storage.DecodeVector(data, col.Type)
 	if err != nil {
 		if got := address(data); got != addr {
 			err = fmt.Errorf("%w: content hashes to %s", ErrChecksumMismatch, got)
 		}
-		return zero, 0, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
+		return zero, 0, &ChunkError{DB: name, Table: table, Column: col.Name, Chunk: addr, Err: err}
 	}
-	return c, rows, len(data), nil
+	return vec, len(data), nil
 }
 
 // auditChunks re-reads and re-hashes every chunk of a manifest, returning a
@@ -447,6 +437,13 @@ func (s *Store) auditChunks(name string, m *Manifest) error {
 		}
 	}
 	return nil
+}
+
+// address is a chunk's content hash, rendered as lower-case hex in the
+// manifest and as the chunk's filename.
+func address(encoded []byte) string {
+	sum := sha256.Sum256(encoded)
+	return hex.EncodeToString(sum[:])
 }
 
 // writeChunk stores encoded bytes under their content address, returning

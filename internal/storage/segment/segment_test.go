@@ -238,30 +238,23 @@ func TestPersistStoresNaNAsNull(t *testing.T) {
 	}
 }
 
-// nullFormCase is one movies column of a two-row batch whose row 1 is NULL,
-// given as Nulls or as packed NullWords.
+// nullFormCase is one movies column of a two-row batch whose row 1 is NULL.
 type nullFormCase struct {
 	name string
 	ci   int
 	data storage.ColumnData
 }
 
-// nullFormCases is {Nums, Texts, Codes} × {Nulls, NullWords}. The Codes
-// payloads' NULL row holds a code that indexes nothing.
+// nullFormCases gives the batch's NULL in each payload form: Nums, Texts
+// and Codes. The Codes payload's NULL row holds a code that indexes
+// nothing.
 func nullFormCases() []nullFormCase {
-	cols := []nullFormCase{
-		{"Nums", 3, storage.ColumnData{Nums: []float64{7.5, 9}}},
-		{"Texts", 1, storage.ColumnData{Texts: []string{"Beta", "Gamma"}}},
-		{"Codes", 1, storage.ColumnData{Codes: []uint32{0, 99}, Dict: []string{"Beta"}}},
+	nulls := []bool{false, true}
+	return []nullFormCase{
+		{"Nums/Nulls", 3, storage.ColumnData{Nums: []float64{7.5, 9}, Nulls: nulls}},
+		{"Texts/Nulls", 1, storage.ColumnData{Texts: []string{"Beta", "Gamma"}, Nulls: nulls}},
+		{"Codes/Nulls", 1, storage.ColumnData{Codes: []uint32{0, 99}, Dict: []string{"Beta"}, Nulls: nulls}},
 	}
-	var out []nullFormCase
-	for _, c := range cols {
-		nulls, words := c, c
-		nulls.name, nulls.data.Nulls = c.name+"/Nulls", []bool{false, true}
-		words.name, words.data.NullWords = c.name+"/NullWords", []uint64{1 << 1}
-		out = append(out, nulls, words)
-	}
-	return out
 }
 
 // nullFormDB is handBuilt with the case's batch appended to movies: rows 3
@@ -282,11 +275,10 @@ func nullFormDB(t testing.TB, c nullFormCase) *storage.Database {
 	return db
 }
 
-// TestPersistNullForms: an appended batch gives its NULLs as Nulls or as
-// packed NullWords — BulkAppend takes both — and either way the vector,
-// and so the chunk Persist writes from it, holds them: the store loads
-// back the same database, NULL where it was given, in every column form. A
-// NULL row's code is ignored even when it indexes nothing, as BulkAppend
+// TestPersistNullForms: whichever payload form an appended batch gives a
+// NULL in, the vector, and so the chunk Persist writes from it, holds it:
+// the store loads back the same database, NULL where it was given. A NULL
+// row's code is ignored even when it indexes nothing, as BulkAppend
 // ignores it.
 func TestPersistNullForms(t *testing.T) {
 	for _, c := range nullFormCases() {
@@ -306,6 +298,66 @@ func TestPersistNullForms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// allNullText is a table built by Insert whose text column holds only
+// NULLs.
+func allNullText(t testing.TB) *storage.Table {
+	t.Helper()
+	tb := storage.NewTable("notes", "id",
+		storage.Column{Name: "id", Type: sqlir.TypeNumber},
+		storage.Column{Name: "body", Type: sqlir.TypeText},
+	)
+	tb.MustInsert(sqlir.NewNumber(1), sqlir.Null())
+	tb.MustInsert(sqlir.NewNumber(2), sqlir.Null())
+	return tb
+}
+
+// TestAllNullTextLoads: a database whose text column holds only NULLs
+// loads back, and the same rows fingerprint alike whether Insert or
+// BulkAppend built them. Insert once gave such a column no dictionary where
+// BulkAppend and the loader gave it an empty one, and the fingerprint told
+// the two apart, so Load refused the database as not matching its manifest.
+func TestAllNullTextLoads(t *testing.T) {
+	db := storage.NewDatabase("allnull", storage.NewSchema(allNullText(t)))
+	store, _ := mustPersist(t, db)
+	loaded, _, err := store.Load(db.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storage.Fingerprint(loaded), storage.Fingerprint(db); got != want {
+		t.Fatalf("loaded fingerprint %016x, want %016x", got, want)
+	}
+	bulk := storage.NewTable("notes", "id", db.Table("notes").Columns...)
+	if err := bulk.BulkAppend([]storage.ColumnData{
+		{Nums: []float64{1, 2}},
+		{Texts: []string{"", ""}, Nulls: []bool{true, true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storage.Fingerprint(storage.NewDatabase("allnull", storage.NewSchema(bulk))), storage.Fingerprint(db); got != want {
+		t.Fatalf("BulkAppend-built fingerprint %016x, Insert-built %016x", got, want)
+	}
+}
+
+// TestLoadRefusesTwoSegments: Persist writes at most one segment per table,
+// so a manifest listing a table's segment twice — checksum and all — is
+// refused, naming the table and the count, and no database is returned.
+func TestLoadRefusesTwoSegments(t *testing.T) {
+	db := handBuilt(t)
+	store, m := mustPersist(t, db)
+	for i := range m.Tables {
+		if mt := &m.Tables[i]; mt.Name == "movies" {
+			mt.Segments = append(mt.Segments, mt.Segments[0])
+		}
+	}
+	if err := store.writeManifest(db.Name, m); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := store.Load(db.Name)
+	if got != nil || err == nil || !strings.Contains(err.Error(), "table movies: manifest lists 2 segments") {
+		t.Fatalf("Load = %v, %v; want no database and an error naming table movies and 2 segments", got, err)
 	}
 }
 

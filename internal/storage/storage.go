@@ -121,12 +121,50 @@ func (t *Table) Insert(vals ...sqlir.Value) error {
 	for i, v := range vals {
 		t.vecs[i].appendValue(v)
 	}
+	t.rowsChanged()
+	return nil
+}
+
+// SetVectors gives a table without rows its rows as whole column vectors,
+// one per column in schema order, as DecodeVector returns them. The table
+// takes the vectors as they are, without copying them. It refuses a frozen
+// table, a table with rows, a wrong count, a vector of the wrong type and
+// vectors of unequal lengths. Like Insert, it must not run concurrently
+// with queries on the table.
+func (t *Table) SetVectors(vecs []ColumnVec) error {
+	if t.frozen {
+		return fmt.Errorf("storage: table %s: cannot set the vectors of a frozen snapshot", t.Name)
+	}
+	if n := t.NumRows(); n > 0 {
+		return fmt.Errorf("storage: table %s: cannot set the vectors of a table holding %d rows", t.Name, n)
+	}
+	if len(vecs) != len(t.Columns) {
+		return fmt.Errorf("storage: table %s: %d vectors for %d columns", t.Name, len(vecs), len(t.Columns))
+	}
+	for i := range vecs {
+		if vecs[i].typ != t.Columns[i].Type {
+			return fmt.Errorf("storage: table %s column %s: vector of type %s, want %s",
+				t.Name, t.Columns[i].Name, vecs[i].typ, t.Columns[i].Type)
+		}
+		if vecs[i].n != vecs[0].n {
+			return fmt.Errorf("storage: table %s column %s: %d rows, column %s has %d",
+				t.Name, t.Columns[i].Name, vecs[i].n, t.Columns[0].Name, vecs[0].n)
+		}
+	}
+	copy(t.vecs, vecs)
+	t.rowsChanged()
+	return nil
+}
+
+// rowsChanged drops what the table derived from its rows — the posting-list
+// indexes and the memoized column statistics — and moves the generation,
+// once per Insert, BulkAppend or SetVectors.
+func (t *Table) rowsChanged() {
 	t.hashMu.Lock()
-	t.codeIdx = nil // built posting-list indexes no longer cover the new row
-	t.stats = nil   // nor do the memoized column statistics
+	t.codeIdx = nil
+	t.stats = nil
 	t.hashMu.Unlock()
 	t.gen.Add(1)
-	return nil
 }
 
 // MustInsert inserts and panics on error; intended for dataset construction
