@@ -474,8 +474,9 @@ func TestOneShardPerEpochUnderConcurrentAppend(t *testing.T) {
 }
 
 // TestHeapPlateausUnderSustainedAppend: retained memory is bounded by
-// construction — an epoch's shard holds memos and counters, never a
-// relation, the shard map is bounded and storage keeps only the head — so
+// construction — an epoch's shard holds counters and a view of the
+// database's one memo, never a relation, a memo key holds one entry, the
+// shard map is bounded and storage keeps only the head — so
 // under sustained ingest with unpinned readers and one pinned Snapshot the
 // live heap stops growing once the map is full: HeapInuse after GC at append
 // 40 is within 10 % of
@@ -624,13 +625,14 @@ func TestPinnedEpochSurvivesUnreadIngest(t *testing.T) {
 	}
 }
 
-// TestNewEpochSnapshotNeverWaitsForAProbeInFlight: building a new epoch's
-// shard reads the previous epoch's memo entries, and one of them may be mid-
-// computation for as long as a slow probe takes. The first reader of the new
-// epoch must skip that entry, not wait for it: a request whose context holds
-// its first executor poll — inside a memoized check — is running on epoch e,
-// an append publishes e+1, and a fault-free request on e+1 returns while the
-// hold lasts — with both candidate lists equal to a quiesced engine's.
+// TestNewEpochSnapshotNeverWaitsForAProbeInFlight: a new epoch's readers
+// look up the memo the previous epoch's requests fill, and an entry may be
+// mid-computation for as long as a slow probe takes. A reader whose tables
+// hold other rows than the entry's must not wait for it: a request whose
+// context holds its first executor poll — inside a memoized check — is
+// running on epoch e, an append publishes e+1, and a fault-free request on
+// e+1 returns while the hold lasts — with both candidate lists equal to a
+// quiesced engine's.
 func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 	const guard = 5 * time.Second // a hold the test does not release first fails it
 	opts := Config{MaxStates: 800, MaxCandidates: 1}
@@ -707,12 +709,12 @@ func TestNewEpochSnapshotNeverWaitsForAProbeInFlight(t *testing.T) {
 }
 
 // TestPinnedEpochShardSeedsOnlyFromEarlierEpochs: "once true, true in every
-// later epoch" lets a shard inherit from an earlier epoch, never from a
-// later one. A reader resolves its snapshot at epoch e, an append publishes
-// e+1, and another reader shards e+1 first — filling it with true answers
-// that rest on a row only e+1 has. When the first reader's shardFor then
-// runs, its shard is created after the head's and must still ask again and
-// hear no.
+// later epoch" lets an epoch reuse a true answer of an earlier epoch, never
+// of a later one. A reader resolves its snapshot at epoch e, an append
+// publishes e+1, and another reader shards e+1 first — filling the memo
+// with true answers that rest on a row only e+1 has. When the first
+// reader's shardFor then runs, its shard is created after the head's and
+// must still ask again and hear no.
 func TestPinnedEpochShardSeedsOnlyFromEarlierEpochs(t *testing.T) {
 	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	s, err := e.Session("movies")
@@ -860,5 +862,130 @@ func TestSnapshotEpochRule(t *testing.T) {
 	}
 	if want := int64(len(sharded) - epochRetention); st.EpochsRetired != want {
 		t.Errorf("EpochsRetired = %d, want %d (%d shards made, each eviction counted once)", st.EpochsRetired, want, len(sharded))
+	}
+}
+
+// verifyOn verifies each query on a shard through its Cache, as a request at
+// that epoch would, and returns the outcomes and the verifier's counters.
+func verifyOn(t *testing.T, sh *epochShard, sketch *tsq.TSQ, sqls ...string) ([]verify.Outcome, verify.Stats) {
+	t.Helper()
+	v := verify.NewWithCache(sh.db, nil, sketch, nil, sh.cache)
+	var outs []verify.Outcome
+	for _, sql := range sqls {
+		out, err := v.Verify(sqlparse.MustParse(sh.db.Schema, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	return outs, v.Stats()
+}
+
+// TestPinnedEpochReusesAnswersOverUntouchedTables: every epoch of a database
+// reads one memo, so an older pinned epoch reuses what the head computed
+// over tables the append between them left alone, and still asks again
+// where it grew. A Snapshot handle pins epoch e, an append to movie
+// publishes e+1, and the head verifies queries over actor and starring and
+// one over movie that only e+1's row passes. The pinned epoch then answers
+// the first with no database query and still rejects the last.
+func TestPinnedEpochReusesAnswersOverUntouchedTables(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	pin, err := e.Snapshot("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Append("movies", "movie", movieBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := s.shard()
+	if err != nil || head == pin.pin {
+		t.Fatalf("the head did not move past the pin: %v", err)
+	}
+	actors := &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+		Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Tom Hanks"))}}}
+	untouched := []string{
+		"SELECT name FROM actor",
+		"SELECT name FROM actor WHERE gender = 'female'",
+		"SELECT actor.name FROM actor JOIN starring ON starring.aid = actor.aid",
+		"SELECT name FROM actor WHERE birth_yr > 1960",
+	}
+	want, headStats := verifyOn(t, head, actors, untouched...)
+	if headStats.DBQueries == 0 {
+		t.Fatal("the head asked nothing of the database")
+	}
+	got, pinStats := verifyOn(t, pin.pin, actors, untouched...)
+	if pinStats.DBQueries != 0 {
+		t.Errorf("the pinned epoch made %d database queries over tables the append did not touch, want 0", pinStats.DBQueries)
+	}
+	for i := range untouched {
+		if got[i].OK != want[i].OK || got[i].Stage != want[i].Stage {
+			t.Errorf("%s: pinned %+v, head %+v", untouched[i], got[i], want[i])
+		}
+	}
+
+	appended := &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+		Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Ingest Movie 0"))}}}
+	if outs, _ := verifyOn(t, head, appended, "SELECT title FROM movie"); !outs[0].OK {
+		t.Fatalf("the head has the appended title, yet: %s", outs[0].Reason())
+	}
+	if outs, _ := verifyOn(t, pin.pin, appended, "SELECT title FROM movie"); outs[0].OK || outs[0].Stage != verify.StageByColumn {
+		t.Errorf("epoch %d has no such title, so the column check must reject: got %+v (%s)", pin.Epoch(), outs[0], outs[0].Reason())
+	}
+}
+
+// TestAddedForeignKeyStartsTheMemoCold: memo keys number tables and columns
+// in their catalog, so a snapshot taken after a build-phase AddForeignKey
+// must not read the memo filled under the previous catalog, even for a
+// question over a table nothing touched; the epochs after it share the new
+// memo again.
+func TestAddedForeignKeyStartsTheMemoCold(t *testing.T) {
+	// Movies with only its first foreign key; the second is added later.
+	db := dataset.Movies()
+	fks := db.Schema.ForeignKeys
+	db.Schema.ForeignKeys = nil
+	db.Schema.AddForeignKey(fks[0].Table, fks[0].Column, fks[0].RefTable, fks[0].RefColumn)
+	e := NewEngine(Config{})
+	if err := e.Register(db); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Session("movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	actors := &tsq.TSQ{Types: []sqlir.Type{sqlir.TypeText},
+		Tuples: []tsq.Tuple{{tsq.Exact(sqlir.NewText("Tom Hanks"))}}}
+	const q = "SELECT name FROM actor"
+	asked := func(what string) int {
+		t.Helper()
+		sh, err := s.shard()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, st := verifyOn(t, sh, actors, q)
+		if !outs[0].OK {
+			t.Fatalf("%s: %s", what, outs[0].Reason())
+		}
+		return st.DBQueries
+	}
+	if asked("first catalog") == 0 {
+		t.Fatal("the first snapshot asked nothing of the database")
+	}
+	// Build phase: a second foreign key, and a row so that a new epoch is
+	// published.
+	fk := fks[1]
+	db.Schema.AddForeignKey(fk.Table, fk.Column, fk.RefTable, fk.RefColumn)
+	db.Table("movie").MustInsert(sqlir.NewInt(900), sqlir.NewText("Heat"), sqlir.NewInt(1995))
+	if asked("second catalog") == 0 {
+		t.Error("a snapshot with another catalog reused the previous catalog's memo")
+	}
+	if _, err := e.Append("movies", "movie", movieBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if n := asked("second catalog, next epoch"); n != 0 {
+		t.Errorf("the epoch after the new catalog's first made %d database queries over an untouched table, want 0", n)
 	}
 }

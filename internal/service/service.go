@@ -17,10 +17,11 @@
 // every request resolves a frozen snapshot of its database — the latest
 // epoch, or the epoch pinned by an Engine.Snapshot or Engine.SnapshotAt
 // handle — and runs the entire synthesis against it, so a
-// concurrent Engine.Append can never tear a request's view. Shared caches
-// are keyed by epoch (one verify.Cache per snapshot) instead of being
-// invalidated: a write never evicts another reader's warm cache, and the
-// next request at the new head simply starts that epoch's cache.
+// concurrent Engine.Append can never tear a request's view. Each epoch's
+// verify.Cache is a view of the database's one pair of verification memos,
+// which nothing invalidates: a request at any epoch reuses every answer
+// whose tables hold the same rows there, and a write costs readers only the
+// answers over the table it grew.
 package service
 
 import (
@@ -144,8 +145,12 @@ type dbState struct {
 	// Epoch shards: one frozen snapshot plus its shared caches per epoch
 	// that served (or is serving) requests, bounded by epochRetention. This
 	// map is the only collection of published epochs the process keeps.
+	// base is the Cache of the newest shard made, and each new shard's
+	// Cache is base.At(its snapshot): every epoch reads and fills one pair
+	// of verification memos.
 	epochMu       sync.Mutex
 	shards        map[int64]*epochShard
+	base          *verify.Cache
 	retired       sqlexec.PipelineStats // folded counters of retired shards
 	retiredShards int64
 
@@ -221,24 +226,9 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 		return sh
 	}
 	// This is the only place a shard is created, and it runs under epochMu:
-	// an epoch has exactly one shard. Its memos are seeded from the live
-	// shard of the latest earlier epoch — answers over tables unchanged
-	// between the two carry forward, so an append costs readers only the
-	// changed table's memos, not a fully cold cache. Never from a later
-	// epoch (a reader that resolved its snapshot before an append can reach
-	// here after the new head's shard exists): "once true, true in every
-	// later epoch" says nothing about earlier ones.
-	var prev *epochShard
-	for _, sh := range ds.shards {
-		if sh.epoch < ep && (prev == nil || sh.epoch > prev.epoch) {
-			prev = sh
-		}
-	}
-	var prevCache *verify.Cache
-	if prev != nil {
-		prevCache = prev.cache
-	}
-	sh := &epochShard{epoch: ep, db: snap, cache: verify.NewCacheFrom(snap, prevCache)}
+	// an epoch has exactly one shard.
+	sh := &epochShard{epoch: ep, db: snap, cache: ds.base.At(snap)}
+	ds.base = sh.cache
 	ds.shards[ep] = sh
 	if len(ds.shards) > epochRetention {
 		oldest := sh
@@ -333,6 +323,7 @@ func (e *Engine) RegisterWithProvenance(db *storage.Database, prov Provenance) e
 		db:     db,
 		prov:   prov,
 		shards: map[int64]*epochShard{},
+		base:   verify.NewCache(db),
 		lat:    make([]time.Duration, latencyWindow),
 		cret:   make([]time.Duration, latencyWindow),
 	}

@@ -30,7 +30,7 @@ type ExistsQuery struct {
 // in its group as rows arrive (Zhou et al.), so a count only grows and each
 // such condition is settled for good from some count on. This one rule serves
 // the single-group early exit (newGroupDecider) and the verification memo's
-// carry across epochs (TrueSurvivesAppends).
+// reuse of a true answer in later epochs (TrueSurvivesAppends).
 type countClass uint8
 
 const (

@@ -59,8 +59,8 @@ type Table struct {
 	// stats memoizes per-column statistics by column index, cleared
 	// together with the lazy indexes on mutation (direct invalidation — the
 	// table knows exactly when its own data changes). Frozen snapshot
-	// tables never clear it, so an epoch's statistics are computed at most
-	// once, ever.
+	// tables never clear it, so once stored an epoch's statistics are never
+	// recomputed; concurrent first readers may each compute them (Stats).
 	stats map[int]ColumnStats
 }
 
@@ -184,8 +184,9 @@ type ColumnStats struct {
 
 // Stats returns memoized statistics of column ci. The memo lives on the
 // table and is cleared together with the lazy indexes whenever the table
-// mutates; on frozen snapshot tables it is therefore computed at most once
-// per epoch.
+// mutates, so on a frozen snapshot table a stored entry serves every later
+// call. The computation runs outside hashMu, so readers that miss at once
+// each compute it, and the last one to finish stores its copy.
 func (t *Table) Stats(ci int) ColumnStats {
 	t.hashMu.Lock()
 	if st, ok := t.stats[ci]; ok {

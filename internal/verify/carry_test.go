@@ -302,75 +302,105 @@ func (st *carryStar) count(eq sqlexec.ExistsQuery, h sqlir.HavingExpr) int {
 	return lo
 }
 
-// TestCarriedAnswersAreFresh: every by-row answer the memo carries into a
-// new epoch is the answer a fresh probe of that epoch gives. Generated exists
-// questions are asked into a Cache through the by-row memo path; then, round
-// after round, one random batch is appended to one random table and the next
-// epoch's Cache is carried from the last one. Each carried entry is checked
-// against sqlexec.ExistsCtx on the new snapshot, and every question is asked
-// again so that the next round carries from this one.
+// TestCarriedAnswersAreFresh: every answer the memo reuses across epochs is
+// the answer a fresh probe of the snapshot that asked gives, in both
+// directions. Generated exists questions are asked through the by-row memo
+// path of one snapshot's Cache; then, round after round, one random batch is
+// appended to one random table and the new snapshot's Cache is At the old
+// one's. Twenty new questions are drawn, every question is asked on the new
+// snapshot — reusing the old one's answers — and then again on the old one,
+// which reuses what the new one computed first over tables the append left
+// alone. Each reused answer is checked against sqlexec.ExistsCtx on the
+// snapshot that asked.
 func TestCarriedAnswersAreFresh(t *testing.T) {
 	ctx := context.Background()
 	st := newCarryStar(42)
-	qs := make([]sqlexec.ExistsQuery, 480)
-	keys := make([]memoKey, len(qs))
-	for i := range qs {
-		qs[i] = st.question(i % 5)
-		keys[i] = existsKey(qs[i])
+	// qs are distinct questions, so that a question drawn in a round is
+	// first computed by whichever snapshot asks it first.
+	var qs []sqlexec.ExistsQuery
+	var keys []memoKey
+	seen := map[memoKey]bool{}
+	draw := func(n int) {
+		for len(qs) < n {
+			eq := st.question(len(qs) % 5)
+			if k := existsKey(eq); !seen[k] {
+				seen[k] = true
+				qs, keys = append(qs, eq), append(keys, k)
+			}
+		}
 	}
+	draw(480)
 	rounds := 24
 	if testing.Short() {
 		rounds = 8
 	}
-	db := st.live.Snapshot()
-	cache := NewCache(db)
-	prev := make([]bool, len(qs))
-	ask := func() {
-		v := NewWithCache(db, nil, nil, nil, cache)
-		for i, eq := range qs {
-			ok, _, err := v.rowCache.do(keys[i], func() (bool, sqlir.TableSet, bool, error) { return v.probe(ctx, eq) })
-			if err != nil {
-				t.Fatalf("question %d: %v\n%+v", i, err, eq)
-			}
-			prev[i] = ok
+	// ask asks question i through v's memo, and checks a reused answer
+	// against a fresh probe of v's snapshot.
+	ask := func(round int, v *Verifier, i int) (answer, reused bool) {
+		eq := qs[i]
+		ok, hit, err := v.rowCache.do(v.db, eq.From.Set(), keys[i], func() (bool, bool, error) { return v.probe(ctx, eq) })
+		if err != nil {
+			t.Fatalf("round %d question %d: %v\n%+v", round, i, err, eq)
 		}
-	}
-	ask()
-	// kept counts carried true answers whose tables changed under a HAVING:
-	// what the classification lets survive. missed counts, per near miss,
-	// the true answers a later epoch made false that it would have kept.
-	kept, missed := 0, make([]int, len(nearMisses))
-	for round := range rounds {
-		st.appendBatch(t)
-		next := st.live.Snapshot()
-		carried := NewCacheFrom(next, cache)
-		for i, eq := range qs {
-			fresh, err := sqlexec.ExistsCtx(ctx, next, eq)
+		if hit {
+			fresh, err := sqlexec.ExistsCtx(ctx, v.db, eq)
 			if err != nil {
 				t.Fatalf("round %d question %d: %v\n%+v", round, i, err, eq)
 			}
+			if ok != fresh {
+				t.Fatalf("round %d question %d: reused %v on epoch %d, fresh probe %v\n%+v", round, i, ok, v.db.Epoch(), fresh, eq)
+			}
+		}
+		return ok, hit
+	}
+	db := st.live.Snapshot()
+	cache := NewCache(db)
+	prev := make([]bool, len(qs))
+	for i := range qs {
+		prev[i], _ = ask(-1, NewWithCache(db, nil, nil, nil, cache), i)
+	}
+	// kept counts reused true answers whose tables changed under a HAVING:
+	// what the classification lets survive. older counts the old snapshot's
+	// reuses of answers the new one computed. missed counts, per near miss,
+	// the true answers a later epoch made false that it would have kept.
+	kept, older, missed := 0, 0, make([]int, len(nearMisses))
+	for round := range rounds {
+		st.appendBatch(t)
+		next := st.live.Snapshot()
+		changed := changedTables(db, next)
+		nextCache := cache.At(next)
+		drawn := len(qs)
+		draw(drawn + 20)
+		nv, ov := NewWithCache(next, nil, nil, nil, nextCache), NewWithCache(db, nil, nil, nil, cache)
+		answers := make([]bool, len(qs))
+		for i, eq := range qs {
+			answer, reused := ask(round, nv, i)
+			answers[i] = answer
+			if i >= drawn {
+				continue
+			}
 			for m, nm := range nearMisses {
-				if prev[i] && !fresh && !slices.ContainsFunc(eq.Havings, func(h sqlir.HavingExpr) bool { return !nm.staysTrue(h) }) {
+				if prev[i] && !answer && !slices.ContainsFunc(eq.Havings, func(h sqlir.HavingExpr) bool { return !nm.staysTrue(h) }) {
 					missed[m]++
 				}
 			}
-			e, ok := carried.row.m[keys[i]]
-			if !ok {
-				continue
-			}
-			if e.val != fresh {
-				t.Fatalf("round %d question %d: carried %v, fresh probe %v\n%+v", round, i, e.val, fresh, eq)
-			}
-			if len(eq.Havings) > 0 && e.val && eq.From.Set()&changedTables(db, next) != 0 {
+			if reused && answer && len(eq.Havings) > 0 && eq.From.Set()&changed != 0 {
 				kept++
 			}
 		}
-		db, cache = next, carried
-		ask()
+		for i := range qs {
+			if _, reused := ask(round, ov, i); reused && i >= drawn {
+				older++
+			}
+		}
+		db, cache, prev = next, nextCache, answers
 	}
-	t.Logf("%d HAVING answers carried across a change; answers a near miss would have kept wrongly: %v", kept, missed)
+	t.Logf("%d HAVING answers reused across a change; %d answers reused by the older snapshot; answers a near miss would have kept wrongly: %v", kept, older, missed)
 	if kept == 0 {
-		t.Error("no HAVING answer was carried across a change of its tables")
+		t.Error("no HAVING answer was reused across a change of its tables")
+	}
+	if older == 0 {
+		t.Error("the older snapshot reused no answer the newer one computed")
 	}
 	for m, nm := range nearMisses {
 		if missed[m] == 0 {

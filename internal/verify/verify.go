@@ -22,15 +22,16 @@
 // caller may build the next query in the same memory as soon as the call
 // returns (the enumerator checks every query in one of two scratch
 // buffers). That holds because memo keys are 128-bit hashes of the question
-// (keys.go), an entry's dependency list is returned by boolMemo.do's
-// callback while the query is still the caller's, and an Outcome's reason
-// never points into it.
+// (keys.go), a question's dependency tables are read from the query and
+// handed to boolMemo.do before the question is asked, and an Outcome's
+// reason never points into it.
 package verify
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -153,9 +154,13 @@ type Verifier struct {
 }
 
 // boolMemo memoizes a keyed boolean computation under fixed-size hashed
-// keys (see keys.go — no per-lookup string building). Concurrent first
-// lookups of a key share one computation: the loser of the map race blocks
-// on the winner's entry lock instead of re-running the (possibly expensive
+// keys (see keys.go — no per-lookup string building), for every snapshot of
+// one database at once. Each key holds one entry, stamped with the version
+// of the snapshot that computed it (boolEntry.version): an entry answers a
+// reader of the same version, and a true answer that survives appended rows
+// also answers every later one (answers). Concurrent first lookups of a key
+// at one version share one computation: the loser of the map race blocks on
+// the winner's entry lock instead of re-running the (possibly expensive
 // database) check. A transient failure — the computing request was
 // cancelled or expired — is reported to its caller but never memoized, so a
 // shared memo cannot replay one request's fate to later, healthy requests.
@@ -171,11 +176,22 @@ type boolEntry struct {
 	done atomic.Bool
 	val  bool
 	err  error
-	deps sqlir.TableSet // tables the answer reads; carries the entry across epochs
 	// mono marks a question whose true answer survives appended rows
-	// (sqlexec.ExistsQuery.TrueSurvivesAppends): a true entry carries across
-	// epochs even when its tables changed.
+	// (sqlexec.ExistsQuery.TrueSurvivesAppends).
 	mono bool
+	// version is the computing snapshot's version of the question's tables,
+	// their summed row counts, fixed before the entry is published. Tables
+	// only grow and epochs are totally ordered, so two snapshots of one
+	// database with equal versions hold the same rows in those tables, and a
+	// greater version holds at least as many rows in every one.
+	version int
+}
+
+// answers reports whether a done entry answers a reader of version v: the
+// entry's own version, or any later one for a true answer that survives
+// appended rows.
+func (e *boolEntry) answers(v int) bool {
+	return e.version == v || e.mono && e.val && e.err == nil && e.version < v
 }
 
 // Transient reports whether err reflects one request's fate (cancellation or
@@ -193,21 +209,34 @@ func transient(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// do returns the memoized value for key, computing it with f at most once
-// across all callers. hit reports whether a previously computed entry
-// answered the call. Besides the answer, f returns the tables it reads and
-// whether a true answer survives appended rows, which let carryMemo move the
-// entry across an epoch boundary when none of its tables changed — or, for a
-// surviving true answer, even when they did.
-func (bm *boolMemo) do(key memoKey, f func() (val bool, deps sqlir.TableSet, mono bool, err error)) (val, hit bool, err error) {
+// do returns the memoized value for key, asked of db, whose answer reads
+// the tables deps; f computes it, and reports whether a true answer
+// survives appended rows. hit reports whether a previously computed entry
+// answered the call. A reader never waits on another version's computation:
+// a newer reader replaces the key's entry with its own, and an older one
+// computes privately, leaving the newer entry in place.
+func (bm *boolMemo) do(db *storage.Database, deps sqlir.TableSet, key memoKey, f func() (val, mono bool, err error)) (val, hit bool, err error) {
+	v := 0
+	for s := uint64(deps); s != 0; s &= s - 1 {
+		v += db.Schema.TableAt(bits.TrailingZeros64(s)).NumRows()
+	}
 	bm.mu.Lock()
 	if bm.m == nil {
 		bm.m = map[memoKey]*boolEntry{}
 	}
 	e, ok := bm.m[key]
-	if !ok {
-		e = &boolEntry{}
+	switch {
+	case ok && e.done.Load() && e.answers(v):
+		bm.mu.Unlock()
+		return e.val, true, e.err
+	case ok && e.version > v:
+		bm.mu.Unlock()
+		val, _, err := f()
+		return val, false, err
+	case !ok || e.version < v:
+		e = &boolEntry{version: v}
 		bm.m[key] = e
+		ok = false
 	}
 	bm.mu.Unlock()
 	e.mu.Lock()
@@ -215,96 +244,57 @@ func (bm *boolMemo) do(key memoKey, f func() (val bool, deps sqlir.TableSet, mon
 	if e.done.Load() {
 		return e.val, ok, e.err
 	}
-	val, deps, mono, err := f()
+	val, mono, err := f()
 	if err != nil && Transient(err) {
 		// Leave the entry uncomputed for the next request.
 		return false, false, err
 	}
-	e.val, e.err, e.deps, e.mono = val, err, deps, mono
+	e.val, e.err, e.mono = val, err, mono
 	e.done.Store(true)
 	return e.val, false, e.err
 }
 
-// carryMemo builds the next epoch's memo from a previous epoch's, keeping
-// every completed entry that provably still answers the same question:
-//
-//   - entries none of whose dependency tables changed — whose tables are
-//     the same frozen *Table in both snapshots — the answer is a pure
-//     function of those tables' contents, so it cannot differ; and
-//   - true entries marked mono, whose answer survives appended rows.
-//
-// Everything else (other answers over changed tables, entries without
-// recorded dependencies) restarts cold. A kept entry is shared, not copied:
-// a done entry is never written again.
-func carryMemo(db, prevDB *storage.Database, prev *boolMemo) *boolMemo {
-	next := &boolMemo{m: map[memoKey]*boolEntry{}}
-	changed := ^sqlir.TableSet(0)
-	if cat := db.Schema.Catalog(); cat.Same(prevDB.Schema.Catalog()) {
-		changed = 0
-		for t := range cat.NumTables() {
-			if db.Schema.TableAt(t) != prevDB.Schema.TableAt(t) {
-				changed = changed.With(t)
-			}
-		}
-	}
-	prev.mu.Lock()
-	defer prev.mu.Unlock()
-	for k, e := range prev.m {
-		// Never wait for a computation in flight: its request is still on
-		// the previous epoch and may hold e.mu for as long as its probe
-		// runs. An entry not yet done simply restarts cold.
-		if e.done.Load() && e.err == nil && e.deps != 0 && (e.mono && e.val || e.deps&changed == 0) {
-			next.m[k] = e
-		}
-	}
-	return next
-}
-
-// Cache is the per-database-epoch shared verification state: the executor
-// handle (counters only) plus the column-wise and row-wise verification
-// memos. Every memoized answer is a function of the database contents alone
-// (the sketch and literals only choose which questions get asked), so one
-// Cache is safely shared by all verifiers — and therefore all requests —
-// bound to the same database. The cache assumes its database is an
-// immutable view (the service layer builds one Cache per frozen epoch
-// snapshot): memos are never invalidated, so a write to the live database
-// can never evict another reader's warm answers — readers that want the new
-// rows use a new snapshot's Cache.
+// Cache is the shared verification state of one frozen snapshot of a
+// database: the snapshot's executor handle (counters only) plus the
+// column-wise and row-wise verification memos, which every snapshot of the
+// database shares (At). Every memoized answer is a function of the contents
+// of the tables it reads (the sketch and literals only choose which
+// questions get asked), so one Cache is safely shared by all verifiers — and
+// therefore all requests — bound to the same snapshot, and a snapshot reuses
+// an answer computed on another wherever the tables it reads hold the same
+// rows in both (boolMemo). A write to the live database never evicts
+// another reader's warm answers: readers that want the new rows take a new
+// snapshot and its Cache.
 type Cache struct {
 	db    *storage.Database
 	joins *sqlexec.JoinCache
-	col   *boolMemo
-	row   *boolMemo
+	// cat is the catalog the memos' keys number tables and columns in.
+	cat *sqlir.Catalog
+	col *boolMemo
+	row *boolMemo
 }
 
-// NewCache builds the shared verification state for a database (normally a
-// frozen epoch snapshot; see the type comment).
+// NewCache builds cold shared verification state for a database (normally
+// a frozen epoch snapshot; see the type comment).
 func NewCache(db *storage.Database) *Cache {
 	return &Cache{
 		db:    db,
 		joins: sqlexec.NewJoinCache(db),
+		cat:   db.Schema.Catalog(),
 		col:   &boolMemo{},
 		row:   &boolMemo{},
 	}
 }
 
-// NewCacheFrom builds the shared verification state for a new frozen epoch
-// snapshot, carrying the previous epoch's memoized column-/row-wise answers
-// forward wherever they provably still hold (carryMemo). An append touches
-// one table, so every answer not reading that table stays warm across the
-// epoch boundary — a write costs readers only the changed table's memos,
-// never a fully cold cache. The executor handle carries nothing: it holds no
-// data, only counters.
-func NewCacheFrom(db *storage.Database, prev *Cache) *Cache {
-	if prev == nil {
+// At returns the shared verification state for db, another snapshot of c's
+// database: its own executor handle over c's memos, or cold memos when db's
+// catalog is not c's (a foreign key was added in between). Nothing is
+// copied: which memoized answers db may reuse is decided when it asks.
+func (c *Cache) At(db *storage.Database) *Cache {
+	if !c.cat.Same(db.Schema.Catalog()) {
 		return NewCache(db)
 	}
-	return &Cache{
-		db:    db,
-		joins: sqlexec.NewJoinCache(db),
-		col:   carryMemo(db, prev.db, prev.col),
-		row:   carryMemo(db, prev.db, prev.row),
-	}
+	return &Cache{db: db, joins: sqlexec.NewJoinCache(db), cat: c.cat, col: c.col, row: c.row}
 }
 
 // Joins exposes the shared executor handle (the service layer routes
@@ -625,12 +615,12 @@ func (v *Verifier) verifyByColumn(ctx context.Context, q *sqlir.Query, only int)
 // under a hashed fixed-size key. hit reports a memoized answer.
 func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col sqlir.ColumnRef, cell tsq.Cell) (ok, hit bool, err error) {
 	key := columnCellKey(agg == sqlir.AggAvg, col, cell)
-	return v.colCache.do(key, func() (bool, sqlir.TableSet, bool, error) {
+	return v.colCache.do(v.db, sqlir.TableSet(0).With(col.Table()), key, func() (bool, bool, error) {
 		if agg == sqlir.AggAvg {
 			// The average lies within [min, max]: verification fails only
 			// if the cell cannot intersect that range, which only widens as
 			// rows arrive, so a true answer survives them.
-			return avgCellPossible(v.db.Stats(col), cell), sqlir.TableSet(0).With(col.Table()), true, nil
+			return avgCellPossible(v.db.Stats(col), cell), true, nil
 		}
 		// Unaggregated, MIN and MAX projections produce exact column
 		// values: run SELECT 1 FROM t WHERE <cell constraint> LIMIT 1.
@@ -642,12 +632,12 @@ func (v *Verifier) columnCellCheck(ctx context.Context, agg sqlir.AggFunc, col s
 	})
 }
 
-// probe runs a verification query, for a memo: its answer, the tables it
-// reads and whether a true answer survives appended rows.
-func (v *Verifier) probe(ctx context.Context, eq sqlexec.ExistsQuery) (bool, sqlir.TableSet, bool, error) {
+// probe runs a verification query, for a memo: its answer and whether a
+// true answer survives appended rows.
+func (v *Verifier) probe(ctx context.Context, eq sqlexec.ExistsQuery) (bool, bool, error) {
 	v.dbQueries.Add(1)
 	ok, err := v.joins.ExistsCtx(ctx, eq)
-	return ok, eq.From.Set(), eq.TrueSurvivesAppends(), err
+	return ok, eq.TrueSurvivesAppends(), err
 }
 
 // avgCellPossible checks intersection of the cell with the column's
@@ -751,7 +741,7 @@ func (v *Verifier) verifyByRow(ctx context.Context, q *sqlir.Query) (Outcome, er
 			continue
 		}
 		key := rq.key(tp)
-		ok, _, err := v.rowCache.do(key, func() (bool, sqlir.TableSet, bool, error) {
+		ok, _, err := v.rowCache.do(v.db, rq.q.From.Set(), key, func() (bool, bool, error) {
 			return v.probe(ctx, rq.build(tp))
 		})
 		if err != nil {
