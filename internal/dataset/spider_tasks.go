@@ -662,8 +662,7 @@ func (g *taskGen) singleTableHardTasks() {
 	for _, ts := range g.b.spec.tables {
 		table := ts.name
 		for _, groupCol := range g.textCols(table) {
-			st := g.b.db.Stats(groupCol)
-			if st.Distinct < 2 {
+			if g.b.db.Schema.TableAt(groupCol.Table()).VectorAt(groupCol.Column()).Dict().Size() < 2 {
 				continue
 			}
 			jp := g.path(table)

@@ -279,7 +279,7 @@ func (s *System) abduceFilters(mapping []sqlir.ColumnRef, base *sqlir.JoinPath, 
 				continue
 			}
 			if c.Type == sqlir.TypeText {
-				if s.db.Stats(ref).Distinct > maxDomain {
+				if t.VectorAt(ci).Dict().Size() > maxDomain {
 					continue
 				}
 				common, err := s.commonValues(ref, mapping, path, examples)

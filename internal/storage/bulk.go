@@ -9,6 +9,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/duoquest/duoquest/internal/sqlir"
 )
@@ -169,18 +170,13 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int) {
 		// A NaN is stored as NULL, as Insert stores it.
 		for i := 0; i < n; i++ {
 			if ri := base + i; c.IsNull(i) || math.IsNaN(v.nums[ri]) {
-				v.cowNulls(ri)
 				v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
 				v.nullCount++
 				v.nums[ri] = 0
 			}
 		}
 	case sqlir.TypeText:
-		if cap(v.codes)-len(v.codes) < n {
-			grown := make([]uint32, len(v.codes), len(v.codes)+n)
-			copy(grown, v.codes)
-			v.codes = grown
-		}
+		v.codes = slices.Grow(v.codes, n)
 		if c.Codes != nil {
 			v.appendCodes(c, base)
 			return
@@ -191,7 +187,6 @@ func (v *ColumnVec) appendBulk(c ColumnData, n int) {
 		for i, s := range c.Texts {
 			if c.IsNull(i) {
 				ri := base + i
-				v.cowNulls(ri)
 				v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
 				v.nullCount++
 				v.codes = append(v.codes, 0)
@@ -220,7 +215,6 @@ func (v *ColumnVec) appendCodes(c ColumnData, base int) {
 	for i, code := range c.Codes {
 		if c.IsNull(i) {
 			ri := base + i
-			v.cowNulls(ri)
 			v.nulls[ri>>6] |= 1 << (uint(ri) & 63)
 			v.nullCount++
 			v.codes = append(v.codes, 0)

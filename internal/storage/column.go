@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,25 +174,12 @@ type ColumnVec struct {
 	n         int
 	nullCount int
 
-	// sealedWords is the null-bitmap length at the last epoch publication
-	// (epoch.go): snapshot readers share nulls[:sealedWords], so setting a
-	// null bit inside that prefix — only ever possible in the partially
-	// filled boundary word — must copy the bitmap first (cowNulls). Zero
-	// means no published snapshot shares the bitmap.
-	sealedWords int
-}
-
-// cowNulls makes the null bitmap safe to mutate in place at row ri. Value
-// and code appends only ever write past the published lengths, but a null
-// bit for a new row can land in a published epoch's partially filled last
-// word. The first such write after a publication copies the bitmap once
-// (O(rows/64), amortised over all subsequent appends); vectors never
-// captured in a snapshot pay nothing.
-func (v *ColumnVec) cowNulls(ri int) {
-	if v.sealedWords > 0 && ri>>6 < v.sealedWords {
-		v.nulls = append(make([]uint64, 0, cap(v.nulls)), v.nulls...)
-		v.sealedWords = 0
-	}
+	// tail is a frozen vector's partially filled last bitmap word, held by
+	// value: a snapshot's nulls stop at its last full word (captureView),
+	// so the live vector sets the NULL bits of later rows in that word in
+	// place, in a word no snapshot reads. Zero on a live vector, whose
+	// nulls hold every word.
+	tail uint64
 }
 
 // Type returns the column's declared type.
@@ -205,7 +193,10 @@ func (v *ColumnVec) NullCount() int { return v.nullCount }
 
 // IsNull reports whether row i is NULL.
 func (v *ColumnVec) IsNull(i int) bool {
-	return v.nulls[i>>6]&(1<<(uint(i)&63)) != 0
+	if w := i >> 6; w < len(v.nulls) {
+		return v.nulls[w]&(1<<(uint(i)&63)) != 0
+	}
+	return v.tail&(1<<(uint(i)&63)) != 0
 }
 
 // Num returns row i's numeric value (0 when the row is NULL; check IsNull).
@@ -249,7 +240,6 @@ func (v *ColumnVec) appendValue(val sqlir.Value) {
 		v.dict = &Dict{}
 	}
 	if val.IsNull() || val.IsNaN() {
-		v.cowNulls(i)
 		v.nulls[i>>6] |= 1 << (uint(i) & 63)
 		v.nullCount++
 		switch v.typ {
@@ -271,11 +261,11 @@ func (v *ColumnVec) appendValue(val sqlir.Value) {
 // vectorBytes estimates the vector's memory footprint excluding the
 // dictionary (reported separately).
 func (v *ColumnVec) vectorBytes() int64 {
-	return int64(len(v.nums))*8 + int64(len(v.codes))*4 + int64(len(v.nulls))*8
+	return int64(len(v.nums))*8 + int64(len(v.codes))*4 + int64((v.n+63)>>6)*8
 }
 
 // CodeIndex is a typed posting-list index over one column — the only index
-// the storage engine has. Postings live in one slot array: a text column's
+// the storage engine has. Postings live in one slot table: a text column's
 // slot is the dictionary code, and a numeric column whose non-null values
 // are all integers in a compact range — the FK/PK id columns every join
 // probes — has slot value − off, so a join probe is an array load rather
@@ -287,9 +277,15 @@ func (v *ColumnVec) vectorBytes() int64 {
 // length, so no caller can append into capacity a successor epoch's index
 // may be using.
 type CodeIndex struct {
-	once  sync.Once
-	vec   *ColumnVec
-	slots [][]int32
+	once sync.Once
+	vec  *ColumnVec
+	// slots holds the slot table in pages of chunks: chunk c holds slots
+	// [c·slotChunk, (c+1)·slotChunk) and page p chunks [p·pageChunks,
+	// (p+1)·pageChunks), each sized to what it holds, so only the last
+	// chunk and page are short. An extension shares its base's pages and
+	// chunks until it writes into one (extendFrom).
+	slots [][][][]int32
+	width int // slots in the table
 	off   int
 	num   map[uint64][]int32 // numeric columns with no compact range, keyed by numKey
 
@@ -299,13 +295,27 @@ type CodeIndex struct {
 	ready atomic.Bool
 }
 
+// A slot table's chunk holds up to slotChunk slots, and its page up to
+// pageChunks chunks (1 << pageBits slots).
+const (
+	chunkBits  = 6
+	pageBits   = 12
+	slotChunk  = 1 << chunkBits
+	pageChunks = 1 << (pageBits - chunkBits)
+)
+
 // capped returns list with no spare capacity: appending to it reallocates.
 func capped(list []int32) []int32 { return list[:len(list):len(list)] }
 
+// list returns slot s's posting list, capped.
+func (ix *CodeIndex) list(s int) []int32 {
+	return capped(ix.slots[s>>pageBits][s>>chunkBits&(pageChunks-1)][s&(slotChunk-1)])
+}
+
 // numSlot returns the slot of numeric value f, false when f is not an
-// integer inside the slot array's range.
+// integer inside the slot table's range.
 func (ix *CodeIndex) numSlot(f float64) (int, bool) {
-	if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+len(ix.slots)) {
+	if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+ix.width) {
 		return 0, false
 	}
 	return int(f) - ix.off, true
@@ -323,7 +333,7 @@ func (ix *CodeIndex) Num(f float64) []int32 {
 		return capped(ix.num[numKey(f)])
 	}
 	if s, ok := ix.numSlot(f); ok {
-		return capped(ix.slots[s])
+		return ix.list(s)
 	}
 	return nil
 }
@@ -333,10 +343,10 @@ func (ix *CodeIndex) Num(f float64) []int32 {
 // index's table — a live table drops the index on Insert, and a frozen
 // table's dictionary never grows).
 func (ix *CodeIndex) Text(code uint32) []int32 {
-	if int(code) >= len(ix.slots) {
+	if int(code) >= ix.width {
 		return nil
 	}
-	return capped(ix.slots[code])
+	return ix.list(int(code))
 }
 
 // TextString returns the posting list for a string value via the dictionary
@@ -367,45 +377,108 @@ func (ix *CodeIndex) Postings(v sqlir.Value) []int32 {
 }
 
 // fill appends rows [from, n) of the column to the index, in the layout the
-// index holds. It reports false at a numeric value outside the slot array,
-// which only an extension meets.
-func (ix *CodeIndex) fill(from int) bool {
+// index holds. A build passes the one array its slot table was cut from,
+// flat, and writes slot s at flat[s]; an extension passes its base index,
+// whose pages and chunks it still shares, and the first write into one
+// copies it (own). fill reports false at a numeric value outside the slot
+// table, which only an extension meets.
+func (ix *CodeIndex) fill(from int, base *CodeIndex, flat [][]int32) bool {
 	vec := ix.vec
 	for i := from; i < vec.n; i++ {
+		var s int
 		switch {
 		case vec.IsNull(i):
+			continue
 		case ix.num != nil:
 			k := numKey(vec.nums[i])
 			ix.num[k] = append(ix.num[k], int32(i))
+			continue
 		case vec.typ == sqlir.TypeText:
-			ix.slots[vec.codes[i]] = append(ix.slots[vec.codes[i]], int32(i))
+			s = int(vec.codes[i])
 		default:
-			s, ok := ix.numSlot(vec.nums[i])
-			if !ok {
+			var ok bool
+			if s, ok = ix.numSlot(vec.nums[i]); !ok {
 				return false
 			}
-			ix.slots[s] = append(ix.slots[s], int32(i))
 		}
+		if flat != nil {
+			flat[s] = append(flat[s], int32(i))
+			continue
+		}
+		p, c := s>>pageBits, s>>chunkBits&(pageChunks-1)
+		ix.own(base, p, c)
+		chunk := ix.slots[p][c]
+		chunk[s&(slotChunk-1)] = append(chunk[s&(slotChunk-1)], int32(i))
 	}
 	return true
 }
 
+// own makes page p, and chunk c of it, the index's own before a write:
+// each that is still the base index's (the same array) is copied.
+func (ix *CodeIndex) own(base *CodeIndex, p, c int) {
+	if p >= len(base.slots) {
+		return // past the base's table: widen made it
+	}
+	bp := base.slots[p]
+	if &ix.slots[p][0] == &bp[0] {
+		ix.slots[p] = slices.Clone(bp)
+	}
+	if c < len(bp) && &ix.slots[p][c][0] == &bp[c][0] {
+		ix.slots[p][c] = slices.Clone(bp[c])
+	}
+}
+
+// widen returns a slot table of width slots that shares the pages and
+// chunks of table, of width from, that hold no slot at or past from, and
+// gives every other chunk and page storage of its own — cut from one array
+// per level — keeping the lists and chunks the old ones hold. It also
+// returns the array the chunks were cut from, which holds slots
+// [from/slotChunk·slotChunk, width): widen(nil, 0, w) is an empty table of
+// width w and its slots in order.
+func widen(table [][][][]int32, from, width int) ([][][][]int32, [][]int32) {
+	nc := (width + slotChunk - 1) >> chunkBits
+	out := make([][][][]int32, (nc+pageChunks-1)/pageChunks)
+	copy(out, table)
+	if width == from {
+		return out, nil
+	}
+	c0, p0 := from>>chunkBits, from>>pageBits
+	chunks := make([][][]int32, nc-p0*pageChunks)
+	for p := p0; p < len(out); p++ {
+		lo, hi := (p-p0)*pageChunks, min((p-p0+1)*pageChunks, len(chunks))
+		copy(chunks[lo:hi], out[p])
+		out[p] = chunks[lo:hi:hi]
+	}
+	slots := make([][]int32, width-c0*slotChunk)
+	for c := c0; c < nc; c++ {
+		lo, hi := (c-c0)*slotChunk, min((c-c0+1)*slotChunk, len(slots))
+		pg := out[c>>(pageBits-chunkBits)]
+		copy(slots[lo:hi], pg[c&(pageChunks-1)])
+		pg[c&(pageChunks-1)] = slots[lo:hi:hi]
+	}
+	return out, slots
+}
+
 // build makes the index from scratch: a text column gets one slot per
-// dictionary code, a numeric column the slot array when its values have a
+// dictionary code, a numeric column the slot table when its values have a
 // dense range, else the value map.
 func (ix *CodeIndex) build() {
 	vec := ix.vec
 	if vec.typ == sqlir.TypeText {
-		ix.slots = make([][]int32, vec.dict.Size())
+		ix.width = vec.dict.Size()
 	} else if off, width, ok := denseRange(vec); ok {
-		ix.off, ix.slots = off, make([][]int32, width)
+		ix.off, ix.width = off, width
 	} else {
 		ix.num = make(map[uint64][]int32, vec.n-vec.nullCount)
 	}
-	ix.fill(0)
+	var flat [][]int32
+	if ix.num == nil {
+		ix.slots, flat = widen(nil, 0, ix.width)
+	}
+	ix.fill(0, nil, flat)
 }
 
-// denseRange reports the slot array a numeric column fits, in one scan:
+// denseRange reports the slot table a numeric column fits, in one scan:
 // every non-null value must be an integer and the value range must stay
 // within a small multiple of the row count (so id-like columns qualify and
 // sparse ones keep the value map).
@@ -426,19 +499,22 @@ func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 		lo, hi = min(lo, f), max(hi, f)
 	}
 	if hi-lo+1 > float64(4*nonNull)+1024 {
-		return 0, 0, false // sparse ids: a dense array would be mostly holes
+		return 0, 0, false // sparse ids: a dense table would be mostly holes
 	}
 	return int(lo), int(hi-lo) + 1, true
 }
 
 // extendFrom makes the index from base table b's index of the same column
-// ci, when b is non-nil and that index is ready: it copies the base's layout
-// — the slot array or the value map, whose posting lists it shares — and
-// fills only the rows appended since b. An epoch boundary therefore costs
-// O(distinct keys + delta) per index, and a posting list is copied only
-// when an append finds it full. It reports false, leaving the index empty,
-// when there is no ready base index or a delta value falls outside the
-// base's slot array; the caller then builds from scratch.
+// ci, when b is non-nil and that index is ready: it copies the base's value
+// map, or the base's page table — sharing the pages, the chunks and the
+// posting lists — and fills only the rows appended since b. A page or chunk
+// is copied before the first write into it, and before a dictionary grown
+// since b widens it (widen), so an epoch boundary costs O(distinct keys)
+// for a value map and, for a slot table, O(width/4096 + pageChunks·
+// pages touched + slotChunk·chunks touched + delta); a posting list is
+// copied only when an append finds it full. It reports false, leaving the
+// index empty, when there is no ready base index or a delta value falls
+// outside the base's slot table; the caller then builds from scratch.
 //
 // Appending into the base's spare capacity is safe because of four
 // invariants:
@@ -448,15 +524,18 @@ func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 //     table), and each of the successor's indexes extends the base's once,
 //     inside its own once, so no two indexes ever append into the same
 //     spare capacity.
-//  2. Readers stop at their own length. The base index's slot array and map
-//     are copied, never rewritten; its readers see rows [0, len) and the
-//     successor writes only past that, into memory no base reader can reach.
+//  2. Readers stop at their own length. The base index's page table, pages,
+//     chunks and map are never rewritten — the successor writes only into
+//     pages and chunks it has copied; the base's readers see rows [0, len)
+//     of each list, and the successor writes only past that, into memory no
+//     base reader can reach.
 //  3. Nobody else appends. Num, Text, TextString and Postings return lists
 //     capped at their length (capped), so a caller appending to a posting
 //     list reallocates instead of writing into shared capacity.
-//  4. A failed extension is invisible. It wrote only into spare capacity
-//     (2), which no one else will write (1), and the index restarts empty
-//     before its build, which allocates lists of its own.
+//  4. A failed extension is invisible. It wrote only into pages and chunks
+//     it had copied and into spare capacity (2), which no one else will
+//     write (1), and the index restarts empty before its build, which
+//     allocates a table and lists of its own.
 func (ix *CodeIndex) extendFrom(b *Table, ci int) bool {
 	if b == nil {
 		return false
@@ -470,12 +549,11 @@ func (ix *CodeIndex) extendFrom(b *Table, ci int) bool {
 	if base.num != nil {
 		ix.num = maps.Clone(base.num)
 	} else {
-		ix.off = base.off
-		ix.slots = make([][]int32, max(len(base.slots), ix.vec.dict.Size()))
-		copy(ix.slots, base.slots)
+		ix.off, ix.width = base.off, max(base.width, ix.vec.dict.Size())
+		ix.slots, _ = widen(base.slots, base.width, ix.width)
 	}
-	if !ix.fill(b.NumRows()) {
-		ix.slots, ix.off = nil, 0
+	if !ix.fill(b.NumRows(), base, nil) {
+		ix.slots, ix.off, ix.width = nil, 0, 0
 		return false
 	}
 	return true

@@ -4,9 +4,9 @@
 // dictionary sizes at one instant. Writers publish immutable *epochs*:
 // numbered views whose column vectors are capacity-clamped slice headers
 // over the live backing arrays. Later appends only ever write past the
-// published lengths (the null bitmap's partially filled boundary word is
-// copy-on-write, see ColumnVec.cowNulls), so every published epoch stays
-// valid forever at zero copy cost.
+// published lengths (a view holds the null bitmap's partially filled
+// boundary word by value, see ColumnVec.tail), so every published epoch
+// stays valid forever at the cost of one word per column.
 //
 // Readers obtain a snapshot as a frozen *Database — structurally identical
 // to a live one, so the whole query stack (sqlexec, verify, enumerate,
@@ -25,8 +25,11 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/duoquest/duoquest/internal/sqlir"
 )
 
 // tableView is one table's state at publication: the generation it was
@@ -41,8 +44,9 @@ type tableView struct {
 
 	// base is the previous epoch's frozen table, when it had one at
 	// publication: the frozen table this view becomes extends the base's
-	// ready code indexes on their first read (Table.CodeIndex — append-only
-	// rows make prefixes shareable) instead of rebuilding from scratch.
+	// ready code indexes and memoized statistics on their first read
+	// (Table.CodeIndex, Table.Stats — append-only rows make prefixes
+	// shareable) instead of rebuilding from scratch.
 	// Handed over and cleared on freeze.
 	base *Table
 
@@ -50,12 +54,16 @@ type tableView struct {
 	tbl  atomic.Pointer[Table]
 }
 
-// dbView is one published epoch: a number and the per-table views. Views of
-// tables untouched since the previous epoch are shared with it, so an
-// ingest burst into one table does not re-freeze (or re-index) the others.
+// dbView is one published epoch: a number, the per-table views, and the
+// catalog and foreign keys the schema had at publication. Views of tables
+// untouched since the previous epoch are shared with it, so an ingest burst
+// into one table — or a build-phase AddForeignKey, which changes only the
+// catalog — does not re-freeze (or re-index) the others.
 type dbView struct {
 	epoch  int64
 	tables []*tableView
+	cat    *sqlir.Catalog
+	fks    []ForeignKey
 
 	once   sync.Once
 	frozen *Database
@@ -63,8 +71,10 @@ type dbView struct {
 
 // captureView snapshots the table's vectors under the database write lock.
 // Each clamp seals the vector: the full-slice expressions pin length and
-// capacity so a reader can never observe a later in-place append, and
-// sealedWords arms the null-bitmap copy-on-write for the boundary word.
+// capacity so a reader can never observe a later in-place append. The null
+// bitmap is clamped at its last full word and a partially filled last word
+// is copied into the view (tail), so the live vector's later NULL bits in
+// that word are set in place, where no view reads.
 // prev is the table's view in the previous epoch, or nil; its frozen
 // dictionaries are what the new ones share lookup maps with (Dict.freeze).
 func (t *Table) captureView(prev *tableView) *tableView {
@@ -75,9 +85,12 @@ func (t *Table) captureView(prev *tableView) *tableView {
 			typ:       v.typ,
 			nums:      v.nums[:len(v.nums):len(v.nums)],
 			codes:     v.codes[:len(v.codes):len(v.codes)],
-			nulls:     v.nulls[:len(v.nulls):len(v.nulls)],
+			nulls:     v.nulls[: v.n>>6 : v.n>>6],
 			n:         v.n,
 			nullCount: v.nullCount,
+		}
+		if v.n&63 != 0 {
+			fv.tail = v.nulls[v.n>>6]
 		}
 		if v.dict != nil {
 			var pd *Dict
@@ -86,7 +99,6 @@ func (t *Table) captureView(prev *tableView) *tableView {
 			}
 			fv.dict = v.dict.freeze(pd)
 		}
-		v.sealedWords = len(v.nulls)
 		tv.cols[i] = fv
 	}
 	return tv
@@ -115,8 +127,8 @@ func (v *dbView) freeze(src *Database) *Database {
 			tables[i] = tv.freeze(src.Schema.Tables[i])
 		}
 		sch := NewSchema(tables...)
-		sch.ForeignKeys = append([]ForeignKey(nil), src.Schema.ForeignKeys...)
-		sch.cat.Store(src.Schema.Catalog())
+		sch.ForeignKeys = v.fks
+		sch.cat.Store(v.cat)
 		fdb := NewDatabase(src.Name, sch)
 		fdb.frozen = true
 		fdb.snapEpoch = v.epoch
@@ -125,11 +137,12 @@ func (v *dbView) freeze(src *Database) *Database {
 	return v.frozen
 }
 
-// changedSince reports whether any table mutated after the view was
-// captured. Generations are atomics, so the check is safe against a
-// concurrent Append and costs one load per table.
+// changedSince reports whether any table mutated, or the schema's catalog
+// changed, after the view was captured. Generations and the catalog are
+// atomics, so the check is safe against a concurrent Append and costs one
+// load per table.
 func (d *Database) changedSince(v *dbView) bool {
-	if len(v.tables) != len(d.Schema.Tables) {
+	if len(v.tables) != len(d.Schema.Tables) || v.cat != d.Schema.Catalog() {
 		return true
 	}
 	for i, t := range d.Schema.Tables {
@@ -141,11 +154,13 @@ func (d *Database) changedSince(v *dbView) bool {
 }
 
 // publishLocked captures a new epoch. Caller holds writeMu. Views of tables
-// whose generation did not move are shared with the previous epoch.
+// whose generation did not move are shared with the previous epoch, so an
+// epoch published for a catalog change alone shares every view.
 func (d *Database) publishLocked() *dbView {
 	prev := d.latest.Load()
 	d.epochSeq++
-	nv := &dbView{epoch: d.epochSeq, tables: make([]*tableView, len(d.Schema.Tables))}
+	nv := &dbView{epoch: d.epochSeq, tables: make([]*tableView, len(d.Schema.Tables)),
+		cat: d.Schema.Catalog(), fks: slices.Clone(d.Schema.ForeignKeys)}
 	for i, t := range d.Schema.Tables {
 		var ptv *tableView
 		if prev != nil && i < len(prev.tables) {

@@ -132,7 +132,9 @@ func TestSnapshotDictSharesRootMap(t *testing.T) {
 
 // TestSnapshotNullBoundaryCOW publishes a snapshot mid null-bitmap word and
 // appends NULL-bearing rows into the same word: the snapshot must keep its
-// pre-append bits (copy-on-write), the head must see the new ones.
+// pre-append bits (it holds that word by value), the head must see the new
+// ones. A table given the snapshot's vectors takes the word back into its
+// bitmap, so its own appends read back too.
 func TestSnapshotNullBoundaryCOW(t *testing.T) {
 	db, _ := epochDB()
 	if _, err := db.Append("ev", epochBatch(0, 5)); err != nil {
@@ -150,6 +152,17 @@ func TestSnapshotNullBoundaryCOW(t *testing.T) {
 	if got := snap.Table("ev").Vector("id").NullCount(); got != 1 {
 		t.Errorf("snapshot null count = %d, want 1", got)
 	}
+
+	copyDB, copied := epochDB()
+	ft := snap.Table("ev")
+	if err := copied.SetVectors([]ColumnVec{*ft.VectorAt(0), *ft.VectorAt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := copied.BulkAppend(epochBatch(5, 65)); err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, copyDB.Snapshot().Table("ev"), 70)
+	checkRows(t, snap.Table("ev"), 5)
 }
 
 // TestSnapshotPerRowInsert covers the per-row Insert path after a
@@ -305,7 +318,20 @@ func wantPostings(vec *ColumnVec) map[string][]int32 {
 	return out
 }
 
-// TestSnapshotSharedPostingsMatchRebuild runs 64 epochs of seeded appends,
+// TestSnapshotSharedPostingsMatchRebuild: every held epoch's postings equal
+// a from-scratch build over its own vectors, however its index was made —
+// over a seeded append stream, and in the three places a slot table's
+// chunks are copied: a dictionary that grows across a chunk and page
+// boundary, a delta that writes its base's short last chunk, and an
+// extension that fails after copying a chunk.
+func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
+	t.Run("seeded appends", seededSharedPostings)
+	t.Run("dictionary grows across a chunk boundary", dictGrowsAcrossChunks)
+	t.Run("delta writes the base's short last chunk", deltaWritesShortChunk)
+	t.Run("failed extension after a chunk copy", failedExtensionAfterCopy)
+}
+
+// seededSharedPostings runs 64 epochs of seeded appends,
 // holding every epoch's snapshot and reading its indexes as it goes (except
 // every ninth epoch, which is left unread until the end: its base is
 // cleared when its successor is published, so its indexes build from
@@ -314,7 +340,7 @@ func wantPostings(vec *ColumnVec) map[string][]int32 {
 // from-scratch build over that epoch's own vectors — appends into shared
 // posting-list capacity are invisible to every earlier epoch — and some
 // successor lists must really share their base's array.
-func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
+func seededSharedPostings(t *testing.T) {
 	db := shareDB()
 	cols := []string{"id", "sparse", "tag"}
 	r := rand.New(rand.NewSource(25))
@@ -378,6 +404,142 @@ func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
 	}
 	if sharedGrowth == 0 {
 		t.Error("no epoch appended into its predecessor's posting lists: the lists are copied, not shared")
+	}
+}
+
+// chunkEpochs appends each batch to a table of a dense id column and a text
+// column, reading both indexes of every epoch as it is published and
+// keeping a copy of their postings. After the last append every epoch's
+// postings must equal a rebuild over its own vectors and the copy taken at
+// its first read. It returns the epochs' tables.
+func chunkEpochs(t *testing.T, batches ...[]ColumnData) []*Table {
+	t.Helper()
+	tb := NewTable("ev", "id", Column{"id", sqlir.TypeNumber}, Column{"tag", sqlir.TypeText})
+	db := NewDatabase("chunks", NewSchema(tb))
+	var tables []*Table
+	var first []map[string]map[string][]int32
+	for _, batch := range batches {
+		if _, err := db.Append("ev", batch); err != nil {
+			t.Fatal(err)
+		}
+		ft := db.Snapshot().Table("ev")
+		read := map[string]map[string][]int32{}
+		for _, c := range []string{"id", "tag"} {
+			read[c] = heldPostings(ft, c, distinctValues(ft.Vector(c)))
+		}
+		tables, first = append(tables, ft), append(first, read)
+	}
+	last := tables[len(tables)-1]
+	for e, ft := range tables {
+		for _, c := range []string{"id", "tag"} {
+			probes := distinctValues(last.Vector(c))
+			checkRebuild(t, fmt.Sprintf("epoch %d", e+1), ft, c, probes)
+			held := heldPostings(ft, c, probes)
+			for k, want := range first[e][c] {
+				if got := held[k]; !slices.Equal(got, want) {
+					t.Fatalf("epoch %d %s = %s: postings %v after later epochs, %v at first read", e+1, c, k, got, want)
+				}
+			}
+		}
+	}
+	return tables
+}
+
+// textRows is a batch of n rows whose tag is tag(i) and whose id is 0.
+func textRows(n int, tag func(i int) string) []ColumnData {
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = tag(i)
+	}
+	return []ColumnData{{Nums: make([]float64, n)}, {Texts: texts}}
+}
+
+// idRows is a batch with one row per id, its tag "x".
+func idRows(ids ...float64) []ColumnData {
+	tags := make([]string, len(ids))
+	for i := range tags {
+		tags[i] = "x"
+	}
+	return []ColumnData{{Nums: ids}, {Texts: tags}}
+}
+
+// sameChunk reports whether two indexes hold chunk c of page p in one array.
+func sameChunk(a, b *CodeIndex, p, c int) bool { return &a.slots[p][c][0] == &b.slots[p][c][0] }
+
+// dictGrowsAcrossChunks: the tag dictionary holds 4 090 strings, so its
+// slot table's one page ends in a short chunk. Epoch 2 writes slot 5 and
+// grows the dictionary past the page (4 096 slots); epoch 3 writes the
+// second page's short chunk and grows the dictionary past a chunk boundary
+// inside that page. Each widening copies the base's short last page and
+// chunk; the chunks a delta does not write stay shared.
+func dictGrowsAcrossChunks(t *testing.T) {
+	tags := func(codes ...int) []ColumnData {
+		return textRows(len(codes), func(i int) string { return fmt.Sprintf("t%d", codes[i]) })
+	}
+	upTo := func(lo, hi int) []int {
+		var out []int
+		for c := lo; c < hi; c++ {
+			out = append(out, c)
+		}
+		return out
+	}
+	tables := chunkEpochs(t,
+		tags(upTo(0, 4090)...),
+		tags(append([]int{5, 4089}, upTo(4090, 4102)...)...),
+		tags(append([]int{4100}, upTo(4102, 4170)...)...),
+	)
+	ix := make([]*CodeIndex, len(tables))
+	for e, ft := range tables {
+		ix[e] = codeIndex(ft, "tag")
+	}
+	if len(ix[1].slots) != 2 || len(ix[1].slots[1]) != 1 || len(ix[2].slots[1]) != 2 {
+		t.Fatalf("slot tables of %d and %d slots: want 2 pages, the second of 1 chunk and then of 2", ix[1].width, ix[2].width)
+	}
+	if !sameChunk(ix[1], ix[0], 0, 1) || sameChunk(ix[1], ix[0], 0, 0) || sameChunk(ix[1], ix[0], 0, 63) {
+		t.Error("epoch 2: want chunk 1 shared with its base, and chunk 0 (written) and the widened chunk 63 copied")
+	}
+	if &ix[2].slots[0][0] != &ix[1].slots[0][0] || sameChunk(ix[2], ix[1], 1, 0) {
+		t.Error("epoch 3: want its base's first page shared, and the widened short chunk of the second copied")
+	}
+}
+
+// deltaWritesShortChunk: the id column's slot table is 100 slots wide, so
+// its second chunk is short; a delta writes ids in it, copying that chunk
+// and leaving the first one shared.
+func deltaWritesShortChunk(t *testing.T) {
+	ids := make([]float64, 100)
+	for i := range ids {
+		ids[i] = float64(i)
+	}
+	tables := chunkEpochs(t, idRows(ids...), idRows(70, 99, 70), idRows(99, 64))
+	a, b := codeIndex(tables[0], "id"), codeIndex(tables[1], "id")
+	if len(a.slots[0]) != 2 || len(a.slots[0][1]) != 36 {
+		t.Fatalf("a 100-slot table has %d chunks, the last of %d slots", len(a.slots[0]), len(a.slots[0][1]))
+	}
+	if !sameChunk(a, b, 0, 0) || sameChunk(a, b, 0, 1) {
+		t.Error("want the untouched first chunk shared and the written short chunk copied")
+	}
+}
+
+// failedExtensionAfterCopy: the delta's first row is an id inside the base's
+// slot table, so the extension copies that id's chunk and appends the row
+// into the spare capacity of the base's list before the second row, far
+// outside the table, fails it. The index is then built from scratch, the
+// base's readers still see their own rows, and the next epoch extends the
+// rebuilt index.
+func failedExtensionAfterCopy(t *testing.T) {
+	ids := make([]float64, 200)
+	for i := range ids {
+		ids[i] = float64(i % 97) // ids 0 to 5 have three rows, so spare capacity
+	}
+	tables := chunkEpochs(t, idRows(ids...), idRows(1, 1e6), idRows(1, 5))
+	base, rebuilt := codeIndex(tables[0], "id"), codeIndex(tables[1], "id")
+	raw := base.slots[0][0][1]
+	if got := raw[:cap(raw)]; len(raw) != 3 || len(got) < 4 || got[3] != 200 {
+		t.Fatalf("base list of id 1: %v, with capacity %v: the extension wrote no row into its spare capacity before failing", raw, got)
+	}
+	if rebuilt.num == nil {
+		t.Error("the failed extension's index is a slot table: it was not rebuilt over the new range")
 	}
 }
 

@@ -16,6 +16,7 @@ package storage
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -162,7 +163,11 @@ func columnFingerprint(vec *ColumnVec) uint64 {
 		}
 		h = fpWord(a, b)
 	}
-	if nulls := vec.nulls; len(nulls) > 0 {
+	nulls := vec.nulls
+	if len(nulls) < (vec.n+63)>>6 {
+		nulls = append(slices.Clip(nulls), vec.tail) // a frozen vector's last word
+	}
+	if len(nulls) > 0 {
 		a, b := h, h^lane2
 		i := 0
 		for ; i+1 < len(nulls); i += 2 {

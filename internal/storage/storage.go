@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,10 +48,12 @@ type Table struct {
 
 	// base is the previous epoch's frozen table (set at freeze, epoch.go):
 	// this table's first read of a code index extends the base's ready
-	// index with just the appended rows, appending into the base's posting
-	// lists (CodeIndex.extendFrom), so an epoch boundary costs O(distinct
-	// keys + delta) per index instead of O(n). The publication that links
-	// this table as a successor's base clears it, so a chain is one hop.
+	// index with just the appended rows, sharing its chunks and appending
+	// into its posting lists (CodeIndex.extendFrom), and its first read of
+	// a column's statistics folds the base's over those rows
+	// (computeStats), so an epoch boundary costs the delta, not O(n). The
+	// publication that links this table as a successor's base clears it,
+	// so a chain is one hop.
 	base atomic.Pointer[Table]
 
 	// hashMu guards codeIdx and stats.
@@ -152,6 +155,13 @@ func (t *Table) SetVectors(vecs []ColumnVec) error {
 		}
 	}
 	copy(t.vecs, vecs)
+	for i := range t.vecs {
+		if v := &t.vecs[i]; len(v.nulls) < (v.n+63)>>6 {
+			// A snapshot's vector: its last bitmap word goes back into the
+			// bitmap, where appends set bits.
+			v.nulls, v.tail = append(slices.Clip(v.nulls), v.tail), 0
+		}
+	}
 	t.rowsChanged()
 	return nil
 }
@@ -175,10 +185,11 @@ func (t *Table) MustInsert(vals ...sqlir.Value) {
 	}
 }
 
-// ColumnStats summarises one column for verification and PBE abduction.
+// ColumnStats summarises one column for verification and guidance: the
+// range of its values and how many rows hold one. A text column's distinct
+// count is its dictionary's Size.
 type ColumnStats struct {
 	Min, Max sqlir.Value // over non-null values; Null if there are none
-	Distinct int
 	NonNull  int
 }
 
@@ -186,7 +197,9 @@ type ColumnStats struct {
 // table and is cleared together with the lazy indexes whenever the table
 // mutates, so on a frozen snapshot table a stored entry serves every later
 // call. The computation runs outside hashMu, so readers that miss at once
-// each compute it, and the last one to finish stores its copy.
+// each compute it, and the last one to finish stores its copy. A frozen
+// table whose base has the column's statistics folds them over its
+// appended rows (computeStats), so a new epoch's statistics cost its delta.
 func (t *Table) Stats(ci int) ColumnStats {
 	t.hashMu.Lock()
 	if st, ok := t.stats[ci]; ok {
@@ -204,49 +217,67 @@ func (t *Table) Stats(ci int) ColumnStats {
 	return st
 }
 
-// computeStats scans the typed vectors: a float scan for numeric columns,
-// and for text columns the distinct count is simply the dictionary size —
-// every interned string was inserted at least once and rows are never
-// deleted.
+// computeStats takes the range in one pass, in row order for a numeric
+// column and in code order over the dictionary for a text column — every
+// interned string is in some row, since rows are never deleted. When the
+// base table (epoch.go) has memoized the column's statistics, the pass
+// starts from them and reads only the rows, or the dictionary entries,
+// added since: the base's rows and dictionary are a prefix of the table's,
+// so the fold visits the values a fresh pass would, in the same order, and
+// keeps the same minimum and maximum.
 func (t *Table) computeStats(ci int) ColumnStats {
 	vec := &t.vecs[ci]
-	var st ColumnStats
-	st.NonNull = vec.n - vec.nullCount
-	if st.NonNull == 0 {
-		return st
+	if vec.n == vec.nullCount {
+		return ColumnStats{}
 	}
+	var st ColumnStats
+	from := 0
+	if b := t.base.Load(); b != nil {
+		b.hashMu.Lock()
+		bst, ok := b.stats[ci]
+		b.hashMu.Unlock()
+		if ok {
+			st = bst
+			from = b.NumRows()
+			if vec.typ == sqlir.TypeText {
+				from = b.vecs[ci].dict.Size()
+			}
+		}
+	}
+	st.NonNull = vec.n - vec.nullCount
 	switch vec.typ {
 	case sqlir.TypeNumber:
-		seen := make(map[float64]struct{}, st.NonNull)
-		var lo, hi float64
-		for i := 0; i < vec.n; i++ {
+		lo, hi, seen := st.Min.Num, st.Max.Num, !st.Min.IsNull()
+		for i := from; i < vec.n; i++ {
 			if vec.IsNull(i) {
 				continue
 			}
 			f := vec.nums[i]
-			if len(seen) == 0 || f < lo {
+			if !seen || f < lo {
 				lo = f
 			}
-			if len(seen) == 0 || f > hi {
+			if !seen || f > hi {
 				hi = f
 			}
-			seen[f] = struct{}{}
+			seen = true
 		}
-		st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
-		st.Distinct = len(seen)
+		if seen {
+			st.Min, st.Max = sqlir.NewNumber(lo), sqlir.NewNumber(hi)
+		}
 	case sqlir.TypeText:
-		strs := vec.dict.Strings()
-		lo, hi := strs[0], strs[0]
-		for _, s := range strs[1:] {
-			if s < lo {
+		lo, hi, seen := st.Min.Text, st.Max.Text, !st.Min.IsNull()
+		for _, s := range vec.dict.Strings()[from:] {
+			if !seen || s < lo {
 				lo = s
 			}
-			if s > hi {
+			if !seen || s > hi {
 				hi = s
 			}
+			seen = true
 		}
-		st.Min, st.Max = sqlir.NewText(lo), sqlir.NewText(hi)
-		st.Distinct = vec.dict.Size()
+		if seen {
+			st.Min, st.Max = sqlir.NewText(lo), sqlir.NewText(hi)
+		}
 	}
 	return st
 }

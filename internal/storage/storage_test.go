@@ -175,12 +175,12 @@ func TestStats(t *testing.T) {
 	if !st.Min.Equal(num(1990)) || !st.Max.Equal(num(2000)) {
 		t.Errorf("min/max = %v/%v", st.Min, st.Max)
 	}
-	if st.NonNull != 2 || st.Distinct != 2 {
-		t.Errorf("nonnull=%d distinct=%d", st.NonNull, st.Distinct)
+	if vals, _ := m.DistinctValues("year", 0); st.NonNull != 2 || len(vals) != 2 {
+		t.Errorf("nonnull=%d distinct=%d", st.NonNull, len(vals))
 	}
 	st = m.Stats(m.ColumnIndex("name"))
-	if st.Distinct != 2 || st.NonNull != 3 {
-		t.Errorf("name stats: %+v", st)
+	if m.Vector("name").Dict().Size() != 2 || st.NonNull != 3 {
+		t.Errorf("name stats: %+v, %d distinct", st, m.Vector("name").Dict().Size())
 	}
 }
 
@@ -204,12 +204,14 @@ func TestStatsOverNaN(t *testing.T) {
 		}
 	}
 	st := tb.Stats(tb.ColumnIndex("amount"))
-	if !st.Min.Equal(num(5)) || !st.Max.Equal(num(5)) || st.Distinct != 1 || st.NonNull != 1 {
-		t.Errorf("(NaN, 5, NaN): %+v; want min = max = 5, 1 distinct, 1 non-null", st)
+	vals, _ := tb.DistinctValues("amount", 0)
+	if !st.Min.Equal(num(5)) || !st.Max.Equal(num(5)) || len(vals) != 1 || st.NonNull != 1 {
+		t.Errorf("(NaN, 5, NaN): %+v, %d distinct; want min = max = 5, 1 distinct, 1 non-null", st, len(vals))
 	}
 	st = tb.Stats(tb.ColumnIndex("lost"))
-	if !st.Min.IsNull() || !st.Max.IsNull() || st.Distinct != 0 || st.NonNull != 0 {
-		t.Errorf("(NaN, NULL, NaN): %+v; want no min or max, 0 distinct, 0 non-null", st)
+	vals, _ = tb.DistinctValues("lost", 0)
+	if !st.Min.IsNull() || !st.Max.IsNull() || len(vals) != 0 || st.NonNull != 0 {
+		t.Errorf("(NaN, NULL, NaN): %+v, %d distinct; want no min or max, 0 distinct, 0 non-null", st, len(vals))
 	}
 }
 
