@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,9 +9,12 @@ import (
 )
 
 // TestSetVectorsRefuses: SetVectors takes vectors only onto a live table
-// without rows, one per column, typed as the column and equally long;
-// anything else is refused, naming the table, and sets nothing. Accepted
-// vectors drop what the table derived from its old rows.
+// without rows, one per column, typed as the column and equally long, and
+// none of them a snapshot's; anything else is refused, naming the table,
+// and sets nothing. Accepted vectors drop what the table derived from their
+// old rows. A snapshot's text vector at a whole number of bitmap words is
+// refused for its frozen dictionary alone, and a snapshot's numeric vector
+// for its short bitmap alone.
 func TestSetVectorsRefuses(t *testing.T) {
 	newTable := func() *Table {
 		return NewTable("t", "",
@@ -35,6 +39,12 @@ func TestSetVectorsRefuses(t *testing.T) {
 	full := newTable()
 	full.MustInsert(sqlir.NewNumber(2), sqlir.NewText("z"))
 	frozen := NewDatabase("d", NewSchema(newTable())).Snapshot().Table("t")
+	words := newTable()
+	for i := range 64 {
+		words.MustInsert(sqlir.NewNumber(float64(i)), sqlir.NewText(fmt.Sprintf("a%d", i%5)))
+	}
+	wordSnap := NewDatabase("d", NewSchema(words)).Snapshot().Table("t")
+	srcSnap := NewDatabase("d", NewSchema(src)).Snapshot().Table("t")
 	for _, c := range []struct {
 		name string
 		tb   *Table
@@ -46,6 +56,8 @@ func TestSetVectorsRefuses(t *testing.T) {
 		{"one vector", newTable(), []ColumnVec{num}, "1 vectors for 2 columns"},
 		{"wrong type", newTable(), []ColumnVec{text, num}, "column n: vector of type text"},
 		{"unequal lengths", newTable(), []ColumnVec{num, decode(short, 1)}, "column s: 1 rows, column n has 2"},
+		{"frozen dictionary", newTable(), []ColumnVec{*wordSnap.VectorAt(0), *wordSnap.VectorAt(1)}, "column s: a snapshot's vector, its dictionary frozen"},
+		{"short bitmap", newTable(), []ColumnVec{*srcSnap.VectorAt(0), text}, "column n: a snapshot's vector, its null bitmap short of its 2 rows"},
 	} {
 		rows := c.tb.NumRows()
 		err := c.tb.SetVectors(c.vecs)

@@ -175,7 +175,7 @@ type ColumnVec struct {
 	nullCount int
 
 	// tail is a frozen vector's partially filled last bitmap word, held by
-	// value: a snapshot's nulls stop at its last full word (captureView),
+	// value: a snapshot's nulls stop at its last full word (Table.freeze),
 	// so the live vector sets the NULL bits of later rows in that word in
 	// place, in a word no snapshot reads. Zero on a live vector, whose
 	// nulls hold every word.
@@ -520,7 +520,7 @@ func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 // invariants:
 //
 //  1. One successor per base. publishLocked links a frozen table as the base
-//     of exactly one successor view (the next publication that captures the
+//     of exactly one successor (the next publication that freezes the
 //     table), and each of the successor's indexes extends the base's once,
 //     inside its own once, so no two indexes ever append into the same
 //     spare capacity.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -133,8 +134,8 @@ func TestSnapshotDictSharesRootMap(t *testing.T) {
 // TestSnapshotNullBoundaryCOW publishes a snapshot mid null-bitmap word and
 // appends NULL-bearing rows into the same word: the snapshot must keep its
 // pre-append bits (it holds that word by value), the head must see the new
-// ones. A table given the snapshot's vectors takes the word back into its
-// bitmap, so its own appends read back too.
+// ones. A live table refuses the snapshot's vectors: their bitmap stops at
+// the boundary word and their dictionary is frozen.
 func TestSnapshotNullBoundaryCOW(t *testing.T) {
 	db, _ := epochDB()
 	if _, err := db.Append("ev", epochBatch(0, 5)); err != nil {
@@ -153,15 +154,14 @@ func TestSnapshotNullBoundaryCOW(t *testing.T) {
 		t.Errorf("snapshot null count = %d, want 1", got)
 	}
 
-	copyDB, copied := epochDB()
+	_, copied := epochDB()
 	ft := snap.Table("ev")
-	if err := copied.SetVectors([]ColumnVec{*ft.VectorAt(0), *ft.VectorAt(1)}); err != nil {
-		t.Fatal(err)
+	if err := copied.SetVectors([]ColumnVec{*ft.VectorAt(0), *ft.VectorAt(1)}); err == nil || !strings.Contains(err.Error(), "a snapshot's vector") {
+		t.Fatalf("SetVectors of a snapshot's vectors: error = %v, want a refusal", err)
 	}
-	if err := copied.BulkAppend(epochBatch(5, 65)); err != nil {
-		t.Fatal(err)
+	if copied.NumRows() != 0 {
+		t.Fatalf("a refused SetVectors gave the table %d rows", copied.NumRows())
 	}
-	checkRows(t, copyDB.Snapshot().Table("ev"), 70)
 	checkRows(t, snap.Table("ev"), 5)
 }
 
@@ -201,10 +201,10 @@ func checkPostings(t *testing.T, tb *Table, n int) {
 
 // TestConcurrentAppendAndSnapshots is the storage-level race test: one
 // writer publishing epochs through Database.Append while readers pin
-// snapshots and scan them. Run with -race this proves the clamped views,
-// the frozen dictionaries, the null-bitmap COW and the posting lists a new
-// epoch's index appends into keep published epochs immutable under live
-// ingest.
+// snapshots and scan them. Run with -race this proves the clamped vectors,
+// the frozen dictionaries, the null bitmap's boundary word held by value and
+// the posting lists a new epoch's index appends into keep published epochs
+// immutable under live ingest.
 func TestConcurrentAppendAndSnapshots(t *testing.T) {
 	db, _ := epochDB()
 	if _, err := db.Append("ev", epochBatch(0, 5)); err != nil {
@@ -764,5 +764,79 @@ func TestBaseChainLateFirstReadMatchesRebuild(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("the successor did not extend the late epoch's posting lists")
+	}
+}
+
+// TestBaseChainLinksUnreadEpochs: an epoch is frozen when it is published,
+// so three publications with no read in between link each frozen table to
+// the previous epoch's as its base, clearing that one's own base, so no
+// chain is longer than one hop. Read afterwards in epoch order — the first
+// and second build from scratch, the third extends the second — every
+// epoch's postings and statistics equal a from-scratch rebuild. Two
+// concurrent Snapshot calls after an Append return the same pointer.
+func TestBaseChainLinksUnreadEpochs(t *testing.T) {
+	db := shareDB()
+	cols := []string{"id", "sparse", "tag"}
+	r := rand.New(rand.NewSource(58))
+	var held []*Table
+	for e := 0; e < 3; e++ {
+		if _, err := db.Append("ev", shareBatch(r, e, 40, false)); err != nil {
+			t.Fatal(err)
+		}
+		tb := db.latest.Load().Table("ev") // held without a Snapshot call
+		var want *Table
+		if e > 0 {
+			want = held[e-1]
+		}
+		if got := tb.base.Load(); got != want {
+			t.Fatalf("epoch %d: base %p, want the previous epoch's table %p", e+1, got, want)
+		}
+		held = append(held, tb)
+		for ei, h := range held {
+			if b := h.base.Load(); b != nil && b.base.Load() != nil {
+				t.Fatalf("after publication %d: epoch %d's chain is two hops", e+1, ei+1)
+			}
+		}
+	}
+	shared := 0
+	for e, tb := range held {
+		for _, c := range cols {
+			probes := distinctValues(held[len(held)-1].Vector(c))
+			checkRebuild(t, fmt.Sprintf("epoch %d", e+1), tb, c, probes)
+			if e == 0 {
+				continue
+			}
+			for _, v := range probes {
+				base, got := codeIndex(held[e-1], c).Postings(v), codeIndex(tb, c).Postings(v)
+				if len(base) > 0 && len(got) > len(base) && &got[0] == &base[0] {
+					shared++
+				}
+			}
+		}
+		for ci, c := range tb.Columns {
+			if got, want := tb.Stats(ci), freshStats(tb.VectorAt(ci)); !sameStats(got, want) {
+				t.Fatalf("epoch %d %s: stats %+v, fresh %+v", e+1, c.Name, got, want)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("the third epoch did not extend the second's posting lists")
+	}
+
+	if _, err := db.Append("ev", shareBatch(r, 3, 8, false)); err != nil {
+		t.Fatal(err)
+	}
+	var snaps [2]*Database
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snaps[i] = db.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if snaps[0] != snaps[1] || snaps[0] != db.latest.Load() {
+		t.Fatalf("two snapshots of one epoch are %p and %p, the epoch %p", snaps[0], snaps[1], db.latest.Load())
 	}
 }

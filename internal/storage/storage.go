@@ -6,7 +6,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,17 +35,19 @@ type Table struct {
 	vecs   []ColumnVec
 	colIdx map[string]int
 
-	// gen counts data changes. It is purely internal: epoch publication
-	// (epoch.go) compares generations to decide which tables need a fresh
-	// view and which can share the previous epoch's. Cross-request caches
-	// no longer watch it — they key by frozen snapshot identity instead.
+	// gen counts data changes; a frozen table holds the live table's
+	// generation it was frozen at. It is purely internal: epoch publication
+	// (epoch.go) compares generations to decide which tables need freezing
+	// and which can share the previous epoch's frozen table. Cross-request
+	// caches do not watch it — they key by frozen snapshot identity.
 	gen atomic.Int64
 
 	// frozen marks an immutable epoch snapshot table (epoch.go); mutation
 	// attempts fail instead of corrupting published epochs.
 	frozen bool
 
-	// base is the previous epoch's frozen table (set at freeze, epoch.go):
+	// base is the previous epoch's frozen table (set when publication
+	// freezes this one, epoch.go):
 	// this table's first read of a code index extends the base's ready
 	// index with just the appended rows, sharing its chunks and appending
 	// into its posting lists (CodeIndex.extendFrom), and its first read of
@@ -131,9 +132,12 @@ func (t *Table) Insert(vals ...sqlir.Value) error {
 // SetVectors gives a table without rows its rows as whole column vectors,
 // one per column in schema order, as DecodeVector returns them. The table
 // takes the vectors as they are, without copying them. It refuses a frozen
-// table, a table with rows, a wrong count, a vector of the wrong type and
-// vectors of unequal lengths. Like Insert, it must not run concurrently
-// with queries on the table.
+// table, a table with rows, a wrong count, a vector of the wrong type,
+// vectors of unequal lengths and a snapshot's vector: one whose dictionary
+// is frozen (its lookup map may hold only the codes interned since an
+// earlier epoch's, Dict.freeze, so interning into it would duplicate an
+// entry) or whose null bitmap stops short of its rows (ColumnVec.tail).
+// Like Insert, it must not run concurrently with queries on the table.
 func (t *Table) SetVectors(vecs []ColumnVec) error {
 	if t.frozen {
 		return fmt.Errorf("storage: table %s: cannot set the vectors of a frozen snapshot", t.Name)
@@ -153,15 +157,16 @@ func (t *Table) SetVectors(vecs []ColumnVec) error {
 			return fmt.Errorf("storage: table %s column %s: %d rows, column %s has %d",
 				t.Name, t.Columns[i].Name, vecs[i].n, t.Columns[0].Name, vecs[0].n)
 		}
-	}
-	copy(t.vecs, vecs)
-	for i := range t.vecs {
-		if v := &t.vecs[i]; len(v.nulls) < (v.n+63)>>6 {
-			// A snapshot's vector: its last bitmap word goes back into the
-			// bitmap, where appends set bits.
-			v.nulls, v.tail = append(slices.Clip(v.nulls), v.tail), 0
+		if d := vecs[i].dict; d != nil && d.live != nil {
+			return fmt.Errorf("storage: table %s column %s: a snapshot's vector, its dictionary frozen",
+				t.Name, t.Columns[i].Name)
+		}
+		if v := &vecs[i]; len(v.nulls) < (v.n+63)>>6 {
+			return fmt.Errorf("storage: table %s column %s: a snapshot's vector, its null bitmap short of its %d rows",
+				t.Name, t.Columns[i].Name, v.n)
 		}
 	}
+	copy(t.vecs, vecs)
 	t.rowsChanged()
 	return nil
 }
@@ -462,10 +467,10 @@ type Database struct {
 	Schema *Schema
 
 	// Epoch publication state (epoch.go). writeMu serializes Append batches
-	// and epoch publication; latest holds the newest published view, the
-	// only one the live database keeps.
+	// and epoch publication; latest holds the newest published epoch, a
+	// frozen database, the only one the live database keeps.
 	writeMu  sync.Mutex
-	latest   atomic.Pointer[dbView]
+	latest   atomic.Pointer[Database]
 	epochSeq int64 // last assigned epoch number; guarded by writeMu
 
 	// frozen marks an immutable epoch snapshot; snapEpoch is its number.
