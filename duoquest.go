@@ -245,9 +245,9 @@ func NewEngine(cfg Config) *Engine {
 // Synthesizer is the Duoquest engine bound to one database. It is safe for
 // concurrent use: all requests run through an internal service Engine and
 // share the per-database caches — the column- and row-wise verification
-// memos, keyed by published epoch so a concurrent Append never evicts an
-// in-flight reader's warm cache — plus the autocomplete index, built once on
-// first use.
+// memos, whose answers every epoch reuses where a question's tables hold
+// the same rows, so a concurrent Append leaves in-flight readers' answers
+// warm — plus the autocomplete index, built once on first use.
 type Synthesizer struct {
 	db  *Database
 	eng *Engine

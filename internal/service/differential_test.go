@@ -66,9 +66,9 @@ func workloadOptions() Config {
 
 // faultFor is faulty twin k's fault: its context acts at one of its first
 // four executor polls, each inside a memo's computation. Even twins hold
-// that poll until their 2 ms deadline — a slow probe, during which a clean
-// neighbour asking the same question waits on the entry the twin is
-// computing — and then expire; odd twins are cancelled at once.
+// that poll until their 2 ms deadline — a slow probe, beside which a clean
+// neighbour asking the same question computes it itself — and then expire;
+// odd twins are cancelled at once.
 func faultFor(k int) *faultCtx {
 	if k%2 == 0 {
 		return holdAt(int64(1+k%4), 2*time.Millisecond)

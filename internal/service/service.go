@@ -465,7 +465,7 @@ func (e *Engine) SnapshotAt(name string, epoch int64) (*Snapshot, error) {
 // Append bulk-appends one batch to a table of a registered database and
 // publishes it as a new epoch, returning the epoch number. This is the only
 // mutation safe under concurrent requests: in-flight sessions keep their
-// pinned epochs (and warm caches — zero evictions), and the next unpinned
+// pinned epochs and the memoized answers over them, and the next unpinned
 // request observes the new rows. Append publishes and returns: the new
 // epoch's shard is created by the first request that resolves it (shardFor).
 func (e *Engine) Append(name, table string, cols []storage.ColumnData) (int64, error) {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ValueKind discriminates the runtime kind of a Value.
@@ -128,42 +129,53 @@ func (v Value) Compare(o Value) int {
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
 // Like reports whether the value matches a SQL LIKE pattern with % and _
-// wildcards. Matching is case-insensitive, as in SQLite's default collation.
-// Only text values can match; NULL and numbers never match.
+// wildcards, as SQLite's LIKE does by default: ASCII letters match either
+// case, every other character only itself, and _ matches one UTF-8
+// character. Only text values can match; NULL and numbers never match.
 func (v Value) Like(pattern string) bool {
-	if v.Kind != KindText {
-		return false
-	}
-	return likeMatch(strings.ToLower(v.Text), strings.ToLower(pattern))
+	return v.Kind == KindText && likeMatch(v.Text, pattern)
 }
 
-// likeMatch implements LIKE with % (any run) and _ (any single rune) using
-// iterative backtracking over the last % seen.
+// likeMatch implements LIKE with % (any run) and _ (any one character)
+// using iterative backtracking over the last % seen. It compares bytes in
+// place: a multi-byte character matches only itself, byte for byte, and a
+// % gives up whole characters.
 func likeMatch(s, p string) bool {
-	sr, pr := []rune(s), []rune(p)
 	si, pi := 0, 0
 	star, match := -1, 0
-	for si < len(sr) {
+	for si < len(s) {
 		switch {
-		case pi < len(pr) && (pr[pi] == '_' || pr[pi] == sr[si]):
+		case pi < len(p) && p[pi] == '%':
+			star, match = pi, si
+			pi++
+		case pi < len(p) && p[pi] == '_':
+			_, w := utf8.DecodeRuneInString(s[si:])
+			si += w
+			pi++
+		case pi < len(p) && lowerASCII(p[pi]) == lowerASCII(s[si]):
 			si++
 			pi++
-		case pi < len(pr) && pr[pi] == '%':
-			star = pi
-			match = si
-			pi++
 		case star != -1:
-			pi = star + 1
-			match++
-			si = match
+			_, w := utf8.DecodeRuneInString(s[match:])
+			match += w
+			pi, si = star+1, match
 		default:
 			return false
 		}
 	}
-	for pi < len(pr) && pr[pi] == '%' {
+	for pi < len(p) && p[pi] == '%' {
 		pi++
 	}
-	return pi == len(pr)
+	return pi == len(p)
+}
+
+// lowerASCII folds an ASCII upper-case letter to lower case and leaves
+// every other byte alone.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // String renders the value as a SQL literal.

@@ -146,6 +146,15 @@ func TestLike(t *testing.T) {
 		{"", "%", true},
 		{"", "_", false},
 		{"Hello", "hello", true}, // case-insensitive
+		{"MiXeD CaSe", "mixed%CASE", true},
+		{"Émile", "émile", false}, // only ASCII letters fold, as in SQLite
+		{"Émile", "Émile", true},
+		{"Émile", "_mile", true}, // _ is one character, not one byte
+		{"Émile", "__mile", false},
+		{"naïve", "na_ve", true},
+		{"naïve", "%ï%", true},
+		{"50%", "%", true},
+		{"%a", "%", true},
 		{"abc", "a%c", true},
 		{"ac", "a%c", true},
 		{"abcdc", "a%c", true},
@@ -161,6 +170,10 @@ func TestLike(t *testing.T) {
 	}
 	if Null().Like("%") {
 		t.Error("NULL should not match LIKE")
+	}
+	zola := NewText("Émile ZOLA")
+	if n := testing.AllocsPerRun(100, func() { zola.Like("%_mile%zola") }); n != 0 {
+		t.Errorf("LIKE allocates %v times a match, want 0", n)
 	}
 }
 

@@ -312,30 +312,21 @@ func (ix *CodeIndex) list(s int) []int32 {
 	return capped(ix.slots[s>>pageBits][s>>chunkBits&(pageChunks-1)][s&(slotChunk-1)])
 }
 
-// numSlot returns the slot of numeric value f, false when f is not an
-// integer inside the slot table's range.
-func (ix *CodeIndex) numSlot(f float64) (int, bool) {
-	if f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+ix.width) {
-		return 0, false
-	}
-	return int(f) - ix.off, true
-}
-
 // numKey is the value map's key for f: its bits, with −0 folded into +0
 // (f+0) so that ±0 share a list, as Value.Equal has them. An integer key
 // takes the runtime's 64-bit map fast path, which a float key cannot.
 func numKey(f float64) uint64 { return math.Float64bits(f + 0) }
 
 // Num returns a numeric column's posting list for a float value (nil when
-// absent).
+// absent: in a slot table, f is not an integer inside its range).
 func (ix *CodeIndex) Num(f float64) []int32 {
-	if ix.num != nil {
+	switch {
+	case ix.num != nil:
 		return capped(ix.num[numKey(f)])
+	case f != math.Trunc(f) || f < float64(ix.off) || f >= float64(ix.off+ix.width):
+		return nil
 	}
-	if s, ok := ix.numSlot(f); ok {
-		return ix.list(s)
-	}
-	return nil
+	return ix.list(int(f) - ix.off)
 }
 
 // Text returns a text column's posting list for a dictionary code (nil when
@@ -377,12 +368,11 @@ func (ix *CodeIndex) Postings(v sqlir.Value) []int32 {
 }
 
 // fill appends rows [from, n) of the column to the index, in the layout the
-// index holds. A build passes the one array its slot table was cut from,
-// flat, and writes slot s at flat[s]; an extension passes its base index,
-// whose pages and chunks it still shares, and the first write into one
-// copies it (own). fill reports false at a numeric value outside the slot
-// table, which only an extension meets.
-func (ix *CodeIndex) fill(from int, base *CodeIndex, flat [][]int32) bool {
+// index holds; every numeric value falls inside a slot table (denseRange). A
+// build passes the one array its slot table was cut from, flat, and writes
+// slot s at flat[s]; an extension passes its base index, whose pages and
+// chunks it still shares, and the first write into one copies it (own).
+func (ix *CodeIndex) fill(from int, base *CodeIndex, flat [][]int32) {
 	vec := ix.vec
 	for i := from; i < vec.n; i++ {
 		var s int
@@ -396,10 +386,7 @@ func (ix *CodeIndex) fill(from int, base *CodeIndex, flat [][]int32) bool {
 		case vec.typ == sqlir.TypeText:
 			s = int(vec.codes[i])
 		default:
-			var ok bool
-			if s, ok = ix.numSlot(vec.nums[i]); !ok {
-				return false
-			}
+			s = int(vec.nums[i]) - ix.off
 		}
 		if flat != nil {
 			flat[s] = append(flat[s], int32(i))
@@ -410,7 +397,6 @@ func (ix *CodeIndex) fill(from int, base *CodeIndex, flat [][]int32) bool {
 		chunk := ix.slots[p][c]
 		chunk[s&(slotChunk-1)] = append(chunk[s&(slotChunk-1)], int32(i))
 	}
-	return true
 }
 
 // own makes page p, and chunk c of it, the index's own before a write:
@@ -466,7 +452,7 @@ func (ix *CodeIndex) build() {
 	vec := ix.vec
 	if vec.typ == sqlir.TypeText {
 		ix.width = vec.dict.Size()
-	} else if off, width, ok := denseRange(vec); ok {
+	} else if off, width, ok := denseRange(vec, 0, math.Inf(1), math.Inf(-1)); ok {
 		ix.off, ix.width = off, width
 	} else {
 		ix.num = make(map[uint64][]int32, vec.n-vec.nullCount)
@@ -478,17 +464,17 @@ func (ix *CodeIndex) build() {
 	ix.fill(0, nil, flat)
 }
 
-// denseRange reports the slot table a numeric column fits, in one scan:
-// every non-null value must be an integer and the value range must stay
-// within a small multiple of the row count (so id-like columns qualify and
-// sparse ones keep the value map).
-func denseRange(vec *ColumnVec) (off, width int, ok bool) {
+// denseRange reports the slot table that rows [from, n) of a numeric column
+// fit together with the integers [lo, hi] (none when lo is +Inf and hi −Inf),
+// in one scan: every non-null value must be an integer and the range must
+// stay within a small multiple of the column's non-null count (so id-like
+// columns qualify and sparse ones keep the value map).
+func denseRange(vec *ColumnVec, from int, lo, hi float64) (off, width int, ok bool) {
 	nonNull := vec.n - vec.nullCount
 	if nonNull == 0 {
 		return 0, 0, false
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < vec.n; i++ {
+	for i := from; i < vec.n; i++ {
 		if vec.IsNull(i) {
 			continue
 		}
@@ -509,12 +495,13 @@ func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 // map, or the base's page table — sharing the pages, the chunks and the
 // posting lists — and fills only the rows appended since b. A page or chunk
 // is copied before the first write into it, and before a dictionary grown
-// since b widens it (widen), so an epoch boundary costs O(distinct keys)
-// for a value map and, for a slot table, O(width/4096 + pageChunks·
-// pages touched + slotChunk·chunks touched + delta); a posting list is
-// copied only when an append finds it full. It reports false, leaving the
-// index empty, when there is no ready base index or a delta value falls
-// outside the base's slot table; the caller then builds from scratch.
+// since b, or a numeric delta past the table's top, widens it (widen), so
+// an epoch boundary costs O(distinct keys) for a value map and, for a slot
+// table, O(width/4096 + pageChunks·pages touched + slotChunk·chunks touched
+// + delta); a posting list is copied only when an append finds it full. It reports false, having written nothing, when there is no
+// ready base index or a numeric delta value does not fit a slot table
+// widened upward (a value below off, a non-integer, or a range too sparse);
+// the caller then builds from scratch.
 //
 // Appending into the base's spare capacity is safe because of four
 // invariants:
@@ -532,10 +519,9 @@ func denseRange(vec *ColumnVec) (off, width int, ok bool) {
 //  3. Nobody else appends. Num, Text, TextString and Postings return lists
 //     capped at their length (capped), so a caller appending to a posting
 //     list reallocates instead of writing into shared capacity.
-//  4. A failed extension is invisible. It wrote only into pages and chunks
-//     it had copied and into spare capacity (2), which no one else will
-//     write (1), and the index restarts empty before its build, which
-//     allocates a table and lists of its own.
+//  4. An extension fails before it writes: it reads the delta first
+//     (denseRange), and the build that follows allocates a table and lists
+//     of its own.
 func (ix *CodeIndex) extendFrom(b *Table, ci int) bool {
 	if b == nil {
 		return false
@@ -549,13 +535,20 @@ func (ix *CodeIndex) extendFrom(b *Table, ci int) bool {
 	if base.num != nil {
 		ix.num = maps.Clone(base.num)
 	} else {
-		ix.off, ix.width = base.off, max(base.width, ix.vec.dict.Size())
-		ix.slots, _ = widen(base.slots, base.width, ix.width)
+		width := max(base.width, ix.vec.dict.Size())
+		if ix.vec.typ == sqlir.TypeNumber {
+			// The delta must fit the table at its off: one past the top
+			// widens it upward, as a grown dictionary widens a text column's.
+			off, w, ok := denseRange(ix.vec, b.NumRows(), float64(base.off), float64(base.off+base.width-1))
+			if !ok || off != base.off {
+				return false
+			}
+			width = w
+		}
+		ix.off, ix.width = base.off, width
+		ix.slots, _ = widen(base.slots, base.width, width)
 	}
-	if !ix.fill(b.NumRows(), base, nil) {
-		ix.slots, ix.off, ix.width = nil, 0, 0
-		return false
-	}
+	ix.fill(b.NumRows(), base, nil)
 	return true
 }
 
@@ -577,8 +570,8 @@ func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 // what the streaming pipeline's seeds and join probes read — made on first
 // read and memoized until the next Insert. A table whose base (epoch.go)
 // has a ready index ci extends it with just the appended rows; otherwise,
-// or when those rows leave the base's slot array, the index is built from
-// scratch.
+// or when those rows do not fit the base's slot table widened upward, the
+// index is built from scratch.
 func (t *Table) CodeIndex(ci int) *CodeIndex {
 	t.hashMu.Lock()
 	if t.codeIdx == nil {

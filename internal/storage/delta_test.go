@@ -82,9 +82,17 @@ func copyRows(tb *Table, from, n int) []ColumnData {
 
 // epochRound is one ingest epoch as a reader meets it: append 128 copied
 // rows, take the snapshot, and read every column's statistics and index.
-func epochRound(db *Database, round int) {
+// With fresh, the rows take new ids past the table's last, as an
+// auto-increment key hands them out.
+func epochRound(db *Database, round int, fresh bool) {
 	live := db.Schema.Tables[0]
-	if _, err := db.Append("fact", copyRows(live, round*997, 128)); err != nil {
+	cols := copyRows(live, round*997, 128)
+	if fresh {
+		for j := range cols[0].Nums {
+			cols[0].Nums[j] = float64(live.NumRows() + 1 + j)
+		}
+	}
+	if _, err := db.Append("fact", cols); err != nil {
 		panic(err)
 	}
 	tb := db.Snapshot().Schema.Tables[0]
@@ -97,17 +105,17 @@ func epochRound(db *Database, round int) {
 // epochBytes returns the median bytes one epochRound allocates on a table
 // of rows rows, over rounds after a warm-up. The median leaves out the
 // rare round in which a column vector's geometric growth reallocates it.
-func epochBytes(rows int) uint64 {
+func epochBytes(rows int, fresh bool) uint64 {
 	db := factTable(rows)
 	for round := 0; round < 8; round++ {
-		epochRound(db, round)
+		epochRound(db, round, fresh)
 	}
 	var per []uint64
 	var ms runtime.MemStats
 	for round := 8; round < 40; round++ {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		epochRound(db, round)
+		epochRound(db, round, fresh)
 		runtime.ReadMemStats(&ms)
 		per = append(per, ms.TotalAlloc-before)
 	}
@@ -118,13 +126,17 @@ func epochBytes(rows int) uint64 {
 // TestEpochCostIsItsDelta: what an epoch costs — the append, the snapshot,
 // and every column's statistics and index on first read — depends on the
 // rows appended, not on the table's size: on a table ten times larger the
-// same 128-row epoch may allocate at most half as much again.
+// same 128-row epoch may allocate at most half as much again, whether its
+// rows repeat the table's ids or take fresh ones past the last (an id
+// index then widens its slot table upward instead of being rebuilt).
 func TestEpochCostIsItsDelta(t *testing.T) {
-	small, large := epochBytes(20_000), epochBytes(200_000)
-	t.Logf("bytes per 128-row epoch: %d at 20k rows, %d at 200k rows (%.2f×)", small, large, float64(large)/float64(small))
-	if float64(large) > 1.5*float64(small) {
-		t.Errorf("a 128-row epoch allocates %d bytes at 200k rows, %.2f× the %d at 20k: the epoch costs the table, not its delta",
-			large, float64(large)/float64(small), small)
+	for _, fresh := range []bool{false, true} {
+		small, large := epochBytes(20_000, fresh), epochBytes(200_000, fresh)
+		t.Logf("bytes per 128-row epoch (fresh ids %v): %d at 20k rows, %d at 200k rows (%.2f×)", fresh, small, large, float64(large)/float64(small))
+		if float64(large) > 1.5*float64(small) {
+			t.Errorf("a 128-row epoch (fresh ids %v) allocates %d bytes at 200k rows, %.2f× the %d at 20k: the epoch costs the table, not its delta",
+				fresh, large, float64(large)/float64(small), small)
+		}
 	}
 }
 
@@ -136,11 +148,11 @@ func BenchmarkEpochAppend(b *testing.B) {
 	for _, rows := range []int{20_000, 200_000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			db := factTable(rows)
-			epochRound(db, 0)
+			epochRound(db, 0, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				epochRound(db, i+1)
+				epochRound(db, i+1, false)
 			}
 		})
 	}

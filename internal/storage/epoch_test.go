@@ -320,15 +320,16 @@ func wantPostings(vec *ColumnVec) map[string][]int32 {
 
 // TestSnapshotSharedPostingsMatchRebuild: every held epoch's postings equal
 // a from-scratch build over its own vectors, however its index was made —
-// over a seeded append stream, and in the three places a slot table's
-// chunks are copied: a dictionary that grows across a chunk and page
-// boundary, a delta that writes its base's short last chunk, and an
-// extension that fails after copying a chunk.
+// over a seeded append stream, and in the places a slot table's chunks are
+// copied or passed over: a dictionary that grows across a chunk and page
+// boundary, fresh ids that widen an id column's table the same way, a delta
+// that writes its base's short last chunk, and an extension that fails.
 func TestSnapshotSharedPostingsMatchRebuild(t *testing.T) {
 	t.Run("seeded appends", seededSharedPostings)
 	t.Run("dictionary grows across a chunk boundary", dictGrowsAcrossChunks)
+	t.Run("fresh ids grow across a chunk boundary", freshIdsGrowAcrossChunks)
 	t.Run("delta writes the base's short last chunk", deltaWritesShortChunk)
-	t.Run("failed extension after a chunk copy", failedExtensionAfterCopy)
+	t.Run("failed extension writes nothing", failedExtensionWritesNothing)
 }
 
 // seededSharedPostings runs 64 epochs of seeded appends,
@@ -503,6 +504,35 @@ func dictGrowsAcrossChunks(t *testing.T) {
 	}
 }
 
+// freshIdsGrowAcrossChunks is dictGrowsAcrossChunks for an id column: ids 0
+// to 4 089 fill one page ending in a short chunk, epoch 2 writes id 5 and
+// appends ids 4 090 to 4 101, past the page, and epoch 3 ids 4 102 to 4 169,
+// past a chunk boundary inside the second page. Each extension widens the
+// slot table upward instead of rebuilding it: the chunks a delta does not
+// write stay shared.
+func freshIdsGrowAcrossChunks(t *testing.T) {
+	ids := func(lo, hi int, extra ...float64) []ColumnData {
+		for i := lo; i < hi; i++ {
+			extra = append(extra, float64(i))
+		}
+		return idRows(extra...)
+	}
+	tables := chunkEpochs(t, ids(0, 4090), ids(4090, 4102, 5), ids(4102, 4170))
+	ix := make([]*CodeIndex, len(tables))
+	for e, ft := range tables {
+		ix[e] = codeIndex(ft, "id")
+	}
+	if ix[2].num != nil || len(ix[1].slots) != 2 || len(ix[1].slots[1]) != 1 || len(ix[2].slots[1]) != 2 {
+		t.Fatalf("slot tables of %d and %d slots: want 2 pages, the second of 1 chunk and then of 2", ix[1].width, ix[2].width)
+	}
+	if !sameChunk(ix[1], ix[0], 0, 1) || sameChunk(ix[1], ix[0], 0, 0) || sameChunk(ix[1], ix[0], 0, 63) {
+		t.Error("epoch 2: want chunk 1 shared with its base, and chunk 0 (written) and the widened chunk 63 copied")
+	}
+	if &ix[2].slots[0][0] != &ix[1].slots[0][0] || sameChunk(ix[2], ix[1], 1, 0) {
+		t.Error("epoch 3: want its base's first page shared, and the widened short chunk of the second copied")
+	}
+}
+
 // deltaWritesShortChunk: the id column's slot table is 100 slots wide, so
 // its second chunk is short; a delta writes ids in it, copying that chunk
 // and leaving the first one shared.
@@ -521,13 +551,13 @@ func deltaWritesShortChunk(t *testing.T) {
 	}
 }
 
-// failedExtensionAfterCopy: the delta's first row is an id inside the base's
-// slot table, so the extension copies that id's chunk and appends the row
-// into the spare capacity of the base's list before the second row, far
-// outside the table, fails it. The index is then built from scratch, the
-// base's readers still see their own rows, and the next epoch extends the
-// rebuilt index.
-func failedExtensionAfterCopy(t *testing.T) {
+// failedExtensionWritesNothing: the delta's first row is an id inside the
+// base's slot table and its second is far outside it, so the extension
+// fails. It fails on reading the delta, before it writes the first row into
+// the spare capacity of the base's list. The index is then built from
+// scratch, the base's readers still see their own rows, and the next epoch
+// extends the rebuilt index.
+func failedExtensionWritesNothing(t *testing.T) {
 	ids := make([]float64, 200)
 	for i := range ids {
 		ids[i] = float64(i % 97) // ids 0 to 5 have three rows, so spare capacity
@@ -535,8 +565,8 @@ func failedExtensionAfterCopy(t *testing.T) {
 	tables := chunkEpochs(t, idRows(ids...), idRows(1, 1e6), idRows(1, 5))
 	base, rebuilt := codeIndex(tables[0], "id"), codeIndex(tables[1], "id")
 	raw := base.slots[0][0][1]
-	if got := raw[:cap(raw)]; len(raw) != 3 || len(got) < 4 || got[3] != 200 {
-		t.Fatalf("base list of id 1: %v, with capacity %v: the extension wrote no row into its spare capacity before failing", raw, got)
+	if got := raw[:cap(raw)]; len(raw) != 3 || len(got) < 4 || got[3] == 200 {
+		t.Fatalf("base list of id 1: %v, with capacity %v: want spare capacity the failed extension did not write", raw, got)
 	}
 	if rebuilt.num == nil {
 		t.Error("the failed extension's index is a slot table: it was not rebuilt over the new range")

@@ -11,8 +11,8 @@ import (
 // Verifiers created from one shared Cache reuse each other's column-wise
 // answers (no repeated database work) and report only their own executor
 // counters. The cache is bound to one epoch snapshot: an Insert into the
-// live database never evicts its memos — a verifier on the next epoch's
-// snapshot (with its own cache) sees the new row instead.
+// live database changes no answer its verifiers get — a verifier on the next
+// epoch's snapshot (with its own cache) sees the new row instead.
 func TestSharedCacheAcrossVerifiers(t *testing.T) {
 	live := movieDB()
 	db := live.Snapshot()

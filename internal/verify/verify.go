@@ -120,12 +120,13 @@ type Stats struct {
 
 // Verifier checks partial queries against a TSQ, the NLQ literals, and the
 // semantic rule set. A Verifier is safe for concurrent use, and so are the
-// column-wise and row-wise memos it reads: concurrent first checks of the
-// same key share one database query. Create one per synthesis task — the
-// rules, sketch, and literals are request state — but the memos themselves depend
-// only on the database contents, so verifiers for the same database may
-// share them through a Cache (NewWithCache): a later request re-asking a
-// question an earlier request already answered pays no database work.
+// column-wise and row-wise memos it reads: concurrent first checks of one
+// key each run its database query, and neither waits on the other. Create
+// one per synthesis task — the rules, sketch, and literals are request
+// state — but the memos themselves depend only on the database contents, so
+// verifiers for the same database may share them through a Cache
+// (NewWithCache): a later request re-asking a question an earlier request
+// already answered pays no database work.
 type Verifier struct {
 	db       *storage.Database
 	rules    *semrules.RuleSet
@@ -158,39 +159,37 @@ type Verifier struct {
 // one database at once. Each key holds one entry, stamped with the version
 // of the snapshot that computed it (boolEntry.version): an entry answers a
 // reader of the same version, and a true answer that survives appended rows
-// also answers every later one (answers). Concurrent first lookups of a key
-// at one version share one computation: the loser of the map race blocks on
-// the winner's entry lock instead of re-running the (possibly expensive
-// database) check. A transient failure — the computing request was
-// cancelled or expired — is reported to its caller but never memoized, so a
+// also answers every later one (answers). A transient failure — the
+// computing request was cancelled or expired — is never memoized, so a
 // shared memo cannot replay one request's fate to later, healthy requests.
 type boolMemo struct {
 	mu sync.Mutex
-	m  map[memoKey]*boolEntry
+	m  map[memoKey]boolEntry
 }
 
+// memoEntries caps a memo: a new key that finds it full empties it first. A
+// constant, not an option; DESIGN.md §7 has its bytes and the benchmark's
+// peak (about 1 350 entries).
+const memoEntries = 1 << 14
+
 type boolEntry struct {
-	mu sync.Mutex
-	// done is set, under mu, after the fields below are written and never
-	// cleared, so a lock-free reader that observes it may read them all.
-	done atomic.Bool
-	val  bool
-	err  error
+	val bool
 	// mono marks a question whose true answer survives appended rows
 	// (sqlexec.ExistsQuery.TrueSurvivesAppends).
 	mono bool
+	err  error
 	// version is the computing snapshot's version of the question's tables,
-	// their summed row counts, fixed before the entry is published. Tables
-	// only grow and epochs are totally ordered, so two snapshots of one
-	// database with equal versions hold the same rows in those tables, and a
-	// greater version holds at least as many rows in every one.
+	// their summed row counts. Tables only grow and epochs are totally
+	// ordered, so two snapshots of one database with equal versions hold the
+	// same rows in those tables, and a greater version holds at least as many
+	// rows in every one.
 	version int
 }
 
-// answers reports whether a done entry answers a reader of version v: the
+// answers reports whether the entry answers a reader of version v: the
 // entry's own version, or any later one for a true answer that survives
 // appended rows.
-func (e *boolEntry) answers(v int) bool {
+func (e boolEntry) answers(v int) bool {
 	return e.version == v || e.mono && e.val && e.err == nil && e.version < v
 }
 
@@ -212,46 +211,36 @@ func transient(err error) bool {
 // do returns the memoized value for key, asked of db, whose answer reads
 // the tables deps; f computes it, and reports whether a true answer
 // survives appended rows. hit reports whether a previously computed entry
-// answered the call. A reader never waits on another version's computation:
-// a newer reader replaces the key's entry with its own, and an older one
-// computes privately, leaving the newer entry in place.
+// answered the call. A miss computes outside the lock, so no reader waits
+// on another (concurrent first askers of a key each compute it), and stores
+// its answer unless the key holds an entry of its version or newer: an older
+// reader, a pinned epoch behind the head, never replaces a newer entry.
 func (bm *boolMemo) do(db *storage.Database, deps sqlir.TableSet, key memoKey, f func() (val, mono bool, err error)) (val, hit bool, err error) {
 	v := 0
 	for s := uint64(deps); s != 0; s &= s - 1 {
 		v += db.Schema.TableAt(bits.TrailingZeros64(s)).NumRows()
 	}
 	bm.mu.Lock()
-	if bm.m == nil {
-		bm.m = map[memoKey]*boolEntry{}
-	}
 	e, ok := bm.m[key]
-	switch {
-	case ok && e.done.Load() && e.answers(v):
-		bm.mu.Unlock()
-		return e.val, true, e.err
-	case ok && e.version > v:
-		bm.mu.Unlock()
-		val, _, err := f()
-		return val, false, err
-	case !ok || e.version < v:
-		e = &boolEntry{version: v}
-		bm.m[key] = e
-		ok = false
-	}
 	bm.mu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done.Load() {
-		return e.val, ok, e.err
+	if ok && e.answers(v) {
+		return e.val, true, e.err
 	}
 	val, mono, err := f()
 	if err != nil && Transient(err) {
-		// Leave the entry uncomputed for the next request.
 		return false, false, err
 	}
-	e.val, e.err, e.mono = val, err, mono
-	e.done.Store(true)
-	return e.val, false, e.err
+	bm.mu.Lock()
+	defer bm.mu.Unlock()
+	old, ok := bm.m[key]
+	switch {
+	case ok && old.version >= v:
+		return val, false, err
+	case bm.m == nil || !ok && len(bm.m) >= memoEntries:
+		bm.m = map[memoKey]boolEntry{}
+	}
+	bm.m[key] = boolEntry{val: val, err: err, mono: mono, version: v}
+	return val, false, err
 }
 
 // Cache is the shared verification state of one frozen snapshot of a
@@ -262,8 +251,8 @@ func (bm *boolMemo) do(db *storage.Database, deps sqlir.TableSet, key memoKey, f
 // questions get asked), so one Cache is safely shared by all verifiers — and
 // therefore all requests — bound to the same snapshot, and a snapshot reuses
 // an answer computed on another wherever the tables it reads hold the same
-// rows in both (boolMemo). A write to the live database never evicts
-// another reader's warm answers: readers that want the new rows take a new
+// rows in both (boolMemo). A write to the live database changes no answer a
+// reader of this snapshot gets: readers that want the new rows take a new
 // snapshot and its Cache.
 type Cache struct {
 	db    *storage.Database
